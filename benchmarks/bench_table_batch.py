@@ -32,8 +32,12 @@ ROUNDS = 3
 
 
 def _config():
+    # the lockstep engine is a python-path optimisation: on the default
+    # compiled step loop every lane integrates on its own and
+    # batch_size changes neither speed nor bits (EXPERIMENTS TAB-LOOP)
     return LingerConfig(record_sources=False, keep_mode_results=False,
-                        lmax_photon=8, lmax_nu=8, rtol=3e-4)
+                        lmax_photon=8, lmax_nu=8, rtol=3e-4,
+                        rhs_kernel="python")
 
 
 def test_batched_speedup(bg, thermo, benchmark, capsys):

@@ -83,12 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = integrate every mode)")
     p_run.add_argument("--rhs-kernel",
                        choices=["python", "numba", "cext", "auto"],
-                       default="python",
-                       help="kernel for the hot full-phase RHS: 'python' "
-                            "(reference, bitwise-pinned), 'numba' or 'cext' "
-                            "(compiled, ~same values within the verify "
-                            "budget), 'auto' (fastest available); an "
-                            "unavailable kernel falls back to python")
+                       default="auto",
+                       help="engine for the hot full-hierarchy phase: "
+                            "'auto' (default: fastest available), 'cext' "
+                            "(compiled RHS and DVERK step loop, bitwise "
+                            "the python driver), 'numba' (compiled RHS), "
+                            "'python' (the reference); an unavailable "
+                            "kernel falls back to python with a warning")
     p_run.add_argument("--backend",
                        choices=["inprocess", "procs", "sockets"],
                        default="procs",
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="must mirror the master's --batch-size")
     p_wrk.add_argument("--rhs-kernel",
                        choices=["python", "numba", "cext", "auto"],
-                       default="python")
+                       default="auto")
     p_wrk.add_argument("--worker-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="this rank's fault-tolerance policy; must be "

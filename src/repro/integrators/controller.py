@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contract import rms
+
 __all__ = ["StepController"]
 
 
@@ -50,8 +52,7 @@ class StepController:
         atol: float | np.ndarray,
     ) -> float:
         scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-        ratio = err / scale
-        return float(np.sqrt(np.mean(ratio * ratio)))
+        return rms(err / scale)
 
     def factor(self, err_norm: float) -> float:
         """Step-size multiplier after a step with the given error norm."""

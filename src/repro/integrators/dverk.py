@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import IntegrationError
+from .contract import ordered_weighted_sum, rms
 from .controller import StepController
 from .results import IntegrationResult, IntegratorStats
 from .tableau import ButcherTableau
@@ -109,6 +110,9 @@ class RKDriver:
         self.first_step = first_step
         self.flops_per_rhs = flops_per_rhs
         self._k: np.ndarray | None = None  # stage buffer (s, n)
+        self._prod: np.ndarray | None = None  # weight * stage products
+        # tableau weights as columns broadcasting over a (s, n) buffer
+        self._weights = tableau.contraction_weights(1)
 
     # ------------------------------------------------------------------
 
@@ -136,26 +140,33 @@ class RKDriver:
         if self.first_step is not None:
             return min(self.first_step, abs(t1 - t0))
         scale = np.abs(self.atol) + self.rtol * np.abs(y0)
-        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+        d0 = rms(y0 / scale)
+        d1 = rms(f0 / scale)
         h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * (t1 - t0)
         return min(h, 0.1 * (t1 - t0), self.max_step)
 
     def _step(self, t: float, y: np.ndarray, h: float
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One trial step; returns (y_new, err, f_last)."""
+        """One trial step; returns (y_new, err, f_last).
+
+        Every tableau contraction is a left-to-right sum over the
+        non-zero weights (the arithmetic contract, rule 1), so the
+        result does not depend on a BLAS kernel.
+        """
         tb = self.tableau
         s = tb.n_stages
         n = y.shape[0]
         if self._k is None or self._k.shape != (s, n):
             self._k = np.empty((s, n))
-        k = self._k
+            self._prod = np.empty((s, n))
+        k, prod = self._k, self._prod
+        w, terms = self._weights, tb.contraction_terms
         k[0] = self.rhs(t, y)
         for i in range(1, s):
-            yi = y + h * (tb.a[i, :i] @ k[:i])
+            yi = y + h * ordered_weighted_sum(w[i], terms[i], k, prod)
             k[i] = self.rhs(t + tb.c[i] * h, yi)
-        y_new = y + h * (tb.b_high @ k)
-        err = h * (tb.error_weights @ k)
+        y_new = y + h * ordered_weighted_sum(w[s], terms[s], k, prod)
+        err = h * ordered_weighted_sum(w[s + 1], terms[s + 1], k, prod)
         return y_new, err, k[0]
 
     def integrate(

@@ -19,8 +19,9 @@ fraction (rejected lane-steps over attempted ones).
 
 Per lane the step sequence is *identical* to the serial driver's — the
 clamping, snapping-to-stop, controller-factor and underflow rules below
-are transcribed line for line — so a batched integration reproduces the
-serial trajectories to floating-point roundoff.
+are transcribed line for line, and every sum follows the arithmetic
+contract of :mod:`repro.integrators.contract` — so a lane's trajectory
+is bitwise the serial driver's, whichever lanes share its batch.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import IntegrationError
+from .contract import ordered_weighted_sum
 from .dverk import VERNER_65_TABLEAU
 from .results import IntegratorStats
 from .tableau import ButcherTableau
@@ -147,6 +149,7 @@ class BatchedRKDriver:
         self.beta = beta
         self.flops_per_rhs = flops_per_rhs
         self._K: np.ndarray | None = None  # stage buffer (s, B, n)
+        self._prod: np.ndarray | None = None  # weight * stage products
 
     # ------------------------------------------------------------------
 
@@ -172,8 +175,10 @@ class BatchedRKDriver:
         if self.first_step is not None:
             return np.minimum(self.first_step, np.abs(span))
         scale = np.abs(self.atol) + self.rtol * np.abs(y0)
-        d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=1))
-        d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
+        n = y0.shape[1]
+        r0, r1 = y0 / scale, f0 / scale
+        d0 = np.sqrt(np.add.reduce(r0 * r0, axis=1) / n)
+        d1 = np.sqrt(np.add.reduce(r1 * r1, axis=1) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where((d0 > 1e-5) & (d1 > 1e-5), 0.01 * d0 / d1,
                          1e-6 * span)
@@ -246,13 +251,15 @@ class BatchedRKDriver:
 
         tb = self.tableau
         s = tb.n_stages
-        # per-stage tableau rows / abscissae, hoisted out of the sweeps
-        a_rows = [np.ascontiguousarray(tb.a[i, :i]) for i in range(s)]
+        # tableau weights broadcasting over the (s, B, n) stage buffer,
+        # and the abscissae, hoisted out of the sweeps
+        w = tb.contraction_weights(2)
+        terms = tb.contraction_terms
         c_list = tb.c.tolist()
         if self._K is None or self._K.shape != (s, B, n):
             self._K = np.empty((s, B, n))
-        K = self._K
-        K2 = K.reshape(s, B * n)
+            self._prod = np.empty((s, B, n))
+        K, prod = self._K, self._prod
 
         step_flops = self._flops_per_step(n)
         lane_n_rhs = np.ones(B, dtype=np.int64)  # the f0 evaluation
@@ -298,17 +305,19 @@ class BatchedRKDriver:
                     )
 
                 # one vectorized trial step over the whole batch; the
-                # tableau contractions run as np.dot on a (s, B*n) view
-                # of K — same reduction order as tensordot (bitwise
-                # equal) without tensordot's per-call reshape overhead
+                # tableau contractions are elementwise left-to-right
+                # sums (contract rule 1), never a gemv over the batch:
+                # a lane's bits must not depend on its batch-mates
                 hcol = h_eff[:, None]
                 K[0] = self.rhs(t, Y)
                 for i in range(1, s):
-                    Yi = Y + hcol * np.dot(a_rows[i],
-                                           K2[:i]).reshape(B, n)
+                    Yi = Y + hcol * ordered_weighted_sum(w[i], terms[i],
+                                                         K, prod)
                     K[i] = self.rhs(t + c_list[i] * h_eff, Yi)
-                Y_new = Y + hcol * np.dot(tb.b_high, K2).reshape(B, n)
-                err = hcol * np.dot(tb.error_weights, K2).reshape(B, n)
+                Y_new = Y + hcol * ordered_weighted_sum(w[s], terms[s],
+                                                        K, prod)
+                err = hcol * ordered_weighted_sum(w[s + 1], terms[s + 1],
+                                                  K, prod)
 
                 finite = np.isfinite(Y_new).all(axis=1)
                 scale = self.atol + self.rtol * np.maximum(np.abs(Y),

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +57,27 @@ class ButcherTableau:
     def n_stages(self) -> int:
         return self.a.shape[0]
 
-    @property
+    @cached_property
     def error_weights(self) -> np.ndarray:
         """b_high - b_low: weights of the embedded error estimator."""
         return self.b_high - self.b_low
+
+    @cached_property
+    def contraction_terms(self) -> tuple[tuple[int, ...], ...]:
+        """The structurally non-zero terms of every tableau contraction,
+        in the order the arithmetic contract sums them: one tuple per
+        stage row ``a[i]`` (``i = 0 .. s-1``, row 0 empty), then
+        ``b_high``, then ``error_weights``."""
+        rows = [*self.a, self.b_high, self.error_weights]
+        return tuple(tuple(int(j) for j in np.flatnonzero(r)) for r in rows)
+
+    def contraction_weights(self, trailing_axes: int) -> list[np.ndarray]:
+        """The weight vectors of :attr:`contraction_terms`, same order,
+        each shaped ``(s, 1, ..., 1)`` to broadcast over a stage buffer
+        with ``trailing_axes`` axes after the stage axis."""
+        shape = (self.n_stages,) + (1,) * trailing_axes
+        return [w.reshape(shape)
+                for w in (*self.a, self.b_high, self.error_weights)]
 
     def check_order_conditions(self, max_order: int = 3) -> dict[str, float]:
         """Residuals of the first few classical order conditions.

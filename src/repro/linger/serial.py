@@ -61,11 +61,12 @@ class LingerConfig:
     lmax_mode: str = "fixed"
     lmax_margin: float = 1.2
     lmax_cap: int = 2000
-    #: RHS kernel for the full (post-TCA) phase: "python" (default,
-    #: bitwise-pinned by the goldens), "numba"/"cext" (compiled, budgeted
-    #: by the oracle.rhs_kernel verify check) or "auto" (fastest
-    #: available).  Travels with the pickled config to PLINGER workers.
-    rhs_kernel: str = "python"
+    #: engine for the full (post-TCA) phase: "auto" (default: the
+    #: fastest available), "cext" (compiled RHS and DVERK step loop,
+    #: bitwise the python driver), "numba" (compiled RHS) or "python"
+    #: (the reference).  Travels with the pickled config to PLINGER
+    #: workers; never changes which numbers come out at nq=0.
+    rhs_kernel: str = "auto"
 
     def lmax_for_k(self, k: float, tau_span: float) -> int:
         if self.lmax_mode == "fixed":

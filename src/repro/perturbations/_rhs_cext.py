@@ -1,23 +1,34 @@
-"""Lazily-compiled C translation of the packed RHS kernel.
+"""Lazily-compiled C: the packed RHS kernel and the DVERK step loop.
 
-Same ABI and evaluation order as ``_rhs_numba.kernel_rhs_full`` (see
-that module's docstring for the packed-array layout contract).  The
-source is compiled once per interpreter with the system C compiler
-into a content-addressed shared object under the temp directory, then
-loaded through ctypes; any failure (no compiler, sandboxed tempdir,
-broken toolchain) degrades to ``get_cext() -> None`` and the operator
-falls back to the python kernel.
+One shared object carries two entry points over one packed ABI (see
+``_rhs_numba.py`` for the layout contract):
 
-Compiled with ``-O3`` but **never** ``-ffast-math``: ISO C forbids the
-compiler from reassociating floating-point expressions, so the C
-kernel reproduces the written evaluation order exactly, and it shares
-libm's exp/log with ``math.exp``/``math.log`` — in practice it lands
-within a few ulps of the python kernel (budgeted by
-``oracle.rhs_kernel`` at rtol 1e-10).
+* ``rhs_full`` — the synchronous-gauge full-hierarchy RHS, same
+  evaluation order as ``_rhs_numba.kernel_rhs_full``;
+* ``integrate_full`` — one lane's whole full-hierarchy phase: the
+  Verner stages calling ``rhs_full`` in-process, error norm, PI
+  controller, stop points, accept/reject.  A transcription of
+  ``RKDriver.integrate`` under the arithmetic contract of
+  :mod:`repro.integrators.contract`, bitwise equal to it.
+
+The source is compiled once with the system C compiler into a
+content-addressed shared object under :func:`cache_dir`, then loaded
+through ctypes; any failure (no compiler, unwritable cache, broken
+toolchain) degrades to ``get_cext() -> None`` and the operator falls
+back to the python kernel and driver.
+
+Compiled ``-O3 -ffp-contract=off`` and **never** ``-ffast-math``: ISO C
+forbids reassociating floating-point expressions and contraction is
+switched off, so the C code reproduces the written evaluation order
+exactly, and it shares libm's exp/log/pow with python's ``math``.  The
+massive-neutrino block of ``rhs_full`` lands within a few ulps of the
+python kernel (budgeted by ``oracle.rhs_kernel`` at rtol 1e-10);
+without massive neutrinos it is bitwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -25,7 +36,8 @@ import shutil
 import subprocess
 import tempfile
 
-__all__ = ["get_cext", "reset_cext", "BUILD_EVENTS", "C_SOURCE"]
+__all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
+           "CextKernel", "BUILD_EVENTS", "C_SOURCE"]
 
 C_SOURCE = r"""
 #include <math.h>
@@ -180,11 +192,205 @@ void rhs_full(const long long *ints, const double *flts,
         }
     }
 }
+
+/* numpy's pairwise summation (DOUBLE_pairwise_sum, unit stride),
+ * transcribed: np.add.reduce of a contiguous double vector. */
+double pairwise_sum(const double *a, long long n)
+{
+    long long i;
+    if (n < 8) {
+        double res = -0.0;  /* numpy's start: a sum of -0 stays -0 */
+        for (i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        double r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7], res;
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r0 += a[i + 0]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+            r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+        }
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    {
+        long long n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    }
+}
+
+#define MAX_STAGES 16
+
+/* sum_j w[j] * k[j] over the non-zero weights, left to right */
+static inline double wsum(const double *w, const long long *idx,
+                          long long cnt, const double *K, long long n,
+                          long long c)
+{
+    long long m;
+    double acc = w[idx[0]] * K[idx[0] * n + c];
+    for (m = 1; m < cnt; m++)
+        acc += w[idx[m]] * K[idx[m] * n + c];
+    return acc;
+}
+
+static inline double pi_factor(double err_norm, double prev_err,
+                               const double *ctl)
+{
+    const double order = ctl[7], safety = ctl[8];
+    const double min_factor = ctl[9], max_factor = ctl[10], beta = ctl[11];
+    double k, fac;
+    if (err_norm == 0.0) return max_factor;
+    k = 1.0 / order;
+    fac = safety * pow(err_norm, -(k - beta)) * pow(prev_err, -beta);
+    if (fac < min_factor) fac = min_factor;
+    if (fac > max_factor) fac = max_factor;
+    return fac;
+}
+
+/* The full-hierarchy phase of one lane: RKDriver.integrate transcribed
+ * under the arithmetic contract (repro/integrators/contract.py), with
+ * rhs_full called in-process.
+ *
+ *   tab   s*s stage matrix, then b_high, error weights, c (s each)
+ *   ctl   t0, t1, rtol, atol, max_step, min_step, first_step (NaN:
+ *         choose), order_low + 1, safety, min_factor, max_factor, beta
+ *   stops ascending stop points in (t0, t1], the last one equal to t1
+ *   y     in: state at t0; out: state at t1
+ *   rows  out: the state at every stop point, (n_stops, n)
+ *   work  (s + 4) * n doubles, zeroed by the caller; nothing is static
+ *   out   accepted steps, rejected steps, RHS evaluations, rows written
+ *
+ * Returns 0, or the python driver's failure: 1 max_steps reached,
+ * 2 step underflow before a step, 3 step underflow after a rejection. */
+long long integrate_full(const long long *ints, const double *flts,
+                         const double *th_c, const double *lane_c,
+                         const double *adv_lo, const double *adv_hi,
+                         const double *nu_pack, const double *mnu_pack,
+                         const double *rf_c, long long lane,
+                         const double *tab, long long s,
+                         const double *ctl, const double *stops,
+                         long long max_steps, double *y, double *rows,
+                         double *work, long long *out)
+{
+    const long long n = ints[1];
+    const double t0 = ctl[0], t1 = ctl[1], rtol = ctl[2], atol = ctl[3];
+    const double max_step = ctl[4], min_step = ctl[5], first_step = ctl[6];
+    const double *b_high = tab + s * s, *e_w = b_high + s, *cs = e_w + s;
+    double *K = work, *yi = K + s * n, *ya = yi + n, *yb = ya + n;
+    double *sq = yb + n, *ycur = ya, *ynew = yb, *swap;
+    long long idx[MAX_STAGES + 2][MAX_STAGES], cnt[MAX_STAGES + 2];
+    long long n_steps = 0, n_rejected = 0, n_rhs = 0, istop = 0;
+    long long status = 0, i, j, c, finite;
+    double t = t0, next_stop = stops[0], h, prev_err = 1.0, err_norm, ts;
+
+#define RHS(tt, yy, dd) rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi, \
+                                 nu_pack, mnu_pack, rf_c, (tt), (yy), (dd), \
+                                 lane, lane + 1)
+
+    for (i = 0; i < s + 2; i++) {
+        const double *w = i < s ? tab + i * s : (i == s ? b_high : e_w);
+        cnt[i] = 0;
+        for (j = 0; j < s; j++)
+            if (w[j] != 0.0) idx[i][cnt[i]++] = j;
+    }
+    for (c = 0; c < n; c++) ycur[c] = y[c];
+
+    /* f0 and the initial step */
+    RHS(&t, ycur, K);
+    n_rhs = 1;
+    if (first_step == first_step) {
+        h = fabs(t1 - t0) < first_step ? fabs(t1 - t0) : first_step;
+    } else {
+        double d0, d1;
+        for (c = 0; c < n; c++) {
+            const double r = ycur[c] / (fabs(atol) + rtol * fabs(ycur[c]));
+            sq[c] = r * r;
+        }
+        d0 = sqrt(pairwise_sum(sq, n) / n);
+        for (c = 0; c < n; c++) {
+            const double r = K[c] / (fabs(atol) + rtol * fabs(ycur[c]));
+            sq[c] = r * r;
+        }
+        d1 = sqrt(pairwise_sum(sq, n) / n);
+        h = (d0 > 1e-5 && d1 > 1e-5) ? 0.01 * d0 / d1 : 1e-6 * (t1 - t0);
+        if (0.1 * (t1 - t0) < h) h = 0.1 * (t1 - t0);
+        if (max_step < h) h = max_step;
+    }
+
+    while (t < t1) {
+        if (n_steps >= max_steps) { status = 1; break; }
+        if (max_step < h) h = max_step;
+        if (next_stop - t < h) h = next_stop - t;
+        if (h <= 0.0 || t + h == t) { status = 2; break; }
+
+        /* one trial step */
+        RHS(&t, ycur, K);
+        for (i = 1; i < s; i++) {
+            for (c = 0; c < n; c++)
+                yi[c] = ycur[c] + h * wsum(tab + i * s, idx[i], cnt[i],
+                                           K, n, c);
+            ts = t + cs[i] * h;
+            RHS(&ts, yi, K + i * n);
+        }
+        n_rhs += s;
+        finite = 1;
+        for (c = 0; c < n; c++) {
+            ynew[c] = ycur[c] + h * wsum(b_high, idx[s], cnt[s], K, n, c);
+            if (!isfinite(ynew[c])) finite = 0;
+        }
+        if (finite) {
+            for (c = 0; c < n; c++) {
+                const double err = h * wsum(e_w, idx[s + 1], cnt[s + 1],
+                                            K, n, c);
+                const double ao = fabs(ycur[c]), an = fabs(ynew[c]);
+                const double r = err / (atol + rtol * (ao >= an ? ao : an));
+                sq[c] = r * r;
+            }
+            err_norm = sqrt(pairwise_sum(sq, n) / n);
+        } else {
+            err_norm = INFINITY;
+        }
+
+        if (err_norm <= 1.0) {
+            double at;
+            t += h;
+            swap = ycur; ycur = ynew; ynew = swap;
+            n_steps++;
+            at = fabs(t) > 1.0 ? fabs(t) : 1.0;
+            if (t >= next_stop - 1e-12 * at) {
+                t = next_stop;
+                for (c = 0; c < n; c++) rows[istop * n + c] = ycur[c];
+                istop++;
+                if (t < t1) next_stop = stops[istop];
+            }
+            prev_err = err_norm > 1e-10 ? err_norm : 1e-10;
+            h *= pi_factor(err_norm, prev_err, ctl);
+        } else {
+            double at, fac;
+            n_rejected++;
+            if (!isfinite(err_norm)) {
+                h *= 0.1;
+            } else {
+                /* a rejected step must always shrink (see RKDriver) */
+                fac = pi_factor(err_norm, prev_err, ctl);
+                h *= fac < 0.5 ? fac : 0.5;
+            }
+            at = fabs(t) > 1.0 ? fabs(t) : 1.0;
+            if (h < min_step || h < 1e-14 * at) { status = 3; break; }
+        }
+    }
+#undef RHS
+
+    for (c = 0; c < n; c++) y[c] = ycur[c];
+    out[0] = n_steps; out[1] = n_rejected; out[2] = n_rhs; out[3] = istop;
+    return status;
+}
 """
 
 _CEXT_RESOLVED = False
-_CEXT_FN = None
-_CEXT_LIB = None  # keep the CDLL alive for the life of the process
+_CEXT = None  # the CextKernel; holds the CDLL for the life of the process
 
 #: Build/load incidents of this process's resolution: retries after a
 #: torn or stale .so, injected chaos faults, the final outcome.  Tests
@@ -194,15 +400,65 @@ BUILD_EVENTS: list[dict] = []
 
 def reset_cext() -> None:
     """Forget the memoized resolution (tests and chaos recovery)."""
-    global _CEXT_RESOLVED, _CEXT_FN, _CEXT_LIB
+    global _CEXT_RESOLVED, _CEXT
     _CEXT_RESOLVED = False
-    _CEXT_FN = None
-    _CEXT_LIB = None
+    _CEXT = None
     BUILD_EVENTS.clear()
 
 
 def _find_compiler() -> str | None:
+    """``$CC`` when set (and nothing else: an unresolvable ``CC`` means
+    "no compiler"), otherwise the first of cc/gcc/clang on ``PATH``."""
+    cc = os.environ.get("CC")
+    if cc:
+        return shutil.which(cc)
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
+def cache_dir() -> str:
+    """Where compiled kernels live: ``$REPRO_KERNEL_CACHE``, else
+    ``$XDG_CACHE_HOME/repro/kernels``, else ``~/.cache/repro/kernels``,
+    else ``<tempdir>/repro-rhs-cache-<uid>`` — the first that can be
+    created and written.  Outside ``TMPDIR`` on purpose: a process
+    started with a private ``TMPDIR`` reuses the compile."""
+    candidates = []
+    if os.environ.get("REPRO_KERNEL_CACHE"):
+        candidates.append(os.environ["REPRO_KERNEL_CACHE"])
+    if os.environ.get("XDG_CACHE_HOME"):
+        candidates.append(os.path.join(os.environ["XDG_CACHE_HOME"],
+                                       "repro", "kernels"))
+    home = os.path.expanduser("~")
+    if home != "~":
+        candidates.append(os.path.join(home, ".cache", "repro", "kernels"))
+    candidates.append(os.path.join(tempfile.gettempdir(),
+                                   f"repro-rhs-cache-{os.getuid()}"))
+    for path in candidates:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError:
+            continue
+        if os.access(path, os.W_OK | os.X_OK):
+            return path
+    raise OSError(f"no writable kernel cache directory among {candidates}")
+
+
+@contextlib.contextmanager
+def private_cache(path):
+    """Resolve kernels under ``path`` for the duration (child processes
+    inherit it), re-resolving on entry and exit: for code that plants
+    faults in the cache — the test suite, the chaos oracle — and must
+    not do so in the user's."""
+    old = os.environ.get("REPRO_KERNEL_CACHE")
+    os.environ["REPRO_KERNEL_CACHE"] = str(path)
+    reset_cext()
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["REPRO_KERNEL_CACHE"]
+        else:
+            os.environ["REPRO_KERNEL_CACHE"] = old
+        reset_cext()
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -220,11 +476,11 @@ def _build() -> ctypes.CDLL | None:
     """Compile-or-load the content-addressed .so, surviving races.
 
     Multiple processes (forked PLINGER workers, parallel test runners)
-    may resolve the same digest concurrently against one shared /tmp
-    cache.  Every write is staged per-pid and atomically renamed, and a
-    shared object that fails to load (torn by a crashed writer, stale
-    from an interrupted build) is quarantined — unlinked and recompiled
-    under a bounded :class:`~repro.resilience.RetryPolicy` — instead of
+    may resolve the same digest concurrently against one shared cache.
+    Every write is staged per-pid and atomically renamed, and a shared
+    object that fails to load (torn by a crashed writer, stale from an
+    interrupted build) is quarantined — unlinked and recompiled under a
+    bounded :class:`~repro.resilience.RetryPolicy` — instead of
     poisoning every later process that trusts the path.
     """
     from ..chaos import current_engine
@@ -232,14 +488,13 @@ def _build() -> ctypes.CDLL | None:
 
     cc = _find_compiler()
     if cc is None:
+        BUILD_EVENTS.append({"event": "unavailable",
+                             "error": "no C compiler (CC, cc, gcc, clang)"})
         return None
     eng = current_engine()
     digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    cache = os.path.join(
-        tempfile.gettempdir(), f"repro-rhs-cache-{os.getuid()}"
-    )
+    cache = cache_dir()
     so_path = os.path.join(cache, f"rhs_{digest}.so")
-    os.makedirs(cache, exist_ok=True)
     if eng is not None and eng.stale_so():
         # chaos: plant a truncated "shared object" at the published
         # path, as an interrupted non-atomic writer would have.  The
@@ -260,11 +515,13 @@ def _build() -> ctypes.CDLL | None:
             c_path = os.path.join(cache, f"rhs_{digest}.c")
             tmp_so = os.path.join(cache, f"rhs_{digest}.{os.getpid()}.so")
             _write_atomic(c_path, C_SOURCE)
-            # -O3 but NOT -ffast-math: ISO C forbids FP reassociation,
-            # so the written evaluation order (and hence the oracle
-            # budget) survives optimization.
+            # -O3 but NOT -ffast-math, and no contraction into fused
+            # multiply-adds: the written evaluation order (the
+            # arithmetic contract, and hence the oracle budget)
+            # survives optimization on every target.
             subprocess.run(
-                [cc, "-O3", "-fPIC", "-shared", "-o", tmp_so, c_path, "-lm"],
+                [cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared",
+                 "-o", tmp_so, c_path, "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -290,36 +547,59 @@ def _build() -> ctypes.CDLL | None:
                        on_retry=on_retry)
 
 
-def get_cext():
-    """The compiled C kernel as a packed-ABI callable, or None.
+class CextKernel:
+    """The loaded shared object.
 
-    First call pays the compile (~0.2 s, cached on disk afterwards);
-    any failure is swallowed and remembered so a broken toolchain costs
+    Calling the instance evaluates ``rhs_full`` with the packed-ABI
+    *array* signature the numba kernel shares (tests, cold paths).
+    The hot paths use the raw entry points, which take addresses:
+    ``rhs_raw(*table, tau, Y, dY, b0, b1)`` and
+    ``integrate_raw(*table, lane, tab, s, ctl, stops, max_steps, y,
+    rows, work, out) -> status`` where ``table`` is the operator's
+    nine-pointer table (``BoltzmannOperator.pack()["table"]``, built
+    once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
+    GIL around each call and the C side keeps no static state, so
+    threads may call concurrently.
+    """
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._lib = lib
+        ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
+        self.rhs_raw = lib.rhs_full
+        self.rhs_raw.argtypes = [ptr] * 12 + [i64] * 2
+        self.rhs_raw.restype = None
+        self.integrate_raw = lib.integrate_full
+        self.integrate_raw.argtypes = ([ptr] * 9 + [i64, ptr, i64, ptr, ptr,
+                                                    i64, ptr, ptr, ptr, ptr])
+        self.integrate_raw.restype = i64
+        self.pairwise_raw = lib.pairwise_sum
+        self.pairwise_raw.argtypes = [ptr, i64]
+        self.pairwise_raw.restype = ctypes.c_double
+
+    def __call__(self, ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack,
+                 mnu_pack, rf_c, tau, Y, dY, b0, b1) -> None:
+        self.rhs_raw(ints.ctypes.data, flts.ctypes.data, th_c.ctypes.data,
+                     lane_c.ctypes.data, adv_lo.ctypes.data,
+                     adv_hi.ctypes.data, nu_pack.ctypes.data,
+                     mnu_pack.ctypes.data, rf_c.ctypes.data,
+                     tau.ctypes.data, Y.ctypes.data, dY.ctypes.data, b0, b1)
+
+
+def get_cext() -> CextKernel | None:
+    """The compiled kernel, or None.
+
+    First call pays the compile (~1 s, cached on disk afterwards); any
+    failure is swallowed and remembered so a broken toolchain costs
     one attempt, not one per RHS call (``reset_cext`` re-arms it).
     """
-    global _CEXT_RESOLVED, _CEXT_FN, _CEXT_LIB
+    global _CEXT_RESOLVED, _CEXT
     if _CEXT_RESOLVED:
-        return _CEXT_FN
+        return _CEXT
     _CEXT_RESOLVED = True
     try:
         lib = _build()
     except Exception as exc:
         BUILD_EVENTS.append({"event": "unavailable", "error": str(exc)})
         lib = None
-    if lib is None:
-        _CEXT_FN = None
-        return None
-    _CEXT_LIB = lib
-    raw = lib.rhs_full
-    raw.argtypes = [ctypes.c_void_p] * 12 + [ctypes.c_longlong] * 2
-    raw.restype = None
-
-    def _call(ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack,
-              mnu_pack, rf_c, tau, Y, dY, b0, b1):
-        raw(ints.ctypes.data, flts.ctypes.data, th_c.ctypes.data,
-            lane_c.ctypes.data, adv_lo.ctypes.data, adv_hi.ctypes.data,
-            nu_pack.ctypes.data, mnu_pack.ctypes.data, rf_c.ctypes.data,
-            tau.ctypes.data, Y.ctypes.data, dY.ctypes.data, b0, b1)
-
-    _CEXT_FN = _call
-    return _CEXT_FN
+    _CEXT = CextKernel(lib) if lib is not None else None
+    return _CEXT

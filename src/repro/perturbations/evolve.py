@@ -6,7 +6,8 @@ radiation era to (by default) the present, in two phases:
 1. tight coupling (MB95 first-order TCA) from ``tau_init`` until the
    Thomson time becomes a fraction ``tca_eps`` of min(1/k, 1/H_conf)
    or hydrogen starts recombining, then
-2. the full hierarchy system to ``tau_end``,
+2. the full hierarchy system to ``tau_end`` — in one compiled call when
+   the resolved kernel is ``cext`` (:func:`integrate_full_phase`),
 
 recording observables (potentials, fluid perturbations, the
 polarization sum Pi, line-of-sight ingredients) on a caller-supplied
@@ -36,7 +37,8 @@ from .initial import (
 from .state import StateLayout
 from .system import PerturbationSystem
 
-__all__ = ["ModeResult", "evolve_mode", "default_record_grid", "tau_initial"]
+__all__ = ["ModeResult", "evolve_mode", "default_record_grid", "tau_initial",
+           "integrate_full_phase"]
 
 #: Observables recorded at every grid time.
 RECORD_FIELDS = (
@@ -271,7 +273,7 @@ def evolve_mode(
     max_steps: int = 2_000_000,
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor=None,
-    rhs_kernel: str = "python",
+    rhs_kernel: str = "auto",
 ) -> ModeResult:
     """Evolve one wavenumber and return its records and final state.
 
@@ -293,8 +295,11 @@ def evolve_mode(
 
     ``rhs_kernel`` selects the evaluation kernel for the full-hierarchy
     phase (``"python"``/``"numba"``/``"cext"``/``"auto"``; unavailable
-    kernels fall back to python).  The per-kernel evaluation counts and
-    wall-clock land in the telemetry ``RhsMetrics`` section.
+    kernels fall back to python).  With ``cext`` (what ``auto`` resolves
+    to when a C compiler exists) and the default ``driver_cls`` the
+    whole phase runs in the compiled step loop, bitwise the python
+    driver.  The per-kernel evaluation counts and wall-clock land in
+    the telemetry ``RhsMetrics`` section.
     """
     tau_end = background.tau0 if tau_end is None else float(tau_end)
     nq_eff = nq if background.params.omega_nu > 0 else 0
@@ -362,14 +367,11 @@ def evolve_mode(
     # Phase 2: full hierarchy ------------------------------------------
     recorder.tight = False
     stops2 = record_tau[record_tau > t_switch]
-    drv2 = driver_cls(system.rhs_full, rtol=rtol, atol=atol,
-                      max_steps=max_steps, first_step=first_step,
-                      flops_per_rhs=system.flops_per_eval())
-    res2 = drv2.integrate(
-        y, t_switch, tau_end,
-        stop_points=stops2,
+    y_final = integrate_full_phase(
+        system, y, t_switch, tau_end, stops2,
         on_stop=lambda t, y_: recorder(t, y_) if _in(t, stops2) else None,
-        stats=stats,
+        stats=stats, rtol=rtol, atol=atol, max_steps=max_steps,
+        first_step=first_step, driver_cls=driver_cls,
     )
 
     if telemetry.enabled:
@@ -403,7 +405,7 @@ def evolve_mode(
         k=k,
         tau=recorder.tau[: recorder.i],
         records=records,
-        y_final=res2.y,
+        y_final=y_final,
         layout=layout,
         stats=stats,
         tau_init=t_init,
@@ -411,6 +413,62 @@ def evolve_mode(
         tau_end=tau_end,
         system=system,
     )
+
+
+def integrate_full_phase(
+    system: PerturbationSystem,
+    y0: np.ndarray,
+    t0: float,
+    t1: float,
+    stop_points: np.ndarray,
+    on_stop,
+    stats: IntegratorStats,
+    *,
+    rtol: float,
+    atol: float,
+    max_steps: int,
+    first_step: float | None = None,
+    driver_cls: type[RKDriver] = DVERK,
+) -> np.ndarray:
+    """One lane's full-hierarchy phase; returns the state at ``t1``.
+
+    When the system's kernel (after any demotion) is ``cext`` and the
+    driver is DVERK, the phase is one call of the compiled step loop;
+    the rows it returns are replayed through ``on_stop`` and its
+    counters folded into ``stats`` with the python driver's formulas,
+    so recorders, monitors and telemetry cannot tell the difference.
+
+    The python driver keeps the failure semantics.  A compiled call
+    that stops early (max steps, step underflow) or returns a
+    non-finite state has touched neither ``stats`` nor ``on_stop``; the
+    phase is re-run from ``y0`` by the python driver, which returns the
+    identical result or raises the canonical
+    :class:`~repro.errors.IntegrationError`.  A non-finite state first
+    demotes the kernel, as a non-finite single evaluation does.
+    """
+    op = system.op
+    drv = driver_cls(system.rhs_full, rtol=rtol, atol=atol,
+                     max_steps=max_steps, first_step=first_step,
+                     flops_per_rhs=system.flops_per_eval())
+    if driver_cls is DVERK and op.active_kernel(system.rhs_kernel) == "cext":
+        out = op.integrate_full(
+            system.lane, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
+            max_steps=max_steps - stats.n_steps, first_step=first_step)
+        if out.ok:
+            for t, row in zip(out.stops.tolist(), out.rows):
+                on_stop(t, row)
+            s = drv.tableau.n_stages
+            step_flops = drv._flops_per_step(y0.size)
+            stats.n_steps += out.n_steps
+            stats.n_rejected += out.n_rejected
+            stats.n_rhs += out.n_rhs
+            stats.n_flops += (step_flops // s
+                              + step_flops * (out.n_steps + out.n_rejected))
+            return out.y
+        if out.status == 0:
+            op._demote("cext", "non-finite integrate_full output")
+    return drv.integrate(y0, t0, t1, stop_points=stop_points,
+                         on_stop=on_stop, stats=stats).y
 
 
 def _in(t: float, grid: np.ndarray) -> bool:

@@ -15,8 +15,15 @@ The two integration phases stay global: every lane runs tight coupling
 from its own ``tau_init`` to its own ``tau_switch`` (lanes that exit
 tight coupling early park until the batch drains), then every lane is
 handed off and the full hierarchy runs to ``tau_end``.  Each lane keeps
-its own adaptive step size and PI-controller memory, so the step
-*sequence* per lane matches what the serial driver would choose.
+its own adaptive step size and PI-controller memory, and every sum
+follows the arithmetic contract, so a lane's result is bitwise what the
+serial driver gives that wavenumber — whatever the batch around it.
+
+When the resolved kernel is ``cext`` the full-hierarchy phase does not
+step in lockstep at all: each lane runs the compiled step loop on its
+own (:func:`~repro.perturbations.evolve.integrate_full_phase`), which
+is both faster than any python batching and trivially independent of
+batch composition.
 """
 
 from __future__ import annotations
@@ -27,11 +34,22 @@ import numpy as np
 
 from ..background import Background
 from ..errors import ParameterError
-from ..integrators.dverk_batched import BatchedDVERK, BatchStats
+from ..integrators.dverk_batched import (
+    BatchedDVERK,
+    BatchIntegrationResult,
+    BatchStats,
+)
 from ..integrators.results import IntegratorStats
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
-from .evolve import ModeResult, _in, _Recorder, find_tca_exit, tau_initial
+from .evolve import (
+    ModeResult,
+    _in,
+    _Recorder,
+    find_tca_exit,
+    integrate_full_phase,
+    tau_initial,
+)
 from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
@@ -40,6 +58,39 @@ from .state import StateLayout
 from .system_batched import PerturbationSystemBatch
 
 __all__ = ["evolve_modes_batched"]
+
+
+def _full_phase_compiled(systems, Y, t0, t1, stops, on_stop,
+                         batch_stats: BatchStats, **tolerances
+                         ) -> BatchIntegrationResult:
+    """The full-hierarchy phase, one compiled call per lane.
+
+    Each lane goes through
+    :func:`~repro.perturbations.evolve.integrate_full_phase` (python
+    driver on any failure, for that lane alone) and the per-lane
+    counters are returned in the batched driver's container.  No lane
+    waits for another, so the occupancy books record every lane-slot
+    as active.
+    """
+    B = len(systems)
+    Y_end = np.empty_like(Y)
+    lanes = [IntegratorStats() for _ in range(B)]
+    for b, system in enumerate(systems):
+        Y_end[b] = integrate_full_phase(
+            system, Y[b], float(t0[b]), float(t1[b]), stops[b],
+            lambda t, row, b=b: on_stop(b, t, row), lanes[b], **tolerances)
+        attempts = lanes[b].n_steps + lanes[b].n_rejected
+        batch_stats.n_sweeps += attempts
+        batch_stats.lane_steps_attempted += attempts
+        batch_stats.lane_steps_accepted += lanes[b].n_steps
+        batch_stats.lane_steps_rejected += lanes[b].n_rejected
+    return BatchIntegrationResult(
+        t=np.array(t1, dtype=float), y=Y_end, batch=batch_stats,
+        lane_n_rhs=np.array([s.n_rhs for s in lanes]),
+        lane_steps=np.array([s.n_steps for s in lanes]),
+        lane_rejected=np.array([s.n_rejected for s in lanes]),
+        lane_flops=np.array([s.n_flops for s in lanes]),
+    )
 
 
 def evolve_modes_batched(
@@ -60,7 +111,7 @@ def evolve_modes_batched(
     max_steps: int = 2_000_000,
     telemetry: Telemetry = NULL_TELEMETRY,
     monitors=None,
-    rhs_kernel: str = "python",
+    rhs_kernel: str = "auto",
 ) -> list[ModeResult]:
     """Evolve a chunk of wavenumbers together; one ModeResult per lane.
 
@@ -75,8 +126,9 @@ def evolve_modes_batched(
     per-mode reference path.
 
     ``rhs_kernel`` routes the full-hierarchy phase through the selected
-    operator kernel, exactly as in :func:`evolve_mode`; the TCA phase
-    and the scalar recording/hand-off paths always run python.
+    operator kernel, exactly as in :func:`evolve_mode` (``cext``: the
+    compiled step loop, lane by lane); the TCA phase and the scalar
+    recording/hand-off paths always run python.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
@@ -184,12 +236,17 @@ def evolve_modes_batched(
         if _in(t, stops2[b]):
             recorders[b](t, y_row)
 
-    drv2 = BatchedDVERK(batch_system.rhs_full, rtol=rtol, atol=atol,
-                        max_steps=max_steps,
-                        flops_per_rhs=batch_system.flops_per_eval())
     t_end = np.full(B, tau_end)
-    res2 = drv2.integrate(Y, t_switch, t_end, stop_points=stops2,
-                          on_stop=on_stop2, stats=batch_stats)
+    if batch_system.op.active_kernel(batch_system.rhs_kernel) == "cext":
+        res2 = _full_phase_compiled(systems, Y, t_switch, t_end, stops2,
+                                    on_stop2, batch_stats, rtol=rtol,
+                                    atol=atol, max_steps=max_steps)
+    else:
+        drv2 = BatchedDVERK(batch_system.rhs_full, rtol=rtol, atol=atol,
+                            max_steps=max_steps,
+                            flops_per_rhs=batch_system.flops_per_eval())
+        res2 = drv2.integrate(Y, t_switch, t_end, stop_points=stops2,
+                              on_stop=on_stop2, stats=batch_stats)
 
     if telemetry.enabled:
         wall2 = time.perf_counter()

@@ -16,7 +16,9 @@ explicit for this package:
   the constant (8 pi G/3) density prefactors);
 
 * **evaluation** is a thin pass over that structure.  Three kernels
-  evaluate the same structure:
+  evaluate the same structure (and the ``cext`` shared object also
+  carries the compiled DVERK step loop, :meth:`integrate_full`, which
+  runs a lane's whole full-hierarchy phase over the same packed ABI):
 
   - ``python`` — the NumPy slice kernels, transplanted verbatim from
     the previous hand-kept ``PerturbationSystem`` (scalar) and
@@ -45,30 +47,43 @@ paths.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..background import Background, dlnf0_dlnq, fermi_dirac_f0
 from ..background.nu_massive import I_RHO_MASSLESS, momentum_grid
 from ..chaos import current_engine as _chaos_engine
-from ..errors import ParameterError
+from ..errors import IntegrationError, ParameterError
+from ..integrators import VERNER_65_TABLEAU, StepController
 from ..thermo import ThermalHistory
 from ..util.fastspline import UniformGridCubic
+from . import _rhs_cext, _rhs_numba
 from .state import StateLayout
 
-__all__ = ["BoltzmannOperator", "KERNELS", "available_kernels",
-           "resolve_kernel"]
+__all__ = ["BoltzmannOperator", "CompiledPhase", "KERNELS",
+           "available_kernels", "resolve_kernel"]
 
 #: Requestable kernel names (``auto`` picks the fastest available).
 KERNELS = ("python", "numba", "cext", "auto")
+
+#: the compiled step loop's tableau argument: a, b_high, error weights, c
+_VERNER_TAB = np.concatenate([
+    VERNER_65_TABLEAU.a.ravel(), VERNER_65_TABLEAU.b_high,
+    VERNER_65_TABLEAU.error_weights, VERNER_65_TABLEAU.c,
+])
+
+#: fallbacks are announced here the moment they happen
+_log = logging.getLogger("repro.kernel")
+_warned_auto_python = False
 
 
 def available_kernels() -> tuple[str, ...]:
     """The kernels this process can actually run, fastest-first."""
     names = []
-    from . import _rhs_cext, _rhs_numba
     if _rhs_cext.get_cext() is not None:
         names.append("cext")
     if _rhs_numba.get_numba() is not None:
@@ -81,21 +96,57 @@ def resolve_kernel(requested: str) -> str:
     """Map a requested kernel name onto one this process can run.
 
     ``numba``/``cext`` fall back to ``python`` when the accelerator is
-    unavailable (no import error, no warning — the active kernel is
-    recorded truthfully in the ``RhsMetrics`` telemetry section, which
-    is the observable a run report should trust).  ``auto`` picks the
-    first available compiled kernel, else ``python``.
+    unavailable (no import error; the active kernel is recorded
+    truthfully in the ``RhsMetrics`` telemetry section, which is the
+    observable a run report should trust).  ``auto`` — the default —
+    picks the first available compiled kernel, else ``python``; since
+    that fallback costs an order of magnitude in run time it is
+    announced once per process on the ``repro.kernel`` logger, with
+    the build's own reason.
     """
+    global _warned_auto_python
     if requested not in KERNELS:
         raise ParameterError(
             f"unknown rhs_kernel {requested!r}; choose from {KERNELS}"
         )
     avail = available_kernels()
     if requested == "auto":
+        if avail[0] == "python" and not _warned_auto_python:
+            _warned_auto_python = True
+            reasons = [e.get("error", e["event"])
+                       for e in _rhs_cext.BUILD_EVENTS
+                       if e["event"] == "unavailable"]
+            _log.warning(
+                "rhs_kernel 'auto' resolved to 'python': no compiled kernel "
+                "in this process (%s); integration runs on the python "
+                "driver, roughly 25x slower",
+                "; ".join(reasons) or "numba not importable",
+            )
         return avail[0]
     if requested in avail:
         return requested
     return "python"
+
+
+@dataclass
+class CompiledPhase:
+    """What :meth:`BoltzmannOperator.integrate_full` returns."""
+
+    #: 0, or the python driver's failure: 1 max_steps reached, 2 step
+    #: underflow before a step, 3 step underflow after a rejection
+    status: int
+    y: np.ndarray  #: final state
+    stops: np.ndarray  #: the stop points, ascending, ending at t1
+    rows: np.ndarray  #: state at each stop reached, (n_stops, n)
+    n_steps: int
+    n_rejected: int
+    n_rhs: int
+
+    @property
+    def ok(self) -> bool:
+        """Completed with a finite state (anything else re-runs on the
+        python driver, which owns the failure semantics)."""
+        return self.status == 0 and math.isfinite(float(self.y.sum()))
 
 
 def _exp_lanes(x: np.ndarray) -> np.ndarray:
@@ -303,7 +354,9 @@ class BoltzmannOperator:
         #: when True, rhs_full dispatch wraps each call in perf_counter
         self.instrument = False
         self._packed = None
+        self._fns: dict = {}  # kernel -> packed-ABI callable, resolved once
         self._tau1 = np.zeros(1)
+        self._tau1_addr = self._tau1.ctypes.data
         #: runtime NaN/Inf sentinel on compiled rhs_full outputs: a
         #: non-finite dy demotes cext -> numba -> python mid-run (the
         #: poisoned evaluation is recomputed by the fallback kernel, so
@@ -972,7 +1025,9 @@ class BoltzmannOperator:
         """The assembled structure as flat arrays: the ABI the C and
         numba kernels share (see ``_rhs_numba.kernel_rhs_full`` for the
         layout contract).  Built once and cached; the dict holds
-        references so nothing is garbage-collected under a ctypes call.
+        references so nothing is garbage-collected under a ctypes call,
+        which is what lets ``"table"`` — the nine raw addresses, in ABI
+        order — be computed here once instead of on every evaluation.
         """
         if self._packed is not None:
             return self._packed
@@ -1017,28 +1072,40 @@ class BoltzmannOperator:
             "adv_hi": self._adv_hi, "nu_pack": nu_pack,
             "mnu_pack": mnu_pack, "rf_c": rf_c,
         }
+        self._packed["table"] = tuple(
+            a.ctypes.data for a in self._packed.values()
+        )
         return self._packed
 
     def _compiled(self, kernel: str):
-        """The packed-ABI callable for ``kernel`` (must be available)."""
-        if kernel == "cext":
-            from ._rhs_cext import get_cext
-            fn = get_cext()
-        else:
-            from ._rhs_numba import get_numba
-            fn = get_numba()
+        """The packed-ABI callable for ``kernel`` (must be available);
+        resolved once per operator."""
+        fn = self._fns.get(kernel)
         if fn is None:
-            raise ParameterError(
-                f"rhs kernel {kernel!r} is not available in this process"
-            )
+            fn = (_rhs_cext.get_cext() if kernel == "cext"
+                  else _rhs_numba.get_numba())
+            if fn is None:
+                raise ParameterError(
+                    f"rhs kernel {kernel!r} is not available in this process"
+                )
+            self._fns[kernel] = fn
         return fn
 
-    def _call_packed(self, fn, tau: np.ndarray, Y: np.ndarray,
+    def _call_packed(self, kernel: str, tau: np.ndarray, Y: np.ndarray,
                      dY: np.ndarray, b0: int, b1: int) -> None:
+        fn = self._compiled(kernel)
         p = self.pack()
-        fn(p["ints"], p["flts"], p["th_c"], p["lane_c"], p["adv_lo"],
-           p["adv_hi"], p["nu_pack"], p["mnu_pack"], p["rf_c"],
-           tau, Y, dY, b0, b1)
+        if kernel == "cext":
+            # the table's nine addresses were taken once; only the
+            # per-call buffers are resolved here
+            tau_addr = (self._tau1_addr if tau is self._tau1
+                        else tau.ctypes.data)
+            fn.rhs_raw(*p["table"], tau_addr, Y.ctypes.data,
+                       dY.ctypes.data, b0, b1)
+        else:
+            fn(p["ints"], p["flts"], p["th_c"], p["lane_c"], p["adv_lo"],
+               p["adv_hi"], p["nu_pack"], p["mnu_pack"], p["rf_c"],
+               tau, Y, dY, b0, b1)
 
     # ------------------------------------------------------------------
     # Kernel dispatch (the entry points the thin drivers call)
@@ -1060,14 +1127,14 @@ class BoltzmannOperator:
         evolve drivers fold it into telemetry once per mode/batch).
         """
         fallback = "python"
-        if kernel == "cext":
-            from ._rhs_numba import get_numba
-            if get_numba() is not None:
-                fallback = "numba"
+        if kernel == "cext" and _rhs_numba.get_numba() is not None:
+            fallback = "numba"
         self.kernel_overrides[kernel] = fallback
         self.demotions.append(
             {"from": kernel, "to": fallback, "reason": reason}
         )
+        _log.warning("rhs kernel demoted %s -> %s: %s", kernel, fallback,
+                     reason)
         return fallback
 
     def drain_demotions(self) -> list[dict]:
@@ -1091,12 +1158,11 @@ class BoltzmannOperator:
         if kernel == "python":
             self.rhs_full_s(b, tau, y, dy)
         else:
-            fn = self._compiled(kernel)
             self._tau1[0] = tau
             if not y.flags.c_contiguous:
                 y = np.ascontiguousarray(y)
             # (1, n) views: the packed kernels address state as rows
-            self._call_packed(fn, self._tau1, y.reshape(1, y.size),
+            self._call_packed(kernel, self._tau1, y.reshape(1, y.size),
                               dy.reshape(1, dy.size), b, b + 1)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
@@ -1121,11 +1187,10 @@ class BoltzmannOperator:
         if kernel == "python":
             self.rhs_full_lanes(tau, Y, dY)
         else:
-            fn = self._compiled(kernel)
             if not Y.flags.c_contiguous:
                 Y = np.ascontiguousarray(Y)
             tau = np.ascontiguousarray(tau, dtype=float)
-            self._call_packed(fn, tau, Y, dY, 0, self.B)
+            self._call_packed(kernel, tau, Y, dY, 0, self.B)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
                 dY[:] = np.nan
@@ -1137,6 +1202,66 @@ class BoltzmannOperator:
         if self.instrument:
             self.seconds[kernel] += time.perf_counter() - w0
         return dY
+
+    def integrate_full(self, b: int, y0: np.ndarray, t0: float, t1: float,
+                       stop_points, *, rtol: float, atol: float,
+                       max_steps: int, first_step: float | None = None,
+                       ) -> CompiledPhase:
+        """Lane ``b``'s whole full-hierarchy phase in one compiled call.
+
+        The C loop is ``DVERK(rhs_full).integrate(y0, t0, t1,
+        stop_points)`` transcribed under the arithmetic contract —
+        same stages, error norm, controller, stop-point and failure
+        rules, bitwise the same numbers — with ``rhs_full`` called
+        in-process through the pointer table of :meth:`pack`.  Only
+        lane ``b``'s coefficients are read, so the result does not
+        depend on the rest of the batch.  ``max_steps`` is the number
+        of accepted steps still allowed.
+
+        The caller owns the failure semantics: a result that is not
+        :attr:`CompiledPhase.ok` is re-run on the python driver (see
+        ``evolve.integrate_full_phase``).  The chaos engine's kernel
+        poison is consulted once per call, here, not inside C.
+        """
+        fn = self._compiled("cext")
+        s, n = VERNER_65_TABLEAU.n_stages, self.layout.n_state
+        y = np.array(y0, dtype=float)
+        if not 0 <= b < self.B or y.shape != (n,):
+            raise ParameterError(
+                f"integrate_full needs a lane in [0, {self.B}) and a state "
+                f"of {n} entries, got lane {b} and shape {y.shape}"
+            )
+        if t1 <= t0:
+            raise IntegrationError("integrate_full requires t1 > t0")
+        pi = StepController(order=VERNER_65_TABLEAU.order_low + 1)
+        stops = sorted(float(p) for p in stop_points if t0 < p <= t1)
+        if not stops or stops[-1] < t1:
+            stops.append(float(t1))
+        stops = np.array(stops)
+        ctl = np.array([t0, t1, rtol, atol, math.inf, 0.0,
+                        math.nan if first_step is None else first_step,
+                        pi.order, pi.safety, pi.min_factor, pi.max_factor,
+                        pi.beta])
+        rows = np.empty((stops.size, n))
+        work = np.zeros((s + 4) * n)
+        out = np.zeros(4, dtype=np.int64)
+        if self.instrument:
+            w0 = time.perf_counter()
+        status = fn.integrate_raw(
+            *self.pack()["table"], b, _VERNER_TAB.ctypes.data, s,
+            ctl.ctypes.data,
+            stops.ctypes.data, max_steps, y.ctypes.data, rows.ctypes.data,
+            work.ctypes.data, out.ctypes.data)
+        n_steps, n_rejected, n_rhs, n_rows = (int(v) for v in out)
+        self.evals["cext"] += n_rhs
+        if self.instrument:
+            self.seconds["cext"] += time.perf_counter() - w0
+        eng = _chaos_engine()
+        if eng is not None and eng.poison_rhs("cext"):
+            y[:] = np.nan
+        return CompiledPhase(status=int(status), y=y, stops=stops[:n_rows],
+                             rows=rows[:n_rows], n_steps=n_steps,
+                             n_rejected=n_rejected, n_rhs=n_rhs)
 
     def rhs_tca_scalar(self, b: int, tau: float, y: np.ndarray,
                        dy: np.ndarray) -> np.ndarray:

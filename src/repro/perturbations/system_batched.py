@@ -156,13 +156,14 @@ class PerturbationSystemBatch:
 
     def lane_system(self, b: int) -> PerturbationSystem:
         """A serial :class:`PerturbationSystem` for lane ``b`` that
-        shares this batch's operator — no re-assembly, shared eval
-        counters, bitwise-identical python-kernel values."""
+        shares this batch's operator and resolved kernel — no
+        re-assembly, shared eval counters, bitwise-identical
+        python-kernel values."""
         if not 0 <= b < self.B:
             raise ParameterError(f"lane {b} out of range for B={self.B}")
         return PerturbationSystem(
             self.background, self.thermo, float(self.ks[b]), self.layout,
-            operator=self.op, lane=b,
+            operator=self.op, lane=b, rhs_kernel=self.rhs_kernel,
         )
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ be evaluated smoothly.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -193,8 +194,13 @@ class ThermalHistory:
 
         # Peebles phase -----------------------------------------------
         y0 = np.array([x_h[i_switch], t_b[i_switch]])
+        # scipy's LSODA wrapper is self-referential: it survives this
+        # call as cyclic garbage, and a bound method in it would keep
+        # this object, its Background and every table alive until a
+        # full gc pass — a few MB per discarded history
+        rhs = weakref.WeakMethod(self._rhs)
         sol = solve_ivp(
-            self._rhs,
+            lambda lna_i, y: rhs()(lna_i, y),
             (lna[i_switch], 0.0),
             y0,
             method="LSODA",

@@ -37,6 +37,7 @@ from .constraints import (
     quality_residuals,
 )
 from .oracles import (
+    batch_invariance_oracle,
     gauge_oracle,
     paths_oracle,
     rhs_kernel_oracle,
@@ -57,6 +58,7 @@ __all__ = [
     "gauge_oracle",
     "sparse_cl_oracle",
     "rhs_kernel_oracle",
+    "batch_invariance_oracle",
     "sockets_world_oracle",
     "superhorizon_eta_drift",
     "adiabatic_ratio_deviation",

@@ -23,6 +23,8 @@ caller owns the pass/fail decision (see :mod:`~repro.verify.runner`).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..errors import ParameterError
@@ -36,6 +38,7 @@ __all__ = [
     "gauge_oracle",
     "sparse_cl_oracle",
     "rhs_kernel_oracle",
+    "batch_invariance_oracle",
     "chaos_degradation_oracle",
     "serve_result_oracle",
     "sockets_world_oracle",
@@ -196,22 +199,28 @@ def rhs_kernel_oracle(
     rtol: float = 1e-4,
     lmax: int = 8,
 ) -> dict[str, float]:
-    """Replay one mode's full-phase states through every RHS kernel.
+    """Replay one mode through every RHS kernel and the compiled loop.
 
-    Evolves one monitored mode with the scalar python reference,
-    capturing the full (post-TCA) states at the record grid, then
-    re-evaluates ``rhs_full`` at each captured ``(tau, y)`` through
+    Evolves one monitored mode with the scalar python reference
+    (python kernel, python driver), capturing the full (post-TCA)
+    states at the record grid, then re-evaluates ``rhs_full`` at each
+    captured ``(tau, y)`` through
 
     * the lane-vectorized python kernel (B=1 batch), and
     * every available compiled kernel (numba and/or cext),
 
     each against the scalar python reference evaluated on the same
-    state.  Returns ``{"rhs_kernel": dev}``: the worst
-    ``max|dy - dy_ref| / max|dy_ref|`` over states and kernels.  The
-    python lanes are expected bitwise (dev contribution 0.0); the
-    compiled kernels are budgeted at ``oracle.rhs_kernel``.  With no
-    compiler and no numba the check still measures the real
-    scalar-vs-lane equivalence rather than vacuously passing.
+    state; and, when the ``cext`` kernel exists, evolves the same mode
+    again through the compiled step loop and compares every recorded
+    observable and the final state against the python driver's.
+
+    Returns ``{"rhs_kernel": dev}``: the worst
+    ``max|x - x_ref| / max|x_ref|`` over states, kernels and the
+    compiled-loop leg.  The python lanes and the compiled loop are
+    expected bitwise (dev contribution 0.0); the compiled kernels are
+    budgeted at ``oracle.rhs_kernel``.  With no compiler and no numba
+    the check still measures the real scalar-vs-lane equivalence
+    rather than vacuously passing.
     """
     from ..perturbations import default_record_grid, evolve_mode
     from ..perturbations.operator import available_kernels
@@ -226,8 +235,9 @@ def rhs_kernel_oracle(
             states.append((float(tau), np.array(y, dtype=float)))
 
     grid = default_record_grid(background, thermo, k)
-    evolve_mode(background, thermo, k, lmax_photon=lmax, lmax_nu=lmax,
-                record_tau=grid, rtol=rtol, monitor=monitor)
+    kwargs = dict(lmax_photon=lmax, lmax_nu=lmax, record_tau=grid, rtol=rtol)
+    ref_mode = evolve_mode(background, thermo, k, monitor=monitor,
+                           rhs_kernel="python", **kwargs)
     if not states:
         raise ParameterError(
             "rhs_kernel_oracle captured no full-phase states; the record "
@@ -258,7 +268,116 @@ def rhs_kernel_oracle(
             dy_c = sys_c.rhs_full(tau, y)
             worst = max(worst,
                         float(np.max(np.abs(dy_c - dy_ref))) / scale)
+
+    if "cext" in available_kernels():
+        loop_mode = evolve_mode(background, thermo, k, rhs_kernel="cext",
+                                **kwargs)
+        pairs = [(loop_mode.y_final, ref_mode.y_final)]
+        pairs += [(loop_mode.records[name], ref_mode.records[name])
+                  for name in ref_mode.records
+                  if not np.all(np.isnan(ref_mode.records[name]))]
+        for got, want in pairs:
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     return {"rhs_kernel": worst}
+
+
+def _record_bytes(result) -> list[bytes]:
+    """The wire records of a run as bytes, timing excluded: one entry
+    per mode (header then payload), so equality is bit equality and
+    NaN fields (``delta_nu_massive`` without massive neutrinos)
+    compare equal to themselves."""
+    return [replace(header, cpu_seconds=0.0).pack().tobytes()
+            + payload.pack().tobytes()
+            for header, payload in zip(result.headers, result.payloads)]
+
+
+def batch_invariance_oracle(
+    params,
+    background=None,
+    thermo=None,
+    batch_sizes=(1, 2, 5),
+    nprocs=(2, 3),
+) -> dict:
+    """Bit invariance of the wire records and C_l under execution knobs.
+
+    One short hierarchy grid (5 modes, nq=0) is integrated by the
+    python kernel one mode at a time — the reference — and then again
+    under every ``rhs_kernel`` this host has among {python, cext}
+    crossed with: ``batch_size`` in ``batch_sizes``; one 5-lane chunk
+    in *reversed* lane order; PLINGER with ``nproc`` in ``nprocs``
+    (in-process ranks, one mode per message).  Every
+    ``ModeHeader``/``ModePayload`` field except ``cpu_seconds``
+    (so ``n_rhs`` and ``n_steps`` too) and the hierarchy C_l must be
+    bit-for-bit the reference's.
+
+    Returns ``{"batch_invariance": dev, "legs": {name: dev}}`` where a
+    leg's ``dev`` is 0.0 when its bytes match and otherwise the worst
+    relative C_l deviation (``inf`` if that is zero although records
+    differ).  ``batch_invariance`` is the worst leg, or NaN when a C
+    compiler exists and yet a ``cext`` leg evaluated nothing in
+    compiled code — a compiled leg that silently ran python proves
+    nothing about the compiled loop.
+    """
+    from ..background import Background
+    from ..linger.kgrid import KGrid
+    from ..linger.serial import LingerConfig, run_linger
+    from ..perturbations.operator import available_kernels
+    from ..plinger.driver import run_plinger
+    from ..spectra import cl_from_hierarchy
+    from ..telemetry import Telemetry
+    from ..thermo import ThermalHistory
+
+    if background is None:
+        background = Background(params)
+    if thermo is None:
+        thermo = ThermalHistory(background)
+    kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 5))
+    base = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4, nq=0,
+                        record_sources=False, keep_mode_results=False,
+                        rhs_kernel="python")
+    common = dict(background=background, thermo=thermo)
+
+    ref = run_linger(params, kgrid, base, **common)
+    ref_bytes = _record_bytes(ref)
+    _l, cl_ref = cl_from_hierarchy(ref)
+    scale = max(float(np.max(np.abs(cl_ref))), 1e-300)
+
+    def deviation(result) -> float:
+        _l2, cl = cl_from_hierarchy(result)
+        if (_record_bytes(result) == ref_bytes
+                and cl.tobytes() == cl_ref.tobytes()):
+            return 0.0
+        dev = float(np.max(np.abs(cl - cl_ref))) / scale
+        return dev if dev > 0.0 else float("inf")
+
+    legs: dict[str, float] = {}
+    compiled_ran = True
+    kernels = [k for k in ("python", "cext") if k in available_kernels()]
+    for kernel in kernels:
+        config = replace(base, rhs_kernel=kernel)
+        tel = Telemetry()
+        for batch_size in batch_sizes:
+            legs[f"{kernel} batch_size={batch_size}"] = deviation(run_linger(
+                params, kgrid, config, batch_size=batch_size, telemetry=tel,
+                **common))
+        # one chunk holding every mode, lanes in ascending-k order: the
+        # reverse of the dispatch order the batch_size legs used
+        ascending = KGrid.from_k(kgrid.k, largest_first=False)
+        legs[f"{kernel} reversed lanes"] = deviation(run_linger(
+            params, ascending, config, batch_size=kgrid.nk, telemetry=tel,
+            **common))
+        for nproc in nprocs:
+            result, _stats = run_plinger(params, kgrid, config, nproc=nproc,
+                                         backend="inprocess", telemetry=tel,
+                                         **common)
+            legs[f"{kernel} nproc={nproc}"] = deviation(result)
+        if kernel == "cext" and not (tel.rhs and tel.rhs.evals.get("cext")):
+            compiled_ran = False
+
+    worst = max(legs.values())
+    return {"batch_invariance": worst if compiled_ran else float("nan"),
+            "legs": legs}
 
 
 def gauge_oracle(
@@ -321,13 +440,19 @@ def chaos_degradation_oracle(
     events — a chaos run that did not actually exercise every recovery
     path proves nothing, so it must fail the budget check.
     """
+    import os
     import tempfile
 
     from ..cache import PrecomputeCache
     from ..chaos import ChaosPolicy, active
     from ..linger.kgrid import KGrid
     from ..linger.serial import LingerConfig
-    from ..perturbations._rhs_cext import BUILD_EVENTS, get_cext, reset_cext
+    from ..perturbations._rhs_cext import (
+        BUILD_EVENTS,
+        get_cext,
+        private_cache,
+        reset_cext,
+    )
     from ..perturbations.operator import available_kernels
     from ..plinger import run_plinger
     from ..resilience import FaultTolerance
@@ -346,7 +471,10 @@ def chaos_degradation_oracle(
     policy = ChaosPolicy.from_profile(profile, seed=seed)
     tel = Telemetry()
     ft = FaultTolerance()
-    with tempfile.TemporaryDirectory() as tmp:
+    # the kernel gauntlet plants a torn .so: in a cache of its own,
+    # not the user's
+    with tempfile.TemporaryDirectory() as tmp, \
+            private_cache(os.path.join(tmp, "kernels")):
         with active(policy):
             # Kernel surface first: rebuild the content-addressed .so
             # through the chaos gauntlet (planted stale .so, injected
@@ -431,8 +559,13 @@ def sockets_world_oracle(params, nproc: int = 3) -> dict:
     from ..spectra import cl_from_hierarchy
 
     kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
+    # The python driver on purpose: the join and kill legs need a run
+    # that is still in flight when a rank dials in or dies, and the
+    # compiled step loop finishes this grid before a process can fork.
+    # The bits are the same either way (oracle.batch_invariance).
     config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4,
-                          record_sources=False, keep_mode_results=False)
+                          record_sources=False, keep_mode_results=False,
+                          rhs_kernel="python")
     # Snappy fault-tolerance settings for the elastic legs: a SIGKILL
     # must be detected well inside the leg's ~2 s of real work.
     ft = FaultTolerance(worker_timeout=2.0, heartbeat_interval=0.25,
@@ -461,30 +594,37 @@ def sockets_world_oracle(params, nproc: int = 3) -> dict:
     )
 
     # -- join leg: start one rank short, admit a newcomer mid-run ---------
-    world_j = SocketsWorld(max(nproc - 1, 2))
+    # Like the kill leg below, the leg retries if the run still
+    # finished before the newcomer's fork and HELLO got through.
+    n_join = max(nproc - 1, 2)
+    for _attempt in range(3):
+        world_j = SocketsWorld(n_join)
 
-    def late_joiner() -> None:
-        # spawn_extra_worker needs launch() to have stored the entry;
-        # retry until the run is actually underway.
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            try:
-                world_j.spawn_extra_worker()
-                return
-            except Exception:
-                time.sleep(0.05)
+        def late_joiner() -> None:
+            # "mid-run" means after the master has opened its books: a
+            # newcomer that connects while the world is still
+            # assembling is seated as a founder, never counted as joined
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                ranks = [r for r in world_j.rank_pids if r != 0]
+                if len(ranks) >= n_join - 1:
+                    time.sleep(0.2)  # let the run get under way
+                    world_j.spawn_extra_worker()
+                    return
+                time.sleep(0.02)
 
-    joiner = threading.Thread(target=late_joiner, daemon=True)
-    joiner.start()
-    joined, stats_j = run_plinger(params, kgrid, config,
-                                  nproc=max(nproc - 1, 2),
-                                  backend="sockets", world=world_j,
-                                  fault_tolerance=ft)
-    joiner.join(timeout=30.0)
-    _l, cl_j = cl_from_hierarchy(joined)
-    dev = max(dev, float(np.max(np.abs(cl_j - cl_ref))) / scale)
-    fr_j = stats_j.fault_report
-    legs["join"] = fr_j is not None and fr_j.ranks_joined >= 1
+        joiner = threading.Thread(target=late_joiner, daemon=True)
+        joiner.start()
+        joined, stats_j = run_plinger(params, kgrid, config, nproc=n_join,
+                                      backend="sockets", world=world_j,
+                                      fault_tolerance=ft)
+        joiner.join(timeout=30.0)
+        _l, cl_j = cl_from_hierarchy(joined)
+        dev = max(dev, float(np.max(np.abs(cl_j - cl_ref))) / scale)
+        fr_j = stats_j.fault_report
+        legs["join"] = fr_j is not None and fr_j.ranks_joined >= 1
+        if legs["join"]:
+            break
 
     # -- kill leg: SIGKILL the highest rank mid-run, finish on survivors --
     # A fixed sleep races both worker startup and run completion on a

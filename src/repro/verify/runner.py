@@ -19,7 +19,9 @@ suite against one cosmology:
    (``oracle.sparse_cl``);
 7. replays one monitored mode's full-phase states through every
    available RHS kernel (lane-vectorized python, numba, cext) against
-   the scalar python reference (``oracle.rhs_kernel``);
+   the scalar python reference, and the whole mode through the
+   compiled step loop against the python driver
+   (``oracle.rhs_kernel``);
 8. re-runs a short PLINGER spectrum under a fixed-seed chaos policy
    that injects faults into the cache, compiled-kernel, and integrator
    layers, and requires the degraded run to reproduce the fault-free
@@ -28,7 +30,10 @@ suite against one cosmology:
 9. answers one spectrum request through all three serving tiers —
    cold serial, resident warm pool, and the run-result store's npz
    round trip — and requires bit-level C_l agreement
-   (``oracle.serve_result``).
+   (``oracle.serve_result``);
+10. integrates one short grid under every kernel, batch size, lane
+    order and rank count and requires the wire records and C_l to be
+    bit-for-bit one answer (``oracle.batch_invariance``).
 
 Every check lands in a :class:`VerificationReport` as a
 (measured, threshold, passed) triple keyed by its tolerance-budget
@@ -52,6 +57,7 @@ from ..util import format_table
 from . import analytic
 from .constraints import quality_residuals
 from .oracles import (
+    batch_invariance_oracle,
     chaos_degradation_oracle,
     gauge_oracle,
     paths_oracle,
@@ -328,6 +334,18 @@ def verify_run(
                             "RHS kernels vs scalar python reference",
                             kdevs["rhs_kernel"],
                             "kernels: " + ", ".join(available_kernels())))
+
+    if progress:
+        print("[verify] batch invariance oracle (kernel/batch/lanes/ranks)...")
+    bdevs = batch_invariance_oracle(params, background=result.background,
+                                    thermo=result.thermo)
+    moved = [name for name, dev in bdevs["legs"].items() if dev != 0.0]
+    report.checks.append(mk(
+        "oracle.batch_invariance",
+        "records and C_l bitwise under kernel/batch/lanes/ranks",
+        bdevs["batch_invariance"],
+        f"{len(bdevs['legs'])} legs; moved: " + (", ".join(moved) or "none"),
+    ))
 
     if progress:
         print("[verify] chaos degradation oracle (seeded fault injection)...")

@@ -24,6 +24,7 @@ tolerance name must never silently pass) and the methods on
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,28 @@ TOLERANCES: dict[str, Tolerance] = {
                 "yet instantly catches any dropped coupling or "
                 "reassociated expression, which shifts the residual to "
                 ">=1e-6 at these state magnitudes."
+            ),
+        ),
+        Tolerance(
+            "oracle.batch_invariance", rtol=sys.float_info.min, atol=0.0,
+            provenance=(
+                "Exact: the budget is the smallest positive normal double "
+                "(every registry entry must be positive), which admits 0.0 "
+                "and nothing a comparison of two C_l can produce (>= 1e-17 "
+                "relative, or inf).  "
+                "One 5-mode hierarchy grid (nq=0) integrated by the python "
+                "kernel one mode at a time, then again under rhs_kernel in "
+                "{python, cext} x (batch_size in {1, 2, 5}, one 5-lane chunk "
+                "in reversed lane order, PLINGER nproc in {2, 3}); every "
+                "ModeHeader/ModePayload field but cpu_seconds and the "
+                "hierarchy C_l compared as bytes.  Zero is the claim, not a "
+                "measurement with headroom: the step loop's arithmetic "
+                "contract (DESIGN.md) fixes the order of every sum, so no "
+                "execution knob can move a bit; any non-zero value means a "
+                "reduction whose order depends on the batch (a gemv over "
+                "lanes, an einsum) came back.  NaN — an automatic failure — "
+                "when a C compiler exists and the cext legs evaluated "
+                "nothing in compiled code."
             ),
         ),
         Tolerance(

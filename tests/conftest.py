@@ -45,6 +45,19 @@ def pytest_configure(config):
     )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Compiled kernels of this session live under its own tmp_path:
+    the chaos tests plant torn shared objects in the cache, and a
+    user's ``~/.cache/repro/kernels`` is none of the suite's business.
+    Child processes (forked ranks, ``repro serve`` daemons) inherit
+    the variable."""
+    from repro.perturbations._rhs_cext import private_cache
+
+    with private_cache(tmp_path_factory.mktemp("kernels")):
+        yield
+
+
 @pytest.fixture(scope="session")
 def regen_golden(request):
     return request.config.getoption("--regen-golden")

@@ -72,7 +72,9 @@ def test_batched_evolution_reproduces_serial_step_sequence(bg_scdm,
     """Every lane takes the *same* accept/reject sequence as the serial
     driver integrating that k alone, and lands on the same state."""
     ks = np.geomspace(1e-3, 0.02, 4)
-    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4)
+    # the lockstep python driver is what is under test here (the
+    # compiled loop never steps lanes together; test_step_loop.py)
+    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4, rhs_kernel="python")
     batched = evolve_modes_batched(bg_scdm, thermo_scdm, ks, **kwargs)
     for k, mode_b in zip(ks, batched):
         mode_s = evolve_mode(bg_scdm, thermo_scdm, float(k), **kwargs)
@@ -227,8 +229,10 @@ def test_dispatch_chunks_split_on_lmax_change():
 def test_batch_telemetry_records_occupancy(scdm, bg_scdm, thermo_scdm):
     """A batched run books its sweeps/occupancy into the RunReport."""
     kg = KGrid.from_k(np.geomspace(1e-3, 0.01, 4))
+    # sweeps and parked lanes are the lockstep python driver's books
     cfg = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4,
-                       record_sources=False, keep_mode_results=False)
+                       record_sources=False, keep_mode_results=False,
+                       rhs_kernel="python")
     telemetry = Telemetry()
     run_linger(scdm, kg, cfg, background=bg_scdm, thermo=thermo_scdm,
                batch_size=4, telemetry=telemetry)

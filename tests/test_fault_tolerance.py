@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -644,6 +645,10 @@ class TestEndToEndChaos:
         from repro.mp.backends.procs import ProcsWorld
 
         kgrid, config, golden = e2e_setup
+        # the python driver on purpose: the victim must still be
+        # integrating 0.5 s after the fork, and the compiled step loop
+        # would have finished the grid by then (same bits either way)
+        config = replace(config, rhs_kernel="python")
         world = ProcsWorld(4)
         ft = FaultTolerance(
             worker_timeout=2.0, heartbeat_interval=0.25, missed_heartbeats=4,

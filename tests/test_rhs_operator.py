@@ -313,7 +313,8 @@ def test_rhs_eval_counts_match_serial_vs_batched(bg_scdm, thermo_scdm):
     batched evolution of the same mode (identical step sequences)."""
     from repro.perturbations import evolve_modes_batched
 
-    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4)
+    # per-evaluation counting through the two python drivers
+    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4, rhs_kernel="python")
     t_s = Telemetry()
     evolve_mode(bg_scdm, thermo_scdm, 0.01, telemetry=t_s, **kwargs)
     t_b = Telemetry()

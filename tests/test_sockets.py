@@ -257,9 +257,14 @@ class TestSocketsElasticPhysics:
     def golden(self):
         params = CosmologyParams()
         kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
-        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4,
+        # the python driver on purpose, and a tight rtol: a join or a
+        # SIGKILL can only land "mid-run" if the run outlasts the 0.3 s
+        # head start plus a fork and a handshake, and the compiled step
+        # loop finishes this grid in a few milliseconds
+        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-5,
                               record_sources=False,
-                              keep_mode_results=False)
+                              keep_mode_results=False,
+                              rhs_kernel="python")
         serial = run_linger(params, kgrid, config)
         _l, cl_ref = cl_from_hierarchy(serial)
         return params, kgrid, config, cl_ref
@@ -269,13 +274,16 @@ class TestSocketsElasticPhysics:
         world = SocketsWorld(2)
 
         def late_joiner():
+            # "mid-run" means after the master has opened its books: a
+            # newcomer that connects while the world is still assembling
+            # is seated as a founder and never counted as joined
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                try:
+                if [r for r in world.rank_pids if r != 0]:
+                    time.sleep(0.3)  # let the run get under way
                     world.spawn_extra_worker()
                     return
-                except Exception:
-                    time.sleep(0.05)
+                time.sleep(0.02)
 
         t = threading.Thread(target=late_joiner, daemon=True)
         t.start()
