@@ -34,6 +34,7 @@ from ..resilience import RetryPolicy
 from ..spectra.los import BesselCache
 from ..telemetry.report import CacheMetrics, DegradationMetrics
 from ..thermo import ThermalHistory
+from ..thermo.history import SOLVER_REVISION
 from .keys import cache_key
 from .sharing import SharedTableBlock
 from .store import TableStore
@@ -164,11 +165,12 @@ class PrecomputeCache:
         """Build-or-load a :class:`ThermalHistory` on ``background``.
 
         The key covers only what the ionization solve depends on (the
-        cosmology and the thermal grid shape) — the background's own
-        table resolution does not enter the solve, so backgrounds of
-        different ``n_grid`` share thermal entries.
+        cosmology, the thermal grid shape and the solver's revision) —
+        the background's own table resolution does not enter the solve,
+        so backgrounds of different ``n_grid`` share thermal entries.
         """
         key = background.params.digest("thermal", {
+            "solver": SOLVER_REVISION,
             "a_start": a_start,
             "n_grid": n_grid,
             "saha_switch": saha_switch,

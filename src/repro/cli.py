@@ -479,6 +479,11 @@ def _print_report_summary(report) -> None:
         ["flops (estimated)", f"{totals['flops_est']:.3e}"],
         ["mode wallclock [s]", f"{totals['mode_wall_seconds']:.3f}"],
     ]
+    # the k-independent tables (all ranks that made any; see build_tables)
+    for name in ("background.build", "thermo.build"):
+        if name in report.timers:
+            rows.append([f"{name} [s]",
+                         f"{report.timers[name]['total_seconds']:.3f}"])
     if report.workers:
         rows.append(["worker busy [s]",
                      f"{totals['worker_busy_seconds']:.3f}"])

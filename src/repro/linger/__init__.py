@@ -14,6 +14,7 @@ from .records import ModeHeader, ModePayload, HEADER_LENGTH
 from .serial import (
     LingerConfig,
     LingerResult,
+    build_tables,
     compute_mode,
     compute_modes_batch,
     dispatch_chunks,
@@ -30,6 +31,7 @@ __all__ = [
     "HEADER_LENGTH",
     "LingerConfig",
     "LingerResult",
+    "build_tables",
     "compute_mode",
     "compute_modes_batch",
     "dispatch_chunks",

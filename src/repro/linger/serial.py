@@ -25,6 +25,7 @@ from .records import ModeHeader, ModePayload
 __all__ = [
     "LingerConfig",
     "LingerResult",
+    "build_tables",
     "compute_mode",
     "compute_modes_batch",
     "dispatch_chunks",
@@ -77,6 +78,33 @@ class LingerConfig:
                     self.lmax_cap)
             )
         raise ParameterError(f"unknown lmax_mode {self.lmax_mode!r}")
+
+
+def build_tables(
+    params: CosmologyParams,
+    background: Background | None = None,
+    thermo: ThermalHistory | None = None,
+    cache=None,
+    telemetry: Telemetry = NULL_TELEMETRY,
+) -> tuple[Background, ThermalHistory]:
+    """The k-independent tables of a run, built once per cosmology.
+
+    Each table is taken as handed in, else loaded-or-built through
+    ``cache`` (a :class:`~repro.cache.PrecomputeCache`), else built.
+    Whatever is produced here is timed into the ``background.build`` /
+    ``thermo.build`` telemetry timers — every driver and every worker
+    fallback gets its tables through this one seam, so a run's report
+    accounts for them wherever they were made.
+    """
+    if background is None:
+        with telemetry.timer("background.build"):
+            background = (cache.background(params) if cache is not None
+                          else Background(params))
+    if thermo is None:
+        with telemetry.timer("thermo.build"):
+            thermo = (cache.thermal(background) if cache is not None
+                      else ThermalHistory(background))
+    return background, thermo
 
 
 def compute_mode(
@@ -369,12 +397,8 @@ def run_linger(
             "monitor_constraints=True requires config.record_sources=True "
             "(the monitors sample the state at the record grid)"
         )
-    if background is None:
-        background = (cache.background(params) if cache is not None
-                      else Background(params))
-    if thermo is None:
-        thermo = (cache.thermal(background) if cache is not None
-                  else ThermalHistory(background))
+    background, thermo = build_tables(params, background, thermo,
+                                      cache, telemetry)
 
     nk = kgrid.nk
     monitors: list = [None] * nk

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ParameterError, ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.records import HEADER_LENGTH, ModeHeader, ModePayload
-from ..linger.serial import LingerConfig, LingerResult
+from ..linger.serial import LingerConfig, LingerResult, build_tables
 
 __all__ = ["ModeJournal", "run_plinger_checkpointed"]
 
@@ -173,12 +173,8 @@ def run_plinger_checkpointed(
                 journal.append(h, p_fixed)
         background = sub_result.background
         thermo = sub_result.thermo
-    elif background is None or thermo is None:
-        from ..background import Background
-        from ..thermo import ThermalHistory
-
-        background = background or Background(params)
-        thermo = thermo or ThermalHistory(background)
+    else:
+        background, thermo = build_tables(params, background, thermo)
 
     # assemble the full result from the (now complete) journal
     done = journal.replay()

@@ -37,6 +37,7 @@ from ..linger.kgrid import KGrid
 from ..linger.serial import (
     LingerConfig,
     LingerResult,
+    build_tables,
     compute_mode,
     compute_modes_batch,
     dispatch_chunks,
@@ -223,10 +224,8 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
             # bit-identical tables, just without the zero-copy sharing
             cache_info = {"attached": False, "bytes_mapped": 0,
                           "backend": ""}
-            if background is None:
-                background = Background(params)
-            if thermo is None:
-                thermo = ThermalHistory(background)
+            background, thermo = build_tables(params, background, thermo,
+                                              telemetry=telemetry)
 
     def attempt_mode(ik: int, cfg):
         eng = current_engine()
@@ -388,12 +387,8 @@ def run_plinger(
             "PLINGER ships only the wire records; run with "
             "keep_mode_results=False (use run_linger for source recording)"
         )
-    if background is None:
-        background = (cache.background(params) if cache is not None
-                      else Background(params))
-    if thermo is None:
-        thermo = (cache.thermal(background) if cache is not None
-                  else ThermalHistory(background))
+    background, thermo = build_tables(params, background, thermo,
+                                      cache, telemetry)
     if batch_size < 1:
         raise ProtocolError("batch_size must be >= 1")
     chunks = None

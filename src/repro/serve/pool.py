@@ -63,6 +63,7 @@ from ..linger.kgrid import KGrid
 from ..linger.serial import (
     LingerConfig,
     LingerResult,
+    build_tables,
     compute_mode,
     compute_modes_batch,
     dispatch_chunks,
@@ -204,7 +205,8 @@ class WarmPool:
         """The cosmology-level residency key (k-grid independent)."""
         return params.digest("serve_tables")
 
-    def ensure_resident(self, params: CosmologyParams
+    def ensure_resident(self, params: CosmologyParams,
+                        telemetry: Telemetry = NULL_TELEMETRY,
                         ) -> tuple[_Resident, bool]:
         """Warm the tables for ``params``; returns ``(state, was_warm)``."""
         digest = self.tables_digest(params)
@@ -217,12 +219,8 @@ class WarmPool:
                 return res, True
 
         # cold: build (or load) the tables and publish them once
-        if self.cache is not None:
-            background = self.cache.background(params)
-            thermo = self.cache.thermal(background)
-        else:
-            background = Background(params)
-            thermo = ThermalHistory(background)
+        background, thermo = build_tables(params, cache=self.cache,
+                                          telemetry=telemetry)
         arrays: dict[str, np.ndarray] = {}
         for name, arr in background.to_tables().items():
             arrays[f"bg/{name}"] = arr
@@ -284,7 +282,7 @@ class WarmPool:
             raise ServeError("the warm pool serves wire records only "
                              "(no source recording)")
         with self._run_lock:
-            resident, was_warm = self.ensure_resident(params)
+            resident, was_warm = self.ensure_resident(params, telemetry)
             result = self._run_protocol(resident, kgrid, config,
                                         batch_size, telemetry)
         self.stats.runs += 1
@@ -388,7 +386,8 @@ class WarmPool:
             finally:
                 job.done.set()
 
-    def _tables_for(self, wid: int, job: _Job, raw) -> dict:
+    def _tables_for(self, wid: int, job: _Job, raw,
+                    telemetry: Telemetry) -> dict:
         """This worker's (background, thermo) for the job's cosmology:
         attach-once, then warm across runs."""
         tables = self._worker_tables[wid]
@@ -410,8 +409,8 @@ class WarmPool:
             thermo = attached.thermal(background)
         else:
             # degraded: deterministic local rebuild, bit-identical
-            background = Background(job.resident.params)
-            thermo = ThermalHistory(background)
+            background, thermo = build_tables(job.resident.params,
+                                              telemetry=telemetry)
         entry = {"attached": attached, "background": background,
                  "thermo": thermo, "warm": False}
         tables[job.resident.digest] = entry
@@ -435,7 +434,7 @@ class WarmPool:
         deadline = max(ft.silence_seconds, 1.0)
         if mp.myprobe(Tag.CACHE, mp.mastid, timeout=deadline) is not None:
             raw = mp.myrecvraw(Tag.CACHE, mp.mastid)
-        entry = self._tables_for(wid, job, raw)
+        entry = self._tables_for(wid, job, raw, telemetry)
         background, thermo = entry["background"], entry["thermo"]
         kgrid, config = job.kgrid, job.config
 

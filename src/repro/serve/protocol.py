@@ -51,9 +51,10 @@ class ServeRequest:
     The shape mirrors the CLI ``run`` defaults: a linear k-grid from
     ``k_min`` to ``k_max`` with ``nk`` points, integrated at
     ``lmax``/``rtol`` with the hierarchy C_l read off at
-    ``l = 2 .. lmax - 3``.  ``batch_size`` selects the batched engine
-    (and is part of the digest, so differently-batched requests never
-    alias one cache entry).
+    ``l = 2 .. lmax - 3``.  ``batch_size`` selects the batched engine;
+    it is an execution hint that rides the wire but not the digest —
+    C_l is bitwise invariant under it (``oracle.batch_invariance``), so
+    differently-batched requests coalesce and share one store entry.
     """
 
     params: CosmologyParams
@@ -88,7 +89,6 @@ class ServeRequest:
             "nk": int(self.nk),
             "lmax": int(self.lmax),
             "rtol": float(self.rtol),
-            "batch_size": int(self.batch_size),
         }
 
     def digest(self) -> str:
@@ -120,6 +120,7 @@ class ServeRequest:
                "params": dataclasses.asdict(self.params)}
         doc.update({k: v for k, v in self.shape().items()
                     if k != "protocol"})
+        doc["batch_size"] = int(self.batch_size)
         return doc
 
     @classmethod

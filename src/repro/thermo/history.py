@@ -32,6 +32,12 @@ from .recombination import peebles_rhs, saha_electron_fraction
 
 __all__ = ["ThermalHistory"]
 
+#: Revision of the ionization solve behind the tables ``to_tables``
+#: exports.  The precompute cache folds it into the thermal key, so
+#: tables persisted by an earlier solver are never served; bump it with
+#: any change that moves them.  (2: Newton Saha solver.)
+SOLVER_REVISION = 2
+
 
 class ThermalHistory:
     """Ionization and temperature history for a given background.
@@ -131,19 +137,17 @@ class ThermalHistory:
     # Construction
     # ------------------------------------------------------------------
 
-    def _hubble_s(self, a: float) -> float:
-        """Proper Hubble rate in s^-1."""
-        return float(self.background.hubble(a)) * const.C_LIGHT / const.MPC_CM
+    def _rhs(self, lna: float, y: np.ndarray) -> tuple[float, float]:
+        """ODE right-hand side in ln a for [x_H, T_b].
 
-    def _t_gamma(self, a):
-        return self.params.t_cmb / np.asarray(a, dtype=float)
-
-    def _rhs(self, lna: float, y: np.ndarray) -> np.ndarray:
-        """ODE right-hand side in ln a for [x_H, T_b]."""
+        Scalar python arithmetic throughout: LSODA calls this about a
+        thousand times per build, one state at a time.
+        """
         a = math.exp(lna)
-        x_h, t_b = float(y[0]), float(y[1])
+        x_h, t_b = y.tolist()
         t_b = max(t_b, 1e-3)
-        h_s = self._hubble_s(a)
+        # proper Hubble rate in s^-1
+        h_s = float(self.background.hubble(a)) * const.C_LIGHT / const.MPC_CM
         n_h = self._n_h0 / a**3
         # helium electrons from Saha at the current temperature
         _, _, x_he2, x_he3 = saha_electron_fraction(t_b, n_h, self.f_he)
@@ -165,7 +169,7 @@ class ThermalHistory:
             1.0 + self.f_he + x_e
         ) * (t_g - t_b)
 
-        return np.array([dxh_dt / h_s, dtb_dt / h_s])
+        return dxh_dt / h_s, dtb_dt / h_s
 
     def _build_ionization(
         self, a_start: float, n_grid: int, saha_switch: float
@@ -180,8 +184,12 @@ class ThermalHistory:
         t_b = np.empty(n_grid)
 
         # Saha phase --------------------------------------------------
+        # python floats, here and in the helium pass: numpy scalars
+        # would make every operation inside the solver several times
+        # dearer
+        a_py = a.tolist()
         i_switch = None
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(a_py):
             t = self.params.t_cmb / ai
             n_h = self._n_h0 / ai**3
             xe_i, xh_i, xhe2, xhe3 = saha_electron_fraction(t, n_h, self.f_he)
@@ -214,9 +222,11 @@ class ThermalHistory:
         t_b[i_switch:] = sol.y[1]
 
         # helium Saha contribution during/after the switch
-        for j in range(i_switch, n_grid):
+        for j, (t, aj) in enumerate(
+            zip(t_b[i_switch:].tolist(), a_py[i_switch:]), start=i_switch
+        ):
             _, _, xhe2, xhe3 = saha_electron_fraction(
-                t_b[j], self._n_h0 / a[j] ** 3, self.f_he
+                t, self._n_h0 / aj**3, self.f_he
             )
             x_e[j] = x_h[j] + self.f_he * (xhe2 + 2.0 * xhe3)
 

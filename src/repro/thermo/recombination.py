@@ -7,7 +7,8 @@ Conventions
 helium is ionized).  ``f_He = n_He / n_H = Y / (4 (1 - Y))``.
 
 The Saha solver handles the three coupled equilibria (H, He I, He II)
-self-consistently by fixed-point iteration on n_e.  The Peebles
+self-consistently: one monotone equation in x_e, solved by a bracketed
+Newton iteration.  The Peebles
 three-level-atom ODE (Peebles 1968) takes over for hydrogen once the
 Saha ionization fraction drops below ~0.99, exactly the classic scheme
 used by COSMICS-era codes.
@@ -18,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import constants as const
+from ..errors import IntegrationError
 
 __all__ = ["saha_electron_fraction", "PeeblesRates", "peebles_rhs"]
 
@@ -39,13 +39,60 @@ def _saha_factor(t_kelvin: float, chi_erg: float) -> float:
     return prefac * math.exp(-arg)
 
 
+#: Iteration cap of the Saha root-finder.  Newton needs 1-4; the cap is
+#: what geometric bisection alone would need to reach 1e-14 on the widest
+#: bracket a float64 x_e allows, so reaching it means a broken residual.
+_SAHA_MAX_ITER = 64
+
+
+def _saha_residual(
+    x_e: float, s_h: float, s_he1: float, s_he2: float, f_he: float
+) -> tuple[float, float, float, float, float]:
+    """Charge-neutrality residual of the Saha system at a trial ``x_e``.
+
+    ``s_*`` are the Saha factors per hydrogen nucleus (divided by n_H),
+    so with n_e = x_e n_H the three equilibria read
+
+        x_H   / (1 - x_H) = s_h   / x_e
+        x_HeII / x_HeI    = s_he1 / x_e
+        x_HeIII/ x_HeII   = s_he2 / x_e
+
+    and are solved here in closed form for the fractions.  Returns
+    ``(g, dg/dx_e, x_H, x_HeII, x_HeIII)`` with
+    ``g = x_H + f_He (x_HeII + 2 x_HeIII) - x_e``, which decreases
+    strictly in ``x_e``: one root.
+    """
+    h_den = x_e + s_h
+    x_h = s_h / h_den
+    # helium over x_e, not x_e^2: no square of a fraction that may be
+    # 1e-140 ever forms
+    q = s_he1 * s_he2 / x_e
+    he_den = x_e + s_he1 + q
+    x_he2 = s_he1 / he_den
+    x_he3 = q / he_den
+    g = x_h + f_he * (x_he2 + 2.0 * x_he3) - x_e
+    dg = (
+        -x_h / h_den
+        - f_he * (x_he2 + x_he3 * (4.0 + s_he1 / x_e)) / he_den
+        - 1.0
+    )
+    return g, dg, x_h, x_he2, x_he3
+
+
 def saha_electron_fraction(
     t_kelvin: float,
     n_h_cgs: float,
     f_he: float,
-    n_iter: int = 60,
 ) -> tuple[float, float, float, float]:
     """Solve the coupled H / He I / He II Saha equilibria.
+
+    The three equilibria and charge neutrality reduce to one monotone
+    equation in x_e (see :func:`_saha_residual`).  It is solved by
+    Newton's method, started from the hydrogen-only Saha quadratic (a
+    lower bound on the root, exact once helium is neutral) and kept
+    inside the bracket [that start, 1 + 2 f_He]; a step that leaves the
+    bracket is replaced by its geometric midpoint.  Converged when the
+    step is below 1e-14 of x_e.
 
     Parameters
     ----------
@@ -61,32 +108,43 @@ def saha_electron_fraction(
     (x_e, x_H, x_HeII, x_HeIII):
         Free-electron fraction (per hydrogen) and the ionized fractions
         of H (n_p/n_H), He+ (n_He+/n_He), He++ (n_He++/n_He).
+
+    Raises
+    ------
+    IntegrationError
+        If the iteration has not converged within its cap.
     """
-    s_h = _saha_factor(t_kelvin, const.E_ION_H)
+    s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+    if s_h == 0.0:
+        # hydrogen's factor is the last to underflow: everything is neutral
+        return 0.0, 0.0, 0.0, 0.0
     # statistical weights: 2 g_+ / g_0 -> H: 2*1/2 = 1; HeI: 2*2/1 = 4;
     # HeII: 2*1/2 = 1.
-    s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1)
-    s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2)
+    s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1) / n_h_cgs
+    s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2) / n_h_cgs
 
-    x_e = 1.0 + 2.0 * f_he  # fully ionized initial guess
-    x_h = x_he2 = x_he3 = 1.0
-    for _ in range(n_iter):
-        n_e = max(x_e * n_h_cgs, 1e-300)
-        # H: x_p / (1 - x_p) = s_h / n_e
-        r_h = s_h / n_e
-        x_h = r_h / (1.0 + r_h)
-        # He: n_He+/n_He0 = s_he1/n_e ; n_He++/n_He+ = s_he2/n_e
-        r1 = s_he1 / n_e
-        r2 = s_he2 / n_e
-        denom = 1.0 + r1 + r1 * r2
-        x_he2 = r1 / denom
-        x_he3 = r1 * r2 / denom
-        x_e_new = x_h + f_he * (x_he2 + 2.0 * x_he3)
-        if abs(x_e_new - x_e) < 1e-14 * max(x_e, 1e-30):
-            x_e = x_e_new
-            break
-        x_e = 0.5 * (x_e + x_e_new)  # damped fixed point
-    return x_e, x_h, x_he2, x_he3
+    # hydrogen only: x^2 + s_h x - s_h = 0, in the cancellation-free form
+    lo = 2.0 * s_h / (s_h + math.sqrt(s_h * s_h + 4.0 * s_h))
+    hi = 1.0 + 2.0 * f_he
+    x_e = lo
+    for _ in range(_SAHA_MAX_ITER):
+        g, dg, x_h, x_he2, x_he3 = _saha_residual(
+            x_e, s_h, s_he1, s_he2, f_he
+        )
+        if g > 0.0:
+            lo = x_e
+        else:
+            hi = x_e
+        x_new = x_e - g / dg
+        if not lo <= x_new <= hi:
+            x_new = math.sqrt(lo * hi)
+        if abs(x_new - x_e) < 1e-14 * x_e:
+            return x_new, x_h, x_he2, x_he3
+        x_e = x_new
+    raise IntegrationError(
+        f"Saha equilibrium did not converge in {_SAHA_MAX_ITER} iterations "
+        f"(T = {t_kelvin!r} K, n_H = {n_h_cgs!r} cm^-3, f_He = {f_he!r})"
+    )
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,9 @@ class TestProtocol:
         base = small_request()
         assert small_request(nk=5).digest() != base.digest()
         assert small_request(lmax=9).digest() != base.digest()
-        assert small_request(batch_size=2).digest() != base.digest()
+        # an execution hint: on the wire, not in the address
+        assert small_request(batch_size=2).digest() == base.digest()
+        assert small_request(batch_size=2).to_doc()["batch_size"] == 2
         assert small_request(params=tilted_cdm()).digest() != base.digest()
 
     def test_validation(self):
@@ -127,6 +129,21 @@ class TestWarmPool:
                             request.config())
         for a, b in zip(serial.payloads, warm.payloads):
             np.testing.assert_array_equal(a.pack(), b.pack())
+
+    def test_batch_size_serves_the_same_bits(self, runs, pool):
+        """What lets B=1 and B=4 share one digest: the pool serves
+        bitwise the same C_l to both."""
+        request, _first, (one_lane, _) = runs
+        batched = small_request(batch_size=4)
+        assert batched.digest() == request.digest()
+        four_lanes, _ = pool.run(batched.params, batched.kgrid(),
+                                 batched.config(),
+                                 batch_size=batched.batch_size)
+        _l, cl_1 = spectrum_product(request.params, one_lane.kgrid.k,
+                                    one_lane.payloads)
+        _l, cl_4 = spectrum_product(batched.params, four_lanes.kgrid.k,
+                                    four_lanes.payloads)
+        np.testing.assert_array_equal(cl_1, cl_4)
 
     def test_workers_keep_tables_attached(self, runs, pool):
         # both resident workers attached once, then reused the mapping

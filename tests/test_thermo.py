@@ -1,10 +1,64 @@
 """Recombination and the thermal history."""
 
+import gc
+import json
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import (
+    Background,
+    ThermalHistory,
+    mixed_dark_matter,
+    standard_cdm,
+)
 from repro import constants as const
-from repro.thermo import PeeblesRates, saha_electron_fraction
+from repro.errors import IntegrationError
+from repro.thermo import (
+    PeeblesRates,
+    history,
+    recombination,
+    saha_electron_fraction,
+)
+from repro.thermo.recombination import _saha_factor
+
+#: Thermal tables of three models, written by the *parent* of the PR
+#: that replaced the Saha root-finder (the commit is named inside the
+#: file).  Unlike ``golden_{cl,tk}.json`` there is no ``--regen``: the
+#: file is only worth something while it predates the solver under
+#: test.  To re-pin after an intended change of the equations, run
+#: ``python -m tests.test_thermo <commit>`` with ``PYTHONPATH`` on the
+#: *old* ``src`` and say so in the commit.
+GOLDEN_THERMO = Path(__file__).parent / "data" / "golden_thermo.json"
+
+
+def thermo_snapshot(thermo, rows=None) -> dict:
+    """The pinned part of one history: sampled table rows + scalars.
+
+    ``rows`` defaults to ~60 grid indices: 20 across the Saha walk, 20
+    through hydrogen recombination (the 400 points after the switch),
+    20 over the rest down to a = 1.
+    """
+    tables = thermo.to_tables()
+    n = len(tables["lna"])
+    # the Saha walk stops at the first x_H below saha_switch
+    i_switch = int(np.argmax(tables["x_h"] < 0.985))
+    if rows is None:
+        rows = sorted({int(i) for part in (
+            np.linspace(0, i_switch - 1, 20),
+            np.linspace(i_switch, i_switch + 400, 20),
+            np.linspace(i_switch + 401, n - 1, 20),
+        ) for i in part})
+    snap = {"i_switch": i_switch, "rows": rows}
+    for name in ("x_e", "x_h", "t_b"):
+        snap[name] = [float(tables[name][i]) for i in rows]
+    for name in ("tau_rec", "z_rec", "tau_reion"):
+        snap[name] = float(getattr(thermo, name))
+    return snap
 
 
 class TestSaha:
@@ -130,3 +184,158 @@ class TestThermalHistory:
     def test_mdm_recombination_similar(self, thermo_mdm):
         # massive neutrinos barely move recombination
         assert 1000 < thermo_mdm.z_rec < 1250
+
+
+class TestSahaSolver:
+    """The root-finder itself: what it returns solves the equations,
+    and it gets there in a handful of residual evaluations."""
+
+    @pytest.mark.property
+    @given(t=st.floats(1.0, 1e6), n_h=st.floats(1e-8, 1e12),
+           f_he=st.floats(0.0, 0.2))
+    @settings(max_examples=300, deadline=None)
+    def test_solution_satisfies_the_saha_system(self, t, n_h, f_he):
+        x_e, x_h, x_he2, x_he3 = saha_electron_fraction(t, n_h, f_he)
+        for x in (x_h, x_he2, x_he3):
+            assert 0.0 <= x <= 1.0
+        assert 0.0 <= x_e <= 1.0 + 2.0 * f_he
+        def close(a, b):
+            return a == pytest.approx(b, rel=1e-12, abs=1e-300)
+
+        assert close(x_e, x_h + f_he * (x_he2 + 2.0 * x_he3))
+        # the three ratios, cross-multiplied so that no side forms
+        # 1 - x (which cancels to nothing near full ionization)
+        n_e = x_e * n_h
+        s_h = _saha_factor(t, const.E_ION_H)
+        s_he1 = 4.0 * _saha_factor(t, const.E_ION_HE1)
+        s_he2 = _saha_factor(t, const.E_ION_HE2)
+        assert close(x_h * (n_e + s_h), s_h)
+        assert close(x_he2 * (n_e * n_e + s_he1 * n_e + s_he1 * s_he2),
+                     s_he1 * n_e)
+        assert close(x_he3 * n_e, x_he2 * s_he2)
+
+    @pytest.mark.property
+    @given(t=st.floats(1.0, 1e6), factor=st.floats(1.0, 10.0),
+           n_h=st.floats(1e-8, 1e12), f_he=st.floats(0.0, 0.2))
+    @settings(max_examples=300, deadline=None)
+    def test_x_e_non_decreasing_in_temperature(self, t, factor, n_h, f_he):
+        cold = saha_electron_fraction(t, n_h, f_he)[0]
+        hot = saha_electron_fraction(min(t * factor, 1e6), n_h, f_he)[0]
+        # up to the solver's own 1e-14 where x_e has saturated
+        assert hot >= cold * (1.0 - 1e-13)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
+        with pytest.raises(IntegrationError, match="T = 5000.0 K"):
+            saha_electron_fraction(5000.0, 0.2, 0.08)
+
+    def test_build_converges_in_a_few_evaluations(self, monkeypatch,
+                                                   bg_scdm):
+        """A count, not a timing: the fixed point this replaced averaged
+        30 evaluations and ran a third of its calls to the cap."""
+        evals = 0
+        per_call = []
+        residual = recombination._saha_residual
+        solve = saha_electron_fraction
+
+        def counting_residual(*args):
+            nonlocal evals
+            evals += 1
+            return residual(*args)
+
+        def counting_solve(*args):
+            before = evals
+            out = solve(*args)
+            per_call.append(evals - before)
+            return out
+
+        monkeypatch.setattr(recombination, "_saha_residual",
+                            counting_residual)
+        monkeypatch.setattr(history, "saha_electron_fraction",
+                            counting_solve)
+        ThermalHistory(bg_scdm)
+        assert len(per_call) > 6000  # both grid passes and the ODE
+        assert sum(per_call) / len(per_call) <= 4.0
+        assert max(per_call) < recombination._SAHA_MAX_ITER
+
+
+class TestGoldenThermo:
+    """The new solver against tables written by the old one."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_THERMO.read_text())
+
+    @pytest.fixture(scope="class")
+    def histories(self):
+        return _golden_histories()
+
+    @pytest.mark.parametrize("model", [
+        "standard_cdm", "mixed_dark_matter", "standard_cdm_z_reion_10"])
+    def test_tables_match_parent_commit(self, golden, histories, model):
+        assert len(golden["commit"]) == 40
+        want = golden["models"][model]
+        got = thermo_snapshot(histories[model], rows=want["rows"])
+        for name in ("i_switch", "tau_rec", "z_rec"):
+            assert got[name] == want[name]
+        assert got["tau_reion"] == pytest.approx(want["tau_reion"], rel=1e-6)
+        saha = np.asarray(want["rows"]) < want["i_switch"]
+        assert 15 < saha.sum() < len(saha) - 30
+        for name in ("x_e", "x_h", "t_b"):
+            g, w = np.asarray(got[name]), np.asarray(want[name])
+            # before the switch only the Saha solver acts ...
+            np.testing.assert_allclose(g[saha], w[saha], rtol=1e-12, atol=0)
+            # ... after it LSODA's rtol=1e-8 / atol set the floor
+            np.testing.assert_allclose(g[~saha], w[~saha], rtol=1e-6, atol=0)
+
+
+class TestHistoryLifetime:
+    def test_round_trip_evaluates_bitwise(self, thermo_scdm, bg_scdm):
+        twin = ThermalHistory.from_tables(bg_scdm, thermo_scdm.to_tables())
+        a = np.geomspace(2e-8, 1.0, 200)
+        tau = np.linspace(thermo_scdm._tau[0], bg_scdm.tau0, 200)
+        for name in ("x_e", "t_baryon", "opacity", "cs2"):
+            assert np.array_equal(getattr(twin, name)(a),
+                                  getattr(thermo_scdm, name)(a))
+        for name in ("optical_depth", "visibility", "visibility_prime",
+                     "visibility_prime2", "exp_minus_kappa"):
+            assert np.array_equal(getattr(twin, name)(tau),
+                                  getattr(thermo_scdm, name)(tau))
+        assert (twin.tau_rec, twin.z_rec, twin.tau_reion) == (
+            thermo_scdm.tau_rec, thermo_scdm.z_rec, thermo_scdm.tau_reion)
+
+    def test_background_freed_by_refcount_alone(self, scdm):
+        """scipy's LSODA wrapper outlives the build as cyclic garbage;
+        if its callback held the history or the Background strongly,
+        each discarded build would pin a few MB until a full gc pass."""
+        gc.collect()
+        gc.disable()
+        try:
+            background = Background(scdm)
+            alive = weakref.ref(background)
+            thermo = ThermalHistory(background)
+            del thermo, background
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+def _golden_histories() -> dict:
+    """The three pinned histories, by the name they carry in the file."""
+    bg = Background(standard_cdm())
+    return {
+        "standard_cdm": ThermalHistory(bg),
+        "mixed_dark_matter": ThermalHistory(
+            Background(mixed_dark_matter(omega_nu=0.2))),
+        "standard_cdm_z_reion_10": ThermalHistory(bg, z_reion=10.0),
+    }
+
+
+if __name__ == "__main__":
+    import sys
+
+    GOLDEN_THERMO.write_text(json.dumps({
+        "commit": sys.argv[1],
+        "models": {name: thermo_snapshot(thermo)
+                   for name, thermo in _golden_histories().items()},
+    }, indent=1, sort_keys=True) + "\n")
