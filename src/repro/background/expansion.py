@@ -47,20 +47,12 @@ class Background:
     ) -> None:
         if not 0.0 < a_min < 1.0e-4:
             raise ParameterError("a_min must be tiny and positive")
-        self.params = params
         self.a_min = a_min
-
+        self._set_params(params)
         # Massive neutrinos: solve the mass parameter and build splined
         # energy/pressure integrals.
         self.nu_tables: MassiveNuTables | None = None
-        self._omega_nu_rel_equiv = 0.0
         if params.omega_nu > 0.0:
-            self._omega_nu_rel_equiv = (
-                params.n_nu_massive
-                * (7.0 / 8.0)
-                * (4.0 / 11.0) ** (4.0 / 3.0)
-                * params.omega_gamma
-            )
             x0 = solve_mass_parameter(params.omega_nu, self._omega_nu_rel_equiv)
             self.nu_tables = MassiveNuTables.build(x0)
 
@@ -100,17 +92,10 @@ class Background:
         views; nothing is copied.
         """
         self = cls.__new__(cls)
-        self.params = params
         self.a_min = float(tables["a_min"])
+        self._set_params(params)
         self.nu_tables = None
-        self._omega_nu_rel_equiv = 0.0
         if params.omega_nu > 0.0:
-            self._omega_nu_rel_equiv = (
-                params.n_nu_massive
-                * (7.0 / 8.0)
-                * (4.0 / 11.0) ** (4.0 / 3.0)
-                * params.omega_gamma
-            )
             self.nu_tables = MassiveNuTables.from_tables({
                 name[3:]: arr
                 for name, arr in tables.items()
@@ -122,6 +107,30 @@ class Background:
         )
         return self
 
+    def _set_params(self, params: CosmologyParams) -> None:
+        """The model and today's (8 pi G / 3) rho_i per component, which
+        :meth:`grho_components` only has to scale with a."""
+        self.params = p = params
+        h0sq = p.h0_mpc**2
+        # massless-equivalent density of the massive species
+        self._omega_nu_rel_equiv = 0.0
+        if p.omega_nu > 0.0:
+            self._omega_nu_rel_equiv = (
+                p.n_nu_massive
+                * (7.0 / 8.0)
+                * (4.0 / 11.0) ** (4.0 / 3.0)
+                * p.omega_gamma
+            )
+        self._grho_today = {
+            "cdm": h0sq * p.omega_c,
+            "baryon": h0sq * p.omega_b,
+            "photon": h0sq * p.omega_gamma,
+            "nu_massless": h0sq * p.omega_nu_massless,
+            "lambda": h0sq * p.omega_lambda,
+            "nu_massive": h0sq * self._omega_nu_rel_equiv,
+            "curvature": h0sq * p.omega_k,
+        }
+
     # ------------------------------------------------------------------
     # Densities and pressures
     # ------------------------------------------------------------------
@@ -130,27 +139,28 @@ class Background:
         """Per-component (8 pi G / 3) a^2 rho_i in Mpc^-2.
 
         Returns a dict with keys ``cdm, baryon, photon, nu_massless,
-        nu_massive, lambda``.
+        nu_massive, lambda``.  A python ``float`` in gives python floats
+        out, through the same expressions on plain ``math`` (the thermal
+        history's ODE asks for one epoch at a time, a thousand times a
+        build); anything else is taken as an array.
         """
-        p = self.params
-        a = np.asarray(a, dtype=float)
-        h0sq = p.h0_mpc**2
+        if type(a) is not float:
+            a = np.asarray(a, dtype=float)
+        today = self._grho_today
+        a2 = a * a
         out = {
-            "cdm": h0sq * p.omega_c / a,
-            "baryon": h0sq * p.omega_b / a,
-            "photon": h0sq * p.omega_gamma / a**2,
-            "nu_massless": h0sq * p.omega_nu_massless / a**2,
-            "lambda": h0sq * p.omega_lambda * a**2,
+            "cdm": today["cdm"] / a,
+            "baryon": today["baryon"] / a,
+            "photon": today["photon"] / a2,
+            "nu_massless": today["nu_massless"] / a2,
+            "lambda": today["lambda"] * a2,
         }
         if self.nu_tables is not None:
             out["nu_massive"] = (
-                h0sq
-                * self._omega_nu_rel_equiv
-                / a**2
-                * self.nu_tables.rho_factor(a)
+                today["nu_massive"] / a2 * self.nu_tables.rho_factor(a)
             )
         else:
-            out["nu_massive"] = np.zeros_like(a)
+            out["nu_massive"] = 0.0 * a
         return out
 
     def grho(self, a):
@@ -175,14 +185,13 @@ class Background:
     # ------------------------------------------------------------------
 
     def conformal_hubble(self, a):
-        """H_conf = a'/a = a H(a) in Mpc^-1."""
-        p = self.params
-        curv = p.h0_mpc**2 * p.omega_k
-        return np.sqrt(self.grho(a) + curv)
+        """H_conf = a'/a = a H(a) in Mpc^-1 (python float for a python
+        float, see :meth:`grho_components`)."""
+        hc2 = self.grho(a) + self._grho_today["curvature"]
+        return math.sqrt(hc2) if type(hc2) is float else np.sqrt(hc2)
 
     def hubble(self, a):
         """Proper Hubble rate H(a) in Mpc^-1."""
-        a = np.asarray(a, dtype=float)
         return self.conformal_hubble(a) / a
 
     def dconformal_hubble_dtau(self, a):

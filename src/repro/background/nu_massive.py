@@ -18,11 +18,13 @@ correction factor on the massless-equivalent density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+from ..util.fastspline import UniformGridCubic
 
 __all__ = [
     "fermi_dirac_f0",
@@ -51,6 +53,17 @@ def dlnf0_dlnq(q):
     return -q / (1.0 + np.exp(-np.minimum(q, 700.0)))
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], solved once per order (an
+    eigenproblem: 5 ms at the 96 nodes every massive background uses
+    twice).  Read-only, since every caller shares the arrays."""
+    x, w = np.polynomial.legendre.leggauss(nq)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def momentum_grid(nq: int, q_max: float = 18.0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, q_max] for momentum integrals.
 
@@ -60,7 +73,7 @@ def momentum_grid(nq: int, q_max: float = 18.0) -> tuple[np.ndarray, np.ndarray]
     """
     if nq < 2:
         raise ValueError("need at least 2 momentum nodes")
-    x, w = np.polynomial.legendre.leggauss(nq)
+    x, w = _leggauss(nq)
     q = 0.5 * q_max * (x + 1.0)
     w = 0.5 * q_max * w
     return q, w
@@ -103,12 +116,19 @@ def solve_mass_parameter(omega_nu: float, omega_nu_rel_equiv: float) -> float:
 
         omega_nu_rel_equiv * I_rho(x0) / I_rho(0) = omega_nu.
 
-    Bisection on log x0; the left side is monotonically increasing.
+    The left side increases monotonically and is convex in x0, so
+    Newton's method from the non-relativistic asymptote
+    ``I_rho(x) -> x * integral q^2 f0 dq`` (which lies at or above the
+    root) converges from above in a handful of evaluations.  Every
+    iterate is kept inside the bracket [1e-6, 1e9]; a step that leaves
+    it is replaced by the geometric midpoint.  Converged when the step
+    is below 1e-13 of x0.
     """
     if omega_nu <= 0.0:
         return 0.0
     target = omega_nu / omega_nu_rel_equiv * I_RHO_MASSLESS
     q, w = momentum_grid(96, q_max=30.0)
+    number = w * q**2 * fermi_dirac_f0(q)  # dI_rho/dx = sum(number x / eps)
 
     def f(x: float) -> float:
         return rho_integral(x, q, w) - target
@@ -120,15 +140,20 @@ def solve_mass_parameter(omega_nu: float, omega_nu_rel_equiv: float) -> float:
         hi *= 10.0
         if hi > 1e15:
             raise ValueError("mass parameter search diverged")
+    x = min(max(target / float(np.sum(number)), lo), hi)
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if f(mid) < 0.0:
-            lo = mid
+        fx = f(x)
+        if fx < 0.0:
+            lo = x
         else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-13:
-            break
-    return math.sqrt(lo * hi)
+            hi = x
+        x_new = x - fx / float(np.sum(number * x / np.sqrt(q * q + x * x)))
+        if not lo <= x_new <= hi:
+            x_new = math.sqrt(lo * hi)
+        if abs(x_new - x) < 1e-13 * x:
+            return x_new
+        x = x_new
+    raise ValueError("mass parameter search did not converge")
 
 
 @dataclass(frozen=True)
@@ -143,8 +168,11 @@ class MassiveNuTables:
     """
 
     x0: float
-    _log_rho_spline: CubicSpline
-    _log_p_spline: CubicSpline
+    #: ln I_rho and ln I_p against ln x on the table's own log-uniform
+    #: knots: the one pair of splines the background rates, the
+    #: perturbation operator and its compiled kernels all evaluate
+    _log_rho_spline: UniformGridCubic
+    _log_p_spline: UniformGridCubic
     x_min: float
     x_max: float
     #: raw knot data kept for bit-exact cache round-trips
@@ -169,8 +197,8 @@ class MassiveNuTables:
                     log_p) -> "MassiveNuTables":
         return cls(
             x0=x0,
-            _log_rho_spline=CubicSpline(lnx, log_rho),
-            _log_p_spline=CubicSpline(lnx, log_p),
+            _log_rho_spline=UniformGridCubic(lnx, log_rho),
+            _log_p_spline=UniformGridCubic(lnx, log_p),
             x_min=x_min,
             x_max=x_max,
             _lnx=lnx,
@@ -202,12 +230,19 @@ class MassiveNuTables:
             np.asarray(tables["log_p"], dtype=float),
         )
 
+    def _integral(self, spline: UniformGridCubic, a):
+        """exp of a knot spline at x = a x0 clipped to the table; python
+        float in, python float out (plain ``math``), else arrays."""
+        if type(a) is float:
+            x = min(max(a * self.x0, self.x_min), self.x_max)
+            return math.exp(spline(math.log(x)))
+        x = np.clip(np.asarray(a, dtype=float) * self.x0, self.x_min, self.x_max)
+        return np.exp(spline.vector(np.log(x)))
+
     def rho_factor(self, a):
         """rho_nu(a) / rho_nu,massless(a): the I_rho(a x0)/I_rho(0) factor."""
-        x = np.clip(np.asarray(a, dtype=float) * self.x0, self.x_min, self.x_max)
-        return np.exp(self._log_rho_spline(np.log(x))) / I_RHO_MASSLESS
+        return self._integral(self._log_rho_spline, a) / I_RHO_MASSLESS
 
     def pressure_factor(self, a):
         """3 p_nu(a) / rho_nu,massless(a): relativistic limit -> 1."""
-        x = np.clip(np.asarray(a, dtype=float) * self.x0, self.x_min, self.x_max)
-        return 3.0 * np.exp(self._log_p_spline(np.log(x))) / I_RHO_MASSLESS
+        return 3.0 * self._integral(self._log_p_spline, a) / I_RHO_MASSLESS

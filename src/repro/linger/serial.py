@@ -94,7 +94,11 @@ def build_tables(
     Whatever is produced here is timed into the ``background.build`` /
     ``thermo.build`` telemetry timers — every driver and every worker
     fallback gets its tables through this one seam, so a run's report
-    accounts for them wherever they were made.
+    accounts for them wherever they were made.  A thermal history
+    solved here (not loaded) also leaves its work counts,
+    ``thermo.lsoda_rhs_evals`` and ``thermo.saha_sweeps``: they repeat
+    exactly for a cosmology, so a regression in the build shows as a
+    count before it shows as a time.
     """
     if background is None:
         with telemetry.timer("background.build"):
@@ -104,6 +108,8 @@ def build_tables(
         with telemetry.timer("thermo.build"):
             thermo = (cache.thermal(background) if cache is not None
                       else ThermalHistory(background))
+        for name, n in (thermo._build_counts or {}).items():
+            telemetry.count(f"thermo.{name}", n)
     return background, thermo
 
 

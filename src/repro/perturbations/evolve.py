@@ -242,7 +242,7 @@ def find_tca_exit(
     """
     a = thermo._a
     tau = thermo._tau
-    kappa_dot = thermo._opacity_from_xe(a, thermo._x_e_table)
+    kappa_dot = thermo._kappa_dot_table
     hc = background.conformal_hubble(a)
     cond = kappa_dot * tca_eps < np.maximum(k, hc)
     xe0 = thermo._x_e_table[0]

@@ -11,9 +11,11 @@ explicit for this package:
 * **assembly** happens once per (layout, k-batch): the static index
   structure (the fused advection window, the Thomson damping window,
   the per-lane advection coefficient table, the frozen state-layout
-  offsets) plus the per-tau coefficient *sources* (uniform-grid splines
-  for opacity / sound speed / massive-neutrino background factors, and
-  the constant (8 pi G/3) density prefactors);
+  offsets) plus the per-tau coefficient *sources*: the constant
+  (8 pi G/3) density prefactors, and references to the uniform-grid
+  splines for opacity / sound speed / massive-neutrino background
+  factors, which depend on the cosmology alone and are fitted with the
+  tables (``ThermalHistory``, ``MassiveNuTables``);
 
 * **evaluation** is a thin pass over that structure.  Three kernels
   evaluate the same structure (and the ``cext`` shared object also
@@ -60,7 +62,6 @@ from ..chaos import current_engine as _chaos_engine
 from ..errors import IntegrationError, ParameterError
 from ..integrators import VERNER_65_TABLEAU, StepController
 from ..thermo import ThermalHistory
-from ..util.fastspline import UniformGridCubic
 from . import _rhs_cext, _rhs_numba
 from .state import StateLayout
 
@@ -225,22 +226,13 @@ class BoltzmannOperator:
         self._gr_k = h0sq * p.omega_k
         self._r_coef = 4.0 * p.omega_gamma / (3.0 * p.omega_b)  # R = _r_coef/a
 
-        # Fast thermo lookups on the (uniform) ln-a grid:
-        # kappa' = xe * n_H0 sigma_T Mpc / a^2 and the baryon sound speed.
-        lna = thermo._lna
-        kap = thermo._opacity_from_xe(thermo._a, thermo._x_e_table)
-        self._ln_kap_spline = UniformGridCubic(lna, np.log(np.maximum(kap, 1e-300)))
-        cs2_tab = np.exp(thermo._cs2_spline(lna))
-        self._ln_cs2_spline = UniformGridCubic(lna, np.log(np.maximum(cs2_tab, 1e-300)))
-        # Both splines share the ln-a knot vector, so the hot path can
-        # compute the piece index once, gather all eight coefficient
-        # rows in a single fancy-index, and apply both polynomials.
-        sp = self._ln_kap_spline
-        sq = self._ln_cs2_spline
+        # Thermo lookups on the (uniform) ln-a grid: the history's own
+        # ln kappa' / ln cs^2 splines and their packed coefficient rows,
+        # shared by every operator on this cosmology.
+        sp = self._ln_kap_spline = thermo._ln_kap_spline
+        self._ln_cs2_spline = thermo._ln_cs2_spline
         self._th_x0, self._th_dx, self._th_n = sp.x0, sp.dx, sp.n
-        self._th_c = np.ascontiguousarray(
-            [sp.c3, sp.c2, sp.c1, sp.c0, sq.c3, sq.c2, sq.c1, sq.c0]
-        )
+        self._th_c = thermo._rhs_pack
 
         # The layout's index properties recompute on access; the RHS
         # runs thousands of times per mode, so freeze them here.
@@ -278,11 +270,9 @@ class BoltzmannOperator:
             self._w_rho = w * q**2 * f0 / I_RHO_MASSLESS
             self._w_q3 = w * q**3 * f0 / I_RHO_MASSLESS
             self._w_q4 = w * q**4 * f0 / I_RHO_MASSLESS
-            # uniform-in-ln(x) background factor splines
-            tab = background.nu_tables
-            lx = np.linspace(math.log(tab.x_min), math.log(tab.x_max), 600)
-            self._rho_fac = UniformGridCubic(lx, tab._log_rho_spline(lx))
-            self._p_fac = UniformGridCubic(lx, tab._log_p_spline(lx))
+            # the background's own ln I_rho / ln I_p splines
+            self._rho_fac = background.nu_tables._log_rho_spline
+            self._p_fac = background.nu_tables._log_p_spline
             lm = layout.lmax_massive_nu
             ell = np.arange(lm + 1, dtype=float)
             self._mnu_lo = ell / (2.0 * ell + 1.0)
@@ -1037,7 +1027,7 @@ class BoltzmannOperator:
         if nq > 0:
             rf = self._rho_fac
             rf_n, rf_x0, rf_dx = rf.n, rf.x0, rf.dx
-            rf_c = np.ascontiguousarray([rf.c3, rf.c2, rf.c1, rf.c0])
+            rf_c = np.ascontiguousarray(rf._coef)
             nu_pack = np.ascontiguousarray(
                 [self.q_nodes, self._dlnf, self._w_rho, self._w_q3,
                  self._w_q4]

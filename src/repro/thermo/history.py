@@ -19,24 +19,25 @@ be evaluated smoothly.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import odeint
 from scipy.interpolate import CubicSpline
 
 from .. import constants as const
 from ..background import Background
 from ..errors import IntegrationError
-from .recombination import peebles_rhs, saha_electron_fraction
+from ..util.fastspline import UniformGridCubic
+from .recombination import _saha_sweeps, peebles_rhs, saha_electron_fraction
 
 __all__ = ["ThermalHistory"]
 
 #: Revision of the ionization solve behind the tables ``to_tables``
 #: exports.  The precompute cache folds it into the thermal key, so
 #: tables persisted by an earlier solver are never served; bump it with
-#: any change that moves them.  (2: Newton Saha solver.)
-SOLVER_REVISION = 2
+#: any change that moves them.  (2: Newton Saha solver; 3: one LSODA
+#: call choosing its own first step, x_e moves 1e-7 after the switch.)
+SOLVER_REVISION = 3
 
 
 class ThermalHistory:
@@ -55,6 +56,10 @@ class ThermalHistory:
         Hydrogen Saha ionization fraction below which the integrator
         switches from Saha equilibrium to the Peebles ODE.
     """
+
+    #: work the ionization solve did (None on a history loaded from
+    #: tables); both counts repeat exactly for a given cosmology
+    _build_counts: dict[str, int] | None = None
 
     def __init__(
         self,
@@ -147,7 +152,7 @@ class ThermalHistory:
         x_h, t_b = y.tolist()
         t_b = max(t_b, 1e-3)
         # proper Hubble rate in s^-1
-        h_s = float(self.background.hubble(a)) * const.C_LIGHT / const.MPC_CM
+        h_s = self.background.hubble(a) * const.C_LIGHT / const.MPC_CM
         n_h = self._n_h0 / a**3
         # helium electrons from Saha at the current temperature
         _, _, x_he2, x_he3 = saha_electron_fraction(t_b, n_h, self.f_he)
@@ -179,56 +184,39 @@ class ThermalHistory:
         what :meth:`to_tables` persists."""
         lna = np.linspace(math.log(a_start), 0.0, n_grid)
         a = np.exp(lna)
-        x_e = np.empty(n_grid)
-        x_h = np.empty(n_grid)
-        t_b = np.empty(n_grid)
+        n_h = self._n_h0 / a**3
 
-        # Saha phase --------------------------------------------------
-        # python floats, here and in the helium pass: numpy scalars
-        # would make every operation inside the solver several times
-        # dearer
-        a_py = a.tolist()
-        i_switch = None
-        for i, ai in enumerate(a_py):
-            t = self.params.t_cmb / ai
-            n_h = self._n_h0 / ai**3
-            xe_i, xh_i, xhe2, xhe3 = saha_electron_fraction(t, n_h, self.f_he)
-            x_e[i], x_h[i], t_b[i] = xe_i, xh_i, t
-            if xh_i < saha_switch:
-                i_switch = i
-                break
-        if i_switch is None:
+        # Saha phase: equilibrium at the photon temperature over the
+        # whole grid; only the rows up to the switch are kept
+        t_b = self.params.t_cmb / a
+        x_e, x_h, _, _, sweeps = _saha_sweeps(t_b, n_h, self.f_he)
+        below = x_h < saha_switch
+        if not below.any():
             raise IntegrationError("hydrogen never left Saha equilibrium")
+        i_switch = int(np.argmax(below))
 
-        # Peebles phase -----------------------------------------------
-        y0 = np.array([x_h[i_switch], t_b[i_switch]])
-        # scipy's LSODA wrapper is self-referential: it survives this
-        # call as cyclic garbage, and a bound method in it would keep
-        # this object, its Background and every table alive until a
-        # full gc pass — a few MB per discarded history
-        rhs = weakref.WeakMethod(self._rhs)
-        sol = solve_ivp(
-            lambda lna_i, y: rhs()(lna_i, y),
-            (lna[i_switch], 0.0),
-            y0,
-            method="LSODA",
-            t_eval=lna[i_switch:],
+        # Peebles phase: one LSODA call, output on the grid itself
+        y, info = odeint(
+            self._rhs,
+            [x_h[i_switch], t_b[i_switch]],
+            lna[i_switch:],
+            tfirst=True,
+            full_output=True,
             rtol=1e-8,
             atol=[1e-12, 1e-8],
         )
-        if not sol.success:
-            raise IntegrationError(f"thermal history ODE failed: {sol.message}")
-        x_h[i_switch:] = np.clip(sol.y[0], 0.0, 1.0)
-        t_b[i_switch:] = sol.y[1]
+        if info["message"] != "Integration successful.":
+            raise IntegrationError(
+                f"thermal history ODE failed: {info['message']}")
+        x_h[i_switch:] = np.clip(y[:, 0], 0.0, 1.0)
+        t_b[i_switch:] = y[:, 1]
 
         # helium Saha contribution during/after the switch
-        for j, (t, aj) in enumerate(
-            zip(t_b[i_switch:].tolist(), a_py[i_switch:]), start=i_switch
-        ):
-            _, _, xhe2, xhe3 = saha_electron_fraction(
-                t, self._n_h0 / aj**3, self.f_he
-            )
-            x_e[j] = x_h[j] + self.f_he * (xhe2 + 2.0 * xhe3)
+        _, _, x_he2, x_he3, more = _saha_sweeps(
+            t_b[i_switch:], n_h[i_switch:], self.f_he)
+        x_e[i_switch:] = x_h[i_switch:] + self.f_he * (x_he2 + 2.0 * x_he3)
+        self._build_counts = {"lsoda_rhs_evals": int(info["nfe"][-1]),
+                              "saha_sweeps": sweeps + more}
 
         # optional reionization: raise x_e to its target over a tanh in z
         if self.z_reion is not None:
@@ -264,7 +252,6 @@ class ThermalHistory:
         g = kappa_dot * np.exp(-np.minimum(kappa, 700.0))
 
         self._tau = tau
-        self._kappa_dot_spline = CubicSpline(lna, np.log(np.maximum(kappa_dot, 1e-300)))
         self._kappa_spline = CubicSpline(tau, kappa)
         self._g_spline = CubicSpline(tau, g)
         self._g_prime_spline = self._g_spline.derivative(1)
@@ -298,7 +285,20 @@ class ThermalHistory:
             / (mu * const.M_HYDROGEN * const.C_LIGHT**2)
             * (1.0 - dlntb_dlna / 3.0)
         )
-        self._cs2_spline = CubicSpline(lna, np.log(np.maximum(cs2, 1e-300)))
+
+        # ln kappa' and ln cs^2 on the uniform ln-a grid, fitted once
+        # here for every reader: the evaluators below and each mode's
+        # BoltzmannOperator, which looks both up at every RHS stage.
+        # They share the knot vector, so the operator's lane path and
+        # the compiled kernels take the eight coefficient rows packed:
+        # one piece index, one gather, both polynomials.
+        self._kappa_dot_table = kappa_dot
+        self._rhs_pack = np.empty((8, lna.size - 1))
+        self._ln_kap_spline = UniformGridCubic(
+            lna, np.log(np.maximum(kappa_dot, 1e-300)),
+            out=self._rhs_pack[:4])
+        self._ln_cs2_spline = UniformGridCubic(
+            lna, np.log(np.maximum(cs2, 1e-300)), out=self._rhs_pack[4:])
 
     def _opacity_from_xe(self, a, x_e):
         """kappa' = a n_e sigma_T in Mpc^-1."""
@@ -324,11 +324,11 @@ class ThermalHistory:
 
     def opacity(self, a):
         """Thomson opacity kappa' = a n_e sigma_T [Mpc^-1]."""
-        return np.exp(self._kappa_dot_spline(np.log(np.asarray(a, dtype=float))))
+        return np.exp(self._ln_kap_spline.vector(np.log(a)))
 
     def cs2(self, a):
         """Baryon sound speed squared (units of c^2)."""
-        return np.exp(self._cs2_spline(np.log(np.asarray(a, dtype=float))))
+        return np.exp(self._ln_cs2_spline.vector(np.log(a)))
 
     def optical_depth(self, tau):
         """Thomson optical depth from conformal time ``tau`` to today."""

@@ -19,24 +19,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import constants as const
 from ..errors import IntegrationError
 
 __all__ = ["saha_electron_fraction", "PeeblesRates", "peebles_rhs"]
 
 
-def _saha_factor(t_kelvin: float, chi_erg: float) -> float:
+def _saha_factor(t_kelvin, chi_erg: float):
     """(m_e k T / 2 pi hbar^2)^{3/2} e^{-chi/kT}  [cm^-3].
 
     The thermal de Broglie factor times the Boltzmann suppression that
-    appears in every Saha equation.  Underflows cleanly to 0.
+    appears in every Saha equation.  Underflows cleanly to 0.  A python
+    float or an array of temperatures.
     """
     kt = const.K_BOLTZMANN * t_kelvin
     prefac = (const.M_ELECTRON * kt / (2.0 * math.pi * const.HBAR**2)) ** 1.5
     arg = chi_erg / kt
-    if arg > 650.0:
-        return 0.0
-    return prefac * math.exp(-arg)
+    if type(arg) is float:
+        return 0.0 if arg > 650.0 else prefac * math.exp(-arg)
+    return np.where(arg > 650.0, 0.0, prefac * np.exp(-np.minimum(arg, 650.0)))
 
 
 #: Iteration cap of the Saha root-finder.  Newton needs 1-4; the cap is
@@ -65,8 +68,9 @@ def _saha_residual(
     h_den = x_e + s_h
     x_h = s_h / h_den
     # helium over x_e, not x_e^2: no square of a fraction that may be
-    # 1e-140 ever forms
-    q = s_he1 * s_he2 / x_e
+    # 1e-140 ever forms (nor the bare product of two factors that may
+    # be 1e-100 and 1e-230 and would lose its digits as a denormal)
+    q = s_he1 * (s_he2 / x_e)
     he_den = x_e + s_he1 + q
     x_he2 = s_he1 / he_den
     x_he3 = q / he_den
@@ -144,6 +148,47 @@ def saha_electron_fraction(
     raise IntegrationError(
         f"Saha equilibrium did not converge in {_SAHA_MAX_ITER} iterations "
         f"(T = {t_kelvin!r} K, n_H = {n_h_cgs!r} cm^-3, f_He = {f_he!r})"
+    )
+
+
+def _saha_sweeps(
+    t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`saha_electron_fraction` over arrays of epochs at once.
+
+    The same residual, start, bracket and stop, with every point still
+    iterating advanced by one Newton step per sweep; a point leaves the
+    sweep the moment its own step passes the stop, so it ends on the
+    iterate the scalar solver ends on.  Returns the four fractions and
+    the number of sweeps the slowest point needed.
+    """
+    out = np.zeros((4, t_kelvin.size))  # underflowed points stay neutral
+    s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+    live = np.flatnonzero(s_h > 0.0)
+    t_kelvin, n_h_cgs, s_h = t_kelvin[live], n_h_cgs[live], s_h[live]
+    s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1) / n_h_cgs
+    s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2) / n_h_cgs
+    lo = 2.0 * s_h / (s_h + np.sqrt(s_h * s_h + 4.0 * s_h))
+    hi = np.full_like(lo, 1.0 + 2.0 * f_he)
+    x_e = lo
+    for sweep in range(1, _SAHA_MAX_ITER + 1):
+        g, dg, *fractions = _saha_residual(x_e, s_h, s_he1, s_he2, f_he)
+        rising = g > 0.0
+        lo = np.where(rising, x_e, lo)
+        hi = np.where(rising, hi, x_e)
+        x_new = x_e - g / dg
+        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new,
+                         np.sqrt(lo * hi))
+        done = np.abs(x_new - x_e) < 1e-14 * x_e
+        out[:, live[done]] = x_new[done], *(f[done] for f in fractions)
+        if done.all():
+            return *out, sweep
+        go = ~done
+        live, x_e, lo, hi = live[go], x_new[go], lo[go], hi[go]
+        s_h, s_he1, s_he2 = s_h[go], s_he1[go], s_he2[go]
+    raise IntegrationError(
+        f"Saha equilibrium did not converge in {_SAHA_MAX_ITER} sweeps "
+        f"at {live.size} of {out.shape[1]} epochs (f_He = {f_he!r})"
     )
 
 

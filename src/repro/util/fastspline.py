@@ -27,27 +27,28 @@ class UniformGridCubic:
     polynomials (constant extrapolation of the outermost cubic piece).
     """
 
-    __slots__ = ("x0", "dx", "n", "c0", "c1", "c2", "c3", "_c", "_x", "_y")
+    __slots__ = ("x0", "dx", "n", "c0", "c1", "c2", "c3", "_coef", "_x", "_y")
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, y: np.ndarray,
+                 out: np.ndarray | None = None) -> None:
+        """``out``, if given, is a ``(4, len(x) - 1)`` array that becomes
+        the coefficient storage, so splines sharing a knot vector can
+        sit in one contiguous pack (rows c3, c2, c1, c0 per spline)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         dx = np.diff(x)
         if not np.allclose(dx, dx[0], rtol=1e-8):
             raise ValueError("UniformGridCubic requires a uniform grid")
-        spline = CubicSpline(x, y)
         # scipy stores c[k, i]: coefficient of (x - x_i)^(3-k) on piece i
-        c = spline.c
+        coef = CubicSpline(x, y).c
+        if out is not None:
+            out[...] = coef
+            coef = out
         self.x0 = float(x[0])
         self.dx = float(dx[0])
         self.n = len(x) - 1
-        self.c3 = c[0].copy()
-        self.c2 = c[1].copy()
-        self.c1 = c[2].copy()
-        self.c0 = c[3].copy()
-        # row-packed copy of the same coefficients: one cache-friendly
-        # gather per vector evaluation instead of four strided ones
-        self._c = np.column_stack([self.c3, self.c2, self.c1, self.c0])
+        self._coef = coef
+        self.c3, self.c2, self.c1, self.c0 = coef  # row views
         self._x = x
         self._y = y
 
@@ -74,7 +75,7 @@ class UniformGridCubic:
 
         Bitwise-identical to looping :meth:`__call__`: identical index
         arithmetic and Horner grouping, with the four coefficient
-        gathers fused into one fancy-indexed row gather.  Accepts any
+        gathers fused into one fancy-indexed gather.  Accepts any
         input shape (the result has the same shape).
         """
         x = np.asarray(x, dtype=float)
@@ -85,8 +86,8 @@ class UniformGridCubic:
             self.n - 1,
         )
         t = x - (self.x0 + i * self.dx)
-        c = self._c[i]  # one gather: (..., 4) rows [c3, c2, c1, c0]
-        return ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
+        c3, c2, c1, c0 = self._coef[:, i]
+        return ((c3 * t + c2) * t + c1) * t + c0
 
 
 class LogLogCubic:

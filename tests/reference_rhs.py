@@ -77,8 +77,7 @@ class ReferencePerturbationSystem:
         lna = thermo._lna
         kap = thermo._opacity_from_xe(thermo._a, thermo._x_e_table)
         self._ln_kap_spline = UniformGridCubic(lna, np.log(np.maximum(kap, 1e-300)))
-        cs2_tab = np.exp(thermo._cs2_spline(lna))
-        self._ln_cs2_spline = UniformGridCubic(lna, np.log(np.maximum(cs2_tab, 1e-300)))
+        self._ln_cs2_spline = UniformGridCubic(lna, thermo._ln_cs2_spline._y)
 
         # Massive neutrinos ------------------------------------------------
         self.nq = layout.nq
@@ -105,9 +104,8 @@ class ReferencePerturbationSystem:
             self._w_q4 = w * q**4 * f0 / I_RHO_MASSLESS
             # uniform-in-ln(x) background factor splines
             tab = background.nu_tables
-            lx = np.linspace(math.log(tab.x_min), math.log(tab.x_max), 600)
-            self._rho_fac = UniformGridCubic(lx, tab._log_rho_spline(lx))
-            self._p_fac = UniformGridCubic(lx, tab._log_p_spline(lx))
+            self._rho_fac = UniformGridCubic(tab._lnx, tab._log_rho)
+            self._p_fac = UniformGridCubic(tab._lnx, tab._log_p)
             lm = layout.lmax_massive_nu
             ell = np.arange(lm + 1, dtype=float)
             self._mnu_lo = ell / (2.0 * ell + 1.0)

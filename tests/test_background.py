@@ -1,10 +1,14 @@
 """FRW background: Friedmann closure, limits, conformal time."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Background, ParameterError
-from repro.params import lambda_cdm, standard_cdm
+from repro.params import lambda_cdm, mixed_dark_matter, standard_cdm
 
 
 class TestFriedmannClosure:
@@ -140,3 +144,25 @@ class TestMassiveNuBackground:
         # relativistic: 3p/rho -> 1; non-relativistic: -> 0
         assert float(tab.pressure_factor(1e-8) / tab.rho_factor(1e-8)) == pytest.approx(1.0, rel=1e-3)
         assert float(tab.pressure_factor(1.0) / tab.rho_factor(1.0)) < 0.01
+
+
+class TestFloatPath:
+    """A python float takes the rates through plain ``math``; the same
+    expressions, so it may differ from the array path only by libm
+    against numpy rounding in exp/log/sqrt."""
+
+    @staticmethod
+    @functools.cache
+    def backgrounds():
+        return [Background(p) for p in (
+            standard_cdm(), mixed_dark_matter(), standard_cdm(omega_c=0.35))]
+
+    @pytest.mark.property
+    @given(a=st.floats(1e-10, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_float_path_matches_array_path(self, a):
+        for bg in self.backgrounds():
+            for rate in (bg.hubble, bg.conformal_hubble, bg.grho):
+                got, want = rate(a), rate(np.array([a]))[0]
+                assert type(got) is float
+                assert abs(got - want) <= 4.0 * np.spacing(want)

@@ -262,6 +262,24 @@ class TestPrecomputeRoundtrip:
         assert c.metrics.by_kind["thermal"]["hits"] == 1
         assert th1 is not None
 
+    @pytest.mark.parametrize("revision", [1, 2])
+    def test_entries_of_an_earlier_solver_are_never_served(
+            self, scdm, fresh_dir, monkeypatch, revision):
+        from repro.cache import precompute
+        from repro.thermo.history import SOLVER_REVISION
+
+        assert SOLVER_REVISION > revision
+        bg = Background(scdm)
+        old = PrecomputeCache(fresh_dir)
+        monkeypatch.setattr(precompute, "SOLVER_REVISION", revision)
+        old.thermal(bg)  # what that release left on disk
+        monkeypatch.undo()
+        new = PrecomputeCache(fresh_dir)
+        new.thermal(bg)
+        assert new.metrics.by_kind["thermal"] == {
+            "hits": 0, "misses": 1, "corrupt": 0}
+        assert len(new.store.keys()) == 2
+
 
 # -- shared-memory distribution ---------------------------------------------
 

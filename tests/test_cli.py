@@ -134,3 +134,10 @@ class TestCommands:
         assert len(report.modes) == 3
         assert not report.traffic and not report.workers
         assert report.timers["linger.wall"]["total_seconds"] > 0
+        # the table build's work counts, next to its timers
+        out = capsys.readouterr().out
+        for name in ("thermo.build [s]", "thermo.lsoda_rhs_evals",
+                     "thermo.saha_sweeps"):
+            assert name in out
+        assert 500 < report.counters["thermo.lsoda_rhs_evals"] < 2000
+        assert 2 <= report.counters["thermo.saha_sweeps"] <= 8

@@ -135,14 +135,21 @@ class TestVectorBitCompat:
         assert out.shape == (2, 3, 4)
         assert np.array_equal(out.ravel(), s.vector(pts.ravel()))
 
-    def test_packed_and_unpacked_coefficients_agree(self):
-        # system_batched reads c0..c3 directly; the packed _c rows used
-        # by vector() must be the same numbers
-        s = self._spline()
-        assert np.array_equal(s._c[:, 0], s.c3)
-        assert np.array_equal(s._c[:, 1], s.c2)
-        assert np.array_equal(s._c[:, 2], s.c1)
-        assert np.array_equal(s._c[:, 3], s.c0)
+    def test_coefficients_written_into_caller_storage(self):
+        # two splines on one grid share a contiguous pack (the thermal
+        # history's ln kappa' / ln cs^2 rows, read whole by the kernels)
+        x = np.linspace(-2.0, 7.0, 181)
+        pack = np.empty((8, 180))
+        s = UniformGridCubic(x, np.sin(x), out=pack[:4])
+        c = UniformGridCubic(x, np.cos(x), out=pack[4:])
+        plain = self._spline()
+        own = UniformGridCubic(x, np.sin(3.0 * x) / (1.0 + x * x),
+                               out=np.empty((4, 180)))
+        pts = np.linspace(-3.0, 8.0, 300)
+        assert np.array_equal(own.vector(pts), plain.vector(pts))
+        assert np.shares_memory(s.c3, pack) and np.shares_memory(c.c0, pack)
+        assert np.array_equal(pack, np.concatenate(
+            [[s.c3, s.c2, s.c1, s.c0], [c.c3, c.c2, c.c1, c.c0]]))
 
     def test_loglog_vector_close(self):
         # np.exp (SIMD) and math.exp (libm) may differ in the last ulp,

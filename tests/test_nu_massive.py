@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.background import nu_massive
 from repro.background.nu_massive import (
     I_RHO_MASSLESS,
     MassiveNuTables,
@@ -98,6 +99,23 @@ class TestMassParameter:
 
     def test_zero_omega(self):
         assert solve_mass_parameter(0.0, 1e-5) == 0.0
+
+    @pytest.mark.parametrize("omega_nu", [1.2e-5, 1e-3, 0.2, 0.9])
+    def test_converges_in_a_handful_of_evaluations(self, monkeypatch,
+                                                   omega_nu):
+        """A count, not a timing: bisection over the 34-decade bracket
+        needed ~50 of these 96-node integrals."""
+        calls = []
+        integral = nu_massive.rho_integral
+        monkeypatch.setattr(
+            nu_massive, "rho_integral",
+            lambda *args: calls.append(args[0]) or integral(*args))
+        x0 = solve_mass_parameter(omega_nu, 1e-5)
+        assert len(calls) <= 12
+        monkeypatch.undo()
+        q, w = momentum_grid(96, q_max=30.0)
+        got = 1e-5 * rho_integral(x0, q, w) / I_RHO_MASSLESS
+        assert got == pytest.approx(omega_nu, rel=1e-12)
 
     def test_too_small_omega_rejected(self):
         with pytest.raises(ValueError):

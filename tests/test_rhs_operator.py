@@ -246,6 +246,40 @@ def test_cext_kernel_threads_through_evolution(bg_scdm, thermo_scdm):
 
 
 # ---------------------------------------------------------------------------
+# Splines that depend on the cosmology alone are fitted with the tables
+# ---------------------------------------------------------------------------
+
+
+def test_one_spline_pack_per_cosmology(bg_mdm, thermo_mdm):
+    layout = StateLayout(**LAYOUT_NQ4)
+    one = BoltzmannOperator(bg_mdm, thermo_mdm, KS[:1], layout)
+    two = BoltzmannOperator(bg_mdm, thermo_mdm, KS[3:], layout)
+    assert one._th_c is two._th_c is thermo_mdm._rhs_pack
+    assert one.pack()["th_c"] is two.pack()["th_c"]
+    assert one._ln_kap_spline is thermo_mdm._ln_kap_spline
+    assert one._ln_cs2_spline is thermo_mdm._ln_cs2_spline
+    assert one._rho_fac is two._rho_fac is bg_mdm.nu_tables._log_rho_spline
+    assert one._p_fac is bg_mdm.nu_tables._log_p_spline
+
+
+def test_spline_pack_survives_the_table_round_trip(bg_mdm, thermo_mdm):
+    from repro import Background, ThermalHistory
+
+    bg = Background.from_tables(bg_mdm.params, bg_mdm.to_tables())
+    thermo = ThermalHistory.from_tables(bg, thermo_mdm.to_tables())
+    assert np.array_equal(thermo._rhs_pack, thermo_mdm._rhs_pack)
+    layout = StateLayout(**LAYOUT_NQ4)
+    op = BoltzmannOperator(bg_mdm, thermo_mdm, KS, layout)
+    twin = BoltzmannOperator(bg, thermo, KS, layout)
+    for a in np.geomspace(2e-8, 1.0, 50).tolist():
+        for name in ("opacity_s", "cs2_s", "rho_factor_s",
+                     "pressure_factor_s", "conformal_hubble_s"):
+            assert getattr(twin, name)(a) == getattr(op, name)(a)
+    assert all(np.array_equal(twin.pack()[name], op.pack()[name])
+               for name in ("ints", "flts", "th_c", "rf_c"))
+
+
+# ---------------------------------------------------------------------------
 # Kernel resolution and fallback
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from repro import (
     Background,
     ThermalHistory,
+    lambda_cdm,
     mixed_dark_matter,
     standard_cdm,
 )
@@ -24,7 +27,7 @@ from repro.thermo import (
     recombination,
     saha_electron_fraction,
 )
-from repro.thermo.recombination import _saha_factor
+from repro.thermo.recombination import _saha_factor, _saha_sweeps
 
 #: Thermal tables of three models, written by the *parent* of the PR
 #: that replaced the Saha root-finder (the commit is named inside the
@@ -231,7 +234,7 @@ class TestSahaSolver:
 
     def test_build_converges_in_a_few_evaluations(self, monkeypatch,
                                                    bg_scdm):
-        """A count, not a timing: the fixed point this replaced averaged
+        """Counts, not timings: the fixed point this replaced averaged
         30 evaluations and ran a third of its calls to the cap."""
         evals = 0
         per_call = []
@@ -253,10 +256,36 @@ class TestSahaSolver:
                             counting_residual)
         monkeypatch.setattr(history, "saha_electron_fraction",
                             counting_solve)
-        ThermalHistory(bg_scdm)
-        assert len(per_call) > 6000  # both grid passes and the ODE
+        thermo = ThermalHistory(bg_scdm)
+        counts = thermo._build_counts
+        # the ODE callback solves one epoch at a time ...
+        assert len(per_call) == counts["lsoda_rhs_evals"] > 500
         assert sum(per_call) / len(per_call) <= 4.0
         assert max(per_call) < recombination._SAHA_MAX_ITER
+        # ... the two grid passes a whole array per residual evaluation
+        assert evals - sum(per_call) == counts["saha_sweeps"] <= 8
+
+    @pytest.mark.property
+    @given(t=st.lists(st.floats(1.0, 1e6), min_size=1, max_size=12),
+           n_h=st.floats(1e-8, 1e12), f_he=st.floats(0.0, 0.2))
+    @settings(max_examples=300, deadline=None)
+    def test_array_sweeps_match_the_scalar_solver(self, t, n_h, f_he):
+        t = np.array(t)
+        *got, sweeps = _saha_sweeps(t, np.full(t.size, n_h), f_he)
+        want = np.array([saha_electron_fraction(ti, n_h, f_he)
+                         for ti in t.tolist()]).T
+        assert 1 <= sweeps < recombination._SAHA_MAX_ITER
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-300)
+        neutral = want[1] == 0.0  # hydrogen's factor underflowed
+        assert all(np.all(g[neutral] == 0.0) for g in got)
+
+    def test_unconverged_sweep_raises(self, monkeypatch):
+        monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
+        with pytest.raises(IntegrationError, match="1 of 2 epochs"):
+            # the first epoch starts on its root, the second does not
+            _saha_sweeps(np.array([3000.0, 5000.0]), np.array([0.2, 0.2]),
+                         0.08)
 
 
 class TestGoldenThermo:
@@ -318,6 +347,40 @@ class TestHistoryLifetime:
             assert alive() is None
         finally:
             gc.enable()
+
+
+    def test_concurrent_builds_match_serial_builds(self):
+        """``WarmPool`` builds tables on threads, and LSODA's python
+        callback can lose the interpreter at any bytecode: histories of
+        different cosmologies built at once must not share solver
+        state (pyproject admits scipy releases older than the one this
+        was written against)."""
+        models = [standard_cdm(), mixed_dark_matter(omega_nu=0.2),
+                  lambda_cdm(), standard_cdm(h=0.7, omega_b=0.03),
+                  standard_cdm(h=0.6), standard_cdm(omega_b=0.08)]
+        backgrounds = [Background(p) for p in models]
+        serial = [ThermalHistory(bg).to_tables() for bg in backgrounds]
+        built: list = [None] * len(models)
+
+        def build(i):
+            built[i] = ThermalHistory(backgrounds[i]).to_tables()
+
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(len(models))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for want, got in zip(serial, built):
+            assert got is not None
+            for name in ("x_e", "x_h", "t_b"):
+                assert np.array_equal(got[name], want[name])
 
 
 def _golden_histories() -> dict:
