@@ -2,7 +2,7 @@
 
 The coefficient-driven operator promises the python kernel's values at
 a fraction of its interpreter overhead: the packed kernel walks the
-same static sparsity structure in one C (or numba) loop instead of
+same static sparsity structure in one C loop instead of
 ~40 NumPy slice expressions per evaluation.  This benchmark measures
 the raw ``rhs_full`` evaluation rate per kernel across batch sizes
 {1, 4, 16} on the TAB-FLOPS 16-mode configuration (warm cache: the
@@ -16,7 +16,7 @@ each keeps its best-of-N, so a noisy CI neighbor inflates both sides
 equally.  The ISSUE target is a >=3x RHS-evaluation speedup for the
 compiled kernel at B=16; the assertion uses that number directly (the
 measured ratio on an idle box is far above it) and the whole test
-skips when neither a C compiler nor numba is present.
+skips when no C compiler is present.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def test_rhs_kernel_speedup(bg, thermo, benchmark, capsys):
     kernels = list(available_kernels())
     compiled = [name for name in kernels if name != "python"]
     if not compiled:
-        pytest.skip("no compiled RHS kernel available (no cc, no numba)")
+        pytest.skip("no compiled RHS kernel available (no cc)")
 
     params = standard_cdm()
     ks_full = np.geomspace(1e-3, 0.02, NK)
@@ -91,7 +91,7 @@ def test_rhs_kernel_speedup(bg, thermo, benchmark, capsys):
             }
             tau, Y = _states(bg, layout, ks)
             # warm every cache: operator tables, packed ABI arrays,
-            # the lazily-compiled .so / the numba JIT
+            # the lazily-compiled .so
             for system in systems.values():
                 system.rhs_full(tau, Y)
             best = {name: float("inf") for name in kernels}

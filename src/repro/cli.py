@@ -37,6 +37,7 @@ from . import (
 from .chaos import PROFILES
 from .cluster import MACHINES, paper_cost_model, scaling_study
 from .linger import load_run, save_run
+from .perturbations.operator import KERNELS
 from .spectra import band_power_uk, cobe_normalization
 from .spectra.cl import cl_integrate_over_k
 from .util import format_table
@@ -71,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--parallel", type=int, default=0, metavar="NPROC",
                        help="run PLINGER with this many ranks (0 = serial)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="B",
-                       help="integrate k-modes in vectorized batches of "
-                            "up to B lanes (1 = per-mode reference path)")
+                       help="integrate k-modes in chunks of up to B "
+                            "lanes (1, the default: one mode at a time)")
     p_run.add_argument("--sparse-k-factor", type=int, default=1,
                        metavar="F",
                        help="sparse-k fast path: integrate only every F-th "
@@ -82,14 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "archive then holds the coarse run "
                             "(1 = integrate every mode)")
     p_run.add_argument("--rhs-kernel",
-                       choices=["python", "numba", "cext", "auto"],
-                       default="auto",
+                       choices=KERNELS, default="auto",
                        help="engine for the hot full-hierarchy phase: "
-                            "'auto' (default: fastest available), 'cext' "
-                            "(compiled RHS and DVERK step loop, bitwise "
-                            "the python driver), 'numba' (compiled RHS), "
+                            "'auto' (default: cext where a C compiler "
+                            "exists), 'cext' (compiled RHS and DVERK "
+                            "step loop, bitwise the python driver), "
                             "'python' (the reference); an unavailable "
-                            "kernel falls back to python with a warning")
+                            "cext falls back to python with a warning")
     p_run.add_argument("--backend",
                        choices=["inprocess", "procs", "sockets"],
                        default="procs",
@@ -165,11 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrk.add_argument("--nk", type=int, default=24)
     p_wrk.add_argument("--lmax", type=int, default=24)
     p_wrk.add_argument("--rtol", type=float, default=1e-4)
-    p_wrk.add_argument("--batch-size", type=int, default=1, metavar="B",
-                       help="must mirror the master's --batch-size")
-    p_wrk.add_argument("--rhs-kernel",
-                       choices=["python", "numba", "cext", "auto"],
-                       default="auto")
+    p_wrk.add_argument("--rhs-kernel", choices=KERNELS, default="auto")
     p_wrk.add_argument("--worker-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="this rank's fault-tolerance policy; must be "
@@ -581,8 +577,7 @@ def cmd_worker(args) -> int:
     print(f"worker: joined {args.connect} as rank {handle.mytid} "
           f"of {handle.nproc}")
     _worker_entry(handle, background, thermo, kgrid, config,
-                  True, args.batch_size > 1, fault_tolerance, params,
-                  args.use_cache)
+                  True, fault_tolerance, params, args.use_cache)
     print(f"worker: rank {handle.mytid} done "
           f"({handle.stats.messages_sent} messages sent, "
           f"{handle.stats.bytes_sent} payload bytes)")

@@ -1,7 +1,8 @@
 """The serial LINGER driver: loop over k, integrate, collect records.
 
-:func:`compute_mode` is the unit of work — the same function a PLINGER
-worker executes for each wavenumber the master hands it.
+:func:`compute_modes_batch` is the unit of work — the same function a
+PLINGER worker executes for the wavenumbers of each WORK message the
+master hands it (:func:`compute_mode` is its one-k call).
 :func:`run_linger` is the serial main loop over the whole grid.
 """
 
@@ -15,8 +16,11 @@ import numpy as np
 from ..background import Background
 from ..errors import ParameterError
 from ..params import CosmologyParams
-from ..perturbations import ModeResult, default_record_grid, evolve_mode
-from ..perturbations.evolve_batched import evolve_modes_batched
+from ..perturbations import (
+    ModeResult,
+    default_record_grid,
+    evolve_modes_batched,
+)
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from .kgrid import KGrid
@@ -64,9 +68,9 @@ class LingerConfig:
     lmax_cap: int = 2000
     #: engine for the full (post-TCA) phase: "auto" (default: the
     #: fastest available), "cext" (compiled RHS and DVERK step loop,
-    #: bitwise the python driver), "numba" (compiled RHS) or "python"
-    #: (the reference).  Travels with the pickled config to PLINGER
-    #: workers; never changes which numbers come out at nq=0.
+    #: bitwise the python driver) or "python" (the reference).  Travels
+    #: with the pickled config to PLINGER workers; never changes which
+    #: numbers come out at nq=0.
     rhs_kernel: str = "auto"
 
     def lmax_for_k(self, k: float, tau_span: float) -> int:
@@ -122,52 +126,16 @@ def compute_mode(
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor=None,
 ) -> tuple[ModeHeader, ModePayload, ModeResult]:
-    """Integrate one wavenumber and build the two output records.
-
-    This is exactly the work between "receive a wavenumber" and "send
-    the results to the master" in the paper's worker subroutine.
-
-    ``monitor`` is an optional per-record-point observer (a
-    :class:`~repro.verify.constraints.ConstraintMonitor`) forwarded to
-    :func:`~repro.perturbations.evolve.evolve_mode`.
-    """
-    tau_end = background.tau0 if config.tau_end is None else config.tau_end
-    lmax = config.lmax_for_k(k, tau_end)
-    record_tau = (
-        default_record_grid(background, thermo, k, tau_end=tau_end)
-        if config.record_sources
-        else None
-    )
-    cpu0 = time.process_time()
-    mode = evolve_mode(
-        background,
-        thermo,
-        k,
-        lmax_photon=lmax,
-        lmax_nu=config.lmax_nu,
-        nq=config.nq,
-        lmax_massive_nu=config.lmax_massive_nu,
-        tau_end=tau_end,
-        record_tau=record_tau,
-        rtol=config.rtol,
-        atol=config.atol,
-        first_step=config.first_step,
-        tca_eps=config.tca_eps,
-        amplitude=config.amplitude,
-        telemetry=telemetry,
-        monitor=monitor,
-        rhs_kernel=config.rhs_kernel,
-    )
-    cpu = time.process_time() - cpu0
-    if telemetry.enabled:
-        telemetry.annotate_last_mode(ik=int(ik), cpu_seconds=float(cpu))
-    return (*_mode_records(mode, k, ik, config, cpu), mode)
+    """Integrate one wavenumber and build the two output records: the
+    one-lane call of :func:`compute_modes_batch`."""
+    return compute_modes_batch(background, thermo, [k], [ik], config,
+                               telemetry=telemetry, monitors=[monitor])[0]
 
 
 def _mode_records(
     mode: ModeResult, k: float, ik: int, config: LingerConfig, cpu: float
 ) -> tuple[ModeHeader, ModePayload]:
-    """The two wire records for one completed mode (serial or batched)."""
+    """The two wire records for one completed mode."""
     # final-state observables via a one-point record on the system the
     # evolution already built (no second spline construction)
     obs = mode.final_observables()
@@ -216,13 +184,20 @@ def compute_modes_batch(
     telemetry: Telemetry = NULL_TELEMETRY,
     monitors=None,
 ) -> list[tuple[ModeHeader, ModePayload, ModeResult]]:
-    """Integrate a chunk of wavenumbers together (one lane per mode).
+    """Integrate a chunk of wavenumbers and build each mode's two
+    output records.
 
-    The batched counterpart of :func:`compute_mode`: the chunk goes
-    through :func:`~repro.perturbations.evolve_batched.evolve_modes_batched`
-    as a ``(B, n_state)`` matrix, then each lane's wire records are
-    built exactly as the serial path builds them.  All modes in a chunk
-    must share one lmax (see :func:`dispatch_chunks`).
+    This is exactly the work between "receive a wavenumber" and "send
+    the results to the master" in the paper's worker subroutine, for
+    the chunk a WORK message carries: one
+    :func:`~repro.perturbations.evolve.evolve_modes_batched` call (which
+    decides how the chunk steps), then the wire records lane by lane.
+    All modes in a chunk must share one lmax (see
+    :func:`dispatch_chunks`).
+
+    ``monitors`` is None or one per-record-point observer per mode
+    (each None or a
+    :class:`~repro.verify.constraints.ConstraintMonitor`).
     """
     ks = [float(k) for k in ks]
     iks = [int(ik) for ik in iks]
@@ -260,6 +235,7 @@ def compute_modes_batch(
         telemetry=telemetry,
         monitors=monitors,
         rhs_kernel=config.rhs_kernel,
+        first_step=config.first_step,
     )
     cpu = (time.process_time() - cpu0) / len(ks)
     if telemetry.enabled:
@@ -363,9 +339,10 @@ def run_linger(
 
     Wavenumbers are *computed* in dispatch order (largest first, as the
     paper does) but the result lists are returned in ascending-k order.
-    With ``batch_size > 1`` the dispatch order is cut into equal-lmax
-    chunks of up to that many modes and each chunk integrates through
-    the batched engine (same trajectories, vectorized across lanes).
+    The dispatch order is cut into equal-lmax chunks of up to
+    ``batch_size`` modes and each chunk is one
+    :func:`compute_modes_batch` call (same trajectories whatever the
+    chunking; several lanes step in lockstep on the python kernel).
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (build a
     :class:`~repro.telemetry.RunReport` from it afterwards).
@@ -389,8 +366,6 @@ def run_linger(
     (:func:`~repro.spectra.sparse.sparse_cl`) splines its recorded
     sources back onto the dense grid.
     """
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
     if sparse_k is not None and sparse_k != 1:
         from .kgrid import sparse_kgrid
 
@@ -419,39 +394,29 @@ def run_linger(
     payloads: list[ModePayload | None] = [None] * nk
     modes: list[ModeResult | None] = [None] * nk
 
-    def results():
-        if batch_size > 1:
-            tau_end = (background.tau0 if config.tau_end is None
-                       else config.tau_end)
-            for chunk in dispatch_chunks(kgrid, config, tau_end, batch_size):
-                res = compute_modes_batch(
-                    background, thermo,
-                    [float(kgrid.k[i]) for i in chunk],
-                    [i + 1 for i in chunk],
-                    config, telemetry=telemetry,
-                    monitors=[monitors[i] for i in chunk],
-                )
-                yield from zip(chunk, res)
-        else:
-            for idx in kgrid.dispatch_order:
-                yield idx, compute_mode(
-                    background, thermo, float(kgrid.k[idx]), ik=idx + 1,
-                    config=config, telemetry=telemetry,
-                    monitor=monitors[idx],
-                )
-
+    tau_end = background.tau0 if config.tau_end is None else config.tau_end
+    chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
     wall0 = time.perf_counter()
     count = 0
-    for idx, (header, payload, mode) in results():
-        headers[idx] = header
-        payloads[idx] = payload
-        modes[idx] = mode if config.keep_mode_results else None
-        count += 1
-        if progress:
-            print(
-                f"[linger] {count}/{nk} k={kgrid.k[idx]:.5f} "
-                f"cpu={header.cpu_seconds:.2f}s steps={payload.n_steps:.0f}"
-            )
+    for chunk in chunks:
+        res = compute_modes_batch(
+            background, thermo,
+            [float(kgrid.k[i]) for i in chunk],
+            [i + 1 for i in chunk],
+            config, telemetry=telemetry,
+            monitors=[monitors[i] for i in chunk],
+        )
+        for idx, (header, payload, mode) in zip(chunk, res):
+            headers[idx] = header
+            payloads[idx] = payload
+            modes[idx] = mode if config.keep_mode_results else None
+            count += 1
+            if progress:
+                print(
+                    f"[linger] {count}/{nk} k={kgrid.k[idx]:.5f} "
+                    f"cpu={header.cpu_seconds:.2f}s "
+                    f"steps={payload.n_steps:.0f}"
+                )
     wall = time.perf_counter() - wall0
     constraints: list = []
     if monitor_constraints:

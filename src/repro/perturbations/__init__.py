@@ -28,8 +28,12 @@ from .initial import (
 from .system import PerturbationSystem
 from .system_batched import PerturbationSystemBatch
 from .system_newtonian import NewtonianPerturbationSystem
-from .evolve import ModeResult, evolve_mode, default_record_grid
-from .evolve_batched import evolve_modes_batched
+from .evolve import (
+    ModeResult,
+    default_record_grid,
+    evolve_mode,
+    evolve_modes_batched,
+)
 from .evolve_newtonian import evolve_mode_newtonian
 from .gauges import newtonian_potentials
 from .tensors import TensorMode, cl_tensor, evolve_tensor_mode

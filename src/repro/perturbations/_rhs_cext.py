@@ -1,10 +1,10 @@
 """Lazily-compiled C: the packed RHS kernel and the DVERK step loop.
 
 One shared object carries two entry points over one packed ABI (see
-``_rhs_numba.py`` for the layout contract):
+``BoltzmannOperator.pack`` for the layout contract):
 
-* ``rhs_full`` — the synchronous-gauge full-hierarchy RHS, same
-  evaluation order as ``_rhs_numba.kernel_rhs_full``;
+* ``rhs_full`` — the synchronous-gauge full-hierarchy RHS, in the
+  evaluation order ``tests/reference_packed_rhs.py`` pins;
 * ``integrate_full`` — one lane's whole full-hierarchy phase: the
   Verner stages calling ``rhs_full`` in-process, error norm, PI
   controller, stop points, accept/reject.  A transcription of
@@ -42,8 +42,8 @@ __all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
 C_SOURCE = r"""
 #include <math.h>
 
-/* Packed-ABI synchronous-gauge rhs_full; see _rhs_numba.py for the
- * layout contract.  Lanes b in [b0, b1); lane b's state is row b-b0. */
+/* Packed-ABI synchronous-gauge rhs_full; see BoltzmannOperator.pack for
+ * the layout contract.  Lanes b in [b0, b1); lane b's state is row b-b0. */
 void rhs_full(const long long *ints, const double *flts,
               const double *th_c, const double *lane_c,
               const double *adv_lo, const double *adv_hi,
@@ -551,7 +551,7 @@ class CextKernel:
     """The loaded shared object.
 
     Calling the instance evaluates ``rhs_full`` with the packed-ABI
-    *array* signature the numba kernel shares (tests, cold paths).
+    *array* signature (tests, cold paths).
     The hot paths use the raw entry points, which take addresses:
     ``rhs_raw(*table, tau, Y, dY, b0, b1)`` and
     ``integrate_raw(*table, lane, tab, s, ctl, stops, max_steps, y,

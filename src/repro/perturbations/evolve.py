@@ -1,25 +1,34 @@
-"""Per-mode evolution driver: the inner loop of LINGER.
+"""Chunk evolution driver: the inner loop of LINGER.
 
-:func:`evolve_mode` integrates one wavenumber from deep in the
+:func:`evolve_modes_batched` integrates a chunk of wavenumbers (and
+:func:`evolve_mode` one, as a one-lane chunk) from deep in the
 radiation era to (by default) the present, in two phases:
 
 1. tight coupling (MB95 first-order TCA) from ``tau_init`` until the
    Thomson time becomes a fraction ``tca_eps`` of min(1/k, 1/H_conf)
    or hydrogen starts recombining, then
-2. the full hierarchy system to ``tau_end`` — in one compiled call when
-   the resolved kernel is ``cext`` (:func:`integrate_full_phase`),
+2. the full hierarchy system to ``tau_end``,
 
 recording observables (potentials, fluid perturbations, the
-polarization sum Pi, line-of-sight ingredients) on a caller-supplied
-conformal-time grid.  This is exactly the work a PLINGER *worker*
-performs for each wavenumber it receives from the master.
+polarization sum Pi, line-of-sight ingredients) on caller-supplied
+conformal-time grids.  This is exactly the work a PLINGER *worker*
+performs for the wavenumbers it receives from the master.
+
+How a chunk steps through a phase is decided in one place,
+:func:`_run_phase`: one lane runs the scalar
+:class:`~repro.integrators.DVERK`, several lanes the lockstep
+:class:`~repro.integrators.dverk_batched.BatchedDVERK`, and wherever
+the resolved kernel is ``cext`` each lane's full-hierarchy phase is one
+call of the compiled step loop (:func:`integrate_full_phase`).
+Everything *scalar* — initial conditions, the TCA exit search,
+recording, the TCA→full hand-off, final observables — goes through one
+:class:`~repro.perturbations.system.PerturbationSystem` per lane.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +36,7 @@ from ..background import Background
 from ..errors import IntegrationError, ParameterError
 from ..integrators import DVERK, IntegratorStats
 from ..integrators.dverk import RKDriver
+from ..integrators.dverk_batched import BatchedDVERK, BatchStats
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from .gauges import newtonian_potentials
@@ -36,9 +46,10 @@ from .initial import (
 )
 from .state import StateLayout
 from .system import PerturbationSystem
+from .system_batched import PerturbationSystemBatch
 
-__all__ = ["ModeResult", "evolve_mode", "default_record_grid", "tau_initial",
-           "integrate_full_phase"]
+__all__ = ["ModeResult", "evolve_mode", "evolve_modes_batched",
+           "default_record_grid", "tau_initial", "integrate_full_phase"]
 
 #: Observables recorded at every grid time.
 RECORD_FIELDS = (
@@ -253,6 +264,226 @@ def find_tca_exit(
     return float(tau[idx])
 
 
+def evolve_modes_batched(
+    background: Background,
+    thermo: ThermalHistory,
+    ks,
+    lmax_photon: int = 12,
+    lmax_nu: int = 12,
+    nq: int = 0,
+    lmax_massive_nu: int = 10,
+    tau_end: float | None = None,
+    record_tau=None,
+    rtol: float = 1e-5,
+    atol: float = 1e-9,
+    tca_eps: float = 0.01,
+    amplitude: float = 1.0,
+    initial_conditions: str = "adiabatic",
+    max_steps: int = 2_000_000,
+    telemetry: Telemetry = NULL_TELEMETRY,
+    monitors=None,
+    rhs_kernel: str = "auto",
+    first_step: float | None = None,
+    driver_cls: type[RKDriver] = DVERK,
+) -> list[ModeResult]:
+    """Evolve a chunk of wavenumbers; one ModeResult per lane.
+
+    This is the LINGER worker computation — everything from the series
+    initial conditions at ``k tau = 0.03`` to the multipoles today —
+    for every wavenumber of the chunk.  All lanes share the multipole
+    cutoffs: callers batching a k-grid must group modes of equal lmax
+    into one chunk.  Set-up (layout, initial conditions, TCA exit,
+    record grids, recorders) and tear-down (telemetry, demotions,
+    ``ModeResult`` assembly) are per lane and the same for any chunk
+    length; *how the two phases step* is chosen by :func:`_run_phase`
+    from the chunk length and the active kernel.  Every route follows
+    the arithmetic contract, so a lane's result is bitwise the same
+    whatever the chunk around it.
+
+    ``record_tau`` is either None (no records for any lane) or a
+    sequence of per-lane record grids (each an array or None).
+
+    ``monitors`` is either None or a sequence of per-lane observers
+    (each None or a callable ``monitor(tau, y, tight)`` invoked at
+    every record point — the hook ``repro.verify`` uses to sample
+    Einstein-constraint residuals along the production trajectory);
+    each is bound to its lane's serial system.  Like telemetry, a
+    monitor is a pure observer: the integration is bit-identical with
+    or without it.
+
+    ``rhs_kernel`` selects the evaluation kernel for the full-hierarchy
+    phase (``"python"``/``"cext"``/``"auto"``; an unavailable ``cext``
+    falls back to python).  The TCA phase and the scalar
+    recording/hand-off paths always run python.
+
+    ``first_step`` forces every phase's opening step on every route.
+    ``driver_cls`` replaces the scalar driver of one-lane phases (a
+    test seam: anything but DVERK also keeps the compiled loop out).
+
+    When ``telemetry`` is enabled, each lane leaves one
+    :class:`~repro.telemetry.report.ModeMetrics` (a chunk's phase
+    wallclock is shared equally between its lanes), a chunk of several
+    lanes one ``BatchMetrics`` with its lockstep occupancy, and the
+    operator's per-kernel evaluation counts land in ``RhsMetrics``.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or ks.size == 0:
+        raise ParameterError("ks must be a non-empty 1-d array")
+    B = int(ks.size)
+    tau_end = background.tau0 if tau_end is None else float(tau_end)
+    nq_eff = nq if background.params.omega_nu > 0 else 0
+    layout = StateLayout(
+        lmax_photon=lmax_photon,
+        lmax_nu=lmax_nu,
+        nq=nq_eff,
+        lmax_massive_nu=lmax_massive_nu if nq_eff else 0,
+    )
+    batch_system = PerturbationSystemBatch(background, thermo, ks, layout,
+                                           rhs_kernel=rhs_kernel,
+                                           instrument=telemetry.enabled)
+    # one serial system per lane for every scalar code path (one-lane
+    # stepping, recording, hand-off, final observables): lane views
+    # over the chunk's one operator
+    systems = [batch_system.lane_system(b) for b in range(B)]
+
+    ic_builders = {
+        "adiabatic": adiabatic_initial_conditions,
+        "isocurvature": isocurvature_initial_conditions,
+    }
+    if initial_conditions not in ic_builders:
+        raise ParameterError(
+            f"unknown initial_conditions {initial_conditions!r}; "
+            f"choose from {sorted(ic_builders)}"
+        )
+
+    t_init = np.array([tau_initial(k) for k in ks.tolist()])
+    if np.any(t_init >= tau_end):
+        raise ParameterError("tau_end precedes the initial time")
+    Y = np.empty((B, layout.n_state))
+    for b, k in enumerate(ks.tolist()):
+        Y[b] = ic_builders[initial_conditions](
+            layout, background, k, float(t_init[b]),
+            q_nodes=systems[b].q_nodes if nq_eff else None,
+            amplitude=amplitude,
+        )
+
+    t_switch = np.array([
+        find_tca_exit(background, thermo, k, tca_eps=tca_eps)
+        for k in ks.tolist()
+    ])
+    t_switch = np.minimum(np.maximum(t_switch, t_init * 1.01), tau_end)
+
+    if record_tau is None:
+        record_tau = [None] * B
+    if len(record_tau) != B:
+        raise ParameterError("record_tau must have one grid per lane")
+    grids: list[np.ndarray] = []
+    for b, grid in enumerate(record_tau):
+        grid = np.empty(0) if grid is None else np.asarray(grid, dtype=float)
+        if grid.size and (
+            grid.min() <= t_init[b] or grid.max() > tau_end * (1 + 1e-9)
+        ):
+            raise ParameterError("record grid outside (tau_init, tau_end]")
+        grids.append(grid)
+
+    if monitors is None:
+        monitors = [None] * B
+    if len(monitors) != B:
+        raise ParameterError("monitors must have one entry per lane")
+    for b, mon in enumerate(monitors):
+        if mon is not None and hasattr(mon, "bind"):
+            mon.bind(systems[b])
+
+    recorders = [
+        _Recorder(systems[b], grids[b].size, monitor=monitors[b])
+        for b in range(B)
+    ]
+    stats = [IntegratorStats() for _ in range(B)]
+    batch_stats = BatchStats()
+    walls = [time.perf_counter() if telemetry.enabled else 0.0]
+
+    # Phase 1: tight coupling to each lane's own tau_switch, the
+    # hand-off of the slaved moments, then phase 2: the full hierarchy
+    for tight, t0, t1 in ((True, t_init, t_switch),
+                          (False, t_switch, np.full(B, tau_end))):
+        stops = [g[g <= t_switch[b]] if tight else g[g > t_switch[b]]
+                 for b, g in enumerate(grids)]
+        for rec in recorders:
+            rec.tight = tight
+
+        def on_stop(b: int, t: float, y_row: np.ndarray) -> None:
+            # the drivers also stop at phase ends, which are recorded
+            # only when they are record points
+            if _in(t, stops[b]):
+                recorders[b](t, y_row)
+
+        Y = _run_phase(
+            batch_system, systems, tight, Y, t0, t1, stops, on_stop, stats,
+            batch_stats, driver_cls=driver_cls, rtol=rtol, atol=atol,
+            max_steps=max_steps, first_step=first_step)
+        if tight:
+            for b in range(B):
+                systems[b].initialize_full_from_tca(Y[b], float(t_switch[b]))
+        walls.append(time.perf_counter() if telemetry.enabled else 0.0)
+
+    if telemetry.enabled:
+        wall0, wall1, wall2 = walls
+        for b in range(B):
+            telemetry.record_mode(
+                k=float(ks[b]),
+                lmax=layout.lmax_photon,
+                n_rhs=stats[b].n_rhs,
+                n_steps=stats[b].n_steps,
+                n_rejected=stats[b].n_rejected,
+                flops_est=stats[b].n_flops,
+                tau_switch=float(t_switch[b]),
+                tca_wall_seconds=(wall1 - wall0) / B,
+                full_wall_seconds=(wall2 - wall1) / B,
+                wall_seconds=(wall2 - wall0) / B,
+            )
+        if B > 1:
+            telemetry.record_batch(
+                n_lanes=B,
+                k_min=float(ks.min()),
+                k_max=float(ks.max()),
+                n_sweeps=batch_stats.n_sweeps,
+                lane_steps_attempted=batch_stats.lane_steps_attempted,
+                lane_steps_accepted=batch_stats.lane_steps_accepted,
+                lane_steps_rejected=batch_stats.lane_steps_rejected,
+                lane_slots_idle=batch_stats.lane_slots_idle,
+                tca_wall_seconds=wall1 - wall0,
+                full_wall_seconds=wall2 - wall1,
+                wall_seconds=wall2 - wall0,
+            )
+        telemetry.record_rhs(
+            requested=rhs_kernel,
+            active=batch_system.rhs_kernel,
+            evals=dict(batch_system.op.evals),
+            seconds=dict(batch_system.op.seconds),
+        )
+
+    for d in batch_system.op.drain_demotions():
+        telemetry.record_degradation(
+            "kernel", "demotion", f"{d['from']}->{d['to']}: {d['reason']}"
+        )
+
+    return [
+        ModeResult(
+            k=float(ks[b]),
+            tau=rec.tau[: rec.i],
+            records={name: arr[: rec.i] for name, arr in rec.arrays.items()},
+            y_final=Y[b].copy(),
+            layout=layout,
+            stats=stats[b],
+            tau_init=float(t_init[b]),
+            tau_switch=float(t_switch[b]),
+            tau_end=tau_end,
+            system=systems[b],
+        )
+        for b, rec in enumerate(recorders)
+    ]
+
+
 def evolve_mode(
     background: Background,
     thermo: ThermalHistory,
@@ -275,144 +506,99 @@ def evolve_mode(
     monitor=None,
     rhs_kernel: str = "auto",
 ) -> ModeResult:
-    """Evolve one wavenumber and return its records and final state.
+    """Evolve one wavenumber: the one-lane call of
+    :func:`evolve_modes_batched` (which documents every argument).
 
-    This is the LINGER worker computation: everything from the series
-    initial conditions at ``k tau = 0.03`` to the multipoles today.
-
-    When ``telemetry`` is enabled, the per-phase wallclock (tight
-    coupling vs full hierarchy), the TCA switch time, and the
-    integrator cost counters are recorded as one
-    :class:`~repro.telemetry.report.ModeMetrics`; the default no-op
-    collector measures nothing and the integration is bit-identical
-    either way.
-
-    ``monitor`` (optional) is called as ``monitor(tau, y, tight)`` at
-    every record point — the hook the Einstein-constraint verification
-    subsystem (``repro.verify``) uses to sample residuals along the
-    production trajectory.  Like telemetry, it is a pure observer: the
-    integration is bit-identical with or without it.
-
-    ``rhs_kernel`` selects the evaluation kernel for the full-hierarchy
-    phase (``"python"``/``"numba"``/``"cext"``/``"auto"``; unavailable
-    kernels fall back to python).  With ``cext`` (what ``auto`` resolves
-    to when a C compiler exists) and the default ``driver_cls`` the
-    whole phase runs in the compiled step loop, bitwise the python
-    driver.  The per-kernel evaluation counts and wall-clock land in
-    the telemetry ``RhsMetrics`` section.
+    Both phases run the scalar ``driver_cls`` on the lane's
+    :class:`PerturbationSystem`; with ``cext`` (what ``auto`` resolves
+    to when a C compiler exists) and the default driver the whole
+    full-hierarchy phase is one call of the compiled step loop, bitwise
+    the python driver.
     """
-    tau_end = background.tau0 if tau_end is None else float(tau_end)
-    nq_eff = nq if background.params.omega_nu > 0 else 0
-    layout = StateLayout(
-        lmax_photon=lmax_photon,
-        lmax_nu=lmax_nu,
-        nq=nq_eff,
-        lmax_massive_nu=lmax_massive_nu if nq_eff else 0,
-    )
-    system = PerturbationSystem(background, thermo, k, layout,
-                               rhs_kernel=rhs_kernel,
-                               instrument=telemetry.enabled)
-    if monitor is not None and hasattr(monitor, "bind"):
-        monitor.bind(system)
+    return evolve_modes_batched(
+        background, thermo, [k], lmax_photon=lmax_photon, lmax_nu=lmax_nu,
+        nq=nq, lmax_massive_nu=lmax_massive_nu, tau_end=tau_end,
+        record_tau=[record_tau], rtol=rtol, atol=atol, tca_eps=tca_eps,
+        amplitude=amplitude, initial_conditions=initial_conditions,
+        max_steps=max_steps, telemetry=telemetry, monitors=[monitor],
+        rhs_kernel=rhs_kernel, first_step=first_step, driver_cls=driver_cls,
+    )[0]
 
-    t_init = tau_initial(k)
-    if t_init >= tau_end:
-        raise ParameterError("tau_end precedes the initial time")
-    ic_builders = {
-        "adiabatic": adiabatic_initial_conditions,
-        "isocurvature": isocurvature_initial_conditions,
-    }
-    if initial_conditions not in ic_builders:
-        raise ParameterError(
-            f"unknown initial_conditions {initial_conditions!r}; "
-            f"choose from {sorted(ic_builders)}"
-        )
-    y0 = ic_builders[initial_conditions](
-        layout, background, k, t_init,
-        q_nodes=system.q_nodes if nq_eff else None,
-        amplitude=amplitude,
-    )
 
-    t_switch = find_tca_exit(background, thermo, k, tca_eps=tca_eps)
-    t_switch = min(max(t_switch, t_init * 1.01), tau_end)
+def _run_phase(
+    batch_system: PerturbationSystemBatch,
+    systems: list[PerturbationSystem],
+    tight: bool,
+    Y: np.ndarray,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    stops: list[np.ndarray],
+    on_stop,
+    stats: list[IntegratorStats],
+    batch_stats: BatchStats,
+    *,
+    driver_cls: type[RKDriver],
+    **tolerances,
+) -> np.ndarray:
+    """One phase of a chunk; returns the ``(B, n_state)`` end states.
 
-    if record_tau is None:
-        record_tau = np.empty(0)
-    record_tau = np.asarray(record_tau, dtype=float)
-    if record_tau.size and (
-        record_tau.min() <= t_init or record_tau.max() > tau_end * (1 + 1e-9)
-    ):
-        raise ParameterError("record grid outside (tau_init, tau_end]")
+    The one place that decides how a chunk steps, from what it can
+    observe:
 
-    recorder = _Recorder(system, record_tau.size, monitor=monitor)
-    stats = IntegratorStats()
+    * several lanes on the python kernel (always so in tight coupling)
+      step in lockstep through :class:`BatchedDVERK`, which amortizes
+      the interpreter over the lanes; lanes that finish early park
+      until the chunk drains;
+    * otherwise each lane runs on its own — the scalar driver, which at
+      one lane has none of the lockstep driver's masked-array overhead,
+      or in the full phase :func:`integrate_full_phase`, which is the
+      compiled step loop whenever ``cext`` is active and beats any
+      python batching.
 
-    # Phase 1: tight coupling ------------------------------------------
-    wall0 = time.perf_counter() if telemetry.enabled else 0.0
-    stops1 = record_tau[record_tau <= t_switch]
-    drv1 = driver_cls(system.rhs_tca, rtol=rtol, atol=atol,
-                      max_steps=max_steps, first_step=first_step,
-                      flops_per_rhs=system.flops_per_eval())
-    recorder.tight = True
-    res1 = drv1.integrate(
-        y0, t_init, t_switch,
-        stop_points=stops1,
-        on_stop=lambda t, y: recorder(t, y) if _in(t, stops1) else None,
-        stats=stats,
-    )
-    y = res1.y
-    system.initialize_full_from_tca(y, t_switch)
-    wall1 = time.perf_counter() if telemetry.enabled else 0.0
+    Lane ``b``'s counters accumulate in ``stats[b]`` over both phases
+    (``max_steps`` is a lane's budget for the whole evolution on the
+    scalar routes); ``batch_stats`` keeps the lockstep occupancy books,
+    where a lane stepping alone counts every slot as active.
+    """
+    B = len(systems)
+    compiled = (not tight and
+                batch_system.op.active_kernel(batch_system.rhs_kernel)
+                == "cext")
+    if B > 1 and not compiled:
+        drv = BatchedDVERK(
+            batch_system.rhs_tca if tight else batch_system.rhs_full,
+            flops_per_rhs=batch_system.flops_per_eval(), **tolerances)
+        res = drv.integrate(Y, t0, t1, stop_points=stops, on_stop=on_stop,
+                            stats=batch_stats)
+        for b in range(B):
+            stats[b].merge(res.lane_stats(b))
+        return res.y
 
-    # Phase 2: full hierarchy ------------------------------------------
-    recorder.tight = False
-    stops2 = record_tau[record_tau > t_switch]
-    y_final = integrate_full_phase(
-        system, y, t_switch, tau_end, stops2,
-        on_stop=lambda t, y_: recorder(t, y_) if _in(t, stops2) else None,
-        stats=stats, rtol=rtol, atol=atol, max_steps=max_steps,
-        first_step=first_step, driver_cls=driver_cls,
-    )
+    Y_end = np.empty_like(Y)
+    for b, system in enumerate(systems):
+        lane, args = stats[b], (Y[b], float(t0[b]), float(t1[b]))
+        accepted, rejected = lane.n_steps, lane.n_rejected
 
-    if telemetry.enabled:
-        wall2 = time.perf_counter()
-        telemetry.record_mode(
-            k=k,
-            lmax=layout.lmax_photon,
-            n_rhs=stats.n_rhs,
-            n_steps=stats.n_steps,
-            n_rejected=stats.n_rejected,
-            flops_est=stats.n_flops,
-            tau_switch=t_switch,
-            tca_wall_seconds=wall1 - wall0,
-            full_wall_seconds=wall2 - wall1,
-            wall_seconds=wall2 - wall0,
-        )
-        telemetry.record_rhs(
-            requested=rhs_kernel,
-            active=system.rhs_kernel,
-            evals=dict(system.op.evals),
-            seconds=dict(system.op.seconds),
-        )
+        def lane_stop(t, row, b=b):
+            on_stop(b, t, row)
 
-    for d in system.op.drain_demotions():
-        telemetry.record_degradation(
-            "kernel", "demotion", f"{d['from']}->{d['to']}: {d['reason']}"
-        )
-
-    records = {name: arr[: recorder.i] for name, arr in recorder.arrays.items()}
-    return ModeResult(
-        k=k,
-        tau=recorder.tau[: recorder.i],
-        records=records,
-        y_final=y_final,
-        layout=layout,
-        stats=stats,
-        tau_init=t_init,
-        tau_switch=t_switch,
-        tau_end=tau_end,
-        system=system,
-    )
+        if tight:
+            drv = driver_cls(system.rhs_tca,
+                             flops_per_rhs=system.flops_per_eval(),
+                             **tolerances)
+            Y_end[b] = drv.integrate(*args, stop_points=stops[b],
+                                     on_stop=lane_stop, stats=lane).y
+        else:
+            Y_end[b] = integrate_full_phase(
+                system, *args, stops[b], lane_stop, lane,
+                driver_cls=driver_cls, **tolerances)
+        accepted = lane.n_steps - accepted
+        rejected = lane.n_rejected - rejected
+        batch_stats.n_sweeps += accepted + rejected
+        batch_stats.lane_steps_attempted += accepted + rejected
+        batch_stats.lane_steps_accepted += accepted
+        batch_stats.lane_steps_rejected += rejected
+    return Y_end
 
 
 def integrate_full_phase(

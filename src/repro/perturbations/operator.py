@@ -17,7 +17,7 @@ explicit for this package:
   factors, which depend on the cosmology alone and are fitted with the
   tables (``ThermalHistory``, ``MassiveNuTables``);
 
-* **evaluation** is a thin pass over that structure.  Three kernels
+* **evaluation** is a thin pass over that structure.  Two kernels
   evaluate the same structure (and the ``cext`` shared object also
   carries the compiled DVERK step loop, :meth:`integrate_full`, which
   runs a lane's whole full-hierarchy phase over the same packed ABI):
@@ -26,10 +26,9 @@ explicit for this package:
     the previous hand-kept ``PerturbationSystem`` (scalar) and
     ``PerturbationSystemBatch`` (lane) implementations, preserving
     every expression grouping so existing goldens stay *bitwise*;
-  - ``cext``  — a small C translation of the same evaluation order,
-    lazily compiled with the system C compiler (see ``_rhs_cext``);
-  - ``numba`` — the same packed loop nest jitted with numba when it is
-    importable (see ``_rhs_numba``).
+  - ``cext``  — the one compiled backend: a small C translation of the
+    same evaluation order over the packed ABI of :meth:`pack`, lazily
+    compiled with the system C compiler (see ``_rhs_cext``).
 
 Both :class:`~repro.perturbations.system.PerturbationSystem` and
 :class:`~repro.perturbations.system_batched.PerturbationSystemBatch`
@@ -62,14 +61,14 @@ from ..chaos import current_engine as _chaos_engine
 from ..errors import IntegrationError, ParameterError
 from ..integrators import VERNER_65_TABLEAU, StepController
 from ..thermo import ThermalHistory
-from . import _rhs_cext, _rhs_numba
+from . import _rhs_cext
 from .state import StateLayout
 
 __all__ = ["BoltzmannOperator", "CompiledPhase", "KERNELS",
            "available_kernels", "resolve_kernel"]
 
 #: Requestable kernel names (``auto`` picks the fastest available).
-KERNELS = ("python", "numba", "cext", "auto")
+KERNELS = ("python", "cext", "auto")
 
 #: the compiled step loop's tableau argument: a, b_high, error weights, c
 _VERNER_TAB = np.concatenate([
@@ -84,23 +83,19 @@ _warned_auto_python = False
 
 def available_kernels() -> tuple[str, ...]:
     """The kernels this process can actually run, fastest-first."""
-    names = []
     if _rhs_cext.get_cext() is not None:
-        names.append("cext")
-    if _rhs_numba.get_numba() is not None:
-        names.append("numba")
-    names.append("python")
-    return tuple(names)
+        return ("cext", "python")
+    return ("python",)
 
 
 def resolve_kernel(requested: str) -> str:
     """Map a requested kernel name onto one this process can run.
 
-    ``numba``/``cext`` fall back to ``python`` when the accelerator is
-    unavailable (no import error; the active kernel is recorded
-    truthfully in the ``RhsMetrics`` telemetry section, which is the
-    observable a run report should trust).  ``auto`` — the default —
-    picks the first available compiled kernel, else ``python``; since
+    ``cext`` falls back to ``python`` when it cannot be built or
+    loaded (no error; the active kernel is recorded truthfully in the
+    ``RhsMetrics`` telemetry section, which is the observable a run
+    report should trust).  ``auto`` — the default — picks ``cext``
+    when available, else ``python``; since
     that fallback costs an order of magnitude in run time it is
     announced once per process on the ``repro.kernel`` logger, with
     the build's own reason.
@@ -121,7 +116,7 @@ def resolve_kernel(requested: str) -> str:
                 "rhs_kernel 'auto' resolved to 'python': no compiled kernel "
                 "in this process (%s); integration runs on the python "
                 "driver, roughly 25x slower",
-                "; ".join(reasons) or "numba not importable",
+                "; ".join(reasons) or "C kernel unavailable",
             )
         return avail[0]
     if requested in avail:
@@ -337,18 +332,17 @@ class BoltzmannOperator:
         # -- kernel bookkeeping -------------------------------------------
         #: lane-evaluations of rhs_full per kernel (rhs_tca always runs
         #: the python kernel and counts there)
-        self.evals: dict[str, int] = {"python": 0, "numba": 0, "cext": 0}
+        self.evals: dict[str, int] = {"python": 0, "cext": 0}
         #: wall-clock per kernel, populated only while ``instrument``
-        self.seconds: dict[str, float] = {"python": 0.0, "numba": 0.0,
-                                          "cext": 0.0}
+        self.seconds: dict[str, float] = {"python": 0.0, "cext": 0.0}
         #: when True, rhs_full dispatch wraps each call in perf_counter
         self.instrument = False
         self._packed = None
-        self._fns: dict = {}  # kernel -> packed-ABI callable, resolved once
+        self._cext = None  # the loaded C kernel, resolved once
         self._tau1 = np.zeros(1)
         self._tau1_addr = self._tau1.ctypes.data
         #: runtime NaN/Inf sentinel on compiled rhs_full outputs: a
-        #: non-finite dy demotes cext -> numba -> python mid-run (the
+        #: non-finite dy demotes cext -> python mid-run (the
         #: poisoned evaluation is recomputed by the fallback kernel, so
         #: the trajectory never sees the bad values)
         self.nan_sentinel = True
@@ -1012,12 +1006,46 @@ class BoltzmannOperator:
     # ------------------------------------------------------------------
 
     def pack(self) -> dict:
-        """The assembled structure as flat arrays: the ABI the C and
-        numba kernels share (see ``_rhs_numba.kernel_rhs_full`` for the
-        layout contract).  Built once and cached; the dict holds
-        references so nothing is garbage-collected under a ctypes call,
-        which is what lets ``"table"`` — the nine raw addresses, in ABI
-        order — be computed here once instead of on every evaluation.
+        """The assembled structure as flat arrays: the ABI of the C
+        kernel.  Built once and cached; the dict holds references so
+        nothing is garbage-collected under a ctypes call, which is what
+        lets ``"table"`` — the nine raw addresses, in ABI order — be
+        computed here once instead of on every evaluation.
+
+        The contract (``tests/reference_packed_rhs.py`` evaluates it in
+        plain python, in the C kernel's order):
+
+        ``ints``  int64[16]
+            B, n_state, lmax_photon, lmax_nu, nq, lmax_massive_nu,
+            i_fg, i_gg, i_nl, i_psi, adv0, adv1, damp0, damp1, th_n,
+            rf_n
+        ``flts``  float64[16]
+            gr_m, gr_gnl, gr_lam, gr_k, gr_c, gr_b, gr_g, gr_nl,
+            gr_nu_rel, r_coef, x0 (= m/T_nu0), I_RHO_MASSLESS, th_x0,
+            th_dx, rf_x0, rf_dx
+        ``th_c``  (8, th_n)
+            cubic coefficients c3..c0 of ln kappa', then c3..c0 of
+            ln cs2, both on the uniform ln-a grid (th_x0, th_dx)
+        ``lane_c``  (4, B)
+            per-lane constants: k, k^2, 0.75 k, 4/(3k) — indexed by the
+            *absolute* lane number b
+        ``adv_lo``/``adv_hi``  (B, adv1-adv0)
+            fused advection coefficients for state columns
+            [adv0, adv1), indexed by absolute b
+        ``nu_pack``  (5, nq)
+            q nodes, dln f0/dln q, and the rho/q^3/q^4 quadrature
+            weights
+        ``mnu_pack``  (2, lmax_massive_nu + 1)
+            massive hierarchy advection factors l/(2l+1), (l+1)/(2l+1)
+        ``rf_c``  (4, rf_n)
+            cubic coefficients of the massive-nu ln(rho-integral)
+            spline on the uniform ln-x grid (rf_x0, rf_dx)
+
+        A kernel call adds ``tau`` float64[rows] and ``Y``/``dY``
+        (rows, n_state) for rows = b1 - b0 lanes of state; lane b lives
+        in row b - b0.  Only the synchronous-gauge ``rhs_full`` is
+        packed: the TCA phase is cold (a few hundred evaluations per
+        mode) and stays on the python kernel.
         """
         if self._packed is not None:
             return self._packed
@@ -1067,35 +1095,25 @@ class BoltzmannOperator:
         )
         return self._packed
 
-    def _compiled(self, kernel: str):
-        """The packed-ABI callable for ``kernel`` (must be available);
-        resolved once per operator."""
-        fn = self._fns.get(kernel)
-        if fn is None:
-            fn = (_rhs_cext.get_cext() if kernel == "cext"
-                  else _rhs_numba.get_numba())
-            if fn is None:
+    def _compiled(self):
+        """The loaded C kernel (must be available); resolved once per
+        operator."""
+        if self._cext is None:
+            self._cext = _rhs_cext.get_cext()
+            if self._cext is None:
                 raise ParameterError(
-                    f"rhs kernel {kernel!r} is not available in this process"
+                    "rhs kernel 'cext' is not available in this process"
                 )
-            self._fns[kernel] = fn
-        return fn
+        return self._cext
 
-    def _call_packed(self, kernel: str, tau: np.ndarray, Y: np.ndarray,
+    def _call_packed(self, tau: np.ndarray, Y: np.ndarray,
                      dY: np.ndarray, b0: int, b1: int) -> None:
-        fn = self._compiled(kernel)
-        p = self.pack()
-        if kernel == "cext":
-            # the table's nine addresses were taken once; only the
-            # per-call buffers are resolved here
-            tau_addr = (self._tau1_addr if tau is self._tau1
-                        else tau.ctypes.data)
-            fn.rhs_raw(*p["table"], tau_addr, Y.ctypes.data,
-                       dY.ctypes.data, b0, b1)
-        else:
-            fn(p["ints"], p["flts"], p["th_c"], p["lane_c"], p["adv_lo"],
-               p["adv_hi"], p["nu_pack"], p["mnu_pack"], p["rf_c"],
-               tau, Y, dY, b0, b1)
+        # the table's nine addresses were taken once; only the per-call
+        # buffers are resolved here
+        tau_addr = (self._tau1_addr if tau is self._tau1
+                    else tau.ctypes.data)
+        self._compiled().rhs_raw(*self.pack()["table"], tau_addr,
+                                 Y.ctypes.data, dY.ctypes.data, b0, b1)
 
     # ------------------------------------------------------------------
     # Kernel dispatch (the entry points the thin drivers call)
@@ -1103,22 +1121,16 @@ class BoltzmannOperator:
 
     def active_kernel(self, kernel: str) -> str:
         """Resolve ``kernel`` through any recorded demotions."""
-        hops = 0
-        while kernel in self.kernel_overrides and hops < 3:
-            kernel = self.kernel_overrides[kernel]
-            hops += 1
-        return kernel
+        return self.kernel_overrides.get(kernel, kernel)
 
     def _demote(self, kernel: str, reason: str) -> str:
-        """Demote a compiled kernel one rung (cext -> numba -> python).
+        """Demote the compiled kernel (cext -> python).
 
         Returns the fallback kernel; the event is queued in
         ``demotions`` until :meth:`drain_demotions` collects it (the
-        evolve drivers fold it into telemetry once per mode/batch).
+        evolve driver folds it into telemetry once per chunk).
         """
         fallback = "python"
-        if kernel == "cext" and _rhs_numba.get_numba() is not None:
-            fallback = "numba"
         self.kernel_overrides[kernel] = fallback
         self.demotions.append(
             {"from": kernel, "to": fallback, "reason": reason}
@@ -1152,7 +1164,7 @@ class BoltzmannOperator:
             if not y.flags.c_contiguous:
                 y = np.ascontiguousarray(y)
             # (1, n) views: the packed kernels address state as rows
-            self._call_packed(kernel, self._tau1, y.reshape(1, y.size),
+            self._call_packed(self._tau1, y.reshape(1, y.size),
                               dy.reshape(1, dy.size), b, b + 1)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
@@ -1180,7 +1192,7 @@ class BoltzmannOperator:
             if not Y.flags.c_contiguous:
                 Y = np.ascontiguousarray(Y)
             tau = np.ascontiguousarray(tau, dtype=float)
-            self._call_packed(kernel, tau, Y, dY, 0, self.B)
+            self._call_packed(tau, Y, dY, 0, self.B)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
                 dY[:] = np.nan
@@ -1213,7 +1225,7 @@ class BoltzmannOperator:
         ``evolve.integrate_full_phase``).  The chaos engine's kernel
         poison is consulted once per call, here, not inside C.
         """
-        fn = self._compiled("cext")
+        fn = self._compiled()
         s, n = VERNER_65_TABLEAU.n_stages, self.layout.n_state
         y = np.array(y0, dtype=float)
         if not 0 <= b < self.B or y.shape != (n,):

@@ -19,15 +19,15 @@ and provides two interchangeable right-hand sides:
 Since the compiled-RHS refactor this class is a thin driver over
 :class:`~repro.perturbations.operator.BoltzmannOperator`: the operator
 owns the precomputed coefficient structure and every kernel (python /
-numba / cext, in scalar and lane forms), and this class binds one lane
+cext, in scalar and lane forms), and this class binds one lane
 of it behind the historical serial API — same constructor, same
 attribute surface (the constraint monitor and the recorders reach into
 ``_gr_*``, ``_w_*``, ``_g_lo`` and friends), same ``rhs_full(tau, y)``
 / ``rhs_tca(tau, y)`` signatures, bitwise-identical python-kernel
 values.
 
-Set ``rhs_kernel`` to ``"numba"``, ``"cext"`` or ``"auto"`` to route
-:meth:`rhs_full` through a compiled kernel; an unavailable kernel
+Set ``rhs_kernel`` to ``"cext"`` or ``"auto"`` to route
+:meth:`rhs_full` through the compiled kernel; an unavailable kernel
 resolves to ``"python"`` silently (the resolved choice is recorded in
 ``self.rhs_kernel`` and in the ``RhsMetrics`` telemetry section).  The
 TCA phase is cold and always runs the python kernel.
@@ -67,7 +67,7 @@ class PerturbationSystem:
         ``PerturbationSystemBatch.lane_system`` shares one coefficient
         structure (and its eval counters) across a whole batch.
     rhs_kernel:
-        ``"python"`` (default), ``"numba"``, ``"cext"`` or ``"auto"``.
+        ``"python"`` (default), ``"cext"`` or ``"auto"``.
     instrument:
         Record per-kernel wall-clock on the operator (feeds the
         ``RhsMetrics`` telemetry section).

@@ -18,10 +18,10 @@ to the serial python kernel for ``ks[b]`` (same expression groupings,
 same libm transcendentals); the equivalence tests and goldens pin it.
 
 ``rhs_kernel`` routes :meth:`rhs_full` through the optional compiled
-kernels exactly as in the serial class; :meth:`lane_system` hands out
+kernel exactly as in the serial class; :meth:`lane_system` hands out
 serial views that share this batch's operator (coefficient tables and
-telemetry counters included), which is what the batched evolution uses
-for per-lane recording and hand-off.
+telemetry counters included), which is what the chunk evolution uses
+for one-lane stepping, per-lane recording and hand-off.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class PerturbationSystemBatch:
     operator:
         Drive an existing operator instead of assembling a new one.
     rhs_kernel:
-        ``"python"`` (default), ``"numba"``, ``"cext"`` or ``"auto"``.
+        ``"python"`` (default), ``"cext"`` or ``"auto"``.
     instrument:
         Record per-kernel wall-clock on the operator.
     """

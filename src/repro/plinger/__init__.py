@@ -15,11 +15,11 @@ ladder, and full fault accounting in a
 :class:`~repro.telemetry.report.FaultReport`.
 """
 
+from ..resilience import FaultTolerance
 from .tags import Tag
 from .checkpoint import ModeJournal, run_plinger_checkpointed
 from .driver import PlingerRunStats, run_plinger
 from .master import master_subroutine
-from .resilience import FaultTolerance
 from .worker import worker_subroutine
 
 __all__ = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +26,12 @@ from ..cache import (
     manifest_to_reals,
 )
 from ..cache.sharing import SharedTableBlock
-from ..chaos import current_engine
-from ..errors import (
-    CacheError,
-    IntegrationError,
-    MessagePassingError,
-    ProtocolError,
-)
+from ..errors import CacheError, MessagePassingError, ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.serial import (
     LingerConfig,
     LingerResult,
     build_tables,
-    compute_mode,
-    compute_modes_batch,
     dispatch_chunks,
 )
 from ..mp import get_backend
@@ -48,10 +40,10 @@ from ..params import CosmologyParams
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..telemetry.report import FaultReport
 from ..thermo import ThermalHistory
-from ..resilience import FaultTolerance, run_with_ladder
+from ..resilience import FaultTolerance
 from .master import master_subroutine
 from .tags import Tag
-from .worker import WorkerLog, worker_subroutine
+from .worker import WorkerLog, chunk_compute, worker_subroutine
 
 __all__ = ["PlingerRunStats", "run_plinger"]
 
@@ -164,7 +156,7 @@ def _request_wire_tables(mp_handle, ft: FaultTolerance, manifest_raw,
 
 
 def _worker_entry(mp_handle, background, thermo, kgrid, config,
-                  with_telemetry: bool = False, batched: bool = False,
+                  with_telemetry: bool = False,
                   fault_tolerance: FaultTolerance | None = None,
                   params: CosmologyParams | None = None,
                   use_cache: bool = False,
@@ -174,9 +166,7 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     With telemetry on, the worker builds its own collector (forked
     children share no memory with the master) and publishes it —
     together with its traffic stats and busy/idle log — through the
-    world's out-of-band channel after the protocol completes.  With
-    ``batched`` on, multi-k WORK chunks integrate through the batched
-    engine instead of a per-mode loop.
+    world's out-of-band channel after the protocol completes.
 
     With ``use_cache`` on, the master follows its INIT broadcast with a
     tag-8 CACHE manifest; the worker attaches the shared table block
@@ -184,15 +174,14 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     not handed in — reconstructs both straight on the shared pages
     (zero copies: every rank maps the same physical tables).
 
-    Under a fault-tolerance policy the compute path degrades gracefully:
-    an :class:`~repro.errors.IntegrationError` walks the escalation
-    ladder (and a failing batched chunk falls back to serial per-mode
-    integration), with the downgrade reported in the result header; a
-    transport failure (e.g. this rank was declared dead and dismissed)
-    ends the worker cleanly instead of crashing the process.
+    Under a fault-tolerance policy the compute path degrades gracefully
+    (:func:`~repro.plinger.worker.chunk_compute`: an
+    :class:`~repro.errors.IntegrationError` walks the escalation
+    ladder, mode by mode, with the downgrade reported in the result
+    header); a transport failure (e.g. this rank was declared dead and
+    dismissed) ends the worker cleanly instead of crashing the process.
     """
     ft = fault_tolerance
-    ladder = ft is not None and ft.integration_retries
     telemetry = Telemetry() if with_telemetry else NULL_TELEMETRY
     mp_handle.initpass()
 
@@ -227,78 +216,11 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
             background, thermo = build_tables(params, background, thermo,
                                               telemetry=telemetry)
 
-    def attempt_mode(ik: int, cfg):
-        eng = current_engine()
-        if eng is not None and eng.collapse_mode(ik):
-            raise IntegrationError(
-                f"chaos: forced step collapse (ik={ik})"
-            )
-        k = float(kgrid.k[ik - 1])
-        header, payload, mode = compute_mode(
-            background, thermo, k, ik=ik, config=cfg,
-            telemetry=telemetry,
-        )
-        if mode_sink is not None:
-            # thread-hosted workers share the master's memory: park the
-            # full ModeResult for run_plinger(collect_modes=True)
-            mode_sink[ik] = mode
-        return header, payload
-
-    def on_integration_retry(ik: int, level: int, exc) -> None:
-        telemetry.record_degradation(
-            "integrator",
-            "transient_retry" if level == 0 else "ladder_escalation",
-            f"ik={ik} level={level}: {exc}",
-        )
-
-    def compute(ik: int):
-        if not ladder:
-            return attempt_mode(ik, config)
-        (header, payload), level = run_with_ladder(
-            config, lambda cfg: attempt_mode(ik, cfg),
-            transient_retries=1,
-            on_retry=lambda lvl, exc: on_integration_retry(ik, lvl, exc),
-        )
-        if level:
-            header = replace(header, retry_level=level)
-        return header, payload
-
-    def compute_chunk(iks: list[int]):
-        ks = [float(kgrid.k[ik - 1]) for ik in iks]
-        try:
-            out = []
-            for header, payload, mode in compute_modes_batch(
-                background, thermo, ks, iks, config, telemetry=telemetry,
-            ):
-                if mode_sink is not None:
-                    mode_sink[header.ik] = mode
-                out.append((header, payload))
-            return out
-        except IntegrationError:
-            if not ladder:
-                raise
-            # a lane failed: integrate the chunk serially, mode by mode,
-            # each through the escalation ladder; retry_level >= 1 marks
-            # the batched -> serial downgrade even when the serial
-            # level-0 attempt succeeds
-            out = []
-            for ik in iks:
-                (header, payload), level = run_with_ladder(
-                    config, lambda cfg, _ik=ik: attempt_mode(_ik, cfg),
-                    transient_retries=1,
-                    on_retry=lambda lvl, exc, _ik=ik: on_integration_retry(
-                        _ik, lvl, exc),
-                )
-                out.append((replace(header, retry_level=max(level, 1)),
-                            payload))
-            return out
-
+    compute = chunk_compute(background, thermo, kgrid, config, telemetry,
+                            ladder=ft is not None and ft.integration_retries,
+                            mode_sink=mode_sink)
     try:
-        log = worker_subroutine(
-            mp_handle, compute,
-            compute_chunk=compute_chunk if batched else None,
-            fault_tolerance=ft,
-        )
+        log = worker_subroutine(mp_handle, compute, fault_tolerance=ft)
     except (MessagePassingError, ProtocolError):
         if ft is None:
             raise
@@ -337,18 +259,18 @@ def run_plinger(
     notes PVM allowed ("desirable because the master process requires
     little CPU time").
 
-    With ``batch_size > 1`` the master hands out k-*chunks* (equal-lmax
-    groups of up to that many modes, still largest-k-first) and each
-    worker integrates its chunk through the batched engine; results
-    ship back one header/payload pair per mode, so downstream consumers
-    see the identical wire records.
+    The master hands out k-*chunks* (equal-lmax groups of up to
+    ``batch_size`` modes, still largest-k-first; at 1 the paper's
+    one-wavenumber WORK message) and each worker integrates its chunk
+    as one unit; results ship back one header/payload pair per mode, so
+    downstream consumers see the identical wire records.
 
     Pass an enabled :class:`~repro.telemetry.Telemetry` to also gather
     per-tag message traffic for every rank, per-worker busy/idle time,
     and each worker's per-mode integrator metrics (plus per-chunk
     batch occupancy when ``batch_size > 1``).
 
-    Pass a :class:`~repro.plinger.resilience.FaultTolerance` to run
+    Pass a :class:`~repro.resilience.FaultTolerance` to run
     resiliently: dead workers are detected and quarantined, their
     wavenumbers reassigned with bounded retries, failing integrations
     walk an escalation ladder, and the accounting lands in
@@ -389,14 +311,8 @@ def run_plinger(
         )
     background, thermo = build_tables(params, background, thermo,
                                       cache, telemetry)
-    if batch_size < 1:
-        raise ProtocolError("batch_size must be >= 1")
-    chunks = None
-    if batch_size > 1:
-        tau_end = (background.tau0 if config.tau_end is None
-                   else config.tau_end)
-        chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
-    batched = batch_size > 1
+    tau_end = background.tau0 if config.tau_end is None else config.tau_end
+    chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
 
     if world is None:
         world = get_backend(backend, nproc)
@@ -446,14 +362,14 @@ def run_plinger(
     try:
         if forked:
             world.launch(_worker_entry, worker_bg, worker_th, kgrid, config,
-                         telemetry.enabled, batched, ft, params, use_cache)
+                         telemetry.enabled, ft, params, use_cache)
         elif backend in ("inprocess", "procs"):
             threads = [
                 threading.Thread(
                     target=_worker_entry,
                     args=(world.handle(r), worker_bg, worker_th, kgrid,
-                          config, telemetry.enabled, batched, ft, params,
-                          use_cache, mode_sink),
+                          config, telemetry.enabled, ft, params, use_cache,
+                          mode_sink),
                     daemon=True,
                 )
                 for r in range(1, nproc)

@@ -7,7 +7,7 @@ worker its next wavenumber (tag 3) — or a stop message (tag 6) when the
 grid is exhausted.  Wavenumbers go out in dispatch order: largest
 first, so the expensive modes never land at the end of the run.
 
-Passing a :class:`~repro.plinger.resilience.FaultTolerance` switches to
+Passing a :class:`~repro.resilience.FaultTolerance` switches to
 the fault-tolerant master: same wire tags (headers grow a 22nd value,
 the retry level), but a timed probe loop with per-worker liveness
 deadlines, validation of every inbound record, quarantine of dead
@@ -92,7 +92,7 @@ def master_subroutine(
         mode of the previous one.  ``None`` keeps the paper's protocol:
         one wavenumber per WORK message.
     fault_tolerance:
-        A :class:`~repro.plinger.resilience.FaultTolerance` policy
+        A :class:`~repro.resilience.FaultTolerance` policy
         switches to the resilient master loop (liveness deadlines,
         quarantine, reassignment, validated records); ``None`` keeps
         the paper's fail-loudly protocol exactly.

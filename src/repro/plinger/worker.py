@@ -4,29 +4,40 @@ Receive the setup broadcast, ask for a wavenumber, then loop:
 integrate the mode, ship the 21-value header and the ``2 lmax + 8``
 payload back, and wait for the next wavenumber or a stop message.
 
-With a :class:`~repro.plinger.resilience.FaultTolerance` policy the
+With a :class:`~repro.resilience.FaultTolerance` policy the
 worker becomes resilient: it heartbeats on a timer, waits on the master
 with a deadline, and re-sends READY (with exponential backoff, bounded
 by the retry budget) when a reply goes missing — which re-earns its
 current assignment from the fault-tolerant master.
+
+What "integrate" means is the one callable the loop takes,
+``compute(iks)``; :func:`chunk_compute` builds the production one (the
+escalation ladder around :func:`~repro.linger.serial.compute_modes_batch`)
+for ``run_plinger``'s workers and the warm pool's alike.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..chaos import current_engine
+from ..errors import IntegrationError, ProtocolError
 from ..linger.records import ModeHeader, ModePayload
+from ..linger.serial import compute_modes_batch
 from ..mp.api import MessagePassing
+from ..resilience import FaultTolerance, HeartbeatThread, run_with_ladder
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .master import INIT_MESSAGE_LENGTH
-from ..resilience import FaultTolerance, HeartbeatThread
 from .tags import Tag
 
-__all__ = ["WorkerLog", "worker_subroutine"]
+__all__ = ["WorkerLog", "chunk_compute", "worker_subroutine"]
+
+#: What a worker does with the wavenumber indices of one WORK message.
+ChunkCompute = Callable[[list[int]], list[tuple[ModeHeader, ModePayload]]]
 
 
 @dataclass
@@ -59,26 +70,92 @@ class WorkerLog:
         }
 
 
+def chunk_compute(
+    background,
+    thermo,
+    kgrid,
+    config,
+    telemetry: Telemetry = NULL_TELEMETRY,
+    ladder: bool = False,
+    mode_sink: dict | None = None,
+) -> ChunkCompute:
+    """The production ``compute(iks)`` of a worker rank: integrate the
+    wavenumbers of one WORK message, under the escalation ladder.
+
+    The chunk goes through one
+    :func:`~repro.linger.serial.compute_modes_batch` call.  With
+    ``ladder`` on, an :class:`~repro.errors.IntegrationError` degrades
+    instead of ending the rank: each mode is integrated on its own
+    through :func:`~repro.resilience.run_with_ladder` (one transient
+    same-config retry, then the escalation levels) and the level that
+    succeeded travels back in ``header.retry_level`` — at least 1 for
+    the modes of a multi-k chunk, marking the lockstep → per-mode
+    downgrade even when a level-0 attempt then succeeds.  Every failed
+    attempt leaves an ``integrator`` degradation event in ``telemetry``.
+
+    ``mode_sink`` (thread-hosted workers, which share the master's
+    memory) collects the full ``ModeResult`` by ``ik``.
+    """
+
+    def attempt(iks: list[int], cfg):
+        eng = current_engine()
+        for ik in iks:
+            if eng is not None and eng.collapse_mode(ik):
+                raise IntegrationError(
+                    f"chaos: forced step collapse (ik={ik})"
+                )
+        out = []
+        for header, payload, mode in compute_modes_batch(
+            background, thermo, [float(kgrid.k[ik - 1]) for ik in iks], iks,
+            cfg, telemetry=telemetry,
+        ):
+            if mode_sink is not None:
+                mode_sink[header.ik] = mode
+            out.append((header, payload))
+        return out
+
+    def on_retry(ik: int, level: int, exc) -> None:
+        telemetry.record_degradation(
+            "integrator",
+            "transient_retry" if level == 0 else "ladder_escalation",
+            f"ik={ik} level={level}: {exc}",
+        )
+
+    def compute(iks: list[int]):
+        if not ladder:
+            return attempt(iks, config)
+        floor = 0
+        if len(iks) > 1:
+            try:
+                return attempt(iks, config)
+            except IntegrationError:
+                floor = 1
+        out = []
+        for ik in iks:
+            ((header, payload),), level = run_with_ladder(
+                config, lambda cfg, _ik=ik: attempt([_ik], cfg),
+                transient_retries=1,
+                on_retry=lambda lvl, exc, _ik=ik: on_retry(_ik, lvl, exc),
+            )
+            level = max(level, floor)
+            if level:
+                header = replace(header, retry_level=level)
+            out.append((header, payload))
+        return out
+
+    return compute
+
+
 def worker_subroutine(
     mp: MessagePassing,
-    compute: Callable[[int], tuple[ModeHeader, ModePayload]],
-    compute_chunk: Callable[
-        [list[int]], list[tuple[ModeHeader, ModePayload]]
-    ] | None = None,
+    compute: ChunkCompute,
     fault_tolerance: FaultTolerance | None = None,
 ) -> WorkerLog:
     """Run the worker side of the PLINGER protocol until told to stop.
 
-    Parameters
-    ----------
-    compute:
-        ``compute(ik)`` integrates wavenumber index ``ik`` (1-based)
-        and returns the two records to ship back.
-    compute_chunk:
-        Optional batched unit of work: ``compute_chunk(iks)`` integrates
-        a whole chunk at once and returns the record pairs in order.
-        Used when a WORK message carries more than one wavenumber;
-        without it the worker falls back to per-mode ``compute`` calls.
+    ``compute(iks)`` integrates the wavenumber indices (1-based) of one
+    WORK message and returns their record pairs in order (see
+    :func:`chunk_compute`).
 
     The init broadcast's fourth slot announces the WORK/STOP message
     length (0 means the paper's one-k format); every mode of a chunk
@@ -91,9 +168,7 @@ def worker_subroutine(
     """
     log = WorkerLog()
     if fault_tolerance is not None:
-        return _worker_fault_tolerant(
-            mp, compute, compute_chunk, fault_tolerance, log
-        )
+        return _worker_fault_tolerant(mp, compute, fault_tolerance, log)
     mastid = mp.mastid
 
     # receive initial data from master (idle until it arrives)
@@ -115,11 +190,7 @@ def worker_subroutine(
         if not iks or any(ik < 1 for ik in iks):
             raise ProtocolError(f"worker received invalid work chunk {iks}")
         busy0 = time.perf_counter()
-        if compute_chunk is not None and len(iks) > 1:
-            records = compute_chunk(iks)
-        else:
-            records = [compute(ik) for ik in iks]
-        for header, payload in records:
+        for header, payload in compute(iks):
             if header.lmax != payload.lmax:
                 raise ProtocolError("header/payload lmax mismatch")
             mp.mysendreal(header.pack(), Tag.HEADER, mastid)
@@ -155,8 +226,7 @@ def _parse_work(buf: np.ndarray) -> list[int] | None:
 
 def _worker_fault_tolerant(
     mp: MessagePassing,
-    compute,
-    compute_chunk,
+    compute: ChunkCompute,
     ft: FaultTolerance,
     log: WorkerLog,
 ) -> WorkerLog:
@@ -218,11 +288,7 @@ def _worker_fault_tolerant(
                 continue
 
             busy0 = time.perf_counter()
-            if compute_chunk is not None and len(iks) > 1:
-                records = compute_chunk(iks)
-            else:
-                records = [compute(ik) for ik in iks]
-            for header, payload in records:
+            for header, payload in compute(iks):
                 if header.lmax != payload.lmax:
                     raise ProtocolError("header/payload lmax mismatch")
                 wire = np.append(header.pack(), float(header.retry_level))

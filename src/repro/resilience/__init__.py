@@ -11,9 +11,9 @@ kernels, chaos engine) turned out to need:
   heartbeats, retry bounds); :meth:`FaultTolerance.retry_policy`
   derives the matching :class:`RetryPolicy`.
 * :class:`HeartbeatThread`, :func:`escalation_ladder`,
-  :func:`run_with_ladder` — the PLINGER liveness/compute ladder,
-  promoted from ``repro.plinger.resilience`` (which remains as a
-  compatibility shim).
+  :func:`run_with_ladder` — the PLINGER liveness/compute ladder
+  (:func:`repro.plinger.worker.chunk_compute` wraps a worker's unit
+  of work in it).
 """
 
 from .ladder import (

@@ -1,10 +1,9 @@
 """Fault-tolerance policy and graceful-degradation building blocks.
 
-Promoted from ``repro.plinger.resilience`` once the cache, compiled
-kernels, and chaos engine started needing the same machinery as the
-master/worker protocol.  The paper's design assumes every worker
-survives a ~75 CPU-hour run; this module supplies what a production
-deployment needs when they don't:
+The cache, compiled kernels, and chaos engine need the same machinery
+as the master/worker protocol, so it lives here.  The paper's design
+assumes every worker survives a ~75 CPU-hour run; this module supplies
+what a production deployment needs when they don't:
 
 * :class:`FaultTolerance` — the knobs: per-assignment deadlines, the
   heartbeat cadence, retry/backoff bounds.  Passing one to

@@ -39,7 +39,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,10 +51,8 @@ from ..cache import (
     manifest_to_reals,
 )
 from ..cache.sharing import SharedTableBlock
-from ..chaos import current_engine
 from ..errors import (
     CacheError,
-    IntegrationError,
     MessagePassingError,
     ProtocolError,
     ServeError,
@@ -64,18 +62,16 @@ from ..linger.serial import (
     LingerConfig,
     LingerResult,
     build_tables,
-    compute_mode,
-    compute_modes_batch,
     dispatch_chunks,
 )
 from ..mp.backends.inprocess import InProcessWorld
 from ..params import CosmologyParams
-from ..resilience import FaultTolerance, run_with_ladder
+from ..resilience import FaultTolerance
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from ..plinger.master import master_subroutine
 from ..plinger.tags import Tag
-from ..plinger.worker import WorkerLog, worker_subroutine
+from ..plinger.worker import WorkerLog, chunk_compute, worker_subroutine
 from . import lifecycle
 
 __all__ = ["WarmPool", "PoolStats"]
@@ -103,7 +99,6 @@ class _Job:
     resident: _Resident
     kgrid: KGrid
     config: LingerConfig
-    batched: bool
     live_digests: frozenset
     done: threading.Event = field(default_factory=threading.Event)
 
@@ -294,19 +289,16 @@ class WarmPool:
                       config: LingerConfig, batch_size: int,
                       telemetry: Telemetry) -> LingerResult:
         ft = self.fault_tolerance
-        chunks = None
-        if batch_size > 1:
-            tau_end = (resident.background.tau0 if config.tau_end is None
-                       else config.tau_end)
-            chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
+        tau_end = (resident.background.tau0 if config.tau_end is None
+                   else config.tau_end)
+        chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
 
         self._respawn_dead_workers()
         world = InProcessWorld(self.nproc)
         live = self.resident_digests
         jobs = [
             _Job(world=world, rank=wid + 1, resident=resident,
-                 kgrid=kgrid, config=config, batched=batch_size > 1,
-                 live_digests=live)
+                 kgrid=kgrid, config=config, live_digests=live)
             for wid in range(self.nproc - 1)
         ]
         for wid, job in enumerate(jobs):
@@ -436,61 +428,10 @@ class WarmPool:
             raw = mp.myrecvraw(Tag.CACHE, mp.mastid)
         entry = self._tables_for(wid, job, raw, telemetry)
         background, thermo = entry["background"], entry["thermo"]
-        kgrid, config = job.kgrid, job.config
-
-        def attempt_mode(ik: int, cfg):
-            eng = current_engine()
-            if eng is not None and eng.collapse_mode(ik):
-                raise IntegrationError(
-                    f"chaos: forced step collapse (ik={ik})"
-                )
-            k = float(kgrid.k[ik - 1])
-            header, payload, _mode = compute_mode(
-                background, thermo, k, ik=ik, config=cfg,
-                telemetry=telemetry,
-            )
-            return header, payload
-
-        def compute(ik: int):
-            if not ft.integration_retries:
-                return attempt_mode(ik, config)
-            (header, payload), level = run_with_ladder(
-                config, lambda cfg: attempt_mode(ik, cfg),
-                transient_retries=1,
-            )
-            if level:
-                header = replace(header, retry_level=level)
-            return header, payload
-
-        def compute_chunk(iks: list[int]):
-            ks = [float(kgrid.k[ik - 1]) for ik in iks]
-            try:
-                return [
-                    (header, payload)
-                    for header, payload, _mode in compute_modes_batch(
-                        background, thermo, ks, iks, config,
-                        telemetry=telemetry,
-                    )
-                ]
-            except IntegrationError:
-                if not ft.integration_retries:
-                    raise
-                out = []
-                for ik in iks:
-                    (header, payload), level = run_with_ladder(
-                        config, lambda cfg, _ik=ik: attempt_mode(_ik, cfg),
-                        transient_retries=1,
-                    )
-                    out.append((replace(header, retry_level=max(level, 1)),
-                                payload))
-                return out
-
+        compute = chunk_compute(background, thermo, job.kgrid, job.config,
+                                telemetry, ladder=ft.integration_retries)
         try:
-            log = worker_subroutine(
-                mp, compute,
-                compute_chunk=compute_chunk if job.batched else None,
-                fault_tolerance=ft,
-            )
+            log = worker_subroutine(mp, compute, fault_tolerance=ft)
         except (MessagePassingError, ProtocolError):
             log = WorkerLog()
         mp.publish_telemetry({

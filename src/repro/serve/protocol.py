@@ -51,10 +51,11 @@ class ServeRequest:
     The shape mirrors the CLI ``run`` defaults: a linear k-grid from
     ``k_min`` to ``k_max`` with ``nk`` points, integrated at
     ``lmax``/``rtol`` with the hierarchy C_l read off at
-    ``l = 2 .. lmax - 3``.  ``batch_size`` selects the batched engine;
-    it is an execution hint that rides the wire but not the digest —
-    C_l is bitwise invariant under it (``oracle.batch_invariance``), so
-    differently-batched requests coalesce and share one store entry.
+    ``l = 2 .. lmax - 3``.  ``batch_size`` is the chunk length of the
+    WORK messages; it is an execution hint that rides the wire but not
+    the digest — C_l is bitwise invariant under it
+    (``oracle.batch_invariance``), so differently-batched requests
+    coalesce and share one store entry.
     """
 
     params: CosmologyParams

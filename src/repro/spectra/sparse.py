@@ -286,8 +286,8 @@ def run_sparse_cl(
 ) -> SparseClResult:
     """The end-to-end sparse-k sweep: integrate coarse, project dense.
 
-    ``backend=None`` integrates through ``run_linger`` (serial, or the
-    batched engine with ``batch_size > 1``); naming a thread-hosted
+    ``backend=None`` integrates through ``run_linger`` (in chunks of
+    ``batch_size`` modes); naming a thread-hosted
     message-passing backend (``"inprocess"`` or ``"procs"``) drives the
     coarse sweep through ``run_plinger(collect_modes=True)`` instead.
     ``l_values`` defaults to the canonical

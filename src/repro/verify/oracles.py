@@ -207,7 +207,7 @@ def rhs_kernel_oracle(
     captured ``(tau, y)`` through
 
     * the lane-vectorized python kernel (B=1 batch), and
-    * every available compiled kernel (numba and/or cext),
+    * the compiled kernel (cext) when available,
 
     each against the scalar python reference evaluated on the same
     state; and, when the ``cext`` kernel exists, evolves the same mode
@@ -218,7 +218,7 @@ def rhs_kernel_oracle(
     ``max|x - x_ref| / max|x_ref|`` over states, kernels and the
     compiled-loop leg.  The python lanes and the compiled loop are
     expected bitwise (dev contribution 0.0); the compiled kernels are
-    budgeted at ``oracle.rhs_kernel``.  With no compiler and no numba
+    budgeted at ``oracle.rhs_kernel``.  With no compiler
     the check still measures the real scalar-vs-lane equivalence
     rather than vacuously passing.
     """

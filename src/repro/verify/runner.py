@@ -18,7 +18,7 @@ suite against one cosmology:
    the line-of-sight C_l against the all-modes projection
    (``oracle.sparse_cl``);
 7. replays one monitored mode's full-phase states through every
-   available RHS kernel (lane-vectorized python, numba, cext) against
+   available RHS kernel (lane-vectorized python, cext) against
    the scalar python reference, and the whole mode through the
    compiled step loop against the python driver
    (``oracle.rhs_kernel``);

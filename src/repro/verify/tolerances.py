@@ -203,7 +203,7 @@ TOLERANCES: dict[str, Tolerance] = {
             "oracle.rhs_kernel", rtol=1e-10, atol=0.0,
             provenance=(
                 "One monitored mode replayed through every available RHS "
-                "kernel (lane-vectorized python, numba, cext) against the "
+                "kernel (lane-vectorized python, cext) against the "
                 "scalar python reference, worst max|dy - dy_ref| over the "
                 "recorded states normalized by max|dy_ref|.  The python "
                 "lanes are bitwise (same expression groupings, same libm "

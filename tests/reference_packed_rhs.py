@@ -1,54 +1,22 @@
-"""Packed-ABI RHS kernel: plain-Python reference + optional numba jit.
+"""Plain-python evaluation of the packed operator ABI (frozen reference).
 
-:func:`kernel_rhs_full` is the scalar-loop evaluation of the packed
-operator structure (see ``BoltzmannOperator.pack``).  It is written in
-the numba-supported subset of Python so the *same function object* can
-be jitted when numba is importable, and still runs (slowly) as plain
-Python — which is how the test suite pins the packed evaluation order
-against the NumPy kernels even on machines without numba.
+:func:`kernel_rhs_full` is the scalar-loop evaluation of the flat
+arrays ``BoltzmannOperator.pack`` builds (that docstring is the ABI
+contract), in the evaluation order the C kernel in ``_rhs_cext``
+transcribes.  It is the source of the retired numba backend, moved
+here unchanged: run as ordinary python it is how
+``tests/test_rhs_operator.py`` pins the packed evaluation order against
+the NumPy kernels, on machines with or without a C compiler.
 
-ABI contract (shared with the C kernel in ``_rhs_cext``):
-
-``ints``  int64[16]
-    B, n_state, lmax_photon, lmax_nu, nq, lmax_massive_nu,
-    i_fg, i_gg, i_nl, i_psi, adv0, adv1, damp0, damp1, th_n, rf_n
-``flts``  float64[16]
-    gr_m, gr_gnl, gr_lam, gr_k, gr_c, gr_b, gr_g, gr_nl, gr_nu_rel,
-    r_coef, x0 (= m/T_nu0), I_RHO_MASSLESS, th_x0, th_dx, rf_x0, rf_dx
-``th_c``  (8, th_n)
-    cubic coefficients c3..c0 of ln kappa', then c3..c0 of ln cs2,
-    both on the uniform ln-a grid (th_x0, th_dx)
-``lane_c``  (4, B)
-    per-lane constants: k, k^2, 0.75 k, 4/(3k) — indexed by the
-    *absolute* lane number b
-``adv_lo``/``adv_hi``  (B, adv1-adv0)
-    fused advection coefficients for state columns [adv0, adv1),
-    indexed by absolute b
-``nu_pack``  (5, nq)
-    q nodes, dln f0/dln q, and the rho/q^3/q^4 quadrature weights
-``mnu_pack``  (2, lmax_massive_nu + 1)
-    massive hierarchy advection factors l/(2l+1), (l+1)/(2l+1)
-``rf_c``  (4, rf_n)
-    cubic coefficients of the massive-nu ln(rho-integral) spline on
-    the uniform ln-x grid (rf_x0, rf_dx)
-``tau``  float64[rows], ``Y``/``dY``  (rows, n_state)
-    rows = b1 - b0 lanes of state; lane b lives in row b - b0.
-
-The kernel computes the synchronous-gauge ``rhs_full`` only: the TCA
-phase is cold (a few hundred evaluations per mode) and stays on the
-python kernel, as does the conformal-Newtonian twin.
-
-Tolerance note: the compiled kernels replace BLAS dot products with
-simple accumulation loops and may regroup at the ulp level, so they
-are pinned by the ``oracle.rhs_kernel`` budget (rtol 1e-10), not the
-bitwise gate that ties the python kernels to the goldens.
+It computes the synchronous-gauge ``rhs_full`` only: the TCA phase
+stays on the python kernel, as does the conformal-Newtonian twin.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["kernel_rhs_full", "get_numba", "reset_numba"]
+__all__ = ["kernel_rhs_full"]
 
 
 def kernel_rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi,
@@ -215,37 +183,3 @@ def kernel_rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi,
             dY[bi, base + 2] += (
                 -((1.0 / 15.0) * hdot + (2.0 / 5.0) * etadot) * nu_pack[1, j]
             )
-
-
-_NUMBA_RESOLVED = False
-_NUMBA_FN = None
-
-
-def reset_numba() -> None:
-    """Forget the memoized resolution (tests and chaos recovery)."""
-    global _NUMBA_RESOLVED, _NUMBA_FN
-    _NUMBA_RESOLVED = False
-    _NUMBA_FN = None
-
-
-def get_numba():
-    """The numba-jitted packed kernel, or None if numba is unavailable.
-
-    Resolved lazily and cached: importing numba is expensive and the
-    answer cannot change within a process.  ``fastmath`` stays off —
-    FP reassociation would break the oracle.rhs_kernel budget.
-    """
-    global _NUMBA_RESOLVED, _NUMBA_FN
-    if _NUMBA_RESOLVED:
-        return _NUMBA_FN
-    _NUMBA_RESOLVED = True
-    try:
-        import numba
-    except Exception:
-        _NUMBA_FN = None
-        return None
-    try:
-        _NUMBA_FN = numba.njit(cache=False, fastmath=False)(kernel_rhs_full)
-    except Exception:
-        _NUMBA_FN = None
-    return _NUMBA_FN

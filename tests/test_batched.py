@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import KGrid, LingerConfig, Telemetry, run_linger
+from repro import KGrid, LingerConfig, Telemetry, run_linger, run_plinger
 from repro.errors import ParameterError
 from repro.integrators import DVERK, BatchedDVERK
 from repro.linger.serial import dispatch_chunks
@@ -203,7 +203,7 @@ def test_stop_points_hit_exactly_per_lane():
 # ---------------------------------------------------------------------------
 
 
-def test_dispatch_chunks_partition_and_order():
+def test_dispatch_chunks_partition_and_order(scdm, bg_scdm, thermo_scdm):
     kg = KGrid.from_k(np.geomspace(1e-4, 0.1, 10))
     cfg = LingerConfig(lmax_photon=8)
     chunks = dispatch_chunks(kg, cfg, 10000.0, 4)
@@ -212,8 +212,14 @@ def test_dispatch_chunks_partition_and_order():
     assert max(len(c) for c in chunks) <= 4
     with pytest.raises(ParameterError):
         dispatch_chunks(kg, cfg, 10000.0, 0)
+    # the one check every driver reaches, with the one error type
+    tables = dict(background=bg_scdm, thermo=thermo_scdm)
     with pytest.raises(ParameterError):
-        run_linger(None, kg, cfg, batch_size=0)
+        run_linger(scdm, kg, cfg, batch_size=0, **tables)
+    wire = LingerConfig(lmax_photon=8, record_sources=False,
+                        keep_mode_results=False)
+    with pytest.raises(ParameterError):
+        run_plinger(scdm, kg, wire, nproc=2, batch_size=0, **tables)
 
 
 def test_dispatch_chunks_split_on_lmax_change():
@@ -248,3 +254,17 @@ def test_batch_telemetry_records_occupancy(scdm, bg_scdm, thermo_scdm):
     assert totals["lane_occupancy"] == pytest.approx(batch.occupancy)
     # per-mode records got their grid indices patched in
     assert sorted(m.ik for m in report.modes) == [1, 2, 3, 4]
+    assert report.meta["batch_size"] == 4
+
+    # the default run goes through the same function one lane at a
+    # time: same per-mode rows, and no chunk left a batch row
+    single = Telemetry()
+    run_linger(scdm, kg, cfg, background=bg_scdm, thermo=thermo_scdm,
+               telemetry=single)
+    default = single.build_report()
+    assert default.batches == [] and "batch_size" not in default.meta
+    assert default.totals["n_batches"] == 0
+    by_ik = {m.ik: (m.n_rhs, m.n_steps, m.n_rejected, m.flops_est)
+             for m in report.modes}
+    assert {m.ik: (m.n_rhs, m.n_steps, m.n_rejected, m.flops_est)
+            for m in default.modes} == by_ik

@@ -21,6 +21,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
 
+    def test_rhs_kernel_choices_are_the_operators(self, capsys):
+        from repro.perturbations.operator import KERNELS
+
+        for command in (["run", "--output", "x.npz"],
+                        ["worker", "--connect", "h:1"]):
+            args = build_parser().parse_args(command)
+            assert args.rhs_kernel == "auto"
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args(command + ["--rhs-kernel", "numba"])
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'numba'" in err
+            assert all(repr(name) in err for name in KERNELS)
+
     def test_scaling_defaults(self):
         args = build_parser().parse_args(["scaling"])
         assert args.machine == "IBM SP2"

@@ -35,7 +35,8 @@ def run_faulty(policy, nk=4, nproc=2, master_timeout=2.0):
         mp = world.handle(rank)
         mp.initpass()
         try:
-            worker_subroutine(mp, lambda ik: fake_compute(ik))
+            worker_subroutine(
+                mp, lambda iks: [fake_compute(ik) for ik in iks])
         except (MessagePassingError, ProtocolError) as e:
             worker_errors.append(e)
 

@@ -36,7 +36,7 @@ from repro.plinger import (
     run_plinger,
     worker_subroutine,
 )
-from repro.plinger.resilience import (
+from repro.resilience import (
     LADDER_FIRST_STEP,
     LADDER_RTOL_SCALE,
     escalation_ladder,
@@ -84,6 +84,11 @@ def fake_compute_factory(kgrid, delay=0.0, lmax=8):
     return fake_compute
 
 
+def per_mode(compute):
+    """The worker's ``compute(iks)`` from a one-mode stand-in."""
+    return lambda iks: [compute(ik) for ik in iks]
+
+
 def run_chaos(world, kgrid=KGRID, ft=FT_FAST, compute=None, kill_rank_at=None):
     """Drive a full FT protocol round on ``world`` with fake compute.
 
@@ -99,7 +104,8 @@ def run_chaos(world, kgrid=KGRID, ft=FT_FAST, compute=None, kill_rank_at=None):
         mp = world.handle(rank)
         try:
             mp.initpass()
-            logs[rank] = worker_subroutine(mp, compute, fault_tolerance=ft)
+            logs[rank] = worker_subroutine(mp, per_mode(compute),
+                                           fault_tolerance=ft)
             mp.endpass()
         except Exception:
             pass
@@ -156,7 +162,7 @@ class TestFaultFreeBaseline:
         def worker(rank):
             mp = world.handle(rank)
             mp.initpass()
-            logs[rank] = worker_subroutine(mp, compute)
+            logs[rank] = worker_subroutine(mp, per_mode(compute))
             mp.endpass()
 
         threads = [threading.Thread(target=worker, args=(r,))
@@ -213,7 +219,7 @@ class TestWorkerDeath:
             mp = world.handle(rank)
             try:
                 mp.initpass()
-                logs[rank] = worker_subroutine(mp, compute,
+                logs[rank] = worker_subroutine(mp, per_mode(compute),
                                                fault_tolerance=FT_FAST)
                 mp.endpass()
             except Exception:
@@ -318,7 +324,7 @@ class TestLostAndCorruptResults:
             mp = world.handle(rank)
             try:
                 mp.initpass()
-                logs[rank] = worker_subroutine(mp, compute,
+                logs[rank] = worker_subroutine(mp, per_mode(compute),
                                                fault_tolerance=ft)
                 mp.endpass()
             except Exception:

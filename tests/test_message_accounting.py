@@ -52,7 +52,8 @@ def _run_exchange(world, nk: int):
         mp = world.handle(rank)
         mp.initpass()
         try:
-            worker_subroutine(mp, lambda ik: fake_compute(ik))
+            worker_subroutine(
+                mp, lambda iks: [fake_compute(ik) for ik in iks])
         finally:
             mp.publish_telemetry({"traffic": mp.stats.as_dict()})
             mp.endpass()
@@ -172,6 +173,6 @@ class TestFaultyConservation:
 
 def _procs_worker_entry(mp):
     mp.initpass()
-    worker_subroutine(mp, lambda ik: fake_compute(ik))
+    worker_subroutine(mp, lambda iks: [fake_compute(ik) for ik in iks])
     mp.publish_telemetry({"traffic": mp.stats.as_dict()})
     mp.endpass()

@@ -48,8 +48,9 @@ class TestProtocolFakeWork:
             mp = world.handle(rank)
             mp.initpass()
             logs[rank] = worker_subroutine(
-                mp, lambda ik: fake_compute(
-                    ik, lmax_by_ik(ik) if lmax_by_ik else 8)
+                mp, lambda iks: [
+                    fake_compute(ik, lmax_by_ik(ik) if lmax_by_ik else 8)
+                    for ik in iks]
             )
             mp.endpass()
 
@@ -117,7 +118,8 @@ class TestWorkerErrors:
         def worker():
             mp1.initpass()
             try:
-                worker_subroutine(mp1, lambda ik: fake_compute(ik))
+                worker_subroutine(
+                    mp1, lambda iks: [fake_compute(ik) for ik in iks])
             except ProtocolError as e:
                 errors.append(e)
 
@@ -129,6 +131,101 @@ class TestWorkerErrors:
         mp0.mysendreal(np.array([-3.0]), Tag.WORK, 1)  # invalid ik
         t.join(10.0)
         assert errors
+
+
+class TestChunkCompute:
+    """The one compute callable a worker takes, over a WORK stream that
+    mixes multi-k and one-k messages (the semantics the driver's and
+    the warm pool's closure sets used to spell out separately)."""
+
+    CHUNKS = [[4, 3], [2], [1, 0]]  # grid indices; the wire is 1-based
+    CONFIG = LingerConfig(lmax_photon=6, lmax_nu=6, rtol=1e-3,
+                          record_sources=False, keep_mode_results=False)
+    KGRID = KGrid.from_k(np.geomspace(2e-3, 0.04, 5))
+
+    def run_stream(self, bg, thermo, config, ft=None, telemetry=None):
+        from repro.plinger.worker import chunk_compute
+        from repro.telemetry import NULL_TELEMETRY
+
+        world = InProcessWorld(2)
+        compute = chunk_compute(
+            bg, thermo, self.KGRID, config, telemetry or NULL_TELEMETRY,
+            ladder=ft is not None and ft.integration_retries)
+        calls = []
+
+        def worker():
+            mp = world.handle(1)
+            mp.initpass()
+            worker_subroutine(
+                mp, lambda iks: calls.append(list(iks)) or compute(iks),
+                fault_tolerance=ft)
+            mp.endpass()
+
+        t = threading.Thread(target=worker, daemon=True)
+        t.start()
+        mp0 = world.handle(0)
+        mp0.initpass()
+        log = master_subroutine(mp0, self.KGRID, chunks=self.CHUNKS,
+                                fault_tolerance=ft)
+        mp0.endpass()
+        t.join(30.0)
+        assert not t.is_alive()
+        assert calls == [[5, 4], [3], [2, 1]]
+        assert [h.ik for h in log.headers] == [5, 4, 3, 2, 1]
+        return log
+
+    @staticmethod
+    def physics(log):
+        """Every wire field but cpu_seconds, by ik."""
+        return {h.ik: (np.delete(h.pack(), 18).tobytes(), p.pack().tobytes())
+                for h, p in zip(log.headers, log.payloads)}
+
+    def test_one_callable_serves_one_k_and_multi_k_messages(
+            self, bg_scdm, thermo_scdm):
+        from repro.linger.serial import compute_mode
+
+        log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG)
+        alone = {}
+        for ik in range(1, 6):
+            h, p, _ = compute_mode(bg_scdm, thermo_scdm,
+                                   float(self.KGRID.k[ik - 1]), ik,
+                                   self.CONFIG)
+            alone[ik] = (np.delete(h.pack(), 18).tobytes(),
+                         p.pack().tobytes())
+        assert self.physics(log) == alone
+
+    def test_ladder_levels_reach_the_headers(self, bg_scdm, thermo_scdm):
+        from dataclasses import replace
+
+        from repro.chaos import ChaosPolicy, active
+        from repro.resilience import FaultTolerance
+        from repro.telemetry import Telemetry
+
+        ft = FaultTolerance(worker_timeout=30.0, integration_retries=True)
+        clean = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG, ft=ft)
+        assert {h.retry_level for h in clean.headers} == {0}
+
+        # forced collapses, once each, of iks 5, 4 (a chunk) and 3 (alone)
+        telemetry = Telemetry()
+        with active(ChaosPolicy(integrator_faults=3)):
+            log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG, ft=ft,
+                                  telemetry=telemetry)
+        # the chunk's modes report the lockstep -> per-mode downgrade;
+        # the lone mode recovered on its transient retry: ladder level 0
+        assert {h.ik: h.retry_level for h in log.headers} == {
+            5: 1, 4: 1, 3: 0, 2: 0, 1: 0}
+        assert log.fault.degraded_modes == [{"ik": 5, "level": 1},
+                                            {"ik": 4, "level": 1}]
+        assert self.physics(log) == self.physics(clean)
+        events = telemetry.degradation.events
+        assert [e["event"] for e in events] == ["transient_retry"] * 2
+        assert [e["detail"].split()[0] for e in events] == ["ik=4", "ik=3"]
+
+        # a fault that outlives the retry climbs the ladder: a hopeless
+        # opening step fails level 0 on every route, level 1 replaces it
+        hopeless = replace(self.CONFIG, first_step=1e-300)
+        log = self.run_stream(bg_scdm, thermo_scdm, hopeless, ft=ft)
+        assert {h.retry_level for h in log.headers} == {1}
 
 
 @pytest.mark.parametrize("backend", ["inprocess", "procs"])

@@ -9,12 +9,13 @@ The refactor's contract, pinned here:
   evaluation times, for both the nq=0 and the massive-neutrino
   layouts.  This is what lets the goldens and the wire-record oracles
   stand unchanged.
-* **compiled-kernel gate** — the packed plain-python kernel (the numba
-  source, run uncompiled) is bitwise too; the lazily-compiled C kernel
-  is budgeted at the ``oracle.rhs_kernel`` tolerance (rtol 1e-10) and
-  gated out when no C compiler is present, as is numba when absent.
-* **kernel resolution** — unknown names raise, unavailable kernels
-  fall back to python silently, ``auto`` resolves to something real.
+* **compiled-kernel gate** — the packed-ABI evaluation written out in
+  plain python (``tests/reference_packed_rhs.py``) is bitwise too; the
+  lazily-compiled C kernel is budgeted at the ``oracle.rhs_kernel``
+  tolerance (rtol 1e-10) and gated out when no C compiler is present.
+* **kernel resolution** — unknown names (the retired ``numba``
+  included) raise, an unavailable ``cext`` falls back to python
+  silently, ``auto`` resolves to something real.
 * **telemetry** — eval counters are shared between a batch and its
   lane views, the structural flop census is identical on every path
   (serial / batched / compiled), and the ``RhsMetrics`` report section
@@ -43,14 +44,15 @@ from repro.perturbations import (
     evolve_mode,
 )
 from repro.perturbations._rhs_cext import get_cext
-from repro.perturbations._rhs_numba import get_numba, kernel_rhs_full
 from repro.perturbations.evolve import tau_initial
 from repro.perturbations.operator import (
+    KERNELS,
     BoltzmannOperator,
     available_kernels,
     resolve_kernel,
 )
 from repro.telemetry import RhsMetrics, RunReport, Telemetry
+from tests.reference_packed_rhs import kernel_rhs_full
 from tests.reference_rhs import ReferencePerturbationSystem
 
 LAYOUT_NQ0 = dict(lmax_photon=8, lmax_nu=8, nq=0, lmax_massive_nu=0)
@@ -166,7 +168,7 @@ def _packed_eval(op, fn, tau, Y):
 
 @pytest.mark.parametrize("nq", [0, 4])
 def test_packed_python_kernel_bitwise(request, nq):
-    """The numba source, run as plain python, is bitwise equal to the
+    """The packed ABI evaluated in plain python is bitwise equal to the
     reference rhs_full — same groupings, same libm calls."""
     bg, thermo, layout = _fixtures(request, nq)
     rng = np.random.default_rng(7)
@@ -208,28 +210,6 @@ def test_cext_kernel_within_oracle_budget(request, nq):
         scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
         dev = float(np.max(np.abs(dY[b] - dy_ref))) / scale
         assert dev <= tol.rtol, f"lane {b}: {dev:.3e} > {tol.rtol:.1e}"
-
-
-@pytest.mark.skipif(get_numba() is None, reason="numba not installed")
-def test_numba_kernel_within_oracle_budget(request):
-    from repro.verify.tolerances import budget
-
-    bg, thermo, layout = _fixtures(request, 0)
-    rng = np.random.default_rng(13)
-    Y = np.empty((KS.size, layout.n_state))
-    tau = np.empty(KS.size)
-    op = BoltzmannOperator(bg, thermo, KS, layout)
-    for b, k in enumerate(KS):
-        tau0, Y[b] = _random_state(layout, bg, float(k), rng,
-                                   q_nodes=op.q_nodes)
-        tau[b] = 3.0 * tau0
-    dY = _packed_eval(op, get_numba(), tau, Y)
-    tol = budget("oracle.rhs_kernel")
-    for b, k in enumerate(KS):
-        ref = ReferencePerturbationSystem(bg, thermo, float(k), layout)
-        dy_ref = ref.rhs_full(float(tau[b]), Y[b])
-        scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
-        assert float(np.max(np.abs(dY[b] - dy_ref))) / scale <= tol.rtol
 
 
 @pytest.mark.skipif("cext" not in available_kernels(),
@@ -288,11 +268,13 @@ def test_resolve_kernel_contract():
     assert resolve_kernel("python") == "python"
     assert resolve_kernel("auto") in available_kernels()
     assert resolve_kernel("auto") != "auto"
-    with pytest.raises(ParameterError):
-        resolve_kernel("fortran")
-    # unavailable compiled kernels degrade to python, never raise
-    for name in ("numba", "cext"):
-        assert resolve_kernel(name) in (name, "python")
+    assert KERNELS == ("python", "cext", "auto")
+    for gone in ("fortran", "numba"):
+        with pytest.raises(ParameterError) as err:
+            resolve_kernel(gone)
+        assert all(repr(name) in str(err.value) for name in KERNELS)
+    # an unavailable compiled kernel degrades to python, never raises
+    assert resolve_kernel("cext") in ("cext", "python")
 
 
 def test_available_kernels_always_offer_python():
@@ -305,7 +287,7 @@ def test_system_records_resolved_kernel(bg_scdm, thermo_scdm):
     layout = StateLayout(**LAYOUT_NQ0)
     sys_auto = PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
                                   rhs_kernel="auto")
-    assert sys_auto.rhs_kernel in ("python", "numba", "cext")
+    assert sys_auto.rhs_kernel in ("python", "cext")
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +362,15 @@ def test_rhs_metrics_roundtrip_and_merge():
     assert back.rhs == m
     assert back.to_dict()["totals"]["rhs_compiled_fraction"] == \
         pytest.approx(0.9)
+
+    # a report written before the numba backend went still loads: its
+    # zero-count key is just one more entry of the evals dict
+    old = report.to_dict()
+    old["rhs"]["evals"]["numba"] = 0
+    old["rhs"]["seconds"]["numba"] = 0.0
+    loaded = RunReport.from_dict(old)
+    assert loaded.rhs.evals == {**m.evals, "numba": 0}
+    assert loaded.rhs.total_evals == 100
 
 
 def test_worker_payload_carries_rhs_section():

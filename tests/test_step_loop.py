@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import KGrid, LingerConfig, run_linger
 from repro.chaos import ChaosPolicy, active
 from repro.errors import IntegrationError
 from repro.integrators import DVERK, IntegratorStats
@@ -132,6 +133,26 @@ def test_first_step_is_honoured_identically(request):
                                    **TOL)
     assert out.y.tobytes() == y_py.tobytes()
     assert out.n_rhs == stats.n_rhs
+
+    # ... and by every route a chunk can take: the lockstep driver and
+    # the lane-by-lane compiled loop open with the forced step as the
+    # scalar driver does (batch_size > 1 used to drop it)
+    bg, thermo = system.background, system.thermo
+    kgrid = KGrid.from_k(np.geomspace(2e-3, 0.05, 4))
+
+    def run(kernel, batch_size, first_step=1e-4):
+        cfg = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4,
+                           rhs_kernel=kernel, first_step=first_step)
+        res = run_linger(bg.params, kgrid, cfg, background=bg, thermo=thermo,
+                         batch_size=batch_size)
+        return [(m.stats.n_steps, p.pack().tobytes(),
+                 {name: arr.tobytes() for name, arr in m.records.items()})
+                for m, p in zip(res.modes, res.payloads)]
+
+    forced = run("python", 1)
+    assert [m[0] for m in forced] != [m[0] for m in run("python", 1, None)]
+    for kernel, batch_size in (("python", 3), ("cext", 1), ("cext", 3)):
+        assert run(kernel, batch_size) == forced, (kernel, batch_size)
 
 
 # -- (a) failure legs: the python driver owns the semantics -------------------
@@ -271,8 +292,6 @@ def test_auto_without_a_compiler_warns_once_and_runs_python(
     monkeypatch.setattr(operator, "_warned_auto_python", False)
     _rhs_cext.reset_cext()
     try:
-        if "numba" in available_kernels():
-            pytest.skip("numba present: auto does not fall to python")
         with caplog.at_level(logging.WARNING, logger="repro.kernel"):
             assert operator.resolve_kernel("auto") == "python"
             assert operator.resolve_kernel("auto") == "python"
