@@ -1,8 +1,8 @@
 """TAB-CHAOS — the price of graceful degradation.
 
 One PLINGER grid (8 modes, 3 workers) run clean, then once per chaos
-profile — ``cache`` (torn/garbled store writes + shared-table attach
-failure), ``kernel`` (NaN-poisoned compiled RHS + compile/stale-``.so``
+profile — ``cache`` (a torn/garbled store write the run then has to
+quarantine), ``kernel`` (NaN-poisoned compiled RHS + compile/stale-``.so``
 faults), ``integrator`` (forced step collapse), and ``all`` — with
 seeded, deterministic fault injection via :mod:`repro.chaos`.  For each
 profile the harness records the recovery economics:
@@ -59,6 +59,9 @@ def _chaotic_run(profile, scdm, bg, thermo, kgrid, cache_dir):
     cache = PrecomputeCache(cache_dir / profile)
     t0 = time.perf_counter()
     with active(ChaosPolicy.from_profile(profile, seed=SEED)) as engine:
+        # a warm-up build takes the store-write corruption, so the run's
+        # own load meets the corrupted entry and must quarantine it
+        PrecomputeCache(cache_dir / profile).background(scdm)
         result, _ = run_plinger(
             scdm, kgrid, _config(), nproc=NPROC, backend="inprocess",
             telemetry=telemetry, fault_tolerance=_ft(), cache=cache,

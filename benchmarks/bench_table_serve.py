@@ -3,8 +3,9 @@
 The spectrum service answers C_l requests from three tiers: an exact
 hit in the content-addressed run-result store replays stored arrays in
 milliseconds; a request identical to one already in flight coalesces
-onto that computation; a genuine miss runs on the resident warm pool
-whose precompute tables stay attached in shared memory between runs.
+onto that computation; a genuine miss is one ``run_plinger`` call
+through the warm pool, which keeps each recent cosmology's built
+tables so a repeat cosmology skips the table build.
 
 This benchmark drives a live daemon over real TCP with a
 duplicate-heavy request mix — the parameter-study workload the service
@@ -44,7 +45,7 @@ BURST = 4
 #: Fresh k-grids for the dispatch leg (store misses by construction).
 #: Small on purpose: short requests are the regime where per-request
 #: dispatch overhead — forking a world and rebuilding tables — is the
-#: dominant cost the warm pool exists to amortize.
+#: dominant cost, and the table build is the part the pool amortizes.
 MISS_KMAX = (2.0e-3, 2.5e-3, 3.0e-3)
 
 
@@ -115,8 +116,9 @@ def test_serve_latency_and_dispatch(benchmark, capsys, tmp_path):
     tier_rates = {tier: count / metrics.requests
                   for tier, count in sorted(metrics.by_tier.items())}
 
-    # dispatch leg: resident warm pool vs a fresh forked world per
-    # request, on a cache-miss mix (new k-grids, same cosmology)
+    # dispatch leg: the pool (warm tables, worker threads per run) vs
+    # a fresh forked world and table build per request, on a cache-miss
+    # mix (new k-grids, same cosmology)
     warm_seconds, refork_seconds = [], []
     with WarmPool(nproc=3) as pool:
         primer = _request(DISTINCT_NK[0])
@@ -172,8 +174,8 @@ def test_serve_latency_and_dispatch(benchmark, capsys, tmp_path):
                 ["tier hit rates", " ".join(
                     f"{t}={r:.2f}" for t, r in tier_rates.items())],
                 ["burst computed runs", f"{burst_computed}/{BURST}"],
-                ["warm dispatch median [s]", f"{warm_median:.2f}"],
-                ["re-fork median [s]", f"{refork_median:.2f}"],
+                ["warm dispatch median [s]", f"{warm_median:.3f}"],
+                ["re-fork median [s]", f"{refork_median:.3f}"],
                 ["dispatch speedup", f"{dispatch_speedup:.2f}x"],
             ],
             title=f"TAB-SERVE: spectrum service -> {out.name}",

@@ -19,12 +19,13 @@ The package implements the full LINGER/PLINGER system in Python:
 * :mod:`repro.data`          — the 1995 bandpower compilation
 * :mod:`repro.telemetry`     — run metrics: integrator cost, message
   accounting, worker utilization, JSON :class:`RunReport`
-* :mod:`repro.cache`         — content-addressed precompute-table cache
-  with zero-copy shared-memory distribution to PLINGER workers
+* :mod:`repro.cache`         — content-addressed on-disk cache of the
+  precomputed background, thermal and j_l tables
 * :mod:`repro.verify`        — Einstein-constraint monitors,
   differential/analytic oracles, and the tolerance-budget registry
 * :mod:`repro.serve`         — the warm spectrum service: run-result
-  store, in-flight coalescing, resident PLINGER worker pool
+  store, in-flight coalescing, warm per-cosmology tables in front of
+  ``run_plinger``
 
 Quickstart::
 

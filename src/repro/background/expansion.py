@@ -88,8 +88,8 @@ class Background:
     ) -> "Background":
         """Rebuild a background from :meth:`to_tables` output.
 
-        ``tables`` may hold ordinary arrays or read-only shared-memory
-        views; nothing is copied.
+        ``tables`` may hold ordinary arrays or read-only views;
+        nothing is copied.
         """
         self = cls.__new__(cls)
         self.a_min = float(tables["a_min"])

@@ -1,23 +1,20 @@
-"""Content-addressed precompute cache with zero-copy worker sharing.
+"""Content-addressed precompute cache.
 
 See :mod:`repro.cache.precompute` for the facade, :mod:`.keys` for the
-key scheme, :mod:`.store` for the digest-verified on-disk format and
-:mod:`.sharing` for the shared-memory block.
+key scheme and :mod:`.store` for the digest-verified on-disk format.
+The cache is an on-disk tier only: how tables reach a PLINGER rank
+(handed over, inherited at fork, or built in place) is
+:func:`repro.linger.build_tables`'s business, not this package's.
 """
 
 from .keys import CACHE_VERSION, cache_key, canonical_blob
-from .precompute import AttachedTables, PrecomputeCache
-from .sharing import SharedTableBlock, manifest_from_reals, manifest_to_reals
+from .precompute import PrecomputeCache
 from .store import TableStore
 
 __all__ = [
-    "AttachedTables",
     "CACHE_VERSION",
     "PrecomputeCache",
-    "SharedTableBlock",
     "TableStore",
     "cache_key",
     "canonical_blob",
-    "manifest_from_reals",
-    "manifest_to_reals",
 ]

@@ -5,8 +5,7 @@ needs the same k-independent state: the background time table, the
 thermal/visibility history, the massive-neutrino q-grid integrals and
 — for line-of-sight spectra — a dense j_l(x) table.  COSMICS shipped
 these as precomputed table files; :class:`PrecomputeCache` is that
-idea as a content-addressed store (see :mod:`repro.cache.keys`) plus a
-zero-copy shared-memory publication step for the ``procs`` backend.
+idea as a content-addressed store (see :mod:`repro.cache.keys`).
 
 Guarantees:
 
@@ -36,10 +35,9 @@ from ..telemetry.report import CacheMetrics, DegradationMetrics
 from ..thermo import ThermalHistory
 from ..thermo.history import SOLVER_REVISION
 from .keys import cache_key
-from .sharing import SharedTableBlock
 from .store import TableStore
 
-__all__ = ["PrecomputeCache", "AttachedTables"]
+__all__ = ["PrecomputeCache"]
 
 
 class PrecomputeCache:
@@ -52,9 +50,6 @@ class PrecomputeCache:
     metrics:
         An optional :class:`CacheMetrics` to account into (a fresh one
         is created otherwise; exposed as ``self.metrics`` either way).
-    share_backend:
-        ``"shm"`` (POSIX shared memory, the default) or ``"memmap"``
-        for :meth:`publish`.
     retry:
         The :class:`~repro.resilience.RetryPolicy` governing corrupt-
         entry quarantine: a load that raises
@@ -65,11 +60,9 @@ class PrecomputeCache:
     """
 
     def __init__(self, cache_dir, metrics: CacheMetrics | None = None,
-                 share_backend: str = "shm",
                  retry: RetryPolicy | None = None) -> None:
         self.store = TableStore(cache_dir)
         self.metrics = metrics if metrics is not None else CacheMetrics()
-        self.share_backend = share_backend
         self.retry = retry if retry is not None else RetryPolicy(
             max_retries=2, backoff_base=0.0, backoff_cap=0.0)
         self.degradation = DegradationMetrics()
@@ -206,76 +199,3 @@ class PrecomputeCache:
             "bessel", key, build=build,
             from_tables=BesselCache.from_tables,
         )
-
-    # -- zero-copy distribution ---------------------------------------------
-
-    def publish(self, background: Background | None = None,
-                thermo: ThermalHistory | None = None,
-                bessel: BesselCache | None = None) -> SharedTableBlock:
-        """Pack the given tables into one shared block for the workers.
-
-        Returns the block; broadcast ``block.manifest`` (see
-        :func:`~repro.cache.sharing.manifest_to_reals`) and have each
-        worker call :meth:`AttachedTables.attach`.  The caller owns the
-        block and must ``close()`` + ``unlink()`` it after the run.
-        """
-        arrays: dict[str, np.ndarray] = {}
-        if background is not None:
-            for name, arr in background.to_tables().items():
-                arrays[f"bg/{name}"] = arr
-        if thermo is not None:
-            for name, arr in thermo.to_tables().items():
-                arrays[f"th/{name}"] = arr
-        if bessel is not None:
-            for name, arr in bessel.to_tables().items():
-                arrays[f"jl/{name}"] = arr
-        block = SharedTableBlock.create(arrays, backend=self.share_backend)
-        self.metrics.bytes_shared += block.total_bytes
-        self.metrics.shared_backend = block.backend
-        return block
-
-
-class AttachedTables:
-    """A worker's read-only view of a published table block."""
-
-    def __init__(self, block: SharedTableBlock) -> None:
-        self.block = block
-
-    @classmethod
-    def attach(cls, manifest: dict) -> "AttachedTables":
-        from ..chaos import current_engine
-        from ..errors import CacheError
-
-        eng = current_engine()
-        if eng is not None and eng.fail_attach():
-            raise CacheError(
-                "chaos: injected shared-table attach failure"
-            )
-        return cls(SharedTableBlock.attach(manifest))
-
-    def _group(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            name[len(prefix):]: arr
-            for name, arr in self.block.arrays.items()
-            if name.startswith(prefix)
-        }
-
-    def background(self, params: CosmologyParams) -> Background:
-        """The shared background, reconstructed without copying."""
-        return Background.from_tables(params, self._group("bg/"))
-
-    def thermal(self, background: Background) -> ThermalHistory:
-        """The shared thermal history, reconstructed without copying."""
-        return ThermalHistory.from_tables(background, self._group("th/"))
-
-    def bessel(self) -> BesselCache | None:
-        """The shared Bessel table, or None if none was published."""
-        group = self._group("jl/")
-        return BesselCache.from_tables(group) if group else None
-
-    @property
-    def bytes_mapped(self) -> int:
-        return self.block.total_bytes
-
-    def close(self) -> None:
-        self.block.close()

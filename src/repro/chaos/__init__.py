@@ -2,10 +2,9 @@
 
 PR 3's ``FaultyWorld`` injected faults at the message layer only; this
 package extends the same pattern to every subsystem added since: the
-content-addressed cache (torn/garbled npz writes, shm attach failure),
-the compiled RHS kernels (compile failure, NaN poisoning, stale
-``.so``), and the integrator (forced step collapse on chosen modes) —
-all behind one :class:`ChaosPolicy` and one installed
+content-addressed cache (torn/garbled npz writes), the compiled RHS
+kernels (compile failure, NaN poisoning, stale ``.so``), and the
+integrator (forced step collapse on chosen modes) — all behind one :class:`ChaosPolicy` and one installed
 :class:`ChaosEngine` that production code queries at each injection
 site.  The production-side response lives in :mod:`repro.resilience`;
 :mod:`repro.verify.oracles.chaos_degradation_oracle` proves the two

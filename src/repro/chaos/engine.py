@@ -1,11 +1,11 @@
 """The seeded cross-layer fault-injection engine.
 
 :class:`ChaosPolicy` declares *what* to break — cache-store writes,
-shared-table attachment, compiled-kernel outputs/compilation, the
-content-addressed ``.so`` cache, chosen integrator modes, and the
-mp-layer CACHE broadcast — and :class:`ChaosEngine` decides *when*,
-deterministically from the seed and per-site opportunity counters, so
-a given (policy, code path) pair always injects the same faults.
+compiled-kernel outputs/compilation, the content-addressed ``.so``
+cache and chosen integrator modes — and :class:`ChaosEngine` decides
+*when*, deterministically from the seed and per-site opportunity
+counters, so a given (policy, code path) pair always injects the same
+faults.
 
 The engine extends the mp-layer ``FaultyWorld`` pattern (PR 3) across
 the whole stack: production code asks the installed engine for a
@@ -33,13 +33,13 @@ __all__ = [
 
 #: Named bundles for ``--chaos-profile``: which budgets a profile arms.
 PROFILES = {
-    "cache": {"cache_write_faults": 1, "attach_faults": 1},
+    "cache": {"cache_write_faults": 1},
     "kernel": {"kernel_nan_faults": 1, "compile_faults": 1,
                "stale_so_faults": 1},
     "integrator": {"integrator_faults": 1},
-    "all": {"cache_write_faults": 1, "attach_faults": 1,
-            "kernel_nan_faults": 1, "compile_faults": 1,
-            "stale_so_faults": 1, "integrator_faults": 1},
+    "all": {"cache_write_faults": 1, "kernel_nan_faults": 1,
+            "compile_faults": 1, "stale_so_faults": 1,
+            "integrator_faults": 1},
 }
 
 
@@ -56,9 +56,6 @@ class ChaosPolicy:
         Corrupt that many npz store writes — ``"garble"`` flips bytes
         mid-file (digest mismatch), ``"torn"`` truncates the tmp file
         before the atomic rename (torn write).
-    ``attach_faults``
-        Fail that many shared-table attach attempts (shm segment
-        "missing").
     ``kernel_nan_faults``
         Poison that many compiled ``rhs_full`` outputs with NaN.
     ``compile_faults`` / ``stale_so_faults``
@@ -67,21 +64,15 @@ class ChaosPolicy:
     ``integrator_faults``
         Force a step collapse (one ``IntegrationError``) on that many
         distinct wavenumbers — the first N distinct iks attempted.
-    ``mp_cache_drop_every`` / ``mp_cache_corrupt_every``
-        Arm mp-layer ``FaultyWorld`` policies against the tag-8 CACHE
-        broadcast (see :meth:`ChaosEngine.mp_policies`); 0 disables.
     """
 
     seed: int = 0
     cache_write_faults: int = 0
     cache_write_mode: str = "garble"
-    attach_faults: int = 0
     kernel_nan_faults: int = 0
     compile_faults: int = 0
     stale_so_faults: int = 0
     integrator_faults: int = 0
-    mp_cache_drop_every: int = 0
-    mp_cache_corrupt_every: int = 0
 
     @classmethod
     def from_profile(cls, profile: str, seed: int = 0,
@@ -132,10 +123,6 @@ class ChaosEngine:
             return self.policy.cache_write_mode
         return None
 
-    def fail_attach(self) -> bool:
-        """Fail this shared-table attach attempt?"""
-        return self._take("attach", self.policy.attach_faults)
-
     # -- compiled-kernel surface --------------------------------------
     def poison_rhs(self, kernel: str) -> bool:
         """Poison this compiled rhs_full output with NaN?
@@ -175,23 +162,6 @@ class ChaosEngine:
                 self.injected.get("integrator", 0) + 1
             )
             return True
-
-    # -- mp surface ----------------------------------------------------
-    def mp_policies(self) -> list:
-        """``FaultyWorld`` policies targeting the CACHE broadcast."""
-        from ..mp.backends.faulty import FaultPolicy
-        from ..plinger.tags import Tag
-
-        policies = []
-        if self.policy.mp_cache_drop_every > 0:
-            policies.append(FaultPolicy.every_nth(
-                self.policy.mp_cache_drop_every, tags=[Tag.CACHE],
-                action="drop"))
-        if self.policy.mp_cache_corrupt_every > 0:
-            policies.append(FaultPolicy.every_nth(
-                self.policy.mp_cache_corrupt_every, tags=[Tag.CACHE],
-                action="corrupt_payload"))
-        return policies
 
     def summary(self) -> dict:
         """Injected-fault counts plus the policy, for reports."""

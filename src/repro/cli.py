@@ -128,9 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="precompute-table cache directory: background "
                             "and thermal tables are stored content-"
                             "addressed and reloaded bit-identically on "
-                            "repeat runs; with --parallel the tables are "
-                            "also shared zero-copy with the workers "
-                            "(default: $REPRO_CACHE_DIR)")
+                            "repeat runs (default: $REPRO_CACHE_DIR)")
     p_run.add_argument("--no-cache", action="store_true",
                        help="ignore --cache-dir / $REPRO_CACHE_DIR")
     p_run.add_argument("--chaos-seed", type=int, default=None, metavar="N",
@@ -152,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "worker rank until dismissed.  The model/grid/"
                     "integration options must mirror the master's run — "
                     "the INIT broadcast carries only the grid size, so "
-                    "the physics configuration travels out of band.  A "
+                    "the physics configuration travels out of band and "
+                    "this rank builds its own background and thermal "
+                    "tables from it, bit-identical to the master's.  A "
                     "worker that connects after the run has started is "
                     "admitted as an elastic rank (fault-tolerant runs "
                     "only).",
@@ -177,12 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="liveness heartbeat cadence (0 = off; "
                             "ignored without --worker-timeout)")
-    p_wrk.add_argument("--use-cache", action="store_true",
-                       help="attach the master's shared precompute "
-                            "tables instead of building locally: "
-                            "shared memory when co-located, wire "
-                            "transfer across hosts (the master must "
-                            "run with a cache)")
     p_wrk.add_argument("--connect-timeout", type=float, default=30.0)
 
     p_spec = sub.add_parser("spectrum", help="C_l from an archive")
@@ -387,11 +381,8 @@ def _cmd_run_inner(args) -> int:
         print(f"LINGER: {kgrid.nk} modes, {result.wall_seconds:.1f} s")
     if cache is not None:
         m = cache.metrics
-        shared = (f", {m.bytes_shared} B shared with "
-                  f"{m.workers_attached} workers ({m.shared_backend})"
-                  if m.bytes_shared else "")
         print(f"cache: {m.hits} hits / {m.misses} misses in "
-              f"{args.cache_dir}{shared}")
+              f"{args.cache_dir}")
     path = save_run(result, args.output)
     print(f"archived to {path}")
     if args.report:
@@ -498,10 +489,6 @@ def _print_report_summary(report) -> None:
         rows.append(["cache hits / misses", f"{cm.hits} / {cm.misses}"])
         rows.append(["cache build [s]", f"{cm.build_seconds:.3f}"])
         rows.append(["cache load [s]", f"{cm.load_seconds:.3f}"])
-        if cm.bytes_shared:
-            rows.append(["cache bytes shared",
-                         f"{cm.bytes_shared} ({cm.shared_backend}, "
-                         f"{cm.workers_attached} workers)"])
     if report.sparse is not None:
         sm = report.sparse
         rows.append(["sparse factor", sm.sparse_factor])
@@ -560,13 +547,6 @@ def cmd_worker(args) -> int:
             max_retries=args.max_retries,
             heartbeat_interval=args.heartbeat_interval,
         )
-    background = thermo = None
-    if not args.use_cache:
-        # build the tables up front (deterministic, bit-identical to
-        # the master's) so connect-to-READY latency stays low; with
-        # --use-cache they arrive via shm attach or wire transfer
-        background = Background(params)
-        thermo = ThermalHistory(background)
     try:
         handle = connect_worker(host or "127.0.0.1", int(port),
                                 timeout=args.connect_timeout)
@@ -576,8 +556,9 @@ def cmd_worker(args) -> int:
         return 1
     print(f"worker: joined {args.connect} as rank {handle.mytid} "
           f"of {handle.nproc}")
-    _worker_entry(handle, background, thermo, kgrid, config,
-                  True, fault_tolerance, params, args.use_cache)
+    # no tables handed over: the rank builds its own from ``params``
+    _worker_entry(handle, None, None, kgrid, config, with_telemetry=True,
+                  fault_tolerance=fault_tolerance, params=params)
     print(f"worker: rank {handle.mytid} done "
           f"({handle.stats.messages_sent} messages sent, "
           f"{handle.stats.bytes_sent} payload bytes)")

@@ -118,21 +118,6 @@ class FaultyWorld(World):
         (chaos tests pin recovery telemetry against these)."""
         return self._per_policy.get(id(policy), 0)
 
-    @property
-    def faults_by_tag_name(self) -> dict[str, int]:
-        """``faults_by_tag`` keyed by protocol tag name (``"CACHE"``,
-        ``"WORK"``, ...; unknown tags keep their integer as a string).
-        The CACHE manifest broadcast is a first-class target: a
-        ``drop`` or ``corrupt_payload`` policy on ``Tag.CACHE`` lands
-        here like any protocol-tag fault."""
-        from ...plinger.tags import Tag
-
-        names = {int(t): t.name for t in Tag}
-        return {
-            names.get(tag, str(tag)): n
-            for tag, n in sorted(self.faults_by_tag.items())
-        }
-
     def handle(self, rank: int) -> "FaultyHandle":
         return FaultyHandle(self, self._inner.handle(rank))
 

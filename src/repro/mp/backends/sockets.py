@@ -29,7 +29,7 @@ one connection, never poisons the run.
 that connects after the initial complement is assigned the next free
 rank, the world's ``nproc`` grows, and a ``Tag.JOIN`` announcement is
 synthesized into the master's mailbox so the fault-tolerant master can
-admit it (re-sending the INIT/CACHE setup).  Ranks may also die
+admit it (re-sending the INIT setup).  Ranks may also die
 mid-run: a broken connection stops delivery to that rank (sends are
 swallowed like packets to a dead host) and the PR-3 liveness machinery
 quarantines it and reassigns its work.  ``accept_joins=False`` refuses
@@ -425,7 +425,7 @@ class SocketsWorld(World):
         if elastic:
             # announce the newcomer where the fault-tolerant master is
             # already listening; it admits the rank and re-sends the
-            # INIT/CACHE setup (plinger.master, Tag.JOIN)
+            # INIT setup (plinger.master, Tag.JOIN)
             from ...plinger.tags import Tag
 
             self._mailbox.put(Message.make(rank, Tag.JOIN, [float(rank)]))

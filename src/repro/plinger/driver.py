@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..background import Background
-from ..cache import (
-    AttachedTables,
-    PrecomputeCache,
-    manifest_from_reals,
-    manifest_to_reals,
-)
-from ..cache.sharing import SharedTableBlock
-from ..errors import CacheError, MessagePassingError, ProtocolError
+from ..cache import PrecomputeCache
+from ..errors import MessagePassingError, ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.serial import (
     LingerConfig,
@@ -67,112 +61,25 @@ class PlingerRunStats:
     fault_report: FaultReport | None = None
 
 
-def _attach_shared_tables(mp_handle, ft: FaultTolerance, telemetry):
-    """Resilient CACHE-manifest attach: timed probe, bounded retry,
-    wire-transfer fallback, local-build fallback.
-
-    The manifest broadcast arrives exactly once, so only the *attach*
-    step retries (on the already-received bytes), never the receive.
-    Returns the :class:`AttachedTables` view, or None when the worker
-    should rebuild its tables locally (dropped broadcast, garbled
-    manifest, or shared-memory attach failure through the retry budget
-    *and* no wire reply from the master) — availability over zero-copy.
-    The ladder, in order: shm/memmap attach with bounded retries (the
-    co-located fast path: one physical copy), then a ``Tag.TABLES``
-    request for the block's bytes over the wire (the cross-host path —
-    the segment genuinely does not exist on this rank's machine), then
-    a deterministic local rebuild.
-    """
-    deadline = max(ft.silence_seconds, 1.0)
-    if mp_handle.myprobe(Tag.CACHE, mp_handle.mastid,
-                         timeout=deadline) is None:
-        telemetry.record_degradation(
-            "cache", "attach_timeout",
-            f"no CACHE broadcast within {deadline:.1f}s; "
-            "building tables locally",
-        )
-        return None
-    raw = mp_handle.myrecvraw(Tag.CACHE, mp_handle.mastid)
-    t0 = time.perf_counter()
-    try:
-        return ft.retry_policy().call(
-            lambda: AttachedTables.attach(manifest_from_reals(raw)),
-            retry_on=(ValueError, CacheError),
-            on_retry=lambda n, exc: telemetry.record_degradation(
-                "cache", "attach_retry", f"retry {n}: {exc}",
-                seconds=time.perf_counter() - t0,
-            ),
-        )
-    except (ValueError, CacheError) as exc:
-        attached = _request_wire_tables(mp_handle, ft, raw, telemetry)
-        if attached is not None:
-            return attached
-        telemetry.record_degradation(
-            "cache", "attach_fallback",
-            f"building tables locally: {exc}",
-            seconds=time.perf_counter() - t0,
-        )
-        return None
-
-
-def _request_wire_tables(mp_handle, ft: FaultTolerance, manifest_raw,
-                         telemetry):
-    """The cross-host rung of the attach ladder: ask the master to ship
-    the table block itself over the wire (``Tag.TABLES`` request and
-    reply), then rebuild a private copy from the bytes.
-
-    Returns the :class:`AttachedTables` view or None (master did not
-    answer in time — a legacy master, or one without the block — or
-    the shipped bytes failed validation); every outcome short of an
-    attach leaves the caller free to fall through to a local rebuild.
-    """
-    try:
-        manifest = manifest_from_reals(manifest_raw)
-    except (ValueError, UnicodeDecodeError):
-        return None
-    t0 = time.perf_counter()
-    try:
-        mp_handle.mysendreal(np.array([float(mp_handle.mytid)]),
-                             Tag.TABLES, mp_handle.mastid)
-    except MessagePassingError:
-        return None
-    deadline = max(ft.silence_seconds, 1.0)
-    if mp_handle.myprobe(Tag.TABLES, mp_handle.mastid,
-                         timeout=deadline) is None:
-        return None
-    reals = mp_handle.myrecvraw(Tag.TABLES, mp_handle.mastid)
-    try:
-        block = SharedTableBlock.from_wire(manifest, reals)
-        attached = AttachedTables(block)
-    except (ValueError, CacheError):
-        return None
-    telemetry.record_degradation(
-        "cache", "attach_wire_transfer",
-        f"segment unmappable from this rank; received "
-        f"{block.total_bytes} table bytes over the wire",
-        seconds=time.perf_counter() - t0,
-    )
-    return attached
-
-
 def _worker_entry(mp_handle, background, thermo, kgrid, config,
                   with_telemetry: bool = False,
                   fault_tolerance: FaultTolerance | None = None,
                   params: CosmologyParams | None = None,
-                  use_cache: bool = False,
                   mode_sink: dict | None = None):
-    """Entry point for worker ranks (thread target / forked child).
+    """Entry point for worker ranks (thread target / forked child /
+    ``repro worker``).
+
+    A rank's tables arrive one of three ways (DESIGN.md, "How tables
+    reach a rank"): a thread is handed the master's objects, a forked
+    child inherits them, and a rank that has neither — an external
+    ``repro worker`` — builds them from ``params`` here, through the
+    same deterministic :func:`~repro.linger.serial.build_tables` the
+    master used, so the bits agree.
 
     With telemetry on, the worker builds its own collector (forked
     children share no memory with the master) and publishes it —
     together with its traffic stats and busy/idle log — through the
     world's out-of-band channel after the protocol completes.
-
-    With ``use_cache`` on, the master follows its INIT broadcast with a
-    tag-8 CACHE manifest; the worker attaches the shared table block
-    before requesting work and — when ``background``/``thermo`` were
-    not handed in — reconstructs both straight on the shared pages
-    (zero copies: every rank maps the same physical tables).
 
     Under a fault-tolerance policy the compute path degrades gracefully
     (:func:`~repro.plinger.worker.chunk_compute`: an
@@ -184,38 +91,8 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     ft = fault_tolerance
     telemetry = Telemetry() if with_telemetry else NULL_TELEMETRY
     mp_handle.initpass()
-
-    attached = None
-    cache_info: dict | None = None
-    if use_cache:
-        # The CACHE broadcast trails INIT; consuming it by tag here
-        # leaves INIT queued for the protocol loop below.
-        if ft is None:
-            # legacy fail-loudly path: block on the broadcast
-            mp_handle.mycheckone(Tag.CACHE, mp_handle.mastid)
-            attached = AttachedTables.attach(manifest_from_reals(
-                mp_handle.myrecvraw(Tag.CACHE, mp_handle.mastid)
-            ))
-        else:
-            attached = _attach_shared_tables(mp_handle, ft, telemetry)
-        if attached is not None:
-            if background is None:
-                background = attached.background(params)
-            if thermo is None:
-                thermo = attached.thermal(background)
-            cache_info = {
-                "attached": True,
-                "bytes_mapped": attached.bytes_mapped,
-                "backend": attached.block.backend,
-            }
-        else:
-            # attach degraded away: deterministic local rebuild gives
-            # bit-identical tables, just without the zero-copy sharing
-            cache_info = {"attached": False, "bytes_mapped": 0,
-                          "backend": ""}
-            background, thermo = build_tables(params, background, thermo,
-                                              telemetry=telemetry)
-
+    background, thermo = build_tables(params, background, thermo,
+                                      telemetry=telemetry)
     compute = chunk_compute(background, thermo, kgrid, config, telemetry,
                             ladder=ft is not None and ft.integration_retries,
                             mode_sink=mode_sink)
@@ -225,16 +102,13 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
         if ft is None:
             raise
         log = WorkerLog()
-    if with_telemetry or ft is not None or use_cache:
+    if with_telemetry or ft is not None:
         mp_handle.publish_telemetry({
             "traffic": mp_handle.stats.as_dict(),
             "worker": log.as_dict(),
             "telemetry": telemetry.worker_payload(),
-            "cache": cache_info,
         })
     mp_handle.endpass()
-    if attached is not None:
-        attached.close()
 
 
 def run_plinger(
@@ -250,7 +124,6 @@ def run_plinger(
     fault_tolerance: FaultTolerance | None = None,
     world: World | None = None,
     cache: PrecomputeCache | None = None,
-    bessel_l: np.ndarray | None = None,
     collect_modes: bool = False,
 ) -> tuple[LingerResult, PlingerRunStats]:
     """Run PLINGER with ``nproc - 1`` workers plus the master.
@@ -281,14 +154,12 @@ def run_plinger(
     selects how workers are hosted (threads unless the world can
     ``launch`` forked children).
 
-    Pass a :class:`~repro.cache.PrecomputeCache` as ``cache`` to (a)
-    build-or-load the background and thermal tables through the
-    content-addressed store and (b) publish them — plus, when
-    ``bessel_l`` names a multipole set, the dense j_l table — as one
-    shared-memory block that every worker maps instead of copying.
-    The manifest rides the wire as a tag-8 broadcast right after INIT;
-    attachment counts land in ``cache.metrics`` (and the telemetry
-    report's ``cache`` section).
+    Pass a :class:`~repro.cache.PrecomputeCache` as ``cache`` to
+    build-or-load the master's background and thermal tables through
+    the content-addressed store (accounted in ``cache.metrics`` and the
+    telemetry report's ``cache`` section).  The workers get those same
+    objects — by reference as threads, by inheritance when forked — so
+    the wire is the same with and without a cache.
 
     ``collect_modes=True`` additionally fills ``result.modes`` with the
     full per-mode records (the sparse-k fast path projects its sources
@@ -323,7 +194,6 @@ def run_plinger(
     master_mp = world.handle(0)
     forked = hasattr(world, "launch")
     ft = fault_tolerance
-    use_cache = cache is not None
     if hasattr(world, "accept_joins"):
         # elastic joins graft onto the fault-tolerant master's admit
         # path; the legacy fail-loudly master would die on the JOIN
@@ -336,75 +206,51 @@ def run_plinger(
         )
     mode_sink: dict | None = {} if collect_modes else None
 
-    shared_block = None
-    manifest_data = None
-    table_data = None
-    if use_cache:
-        bessel = None
-        if bessel_l is not None:
-            bessel = cache.bessel(
-                bessel_l, x_max=float(np.max(kgrid.k)) * background.tau0
-            )
-        shared_block = cache.publish(background, thermo, bessel)
-        manifest_data = manifest_to_reals(shared_block.manifest)
-        if ft is not None:
-            # the fault-tolerant master can answer Tag.TABLES requests
-            # from ranks that cannot map the segment (remote hosts)
-            table_data = shared_block.wire_data()
-
-    # In cache mode workers get no background/thermo objects: forked
-    # children must attach the shared block (instead of riding on
-    # copy-on-write pages), and thread workers exercise the same path.
-    worker_bg = None if use_cache else background
-    worker_th = None if use_cache else thermo
-
     wall0 = time.perf_counter()
-    try:
-        if forked:
-            world.launch(_worker_entry, worker_bg, worker_th, kgrid, config,
-                         telemetry.enabled, ft, params, use_cache)
-        elif backend in ("inprocess", "procs"):
-            threads = [
-                threading.Thread(
-                    target=_worker_entry,
-                    args=(world.handle(r), worker_bg, worker_th, kgrid,
-                          config, telemetry.enabled, ft, params, use_cache,
-                          mode_sink),
-                    daemon=True,
-                )
-                for r in range(1, nproc)
-            ]
-            for t in threads:
-                t.start()
-        else:
-            raise MessagePassingError(
-                f"backend {backend!r} cannot host PLINGER workers"
+    if forked:
+        world.launch(_worker_entry, background, thermo, kgrid, config,
+                     telemetry.enabled, ft, params)
+    elif backend in ("inprocess", "procs"):
+        threads = [
+            threading.Thread(
+                target=_worker_entry,
+                args=(world.handle(r), background, thermo, kgrid, config,
+                      telemetry.enabled, ft, params, mode_sink),
+                daemon=True,
             )
+            for r in range(1, nproc)
+        ]
+        for t in threads:
+            t.start()
+    else:
+        raise MessagePassingError(
+            f"backend {backend!r} cannot host PLINGER workers"
+        )
 
-        master_mp.initpass()
-        log = master_subroutine(master_mp, kgrid, chunks=chunks,
-                                fault_tolerance=ft,
-                                manifest_data=manifest_data,
-                                table_data=table_data)
-        master_mp.endpass()
+    master_mp.initpass()
+    log = master_subroutine(master_mp, kgrid, chunks=chunks,
+                            fault_tolerance=ft)
+    master_mp.endpass()
 
-        if forked:
-            # under fault tolerance a quarantined-but-hung child is simply
-            # terminated: its work has already been reassigned
-            world.join(timeout=60.0, strict=ft is None)
-        else:
-            for t in threads:
-                t.join(timeout=60.0)
-                if t.is_alive() and ft is None:
-                    raise MessagePassingError("worker thread failed to exit")
-        wall = time.perf_counter() - wall0
-    finally:
-        if shared_block is not None:
-            shared_block.close()
-            shared_block.unlink()
+    if forked:
+        # under fault tolerance a quarantined-but-hung child is simply
+        # terminated: its work has already been reassigned
+        world.join(timeout=60.0, strict=ft is None)
+    else:
+        # a rank the fault-tolerant master quarantined may still be
+        # stuck past its deadline with its work already reassigned:
+        # give all threads together the policy's own silence deadline
+        # plus a margin, not a minute each
+        limit = 60.0 if ft is None else max(ft.silence_seconds, 1.0) + 5.0
+        deadline = time.monotonic() + limit
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+            if t.is_alive() and ft is None:
+                raise MessagePassingError("worker thread failed to exit")
+    wall = time.perf_counter() - wall0
 
     collected: dict = {}
-    if telemetry.enabled or ft is not None or use_cache:
+    if telemetry.enabled or ft is not None:
         collected = dict(sorted(world.collect_telemetry().items()))
 
     if ft is not None and log.fault is not None:
@@ -413,12 +259,6 @@ def run_plinger(
             w = payload.get("worker", {})
             if w.get("ready_retries"):
                 log.fault.bump_retry("READY", int(w["ready_retries"]))
-
-    if use_cache:
-        for _rank, payload in collected.items():
-            info = payload.get("cache") or {}
-            if info.get("attached"):
-                cache.metrics.workers_attached += 1
 
     if telemetry.enabled:
         telemetry.meta.setdefault("driver", "plinger")
@@ -430,7 +270,7 @@ def run_plinger(
         if ft is not None:
             telemetry.meta.setdefault("fault_tolerance", True)
             telemetry.fault = log.fault
-        if use_cache:
+        if cache is not None:
             telemetry.meta.setdefault("cache", True)
             telemetry.cache = cache.metrics
         telemetry.timer("plinger.wall").add(wall)

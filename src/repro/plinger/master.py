@@ -63,8 +63,6 @@ def master_subroutine(
     on_result: Callable[[ModeHeader, ModePayload], None] | None = None,
     chunks: Sequence[Sequence[int]] | None = None,
     fault_tolerance: FaultTolerance | None = None,
-    manifest_data: np.ndarray | None = None,
-    table_data: np.ndarray | None = None,
 ) -> MasterLog:
     """Run the master side of the PLINGER protocol to completion.
 
@@ -96,22 +94,6 @@ def master_subroutine(
         switches to the resilient master loop (liveness deadlines,
         quarantine, reassignment, validated records); ``None`` keeps
         the paper's fail-loudly protocol exactly.
-    manifest_data:
-        An encoded shared-table manifest
-        (:func:`~repro.cache.sharing.manifest_to_reals`).  When given,
-        the INIT broadcast's fifth slot carries its length and the
-        manifest itself follows as one tag-8 (CACHE) broadcast; workers
-        attach the shared tables before requesting work.  ``None``
-        keeps the fifth slot 0 and sends no CACHE message — the
-        paper's wire, untouched.
-    table_data:
-        The shared table block's raw bytes as reals
-        (:meth:`~repro.cache.sharing.SharedTableBlock.wire_data`).
-        Only meaningful with ``fault_tolerance``: a rank that cannot
-        map the manifest's shared-memory segment (it lives on another
-        host) asks for the tables on ``Tag.TABLES`` and the master
-        replies with this buffer.  ``None`` leaves such a request
-        unanswered (the worker falls back to a local rebuild).
     """
     nk = kgrid.nk
     if chunks is None:
@@ -125,8 +107,7 @@ def master_subroutine(
     if init_data is None:
         init_data = np.array(
             [float(nk), float(kgrid.k[0]), float(kgrid.k[-1]),
-             float(work_length if work_length > 1 else 0),
-             float(0 if manifest_data is None else len(manifest_data))]
+             float(work_length if work_length > 1 else 0), 0.0]
         )
     init_data = np.asarray(init_data, dtype=float)
     if init_data.size != INIT_MESSAGE_LENGTH:
@@ -136,15 +117,11 @@ def master_subroutine(
 
     log = MasterLog()
     mp.mybcastreal(init_data, Tag.INIT)
-    if manifest_data is not None:
-        mp.mybcastreal(np.asarray(manifest_data, dtype=float), Tag.CACHE)
 
     if fault_tolerance is not None:
         return _master_fault_tolerant(
             mp, kgrid, on_result, chunks, work_length, fault_tolerance, log,
-            init_data=init_data, manifest_data=manifest_data,
-            table_data=table_data,
-        )
+            init_data)
 
     next_chunk = 0  # position in chunks
     ik_done = 0
@@ -224,9 +201,7 @@ def _master_fault_tolerant(
     work_length: int,
     ft: FaultTolerance,
     log: MasterLog,
-    init_data: np.ndarray | None = None,
-    manifest_data: np.ndarray | None = None,
-    table_data: np.ndarray | None = None,
+    init_data: np.ndarray,
 ) -> MasterLog:
     """The resilient master loop.
 
@@ -245,7 +220,7 @@ def _master_fault_tolerant(
     complement that speaks up mid-run — a ``Tag.JOIN`` announcement, or
     any first message from an unknown rank (the announcement itself can
     be lost) — is *admitted*: entered into the liveness books and sent
-    the INIT/CACHE setup it missed, after which the normal protocol
+    the INIT setup it missed, after which the normal protocol
     applies.  The quarantine path already handles its departure.
     """
     nk = kgrid.nk
@@ -341,11 +316,7 @@ def _master_fault_tolerant(
         outstanding[rank] = set()
         last_seen[rank] = time.monotonic()
         fr.ranks_joined += 1
-        if init_data is not None:
-            mp.mysendreal(init_data, Tag.INIT, rank)
-        if manifest_data is not None:
-            mp.mysendreal(np.asarray(manifest_data, dtype=float),
-                          Tag.CACHE, rank)
+        mp.mysendreal(init_data, Tag.INIT, rank)
 
     def valid_header(buf: np.ndarray) -> ModeHeader | None:
         # Only the slots the protocol interprets (ik, k, lmax, level)
@@ -405,18 +376,6 @@ def _master_fault_tolerant(
             # the world's announcement of the rank just admitted above
             # (or a duplicate of one); carries no further information
             mp.myrecvraw(Tag.JOIN, rank)
-            continue
-
-        if tag == Tag.TABLES:
-            # a rank that cannot map the shared-memory segment (it is
-            # on another host) asks for the tables themselves
-            mp.myrecvraw(Tag.TABLES, rank)
-            if table_data is not None:
-                mp.mysendreal(np.asarray(table_data, dtype=float),
-                              Tag.TABLES, rank)
-                fr.table_wire_transfers += 1
-            else:
-                fr.unexpected_tags += 1
             continue
 
         if tag == Tag.HEARTBEAT:

@@ -17,19 +17,13 @@ class Tag(IntEnum):
     extension: workers emit it on a timer so the fault-tolerant master
     can tell a busy worker from a dead one; it earns no reply, so the
     paper's one-reply-per-message accounting of tags 1-6 is untouched.
-    CACHE is the precompute-cache extension: one broadcast right after
-    INIT carrying the shared-table manifest (JSON bytes on the float64
-    wire); like HEARTBEAT it earns no reply, and it is only sent when
-    the INIT message's fifth slot announces its length.
-    JOIN and TABLES are the multi-node extensions.  JOIN is synthesized
-    by an elastic world (the sockets backend) when a rank connects
-    mid-run; the fault-tolerant master admits the rank and re-sends the
-    setup, the legacy master has no elastic path and treats it like any
-    unexpected tag.  TABLES is the cross-host cache rung: a rank that
-    cannot map the master's shared-memory segment (it lives on another
-    machine) requests the table bytes on this tag and the master
-    replies in kind — request and reply pair up, so the paper's
-    one-reply accounting of tags 1-6 still holds per tag.
+    JOIN is the multi-node extension: it is synthesized by an elastic
+    world (the sockets backend) when a rank connects mid-run; the
+    fault-tolerant master admits the rank and re-sends INIT, the
+    legacy master has no elastic path and treats it like any unexpected
+    tag.  No tag carries tables: a rank is handed its background and
+    thermal history, inherits them at fork, or builds them itself
+    (DESIGN.md, "How tables reach a rank"), so value 8 is unused.
     """
 
     #: first message from master to workers (run setup broadcast)
@@ -46,10 +40,5 @@ class Tag(IntEnum):
     STOP = 6
     #: from worker; periodic liveness signal (never replied to)
     HEARTBEAT = 7
-    #: from master; shared precompute-table manifest (never replied to)
-    CACHE = 8
     #: from an elastic world; a new rank announcing itself mid-run
     JOIN = 9
-    #: from worker: request the precompute tables over the wire;
-    #: from master: the reply carrying the raw table block
-    TABLES = 10

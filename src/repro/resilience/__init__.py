@@ -5,8 +5,8 @@ inside the PLINGER package and every later subsystem (cache, compiled
 kernels, chaos engine) turned out to need:
 
 * :class:`RetryPolicy` — bounded retries + exponential backoff + an
-  optional deadline, reused by cache loads, ``.so`` compilation,
-  shared-table attachment, and PLINGER reassignment.
+  optional deadline, reused by cache loads, ``.so`` compilation and
+  PLINGER reassignment.
 * :class:`FaultTolerance` — the run-level policy (deadlines,
   heartbeats, retry bounds); :meth:`FaultTolerance.retry_policy`
   derives the matching :class:`RetryPolicy`.

@@ -10,7 +10,7 @@ what a production deployment needs when they don't:
   :func:`~repro.plinger.driver.run_plinger` (or the master/worker
   subroutines) switches the protocol from *fail loudly* to *detect,
   reassign, finish*; its :meth:`~FaultTolerance.retry_policy` hands
-  the same backoff contract to the cache and attach paths.
+  the same backoff contract to the cache path.
 * :class:`HeartbeatThread` — a worker-side timer emitting
   ``Tag.HEARTBEAT`` messages so the master can tell a busy worker from
   a dead one while the integration holds the main thread.
@@ -106,8 +106,8 @@ class FaultTolerance:
         """The same bounds/backoff as a reusable :class:`RetryPolicy`.
 
         The worker's READY resync, the master's per-wavenumber
-        re-dispatch bound, the cache quarantine rebuild, and the
-        shared-table attach all draw on this one contract.
+        re-dispatch bound and the cache quarantine rebuild all draw on
+        this one contract.
         """
         return RetryPolicy(max_retries=self.max_retries,
                            backoff_base=self.backoff_base,

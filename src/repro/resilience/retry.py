@@ -6,8 +6,8 @@ counted re-dispatches against ``max_retries`` inline, and the cache
 "healed" corrupt entries by silently rebuilding once.  A
 :class:`RetryPolicy` names that behavior once — bounded attempts,
 exponential backoff with a cap, an optional wallclock deadline — so
-cache loads, ``.so`` compilation, shared-table attachment, and work
-reassignment all degrade under the *same* audited contract.
+cache loads, ``.so`` compilation and work reassignment all degrade
+under the *same* audited contract.
 """
 
 from __future__ import annotations

@@ -10,13 +10,13 @@ tiers (see :mod:`repro.serve.daemon`):
    finished product bitwise (:mod:`repro.serve.results`);
 2. **in-flight coalescing** — identical concurrent requests share one
    computation (the daemon's per-digest future map);
-3. a **warm pool** of resident PLINGER workers with shared-memory
-   tables kept attached across runs (:mod:`repro.serve.pool`).
+3. a **warm pool**: one ``run_plinger`` call per computed request in
+   front of an LRU of each recent cosmology's built tables
+   (:mod:`repro.serve.pool`).
 
 Everything is keyed by the bit-exact canonical digests of
 :mod:`repro.cache.keys`, and :mod:`repro.serve.lifecycle` guarantees
-shared-memory blocks are unlinked and the request journal drained on
-exit or SIGTERM.
+the request journal is drained on exit or SIGTERM.
 """
 
 from .client import ServeClient

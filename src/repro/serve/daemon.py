@@ -11,10 +11,10 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  Each
    awaits the in-flight future instead of computing again, so a burst
    of identical requests costs exactly one run (``computed_runs`` in
    :class:`~repro.telemetry.report.ServeMetrics` is the proof);
-3. **warm**/**cold** — a genuine miss runs on the resident
+3. **warm**/**cold** — a genuine miss is one PLINGER run through
    :class:`~repro.serve.pool.WarmPool` (``warm`` when the cosmology's
-   tables were already published and attached, ``cold`` when they had
-   to be built), then lands in the store for every request after it.
+   tables were still resident in its LRU, ``cold`` when they had to be
+   built), then lands in the store for every request after it.
 
 All three tiers serve *bit-identical* C_l for the same digest: the
 store replays the computed arrays, coalesced waiters share the one
@@ -117,7 +117,8 @@ class SpectrumServer:
         Bind address; ``port=0`` picks a free port (read it back from
         ``self.port`` after :meth:`start`).
     nproc:
-        Warm-pool width (1 master + ``nproc - 1`` resident workers).
+        PLINGER width of a computed run (1 master + ``nproc - 1``
+        worker threads).
     store_dir:
         Persistence root for the run-result store (None: memory only).
     store_cap_bytes:
@@ -395,7 +396,7 @@ def run_server(host: str = "127.0.0.1", port: int = 0, nproc: int = 4,
         )
         await server.start()
         print(f"serving spectra on {server.host}:{server.port} "
-              f"({nproc - 1} warm workers)", flush=True)
+              f"({nproc - 1} workers per run)", flush=True)
         if ready_file:
             tmp = Path(str(ready_file) + ".tmp")
             tmp.write_text(f"{server.host} {server.port}\n")

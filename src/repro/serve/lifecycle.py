@@ -1,10 +1,10 @@
-"""Warm-pool lifecycle: deterministic teardown on exit and SIGTERM.
+"""Service lifecycle: deterministic teardown on exit and SIGTERM.
 
-A resident :class:`~repro.serve.pool.WarmPool` owns POSIX shared-memory
-blocks (the published precompute tables) and the daemon owns an
-append-only request journal.  Neither may leak: an shm segment
-survives the process unless explicitly unlinked, and a journal loses
-its tail unless flushed.  This module keeps a weak registry of every
+The daemon owns an append-only request journal
+(:class:`~repro.serve.daemon.ServeJournal`), and a journal loses its
+tail unless flushed.  Nothing else the service holds outlives the
+process — the warm pool's tables are ordinary heap objects — so the
+journal is what this module guards: it keeps a weak registry of every
 closeable serving object and drains it
 
 * at interpreter exit (``atexit``), and

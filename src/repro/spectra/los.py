@@ -165,9 +165,9 @@ class BesselCache:
         """Rebuild from :meth:`to_tables` output without a single
         ``spherical_jn`` call.
 
-        The rows may be read-only shared-memory views — they are
-        consumed in place (zero-copy), and any multipole *not* in the
-        table still materializes lazily on first use.
+        The rows may be read-only views — they are consumed in place,
+        and any multipole *not* in the table still materializes lazily
+        on first use.
         """
         self = cls(float(tables["x_max"]), float(tables["dx"]))
         l_values = tuple(int(l) for l in np.asarray(tables["l_values"]))
@@ -197,7 +197,7 @@ class BesselCache:
         """The stacked (nl, nx) table for many multipoles at once.
 
         Memoized on the requested l tuple, so per-source projection
-        loops restack (or copy out of shared memory) nothing.
+        loops restack nothing.
         """
         key = tuple(int(l) for l in np.asarray(l_values).ravel())
         if self._matrix is not None and key == self._matrix_l:
@@ -250,7 +250,7 @@ def theta_l_los(
     matrix contraction against the stacked Bessel tables rather than a
     Python loop over l.  ``cache`` (a
     :class:`~repro.cache.PrecomputeCache`) supplies the dense j_l
-    table from disk or shared memory instead of ``spherical_jn``.
+    table from disk instead of ``spherical_jn``.
 
     Returns an array of shape (nk, nl).
     """

@@ -127,7 +127,7 @@ class Telemetry:
     def record_degradation(self, surface: str, event: str,
                            detail: str = "", seconds: float = 0.0) -> None:
         """Append one graceful-degradation event (kernel demotion,
-        cache quarantine, attach retry, transient integrator retry) to
+        cache quarantine, transient integrator retry) to
         the run's ``degradation`` section."""
         if self.degradation is None:
             self.degradation = DegradationMetrics()

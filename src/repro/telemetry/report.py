@@ -210,9 +210,6 @@ class FaultReport:
     #: elastic ranks admitted mid-run (sockets backend JOIN path);
     #: not a fault — growth is healthy — so excluded from any_faults
     ranks_joined: int = 0
-    #: precompute-table blocks shipped over the wire to ranks that
-    #: could not map the shared-memory segment (remote hosts)
-    table_wire_transfers: int = 0
 
     @property
     def total_retries(self) -> int:
@@ -243,8 +240,7 @@ class CacheMetrics:
     """Precompute-cache accounting of one run.
 
     Written by :class:`~repro.cache.PrecomputeCache` (hits, misses,
-    build/load time, bytes) and by the PLINGER driver (shared-memory
-    distribution).  Like ``batches`` and ``fault``, this is an additive
+    build/load time, bytes).  Like ``batches`` and ``fault``, this is an additive
     v1 extension: reports without a ``cache`` section load unchanged.
     """
 
@@ -258,12 +254,6 @@ class CacheMetrics:
     load_seconds: float = 0.0
     bytes_written: int = 0
     bytes_read: int = 0
-    #: size of the shared-memory block published to the workers
-    bytes_shared: int = 0
-    #: "shm" | "memmap" | "" (nothing shared)
-    shared_backend: str = ""
-    #: worker ranks that attached the shared block
-    workers_attached: int = 0
     #: per-kind hit/miss/corrupt counts, e.g.
     #: ``{"background": {"hits": 1, "misses": 0, "corrupt": 0}}``
     by_kind: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -438,10 +428,10 @@ class DegradationMetrics:
 
     Every recovery the resilience layer performs — a kernel demotion
     after the NaN sentinel trips, a corrupt cache entry quarantined and
-    rebuilt, a retried shared-table attach, a transient integrator
-    retry — lands here as one event, tagged by *surface* (``cache``,
-    ``kernel``, ``integrator``, ``mp``).  Additive v1 extension like
-    ``rhs``: reports without a ``degradation`` section load unchanged.
+    rebuilt, a transient integrator retry — lands here as one event,
+    tagged by *surface* (``cache``, ``kernel``, ``integrator``,
+    ``mp``).  Additive v1 extension like ``rhs``: reports without a
+    ``degradation`` section load unchanged.
     """
 
     #: Each event: {"surface", "event", "detail", "seconds"}.
@@ -491,9 +481,9 @@ class ServeMetrics:
     Written by :class:`~repro.serve.daemon.SpectrumServer`: every
     request lands in one tier — ``store`` (exact hit in the
     content-addressed run-result store), ``coalesced`` (awaited an
-    identical in-flight computation), ``warm`` (computed on the
-    resident pool with the cosmology's tables already published) or
-    ``cold`` (computed after building+publishing fresh tables) — with
+    identical in-flight computation), ``warm`` (computed with the
+    cosmology's tables still resident in the pool's LRU) or ``cold``
+    (computed after building fresh tables) — with
     its queue wait and wall clock.  ``computed_runs`` counts *distinct*
     computations, so on a duplicate-heavy mix
     ``computed_runs < requests`` is the coalescing guarantee made
@@ -598,8 +588,6 @@ class RunReport:
             "n_retries": self.fault.total_retries if self.fault else 0,
             "cache_hits": self.cache.hits if self.cache else 0,
             "cache_misses": self.cache.misses if self.cache else 0,
-            "cache_bytes_shared": self.cache.bytes_shared if self.cache
-            else 0,
             "constraints_monitored_modes": len(self.constraints),
             "max_pressure_residual": _opt_max(
                 c.max_pressure_residual for c in self.constraints),

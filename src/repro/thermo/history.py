@@ -118,8 +118,8 @@ class ThermalHistory:
                     tables: dict) -> "ThermalHistory":
         """Rebuild a thermal history from :meth:`to_tables` output.
 
-        ``tables`` may hold ordinary arrays or read-only shared-memory
-        views; the ionization arrays are consumed in place.
+        ``tables`` may hold ordinary arrays or read-only views; the
+        ionization arrays are consumed in place.
         """
         self = cls.__new__(cls)
         self.background = background

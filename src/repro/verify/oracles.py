@@ -428,8 +428,8 @@ def chaos_degradation_oracle(
 
     Runs one short PLINGER spectrum fault-free, then repeats it under a
     fixed-seed :class:`~repro.chaos.ChaosPolicy` that hits all three
-    fault surfaces — cache (a corrupted store entry to quarantine plus
-    one failed shared-table attach), compiled kernel (a stale ``.so``,
+    fault surfaces — cache (a corrupted store entry to quarantine and
+    rebuild), compiled kernel (a stale ``.so``,
     one failed compilation, and one NaN-poisoned ``rhs_full`` output),
     and integrator (one forced step collapse) — with fault tolerance
     and telemetry armed, and compares the hierarchy C_l.
@@ -674,8 +674,8 @@ def serve_result_oracle(params, nproc: int = 3) -> dict:
     * **cold** — serial :func:`~repro.linger.serial.run_linger` (the
       reference path, no service machinery at all);
     * **warm** — a :class:`~repro.serve.WarmPool` run twice, the
-      second run with the cosmology's tables resident and the workers'
-      attachments reused (the tier a repeat-cosmology request hits);
+      second run with the cosmology's tables resident in its LRU (the
+      tier a repeat-cosmology request hits);
     * **store** — the warm product written to a
       :class:`~repro.serve.ResultStore` and read back *through the
       disk npz round trip* by a second store instance (the tier an

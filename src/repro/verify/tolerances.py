@@ -242,10 +242,9 @@ TOLERANCES: dict[str, Tolerance] = {
             provenance=(
                 "One short PLINGER spectrum run fault-free and again "
                 "under a fixed-seed ChaosPolicy hitting all three fault "
-                "surfaces (corrupted cache entry + failed shared-table "
-                "attach, stale .so + injected compile failure + NaN-"
-                "poisoned compiled rhs_full, forced integrator step "
-                "collapse), worst |cl - cl_ref| / max|cl_ref|.  Every "
+                "surfaces (corrupted cache-store entry, stale .so + "
+                "injected compile failure + NaN-poisoned compiled "
+                "rhs_full, forced integrator step collapse), worst |cl - cl_ref| / max|cl_ref|.  Every "
                 "recovery path is bit-preserving by construction: the "
                 "quarantined cache entry rebuilds deterministically, the "
                 "poisoned evaluation is recomputed through the fallback "
@@ -263,8 +262,8 @@ TOLERANCES: dict[str, Tolerance] = {
             "oracle.serve_result", rtol=1e-12, atol=0.0,
             provenance=(
                 "The spectrum service's three-tier identity: one request "
-                "computed cold by serial LINGER, computed on the resident "
-                "warm pool (tables published once and kept attached), and "
+                "computed cold by serial LINGER, computed through the "
+                "warm pool (run_plinger on tables kept in its LRU), and "
                 "replayed from the content-addressed run-result store "
                 "through its npz round trip, worst |cl - cl_ref| / "
                 "max|cl_ref| across tiers.  Agreement is bitwise by "

@@ -8,6 +8,8 @@ suite stays fast while still exercising the production code paths.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,21 @@ def kernel_cache(tmp_path_factory):
 
     with private_cache(tmp_path_factory.mktemp("kernels")):
         yield
+
+
+@pytest.fixture()
+def no_new_shm():
+    """Fails a test that leaves anything behind in ``/dev/shm``: tables
+    reach a rank by hand-over, fork or a local build, never through a
+    shared segment, so a run, a pool and a daemon put nothing there."""
+
+    def census():
+        return set(os.listdir("/dev/shm")) \
+            if os.path.isdir("/dev/shm") else set()
+
+    before = census()
+    yield
+    assert census() <= before
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,14 @@
-"""The precompute cache: keys, store integrity, shared memory, and
-end-to-end bit-compatibility of cached runs.
+"""The precompute cache: keys, store integrity, and end-to-end
+bit-compatibility of cached runs.
 
 The cache's contract is strict: a warm start must be *bitwise*
 indistinguishable from a cold one (only primitive solver output is
-persisted; every spline is re-derived by the same code), corrupt
-entries must be detected and healed, and a shared-memory attach must
-read the very same bytes the master published.
+persisted; every spline is re-derived by the same code), and corrupt
+entries must be detected and healed.
 
 Point ``REPRO_CACHE_DIR`` at a directory to run this file against a
-persistent cache (the CI warm-start job runs the suite twice against
-one directory; the second pass exercises every load path).
+persistent cache (the CI ``tests`` job runs this file a second time
+against one directory; that pass exercises every load path).
 """
 
 from __future__ import annotations
@@ -24,20 +23,15 @@ import pytest
 from repro import Background, KGrid, LingerConfig, ThermalHistory, run_linger
 from repro.cache import (
     CACHE_VERSION,
-    AttachedTables,
     PrecomputeCache,
-    SharedTableBlock,
     TableStore,
     cache_key,
-    manifest_from_reals,
-    manifest_to_reals,
 )
-from repro.errors import CacheError, CorruptCacheEntry, ParameterError
+from repro.errors import CorruptCacheEntry, ParameterError
 from repro.plinger.driver import run_plinger
 from repro.spectra.cl import cl_from_hierarchy, los_l_grid
-from repro.spectra.los import BesselCache
 from repro.telemetry import Telemetry
-from repro.telemetry.report import CacheMetrics, RunReport
+from repro.telemetry.report import CacheMetrics, FaultReport, RunReport
 from tests.test_golden_regression import (
     GOLDEN_CL,
     GOLDEN_CONFIG,
@@ -281,90 +275,6 @@ class TestPrecomputeRoundtrip:
         assert len(new.store.keys()) == 2
 
 
-# -- shared-memory distribution ---------------------------------------------
-
-
-class TestSharedTableBlock:
-    ARRAYS = {
-        "a/grid": np.linspace(0.0, 2.0, 301),
-        "a/scalar": np.float64(1.5),
-        "b/jl": np.sin(np.arange(40, dtype=float)).reshape(4, 10),
-    }
-
-    @pytest.mark.parametrize("backend", ["shm", "memmap"])
-    def test_attach_is_bit_identical(self, backend):
-        block = SharedTableBlock.create(self.ARRAYS, backend=backend)
-        try:
-            assert block.backend == backend
-            manifest = manifest_from_reals(manifest_to_reals(block.manifest))
-            att = SharedTableBlock.attach(manifest)
-            for name, arr in self.ARRAYS.items():
-                assert np.array_equal(att.arrays[name], np.asarray(arr))
-                assert att.arrays[name].dtype == np.asarray(arr).dtype
-            att.close()
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_attached_views_read_only(self):
-        block = SharedTableBlock.create(self.ARRAYS)
-        try:
-            att = SharedTableBlock.attach(block.manifest)
-            with pytest.raises((ValueError, TypeError)):
-                att.arrays["a/grid"][0] = 99.0
-            att.close()
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_alignment(self):
-        block = SharedTableBlock.create(self.ARRAYS)
-        try:
-            for spec in block.manifest["arrays"].values():
-                assert spec["offset"] % 64 == 0
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_bad_schema_rejected(self):
-        with pytest.raises(CacheError):
-            SharedTableBlock.attach({"schema": "bogus/v0"})
-
-    def test_gone_segment_reported(self):
-        block = SharedTableBlock.create({"v": np.zeros(8)})
-        manifest = dict(block.manifest)
-        block.close()
-        block.unlink()
-        if manifest["backend"] != "shm":  # pragma: no cover
-            pytest.skip("platform fell back to memmap")
-        with pytest.raises(CacheError):
-            SharedTableBlock.attach(manifest)
-
-    def test_publish_attach_tables(self, scdm, bg_scdm, thermo_scdm,
-                                   tmp_path):
-        cache = PrecomputeCache(tmp_path)
-        bessel = BesselCache(50.0)
-        bessel.table(2), bessel.table(10)
-        block = cache.publish(bg_scdm, thermo_scdm, bessel)
-        try:
-            assert cache.metrics.bytes_shared == block.total_bytes > 0
-            att = AttachedTables.attach(block.manifest)
-            bg = att.background(scdm)
-            th = att.thermal(bg)
-            bs = att.bessel()
-            tau = np.linspace(thermo_scdm.tau_rec * 0.5, bg_scdm.tau0 * 0.9,
-                              100)
-            assert np.array_equal(th.visibility(tau),
-                                  thermo_scdm.visibility(tau))
-            x = np.linspace(0.0, 50.0, 333)
-            assert np.array_equal(bs.eval(10, x), bessel.eval(10, x))
-            assert att.bytes_mapped == block.total_bytes
-            att.close()
-        finally:
-            block.close()
-            block.unlink()
-
-
 # -- end-to-end: cached runs against the golden snapshots --------------------
 
 
@@ -397,26 +307,23 @@ class TestCachedRunsMatchGolden:
                 err_msg=f"cached run drifted on {name}")
 
     def test_four_worker_shared_run_matches_golden(self, scdm, cache_dir):
-        """The acceptance run: 4 forked workers, one shared mapping."""
+        """The acceptance run: 4 forked workers sharing, by inheritance,
+        the tables the master built or loaded through the cache."""
         kg, cfg = _golden_settings()
         cache = PrecomputeCache(cache_dir)
         telemetry = Telemetry()
         result, _stats = run_plinger(
             scdm, kg, cfg, nproc=5, backend="procs",
-            cache=cache, bessel_l=los_l_grid(64, n=8),
-            telemetry=telemetry,
+            cache=cache, telemetry=telemetry,
         )
-        assert cache.metrics.workers_attached == 4
-        assert cache.metrics.bytes_shared > 0
+        assert cache.metrics.hits + cache.metrics.misses == 2
         stored = json.loads(GOLDEN_CL.read_text())
         l, cl = cl_from_hierarchy(result)
         np.testing.assert_allclose(cl, np.asarray(stored["cl"]),
                                    rtol=RTOL, atol=0.0)
         report = telemetry.build_report()
-        assert report.cache is not None
-        assert report.cache.workers_attached == 4
-        assert report.totals["cache_bytes_shared"] == \
-            cache.metrics.bytes_shared
+        assert report.cache is cache.metrics
+        assert len(report.workers) == 4
 
     def test_batched_warm_vs_cold_bitwise(self, scdm, fresh_dir):
         """Cache warm vs cold through the batched engine: the cached
@@ -467,9 +374,6 @@ class TestCacheMetrics:
         m = CacheMetrics()
         m.record_miss("thermal", 0.5, 2048)
         m.record_corrupt("thermal")
-        m.bytes_shared = 4096
-        m.shared_backend = "shm"
-        m.workers_attached = 3
         tel = Telemetry()
         tel.cache = m
         report = tel.build_report()
@@ -479,10 +383,25 @@ class TestCacheMetrics:
         assert back.cache is not None
         assert back.cache.misses == 1
         assert back.cache.corrupt_entries == 1
-        assert back.cache.bytes_shared == 4096
-        assert back.cache.shared_backend == "shm"
-        assert back.cache.workers_attached == 3
         assert back.totals["cache_misses"] == 1
+
+    def test_report_written_before_the_transport_went_still_loads(self):
+        """A RunReport from a release that still shipped tables through
+        shared memory carries four fields nothing writes any more."""
+        tel = Telemetry()
+        tel.cache = CacheMetrics()
+        tel.cache.record_hit("background", 0.01, 100)
+        tel.fault = FaultReport(reassignments=1)
+        doc = tel.build_report().to_dict()
+        doc["cache"].update(bytes_shared=262144, shared_backend="shm",
+                            workers_attached=2)
+        doc["fault"]["table_wire_transfers"] = 1
+        doc["totals"]["cache_bytes_shared"] = 262144
+        back = RunReport.from_json(json.dumps(doc))
+        assert back.cache.hits == 1
+        assert back.fault.reassignments == 1
+        assert not hasattr(back.cache, "bytes_shared")
+        assert not hasattr(back.fault, "table_wire_transfers")
 
     def test_report_without_cache_stays_none(self):
         tel = Telemetry()

@@ -55,7 +55,7 @@ class TestChaosPolicy:
     def test_profiles_arm_expected_budgets(self):
         p = ChaosPolicy.from_profile("cache", seed=7)
         assert p.seed == 7
-        assert p.cache_write_faults == 1 and p.attach_faults == 1
+        assert p.cache_write_faults == 1
         assert p.kernel_nan_faults == 0 and p.integrator_faults == 0
 
         p = ChaosPolicy.from_profile("kernel")
@@ -63,8 +63,7 @@ class TestChaosPolicy:
         assert p.compile_faults == 1 and p.stale_so_faults == 1
 
         p = ChaosPolicy.from_profile("all")
-        for field in ("cache_write_faults", "attach_faults",
-                      "kernel_nan_faults", "compile_faults",
+        for field in ("cache_write_faults", "kernel_nan_faults", "compile_faults",
                       "stale_so_faults", "integrator_faults"):
             assert getattr(p, field) == 1, field
 
@@ -108,9 +107,9 @@ class TestChaosEngine:
 
     def test_active_installs_and_restores(self):
         assert current_engine() is None
-        with active(ChaosPolicy(attach_faults=1)) as eng:
+        with active(ChaosPolicy(compile_faults=1)) as eng:
             assert current_engine() is eng
-            assert eng.fail_attach()
+            assert eng.fail_compile()
             with active(ChaosEngine(ChaosPolicy())) as inner:
                 assert current_engine() is inner
             assert current_engine() is eng
@@ -123,27 +122,21 @@ class TestChaosEngine:
         assert current_engine() is None
 
     def test_summary(self):
-        with active(ChaosPolicy(attach_faults=1)) as eng:
-            eng.fail_attach()
-            eng.fail_attach()
+        with active(ChaosPolicy(compile_faults=1)) as eng:
+            eng.fail_compile()
+            eng.fail_compile()
         s = eng.summary()
-        assert s["injected"] == {"attach": 1}
-        assert s["opportunities"] == {"attach": 2}
-        assert s["policy"]["attach_faults"] == 1
+        assert s["injected"] == {"compile": 1}
+        assert s["opportunities"] == {"compile": 2}
+        assert s["policy"]["compile_faults"] == 1
 
-    def test_mp_policies_target_cache_tag(self):
-        from repro.plinger.tags import Tag
-
-        eng = ChaosEngine(ChaosPolicy(mp_cache_drop_every=1,
-                                      mp_cache_corrupt_every=2))
-        pols = eng.mp_policies()
-        assert [p.action for p in pols] == ["drop", "corrupt_payload"]
-
-        class Msg:
-            tag = int(Tag.CACHE)
-
-        assert pols[0].selector(Msg(), 0)
-        assert ChaosEngine(ChaosPolicy()).mp_policies() == []
+    def test_removed_budgets_are_rejected(self):
+        """The attach and tag-8 budgets went with the table transport;
+        a policy naming one is a caller bug, not a silent no-op."""
+        for gone in ("attach_faults", "mp_cache_drop_every",
+                     "mp_cache_corrupt_every"):
+            with pytest.raises(TypeError):
+                ChaosPolicy(**{gone: 1})
 
 
 class TestRetryPolicy:
@@ -232,13 +225,6 @@ class TestStoreChaos:
         assert bg is not None
         assert cache.degradation.count("cache", "quarantine_exhausted") == 1
 
-    def test_attach_failure_injected(self):
-        from repro.cache import AttachedTables
-        from repro.errors import CacheError
-
-        with active(ChaosPolicy(attach_faults=1)):
-            with pytest.raises(CacheError, match="chaos"):
-                AttachedTables.attach({"backend": "shm"})
 
 
 @pytest.mark.skipif(ONLY_PYTHON, reason="no compiled kernel on this host")
@@ -337,7 +323,7 @@ class TestDegradationMetrics:
         dm = DegradationMetrics()
         dm.record("cache", "quarantine", "entry x", seconds=0.25)
         dm.record("kernel", "demotion", "cext->python")
-        dm.record("cache", "attach_retry")
+        dm.record("cache", "quarantine_exhausted")
         assert dm.total_events == 3
         assert dm.events_by_surface == {"cache": 2, "kernel": 1}
         assert dm.count("cache") == 2
@@ -369,12 +355,12 @@ class TestDegradationMetrics:
 
     def test_telemetry_worker_payload_round_trip(self):
         worker = Telemetry()
-        worker.record_degradation("cache", "attach_retry", "retry 1",
+        worker.record_degradation("cache", "quarantine", "retry 1",
                                   seconds=0.01)
         master = Telemetry()
         master.merge_worker_payload(worker.worker_payload())
         assert master.degradation is not None
-        assert master.degradation.count("cache", "attach_retry") == 1
+        assert master.degradation.count("cache", "quarantine") == 1
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +396,11 @@ class TestEndToEndProfiles:
         cache = PrecomputeCache(tmp_path / "cache") if use_cache else None
         policy = ChaosPolicy.from_profile(profile, seed=CHAOS_SEED)
         with active(policy) as eng:
+            if cache is not None:
+                # a warm-up build takes the store-write corruption, so
+                # the run's own load meets the corrupted entry and must
+                # quarantine + rebuild it
+                PrecomputeCache(tmp_path / "cache").background(scdm)
             result, _ = run_plinger(
                 scdm, chaos_grid, chaos_config, nproc=3,
                 backend="inprocess", telemetry=tel,
@@ -437,9 +428,9 @@ class TestEndToEndProfiles:
             "cache", scdm, bg_scdm, thermo_scdm, chaos_grid,
             chaos_config, tmp_path, use_cache=True)
         self._assert_matches(result, chaos_reference)
-        assert eng.injected.get("attach") == 1
+        assert eng.injected.get("cache_write") == 1
         assert tel.degradation is not None
-        assert tel.degradation.count("cache") >= 1
+        assert tel.degradation.count("cache", "quarantine") >= 1
 
     def test_integrator_profile(self, scdm, bg_scdm, thermo_scdm,
                                 chaos_grid, chaos_config,

@@ -134,6 +134,38 @@ class TestCommands:
         assert totals["worker_busy_seconds"] > 0
         assert all(w.idle_seconds >= 0 for w in report.workers)
 
+    def test_parallel_cached_run_uses_no_shared_segment(
+            self, tmp_path, capsys, no_new_shm):
+        """`run --parallel 3 --cache-dir`: forked workers inherit the
+        tables the master built or loaded; nothing is published."""
+        args = ["run", "--nk", "4", "--k-min", "1e-3", "--k-max", "1e-2",
+                "--lmax", "8", "--rtol", "3e-4", "--parallel", "3",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(args + ["--output", str(tmp_path / "cold.npz")]) == 0
+        assert "cache: 0 hits / 2 misses" in capsys.readouterr().out
+        assert main(args + ["--output", str(tmp_path / "warm.npz")]) == 0
+        out = capsys.readouterr().out
+        assert "cache: 2 hits / 0 misses" in out
+        assert "shared" not in out
+        cold = np.load(tmp_path / "cold.npz")
+        warm = np.load(tmp_path / "warm.npz")
+        np.testing.assert_array_equal(cold["payload_flat"],
+                                      warm["payload_flat"])
+
+    def test_worker_has_no_use_cache_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["worker", "--connect", "127.0.0.1:1", "--use-cache"])
+        assert "--use-cache" in capsys.readouterr().err
+
+    def test_import_loads_no_shared_memory_module(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, repro; "
+                "sys.exit('multiprocessing.shared_memory' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
     def test_run_serial_report(self, tmp_path, capsys):
         """`run --report` without --parallel: serial LINGER telemetry."""
         out_file = tmp_path / "run.npz"
@@ -141,6 +173,9 @@ class TestCommands:
         assert main([
             "run", "--nk", "3", "--k-min", "1e-3", "--k-max", "5e-3",
             "--lmax", "8", "--rtol", "3e-4",
+            # the build counts below need a build, whatever the
+            # environment's $REPRO_CACHE_DIR holds
+            "--no-cache",
             "--report", str(report_file), "--output", str(out_file),
         ]) == 0
         report = RunReport.load(report_file)

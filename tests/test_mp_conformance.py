@@ -6,9 +6,11 @@ PLINGER wrapper.  Conformance means more than "each one works": the
 *books must match*.  The same exchange must produce identical traffic
 accounting (message counts, byte counts, per-tag breakdowns) on every
 transport, and a PLINGER spectrum must come out bitwise identical to
-the serial reference no matter which wire carried it.  Any divergence
-is a transport leaking into the physics or into the paper's
-message-economics table.
+the serial reference no matter which wire carried it — and no matter
+whether the master's tables came from a precompute cache, because
+tables never travel: the wire of a cached run is the wire of an
+uncached one.  Any divergence is a transport leaking into the physics
+or into the paper's message-economics table.
 """
 
 import threading
@@ -16,12 +18,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.cache import PrecomputeCache
 from repro.linger.kgrid import KGrid
 from repro.linger.serial import LingerConfig, run_linger
 from repro.mp import available_backends, get_backend
+from repro.mp.api import MessagePassing
 from repro.plinger import run_plinger
 from repro.plinger.tags import Tag
 from repro.spectra import cl_from_hierarchy
+from repro.telemetry import Telemetry
 
 #: Multi-rank backends (serial is the 1-rank degenerate case).
 MP_BACKENDS = ("inprocess", "procs", "sockets")
@@ -181,14 +186,42 @@ class TestPlingerConformance:
         _l, cl_ref = cl_from_hierarchy(serial)
         return params, kgrid, config, cl_ref
 
-    @pytest.mark.parametrize("backend", MP_BACKENDS)
-    def test_cl_bitwise_and_message_count(self, reference, backend):
+    @pytest.mark.parametrize("backend, cached", [
+        pytest.param(backend, cached,
+                     id=backend + ("-cache" if cached else ""))
+        for cached in (False, True) for backend in MP_BACKENDS])
+    def test_cl_bitwise_and_message_count(self, reference, backend, cached,
+                                          tmp_path, monkeypatch):
         params, kgrid, config, cl_ref = reference
-        result, stats = run_plinger(params, kgrid, config, nproc=3,
-                                    backend=backend)
+        broadcasts = []
+        bcast = MessagePassing.mybcastreal
+
+        def recording_bcast(mp, buffer, msgtype):
+            broadcasts.append((int(msgtype), np.array(buffer)))
+            bcast(mp, buffer, msgtype)
+
+        # the master runs in this process on every backend
+        monkeypatch.setattr(MessagePassing, "mybcastreal", recording_bcast)
+        telemetry = Telemetry()
+        result, stats = run_plinger(
+            params, kgrid, config, nproc=3, backend=backend,
+            cache=PrecomputeCache(tmp_path) if cached else None,
+            telemetry=telemetry)
         _l, cl = cl_from_hierarchy(result)
         assert np.array_equal(cl, cl_ref), backend
-        # message economics identical on every transport: one READY
-        # per worker plus one HEADER + one PAYLOAD per mode
+        # message economics identical on every transport, with or
+        # without a cache: one READY per worker plus one HEADER + one
+        # PAYLOAD per mode in; INIT and STOP per worker plus one WORK
+        # per mode out
         assert stats.master_messages_received == 2 + 2 * kgrid.nk
+        assert stats.master_messages_sent == 2 + kgrid.nk + 2
         assert stats.backend == backend
+        # one broadcast, the paper's five reals, fifth slot 0
+        (tag, init), = broadcasts
+        assert tag == Tag.INIT
+        assert init.tolist() == [kgrid.nk, kgrid.k[0], kgrid.k[-1], 0, 0]
+        # and nothing but the paper's six tags on a clean run
+        sent = telemetry.build_report().totals["messages_sent_by_tag"]
+        assert set(sent) == {"INIT", "READY", "WORK", "HEADER", "PAYLOAD",
+                             "STOP"}
+        assert max(Tag[name] for name in sent) < Tag.HEARTBEAT

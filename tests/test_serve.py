@@ -145,14 +145,25 @@ class TestWarmPool:
                                     four_lanes.payloads)
         np.testing.assert_array_equal(cl_1, cl_4)
 
-    def test_workers_keep_tables_attached(self, runs, pool):
-        # both resident workers attached once, then reused the mapping
-        assert pool.stats.table_attaches >= 1
-        assert pool.stats.warm_table_hits >= 1
+    def test_residency_is_lru_capped(self):
+        requests = [small_request(
+            params=dataclasses.replace(standard_cdm(), h=h))
+            for h in (0.50, 0.51, 0.52)]
+        with WarmPool(nproc=3, max_resident=2) as pool:
+            warm = [pool.run(r.params, r.kgrid(), r.config())[1]
+                    for r in requests + requests[2:] + requests[:1]]
+            # the repeat of the newest is warm; the oldest was evicted
+            assert warm == [False, False, False, True, False]
+            assert pool.resident_count == 2
+            assert pool.stats.as_dict() == {
+                "runs": 5, "warm_runs": 1, "cold_builds": 4,
+                "resident_evictions": 2}
 
-    def test_residency_is_lru_capped(self, pool, runs):
-        assert pool.resident_count <= 2
-        assert pool.stats.runs >= 2
+    def test_pool_run_uses_no_shared_segment(self, no_new_shm):
+        request = small_request()
+        with WarmPool(nproc=3) as pool:
+            pool.run(request.params, request.kgrid(), request.config())
+            pool.run(request.params, request.kgrid(), request.config())
 
     def test_close_releases_everything(self):
         pool = WarmPool(nproc=3)
@@ -281,7 +292,7 @@ class TestDaemon:
         assert ping["ok"] is True
         assert errors == 2
 
-    def test_stats_and_shutdown_ops(self):
+    def test_stats_and_shutdown_ops(self, no_new_shm):
         request = small_request()
 
         async def scenario(server):
@@ -300,21 +311,20 @@ class TestDaemon:
 
         stats = self.run_daemon(scenario)
         assert stats["metrics"]["requests"] == 1
-        assert stats["pool"]["runs"] == 1
+        assert stats["metrics"]["computed_runs"] == 1
+        assert stats["pool"] == {"runs": 1, "warm_runs": 0,
+                                 "cold_builds": 1,
+                                 "resident_evictions": 0}
         assert stats["resident_models"] == 1
 
 
 class TestLifecycle:
-    def test_shutdown_all_closes_pool_and_journal(self, tmp_path):
-        pool = WarmPool(nproc=3)
-        request = small_request()
-        pool.run(request.params, request.kgrid(), request.config())
+    def test_shutdown_all_drains_journal(self, tmp_path):
         from repro.serve.daemon import ServeJournal
 
         journal = ServeJournal(tmp_path / "j.jsonl")
         journal.record({"tier": "cold"})
         lifecycle.shutdown_all()
-        assert pool._closed
         assert journal._fh.closed
         # drained to disk despite never calling journal.close() directly
         assert (tmp_path / "j.jsonl").read_text().count("\n") == 1

@@ -1,6 +1,6 @@
-"""The TCP-sockets backend: wire codec, elastic world, wire-table ladder.
+"""The TCP-sockets backend: wire codec and elastic world.
 
-Three layers, tested bottom-up:
+Two layers, tested bottom-up:
 
 * the **frame codec** — length-prefixed binary frames must round-trip
   every float64 payload bit-identically through arbitrary stream
@@ -8,11 +8,7 @@ Three layers, tested bottom-up:
   oversized or ragged bodies) loudly rather than resynchronize;
 * the **world** — real OS processes over real localhost TCP, including
   the elastic paths: a rank joining mid-run and a rank SIGKILLed
-  mid-run, both finishing with the fault-free golden spectrum;
-* the **wire-table ladder** — a worker that cannot map the master's
-  shared-memory block (the cross-host case) must degrade to a
-  ``Tag.TABLES`` wire transfer, not raise; co-located ranks must keep
-  the zero-copy shm fast path.
+  mid-run, both finishing with the fault-free golden spectrum.
 """
 
 import os
@@ -25,15 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import PrecomputeCache
-from repro.cache.sharing import (
-    SharedTableBlock,
-    manifest_to_reals,
-)
-from repro.errors import CacheError
 from repro.linger.kgrid import KGrid
 from repro.linger.serial import LingerConfig, run_linger
-from repro.mp.backends.inprocess import InProcessWorld
 from repro.mp.backends.sockets import (
     FRAME_MSG,
     FRAME_TELEMETRY,
@@ -48,11 +37,9 @@ from repro.mp.backends.sockets import (
 from repro.mp.message import Message
 from repro.params import CosmologyParams
 from repro.plinger import run_plinger
-from repro.plinger.driver import _attach_shared_tables
 from repro.plinger.tags import Tag
 from repro.resilience import FaultTolerance
 from repro.spectra import cl_from_hierarchy
-from repro.telemetry import Telemetry
 
 #: Snappy fault tolerance for the elastic tests: SIGKILL detection must
 #: land well inside the ~2 s of real integration work.
@@ -335,133 +322,3 @@ class TestSocketsElasticPhysics:
         else:
             pytest.fail("SIGKILL never produced a quarantined rank "
                         "in 3 attempts")
-
-
-# -- the wire-table ladder ---------------------------------------------------
-
-def _table_arrays():
-    return {
-        "bg/grid": np.linspace(0.0, 1.0, 257),
-        "bg/values": np.arange(64.0).reshape(8, 8),
-    }
-
-
-class TestWireTableLadder:
-    def test_wire_round_trip_bit_exact(self):
-        block = SharedTableBlock.create(_table_arrays())
-        try:
-            rebuilt = SharedTableBlock.from_wire(block.manifest,
-                                                 block.wire_data())
-            assert rebuilt.backend == "wire"
-            for name, arr in _table_arrays().items():
-                assert np.array_equal(rebuilt.arrays[name], arr)
-                assert not rebuilt.arrays[name].flags.writeable
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_truncated_wire_data_rejected(self):
-        block = SharedTableBlock.create(_table_arrays())
-        try:
-            with pytest.raises(CacheError):
-                SharedTableBlock.from_wire(block.manifest,
-                                           block.wire_data()[:4])
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_missing_memmap_degrades_to_cache_error(self, tmp_path):
-        # the latent cross-host bug: a memmap manifest names a path
-        # that does not exist on this "host" — must raise CacheError
-        # (which the resilient attach ladder catches), never a raw
-        # FileNotFoundError
-        block = SharedTableBlock.create(_table_arrays(), backend="memmap",
-                                        dir=str(tmp_path))
-        manifest = dict(block.manifest, name=str(tmp_path / "elsewhere"))
-        block.close()
-        block.unlink()
-        with pytest.raises(CacheError):
-            SharedTableBlock.attach(manifest)
-
-    def test_wire_backend_manifest_not_attachable(self):
-        block = SharedTableBlock.create(_table_arrays())
-        try:
-            rebuilt = SharedTableBlock.from_wire(block.manifest,
-                                                 block.wire_data())
-            with pytest.raises(CacheError):
-                SharedTableBlock.attach(rebuilt.manifest)
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_attach_degrades_to_wire_transfer(self):
-        """A worker that cannot map the segment requests the bytes."""
-        block = SharedTableBlock.create(_table_arrays())
-        # simulate the remote host: the manifest names a segment that
-        # does not exist here
-        bad = dict(block.manifest, name="psm_not_on_this_host")
-        ft = FaultTolerance(worker_timeout=2.0, max_retries=1,
-                            backoff_base=0.01)
-        world = InProcessWorld(2)
-        mp0, mp1 = world.handle(0), world.handle(1)
-        mp0.initpass(), mp1.initpass()
-        mp0.mysendreal(manifest_to_reals(bad), Tag.CACHE, 1)
-
-        def master_ships_tables():
-            probed = mp0.myprobe(Tag.TABLES, 1, timeout=10.0)
-            assert probed is not None
-            mp0.myrecvraw(Tag.TABLES, 1)
-            mp0.mysendreal(block.wire_data(), Tag.TABLES, 1)
-
-        t = threading.Thread(target=master_ships_tables, daemon=True)
-        t.start()
-        tel = Telemetry()
-        try:
-            attached = _attach_shared_tables(mp1, ft, tel)
-            t.join(10.0)
-            assert attached is not None
-            assert attached.block.backend == "wire"
-            for name, arr in _table_arrays().items():
-                assert np.array_equal(attached.block.arrays[name], arr)
-            events = [e["event"] for e in tel.degradation.events]
-            assert "attach_wire_transfer" in events
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_unanswered_wire_request_falls_back_to_local(self):
-        """A legacy master never answers TABLES: worker rebuilds."""
-        block = SharedTableBlock.create(_table_arrays())
-        bad = dict(block.manifest, name="psm_not_on_this_host")
-        ft = FaultTolerance(worker_timeout=0.3, max_retries=1,
-                            backoff_base=0.01)
-        world = InProcessWorld(2)
-        mp0, mp1 = world.handle(0), world.handle(1)
-        mp0.initpass(), mp1.initpass()
-        mp0.mysendreal(manifest_to_reals(bad), Tag.CACHE, 1)
-        tel = Telemetry()
-        try:
-            assert _attach_shared_tables(mp1, ft, tel) is None
-            events = [e["event"] for e in tel.degradation.events]
-            assert "attach_fallback" in events
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_colocated_sockets_run_keeps_shm(self, tmp_path):
-        """Forked localhost ranks must map the shm pages, not the wire."""
-        params = CosmologyParams()
-        kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
-        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4,
-                              record_sources=False,
-                              keep_mode_results=False)
-        world = SocketsWorld(3)
-        _result, stats = run_plinger(
-            params, kgrid, config, nproc=3, backend="sockets",
-            world=world, cache=PrecomputeCache(str(tmp_path)),
-            fault_tolerance=FaultTolerance(**SNAPPY_FT))
-        fr = stats.fault_report
-        assert fr is not None and fr.table_wire_transfers == 0
-        tele = world.collect_telemetry()
-        backends = {tele[r]["cache"]["backend"] for r in tele}
-        assert backends == {"shm"}
