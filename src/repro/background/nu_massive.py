@@ -179,6 +179,10 @@ class MassiveNuTables:
     _lnx: np.ndarray | None = None
     _log_rho: np.ndarray | None = None
     _log_p: np.ndarray | None = None
+    #: the two splines' coefficient rows in one contiguous (8, pieces)
+    #: block (c3..c0 of ln I_rho, then of ln I_p): what the compiled
+    #: kernels read
+    _rhs_pack: np.ndarray | None = None
 
     @classmethod
     def build(cls, x0: float, n_table: int = 400) -> "MassiveNuTables":
@@ -195,15 +199,17 @@ class MassiveNuTables:
     @classmethod
     def _from_knots(cls, x0, x_min, x_max, lnx, log_rho,
                     log_p) -> "MassiveNuTables":
+        pack = np.empty((8, lnx.size - 1))
         return cls(
             x0=x0,
-            _log_rho_spline=UniformGridCubic(lnx, log_rho),
-            _log_p_spline=UniformGridCubic(lnx, log_p),
+            _log_rho_spline=UniformGridCubic(lnx, log_rho, out=pack[:4]),
+            _log_p_spline=UniformGridCubic(lnx, log_p, out=pack[4:]),
             x_min=x_min,
             x_max=x_max,
             _lnx=lnx,
             _log_rho=log_rho,
             _log_p=log_p,
+            _rhs_pack=pack,
         )
 
     def to_tables(self) -> dict[str, np.ndarray]:

@@ -57,7 +57,10 @@ class ChaosPolicy:
         mid-file (digest mismatch), ``"torn"`` truncates the tmp file
         before the atomic rename (torn write).
     ``kernel_nan_faults``
-        Poison that many compiled ``rhs_full`` outputs with NaN.
+        Poison that many compiled outputs with NaN: an RHS evaluation
+        (``rhs_tca`` or ``rhs_full``) under the python driver, a whole
+        phase's end state under the compiled step loop — so a mode on
+        the compiled loop offers two opportunities, one per phase.
     ``compile_faults`` / ``stale_so_faults``
         Fail that many ``.so`` compilations / pre-plant a truncated
         stale ``.so`` at the content-addressed path that many times.
@@ -125,7 +128,8 @@ class ChaosEngine:
 
     # -- compiled-kernel surface --------------------------------------
     def poison_rhs(self, kernel: str) -> bool:
-        """Poison this compiled rhs_full output with NaN?
+        """Poison this compiled output (one RHS evaluation, or one
+        compiled phase) with NaN?
 
         The seed phases which evaluation gets hit, so different seeds
         poison different integrator states; the python kernel is never

@@ -3,7 +3,7 @@
 Every implementation of the adaptive Runge-Kutta loop in this package —
 :class:`~repro.integrators.dverk.RKDriver`,
 :class:`~repro.integrators.dverk_batched.BatchedRKDriver` and the C
-``integrate_full`` in ``repro.perturbations._rhs_cext`` — evaluates the
+``integrate_phase`` in ``repro.perturbations._rhs_cext`` — evaluates the
 same floating-point expressions in the same order, so their results are
 bitwise equal, not merely close:
 

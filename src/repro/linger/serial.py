@@ -66,11 +66,11 @@ class LingerConfig:
     lmax_mode: str = "fixed"
     lmax_margin: float = 1.2
     lmax_cap: int = 2000
-    #: engine for the full (post-TCA) phase: "auto" (default: the
-    #: fastest available), "cext" (compiled RHS and DVERK step loop,
-    #: bitwise the python driver) or "python" (the reference).  Travels
-    #: with the pickled config to PLINGER workers; never changes which
-    #: numbers come out at nq=0.
+    #: engine of both phases of a mode, tight-coupling and full: "auto"
+    #: (default: the fastest available), "cext" (compiled RHS kernels
+    #: and DVERK step loop, bitwise the python driver) or "python" (the
+    #: reference).  Travels with the pickled config to PLINGER workers;
+    #: never changes which numbers come out at nq=0.
     rhs_kernel: str = "auto"
 
     def lmax_for_k(self, k: float, tau_span: float) -> int:
@@ -342,7 +342,8 @@ def run_linger(
     The dispatch order is cut into equal-lmax chunks of up to
     ``batch_size`` modes and each chunk is one
     :func:`compute_modes_batch` call (same trajectories whatever the
-    chunking; several lanes step in lockstep on the python kernel).
+    chunking; several lanes step in lockstep on the python kernel, and
+    one by one through the compiled loop on ``cext``).
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (build a
     :class:`~repro.telemetry.RunReport` from it afterwards).

@@ -1,12 +1,14 @@
-"""Lazily-compiled C: the packed RHS kernel and the DVERK step loop.
+"""Lazily-compiled C: the packed RHS kernels and the DVERK step loop.
 
-One shared object carries two entry points over one packed ABI (see
+One shared object carries three entry points over one packed ABI (see
 ``BoltzmannOperator.pack`` for the layout contract):
 
-* ``rhs_full`` — the synchronous-gauge full-hierarchy RHS, in the
-  evaluation order ``tests/reference_packed_rhs.py`` pins;
-* ``integrate_full`` — one lane's whole full-hierarchy phase: the
-  Verner stages calling ``rhs_full`` in-process, error norm, PI
+* ``rhs_full`` and ``rhs_tca`` — the synchronous-gauge right-hand side
+  of the full-hierarchy phase and of the tight-coupling phase, in the
+  evaluation order ``tests/reference_packed_rhs.py`` pins; one body,
+  which differs between the two only in the photon-baryon sector;
+* ``integrate_phase`` — one lane's whole phase (either one): the
+  Verner stages calling that phase's RHS in-process, error norm, PI
   controller, stop points, accept/reject.  A transcription of
   ``RKDriver.integrate`` under the arithmetic contract of
   :mod:`repro.integrators.contract`, bitwise equal to it.
@@ -21,9 +23,9 @@ Compiled ``-O3 -ffp-contract=off`` and **never** ``-ffast-math``: ISO C
 forbids reassociating floating-point expressions and contraction is
 switched off, so the C code reproduces the written evaluation order
 exactly, and it shares libm's exp/log/pow with python's ``math``.  The
-massive-neutrino block of ``rhs_full`` lands within a few ulps of the
+massive-neutrino block of either RHS lands within a few ulps of the
 python kernel (budgeted by ``oracle.rhs_kernel`` at rtol 1e-10);
-without massive neutrinos it is bitwise.
+without massive neutrinos both are bitwise.
 """
 
 from __future__ import annotations
@@ -42,15 +44,21 @@ __all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
 C_SOURCE = r"""
 #include <math.h>
 
-/* Packed-ABI synchronous-gauge rhs_full; see BoltzmannOperator.pack for
- * the layout contract.  Lanes b in [b0, b1); lane b's state is row b-b0. */
-void rhs_full(const long long *ints, const double *flts,
-              const double *th_c, const double *lane_c,
-              const double *adv_lo, const double *adv_hi,
-              const double *nu_pack, const double *mnu_pack,
-              const double *rf_c, const double *tau,
-              const double *Yall, double *dYall,
-              long long b0, long long b1)
+/* The packed-ABI synchronous-gauge right-hand side of either phase; see
+ * BoltzmannOperator.pack for the layout contract.  Lanes b in [b0, b1);
+ * lane b's state is row b-b0.  ``tight`` selects the photon-baryon
+ * sector: the full hierarchies with Thomson scattering, or the
+ * first-order tight-coupling approximation (MB95 eqs. 74-75) with
+ * F_(l>=2) and the polarization slaved (their derivatives are zero).
+ * Background, thermo lookup, metric sources and both neutrino sectors
+ * are the same code in both. */
+static inline void rhs_eval(const long long *ints, const double *flts,
+                            const double *th_c, const double *lane_c,
+                            const double *adv_lo, const double *adv_hi,
+                            const double *nu_pack, const double *mnu_pack,
+                            const double *rf_c, const double *tau,
+                            const double *Yall, double *dYall,
+                            long long b0, long long b1, const int tight)
 {
     const long long B = ints[0], n = ints[1], lg = ints[2], ln = ints[3];
     const long long nq = ints[4], lm = ints[5];
@@ -88,15 +96,17 @@ void rhs_full(const long long *ints, const double *flts,
         const double a2 = a * a;
         double grho = gr_m / a + gr_gnl / a2 + gr_lam * a * a;
         const double ax = a * x0;
+        long long ri = 0;   /* massive-nu spline piece and offset in it */
+        double ru = 0.0;
         if (nq > 0) {
             double lx = log(ax);
-            long long i = (long long)((lx - rf_x0) / rf_dx);
-            double u, p;
-            if (i < 0) i = 0;
-            if (i > rf_n - 1) i = rf_n - 1;
-            u = lx - (rf_x0 + i * rf_dx);
-            p = ((rf_c[i] * u + rf_c[rf_n + i]) * u + rf_c[2 * rf_n + i]) * u
-                + rf_c[3 * rf_n + i];
+            double p;
+            ri = (long long)((lx - rf_x0) / rf_dx);
+            if (ri < 0) ri = 0;
+            if (ri > rf_n - 1) ri = rf_n - 1;
+            ru = lx - (rf_x0 + ri * rf_dx);
+            p = ((rf_c[ri] * ru + rf_c[rf_n + ri]) * ru
+                 + rf_c[2 * rf_n + ri]) * ru + rf_c[3 * rf_n + ri];
             grho += gr_nu_rel / a2 * (exp(p) / irho);
         }
         const double hc = sqrt(grho + gr_k);
@@ -143,32 +153,72 @@ void rhs_full(const long long *ints, const double *flts,
         dY[2] = etadot;
         const double hdot23 = (2.0 / 3.0) * hdot;
         const double src2 = (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot;
-
-        /* CDM and baryons */
         const double theta_b = Y[5];
         const double r = r_coef / a;
-        dY[3] = -0.5 * hdot;
-        dY[4] = -theta_b - 0.5 * hdot;
-        dY[5] = -hc * theta_b + cs2 * k2 * Y[4]
-                + r * kap * (theta_g - theta_b);
 
-        /* fused hierarchy advection */
-        for (c = adv0; c < adv1; c++)
-            dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
+        if (tight) {
+            /* photon-baryon fluid to first order in 1/kappa' */
+            const double delta_g = Y[i_fg], delta_b = Y[4];
+            const double sigma_g = (2.0 / (3.0 * kap))
+                * ((8.0 / 15.0) * theta_g + (4.0 / 15.0) * hdot
+                   + (8.0 / 5.0) * etadot);
+            const double ddelta_b = -theta_b - 0.5 * hdot;
+            const double ddelta_g = -(4.0 / 3.0) * theta_g - hdot23;
+            double gpres = gr_gnl / (3.0 * a * a) - gr_lam * a * a;
+            if (nq > 0) {
+                const double *pf_c = rf_c + 4 * rf_n;
+                const double p = ((pf_c[ri] * ru + pf_c[rf_n + ri]) * ru
+                                  + pf_c[2 * rf_n + ri]) * ru
+                                 + pf_c[3 * rf_n + ri];
+                gpres += gr_nu_rel / a2 * (3.0 * exp(p) / irho) / 3.0;
+            }
+            /* MB95 eq. (75): first-order slip theta_b' - theta_g' */
+            const double addot_a = -0.5 * (grho + 3.0 * gpres) + hc * hc;
+            const double slip =
+                (2.0 * r / (1.0 + r)) * hc * (theta_b - theta_g)
+                + (1.0 / (kap * (1.0 + r)))
+                  * (-addot_a * theta_b - hc * k2 * 0.5 * delta_g
+                     + k2 * (cs2 * ddelta_b - 0.25 * ddelta_g));
+            /* MB95 eq. (74): combined momentum equation + slip */
+            const double dtheta_b =
+                (-hc * theta_b + cs2 * k2 * delta_b
+                 + r * (k2 * (0.25 * delta_g - sigma_g)) + r * slip)
+                / (1.0 + r);
+            dY[3] = -0.5 * hdot;
+            dY[4] = ddelta_b;
+            dY[5] = dtheta_b;
+            dY[i_fg] = ddelta_g;
+            dY[i_fg + 1] = k43i * (dtheta_b - slip);
+            for (c = i_fg + 2; c < i_nl; c++)
+                dY[c] = 0.0;
+            /* massless-neutrino interior advection */
+            for (c = i_nl + 1; c < adv1; c++)
+                dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
+        } else {
+            /* CDM and baryons */
+            dY[3] = -0.5 * hdot;
+            dY[4] = -theta_b - 0.5 * hdot;
+            dY[5] = -hc * theta_b + cs2 * k2 * Y[4]
+                    + r * kap * (theta_g - theta_b);
 
-        /* photon boundary rows, damping, Thomson sources */
-        const double lg1_tau = (lg + 1.0) / t;
-        dY[i_fg] = (-k) * Y[i_fg + 1] - hdot23;
-        dY[i_fg + lg] = k * Y[i_fg + lg - 1] - lg1_tau * Y[i_fg + lg];
-        dY[i_gg] = (-k) * Y[i_gg + 1];
-        dY[i_gg + lg] = k * Y[i_gg + lg - 1] - lg1_tau * Y[i_gg + lg];
-        for (c = damp0; c < damp1; c++)
-            dY[c] -= kap * Y[c];
-        const double pi_pol = Y[i_fg + 2] + Y[i_gg] + Y[i_gg + 2];
-        dY[i_fg + 1] += kap * (k43i * theta_b - Y[i_fg + 1]);
-        dY[i_fg + 2] += src2 + kap * (0.1 * pi_pol - Y[i_fg + 2]);
-        dY[i_gg] += 0.5 * kap * pi_pol;
-        dY[i_gg + 2] += 0.1 * kap * pi_pol;
+            /* fused hierarchy advection */
+            for (c = adv0; c < adv1; c++)
+                dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
+
+            /* photon boundary rows, damping, Thomson sources */
+            const double lg1_tau = (lg + 1.0) / t;
+            dY[i_fg] = (-k) * Y[i_fg + 1] - hdot23;
+            dY[i_fg + lg] = k * Y[i_fg + lg - 1] - lg1_tau * Y[i_fg + lg];
+            dY[i_gg] = (-k) * Y[i_gg + 1];
+            dY[i_gg + lg] = k * Y[i_gg + lg - 1] - lg1_tau * Y[i_gg + lg];
+            for (c = damp0; c < damp1; c++)
+                dY[c] -= kap * Y[c];
+            const double pi_pol = Y[i_fg + 2] + Y[i_gg] + Y[i_gg + 2];
+            dY[i_fg + 1] += kap * (k43i * theta_b - Y[i_fg + 1]);
+            dY[i_fg + 2] += src2 + kap * (0.1 * pi_pol - Y[i_fg + 2]);
+            dY[i_gg] += 0.5 * kap * pi_pol;
+            dY[i_gg + 2] += 0.1 * kap * pi_pol;
+        }
 
         /* massless neutrinos */
         dY[i_nl] = (-k) * Y[i_nl + 1] - hdot23;
@@ -192,6 +242,17 @@ void rhs_full(const long long *ints, const double *flts,
         }
     }
 }
+
+#define RHS_ARGS const long long *ints, const double *flts, \
+    const double *th_c, const double *lane_c, const double *adv_lo, \
+    const double *adv_hi, const double *nu_pack, const double *mnu_pack, \
+    const double *rf_c, const double *tau, const double *Yall, \
+    double *dYall, long long b0, long long b1
+#define RHS_PASS ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack, \
+    mnu_pack, rf_c, tau, Yall, dYall, b0, b1
+
+void rhs_full(RHS_ARGS) { rhs_eval(RHS_PASS, 0); }
+void rhs_tca(RHS_ARGS) { rhs_eval(RHS_PASS, 1); }
 
 /* numpy's pairwise summation (DOUBLE_pairwise_sum, unit stride),
  * transcribed: np.add.reduce of a contiguous double vector. */
@@ -249,9 +310,9 @@ static inline double pi_factor(double err_norm, double prev_err,
     return fac;
 }
 
-/* The full-hierarchy phase of one lane: RKDriver.integrate transcribed
- * under the arithmetic contract (repro/integrators/contract.py), with
- * rhs_full called in-process.
+/* One phase of one lane: RKDriver.integrate transcribed under the
+ * arithmetic contract (repro/integrators/contract.py), its stages calling
+ * rhs_tca (``tight``) or rhs_full in-process.
  *
  *   tab   s*s stage matrix, then b_high, error weights, c (s each)
  *   ctl   t0, t1, rtol, atol, max_step, min_step, first_step (NaN:
@@ -264,16 +325,18 @@ static inline double pi_factor(double err_norm, double prev_err,
  *
  * Returns 0, or the python driver's failure: 1 max_steps reached,
  * 2 step underflow before a step, 3 step underflow after a rejection. */
-long long integrate_full(const long long *ints, const double *flts,
-                         const double *th_c, const double *lane_c,
-                         const double *adv_lo, const double *adv_hi,
-                         const double *nu_pack, const double *mnu_pack,
-                         const double *rf_c, long long lane,
-                         const double *tab, long long s,
-                         const double *ctl, const double *stops,
-                         long long max_steps, double *y, double *rows,
-                         double *work, long long *out)
+long long integrate_phase(const long long *ints, const double *flts,
+                          const double *th_c, const double *lane_c,
+                          const double *adv_lo, const double *adv_hi,
+                          const double *nu_pack, const double *mnu_pack,
+                          const double *rf_c, long long lane,
+                          long long tight,
+                          const double *tab, long long s,
+                          const double *ctl, const double *stops,
+                          long long max_steps, double *y, double *rows,
+                          double *work, long long *out)
 {
+    void (*const rhs)(RHS_ARGS) = tight ? rhs_tca : rhs_full;
     const long long n = ints[1];
     const double t0 = ctl[0], t1 = ctl[1], rtol = ctl[2], atol = ctl[3];
     const double max_step = ctl[4], min_step = ctl[5], first_step = ctl[6];
@@ -285,9 +348,9 @@ long long integrate_full(const long long *ints, const double *flts,
     long long status = 0, i, j, c, finite;
     double t = t0, next_stop = stops[0], h, prev_err = 1.0, err_norm, ts;
 
-#define RHS(tt, yy, dd) rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi, \
-                                 nu_pack, mnu_pack, rf_c, (tt), (yy), (dd), \
-                                 lane, lane + 1)
+#define RHS(tt, yy, dd) rhs(ints, flts, th_c, lane_c, adv_lo, adv_hi, \
+                            nu_pack, mnu_pack, rf_c, (tt), (yy), (dd), \
+                            lane, lane + 1)
 
     for (i = 0; i < s + 2; i++) {
         const double *w = i < s ? tab + i * s : (i == s ? b_high : e_w);
@@ -550,12 +613,14 @@ def _build() -> ctypes.CDLL | None:
 class CextKernel:
     """The loaded shared object.
 
-    Calling the instance evaluates ``rhs_full`` with the packed-ABI
-    *array* signature (tests, cold paths).
+    Calling the instance evaluates ``rhs_full`` — or, with
+    ``tight=True``, ``rhs_tca`` — with the packed-ABI *array* signature
+    (tests, cold paths).
     The hot paths use the raw entry points, which take addresses:
-    ``rhs_raw(*table, tau, Y, dY, b0, b1)`` and
-    ``integrate_raw(*table, lane, tab, s, ctl, stops, max_steps, y,
-    rows, work, out) -> status`` where ``table`` is the operator's
+    ``rhs_raw(*table, tau, Y, dY, b0, b1)``, its tight-coupling twin
+    ``rhs_tca_raw`` and
+    ``integrate_raw(*table, lane, tight, tab, s, ctl, stops, max_steps,
+    y, rows, work, out) -> status`` where ``table`` is the operator's
     nine-pointer table (``BoltzmannOperator.pack()["table"]``, built
     once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
     GIL around each call and the C side keeps no static state, so
@@ -566,23 +631,26 @@ class CextKernel:
         self._lib = lib
         ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
         self.rhs_raw = lib.rhs_full
-        self.rhs_raw.argtypes = [ptr] * 12 + [i64] * 2
-        self.rhs_raw.restype = None
-        self.integrate_raw = lib.integrate_full
-        self.integrate_raw.argtypes = ([ptr] * 9 + [i64, ptr, i64, ptr, ptr,
-                                                    i64, ptr, ptr, ptr, ptr])
+        self.rhs_tca_raw = lib.rhs_tca
+        for fn in (self.rhs_raw, self.rhs_tca_raw):
+            fn.argtypes = [ptr] * 12 + [i64] * 2
+            fn.restype = None
+        self.integrate_raw = lib.integrate_phase
+        self.integrate_raw.argtypes = ([ptr] * 9 + [i64, i64, ptr, i64, ptr,
+                                                    ptr, i64, ptr, ptr, ptr,
+                                                    ptr])
         self.integrate_raw.restype = i64
         self.pairwise_raw = lib.pairwise_sum
         self.pairwise_raw.argtypes = [ptr, i64]
         self.pairwise_raw.restype = ctypes.c_double
 
     def __call__(self, ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack,
-                 mnu_pack, rf_c, tau, Y, dY, b0, b1) -> None:
-        self.rhs_raw(ints.ctypes.data, flts.ctypes.data, th_c.ctypes.data,
-                     lane_c.ctypes.data, adv_lo.ctypes.data,
-                     adv_hi.ctypes.data, nu_pack.ctypes.data,
-                     mnu_pack.ctypes.data, rf_c.ctypes.data,
-                     tau.ctypes.data, Y.ctypes.data, dY.ctypes.data, b0, b1)
+                 mnu_pack, rf_c, tau, Y, dY, b0, b1, tight=False) -> None:
+        fn = self.rhs_tca_raw if tight else self.rhs_raw
+        fn(ints.ctypes.data, flts.ctypes.data, th_c.ctypes.data,
+           lane_c.ctypes.data, adv_lo.ctypes.data, adv_hi.ctypes.data,
+           nu_pack.ctypes.data, mnu_pack.ctypes.data, rf_c.ctypes.data,
+           tau.ctypes.data, Y.ctypes.data, dY.ctypes.data, b0, b1)
 
 
 def get_cext() -> CextKernel | None:

@@ -15,13 +15,16 @@ conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
 How a chunk steps through a phase is decided in one place,
-:func:`_run_phase`: one lane runs the scalar
-:class:`~repro.integrators.DVERK`, several lanes the lockstep
-:class:`~repro.integrators.dverk_batched.BatchedDVERK`, and wherever
-the resolved kernel is ``cext`` each lane's full-hierarchy phase is one
-call of the compiled step loop (:func:`integrate_full_phase`).
-Everything *scalar* — initial conditions, the TCA exit search,
-recording, the TCA→full hand-off, final observables — goes through one
+:func:`_run_phase`: wherever the resolved kernel is ``cext`` each
+lane's phase — tight-coupling and full alike — is one call of the
+compiled step loop (:func:`integrate_phase`); otherwise one lane runs
+the scalar :class:`~repro.integrators.DVERK` and several lanes the
+lockstep :class:`~repro.integrators.dverk_batched.BatchedDVERK`.
+Whatever stepped, a phase hands back the states at its stop points as
+one ``(n_stops, n_state)`` block, and :class:`_Recorder` turns the
+block into the recorded observables in one array pass.  Everything
+else that is per lane — initial conditions, the TCA exit search, the
+TCA→full hand-off, final observables — goes through one
 :class:`~repro.perturbations.system.PerturbationSystem` per lane.
 """
 
@@ -44,12 +47,13 @@ from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
 )
+from .operator import _exp_lanes, _log_lanes
 from .state import StateLayout
 from .system import PerturbationSystem
 from .system_batched import PerturbationSystemBatch
 
 __all__ = ["ModeResult", "evolve_mode", "evolve_modes_batched",
-           "default_record_grid", "tau_initial", "integrate_full_phase"]
+           "default_record_grid", "tau_initial", "integrate_phase"]
 
 #: Observables recorded at every grid time.
 RECORD_FIELDS = (
@@ -103,8 +107,7 @@ class ModeResult:
         if self.system is None:
             raise ValueError("ModeResult was built without its system")
         rec = _Recorder(self.system, 1)
-        rec.tight = False
-        rec(self.tau_end, self.y_final)
+        rec.record(False, np.array([self.tau_end]), self.y_final[None, :])
         return {name: float(arr[0]) for name, arr in rec.arrays.items()}
 
     @property
@@ -161,12 +164,23 @@ def default_record_grid(
 
 
 class _Recorder:
-    """Accumulates observables into preallocated arrays.
+    """Turns blocks of stop-point states into the recorded observables.
+
+    :meth:`record` takes one phase's rows at a time and evaluates every
+    entry of :data:`RECORD_FIELDS` for all of them in one pass of array
+    arithmetic.  The pass is part of the arithmetic contract: each
+    field is the elementwise transcription of the scalar expression the
+    RHS kernels use for the same quantity (same grouping), ``exp`` and
+    ``log`` go through libm value by value, and the three
+    massive-neutrino momentum sums stay one ``@`` per row — so a row's
+    record does not depend on which other rows share its block
+    (``tests/reference_recorder.py`` is the row-at-a-time original it
+    is pinned to, bit for bit).
 
     ``monitor`` is an optional pure observer called as
-    ``monitor(tau, y, tight)`` after each sample is recorded (see
-    ``repro.verify.ConstraintMonitor``); it sees the same full state at
-    the same grid times and must not mutate ``y``.
+    ``monitor(tau, y, tight)``, row by row, after a block is recorded
+    (see ``repro.verify.ConstraintMonitor``); it sees the same full
+    states at the same grid times and must not mutate ``y``.
     """
 
     def __init__(self, system: PerturbationSystem, n: int,
@@ -175,71 +189,114 @@ class _Recorder:
         self.arrays = {name: np.full(n, np.nan) for name in RECORD_FIELDS}
         self.tau = np.full(n, np.nan)
         self.i = 0
-        self.tight = True
         self.monitor = monitor
 
-    def __call__(self, tau: float, y: np.ndarray) -> None:
+    def record(self, tight: bool, tau: np.ndarray, rows: np.ndarray) -> None:
+        """Record the states ``rows`` (C-contiguous ``(m, n_state)``)
+        reached at times ``tau`` in the ``tight`` or the full phase."""
+        m = len(tau)
+        if m == 0:
+            return
         s = self.system
-        lo = s.layout
-        a = y[lo.A]
-        hc = s.conformal_hubble(a)
-        kappa_dot = s.opacity(a)
-        eps = s.nu_eps(a)
-        hdot, etadot, _, _ = s._metric_sources(y, a, hc, eps=eps)
-        fg = y[lo.sl_fg]
-        gg = y[lo.sl_gg]
-        nl = y[lo.sl_nl]
-        theta_g = 0.75 * s.k * fg[1]
-        if self.tight:
-            sigma_g = s.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
+        op, lo, p, k = s.op, s.layout, s.params, s.k
+        i_fg, i_gg, i_nl = lo.i_fg, lo.i_gg, lo.i_nl
+        a = rows[:, lo.A]
+        eta = rows[:, lo.ETA]
+        delta_c = rows[:, lo.DELTA_C]
+        delta_b = rows[:, lo.DELTA_B]
+        theta_b = rows[:, lo.THETA_B]
+        delta_g, f2 = rows[:, i_fg], rows[:, i_fg + 2]
+        delta_nu = rows[:, i_nl]
+        hc = op.conformal_hubble_lanes(a)
+        kappa_dot = _exp_lanes(op._ln_kap_spline.vector(_log_lanes(a)))
+
+        # the Einstein constraints, as BoltzmannOperator.metric_sources_s
+        inv_a = 1.0 / a
+        inv_a2 = inv_a * inv_a
+        gdrho = 1.5 * (
+            (op._gr_c * delta_c + op._gr_b * delta_b) * inv_a
+            + (op._gr_g * delta_g + op._gr_nl * delta_nu) * inv_a2
+        )
+        theta_g = 0.75 * k * rows[:, i_fg + 1]
+        theta_nu = 0.75 * k * rows[:, i_nl + 1]
+        gdq = 1.5 * (
+            op._gr_b * theta_b * inv_a
+            + (4.0 / 3.0) * (op._gr_g * theta_g + op._gr_nl * theta_nu)
+            * inv_a2
+        )
+        if lo.nq > 0:
+            # momentum sums over the massive hierarchy: one BLAS dot per
+            # row, as the scalar kernels reduce them
+            nu_rho, nu_q, nu_shear = np.empty((3, m))
+            psi = rows[:, lo.sl_psi].reshape(m, lo.nq, -1)
+            for i in range(m):
+                eps = op.nu_eps_s(a[i])
+                nu_rho[i] = (op._w_rho * eps) @ psi[i, :, 0]
+                nu_q[i] = op._w_q3 @ psi[i, :, 1]
+                nu_shear[i] = (op._w_q4 / eps) @ psi[i, :, 2]
+            gdrho = gdrho + 1.5 * op._gr_nu_rel * inv_a2 * nu_rho
+            gdq = gdq + 1.5 * op._gr_nu_rel * inv_a2 * k * nu_q
+        hdot = 2.0 * (s.k2 * eta + gdrho) / hc
+        etadot = gdq / s.k2
+
+        if tight:
+            sigma_g = op.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
             pi_pol = 2.5 * 2.0 * sigma_g  # Pi = 5/2 F2 in tight coupling
         else:
-            sigma_g = 0.5 * fg[2]
-            pi_pol = fg[2] + gg[0] + gg[2]
-        gshear = s.shear_sum(y, a, sigma_g, eps=eps)
-        pots = newtonian_potentials(s.k, y[lo.ETA], hdot, etadot, hc, gshear)
+            sigma_g = 0.5 * f2
+            pi_pol = f2 + rows[:, i_gg] + rows[:, i_gg + 2]
 
-        p = s.params
+        # total shear, as BoltzmannOperator.shear_sum_s
+        inv_aa = 1.0 / (a * a)
+        gshear = 1.5 * (4.0 / 3.0) * (
+            op._gr_g * sigma_g + op._gr_nl * (0.5 * rows[:, i_nl + 2])
+        ) * inv_aa
         if lo.nq > 0:
-            psi_m = lo.psi_matrix(y)
-            delta_nu_m = float((s._w_rho * eps) @ psi_m[:, 0]) / s._rho_factor(a)
-        else:
-            delta_nu_m = float("nan")
-        num = p.omega_c * y[lo.DELTA_C] + p.omega_b * y[lo.DELTA_B]
-        if lo.nq > 0 and p.omega_nu > 0:
-            num += p.omega_nu * delta_nu_m
-        delta_m = num / p.omega_m
+            gshear = gshear + (1.5 * op._gr_nu_rel * inv_aa * (2.0 / 3.0)
+                               * nu_shear)
+        pots = newtonian_potentials(k, eta, hdot, etadot, hc, gshear)
 
-        i = self.i
-        arr = self.arrays
-        self.tau[i] = tau
-        arr["a"][i] = a
-        arr["delta_g"][i] = fg[0]
-        arr["theta_g"][i] = theta_g
-        arr["sigma_g"][i] = sigma_g
-        arr["delta_b"][i] = y[lo.DELTA_B]
-        arr["theta_b"][i] = y[lo.THETA_B]
-        arr["delta_c"][i] = y[lo.DELTA_C]
-        arr["delta_nu"][i] = nl[0]
-        arr["theta_nu"][i] = 0.75 * s.k * nl[1]
-        arr["delta_nu_massive"][i] = delta_nu_m
-        arr["delta_m"][i] = delta_m
-        arr["pi"][i] = pi_pol
-        arr["eta"][i] = y[lo.ETA]
-        arr["etadot"][i] = etadot
-        arr["hdot"][i] = hdot
-        arr["alpha"][i] = pots.alpha
-        arr["alpha_dot"][i] = pots.alpha_dot
-        arr["phi"][i] = pots.phi
-        arr["psi"][i] = pots.psi
-        arr["kappa_dot"][i] = kappa_dot
-        self.i += 1
+        num = p.omega_c * delta_c + p.omega_b * delta_b
+        if lo.nq > 0:
+            delta_nu_m = nu_rho / op.rho_factor_lanes(a)
+            if p.omega_nu > 0:
+                num = num + p.omega_nu * delta_nu_m
+        else:
+            delta_nu_m = np.nan
+
+        values = {
+            "a": a,
+            "delta_g": delta_g,
+            "theta_g": theta_g,
+            "sigma_g": sigma_g,
+            "delta_b": delta_b,
+            "theta_b": theta_b,
+            "delta_c": delta_c,
+            "delta_nu": delta_nu,
+            "theta_nu": theta_nu,
+            "delta_nu_massive": delta_nu_m,
+            "delta_m": num / p.omega_m,
+            "pi": pi_pol,
+            "eta": eta,
+            "etadot": etadot,
+            "hdot": hdot,
+            "alpha": pots.alpha,
+            "alpha_dot": pots.alpha_dot,
+            "phi": pots.phi,
+            "psi": pots.psi,
+            "kappa_dot": kappa_dot,
+        }
+        block = slice(self.i, self.i + m)
+        self.tau[block] = tau
+        for name, arr in self.arrays.items():
+            arr[block] = values[name]
+        self.i += m
         if self.monitor is not None:
-            self.monitor(tau, y, self.tight)
+            for t, y in zip(tau.tolist(), rows):
+                self.monitor(t, y, tight)
 
 
 def find_tca_exit(
-    background: Background,
     thermo: ThermalHistory,
     k: float,
     tca_eps: float = 0.01,
@@ -249,19 +306,17 @@ def find_tca_exit(
 
     Exit when 1/kappa' exceeds ``tca_eps`` times min(1/k, 1/H_conf), or
     when hydrogen recombination begins (x_e < ``xe_threshold`` times its
-    early value), whichever is earlier.
+    early value), whichever is earlier.  Everything but ``k`` is read
+    off the thermal history's own tables.
     """
-    a = thermo._a
-    tau = thermo._tau
-    kappa_dot = thermo._kappa_dot_table
-    hc = background.conformal_hubble(a)
-    cond = kappa_dot * tca_eps < np.maximum(k, hc)
+    cond = thermo._kappa_dot_table * tca_eps < np.maximum(
+        k, thermo._conformal_hubble_table)
     xe0 = thermo._x_e_table[0]
     cond |= thermo._x_e_table < xe_threshold * xe0
     idx = np.argmax(cond)
     if idx == 0 and not cond[0]:
         raise IntegrationError("tight coupling never ends before today")
-    return float(tau[idx])
+    return float(thermo._tau[idx])
 
 
 def evolve_modes_batched(
@@ -311,10 +366,12 @@ def evolve_modes_batched(
     monitor is a pure observer: the integration is bit-identical with
     or without it.
 
-    ``rhs_kernel`` selects the evaluation kernel for the full-hierarchy
-    phase (``"python"``/``"cext"``/``"auto"``; an unavailable ``cext``
-    falls back to python).  The TCA phase and the scalar
-    recording/hand-off paths always run python.
+    ``rhs_kernel`` selects the engine of both phases
+    (``"python"``/``"cext"``/``"auto"``; an unavailable ``cext`` falls
+    back to python).  On ``cext`` no RHS evaluation, step or stop of a
+    mode runs python: what is left per lane is set-up, the hand-off of
+    the slaved moments between the phases and one record pass per
+    phase.
 
     ``first_step`` forces every phase's opening step on every route.
     ``driver_cls`` replaces the scalar driver of one-lane phases (a
@@ -368,8 +425,7 @@ def evolve_modes_batched(
         )
 
     t_switch = np.array([
-        find_tca_exit(background, thermo, k, tca_eps=tca_eps)
-        for k in ks.tolist()
+        find_tca_exit(thermo, k, tca_eps=tca_eps) for k in ks.tolist()
     ])
     t_switch = np.minimum(np.maximum(t_switch, t_init * 1.01), tau_end)
 
@@ -408,19 +464,15 @@ def evolve_modes_batched(
                           (False, t_switch, np.full(B, tau_end))):
         stops = [g[g <= t_switch[b]] if tight else g[g > t_switch[b]]
                  for b, g in enumerate(grids)]
-        for rec in recorders:
-            rec.tight = tight
-
-        def on_stop(b: int, t: float, y_row: np.ndarray) -> None:
-            # the drivers also stop at phase ends, which are recorded
-            # only when they are record points
-            if _in(t, stops[b]):
-                recorders[b](t, y_row)
-
-        Y = _run_phase(
-            batch_system, systems, tight, Y, t0, t1, stops, on_stop, stats,
+        Y, reached = _run_phase(
+            batch_system, systems, tight, Y, t0, t1, stops, stats,
             batch_stats, driver_cls=driver_cls, rtol=rtol, atol=atol,
             max_steps=max_steps, first_step=first_step)
+        for b, (tau, rows) in enumerate(reached):
+            # a driver's last stop is the phase end, which is recorded
+            # only when it is a record point
+            m = len(tau) if _in(tau[-1], stops[b]) else len(tau) - 1
+            recorders[b].record(tight, tau[:m], rows[:m])
         if tight:
             for b in range(B):
                 systems[b].initialize_full_from_tca(Y[b], float(t_switch[b]))
@@ -511,9 +563,8 @@ def evolve_mode(
 
     Both phases run the scalar ``driver_cls`` on the lane's
     :class:`PerturbationSystem`; with ``cext`` (what ``auto`` resolves
-    to when a C compiler exists) and the default driver the whole
-    full-hierarchy phase is one call of the compiled step loop, bitwise
-    the python driver.
+    to when a C compiler exists) and the default driver each phase is
+    one call of the compiled step loop, bitwise the python driver.
     """
     return evolve_modes_batched(
         background, thermo, [k], lmax_photon=lmax_photon, lmax_nu=lmax_nu,
@@ -533,27 +584,28 @@ def _run_phase(
     t0: np.ndarray,
     t1: np.ndarray,
     stops: list[np.ndarray],
-    on_stop,
     stats: list[IntegratorStats],
     batch_stats: BatchStats,
     *,
     driver_cls: type[RKDriver],
     **tolerances,
-) -> np.ndarray:
-    """One phase of a chunk; returns the ``(B, n_state)`` end states.
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """One phase of a chunk; returns the ``(B, n_state)`` end states
+    and, per lane, the stop times reached (the lane's stop points, then
+    the phase end if that is not one of them) with the
+    ``(n_stops, n_state)`` block of states there.
 
     The one place that decides how a chunk steps, from what it can
     observe:
 
-    * several lanes on the python kernel (always so in tight coupling)
-      step in lockstep through :class:`BatchedDVERK`, which amortizes
-      the interpreter over the lanes; lanes that finish early park
-      until the chunk drains;
-    * otherwise each lane runs on its own — the scalar driver, which at
-      one lane has none of the lockstep driver's masked-array overhead,
-      or in the full phase :func:`integrate_full_phase`, which is the
-      compiled step loop whenever ``cext`` is active and beats any
-      python batching.
+    * several lanes on the python kernel step in lockstep through
+      :class:`BatchedDVERK`, which amortizes the interpreter over the
+      lanes; lanes that finish early park until the chunk drains;
+    * otherwise each lane runs on its own through
+      :func:`integrate_phase` — the compiled step loop whenever
+      ``cext`` is active, which beats any python batching, else the
+      scalar driver, which at one lane has none of the lockstep
+      driver's masked-array overhead.
 
     Lane ``b``'s counters accumulate in ``stats[b]`` over both phases
     (``max_steps`` is a lane's budget for the whole evolution on the
@@ -561,10 +613,15 @@ def _run_phase(
     where a lane stepping alone counts every slot as active.
     """
     B = len(systems)
-    compiled = (not tight and
-                batch_system.op.active_kernel(batch_system.rhs_kernel)
+    compiled = (batch_system.op.active_kernel(batch_system.rhs_kernel)
                 == "cext")
     if B > 1 and not compiled:
+        seen: list[tuple[list, list]] = [([], []) for _ in range(B)]
+
+        def on_stop(b: int, t: float, y_row: np.ndarray) -> None:
+            seen[b][0].append(t)
+            seen[b][1].append(y_row.copy())
+
         drv = BatchedDVERK(
             batch_system.rhs_tca if tight else batch_system.rhs_full,
             flops_per_rhs=batch_system.flops_per_eval(), **tolerances)
@@ -572,42 +629,33 @@ def _run_phase(
                             stats=batch_stats)
         for b in range(B):
             stats[b].merge(res.lane_stats(b))
-        return res.y
+        return res.y, [(np.array(ts), np.array(ys)) for ts, ys in seen]
 
     Y_end = np.empty_like(Y)
+    reached = []
     for b, system in enumerate(systems):
-        lane, args = stats[b], (Y[b], float(t0[b]), float(t1[b]))
+        lane = stats[b]
         accepted, rejected = lane.n_steps, lane.n_rejected
-
-        def lane_stop(t, row, b=b):
-            on_stop(b, t, row)
-
-        if tight:
-            drv = driver_cls(system.rhs_tca,
-                             flops_per_rhs=system.flops_per_eval(),
-                             **tolerances)
-            Y_end[b] = drv.integrate(*args, stop_points=stops[b],
-                                     on_stop=lane_stop, stats=lane).y
-        else:
-            Y_end[b] = integrate_full_phase(
-                system, *args, stops[b], lane_stop, lane,
-                driver_cls=driver_cls, **tolerances)
+        Y_end[b], tau, rows = integrate_phase(
+            system, tight, Y[b], float(t0[b]), float(t1[b]), stops[b], lane,
+            driver_cls=driver_cls, **tolerances)
+        reached.append((tau, rows))
         accepted = lane.n_steps - accepted
         rejected = lane.n_rejected - rejected
         batch_stats.n_sweeps += accepted + rejected
         batch_stats.lane_steps_attempted += accepted + rejected
         batch_stats.lane_steps_accepted += accepted
         batch_stats.lane_steps_rejected += rejected
-    return Y_end
+    return Y_end, reached
 
 
-def integrate_full_phase(
+def integrate_phase(
     system: PerturbationSystem,
+    tight: bool,
     y0: np.ndarray,
     t0: float,
     t1: float,
     stop_points: np.ndarray,
-    on_stop,
     stats: IntegratorStats,
     *,
     rtol: float,
@@ -615,34 +663,35 @@ def integrate_full_phase(
     max_steps: int,
     first_step: float | None = None,
     driver_cls: type[RKDriver] = DVERK,
-) -> np.ndarray:
-    """One lane's full-hierarchy phase; returns the state at ``t1``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One lane's tight-coupling or full-hierarchy phase; returns the
+    state at ``t1``, the stop times reached and the states there.
 
     When the system's kernel (after any demotion) is ``cext`` and the
-    driver is DVERK, the phase is one call of the compiled step loop;
-    the rows it returns are replayed through ``on_stop`` and its
-    counters folded into ``stats`` with the python driver's formulas,
-    so recorders, monitors and telemetry cannot tell the difference.
+    driver is DVERK, the phase is one call of the compiled step loop,
+    its counters folded into ``stats`` with the python driver's
+    formulas, so recorders, monitors and telemetry cannot tell the
+    difference.
 
     The python driver keeps the failure semantics.  A compiled call
     that stops early (max steps, step underflow) or returns a
-    non-finite state has touched neither ``stats`` nor ``on_stop``; the
-    phase is re-run from ``y0`` by the python driver, which returns the
-    identical result or raises the canonical
-    :class:`~repro.errors.IntegrationError`.  A non-finite state first
-    demotes the kernel, as a non-finite single evaluation does.
+    non-finite state has touched nothing; the phase is re-run from
+    ``y0`` by the python driver, which returns the identical result or
+    raises the canonical :class:`~repro.errors.IntegrationError`.  A
+    non-finite state first demotes the kernel, as a non-finite single
+    evaluation does.
     """
     op = system.op
-    drv = driver_cls(system.rhs_full, rtol=rtol, atol=atol,
-                     max_steps=max_steps, first_step=first_step,
+    drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
+                     rtol=rtol, atol=atol, max_steps=max_steps,
+                     first_step=first_step,
                      flops_per_rhs=system.flops_per_eval())
     if driver_cls is DVERK and op.active_kernel(system.rhs_kernel) == "cext":
-        out = op.integrate_full(
-            system.lane, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
-            max_steps=max_steps - stats.n_steps, first_step=first_step)
+        out = op.integrate_phase(
+            system.lane, tight, y0, t0, t1, stop_points, rtol=rtol,
+            atol=atol, max_steps=max_steps - stats.n_steps,
+            first_step=first_step)
         if out.ok:
-            for t, row in zip(out.stops.tolist(), out.rows):
-                on_stop(t, row)
             s = drv.tableau.n_stages
             step_flops = drv._flops_per_step(y0.size)
             stats.n_steps += out.n_steps
@@ -650,11 +699,11 @@ def integrate_full_phase(
             stats.n_rhs += out.n_rhs
             stats.n_flops += (step_flops // s
                               + step_flops * (out.n_steps + out.n_rejected))
-            return out.y
+            return out.y, out.stops, out.rows
         if out.status == 0:
-            op._demote("cext", "non-finite integrate_full output")
-    return drv.integrate(y0, t0, t1, stop_points=stop_points,
-                         on_stop=on_stop, stats=stats).y
+            op._demote("cext", "non-finite integrate_phase output")
+    res = drv.integrate(y0, t0, t1, stop_points=stop_points, stats=stats)
+    return res.y, res.recorded_t, res.recorded_y
 
 
 def _in(t: float, grid: np.ndarray) -> bool:

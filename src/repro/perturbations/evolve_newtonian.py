@@ -125,7 +125,7 @@ def evolve_mode_newtonian(
         amplitude=amplitude,
     )
 
-    t_switch = find_tca_exit(background, thermo, k, tca_eps=tca_eps)
+    t_switch = find_tca_exit(thermo, k, tca_eps=tca_eps)
     t_switch = min(max(t_switch, t_init * 1.01), tau_end)
 
     if record_tau is None:

@@ -18,9 +18,10 @@ explicit for this package:
   tables (``ThermalHistory``, ``MassiveNuTables``);
 
 * **evaluation** is a thin pass over that structure.  Two kernels
-  evaluate the same structure (and the ``cext`` shared object also
-  carries the compiled DVERK step loop, :meth:`integrate_full`, which
-  runs a lane's whole full-hierarchy phase over the same packed ABI):
+  evaluate the same structure, in both phases (and the ``cext`` shared
+  object also carries the compiled DVERK step loop,
+  :meth:`integrate_phase`, which runs a lane's whole tight-coupling or
+  full-hierarchy phase over the same packed ABI):
 
   - ``python`` — the NumPy slice kernels, transplanted verbatim from
     the previous hand-kept ``PerturbationSystem`` (scalar) and
@@ -76,6 +77,9 @@ _VERNER_TAB = np.concatenate([
     VERNER_65_TABLEAU.error_weights, VERNER_65_TABLEAU.c,
 ])
 
+#: the two right-hand sides, indexed by ``tight``
+_RHS_NAME = ("rhs_full", "rhs_tca")
+
 #: fallbacks are announced here the moment they happen
 _log = logging.getLogger("repro.kernel")
 _warned_auto_python = False
@@ -96,7 +100,7 @@ def resolve_kernel(requested: str) -> str:
     ``RhsMetrics`` telemetry section, which is the observable a run
     report should trust).  ``auto`` — the default — picks ``cext``
     when available, else ``python``; since
-    that fallback costs an order of magnitude in run time it is
+    that fallback costs two orders of magnitude in run time it is
     announced once per process on the ``repro.kernel`` logger, with
     the build's own reason.
     """
@@ -115,7 +119,7 @@ def resolve_kernel(requested: str) -> str:
             _log.warning(
                 "rhs_kernel 'auto' resolved to 'python': no compiled kernel "
                 "in this process (%s); integration runs on the python "
-                "driver, roughly 25x slower",
+                "driver, roughly 100x slower",
                 "; ".join(reasons) or "C kernel unavailable",
             )
         return avail[0]
@@ -126,7 +130,7 @@ def resolve_kernel(requested: str) -> str:
 
 @dataclass
 class CompiledPhase:
-    """What :meth:`BoltzmannOperator.integrate_full` returns."""
+    """What :meth:`BoltzmannOperator.integrate_phase` returns."""
 
     #: 0, or the python driver's failure: 1 max_steps reached, 2 step
     #: underflow before a step, 3 step underflow after a rejection
@@ -330,18 +334,19 @@ class BoltzmannOperator:
         self._damp1 = i_gg + lg + 1
 
         # -- kernel bookkeeping -------------------------------------------
-        #: lane-evaluations of rhs_full per kernel (rhs_tca always runs
-        #: the python kernel and counts there)
+        #: lane-evaluations of either RHS (rhs_tca, rhs_full) under the
+        #: kernel that ran them; the compiled step loop adds a phase's
+        #: evaluations to ``cext`` in one go
         self.evals: dict[str, int] = {"python": 0, "cext": 0}
         #: wall-clock per kernel, populated only while ``instrument``
         self.seconds: dict[str, float] = {"python": 0.0, "cext": 0.0}
-        #: when True, rhs_full dispatch wraps each call in perf_counter
+        #: when True, RHS dispatch wraps each call in perf_counter
         self.instrument = False
         self._packed = None
         self._cext = None  # the loaded C kernel, resolved once
         self._tau1 = np.zeros(1)
         self._tau1_addr = self._tau1.ctypes.data
-        #: runtime NaN/Inf sentinel on compiled rhs_full outputs: a
+        #: runtime NaN/Inf sentinel on compiled RHS outputs: a
         #: non-finite dy demotes cext -> python mid-run (the
         #: poisoned evaluation is recomputed by the fallback kernel, so
         #: the trajectory never sees the bad values)
@@ -1037,15 +1042,17 @@ class BoltzmannOperator:
             weights
         ``mnu_pack``  (2, lmax_massive_nu + 1)
             massive hierarchy advection factors l/(2l+1), (l+1)/(2l+1)
-        ``rf_c``  (4, rf_n)
-            cubic coefficients of the massive-nu ln(rho-integral)
-            spline on the uniform ln-x grid (rf_x0, rf_dx)
+        ``rf_c``  (8, rf_n)
+            cubic coefficients c3..c0 of the massive-nu ln(rho-integral)
+            spline, then c3..c0 of the ln(pressure-integral) spline
+            (read by ``rhs_tca`` alone), both on the uniform ln-x grid
+            (rf_x0, rf_dx)
 
         A kernel call adds ``tau`` float64[rows] and ``Y``/``dY``
         (rows, n_state) for rows = b1 - b0 lanes of state; lane b lives
-        in row b - b0.  Only the synchronous-gauge ``rhs_full`` is
-        packed: the TCA phase is cold (a few hundred evaluations per
-        mode) and stays on the python kernel.
+        in row b - b0.  Both synchronous-gauge right-hand sides,
+        ``rhs_full`` and ``rhs_tca``, evaluate this one structure (the
+        conformal-Newtonian twin is not packed).
         """
         if self._packed is not None:
             return self._packed
@@ -1055,7 +1062,7 @@ class BoltzmannOperator:
         if nq > 0:
             rf = self._rho_fac
             rf_n, rf_x0, rf_dx = rf.n, rf.x0, rf.dx
-            rf_c = np.ascontiguousarray(rf._coef)
+            rf_c = self.background.nu_tables._rhs_pack
             nu_pack = np.ascontiguousarray(
                 [self.q_nodes, self._dlnf, self._w_rho, self._w_q3,
                  self._w_q4]
@@ -1064,7 +1071,7 @@ class BoltzmannOperator:
             x0 = self._x0
         else:
             rf_n, rf_x0, rf_dx = 1, 0.0, 1.0
-            rf_c = np.zeros((4, 1))
+            rf_c = np.zeros((8, 1))
             nu_pack = np.zeros((5, 1))
             mnu_pack = np.zeros((2, 1))
             x0 = 0.0
@@ -1106,14 +1113,16 @@ class BoltzmannOperator:
                 )
         return self._cext
 
-    def _call_packed(self, tau: np.ndarray, Y: np.ndarray,
+    def _call_packed(self, tight: bool, tau: np.ndarray, Y: np.ndarray,
                      dY: np.ndarray, b0: int, b1: int) -> None:
         # the table's nine addresses were taken once; only the per-call
         # buffers are resolved here
         tau_addr = (self._tau1_addr if tau is self._tau1
                     else tau.ctypes.data)
-        self._compiled().rhs_raw(*self.pack()["table"], tau_addr,
-                                 Y.ctypes.data, dY.ctypes.data, b0, b1)
+        fn = self._compiled()
+        (fn.rhs_tca_raw if tight else fn.rhs_raw)(
+            *self.pack()["table"], tau_addr, Y.ctypes.data, dY.ctypes.data,
+            b0, b1)
 
     # ------------------------------------------------------------------
     # Kernel dispatch (the entry points the thin drivers call)
@@ -1149,22 +1158,23 @@ class BoltzmannOperator:
         # reduction checks every component
         return math.isfinite(float(dY.sum()))
 
-    def rhs_full_scalar(self, b: int, tau: float, y: np.ndarray,
-                        dy: np.ndarray, kernel: str = "python") -> np.ndarray:
-        """One lane's full RHS through the requested (resolved) kernel."""
+    def rhs_scalar(self, tight: bool, b: int, tau: float, y: np.ndarray,
+                   dy: np.ndarray, kernel: str = "python") -> np.ndarray:
+        """One lane's RHS — tight-coupling or full — through the
+        requested (resolved) kernel, counted under the kernel that ran."""
         if self.kernel_overrides:
             kernel = self.active_kernel(kernel)
         self.evals[kernel] += 1
         if self.instrument:
             w0 = time.perf_counter()
         if kernel == "python":
-            self.rhs_full_s(b, tau, y, dy)
+            (self.rhs_tca_s if tight else self.rhs_full_s)(b, tau, y, dy)
         else:
             self._tau1[0] = tau
             if not y.flags.c_contiguous:
                 y = np.ascontiguousarray(y)
             # (1, n) views: the packed kernels address state as rows
-            self._call_packed(self._tau1, y.reshape(1, y.size),
+            self._call_packed(tight, self._tau1, y.reshape(1, y.size),
                               dy.reshape(1, dy.size), b, b + 1)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
@@ -1172,57 +1182,59 @@ class BoltzmannOperator:
             if self.nan_sentinel and not self._finite(dy):
                 if self.instrument:
                     self.seconds[kernel] += time.perf_counter() - w0
-                fallback = self._demote(kernel, "non-finite rhs_full output")
-                return self.rhs_full_scalar(b, tau, y, dy, fallback)
+                fallback = self._demote(
+                    kernel, f"non-finite {_RHS_NAME[tight]} output")
+                return self.rhs_scalar(tight, b, tau, y, dy, fallback)
         if self.instrument:
             self.seconds[kernel] += time.perf_counter() - w0
         return dy
 
-    def rhs_full_batch(self, tau: np.ndarray, Y: np.ndarray,
-                       dY: np.ndarray, kernel: str = "python") -> np.ndarray:
-        """All lanes' full RHS through the requested (resolved) kernel."""
+    def rhs_batch(self, tight: bool, tau: np.ndarray, Y: np.ndarray,
+                  dY: np.ndarray, kernel: str = "python") -> np.ndarray:
+        """All lanes' RHS through the requested (resolved) kernel."""
         if self.kernel_overrides:
             kernel = self.active_kernel(kernel)
         self.evals[kernel] += self.B
         if self.instrument:
             w0 = time.perf_counter()
         if kernel == "python":
-            self.rhs_full_lanes(tau, Y, dY)
+            (self.rhs_tca_lanes if tight else self.rhs_full_lanes)(tau, Y, dY)
         else:
             if not Y.flags.c_contiguous:
                 Y = np.ascontiguousarray(Y)
             tau = np.ascontiguousarray(tau, dtype=float)
-            self._call_packed(tau, Y, dY, 0, self.B)
+            self._call_packed(tight, tau, Y, dY, 0, self.B)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
                 dY[:] = np.nan
             if self.nan_sentinel and not self._finite(dY):
                 if self.instrument:
                     self.seconds[kernel] += time.perf_counter() - w0
-                fallback = self._demote(kernel, "non-finite rhs_full output")
-                return self.rhs_full_batch(tau, Y, dY, fallback)
+                fallback = self._demote(
+                    kernel, f"non-finite {_RHS_NAME[tight]} output")
+                return self.rhs_batch(tight, tau, Y, dY, fallback)
         if self.instrument:
             self.seconds[kernel] += time.perf_counter() - w0
         return dY
 
-    def integrate_full(self, b: int, y0: np.ndarray, t0: float, t1: float,
-                       stop_points, *, rtol: float, atol: float,
-                       max_steps: int, first_step: float | None = None,
-                       ) -> CompiledPhase:
-        """Lane ``b``'s whole full-hierarchy phase in one compiled call.
+    def integrate_phase(self, b: int, tight: bool, y0: np.ndarray,
+                        t0: float, t1: float, stop_points, *, rtol: float,
+                        atol: float, max_steps: int,
+                        first_step: float | None = None) -> CompiledPhase:
+        """One whole phase of lane ``b`` in one compiled call.
 
-        The C loop is ``DVERK(rhs_full).integrate(y0, t0, t1,
-        stop_points)`` transcribed under the arithmetic contract —
-        same stages, error norm, controller, stop-point and failure
-        rules, bitwise the same numbers — with ``rhs_full`` called
-        in-process through the pointer table of :meth:`pack`.  Only
-        lane ``b``'s coefficients are read, so the result does not
-        depend on the rest of the batch.  ``max_steps`` is the number
-        of accepted steps still allowed.
+        The C loop is ``DVERK(rhs).integrate(y0, t0, t1, stop_points)``
+        transcribed under the arithmetic contract — same stages, error
+        norm, controller, stop-point and failure rules, bitwise the
+        same numbers — with ``rhs`` (``rhs_tca`` when ``tight``, else
+        ``rhs_full``) called in-process through the pointer table of
+        :meth:`pack`.  Only lane ``b``'s coefficients are read, so the
+        result does not depend on the rest of the batch.  ``max_steps``
+        is the number of accepted steps still allowed.
 
         The caller owns the failure semantics: a result that is not
         :attr:`CompiledPhase.ok` is re-run on the python driver (see
-        ``evolve.integrate_full_phase``).  The chaos engine's kernel
+        ``evolve.integrate_phase``).  The chaos engine's kernel
         poison is consulted once per call, here, not inside C.
         """
         fn = self._compiled()
@@ -1230,16 +1242,16 @@ class BoltzmannOperator:
         y = np.array(y0, dtype=float)
         if not 0 <= b < self.B or y.shape != (n,):
             raise ParameterError(
-                f"integrate_full needs a lane in [0, {self.B}) and a state "
+                f"integrate_phase needs a lane in [0, {self.B}) and a state "
                 f"of {n} entries, got lane {b} and shape {y.shape}"
             )
         if t1 <= t0:
-            raise IntegrationError("integrate_full requires t1 > t0")
+            raise IntegrationError("integrate_phase requires t1 > t0")
         pi = StepController(order=VERNER_65_TABLEAU.order_low + 1)
-        stops = sorted(float(p) for p in stop_points if t0 < p <= t1)
-        if not stops or stops[-1] < t1:
-            stops.append(float(t1))
-        stops = np.array(stops)
+        stops = np.asarray(stop_points, dtype=float)
+        stops = np.sort(stops[(t0 < stops) & (stops <= t1)])
+        if not stops.size or stops[-1] < t1:
+            stops = np.append(stops, t1)
         ctl = np.array([t0, t1, rtol, atol, math.inf, 0.0,
                         math.nan if first_step is None else first_step,
                         pi.order, pi.safety, pi.min_factor, pi.max_factor,
@@ -1250,7 +1262,7 @@ class BoltzmannOperator:
         if self.instrument:
             w0 = time.perf_counter()
         status = fn.integrate_raw(
-            *self.pack()["table"], b, _VERNER_TAB.ctypes.data, s,
+            *self.pack()["table"], b, int(tight), _VERNER_TAB.ctypes.data, s,
             ctl.ctypes.data,
             stops.ctypes.data, max_steps, y.ctypes.data, rows.ctypes.data,
             work.ctypes.data, out.ctypes.data)
@@ -1264,27 +1276,6 @@ class BoltzmannOperator:
         return CompiledPhase(status=int(status), y=y, stops=stops[:n_rows],
                              rows=rows[:n_rows], n_steps=n_steps,
                              n_rejected=n_rejected, n_rhs=n_rhs)
-
-    def rhs_tca_scalar(self, b: int, tau: float, y: np.ndarray,
-                       dy: np.ndarray) -> np.ndarray:
-        """Tight-coupling RHS (python only: the TCA phase is cold)."""
-        self.evals["python"] += 1
-        if self.instrument:
-            w0 = time.perf_counter()
-        self.rhs_tca_s(b, tau, y, dy)
-        if self.instrument:
-            self.seconds["python"] += time.perf_counter() - w0
-        return dy
-
-    def rhs_tca_batch(self, tau: np.ndarray, Y: np.ndarray,
-                      dY: np.ndarray) -> np.ndarray:
-        self.evals["python"] += self.B
-        if self.instrument:
-            w0 = time.perf_counter()
-        self.rhs_tca_lanes(tau, Y, dY)
-        if self.instrument:
-            self.seconds["python"] += time.perf_counter() - w0
-        return dY
 
     # ------------------------------------------------------------------
     # Cost census

@@ -26,11 +26,10 @@ attribute surface (the constraint monitor and the recorders reach into
 / ``rhs_tca(tau, y)`` signatures, bitwise-identical python-kernel
 values.
 
-Set ``rhs_kernel`` to ``"cext"`` or ``"auto"`` to route
-:meth:`rhs_full` through the compiled kernel; an unavailable kernel
+Set ``rhs_kernel`` to ``"cext"`` or ``"auto"`` to route both
+right-hand sides through the compiled kernel; an unavailable kernel
 resolves to ``"python"`` silently (the resolved choice is recorded in
-``self.rhs_kernel`` and in the ``RhsMetrics`` telemetry section).  The
-TCA phase is cold and always runs the python kernel.
+``self.rhs_kernel`` and in the ``RhsMetrics`` telemetry section).
 """
 
 from __future__ import annotations
@@ -213,12 +212,13 @@ class PerturbationSystem:
 
     def rhs_full(self, tau: float, y: np.ndarray) -> np.ndarray:
         """Full (post-TCA) RHS, evaluated by the resolved kernel."""
-        return self.op.rhs_full_scalar(self.lane, tau, y, self._dy,
-                                       self.rhs_kernel)
+        return self.op.rhs_scalar(False, self.lane, tau, y, self._dy,
+                                  self.rhs_kernel)
 
     def rhs_tca(self, tau: float, y: np.ndarray) -> np.ndarray:
-        """Tight-coupling RHS (MB95 eqs. 74/75; python kernel always)."""
-        return self.op.rhs_tca_scalar(self.lane, tau, y, self._dy)
+        """Tight-coupling RHS (MB95 eqs. 74/75), by the resolved kernel."""
+        return self.op.rhs_scalar(True, self.lane, tau, y, self._dy,
+                                  self.rhs_kernel)
 
     def initialize_full_from_tca(self, y: np.ndarray, tau: float) -> None:
         """Populate the slaved moments when leaving tight coupling."""

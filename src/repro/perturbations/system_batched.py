@@ -17,8 +17,8 @@ drift.  Row b of a batched python-kernel evaluation is *bitwise* equal
 to the serial python kernel for ``ks[b]`` (same expression groupings,
 same libm transcendentals); the equivalence tests and goldens pin it.
 
-``rhs_kernel`` routes :meth:`rhs_full` through the optional compiled
-kernel exactly as in the serial class; :meth:`lane_system` hands out
+``rhs_kernel`` routes both right-hand sides through the optional
+compiled kernel exactly as in the serial class; :meth:`lane_system` hands out
 serial views that share this batch's operator (coefficient tables and
 telemetry counters included), which is what the chunk evolution uses
 for one-lane stepping, per-lane recording and hand-off.
@@ -144,11 +144,11 @@ class PerturbationSystemBatch:
 
     def rhs_full(self, tau: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Full (post-TCA) RHS for every lane, shape (B, n_state)."""
-        return self.op.rhs_full_batch(tau, Y, self._dy, self.rhs_kernel)
+        return self.op.rhs_batch(False, tau, Y, self._dy, self.rhs_kernel)
 
     def rhs_tca(self, tau: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Tight-coupling RHS for every lane (python kernel always)."""
-        return self.op.rhs_tca_batch(tau, Y, self._dy)
+        """Tight-coupling RHS for every lane, shape (B, n_state)."""
+        return self.op.rhs_batch(True, tau, Y, self._dy, self.rhs_kernel)
 
     # ------------------------------------------------------------------
     # Serial views

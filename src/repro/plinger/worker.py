@@ -258,9 +258,13 @@ def _worker_fault_tolerant(
                         f"worker {mp.mytid} gave up: master silent through "
                         f"{attempts - 1} READY retries"
                     )
-                time.sleep(retry.backoff(attempts))
-                mp.mysendreal(np.array([0.0]), Tag.READY, mastid)
-                log.ready_retries += 1
+                # back off inside a probe, not a sleep: a reply that
+                # lands meanwhile is answered instead of being crossed
+                # by a READY that earns the same assignment twice
+                if mp.myprobe(source=mastid,
+                              timeout=retry.backoff(attempts)) is None:
+                    mp.mysendreal(np.array([0.0]), Tag.READY, mastid)
+                    log.ready_retries += 1
                 continue
 
             tag, _src = probed

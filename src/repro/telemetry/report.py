@@ -383,10 +383,11 @@ class RhsMetrics:
     One section per run: which kernel was requested, which one actually
     ran (compiled kernels silently fall back to python when
     unavailable), and the lane-evaluation counts / wall-clock split per
-    kernel.  ``evals`` counts *lane* evaluations so serial, batched and
-    compiled paths are directly comparable; the TCA phase always
-    accrues to ``python``.  Additive v1 extension like ``sparse``:
-    reports without an ``rhs`` section load unchanged.
+    kernel.  ``evals`` counts *lane* evaluations, of either phase's
+    RHS, under the kernel that ran them, so serial, batched and
+    compiled paths are directly comparable and a ``cext`` run that
+    never fell back reads ``python: 0``.  Additive v1 extension like
+    ``sparse``: reports without an ``rhs`` section load unchanged.
     """
 
     requested: str = "python"

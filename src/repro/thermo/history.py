@@ -293,6 +293,9 @@ class ThermalHistory:
         # the compiled kernels take the eight coefficient rows packed:
         # one piece index, one gather, both polynomials.
         self._kappa_dot_table = kappa_dot
+        # H_conf on the same grid: with kappa' and x_e, all that the
+        # tight-coupling exit search of every wavenumber compares
+        self._conformal_hubble_table = self.background.conformal_hubble(a)
         self._rhs_pack = np.empty((8, lna.size - 1))
         self._ln_kap_spline = UniformGridCubic(
             lna, np.log(np.maximum(kappa_dot, 1e-300)),

@@ -202,25 +202,28 @@ def rhs_kernel_oracle(
     """Replay one mode through every RHS kernel and the compiled loop.
 
     Evolves one monitored mode with the scalar python reference
-    (python kernel, python driver), capturing the full (post-TCA)
-    states at the record grid, then re-evaluates ``rhs_full`` at each
-    captured ``(tau, y)`` through
+    (python kernel, python driver), capturing the states at the record
+    grid in both phases, then re-evaluates the phase's own right-hand
+    side — ``rhs_tca`` at the tight-coupling states, ``rhs_full`` at
+    the rest — at each captured ``(tau, y)`` through
 
     * the lane-vectorized python kernel (B=1 batch), and
     * the compiled kernel (cext) when available,
 
     each against the scalar python reference evaluated on the same
     state; and, when the ``cext`` kernel exists, evolves the same mode
-    again through the compiled step loop and compares every recorded
-    observable and the final state against the python driver's.
+    again through the compiled step loop (both phases) and compares
+    every recorded observable and the final state against the python
+    driver's.
 
     Returns ``{"rhs_kernel": dev}``: the worst
     ``max|x - x_ref| / max|x_ref|`` over states, kernels and the
     compiled-loop leg.  The python lanes and the compiled loop are
     expected bitwise (dev contribution 0.0); the compiled kernels are
-    budgeted at ``oracle.rhs_kernel``.  With no compiler
-    the check still measures the real scalar-vs-lane equivalence
-    rather than vacuously passing.
+    budgeted at ``oracle.rhs_kernel`` and, this mode having no massive
+    neutrinos, measure 0.0 too.  With no compiler the check still
+    measures the real scalar-vs-lane equivalence rather than vacuously
+    passing.
     """
     from ..perturbations import default_record_grid, evolve_mode
     from ..perturbations.operator import available_kernels
@@ -228,20 +231,19 @@ def rhs_kernel_oracle(
     from ..perturbations.system import PerturbationSystem
     from ..perturbations.system_batched import PerturbationSystemBatch
 
-    states: list[tuple[float, np.ndarray]] = []
+    states: list[tuple[float, np.ndarray, bool]] = []
 
     def monitor(tau, y, tight):
-        if not tight:
-            states.append((float(tau), np.array(y, dtype=float)))
+        states.append((float(tau), np.array(y, dtype=float), tight))
 
     grid = default_record_grid(background, thermo, k)
     kwargs = dict(lmax_photon=lmax, lmax_nu=lmax, record_tau=grid, rtol=rtol)
     ref_mode = evolve_mode(background, thermo, k, monitor=monitor,
                            rhs_kernel="python", **kwargs)
-    if not states:
+    if len({tight for _, _, tight in states}) != 2:
         raise ParameterError(
-            "rhs_kernel_oracle captured no full-phase states; the record "
-            "grid ends before tight-coupling exit"
+            "rhs_kernel_oracle needs states of both phases; the record "
+            "grid misses tight coupling or ends before its exit"
         )
 
     layout = StateLayout(lmax_photon=lmax, lmax_nu=lmax, nq=0,
@@ -257,15 +259,16 @@ def rhs_kernel_oracle(
 
     tau1 = np.empty(1)
     worst = 0.0
-    for tau, y in states:
-        dy_ref = ref.rhs_full(tau, y).copy()
+    for tau, y, tight in states:
+        rhs = "rhs_tca" if tight else "rhs_full"
+        dy_ref = getattr(ref, rhs)(tau, y).copy()
         scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
         tau1[0] = tau
-        dy_lane = batch.rhs_full(tau1, y.reshape(1, y.size))[0]
+        dy_lane = getattr(batch, rhs)(tau1, y.reshape(1, y.size))[0]
         worst = max(worst,
                     float(np.max(np.abs(dy_lane - dy_ref))) / scale)
         for sys_c in compiled:
-            dy_c = sys_c.rhs_full(tau, y)
+            dy_c = getattr(sys_c, rhs)(tau, y)
             worst = max(worst,
                         float(np.max(np.abs(dy_c - dy_ref))) / scale)
 
@@ -315,9 +318,9 @@ def batch_invariance_oracle(
     leg's ``dev`` is 0.0 when its bytes match and otherwise the worst
     relative C_l deviation (``inf`` if that is zero although records
     differ).  ``batch_invariance`` is the worst leg, or NaN when a C
-    compiler exists and yet a ``cext`` leg evaluated nothing in
-    compiled code — a compiled leg that silently ran python proves
-    nothing about the compiled loop.
+    compiler exists and yet the ``cext`` legs evaluated anything on the
+    python kernel (or nothing at all) — a compiled leg that silently
+    fell back for a phase proves nothing about the compiled loop.
     """
     from ..background import Background
     from ..linger.kgrid import KGrid
@@ -372,8 +375,10 @@ def batch_invariance_oracle(
                                          backend="inprocess", telemetry=tel,
                                          **common)
             legs[f"{kernel} nproc={nproc}"] = deviation(result)
-        if kernel == "cext" and not (tel.rhs and tel.rhs.evals.get("cext")):
-            compiled_ran = False
+        if kernel == "cext":
+            evals = tel.rhs.evals if tel.rhs else {}
+            compiled_ran = (evals.get("cext", 0) > 0
+                            and evals.get("python", 0) == 0)
 
     worst = max(legs.values())
     return {"batch_invariance": worst if compiled_ran else float("nan"),
@@ -430,7 +435,7 @@ def chaos_degradation_oracle(
     fixed-seed :class:`~repro.chaos.ChaosPolicy` that hits all three
     fault surfaces — cache (a corrupted store entry to quarantine and
     rebuild), compiled kernel (a stale ``.so``,
-    one failed compilation, and one NaN-poisoned ``rhs_full`` output),
+    one failed compilation, and one NaN-poisoned compiled output),
     and integrator (one forced step collapse) — with fault tolerance
     and telemetry armed, and compares the hierarchy C_l.
 

@@ -1,26 +1,34 @@
 """Plain-python evaluation of the packed operator ABI (frozen reference).
 
-:func:`kernel_rhs_full` is the scalar-loop evaluation of the flat
-arrays ``BoltzmannOperator.pack`` builds (that docstring is the ABI
-contract), in the evaluation order the C kernel in ``_rhs_cext``
-transcribes.  It is the source of the retired numba backend, moved
-here unchanged: run as ordinary python it is how
-``tests/test_rhs_operator.py`` pins the packed evaluation order against
-the NumPy kernels, on machines with or without a C compiler.
+:func:`kernel_rhs_full` and :func:`kernel_rhs_tca` are the scalar-loop
+evaluation of the flat arrays ``BoltzmannOperator.pack`` builds (that
+docstring is the ABI contract), in the evaluation order the C kernels
+in ``_rhs_cext`` transcribe — one body for both phases, as there, which
+differs only in the photon-baryon sector.  The full-hierarchy half is
+the source of the retired numba backend: run as ordinary python it is
+how ``tests/test_rhs_operator.py`` pins the packed evaluation order
+against the NumPy kernels, on machines with or without a C compiler.
 
-It computes the synchronous-gauge ``rhs_full`` only: the TCA phase
-stays on the python kernel, as does the conformal-Newtonian twin.
+Synchronous gauge only: the conformal-Newtonian twin is not packed.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["kernel_rhs_full"]
+__all__ = ["kernel_rhs_full", "kernel_rhs_tca"]
 
 
-def kernel_rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi,
-                    nu_pack, mnu_pack, rf_c, tau, Y, dY, b0, b1):
+def kernel_rhs_full(*args):
+    _kernel_rhs(*args, tight=False)
+
+
+def kernel_rhs_tca(*args):
+    _kernel_rhs(*args, tight=True)
+
+
+def _kernel_rhs(ints, flts, th_c, lane_c, adv_lo, adv_hi,
+                nu_pack, mnu_pack, rf_c, tau, Y, dY, b0, b1, tight):
     B = ints[0]
     lg = ints[2]
     ln = ints[3]
@@ -73,8 +81,10 @@ def kernel_rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi,
                 i = 0
             if i > rf_n - 1:
                 i = rf_n - 1
-            u = lx - (rf_x0 + i * rf_dx)
-            p = ((rf_c[0, i] * u + rf_c[1, i]) * u + rf_c[2, i]) * u + rf_c[3, i]
+            u_nu = lx - (rf_x0 + i * rf_dx)
+            p = (
+                (rf_c[0, i] * u_nu + rf_c[1, i]) * u_nu + rf_c[2, i]
+            ) * u_nu + rf_c[3, i]
             grho += gr_nu_rel / a2 * (math.exp(p) / irho)
         hc = math.sqrt(grho + gr_k)
 
@@ -124,40 +134,87 @@ def kernel_rhs_full(ints, flts, th_c, lane_c, adv_lo, adv_hi,
         dY[bi, 2] = etadot
         hdot23 = (2.0 / 3.0) * hdot
         src2 = (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot
-
-        # -- CDM and baryons ----------------------------------------------
         theta_b = Y[bi, 5]
         r = r_coef / a
-        dY[bi, 3] = -0.5 * hdot
-        dY[bi, 4] = -theta_b - 0.5 * hdot
-        dY[bi, 5] = (
-            -hc * theta_b + cs2 * k2 * Y[bi, 4] + r * kap * (theta_g - theta_b)
-        )
 
-        # -- fused hierarchy advection ------------------------------------
-        for c in range(adv0, adv1):
-            dY[bi, c] = (
-                adv_lo[b, c - adv0] * Y[bi, c - 1]
-                - adv_hi[b, c - adv0] * Y[bi, c + 1]
+        if tight:
+            # -- photon-baryon fluid to first order in 1/kappa' -----------
+            delta_g = Y[bi, i_fg]
+            delta_b = Y[bi, 4]
+            sigma_g = (2.0 / (3.0 * kap)) * (
+                (8.0 / 15.0) * theta_g + (4.0 / 15.0) * hdot
+                + (8.0 / 5.0) * etadot
+            )
+            ddelta_b = -theta_b - 0.5 * hdot
+            ddelta_g = -(4.0 / 3.0) * theta_g - hdot23
+            gpres = gr_gnl / (3.0 * a * a) - gr_lam * a * a
+            if nq > 0:
+                # the pressure-integral spline: rows 4..7 of rf_c, on
+                # the piece (i, u_nu) the rho-integral lookup found
+                p = (
+                    (rf_c[4, i] * u_nu + rf_c[5, i]) * u_nu + rf_c[6, i]
+                ) * u_nu + rf_c[7, i]
+                gpres += gr_nu_rel / a2 * (3.0 * math.exp(p) / irho) / 3.0
+            addot_a = -0.5 * (grho + 3.0 * gpres) + hc * hc
+            slip = (2.0 * r / (1.0 + r)) * hc * (theta_b - theta_g) + (
+                1.0 / (kap * (1.0 + r))
+            ) * (
+                -addot_a * theta_b
+                - hc * k2 * 0.5 * delta_g
+                + k2 * (cs2 * ddelta_b - 0.25 * ddelta_g)
+            )
+            dtheta_b = (
+                -hc * theta_b
+                + cs2 * k2 * delta_b
+                + r * (k2 * (0.25 * delta_g - sigma_g))
+                + r * slip
+            ) / (1.0 + r)
+            dY[bi, 3] = -0.5 * hdot
+            dY[bi, 4] = ddelta_b
+            dY[bi, 5] = dtheta_b
+            dY[bi, i_fg] = ddelta_g
+            dY[bi, i_fg + 1] = k43i * (dtheta_b - slip)
+            for c in range(i_fg + 2, i_nl):
+                dY[bi, c] = 0.0
+            # massless-neutrino interior advection
+            for c in range(i_nl + 1, adv1):
+                dY[bi, c] = (
+                    adv_lo[b, c - adv0] * Y[bi, c - 1]
+                    - adv_hi[b, c - adv0] * Y[bi, c + 1]
+                )
+        else:
+            # -- CDM and baryons ------------------------------------------
+            dY[bi, 3] = -0.5 * hdot
+            dY[bi, 4] = -theta_b - 0.5 * hdot
+            dY[bi, 5] = (
+                -hc * theta_b + cs2 * k2 * Y[bi, 4]
+                + r * kap * (theta_g - theta_b)
             )
 
-        # -- photon boundary rows, damping, Thomson sources ---------------
-        lg1_tau = (lg + 1.0) / t
-        dY[bi, i_fg] = (-k) * Y[bi, i_fg + 1] - hdot23
-        dY[bi, i_fg + lg] = (
-            k * Y[bi, i_fg + lg - 1] - lg1_tau * Y[bi, i_fg + lg]
-        )
-        dY[bi, i_gg] = (-k) * Y[bi, i_gg + 1]
-        dY[bi, i_gg + lg] = (
-            k * Y[bi, i_gg + lg - 1] - lg1_tau * Y[bi, i_gg + lg]
-        )
-        for c in range(damp0, damp1):
-            dY[bi, c] -= kap * Y[bi, c]
-        pi_pol = Y[bi, i_fg + 2] + Y[bi, i_gg] + Y[bi, i_gg + 2]
-        dY[bi, i_fg + 1] += kap * (k43i * theta_b - Y[bi, i_fg + 1])
-        dY[bi, i_fg + 2] += src2 + kap * (0.1 * pi_pol - Y[bi, i_fg + 2])
-        dY[bi, i_gg] += 0.5 * kap * pi_pol
-        dY[bi, i_gg + 2] += 0.1 * kap * pi_pol
+            # -- fused hierarchy advection --------------------------------
+            for c in range(adv0, adv1):
+                dY[bi, c] = (
+                    adv_lo[b, c - adv0] * Y[bi, c - 1]
+                    - adv_hi[b, c - adv0] * Y[bi, c + 1]
+                )
+
+            # -- photon boundary rows, damping, Thomson sources -----------
+            lg1_tau = (lg + 1.0) / t
+            dY[bi, i_fg] = (-k) * Y[bi, i_fg + 1] - hdot23
+            dY[bi, i_fg + lg] = (
+                k * Y[bi, i_fg + lg - 1] - lg1_tau * Y[bi, i_fg + lg]
+            )
+            dY[bi, i_gg] = (-k) * Y[bi, i_gg + 1]
+            dY[bi, i_gg + lg] = (
+                k * Y[bi, i_gg + lg - 1] - lg1_tau * Y[bi, i_gg + lg]
+            )
+            for c in range(damp0, damp1):
+                dY[bi, c] -= kap * Y[bi, c]
+            pi_pol = Y[bi, i_fg + 2] + Y[bi, i_gg] + Y[bi, i_gg + 2]
+            dY[bi, i_fg + 1] += kap * (k43i * theta_b - Y[bi, i_fg + 1])
+            dY[bi, i_fg + 2] += src2 + kap * (0.1 * pi_pol - Y[bi, i_fg + 2])
+            dY[bi, i_gg] += 0.5 * kap * pi_pol
+            dY[bi, i_gg + 2] += 0.1 * kap * pi_pol
 
         # -- massless neutrinos -------------------------------------------
         dY[bi, i_nl] = (-k) * Y[bi, i_nl + 1] - hdot23

@@ -339,6 +339,46 @@ class TestLostAndCorruptResults:
         with pytest.raises(ProtocolError, match="max_retries"):
             master_subroutine(mp0, KGRID, fault_tolerance=ft)
 
+    def test_a_reply_during_the_backoff_is_not_crossed_by_a_ready(self):
+        """A worker whose wait timed out backs off *listening*: WORK
+        that lands in the backoff window is taken at once, and no READY
+        goes out to earn the same assignment a second time (the master
+        answers a READY from a rank with work outstanding by re-sending
+        it, so a crossed READY computes the mode twice)."""
+        ft = FaultTolerance(worker_timeout=0.1, poll_seconds=0.02,
+                            payload_timeout=0.4, max_retries=5,
+                            backoff_base=1.0)
+        world = InProcessWorld(2)
+        logs = {}
+
+        def worker():
+            mp = world.handle(1)
+            mp.initpass()
+            logs[1] = worker_subroutine(
+                mp, per_mode(fake_compute_factory(KGRID)),
+                fault_tolerance=ft)
+            mp.endpass()
+
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        mp0 = world.handle(0)
+        mp0.initpass()
+        mp0.mysendreal(np.array([NK, KGRID.k[0], KGRID.k[-1], 0.0, 0.0]),
+                       Tag.INIT, 1)
+        mp0.myrecvraw(Tag.READY, 1)
+        time.sleep(0.3)  # the worker's 0.1 s wait is over: 1 s backoff
+        sent = time.monotonic()
+        mp0.mysendreal(np.array([3.0]), Tag.WORK, 1)
+        assert mp0.myprobe(Tag.HEADER, 1, timeout=0.5) is not None
+        assert time.monotonic() - sent < 0.5  # not slept out
+        mp0.myrecvraw(Tag.HEADER, 1)
+        mp0.myrecvraw(Tag.PAYLOAD, 1)
+        mp0.mysendreal(np.array([0.0]), Tag.STOP, 1)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert logs[1].modes_done == 1 and logs[1].ready_retries == 0
+        assert mp0.myprobe(Tag.READY, 1, timeout=0.0) is None
+
 
 class TestFaultPolicyAccounting:
     """Satellite: every fault action tallies faults_by_tag identically."""

@@ -103,12 +103,12 @@ class TestTightCoupling:
 
     def test_tca_exit_before_visibility_peak(self, bg_scdm, thermo_scdm):
         for k in (0.001, 0.05, 0.3):
-            t_exit = find_tca_exit(bg_scdm, thermo_scdm, k)
+            t_exit = find_tca_exit(thermo_scdm, k)
             assert t_exit < thermo_scdm.tau_rec
 
     def test_tca_exit_earlier_for_larger_k(self, bg_scdm, thermo_scdm):
-        assert find_tca_exit(bg_scdm, thermo_scdm, 0.3) < find_tca_exit(
-            bg_scdm, thermo_scdm, 0.003
+        assert find_tca_exit(thermo_scdm, 0.3) < find_tca_exit(
+            thermo_scdm, 0.003
         )
 
 

@@ -9,10 +9,12 @@ The refactor's contract, pinned here:
   evaluation times, for both the nq=0 and the massive-neutrino
   layouts.  This is what lets the goldens and the wire-record oracles
   stand unchanged.
-* **compiled-kernel gate** — the packed-ABI evaluation written out in
-  plain python (``tests/reference_packed_rhs.py``) is bitwise too; the
-  lazily-compiled C kernel is budgeted at the ``oracle.rhs_kernel``
-  tolerance (rtol 1e-10) and gated out when no C compiler is present.
+* **compiled-kernel gate** — the packed-ABI evaluation of both
+  right-hand sides written out in plain python
+  (``tests/reference_packed_rhs.py``) is bitwise too; the
+  lazily-compiled C kernels are budgeted at the ``oracle.rhs_kernel``
+  tolerance (rtol 1e-10) — and held to zero deviation without massive
+  neutrinos — and gated out when no C compiler is present.
 * **kernel resolution** — unknown names (the retired ``numba``
   included) raise, an unavailable ``cext`` falls back to python
   silently, ``auto`` resolves to something real.
@@ -52,11 +54,12 @@ from repro.perturbations.operator import (
     resolve_kernel,
 )
 from repro.telemetry import RhsMetrics, RunReport, Telemetry
-from tests.reference_packed_rhs import kernel_rhs_full
+from tests.reference_packed_rhs import kernel_rhs_full, kernel_rhs_tca
 from tests.reference_rhs import ReferencePerturbationSystem
 
 LAYOUT_NQ0 = dict(lmax_photon=8, lmax_nu=8, nq=0, lmax_massive_nu=0)
 LAYOUT_NQ4 = dict(lmax_photon=6, lmax_nu=6, nq=4, lmax_massive_nu=4)
+LAYOUT_NQ8 = dict(lmax_photon=8, lmax_nu=8, nq=8, lmax_massive_nu=6)
 
 KS = np.geomspace(3e-4, 0.05, 5)
 
@@ -154,16 +157,29 @@ class TestBitwiseParity:
 # ---------------------------------------------------------------------------
 
 
-def _packed_eval(op, fn, tau, Y):
-    """Evaluate a packed-ABI kernel over the whole batch."""
+def _packed_eval(op, fn, tau, Y, **kwargs):
+    """Evaluate a packed-ABI kernel over the whole batch; the output
+    buffer starts as NaN, so an entry the kernel leaves unwritten
+    cannot pass for a zero."""
     p = op.pack()
     tau = np.ascontiguousarray(np.asarray(tau, dtype=float))
     Y = np.ascontiguousarray(Y)
-    dY = np.zeros_like(Y)
+    dY = np.full_like(Y, np.nan)
     fn(p["ints"], p["flts"], p["th_c"], p["lane_c"], p["adv_lo"],
        p["adv_hi"], p["nu_pack"], p["mnu_pack"], p["rf_c"],
-       tau, Y, dY, 0, op.B)
+       tau, Y, dY, 0, op.B, **kwargs)
     return dY
+
+
+def _random_batch(op, bg, layout, seed):
+    rng = np.random.default_rng(seed)
+    Y = np.empty((KS.size, layout.n_state))
+    tau = np.empty(KS.size)
+    for b, k in enumerate(KS):
+        tau0, Y[b] = _random_state(layout, bg, float(k), rng,
+                                   q_nodes=op.q_nodes)
+        tau[b] = 3.0 * tau0
+    return tau, Y
 
 
 @pytest.mark.parametrize("nq", [0, 4])
@@ -171,18 +187,32 @@ def test_packed_python_kernel_bitwise(request, nq):
     """The packed ABI evaluated in plain python is bitwise equal to the
     reference rhs_full — same groupings, same libm calls."""
     bg, thermo, layout = _fixtures(request, nq)
-    rng = np.random.default_rng(7)
-    Y = np.empty((KS.size, layout.n_state))
-    tau = np.empty(KS.size)
     op = BoltzmannOperator(bg, thermo, KS, layout)
-    for b, k in enumerate(KS):
-        tau0, Y[b] = _random_state(layout, bg, float(k), rng,
-                                   q_nodes=op.q_nodes)
-        tau[b] = 3.0 * tau0
+    tau, Y = _random_batch(op, bg, layout, 7)
     dY = _packed_eval(op, kernel_rhs_full, tau, Y)
     for b, k in enumerate(KS):
         ref = ReferencePerturbationSystem(bg, thermo, float(k), layout)
         assert np.array_equal(dY[b], ref.rhs_full(float(tau[b]), Y[b]))
+
+
+@pytest.mark.parametrize("nq", [0, 4])
+def test_packed_python_tca_kernel_bitwise(request, nq):
+    """... and so is the tight-coupling half of the same body, slaved
+    zeros included, against the reference rhs_tca.  With massive
+    neutrinos the packed order sums the momentum nodes left to right
+    where the reference takes a BLAS dot, which pairs them: the last
+    bit of hdot/etadot may differ, and everything downstream with it."""
+    bg, thermo, layout = _fixtures(request, nq)
+    op = BoltzmannOperator(bg, thermo, KS, layout)
+    tau, Y = _random_batch(op, bg, layout, 8)
+    dY = _packed_eval(op, kernel_rhs_tca, tau, Y)
+    for b, k in enumerate(KS):
+        ref = ReferencePerturbationSystem(bg, thermo, float(k), layout)
+        dy_ref = ref.rhs_tca(float(tau[b]), Y[b])
+        if nq == 0:
+            assert np.array_equal(dY[b], dy_ref)
+        else:
+            np.testing.assert_allclose(dY[b], dy_ref, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("nq", [0, 4])
@@ -194,14 +224,8 @@ def test_cext_kernel_within_oracle_budget(request, nq):
     from repro.verify.tolerances import budget
 
     bg, thermo, layout = _fixtures(request, nq)
-    rng = np.random.default_rng(11)
-    Y = np.empty((KS.size, layout.n_state))
-    tau = np.empty(KS.size)
     op = BoltzmannOperator(bg, thermo, KS, layout)
-    for b, k in enumerate(KS):
-        tau0, Y[b] = _random_state(layout, bg, float(k), rng,
-                                   q_nodes=op.q_nodes)
-        tau[b] = 3.0 * tau0
+    tau, Y = _random_batch(op, bg, layout, 11)
     dY = _packed_eval(op, get_cext(), tau, Y)
     tol = budget("oracle.rhs_kernel")
     for b, k in enumerate(KS):
@@ -210,6 +234,44 @@ def test_cext_kernel_within_oracle_budget(request, nq):
         scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
         dev = float(np.max(np.abs(dY[b] - dy_ref))) / scale
         assert dev <= tol.rtol, f"lane {b}: {dev:.3e} > {tol.rtol:.1e}"
+
+
+@pytest.mark.property
+@pytest.mark.parametrize("nq", [0, 8])
+@pytest.mark.skipif(get_cext() is None,
+                    reason="no C compiler / ctypes kernel unavailable")
+@given(seed=seeds, b=lane_idx, ts=tau_scale,
+       lg_a=st.floats(min_value=-7.5, max_value=-2.8))
+@relaxed
+def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
+    """C ``rhs_tca`` against ``rhs_tca_s`` on scaled random states, at
+    every wavenumber of the batch and scale factors from the earliest
+    start to past the latest tight-coupling exit: bitwise without
+    massive neutrinos, inside the ``oracle.rhs_kernel`` budget with
+    them (the momentum sums are BLAS dots in python, loops in C)."""
+    from repro.verify.tolerances import budget
+
+    if nq:
+        bg = request.getfixturevalue("bg_mdm")
+        thermo = request.getfixturevalue("thermo_mdm")
+        layout = StateLayout(**LAYOUT_NQ8)
+    else:
+        bg, thermo, layout = _fixtures(request, 0)
+    op = BoltzmannOperator(bg, thermo, KS, layout)
+    k = float(KS[b])
+    tau0, y = _random_state(layout, bg, k, np.random.default_rng(seed),
+                            q_nodes=op.q_nodes)
+    y[layout.A] = 10.0 ** lg_a
+    tau = ts * tau0
+    want = op.rhs_scalar(True, b, tau, y, np.empty_like(y), "python")
+    got = op.rhs_scalar(True, b, tau, y, np.full_like(y, np.nan), "cext")
+    assert op.evals == {"python": 1, "cext": 1} and not op.demotions
+    if nq == 0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) / scale <= budget(
+            "oracle.rhs_kernel").rtol
 
 
 @pytest.mark.skipif("cext" not in available_kernels(),

@@ -1,12 +1,13 @@
 """The compiled DVERK step loop against the python driver, bit for bit.
 
-``integrate_full`` (C, in the ``_rhs_cext`` shared object) is a
+``integrate_phase`` (C, in the ``_rhs_cext`` shared object) is a
 transcription of ``RKDriver.integrate`` under the arithmetic contract of
-``repro.integrators.contract``.  These tests hold it to *zero* deviation
-from the python driver stepping the same compiled RHS — final state,
-every stop-point row, every counter — and pin the two pieces the
-contract rests on: the pairwise-sum transcription and the invariance of
-a run's bits under every execution knob.
+``repro.integrators.contract``, its stages calling the tight-coupling
+or the full right-hand side.  These tests hold it, in both phases, to
+*zero* deviation from the python driver stepping the same compiled RHS
+— final state, every stop-point row, every counter — and pin the two
+pieces the contract rests on: the pairwise-sum transcription and the
+invariance of a run's bits under every execution knob.
 
 The massive-neutrino block of the C RHS differs from the python RHS by
 ulps (PR 7's kernel, budgeted by ``oracle.rhs_kernel``); that is why the
@@ -37,7 +38,7 @@ from repro.perturbations import (
 from repro.perturbations._rhs_cext import get_cext
 from repro.perturbations.evolve import (
     find_tca_exit,
-    integrate_full_phase,
+    integrate_phase,
     tau_initial,
 )
 from repro.perturbations.operator import CompiledPhase, available_kernels
@@ -47,14 +48,22 @@ needs_cc = pytest.mark.skipif("cext" not in available_kernels(),
 
 TOL = dict(rtol=1e-4, atol=1e-9)
 
+#: every loop test runs on the full-hierarchy phase (under the id it
+#: has always had) and on the tight-coupling phase (``-tca``)
+both_phases = pytest.mark.parametrize(
+    "tight", [pytest.param(False, id=pytest.HIDDEN_PARAM),
+              pytest.param(True, id="tca")])
+
 
 class PythonDVERK(DVERK):
     """Any driver class but DVERK itself keeps the phase in python."""
 
 
-def _handoff(request, nq, k):
-    """(system on the cext kernel, state at the TCA hand-off, its time,
-    tau_end): where the full-hierarchy phase of ``evolve_mode`` starts."""
+def _phase_start(request, nq, k, tight=False):
+    """(system on the cext kernel, y0, t0, t1, record grid) of one phase
+    of ``evolve_mode``: the tight-coupling phase from the initial
+    conditions to the hand-off, or the full-hierarchy phase from the
+    hand-off state to today."""
     if nq:
         bg = request.getfixturevalue("bg_mdm")
         thermo = request.getfixturevalue("thermo_mdm")
@@ -67,16 +76,20 @@ def _handoff(request, nq, k):
     t_init = tau_initial(k)
     y0 = adiabatic_initial_conditions(
         layout, bg, k, t_init, q_nodes=system.q_nodes if nq else None)
-    t_switch = max(find_tca_exit(bg, thermo, k), t_init * 1.01)
+    t_switch = max(find_tca_exit(thermo, k), t_init * 1.01)
+    grid = default_record_grid(bg, thermo, k)
+    if tight:
+        return system, y0, t_init, t_switch, grid[grid <= t_switch]
     y = DVERK(system.rhs_tca, **TOL).integrate(y0, t_init, t_switch).y
     system.initialize_full_from_tca(y, t_switch)
-    return system, y, t_switch, bg.tau0, default_record_grid(bg, thermo, k)
+    return system, y, t_switch, bg.tau0, grid[grid > t_switch]
 
 
-def _python_phase(system, y, t0, t1, stops, **kwargs):
+def _python_phase(system, tight, y, t0, t1, stops, **kwargs):
     seen = []
     stats = IntegratorStats()
-    res = DVERK(system.rhs_full, **{**TOL, **kwargs}).integrate(
+    res = DVERK(system.rhs_tca if tight else system.rhs_full,
+                **{**TOL, **kwargs}).integrate(
         y, t0, t1, stop_points=stops,
         on_stop=lambda t, row: seen.append((t, row.copy())), stats=stats)
     return res.y, seen, stats
@@ -86,22 +99,27 @@ def _python_phase(system, y, t0, t1, stops, **kwargs):
 
 
 @needs_cc
+@both_phases
 @pytest.mark.parametrize("with_stops", [False, True])
 @pytest.mark.parametrize("nq", [0, 8])
-def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops):
-    system, y, t0, t1, grid = _handoff(request, nq, 0.02)
-    stops = grid[grid > t0] if with_stops else np.empty(0)
-    y_py, seen, stats = _python_phase(system, y, t0, t1, stops)
+def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops,
+                                                    tight):
+    system, y, t0, t1, grid = _phase_start(request, nq, 0.02, tight)
+    stops = grid if with_stops else np.empty(0)
+    y_py, seen, stats = _python_phase(system, tight, y, t0, t1, stops)
 
-    out = system.op.integrate_full(system.lane, y, t0, t1, stops,
-                                   max_steps=1_000_000, **TOL)
+    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, stops,
+                                    max_steps=1_000_000, **TOL)
     assert out.ok
     assert out.y.tobytes() == y_py.tobytes()
     assert (out.n_steps, out.n_rejected, out.n_rhs) == (
         stats.n_steps, stats.n_rejected, stats.n_rhs)
-    # every stop point (and t1) once, in order, with the driver's row
+    # every stop point once, in order, then the phase end unless it is
+    # the last of them, each with the driver's row
     assert out.stops.tolist() == [t for t, _ in seen]
-    assert out.stops.size == stops.size + (0 if with_stops else 1)
+    assert out.stops.size == stops.size + (
+        0 if stops.size and stops[-1] == t1 else 1)
+    assert with_stops == (out.stops.size > 1)
     assert out.rows.tobytes() == np.array([r for _, r in seen]).tobytes()
 
 
@@ -126,13 +144,19 @@ def test_evolve_mode_same_bits_with_either_driver(request, nq):
 
 @needs_cc
 def test_first_step_is_honoured_identically(request):
-    system, y, t0, t1, _ = _handoff(request, 0, 0.02)
-    y_py, _, stats = _python_phase(system, y, t0, t1, None, first_step=1e-3)
-    out = system.op.integrate_full(system.lane, y, t0, t1, (),
-                                   max_steps=1_000_000, first_step=1e-3,
-                                   **TOL)
-    assert out.y.tobytes() == y_py.tobytes()
-    assert out.n_rhs == stats.n_rhs
+    for tight in (True, False):
+        system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
+        y_py, _, stats = _python_phase(system, tight, y, t0, t1, None,
+                                       first_step=1e-3)
+        out, free = (
+            system.op.integrate_phase(
+                system.lane, tight, y, t0, t1, (), max_steps=1_000_000,
+                first_step=first_step, **TOL)
+            for first_step in (1e-3, None))
+        assert out.y.tobytes() == y_py.tobytes()
+        assert out.n_rhs == stats.n_rhs
+        # ... which is not the step the loop would have chosen
+        assert (out.n_rhs, out.y.tobytes()) != (free.n_rhs, free.y.tobytes())
 
     # ... and by every route a chunk can take: the lockstep driver and
     # the lane-by-lane compiled loop open with the forced step as the
@@ -158,72 +182,81 @@ def test_first_step_is_honoured_identically(request):
 # -- (a) failure legs: the python driver owns the semantics -------------------
 
 
-def _phase(system, y, t0, t1, stops, **kwargs):
-    seen = []
+def _phase(system, tight, y, t0, t1, stops, **kwargs):
     stats = IntegratorStats()
-    y_end = integrate_full_phase(
-        system, y, t0, t1, stops, lambda t, row: seen.append((t, row.copy())),
-        stats, **{**TOL, "max_steps": 1_000_000, **kwargs})
-    return y_end, seen, stats
+    y_end, tau, rows = integrate_phase(
+        system, tight, y, t0, t1, stops, stats,
+        **{**TOL, "max_steps": 1_000_000, **kwargs})
+    return y_end, (tau, rows), stats
 
 
 @needs_cc
-def test_max_steps_raises_the_canonical_error(request):
-    system, y, t0, t1, _ = _handoff(request, 0, 0.02)
-    out = system.op.integrate_full(system.lane, y, t0, t1, (), max_steps=20,
-                                   **TOL)
-    assert out.status == 1 and not out.ok and out.n_steps == 20
-    with pytest.raises(IntegrationError, match="exceeded max_steps=20"):
-        _phase(system, y, t0, t1, np.empty(0), max_steps=20)
+@both_phases
+def test_max_steps_raises_the_canonical_error(request, tight):
+    system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
+    limit = 5 if tight else 20  # tight coupling is over in ~15 steps
+    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, (),
+                                    max_steps=limit, **TOL)
+    assert out.status == 1 and not out.ok and out.n_steps == limit
+    with pytest.raises(IntegrationError,
+                       match=f"exceeded max_steps={limit}"):
+        _phase(system, tight, y, t0, t1, np.empty(0), max_steps=limit)
 
 
 @needs_cc
-def test_step_underflow_raises_the_canonical_error(request):
-    system, y, t0, t1, _ = _handoff(request, 0, 0.02)
-    out = system.op.integrate_full(system.lane, y, t0, t1, (),
-                                   max_steps=1_000_000, first_step=1e-300,
-                                   **TOL)
+@both_phases
+def test_step_underflow_raises_the_canonical_error(request, tight):
+    system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
+    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, (),
+                                    max_steps=1_000_000, first_step=1e-300,
+                                    **TOL)
     assert out.status == 2 and not out.ok
     with pytest.raises(IntegrationError, match="step size underflow"):
-        _phase(system, y, t0, t1, np.empty(0), first_step=1e-300)
+        _phase(system, tight, y, t0, t1, np.empty(0), first_step=1e-300)
+
+
+def _same_block(got, want):
+    return (got[0].tolist() == want[0].tolist()
+            and got[1].tobytes() == want[1].tobytes())
 
 
 @needs_cc
-def test_early_stop_falls_back_to_identical_bits(request, monkeypatch):
+@both_phases
+def test_early_stop_falls_back_to_identical_bits(request, monkeypatch,
+                                                 tight):
     """Whatever makes a compiled call stop early, the python re-run from
-    the hand-off state lands on the fault-free bits, and nothing of the
-    abandoned call leaks into the records or the counters."""
-    system, y, t0, t1, grid = _handoff(request, 0, 0.02)
-    stops = grid[grid > t0]
-    y_ref, seen_ref, stats_ref = _phase(system, y, t0, t1, stops)
-    assert system.op.evals["cext"] == stats_ref.n_rhs  # ran compiled
+    the phase's opening state lands on the fault-free bits, and nothing
+    of the abandoned call leaks into the rows or the counters."""
+    system, y, t0, t1, stops = _phase_start(request, 0, 0.02, tight)
+    before = system.op.evals["cext"]
+    y_ref, block_ref, stats_ref = _phase(system, tight, y, t0, t1, stops)
+    # ran compiled
+    assert system.op.evals["cext"] - before == stats_ref.n_rhs
 
-    real = system.op.integrate_full
+    real = system.op.integrate_phase
 
     def stops_early(*args, **kwargs):
         out = real(*args, **kwargs)
         return CompiledPhase(3, out.y, out.stops, out.rows, out.n_steps,
                              out.n_rejected, out.n_rhs)
 
-    monkeypatch.setattr(system.op, "integrate_full", stops_early)
-    y_end, seen, stats = _phase(system, y, t0, t1, stops)
+    monkeypatch.setattr(system.op, "integrate_phase", stops_early)
+    y_end, block, stats = _phase(system, tight, y, t0, t1, stops)
     assert y_end.tobytes() == y_ref.tobytes()
     assert stats == stats_ref
-    assert [t for t, _ in seen] == [t for t, _ in seen_ref]
-    assert all(a.tobytes() == b.tobytes()
-               for (_, a), (_, b) in zip(seen, seen_ref))
+    assert _same_block(block, block_ref)
     assert not system.op.demotions  # an early stop is not a bad kernel
 
 
 @needs_cc
-def test_nan_poison_demotes_and_reproduces_the_bits(request, caplog):
-    system, y, t0, t1, grid = _handoff(request, 0, 0.02)
-    stops = grid[grid > t0]
-    y_ref, seen_ref, stats_ref = _phase(system, y, t0, t1, stops)
+@both_phases
+def test_nan_poison_demotes_and_reproduces_the_bits(request, caplog, tight):
+    system, y, t0, t1, stops = _phase_start(request, 0, 0.02, tight)
+    y_ref, block_ref, stats_ref = _phase(system, tight, y, t0, t1, stops)
 
     with caplog.at_level(logging.WARNING, logger="repro.kernel"):
         with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
-            y_end, seen, stats = _phase(system, y, t0, t1, stops)
+            y_end, block, stats = _phase(system, tight, y, t0, t1, stops)
     assert eng.injected.get("kernel_nan") == 1  # once per compiled call
     demotions = system.op.drain_demotions()
     assert [(d["from"], d["to"] != "cext") for d in demotions] == [
@@ -233,12 +266,24 @@ def test_nan_poison_demotes_and_reproduces_the_bits(request, caplog):
     # the re-run used the fallback kernel: bitwise at nq=0
     assert y_end.tobytes() == y_ref.tobytes()
     assert stats == stats_ref
-    assert np.array([r for _, r in seen]).tobytes() == np.array(
-        [r for _, r in seen_ref]).tobytes()
+    assert _same_block(block, block_ref)
     # sticky: the next phase on this operator does not try cext again
     before = system.op.evals["cext"]
-    _phase(system, y, t0, t1, np.empty(0))
+    _phase(system, tight, y, t0, t1, np.empty(0))
     assert system.op.evals["cext"] == before
+
+
+@needs_cc
+def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm):
+    """What CI's compiler leg asserts: on a host with a compiler a
+    default ``evolve_mode`` — record grid, both phases — leaves no RHS
+    evaluation on the python kernel's books."""
+    mode = evolve_mode(bg_scdm, thermo_scdm, 0.01, lmax_photon=8, lmax_nu=8,
+                       rtol=1e-3,
+                       record_tau=default_record_grid(bg_scdm, thermo_scdm,
+                                                      0.01))
+    assert mode.system.op.evals == {"python": 0, "cext": mode.stats.n_rhs}
+    assert mode.tau.size and mode.stats.n_rhs > 0
 
 
 # -- (b) the pairwise sum -----------------------------------------------------
@@ -282,9 +327,35 @@ def test_bits_invariant_under_kernel_batch_lanes_and_ranks(scdm, bg_scdm,
     assert out["batch_invariance"] == 0.0
 
 
+@needs_cc
+def test_batch_invariance_reads_nan_when_a_compiled_phase_fell_back(
+        scdm, bg_scdm, thermo_scdm, monkeypatch):
+    """Equal bits are not enough: a ``cext`` leg that left any RHS
+    evaluation on the python kernel's books did not test the compiled
+    route, and the oracle says so."""
+    from repro.perturbations.operator import BoltzmannOperator
+    from repro.verify import batch_invariance_oracle
+
+    real = BoltzmannOperator.integrate_phase
+
+    def tight_phase_goes_bad(self, b, tight, *args, **kwargs):
+        out = real(self, b, tight, *args, **kwargs)
+        if tight:
+            out.y[:] = np.nan  # demotes; the python kernel re-runs it
+        return out
+
+    monkeypatch.setattr(BoltzmannOperator, "integrate_phase",
+                        tight_phase_goes_bad)
+    out = batch_invariance_oracle(scdm, background=bg_scdm,
+                                  thermo=thermo_scdm, batch_sizes=(1,),
+                                  nprocs=())
+    assert set(out["legs"].values()) == {0.0}
+    assert np.isnan(out["batch_invariance"])
+
+
 def test_auto_without_a_compiler_warns_once_and_runs_python(
         monkeypatch, caplog, bg_scdm, thermo_scdm):
-    """Aim 4: the ~25x fallback is announced when it happens, with the
+    """Aim 4: the ~100x fallback is announced when it happens, with the
     build's reason, once per process."""
     from repro.perturbations import _rhs_cext, operator
 
