@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..errors import ParameterError
 from ..params import CosmologyParams
+from ..util.fastspline import fit_cubic
 from .nu_massive import MassiveNuTables, solve_mass_parameter
 
 __all__ = ["Background"]
@@ -238,8 +238,8 @@ class Background:
         (shared by the builder and :meth:`from_tables`)."""
         self._lna_grid = lna
         self._tau_grid = tau
-        self._ln_tau_of_lna = CubicSpline(lna, np.log(tau))
-        self._lna_of_ln_tau = CubicSpline(np.log(tau), lna)
+        self._ln_tau_of_lna = fit_cubic(lna, np.log(tau))
+        self._lna_of_ln_tau = fit_cubic(np.log(tau), lna)
         self.tau0 = float(tau[-1])
 
     def conformal_time(self, a):

@@ -2,10 +2,13 @@
 
 Every worker of a PLINGER run (and every run of a parameter study)
 needs the same k-independent state: the background time table, the
-thermal/visibility history, the massive-neutrino q-grid integrals and
-— for line-of-sight spectra — a dense j_l(x) table.  COSMICS shipped
-these as precomputed table files; :class:`PrecomputeCache` is that
-idea as a content-addressed store (see :mod:`repro.cache.keys`).
+thermal/visibility history and the massive-neutrino q-grid integrals.
+COSMICS shipped these as precomputed table files;
+:class:`PrecomputeCache` is that idea as a content-addressed store
+(see :mod:`repro.cache.keys`).  (The j_l tables of the line-of-sight
+spectra are not cached: one recurrence sweep builds them in
+milliseconds, and their extent ``k_max * tau0`` depends on the cosmology,
+so an entry would only ever be hit by an exact repeat.)
 
 Guarantees:
 
@@ -22,19 +25,15 @@ Guarantees:
 from __future__ import annotations
 
 import time
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from ..background import Background
 from ..errors import CorruptCacheEntry
 from ..params import CosmologyParams
 from ..resilience import RetryPolicy
-from ..spectra.los import BesselCache
 from ..telemetry.report import CacheMetrics, DegradationMetrics
 from ..thermo import ThermalHistory
 from ..thermo.history import SOLVER_REVISION
-from .keys import cache_key
 from .store import TableStore
 
 __all__ = ["PrecomputeCache"]
@@ -180,22 +179,4 @@ class PrecomputeCache:
             ),
             from_tables=lambda tables: ThermalHistory.from_tables(
                 background, tables),
-        )
-
-    def bessel(self, l_values: Sequence[int], x_max: float,
-               dx: float = 0.25) -> BesselCache:
-        """Build-or-load a dense spherical-Bessel table for ``l_values``."""
-        l_sorted = sorted({int(l) for l in np.asarray(l_values).ravel()})
-        key = cache_key("bessel", None, {
-            "x_max": float(x_max), "dx": float(dx), "l_values": l_sorted,
-        })
-        def build() -> BesselCache:
-            bc = BesselCache(float(x_max), dx=float(dx))
-            for l in l_sorted:
-                bc.table(l)
-            return bc
-
-        return self._build_or_load(
-            "bessel", key, build=build,
-            from_tables=BesselCache.from_tables,
         )

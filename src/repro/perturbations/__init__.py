@@ -31,6 +31,7 @@ from .system_newtonian import NewtonianPerturbationSystem
 from .evolve import (
     ModeResult,
     default_record_grid,
+    record_grid_start,
     evolve_mode,
     evolve_modes_batched,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "evolve_modes_batched",
     "evolve_mode_newtonian",
     "default_record_grid",
+    "record_grid_start",
     "newtonian_potentials",
     "TensorMode",
     "evolve_tensor_mode",

@@ -53,7 +53,8 @@ from .system import PerturbationSystem
 from .system_batched import PerturbationSystemBatch
 
 __all__ = ["ModeResult", "evolve_mode", "evolve_modes_batched",
-           "default_record_grid", "tau_initial", "integrate_phase"]
+           "default_record_grid", "record_grid_start", "tau_initial",
+           "integrate_phase"]
 
 #: Observables recorded at every grid time.
 RECORD_FIELDS = (
@@ -161,6 +162,28 @@ def default_record_grid(
     parts.append(np.geomspace(hi, tau_end, n_late))
     grid = np.concatenate(parts)
     return grid[(grid > t0 * 0.999) & (grid <= tau_end)]
+
+
+def record_grid_start(
+    background: Background,
+    thermo: ThermalHistory,
+    k: float,
+    tau_end: float | None = None,
+) -> float:
+    """``default_record_grid(background, thermo, k, tau_end=tau_end)[0]``
+    without building the grid.
+
+    A mode that starts before the uniform recombination stretch — every
+    mode of a physical cosmology: ``tau_initial`` is capped at 1.5 Mpc —
+    records first at its own start time, which ``geomspace`` returns
+    exactly.  Anything else reads the grid.
+    """
+    tau_end = background.tau0 if tau_end is None else float(tau_end)
+    t0 = tau_initial(k) * 1.05
+    if t0 < 0.45 * thermo.tau_rec and t0 <= tau_end:
+        return t0
+    return float(
+        default_record_grid(background, thermo, k, tau_end=tau_end)[0])
 
 
 class _Recorder:

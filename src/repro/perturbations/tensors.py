@@ -128,6 +128,7 @@ def tensor_theta_l(
     if bessel is None:
         x_max = max(m.k * tau0 for m in modes)
         bessel = BesselCache(x_max)
+    bessel.table_matrix(l_values)  # every row in one sweep
     out = np.empty((len(modes), l_values.size))
     for i, mode in enumerate(modes):
         # dense resample for the oscillatory kernel

@@ -1,7 +1,7 @@
 """Tier 1 of the spectrum service: the content-addressed run-result store.
 
-:mod:`repro.cache` addresses *precompute tables* (background, thermal,
-Bessel).  :class:`ResultStore` extends the same machinery to *finished
+:mod:`repro.cache` addresses *precompute tables* (background,
+thermal).  :class:`ResultStore` extends the same machinery to *finished
 products*: the full wire-record archive plus the C_l of one served
 request, keyed by :meth:`~repro.serve.protocol.ServeRequest.digest`.
 An exact hit replays a previous run bitwise without touching a single

@@ -24,10 +24,8 @@ def los_l_grid(l_max: int, n: int = 40, l_min: int = 2) -> np.ndarray:
     """A log-spaced multipole grid for line-of-sight spectra.
 
     Every l up to ~12 (where C_l varies fastest relative to l) plus
-    ``n`` geometrically spaced multipoles up to ``l_max``.  Using one
-    canonical grid matters to the precompute cache: the dense j_l
-    table is keyed on the exact l set, so runs that share this grid
-    share the table.
+    ``n`` geometrically spaced multipoles up to ``l_max``: the one
+    canonical grid the LOS and sparse-k routes default to.
     """
     if l_max < l_min:
         raise ParameterError("l_max must be >= l_min")

@@ -20,6 +20,11 @@ Pi = F2 + G0 + G2 and alpha = (h' + 6 eta')/(2 k^2).  alpha' is known
 algebraically (= psi - H_conf alpha); the remaining time derivatives
 are taken by splining the records.
 
+The projection itself is :meth:`BesselCache.project`: the j_l tables
+come from one recurrence sweep, and the tau quadrature of every source
+against every multipole is one matrix product (temperature here,
+polarization in :mod:`~repro.spectra.polarization`).
+
 Consistency with the paper's direct method is enforced by the test
 suite: at low l this projection and the full-hierarchy C_l agree.
 """
@@ -30,16 +35,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import spherical_jn
+from scipy.interpolate import PPoly
 
 from ..errors import ParameterError
 from ..perturbations import ModeResult
 from ..thermo import ThermalHistory
+from ..util.fastspline import fit_cubic
 from .cl import cl_integrate_over_k
 
 __all__ = ["SourceTable", "BesselCache", "cl_from_los", "theta_l_los",
-           "resolve_bessel", "sources_from_result", "interpolate_sources_k"]
+           "sources_from_result", "interpolate_sources_k"]
 
 
 @dataclass
@@ -50,7 +55,7 @@ class SourceTable:
     tau: np.ndarray
     source: np.ndarray
     tau0: float
-    _spline: CubicSpline | None = field(
+    _spline: PPoly | None = field(
         default=None, repr=False, compare=False
     )
     _dense_cache: dict = field(
@@ -78,9 +83,9 @@ class SourceTable:
         alpha_dot = r["alpha_dot"]
 
         # One stacked fit for all three records that need time
-        # derivatives: CubicSpline solves the same tridiagonal system
-        # with three right-hand sides instead of three times.
-        rec_spl = CubicSpline(tau, np.column_stack([vb, pi, alpha_dot]))
+        # derivatives: the same tridiagonal system with three
+        # right-hand sides instead of three solves.
+        rec_spl = fit_cubic(tau, np.column_stack([vb, pi, alpha_dot]))
         d1 = rec_spl.derivative(1)(tau)
         vb_dot, pi_dot, alpha_ddot = d1[:, 0], d1[:, 1], d1[:, 2]
         pi_ddot = rec_spl.derivative(2)(tau)[:, 1]
@@ -95,11 +100,11 @@ class SourceTable:
         )
         return cls(k=k, tau=tau, source=source, tau0=tau0)
 
-    def spline(self) -> CubicSpline:
+    def spline(self) -> PPoly:
         """The source interpolant, fit once per table (both the
         temperature and polarization projections resample it)."""
         if self._spline is None:
-            self._spline = CubicSpline(self.tau, self.source)
+            self._spline = fit_cubic(self.tau, self.source)
         return self._spline
 
     def dense(self, points_per_period: float = 8.0,
@@ -125,12 +130,16 @@ class SourceTable:
 
 
 class BesselCache:
-    """Tabulated spherical Bessel functions j_l(x) on a uniform x grid.
+    """Spherical Bessel functions j_l(x) tabulated on a uniform x grid,
+    and the line-of-sight projection against them.
 
-    ``spherical_jn`` costs O(l) per evaluation; for C_l up to l ~ 10^3
-    over hundreds of k values we would re-pay that cost millions of
-    times.  One table per l, linearly interpolated, makes the Bessel
-    kernel O(1) per point.
+    The table rows are filled by one downward (Miller) recurrence
+    vectorised over the grid (:meth:`table_matrix`), so building every
+    multipole a projection needs costs one sweep over the orders rather
+    than an O(l) evaluation per point per multipole.  Between grid
+    points j_l is linear in the table values, which makes the whole
+    projection a linear map of the source samples: :meth:`project`
+    applies it as one matrix product.
     """
 
     def __init__(self, x_max: float, dx: float = 0.25) -> None:
@@ -138,131 +147,137 @@ class BesselCache:
         self.dx = float(dx)
         self._x = np.arange(0.0, self.x_max + 4.0 * dx, dx)
         self._tables: dict[int, np.ndarray] = {}
-        self._matrix: np.ndarray | None = None
-        self._matrix_l: tuple[int, ...] = ()
 
     def table(self, l: int) -> np.ndarray:
-        tab = self._tables.get(l)
-        if tab is None:
-            tab = spherical_jn(l, self._x)
-            self._tables[l] = tab
-        return tab
+        """j_l on the grid (filled on first use, then the same array)."""
+        if l not in self._tables:
+            self._fill([l])
+        return self._tables[l]
 
-    # -- table round-tripping (precompute cache) ------------------------
+    def _fill(self, l_values: list[int]) -> None:
+        """Tabulate every order of ``l_values`` in one downward sweep.
 
-    def to_tables(self) -> dict[str, np.ndarray]:
-        """The dense j_l table as primitive arrays (precompute cache)."""
-        l_values = np.array(sorted(self._tables), dtype=np.int64)
-        return {
-            "x_max": np.float64(self.x_max),
-            "dx": np.float64(self.dx),
-            "l_values": l_values,
-            "jl": self.table_matrix(l_values),
-        }
-
-    @classmethod
-    def from_tables(cls, tables: dict) -> "BesselCache":
-        """Rebuild from :meth:`to_tables` output without a single
-        ``spherical_jn`` call.
-
-        The rows may be read-only views — they are consumed in place,
-        and any multipole *not* in the table still materializes lazily
-        on first use.
+        j_(l-1) = (2l+1)/x j_l - j_(l+1), started for each x from a
+        tiny seed at order ceil(x + 12 cbrt(max(x, 1)) + 25) — far
+        enough past the turning point l ~ x that the minimal solution
+        has taken over to double precision by the time l <= x, close
+        enough that the growth on the way down (< 1e90 from a 1e-300
+        seed) cannot overflow.  The start order rises with x, so the
+        points active at order l are a suffix of the ascending grid.
+        Rows are normalised by whichever closed form, j_0 or j_1, is
+        larger in magnitude at that x; j_l(0) is exact.
         """
-        self = cls(float(tables["x_max"]), float(tables["dx"]))
-        l_values = tuple(int(l) for l in np.asarray(tables["l_values"]))
-        jl = np.asarray(tables["jl"], dtype=float)
-        if jl.shape != (len(l_values), self._x.size):
+        x = self._x[1:]
+        inv_x = 1.0 / x
+        start_order = np.ceil(
+            x + 12.0 * np.cbrt(np.maximum(x, 1.0)) + 25.0).astype(int)
+        top = int(start_order[-1])
+        # first[l]: where the points whose sweep starts at order >= l begin
+        first = np.searchsorted(start_order, np.arange(top + 2))
+        rows = {l: np.zeros(self._x.size) for l in l_values}
+        above = np.zeros(x.size)  # j_(l+1), unnormalised
+        cur = np.zeros(x.size)  # j_l
+        below = np.zeros(x.size)
+        for l in range(top, -1, -1):
+            a = first[l]
+            cur[a:first[l + 1]] = 1.0e-300
+            row = rows.get(l)
+            if row is not None:
+                row[1 + a:] = cur[a:]
+            if l == 0:
+                break
+            np.multiply(inv_x[a:], 2 * l + 1, out=below[a:])
+            below[a:] *= cur[a:]
+            below[a:] -= above[a:]
+            above, cur, below = cur, below, above
+        j0 = np.sin(x) * inv_x
+        j1 = (j0 - np.cos(x)) * inv_x
+        use_j0 = np.abs(j0) >= np.abs(j1)
+        norm = np.where(use_j0, j0, j1) / np.where(use_j0, cur, above)
+        for l, row in rows.items():
+            row[1:] *= norm
+            if l == 0:
+                row[0] = 1.0
+        self._tables.update(rows)
+
+    def _check_covers(self, x_need: float) -> None:
+        if x_need > self.x_max:
             raise ParameterError(
-                f"Bessel table shape {jl.shape} does not match its "
-                f"(l_values, x grid) = ({len(l_values)}, {self._x.size})"
+                f"Bessel table reaches x_max = {self.x_max:.6g} but j_l is "
+                f"needed up to x = {x_need:.6g} (max k * tau0)"
             )
-        for l, row in zip(l_values, jl):
-            self._tables[l] = row
-        self._matrix = jl
-        self._matrix_l = l_values
-        return self
 
     def eval(self, l: int, x: np.ndarray) -> np.ndarray:
-        """Linear interpolation of j_l at the (non-negative) points x."""
+        """Linear interpolation of j_l at the points x in [0, x_max]."""
+        if np.min(x) < 0.0:
+            raise ParameterError("j_l is tabulated for x >= 0 only")
+        self._check_covers(float(np.max(x)))
         tab = self.table(l)
-        xi = np.clip(x, 0.0, self.x_max + 3.0 * self.dx) / self.dx
-        # i+1 must stay in the table even when x sits exactly on the
-        # clip bound (the grid carries a 4*dx margin past x_max)
-        i = np.minimum(xi.astype(int), self._x.size - 2)
+        xi = x / self.dx
+        i = xi.astype(int)
         frac = xi - i
         return tab[i] * (1.0 - frac) + tab[i + 1] * frac
 
     def table_matrix(self, l_values: np.ndarray) -> np.ndarray:
         """The stacked (nl, nx) table for many multipoles at once.
 
-        Memoized on the requested l tuple, so per-source projection
-        loops restack nothing.
+        Rows not tabulated yet are filled together, in one sweep.
         """
-        key = tuple(int(l) for l in np.asarray(l_values).ravel())
-        if self._matrix is not None and key == self._matrix_l:
-            return self._matrix
-        matrix = np.stack([self.table(l) for l in key])
-        self._matrix = matrix
-        self._matrix_l = key
-        return matrix
+        key = [int(l) for l in np.asarray(l_values).ravel()]
+        missing = sorted(set(key) - self._tables.keys())
+        if missing:
+            self._fill(missing)
+        return np.stack([self._tables[l] for l in key])
 
-    def eval_many(self, l_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """j_l(x) for every requested l as one (nl, nx) matrix.
+    def project(self, l_values: np.ndarray, sources: list[SourceTable],
+                weight=None) -> np.ndarray:
+        """int dtau S(k, tau) w(x) j_l(x), x = k (tau0 - tau), for every
+        source table and multipole; shape (nk, nl).
 
-        One fancy-index gather on the stacked table replaces the
-        per-multipole Python loop; the interpolation weights are shared
-        across rows.
+        Trapezoid quadrature over each source's dense grid of the
+        linearly interpolated table is linear in the samples, so its
+        transpose is applied instead: each sample, times its trapezoid
+        weight (and ``weight(x)``, if given), is scattered onto the two
+        table nodes bracketing its x with the interpolation weights.
+        That leaves one (nk, nx) matrix, and a single product with the
+        (nl, nx) table gives every Theta_l(k).
         """
-        tab = self.table_matrix(l_values)
-        xi = np.clip(x, 0.0, self.x_max + 3.0 * self.dx) / self.dx
-        i = np.minimum(xi.astype(int), self._x.size - 2)
-        frac = xi - i
-        return tab[:, i] * (1.0 - frac) + tab[:, i + 1] * frac
-
-
-def resolve_bessel(
-    sources: list[SourceTable],
-    l_values: np.ndarray,
-    bessel: BesselCache | None,
-    cache,
-) -> BesselCache:
-    """The Bessel table a projection should use: the one given, the
-    precompute cache's (persisted/shared dense table), or a fresh
-    lazily-filled one."""
-    if bessel is not None:
-        return bessel
-    x_max = max(s.k * s.tau0 for s in sources)
-    if cache is not None:
-        return cache.bessel(l_values, x_max)
-    return BesselCache(x_max)
+        self._check_covers(max(s.k * s.tau0 for s in sources))
+        table = self.table_matrix(l_values)
+        nx = self._x.size
+        scattered = np.empty((len(sources), nx))
+        for row, src in zip(scattered, sources):
+            t, s = src.dense()
+            x = src.k * (src.tau0 - t)
+            half = 0.5 * np.diff(t)
+            f = np.zeros_like(s)  # trapezoid weights, then times samples
+            f[:-1] = half
+            f[1:] += half
+            f *= s
+            if weight is not None:
+                f *= weight(x)
+            xi = x / self.dx
+            i = xi.astype(int)
+            frac = xi - i
+            row[:] = np.bincount(i, f * (1.0 - frac), minlength=nx)
+            row += np.bincount(i + 1, f * frac, minlength=nx)
+        return scattered @ table.T
 
 
 def theta_l_los(
     sources: list[SourceTable],
     l_values: np.ndarray,
     bessel: BesselCache | None = None,
-    cache=None,
 ) -> np.ndarray:
-    """Theta_l(k) for every source table and multipole.
+    """Theta_l(k) for every source table and multipole; shape (nk, nl).
 
-    Per source the quadrature over all multipoles is one (nl, ntau)
-    matrix contraction against the stacked Bessel tables rather than a
-    Python loop over l.  ``cache`` (a
-    :class:`~repro.cache.PrecomputeCache`) supplies the dense j_l
-    table from disk instead of ``spherical_jn``.
-
-    Returns an array of shape (nk, nl).
+    ``bessel`` must reach ``max(k * tau0)``; by default a table of
+    exactly that extent is built here.
     """
     l_values = np.asarray(l_values, dtype=int)
-    bessel = resolve_bessel(sources, l_values, bessel, cache)
-    out = np.empty((len(sources), l_values.size))
-    for i, src in enumerate(sources):
-        t, s = src.dense()
-        x = src.k * (src.tau0 - t)
-        kernel = s * bessel.eval_many(l_values, x)  # (nl, ntau)
-        out[i] = np.trapezoid(kernel, t, axis=1)
-    return out
+    if bessel is None:
+        bessel = BesselCache(max(s.k * s.tau0 for s in sources))
+    return bessel.project(l_values, sources)
 
 
 def sources_from_result(linger_result) -> list[SourceTable]:
@@ -292,12 +307,12 @@ def interpolate_sources_k(
     """Spline source functions across wavenumber onto a dense k grid.
 
     ``source_matrix`` holds S_T(k_i, tau_j) rows on a *shared* tau grid;
-    one stacked :class:`CubicSpline` over k fits every tau column at
-    once (same tridiagonal solve, n_tau right-hand sides).  Dense k that
-    are bitwise members of ``k_coarse`` copy their row verbatim instead
-    of evaluating the polynomial: PPoly evaluation at a breakpoint is
-    not guaranteed bit-identical, and the sparse fast path promises
-    exact hits cost nothing in accuracy.
+    one stacked :func:`~repro.util.fastspline.fit_cubic` over k fits
+    every tau column at once (same tridiagonal solve, n_tau right-hand
+    sides).  Dense k that are bitwise members of ``k_coarse`` copy their
+    row verbatim instead of evaluating the polynomial: PPoly evaluation
+    at a breakpoint is not guaranteed bit-identical, and the sparse fast
+    path promises exact hits cost nothing in accuracy.
 
     Returns the (n_dense, n_tau) interpolated matrix.
     """
@@ -306,8 +321,6 @@ def interpolate_sources_k(
     k_dense = np.asarray(k_dense, dtype=float)
     if k_coarse.ndim != 1 or k_coarse.size < 2:
         raise ParameterError("need >= 2 coarse k nodes to interpolate")
-    if np.any(np.diff(k_coarse) <= 0.0):
-        raise ParameterError("coarse k grid must be strictly increasing")
     if src.ndim != 2 or src.shape[0] != k_coarse.size:
         raise ParameterError(
             "source matrix must be (n_coarse, n_tau) matching k_coarse"
@@ -317,7 +330,7 @@ def interpolate_sources_k(
             "dense k outside the coarse grid: interpolation would "
             "extrapolate — the coarse grid must bracket every dense k"
         )
-    out = CubicSpline(k_coarse, src, axis=0)(k_dense)
+    out = fit_cubic(k_coarse, src)(k_dense)
     idx = np.minimum(
         np.searchsorted(k_coarse, k_dense), k_coarse.size - 1
     )
@@ -330,17 +343,14 @@ def cl_from_los(
     linger_result,
     l_values: np.ndarray,
     bessel: BesselCache | None = None,
-    cache=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """C_l via line-of-sight projection of a recorded LINGER run.
 
     Returns (l, C_l) with C_l unnormalized (same convention as
-    :func:`repro.spectra.cl.cl_from_hierarchy`).  Pass a
-    :class:`~repro.cache.PrecomputeCache` as ``cache`` to reuse a
-    persisted Bessel table across runs.
+    :func:`repro.spectra.cl.cl_from_hierarchy`).
     """
     sources = sources_from_result(linger_result)
-    theta = theta_l_los(sources, l_values, bessel=bessel, cache=cache)
+    theta = theta_l_los(sources, l_values, bessel=bessel)
     cl = cl_integrate_over_k(
         linger_result.k, theta, n_s=linger_result.params.n_s
     )

@@ -22,7 +22,7 @@ from ..errors import ParameterError
 from ..perturbations import ModeResult
 from ..thermo import ThermalHistory
 from .cl import cl_integrate_over_k
-from .los import BesselCache, SourceTable, resolve_bessel
+from .los import BesselCache, SourceTable
 
 __all__ = ["polarization_source", "e_l_los", "cl_ee_from_los"]
 
@@ -44,35 +44,28 @@ def e_l_los(
     sources: list[SourceTable],
     l_values: np.ndarray,
     bessel: BesselCache | None = None,
-    cache=None,
 ) -> np.ndarray:
     """E_l(k) for every polarization source table; shape (nk, nl).
 
-    Per source the quadrature is one (nl, ntau) matrix contraction
-    against the stacked Bessel tables (same shape as the temperature
-    projection), not a Python loop over l.
+    The temperature projection (:meth:`BesselCache.project`) with the
+    geometric 1/x^2 riding as its sample weight.
     """
     l_values = np.asarray(l_values, dtype=int)
     if np.any(l_values < 2):
         raise ParameterError("polarization is defined for l >= 2")
-    bessel = resolve_bessel(sources, l_values, bessel, cache)
+    if bessel is None:
+        bessel = BesselCache(max(s.k * s.tau0 for s in sources))
     lv = l_values.astype(float)
     geom = np.sqrt((lv + 2.0) * (lv + 1.0) * lv * (lv - 1.0))
-    out = np.empty((len(sources), l_values.size))
-    for i, src in enumerate(sources):
-        t, s = src.dense()
-        x = src.k * (src.tau0 - t)
-        inv_x2 = 1.0 / np.maximum(x, 1e-8) ** 2
-        kernel = (s * inv_x2) * bessel.eval_many(l_values, x)  # (nl, ntau)
-        out[i] = geom * np.trapezoid(kernel, t, axis=1)
-    return out
+    return geom * bessel.project(
+        l_values, sources,
+        weight=lambda x: 1.0 / np.maximum(x, 1e-8) ** 2)
 
 
 def cl_ee_from_los(
     linger_result,
     l_values: np.ndarray,
     bessel: BesselCache | None = None,
-    cache=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """C_l^EE (unnormalized, same convention as the temperature C_l).
 
@@ -88,7 +81,7 @@ def cl_ee_from_los(
     sources = [
         polarization_source(m, linger_result.thermo, tau0) for m in modes
     ]
-    e_l = e_l_los(sources, l_values, bessel=bessel, cache=cache)
+    e_l = e_l_los(sources, l_values, bessel=bessel)
     cl = cl_integrate_over_k(
         linger_result.k, e_l, n_s=linger_result.params.n_s
     )

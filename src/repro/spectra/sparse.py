@@ -6,7 +6,9 @@ the line-of-sight source functions S_T(k, tau) are smooth in k, so the
 hierarchy only needs integrating on a *coarse* subset of the grid; the
 sources are then splined across k onto the dense grid, leaving only the
 cheap j_l convolution (:func:`~repro.spectra.los.theta_l_los`) per
-dense mode.
+dense mode — one scatter of its samples onto the j_l table's grid and a
+row of one matrix product, cheaper than the coarse integration it
+follows (``benchmarks/bench_table_sparse.py`` asserts that).
 
 The pipeline here is
 
@@ -18,7 +20,8 @@ The pipeline here is
    ``run_plinger(collect_modes=True)`` on a thread-hosted backend;
 3. :func:`sparse_cl` stacks the recorded sources on a shared record
    grid, splines them across k
-   (:func:`~repro.spectra.los.interpolate_sources_k`), and projects
+   (:func:`~repro.spectra.los.interpolate_sources_k`, one stacked
+   :func:`~repro.util.fastspline.fit_cubic`), and projects
    ``theta_l_los`` + ``cl_integrate_over_k`` on the dense grid.
 
 Accuracy is a tested contract, not a hope: the ``oracle.sparse_cl``
@@ -33,14 +36,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from typing import TYPE_CHECKING
 
 from ..errors import ParameterError
 from ..linger.kgrid import KGrid, sparse_kgrid
-from ..perturbations import default_record_grid
+from ..perturbations import default_record_grid, record_grid_start
 from ..telemetry import NULL_TELEMETRY, SparseMetrics, Telemetry
+from ..util.fastspline import fit_cubic
 from .cl import cl_integrate_over_k, los_l_grid
 from .los import (
     BesselCache,
@@ -116,20 +119,23 @@ def _leave_one_out_residuals(
     Refit the k-spline without node i and compare its prediction at
     k_i against the integrated row, relative to that row's max |S|.
     This is the cheapest honest error estimate the fast path can make
-    without integrating any extra mode.
+    without integrating any extra mode.  A removed knot perturbs a
+    cubic spline by a factor ~0.27 per node of distance, so each refit
+    takes only the 12 nodes on either side of i: the result is within
+    1e-6 relative of refitting the whole grid (5e-5 with 8), at a cost
+    linear instead of quadratic in the number of coarse nodes.
     """
     n = k_coarse.size
     if n < 4:  # leave-one-out needs >= 3 remaining nodes for a spline
         return None, None
+    window = 12
     rels = []
-    keep = np.ones(n, dtype=bool)
     for i in range(1, n - 1):
-        keep[i] = False
-        pred = CubicSpline(k_coarse[keep], stacked[keep], axis=0)(k_coarse[i])
+        near = np.r_[max(i - window, 0):i, i + 1:min(i + window, n - 1) + 1]
+        pred = fit_cubic(k_coarse[near], stacked[near])(k_coarse[i])
         scale = np.max(np.abs(stacked[i]))
         if scale > 0.0:
             rels.append(float(np.max(np.abs(pred - stacked[i])) / scale))
-        keep[i] = True
     if not rels:
         return None, None
     r = np.asarray(rels)
@@ -177,9 +183,9 @@ def sparse_sources(
         background, thermo, float(k_dense[-1]), tau_end=tau_end
     )
     stacked = np.zeros((k_coarse.size, shared_tau.size))
-    for i, src in enumerate(coarse_tables):
-        inside = shared_tau >= src.tau[0]
-        stacked[i, inside] = src.spline()(shared_tau[inside])
+    for row, src in zip(stacked, coarse_tables):
+        j = np.searchsorted(shared_tau, src.tau[0])
+        row[j:] = src.spline()(shared_tau[j:])
 
     interp = interpolate_sources_k(k_coarse, stacked, k_dense)
     lo_max, lo_rms = _leave_one_out_residuals(k_coarse, stacked)
@@ -196,11 +202,10 @@ def sparse_sources(
             continue
         # each interpolated mode keeps only the times its own record
         # grid would cover (the earlier shared times are zero anyway)
-        start = default_record_grid(background, thermo, float(k),
-                                    tau_end=tau_end)[0]
-        cut = shared_tau >= start
-        sources.append(SourceTable(k=float(k), tau=shared_tau[cut],
-                                   source=interp[i, cut], tau0=tau0))
+        j = np.searchsorted(shared_tau, record_grid_start(
+            background, thermo, float(k), tau_end=tau_end))
+        sources.append(SourceTable(k=float(k), tau=shared_tau[j:],
+                                   source=interp[i, j:], tau0=tau0))
     stats = {
         "exact_hits": exact,
         "interpolated": int(k_dense.size - exact),
@@ -216,7 +221,6 @@ def sparse_cl(
     l_values: np.ndarray,
     sparse_factor: int | None = None,
     bessel: BesselCache | None = None,
-    cache=None,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> SparseClResult:
     """C_l on the dense grid from a coarse-grid integration.
@@ -240,7 +244,7 @@ def sparse_cl(
     interp_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    theta = theta_l_los(sources, l_values, bessel=bessel, cache=cache)
+    theta = theta_l_los(sources, l_values, bessel=bessel)
     cl = cl_integrate_over_k(kgrid.k, theta,
                              n_s=coarse_result.params.n_s)
     project_seconds = time.perf_counter() - t0
@@ -292,7 +296,9 @@ def run_sparse_cl(
     coarse sweep through ``run_plinger(collect_modes=True)`` instead.
     ``l_values`` defaults to the canonical
     :func:`~repro.spectra.cl.los_l_grid` up to the highest multipole
-    the dense grid can project (``~ k_max tau0``).
+    the dense grid can project (``~ k_max tau0``).  ``cache`` (a
+    :class:`~repro.cache.PrecomputeCache`) supplies the coarse run's
+    background and thermal tables; the j_l tables are built per call.
     """
     from ..linger.serial import LingerConfig, run_linger
 
@@ -325,5 +331,5 @@ def run_sparse_cl(
         l_values = los_l_grid(l_max)
     return sparse_cl(
         coarse, kgrid, l_values, sparse_factor=sparse_factor,
-        bessel=bessel, cache=cache, telemetry=telemetry,
+        bessel=bessel, telemetry=telemetry,
     )

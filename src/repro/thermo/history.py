@@ -22,12 +22,11 @@ import math
 
 import numpy as np
 from scipy.integrate import odeint
-from scipy.interpolate import CubicSpline
 
 from .. import constants as const
 from ..background import Background
 from ..errors import IntegrationError
-from ..util.fastspline import UniformGridCubic
+from ..util.fastspline import UniformGridCubic, fit_cubic
 from .recombination import _saha_sweeps, peebles_rhs, saha_electron_fraction
 
 __all__ = ["ThermalHistory"]
@@ -238,8 +237,8 @@ class ThermalHistory:
         self._x_h_table = x_h
         self._t_b_table = t_b
 
-        self._x_e_spline = CubicSpline(lna, np.log(np.maximum(x_e, 1e-30)))
-        self._t_b_spline = CubicSpline(lna, np.log(np.maximum(t_b, 1e-30)))
+        self._x_e_spline = fit_cubic(lna, np.log(np.maximum(x_e, 1e-30)))
+        self._t_b_spline = fit_cubic(lna, np.log(np.maximum(t_b, 1e-30)))
 
         # Opacity, optical depth, visibility on the conformal-time grid
         tau = self.background.conformal_time(a)
@@ -252,11 +251,12 @@ class ThermalHistory:
         g = kappa_dot * np.exp(-np.minimum(kappa, 700.0))
 
         self._tau = tau
-        self._kappa_spline = CubicSpline(tau, kappa)
-        self._g_spline = CubicSpline(tau, g)
+        self._kappa_spline = fit_cubic(tau, kappa)
+        self._g_spline = fit_cubic(tau, g)
         self._g_prime_spline = self._g_spline.derivative(1)
         self._g_prime2_spline = self._g_spline.derivative(2)
-        self._exp_mkappa_spline = CubicSpline(tau, np.exp(-np.minimum(kappa, 700.0)))
+        self._exp_mkappa_spline = fit_cubic(
+            tau, np.exp(-np.minimum(kappa, 700.0)))
 
         # Recombination epoch: peak of the visibility function.  With
         # reionization on, restrict the search to z > 100 so the

@@ -223,15 +223,6 @@ class TestPrecomputeRoundtrip:
         assert np.array_equal(bg1.nu_tables.pressure_factor(grid),
                               bg2.nu_tables.pressure_factor(grid))
 
-    def test_bessel_warm_is_bitwise(self, cache_dir):
-        ls = los_l_grid(200, n=12)
-        c1 = PrecomputeCache(cache_dir)
-        b1 = c1.bessel(ls, x_max=300.0)
-        c2 = PrecomputeCache(cache_dir)
-        b2 = c2.bessel(ls, x_max=300.0)
-        x = np.linspace(0.0, 310.0, 1000)
-        assert np.array_equal(b1.eval_many(ls, x), b2.eval_many(ls, x))
-
     def test_corrupt_entry_rebuilt(self, scdm, fresh_dir):
         c1 = PrecomputeCache(fresh_dir)
         bg1 = c1.background(scdm)
@@ -365,7 +356,7 @@ class TestCacheMetrics:
         m = CacheMetrics()
         m.record_miss("background", 1.0, 100)
         m.record_hit("background", 0.01, 100)
-        m.record_hit("bessel", 0.01, 50)
+        m.record_hit("thermal", 0.01, 50)
         assert m.hit_rate == pytest.approx(2.0 / 3.0)
         assert m.by_kind["background"] == \
             {"hits": 1, "misses": 1, "corrupt": 0}
@@ -428,11 +419,3 @@ class TestLosLGrid:
     def test_rejects_bad_lmax(self):
         with pytest.raises(ParameterError):
             los_l_grid(1)
-
-    def test_keys_shared_bessel_table(self, tmp_path):
-        """Two runs using the canonical grid share one Bessel entry."""
-        cache = PrecomputeCache(tmp_path)
-        cache.bessel(los_l_grid(40, n=6), x_max=100.0)
-        cache.bessel(los_l_grid(40, n=6), x_max=100.0)
-        assert cache.metrics.by_kind["bessel"] == \
-            {"hits": 1, "misses": 1, "corrupt": 0}

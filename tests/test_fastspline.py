@@ -1,4 +1,5 @@
-"""Fast uniform-grid splines (the RHS hot-path lookups)."""
+"""The repo's one cubic fit, and the fast uniform-grid splines on it
+(the RHS hot-path lookups)."""
 
 import math
 
@@ -6,7 +7,63 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util.fastspline import LogLogCubic, UniformGridCubic
+from repro.errors import ParameterError
+from repro.util.fastspline import LogLogCubic, UniformGridCubic, fit_cubic
+
+
+def _knots(kind: str, n: int) -> np.ndarray:
+    if kind == "uniform":
+        return np.linspace(-1.0, 4.0, n)
+    if kind == "geometric":
+        return np.geomspace(1e-3, 30.0, n)
+    return np.sort(np.random.default_rng(n).uniform(0.0, 10.0, n))
+
+
+class TestFitCubic:
+    """``fit_cubic`` is scipy's not-a-knot ``CubicSpline``, bit for bit:
+    coefficients, evaluation and derivatives."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "geometric", "random"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 401])
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 5)])
+    def test_coefficients_are_scipys(self, kind, n, trailing):
+        from scipy.interpolate import CubicSpline
+
+        x = _knots(kind, n)
+        y = np.random.default_rng(7).normal(size=(n,) + trailing)
+        ref = CubicSpline(x, y)
+        fit = fit_cubic(x, y)
+        assert fit.c.shape == (4, n - 1) + trailing
+        assert np.array_equal(fit.c, ref.c)
+        # the solved slopes are the first derivatives at the knots
+        # (the last knot belongs to the last piece's right end)
+        assert np.array_equal(fit.c[2], ref.derivative(1)(x)[:-1])
+        pts = np.linspace(x[0] - 0.5, x[-1] + 0.5, 57)
+        assert np.array_equal(fit(pts), ref(pts))
+        for nu in (1, 2):
+            assert np.array_equal(fit.derivative(nu)(pts),
+                                  ref.derivative(nu)(pts))
+
+    def test_input_is_checked_once_here(self):
+        x = np.linspace(0.0, 1.0, 6)
+        y = np.ones(6)
+        for bad_x in (x[::-1], np.array([0, 1, 1, 2, 3, 4.0]),
+                      np.array([0, 1, np.nan, 3, 4, 5.0]),
+                      np.array([0, 1, 2, 3, 4, np.inf]), x[:1],
+                      x.reshape(2, 3)):
+            with pytest.raises(ParameterError):
+                fit_cubic(bad_x, y)
+        with pytest.raises(ParameterError, match="finite"):
+            fit_cubic(x, np.array([1, 1, np.nan, 1, 1, 1.0]))
+        with pytest.raises(ParameterError, match="matching length"):
+            fit_cubic(x, np.ones(5))
+
+    def test_input_arrays_untouched(self):
+        x = _knots("random", 30)
+        y = np.cos(x)
+        x0, y0 = x.copy(), y.copy()
+        fit_cubic(x, y)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
 
 class TestUniformGridCubic:

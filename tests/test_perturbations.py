@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.integrators import RKF45
-from repro.perturbations import default_record_grid, evolve_mode
+from repro.perturbations import (
+    default_record_grid,
+    evolve_mode,
+    record_grid_start,
+)
 from repro.perturbations.evolve import find_tca_exit, tau_initial
 
 
@@ -256,6 +260,33 @@ class TestDriverMechanics:
     def test_tau_initial_rule(self):
         assert tau_initial(0.03) == pytest.approx(1.0)
         assert tau_initial(1e-5) == pytest.approx(1.5)
+
+    def test_record_grid_start_is_the_grid_s_first_point(self, bg_scdm,
+                                                         thermo_scdm):
+        """Bit for bit, on the physical tables (every mode starts
+        before the uniform stretch) and on toy epochs that put the
+        start inside it, past it, and past ``tau_end``."""
+        from types import SimpleNamespace
+
+        ks = np.geomspace(1e-5, 0.5, 60)
+        cases = [(bg_scdm, thermo_scdm, None), (bg_scdm, thermo_scdm, 900.0)]
+        cases += [
+            (SimpleNamespace(tau0=tau0), SimpleNamespace(tau_rec=tau_rec),
+             tau_end)
+            for tau0, tau_rec, tau_end in (
+                (50.0, 1.037, None), (50.0, 0.217, None), (50.0, 1.037, 1.2))
+        ]
+        fast = 0
+        for bg, th, tau_end in cases:
+            for k in ks:
+                grid = default_record_grid(bg, th, float(k), tau_end=tau_end)
+                if grid.size == 0:
+                    continue
+                start = record_grid_start(bg, th, float(k), tau_end=tau_end)
+                assert start == grid[0]
+                fast += start == tau_initial(float(k)) * 1.05
+        # both branches were walked
+        assert 0 < fast < len(cases) * ks.size
 
     def test_scale_factor_reaches_one(self, mode_k05):
         assert mode_k05.records["a"][-1] == pytest.approx(1.0, rel=1e-4)

@@ -39,7 +39,7 @@ from repro.spectra import (
     sparse_cl,
 )
 from repro.spectra.cl import cl_from_hierarchy, los_l_grid
-from repro.spectra.sparse import sparse_sources
+from repro.spectra.sparse import _leave_one_out_residuals, sparse_sources
 from repro.telemetry import RunReport, SparseMetrics, Telemetry
 
 GOLDEN_CL = Path(__file__).parent / "data" / "golden_cl.json"
@@ -191,6 +191,38 @@ class TestConvergence:
         assert res.metrics.mode_reduction >= 4.0
         assert res.metrics.interp_residual_max is not None
         assert res.metrics.interp_residual_max > 0.0
+
+    def test_windowed_leave_one_out_is_the_full_refit(self, dense_uniform):
+        """The residual diagnostic refits on the +-12 nodes around the
+        left-out one; refitting all 32 others (the O(n^2) original,
+        copied here on scipy's ``CubicSpline``) must agree to 1e-5."""
+        from scipy.interpolate import CubicSpline
+
+        tables = sources_from_result(dense_uniform)
+        k = dense_uniform.kgrid.k
+        shared = tables[-1].tau  # the largest k starts earliest
+        stacked = np.zeros((k.size, shared.size))
+        for row, src in zip(stacked, tables):
+            j = np.searchsorted(shared, src.tau[0])
+            row[j:] = src.spline()(shared[j:])
+
+        def full_refit(k, stacked):
+            rels = []
+            keep = np.ones(k.size, dtype=bool)
+            for i in range(1, k.size - 1):
+                keep[i] = False
+                pred = CubicSpline(k[keep], stacked[keep], axis=0)(k[i])
+                rels.append(np.max(np.abs(pred - stacked[i]))
+                            / np.max(np.abs(stacked[i])))
+                keep[i] = True
+            rels = np.asarray(rels)
+            return float(rels.max()), float(np.sqrt(np.mean(rels * rels)))
+
+        assert _leave_one_out_residuals(k, stacked) == pytest.approx(
+            full_refit(k, stacked), rel=1e-5)
+        # a grid the window spans whole gets the full refit itself
+        assert _leave_one_out_residuals(k[:12], stacked[:12]) == \
+            full_refit(k[:12], stacked[:12])
 
 
 # -- driver validation and the PLINGER path ----------------------------------
