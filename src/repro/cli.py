@@ -72,8 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--parallel", type=int, default=0, metavar="NPROC",
                        help="run PLINGER with this many ranks (0 = serial)")
     p_run.add_argument("--batch-size", type=int, default=1, metavar="B",
-                       help="integrate k-modes in chunks of up to B "
-                            "lanes (1, the default: one mode at a time)")
+                       help="modes per operator assembly and per WORK "
+                            "message (default 1, the paper's one k at a "
+                            "time); never changes how a mode steps or "
+                            "which bits come out")
     p_run.add_argument("--sparse-k-factor", type=int, default=1,
                        metavar="F",
                        help="sparse-k fast path: integrate only every F-th "
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = integrate every mode)")
     p_run.add_argument("--rhs-kernel",
                        choices=KERNELS, default="auto",
-                       help="engine for the hot full-hierarchy phase: "
+                       help="engine of both phases of every mode: "
                             "'auto' (default: cext where a C compiler "
                             "exists), 'cext' (compiled RHS and DVERK "
                             "step loop, bitwise the python driver), "
@@ -250,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_req.add_argument("--nk", type=int, default=16)
     p_req.add_argument("--lmax", type=int, default=16)
     p_req.add_argument("--rtol", type=float, default=1e-4)
-    p_req.add_argument("--batch-size", type=int, default=1)
     p_req.add_argument("--json", action="store_true",
                        help="print the raw response document")
     return parser
@@ -463,6 +464,7 @@ def _print_report_summary(report) -> None:
         ["RHS evaluations", totals["n_rhs"]],
         ["steps accepted", totals["n_steps"]],
         ["steps rejected", totals["n_rejected"]],
+        ["wasted-step fraction", f"{totals['wasted_step_fraction']:.3f}"],
         ["flops (estimated)", f"{totals['flops_est']:.3e}"],
         ["mode wallclock [s]", f"{totals['mode_wall_seconds']:.3f}"],
     ]
@@ -479,11 +481,6 @@ def _print_report_summary(report) -> None:
                      f"{totals['worker_busy_seconds']:.3f}"])
         rows.append(["worker idle [s]",
                      f"{totals['worker_idle_seconds']:.3f}"])
-    if report.batches:
-        rows.append(["batched chunks", totals["n_batches"]])
-        rows.append(["lane occupancy", f"{totals['lane_occupancy']:.3f}"])
-        rows.append(["wasted-step fraction",
-                     f"{totals['wasted_step_fraction']:.3f}"])
     if report.cache is not None:
         cm = report.cache
         rows.append(["cache hits / misses", f"{cm.hits} / {cm.misses}"])
@@ -625,7 +622,6 @@ def cmd_request(args) -> int:
             params=MODELS[args.model](),
             k_min=args.k_min, k_max=args.k_max, nk=args.nk,
             lmax=args.lmax, rtol=args.rtol,
-            batch_size=args.batch_size,
         )
         response = client.spectrum(request)
     if args.json:

@@ -10,12 +10,6 @@ the perturbation results.
 
 from .controller import StepController
 from .dverk import DVERK, VERNER_65_TABLEAU
-from .dverk_batched import (
-    BatchedDVERK,
-    BatchedRKDriver,
-    BatchIntegrationResult,
-    BatchStats,
-)
 from .results import IntegrationResult, IntegratorStats
 from .rkf45 import RKF45, FEHLBERG_45_TABLEAU
 from .tableau import ButcherTableau
@@ -23,10 +17,6 @@ from .tableau import ButcherTableau
 __all__ = [
     "DVERK",
     "RKF45",
-    "BatchedDVERK",
-    "BatchedRKDriver",
-    "BatchIntegrationResult",
-    "BatchStats",
     "VERNER_65_TABLEAU",
     "FEHLBERG_45_TABLEAU",
     "ButcherTableau",

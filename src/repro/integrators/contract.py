@@ -1,17 +1,16 @@
 """The step loop's arithmetic contract (DESIGN.md, "Arithmetic contract").
 
-Every implementation of the adaptive Runge-Kutta loop in this package —
-:class:`~repro.integrators.dverk.RKDriver`,
-:class:`~repro.integrators.dverk_batched.BatchedRKDriver` and the C
-``integrate_phase`` in ``repro.perturbations._rhs_cext`` — evaluates the
-same floating-point expressions in the same order, so their results are
-bitwise equal, not merely close:
+Both implementations of the adaptive Runge-Kutta loop in this package —
+:class:`~repro.integrators.dverk.RKDriver` and the C ``integrate_phase``
+in ``repro.perturbations._rhs_cext`` — evaluate the same floating-point
+expressions in the same order, so their results are bitwise equal, not
+merely close:
 
 1. a tableau contraction ``sum_j w[j] * k[j]`` is accumulated **left to
    right in j**, one rounded multiply and one rounded add per term, with
    structurally-zero weights skipped.  No BLAS: the summation order of
    ``w @ k`` belongs to whichever gemv kernel the BLAS build selects and
-   changes with the shape of ``k`` (and so with the batch a lane is in);
+   changes with the shape of ``k``;
 2. the error norm is ``sqrt(S / n)`` with ``S`` numpy's pairwise sum of
    the squared scaled errors — ``np.add.reduce`` here, transcribed in
    C (n < 8 linear; n <= 128 eight strided accumulators; else split at
@@ -38,11 +37,10 @@ def ordered_weighted_sum(weights: np.ndarray, terms: tuple[int, ...],
     """``sum_j weights[j] * k[j]`` over ``terms``, left to right (rule 1).
 
     ``terms`` are the non-zero weights' indices, ascending (see
-    ``ButcherTableau.contraction_terms``).  ``weights`` is shaped to
-    broadcast against ``k[:m]`` (a column for a ``(s, n)`` stage
-    buffer, ``(s, 1, 1)`` for ``(s, B, n)``); ``scratch`` is a buffer
-    of ``k``'s shape holding the products.  Returns a new array of
-    ``k[0]``'s shape.
+    ``ButcherTableau.contraction_terms``).  ``weights`` is a column
+    broadcasting against the ``(s, n)`` stage buffer ``k``; ``scratch``
+    is a buffer of ``k``'s shape holding the products.  Returns a new
+    array of ``k[0]``'s shape.
     """
     m = terms[-1] + 1
     prod = np.multiply(k[:m], weights[:m], out=scratch[:m])

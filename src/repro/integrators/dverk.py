@@ -112,7 +112,7 @@ class RKDriver:
         self._k: np.ndarray | None = None  # stage buffer (s, n)
         self._prod: np.ndarray | None = None  # weight * stage products
         # tableau weights as columns broadcasting over a (s, n) buffer
-        self._weights = tableau.contraction_weights(1)
+        self._weights = tableau.contraction_weights()
 
     # ------------------------------------------------------------------
 

@@ -71,12 +71,11 @@ class ButcherTableau:
         rows = [*self.a, self.b_high, self.error_weights]
         return tuple(tuple(int(j) for j in np.flatnonzero(r)) for r in rows)
 
-    def contraction_weights(self, trailing_axes: int) -> list[np.ndarray]:
+    def contraction_weights(self) -> list[np.ndarray]:
         """The weight vectors of :attr:`contraction_terms`, same order,
-        each shaped ``(s, 1, ..., 1)`` to broadcast over a stage buffer
-        with ``trailing_axes`` axes after the stage axis."""
-        shape = (self.n_stages,) + (1,) * trailing_axes
-        return [w.reshape(shape)
+        each a ``(s, 1)`` column broadcasting over a ``(s, n)`` stage
+        buffer."""
+        return [w.reshape(-1, 1)
                 for w in (*self.a, self.b_high, self.error_weights)]
 
     def check_order_conditions(self, max_order: int = 3) -> dict[str, float]:

@@ -133,7 +133,7 @@ def compute_mode(
 
 
 def _mode_records(
-    mode: ModeResult, k: float, ik: int, config: LingerConfig, cpu: float
+    mode: ModeResult, k: float, ik: int, config: LingerConfig
 ) -> tuple[ModeHeader, ModePayload]:
     """The two wire records for one completed mode."""
     # final-state observables via a one-point record on the system the
@@ -158,7 +158,7 @@ def _mode_records(
         phi=obs["phi"],
         psi=obs["psi"],
         delta_m=obs["delta_m"],
-        cpu_seconds=cpu,
+        cpu_seconds=mode.cpu_seconds,
         n_rhs=float(mode.stats.n_rhs),
         lmax=mode.layout.lmax_photon,
     )
@@ -190,10 +190,11 @@ def compute_modes_batch(
     This is exactly the work between "receive a wavenumber" and "send
     the results to the master" in the paper's worker subroutine, for
     the chunk a WORK message carries: one
-    :func:`~repro.perturbations.evolve.evolve_modes_batched` call (which
-    decides how the chunk steps), then the wire records lane by lane.
-    All modes in a chunk must share one lmax (see
-    :func:`dispatch_chunks`).
+    :func:`~repro.perturbations.evolve.evolve_modes_batched` call (one
+    operator assembly, then each mode evolved and timed on its own),
+    then the wire records mode by mode.  All modes in a chunk must
+    share one lmax (see :func:`dispatch_chunks`); a header's
+    ``cpu_seconds`` is its own mode's cost at any chunk length.
 
     ``monitors`` is None or one per-record-point observer per mode
     (each None or a
@@ -217,7 +218,6 @@ def compute_modes_batch(
         else None
         for k in ks
     ]
-    cpu0 = time.process_time()
     modes = evolve_modes_batched(
         background,
         thermo,
@@ -237,15 +237,14 @@ def compute_modes_batch(
         rhs_kernel=config.rhs_kernel,
         first_step=config.first_step,
     )
-    cpu = (time.process_time() - cpu0) / len(ks)
     if telemetry.enabled:
         # evolve_modes_batched appended one ModeMetrics per lane, in
-        # lane order; patch in the grid index and the amortized CPU
-        for metric, ik in zip(telemetry.modes[-len(ks):], iks):
-            metric.ik = int(ik)
-            metric.cpu_seconds = float(cpu)
+        # lane order; patch in the grid index and the lane's CPU
+        for metric, mode, ik in zip(telemetry.modes[-len(ks):], modes, iks):
+            metric.ik = ik
+            metric.cpu_seconds = mode.cpu_seconds
     return [
-        (*_mode_records(mode, k, ik, config, cpu), mode)
+        (*_mode_records(mode, k, ik, config), mode)
         for mode, k, ik in zip(modes, ks, iks)
     ]
 
@@ -256,12 +255,13 @@ def dispatch_chunks(
     tau_end: float,
     batch_size: int,
 ) -> list[list[int]]:
-    """Group the dispatch order into batchable chunks of grid indices.
+    """Group the dispatch order into chunks of up to ``batch_size``
+    grid indices.
 
     Chunks follow the paper's largest-k-first schedule and are split
     wherever the per-k lmax changes (``lmax_mode="scaled"``), since a
-    batch shares one state layout.  ``batch_size=1`` degenerates to the
-    serial dispatch order.
+    chunk shares one operator assembly and so one state layout.
+    ``batch_size=1`` is the paper's dispatch order, one k at a time.
     """
     if batch_size < 1:
         raise ParameterError("batch_size must be >= 1")
@@ -341,9 +341,10 @@ def run_linger(
     paper does) but the result lists are returned in ascending-k order.
     The dispatch order is cut into equal-lmax chunks of up to
     ``batch_size`` modes and each chunk is one
-    :func:`compute_modes_batch` call (same trajectories whatever the
-    chunking; several lanes step in lockstep on the python kernel, and
-    one by one through the compiled loop on ``cext``).
+    :func:`compute_modes_batch` call.  ``batch_size`` is how many modes
+    share one operator assembly (about 0.5 ms of set-up per chunk),
+    never how a mode steps: every mode is integrated on its own and
+    gives the same bits at any chunk length.
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (build a
     :class:`~repro.telemetry.RunReport` from it afterwards).

@@ -26,7 +26,6 @@ from .initial import (
     isocurvature_initial_conditions,
 )
 from .system import PerturbationSystem
-from .system_batched import PerturbationSystemBatch
 from .system_newtonian import NewtonianPerturbationSystem
 from .evolve import (
     ModeResult,
@@ -47,7 +46,6 @@ __all__ = [
     "adiabatic_initial_conditions_newtonian",
     "isocurvature_initial_conditions",
     "PerturbationSystem",
-    "PerturbationSystemBatch",
     "NewtonianPerturbationSystem",
     "ModeResult",
     "evolve_mode",

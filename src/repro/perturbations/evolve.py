@@ -14,18 +14,18 @@ polarization sum Pi, line-of-sight ingredients) on caller-supplied
 conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
-How a chunk steps through a phase is decided in one place,
-:func:`_run_phase`: wherever the resolved kernel is ``cext`` each
-lane's phase — tight-coupling and full alike — is one call of the
-compiled step loop (:func:`integrate_phase`); otherwise one lane runs
-the scalar :class:`~repro.integrators.DVERK` and several lanes the
-lockstep :class:`~repro.integrators.dverk_batched.BatchedDVERK`.
-Whatever stepped, a phase hands back the states at its stop points as
-one ``(n_stops, n_state)`` block, and :class:`_Recorder` turns the
-block into the recorded observables in one array pass.  Everything
-else that is per lane — initial conditions, the TCA exit search, the
-TCA→full hand-off, final observables — goes through one
-:class:`~repro.perturbations.system.PerturbationSystem` per lane.
+A chunk is one :class:`~repro.perturbations.operator.BoltzmannOperator`
+assembly (and one ``pack()``) shared by per-lane
+:class:`~repro.perturbations.system.PerturbationSystem` views; each lane
+is then evolved on its own, start to finish — initial conditions, the
+tight-coupling phase, the hand-off of the slaved moments, the full
+phase — before the next one starts.  How a lane steps through a phase
+is decided in one place, :func:`integrate_phase`: one call of the
+compiled step loop when the active kernel is ``cext``, else the scalar
+:class:`~repro.integrators.DVERK`.  Whatever stepped, a phase hands
+back the states at its stop points as one ``(n_stops, n_state)`` block,
+and :class:`_Recorder` turns the block into the recorded observables in
+one array pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from ..background import Background
 from ..errors import IntegrationError, ParameterError
 from ..integrators import DVERK, IntegratorStats
 from ..integrators.dverk import RKDriver
-from ..integrators.dverk_batched import BatchedDVERK, BatchStats
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from .gauges import newtonian_potentials
@@ -47,10 +46,9 @@ from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
 )
-from .operator import _exp_lanes, _log_lanes
+from .operator import BoltzmannOperator, _exp_lanes, _log_lanes, resolve_kernel
 from .state import StateLayout
 from .system import PerturbationSystem
-from .system_batched import PerturbationSystemBatch
 
 __all__ = ["ModeResult", "evolve_mode", "evolve_modes_batched",
            "default_record_grid", "record_grid_start", "tau_initial",
@@ -98,6 +96,10 @@ class ModeResult:
     #: (final-state observables, source assembly) never rebuild the
     #: splines a second time.
     system: PerturbationSystem | None = None
+    #: CPU seconds of this mode's own evolution plus an equal share of
+    #: what its chunk spent on shared set-up (the paper's per-k cost,
+    #: the ``cpu_seconds`` of its header)
+    cpu_seconds: float = 0.0
 
     def final_observables(self) -> dict[str, float]:
         """All RECORD_FIELDS evaluated on the final state at tau_end.
@@ -368,14 +370,12 @@ def evolve_modes_batched(
 
     This is the LINGER worker computation — everything from the series
     initial conditions at ``k tau = 0.03`` to the multipoles today —
-    for every wavenumber of the chunk.  All lanes share the multipole
-    cutoffs: callers batching a k-grid must group modes of equal lmax
-    into one chunk.  Set-up (layout, initial conditions, TCA exit,
-    record grids, recorders) and tear-down (telemetry, demotions,
-    ``ModeResult`` assembly) are per lane and the same for any chunk
-    length; *how the two phases step* is chosen by :func:`_run_phase`
-    from the chunk length and the active kernel.  Every route follows
-    the arithmetic contract, so a lane's result is bitwise the same
+    for every wavenumber of the chunk.  The chunk shares one operator
+    assembly, so all lanes share the multipole cutoffs: callers
+    chunking a k-grid must group modes of equal lmax.  That assembly is
+    all the lanes have in common: each is evolved on its own
+    (:func:`_evolve_lane`), one after another, and follows the
+    arithmetic contract, so a lane's result is bitwise the same
     whatever the chunk around it.
 
     ``record_tau`` is either None (no records for any lane) or a
@@ -385,9 +385,8 @@ def evolve_modes_batched(
     (each None or a callable ``monitor(tau, y, tight)`` invoked at
     every record point — the hook ``repro.verify`` uses to sample
     Einstein-constraint residuals along the production trajectory);
-    each is bound to its lane's serial system.  Like telemetry, a
-    monitor is a pure observer: the integration is bit-identical with
-    or without it.
+    each is bound to its lane's system.  Like telemetry, a monitor is a
+    pure observer: the integration is bit-identical with or without it.
 
     ``rhs_kernel`` selects the engine of both phases
     (``"python"``/``"cext"``/``"auto"``; an unavailable ``cext`` falls
@@ -396,16 +395,17 @@ def evolve_modes_batched(
     the slaved moments between the phases and one record pass per
     phase.
 
-    ``first_step`` forces every phase's opening step on every route.
-    ``driver_cls`` replaces the scalar driver of one-lane phases (a
-    test seam: anything but DVERK also keeps the compiled loop out).
+    ``first_step`` forces every phase's opening step.  ``driver_cls``
+    replaces the scalar driver (a test seam: anything but DVERK also
+    keeps the compiled loop out).
 
-    When ``telemetry`` is enabled, each lane leaves one
-    :class:`~repro.telemetry.report.ModeMetrics` (a chunk's phase
-    wallclock is shared equally between its lanes), a chunk of several
-    lanes one ``BatchMetrics`` with its lockstep occupancy, and the
-    operator's per-kernel evaluation counts land in ``RhsMetrics``.
+    Every ``ModeResult.cpu_seconds`` is the lane's own CPU time plus an
+    equal share of the chunk's set-up.  When ``telemetry`` is enabled,
+    each lane leaves one :class:`~repro.telemetry.report.ModeMetrics`
+    with the wallclock of its own two phases, and the operator's
+    per-kernel evaluation counts land in ``RhsMetrics``.
     """
+    cpu0 = time.process_time()
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise ParameterError("ks must be a non-empty 1-d array")
@@ -418,13 +418,15 @@ def evolve_modes_batched(
         nq=nq_eff,
         lmax_massive_nu=lmax_massive_nu if nq_eff else 0,
     )
-    batch_system = PerturbationSystemBatch(background, thermo, ks, layout,
-                                           rhs_kernel=rhs_kernel,
-                                           instrument=telemetry.enabled)
-    # one serial system per lane for every scalar code path (one-lane
-    # stepping, recording, hand-off, final observables): lane views
-    # over the chunk's one operator
-    systems = [batch_system.lane_system(b) for b in range(B)]
+    op = BoltzmannOperator(background, thermo, ks, layout)
+    op.instrument = telemetry.enabled
+    kernel = resolve_kernel(rhs_kernel)
+    # lane views over the chunk's one operator
+    systems = [
+        PerturbationSystem(background, thermo, k, layout, operator=op,
+                           lane=b, rhs_kernel=kernel)
+        for b, k in enumerate(ks.tolist())
+    ]
 
     ic_builders = {
         "adiabatic": adiabatic_initial_conditions,
@@ -436,21 +438,9 @@ def evolve_modes_batched(
             f"choose from {sorted(ic_builders)}"
         )
 
-    t_init = np.array([tau_initial(k) for k in ks.tolist()])
-    if np.any(t_init >= tau_end):
+    t_init = [tau_initial(k) for k in ks.tolist()]
+    if max(t_init) >= tau_end:
         raise ParameterError("tau_end precedes the initial time")
-    Y = np.empty((B, layout.n_state))
-    for b, k in enumerate(ks.tolist()):
-        Y[b] = ic_builders[initial_conditions](
-            layout, background, k, float(t_init[b]),
-            q_nodes=systems[b].q_nodes if nq_eff else None,
-            amplitude=amplitude,
-        )
-
-    t_switch = np.array([
-        find_tca_exit(thermo, k, tca_eps=tca_eps) for k in ks.tolist()
-    ])
-    t_switch = np.minimum(np.maximum(t_switch, t_init * 1.01), tau_end)
 
     if record_tau is None:
         record_tau = [None] * B
@@ -469,94 +459,121 @@ def evolve_modes_batched(
         monitors = [None] * B
     if len(monitors) != B:
         raise ParameterError("monitors must have one entry per lane")
-    for b, mon in enumerate(monitors):
-        if mon is not None and hasattr(mon, "bind"):
-            mon.bind(systems[b])
 
-    recorders = [
-        _Recorder(systems[b], grids[b].size, monitor=monitors[b])
-        for b in range(B)
+    lanes = [
+        _evolve_lane(
+            system, ic_builders[initial_conditions], t0, tau_end, grid,
+            monitor, tca_eps=tca_eps, amplitude=amplitude,
+            timed=telemetry.enabled, driver_cls=driver_cls, rtol=rtol,
+            atol=atol, max_steps=max_steps, first_step=first_step)
+        for system, t0, grid, monitor in zip(systems, t_init, grids, monitors)
     ]
-    stats = [IntegratorStats() for _ in range(B)]
-    batch_stats = BatchStats()
-    walls = [time.perf_counter() if telemetry.enabled else 0.0]
+    modes = [mode for mode, _walls in lanes]
 
-    # Phase 1: tight coupling to each lane's own tau_switch, the
-    # hand-off of the slaved moments, then phase 2: the full hierarchy
-    for tight, t0, t1 in ((True, t_init, t_switch),
-                          (False, t_switch, np.full(B, tau_end))):
-        stops = [g[g <= t_switch[b]] if tight else g[g > t_switch[b]]
-                 for b, g in enumerate(grids)]
-        Y, reached = _run_phase(
-            batch_system, systems, tight, Y, t0, t1, stops, stats,
-            batch_stats, driver_cls=driver_cls, rtol=rtol, atol=atol,
-            max_steps=max_steps, first_step=first_step)
-        for b, (tau, rows) in enumerate(reached):
-            # a driver's last stop is the phase end, which is recorded
-            # only when it is a record point
-            m = len(tau) if _in(tau[-1], stops[b]) else len(tau) - 1
-            recorders[b].record(tight, tau[:m], rows[:m])
-        if tight:
-            for b in range(B):
-                systems[b].initialize_full_from_tca(Y[b], float(t_switch[b]))
-        walls.append(time.perf_counter() if telemetry.enabled else 0.0)
-
+    # only a chunk that completed leaves rows: a failed one is retried
+    # mode by mode (plinger.worker.chunk_compute)
     if telemetry.enabled:
-        wall0, wall1, wall2 = walls
-        for b in range(B):
+        for mode, (tca_wall, full_wall) in lanes:
             telemetry.record_mode(
-                k=float(ks[b]),
+                k=mode.k,
                 lmax=layout.lmax_photon,
-                n_rhs=stats[b].n_rhs,
-                n_steps=stats[b].n_steps,
-                n_rejected=stats[b].n_rejected,
-                flops_est=stats[b].n_flops,
-                tau_switch=float(t_switch[b]),
-                tca_wall_seconds=(wall1 - wall0) / B,
-                full_wall_seconds=(wall2 - wall1) / B,
-                wall_seconds=(wall2 - wall0) / B,
-            )
-        if B > 1:
-            telemetry.record_batch(
-                n_lanes=B,
-                k_min=float(ks.min()),
-                k_max=float(ks.max()),
-                n_sweeps=batch_stats.n_sweeps,
-                lane_steps_attempted=batch_stats.lane_steps_attempted,
-                lane_steps_accepted=batch_stats.lane_steps_accepted,
-                lane_steps_rejected=batch_stats.lane_steps_rejected,
-                lane_slots_idle=batch_stats.lane_slots_idle,
-                tca_wall_seconds=wall1 - wall0,
-                full_wall_seconds=wall2 - wall1,
-                wall_seconds=wall2 - wall0,
+                n_rhs=mode.stats.n_rhs,
+                n_steps=mode.stats.n_steps,
+                n_rejected=mode.stats.n_rejected,
+                flops_est=mode.stats.n_flops,
+                tau_switch=mode.tau_switch,
+                tca_wall_seconds=tca_wall,
+                full_wall_seconds=full_wall,
+                wall_seconds=tca_wall + full_wall,
             )
         telemetry.record_rhs(
             requested=rhs_kernel,
-            active=batch_system.rhs_kernel,
-            evals=dict(batch_system.op.evals),
-            seconds=dict(batch_system.op.seconds),
+            active=kernel,
+            evals=dict(op.evals),
+            seconds=dict(op.seconds),
         )
-
-    for d in batch_system.op.drain_demotions():
+    for d in op.drain_demotions():
         telemetry.record_degradation(
             "kernel", "demotion", f"{d['from']}->{d['to']}: {d['reason']}"
         )
 
-    return [
-        ModeResult(
-            k=float(ks[b]),
-            tau=rec.tau[: rec.i],
-            records={name: arr[: rec.i] for name, arr in rec.arrays.items()},
-            y_final=Y[b].copy(),
-            layout=layout,
-            stats=stats[b],
-            tau_init=float(t_init[b]),
-            tau_switch=float(t_switch[b]),
-            tau_end=tau_end,
-            system=systems[b],
-        )
-        for b, rec in enumerate(recorders)
-    ]
+    # what no lane timed as its own — the assembly above, this
+    # tear-down — is the chunk's, shared equally
+    shared = (time.process_time() - cpu0
+              - sum(mode.cpu_seconds for mode in modes)) / B
+    for mode in modes:
+        mode.cpu_seconds += shared
+    return modes
+
+
+def _evolve_lane(
+    system: PerturbationSystem,
+    ic_builder,
+    t_init: float,
+    tau_end: float,
+    grid: np.ndarray,
+    monitor,
+    *,
+    tca_eps: float,
+    amplitude: float,
+    timed: bool,
+    driver_cls: type[RKDriver],
+    **tolerances,
+) -> tuple[ModeResult, tuple[float, float]]:
+    """One lane of a chunk, start to finish: initial conditions, the
+    tight-coupling phase to the lane's own ``tau_switch``, the hand-off
+    of the slaved moments, the full hierarchy to ``tau_end`` — each
+    phase followed by its record pass.  The lane's counters accumulate
+    in one :class:`IntegratorStats` over both phases (``max_steps`` is
+    its budget for the whole evolution), and its clocks time nothing
+    but itself: returns the mode (``cpu_seconds`` its own) and the
+    wallclock of its two phases (zeros unless ``timed``)."""
+    cpu0 = time.process_time()
+    k, layout = system.k, system.layout
+    if monitor is not None and hasattr(monitor, "bind"):
+        monitor.bind(system)
+    y = ic_builder(
+        layout, system.background, k, t_init,
+        q_nodes=system.q_nodes if layout.nq else None,
+        amplitude=amplitude,
+    )
+    t_switch = find_tca_exit(system.thermo, k, tca_eps=tca_eps)
+    t_switch = min(max(t_switch, t_init * 1.01), tau_end)
+    recorder = _Recorder(system, grid.size, monitor=monitor)
+    stats = IntegratorStats()
+
+    # no clock is read for a run nobody is timing (float() is 0.0)
+    clock = time.perf_counter if timed else float
+    walls = [clock()]
+    for tight, t0, t1 in ((True, t_init, t_switch),
+                          (False, t_switch, tau_end)):
+        stops = grid[grid <= t_switch] if tight else grid[grid > t_switch]
+        y, tau, rows = integrate_phase(system, tight, y, t0, t1, stops,
+                                       stats, driver_cls=driver_cls,
+                                       **tolerances)
+        # a driver's last stop is the phase end, which is recorded only
+        # when it is a record point
+        m = len(tau) if _in(tau[-1], stops) else len(tau) - 1
+        recorder.record(tight, tau[:m], rows[:m])
+        if tight:
+            system.initialize_full_from_tca(y, t_switch)
+        walls.append(clock())
+
+    n = recorder.i
+    mode = ModeResult(
+        k=k,
+        tau=recorder.tau[:n],
+        records={name: arr[:n] for name, arr in recorder.arrays.items()},
+        y_final=y,
+        layout=layout,
+        stats=stats,
+        tau_init=t_init,
+        tau_switch=t_switch,
+        tau_end=tau_end,
+        system=system,
+        cpu_seconds=time.process_time() - cpu0,
+    )
+    return mode, (walls[1] - walls[0], walls[2] - walls[1])
 
 
 def evolve_mode(
@@ -599,79 +616,6 @@ def evolve_mode(
     )[0]
 
 
-def _run_phase(
-    batch_system: PerturbationSystemBatch,
-    systems: list[PerturbationSystem],
-    tight: bool,
-    Y: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    stops: list[np.ndarray],
-    stats: list[IntegratorStats],
-    batch_stats: BatchStats,
-    *,
-    driver_cls: type[RKDriver],
-    **tolerances,
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """One phase of a chunk; returns the ``(B, n_state)`` end states
-    and, per lane, the stop times reached (the lane's stop points, then
-    the phase end if that is not one of them) with the
-    ``(n_stops, n_state)`` block of states there.
-
-    The one place that decides how a chunk steps, from what it can
-    observe:
-
-    * several lanes on the python kernel step in lockstep through
-      :class:`BatchedDVERK`, which amortizes the interpreter over the
-      lanes; lanes that finish early park until the chunk drains;
-    * otherwise each lane runs on its own through
-      :func:`integrate_phase` — the compiled step loop whenever
-      ``cext`` is active, which beats any python batching, else the
-      scalar driver, which at one lane has none of the lockstep
-      driver's masked-array overhead.
-
-    Lane ``b``'s counters accumulate in ``stats[b]`` over both phases
-    (``max_steps`` is a lane's budget for the whole evolution on the
-    scalar routes); ``batch_stats`` keeps the lockstep occupancy books,
-    where a lane stepping alone counts every slot as active.
-    """
-    B = len(systems)
-    compiled = (batch_system.op.active_kernel(batch_system.rhs_kernel)
-                == "cext")
-    if B > 1 and not compiled:
-        seen: list[tuple[list, list]] = [([], []) for _ in range(B)]
-
-        def on_stop(b: int, t: float, y_row: np.ndarray) -> None:
-            seen[b][0].append(t)
-            seen[b][1].append(y_row.copy())
-
-        drv = BatchedDVERK(
-            batch_system.rhs_tca if tight else batch_system.rhs_full,
-            flops_per_rhs=batch_system.flops_per_eval(), **tolerances)
-        res = drv.integrate(Y, t0, t1, stop_points=stops, on_stop=on_stop,
-                            stats=batch_stats)
-        for b in range(B):
-            stats[b].merge(res.lane_stats(b))
-        return res.y, [(np.array(ts), np.array(ys)) for ts, ys in seen]
-
-    Y_end = np.empty_like(Y)
-    reached = []
-    for b, system in enumerate(systems):
-        lane = stats[b]
-        accepted, rejected = lane.n_steps, lane.n_rejected
-        Y_end[b], tau, rows = integrate_phase(
-            system, tight, Y[b], float(t0[b]), float(t1[b]), stops[b], lane,
-            driver_cls=driver_cls, **tolerances)
-        reached.append((tau, rows))
-        accepted = lane.n_steps - accepted
-        rejected = lane.n_rejected - rejected
-        batch_stats.n_sweeps += accepted + rejected
-        batch_stats.lane_steps_attempted += accepted + rejected
-        batch_stats.lane_steps_accepted += accepted
-        batch_stats.lane_steps_rejected += rejected
-    return Y_end, reached
-
-
 def integrate_phase(
     system: PerturbationSystem,
     tight: bool,
@@ -688,13 +632,17 @@ def integrate_phase(
     driver_cls: type[RKDriver] = DVERK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One lane's tight-coupling or full-hierarchy phase; returns the
-    state at ``t1``, the stop times reached and the states there.
+    state at ``t1``, the stop times reached (the lane's stop points,
+    then ``t1`` if that is not one of them) and the
+    ``(n_stops, n_state)`` block of states there.
 
-    When the system's kernel (after any demotion) is ``cext`` and the
-    driver is DVERK, the phase is one call of the compiled step loop,
-    its counters folded into ``stats`` with the python driver's
-    formulas, so recorders, monitors and telemetry cannot tell the
-    difference.
+    The one place a driver is chosen.  When the system's kernel (after
+    any demotion) is ``cext`` and the driver is DVERK, the phase is one
+    call of the compiled step loop, its counters folded into ``stats``
+    with the python driver's formulas, so recorders, monitors and
+    telemetry cannot tell the difference; otherwise it is
+    ``driver_cls`` — the scalar python DVERK, the reference and the
+    fallback — on the lane's two right-hand sides.
 
     The python driver keeps the failure semantics.  A compiled call
     that stops early (max steps, step underflow) or returns a

@@ -8,43 +8,45 @@ Hubble, the metric sources) do.  COSMICS (astro-ph/9506070) and CMBAns
 assembly-vs-evaluate split.  :class:`BoltzmannOperator` makes the split
 explicit for this package:
 
-* **assembly** happens once per (layout, k-batch): the static index
-  structure (the fused advection window, the Thomson damping window,
-  the per-lane advection coefficient table, the frozen state-layout
-  offsets) plus the per-tau coefficient *sources*: the constant
-  (8 pi G/3) density prefactors, and references to the uniform-grid
-  splines for opacity / sound speed / massive-neutrino background
-  factors, which depend on the cosmology alone and are fitted with the
-  tables (``ThermalHistory``, ``MassiveNuTables``);
+* **assembly** happens once per (layout, chunk of wavenumbers): the
+  static index structure (the fused advection window, the Thomson
+  damping window, the per-lane advection coefficient table, the frozen
+  state-layout offsets) plus the per-tau coefficient *sources*: the
+  constant (8 pi G/3) density prefactors, and references to the
+  uniform-grid splines for opacity / sound speed / massive-neutrino
+  background factors, which depend on the cosmology alone and are
+  fitted with the tables (``ThermalHistory``, ``MassiveNuTables``);
 
-* **evaluation** is a thin pass over that structure.  Two kernels
-  evaluate the same structure, in both phases (and the ``cext`` shared
-  object also carries the compiled DVERK step loop,
-  :meth:`integrate_phase`, which runs a lane's whole tight-coupling or
-  full-hierarchy phase over the same packed ABI):
+* **evaluation** is a thin pass over that structure, one lane (one
+  wavenumber of the chunk) at a time.  Two kernels evaluate the same
+  structure, in both phases (and the ``cext`` shared object also
+  carries the compiled DVERK step loop, :meth:`integrate_phase`, which
+  runs a lane's whole tight-coupling or full-hierarchy phase over the
+  same packed ABI):
 
-  - ``python`` — the NumPy slice kernels, transplanted verbatim from
-    the previous hand-kept ``PerturbationSystem`` (scalar) and
-    ``PerturbationSystemBatch`` (lane) implementations, preserving
-    every expression grouping so existing goldens stay *bitwise*;
+  - ``python`` — the scalar NumPy slice kernels (``rhs_full_s``,
+    ``rhs_tca_s``), the reference and the fallback, every expression
+    grouping pinned bitwise by ``tests/reference_rhs.py``;
   - ``cext``  — the one compiled backend: a small C translation of the
     same evaluation order over the packed ABI of :meth:`pack`, lazily
     compiled with the system C compiler (see ``_rhs_cext``).
 
-Both :class:`~repro.perturbations.system.PerturbationSystem` and
-:class:`~repro.perturbations.system_batched.PerturbationSystemBatch`
-are thin drivers over one operator; the conformal-Newtonian twin reuses
-the gauge-independent helpers (photon/polarization advection + damping,
+A :class:`~repro.perturbations.system.PerturbationSystem` is a thin
+view of one lane of an operator, so a chunk of wavenumbers shares one
+assembly and one :meth:`pack`; the conformal-Newtonian twin reuses the
+gauge-independent helpers (photon/polarization advection + damping,
 hierarchy closures), keeping only its gauge-specific source terms
-local.  That removes the three hand-kept copies of the common MB95
-couplings that previous PRs had to pin together with oracles.
+local.  The few ``*_lanes`` methods left (``conformal_hubble_lanes``,
+``grho83_lanes``, ``rho_factor_lanes``) are the background factors over
+an *array of scale factors* — what the record pass of
+``evolve._Recorder`` evaluates for a block of stop-point rows — not a
+second way to step.
 
 The operator also carries the per-kernel evaluation counters and
 (optionally) per-kernel wall-clock that feed the ``RhsMetrics``
 telemetry section, and :meth:`flops_per_eval` — one deterministic
-multiply-add census of the assembled structure used by *both* the
-serial and batched integrators, so flop accounting is identical across
-paths.
+multiply-add census of the assembled structure, so flop accounting is
+identical on the python and the compiled path.
 """
 
 from __future__ import annotations
@@ -150,12 +152,12 @@ class CompiledPhase:
 
 
 def _exp_lanes(x: np.ndarray) -> np.ndarray:
-    """exp per lane via libm.
+    """exp per element via libm.
 
-    ``np.exp`` differs from ``math.exp`` by ulps; adaptive step-size
-    control amplifies those over thousands of steps into ~1e-7 state
-    drift, which would break golden-level (rtol=1e-8) equivalence with
-    the serial path.  B is small, so scalar libm calls are cheap.
+    ``np.exp`` differs from ``math.exp`` by ulps, and the recorded
+    observables are held bitwise to the scalar expressions the RHS
+    kernels use (the arithmetic contract).  The arrays are short (one
+    entry per stop-point row), so scalar libm calls are cheap.
     (``tolist`` first: iterating a NumPy array yields slow np.float64
     scalars, a Python list yields plain floats.)
     """
@@ -163,20 +165,20 @@ def _exp_lanes(x: np.ndarray) -> np.ndarray:
 
 
 def _log_lanes(x: np.ndarray) -> np.ndarray:
-    """log per lane via libm (see :func:`_exp_lanes`)."""
+    """log per element via libm (see :func:`_exp_lanes`)."""
     return np.array([math.log(v) for v in x.tolist()])
 
 
 class BoltzmannOperator:
-    """Precomputed coefficient structure for a batch of wavenumbers.
+    """Precomputed coefficient structure for a chunk of wavenumbers.
 
     Parameters
     ----------
     background, thermo:
         Precomputed background / thermal history (shared across modes).
     ks:
-        Comoving wavenumbers [Mpc^-1], shape (B,).  A serial driver is
-        the B=1 special case evaluated through the scalar kernels.
+        Comoving wavenumbers [Mpc^-1], shape (B,); lane ``b`` is
+        ``ks[b]``, and every evaluation names the lane it is for.
     layout:
         The state-vector layout, shared by every lane.
     q_max:
@@ -293,11 +295,10 @@ class BoltzmannOperator:
         self._n_lo = ks[:, None] * ell / (2.0 * ell + 1.0)
         self._n_hi = ks[:, None] * (ell + 1.0) / (2.0 * ell + 1.0)
 
-        # Per-lane constants the serial system folds into scalars;
-        # groupings match the serial expressions bit for bit.
+        # Per-lane constants of the packed ABI (``lane_c``, ``gr_gnl``);
+        # groupings match the scalar kernels' expressions bit for bit.
         self._gr_gnl = self._gr_g + self._gr_nl
         self._k075 = 0.75 * ks
-        self._neg_ks = -ks
         self._k43i = 4.0 / (3.0 * ks)
 
         # Global advection table: every hierarchy interior obeys
@@ -406,16 +407,12 @@ class BoltzmannOperator:
         return np.sqrt(self.q_nodes**2 + (a * self._x0) ** 2)
 
     # ------------------------------------------------------------------
-    # Background pieces — lanes (batched hot path)
+    # Background pieces — arrays of scale factors (the record pass)
     # ------------------------------------------------------------------
 
     def rho_factor_lanes(self, a: np.ndarray) -> np.ndarray:
         lx = _log_lanes(a * self._x0)
         return _exp_lanes(self._rho_fac.vector(lx)) / I_RHO_MASSLESS
-
-    def pressure_factor_lanes(self, a: np.ndarray) -> np.ndarray:
-        lx = _log_lanes(a * self._x0)
-        return 3.0 * _exp_lanes(self._p_fac.vector(lx)) / I_RHO_MASSLESS
 
     def grho83_lanes(self, a: np.ndarray) -> np.ndarray:
         g = (
@@ -427,40 +424,8 @@ class BoltzmannOperator:
             g = g + self._gr_nu_rel / (a * a) * self.rho_factor_lanes(a)
         return g
 
-    def gpres83_lanes(self, a: np.ndarray) -> np.ndarray:
-        g = (self._gr_g + self._gr_nl) / (3.0 * a * a) - self._gr_lam * a * a
-        if self.nq > 0:
-            g = g + (
-                self._gr_nu_rel / (a * a) * self.pressure_factor_lanes(a) / 3.0
-            )
-        return g
-
     def conformal_hubble_lanes(self, a: np.ndarray) -> np.ndarray:
         return np.sqrt(self.grho83_lanes(a) + self._gr_k)
-
-    def thermo_lookup_lanes(self, lna: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(kappa_dot, cs2) per lane with one shared piece-index lookup.
-
-        Same arithmetic as two ``UniformGridCubic.vector`` calls (both
-        splines sit on the same ln-a grid), at a quarter of the index
-        math: one clamp, one gather of all eight coefficient rows.
-        """
-        i = np.minimum(
-            np.maximum(((lna - self._th_x0) / self._th_dx).astype(int), 0),
-            self._th_n - 1,
-        )
-        t = lna - (self._th_x0 + i * self._th_dx)
-        C = self._th_c[:, i].reshape(2, 4, self.B)
-        P = ((C[:, 0] * t + C[:, 1]) * t + C[:, 2]) * t + C[:, 3]
-        e = np.array([math.exp(v) for v in P.ravel().tolist()])
-        return e[: self.B], e[self.B :]
-
-    def nu_eps_lanes(self, a: np.ndarray) -> np.ndarray | None:
-        """eps = sqrt(q^2 + (a m/T)^2), shape (B, nq)."""
-        if self.nq == 0:
-            return None
-        return np.sqrt(self.q_nodes[None, :] ** 2
-                       + (a[:, None] * self._x0) ** 2)
 
     # ------------------------------------------------------------------
     # Shared source sums — scalar
@@ -529,7 +494,8 @@ class BoltzmannOperator:
 
         Derived from the F2/G0/G2 quasi-equilibrium:
         sigma_g = (2/(3 kappa')) [ (8/15) theta_g + (4/15) hdot + (8/5) etadot ].
-        Shape-agnostic: works for scalars and lane vectors alike.
+        Shape-agnostic: scalars in the kernels, row vectors in the
+        record pass.
         """
         return (2.0 / (3.0 * kappa_dot)) * (
             (8.0 / 15.0) * theta_g + (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot
@@ -756,257 +722,6 @@ class BoltzmannOperator:
         gg[2] = 0.25 * fg[2]
 
     # ------------------------------------------------------------------
-    # Shared source sums — lanes
-    # ------------------------------------------------------------------
-
-    def psi_matrix_lanes(self, Y: np.ndarray) -> np.ndarray:
-        lo = self.layout
-        return Y[:, self._slpsi].reshape(self.B, lo.nq, lo.lmax_massive_nu + 1)
-
-    def metric_sources_lanes(self, Y: np.ndarray, a: np.ndarray,
-                             hc: np.ndarray,
-                             eps: np.ndarray | None = None):
-        """Per-lane hdot and etadot from the Einstein constraints."""
-        fg = Y[:, self._slfg]
-        nl = Y[:, self._slnl]
-        inv_a = 1.0 / a
-        inv_a2 = inv_a * inv_a
-        gdrho = 1.5 * (
-            (self._gr_c * Y[:, self._iDC] + self._gr_b * Y[:, self._iDB]) * inv_a
-            + (self._gr_g * fg[:, 0] + self._gr_nl * nl[:, 0]) * inv_a2
-        )
-        theta_g = self._k075 * fg[:, 1]
-        theta_n = self._k075 * nl[:, 1]
-        gdq = 1.5 * (
-            self._gr_b * Y[:, self._iTB] * inv_a
-            + (4.0 / 3.0) * (self._gr_g * theta_g + self._gr_nl * theta_n) * inv_a2
-        )
-        if self.nq > 0:
-            psi = self.psi_matrix_lanes(Y)
-            if eps is None:
-                eps = self.nu_eps_lanes(a)
-            # per-lane dots, the exact reductions the serial system does
-            # (einsum's summation order differs by ulps)
-            nu_rho = np.array([
-                float((self._w_rho * eps[b]) @ psi[b, :, 0])
-                for b in range(self.B)
-            ])
-            nu_q = np.array([
-                float(self._w_q3 @ psi[b, :, 1]) for b in range(self.B)
-            ])
-            gdrho = gdrho + 1.5 * self._gr_nu_rel * inv_a2 * nu_rho
-            gdq = gdq + 1.5 * self._gr_nu_rel * inv_a2 * self.ks * nu_q
-        hdot = 2.0 * (self.k2 * Y[:, self._iETA] + gdrho) / hc
-        etadot = gdq / self.k2
-        return hdot, etadot, gdrho, gdq
-
-    def shear_sum_lanes(self, Y: np.ndarray, a: np.ndarray,
-                        sigma_g: np.ndarray,
-                        eps: np.ndarray | None = None) -> np.ndarray:
-        inv_a2 = 1.0 / (a * a)
-        sigma_n = 0.5 * Y[:, self._slnl][:, 2]
-        gshear = 1.5 * (4.0 / 3.0) * (
-            self._gr_g * sigma_g + self._gr_nl * sigma_n
-        ) * inv_a2
-        if self.nq > 0:
-            psi = self.psi_matrix_lanes(Y)
-            if eps is None:
-                eps = self.nu_eps_lanes(a)
-            nu_shear = np.array([
-                float((self._w_q4 / eps[b]) @ psi[b, :, 2])
-                for b in range(self.B)
-            ])
-            gshear = gshear + 1.5 * self._gr_nu_rel * inv_a2 * (2.0 / 3.0) * nu_shear
-        return gshear
-
-    # ------------------------------------------------------------------
-    # Sector fillers — lanes
-    # ------------------------------------------------------------------
-
-    def fill_neutrinos_lanes(self, Y, dY, tau, hdot, etadot,
-                             hdot23=None, src2=None, advect=True):
-        """Massless hierarchy.  ``hdot23``/``src2`` are the shared
-        metric-source terms ``(2/3) hdot`` and ``(4/15) hdot +
-        (8/5) etadot`` when the caller already has them; rhs_full_lanes
-        passes ``advect=False`` because its global shifted-slice
-        update already advected this block."""
-        nl = Y[:, self._slnl]
-        dnl = dY[:, self._slnl]
-        lm = self.layout.lmax_nu
-        if hdot23 is None:
-            hdot23 = (2.0 / 3.0) * hdot
-        if src2 is None:
-            src2 = (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot
-        if advect:
-            dnl[:, 1:lm] = (self._n_lo[:, 1:lm] * nl[:, 0 : lm - 1]
-                            - self._n_hi[:, 1:lm] * nl[:, 2 : lm + 1])
-        dnl[:, 0] = self._neg_ks * nl[:, 1] - hdot23
-        dnl[:, 2] += src2
-        dnl[:, lm] = self.ks * nl[:, lm - 1] - (lm + 1.0) / tau * nl[:, lm]
-
-    def fill_massive_nu_lanes(self, Y, dY, tau, a, hdot, etadot, eps=None):
-        lo = self.layout
-        if lo.nq == 0:
-            return
-        psi = self.psi_matrix_lanes(Y)
-        dpsi = dY[:, self._slpsi].reshape(self.B, lo.nq, lo.lmax_massive_nu + 1)
-        lm = lo.lmax_massive_nu
-        if eps is None:
-            eps = self.nu_eps_lanes(a)
-        qk_eps = self.ks[:, None] * self.q_nodes[None, :] / eps  # (B, nq)
-        dpsi[:, :, 1:lm] = qk_eps[:, :, None] * (
-            self._mnu_lo[1:lm] * psi[:, :, 0 : lm - 1]
-            - self._mnu_hi[1:lm] * psi[:, :, 2 : lm + 1]
-        )
-        dpsi[:, :, 0] = (-qk_eps * psi[:, :, 1]
-                         + (hdot[:, None] / 6.0) * self._dlnf)
-        dpsi[:, :, 2] += (
-            -((1.0 / 15.0) * hdot + (2.0 / 5.0) * etadot)[:, None] * self._dlnf
-        )
-        dpsi[:, :, lm] = (qk_eps * psi[:, :, lm - 1]
-                          - ((lm + 1.0) / tau)[:, None] * psi[:, :, lm])
-
-    # ------------------------------------------------------------------
-    # Lane kernels (python) — transplanted from the batched system
-    # ------------------------------------------------------------------
-
-    def rhs_full_lanes(self, tau: np.ndarray, Y: np.ndarray,
-                       dY: np.ndarray) -> np.ndarray:
-        # No dY zeroing: every entry below is written by assignment
-        # before any in-place update reads it (rhs_tca_lanes, whose
-        # slaved block is *not* written, zeroes that block itself).
-        a = Y[:, self._iA]
-        a2 = a * a
-        # NB: gr_lam * a * a, not gr_lam * a2 — float multiplication is
-        # not associative and the scalar grho83_s groups left-to-right
-        grho = self._gr_m / a + self._gr_gnl / a2 + self._gr_lam * a * a
-        if self.nq > 0:
-            grho = grho + self._gr_nu_rel / a2 * self.rho_factor_lanes(a)
-            eps = self.nu_eps_lanes(a)
-        else:
-            eps = None
-        hc = np.sqrt(grho + self._gr_k)
-        lna = _log_lanes(a)
-        kappa_dot, cs2 = self.thermo_lookup_lanes(lna)
-        ks = self.ks
-
-        dY[:, self._iA] = a * hc
-        hdot, etadot, _, _ = self.metric_sources_lanes(Y, a, hc, eps=eps)
-        dY[:, self._iH] = hdot
-        dY[:, self._iETA] = etadot
-        hdot23 = (2.0 / 3.0) * hdot
-        src2 = (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot
-
-        # CDM and baryons
-        fg = Y[:, self._slfg]
-        gg = Y[:, self._slgg]
-        theta_b = Y[:, self._iTB]
-        theta_g = self._k075 * fg[:, 1]
-        r = self._r_coef / a
-        dY[:, self._iDC] = -0.5 * hdot
-        dY[:, self._iDB] = -theta_b - 0.5 * hdot
-        dY[:, self._iTB] = (
-            -hc * theta_b
-            + cs2 * self.k2 * Y[:, self._iDB]
-            + r * kappa_dot * (theta_g - theta_b)
-        )
-
-        # All three hierarchies (photon temperature, polarization,
-        # massless neutrinos) advect in one shifted-slice update; the
-        # block-boundary columns it writes are overwritten below.
-        s0, s1 = self._adv0, self._adv1
-        dY[:, s0:s1] = (self._adv_lo * Y[:, s0 - 1 : s1 - 1]
-                        - self._adv_hi * Y[:, s0 + 1 : s1 + 1])
-
-        lg = self.layout.lmax_photon
-        dfg = dY[:, self._slfg]
-        dgg = dY[:, self._slgg]
-        lg1_tau = (lg + 1.0) / tau
-        # Closure/boundary assignments first, with their bare damping
-        # terms left off; the contiguous region subtraction below adds
-        # each as the last term, preserving the serial left-to-right
-        # grouping ((a - b) - kappa_dot X) bit for bit.
-        dfg[:, 0] = self._neg_ks * fg[:, 1] - hdot23
-        dfg[:, lg] = ks * fg[:, lg - 1] - lg1_tau * fg[:, lg]
-        dgg[:, 0] = self._neg_ks * gg[:, 1]
-        dgg[:, lg] = ks * gg[:, lg - 1] - lg1_tau * gg[:, lg]
-        d0, d1 = self._damp0, self._damp1
-        dY[:, d0:d1] -= kappa_dot[:, None] * Y[:, d0:d1]
-        pi_pol = fg[:, 2] + gg[:, 0] + gg[:, 2]
-        dfg[:, 1] += kappa_dot * (self._k43i * theta_b - fg[:, 1])
-        dfg[:, 2] += src2 + kappa_dot * (0.1 * pi_pol - fg[:, 2])
-        dgg[:, 0] += 0.5 * kappa_dot * pi_pol
-        dgg[:, 2] += 0.1 * kappa_dot * pi_pol
-
-        self.fill_neutrinos_lanes(Y, dY, tau, hdot, etadot,
-                                  hdot23=hdot23, src2=src2, advect=False)
-        if self.nq > 0:
-            self.fill_massive_nu_lanes(Y, dY, tau, a, hdot, etadot, eps=eps)
-        return dY
-
-    def rhs_tca_lanes(self, tau: np.ndarray, Y: np.ndarray,
-                      dY: np.ndarray) -> np.ndarray:
-        dY[:] = 0.0
-        a = Y[:, self._iA]
-        hc = self.conformal_hubble_lanes(a)
-        lna = _log_lanes(a)
-        kappa_dot, cs2 = self.thermo_lookup_lanes(lna)
-        ks = self.ks
-        k2 = self.k2
-        eps = self.nu_eps_lanes(a)
-
-        dY[:, self._iA] = a * hc
-        hdot, etadot, _, _ = self.metric_sources_lanes(Y, a, hc, eps=eps)
-        dY[:, self._iH] = hdot
-        dY[:, self._iETA] = etadot
-
-        fg = Y[:, self._slfg]
-        delta_g = fg[:, 0]
-        theta_g = 0.75 * ks * fg[:, 1]
-        delta_b = Y[:, self._iDB]
-        theta_b = Y[:, self._iTB]
-        r = self._r_coef / a
-
-        sigma_g = self.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
-        ddelta_b = -theta_b - 0.5 * hdot
-        ddelta_g = -(4.0 / 3.0) * theta_g - (2.0 / 3.0) * hdot
-
-        # MB95 eq. (75): first-order slip theta_b' - theta_g'
-        addot_a = (
-            -0.5 * (self.grho83_lanes(a) + 3.0 * self.gpres83_lanes(a))
-            + hc * hc
-        )
-        slip = (2.0 * r / (1.0 + r)) * hc * (theta_b - theta_g) + (
-            1.0 / (kappa_dot * (1.0 + r))
-        ) * (
-            -addot_a * theta_b
-            - hc * k2 * 0.5 * delta_g
-            + k2 * (cs2 * ddelta_b - 0.25 * ddelta_g)
-        )
-
-        # MB95 eq. (74): combined momentum equation + slip
-        dtheta_b = (
-            -hc * theta_b
-            + cs2 * k2 * delta_b
-            + r * (k2 * (0.25 * delta_g - sigma_g))
-            + r * slip
-        ) / (1.0 + r)
-        dtheta_g = dtheta_b - slip
-
-        dY[:, self._iDC] = -0.5 * hdot
-        dY[:, self._iDB] = ddelta_b
-        dY[:, self._iTB] = dtheta_b
-        dfg = dY[:, self._slfg]
-        dfg[:, 0] = ddelta_g
-        dfg[:, 1] = (4.0 / (3.0 * ks)) * dtheta_g
-        # F_(l>=2) and polarization stay slaved, exactly as in the
-        # scalar kernel; the hand-off synchronizes them.
-
-        self.fill_neutrinos_lanes(Y, dY, tau, hdot, etadot)
-        self.fill_massive_nu_lanes(Y, dY, tau, a, hdot, etadot, eps=eps)
-        return dY
-
-    # ------------------------------------------------------------------
     # Packed structure for the compiled kernels
     # ------------------------------------------------------------------
 
@@ -1113,17 +828,6 @@ class BoltzmannOperator:
                 )
         return self._cext
 
-    def _call_packed(self, tight: bool, tau: np.ndarray, Y: np.ndarray,
-                     dY: np.ndarray, b0: int, b1: int) -> None:
-        # the table's nine addresses were taken once; only the per-call
-        # buffers are resolved here
-        tau_addr = (self._tau1_addr if tau is self._tau1
-                    else tau.ctypes.data)
-        fn = self._compiled()
-        (fn.rhs_tca_raw if tight else fn.rhs_raw)(
-            *self.pack()["table"], tau_addr, Y.ctypes.data, dY.ctypes.data,
-            b0, b1)
-
     # ------------------------------------------------------------------
     # Kernel dispatch (the entry points the thin drivers call)
     # ------------------------------------------------------------------
@@ -1173,9 +877,12 @@ class BoltzmannOperator:
             self._tau1[0] = tau
             if not y.flags.c_contiguous:
                 y = np.ascontiguousarray(y)
-            # (1, n) views: the packed kernels address state as rows
-            self._call_packed(tight, self._tau1, y.reshape(1, y.size),
-                              dy.reshape(1, dy.size), b, b + 1)
+            # the table's nine addresses were taken once (pack); the
+            # kernel reads lane b's state as the one row of its block
+            fn = self._compiled()
+            (fn.rhs_tca_raw if tight else fn.rhs_raw)(
+                *self.pack()["table"], self._tau1_addr, y.ctypes.data,
+                dy.ctypes.data, b, b + 1)
             eng = _chaos_engine()
             if eng is not None and eng.poison_rhs(kernel):
                 dy[:] = np.nan
@@ -1189,34 +896,6 @@ class BoltzmannOperator:
             self.seconds[kernel] += time.perf_counter() - w0
         return dy
 
-    def rhs_batch(self, tight: bool, tau: np.ndarray, Y: np.ndarray,
-                  dY: np.ndarray, kernel: str = "python") -> np.ndarray:
-        """All lanes' RHS through the requested (resolved) kernel."""
-        if self.kernel_overrides:
-            kernel = self.active_kernel(kernel)
-        self.evals[kernel] += self.B
-        if self.instrument:
-            w0 = time.perf_counter()
-        if kernel == "python":
-            (self.rhs_tca_lanes if tight else self.rhs_full_lanes)(tau, Y, dY)
-        else:
-            if not Y.flags.c_contiguous:
-                Y = np.ascontiguousarray(Y)
-            tau = np.ascontiguousarray(tau, dtype=float)
-            self._call_packed(tight, tau, Y, dY, 0, self.B)
-            eng = _chaos_engine()
-            if eng is not None and eng.poison_rhs(kernel):
-                dY[:] = np.nan
-            if self.nan_sentinel and not self._finite(dY):
-                if self.instrument:
-                    self.seconds[kernel] += time.perf_counter() - w0
-                fallback = self._demote(
-                    kernel, f"non-finite {_RHS_NAME[tight]} output")
-                return self.rhs_batch(tight, tau, Y, dY, fallback)
-        if self.instrument:
-            self.seconds[kernel] += time.perf_counter() - w0
-        return dY
-
     def integrate_phase(self, b: int, tight: bool, y0: np.ndarray,
                         t0: float, t1: float, stop_points, *, rtol: float,
                         atol: float, max_steps: int,
@@ -1229,7 +908,7 @@ class BoltzmannOperator:
         same numbers — with ``rhs`` (``rhs_tca`` when ``tight``, else
         ``rhs_full``) called in-process through the pointer table of
         :meth:`pack`.  Only lane ``b``'s coefficients are read, so the
-        result does not depend on the rest of the batch.  ``max_steps``
+        result does not depend on the rest of the chunk.  ``max_steps``
         is the number of accepted steps still allowed.
 
         The caller owns the failure semantics: a result that is not
@@ -1285,9 +964,9 @@ class BoltzmannOperator:
         """Deterministic multiply-add census of one lane's rhs_full.
 
         Derived from the assembled structure alone (window widths,
-        hierarchy cutoffs, momentum nodes), so the serial, batched and
-        compiled paths all report the same per-evaluation cost and
-        BENCH/telemetry comparisons are apples-to-apples.  Transcendental
+        hierarchy cutoffs, momentum nodes), so the python and compiled
+        paths report the same per-evaluation cost and BENCH/telemetry
+        comparisons are apples-to-apples.  Transcendental
         calls (exp/log/sqrt) are charged at 25 flops, matching the
         calibrated cost model in :mod:`repro.cluster.costmodel`.
         """

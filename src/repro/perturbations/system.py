@@ -16,15 +16,16 @@ and provides two interchangeable right-hand sides:
   integrator (DVERK) viable from the earliest times, exactly as in the
   original LINGER.
 
-Since the compiled-RHS refactor this class is a thin driver over
+This class is a thin view of one lane of a
 :class:`~repro.perturbations.operator.BoltzmannOperator`: the operator
-owns the precomputed coefficient structure and every kernel (python /
-cext, in scalar and lane forms), and this class binds one lane
-of it behind the historical serial API — same constructor, same
-attribute surface (the constraint monitor and the recorders reach into
+owns the precomputed coefficient structure of a chunk of wavenumbers
+and both kernels (python / cext), and this class binds one lane of it
+behind the historical serial API — same constructor, same attribute
+surface (the constraint monitor and the recorders reach into
 ``_gr_*``, ``_w_*``, ``_g_lo`` and friends), same ``rhs_full(tau, y)``
-/ ``rhs_tca(tau, y)`` signatures, bitwise-identical python-kernel
-values.
+/ ``rhs_tca(tau, y)`` signatures.  Which operator a lane is a view of
+never shows in its values: lane ``b`` of any operator is bitwise the
+one-lane operator built for ``ks[b]`` alone.
 
 Set ``rhs_kernel`` to ``"cext"`` or ``"auto"`` to route both
 right-hand sides through the compiled kernel; an unavailable kernel
@@ -62,9 +63,9 @@ class PerturbationSystem:
     operator, lane:
         Bind lane ``lane`` of an existing
         :class:`~repro.perturbations.operator.BoltzmannOperator`
-        instead of assembling a fresh B=1 operator — how
-        ``PerturbationSystemBatch.lane_system`` shares one coefficient
-        structure (and its eval counters) across a whole batch.
+        instead of assembling a fresh one-lane operator — how a chunk
+        shares one coefficient structure, one ``pack()`` and one set of
+        eval counters (``k`` is then read off the operator).
     rhs_kernel:
         ``"python"`` (default), ``"cext"`` or ``"auto"``.
     instrument:
@@ -93,6 +94,10 @@ class PerturbationSystem:
                 q_max=q_max,
             )
             lane = 0
+        elif not 0 <= lane < operator.B:
+            raise ParameterError(
+                f"lane {lane} out of range for an operator of "
+                f"{operator.B} wavenumbers")
         op = operator
         self.op = op
         self.lane = int(lane)

@@ -134,14 +134,16 @@ def run_plinger(
 
     The master hands out k-*chunks* (equal-lmax groups of up to
     ``batch_size`` modes, still largest-k-first; at 1 the paper's
-    one-wavenumber WORK message) and each worker integrates its chunk
-    as one unit; results ship back one header/payload pair per mode, so
-    downstream consumers see the identical wire records.
+    one-wavenumber WORK message).  ``batch_size`` is the number of
+    modes per WORK message and per operator assembly on the worker,
+    never how a mode steps: the worker integrates the modes of a chunk
+    one after another and ships back one header/payload pair per mode,
+    so downstream consumers see the identical wire records — same
+    bits, each with its own ``cpu_seconds`` — at any chunk length.
 
     Pass an enabled :class:`~repro.telemetry.Telemetry` to also gather
     per-tag message traffic for every rank, per-worker busy/idle time,
-    and each worker's per-mode integrator metrics (plus per-chunk
-    batch occupancy when ``batch_size > 1``).
+    and each worker's per-mode integrator metrics.
 
     Pass a :class:`~repro.resilience.FaultTolerance` to run
     resiliently: dead workers are detected and quarantined, their

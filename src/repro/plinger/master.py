@@ -81,7 +81,7 @@ def master_subroutine(
         Invoked for every completed (header, payload) pair — the
         stand-in for the paper's ascii/binary file writes.
     chunks:
-        Optional batched dispatch: a partition of the grid indices
+        Optional chunked dispatch: a partition of the grid indices
         (0-based, in dispatch order) into the k-chunks each WORK
         message carries (see
         :func:`~repro.linger.serial.dispatch_chunks`).  Every WORK and

@@ -89,7 +89,7 @@ def chunk_compute(
     through :func:`~repro.resilience.run_with_ladder` (one transient
     same-config retry, then the escalation levels) and the level that
     succeeded travels back in ``header.retry_level`` — at least 1 for
-    the modes of a multi-k chunk, marking the lockstep → per-mode
+    the modes of a multi-k chunk, marking the chunk → per-mode
     downgrade even when a level-0 attempt then succeeds.  Every failed
     attempt leaves an ``integrator`` degradation event in ``telemetry``.
 

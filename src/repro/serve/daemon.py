@@ -280,9 +280,7 @@ class SpectrumServer:
         queue_wait = time.perf_counter() - t_submitted
         t0 = time.perf_counter()
         result, was_warm = self.pool.run(
-            request.params, request.kgrid(), request.config(),
-            batch_size=request.batch_size,
-        )
+            request.params, request.kgrid(), request.config())
         l, cl = spectrum_product(
             request.params, result.kgrid.k, result.payloads,
             l_top=request.lmax - 3,

@@ -107,7 +107,6 @@ class WarmPool:
 
     def run(self, params: CosmologyParams, kgrid: KGrid,
             config: LingerConfig | None = None,
-            batch_size: int = 1,
             telemetry: Telemetry = NULL_TELEMETRY,
             ) -> tuple[LingerResult, bool]:
         """Serve one full grid.
@@ -130,8 +129,7 @@ class WarmPool:
             result, _stats = run_plinger(
                 params, kgrid, config, nproc=self.nproc,
                 backend="inprocess", background=background, thermo=thermo,
-                telemetry=telemetry, batch_size=batch_size,
-                fault_tolerance=self.fault_tolerance,
+                telemetry=telemetry, fault_tolerance=self.fault_tolerance,
             )
             self.stats.runs += 1
             self.stats.warm_runs += was_warm

@@ -51,11 +51,10 @@ class ServeRequest:
     The shape mirrors the CLI ``run`` defaults: a linear k-grid from
     ``k_min`` to ``k_max`` with ``nk`` points, integrated at
     ``lmax``/``rtol`` with the hierarchy C_l read off at
-    ``l = 2 .. lmax - 3``.  ``batch_size`` is the chunk length of the
-    WORK messages; it is an execution hint that rides the wire but not
-    the digest — C_l is bitwise invariant under it
-    (``oracle.batch_invariance``), so differently-batched requests
-    coalesce and share one store entry.
+    ``l = 2 .. lmax - 3``.  A request names a result, not how to
+    compute it: execution knobs (chunk length, kernel, rank count) are
+    the server's, and :meth:`from_doc` ignores top-level keys it does
+    not know — the ``batch_size`` older clients still send included.
     """
 
     params: CosmologyParams
@@ -64,7 +63,6 @@ class ServeRequest:
     nk: int = 16
     lmax: int = 16
     rtol: float = 1e-4
-    batch_size: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.k_min < self.k_max):
@@ -76,8 +74,6 @@ class ServeRequest:
             raise ServeError(f"lmax must be >= 5, got {self.lmax}")
         if not 0.0 < self.rtol <= 1e-2:
             raise ServeError(f"rtol must lie in (0, 1e-2], got {self.rtol}")
-        if self.batch_size < 1:
-            raise ServeError(f"batch_size must be >= 1, got {self.batch_size}")
 
     # -- content addressing -------------------------------------------------
 
@@ -121,7 +117,6 @@ class ServeRequest:
                "params": dataclasses.asdict(self.params)}
         doc.update({k: v for k, v in self.shape().items()
                     if k != "protocol"})
-        doc["batch_size"] = int(self.batch_size)
         return doc
 
     @classmethod
@@ -144,7 +139,6 @@ class ServeRequest:
                 nk=int(doc.get("nk", cls.nk)),
                 lmax=int(doc.get("lmax", cls.lmax)),
                 rtol=float(doc.get("rtol", cls.rtol)),
-                batch_size=int(doc.get("batch_size", cls.batch_size)),
             )
         except ServeError:
             raise

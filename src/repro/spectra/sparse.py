@@ -15,8 +15,7 @@ The pipeline here is
 1. :func:`~repro.linger.kgrid.sparse_kgrid` picks the coarse grid
    (every ``factor``-th dense point plus both endpoints, so the spline
    never extrapolates and exact hits stay bitwise);
-2. any of the existing engines integrates it —
-   ``run_linger(sparse_k=...)`` serial or batched, or
+2. either driver integrates it — ``run_linger(sparse_k=...)``, or
    ``run_plinger(collect_modes=True)`` on a thread-hosted backend;
 3. :func:`sparse_cl` stacks the recorded sources on a shared record
    grid, splines them across k
@@ -290,8 +289,8 @@ def run_sparse_cl(
 ) -> SparseClResult:
     """The end-to-end sparse-k sweep: integrate coarse, project dense.
 
-    ``backend=None`` integrates through ``run_linger`` (in chunks of
-    ``batch_size`` modes); naming a thread-hosted
+    ``backend=None`` integrates through ``run_linger`` (``batch_size``
+    modes per operator assembly, as there); naming a thread-hosted
     message-passing backend (``"inprocess"`` or ``"procs"``) drives the
     coarse sweep through ``run_plinger(collect_modes=True)`` instead.
     ``l_values`` defaults to the canonical

@@ -16,7 +16,6 @@ from .core import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .metrics import Counter, Histogram, Timer
 from .report import (
     SCHEMA,
-    BatchMetrics,
     ConstraintMetrics,
     DegradationMetrics,
     FaultReport,
@@ -36,7 +35,6 @@ __all__ = [
     "Timer",
     "Histogram",
     "ModeMetrics",
-    "BatchMetrics",
     "ConstraintMetrics",
     "RankTraffic",
     "WorkerMetrics",

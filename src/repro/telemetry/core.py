@@ -21,7 +21,6 @@ from typing import Iterable, Mapping
 
 from .metrics import Counter, Histogram, Timer
 from .report import (
-    BatchMetrics,
     CacheMetrics,
     ConstraintMetrics,
     DegradationMetrics,
@@ -54,7 +53,6 @@ class Telemetry:
         self.timers: dict[str, Timer] = {}
         self.histograms: dict[str, Histogram] = {}
         self.modes: list[ModeMetrics] = []
-        self.batches: list[BatchMetrics] = []
         self.traffic: list[RankTraffic] = []
         self.workers: list[WorkerMetrics] = []
         self.fault: FaultReport | None = None
@@ -102,18 +100,12 @@ class Telemetry:
         for name, value in kwargs.items():
             setattr(mode, name, value)
 
-    def record_batch(self, **kwargs) -> BatchMetrics | None:
-        """Append one per-chunk record from the batched integrator."""
-        batch = BatchMetrics(**kwargs)
-        self.batches.append(batch)
-        return batch
-
     def record_rhs(self, requested: str = "python",
                    active: str = "python",
                    evals: dict | None = None,
                    seconds: dict | None = None) -> None:
         """Merge per-kernel RHS accounting into the run's ``rhs``
-        section.  Called once per evolved mode/batch with the
+        section.  Called once per evolved chunk with the
         operator's cumulative counters; within one run the counts sum
         and the requested/active labels are shared."""
         section = RhsMetrics(requested=requested, active=active,
@@ -177,7 +169,6 @@ class Telemetry:
 
         return {
             "modes": [asdict(m) for m in self.modes],
-            "batches": [asdict(b) for b in self.batches],
             "constraints": [asdict(c) for c in self.constraints],
             "counters": {n: c.value for n, c in self.counters.items()},
             "timers": {n: t.as_dict() for n, t in self.timers.items()},
@@ -187,11 +178,11 @@ class Telemetry:
         }
 
     def merge_worker_payload(self, payload: dict) -> None:
-        """Fold a :meth:`worker_payload` dict back into this collector."""
+        """Fold a :meth:`worker_payload` dict back into this collector
+        (keys it does not know — an older rank's ``batches`` — are
+        skipped)."""
         for m in payload.get("modes", []):
             self.modes.append(ModeMetrics.from_dict(m))
-        for b in payload.get("batches", []):
-            self.batches.append(BatchMetrics.from_dict(b))
         for c in payload.get("constraints", []):
             self.constraints.append(ConstraintMetrics.from_dict(c))
         for name, value in payload.get("counters", {}).items():
@@ -217,7 +208,6 @@ class Telemetry:
         return RunReport(
             meta=merged_meta,
             modes=list(self.modes),
-            batches=list(self.batches),
             traffic=list(self.traffic),
             workers=list(self.workers),
             counters={n: c.value for n, c in self.counters.items()},
@@ -286,9 +276,6 @@ class NullTelemetry(Telemetry):
 
     def annotate_last_mode(self, **kwargs) -> None:
         pass
-
-    def record_batch(self, **kwargs) -> None:  # type: ignore[override]
-        return None
 
     def record_constraint(self, metrics) -> None:
         pass

@@ -19,7 +19,6 @@ from pathlib import Path
 __all__ = [
     "SCHEMA",
     "ModeMetrics",
-    "BatchMetrics",
     "RankTraffic",
     "WorkerMetrics",
     "FaultReport",
@@ -70,47 +69,6 @@ class ModeMetrics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModeMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
-
-@dataclass
-class BatchMetrics:
-    """Lane-occupancy accounting of one batched k-chunk integration.
-
-    A *sweep* is one vectorized step attempt over the whole batch; a
-    *lane-slot* is one lane's share of a sweep — attempted while the
-    lane is active, idle once it has parked at its end time.  This is
-    an additive v1 extension: reports without a ``batches`` section
-    load unchanged.
-    """
-
-    n_lanes: int  #: modes integrated together in this chunk
-    k_min: float = 0.0
-    k_max: float = 0.0
-    n_sweeps: int = 0
-    lane_steps_attempted: int = 0
-    lane_steps_accepted: int = 0
-    lane_steps_rejected: int = 0
-    lane_slots_idle: int = 0
-    tca_wall_seconds: float = 0.0
-    full_wall_seconds: float = 0.0
-    wall_seconds: float = 0.0
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of lane-slots that were active (not parked)."""
-        total = self.lane_steps_attempted + self.lane_slots_idle
-        return self.lane_steps_attempted / total if total else 0.0
-
-    @property
-    def wasted_step_fraction(self) -> float:
-        """Fraction of attempted lane-steps that were rejected."""
-        att = self.lane_steps_attempted
-        return self.lane_steps_rejected / att if att else 0.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BatchMetrics":
         names = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in d.items() if k in names})
 
@@ -174,9 +132,8 @@ class FaultReport:
 
     Written by the fault-tolerant master (and folded with worker-side
     retry counts by the driver); the chaos tests pin these fields
-    against the exact number of injected faults.  Like ``batches``,
-    this is an additive v1 extension: reports without a ``fault``
-    section load unchanged.
+    against the exact number of injected faults.  An additive v1
+    extension: reports without a ``fault`` section load unchanged.
     """
 
     #: ranks declared dead (quarantined) by the liveness detector
@@ -240,8 +197,8 @@ class CacheMetrics:
     """Precompute-cache accounting of one run.
 
     Written by :class:`~repro.cache.PrecomputeCache` (hits, misses,
-    build/load time, bytes).  Like ``batches`` and ``fault``, this is an additive
-    v1 extension: reports without a ``cache`` section load unchanged.
+    build/load time, bytes).  Like ``fault``, this is an additive v1
+    extension: reports without a ``cache`` section load unchanged.
     """
 
     hits: int = 0
@@ -303,8 +260,8 @@ class ConstraintMetrics:
     indicators, plus stride-decimated residual histories on the record
     grid.  Maxima are ``None`` (not NaN — the JSON layout stays
     round-trippable) when no valid sample exists, e.g. a mode recorded
-    only inside tight coupling.  Like ``batches``/``fault``/``cache``,
-    an additive v1 extension: reports without a ``constraints`` section
+    only inside tight coupling.  Like ``fault``/``cache``, an
+    additive v1 extension: reports without a ``constraints`` section
     load unchanged.
     """
 
@@ -338,9 +295,9 @@ class SparseMetrics:
     were actually integrated vs interpolated, leave-one-out residuals of
     the k-spline at interior coarse nodes (the cheapest honest estimate
     of the interpolation error), and the time the fast path saved
-    relative to integrating the dense grid.  Like ``batches``/``fault``/
-    ``cache``/``constraints``, an additive v1 extension: reports without
-    a ``sparse`` section load unchanged.
+    relative to integrating the dense grid.  Like ``fault``/``cache``/
+    ``constraints``, an additive v1 extension: reports without a
+    ``sparse`` section load unchanged.
     """
 
     sparse_factor: int = 1
@@ -384,9 +341,9 @@ class RhsMetrics:
     ran (compiled kernels silently fall back to python when
     unavailable), and the lane-evaluation counts / wall-clock split per
     kernel.  ``evals`` counts *lane* evaluations, of either phase's
-    RHS, under the kernel that ran them, so serial, batched and
-    compiled paths are directly comparable and a ``cext`` run that
-    never fell back reads ``python: 0``.  Additive v1 extension like
+    RHS, under the kernel that ran them, so the python and compiled
+    paths are directly comparable and a ``cext`` run that never fell
+    back reads ``python: 0``.  Additive v1 extension like
     ``sparse``: reports without an ``rhs`` section load unchanged.
     """
 
@@ -409,7 +366,7 @@ class RhsMetrics:
         return comp / tot
 
     def merge(self, other: "RhsMetrics") -> None:
-        """Fold another section in (PLINGER worker payloads, batches)."""
+        """Fold another section in (PLINGER worker payloads, chunks)."""
         self.requested = other.requested or self.requested
         self.active = other.active or self.active
         for k, v in other.evals.items():
@@ -541,7 +498,6 @@ class RunReport:
 
     meta: dict = field(default_factory=dict)
     modes: list[ModeMetrics] = field(default_factory=list)
-    batches: list[BatchMetrics] = field(default_factory=list)
     traffic: list[RankTraffic] = field(default_factory=list)
     workers: list[WorkerMetrics] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
@@ -567,23 +523,22 @@ class RunReport:
                 slot = msg_by_tag.setdefault(tag, {"count": 0, "bytes": 0})
                 slot["count"] += v["count"]
                 slot["bytes"] += v["bytes"]
-        att = sum(b.lane_steps_attempted for b in self.batches)
-        idle = sum(b.lane_slots_idle for b in self.batches)
-        rej = sum(b.lane_steps_rejected for b in self.batches)
+        accepted = sum(m.n_steps for m in self.modes)
+        rejected = sum(m.n_rejected for m in self.modes)
         return {
             "n_modes": len(self.modes),
             "n_rhs": sum(m.n_rhs for m in self.modes),
-            "n_steps": sum(m.n_steps for m in self.modes),
-            "n_rejected": sum(m.n_rejected for m in self.modes),
+            "n_steps": accepted,
+            "n_rejected": rejected,
+            # rejected over attempted steps: eight RHS evaluations each
+            "wasted_step_fraction": rejected / (accepted + rejected)
+            if accepted + rejected else 0.0,
             "flops_est": sum(m.flops_est for m in self.modes),
             "mode_wall_seconds": sum(m.wall_seconds for m in self.modes),
             "mode_cpu_seconds": sum(m.cpu_seconds for m in self.modes),
             "messages_sent_by_tag": msg_by_tag,
             "worker_busy_seconds": sum(w.busy_seconds for w in self.workers),
             "worker_idle_seconds": sum(w.idle_seconds for w in self.workers),
-            "n_batches": len(self.batches),
-            "lane_occupancy": att / (att + idle) if att + idle else 0.0,
-            "wasted_step_fraction": rej / att if att else 0.0,
             "n_dead_workers": len(self.fault.dead_workers) if self.fault
             else 0,
             "n_retries": self.fault.total_retries if self.fault else 0,
@@ -632,7 +587,6 @@ class RunReport:
             "meta": dict(self.meta),
             "totals": self.totals,
             "modes": [asdict(m) for m in self.modes],
-            "batches": [asdict(b) for b in self.batches],
             "traffic": [asdict(t) for t in self.traffic],
             "workers": [asdict(w) for w in self.workers],
             "counters": dict(self.counters),
@@ -654,12 +608,15 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
+        """Load a v1 document.  Sections and totals this version no
+        longer writes (the ``batches`` section and the ``n_batches`` /
+        ``lane_occupancy`` totals of older reports) are dropped, not
+        refused."""
         if d.get("schema") != SCHEMA:
             raise ValueError(f"not a {SCHEMA} document: {d.get('schema')!r}")
         return cls(
             meta=dict(d.get("meta", {})),
             modes=[ModeMetrics.from_dict(m) for m in d.get("modes", [])],
-            batches=[BatchMetrics.from_dict(b) for b in d.get("batches", [])],
             traffic=[RankTraffic.from_dict(t) for t in d.get("traffic", [])],
             workers=[WorkerMetrics.from_dict(w) for w in d.get("workers", [])],
             counters=dict(d.get("counters", {})),

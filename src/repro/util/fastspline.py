@@ -156,7 +156,7 @@ class UniformGridCubic:
         return (3.0 * self.c3[i] * t + 2.0 * self.c2[i]) * t + self.c1[i]
 
     def vector(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (used per-batch by the batched RHS).
+        """Vectorized evaluation (the record pass, the thermal tables).
 
         Bitwise-identical to looping :meth:`__call__`: identical index
         arithmetic and Horner grouping, with the four coefficient

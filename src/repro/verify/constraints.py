@@ -40,8 +40,7 @@ Two further invariants ride along at each sample:
 
 :class:`ConstraintMonitor` hooks into the per-mode recorder (see
 ``evolve_mode(monitor=...)``) so the residual history is sampled on the
-same grid the spectra pipeline consumes, for the serial *and* batched
-engines alike.  :func:`quality_residuals` adds record-level
+same grid the spectra pipeline consumes, at any chunk length.  :func:`quality_residuals` adds record-level
 integration-quality checks (numerical vs algebraic derivatives of the
 evolved metric variables), which measure actual integration error
 rather than equation consistency.

@@ -4,12 +4,13 @@ Two families of cross-checks, both reporting *measured* deviations that
 the runner compares against the :mod:`~repro.verify.tolerances` budget:
 
 * **path oracle** — drive one k-grid through the serial per-mode loop,
-  the batched (B, n_state) engine, and the PLINGER master/worker
-  machinery, and compare the wire records (:class:`ModeHeader` /
-  :class:`ModePayload`) field by field.  The three paths share the
-  physics kernels but differ in every layer above them (stepping
-  schedule bookkeeping, lane parking, message packing), so agreement
-  at ``oracle.paths_*`` rules out whole classes of orchestration bugs.
+  through four-mode chunks (one operator assembly, lanes addressed by
+  number), and through the PLINGER master/worker machinery, and compare
+  the wire records (:class:`ModeHeader` / :class:`ModePayload`) field
+  by field.  The three paths share the physics kernels and the one
+  step loop but differ in the layers above them (lane addressing,
+  dispatch order, message packing), so agreement at ``oracle.paths_*``
+  rules out whole classes of orchestration bugs.
 
 * **gauge oracle** — evolve one mode in the synchronous gauge and in
   the independently-implemented conformal-Newtonian gauge and compare
@@ -117,7 +118,12 @@ def paths_oracle(
     nproc: int = 3,
     include_plinger: bool = True,
 ) -> dict[str, float]:
-    """Serial vs batched vs PLINGER on one grid; measured deviations.
+    """Serial vs chunked vs PLINGER on one grid; measured deviations.
+
+    The serial reference integrates one mode per operator assembly;
+    the chunked leg (``paths_batched``, the name its budget was
+    registered under) ``batch_size`` modes per assembly; the PLINGER
+    leg one mode per WORK message over in-process ranks.
 
     Returns ``{"paths_batched": dev, "paths_plinger": dev}`` (the
     PLINGER entry only when ``include_plinger``), each the worst
@@ -138,12 +144,12 @@ def paths_oracle(
 
     out: dict[str, float] = {}
 
-    batched = run_linger(params, kgrid, config, background=background,
+    chunked = run_linger(params, kgrid, config, background=background,
                          thermo=thermo, batch_size=batch_size)
     tol_b = budget("oracle.paths_batched")
     out["paths_batched"] = max(
-        compare_header_fields(serial.headers, batched.headers, tol_b),
-        compare_payload_fields(serial.payloads, batched.payloads, tol_b),
+        compare_header_fields(serial.headers, chunked.headers, tol_b),
+        compare_payload_fields(serial.payloads, chunked.payloads, tol_b),
     )
 
     if include_plinger:
@@ -205,31 +211,28 @@ def rhs_kernel_oracle(
     (python kernel, python driver), capturing the states at the record
     grid in both phases, then re-evaluates the phase's own right-hand
     side — ``rhs_tca`` at the tight-coupling states, ``rhs_full`` at
-    the rest — at each captured ``(tau, y)`` through
-
-    * the lane-vectorized python kernel (B=1 batch), and
-    * the compiled kernel (cext) when available,
-
-    each against the scalar python reference evaluated on the same
-    state; and, when the ``cext`` kernel exists, evolves the same mode
-    again through the compiled step loop (both phases) and compares
-    every recorded observable and the final state against the python
-    driver's.
+    the rest — at each captured ``(tau, y)`` through lane 1 of a
+    three-lane operator assembled for ``[k/2, k, 2k]``, on every
+    available kernel (python always, cext when it exists), each against
+    the one-lane python reference evaluated on the same state — lane
+    addressing, which is all a chunk relies on; and, when the ``cext``
+    kernel exists, evolves the same mode again through the compiled
+    step loop (both phases) and compares every recorded observable and
+    the final state against the python driver's.
 
     Returns ``{"rhs_kernel": dev}``: the worst
     ``max|x - x_ref| / max|x_ref|`` over states, kernels and the
-    compiled-loop leg.  The python lanes and the compiled loop are
-    expected bitwise (dev contribution 0.0); the compiled kernels are
+    compiled-loop leg.  The python lane and the compiled loop are
+    expected bitwise (dev contribution 0.0); the compiled kernel is
     budgeted at ``oracle.rhs_kernel`` and, this mode having no massive
-    neutrinos, measure 0.0 too.  With no compiler the check still
-    measures the real scalar-vs-lane equivalence rather than vacuously
-    passing.
+    neutrinos, measures 0.0 too.  With no compiler the check still
+    measures the lane-of-a-chunk vs one-lane equivalence rather than
+    vacuously passing.
     """
     from ..perturbations import default_record_grid, evolve_mode
-    from ..perturbations.operator import available_kernels
+    from ..perturbations.operator import BoltzmannOperator, available_kernels
     from ..perturbations.state import StateLayout
     from ..perturbations.system import PerturbationSystem
-    from ..perturbations.system_batched import PerturbationSystemBatch
 
     states: list[tuple[float, np.ndarray, bool]] = []
 
@@ -249,28 +252,22 @@ def rhs_kernel_oracle(
     layout = StateLayout(lmax_photon=lmax, lmax_nu=lmax, nq=0,
                          lmax_massive_nu=0)
     ref = PerturbationSystem(background, thermo, k, layout)
-    batch = PerturbationSystemBatch(background, thermo,
-                                    np.array([float(k)]), layout)
-    compiled = [
+    chunk = BoltzmannOperator(background, thermo,
+                              np.array([0.5 * k, k, 2.0 * k]), layout)
+    lanes = [
         PerturbationSystem(background, thermo, k, layout,
-                           operator=ref.op, rhs_kernel=name)
-        for name in available_kernels() if name != "python"
+                           operator=chunk, lane=1, rhs_kernel=name)
+        for name in available_kernels()
     ]
 
-    tau1 = np.empty(1)
     worst = 0.0
     for tau, y, tight in states:
         rhs = "rhs_tca" if tight else "rhs_full"
         dy_ref = getattr(ref, rhs)(tau, y).copy()
         scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
-        tau1[0] = tau
-        dy_lane = getattr(batch, rhs)(tau1, y.reshape(1, y.size))[0]
-        worst = max(worst,
-                    float(np.max(np.abs(dy_lane - dy_ref))) / scale)
-        for sys_c in compiled:
-            dy_c = getattr(sys_c, rhs)(tau, y)
-            worst = max(worst,
-                        float(np.max(np.abs(dy_c - dy_ref))) / scale)
+        for lane in lanes:
+            dy = getattr(lane, rhs)(tau, y)
+            worst = max(worst, float(np.max(np.abs(dy - dy_ref))) / scale)
 
     if "cext" in available_kernels():
         loop_mode = evolve_mode(background, thermo, k, rhs_kernel="cext",
@@ -312,7 +309,12 @@ def batch_invariance_oracle(
     (in-process ranks, one mode per message).  Every
     ``ModeHeader``/``ModePayload`` field except ``cpu_seconds``
     (so ``n_rhs`` and ``n_steps`` too) and the hierarchy C_l must be
-    bit-for-bit the reference's.
+    bit-for-bit the reference's.  Every leg steps one lane at a time;
+    what the ``batch_size`` and ``reversed lanes`` legs pin is that a
+    lane's coefficient rows, packed constants and record pass do not
+    depend on which other wavenumbers share its operator or where in
+    it the lane sits — chunk composition and lane tables — and the
+    ``nproc`` legs that they do not depend on which rank assembled it.
 
     Returns ``{"batch_invariance": dev, "legs": {name: dev}}`` where a
     leg's ``dev`` is 0.0 when its bytes match and otherwise the worst

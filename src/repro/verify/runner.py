@@ -10,17 +10,18 @@ suite against one cosmology:
    recorded algebraic derivatives (``quality.*``);
 3. evaluates every analytic-limit oracle on the recorded modes
    (``analytic.*``);
-4. re-runs the grid through the batched and PLINGER paths and compares
-   the wire records against the serial reference (``oracle.paths_*``);
+4. re-runs the grid in four-mode chunks and through PLINGER and
+   compares the wire records against the serial reference
+   (``oracle.paths_*``);
 5. cross-checks the synchronous integration against the independent
    conformal-Newtonian code (``oracle.gauge_*``);
 6. replays the recorded run through the sparse-k fast path and compares
    the line-of-sight C_l against the all-modes projection
    (``oracle.sparse_cl``);
-7. replays one monitored mode's full-phase states through every
-   available RHS kernel (lane-vectorized python, cext) against
-   the scalar python reference, and the whole mode through the
-   compiled step loop against the python driver
+7. replays one monitored mode's states of both phases through one
+   lane of a three-lane operator on every available RHS kernel
+   (python, cext) against the one-lane python reference, and the whole
+   mode through the compiled step loop against the python driver
    (``oracle.rhs_kernel``);
 8. re-runs a short PLINGER spectrum under a fixed-seed chaos policy
    that injects faults into the cache, compiled-kernel, and integrator
@@ -31,7 +32,7 @@ suite against one cosmology:
    cold serial, resident warm pool, and the run-result store's npz
    round trip — and requires bit-level C_l agreement
    (``oracle.serve_result``);
-10. integrates one short grid under every kernel, batch size, lane
+10. integrates one short grid under every kernel, chunk length, lane
     order and rank count and requires the wire records and C_l to be
     bit-for-bit one answer (``oracle.batch_invariance``).
 
@@ -287,7 +288,7 @@ def verify_run(
     report.checks += _analytic_checks(result, fast)
 
     if progress:
-        print("[verify] path oracles (serial vs batched"
+        print("[verify] path oracles (serial vs chunked"
               + (")" if fast else " vs PLINGER)") + "...")
     wire_cfg = LingerConfig(lmax_photon=24, lmax_nu=12, rtol=1e-4,
                             record_sources=False, keep_mode_results=False)
@@ -296,7 +297,7 @@ def verify_run(
                         include_plinger=not fast)
     mk = VerificationCheck.relative
     report.checks.append(mk("oracle.paths_batched",
-                            "serial vs batched wire records",
+                            "serial vs chunked wire records",
                             devs["paths_batched"], "batch_size=4"))
     if "paths_plinger" in devs:
         report.checks.append(mk("oracle.paths_plinger",
@@ -331,7 +332,7 @@ def verify_run(
 
     kdevs = rhs_kernel_oracle(result.background, result.thermo)
     report.checks.append(mk("oracle.rhs_kernel",
-                            "RHS kernels vs scalar python reference",
+                            "RHS kernels, one lane of a chunk vs one-lane python",
                             kdevs["rhs_kernel"],
                             "kernels: " + ", ".join(available_kernels())))
 

@@ -151,11 +151,12 @@ TOLERANCES: dict[str, Tolerance] = {
         Tolerance(
             "oracle.paths_batched", rtol=1e-8, atol=1e-12,
             provenance=(
-                "Serial vs batched engine on identical modes: PR-2 fused "
-                "the batched RHS with scalar-libm exp/log lanes precisely "
-                "so lane trajectories match the serial integrator; the "
-                "golden suite pins batch in {1,4} at rtol 1e-8, and the "
-                "issue's acceptance criterion fixes 1e-8 here."
+                "Serial vs chunked on identical modes (one mode per "
+                "operator assembly vs four): since PR 19 every mode "
+                "steps on its own, so the check is lane addressing in a "
+                "shared operator and measures 0.0; the golden suite pins "
+                "batch_size in {1,4} at rtol 1e-8, and the budget stays "
+                "where PR 2's acceptance criterion fixed it, 1e-8."
             ),
         ),
         Tolerance(
@@ -202,14 +203,15 @@ TOLERANCES: dict[str, Tolerance] = {
         Tolerance(
             "oracle.rhs_kernel", rtol=1e-10, atol=0.0,
             provenance=(
-                "One monitored mode replayed through every available RHS "
-                "kernel (lane-vectorized python, cext) against the "
-                "scalar python reference, worst max|dy - dy_ref| over the "
+                "One monitored mode replayed through lane 1 of a "
+                "three-lane operator on every available RHS kernel "
+                "(python, cext) against the one-lane python reference, "
+                "worst max|dy - dy_ref| over the "
                 "recorded states normalized by max|dy_ref|.  The python "
-                "lanes are bitwise (same expression groupings, same libm "
-                "transcendentals — measured 0.0); the compiled kernels "
-                "share libm and are built without -ffast-math, so they "
-                "land within a few ulps.  1e-10 is ~1e5 ulps of headroom "
+                "lane is bitwise (same expression groupings, same libm "
+                "transcendentals — measured 0.0); the compiled kernel "
+                "shares libm and is built without -ffast-math, so it "
+                "lands within a few ulps.  1e-10 is ~1e5 ulps of headroom "
                 "yet instantly catches any dropped coupling or "
                 "reassociated expression, which shifts the residual to "
                 ">=1e-6 at these state magnitudes."
@@ -231,7 +233,7 @@ TOLERANCES: dict[str, Tolerance] = {
                 "measurement with headroom: the step loop's arithmetic "
                 "contract (DESIGN.md) fixes the order of every sum, so no "
                 "execution knob can move a bit; any non-zero value means a "
-                "reduction whose order depends on the batch (a gemv over "
+                "reduction whose order depends on the chunk (a gemv over "
                 "lanes, an einsum) came back.  NaN — an automatic failure — "
                 "when a C compiler exists and the cext legs evaluated "
                 "nothing in compiled code."

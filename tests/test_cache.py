@@ -378,21 +378,38 @@ class TestCacheMetrics:
 
     def test_report_written_before_the_transport_went_still_loads(self):
         """A RunReport from a release that still shipped tables through
-        shared memory carries four fields nothing writes any more."""
+        shared memory, and stepped chunks in lockstep, carries four
+        fields, one section and two totals nothing writes any more."""
         tel = Telemetry()
         tel.cache = CacheMetrics()
         tel.cache.record_hit("background", 0.01, 100)
         tel.fault = FaultReport(reassignments=1)
+        tel.record_mode(k=0.01, ik=1, n_steps=9, n_rejected=1)
         doc = tel.build_report().to_dict()
         doc["cache"].update(bytes_shared=262144, shared_backend="shm",
                             workers_attached=2)
         doc["fault"]["table_wire_transfers"] = 1
         doc["totals"]["cache_bytes_shared"] = 262144
+        doc["batches"] = [{
+            "n_lanes": 4, "k_min": 0.001, "k_max": 0.02, "n_sweeps": 100,
+            "lane_steps_attempted": 380, "lane_steps_accepted": 360,
+            "lane_steps_rejected": 20, "lane_slots_idle": 20,
+            "tca_wall_seconds": 0.5, "full_wall_seconds": 1.0,
+            "wall_seconds": 1.5}]
+        doc["totals"].update(n_batches=1, lane_occupancy=0.95,
+                             wasted_step_fraction=20 / 380)
         back = RunReport.from_json(json.dumps(doc))
         assert back.cache.hits == 1
         assert back.fault.reassignments == 1
         assert not hasattr(back.cache, "bytes_shared")
         assert not hasattr(back.fault, "table_wire_transfers")
+        # the batches section is dropped; the totals are re-derived
+        # from what was kept, the per-mode rows
+        assert not hasattr(back, "batches")
+        redone = back.to_dict()
+        assert "batches" not in redone
+        assert not {"n_batches", "lane_occupancy"} & set(redone["totals"])
+        assert redone["totals"]["wasted_step_fraction"] == 0.1
 
     def test_report_without_cache_stays_none(self):
         tel = Telemetry()

@@ -190,3 +190,15 @@ class TestCommands:
             assert name in out
         assert 500 < report.counters["thermo.lsoda_rhs_evals"] < 2000
         assert 2 <= report.counters["thermo.saha_sweeps"] <= 8
+        # rejected / attempted steps: one row on every run, from the
+        # per-mode rows (the chunk rows it used to need are gone)
+        totals = report.totals
+        waste = totals["n_rejected"] / (totals["n_steps"]
+                                        + totals["n_rejected"])
+        assert 0.0 < waste < 1.0
+        assert totals["wasted_step_fraction"] == waste
+        row = next(line for line in out.splitlines()
+                   if "wasted-step fraction" in line)
+        assert f"{waste:.3f}" in row
+        for gone in ("batched chunks", "lane occupancy"):
+            assert gone not in out

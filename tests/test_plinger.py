@@ -210,7 +210,7 @@ class TestChunkCompute:
         with active(ChaosPolicy(integrator_faults=3)):
             log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG, ft=ft,
                                   telemetry=telemetry)
-        # the chunk's modes report the lockstep -> per-mode downgrade;
+        # the chunk's modes report the chunk -> per-mode downgrade;
         # the lone mode recovered on its transient retry: ladder level 0
         assert {h.ik: h.retry_level for h in log.headers} == {
             5: 1, 4: 1, 3: 0, 2: 0, 1: 0}

@@ -2,13 +2,13 @@
 
 The refactor's contract, pinned here:
 
-* **bitwise python parity** — the operator-assembled serial and
-  batched RHS rows are *bit-identical* (``np.array_equal``, not
-  allclose) to the frozen pre-refactor implementation in
-  ``tests/reference_rhs.py``, across Hypothesis-randomized states and
-  evaluation times, for both the nq=0 and the massive-neutrino
-  layouts.  This is what lets the goldens and the wire-record oracles
-  stand unchanged.
+* **bitwise python parity** — the operator-assembled RHS, whether the
+  system owns a one-lane operator or is one lane of a shared one, is
+  *bit-identical* (``np.array_equal``, not allclose) to the frozen
+  pre-refactor implementation in ``tests/reference_rhs.py``, across
+  Hypothesis-randomized states and evaluation times, for both the nq=0
+  and the massive-neutrino layouts.  This is what lets the goldens and
+  the wire-record oracles stand unchanged.
 * **compiled-kernel gate** — the packed-ABI evaluation of both
   right-hand sides written out in plain python
   (``tests/reference_packed_rhs.py``) is bitwise too; the
@@ -18,10 +18,11 @@ The refactor's contract, pinned here:
 * **kernel resolution** — unknown names (the retired ``numba``
   included) raise, an unavailable ``cext`` falls back to python
   silently, ``auto`` resolves to something real.
-* **telemetry** — eval counters are shared between a batch and its
+* **telemetry** — eval counters are shared between an operator and its
   lane views, the structural flop census is identical on every path
-  (serial / batched / compiled), and the ``RhsMetrics`` report section
-  survives the dict round-trip used by the PLINGER worker wire.
+  (own operator / lane of a chunk / compiled), and the ``RhsMetrics``
+  report section survives the dict round-trip used by the PLINGER
+  worker wire.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ relaxed = settings(max_examples=25, deadline=None,
 from repro.errors import ParameterError
 from repro.perturbations import (
     PerturbationSystem,
-    PerturbationSystemBatch,
     StateLayout,
     adiabatic_initial_conditions,
     evolve_mode,
@@ -99,13 +99,20 @@ def _fixtures(request, nq):
 @pytest.mark.property
 @pytest.mark.parametrize("nq", [0, 4])
 class TestBitwiseParity:
-    @given(seed=seeds, b=lane_idx, ts=tau_scale)
+    @given(seed=seeds, b=lane_idx, ts=tau_scale, shared=st.booleans())
     @relaxed
-    def test_serial_rhs_bitwise(self, request, nq, seed, b, ts):
+    def test_serial_rhs_bitwise(self, request, nq, seed, b, ts, shared):
         bg, thermo, layout = _fixtures(request, nq)
         rng = np.random.default_rng(seed)
         k = float(KS[b])
-        new = PerturbationSystem(bg, thermo, k, layout)
+        if shared:
+            # lane b of the five-lane operator: rows of a shared
+            # assembly are the one-lane system's, bit for bit
+            op = BoltzmannOperator(bg, thermo, KS, layout)
+            new = PerturbationSystem(bg, thermo, k, layout, operator=op,
+                                     lane=b)
+        else:
+            new = PerturbationSystem(bg, thermo, k, layout)
         ref = ReferencePerturbationSystem(bg, thermo, k, layout)
         tau0, y = _random_state(layout, bg, k, rng, q_nodes=new.q_nodes)
         tau = ts * tau0
@@ -113,29 +120,8 @@ class TestBitwiseParity:
             dy_new = np.array(getattr(new, name)(tau, y), copy=True)
             dy_ref = getattr(ref, name)(tau, y)
             assert np.array_equal(dy_new, dy_ref), (
-                f"{name} not bitwise at nq={nq}, k={k}, seed={seed}")
-
-    @given(seed=seeds, ts=tau_scale)
-    @settings(relaxed, max_examples=15)
-    def test_batched_rows_bitwise_vs_serial(self, request, nq, seed, ts):
-        bg, thermo, layout = _fixtures(request, nq)
-        rng = np.random.default_rng(seed)
-        B = KS.size
-        Y = np.empty((B, layout.n_state))
-        tau = np.empty(B)
-        batch = PerturbationSystemBatch(bg, thermo, KS, layout)
-        for b, k in enumerate(KS):
-            tau0, Y[b] = _random_state(layout, bg, float(k), rng,
-                                       q_nodes=batch.q_nodes)
-            tau[b] = ts * tau0
-        for name in ("rhs_full", "rhs_tca"):
-            dY = np.array(getattr(batch, name)(tau, Y), copy=True)
-            for b, k in enumerate(KS):
-                ref = ReferencePerturbationSystem(bg, thermo, float(k),
-                                                  layout)
-                dy_ref = getattr(ref, name)(float(tau[b]), Y[b])
-                assert np.array_equal(dY[b], dy_ref), (
-                    f"{name} lane {b} not bitwise at nq={nq}, seed={seed}")
+                f"{name} not bitwise at nq={nq}, k={k}, seed={seed}, "
+                f"shared={shared}")
 
     @given(seed=seeds, b=lane_idx)
     @settings(relaxed, max_examples=10)
@@ -359,39 +345,49 @@ def test_system_records_resolved_kernel(bg_scdm, thermo_scdm):
 
 def test_lane_system_shares_operator_and_counters(bg_scdm, thermo_scdm):
     layout = StateLayout(**LAYOUT_NQ0)
-    batch = PerturbationSystemBatch(bg_scdm, thermo_scdm, KS, layout)
-    lane = batch.lane_system(2)
-    assert lane.op is batch.op
+    op = BoltzmannOperator(bg_scdm, thermo_scdm, KS, layout)
+
+    def lane_system(b):
+        return PerturbationSystem(bg_scdm, thermo_scdm, float(KS[2]), layout,
+                                  operator=op, lane=b)
+
+    lane = lane_system(2)
+    assert lane.op is op and lane_system(0).op is op
     assert lane.k == float(KS[2])
-    with pytest.raises(ParameterError):
-        batch.lane_system(KS.size)
+    # k is read off the operator: the lane number is the address
+    assert lane_system(0).k == float(KS[0])
+    for b in (KS.size, -1):
+        with pytest.raises(ParameterError):
+            lane_system(b)
     tau0, y = _random_state(layout, bg_scdm, float(KS[2]),
                             np.random.default_rng(3))
-    before = batch.op.evals["python"]
+    before = op.evals["python"]
     lane.rhs_full(2.0 * tau0, y)
-    assert batch.op.evals["python"] == before + 1
+    assert op.evals["python"] == before + 1
 
 
 def test_flop_census_identical_on_every_path(bg_scdm, thermo_scdm):
     """Satellite: n_flops accounting must not depend on the execution
-    path — serial, batched and compiled drivers all report the same
-    structural census."""
+    path — a system on its own operator, a lane of a chunk's operator
+    and a compiled-kernel system all report the same structural
+    census."""
     layout = StateLayout(**LAYOUT_NQ0)
     serial = PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout)
-    batch = PerturbationSystemBatch(bg_scdm, thermo_scdm, KS, layout)
+    chunk = BoltzmannOperator(bg_scdm, thermo_scdm, KS, layout)
+    lane = PerturbationSystem(bg_scdm, thermo_scdm, float(KS[0]), layout,
+                              operator=chunk, lane=0)
     compiled = PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
                                   rhs_kernel="auto")
-    assert (serial.flops_per_eval() == batch.flops_per_eval()
-            == compiled.flops_per_eval()
-            == batch.lane_system(0).flops_per_eval())
+    assert (serial.flops_per_eval() == chunk.flops_per_eval()
+            == compiled.flops_per_eval() == lane.flops_per_eval())
 
 
 def test_rhs_eval_counts_match_serial_vs_batched(bg_scdm, thermo_scdm):
-    """The telemetry RHS-eval totals agree between the serial and the
-    batched evolution of the same mode (identical step sequences)."""
+    """The telemetry RHS-eval totals agree between ``evolve_mode`` and
+    the one-lane chunk call it wraps (identical step sequences)."""
     from repro.perturbations import evolve_modes_batched
 
-    # per-evaluation counting through the two python drivers
+    # per-evaluation counting through the python driver
     kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4, rhs_kernel="python")
     t_s = Telemetry()
     evolve_mode(bg_scdm, thermo_scdm, 0.01, telemetry=t_s, **kwargs)

@@ -59,9 +59,10 @@ class TestProtocol:
         base = small_request()
         assert small_request(nk=5).digest() != base.digest()
         assert small_request(lmax=9).digest() != base.digest()
-        # an execution hint: on the wire, not in the address
-        assert small_request(batch_size=2).digest() == base.digest()
-        assert small_request(batch_size=2).to_doc()["batch_size"] == 2
+        # a request names a result: no execution hint to set or send
+        with pytest.raises(TypeError):
+            small_request(batch_size=2)
+        assert "batch_size" not in base.to_doc()
         assert small_request(params=tilted_cdm()).digest() != base.digest()
 
     def test_validation(self):
@@ -131,19 +132,22 @@ class TestWarmPool:
             np.testing.assert_array_equal(a.pack(), b.pack())
 
     def test_batch_size_serves_the_same_bits(self, runs, pool):
-        """What lets B=1 and B=4 share one digest: the pool serves
-        bitwise the same C_l to both."""
+        """A document from a client that still sends the retired
+        execution hint is the same request — same digest — and is
+        served bitwise the same C_l."""
         request, _first, (one_lane, _) = runs
-        batched = small_request(batch_size=4)
-        assert batched.digest() == request.digest()
-        four_lanes, _ = pool.run(batched.params, batched.kgrid(),
-                                 batched.config(),
-                                 batch_size=batched.batch_size)
+        doc = decode_message(encode_message(
+            {**request.to_doc(), "batch_size": 4}))
+        old = ServeRequest.from_doc(doc)
+        assert old == request and old.digest() == request.digest()
+        served, _ = pool.run(old.params, old.kgrid(), old.config())
         _l, cl_1 = spectrum_product(request.params, one_lane.kgrid.k,
                                     one_lane.payloads)
-        _l, cl_4 = spectrum_product(batched.params, four_lanes.kgrid.k,
-                                    four_lanes.payloads)
+        _l, cl_4 = spectrum_product(old.params, served.kgrid.k,
+                                    served.payloads)
         np.testing.assert_array_equal(cl_1, cl_4)
+        with pytest.raises(TypeError):
+            pool.run(old.params, old.kgrid(), old.config(), batch_size=4)
 
     def test_residency_is_lru_capped(self):
         requests = [small_request(
@@ -398,3 +402,7 @@ class TestCli:
                                   "--op", "stats"])
         assert args.command == "request"
         assert args.op == "stats"
+        # the chunk length is the server's to pick
+        with pytest.raises(SystemExit):
+            parser.parse_args(["request", "--port", "1234",
+                               "--batch-size", "2"])

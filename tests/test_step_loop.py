@@ -158,9 +158,8 @@ def test_first_step_is_honoured_identically(request):
         # ... which is not the step the loop would have chosen
         assert (out.n_rhs, out.y.tobytes()) != (free.n_rhs, free.y.tobytes())
 
-    # ... and by every route a chunk can take: the lockstep driver and
-    # the lane-by-lane compiled loop open with the forced step as the
-    # scalar driver does (batch_size > 1 used to drop it)
+    # ... and at any chunk length, on either driver: every lane of a
+    # chunk opens with the forced step (batch_size > 1 used to drop it)
     bg, thermo = system.background, system.thermo
     kgrid = KGrid.from_k(np.geomspace(2e-3, 0.05, 4))
 
@@ -298,8 +297,7 @@ def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm):
 def test_pairwise_sum_is_numpys(n, seed, decades):
     """The C transcription against ``np.add.reduce`` itself, on vectors
     spanning up to 24 decades so that summation order shows in the last
-    bits; 1-d and as a row of a 2-d reduction (the batched driver's
-    use)."""
+    bits; 1-d and as a row of a 2-d reduction."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
     for vec in (a, a * a):

@@ -112,81 +112,19 @@ class TestTelemetryCollector:
 
         master = Telemetry()
         master.record_mode(k=0.01, n_rhs=32)
-        master.merge_worker_payload(worker.worker_payload())
+        # a rank still running the parent of PR 19 also ships the chunk
+        # books of the deleted lockstep driver: skipped, not refused
+        payload = worker.worker_payload()
+        assert "batches" not in payload
+        payload["batches"] = [{"n_lanes": 4, "n_sweeps": 100,
+                               "lane_steps_attempted": 380,
+                               "lane_slots_idle": 20}]
+        master.merge_worker_payload(payload)
 
         assert [m.k for m in master.modes] == [0.01, 0.02]
         assert master.counters["retries"].value == 2
         assert master.timers["busy"].total_seconds == pytest.approx(1.25)
         assert master.timers["busy"].count == 4
-
-
-class TestBatchMetrics:
-    def _sample(self):
-        from repro.telemetry import BatchMetrics
-
-        return BatchMetrics(n_lanes=4, k_min=0.001, k_max=0.02, n_sweeps=100,
-                            lane_steps_attempted=380, lane_steps_accepted=360,
-                            lane_steps_rejected=20, lane_slots_idle=20,
-                            wall_seconds=1.5)
-
-    def test_occupancy_and_waste(self):
-        b = self._sample()
-        assert b.occupancy == pytest.approx(380 / 400)
-        assert b.wasted_step_fraction == pytest.approx(20 / 380)
-        from repro.telemetry import BatchMetrics
-
-        empty = BatchMetrics(n_lanes=1)
-        assert empty.occupancy == 0.0 and empty.wasted_step_fraction == 0.0
-
-    def test_record_and_round_trip(self):
-        from dataclasses import asdict
-
-        from repro.telemetry import BatchMetrics
-
-        t = Telemetry()
-        t.record_batch(**asdict(self._sample()))
-        assert len(t.batches) == 1
-        back = BatchMetrics.from_dict(asdict(t.batches[0]))
-        assert back == self._sample()
-
-    def test_worker_payload_carries_batches(self):
-        from dataclasses import asdict
-
-        worker = Telemetry()
-        worker.record_batch(**asdict(self._sample()))
-        master = Telemetry()
-        master.merge_worker_payload(worker.worker_payload())
-        assert master.batches == [self._sample()]
-
-    def test_report_totals_and_json(self):
-        from dataclasses import asdict
-
-        t = Telemetry()
-        t.record_mode(k=0.01, ik=1, n_rhs=80)
-        t.record_batch(**asdict(self._sample()))
-        r = t.build_report()
-        assert r.totals["n_batches"] == 1
-        assert r.totals["lane_occupancy"] == pytest.approx(380 / 400)
-        assert r.totals["wasted_step_fraction"] == pytest.approx(20 / 380)
-        back = RunReport.from_json(r.to_json())
-        assert back.to_dict() == r.to_dict()
-        assert back.batches[0] == self._sample()
-
-    def test_reports_without_batches_load_unchanged(self):
-        # pre-batching v1 reports have no "batches" key: additive schema
-        t = Telemetry()
-        t.record_mode(k=0.01, ik=1, n_rhs=80)
-        d = t.build_report().to_dict()
-        d.pop("batches")
-        r = RunReport.from_dict(d)
-        assert r.batches == []
-        assert r.totals["n_batches"] == 0
-        assert r.totals["lane_occupancy"] == 0.0
-
-    def test_null_sink_drops_batches(self):
-        t = NullTelemetry()
-        t.record_batch(n_lanes=4)
-        assert not t.batches
 
 
 class TestRunReport:
@@ -209,6 +147,10 @@ class TestRunReport:
         assert totals["n_modes"] == 2
         assert totals["n_rhs"] == 240
         assert totals["n_rejected"] == 6
+        # rejected over attempted, from the per-mode rows: 6 / (24 + 6)
+        assert totals["wasted_step_fraction"] == pytest.approx(0.2)
+        assert "n_batches" not in totals and "lane_occupancy" not in totals
+        assert RunReport().totals["wasted_step_fraction"] == 0.0
         assert totals["flops_est"] == 14000
         assert totals["messages_sent_by_tag"]["WORK"]["count"] == 2
         assert totals["worker_busy_seconds"] == pytest.approx(1.5)

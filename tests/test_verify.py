@@ -185,9 +185,9 @@ class TestRunLingerIntegration:
                              thermo=thermo_scdm, monitor_constraints=True,
                              batch_size=2)
         assert len(serial.constraints) == 2
-        # the batched engine reorders float ops, so lane states differ
-        # from serial at the last few bits; the residuals (themselves
-        # ~1e-10 cancellation noise) agree to well below budget
+        # a lane of a chunk is bitwise the mode integrated alone, so
+        # the residuals (themselves ~1e-10 cancellation noise) agree
+        # far below the budget this comparison was written with
         atol = budget("constraint.pressure_evolution").atol
         for rs, rb in zip(serial.constraints, batched.constraints):
             assert rs.k == rb.k
@@ -248,9 +248,8 @@ class TestPathsOracle:
         from repro import KGrid, LingerConfig
         from repro.verify import paths_oracle
 
-        # the golden settings: the 1e-8 budget is calibrated here (an
-        # under-resolved hierarchy amplifies the batched engine's
-        # last-bit float reordering far above its calibration)
+        # the golden settings, where the 1e-8 budget was calibrated
+        # (chunked and serial records are bitwise equal since PR 12)
         kg = KGrid.from_k(np.geomspace(3e-4, 0.03, 8))
         cfg = LingerConfig(lmax_photon=24, lmax_nu=12, rtol=1e-4,
                            record_sources=False, keep_mode_results=False)
