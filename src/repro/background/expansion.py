@@ -140,9 +140,11 @@ class Background:
 
         Returns a dict with keys ``cdm, baryon, photon, nu_massless,
         nu_massive, lambda``.  A python ``float`` in gives python floats
-        out, through the same expressions on plain ``math`` (the thermal
-        history's ODE asks for one epoch at a time, a thousand times a
-        build); anything else is taken as an array.
+        out, through the same expressions on plain ``math`` (what the
+        thermal history's python right-hand side asks for, one epoch at
+        a time, in a process without the compiled ``thermo_rhs`` — which
+        is these expressions transcribed); anything else is taken as an
+        array.
         """
         if type(a) is not float:
             a = np.asarray(a, dtype=float)
@@ -164,9 +166,15 @@ class Background:
         return out
 
     def grho(self, a):
-        """(8 pi G / 3) a^2 rho_total in Mpc^-2."""
-        comps = self.grho_components(a)
-        return sum(comps.values())
+        """(8 pi G / 3) a^2 rho_total in Mpc^-2: the six components
+        added left to right.  Written out, because the builtin ``sum``
+        compensates a sum of floats from Python 3.12 on (Neumaier): H(a)
+        of a float would then differ in the last bit between
+        interpreters, from its own array path and from the compiled
+        ``thermo_rhs``, which adds them as written here."""
+        c = self.grho_components(a)
+        return (c["cdm"] + c["baryon"] + c["photon"] + c["nu_massless"]
+                + c["lambda"] + c["nu_massive"])
 
     def gpres(self, a):
         """(8 pi G / 3) a^2 p_total in Mpc^-2."""

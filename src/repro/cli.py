@@ -473,7 +473,8 @@ def _print_report_summary(report) -> None:
         if name in report.timers:
             rows.append([f"{name} [s]",
                          f"{report.timers[name]['total_seconds']:.3f}"])
-    for name in ("thermo.lsoda_rhs_evals", "thermo.saha_sweeps"):
+    for name in ("thermo.lsoda_rhs_evals", "thermo.lsoda_rhs_compiled",
+                 "thermo.saha_sweeps"):
         if name in report.counters:
             rows.append([name, report.counters[name]])
     if report.workers:

@@ -100,9 +100,12 @@ def build_tables(
     fallback gets its tables through this one seam, so a run's report
     accounts for them wherever they were made.  A thermal history
     solved here (not loaded) also leaves its work counts,
-    ``thermo.lsoda_rhs_evals`` and ``thermo.saha_sweeps``: they repeat
-    exactly for a cosmology, so a regression in the build shows as a
-    count before it shows as a time.
+    ``thermo.lsoda_rhs_evals``, ``thermo.lsoda_rhs_compiled`` and
+    ``thermo.saha_sweeps``: they repeat exactly for a cosmology, so a
+    regression in the build shows as a count before it shows as a
+    time.  The middle one says which right-hand side LSODA called back:
+    the compiled ``thermo_rhs`` (equal to the first) in a process with
+    the engine's compiled kernels, ``ThermalHistory._rhs`` (0) without.
     """
     if background is None:
         with telemetry.timer("background.build"):

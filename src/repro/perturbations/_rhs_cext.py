@@ -1,4 +1,5 @@
-"""Lazily-compiled C: the packed RHS kernels and the DVERK step loop.
+"""Lazily-compiled C: the packed RHS kernels, the DVERK step loop and
+the thermal history's ODE right-hand side.
 
 One shared object carries three entry points over one packed ABI (see
 ``BoltzmannOperator.pack`` for the layout contract):
@@ -12,6 +13,11 @@ One shared object carries three entry points over one packed ABI (see
   controller, stop points, accept/reject.  A transcription of
   ``RKDriver.integrate`` under the arithmetic contract of
   :mod:`repro.integrators.contract`, bitwise equal to it.
+
+and, over a parameter block of its own, ``thermo_rhs`` — what LSODA calls
+back about a thousand times per ``ThermalHistory`` build: a
+transcription of ``ThermalHistory._rhs``, bitwise equal to it, massive
+neutrinos or not (one state at a time on libm, as python evaluates it).
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
@@ -450,6 +456,136 @@ long long integrate_phase(const long long *ints, const double *flts,
     out[0] = n_steps; out[1] = n_rejected; out[2] = n_rhs; out[3] = istop;
     return status;
 }
+
+/* python's two-argument max/min: the first unless the second is
+ * strictly beyond it (so the first also when either is a NaN) */
+static inline double py_max(double a, double b) { return b > a ? b : a; }
+static inline double py_min(double a, double b) { return b < a ? b : a; }
+
+/* recombination._saha_factor, given its thermal prefactor and chi/kT */
+static inline double saha_factor(double prefac, double arg)
+{
+    return arg > 650.0 ? 0.0 : prefac * exp(-arg);
+}
+
+/* The thermal history's ODE right-hand side, d[x_H, T_b]/d ln a at
+ * (ln a, x_H, T_b): ThermalHistory._rhs and everything it calls —
+ * Background.hubble of a float, saha_electron_fraction, PeeblesRates.at,
+ * peebles_rhs, the Compton term — transcribed grouping for grouping,
+ * libm wherever python calls math.* or **.  That method is the
+ * reference; the two are pinned bitwise.
+ *
+ *   P        the parameter block, ThermalHistory._rhs_block's layout
+ *   nu_pack  MassiveNuTables._rhs_pack (it starts with rows c3..c0 of
+ *            ln I_rho), or NULL without a massive species
+ *   out      d x_H/d ln a, d T_b/d ln a, then two slots that only ever
+ *            grow: 1 once the Saha Newton iteration has hit its cap
+ *            (python raises there), and the evaluations made so far;
+ *            nothing is static */
+void thermo_rhs(const double *P, const double *nu_pack, double lna,
+                double x_h_in, double t_b_in, double *out)
+{
+    const double gr_c = P[0], gr_b = P[1], gr_g = P[2], gr_nl = P[3];
+    const double gr_lam = P[4], gr_nu = P[5], gr_k = P[6];
+    const double x0 = P[7], x_min = P[8], x_max = P[9];
+    const double rf_x0 = P[10], rf_dx = P[11], irho = P[13];
+    const long long rf_n = (long long)P[12];
+    const double n_h0 = P[14], f_he = P[15], t_cmb = P[16];
+    const double c_light = P[17], mpc_cm = P[18], k_b = P[19];
+    const double m_e = P[20], two_pi_hbar2 = P[21];
+    const double chi_h = P[22], chi_he1 = P[23], chi_he2 = P[24];
+    const double sigma_t = P[25], a_rad = P[26], lam_2s = P[27];
+    const double lya_cube = P[28], eight_pi_sq = P[29];
+    const long long saha_cap = (long long)P[30];
+    const double a = exp(lna), a2 = a * a;
+    const double t_b = py_max(t_b_in, 1e-3);
+    long long it;
+
+    /* Background.hubble: the six grho terms added left to right */
+    double gr_nu_a = 0.0 * a;
+    if (nu_pack) {
+        const double lx = log(py_min(py_max(a * x0, x_min), x_max));
+        long long ri = (long long)((lx - rf_x0) / rf_dx);
+        double ru;
+        if (ri < 0) ri = 0;
+        if (ri > rf_n - 1) ri = rf_n - 1;
+        ru = lx - (rf_x0 + ri * rf_dx);
+        gr_nu_a = gr_nu / a2
+            * (exp(((nu_pack[ri] * ru + nu_pack[rf_n + ri]) * ru
+                    + nu_pack[2 * rf_n + ri]) * ru + nu_pack[3 * rf_n + ri])
+               / irho);
+    }
+    const double grho = gr_c / a + gr_b / a + gr_g / a2 + gr_nl / a2
+                        + gr_lam * a2 + gr_nu_a;
+    /* proper Hubble rate in s^-1 */
+    const double h_s = sqrt(grho + gr_k) / a * c_light / mpc_cm;
+    const double n_h = n_h0 / pow(a, 3.0);
+
+    /* saha_electron_fraction: helium electrons at the current
+     * temperature, by Newton's method inside a bracket */
+    const double kt = k_b * t_b;
+    /* (m_e k T / 2 pi hbar^2)^(3/2): python forms it once per Saha
+     * factor and once more in PeeblesRates.at, from the same doubles */
+    const double thermal = pow(m_e * kt / two_pi_hbar2, 1.5);
+    const double s_h = saha_factor(thermal, chi_h / kt) / n_h;
+    double x_he2 = 0.0, x_he3 = 0.0;
+    if (s_h != 0.0) {
+        const double s_he1 = 4.0 * saha_factor(thermal, chi_he1 / kt) / n_h;
+        const double s_he2 = 1.0 * saha_factor(thermal, chi_he2 / kt) / n_h;
+        double lo = 2.0 * s_h / (s_h + sqrt(s_h * s_h + 4.0 * s_h));
+        double hi = 1.0 + 2.0 * f_he;
+        double x_e = lo;
+        for (it = 0; it < saha_cap; it++) {
+            /* _saha_residual */
+            const double h_den = x_e + s_h;
+            const double x_h = s_h / h_den;
+            const double q = s_he1 * (s_he2 / x_e);
+            const double he_den = x_e + s_he1 + q;
+            double g, dg, x_new;
+            x_he2 = s_he1 / he_den;
+            x_he3 = q / he_den;
+            g = x_h + f_he * (x_he2 + 2.0 * x_he3) - x_e;
+            dg = -x_h / h_den
+                 - f_he * (x_he2 + x_he3 * (4.0 + s_he1 / x_e)) / he_den
+                 - 1.0;
+            if (g > 0.0) lo = x_e; else hi = x_e;
+            x_new = x_e - g / dg;
+            if (!(lo <= x_new && x_new <= hi)) x_new = sqrt(lo * hi);
+            if (fabs(x_new - x_e) < 1e-14 * x_e) break;
+            x_e = x_new;
+        }
+        if (it == saha_cap) out[2] = 1.0;
+    }
+    const double x_h = py_min(py_max(x_h_in, 0.0), 1.0);
+    const double x_e = x_h + f_he * (x_he2 + 2.0 * x_he3);
+    const double n_e = py_max(x_e, 1e-12) * n_h;
+
+    /* PeeblesRates.at and peebles_rhs */
+    const double eps = chi_h / kt;
+    const double phi2 = py_max(0.448 * log(py_max(eps, 1.0 + 1e-12)), 0.0);
+    const double alpha2 = 9.78e-14 * sqrt(eps) * phi2;
+    const double beta = alpha2 * thermal * (eps < 650.0 ? exp(-eps) : 0.0);
+    const double beta2 =
+        alpha2 * thermal * (eps < 2600.0 ? exp(-eps / 4.0) : 0.0);
+    const double n_1s = py_max((1.0 - x_h) * n_h, 1e-300);
+    const double lam_alpha = h_s * lya_cube / (eight_pi_sq * n_1s);
+    const double c_peebles = (lam_2s + lam_alpha)
+                             / (lam_2s + lam_alpha + beta2);
+    const double recomb = alpha2 * n_e * x_h;
+    const double ionize = beta * (1.0 - x_h);
+    const double dxh_dt = c_peebles * (ionize - recomb);
+
+    /* baryon temperature: adiabatic cooling + Compton heating */
+    const double t_g = t_cmb / a;
+    const double compton_prefac = 8.0 * sigma_t * a_rad * pow(t_g, 4.0)
+                                  / (3.0 * m_e * c_light);
+    const double dtb_dt = -2.0 * h_s * t_b
+        + compton_prefac * x_e / (1.0 + f_he + x_e) * (t_g - t_b);
+
+    out[0] = dxh_dt / h_s;
+    out[1] = dtb_dt / h_s;
+    out[3] += 1.0;
+}
 """
 
 _CEXT_RESOLVED = False
@@ -624,7 +760,9 @@ class CextKernel:
     nine-pointer table (``BoltzmannOperator.pack()["table"]``, built
     once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
     GIL around each call and the C side keeps no static state, so
-    threads may call concurrently.
+    threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
+    lna, x_h, t_b, out)`` alone keeps the GIL (see
+    ``ThermalHistory._build_ionization``, its one caller).
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
@@ -643,6 +781,10 @@ class CextKernel:
         self.pairwise_raw = lib.pairwise_sum
         self.pairwise_raw.argtypes = [ptr, i64]
         self.pairwise_raw.restype = ctypes.c_double
+        # bound so that the call keeps the GIL: 0.1 us of arithmetic,
+        # called back a thousand times from inside one LSODA solve
+        self.thermo_rhs_raw = ctypes.PYFUNCTYPE(
+            None, ptr, ptr, *[ctypes.c_double] * 3, ptr)(("thermo_rhs", lib))
 
     def __call__(self, ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack,
                  mnu_pack, rf_c, tau, Y, dY, b0, b1, tight=False) -> None:

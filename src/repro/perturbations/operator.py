@@ -121,7 +121,8 @@ def resolve_kernel(requested: str) -> str:
             _log.warning(
                 "rhs_kernel 'auto' resolved to 'python': no compiled kernel "
                 "in this process (%s); integration runs on the python "
-                "driver, roughly 100x slower",
+                "driver, roughly 100x slower, and the thermal history's "
+                "ODE on its python right-hand side",
                 "; ".join(reasons) or "C kernel unavailable",
             )
         return avail[0]

@@ -31,6 +31,7 @@ from ..linger.serial import (
 from ..mp import get_backend
 from ..mp.api import World
 from ..params import CosmologyParams
+from ..perturbations import available_kernels
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..telemetry.report import FaultReport
 from ..thermo import ThermalHistory
@@ -210,6 +211,10 @@ def run_plinger(
 
     wall0 = time.perf_counter()
     if forked:
+        # a child inherits a resolved kernel; unresolved (tables handed
+        # in, so no thermal build has asked) each one would pay the
+        # digest and the dlopen itself, first thing after the fork
+        available_kernels()
         world.launch(_worker_entry, background, thermo, kgrid, config,
                      telemetry.enabled, ft, params)
     elif backend in ("inprocess", "procs"):

@@ -18,6 +18,7 @@ be evaluated smoothly.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from scipy.integrate import odeint
 
 from .. import constants as const
 from ..background import Background
+from ..background.nu_massive import I_RHO_MASSLESS
 from ..errors import IntegrationError
 from ..util.fastspline import UniformGridCubic, fit_cubic
+from . import recombination
 from .recombination import _saha_sweeps, peebles_rhs, saha_electron_fraction
 
 __all__ = ["ThermalHistory"]
@@ -57,7 +60,9 @@ class ThermalHistory:
     """
 
     #: work the ionization solve did (None on a history loaded from
-    #: tables); both counts repeat exactly for a given cosmology
+    #: tables); every count repeats exactly for a given cosmology.
+    #: ``lsoda_rhs_compiled`` is how many of the ``lsoda_rhs_evals``
+    #: the compiled ``thermo_rhs`` made: all of them, or none
     _build_counts: dict[str, int] | None = None
 
     def __init__(
@@ -144,8 +149,12 @@ class ThermalHistory:
     def _rhs(self, lna: float, y: np.ndarray) -> tuple[float, float]:
         """ODE right-hand side in ln a for [x_H, T_b].
 
-        Scalar python arithmetic throughout: LSODA calls this about a
-        thousand times per build, one state at a time.
+        The reference of the compiled ``thermo_rhs`` (``_rhs_cext``),
+        which transcribes it and everything it calls grouping for
+        grouping and is pinned to it bitwise; LSODA calls that one about
+        a thousand times per build, and this one — scalar python
+        arithmetic throughout, one state at a time — only in a process
+        without the compiled object.
         """
         a = math.exp(lna)
         x_h, t_b = y.tolist()
@@ -175,6 +184,65 @@ class ThermalHistory:
 
         return dxh_dt / h_s, dtb_dt / h_s
 
+    def _rhs_block(self) -> np.ndarray:
+        """The parameter block of the compiled ``thermo_rhs``: everything
+        :meth:`_rhs` reads besides the state, in the order the C function
+        unpacks it.  Physical constants are :mod:`repro.constants`'; the
+        three sub-expressions python raises to a power on every call are
+        evaluated here by python's own ``**``, which leaves a compiler no
+        ``pow`` of a constant to fold its own way.
+        """
+        nu = self.background.nu_tables
+        if nu is None:
+            nu_block = [0.0] * 7
+        else:
+            knots = nu._log_rho_spline
+            nu_block = [nu.x0, nu.x_min, nu.x_max, knots.x0, knots.dx,
+                        knots.n, I_RHO_MASSLESS]
+        return np.array([
+            # cdm, baryon, photon, nu_massless, lambda, nu_massive,
+            # curvature: the order Background.grho adds them in
+            *self.background._grho_today.values(),
+            *nu_block,
+            self._n_h0, self.f_he, self.params.t_cmb,
+            const.C_LIGHT, const.MPC_CM, const.K_BOLTZMANN,
+            const.M_ELECTRON, 2.0 * math.pi * const.HBAR**2,
+            const.E_ION_H, const.E_ION_HE1, const.E_ION_HE2,
+            const.SIGMA_THOMSON, const.A_RAD, const.LAMBDA_2S_1S,
+            (3.0 * const.E_ION_H / (const.HBAR * const.C_LIGHT)) ** 3,
+            (8.0 * math.pi) ** 2,
+            recombination._SAHA_MAX_ITER,
+        ], dtype=float)
+
+    def _compiled_rhs(self):
+        """:meth:`_rhs` as the compiled object evaluates it, in the
+        signature odeint calls back, and the out block it writes (the C
+        source names its four slots).  The callback hands back one view
+        of that block every time, which odeint copies before it calls
+        again; the state goes over by value, as :meth:`_rhs` unpacks it
+        (``y.ctypes.data`` alone would cost more than the rest of the
+        call).  Each pointer holds its array, so the closure owns what
+        the C side reads and writes, and it holds neither this history
+        nor its Background."""
+        from ..perturbations._rhs_cext import get_cext
+
+        def pointer(arr):
+            return arr.ctypes.data_as(ctypes.c_void_p)
+
+        thermo_rhs = get_cext().thermo_rhs_raw
+        out = np.zeros(4)
+        dydt = out[:2]
+        nu = self.background.nu_tables
+        block = pointer(self._rhs_block())
+        nu_pack = None if nu is None else pointer(nu._rhs_pack)
+        out_block = pointer(out)
+
+        def rhs(lna, y):
+            thermo_rhs(block, nu_pack, lna, *y.tolist(), out_block)
+            return dydt
+
+        return rhs, out
+
     def _build_ionization(
         self, a_start: float, n_grid: int, saha_switch: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -194,9 +262,17 @@ class ThermalHistory:
             raise IntegrationError("hydrogen never left Saha equilibrium")
         i_switch = int(np.argmax(below))
 
-        # Peebles phase: one LSODA call, output on the grid itself
+        # Peebles phase: one LSODA call, output on the grid itself,
+        # calling back the compiled right-hand side in a process that
+        # has the engine's compiled kernels and _rhs in one that has not
+        # (imported here: perturbations sits above thermo)
+        from ..perturbations.operator import available_kernels
+
+        rhs, out = self._rhs, np.zeros(4)  # _rhs raises and counts nothing
+        if "cext" in available_kernels():
+            rhs, out = self._compiled_rhs()
         y, info = odeint(
-            self._rhs,
+            rhs,
             [x_h[i_switch], t_b[i_switch]],
             lna[i_switch:],
             tfirst=True,
@@ -204,6 +280,12 @@ class ThermalHistory:
             rtol=1e-8,
             atol=[1e-12, 1e-8],
         )
+        if out[2]:
+            # where _rhs raises out of saha_electron_fraction mid-solve
+            raise IntegrationError(
+                "Saha equilibrium did not converge in "
+                f"{recombination._SAHA_MAX_ITER} iterations inside the "
+                "thermal history ODE")
         if info["message"] != "Integration successful.":
             raise IntegrationError(
                 f"thermal history ODE failed: {info['message']}")
@@ -215,6 +297,7 @@ class ThermalHistory:
             t_b[i_switch:], n_h[i_switch:], self.f_he)
         x_e[i_switch:] = x_h[i_switch:] + self.f_he * (x_he2 + 2.0 * x_he3)
         self._build_counts = {"lsoda_rhs_evals": int(info["nfe"][-1]),
+                              "lsoda_rhs_compiled": int(out[3]),
                               "saha_sweeps": sweeps + more}
 
         # optional reionization: raise x_e to its target over a tanh in z

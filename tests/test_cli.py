@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import MODELS, build_parser, main
+from repro.perturbations import available_kernels
 from repro.telemetry import RunReport
 
 
@@ -186,9 +187,14 @@ class TestCommands:
         # the table build's work counts, next to its timers
         out = capsys.readouterr().out
         for name in ("thermo.build [s]", "thermo.lsoda_rhs_evals",
-                     "thermo.saha_sweeps"):
+                     "thermo.lsoda_rhs_compiled", "thermo.saha_sweeps"):
             assert name in out
         assert 500 < report.counters["thermo.lsoda_rhs_evals"] < 2000
+        # which right-hand side LSODA called back: the compiled one for
+        # every evaluation, or (no compiler) for none
+        assert report.counters["thermo.lsoda_rhs_compiled"] == (
+            report.counters["thermo.lsoda_rhs_evals"]
+            if "cext" in available_kernels() else 0)
         assert 2 <= report.counters["thermo.saha_sweeps"] <= 8
         # rejected / attempted steps: one row on every run, from the
         # per-mode rows (the chunk rows it used to need are gone)

@@ -250,6 +250,33 @@ class TestEndToEnd:
         assert stats.master_messages_received == 2 + 2 * kg.nk
 
 
+def test_forked_ranks_inherit_a_resolved_kernel(monkeypatch, tmp_path, scdm,
+                                                bg_scdm, thermo_scdm):
+    """With the tables handed in nothing on the master touches the
+    compiled kernel before the fork; it resolves it anyway, once,
+    instead of every child doing so first thing on its critical path."""
+    import os
+
+    from repro.perturbations import _rhs_cext
+
+    pids = tmp_path / "pids"
+    build = _rhs_cext._build
+
+    def recording_build():
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build()
+
+    monkeypatch.setattr(_rhs_cext, "_build", recording_build)
+    _rhs_cext.reset_cext()
+    kg = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
+    cfg = LingerConfig(record_sources=False, keep_mode_results=False,
+                       rtol=1e-3, lmax_photon=8, lmax_nu=8)
+    run_plinger(scdm, kg, cfg, nproc=3, backend="procs",
+                background=bg_scdm, thermo=thermo_scdm)
+    assert pids.read_text().split() == [str(os.getpid())]
+
+
 class TestDriverValidation:
     def test_needs_two_ranks(self, scdm):
         kg = KGrid.from_k([0.01])

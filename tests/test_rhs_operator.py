@@ -27,9 +27,11 @@ The refactor's contract, pinned here:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 #: ``request`` (for the nq-parametrized fixtures) is function-scoped
@@ -258,6 +260,45 @@ def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got - want))) / scale <= budget(
             "oracle.rhs_kernel").rtol
+
+
+@functools.cache
+def _thermal_right_hand_sides():
+    """(python ``_rhs``, compiled callback) of four cosmologies: flat
+    CDM, a massive species (the nu table and its clip), a cosmological
+    constant, and a non-zero curvature term."""
+    from repro import Background, ThermalHistory
+    from repro.params import lambda_cdm, mixed_dark_matter, standard_cdm
+
+    histories = [ThermalHistory(Background(p)) for p in (
+        standard_cdm(), mixed_dark_matter(omega_nu=0.2), lambda_cdm(),
+        standard_cdm(omega_c=0.7))]
+    return [(th._rhs, th._compiled_rhs()[0]) for th in histories]
+
+
+@pytest.mark.property
+@pytest.mark.skipif(get_cext() is None,
+                    reason="no C compiler / ctypes kernel unavailable")
+@given(lna=st.floats(-20.0, 3.0), x_h=st.floats(-0.1, 1.1),
+       lg_t=st.floats(-4.0, 5.0))
+@example(lna=-20.0, x_h=0.5, lg_t=4.0)   # nu table clipped below ...
+@example(lna=3.0, x_h=0.5, lg_t=1.0)     # ... and above
+@example(lna=-7.0, x_h=-0.1, lg_t=3.6)   # both x_H clamps
+@example(lna=-7.0, x_h=1.1, lg_t=3.6)
+@example(lna=-2.0, x_h=1e-3, lg_t=-4.0)  # the 1e-3 K floor
+@example(lna=-5.0, x_h=1e-3, lg_t=2.2)   # 650 < eps < 2600
+@example(lna=-5.0, x_h=1e-3, lg_t=1.5)   # eps > 2600
+@settings(max_examples=300, deadline=None)
+def test_cext_thermo_rhs_is_the_python_rhs(lna, x_h, lg_t):
+    """C ``thermo_rhs`` against ``ThermalHistory._rhs``, its reference,
+    bitwise on both outputs, massive species or not: every epoch the
+    table grid spans and well outside it, x_H across both clamps, T_b
+    from under its floor, through the Saha underflow and both Peebles
+    cut-offs, to full ionization (bytes, not ``==``: a fully ionized
+    cold state is inf / inf in both)."""
+    y = np.array([x_h, 10.0 ** lg_t])
+    for python, compiled in _thermal_right_hand_sides():
+        assert compiled(lna, y).tobytes() == np.array(python(lna, y)).tobytes()
 
 
 @pytest.mark.skipif("cext" not in available_kernels(),

@@ -21,6 +21,7 @@ from repro import (
 )
 from repro import constants as const
 from repro.errors import IntegrationError
+from repro.perturbations import operator
 from repro.thermo import (
     PeeblesRates,
     history,
@@ -37,6 +38,17 @@ from repro.thermo.recombination import _saha_factor, _saha_sweeps
 #: ``python -m tests.test_thermo <commit>`` with ``PYTHONPATH`` on the
 #: *old* ``src`` and say so in the commit.
 GOLDEN_THERMO = Path(__file__).parent / "data" / "golden_thermo.json"
+
+needs_cc = pytest.mark.skipif(
+    "cext" not in operator.available_kernels(), reason="no C compiler")
+
+
+@pytest.fixture()
+def python_rhs(monkeypatch):
+    """Builds as a process without the compiled object makes them, LSODA
+    calling back ``ThermalHistory._rhs``: the build asks the engine's
+    own ``available_kernels``, where it lives."""
+    monkeypatch.setattr(operator, "available_kernels", lambda: ("python",))
 
 
 def thermo_snapshot(thermo, rows=None) -> dict:
@@ -233,9 +245,10 @@ class TestSahaSolver:
             saha_electron_fraction(5000.0, 0.2, 0.08)
 
     def test_build_converges_in_a_few_evaluations(self, monkeypatch,
-                                                   bg_scdm):
+                                                   python_rhs, bg_scdm):
         """Counts, not timings: the fixed point this replaced averaged
-        30 evaluations and ran a third of its calls to the cap."""
+        30 evaluations and ran a third of its calls to the cap.  Python
+        calls are what is counted, so the build is the python one."""
         evals = 0
         per_call = []
         residual = recombination._saha_residual
@@ -260,6 +273,7 @@ class TestSahaSolver:
         counts = thermo._build_counts
         # the ODE callback solves one epoch at a time ...
         assert len(per_call) == counts["lsoda_rhs_evals"] > 500
+        assert counts["lsoda_rhs_compiled"] == 0
         assert sum(per_call) / len(per_call) <= 4.0
         assert max(per_call) < recombination._SAHA_MAX_ITER
         # ... the two grid passes a whole array per residual evaluation
@@ -286,6 +300,100 @@ class TestSahaSolver:
             # the first epoch starts on its root, the second does not
             _saha_sweeps(np.array([3000.0, 5000.0]), np.array([0.2, 0.2]),
                          0.08)
+
+
+class TestCompiledRhs:
+    """LSODA over the compiled ``thermo_rhs`` is LSODA over ``_rhs``:
+    the same doubles handed back, so the same steps and the same
+    tables.  (The function itself is pinned to ``_rhs`` state by state
+    in ``tests/test_rhs_operator.py``.)"""
+
+    @needs_cc
+    def test_compiled_build_makes_every_evaluation(self, thermo_scdm):
+        counts = thermo_scdm._build_counts
+        assert counts["lsoda_rhs_compiled"] == counts["lsoda_rhs_evals"] > 500
+
+    @needs_cc
+    @pytest.mark.parametrize("params, kwargs", [
+        (standard_cdm(), {}),
+        (mixed_dark_matter(omega_nu=0.2), {}),
+        (lambda_cdm(), {}),
+        (standard_cdm(omega_c=0.7), {}),
+        (standard_cdm(), {"z_reion": 10.0}),
+    ], ids=["standard_cdm", "mixed_dark_matter", "lambda_cdm", "open_cdm",
+            "z_reion_10"])
+    def test_compiled_build_is_the_python_build(self, request, params,
+                                                kwargs):
+        background = Background(params)
+        compiled = ThermalHistory(background, **kwargs)
+        request.getfixturevalue("python_rhs")
+        python = ThermalHistory(background, **kwargs)
+        want = python.to_tables()
+        for name, got in compiled.to_tables().items():
+            assert np.array_equal(got, want[name], equal_nan=True), name
+        evals = python._build_counts["lsoda_rhs_evals"]
+        assert python._build_counts["lsoda_rhs_compiled"] == 0
+        assert compiled._build_counts == {
+            **python._build_counts, "lsoda_rhs_compiled": evals}
+
+    @needs_cc
+    def test_failed_compile_ends_on_the_python_build(self, tmp_path,
+                                                     bg_scdm, thermo_scdm):
+        """One ``available_kernels()`` for the engine and this build: a
+        process whose compile failed past its retries takes ``_rhs``."""
+        from repro.chaos import ChaosPolicy, active
+        from repro.perturbations._rhs_cext import private_cache
+
+        with private_cache(tmp_path), active(ChaosPolicy(compile_faults=3)):
+            fallback = ThermalHistory(bg_scdm)
+            assert operator.available_kernels() == ("python",)
+        assert fallback._build_counts["lsoda_rhs_compiled"] == 0
+        assert thermo_scdm._build_counts["lsoda_rhs_compiled"] > 500
+        want = thermo_scdm.to_tables()
+        for name, got in fallback.to_tables().items():
+            assert np.array_equal(got, want[name], equal_nan=True), name
+
+    @pytest.mark.parametrize("path", [
+        pytest.param("compiled", marks=needs_cc), "python"])
+    def test_newton_cap_inside_the_ode_raises(self, monkeypatch, request,
+                                              bg_scdm, path):
+        """``saha_electron_fraction`` raises at its cap; the compiled
+        right-hand side cannot, so it latches a status the build raises
+        from.  The two grid sweeps keep the real cap: they would raise
+        first, on either path."""
+        if path == "python":
+            request.getfixturevalue("python_rhs")
+        sweeps = history._saha_sweeps
+
+        def uncapped_sweeps(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(recombination, "_SAHA_MAX_ITER", 64)
+                return sweeps(*args)
+
+        monkeypatch.setattr(history, "_saha_sweeps", uncapped_sweeps)
+        monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 2)
+        assert ThermalHistory(bg_scdm)._build_counts["lsoda_rhs_evals"] > 500
+        monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
+        with pytest.raises(IntegrationError,
+                           match="did not converge in 1 iterations"):
+            ThermalHistory(bg_scdm)
+
+    @needs_cc
+    def test_status_and_count_slots_only_grow(self, monkeypatch,
+                                              thermo_scdm):
+        monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
+        rhs, out = thermo_scdm._compiled_rhs()
+        lna = np.log(1.0 / 1800.0)
+        # helium still recombining: the hydrogen-only start is not the root
+        hot, cold = np.array([0.99, 5000.0]), np.array([1e-3, 30.0])
+        with pytest.raises(IntegrationError):
+            thermo_scdm._rhs(lna, hot)
+        rhs(lna, cold)  # hydrogen's factor underflows: no iteration
+        assert out[2:].tolist() == [0.0, 1.0]
+        rhs(lna, hot)
+        assert out[2:].tolist() == [1.0, 2.0]
+        rhs(lna, cold)
+        assert out[2:].tolist() == [1.0, 3.0]
 
 
 class TestGoldenThermo:
