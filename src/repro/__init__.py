@@ -40,36 +40,7 @@ Quickstart::
     cl = cl * cobe_normalization(l, cl, params.q_rms_ps_uk)
 """
 
-from .params import (
-    CosmologyParams,
-    lambda_cdm,
-    mixed_dark_matter,
-    standard_cdm,
-    tilted_cdm,
-)
-from .background import Background
-from .thermo import ThermalHistory
-from .linger import (
-    KGrid,
-    LingerConfig,
-    LingerResult,
-    cl_kgrid,
-    matter_kgrid,
-    run_linger,
-    sparse_kgrid,
-)
-from .plinger import run_plinger
-from .perturbations import ModeResult, evolve_mode
-from .telemetry import NULL_TELEMETRY, RunReport, Telemetry
-from .cache import PrecomputeCache
-from .verify import ConstraintMonitor, VerificationReport, verify_run
-from .serve import (
-    ResultStore,
-    ServeClient,
-    ServeRequest,
-    SpectrumServer,
-    WarmPool,
-)
+from ._lazy import lazy_exports
 from .errors import (
     CacheError,
     IntegrationError,
@@ -80,6 +51,13 @@ from .errors import (
     ScheduleError,
     ServeError,
     VerificationError,
+)
+from .params import (
+    CosmologyParams,
+    lambda_cdm,
+    mixed_dark_matter,
+    standard_cdm,
+    tilted_cdm,
 )
 
 __version__ = "1.0.0"
@@ -125,3 +103,36 @@ __all__ = [
     "ScheduleError",
     "__version__",
 ]
+
+#: Where each remaining public name lives.  ``import repro`` costs numpy,
+#: ``params`` and ``errors``; a name is imported from its subpackage the
+#: first time it is asked for (``from repro import run_linger``,
+#: ``repro.run_linger``, ``from repro import *``), so a process pays for
+#: the layers it uses: a ``repro request`` client never loads the engine,
+#: a ``repro run`` never loads ``asyncio`` or the daemon.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "Background": "background",
+    "ThermalHistory": "thermo",
+    "KGrid": "linger",
+    "cl_kgrid": "linger",
+    "matter_kgrid": "linger",
+    "sparse_kgrid": "linger",
+    "LingerConfig": "linger",
+    "LingerResult": "linger",
+    "run_linger": "linger",
+    "run_plinger": "plinger",
+    "ModeResult": "perturbations",
+    "evolve_mode": "perturbations",
+    "Telemetry": "telemetry",
+    "RunReport": "telemetry",
+    "NULL_TELEMETRY": "telemetry",
+    "PrecomputeCache": "cache",
+    "ConstraintMonitor": "verify",
+    "VerificationReport": "verify",
+    "verify_run": "verify",
+    "ResultStore": "serve",
+    "ServeClient": "serve",
+    "ServeRequest": "serve",
+    "SpectrumServer": "serve",
+    "WarmPool": "serve",
+})

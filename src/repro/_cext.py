@@ -1,7 +1,9 @@
-"""Lazily-compiled C: the packed RHS kernels, the DVERK step loop and
-the thermal history's ODE right-hand side.
+"""Lazily-compiled C: the packed RHS kernels, the DVERK step loop, the
+thermal history's ODE solve and the spline fit's tridiagonal solve.
 
-One shared object carries three entry points over one packed ABI (see
+One shared object — one build, one cache directory, resolved once per
+process by whichever layer asks first (a ``Background``'s first spline
+fit, usually) — carries three entry points over one packed ABI (see
 ``BoltzmannOperator.pack`` for the layout contract):
 
 * ``rhs_full`` and ``rhs_tca`` — the synchronous-gauge right-hand side
@@ -14,16 +16,25 @@ One shared object carries three entry points over one packed ABI (see
   ``RKDriver.integrate`` under the arithmetic contract of
   :mod:`repro.integrators.contract`, bitwise equal to it.
 
-and, over a parameter block of its own, ``thermo_rhs`` — what LSODA calls
-back about a thousand times per ``ThermalHistory`` build: a
-transcription of ``ThermalHistory._rhs``, bitwise equal to it, massive
-neutrinos or not (one state at a time on libm, as python evaluates it).
+and, each over arguments of its own,
+
+* ``thermo_rhs`` — a transcription of ``ThermalHistory._rhs``, bitwise
+  equal to it, massive neutrinos or not (one state at a time on libm, as
+  python evaluates it);
+* ``thermo_ode`` — the Radau IIA stepper of
+  :func:`repro.thermo.radau.integrate`, bitwise equal to it, calling
+  ``thermo_rhs`` about five thousand times per ``ThermalHistory`` build
+  without leaving C;
+* ``tridiag_solve`` — reference LAPACK's ``DGTSV`` for
+  :func:`repro.util.fastspline.fit_cubic`, bitwise equal to its python
+  twin there.
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
 through ctypes; any failure (no compiler, unwritable cache, broken
 toolchain) degrades to ``get_cext() -> None`` and the operator falls
-back to the python kernel and driver.
+back to the python kernel and driver, the thermal history to the python
+stepper and the spline fit to the python solve: same bits, slower.
 
 Compiled ``-O3 -ffp-contract=off`` and **never** ``-ffast-math``: ISO C
 forbids reassociating floating-point expressions and contraction is
@@ -43,6 +54,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 __all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
            "CextKernel", "BUILD_EVENTS", "C_SOURCE"]
@@ -586,10 +598,298 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
     out[1] = dtb_dt / h_s;
     out[3] += 1.0;
 }
+
+#define NEWTON_MAXITER 6
+
+/* The thermal history's ODE solve, (x_H, T_b) over ln a on the table's
+ * own grid: repro.thermo.radau.integrate transcribed expression for
+ * expression — three-stage Radau IIA, simplified Newton on the six stage
+ * unknowns, RADAU5's error estimate, the collocation polynomial as dense
+ * output — calling thermo_rhs without leaving C.  That function is the
+ * reference and explains the method; the two are pinned bitwise.
+ *
+ *   P, nu_pack  thermo_rhs's
+ *   tab         repro.thermo.radau.TABLE
+ *   grid        n ascending ln a; the solve runs from the first to the last
+ *   rows        (n, 2): row 0 in: the start; rows 1.. out: the state at
+ *               every grid point
+ *   out         thermo_rhs's four slots, then accepted and rejected steps;
+ *               nothing is static
+ *
+ * Returns 0, or the python stepper's failure: 1 a step that no longer
+ * advances ln a, 2 max_attempts reached. */
+long long thermo_ode(const double *P, const double *nu_pack,
+                     const double *tab, const double *grid, long long n,
+                     long long max_attempts, double *rows, double *out)
+{
+    const double nodes[3] = {tab[0], tab[1], 1.0};
+    const double *ai = tab + 2, *p = tab + 15;
+    const double e0 = tab[11], e1 = tab[12], e2 = tab[13], mu = tab[14];
+    const double rtol = tab[24], atol0 = tab[25], atol1 = tab[26];
+    const double newton_tol = tab[27];
+    const double t_end = grid[n - 1];
+    double t = grid[0], y0 = rows[0], y1 = rows[1], h = grid[1] - grid[0];
+    double f0, f1, j00 = 0.0, j01 = 0.0, j10 = 0.0, j11 = 0.0;
+    double q00 = 0.0, q01 = 0.0, q02 = 0.0, q10 = 0.0, q11 = 0.0, q12 = 0.0;
+    double qy0 = 0.0, qy1 = 0.0, qt = 0.0, qh = 0.0;
+    double m[6][6], z[6], f[6], b[6];
+    long long piv[6], n_steps = 0, n_rejected = 0, irow = 1;
+    long long i, j, k, c, r;
+    int need_jac = 1, have_q = 0;
+
+#define RHS(tt, a0, a1) thermo_rhs(P, nu_pack, (tt), (a0), (a1), out)
+
+    RHS(t, y0, y1);
+    f0 = out[0]; f1 = out[1];
+    while (irow < n) {
+        int last, singular = 0, converged = 0;
+        long long n_iter = 0;
+        double sc0, sc1, dz_old = 0.0, rate = 0.0;
+        double a00, a11, det, r0, r1, err, fac, t_new;
+
+        if (n_steps + n_rejected >= max_attempts) {
+            out[4] = n_steps; out[5] = n_rejected;
+            return 2;
+        }
+        if (need_jac) {
+            /* forward differences of the same function, one column each */
+            double d = 1.5e-8 * py_max(fabs(y0), 1e-3);
+            RHS(t, y0 + d, y1);
+            j00 = (out[0] - f0) / d;
+            j10 = (out[1] - f1) / d;
+            d = 1.5e-8 * py_max(fabs(y1), 1e-3);
+            RHS(t, y0, y1 + d);
+            j01 = (out[0] - f0) / d;
+            j11 = (out[1] - f1) / d;
+            need_jac = 0;
+        }
+        last = t + h >= t_end;
+        if (last) h = t_end - t;
+        if (t + h == t) {
+            out[4] = n_steps; out[5] = n_rejected;
+            return 1;
+        }
+
+        /* A^-1/h (x) I - I (x) J, then Gaussian elimination, row pivoting */
+        for (i = 0; i < 3; i++) {
+            double *ra = m[2 * i], *rb = m[2 * i + 1];
+            for (j = 0; j < 3; j++) {
+                const double v = ai[3 * i + j] / h;
+                ra[2 * j] = v;
+                ra[2 * j + 1] = 0.0;
+                rb[2 * j] = 0.0;
+                rb[2 * j + 1] = v;
+            }
+            ra[2 * i] -= j00;
+            ra[2 * i + 1] -= j01;
+            rb[2 * i] -= j10;
+            rb[2 * i + 1] -= j11;
+        }
+        for (c = 0; c < 6; c++) {
+            long long r_big = c;
+            double big = fabs(m[c][c]);
+            for (r = c + 1; r < 6; r++)
+                if (fabs(m[r][c]) > big) { big = fabs(m[r][c]); r_big = r; }
+            piv[c] = r_big;
+            if (r_big != c)
+                for (k = 0; k < 6; k++) {
+                    const double v = m[c][k];
+                    m[c][k] = m[r_big][k];
+                    m[r_big][k] = v;
+                }
+            if (m[c][c] == 0.0) { singular = 1; break; }
+            for (r = c + 1; r < 6; r++) {
+                const double fc = m[r][c] / m[c][c];
+                m[r][c] = fc;
+                for (k = c + 1; k < 6; k++)
+                    m[r][k] -= fc * m[c][k];
+            }
+        }
+
+        /* stage increments Z_i = Y_i - y: start on the previous step's
+         * collocation polynomial, extrapolated */
+        for (i = 0; i < 3; i++) {
+            if (have_q) {
+                const double s = (t + nodes[i] * h - qt) / qh;
+                z[2 * i] = qy0 + ((q02 * s + q01) * s + q00) * s - y0;
+                z[2 * i + 1] = qy1 + ((q12 * s + q11) * s + q10) * s - y1;
+            } else {
+                z[2 * i] = z[2 * i + 1] = 0.0;
+            }
+        }
+        sc0 = atol0 + rtol * fabs(y0);
+        sc1 = atol1 + rtol * fabs(y1);
+        while (!singular && n_iter < NEWTON_MAXITER) {
+            int finite = 1;
+            double acc, dz;
+            for (i = 0; i < 3; i++) {
+                RHS(t + nodes[i] * h, y0 + z[2 * i], y1 + z[2 * i + 1]);
+                f[2 * i] = out[0]; f[2 * i + 1] = out[1];
+                if (!(isfinite(f[2 * i]) && isfinite(f[2 * i + 1])))
+                    finite = 0;
+            }
+            if (!finite) break;
+            for (i = 0; i < 3; i++)
+                for (k = 0; k < 2; k++)
+                    b[2 * i + k] = f[2 * i + k]
+                        - (ai[3 * i] * z[k] + ai[3 * i + 1] * z[2 + k]
+                           + ai[3 * i + 2] * z[4 + k]) / h;
+            for (c = 0; c < 6; c++)
+                if (piv[c] != c) {
+                    const double v = b[c];
+                    b[c] = b[piv[c]];
+                    b[piv[c]] = v;
+                }
+            for (c = 0; c < 6; c++)
+                for (r = c + 1; r < 6; r++)
+                    b[r] -= m[r][c] * b[c];
+            for (c = 5; c >= 0; c--) {
+                acc = b[c];
+                for (k = c + 1; k < 6; k++)
+                    acc -= m[c][k] * b[k];
+                b[c] = acc / m[c][c];
+            }
+            acc = 0.0;
+            for (i = 0; i < 3; i++) {
+                double v = b[2 * i] / sc0;
+                acc += v * v;
+                v = b[2 * i + 1] / sc1;
+                acc += v * v;
+            }
+            dz = sqrt(acc / 6.0);
+            if (n_iter > 0) {
+                rate = dz / dz_old;
+                if (rate >= 1.0
+                    || pow(rate, (double)(NEWTON_MAXITER - n_iter))
+                       / (1.0 - rate) * dz > newton_tol)
+                    break;
+            }
+            for (k = 0; k < 6; k++) z[k] += b[k];
+            n_iter++;
+            if (dz == 0.0
+                || (n_iter > 1 && rate / (1.0 - rate) * dz < newton_tol)) {
+                converged = 1;
+                break;
+            }
+            dz_old = dz;
+        }
+        if (!converged) {
+            h *= 0.5;
+            n_rejected++;
+            continue;
+        }
+
+        /* RADAU5's error estimate, filtered through (mu/h - J)^-1 */
+        a00 = mu / h - j00;
+        a11 = mu / h - j11;
+        det = a00 * a11 - j01 * j10;
+        r0 = f0 + (e0 * z[0] + e1 * z[2] + e2 * z[4]) / h;
+        r1 = f1 + (e0 * z[1] + e1 * z[3] + e2 * z[5]) / h;
+        err = INFINITY;
+        if (det != 0.0) {
+            const double v0 = (r0 * a11 + j01 * r1) / det
+                / (atol0 + rtol * py_max(fabs(y0), fabs(y0 + z[4])));
+            const double v1 = (a00 * r1 + j10 * r0) / det
+                / (atol1 + rtol * py_max(fabs(y1), fabs(y1 + z[5])));
+            err = sqrt((v0 * v0 + v1 * v1) / 2.0);
+        }
+        fac = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter);
+        fac = err == 0.0 ? 10.0 : fac * pow(err, -0.25);
+        if (!(err <= 1.0)) {
+            h *= py_max(0.2, fac);
+            n_rejected++;
+            continue;
+        }
+
+        /* accepted: the collocation polynomial through 0, Z1, Z2, Z3 is
+         * the dense output, and the next step's Newton start */
+        q00 = z[0] * p[0] + z[2] * p[3] + z[4] * p[6];
+        q01 = z[0] * p[1] + z[2] * p[4] + z[4] * p[7];
+        q02 = z[0] * p[2] + z[2] * p[5] + z[4] * p[8];
+        q10 = z[1] * p[0] + z[3] * p[3] + z[5] * p[6];
+        q11 = z[1] * p[1] + z[3] * p[4] + z[5] * p[7];
+        q12 = z[1] * p[2] + z[3] * p[5] + z[5] * p[8];
+        t_new = last ? t_end : t + h;
+        while (irow < n && grid[irow] <= t_new) {
+            const double s = (grid[irow] - t) / h;
+            rows[2 * irow] = y0 + ((q02 * s + q01) * s + q00) * s;
+            rows[2 * irow + 1] = y1 + ((q12 * s + q11) * s + q10) * s;
+            irow++;
+        }
+        qy0 = y0; qy1 = y1; qt = t; qh = h;
+        have_q = 1;
+        t = t_new;
+        y0 += z[4];
+        y1 += z[5];
+        RHS(t, y0, y1);
+        f0 = out[0]; f1 = out[1];
+        n_steps++;
+        h *= fac < 10.0 ? fac : 10.0;
+        need_jac = 1;
+    }
+#undef RHS
+    out[4] = n_steps; out[5] = n_rejected;
+    return 0;
+}
+
+/* Reference LAPACK's DGTSV transcribed, rows of b contiguous: solve the
+ * tridiagonal system (dl, d, du) x = b for nrhs right-hand sides by
+ * Gaussian elimination with partial pivoting (rows i, i+1 interchanged
+ * where |d[i]| < |dl[i]|, the fill landing in dl as a second
+ * superdiagonal), then back-substitution.  Overwrites all four arrays,
+ * b with the solution; returns 0, or LAPACK's info: the 1-based row of
+ * an exactly zero pivot.  repro.util.fastspline._tridiag_solve is the
+ * python twin; the two are pinned bitwise. */
+long long tridiag_solve(long long n, long long nrhs, double *dl, double *d,
+                double *du, double *b)
+{
+    long long i, j;
+    for (i = 0; i < n - 1; i++) {
+        double *bi = b + i * nrhs, *bn = bi + nrhs;
+        if (fabs(d[i]) >= fabs(dl[i])) {
+            double fact;
+            if (d[i] == 0.0) return i + 1;
+            fact = dl[i] / d[i];
+            d[i + 1] = d[i + 1] - fact * du[i];
+            for (j = 0; j < nrhs; j++) bn[j] = bn[j] - fact * bi[j];
+            if (i < n - 2) dl[i] = 0.0;
+        } else {
+            const double fact = d[i] / dl[i];
+            double temp = d[i + 1];
+            d[i] = dl[i];
+            d[i + 1] = du[i] - fact * temp;
+            if (i < n - 2) {
+                dl[i] = du[i + 1];
+                du[i + 1] = -fact * dl[i];
+            }
+            du[i] = temp;
+            for (j = 0; j < nrhs; j++) {
+                temp = bi[j];
+                bi[j] = bn[j];
+                bn[j] = temp - fact * bn[j];
+            }
+        }
+    }
+    if (d[n - 1] == 0.0) return n;
+    for (i = n - 1; i >= 0; i--) {
+        double *bi = b + i * nrhs;
+        for (j = 0; j < nrhs; j++) {
+            double v = bi[j];
+            if (i < n - 1) v = v - du[i] * bi[nrhs + j];
+            if (i < n - 2) v = v - dl[i] * bi[2 * nrhs + j];
+            bi[j] = v / d[i];
+        }
+    }
+    return 0;
+}
 """
 
 _CEXT_RESOLVED = False
 _CEXT = None  # the CextKernel; holds the CDLL for the life of the process
+#: one resolution per process: every spline fit asks, on whatever thread,
+#: and a thread that found another's build under way must not conclude
+#: "no compiled object"
+_CEXT_LOCK = threading.Lock()
 
 #: Build/load incidents of this process's resolution: retries after a
 #: torn or stale .so, injected chaos faults, the final outcome.  Tests
@@ -682,8 +982,8 @@ def _build() -> ctypes.CDLL | None:
     bounded :class:`~repro.resilience.RetryPolicy` — instead of
     poisoning every later process that trusts the path.
     """
-    from ..chaos import current_engine
-    from ..resilience import RetryPolicy
+    from .chaos import current_engine
+    from .resilience import RetryPolicy
 
     cc = _find_compiler()
     if cc is None:
@@ -761,8 +1061,9 @@ class CextKernel:
     once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
     GIL around each call and the C side keeps no static state, so
     threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
-    lna, x_h, t_b, out)`` alone keeps the GIL (see
-    ``ThermalHistory._build_ionization``, its one caller).
+    lna, x_h, t_b, out)``, ``thermo_ode_raw(params, nu_pack, tab, grid,
+    n, max_attempts, rows, out) -> status`` and ``tridiag_raw(n, nrhs,
+    dl, d, du, b) -> info`` are the C functions of those names.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
@@ -781,10 +1082,16 @@ class CextKernel:
         self.pairwise_raw = lib.pairwise_sum
         self.pairwise_raw.argtypes = [ptr, i64]
         self.pairwise_raw.restype = ctypes.c_double
-        # bound so that the call keeps the GIL: 0.1 us of arithmetic,
-        # called back a thousand times from inside one LSODA solve
-        self.thermo_rhs_raw = ctypes.PYFUNCTYPE(
-            None, ptr, ptr, *[ctypes.c_double] * 3, ptr)(("thermo_rhs", lib))
+        self.thermo_rhs_raw = lib.thermo_rhs
+        self.thermo_rhs_raw.argtypes = ([ptr, ptr] + [ctypes.c_double] * 3
+                                        + [ptr])
+        self.thermo_rhs_raw.restype = None
+        self.thermo_ode_raw = lib.thermo_ode
+        self.thermo_ode_raw.argtypes = [ptr] * 4 + [i64, i64, ptr, ptr]
+        self.thermo_ode_raw.restype = i64
+        self.tridiag_raw = lib.tridiag_solve
+        self.tridiag_raw.argtypes = [i64, i64] + [ptr] * 4
+        self.tridiag_raw.restype = i64
 
     def __call__(self, ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack,
                  mnu_pack, rf_c, tau, Y, dY, b0, b1, tight=False) -> None:
@@ -800,16 +1107,19 @@ def get_cext() -> CextKernel | None:
 
     First call pays the compile (~1 s, cached on disk afterwards); any
     failure is swallowed and remembered so a broken toolchain costs
-    one attempt, not one per RHS call (``reset_cext`` re-arms it).
+    one attempt, not one per call (``reset_cext`` re-arms it).
     """
     global _CEXT_RESOLVED, _CEXT
     if _CEXT_RESOLVED:
         return _CEXT
-    _CEXT_RESOLVED = True
-    try:
-        lib = _build()
-    except Exception as exc:
-        BUILD_EVENTS.append({"event": "unavailable", "error": str(exc)})
-        lib = None
-    _CEXT = CextKernel(lib) if lib is not None else None
+    with _CEXT_LOCK:
+        if not _CEXT_RESOLVED:
+            try:
+                lib = _build()
+            except Exception as exc:
+                BUILD_EVENTS.append({"event": "unavailable",
+                                     "error": str(exc)})
+                lib = None
+            _CEXT = CextKernel(lib) if lib is not None else None
+            _CEXT_RESOLVED = True
     return _CEXT

@@ -31,9 +31,9 @@ from ..background import Background
 from ..errors import CorruptCacheEntry
 from ..params import CosmologyParams
 from ..resilience import RetryPolicy
+from ..revision import SOLVER_REVISION
 from ..telemetry.report import CacheMetrics, DegradationMetrics
 from ..thermo import ThermalHistory
-from ..thermo.history import SOLVER_REVISION
 from .store import TableStore
 
 __all__ = ["PrecomputeCache"]

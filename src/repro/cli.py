@@ -20,26 +20,7 @@ import sys
 
 import numpy as np
 
-from . import (
-    NULL_TELEMETRY,
-    Background,
-    KGrid,
-    LingerConfig,
-    Telemetry,
-    ThermalHistory,
-    lambda_cdm,
-    mixed_dark_matter,
-    run_linger,
-    run_plinger,
-    standard_cdm,
-    tilted_cdm,
-)
-from .chaos import PROFILES
-from .cluster import MACHINES, paper_cost_model, scaling_study
-from .linger import load_run, save_run
-from .perturbations.operator import KERNELS
-from .spectra import band_power_uk, cobe_normalization
-from .spectra.cl import cl_integrate_over_k
+from .params import lambda_cdm, mixed_dark_matter, standard_cdm, tilted_cdm
 from .util import format_table
 
 __all__ = ["main", "build_parser"]
@@ -52,212 +33,215 @@ MODELS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="LINGER/PLINGER reproduction (Bode & Bertschinger, SC'95)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _info_arguments(p) -> None:
+    p.add_argument("--model", choices=sorted(MODELS), default="scdm")
 
-    p_info = sub.add_parser("info", help="model background summary")
-    p_info.add_argument("--model", choices=sorted(MODELS), default="scdm")
 
-    p_run = sub.add_parser("run", help="integrate a k-grid and archive it")
-    p_run.add_argument("--model", choices=sorted(MODELS), default="scdm")
-    p_run.add_argument("--k-min", type=float, default=3e-5)
-    p_run.add_argument("--k-max", type=float, default=3e-3)
-    p_run.add_argument("--nk", type=int, default=24)
-    p_run.add_argument("--lmax", type=int, default=24)
-    p_run.add_argument("--rtol", type=float, default=1e-4)
-    p_run.add_argument("--parallel", type=int, default=0, metavar="NPROC",
-                       help="run PLINGER with this many ranks (0 = serial)")
-    p_run.add_argument("--batch-size", type=int, default=1, metavar="B",
-                       help="modes per operator assembly and per WORK "
-                            "message (default 1, the paper's one k at a "
-                            "time); never changes how a mode steps or "
-                            "which bits come out")
-    p_run.add_argument("--sparse-k-factor", type=int, default=1,
-                       metavar="F",
-                       help="sparse-k fast path: integrate only every F-th "
-                            "wavenumber (plus the endpoints), spline the "
-                            "recorded sources across k, and report the "
-                            "line-of-sight C_l on the full grid; the "
-                            "archive then holds the coarse run "
-                            "(1 = integrate every mode)")
-    p_run.add_argument("--rhs-kernel",
-                       choices=KERNELS, default="auto",
-                       help="engine of both phases of every mode: "
-                            "'auto' (default: cext where a C compiler "
-                            "exists), 'cext' (compiled RHS and DVERK "
-                            "step loop, bitwise the python driver), "
-                            "'python' (the reference); an unavailable "
-                            "cext falls back to python with a warning")
-    p_run.add_argument("--backend",
-                       choices=["inprocess", "procs", "sockets"],
-                       default="procs",
-                       help="PLINGER transport (with --parallel); "
-                            "'sockets' runs every worker as a separate "
-                            "OS process over real TCP and accepts "
-                            "elastic ranks (see 'repro worker')")
-    p_run.add_argument("--listen", metavar="HOST:PORT", default=None,
-                       help="with --backend sockets: listen here and "
-                            "wait for external 'repro worker --connect' "
-                            "ranks instead of forking local workers "
-                            "(PORT 0 picks a free port)")
-    p_run.add_argument("--ready-file", metavar="PATH", default=None,
-                       help="with --listen: write 'host port' here once "
-                            "the listener is up")
-    p_run.add_argument("--worker-timeout", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="enable fault-tolerant scheduling: declare a "
-                            "silent worker dead after this many seconds and "
-                            "reassign its wavenumbers (0 = the paper's "
-                            "fail-loudly protocol)")
-    p_run.add_argument("--max-retries", type=int, default=3, metavar="N",
-                       help="bound on re-dispatches per wavenumber "
-                            "(with --worker-timeout)")
-    p_run.add_argument("--heartbeat-interval", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="worker liveness heartbeat cadence; lets the "
-                            "master tell busy from dead without waiting the "
-                            "full worker timeout (with --worker-timeout; "
-                            "0 = off)")
-    p_run.add_argument("--report", metavar="PATH", default=None,
-                       help="enable run telemetry and write the JSON "
-                            "RunReport here")
-    p_run.add_argument("--cache-dir", metavar="DIR",
-                       default=os.environ.get("REPRO_CACHE_DIR"),
-                       help="precompute-table cache directory: background "
-                            "and thermal tables are stored content-"
-                            "addressed and reloaded bit-identically on "
-                            "repeat runs (default: $REPRO_CACHE_DIR)")
-    p_run.add_argument("--no-cache", action="store_true",
-                       help="ignore --cache-dir / $REPRO_CACHE_DIR")
-    p_run.add_argument("--chaos-seed", type=int, default=None, metavar="N",
-                       help="run under the seeded chaos engine: inject "
-                            "deterministic faults into the cache, compiled-"
-                            "kernel, and integrator layers and report every "
-                            "graceful-degradation event (off by default)")
-    p_run.add_argument("--chaos-profile", choices=sorted(PROFILES),
-                       default="all",
-                       help="which fault surfaces --chaos-seed arms "
-                            "(default: all)")
-    p_run.add_argument("--output", required=True, help="archive (.npz)")
+def _run_arguments(p) -> None:
+    from .chaos import PROFILES
+    from .perturbations.operator import KERNELS
 
-    p_wrk = sub.add_parser(
-        "worker",
-        help="join a sockets-backend PLINGER run as a worker rank",
-        description="Connect to a 'repro run --backend sockets --listen' "
-                    "master (possibly on another machine) and serve as a "
-                    "worker rank until dismissed.  The model/grid/"
-                    "integration options must mirror the master's run — "
-                    "the INIT broadcast carries only the grid size, so "
-                    "the physics configuration travels out of band and "
-                    "this rank builds its own background and thermal "
-                    "tables from it, bit-identical to the master's.  A "
-                    "worker that connects after the run has started is "
-                    "admitted as an elastic rank (fault-tolerant runs "
-                    "only).",
-    )
-    p_wrk.add_argument("--connect", required=True, metavar="HOST:PORT",
-                       help="the master's listener address")
-    p_wrk.add_argument("--model", choices=sorted(MODELS), default="scdm")
-    p_wrk.add_argument("--k-min", type=float, default=3e-5)
-    p_wrk.add_argument("--k-max", type=float, default=3e-3)
-    p_wrk.add_argument("--nk", type=int, default=24)
-    p_wrk.add_argument("--lmax", type=int, default=24)
-    p_wrk.add_argument("--rtol", type=float, default=1e-4)
-    p_wrk.add_argument("--rhs-kernel", choices=KERNELS, default="auto")
-    p_wrk.add_argument("--worker-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="this rank's fault-tolerance policy; must be "
-                            ">0 iff the master runs with "
-                            "--worker-timeout (the resilient wire "
-                            "header differs from the legacy one)")
-    p_wrk.add_argument("--max-retries", type=int, default=3)
-    p_wrk.add_argument("--heartbeat-interval", type=float, default=0.5,
-                       metavar="SECONDS",
-                       help="liveness heartbeat cadence (0 = off; "
-                            "ignored without --worker-timeout)")
-    p_wrk.add_argument("--connect-timeout", type=float, default=30.0)
+    p.add_argument("--model", choices=sorted(MODELS), default="scdm")
+    p.add_argument("--k-min", type=float, default=3e-5)
+    p.add_argument("--k-max", type=float, default=3e-3)
+    p.add_argument("--nk", type=int, default=24)
+    p.add_argument("--lmax", type=int, default=24)
+    p.add_argument("--rtol", type=float, default=1e-4)
+    p.add_argument("--parallel", type=int, default=0, metavar="NPROC",
+                   help="run PLINGER with this many ranks (0 = serial)")
+    p.add_argument("--batch-size", type=int, default=1, metavar="B",
+                   help="modes per operator assembly and per WORK "
+                        "message (default 1, the paper's one k at a "
+                        "time); never changes how a mode steps or "
+                        "which bits come out")
+    p.add_argument("--sparse-k-factor", type=int, default=1,
+                   metavar="F",
+                   help="sparse-k fast path: integrate only every F-th "
+                        "wavenumber (plus the endpoints), spline the "
+                        "recorded sources across k, and report the "
+                        "line-of-sight C_l on the full grid; the "
+                        "archive then holds the coarse run "
+                        "(1 = integrate every mode)")
+    p.add_argument("--rhs-kernel",
+                   choices=KERNELS, default="auto",
+                   help="engine of both phases of every mode: "
+                        "'auto' (default: cext where a C compiler "
+                        "exists), 'cext' (compiled RHS and DVERK "
+                        "step loop, bitwise the python driver), "
+                        "'python' (the reference); an unavailable "
+                        "cext falls back to python with a warning")
+    p.add_argument("--backend",
+                   choices=["inprocess", "procs", "sockets"],
+                   default="procs",
+                   help="PLINGER transport (with --parallel); "
+                        "'sockets' runs every worker as a separate "
+                        "OS process over real TCP and accepts "
+                        "elastic ranks (see 'repro worker')")
+    p.add_argument("--listen", metavar="HOST:PORT", default=None,
+                   help="with --backend sockets: listen here and "
+                        "wait for external 'repro worker --connect' "
+                        "ranks instead of forking local workers "
+                        "(PORT 0 picks a free port)")
+    p.add_argument("--ready-file", metavar="PATH", default=None,
+                   help="with --listen: write 'host port' here once "
+                        "the listener is up")
+    p.add_argument("--worker-timeout", type=float, default=0.0,
+                   metavar="SECONDS",
+                   help="enable fault-tolerant scheduling: declare a "
+                        "silent worker dead after this many seconds and "
+                        "reassign its wavenumbers (0 = the paper's "
+                        "fail-loudly protocol)")
+    p.add_argument("--max-retries", type=int, default=3, metavar="N",
+                   help="bound on re-dispatches per wavenumber "
+                        "(with --worker-timeout)")
+    p.add_argument("--heartbeat-interval", type=float, default=0.0,
+                   metavar="SECONDS",
+                   help="worker liveness heartbeat cadence; lets the "
+                        "master tell busy from dead without waiting the "
+                        "full worker timeout (with --worker-timeout; "
+                        "0 = off)")
+    p.add_argument("--report", metavar="PATH", default=None,
+                   help="enable run telemetry and write the JSON "
+                        "RunReport here")
+    p.add_argument("--cache-dir", metavar="DIR",
+                   default=os.environ.get("REPRO_CACHE_DIR"),
+                   help="precompute-table cache directory: background "
+                        "and thermal tables are stored content-"
+                        "addressed and reloaded bit-identically on "
+                        "repeat runs (default: $REPRO_CACHE_DIR)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="ignore --cache-dir / $REPRO_CACHE_DIR")
+    p.add_argument("--chaos-seed", type=int, default=None, metavar="N",
+                   help="run under the seeded chaos engine: inject "
+                        "deterministic faults into the cache, compiled-"
+                        "kernel, and integrator layers and report every "
+                        "graceful-degradation event (off by default)")
+    p.add_argument("--chaos-profile", choices=sorted(PROFILES),
+                   default="all",
+                   help="which fault surfaces --chaos-seed arms "
+                        "(default: all)")
+    p.add_argument("--output", required=True, help="archive (.npz)")
 
-    p_spec = sub.add_parser("spectrum", help="C_l from an archive")
-    p_spec.add_argument("archive")
-    p_spec.add_argument("--l-max", type=int, default=None)
 
-    p_ver = sub.add_parser(
-        "verify",
-        help="run the Einstein-constraint verification suite",
-        description="Integrate the golden k-grid with constraint "
-                    "monitors attached, evaluate the differential and "
-                    "analytic oracles, and compare every measured "
-                    "residual against the tolerance-budget registry "
-                    "(repro/verify/tolerances.py).  Exit 0 iff every "
-                    "check is within budget.")
-    p_ver.add_argument("--model", choices=sorted(MODELS), default="scdm")
-    p_ver.add_argument("--fast", action="store_true",
-                       help="skip the expensive legs (PLINGER path "
-                            "oracle, gauge cross-check, auxiliary "
-                            "acoustic mode)")
-    p_ver.add_argument("--report", metavar="PATH", default=None,
-                       help="write the JSON check report here")
+def _worker_arguments(p) -> None:
+    from .perturbations.operator import KERNELS
 
-    p_scal = sub.add_parser("scaling", help="Fig. 1 schedule simulation")
-    p_scal.add_argument("--machine", choices=sorted(MACHINES),
-                        default="IBM SP2")
-    p_scal.add_argument("--nk", type=int, default=500)
-    p_scal.add_argument("--nodes", type=int, nargs="+",
-                        default=[1, 2, 4, 8, 16, 32, 64, 128, 256])
+    p.description = (
+        "Connect to a 'repro run --backend sockets --listen' "
+        "master (possibly on another machine) and serve as a "
+        "worker rank until dismissed.  The model/grid/"
+        "integration options must mirror the master's run — "
+        "the INIT broadcast carries only the grid size, so "
+        "the physics configuration travels out of band and "
+        "this rank builds its own background and thermal "
+        "tables from it, bit-identical to the master's.  A "
+        "worker that connects after the run has started is "
+        "admitted as an elastic rank (fault-tolerant runs "
+        "only).")
+    p.add_argument("--connect", required=True, metavar="HOST:PORT",
+                   help="the master's listener address")
+    p.add_argument("--model", choices=sorted(MODELS), default="scdm")
+    p.add_argument("--k-min", type=float, default=3e-5)
+    p.add_argument("--k-max", type=float, default=3e-3)
+    p.add_argument("--nk", type=int, default=24)
+    p.add_argument("--lmax", type=int, default=24)
+    p.add_argument("--rtol", type=float, default=1e-4)
+    p.add_argument("--rhs-kernel", choices=KERNELS, default="auto")
+    p.add_argument("--worker-timeout", type=float, default=30.0,
+                   metavar="SECONDS",
+                   help="this rank's fault-tolerance policy; must be "
+                        ">0 iff the master runs with "
+                        "--worker-timeout (the resilient wire "
+                        "header differs from the legacy one)")
+    p.add_argument("--max-retries", type=int, default=3)
+    p.add_argument("--heartbeat-interval", type=float, default=0.5,
+                   metavar="SECONDS",
+                   help="liveness heartbeat cadence (0 = off; "
+                        "ignored without --worker-timeout)")
+    p.add_argument("--connect-timeout", type=float, default=30.0)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="serve C_l spectra from a warm daemon",
-        description="Run the long-lived spectrum service: a newline-"
-                    "delimited-JSON TCP daemon answering cosmology-"
-                    "parameter requests from a content-addressed "
-                    "run-result store, in-flight request coalescing, "
-                    "and a resident warm PLINGER worker pool.")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="0 picks a free port (printed on start)")
-    p_serve.add_argument("--nproc", type=int, default=4,
-                         help="warm-pool ranks (1 master + nproc-1 "
-                              "resident workers)")
-    p_serve.add_argument("--store-dir", metavar="DIR", default=None,
-                         help="persist served results here (content-"
-                              "addressed npz; survives restarts)")
-    p_serve.add_argument("--store-cap-mb", type=int, default=256,
-                         help="in-memory result-store LRU cap")
-    p_serve.add_argument("--cache-dir", metavar="DIR",
-                         default=os.environ.get("REPRO_CACHE_DIR"),
-                         help="precompute-table cache shared with "
-                              "batch runs (default: $REPRO_CACHE_DIR)")
-    p_serve.add_argument("--journal", metavar="PATH", default=None,
-                         help="append-only JSONL request journal "
-                              "(drained on SIGTERM/exit)")
-    p_serve.add_argument("--ready-file", metavar="PATH", default=None,
-                         help="write 'host port' here once listening")
 
-    p_req = sub.add_parser(
-        "request",
-        help="query a running spectrum service")
-    p_req.add_argument("--host", default="127.0.0.1")
-    p_req.add_argument("--port", type=int, required=True)
-    p_req.add_argument("--op", choices=["spectrum", "ping", "stats",
-                                        "shutdown"],
-                       default="spectrum")
-    p_req.add_argument("--model", choices=sorted(MODELS), default="scdm")
-    p_req.add_argument("--k-min", type=float, default=3e-5)
-    p_req.add_argument("--k-max", type=float, default=3e-3)
-    p_req.add_argument("--nk", type=int, default=16)
-    p_req.add_argument("--lmax", type=int, default=16)
-    p_req.add_argument("--rtol", type=float, default=1e-4)
-    p_req.add_argument("--json", action="store_true",
-                       help="print the raw response document")
-    return parser
+def _spectrum_arguments(p) -> None:
+    p.add_argument("archive")
+    p.add_argument("--l-max", type=int, default=None)
+
+
+def _verify_arguments(p) -> None:
+    p.description = (
+        "Integrate the golden k-grid with constraint "
+        "monitors attached, evaluate the differential and "
+        "analytic oracles, and compare every measured "
+        "residual against the tolerance-budget registry "
+        "(repro/verify/tolerances.py).  Exit 0 iff every "
+        "check is within budget.")
+    p.add_argument("--model", choices=sorted(MODELS), default="scdm")
+    p.add_argument("--fast", action="store_true",
+                   help="skip the expensive legs (PLINGER path "
+                        "oracle, gauge cross-check, auxiliary "
+                        "acoustic mode)")
+    p.add_argument("--report", metavar="PATH", default=None,
+                   help="write the JSON check report here")
+
+
+def _scaling_arguments(p) -> None:
+    from .cluster import MACHINES
+
+    p.add_argument("--machine", choices=sorted(MACHINES),
+                   default="IBM SP2")
+    p.add_argument("--nk", type=int, default=500)
+    p.add_argument("--nodes", type=int, nargs="+",
+                   default=[1, 2, 4, 8, 16, 32, 64, 128, 256])
+
+
+def _serve_arguments(p) -> None:
+    p.description = (
+        "Run the long-lived spectrum service: a newline-"
+        "delimited-JSON TCP daemon answering cosmology-"
+        "parameter requests from a content-addressed "
+        "run-result store, in-flight request coalescing, "
+        "and a resident warm PLINGER worker pool.")
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=0,
+                   help="0 picks a free port (printed on start)")
+    p.add_argument("--nproc", type=int, default=4,
+                   help="warm-pool ranks (1 master + nproc-1 "
+                        "resident workers)")
+    p.add_argument("--store-dir", metavar="DIR", default=None,
+                   help="persist served results here (content-"
+                        "addressed npz; survives restarts)")
+    p.add_argument("--store-cap-mb", type=int, default=256,
+                   help="in-memory result-store LRU cap")
+    p.add_argument("--cache-dir", metavar="DIR",
+                   default=os.environ.get("REPRO_CACHE_DIR"),
+                   help="precompute-table cache shared with "
+                        "batch runs (default: $REPRO_CACHE_DIR)")
+    p.add_argument("--journal", metavar="PATH", default=None,
+                   help="append-only JSONL request journal "
+                        "(drained on SIGTERM/exit)")
+    p.add_argument("--ready-file", metavar="PATH", default=None,
+                   help="write 'host port' here once listening")
+
+
+def _request_arguments(p) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--op", choices=["spectrum", "ping", "stats",
+                                    "shutdown"],
+                   default="spectrum")
+    p.add_argument("--model", choices=sorted(MODELS), default="scdm")
+    p.add_argument("--k-min", type=float, default=3e-5)
+    p.add_argument("--k-max", type=float, default=3e-3)
+    p.add_argument("--nk", type=int, default=16)
+    p.add_argument("--lmax", type=int, default=16)
+    p.add_argument("--rtol", type=float, default=1e-4)
+    p.add_argument("--json", action="store_true",
+                   help="print the raw response document")
 
 
 def cmd_info(args) -> int:
+    from .background import Background
+    from .thermo import ThermalHistory
+
     params = MODELS[args.model]()
     bg = Background(params)
     thermo = ThermalHistory(bg)
@@ -305,6 +289,9 @@ def cmd_run(args) -> int:
 
 
 def _cmd_run_inner(args) -> int:
+    from .linger import KGrid, LingerConfig, run_linger, save_run
+    from .telemetry import NULL_TELEMETRY, Telemetry
+
     params = MODELS[args.model]()
     kgrid = KGrid.from_k(np.linspace(args.k_min, args.k_max, args.nk))
     config = LingerConfig(
@@ -359,6 +346,8 @@ def _cmd_run_inner(args) -> int:
             with open(args.ready_file, "w") as fh:
                 fh.write(f"{world.host} {world.port}\n")
     if args.parallel >= 2:
+        from .plinger import run_plinger
+
         result, stats = run_plinger(params, kgrid, config,
                                     nproc=args.parallel,
                                     backend=args.backend,
@@ -406,7 +395,8 @@ def _cmd_run_inner(args) -> int:
 
 def _run_sparse(args, params, kgrid, telemetry, cache) -> int:
     """``repro run --sparse-k-factor F``: the sparse-k fast path."""
-    from .spectra.sparse import run_sparse_cl
+    from .linger import LingerConfig, save_run
+    from .spectra import band_power_uk, cobe_normalization, run_sparse_cl
 
     config = LingerConfig(
         lmax_photon=args.lmax,
@@ -473,7 +463,8 @@ def _print_report_summary(report) -> None:
         if name in report.timers:
             rows.append([f"{name} [s]",
                          f"{report.timers[name]['total_seconds']:.3f}"])
-    for name in ("thermo.lsoda_rhs_evals", "thermo.lsoda_rhs_compiled",
+    for name in ("thermo.ode_rhs_evals", "thermo.ode_rhs_compiled",
+                 "thermo.ode_steps", "thermo.ode_rejected",
                  "thermo.saha_sweeps"):
         if name in report.counters:
             rows.append([name, report.counters[name]])
@@ -521,8 +512,9 @@ def _print_report_summary(report) -> None:
 
 def cmd_worker(args) -> int:
     """Serve as one remote PLINGER rank over TCP."""
-    from .mp.backends.sockets import connect_worker
     from .errors import MessagePassingError
+    from .linger import KGrid, LingerConfig
+    from .mp.backends.sockets import connect_worker
     from .plinger.driver import _worker_entry
 
     host, _, port = args.connect.rpartition(":")
@@ -564,6 +556,10 @@ def cmd_worker(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .linger import load_run
+    from .spectra import band_power_uk, cobe_normalization
+    from .spectra.cl import cl_integrate_over_k
+
     saved = load_run(args.archive)
     theta = saved.theta_l_matrix()
     lmax = theta.shape[1] - 1
@@ -642,6 +638,8 @@ def cmd_request(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    from .cluster import MACHINES, paper_cost_model, scaling_study
+
     machine = MACHINES[args.machine]
     cm = paper_cost_model()
     k_big = (cm.lmax_cap - cm.lmax_floor) / cm.lmax_per_ktau / cm.tau0
@@ -656,19 +654,47 @@ def cmd_scaling(args) -> int:
     return 0
 
 
+#: verb -> (one-line help, what populates its sub-parser, its handler)
+_VERBS = {
+    "info": ("model background summary", _info_arguments, cmd_info),
+    "run": ("integrate a k-grid and archive it", _run_arguments, cmd_run),
+    "worker": ("join a sockets-backend PLINGER run as a worker rank",
+               _worker_arguments, cmd_worker),
+    "spectrum": ("C_l from an archive", _spectrum_arguments, cmd_spectrum),
+    "verify": ("run the Einstein-constraint verification suite",
+               _verify_arguments, cmd_verify),
+    "scaling": ("Fig. 1 schedule simulation", _scaling_arguments,
+                cmd_scaling),
+    "serve": ("serve C_l spectra from a warm daemon", _serve_arguments,
+              cmd_serve),
+    "request": ("query a running spectrum service", _request_arguments,
+                cmd_request),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The whole command line — or, when ``verb`` names the one about to
+    run, a parser that lists the others without populating them:
+    populating a verb imports what its choices come from (``run`` the
+    engine's kernels and the chaos profiles, ``scaling`` the machine
+    models), and a process should import what its verb uses."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="LINGER/PLINGER reproduction (Bode & Bertschinger, SC'95)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, populate, _) in _VERBS.items():
+        p = sub.add_parser(name, help=summary)
+        if verb in (None, name):
+            populate(p)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "info": cmd_info,
-        "run": cmd_run,
-        "spectrum": cmd_spectrum,
-        "verify": cmd_verify,
-        "scaling": cmd_scaling,
-        "serve": cmd_serve,
-        "request": cmd_request,
-        "worker": cmd_worker,
-    }
-    return handlers[args.command](args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = build_parser(verb).parse_args(argv)
+    return _VERBS[args.command][2](args)
 
 
 if __name__ == "__main__":

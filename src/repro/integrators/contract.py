@@ -2,7 +2,7 @@
 
 Both implementations of the adaptive Runge-Kutta loop in this package —
 :class:`~repro.integrators.dverk.RKDriver` and the C ``integrate_phase``
-in ``repro.perturbations._rhs_cext`` — evaluate the same floating-point
+in ``repro._cext`` — evaluate the same floating-point
 expressions in the same order, so their results are bitwise equal, not
 merely close:
 

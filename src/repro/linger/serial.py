@@ -100,12 +100,13 @@ def build_tables(
     fallback gets its tables through this one seam, so a run's report
     accounts for them wherever they were made.  A thermal history
     solved here (not loaded) also leaves its work counts,
-    ``thermo.lsoda_rhs_evals``, ``thermo.lsoda_rhs_compiled`` and
+    ``thermo.ode_rhs_evals``, ``thermo.ode_rhs_compiled``,
+    ``thermo.ode_steps``, ``thermo.ode_rejected`` and
     ``thermo.saha_sweeps``: they repeat exactly for a cosmology, so a
     regression in the build shows as a count before it shows as a
-    time.  The middle one says which right-hand side LSODA called back:
+    time.  The second says which right-hand side the stepper evaluated:
     the compiled ``thermo_rhs`` (equal to the first) in a process with
-    the engine's compiled kernels, ``ThermalHistory._rhs`` (0) without.
+    the compiled object, ``ThermalHistory._rhs`` (0) without.
     """
     if background is None:
         with telemetry.timer("background.build"):

@@ -330,9 +330,23 @@ def find_tca_exit(
     """Conformal time at which tight coupling stops being valid.
 
     Exit when 1/kappa' exceeds ``tca_eps`` times min(1/k, 1/H_conf), or
-    when hydrogen recombination begins (x_e < ``xe_threshold`` times its
-    early value), whichever is earlier.  Everything but ``k`` is read
-    off the thermal history's own tables.
+    when x_e falls below ``xe_threshold`` times its first table value,
+    whichever is earlier.  Everything but ``k`` is read off the thermal
+    history's own tables.
+
+    What the second test does today: the first table value is the fully
+    ionized 1 + 2 f_He = 1.158, so 0.99 of it is crossed when helium
+    goes He++ -> He+ at z ~ 6000 — tau = 63.3 Mpc for every k < 0.09,
+    where tau_c a H is 0.002 — not when hydrogen recombination begins;
+    the first test would fire at tau = 156.  The explicit integrator
+    then rides its stability limit on the stiff Thomson terms from 63
+    to 250 Mpc: that stretch holds 98 % of the accepted and all of the
+    rejected steps of a low-k mode (ROADMAP item 6).  Keyed on the
+    hydrogen fraction instead, a mode takes 3-12x fewer evaluations —
+    and moves P(k) at k = 0.06 by 5e-6, because the committed
+    references were made with this switch and budget 9e-7 around it.
+    So it stays until the ``[benchmark]`` PR regenerates them; do not
+    "fix" it alone.
     """
     cond = thermo._kappa_dot_table * tca_eps < np.maximum(
         k, thermo._conformal_hubble_table)

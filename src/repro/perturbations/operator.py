@@ -29,7 +29,7 @@ explicit for this package:
     grouping pinned bitwise by ``tests/reference_rhs.py``;
   - ``cext``  — the one compiled backend: a small C translation of the
     same evaluation order over the packed ABI of :meth:`pack`, lazily
-    compiled with the system C compiler (see ``_rhs_cext``).
+    compiled with the system C compiler (see ``repro._cext``).
 
 A :class:`~repro.perturbations.system.PerturbationSystem` is a thin
 view of one lane of an operator, so a chunk of wavenumbers shares one
@@ -64,7 +64,7 @@ from ..chaos import current_engine as _chaos_engine
 from ..errors import IntegrationError, ParameterError
 from ..integrators import VERNER_65_TABLEAU, StepController
 from ..thermo import ThermalHistory
-from . import _rhs_cext
+from .. import _cext
 from .state import StateLayout
 
 __all__ = ["BoltzmannOperator", "CompiledPhase", "KERNELS",
@@ -89,7 +89,7 @@ _warned_auto_python = False
 
 def available_kernels() -> tuple[str, ...]:
     """The kernels this process can actually run, fastest-first."""
-    if _rhs_cext.get_cext() is not None:
+    if _cext.get_cext() is not None:
         return ("cext", "python")
     return ("python",)
 
@@ -116,7 +116,7 @@ def resolve_kernel(requested: str) -> str:
         if avail[0] == "python" and not _warned_auto_python:
             _warned_auto_python = True
             reasons = [e.get("error", e["event"])
-                       for e in _rhs_cext.BUILD_EVENTS
+                       for e in _cext.BUILD_EVENTS
                        if e["event"] == "unavailable"]
             _log.warning(
                 "rhs_kernel 'auto' resolved to 'python': no compiled kernel "
@@ -822,7 +822,7 @@ class BoltzmannOperator:
         """The loaded C kernel (must be available); resolved once per
         operator."""
         if self._cext is None:
-            self._cext = _rhs_cext.get_cext()
+            self._cext = _cext.get_cext()
             if self._cext is None:
                 raise ParameterError(
                     "rhs kernel 'cext' is not available in this process"

@@ -27,16 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..background import Background
 from ..errors import ParameterError
 from ..integrators import DVERK, IntegratorStats
-from ..spectra.cl import cl_integrate_over_k
-from ..spectra.los import BesselCache
 from ..thermo import ThermalHistory
+from ..util.fastspline import PiecewiseCubic, fit_cubic
+
+if TYPE_CHECKING:  # spectra sits above perturbations: imported where used
+    from ..spectra.los import BesselCache
 
 __all__ = ["TensorMode", "evolve_tensor_mode", "tensor_theta_l",
            "cl_tensor"]
@@ -52,11 +54,11 @@ class TensorMode:
     h_dot: np.ndarray
     stats: IntegratorStats
 
-    def h_spline(self) -> CubicSpline:
-        return CubicSpline(self.tau, self.h)
+    def h_spline(self) -> PiecewiseCubic:
+        return fit_cubic(self.tau, self.h)
 
-    def h_dot_spline(self) -> CubicSpline:
-        return CubicSpline(self.tau, self.h_dot)
+    def h_dot_spline(self) -> PiecewiseCubic:
+        return fit_cubic(self.tau, self.h_dot)
 
 
 def evolve_tensor_mode(
@@ -127,6 +129,8 @@ def tensor_theta_l(
         raise ParameterError("tensors have no monopole/dipole: l >= 2")
     if bessel is None:
         x_max = max(m.k * tau0 for m in modes)
+        from ..spectra.los import BesselCache
+
         bessel = BesselCache(x_max)
     bessel.table_matrix(l_values)  # every row in one sweep
     out = np.empty((len(modes), l_values.size))
@@ -173,5 +177,7 @@ def cl_tensor(
     modes = [evolve_tensor_mode(background, float(ki), rtol=rtol)
              for ki in k]
     theta = tensor_theta_l(modes, thermo, tau0, l_values)
+    from ..spectra.cl import cl_integrate_over_k
+
     cl = cl_integrate_over_k(k, theta, n_s=n_t + 1.0)
     return l_values, cl

@@ -19,18 +19,26 @@ Everything is keyed by the bit-exact canonical digests of
 the request journal is drained on exit or SIGTERM.
 """
 
-from .client import ServeClient
-from .daemon import ServeJournal, SpectrumServer, run_server, \
-    spectrum_product
-from .pool import PoolStats, WarmPool
-from .protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    ServeRequest,
-    decode_message,
-    encode_message,
-)
-from .results import ResultStore, StoredResult
+from .._lazy import lazy_exports
+
+#: resolved on first use, so a client (``ServeClient`` + ``ServeRequest``)
+#: loads neither ``asyncio`` nor the engine behind the daemon
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ServeClient": "client",
+    "ServeJournal": "daemon",
+    "SpectrumServer": "daemon",
+    "run_server": "daemon",
+    "spectrum_product": "daemon",
+    "PoolStats": "pool",
+    "WarmPool": "pool",
+    "MAX_LINE_BYTES": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "ServeRequest": "protocol",
+    "decode_message": "protocol",
+    "encode_message": "protocol",
+    "ResultStore": "results",
+    "StoredResult": "results",
+})
 
 __all__ = [
     "MAX_LINE_BYTES",

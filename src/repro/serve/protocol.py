@@ -20,13 +20,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ServeError
-from ..linger.kgrid import KGrid
-from ..linger.serial import LingerConfig
 from ..params import CosmologyParams
+from ..revision import SOLVER_REVISION
+
+if TYPE_CHECKING:  # the engine; a client addressing a request needs none
+    from ..linger.kgrid import KGrid
+    from ..linger.serial import LingerConfig
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -78,9 +82,12 @@ class ServeRequest:
     # -- content addressing -------------------------------------------------
 
     def shape(self) -> dict:
-        """The non-cosmological part of the request key."""
+        """The non-cosmological part of the request key.  It carries the
+        revision of the solver behind the spectrum, so a store filled
+        by an earlier solver is never answered from."""
         return {
             "protocol": PROTOCOL_VERSION,
+            "solver": SOLVER_REVISION,
             "k_min": float(self.k_min),
             "k_max": float(self.k_max),
             "nk": int(self.nk),
@@ -92,12 +99,16 @@ class ServeRequest:
         """The request's content address (SHA-256, bit-exact)."""
         return self.params.digest("serve_result", self.shape())
 
-    # -- run construction ---------------------------------------------------
+    # -- run construction (the daemon's side) -------------------------------
 
     def kgrid(self) -> KGrid:
+        from ..linger.kgrid import KGrid
+
         return KGrid.from_k(np.linspace(self.k_min, self.k_max, self.nk))
 
     def config(self) -> LingerConfig:
+        from ..linger.serial import LingerConfig
+
         return LingerConfig(
             lmax_photon=self.lmax,
             rtol=self.rtol,
@@ -116,7 +127,7 @@ class ServeRequest:
         doc = {"op": "spectrum", "protocol": PROTOCOL_VERSION,
                "params": dataclasses.asdict(self.params)}
         doc.update({k: v for k, v in self.shape().items()
-                    if k != "protocol"})
+                    if k not in ("protocol", "solver")})
         return doc
 
     @classmethod

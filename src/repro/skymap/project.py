@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..errors import ParameterError
 from ..perturbations import ModeResult
+from ..util.fastspline import fit_cubic
 
 __all__ = ["PotentialMovie"]
 
@@ -58,7 +58,7 @@ class PotentialMovie:
         # common tau grid: use the first mode's records as the reference
         self._tau_tables = [m.tau for m in self.modes]
         self._psi_splines = [
-            CubicSpline(m.tau, m.records["psi"]) for m in self.modes
+            fit_cubic(m.tau, m.records["psi"]) for m in self.modes
         ]
         # fixed random phases for the slice
         rng = np.random.default_rng(self.seed)

@@ -35,12 +35,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from ..errors import ParameterError
 from ..perturbations import ModeResult
 from ..thermo import ThermalHistory
-from ..util.fastspline import fit_cubic
+from ..util.fastspline import PiecewiseCubic, fit_cubic
 from .cl import cl_integrate_over_k
 
 __all__ = ["SourceTable", "BesselCache", "cl_from_los", "theta_l_los",
@@ -55,7 +54,7 @@ class SourceTable:
     tau: np.ndarray
     source: np.ndarray
     tau0: float
-    _spline: PPoly | None = field(
+    _spline: PiecewiseCubic | None = field(
         default=None, repr=False, compare=False
     )
     _dense_cache: dict = field(
@@ -100,7 +99,7 @@ class SourceTable:
         )
         return cls(k=k, tau=tau, source=source, tau0=tau0)
 
-    def spline(self) -> PPoly:
+    def spline(self) -> PiecewiseCubic:
         """The source interpolant, fit once per table (both the
         temperature and polarization projections resample it)."""
         if self._spline is None:
@@ -310,7 +309,7 @@ def interpolate_sources_k(
     one stacked :func:`~repro.util.fastspline.fit_cubic` over k fits
     every tau column at once (same tridiagonal solve, n_tau right-hand
     sides).  Dense k that are bitwise members of ``k_coarse`` copy their
-    row verbatim instead of evaluating the polynomial: PPoly evaluation
+    row verbatim instead of evaluating the polynomial: that evaluation
     at a breakpoint is not guaranteed bit-identical, and the sparse fast
     path promises exact hits cost nothing in accuracy.
 

@@ -18,28 +18,20 @@ be evaluated smoothly.
 
 from __future__ import annotations
 
-import ctypes
 import math
 
 import numpy as np
-from scipy.integrate import odeint
 
+from .. import _cext
 from .. import constants as const
 from ..background import Background
 from ..background.nu_massive import I_RHO_MASSLESS
 from ..errors import IntegrationError
 from ..util.fastspline import UniformGridCubic, fit_cubic
-from . import recombination
+from . import radau, recombination
 from .recombination import _saha_sweeps, peebles_rhs, saha_electron_fraction
 
 __all__ = ["ThermalHistory"]
-
-#: Revision of the ionization solve behind the tables ``to_tables``
-#: exports.  The precompute cache folds it into the thermal key, so
-#: tables persisted by an earlier solver are never served; bump it with
-#: any change that moves them.  (2: Newton Saha solver; 3: one LSODA
-#: call choosing its own first step, x_e moves 1e-7 after the switch.)
-SOLVER_REVISION = 3
 
 
 class ThermalHistory:
@@ -61,8 +53,8 @@ class ThermalHistory:
 
     #: work the ionization solve did (None on a history loaded from
     #: tables); every count repeats exactly for a given cosmology.
-    #: ``lsoda_rhs_compiled`` is how many of the ``lsoda_rhs_evals``
-    #: the compiled ``thermo_rhs`` made: all of them, or none
+    #: ``ode_rhs_compiled`` is how many of the ``ode_rhs_evals`` the
+    #: compiled ``thermo_rhs`` made: all of them, or none
     _build_counts: dict[str, int] | None = None
 
     def __init__(
@@ -146,18 +138,18 @@ class ThermalHistory:
     # Construction
     # ------------------------------------------------------------------
 
-    def _rhs(self, lna: float, y: np.ndarray) -> tuple[float, float]:
-        """ODE right-hand side in ln a for [x_H, T_b].
+    def _rhs(self, lna: float, x_h: float,
+             t_b: float) -> tuple[float, float]:
+        """ODE right-hand side in ln a for (x_H, T_b).
 
-        The reference of the compiled ``thermo_rhs`` (``_rhs_cext``),
+        The reference of the compiled ``thermo_rhs`` (``repro._cext``),
         which transcribes it and everything it calls grouping for
-        grouping and is pinned to it bitwise; LSODA calls that one about
-        a thousand times per build, and this one — scalar python
-        arithmetic throughout, one state at a time — only in a process
-        without the compiled object.
+        grouping and is pinned to it bitwise; the stepper calls that one
+        about five thousand times per build, and this one — scalar
+        python arithmetic throughout, one state at a time — only in a
+        process without the compiled object.
         """
         a = math.exp(lna)
-        x_h, t_b = y.tolist()
         t_b = max(t_b, 1e-3)
         # proper Hubble rate in s^-1
         h_s = self.background.hubble(a) * const.C_LIGHT / const.MPC_CM
@@ -214,34 +206,15 @@ class ThermalHistory:
             recombination._SAHA_MAX_ITER,
         ], dtype=float)
 
-    def _compiled_rhs(self):
-        """:meth:`_rhs` as the compiled object evaluates it, in the
-        signature odeint calls back, and the out block it writes (the C
-        source names its four slots).  The callback hands back one view
-        of that block every time, which odeint copies before it calls
-        again; the state goes over by value, as :meth:`_rhs` unpacks it
-        (``y.ctypes.data`` alone would cost more than the rest of the
-        call).  Each pointer holds its array, so the closure owns what
-        the C side reads and writes, and it holds neither this history
-        nor its Background."""
-        from ..perturbations._rhs_cext import get_cext
-
-        def pointer(arr):
-            return arr.ctypes.data_as(ctypes.c_void_p)
-
-        thermo_rhs = get_cext().thermo_rhs_raw
-        out = np.zeros(4)
-        dydt = out[:2]
+    def _compiled_args(self) -> tuple[np.ndarray, np.ndarray | None,
+                                      np.ndarray]:
+        """What the compiled ``thermo_rhs`` and ``thermo_ode`` take by
+        address besides the state: the parameter block, the
+        massive-neutrino pack (None without a massive species) and a
+        fresh out block (the C source names its six slots)."""
         nu = self.background.nu_tables
-        block = pointer(self._rhs_block())
-        nu_pack = None if nu is None else pointer(nu._rhs_pack)
-        out_block = pointer(out)
-
-        def rhs(lna, y):
-            thermo_rhs(block, nu_pack, lna, *y.tolist(), out_block)
-            return dydt
-
-        return rhs, out
+        return (self._rhs_block(), None if nu is None else nu._rhs_pack,
+                np.zeros(6))
 
     def _build_ionization(
         self, a_start: float, n_grid: int, saha_switch: float
@@ -262,42 +235,50 @@ class ThermalHistory:
             raise IntegrationError("hydrogen never left Saha equilibrium")
         i_switch = int(np.argmax(below))
 
-        # Peebles phase: one LSODA call, output on the grid itself,
-        # calling back the compiled right-hand side in a process that
-        # has the engine's compiled kernels and _rhs in one that has not
-        # (imported here: perturbations sits above thermo)
-        from ..perturbations.operator import available_kernels
-
-        rhs, out = self._rhs, np.zeros(4)  # _rhs raises and counts nothing
-        if "cext" in available_kernels():
-            rhs, out = self._compiled_rhs()
-        y, info = odeint(
-            rhs,
-            [x_h[i_switch], t_b[i_switch]],
-            lna[i_switch:],
-            tfirst=True,
-            full_output=True,
-            rtol=1e-8,
-            atol=[1e-12, 1e-8],
-        )
-        if out[2]:
-            # where _rhs raises out of saha_electron_fraction mid-solve
+        # Peebles phase: one solve, output on the grid itself, by the
+        # compiled stepper over the compiled right-hand side in a
+        # process that has the compiled object and by its python
+        # reference over _rhs (which raises where the compiled one
+        # latches a status) in one that has not
+        rows = np.empty((n_grid - i_switch, 2))
+        rows[0] = x_h[i_switch], t_b[i_switch]
+        cext = _cext.get_cext()
+        if cext is None:
+            status, n_rhs, n_steps, n_rejected = radau.integrate(
+                self._rhs, lna[i_switch:], rows)
+            n_compiled = 0
+        else:
+            block, nu_pack, out = self._compiled_args()
+            status = cext.thermo_ode_raw(
+                block.ctypes.data,
+                None if nu_pack is None else nu_pack.ctypes.data,
+                radau.TABLE.ctypes.data, lna[i_switch:].ctypes.data,
+                len(rows), radau.MAX_ATTEMPTS, rows.ctypes.data,
+                out.ctypes.data)
+            if out[2]:
+                raise IntegrationError(
+                    "Saha equilibrium did not converge in "
+                    f"{recombination._SAHA_MAX_ITER} iterations inside the "
+                    "thermal history ODE")
+            n_rhs = n_compiled = int(out[3])
+            n_steps, n_rejected = int(out[4]), int(out[5])
+        if status:
             raise IntegrationError(
-                "Saha equilibrium did not converge in "
-                f"{recombination._SAHA_MAX_ITER} iterations inside the "
-                "thermal history ODE")
-        if info["message"] != "Integration successful.":
-            raise IntegrationError(
-                f"thermal history ODE failed: {info['message']}")
-        x_h[i_switch:] = np.clip(y[:, 0], 0.0, 1.0)
-        t_b[i_switch:] = y[:, 1]
+                "thermal history ODE failed: "
+                + ("step size underflow" if status == 1 else
+                   f"no end after {radau.MAX_ATTEMPTS} steps")
+                + f" ({n_steps} accepted, {n_rejected} rejected)")
+        x_h[i_switch:] = np.clip(rows[:, 0], 0.0, 1.0)
+        t_b[i_switch:] = rows[:, 1]
 
         # helium Saha contribution during/after the switch
         _, _, x_he2, x_he3, more = _saha_sweeps(
             t_b[i_switch:], n_h[i_switch:], self.f_he)
         x_e[i_switch:] = x_h[i_switch:] + self.f_he * (x_he2 + 2.0 * x_he3)
-        self._build_counts = {"lsoda_rhs_evals": int(info["nfe"][-1]),
-                              "lsoda_rhs_compiled": int(out[3]),
+        self._build_counts = {"ode_rhs_evals": n_rhs,
+                              "ode_rhs_compiled": n_compiled,
+                              "ode_steps": n_steps,
+                              "ode_rejected": n_rejected,
                               "saha_sweeps": sweeps + more}
 
         # optional reionization: raise x_e to its target over a tanh in z

@@ -1,17 +1,21 @@
-"""The repo's one cubic fit, and fast scalar evaluation on uniform grids.
+"""The repo's one cubic fit, its evaluator, and fast scalar evaluation
+on uniform grids.
 
 :func:`fit_cubic` is the not-a-knot cubic spline every table, source
-and k-interpolation in the package is fitted with: scipy's
-``CubicSpline`` system, bit for bit, without the validation layers that
-cost more than the solve.
+and k-interpolation in the package is fitted with, assembled as the
+standard scientific-python spline assembles it, solved by a
+transcription of LAPACK's ``DGTSV`` and evaluated by
+:class:`PiecewiseCubic` in that library's order of operations — its
+bits without the dependency: the package imports numpy alone, and the
+test suite imports the library as the oracle
+(``tests/test_fastspline.py`` names the classes).
 
 The Boltzmann right-hand side evaluates the Thomson opacity, baryon
 sound speed and massive-neutrino background factors at every stage of
-every Runge-Kutta step.  ``PPoly.__call__`` has tens-of-microseconds of
-overhead per scalar call, which would dominate the integration, so
-:class:`UniformGridCubic` takes the fit's polynomial coefficients and
-evaluates them with plain float arithmetic (profiling-driven
-optimization, per the optimizing-code guide).
+every Runge-Kutta step, so :class:`UniformGridCubic` takes the fit's
+polynomial coefficients and evaluates them with plain float arithmetic
+and an O(1) knot lookup (profiling-driven optimization, per the
+optimizing-code guide).
 """
 
 from __future__ import annotations
@@ -19,30 +23,138 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PPoly
-from scipy.linalg import solve
-from scipy.linalg.lapack import dgtsv
 
+from .. import _cext
 from ..errors import ParameterError
 
-__all__ = ["fit_cubic", "UniformGridCubic", "LogLogCubic"]
+__all__ = ["fit_cubic", "PiecewiseCubic", "UniformGridCubic", "LogLogCubic"]
 
 
-def fit_cubic(x: np.ndarray, y: np.ndarray) -> PPoly:
+class PiecewiseCubic:
+    """A piecewise polynomial of degree <= 3 on the breakpoints ``x``.
+
+    ``c[k, i]`` is the coefficient of ``(t - x[i]) ** (len(c) - 1 - k)``
+    on ``[x[i], x[i + 1])``, trailing axes are independent polynomials:
+    the oracle's piecewise-polynomial layout, and its arithmetic — a
+    call accumulates ``c3 + c2 s + c1 (s s) + c0 ((s s) s)`` term by
+    term from the constant up, the two end pieces extrapolate, the
+    right end belongs to the last piece and a NaN argument gives NaN —
+    so values and derivatives are bitwise the oracle's.
+    """
+
+    __slots__ = ("c", "x")
+
+    def __init__(self, c: np.ndarray, x: np.ndarray) -> None:
+        self.c = c
+        self.x = x
+
+    def __call__(self, t) -> np.ndarray:
+        """Values at ``t`` (any shape), shaped ``t.shape + c.shape[2:]``."""
+        t = np.asarray(t, dtype=float)
+        x, c = self.x, self.c
+        i = np.minimum(np.maximum(x.searchsorted(t, "right") - 1, 0),
+                       x.size - 2)
+        s = (t - x[i]).reshape(t.shape + (1,) * (c.ndim - 2))
+        coef = c[:, i]
+        out = 0.0 + coef[-1]
+        if len(coef) == 1:  # a constant: nothing else carries the NaN
+            return np.where(np.isnan(s), s, out)
+        z = s
+        for row in coef[-2:0:-1]:
+            out += row * z
+            z = z * s
+        out += coef[0] * z
+        return out
+
+    def derivative(self, n: int = 1) -> "PiecewiseCubic":
+        """The ``n``-th derivative (``n >= 1``), one object per call."""
+        k = self.c.shape[0] - n
+        if k <= 0:
+            return PiecewiseCubic(np.zeros((1,) + self.c.shape[1:]), self.x)
+        # the rising factorials (k - j) ... (k - j + n - 1), exact
+        power = np.arange(k, 0, -1)
+        factor = np.ones(k)
+        for m in range(n):
+            factor *= power + m
+        return PiecewiseCubic(
+            self.c[:k] * factor.reshape((k,) + (1,) * (self.c.ndim - 1)),
+            self.x)
+
+
+def _tridiag_solve(dl: list, d: list, du: list, b: list) -> int:
+    """Reference LAPACK's ``DGTSV`` on python lists: the twin of the
+    compiled ``tridiag_solve`` (``repro._cext``, which documents it),
+    bitwise.  ``b`` is a list of rows — floats for one right-hand side,
+    arrays for several; every list is overwritten, ``b`` with the
+    solution."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                return i + 1
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            temp = d[i + 1]
+            d[i] = dl[i]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        return n
+    for i in range(n - 1, -1, -1):
+        v = b[i]
+        if i < n - 1:
+            v = v - du[i] * b[i + 1]
+        if i < n - 2:
+            v = v - dl[i] * b[i + 2]
+        b[i] = v / d[i]
+    return 0
+
+
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray,
+                       upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve in place for the ``(n, nrhs)`` C-contiguous ``b``: the
+    compiled ``tridiag_solve`` where the process has the compiled
+    object, its python twin where it has not."""
+    n, nrhs = b.shape
+    cext = _cext.get_cext()
+    if cext is not None:
+        info = cext.tridiag_raw(n, nrhs, lower.ctypes.data,
+                                diag.ctypes.data, upper.ctypes.data,
+                                b.ctypes.data)
+    else:
+        rows = b[:, 0].tolist() if nrhs == 1 else list(b.copy())
+        info = _tridiag_solve(lower.tolist(), diag.tolist(),
+                              upper.tolist(), rows)
+        b[...] = np.reshape(rows, b.shape)
+    if info != 0:
+        raise ParameterError(f"fit_cubic: zero pivot in row {info} of the "
+                             "tridiagonal solve")
+    return b
+
+
+def fit_cubic(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     """The not-a-knot cubic spline through ``(x, y)``, fitted along
     axis 0 of ``y`` (trailing axes are independent right-hand sides of
     one tridiagonal solve).
 
-    The system is assembled expression for expression as
-    ``scipy.interpolate.CubicSpline(x, y)`` assembles it — including
-    its 2-knot (straight line) and 3-knot (parabola) cases — and solved
-    by the LAPACK routine ``solve_banded((1, 1), ...)`` reaches, so the
-    ``(4, n - 1, ...)`` coefficients ``.c`` are ``array_equal`` to
-    ``CubicSpline(x, y).c``; ``.c[2]`` holds the solved first
-    derivatives at every knot but the last.  The returned ``PPoly``
-    evaluates (and differentiates) bitwise like the ``CubicSpline``.
-    ``x`` must be finite and strictly increasing and ``y`` finite: that
-    is checked here, once, and raises :class:`ParameterError`.
+    The system is assembled expression for expression as the oracle
+    assembles it — including its 2-knot (straight line) and 3-knot
+    (parabola) cases — and solved as LAPACK's ``DGTSV`` solves it, so
+    the ``(4, n - 1, ...)`` coefficients ``.c`` are ``array_equal`` to
+    the oracle's (3 knots: it takes a dense solve there, and the two
+    agree to rounding); ``.c[2]`` holds the solved first derivatives at
+    every knot but the last.  ``x`` must be finite and strictly
+    increasing and ``y`` finite: that is checked here, once, and raises
+    :class:`ParameterError`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -64,44 +176,37 @@ def fit_cubic(x: np.ndarray, y: np.ndarray) -> PPoly:
     slope = np.diff(y, axis=0) / dxr
     if n == 2:
         s = np.stack((slope[0], slope[0]))
-    elif n == 3:
-        a = np.array([[1.0, 1.0, 0.0],
-                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
-                      [0.0, 1.0, 1.0]])
-        b = np.empty_like(y)
-        b[0] = 2 * slope[0]
-        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
-        b[2] = 2 * slope[1]
-        s = solve(a, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
-                  check_finite=False).reshape(b.shape)
     else:
         diag = np.empty(n)
         upper = np.empty(n - 1)
         lower = np.empty(n - 1)
-        b = np.empty_like(y)
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        upper[1:] = dx[:-1]
-        lower[:-1] = dx[1:]
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        diag[0] = dx[1]
-        upper[0] = d = x[2] - x[0]
-        b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0]
-                + dxr[0]**2 * slope[1]) / d
-        diag[-1] = dx[-2]
-        lower[-1] = d = x[-1] - x[-3]
-        b[-1] = (dxr[-1]**2 * slope[-2]
-                 + (2*d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        *_, s, info = dgtsv(lower, diag, upper, b.reshape(n, -1),
-                            overwrite_dl=True, overwrite_d=True,
-                            overwrite_du=True, overwrite_b=True)
-        if info != 0:
-            raise ParameterError(f"fit_cubic: dgtsv failed (info={info})")
-        s = s.reshape(b.shape)
+        b = np.empty(y.shape)
+        if n == 3:
+            diag[0] = upper[0] = lower[1] = diag[2] = 1.0
+            lower[0], diag[1], upper[1] = dx[1], 2 * (dx[0] + dx[1]), dx[0]
+            b[0] = 2 * slope[0]
+            b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+            b[2] = 2 * slope[1]
+        else:
+            diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+            upper[1:] = dx[:-1]
+            lower[:-1] = dx[1:]
+            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+            diag[0] = dx[1]
+            upper[0] = d = x[2] - x[0]
+            b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0]
+                    + dxr[0]**2 * slope[1]) / d
+            diag[-1] = dx[-2]
+            lower[-1] = d = x[-1] - x[-3]
+            b[-1] = (dxr[-1]**2 * slope[-2]
+                     + (2*d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = _solve_tridiagonal(lower, diag, upper,
+                               b.reshape(n, -1)).reshape(b.shape)
 
-    # scipy's CubicHermiteSpline coefficients from values and slopes
+    # the cubic Hermite coefficients from values and slopes
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
-    return PPoly.construct_fast(c, x)
+    return PiecewiseCubic(c, x)
 
 
 class UniformGridCubic:

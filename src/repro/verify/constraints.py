@@ -55,6 +55,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..telemetry.report import ConstraintMetrics
+from ..util.fastspline import fit_cubic
 
 __all__ = [
     "ConstraintMonitor",
@@ -368,8 +369,6 @@ def quality_residuals(mode, tau_rec: float) -> dict[str, float]:
     deviation over the interior window) — entries are NaN when the
     window holds too few points to differentiate.
     """
-    from scipy.interpolate import CubicSpline
-
     if mode.tau.size == 0:
         raise ParameterError("quality_residuals needs recorded sources")
     sel = (mode.tau > 1.3 * mode.tau_switch) & (mode.tau < 1.9 * tau_rec)
@@ -379,7 +378,7 @@ def quality_residuals(mode, tau_rec: float) -> dict[str, float]:
             out[name] = float("nan")
             continue
         tau = mode.tau[sel]
-        num = CubicSpline(tau, mode.records[name][sel]).derivative(1)(tau)
+        num = fit_cubic(tau, mode.records[name][sel]).derivative(1)(tau)
         ref = mode.records[deriv][sel]
         scale = float(np.max(np.abs(ref)))
         if scale == 0.0:

@@ -454,7 +454,7 @@ def chaos_degradation_oracle(
     from ..chaos import ChaosPolicy, active
     from ..linger.kgrid import KGrid
     from ..linger.serial import LingerConfig
-    from ..perturbations._rhs_cext import (
+    from .._cext import (
         BUILD_EVENTS,
         get_cext,
         private_cache,

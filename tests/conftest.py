@@ -54,7 +54,7 @@ def kernel_cache(tmp_path_factory):
     user's ``~/.cache/repro/kernels`` is none of the suite's business.
     Child processes (forked ranks, ``repro serve`` daemons) inherit
     the variable."""
-    from repro.perturbations._rhs_cext import private_cache
+    from repro._cext import private_cache
 
     with private_cache(tmp_path_factory.mktemp("kernels")):
         yield

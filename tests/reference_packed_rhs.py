@@ -3,7 +3,7 @@
 :func:`kernel_rhs_full` and :func:`kernel_rhs_tca` are the scalar-loop
 evaluation of the flat arrays ``BoltzmannOperator.pack`` builds (that
 docstring is the ABI contract), in the evaluation order the C kernels
-in ``_rhs_cext`` transcribe — one body for both phases, as there, which
+in ``repro._cext`` transcribe — one body for both phases, as there, which
 differs only in the photon-baryon sector.  The full-hierarchy half is
 the source of the retired numba backend: run as ordinary python it is
 how ``tests/test_rhs_operator.py`` pins the packed evaluation order

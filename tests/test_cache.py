@@ -251,7 +251,7 @@ class TestPrecomputeRoundtrip:
     def test_entries_of_an_earlier_solver_are_never_served(
             self, scdm, fresh_dir, monkeypatch, revision):
         from repro.cache import precompute
-        from repro.thermo.history import SOLVER_REVISION
+        from repro.revision import SOLVER_REVISION
 
         assert SOLVER_REVISION > revision
         bg = Background(scdm)

@@ -230,7 +230,7 @@ class TestStoreChaos:
 @pytest.mark.skipif(ONLY_PYTHON, reason="no compiled kernel on this host")
 class TestCextChaos:
     def test_stale_so_and_compile_failure_recover(self):
-        from repro.perturbations._rhs_cext import (
+        from repro._cext import (
             BUILD_EVENTS,
             get_cext,
             reset_cext,

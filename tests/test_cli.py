@@ -10,6 +10,25 @@ from repro.perturbations import available_kernels
 from repro.telemetry import RunReport
 
 
+#: which packages of a space-separated list ``sys.modules`` holds any of
+_LOADED = ("sorted({{r for r in '{}'.split() for m in sys.modules "
+           "if m == r or m.startswith(r + '.')}})")
+
+
+def _fresh_interpreter(statements: str, expression: str) -> str:
+    """Run ``statements`` in a new interpreter (this one's ``sys.path``
+    and environment) and return ``repr`` of ``expression`` there."""
+    import subprocess
+    import sys
+
+    code = (f"import sys; sys.path[:0] = {sys.path!r}\n{statements}\n"
+            f"print(repr({expression}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -160,12 +179,59 @@ class TestCommands:
         assert "--use-cache" in capsys.readouterr().err
 
     def test_import_loads_no_shared_memory_module(self):
-        import subprocess
-        import sys
+        assert _fresh_interpreter(
+            "import repro",
+            "'multiprocessing.shared_memory' in sys.modules") == "False"
 
-        code = ("import sys, repro; "
-                "sys.exit('multiprocessing.shared_memory' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # -- what a process imports is what its route uses (each check in a
+    # fresh interpreter; scipy is installed here, as the tests' oracle) ---
+
+    def test_import_repro_loads_numpy_and_the_parameter_layer_only(self):
+        loaded = _fresh_interpreter("import repro", _LOADED.format(
+            "scipy asyncio multiprocessing repro.serve repro.verify "
+            "repro.plinger repro.perturbations"))
+        assert loaded == "[]"
+
+    def test_star_import_still_binds_every_public_name(self):
+        names = _fresh_interpreter(
+            "import repro; listed = dir(repro); from repro import *",
+            "sorted(n for n in repro.__all__ "
+            "if n not in globals() or n not in listed)")
+        assert names == "[]"
+        import repro
+
+        assert len(repro.__all__) == 39
+
+    def test_a_serial_run_loads_no_scipy_asyncio_daemon_or_verify(
+            self, tmp_path):
+        loaded = _fresh_interpreter(
+            "from repro.cli import main; "
+            "rc = main(['run', '--nk', '2', '--lmax', '8', '--rtol', '1e-3',"
+            f" '--no-cache', '--output', {str(tmp_path / 'run.npz')!r}])",
+            "(rc, " + _LOADED.format(
+                "scipy asyncio repro.serve repro.verify") + ")")
+        assert loaded.splitlines()[-1] == "(0, [])"
+
+    def test_a_request_client_loads_neither_engine_nor_scipy(self):
+        """``repro request`` against a closed port: the request is built
+        and addressed, the connection refused, and no layer under the
+        daemon was imported to get there."""
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        loaded = _fresh_interpreter(
+            "from repro.cli import main, MODELS\n"
+            "try:\n"
+            f"    main(['request', '--port', '{port}'])\n"
+            "except Exception as exc:\n"
+            "    refused = type(exc).__name__, 'refused' in str(exc)\n"
+            "from repro.serve import ServeRequest\n"
+            "digest = ServeRequest(MODELS['scdm']()).digest()",
+            "(refused, len(digest), " + _LOADED.format(
+                "scipy repro.perturbations repro.thermo") + ")")
+        assert loaded == "(('ServeError', True), 64, [])"
 
     def test_run_serial_report(self, tmp_path, capsys):
         """`run --report` without --parallel: serial LINGER telemetry."""
@@ -186,14 +252,17 @@ class TestCommands:
         assert report.timers["linger.wall"]["total_seconds"] > 0
         # the table build's work counts, next to its timers
         out = capsys.readouterr().out
-        for name in ("thermo.build [s]", "thermo.lsoda_rhs_evals",
-                     "thermo.lsoda_rhs_compiled", "thermo.saha_sweeps"):
+        for name in ("thermo.build [s]", "thermo.ode_rhs_evals",
+                     "thermo.ode_rhs_compiled", "thermo.ode_steps",
+                     "thermo.ode_rejected", "thermo.saha_sweeps"):
             assert name in out
-        assert 500 < report.counters["thermo.lsoda_rhs_evals"] < 2000
-        # which right-hand side LSODA called back: the compiled one for
-        # every evaluation, or (no compiler) for none
-        assert report.counters["thermo.lsoda_rhs_compiled"] == (
-            report.counters["thermo.lsoda_rhs_evals"]
+        assert 4000 < report.counters["thermo.ode_rhs_evals"] < 7000
+        assert 400 < report.counters["thermo.ode_steps"] < 800
+        assert report.counters["thermo.ode_rejected"] < 40
+        # which right-hand side the stepper evaluated: the compiled one
+        # every time, or (no compiler) never
+        assert report.counters["thermo.ode_rhs_compiled"] == (
+            report.counters["thermo.ode_rhs_evals"]
             if "cext" in available_kernels() else 0)
         assert 2 <= report.counters["thermo.saha_sweeps"] <= 8
         # rejected / attempted steps: one row on every run, from the

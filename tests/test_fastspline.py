@@ -1,5 +1,7 @@
-"""The repo's one cubic fit, and the fast uniform-grid splines on it
-(the RHS hot-path lookups)."""
+"""The repo's one cubic fit — its tridiagonal solve and its evaluator,
+each against scipy's, which this file imports as the oracle and the
+package does not import at all — and the fast uniform-grid splines on
+it (the RHS hot-path lookups)."""
 
 import math
 
@@ -7,8 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import _cext
 from repro.errors import ParameterError
-from repro.util.fastspline import LogLogCubic, UniformGridCubic, fit_cubic
+from repro.util import fastspline
+from repro.util.fastspline import (
+    LogLogCubic,
+    PiecewiseCubic,
+    UniformGridCubic,
+    fit_cubic,
+)
 
 
 def _knots(kind: str, n: int) -> np.ndarray:
@@ -34,11 +43,25 @@ class TestFitCubic:
         ref = CubicSpline(x, y)
         fit = fit_cubic(x, y)
         assert fit.c.shape == (4, n - 1) + trailing
+        pts = np.linspace(x[0] - 0.5, x[-1] + 0.5, 57)
+        if n == 3:
+            # scipy solves the 3-knot system with a dense LU, fit_cubic
+            # with the tridiagonal elimination every other size takes:
+            # another order of operations on a 3x3, so the slopes agree
+            # to rounding — within 8 ulp of the largest on these grids
+            # (measured: 4; up to 64 on 20 000 random ill-spaced ones) —
+            # and the parabola's cubic coefficient is noise in both.
+            # The one size where array_equal is relaxed.
+            scale = np.max(np.abs(ref.c[2]))
+            assert np.max(np.abs(fit.c[2] - ref.c[2])) \
+                <= 8 * np.spacing(scale)
+            np.testing.assert_allclose(fit(pts), ref(pts), rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(y)))
+            return
         assert np.array_equal(fit.c, ref.c)
         # the solved slopes are the first derivatives at the knots
         # (the last knot belongs to the last piece's right end)
         assert np.array_equal(fit.c[2], ref.derivative(1)(x)[:-1])
-        pts = np.linspace(x[0] - 0.5, x[-1] + 0.5, 57)
         assert np.array_equal(fit(pts), ref(pts))
         for nu in (1, 2):
             assert np.array_equal(fit.derivative(nu)(pts),
@@ -64,6 +87,152 @@ class TestFitCubic:
         x0, y0 = x.copy(), y.copy()
         fit_cubic(x, y)
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+def _jump_grid(n: int, seed: int, ratio: float) -> np.ndarray:
+    """``n`` knots of jittered spacing with, at two seeded places, a
+    spacing ``ratio`` times its neighbours'.  The elimination
+    interchanges rows where a spacing exceeds twice the sum of the two
+    before it (less the fill): from 8x on, always."""
+    rng = np.random.default_rng(seed)
+    dx = rng.uniform(0.8, 1.25, n - 1)
+    dx[rng.integers(0, n - 1, 2)] *= ratio
+    return np.concatenate(([0.0], np.cumsum(dx)))
+
+
+class TestTridiagonalSolve:
+    """The compiled ``tridiag_solve`` and its python twin are reference
+    LAPACK's ``DGTSV``: the factors and the solution, not only the
+    solution, are ``array_equal`` to ``scipy.linalg.lapack.dgtsv``'s."""
+
+    @staticmethod
+    def system(n, nrhs, seed, ratio):
+        """The not-a-knot system ``fit_cubic`` assembles on a jump grid
+        (a 2x2 it never assembles, for n = 2), as handed to the solve."""
+        rng = np.random.default_rng([seed, n, nrhs])
+        if n == 2:
+            return (rng.normal(size=1), rng.normal(size=2),
+                    rng.normal(size=1), rng.normal(size=(2, nrhs)))
+        taken = []
+        solve = fastspline._solve_tridiagonal
+
+        def recording(lower, diag, upper, b):
+            taken.append([a.copy() for a in (lower, diag, upper, b)])
+            return solve(lower, diag, upper, b)
+
+        fastspline._solve_tridiagonal = recording
+        try:
+            fit_cubic(_jump_grid(n, seed, ratio), rng.normal(size=(n, nrhs)))
+        finally:
+            fastspline._solve_tridiagonal = solve
+        (system,) = taken
+        return system
+
+    @pytest.mark.parametrize("nrhs", [1, 300])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6000])
+    @given(seed=st.integers(0, 2**32 - 1), ratio=st.floats(8.0, 40.0))
+    @settings(max_examples=12, deadline=None)
+    def test_twins_are_lapacks_dgtsv(self, n, nrhs, seed, ratio):
+        from scipy.linalg.lapack import dgtsv
+
+        dl, d, du, b = self.system(n, nrhs, seed, ratio)
+        want = dgtsv(dl, d, du, b)
+        assert want[-1] == 0
+        # the python twin, on lists
+        rows = b[:, 0].tolist() if nrhs == 1 else list(b.copy())
+        lists = dl.tolist(), d.tolist(), du.tolist(), rows
+        assert fastspline._tridiag_solve(*lists) == 0
+        python = [np.array(lists[0]), np.array(lists[1]),
+                  np.array(lists[2]), np.reshape(rows, b.shape)]
+        # rows were interchanged: the fill is a second superdiagonal
+        # (the last row's interchange leaves none; n = 5 may have no
+        # other)
+        if n == 6000:
+            assert np.count_nonzero(python[0][:n - 2]) >= 1
+        for got, ref in zip(python, want):
+            assert np.array_equal(got, ref)
+        if _cext.get_cext() is None:
+            return
+        compiled = [a.copy() for a in (dl, d, du, b)]
+        assert _cext.get_cext().tridiag_raw(
+            n, nrhs, *(a.ctypes.data for a in compiled)) == 0
+        for got, ref in zip(compiled, python):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_small_grids_do_interchange_rows(self, monkeypatch, n):
+        """n = 4 and 5 reach the pivoting branch too, on a grid built
+        to: a third spacing 30x the first two."""
+        from scipy.interpolate import CubicSpline
+
+        x = np.array([0.0, 1.0, 2.0, 32.0, 33.0][:n])
+        compiled = fit_cubic(x, np.cos(x)).c
+        fills = []
+        solve = fastspline._tridiag_solve
+
+        def recording(lower, diag, upper, rows):
+            info = solve(lower, diag, upper, rows)
+            fills.extend(lower[:n - 2])
+            return info
+
+        monkeypatch.setattr(fastspline, "_tridiag_solve", recording)
+        monkeypatch.setattr(_cext, "get_cext", lambda: None)
+        python = fit_cubic(x, np.cos(x)).c
+        assert any(v != 0.0 for v in fills)
+        assert np.array_equal(python, compiled)
+        assert np.array_equal(python, CubicSpline(x, np.cos(x)).c)
+
+    @pytest.mark.parametrize("path", ["compiled", "python"])
+    def test_zero_pivot_is_reported_not_divided_by(self, monkeypatch, path):
+        if path == "python":
+            monkeypatch.setattr(_cext, "get_cext", lambda: None)
+        with pytest.raises(ParameterError, match="zero pivot in row 1"):
+            fastspline._solve_tridiagonal(
+                np.array([0.0, 1.0]), np.array([0.0, 1.0, 1.0]),
+                np.array([1.0, 1.0]), np.ones((3, 1)))
+        with pytest.raises(ParameterError, match="zero pivot in row 3"):
+            fastspline._solve_tridiagonal(
+                np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0]),
+                np.array([0.0, 1.0]), np.ones((3, 2)))
+
+
+class TestPiecewiseCubic:
+    """Values and derivatives of the evaluator are ``PPoly``'s, bit for
+    bit: inside, at the breakpoints, beyond both ends, for scalar and
+    array arguments, with and without trailing axes."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           order=st.integers(1, 4),
+           trailing=st.sampled_from([(), (3,), (2, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_values_and_derivatives_are_ppolys(self, seed, n, order,
+                                               trailing):
+        from scipy.interpolate import PPoly
+
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 2.0, n))
+        c = rng.normal(size=(order, n - 1) + trailing)
+        ours, ref = PiecewiseCubic(c, x), PPoly(c, x)
+        span = x[-1] - x[0]
+        pts = np.concatenate((
+            x,                                        # every breakpoint
+            np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            rng.uniform(x[0], x[-1], 25),             # inside
+            [x[0] - span, x[0] - 1e-9, x[-1] + 1e-9, x[-1] + 3 * span],
+            [np.nan]))
+        for nu in (0, 1, 2, 3):
+            a = ours if nu == 0 else ours.derivative(nu)
+            b = ref if nu == 0 else ref.derivative(nu)
+            assert np.array_equal(a.c, b.c)
+            assert np.array_equal(a(pts), b(pts), equal_nan=True)
+            shaped = pts[:12].reshape(3, 4)
+            assert a(shaped).shape == (3, 4) + trailing
+            assert np.array_equal(a(shaped), b(shaped))
+            for scalar in (float(x[0]), float(pts[-3]), float(x[-1]),
+                           0.5 * float(x[0] + x[-1])):
+                got = a(scalar)
+                assert np.shape(got) == trailing
+                assert np.array_equal(got, b(scalar))
 
 
 class TestUniformGridCubic:

@@ -257,18 +257,18 @@ def test_forked_ranks_inherit_a_resolved_kernel(monkeypatch, tmp_path, scdm,
     instead of every child doing so first thing on its critical path."""
     import os
 
-    from repro.perturbations import _rhs_cext
+    from repro import _cext
 
     pids = tmp_path / "pids"
-    build = _rhs_cext._build
+    build = _cext._build
 
     def recording_build():
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return build()
 
-    monkeypatch.setattr(_rhs_cext, "_build", recording_build)
-    _rhs_cext.reset_cext()
+    monkeypatch.setattr(_cext, "_build", recording_build)
+    _cext.reset_cext()
     kg = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
     cfg = LingerConfig(record_sources=False, keep_mode_results=False,
                        rtol=1e-3, lmax_photon=8, lmax_nu=8)

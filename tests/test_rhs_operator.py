@@ -47,7 +47,7 @@ from repro.perturbations import (
     adiabatic_initial_conditions,
     evolve_mode,
 )
-from repro.perturbations._rhs_cext import get_cext
+from repro._cext import get_cext
 from repro.perturbations.evolve import tau_initial
 from repro.perturbations.operator import (
     KERNELS,
@@ -264,16 +264,29 @@ def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
 
 @functools.cache
 def _thermal_right_hand_sides():
-    """(python ``_rhs``, compiled callback) of four cosmologies: flat
-    CDM, a massive species (the nu table and its clip), a cosmological
-    constant, and a non-zero curvature term."""
+    """(python ``_rhs``, compiled ``thermo_rhs`` in its signature) of
+    four cosmologies: flat CDM, a massive species (the nu table and its
+    clip), a cosmological constant, and a non-zero curvature term."""
     from repro import Background, ThermalHistory
     from repro.params import lambda_cdm, mixed_dark_matter, standard_cdm
+
+    thermo_rhs = get_cext().thermo_rhs_raw
+
+    def compiled(thermo):
+        block, nu_pack, out = thermo._compiled_args()
+
+        def rhs(lna, x_h, t_b):
+            thermo_rhs(block.ctypes.data,
+                       None if nu_pack is None else nu_pack.ctypes.data,
+                       lna, x_h, t_b, out.ctypes.data)
+            return tuple(out[:2].tolist())
+
+        return rhs
 
     histories = [ThermalHistory(Background(p)) for p in (
         standard_cdm(), mixed_dark_matter(omega_nu=0.2), lambda_cdm(),
         standard_cdm(omega_c=0.7))]
-    return [(th._rhs, th._compiled_rhs()[0]) for th in histories]
+    return [(th._rhs, compiled(th)) for th in histories]
 
 
 @pytest.mark.property
@@ -296,9 +309,10 @@ def test_cext_thermo_rhs_is_the_python_rhs(lna, x_h, lg_t):
     from under its floor, through the Saha underflow and both Peebles
     cut-offs, to full ionization (bytes, not ``==``: a fully ionized
     cold state is inf / inf in both)."""
-    y = np.array([x_h, 10.0 ** lg_t])
+    t_b = 10.0 ** lg_t
     for python, compiled in _thermal_right_hand_sides():
-        assert compiled(lna, y).tobytes() == np.array(python(lna, y)).tobytes()
+        assert np.array(compiled(lna, x_h, t_b)).tobytes() \
+            == np.array(python(lna, x_h, t_b)).tobytes()
 
 
 @pytest.mark.skipif("cext" not in available_kernels(),

@@ -151,3 +151,27 @@ class TestExactHitBitwise:
         _l2, cl2 = spectrum_product(scdm, linger_small.kgrid.k,
                                     linger_small.payloads)
         np.testing.assert_array_equal(cl2, cl)
+
+
+class TestSolverRevision:
+    def test_results_of_an_earlier_solver_are_never_served(
+            self, scdm, tmp_path, monkeypatch):
+        """The request digest carries the revision of the solver behind
+        the spectrum (the precompute cache's thermal key always did): a
+        store filled under revision N is a miss under N + 1 — the bits
+        it holds are the old tables' — and a hit again under N."""
+        from repro.revision import SOLVER_REVISION
+        from repro.serve import protocol
+
+        request = ServeRequest(params=scdm)
+        assert request.shape()["solver"] == SOLVER_REVISION
+        assert "solver" not in request.to_doc()  # each side states its own
+        monkeypatch.setattr(protocol, "SOLVER_REVISION", SOLVER_REVISION - 1)
+        older = request.digest()
+        ResultStore(tmp_path).put(older, _entry(3.0))
+        assert ResultStore(tmp_path).get(request.digest()) is not None
+        monkeypatch.undo()
+        assert request.digest() != older
+        assert ResultStore(tmp_path).get(request.digest()) is None
+        monkeypatch.setattr(protocol, "SOLVER_REVISION", SOLVER_REVISION - 1)
+        assert ResultStore(tmp_path).get(request.digest()) is not None

@@ -1,6 +1,6 @@
 """The compiled DVERK step loop against the python driver, bit for bit.
 
-``integrate_phase`` (C, in the ``_rhs_cext`` shared object) is a
+``integrate_phase`` (C, in the ``repro._cext`` shared object) is a
 transcription of ``RKDriver.integrate`` under the arithmetic contract of
 ``repro.integrators.contract``, its stages calling the tight-coupling
 or the full right-hand side.  These tests hold it, in both phases, to
@@ -35,7 +35,7 @@ from repro.perturbations import (
     default_record_grid,
     evolve_mode,
 )
-from repro.perturbations._rhs_cext import get_cext
+from repro._cext import get_cext
 from repro.perturbations.evolve import (
     find_tca_exit,
     integrate_phase,
@@ -355,11 +355,12 @@ def test_auto_without_a_compiler_warns_once_and_runs_python(
         monkeypatch, caplog, bg_scdm, thermo_scdm):
     """Aim 4: the ~100x fallback is announced when it happens, with the
     build's reason, once per process."""
-    from repro.perturbations import _rhs_cext, operator
+    from repro import _cext
+    from repro.perturbations import operator
 
     monkeypatch.setenv("CC", "/nonexistent/cc")
     monkeypatch.setattr(operator, "_warned_auto_python", False)
-    _rhs_cext.reset_cext()
+    _cext.reset_cext()
     try:
         with caplog.at_level(logging.WARNING, logger="repro.kernel"):
             assert operator.resolve_kernel("auto") == "python"
@@ -373,4 +374,4 @@ def test_auto_without_a_compiler_warns_once_and_runs_python(
         assert mode.system.op.evals["cext"] == 0
     finally:
         monkeypatch.undo()
-        _rhs_cext.reset_cext()
+        _cext.reset_cext()

@@ -178,6 +178,15 @@ class TestRunReport:
         p = r.save(tmp_path / "report.json")
         assert RunReport.load(p).to_dict() == r.to_dict()
 
+    def test_counters_under_retired_names_still_load(self):
+        """Counters are plain names: a report written while the thermal
+        solve was LSODA's loads, its rows as it wrote them."""
+        doc = self._sample().to_dict()
+        doc["counters"] = {"thermo.lsoda_rhs_evals": 1000,
+                           "thermo.lsoda_rhs_compiled": 1000}
+        back = RunReport.from_json(json.dumps(doc))
+        assert back.counters == doc["counters"]
+
     def test_worker_utilization(self):
         r = self._sample()
         assert r.workers[0].utilization == pytest.approx(0.75)

@@ -19,36 +19,37 @@ from repro import (
     mixed_dark_matter,
     standard_cdm,
 )
+from repro import _cext
 from repro import constants as const
 from repro.errors import IntegrationError
-from repro.perturbations import operator
 from repro.thermo import (
     PeeblesRates,
     history,
+    radau,
     recombination,
     saha_electron_fraction,
 )
 from repro.thermo.recombination import _saha_factor, _saha_sweeps
 
 #: Thermal tables of three models, written by the *parent* of the PR
-#: that replaced the Saha root-finder (the commit is named inside the
-#: file).  Unlike ``golden_{cl,tk}.json`` there is no ``--regen``: the
-#: file is only worth something while it predates the solver under
-#: test.  To re-pin after an intended change of the equations, run
+#: that last replaced a solver behind them — the Saha root-finder, then
+#: LSODA by the Radau stepper (the commit is named inside the file).
+#: Unlike ``golden_{cl,tk}.json`` there is no ``--regen``: the file is
+#: only worth something while it predates the solver under test.  To re-pin after an intended change of the equations, run
 #: ``python -m tests.test_thermo <commit>`` with ``PYTHONPATH`` on the
 #: *old* ``src`` and say so in the commit.
 GOLDEN_THERMO = Path(__file__).parent / "data" / "golden_thermo.json"
 
-needs_cc = pytest.mark.skipif(
-    "cext" not in operator.available_kernels(), reason="no C compiler")
+needs_cc = pytest.mark.skipif(_cext.get_cext() is None,
+                              reason="no C compiler")
 
 
 @pytest.fixture()
 def python_rhs(monkeypatch):
-    """Builds as a process without the compiled object makes them, LSODA
-    calling back ``ThermalHistory._rhs``: the build asks the engine's
-    own ``available_kernels``, where it lives."""
-    monkeypatch.setattr(operator, "available_kernels", lambda: ("python",))
+    """Builds as a process without the compiled object makes them: the
+    python stepper over ``ThermalHistory._rhs``, the python tridiagonal
+    solve under every spline (and the python engine, were one run)."""
+    monkeypatch.setattr(_cext, "get_cext", lambda: None)
 
 
 def thermo_snapshot(thermo, rows=None) -> dict:
@@ -271,9 +272,13 @@ class TestSahaSolver:
                             counting_solve)
         thermo = ThermalHistory(bg_scdm)
         counts = thermo._build_counts
-        # the ODE callback solves one epoch at a time ...
-        assert len(per_call) == counts["lsoda_rhs_evals"] > 500
-        assert counts["lsoda_rhs_compiled"] == 0
+        # the ODE right-hand side solves one epoch at a time (LSODA took
+        # 1000 evaluations to an error of 1.8e-7 in x_H; the Radau
+        # stepper takes these to 3e-9) ...
+        assert len(per_call) == counts["ode_rhs_evals"]
+        assert 4500 < counts["ode_rhs_evals"] < 6000
+        assert 450 < counts["ode_steps"] < 700 and counts["ode_rejected"] < 30
+        assert counts["ode_rhs_compiled"] == 0
         assert sum(per_call) / len(per_call) <= 4.0
         assert max(per_call) < recombination._SAHA_MAX_ITER
         # ... the two grid passes a whole array per residual evaluation
@@ -303,15 +308,16 @@ class TestSahaSolver:
 
 
 class TestCompiledRhs:
-    """LSODA over the compiled ``thermo_rhs`` is LSODA over ``_rhs``:
-    the same doubles handed back, so the same steps and the same
-    tables.  (The function itself is pinned to ``_rhs`` state by state
-    in ``tests/test_rhs_operator.py``.)"""
+    """The compiled ``thermo_ode`` over the compiled ``thermo_rhs`` is
+    ``radau.integrate`` over ``_rhs``: the same doubles at every
+    expression, so the same steps and the same tables.  (The right-hand
+    side itself is pinned to ``_rhs`` state by state in
+    ``tests/test_rhs_operator.py``.)"""
 
     @needs_cc
     def test_compiled_build_makes_every_evaluation(self, thermo_scdm):
         counts = thermo_scdm._build_counts
-        assert counts["lsoda_rhs_compiled"] == counts["lsoda_rhs_evals"] > 500
+        assert counts["ode_rhs_compiled"] == counts["ode_rhs_evals"] > 4500
 
     @needs_cc
     @pytest.mark.parametrize("params, kwargs", [
@@ -331,24 +337,62 @@ class TestCompiledRhs:
         want = python.to_tables()
         for name, got in compiled.to_tables().items():
             assert np.array_equal(got, want[name], equal_nan=True), name
-        evals = python._build_counts["lsoda_rhs_evals"]
-        assert python._build_counts["lsoda_rhs_compiled"] == 0
+        evals = python._build_counts["ode_rhs_evals"]
+        assert python._build_counts["ode_rhs_compiled"] == 0
         assert compiled._build_counts == {
-            **python._build_counts, "lsoda_rhs_compiled": evals}
+            **python._build_counts, "ode_rhs_compiled": evals}
+
+    @pytest.mark.parametrize("params", [
+        standard_cdm(), mixed_dark_matter(omega_nu=0.2)],
+        ids=["standard_cdm", "mixed_dark_matter"])
+    def test_solve_is_at_least_as_accurate_as_the_one_it_replaced(
+            self, params):
+        """scipy as the oracle: LSODA at ``rtol=1e-12`` over the same
+        ``_rhs``.  The bounds are the errors of the ``odeint`` call this
+        stepper replaced (measured: 3e-9 / 6.5e-8)."""
+        from scipy.integrate import solve_ivp
+
+        thermo = ThermalHistory(Background(params))
+        tables = thermo.to_tables()
+        i_switch = int(np.argmax(tables["x_h"] < 0.985))
+        grid = tables["lna"][i_switch:]
+        ref = solve_ivp(
+            lambda lna, y: thermo._rhs(lna, *y.tolist()),
+            (grid[0], grid[-1]),
+            [tables["x_h"][i_switch], tables["t_b"][i_switch]],
+            method="LSODA", rtol=1e-12, atol=[1e-16, 1e-14], t_eval=grid)
+        assert ref.success
+        err_x_h = np.max(np.abs(tables["x_h"][i_switch:] / ref.y[0] - 1.0))
+        err_t_b = np.max(np.abs(tables["t_b"][i_switch:] / ref.y[1] - 1.0))
+        assert err_x_h <= 1.8e-7 and err_t_b <= 3.3e-7
+        assert err_x_h <= 2e-8  # closer than LSODA was, not merely as close
+
+    @pytest.mark.parametrize("path", [
+        pytest.param("compiled", marks=needs_cc), "python"])
+    def test_a_solve_that_cannot_advance_raises(self, monkeypatch, request,
+                                                bg_scdm, path):
+        if path == "python":
+            request.getfixturevalue("python_rhs")
+        monkeypatch.setattr(radau, "MAX_ATTEMPTS", 50)
+        with pytest.raises(IntegrationError,
+                           match="ODE failed: no end after 50 steps"):
+            ThermalHistory(bg_scdm)
 
     @needs_cc
     def test_failed_compile_ends_on_the_python_build(self, tmp_path,
                                                      bg_scdm, thermo_scdm):
-        """One ``available_kernels()`` for the engine and this build: a
-        process whose compile failed past its retries takes ``_rhs``."""
+        """One compiled object for the engine and this build: a process
+        whose compile failed past its retries takes the python stepper
+        over ``_rhs``."""
         from repro.chaos import ChaosPolicy, active
-        from repro.perturbations._rhs_cext import private_cache
+        from repro._cext import private_cache
+        from repro.perturbations import available_kernels
 
         with private_cache(tmp_path), active(ChaosPolicy(compile_faults=3)):
             fallback = ThermalHistory(bg_scdm)
-            assert operator.available_kernels() == ("python",)
-        assert fallback._build_counts["lsoda_rhs_compiled"] == 0
-        assert thermo_scdm._build_counts["lsoda_rhs_compiled"] > 500
+            assert available_kernels() == ("python",)
+        assert fallback._build_counts["ode_rhs_compiled"] == 0
+        assert thermo_scdm._build_counts["ode_rhs_compiled"] > 4500
         want = thermo_scdm.to_tables()
         for name, got in fallback.to_tables().items():
             assert np.array_equal(got, want[name], equal_nan=True), name
@@ -372,7 +416,7 @@ class TestCompiledRhs:
 
         monkeypatch.setattr(history, "_saha_sweeps", uncapped_sweeps)
         monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 2)
-        assert ThermalHistory(bg_scdm)._build_counts["lsoda_rhs_evals"] > 500
+        assert ThermalHistory(bg_scdm)._build_counts["ode_rhs_evals"] > 4500
         monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
         with pytest.raises(IntegrationError,
                            match="did not converge in 1 iterations"):
@@ -382,18 +426,24 @@ class TestCompiledRhs:
     def test_status_and_count_slots_only_grow(self, monkeypatch,
                                               thermo_scdm):
         monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
-        rhs, out = thermo_scdm._compiled_rhs()
+        block, nu_pack, out = thermo_scdm._compiled_args()
+        assert nu_pack is None
+
+        def rhs(lna, state):
+            _cext.get_cext().thermo_rhs_raw(
+                block.ctypes.data, None, lna, *state, out.ctypes.data)
+
         lna = np.log(1.0 / 1800.0)
         # helium still recombining: the hydrogen-only start is not the root
-        hot, cold = np.array([0.99, 5000.0]), np.array([1e-3, 30.0])
+        hot, cold = (0.99, 5000.0), (1e-3, 30.0)
         with pytest.raises(IntegrationError):
-            thermo_scdm._rhs(lna, hot)
+            thermo_scdm._rhs(lna, *hot)
         rhs(lna, cold)  # hydrogen's factor underflows: no iteration
-        assert out[2:].tolist() == [0.0, 1.0]
+        assert out[2:4].tolist() == [0.0, 1.0]
         rhs(lna, hot)
-        assert out[2:].tolist() == [1.0, 2.0]
+        assert out[2:4].tolist() == [1.0, 2.0]
         rhs(lna, cold)
-        assert out[2:].tolist() == [1.0, 3.0]
+        assert out[2:4].tolist() == [1.0, 3.0]
 
 
 class TestGoldenThermo:
@@ -422,8 +472,10 @@ class TestGoldenThermo:
             g, w = np.asarray(got[name]), np.asarray(want[name])
             # before the switch only the Saha solver acts ...
             np.testing.assert_allclose(g[saha], w[saha], rtol=1e-12, atol=0)
-            # ... after it LSODA's rtol=1e-8 / atol set the floor
-            np.testing.assert_allclose(g[~saha], w[~saha], rtol=1e-6, atol=0)
+            # ... after it the golden is LSODA's at rtol=1e-8, 1.8e-7 /
+            # 3.3e-7 from the converged solution, and the stepper under
+            # test is closer to that than to the golden
+            np.testing.assert_allclose(g[~saha], w[~saha], rtol=5e-7, atol=0)
 
 
 class TestHistoryLifetime:
@@ -442,9 +494,10 @@ class TestHistoryLifetime:
             thermo_scdm.tau_rec, thermo_scdm.z_rec, thermo_scdm.tau_reion)
 
     def test_background_freed_by_refcount_alone(self, scdm):
-        """scipy's LSODA wrapper outlives the build as cyclic garbage;
-        if its callback held the history or the Background strongly,
-        each discarded build would pin a few MB until a full gc pass."""
+        """Nothing the build hands the stepper (the bound ``_rhs``, the
+        parameter block) may tie the history or the Background into a
+        cycle: each discarded build would pin a few MB until a full gc
+        pass."""
         gc.collect()
         gc.disable()
         try:
@@ -458,11 +511,10 @@ class TestHistoryLifetime:
 
 
     def test_concurrent_builds_match_serial_builds(self):
-        """``WarmPool`` builds tables on threads, and LSODA's python
-        callback can lose the interpreter at any bytecode: histories of
-        different cosmologies built at once must not share solver
-        state (pyproject admits scipy releases older than the one this
-        was written against)."""
+        """``WarmPool`` builds tables on threads, and the compiled solve
+        releases the interpreter for its whole length: histories of
+        different cosmologies built at once must not share solver state
+        (neither stepper keeps any: every buffer is the call's own)."""
         models = [standard_cdm(), mixed_dark_matter(omega_nu=0.2),
                   lambda_cdm(), standard_cdm(h=0.7, omega_b=0.03),
                   standard_cdm(h=0.6), standard_cdm(omega_b=0.08)]
