@@ -11,7 +11,7 @@ fit, usually) — carries three entry points over one packed ABI (see
   evaluation order ``tests/reference_packed_rhs.py`` pins; one body,
   which differs between the two only in the photon-baryon sector;
 * ``integrate_phase`` — one lane's whole phase (either one): the
-  Verner stages calling that phase's RHS in-process, error norm, PI
+  Verner stages calling that phase's RHS in-process, error norm, step
   controller, stop points, accept/reject.  A transcription of
   ``RKDriver.integrate`` under the arithmetic contract of
   :mod:`repro.integrators.contract`, bitwise equal to it.
@@ -57,10 +57,30 @@ import tempfile
 import threading
 
 __all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
-           "CextKernel", "BUILD_EVENTS", "C_SOURCE"]
+           "CextKernel", "BUILD_EVENTS", "C_SOURCE", "CFLAGS"]
 
 C_SOURCE = r"""
 #include <math.h>
+
+/* The fused thermo lookup: exp of the cubic whose coefficients c3..c0 are
+ * rows [row, row + 4) of th_c — 0: ln kappa', 4: ln cs2 — at ln a on the
+ * uniform grid, UniformGridCubic.__call__'s index arithmetic and Horner
+ * grouping. */
+static inline double thermo_exp(const long long *ints, const double *flts,
+                                const double *th_c, long long row,
+                                double lna)
+{
+    const long long th_n = ints[14];
+    const double th_x0 = flts[12], th_dx = flts[13];
+    const double *c = th_c + row * th_n;
+    long long ti = (long long)((lna - th_x0) / th_dx);
+    double u;
+    if (ti < 0) ti = 0;
+    if (ti > th_n - 1) ti = th_n - 1;
+    u = lna - (th_x0 + ti * th_dx);
+    return exp(((c[ti] * u + c[th_n + ti]) * u + c[2 * th_n + ti]) * u
+               + c[3 * th_n + ti]);
+}
 
 /* The packed-ABI synchronous-gauge right-hand side of either phase; see
  * BoltzmannOperator.pack for the layout contract.  Lanes b in [b0, b1);
@@ -84,12 +104,11 @@ static inline void rhs_eval(const long long *ints, const double *flts,
     const long long i_psi = ints[9];
     const long long adv0 = ints[10], adv1 = ints[11];
     const long long damp0 = ints[12], damp1 = ints[13];
-    const long long th_n = ints[14], rf_n = ints[15];
+    const long long rf_n = ints[15];
     const double gr_m = flts[0], gr_gnl = flts[1], gr_lam = flts[2];
     const double gr_k = flts[3], gr_c = flts[4], gr_b = flts[5];
     const double gr_g = flts[6], gr_nl = flts[7], gr_nu_rel = flts[8];
     const double r_coef = flts[9], x0 = flts[10], irho = flts[11];
-    const double th_x0 = flts[12], th_dx = flts[13];
     const double rf_x0 = flts[14], rf_dx = flts[15];
     const long long W = adv1 - adv0;
     const double *q = nu_pack, *dlnf = nu_pack + nq;
@@ -129,18 +148,9 @@ static inline void rhs_eval(const long long *ints, const double *flts,
         }
         const double hc = sqrt(grho + gr_k);
 
-        /* fused thermo lookup */
         const double lna = log(a);
-        long long ti = (long long)((lna - th_x0) / th_dx);
-        if (ti < 0) ti = 0;
-        if (ti > th_n - 1) ti = th_n - 1;
-        const double u = lna - (th_x0 + ti * th_dx);
-        const double kap = exp(
-            ((th_c[ti] * u + th_c[th_n + ti]) * u + th_c[2 * th_n + ti]) * u
-            + th_c[3 * th_n + ti]);
-        const double cs2 = exp(
-            ((th_c[4 * th_n + ti] * u + th_c[5 * th_n + ti]) * u
-             + th_c[6 * th_n + ti]) * u + th_c[7 * th_n + ti]);
+        const double kap = thermo_exp(ints, flts, th_c, 0, lna);
+        const double cs2 = thermo_exp(ints, flts, th_c, 4, lna);
 
         /* metric sources (Einstein constraints) */
         const double inv_a = 1.0 / a;
@@ -300,33 +310,50 @@ double pairwise_sum(const double *a, long long n)
     }
 }
 
-#define MAX_STAGES 16
-
-/* sum_j w[j] * k[j] over the non-zero weights, left to right */
-static inline double wsum(const double *w, const long long *idx,
-                          long long cnt, const double *K, long long n,
-                          long long c)
+/* acc[c] = sum_j w[j] * K[j][c] over the non-zero weights, left to right
+ * in j, a row of K at a time: every component sees the rounded multiplies
+ * and adds of the arithmetic contract's rule 1 in its order, over
+ * contiguous c, which is what lets the compiler vectorise them (the same
+ * elementwise IEEE operations at any width). */
+static inline void row_sum(const double *restrict w, long long s,
+                           const double *restrict K, long long n,
+                           double *restrict acc)
 {
-    long long m;
-    double acc = w[idx[0]] * K[idx[0] * n + c];
-    for (m = 1; m < cnt; m++)
-        acc += w[idx[m]] * K[idx[m] * n + c];
-    return acc;
+    long long j, c, first = 1;
+    for (j = 0; j < s; j++) {
+        const double wj = w[j];
+        const double *restrict Kj = K + j * n;
+        if (wj == 0.0) continue;
+        if (first)
+            for (c = 0; c < n; c++) acc[c] = wj * Kj[c];
+        else
+            for (c = 0; c < n; c++) acc[c] += wj * Kj[c];
+        first = 0;
+    }
 }
 
-static inline double pi_factor(double err_norm, double prev_err,
-                               const double *ctl)
+/* StepController.factor */
+static inline double step_factor(double err_norm, const double *ctl)
 {
     const double order = ctl[7], safety = ctl[8];
-    const double min_factor = ctl[9], max_factor = ctl[10], beta = ctl[11];
-    double k, fac;
+    const double min_factor = ctl[9], max_factor = ctl[10];
+    double fac;
     if (err_norm == 0.0) return max_factor;
-    k = 1.0 / order;
-    fac = safety * pow(err_norm, -(k - beta)) * pow(prev_err, -beta);
+    fac = safety * pow(err_norm, -(1.0 / order));
     if (fac < min_factor) fac = min_factor;
     if (fac > max_factor) fac = max_factor;
     return fac;
 }
+
+/* integrate_phase alone is built twice, for AVX2 and for the baseline,
+ * and glibc's loader picks by cpuid: its loops are elementwise IEEE
+ * multiplies and adds, the same at any width, and contraction stays off,
+ * so no clone can move a bit. */
+#if defined(__GNUC__) && defined(__x86_64__) && defined(__GLIBC__)
+#define PHASE_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define PHASE_CLONES
+#endif
 
 /* One phase of one lane: RKDriver.integrate transcribed under the
  * arithmetic contract (repro/integrators/contract.py), its stages calling
@@ -334,15 +361,21 @@ static inline double pi_factor(double err_norm, double prev_err,
  *
  *   tab   s*s stage matrix, then b_high, error weights, c (s each)
  *   ctl   t0, t1, rtol, atol, max_step, min_step, first_step (NaN:
- *         choose), order_low + 1, safety, min_factor, max_factor, beta
+ *         choose), order_low + 1, safety, min_factor, max_factor,
+ *         STABILITY_FRACTION * real_stability (NaN: no bound; else every
+ *         attempt keeps h * kappa'(1 + r) at or under it, the driver's
+ *         stiff_rate = PerturbationSystem.thomson_rate, formed here from
+ *         y[0] by the RHS's own thermo lookup)
  *   stops ascending stop points in (t0, t1], the last one equal to t1
  *   y     in: state at t0; out: state at t1
  *   rows  out: the state at every stop point, (n_stops, n)
- *   work  (s + 4) * n doubles, zeroed by the caller; nothing is static
- *   out   accepted steps, rejected steps, RHS evaluations, rows written
+ *   work  (s + 5) * n doubles, zeroed by the caller; nothing is static
+ *   out   accepted steps, rejected steps, RHS evaluations, rows written,
+ *         attempts whose step the stability bound set
  *
  * Returns 0, or the python driver's failure: 1 max_steps reached,
  * 2 step underflow before a step, 3 step underflow after a rejection. */
+PHASE_CLONES
 long long integrate_phase(const long long *ints, const double *flts,
                           const double *th_c, const double *lane_c,
                           const double *adv_lo, const double *adv_hi,
@@ -358,24 +391,19 @@ long long integrate_phase(const long long *ints, const double *flts,
     const long long n = ints[1];
     const double t0 = ctl[0], t1 = ctl[1], rtol = ctl[2], atol = ctl[3];
     const double max_step = ctl[4], min_step = ctl[5], first_step = ctl[6];
+    const double stable_z = ctl[11], r_coef = flts[9];
     const double *b_high = tab + s * s, *e_w = b_high + s, *cs = e_w + s;
     double *K = work, *yi = K + s * n, *ya = yi + n, *yb = ya + n;
-    double *sq = yb + n, *ycur = ya, *ynew = yb, *swap;
-    long long idx[MAX_STAGES + 2][MAX_STAGES], cnt[MAX_STAGES + 2];
-    long long n_steps = 0, n_rejected = 0, n_rhs = 0, istop = 0;
-    long long status = 0, i, j, c, finite;
-    double t = t0, next_stop = stops[0], h, prev_err = 1.0, err_norm, ts;
+    double *sq = yb + n, *acc = sq + n, *ycur = ya, *ynew = yb, *swap;
+    long long n_steps = 0, n_rejected = 0, n_rhs = 0, istop = 0, n_bound = 0;
+    long long status = 0, i, c, finite;
+    double t = t0, next_stop = stops[0], h, err_norm, ts;
+    double h_stable = INFINITY;
 
 #define RHS(tt, yy, dd) rhs(ints, flts, th_c, lane_c, adv_lo, adv_hi, \
                             nu_pack, mnu_pack, rf_c, (tt), (yy), (dd), \
                             lane, lane + 1)
 
-    for (i = 0; i < s + 2; i++) {
-        const double *w = i < s ? tab + i * s : (i == s ? b_high : e_w);
-        cnt[i] = 0;
-        for (j = 0; j < s; j++)
-            if (w[j] != 0.0) idx[i][cnt[i]++] = j;
-    }
     for (c = 0; c < n; c++) ycur[c] = y[c];
 
     /* f0 and the initial step */
@@ -403,28 +431,37 @@ long long integrate_phase(const long long *ints, const double *flts,
     while (t < t1) {
         if (n_steps >= max_steps) { status = 1; break; }
         if (max_step < h) h = max_step;
+        if (stable_z == stable_z) {
+            /* PerturbationSystem.thomson_rate: kappa' (1 + r) */
+            const double a = ycur[0];
+            const double lam = thermo_exp(ints, flts, th_c, 0, log(a))
+                               * (1.0 + r_coef / a);
+            h_stable = lam > 0.0 ? stable_z / lam : INFINITY;
+            if (h_stable < h) h = h_stable;
+        }
         if (next_stop - t < h) h = next_stop - t;
+        if (h == h_stable) n_bound++;
         if (h <= 0.0 || t + h == t) { status = 2; break; }
 
         /* one trial step */
         RHS(&t, ycur, K);
         for (i = 1; i < s; i++) {
-            for (c = 0; c < n; c++)
-                yi[c] = ycur[c] + h * wsum(tab + i * s, idx[i], cnt[i],
-                                           K, n, c);
+            row_sum(tab + i * s, s, K, n, acc);
+            for (c = 0; c < n; c++) yi[c] = ycur[c] + h * acc[c];
             ts = t + cs[i] * h;
             RHS(&ts, yi, K + i * n);
         }
         n_rhs += s;
+        row_sum(b_high, s, K, n, acc);
         finite = 1;
         for (c = 0; c < n; c++) {
-            ynew[c] = ycur[c] + h * wsum(b_high, idx[s], cnt[s], K, n, c);
+            ynew[c] = ycur[c] + h * acc[c];
             if (!isfinite(ynew[c])) finite = 0;
         }
         if (finite) {
+            row_sum(e_w, s, K, n, acc);
             for (c = 0; c < n; c++) {
-                const double err = h * wsum(e_w, idx[s + 1], cnt[s + 1],
-                                            K, n, c);
+                const double err = h * acc[c];
                 const double ao = fabs(ycur[c]), an = fabs(ynew[c]);
                 const double r = err / (atol + rtol * (ao >= an ? ao : an));
                 sq[c] = r * r;
@@ -446,16 +483,15 @@ long long integrate_phase(const long long *ints, const double *flts,
                 istop++;
                 if (t < t1) next_stop = stops[istop];
             }
-            prev_err = err_norm > 1e-10 ? err_norm : 1e-10;
-            h *= pi_factor(err_norm, prev_err, ctl);
+            h *= step_factor(err_norm, ctl);
         } else {
             double at, fac;
             n_rejected++;
             if (!isfinite(err_norm)) {
                 h *= 0.1;
             } else {
-                /* a rejected step must always shrink (see RKDriver) */
-                fac = pi_factor(err_norm, prev_err, ctl);
+                /* a rejected step at least halves (see RKDriver) */
+                fac = step_factor(err_norm, ctl);
                 h *= fac < 0.5 ? fac : 0.5;
             }
             at = fabs(t) > 1.0 ? fabs(t) : 1.0;
@@ -466,6 +502,7 @@ long long integrate_phase(const long long *ints, const double *flts,
 
     for (c = 0; c < n; c++) y[c] = ycur[c];
     out[0] = n_steps; out[1] = n_rejected; out[2] = n_rhs; out[3] = istop;
+    out[4] = n_bound;
     return status;
 }
 
@@ -884,6 +921,11 @@ long long tridiag_solve(long long n, long long nrhs, double *dl, double *d,
 }
 """
 
+#: -O3 but NOT -ffast-math, and no contraction into fused multiply-adds:
+#: the written evaluation order (the arithmetic contract, and hence the
+#: oracle budget) survives optimization on every target.
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
 _CEXT_RESOLVED = False
 _CEXT = None  # the CextKernel; holds the CDLL for the life of the process
 #: one resolution per process: every spline fit asks, on whatever thread,
@@ -1014,13 +1056,8 @@ def _build() -> ctypes.CDLL | None:
             c_path = os.path.join(cache, f"rhs_{digest}.c")
             tmp_so = os.path.join(cache, f"rhs_{digest}.{os.getpid()}.so")
             _write_atomic(c_path, C_SOURCE)
-            # -O3 but NOT -ffast-math, and no contraction into fused
-            # multiply-adds: the written evaluation order (the
-            # arithmetic contract, and hence the oracle budget)
-            # survives optimization on every target.
             subprocess.run(
-                [cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared",
-                 "-o", tmp_so, c_path, "-lm"],
+                [cc, *CFLAGS, "-o", tmp_so, c_path, "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=120,

@@ -454,6 +454,7 @@ def _print_report_summary(report) -> None:
         ["RHS evaluations", totals["n_rhs"]],
         ["steps accepted", totals["n_steps"]],
         ["steps rejected", totals["n_rejected"]],
+        ["attempts at the stability bound", totals["n_stability_bound"]],
         ["wasted-step fraction", f"{totals['wasted_step_fraction']:.3f}"],
         ["flops (estimated)", f"{totals['flops_est']:.3e}"],
         ["mode wallclock [s]", f"{totals['mode_wall_seconds']:.3f}"],

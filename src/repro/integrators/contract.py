@@ -8,17 +8,23 @@ merely close:
 
 1. a tableau contraction ``sum_j w[j] * k[j]`` is accumulated **left to
    right in j**, one rounded multiply and one rounded add per term, with
-   structurally-zero weights skipped.  No BLAS: the summation order of
-   ``w @ k`` belongs to whichever gemv kernel the BLAS build selects and
-   changes with the shape of ``k``;
+   structurally-zero weights skipped, a whole row ``k[j]`` at a time
+   (elementwise, so any vector width gives the same bits).  No BLAS:
+   the summation order of ``w @ k`` belongs to whichever gemv kernel the
+   BLAS build selects and changes with the shape of ``k``;
 2. the error norm is ``sqrt(S / n)`` with ``S`` numpy's pairwise sum of
    the squared scaled errors — ``np.add.reduce`` here, transcribed in
    C (n < 8 linear; n <= 128 eight strided accumulators; else split at
    ``n/2 - (n/2) % 8``);
-3. the PI controller's powers are libm ``pow`` on scalars, never an
-   array power;
+3. the step controller's factor is one libm ``pow`` on scalars, never
+   an array power;
 4. compiled code is built ``-ffp-contract=off`` and never
-   ``-ffast-math``: no fused multiply-add, no reassociation.
+   ``-ffast-math``: no fused multiply-add, no reassociation;
+5. a ``stiff_rate`` bounds the step by
+   ``STABILITY_FRACTION * real_stability / lam`` — that product, then one
+   division — and ``h = min(h, max_step, bound, next_stop - t)`` in that
+   order; C forms ``lam`` from the doubles and the expression
+   ``PerturbationSystem.thomson_rate`` uses.
 
 The helpers below are the python side of rules 1 and 2.
 """

@@ -3,7 +3,7 @@
 The original DVERK (Hull, Enright & Jackson 1976, distributed through
 netlib) is the integrator the paper uses for the coupled Einstein-
 Boltzmann system.  This module transcribes the same 8-stage Verner
-6(5) tableau and drives it with an error-per-step PI controller.
+6(5) tableau and drives it with an error-per-step controller.
 
 The driver supports *stop points*: times the integrator must hit
 exactly (used to record line-of-sight sources on a fixed conformal-time
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import IntegrationError
 from .contract import ordered_weighted_sum, rms
-from .controller import StepController
+from .controller import STABILITY_FRACTION, StepController
 from .results import IntegrationResult, IntegratorStats
 from .tableau import ButcherTableau
 
@@ -86,6 +86,13 @@ class RKDriver:
         Upper bound on the step size.
     max_steps:
         Abort (raise IntegrationError) after this many accepted steps.
+    stiff_rate:
+        Callable ``stiff_rate(t, y) -> lam``: an upper bound on how far
+        the Jacobian's spectrum reaches along the negative real axis,
+        asked once per attempt at the step's start.  The step is then
+        kept at ``STABILITY_FRACTION`` of the tableau's stability
+        boundary, ``h lam <= 0.96 real_stability``, instead of finding
+        the boundary by rejected steps.
     """
 
     def __init__(
@@ -99,6 +106,7 @@ class RKDriver:
         max_steps: int = 1_000_000,
         first_step: float | None = None,
         flops_per_rhs: float | None = None,
+        stiff_rate: Callable[[float, np.ndarray], float] | None = None,
     ) -> None:
         self.rhs = rhs
         self.tableau = tableau
@@ -109,6 +117,7 @@ class RKDriver:
         self.max_steps = int(max_steps)
         self.first_step = first_step
         self.flops_per_rhs = flops_per_rhs
+        self.stiff_rate = stiff_rate
         self._k: np.ndarray | None = None  # stage buffer (s, n)
         self._prod: np.ndarray | None = None  # weight * stage products
         # tableau weights as columns broadcasting over a (s, n) buffer
@@ -207,13 +216,20 @@ class RKDriver:
 
         recorded_t: list[float] = []
         recorded_y: list[np.ndarray] = []
+        stable_z = STABILITY_FRACTION * self.tableau.real_stability
+        h_stable = math.inf
 
         while t < t1:
             if stats.n_steps >= self.max_steps:
                 raise IntegrationError(
                     f"exceeded max_steps={self.max_steps} at t={t:.6g}"
                 )
-            h = min(h, self.max_step, next_stop - t)
+            if self.stiff_rate is not None:
+                lam = self.stiff_rate(t, y)
+                h_stable = stable_z / lam if lam > 0.0 else math.inf
+            h = min(h, self.max_step, h_stable, next_stop - t)
+            if h == h_stable:
+                stats.n_stability_bound += 1
             if h <= 0.0 or t + h == t:
                 raise IntegrationError(f"step size underflow at t={t:.6g}")
 
@@ -243,9 +259,9 @@ class RKDriver:
                 if err_norm is math.inf or not math.isfinite(err_norm):
                     h *= 0.1
                 else:
-                    # A rejected step must always shrink: the PI factor can
-                    # exceed 1 on a marginal rejection, which would loop
-                    # forever against a stop-point clamp.
+                    # a rejected step at least halves: a marginal
+                    # rejection's factor, ~0.9, would crawl down to the
+                    # step that passes
                     h *= min(controller.factor(err_norm), 0.5)
                 if h < self.min_step or h < 1e-14 * max(abs(t), 1.0):
                     raise IntegrationError(

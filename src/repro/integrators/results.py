@@ -24,12 +24,15 @@ class IntegratorStats:
     n_rejected: int = 0
     n_rhs: int = 0
     n_flops: int = 0
+    #: attempts whose step was set by the driver's stability bound
+    n_stability_bound: int = 0
 
     def merge(self, other: "IntegratorStats") -> None:
         self.n_steps += other.n_steps
         self.n_rejected += other.n_rejected
         self.n_rhs += other.n_rhs
         self.n_flops += other.n_flops
+        self.n_stability_bound += other.n_stability_bound
 
 
 @dataclass

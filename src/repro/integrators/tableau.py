@@ -71,6 +71,36 @@ class ButcherTableau:
         rows = [*self.a, self.b_high, self.error_weights]
         return tuple(tuple(int(j) for j in np.flatnonzero(r)) for r in rows)
 
+    @cached_property
+    def real_stability(self) -> float:
+        """Extent of the propagated solution's stability interval on the
+        negative real axis: the smallest ``x > 0`` with ``|R(-x)| = 1``,
+        ``R(z) = 1 + sum_k z^(k+1) b_high . A^k . 1`` the stability
+        polynomial.  A step ``h`` of ``y' = -lam y`` decays iff
+        ``h lam < x``.  Found from the coefficients alone: a scan outward
+        in steps of 1/64, then bisection."""
+        coeffs, v = [1.0], np.ones(self.n_stages)
+        for _ in range(self.n_stages):
+            coeffs.append(float(self.b_high @ v))
+            v = self.a @ v
+
+        def growth(x: float) -> float:
+            r = 0.0
+            for c in reversed(coeffs):
+                r = r * -x + c
+            return abs(r) - 1.0
+
+        lo = hi = 1.0 / 64.0
+        while growth(hi) < 0.0:
+            lo, hi = hi, hi + 1.0 / 64.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if growth(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     def contraction_weights(self) -> list[np.ndarray]:
         """The weight vectors of :attr:`contraction_terms`, same order,
         each a ``(s, 1)`` column broadcasting over a ``(s, n)`` stage

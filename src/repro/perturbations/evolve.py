@@ -339,12 +339,15 @@ def find_tca_exit(
     goes He++ -> He+ at z ~ 6000 — tau = 63.3 Mpc for every k < 0.09,
     where tau_c a H is 0.002 — not when hydrogen recombination begins;
     the first test would fire at tau = 156.  The explicit integrator
-    then rides its stability limit on the stiff Thomson terms from 63
-    to 250 Mpc: that stretch holds 98 % of the accepted and all of the
-    rejected steps of a low-k mode (ROADMAP item 6).  Keyed on the
-    hydrogen fraction instead, a mode takes 3-12x fewer evaluations —
-    and moves P(k) at k = 0.06 by 5e-6, because the committed
-    references were made with this switch and budget 9e-7 around it.
+    then steps at its stability limit on the stiff Thomson terms from
+    63 to 250 Mpc: that stretch holds ~915 of the 933 accepted steps
+    of a low-k mode, every one at the bound :func:`integrate_phase`
+    hands its driver (:meth:`PerturbationSystem.thomson_rate`), none
+    rejected.  The switch time is still what ROADMAP item 6 waits on:
+    keyed on the hydrogen fraction instead, a mode takes 3-12x fewer
+    evaluations — and moves P(k) at k = 0.06 by 5e-6, because the
+    committed references were made with this switch and budget 9e-7
+    around it.
     So it stays until the ``[benchmark]`` PR regenerates them; do not
     "fix" it alone.
     """
@@ -494,6 +497,7 @@ def evolve_modes_batched(
                 n_rhs=mode.stats.n_rhs,
                 n_steps=mode.stats.n_steps,
                 n_rejected=mode.stats.n_rejected,
+                n_stability_bound=mode.stats.n_stability_bound,
                 flops_est=mode.stats.n_flops,
                 tau_switch=mode.tau_switch,
                 tca_wall_seconds=tca_wall,
@@ -656,7 +660,10 @@ def integrate_phase(
     with the python driver's formulas, so recorders, monitors and
     telemetry cannot tell the difference; otherwise it is
     ``driver_cls`` — the scalar python DVERK, the reference and the
-    fallback — on the lane's two right-hand sides.
+    fallback — on the lane's two right-hand sides.  Either way the full
+    phase steps under the Thomson stability bound
+    (``stiff_rate=system.thomson_rate``; see ``RKDriver``) and
+    ``stats.n_stability_bound`` counts the attempts it set.
 
     The python driver keeps the failure semantics.  A compiled call
     that stops early (max steps, step underflow) or returns a
@@ -670,7 +677,9 @@ def integrate_phase(
     drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
                      rtol=rtol, atol=atol, max_steps=max_steps,
                      first_step=first_step,
-                     flops_per_rhs=system.flops_per_eval())
+                     flops_per_rhs=system.flops_per_eval(),
+                     # tight coupling has no Thomson terms to be stiff on
+                     stiff_rate=None if tight else system.thomson_rate)
     if driver_cls is DVERK and op.active_kernel(system.rhs_kernel) == "cext":
         out = op.integrate_phase(
             system.lane, tight, y0, t0, t1, stop_points, rtol=rtol,
@@ -682,6 +691,7 @@ def integrate_phase(
             stats.n_steps += out.n_steps
             stats.n_rejected += out.n_rejected
             stats.n_rhs += out.n_rhs
+            stats.n_stability_bound += out.n_stability_bound
             stats.n_flops += (step_flops // s
                               + step_flops * (out.n_steps + out.n_rejected))
             return out.y, out.stops, out.rows

@@ -63,6 +63,7 @@ from ..background.nu_massive import I_RHO_MASSLESS, momentum_grid
 from ..chaos import current_engine as _chaos_engine
 from ..errors import IntegrationError, ParameterError
 from ..integrators import VERNER_65_TABLEAU, StepController
+from ..integrators.controller import STABILITY_FRACTION
 from ..thermo import ThermalHistory
 from .. import _cext
 from .state import StateLayout
@@ -144,6 +145,7 @@ class CompiledPhase:
     n_steps: int
     n_rejected: int
     n_rhs: int
+    n_stability_bound: int = 0
 
     @property
     def ok(self) -> bool:
@@ -908,9 +910,11 @@ class BoltzmannOperator:
         norm, controller, stop-point and failure rules, bitwise the
         same numbers — with ``rhs`` (``rhs_tca`` when ``tight``, else
         ``rhs_full``) called in-process through the pointer table of
-        :meth:`pack`.  Only lane ``b``'s coefficients are read, so the
-        result does not depend on the rest of the chunk.  ``max_steps``
-        is the number of accepted steps still allowed.
+        :meth:`pack`, and, in the full phase, with
+        ``stiff_rate=PerturbationSystem.thomson_rate``.  Only lane
+        ``b``'s coefficients are read, so the result does not depend on
+        the rest of the chunk.  ``max_steps`` is the number of accepted
+        steps still allowed.
 
         The caller owns the failure semantics: a result that is not
         :attr:`CompiledPhase.ok` is re-run on the python driver (see
@@ -927,18 +931,20 @@ class BoltzmannOperator:
             )
         if t1 <= t0:
             raise IntegrationError("integrate_phase requires t1 > t0")
-        pi = StepController(order=VERNER_65_TABLEAU.order_low + 1)
+        ctrl = StepController(order=VERNER_65_TABLEAU.order_low + 1)
         stops = np.asarray(stop_points, dtype=float)
         stops = np.sort(stops[(t0 < stops) & (stops <= t1)])
         if not stops.size or stops[-1] < t1:
             stops = np.append(stops, t1)
         ctl = np.array([t0, t1, rtol, atol, math.inf, 0.0,
                         math.nan if first_step is None else first_step,
-                        pi.order, pi.safety, pi.min_factor, pi.max_factor,
-                        pi.beta])
+                        ctrl.order, ctrl.safety, ctrl.min_factor,
+                        ctrl.max_factor,
+                        math.nan if tight else
+                        STABILITY_FRACTION * VERNER_65_TABLEAU.real_stability])
         rows = np.empty((stops.size, n))
-        work = np.zeros((s + 4) * n)
-        out = np.zeros(4, dtype=np.int64)
+        work = np.zeros((s + 5) * n)
+        out = np.zeros(5, dtype=np.int64)
         if self.instrument:
             w0 = time.perf_counter()
         status = fn.integrate_raw(
@@ -946,7 +952,7 @@ class BoltzmannOperator:
             ctl.ctypes.data,
             stops.ctypes.data, max_steps, y.ctypes.data, rows.ctypes.data,
             work.ctypes.data, out.ctypes.data)
-        n_steps, n_rejected, n_rhs, n_rows = (int(v) for v in out)
+        n_steps, n_rejected, n_rhs, n_rows, n_bound = (int(v) for v in out)
         self.evals["cext"] += n_rhs
         if self.instrument:
             self.seconds["cext"] += time.perf_counter() - w0
@@ -955,7 +961,8 @@ class BoltzmannOperator:
             y[:] = np.nan
         return CompiledPhase(status=int(status), y=y, stops=stops[:n_rows],
                              rows=rows[:n_rows], n_steps=n_steps,
-                             n_rejected=n_rejected, n_rhs=n_rhs)
+                             n_rejected=n_rejected, n_rhs=n_rhs,
+                             n_stability_bound=n_bound)
 
     # ------------------------------------------------------------------
     # Cost census

@@ -225,6 +225,14 @@ class PerturbationSystem:
         return self.op.rhs_scalar(True, self.lane, tau, y, self._dy,
                                   self.rhs_kernel)
 
+    def thomson_rate(self, tau: float, y: np.ndarray) -> float:
+        """kappa' (1 + r), r = 4 rho_gamma / 3 rho_b: the decay rate of
+        the baryon-photon slip, the stiffest eigenvalue of
+        :meth:`rhs_full` (photon damping, kappa', is 4-17x slower) — the
+        ``stiff_rate`` the full phase hands its driver."""
+        a = float(y[self.layout.A])
+        return self.op.opacity_s(a) * (1.0 + self._r_coef / a)
+
     def initialize_full_from_tca(self, y: np.ndarray, tau: float) -> None:
         """Populate the slaved moments when leaving tight coupling."""
         self.op.initialize_full_from_tca_s(self.lane, y, tau)

@@ -60,6 +60,8 @@ class ModeMetrics:
     n_rhs: int = 0
     n_steps: int = 0  #: accepted steps
     n_rejected: int = 0
+    #: attempts whose step the Thomson stability bound set
+    n_stability_bound: int = 0
     flops_est: int = 0  #: estimated floating-point operations
     tau_switch: float = 0.0  #: TCA -> full hierarchy switch time [Mpc]
     tca_wall_seconds: float = 0.0
@@ -530,6 +532,8 @@ class RunReport:
             "n_rhs": sum(m.n_rhs for m in self.modes),
             "n_steps": accepted,
             "n_rejected": rejected,
+            "n_stability_bound": sum(m.n_stability_bound
+                                     for m in self.modes),
             # rejected over attempted steps: eight RHS evaluations each
             "wasted_step_fraction": rejected / (accepted + rejected)
             if accepted + rejected else 0.0,

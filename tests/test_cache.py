@@ -247,7 +247,7 @@ class TestPrecomputeRoundtrip:
         assert c.metrics.by_kind["thermal"]["hits"] == 1
         assert th1 is not None
 
-    @pytest.mark.parametrize("revision", [1, 2])
+    @pytest.mark.parametrize("revision", [1, 2, 4])
     def test_entries_of_an_earlier_solver_are_never_served(
             self, scdm, fresh_dir, monkeypatch, revision):
         from repro.cache import precompute

@@ -275,5 +275,12 @@ class TestCommands:
         row = next(line for line in out.splitlines()
                    if "wasted-step fraction" in line)
         assert f"{waste:.3f}" in row
+        # ... and how much of the run stepped at the Thomson stability
+        # bound: most of three low-k modes, from the same rows
+        bound = sum(m.n_stability_bound for m in report.modes)
+        assert totals["n_stability_bound"] == bound > 0.5 * totals["n_steps"]
+        row = next(line for line in out.splitlines()
+                   if "attempts at the stability bound" in line)
+        assert str(bound) in row
         for gone in ("batched chunks", "lane occupancy"):
             assert gone not in out

@@ -16,6 +16,24 @@ from repro.integrators import (
     IntegratorStats,
     StepController,
 )
+from repro.integrators.controller import STABILITY_FRACTION
+
+
+def _rk4() -> ButcherTableau:
+    a = np.zeros((4, 4))
+    a[1, 0] = a[2, 1] = 0.5
+    a[3, 2] = 1.0
+    b = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    return ButcherTableau(a=a, b_high=b, b_low=b, c=[0.0, 0.5, 0.5, 1.0],
+                          order_high=4, order_low=3, name="rk4")
+
+
+def _growth(tb: ButcherTableau, x: float) -> float:
+    """|R(-x)| by stepping y' = -x y once from 1 with h = 1."""
+    k = np.zeros(tb.n_stages)
+    for i in range(tb.n_stages):
+        k[i] = -x * (1.0 + tb.a[i] @ k)
+    return abs(1.0 + tb.b_high @ k)
 
 
 class TestTableaux:
@@ -44,6 +62,61 @@ class TestTableaux:
         with pytest.raises(ValueError):
             ButcherTableau(a=a, b_high=np.ones(3), b_low=np.ones(2) / 2,
                            c=np.array([0.0, 1.0]), order_high=2, order_low=1)
+
+
+class TestRealStability:
+    @pytest.mark.parametrize("tb, boundary, tol", [
+        (VERNER_65_TABLEAU, 4.06478, 1e-5), (_rk4(), 2.785, 1e-3)],
+        ids=["verner", "rk4"])
+    def test_boundary_of_the_propagated_solution(self, tb, boundary, tol):
+        x = tb.real_stability
+        assert x == pytest.approx(boundary, abs=tol)
+        assert _growth(tb, x * (1 - 1e-6)) < 1.0 < _growth(tb, x * (1 + 1e-6))
+        # the first crossing: everything nearer the origin decays
+        assert all(_growth(tb, f * x) < 1.0 for f in np.linspace(0.01, 0.99,
+                                                                  99))
+
+    def test_the_fraction_leaves_a_parasite_decaying(self):
+        assert _growth(VERNER_65_TABLEAU, STABILITY_FRACTION
+                       * VERNER_65_TABLEAU.real_stability
+                       ) == pytest.approx(0.718, abs=1e-3)
+
+
+class TestStiffRate:
+    """``RKDriver(stiff_rate=...)`` on y' = -lam (y - cos t), lam = 2000:
+    smooth solution, one stiff eigenvalue."""
+
+    LAM = 2000.0
+
+    def rhs(self, t, y):
+        return -self.LAM * (y - math.cos(t))
+
+    def run(self, cls=DVERK, **kwargs):
+        stats = IntegratorStats()
+        r = cls(self.rhs, rtol=1e-4, atol=1e-9, **kwargs).integrate(
+            np.array([1.0]), 0.0, 3.0, stats=stats)
+        return r.y, stats
+
+    def test_told_the_bound_no_step_is_thrown_away(self):
+        y_free, free = self.run()
+        y_told, told = self.run(stiff_rate=lambda t, y: self.LAM)
+        assert free.n_stability_bound == 0
+        assert free.n_rejected > 0.2 * free.n_steps  # found by falling off
+        assert told.n_rejected <= 2
+        assert told.n_stability_bound > 0.9 * told.n_steps
+        assert told.n_rhs < 0.85 * free.n_rhs
+        assert y_told[0] == pytest.approx(y_free[0], rel=1e-4)
+        # h * lam never beyond the fraction of the tableau's own boundary
+        span = 3.0 / (told.n_steps + told.n_rejected)
+        assert span * self.LAM <= (STABILITY_FRACTION
+                                   * VERNER_65_TABLEAU.real_stability)
+
+    @pytest.mark.parametrize("cls", [DVERK, RKF45])
+    def test_a_rate_of_zero_is_no_rate(self, cls):
+        y_none, none = self.run(cls)
+        y_zero, zero = self.run(cls, stiff_rate=lambda t, y: 0.0)
+        assert y_zero.tobytes() == y_none.tobytes()
+        assert zero == none and zero.n_stability_bound == 0
 
 
 class TestAccuracy:
@@ -171,6 +244,16 @@ class TestController:
         c = StepController(order=6)
         assert c.factor(1e30) == pytest.approx(c.min_factor)
         assert c.factor(0.0) == pytest.approx(c.max_factor)
+
+    def test_factor_is_the_integral_law_alone(self):
+        """One ``pow``, no memory: what the last accepted step's error
+        was changes nothing (the "PI" term only ever cancelled itself)."""
+        c = StepController(order=6)
+        before = c.factor(0.3)
+        assert before == 0.9 * 0.3 ** (-(1.0 / 6.0))
+        c.accept(1e-7)
+        assert c.factor(0.3) == before
+        assert not hasattr(c, "beta")
 
     def test_error_norm_scale_invariance(self):
         c = StepController(order=6)

@@ -158,20 +158,21 @@ class TestSolverRevision:
             self, scdm, tmp_path, monkeypatch):
         """The request digest carries the revision of the solver behind
         the spectrum (the precompute cache's thermal key always did): a
-        store filled under revision N is a miss under N + 1 — the bits
-        it holds are the old tables' — and a hit again under N."""
+        store filled under revision 4 — steps found DVERK's stability
+        boundary by rejection, C_l 4e-7 away — is a miss under 5, and a
+        hit again under 4."""
         from repro.revision import SOLVER_REVISION
         from repro.serve import protocol
 
         request = ServeRequest(params=scdm)
-        assert request.shape()["solver"] == SOLVER_REVISION
+        assert request.shape()["solver"] == SOLVER_REVISION == 5
         assert "solver" not in request.to_doc()  # each side states its own
-        monkeypatch.setattr(protocol, "SOLVER_REVISION", SOLVER_REVISION - 1)
+        monkeypatch.setattr(protocol, "SOLVER_REVISION", 4)
         older = request.digest()
         ResultStore(tmp_path).put(older, _entry(3.0))
         assert ResultStore(tmp_path).get(request.digest()) is not None
         monkeypatch.undo()
         assert request.digest() != older
         assert ResultStore(tmp_path).get(request.digest()) is None
-        monkeypatch.setattr(protocol, "SOLVER_REVISION", SOLVER_REVISION - 1)
+        monkeypatch.setattr(protocol, "SOLVER_REVISION", 4)
         assert ResultStore(tmp_path).get(request.digest()) is not None

@@ -17,7 +17,9 @@ equality is asserted at nq=0 only.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import subprocess
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from repro import KGrid, LingerConfig, run_linger
 from repro.chaos import ChaosPolicy, active
 from repro.errors import IntegrationError
-from repro.integrators import DVERK, IntegratorStats
+from repro.integrators import DVERK, VERNER_65_TABLEAU, IntegratorStats
 from repro.perturbations import (
     PerturbationSystem,
     StateLayout,
@@ -35,7 +37,8 @@ from repro.perturbations import (
     default_record_grid,
     evolve_mode,
 )
-from repro._cext import get_cext
+from repro import _cext
+from repro._cext import CextKernel, get_cext
 from repro.perturbations.evolve import (
     find_tca_exit,
     integrate_phase,
@@ -57,6 +60,16 @@ both_phases = pytest.mark.parametrize(
 
 class PythonDVERK(DVERK):
     """Any driver class but DVERK itself keeps the phase in python."""
+
+
+def _compile(tmp_path, name, source):
+    """A test-only shared object, built the way ``_cext._build`` builds
+    the process's own."""
+    c_path, so_path = tmp_path / f"{name}.c", tmp_path / f"{name}.so"
+    c_path.write_text(source)
+    subprocess.run([_cext._find_compiler(), *_cext.CFLAGS, "-o", so_path,
+                    c_path, "-lm"], check=True, capture_output=True)
+    return ctypes.CDLL(str(so_path))
 
 
 def _phase_start(request, nq, k, tight=False):
@@ -89,6 +102,7 @@ def _python_phase(system, tight, y, t0, t1, stops, **kwargs):
     seen = []
     stats = IntegratorStats()
     res = DVERK(system.rhs_tca if tight else system.rhs_full,
+                stiff_rate=None if tight else system.thomson_rate,
                 **{**TOL, **kwargs}).integrate(
         y, t0, t1, stop_points=stops,
         on_stop=lambda t, row: seen.append((t, row.copy())), stats=stats)
@@ -112,8 +126,10 @@ def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops,
                                     max_steps=1_000_000, **TOL)
     assert out.ok
     assert out.y.tobytes() == y_py.tobytes()
-    assert (out.n_steps, out.n_rejected, out.n_rhs) == (
-        stats.n_steps, stats.n_rejected, stats.n_rhs)
+    assert (out.n_steps, out.n_rejected, out.n_rhs,
+            out.n_stability_bound) == (
+        stats.n_steps, stats.n_rejected, stats.n_rhs,
+        stats.n_stability_bound)
     # every stop point once, in order, then the phase end unless it is
     # the last of them, each with the driver's row
     assert out.stops.tolist() == [t for t, _ in seen]
@@ -121,6 +137,104 @@ def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops,
         0 if stops.size and stops[-1] == t1 else 1)
     assert with_stops == (out.stops.size > 1)
     assert out.rows.tobytes() == np.array([r for _, r in seen]).tobytes()
+
+
+def _same_phase(out, ref):
+    return (out.y.tobytes() == ref.y.tobytes()
+            and out.rows.tobytes() == ref.rows.tobytes()
+            and out.stops.tolist() == ref.stops.tolist()
+            and (out.n_steps, out.n_rejected, out.n_rhs,
+                 out.n_stability_bound)
+            == (ref.n_steps, ref.n_rejected, ref.n_rhs,
+                ref.n_stability_bound))
+
+
+@needs_cc
+@both_phases
+@pytest.mark.parametrize("k", [3e-5, 0.06])
+def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
+    """A massive species, and the two ends of the k-range: a mode whose
+    full phase is nearly all stability-bound and one that oscillates."""
+    system, y, t0, t1, grid = _phase_start(request, 8, k, tight)
+    y_py, seen, stats = _python_phase(system, tight, y, t0, t1, grid)
+    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, grid,
+                                    max_steps=1_000_000, **TOL)
+    assert out.ok and out.y.tobytes() == y_py.tobytes()
+    assert out.rows.tobytes() == np.array([r for _, r in seen]).tobytes()
+    assert (out.n_steps, out.n_rejected, out.n_rhs,
+            out.n_stability_bound) == (
+        stats.n_steps, stats.n_rejected, stats.n_rhs,
+        stats.n_stability_bound)
+    # tight coupling has no Thomson terms and is told no bound
+    assert (out.n_stability_bound == 0) == tight
+
+
+@needs_cc
+@pytest.mark.parametrize("k", [3e-5, 0.06])
+def test_the_baseline_clone_steps_to_the_same_bits(request, tmp_path, k):
+    """``integrate_phase`` is built for AVX2 and for the baseline, and
+    gcc's resolver reads ``cpuid`` itself — no environment setting
+    selects the default clone — so the object is built once more with
+    the attribute stripped: same bits, both phases."""
+    line = next(ln for ln in _cext.C_SOURCE.splitlines()
+                if ln.startswith("#define PHASE_CLONES __attribute__"))
+    plain = CextKernel(_compile(
+        tmp_path, "plain",
+        _cext.C_SOURCE.replace(line, "#define PHASE_CLONES")))
+    for tight in (True, False):
+        system, y, t0, t1, grid = _phase_start(request, 0, k, tight)
+        args = (system.lane, tight, y, t0, t1, grid)
+        ref = system.op.integrate_phase(*args, max_steps=1_000_000, **TOL)
+        system.op._cext = plain
+        out = system.op.integrate_phase(*args, max_steps=1_000_000, **TOL)
+        assert ref.ok and _same_phase(out, ref)
+
+
+# -- (a') the stability bound's behaviour -----------------------------------
+
+
+@pytest.mark.parametrize("k, waste, n_rhs_parent, gain", [
+    (3e-5, 0.01, 9426, 0.82), (3e-3, 0.01, 9826, 0.82),
+    (0.06, 0.02, 17538, 0.90)])
+def test_the_full_phase_finds_no_boundary_by_rejection(request, bg_scdm,
+                                                       thermo_scdm, k, waste,
+                                                       n_rhs_parent, gain):
+    """Before the bound a low-k mode threw away 28 % of its attempts (850
+    accepted + 328 rejected at k = 3e-5) riding DVERK's stability limit
+    from the tight-coupling exit to recombination; told the limit, it
+    rejects nothing there — on whichever driver this host runs."""
+    mode = evolve_mode(bg_scdm, thermo_scdm, k, lmax_photon=24, rtol=1e-4)
+    stats = mode.stats
+    assert stats.n_rejected <= waste * (stats.n_steps + stats.n_rejected)
+    assert stats.n_rhs <= gain * n_rhs_parent
+    if k == 3e-5:
+        assert stats.n_stability_bound > 0.9 * stats.n_steps
+
+    # the stiff stretch alone, exit to recombination: not one rejection
+    system, y, t0, _, _ = _phase_start(request, 0, k)
+    _, _, stiff = _phase(system, False, y, t0, 300.0, np.empty(0))
+    assert stiff.n_rejected == 0
+    assert stiff.n_stability_bound > 0.9 * stiff.n_steps
+
+
+def test_no_rate_no_bound(bg_scdm, thermo_scdm):
+    """The tight-coupling phase, the Newtonian-gauge system and the
+    tensor modes hand their drivers no ``stiff_rate``."""
+    from repro.perturbations.evolve_newtonian import evolve_mode_newtonian
+    from repro.perturbations.tensors import evolve_tensor_mode
+
+    k = 0.01
+    system = PerturbationSystem(bg_scdm, thermo_scdm, k,
+                                StateLayout(lmax_photon=8, lmax_nu=8))
+    t_init = tau_initial(k)
+    y0 = adiabatic_initial_conditions(system.layout, bg_scdm, k, t_init)
+    _, _, tight = _phase(system, True, y0, t_init,
+                         find_tca_exit(thermo_scdm, k), np.empty(0))
+    newtonian = evolve_mode_newtonian(bg_scdm, thermo_scdm, k, lmax_photon=8,
+                                      lmax_nu=8, rtol=1e-3, tau_end=300.0)
+    tensor = evolve_tensor_mode(bg_scdm, k, tau_end=300.0, n_record=10)
+    for stats in (tight, newtonian.stats, tensor.stats):
+        assert stats.n_steps > 0 and stats.n_stability_bound == 0
 
 
 @needs_cc
@@ -304,6 +418,80 @@ def test_pairwise_sum_is_numpys(n, seed, decades):
         got = get_cext().pairwise_raw(vec.ctypes.data, n)
         assert got == np.add.reduce(vec)
         assert got == np.add.reduce(np.stack([vec, vec[::-1]]), axis=1)[0]
+
+
+# -- (b') the tableau contraction, a row at a time ---------------------------
+
+#: ``row_sum`` is static: the probe exports it, cloned as ``integrate_phase``
+#: is, beside the contraction as it was before it ran a row at a time —
+#: one component, gathered over the stages at stride n
+ROW_SUM_PROBE = r"""
+PHASE_CLONES
+void row_sum_probe(const double *w, long long s, const double *K,
+                   long long n, double *acc)
+{
+    row_sum(w, s, K, n, acc);
+}
+
+void wsum_reference(const double *w, long long s, const double *K,
+                    long long n, double *acc)
+{
+    long long idx[16], cnt = 0, j, c, m;
+    for (j = 0; j < s; j++)
+        if (w[j] != 0.0) idx[cnt++] = j;
+    for (c = 0; c < n; c++) {
+        double a = w[idx[0]] * K[idx[0] * n + c];
+        for (m = 1; m < cnt; m++)
+            a += w[idx[m]] * K[idx[m] * n + c];
+        acc[c] = a;
+    }
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def row_sum_probe(tmp_path_factory):
+    lib = _compile(tmp_path_factory.mktemp("probe"), "probe",
+                   _cext.C_SOURCE + ROW_SUM_PROBE)
+    for fn in (lib.row_sum_probe, lib.wsum_reference):
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p,
+                       ctypes.c_longlong, ctypes.c_void_p]
+        fn.restype = None
+    return lib
+
+
+@needs_cc
+@pytest.mark.property
+@given(n=st.sampled_from([1, 7, 8, 81, 300, 4506]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       decades=st.floats(min_value=0.0, max_value=12.0))
+@settings(max_examples=60, deadline=None)
+def test_row_sum_is_the_per_component_sum(row_sum_probe, n, seed, decades):
+    """Every component sees the same rounded multiplies and adds in the
+    same order either way, at whatever vector width: all nine weight
+    rows of the Verner table — seven stage rows, the sixth-order
+    solution, the error weights — on stages spanning up to 24 decades,
+    against the per-component gather and the python driver's sum."""
+    from repro.integrators.contract import ordered_weighted_sum
+
+    tb = VERNER_65_TABLEAU
+    s = tb.n_stages
+    rng = np.random.default_rng(seed)
+    K = (rng.standard_normal((s, n))
+         * 10.0 ** rng.uniform(-decades, decades, (s, n)))
+    rows = [*tb.a[1:], tb.b_high, tb.error_weights]
+    assert len(rows) == 9
+    for w, col, terms in zip(rows, tb.contraction_weights()[1:],
+                             tb.contraction_terms[1:]):
+        w = np.ascontiguousarray(w)
+        got, want = np.full(n, np.nan), np.full(n, np.nan)
+        row_sum_probe.row_sum_probe(w.ctypes.data, s, K.ctypes.data, n,
+                                    got.ctypes.data)
+        row_sum_probe.wsum_reference(w.ctypes.data, s, K.ctypes.data, n,
+                                     want.ctypes.data)
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            got, ordered_weighted_sum(col, terms, K, np.empty_like(K)))
 
 
 # -- (c) invariance under every execution knob --------------------------------

@@ -131,7 +131,7 @@ class TestRunReport:
     def _sample(self):
         t = Telemetry()
         t.record_mode(k=0.01, ik=1, n_rhs=80, n_steps=8, n_rejected=2,
-                      flops_est=5000, wall_seconds=0.5)
+                      n_stability_bound=7, flops_est=5000, wall_seconds=0.5)
         t.record_mode(k=0.02, ik=2, n_rhs=160, n_steps=16, n_rejected=4,
                       flops_est=9000, wall_seconds=1.0)
         t.record_traffic(0, "master", {
@@ -147,6 +147,7 @@ class TestRunReport:
         assert totals["n_modes"] == 2
         assert totals["n_rhs"] == 240
         assert totals["n_rejected"] == 6
+        assert totals["n_stability_bound"] == 7
         # rejected over attempted, from the per-mode rows: 6 / (24 + 6)
         assert totals["wasted_step_fraction"] == pytest.approx(0.2)
         assert "n_batches" not in totals and "lane_occupancy" not in totals
@@ -177,6 +178,16 @@ class TestRunReport:
         r = self._sample()
         p = r.save(tmp_path / "report.json")
         assert RunReport.load(p).to_dict() == r.to_dict()
+
+    def test_mode_rows_without_the_stability_count_still_load(self):
+        """A report written before the drivers counted the attempts at
+        the stability bound loads, the count reading 0."""
+        doc = self._sample().to_dict()
+        for row in doc["modes"]:
+            del row["n_stability_bound"]
+        back = RunReport.from_dict(doc)
+        assert [m.n_stability_bound for m in back.modes] == [0, 0]
+        assert back.totals["n_rejected"] == 6
 
     def test_counters_under_retired_names_still_load(self):
         """Counters are plain names: a report written while the thermal
@@ -248,11 +259,12 @@ class TestIntegratorInstrumentation:
     def test_stats_merge_includes_flops(self):
         from repro.integrators import IntegratorStats
 
-        a = IntegratorStats(n_steps=1, n_rejected=2, n_rhs=3, n_flops=100)
+        a = IntegratorStats(n_steps=1, n_rejected=2, n_rhs=3, n_flops=100,
+                            n_stability_bound=1)
         a.merge(IntegratorStats(n_steps=10, n_rejected=20, n_rhs=30,
-                                n_flops=200))
-        assert (a.n_steps, a.n_rejected, a.n_rhs, a.n_flops) == (11, 22, 33,
-                                                                 300)
+                                n_flops=200, n_stability_bound=9))
+        assert (a.n_steps, a.n_rejected, a.n_rhs, a.n_flops,
+                a.n_stability_bound) == (11, 22, 33, 300, 10)
 
     def test_controller_counts_accepts_and_rejects(self):
         from repro.integrators import StepController
