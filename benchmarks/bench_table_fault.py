@@ -1,8 +1,9 @@
 """TAB-FAULT — the price of surviving faults.
 
-Three PLINGER runs of the same 8-mode grid on 3 workers: a clean run
-with the fault-tolerant protocol enabled (its overhead over the
-fail-loudly baseline), a run with a ~5% result-drop rate, and a run
+Three PLINGER runs of the same 8-mode grid on 3 workers through a
+fault-injecting transport: a clean run (what the wrapper and a snappy
+policy cost over the bare transport on the default policy), a run with a
+~5% result-drop rate, and a run
 where one worker is killed the moment it ships its first result.  For
 each faulted run the harness records the recovery economics —
 
@@ -72,12 +73,12 @@ def test_fault_recovery_economics(scdm, bg, thermo, capsys):
     ``BENCH_fault.json``."""
     kgrid = KGrid.from_k(np.geomspace(3e-4, 0.03, NK))
 
-    # the fail-loudly baseline and the physics golden
+    # the bare transport on the default policy: the physics golden
     t0 = time.perf_counter()
     golden, _ = run_plinger(scdm, kgrid, _config(), nproc=NPROC,
                             backend="inprocess", background=bg,
                             thermo=thermo)
-    legacy_wall = time.perf_counter() - t0
+    bare_wall = time.perf_counter() - t0
 
     none = FaultPolicy(selector=lambda m, c: False)
     _, fr_clean, clean_wall = _run(scdm, bg, thermo, kgrid, none)
@@ -103,9 +104,9 @@ def test_fault_recovery_economics(scdm, bg, thermo, capsys):
         "table": "TAB-FAULT",
         "nk": NK,
         "nproc": NPROC,
-        "legacy_wall_seconds": legacy_wall,
+        "bare_wall_seconds": bare_wall,
         "ft_clean_wall_seconds": clean_wall,
-        "ft_overhead": clean_wall / legacy_wall,
+        "wrapper_overhead": clean_wall / bare_wall,
         "drop_wall_seconds": drop_wall,
         "drop_retries": fr_drop.total_retries,
         "drop_recovery_wall_seconds": fr_drop.recovery_wall_seconds,

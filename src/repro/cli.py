@@ -85,21 +85,7 @@ def _run_arguments(p) -> None:
     p.add_argument("--ready-file", metavar="PATH", default=None,
                    help="with --listen: write 'host port' here once "
                         "the listener is up")
-    p.add_argument("--worker-timeout", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="enable fault-tolerant scheduling: declare a "
-                        "silent worker dead after this many seconds and "
-                        "reassign its wavenumbers (0 = the paper's "
-                        "fail-loudly protocol)")
-    p.add_argument("--max-retries", type=int, default=3, metavar="N",
-                   help="bound on re-dispatches per wavenumber "
-                        "(with --worker-timeout)")
-    p.add_argument("--heartbeat-interval", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="worker liveness heartbeat cadence; lets the "
-                        "master tell busy from dead without waiting the "
-                        "full worker timeout (with --worker-timeout; "
-                        "0 = off)")
+    _fault_tolerance_arguments(p)
     p.add_argument("--report", metavar="PATH", default=None,
                    help="enable run telemetry and write the JSON "
                         "RunReport here")
@@ -123,6 +109,36 @@ def _run_arguments(p) -> None:
     p.add_argument("--output", required=True, help="archive (.npz)")
 
 
+def _fault_tolerance_arguments(p) -> None:
+    """The policy flags ``run`` and ``worker`` share, defaulting to the
+    fields of :class:`~repro.resilience.FaultTolerance`."""
+    from .resilience import FaultTolerance
+
+    p.add_argument("--worker-timeout", type=float, metavar="SECONDS",
+                   default=FaultTolerance.worker_timeout,
+                   help="a worker's wait for the master's reply before "
+                        "it asks again; a rank's time to first contact")
+    p.add_argument("--max-retries", type=int, metavar="N",
+                   default=FaultTolerance.max_retries,
+                   help="bound on re-dispatches per wavenumber and on a "
+                        "worker's consecutive unanswered asks")
+    p.add_argument("--heartbeat-interval", type=float, metavar="SECONDS",
+                   default=FaultTolerance.heartbeat_interval,
+                   help="cadence of the heartbeats of a worker with "
+                        "nothing else to say (a long mode, a long "
+                        "wait); three silent intervals and the master "
+                        "reassigns its wavenumbers (0 = off: "
+                        "--worker-timeout then bounds a mode)")
+
+
+def _fault_tolerance(args):
+    from .resilience import FaultTolerance
+
+    return FaultTolerance(worker_timeout=args.worker_timeout,
+                          max_retries=args.max_retries,
+                          heartbeat_interval=args.heartbeat_interval)
+
+
 def _worker_arguments(p) -> None:
     from .perturbations.operator import KERNELS
 
@@ -136,8 +152,7 @@ def _worker_arguments(p) -> None:
         "this rank builds its own background and thermal "
         "tables from it, bit-identical to the master's.  A "
         "worker that connects after the run has started is "
-        "admitted as an elastic rank (fault-tolerant runs "
-        "only).")
+        "admitted as an elastic rank.")
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="the master's listener address")
     p.add_argument("--model", choices=sorted(MODELS), default="scdm")
@@ -147,17 +162,7 @@ def _worker_arguments(p) -> None:
     p.add_argument("--lmax", type=int, default=24)
     p.add_argument("--rtol", type=float, default=1e-4)
     p.add_argument("--rhs-kernel", choices=KERNELS, default="auto")
-    p.add_argument("--worker-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="this rank's fault-tolerance policy; must be "
-                        ">0 iff the master runs with "
-                        "--worker-timeout (the resilient wire "
-                        "header differs from the legacy one)")
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--heartbeat-interval", type=float, default=0.5,
-                   metavar="SECONDS",
-                   help="liveness heartbeat cadence (0 = off; "
-                        "ignored without --worker-timeout)")
+    _fault_tolerance_arguments(p)
     p.add_argument("--connect-timeout", type=float, default=30.0)
 
 
@@ -308,15 +313,6 @@ def _cmd_run_inner(args) -> int:
         from .cache import PrecomputeCache
 
         cache = PrecomputeCache(args.cache_dir)
-    fault_tolerance = None
-    if args.worker_timeout > 0:
-        from .plinger import FaultTolerance
-
-        fault_tolerance = FaultTolerance(
-            worker_timeout=args.worker_timeout,
-            max_retries=args.max_retries,
-            heartbeat_interval=args.heartbeat_interval,
-        )
     if args.sparse_k_factor > 1:
         if args.parallel >= 2 and args.backend == "procs":
             print("error: --sparse-k-factor needs the coarse mode results "
@@ -353,14 +349,14 @@ def _cmd_run_inner(args) -> int:
                                     backend=args.backend,
                                     telemetry=telemetry,
                                     batch_size=args.batch_size,
-                                    fault_tolerance=fault_tolerance,
+                                    fault_tolerance=_fault_tolerance(args),
                                     world=world,
                                     cache=cache)
         print(f"PLINGER: {kgrid.nk} modes on {args.parallel - 1} workers, "
               f"{stats.wall_seconds:.1f} s wallclock, "
               f"{stats.master_bytes_received} bytes gathered")
         fr = stats.fault_report
-        if fr is not None and fr.any_faults:
+        if fr.any_faults:
             print(f"fault tolerance: {len(fr.dead_workers)} dead workers, "
                   f"{fr.reassigned_modes} modes reassigned, "
                   f"{fr.total_retries} retries, "
@@ -529,15 +525,6 @@ def cmd_worker(args) -> int:
         keep_mode_results=False,
         rhs_kernel=args.rhs_kernel,
     )
-    fault_tolerance = None
-    if args.worker_timeout > 0:
-        from .plinger import FaultTolerance
-
-        fault_tolerance = FaultTolerance(
-            worker_timeout=args.worker_timeout,
-            max_retries=args.max_retries,
-            heartbeat_interval=args.heartbeat_interval,
-        )
     try:
         handle = connect_worker(host or "127.0.0.1", int(port),
                                 timeout=args.connect_timeout)
@@ -548,8 +535,14 @@ def cmd_worker(args) -> int:
     print(f"worker: joined {args.connect} as rank {handle.mytid} "
           f"of {handle.nproc}")
     # no tables handed over: the rank builds its own from ``params``
-    _worker_entry(handle, None, None, kgrid, config, with_telemetry=True,
-                  fault_tolerance=fault_tolerance, params=params)
+    error = _worker_entry(handle, None, None, kgrid, config,
+                          with_telemetry=True,
+                          fault_tolerance=_fault_tolerance(args),
+                          params=params)
+    if error is not None:
+        print(f"error: rank {handle.mytid} ended without a STOP from the "
+              f"master: {error}", file=sys.stderr)
+        return 1
     print(f"worker: rank {handle.mytid} done "
           f"({handle.stats.messages_sent} messages sent, "
           f"{handle.stats.bytes_sent} payload bytes)")

@@ -22,10 +22,18 @@ import numpy as np
 
 from ..errors import ProtocolError
 
-__all__ = ["ModeHeader", "ModePayload", "HEADER_LENGTH"]
+__all__ = ["ModeHeader", "ModePayload", "HEADER_LENGTH", "wire_index"]
 
 #: Length of the tag-4 summary record (fixed, as in the paper).
 HEADER_LENGTH = 21
+
+
+def wire_index(value: float) -> int | None:
+    """An index that crossed the wire as a real, or None if the value
+    is not (to 1e-6) a finite integer."""
+    if not np.isfinite(value) or abs(value - round(value)) > 1e-6:
+        return None
+    return int(round(value))
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,8 @@ class ModeHeader:
     n_rhs: float  #: RHS evaluations (the cost-model observable)
     lmax: int  #: photon multipole cutoff (determines payload length)
     #: escalation-ladder level the integration needed (0 = none).
-    #: Travels as a 22nd value on the fault-tolerant wire only; the
-    #: legacy 21-value pack/unpack below never sees it.
+    #: Not one of the 21 values below: the worker appends it to the
+    #: wire header as a 22nd real only when it is not zero.
     retry_level: int = 0
 
     def pack(self) -> np.ndarray:

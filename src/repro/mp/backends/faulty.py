@@ -2,14 +2,11 @@
 
 Wraps any world and perturbs deliveries according to a policy: drop,
 duplicate, truncate, re-tag, delay, hold forever, corrupt, or kill the
-sending rank outright.  Two layers of the system are tested against it:
-
-* the bare PLINGER protocol must *fail loudly* (ProtocolError /
-  MessagePassingError / probe timeout) rather than silently
-  mis-assemble a run — the failure-injection tests prove it;
-* the fault-tolerant scheduling layer must *recover*: detect the dead
-  rank or lost message, reassign the wavenumbers, and reproduce the
-  fault-free spectrum — the chaos suite proves that.
+sending rank outright.  Under any of them the PLINGER loop must
+*recover* — detect the dead rank or lost message, reassign the
+wavenumbers, and reproduce the fault-free records — or raise
+ProtocolError / MessagePassingError within the policy's bounds; never
+mis-assemble a run quietly.  The chaos suite proves that.
 
 Every injected fault is tallied in ``faults_injected`` and per-tag in
 ``faults_by_tag`` (bookkeeping happens *before* the action dispatch, so
@@ -107,11 +104,6 @@ class FaultyWorld(World):
         self._lock = threading.Lock()
         #: injections per policy (keyed by id(policy)), for max_faults
         self._per_policy: dict[int, int] = {}
-
-    # backwards-compatible single-policy view
-    @property
-    def policy(self) -> FaultPolicy:
-        return self.policies[0]
 
     def faults_for(self, policy: FaultPolicy) -> int:
         """Injections attributed to one policy of a multi-policy world

@@ -59,9 +59,9 @@ class ProcsWorld(World):
         """Join the forked workers.
 
         ``strict`` (the default) treats a straggler as a protocol
-        failure; fault-tolerant runs pass ``strict=False`` so that a
-        quarantined-but-hung worker is simply terminated — its work has
-        already been reassigned.
+        failure; a run whose master quarantined a rank passes
+        ``strict=False`` so that a quarantined-but-hung worker is
+        simply terminated — its work has already been reassigned.
         """
         stragglers = 0
         for proc in self._children:

@@ -28,12 +28,11 @@ one connection, never poisons the run.
 **Elastic ranks.**  The worker pool is not fixed at launch: a process
 that connects after the initial complement is assigned the next free
 rank, the world's ``nproc`` grows, and a ``Tag.JOIN`` announcement is
-synthesized into the master's mailbox so the fault-tolerant master can
-admit it (re-sending the INIT setup).  Ranks may also die
-mid-run: a broken connection stops delivery to that rank (sends are
-swallowed like packets to a dead host) and the PR-3 liveness machinery
-quarantines it and reassigns its work.  ``accept_joins=False`` refuses
-newcomers — the legacy fail-loudly master cannot admit them.
+synthesized into the master's mailbox so the master can admit it
+(re-sending the INIT setup).  Ranks may also die mid-run: a broken
+connection stops delivery to that rank (sends are swallowed like
+packets to a dead host) and the master's liveness deadlines quarantine
+it and reassign its work.
 """
 
 from __future__ import annotations
@@ -304,16 +303,12 @@ class SocketsWorld(World):
     """
 
     def __init__(self, nproc: int, host: str = "127.0.0.1", port: int = 0,
-                 spawn_workers: bool = True, accept_joins: bool = True,
+                 spawn_workers: bool = True,
                  timeout: float = _DEFAULT_TIMEOUT,
                  connect_timeout: float = 60.0) -> None:
         super().__init__(nproc)
         self._initial_nproc = nproc
         self.spawn_workers = spawn_workers
-        #: admit ranks beyond the initial complement?  run_plinger
-        #: clears this for legacy (non-fault-tolerant) runs, which
-        #: would die on the unexpected JOIN tag
-        self.accept_joins = accept_joins
         self._timeout = float(timeout)
         self._connect_timeout = float(connect_timeout)
         self._lock = threading.RLock()
@@ -393,7 +388,7 @@ class SocketsWorld(World):
 
         with self._lock:
             elastic = self._next_rank >= self._initial_nproc
-            if self._closed or (elastic and not self.accept_joins):
+            if self._closed:
                 try:
                     sock.close()
                 except OSError:
@@ -423,8 +418,8 @@ class SocketsWorld(World):
         conn.thread = reader
         reader.start()
         if elastic:
-            # announce the newcomer where the fault-tolerant master is
-            # already listening; it admits the rank and re-sends the
+            # announce the newcomer where the master is already
+            # listening; it admits the rank and re-sends the
             # INIT setup (plinger.master, Tag.JOIN)
             from ...plinger.tags import Tag
 
@@ -554,9 +549,9 @@ class SocketsWorld(World):
     def join(self, timeout: float | None = None, strict: bool = True) -> None:
         """Wait for worker connections to close and children to exit.
 
-        ``strict`` raises if a worker had to be torn down forcibly
-        (legacy runs fail loudly; fault-tolerant runs pass
-        ``strict=False`` because quarantined ranks never say goodbye).
+        ``strict`` raises if a worker had to be torn down forcibly (a
+        run whose master quarantined a rank passes ``strict=False``:
+        quarantined ranks never say goodbye).
         """
         timeout = self._timeout if timeout is None else float(timeout)
         deadline = time.monotonic() + timeout

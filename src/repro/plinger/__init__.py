@@ -7,12 +7,13 @@ work (tag 3) or stop (tag 6), and each completed mode comes back as a
 21-value header (tag 4) followed by a ``2 lmax + 8``-value multipole
 payload (tag 5).  Work is handed out largest-k-first.
 
-Passing a :class:`FaultTolerance` policy anywhere in this package
-switches from the paper's fail-loudly protocol to a resilient one:
-worker liveness via heartbeats (tag 7) and deadlines, quarantine and
-work reassignment with bounded retries, an integration escalation
-ladder, and full fault accounting in a
-:class:`~repro.telemetry.report.FaultReport`.
+That exchange is the whole wire of a fault-free run.  Around it the
+one loop on each side keeps a run alive: deadlines on every wait,
+heartbeats (tag 7) from a worker silent for an interval,
+quarantine and work reassignment with bounded retries, an integration
+escalation ladder, and full fault accounting in a
+:class:`~repro.telemetry.report.FaultReport`; a :class:`FaultTolerance`
+policy sets the deadlines and bounds.
 """
 
 from ..resilience import FaultTolerance

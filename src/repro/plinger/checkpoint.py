@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParameterError, ProtocolError
+from ..errors import ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.records import HEADER_LENGTH, ModeHeader, ModePayload
-from ..linger.serial import LingerConfig, LingerResult, build_tables
+from ..linger.serial import LingerConfig, LingerResult
+from ..resilience import FaultTolerance
 
 __all__ = ["ModeJournal", "run_plinger_checkpointed"]
 
@@ -119,7 +120,7 @@ def run_plinger_checkpointed(
     backend: str = "inprocess",
     background=None,
     thermo=None,
-    fault_tolerance=None,
+    fault_tolerance: FaultTolerance = FaultTolerance(),
 ) -> tuple[LingerResult, int]:
     """PLINGER with a completion journal; resumable.
 
@@ -127,71 +128,19 @@ def run_plinger_checkpointed(
     journal instead of recomputed.  The k-grid and configuration must
     match the original run (the journal stores ik indices).
 
-    ``fault_tolerance`` is forwarded to :func:`run_plinger`: combined
-    with the journal this is the full belt-and-braces story — in-run
-    faults are recovered live, and a crash of the whole job resumes
-    from the last fsync'd mode.
+    This is :func:`run_plinger` started with the journal's modes
+    already done and the journal's :meth:`~ModeJournal.append` as its
+    ``on_result``: in-run faults are recovered live, and a crash of
+    the whole job resumes from the last fsync'd mode.
     """
     from .driver import run_plinger
 
-    config = config or LingerConfig(record_sources=False,
-                                    keep_mode_results=False)
-    journal = ModeJournal(journal_path)
-    done = journal.replay()
-    for ik in done:
-        if not 1 <= ik <= kgrid.nk:
-            raise ParameterError(
-                f"journal entry ik={ik} outside the grid (nk={kgrid.nk}); "
-                "journal/k-grid mismatch"
-            )
-
-    remaining_idx = [i for i in range(kgrid.nk) if (i + 1) not in done]
-    n_resumed = kgrid.nk - len(remaining_idx)
-
-    if remaining_idx:
-        sub_k = kgrid.k[remaining_idx]
-        sub_grid = KGrid.from_k(sub_k)
-        sub_result, _ = run_plinger(
-            params, sub_grid, config, nproc=nproc, backend=backend,
+    with ModeJournal(journal_path) as journal:
+        done = journal.replay()
+        result, _stats = run_plinger(
+            params, kgrid, config, nproc=nproc, backend=backend,
             background=background, thermo=thermo,
             fault_tolerance=fault_tolerance,
+            completed=done, on_result=journal.append,
         )
-        # journal the fresh completions with their *original* ik,
-        # through one persistent handle
-        with journal:
-            for local_i, orig_i in enumerate(remaining_idx):
-                h = sub_result.headers[local_i]
-                p = sub_result.payloads[local_i]
-                h = ModeHeader.unpack(
-                    np.concatenate([[float(orig_i + 1)], h.pack()[1:]])
-                )
-                p_fixed = ModePayload(
-                    ik=orig_i + 1, k=p.k, tau_end=p.tau_end, a_end=p.a_end,
-                    amplitude=p.amplitude, n_steps=p.n_steps,
-                    f_gamma=p.f_gamma, g_gamma=p.g_gamma,
-                )
-                journal.append(h, p_fixed)
-        background = sub_result.background
-        thermo = sub_result.thermo
-    else:
-        background, thermo = build_tables(params, background, thermo)
-
-    # assemble the full result from the (now complete) journal
-    done = journal.replay()
-    if len(done) != kgrid.nk:
-        raise ProtocolError(
-            f"journal incomplete after run: {len(done)}/{kgrid.nk}"
-        )
-    headers = [done[i + 1][0] for i in range(kgrid.nk)]
-    payloads = [done[i + 1][1] for i in range(kgrid.nk)]
-    result = LingerResult(
-        params=params,
-        kgrid=kgrid,
-        config=config,
-        headers=headers,
-        payloads=payloads,
-        modes=[None] * kgrid.nk,
-        background=background,
-        thermo=thermo,
-    )
-    return result, n_resumed
+    return result, len(done)

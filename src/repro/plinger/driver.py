@@ -15,13 +15,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..background import Background
 from ..cache import PrecomputeCache
-from ..errors import MessagePassingError, ProtocolError
+from ..errors import MessagePassingError, ParameterError, ProtocolError
 from ..linger.kgrid import KGrid
+from ..linger.records import ModeHeader, ModePayload
 from ..linger.serial import (
     LingerConfig,
     LingerResult,
@@ -58,15 +60,14 @@ class PlingerRunStats:
     master_messages_received: int
     master_messages_sent: int
     worker_cpu_seconds: np.ndarray  #: per-mode CPU, ascending-k order
-    #: fault-tolerance accounting; None on legacy (fail-loudly) runs
-    fault_report: FaultReport | None = None
+    fault_report: FaultReport  #: recovery accounting (zeros when clean)
 
 
 def _worker_entry(mp_handle, background, thermo, kgrid, config,
                   with_telemetry: bool = False,
-                  fault_tolerance: FaultTolerance | None = None,
+                  fault_tolerance: FaultTolerance = FaultTolerance(),
                   params: CosmologyParams | None = None,
-                  mode_sink: dict | None = None):
+                  mode_sink: dict | None = None) -> Exception | None:
     """Entry point for worker ranks (thread target / forked child /
     ``repro worker``).
 
@@ -80,36 +81,34 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     With telemetry on, the worker builds its own collector (forked
     children share no memory with the master) and publishes it —
     together with its traffic stats and busy/idle log — through the
-    world's out-of-band channel after the protocol completes.
+    world's out-of-band channel after the protocol completes; with
+    telemetry off it publishes only if it has a recovery to report.
 
-    Under a fault-tolerance policy the compute path degrades gracefully
-    (:func:`~repro.plinger.worker.chunk_compute`: an
-    :class:`~repro.errors.IntegrationError` walks the escalation
-    ladder, mode by mode, with the downgrade reported in the result
-    header); a transport failure (e.g. this rank was declared dead and
-    dismissed) ends the worker cleanly instead of crashing the process.
+    A loop that ends without a STOP — the master gone, the READY
+    retries exhausted, this rank declared dead and its transport closed
+    — ends the worker cleanly instead of crashing the process; the
+    error is returned, for a caller who cares (``repro worker``).
     """
-    ft = fault_tolerance
     telemetry = Telemetry() if with_telemetry else NULL_TELEMETRY
     mp_handle.initpass()
     background, thermo = build_tables(params, background, thermo,
                                       telemetry=telemetry)
     compute = chunk_compute(background, thermo, kgrid, config, telemetry,
-                            ladder=ft is not None and ft.integration_retries,
                             mode_sink=mode_sink)
+    error = None
     try:
-        log = worker_subroutine(mp_handle, compute, fault_tolerance=ft)
-    except (MessagePassingError, ProtocolError):
-        if ft is None:
-            raise
+        log = worker_subroutine(mp_handle, compute, fault_tolerance)
+    except (MessagePassingError, ProtocolError) as exc:
+        error = exc
         log = WorkerLog()
-    if with_telemetry or ft is not None:
+    if with_telemetry or log.ready_retries or log.bad_work_messages:
         mp_handle.publish_telemetry({
             "traffic": mp_handle.stats.as_dict(),
             "worker": log.as_dict(),
             "telemetry": telemetry.worker_payload(),
         })
     mp_handle.endpass()
+    return error
 
 
 def run_plinger(
@@ -122,10 +121,12 @@ def run_plinger(
     thermo: ThermalHistory | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
     batch_size: int = 1,
-    fault_tolerance: FaultTolerance | None = None,
+    fault_tolerance: FaultTolerance = FaultTolerance(),
     world: World | None = None,
     cache: PrecomputeCache | None = None,
     collect_modes: bool = False,
+    completed: dict[int, tuple[ModeHeader, ModePayload]] | None = None,
+    on_result: Callable[[ModeHeader, ModePayload], None] | None = None,
 ) -> tuple[LingerResult, PlingerRunStats]:
     """Run PLINGER with ``nproc - 1`` workers plus the master.
 
@@ -146,12 +147,11 @@ def run_plinger(
     per-tag message traffic for every rank, per-worker busy/idle time,
     and each worker's per-mode integrator metrics.
 
-    Pass a :class:`~repro.resilience.FaultTolerance` to run
-    resiliently: dead workers are detected and quarantined, their
-    wavenumbers reassigned with bounded retries, failing integrations
-    walk an escalation ladder, and the accounting lands in
-    ``stats.fault_report`` (and the telemetry report's ``fault``
-    section).  ``world`` substitutes a pre-built transport — e.g. a
+    Dead workers are quarantined and their wavenumbers reassigned,
+    failing integrations walk an escalation ladder, and the accounting
+    lands in ``stats.fault_report`` (and the telemetry report's
+    ``fault`` section); ``fault_tolerance`` sets the deadlines and
+    bounds.  ``world`` substitutes a pre-built transport — e.g. a
     :class:`~repro.mp.backends.faulty.FaultyWorld` for chaos testing —
     in place of ``get_backend(backend, nproc)``; ``backend`` then only
     selects how workers are hosted (threads unless the world can
@@ -170,6 +170,14 @@ def run_plinger(
     master's memory, so no wire-protocol change is needed — and it
     requires ``config.keep_mode_results=True``; forked backends still
     ship only the wire records.
+
+    A restart is this same run started with modes already done:
+    ``completed`` maps ``ik`` to the ``(header, payload)`` an earlier
+    run banked (:meth:`~repro.plinger.checkpoint.ModeJournal.replay`);
+    those wavenumbers are not dispatched and their records go into the
+    result as they are.  ``on_result(header, payload)`` is called in
+    the master, once per mode, the moment it is banked — hang a
+    journal's ``append`` there.
     """
     if nproc < 2:
         raise MessagePassingError("PLINGER needs at least 1 worker (nproc >= 2)")
@@ -183,6 +191,13 @@ def run_plinger(
             "PLINGER ships only the wire records; run with "
             "keep_mode_results=False (use run_linger for source recording)"
         )
+    completed = completed or {}
+    for ik in completed:
+        if not 1 <= ik <= kgrid.nk:
+            raise ParameterError(
+                f"completed mode ik={ik} outside the grid (nk={kgrid.nk}); "
+                "journal/k-grid mismatch"
+            )
     background, thermo = build_tables(params, background, thermo,
                                       cache, telemetry)
     tau_end = background.tau0 if config.tau_end is None else config.tau_end
@@ -196,12 +211,6 @@ def run_plinger(
         )
     master_mp = world.handle(0)
     forked = hasattr(world, "launch")
-    ft = fault_tolerance
-    if hasattr(world, "accept_joins"):
-        # elastic joins graft onto the fault-tolerant master's admit
-        # path; the legacy fail-loudly master would die on the JOIN
-        # tag, so a legacy run refuses newcomers at the listener
-        world.accept_joins = ft is not None
     if collect_modes and forked:
         raise ProtocolError(
             "collect_modes=True requires thread-hosted workers "
@@ -216,13 +225,14 @@ def run_plinger(
         # digest and the dlopen itself, first thing after the fork
         available_kernels()
         world.launch(_worker_entry, background, thermo, kgrid, config,
-                     telemetry.enabled, ft, params)
+                     telemetry.enabled, fault_tolerance, params)
     elif backend in ("inprocess", "procs"):
         threads = [
             threading.Thread(
                 target=_worker_entry,
                 args=(world.handle(r), background, thermo, kgrid, config,
-                      telemetry.enabled, ft, params, mode_sink),
+                      telemetry.enabled, fault_tolerance, params,
+                      mode_sink),
                 daemon=True,
             )
             for r in range(1, nproc)
@@ -235,37 +245,35 @@ def run_plinger(
         )
 
     master_mp.initpass()
-    log = master_subroutine(master_mp, kgrid, chunks=chunks,
-                            fault_tolerance=ft)
+    log = master_subroutine(master_mp, kgrid, on_result=on_result,
+                            chunks=chunks, fault_tolerance=fault_tolerance,
+                            done=completed)
     master_mp.endpass()
 
+    # a rank the master quarantined may be hung with its work already
+    # reassigned, and is simply left behind (a forked one terminated);
+    # with nobody quarantined, a rank that does not exit is an error
+    strict = not log.fault.dead_workers
     if forked:
-        # under fault tolerance a quarantined-but-hung child is simply
-        # terminated: its work has already been reassigned
-        world.join(timeout=60.0, strict=ft is None)
+        world.join(timeout=60.0, strict=strict)
     else:
-        # a rank the fault-tolerant master quarantined may still be
-        # stuck past its deadline with its work already reassigned:
-        # give all threads together the policy's own silence deadline
+        # all threads together get the policy's own silence deadline
         # plus a margin, not a minute each
-        limit = 60.0 if ft is None else max(ft.silence_seconds, 1.0) + 5.0
-        deadline = time.monotonic() + limit
+        deadline = time.monotonic() + 5.0 + max(
+            fault_tolerance.silence_seconds, 1.0)
         for t in threads:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
-            if t.is_alive() and ft is None:
+            if t.is_alive() and strict:
                 raise MessagePassingError("worker thread failed to exit")
     wall = time.perf_counter() - wall0
 
-    collected: dict = {}
-    if telemetry.enabled or ft is not None:
-        collected = dict(sorted(world.collect_telemetry().items()))
-
-    if ft is not None and log.fault is not None:
-        # fold worker-side retry accounting into the fault report
-        for _rank, payload in collected.items():
-            w = payload.get("worker", {})
-            if w.get("ready_retries"):
-                log.fault.bump_retry("READY", int(w["ready_retries"]))
+    # worker blobs: each rank's telemetry when that is on, else only
+    # what a rank with a recovery to report published
+    collected = dict(sorted(world.collect_telemetry().items()))
+    for payload in collected.values():
+        resent = payload.get("worker", {}).get("ready_retries")
+        if resent:
+            log.fault.bump_retry("READY", int(resent))
 
     if telemetry.enabled:
         telemetry.meta.setdefault("driver", "plinger")
@@ -274,9 +282,7 @@ def run_plinger(
         telemetry.meta.setdefault("nk", kgrid.nk)
         if batch_size > 1:
             telemetry.meta.setdefault("batch_size", batch_size)
-        if ft is not None:
-            telemetry.meta.setdefault("fault_tolerance", True)
-            telemetry.fault = log.fault
+        telemetry.fault = log.fault
         if cache is not None:
             telemetry.meta.setdefault("cache", True)
             telemetry.cache = cache.metrics
@@ -302,7 +308,7 @@ def run_plinger(
     nk = kgrid.nk
     headers = [None] * nk
     payloads = [None] * nk
-    for h, p in zip(log.headers, log.payloads):
+    for h, p in [*completed.values(), *zip(log.headers, log.payloads)]:
         headers[h.ik - 1] = h
         payloads[p.ik - 1] = p
     if any(h is None for h in headers):

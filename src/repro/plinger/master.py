@@ -3,30 +3,35 @@
 The master broadcasts the run setup, then sits in a probe loop:
 ready-requests (tag 2) and completed headers (tag 4, followed by the
 tag-5 payload whose length the header announces) both earn the sending
-worker its next wavenumber (tag 3) — or a stop message (tag 6) when the
-grid is exhausted.  Wavenumbers go out in dispatch order: largest
+worker its next wavenumber (tag 3) — or a stop message (tag 6) once the
+grid is complete.  Wavenumbers go out in dispatch order: largest
 first, so the expensive modes never land at the end of the run.
 
-Passing a :class:`~repro.resilience.FaultTolerance` switches to
-the fault-tolerant master: same wire tags (headers grow a 22nd value,
-the retry level), but a timed probe loop with per-worker liveness
-deadlines, validation of every inbound record, quarantine of dead
-workers, and bounded reassignment of their outstanding wavenumbers.
-The legacy path is byte-identical to the paper's protocol.
+There is one loop.  On a fault-free run it exchanges exactly the
+paper's messages — tags 1-6, a 21-value header, the same counts and
+bytes — and around them it probes with a deadline, validates every
+inbound record, quarantines a rank that falls silent with work in
+hand and reassigns that work within the policy's retry budget, and
+skips wavenumbers that are already done (which is all a restart is).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ProtocolError
 from ..linger.kgrid import KGrid
-from ..linger.records import HEADER_LENGTH, ModeHeader, ModePayload
+from ..linger.records import (
+    HEADER_LENGTH,
+    ModeHeader,
+    ModePayload,
+    wire_index,
+)
 from ..mp.api import MessagePassing
 from ..telemetry.report import FaultReport
 from ..resilience import FaultTolerance
@@ -45,7 +50,7 @@ class MasterLog:
     ``probe_wait_seconds`` is wallclock the master spent blocked
     waiting for worker messages — essentially all of its life, which
     is the paper's argument for co-hosting it with a worker.
-    ``fault`` is populated only by the fault-tolerant master.
+    ``fault`` is the recovery accounting (all zeros on a clean run).
     """
 
     headers: list[ModeHeader] = field(default_factory=list)
@@ -53,7 +58,7 @@ class MasterLog:
     dispatched: list[int] = field(default_factory=list)
     stops_sent: int = 0
     probe_wait_seconds: float = 0.0
-    fault: FaultReport | None = None
+    fault: FaultReport = field(default_factory=FaultReport)
 
 
 def master_subroutine(
@@ -62,7 +67,8 @@ def master_subroutine(
     init_data: np.ndarray | None = None,
     on_result: Callable[[ModeHeader, ModePayload], None] | None = None,
     chunks: Sequence[Sequence[int]] | None = None,
-    fault_tolerance: FaultTolerance | None = None,
+    fault_tolerance: FaultTolerance = FaultTolerance(),
+    done: Iterable[int] = (),
 ) -> MasterLog:
     """Run the master side of the PLINGER protocol to completion.
 
@@ -78,8 +84,9 @@ def master_subroutine(
         message length when chunked dispatch is on and 0 — the
         paper's wire format — for one-k-at-a-time dispatch).
     on_result:
-        Invoked for every completed (header, payload) pair — the
-        stand-in for the paper's ascii/binary file writes.
+        Invoked for every completed (header, payload) pair as the
+        master banks it — the stand-in for the paper's ascii/binary
+        file writes, and where a checkpoint journal hangs.
     chunks:
         Optional chunked dispatch: a partition of the grid indices
         (0-based, in dispatch order) into the k-chunks each WORK
@@ -90,10 +97,35 @@ def master_subroutine(
         mode of the previous one.  ``None`` keeps the paper's protocol:
         one wavenumber per WORK message.
     fault_tolerance:
-        A :class:`~repro.resilience.FaultTolerance` policy
-        switches to the resilient master loop (liveness deadlines,
-        quarantine, reassignment, validated records); ``None`` keeps
-        the paper's fail-loudly protocol exactly.
+        The loop's deadlines and retry bounds
+        (:class:`~repro.resilience.FaultTolerance`).
+    done:
+        Wavenumber indices (1-based) that need no computing — the
+        modes a restart replayed from its journal.  They are never
+        dispatched and do not appear in the log.
+
+    What the loop keeps of the paper's:
+
+    * dispatch order — reassigned work goes back out before fresh
+      work, each requeued chunk sorted largest-k-first;
+    * one reply per ask.  An ask is a READY or the last result of a
+      WORK message; its reply is the next chunk or, when none is left,
+      a place on the bench until orphaned work turns up or the grid
+      completes and the STOP goes out.  The master leaves only when
+      every rank has made contact, so no READY stays unread;
+    * a READY that a worker *re-sends* because a reply went missing
+      carries its attempt number where a first ask carries 0, and
+      re-earns the same assignment, never a new one.
+
+    Every inbound record is validated before it is trusted: a corrupt
+    or torn result is discarded and the mode recomputed.
+
+    The elastic extension (sockets backend): a rank beyond the launch
+    complement that speaks up mid-run — a ``Tag.JOIN`` announcement, or
+    any first message from an unknown rank (the announcement itself can
+    be lost) — is *admitted*: entered into the liveness books and sent
+    the INIT setup it missed, after which the normal protocol
+    applies.  The quarantine path already handles its departure.
     """
     nk = kgrid.nk
     if chunks is None:
@@ -115,159 +147,55 @@ def master_subroutine(
             f"init broadcast must carry {INIT_MESSAGE_LENGTH} reals"
         )
 
+    ft = fault_tolerance
     log = MasterLog()
+    fr = log.fault
     mp.mybcastreal(init_data, Tag.INIT)
-
-    if fault_tolerance is not None:
-        return _master_fault_tolerant(
-            mp, kgrid, on_result, chunks, work_length, fault_tolerance, log,
-            init_data)
-
-    next_chunk = 0  # position in chunks
-    ik_done = 0
-    pending: dict[int, int] = {}  # rank -> modes outstanding in its chunk
-
-    while ik_done < nk or log.stops_sent < mp.nproc - 1:
-        wait0 = time.perf_counter()
-        msgtype, itid = mp.mycheckany()
-        log.probe_wait_seconds += time.perf_counter() - wait0
-
-        if msgtype == Tag.READY:
-            # the request carries no data; dispose of it
-            mp.myrecvreal(1, Tag.READY, itid)
-        elif msgtype == Tag.HEADER:
-            buf = mp.myrecvreal(HEADER_LENGTH, Tag.HEADER, itid)
-            header = ModeHeader.unpack(buf)
-            # the next message's length depends on lmax
-            mp.mycheckone(Tag.PAYLOAD, itid)
-            buf2 = mp.myrecvreal(2 * header.lmax + 8, Tag.PAYLOAD, itid)
-            payload = ModePayload.unpack(buf2, header.lmax)
-            log.headers.append(header)
-            log.payloads.append(payload)
-            if on_result is not None:
-                on_result(header, payload)
-            ik_done += 1
-            pending[itid] = pending.get(itid, 1) - 1
-            if pending[itid] > 0:
-                # mid-chunk: this rank owes more results before its
-                # next work (READY messages always earn a reply, as in
-                # the unchunked protocol — a duplicated READY from a
-                # transport retry must not stall the books)
-                continue
-        else:
-            raise ProtocolError(
-                f"master received unexpected tag {msgtype} from rank {itid}"
-            )
-
-        # reply to the worker that just spoke: more work, or stop
-        buf = np.zeros(work_length)
-        if next_chunk < len(chunks):
-            iks = [i + 1 for i in chunks[next_chunk]]  # 1-based, as in F77
-            buf[: len(iks)] = iks
-            mp.mysendreal(buf, Tag.WORK, itid)
-            log.dispatched.extend(iks)
-            # set, not accumulate: a surplus result (duplicated-message
-            # fault) then drives the count negative and earns a reply,
-            # preserving the unchunked one-reply-per-message invariant
-            pending[itid] = len(iks)
-            next_chunk += 1
-        else:
-            mp.mysendreal(buf, Tag.STOP, itid)
-            log.stops_sent += 1
-
-    return log
-
-
-#: Wire length of a fault-tolerant header: the paper's 21 values plus
-#: the escalation-ladder level.
-FT_HEADER_LENGTH = HEADER_LENGTH + 1
-
-#: Tolerance for "this wire value should be an integer".
-_INTEGRAL_EPS = 1e-6
-
-
-def _as_index(value: float) -> int | None:
-    """Round a wire value to an index, or None if it isn't integral."""
-    if not np.isfinite(value) or abs(value - round(value)) > _INTEGRAL_EPS:
-        return None
-    return int(round(value))
-
-
-def _master_fault_tolerant(
-    mp: MessagePassing,
-    kgrid: KGrid,
-    on_result,
-    chunks: list[list[int]],
-    work_length: int,
-    ft: FaultTolerance,
-    log: MasterLog,
-    init_data: np.ndarray,
-) -> MasterLog:
-    """The resilient master loop.
-
-    Invariants relative to the paper's protocol:
-
-    * dispatch order is preserved — reassigned work goes back out
-      before fresh work, each requeued chunk sorted largest-k-first;
-    * a worker still earns exactly one reply per completed unit of
-      work — but only once its whole assignment is accounted for, and
-      replies lost in flight are recovered by the worker re-sending
-      READY (which re-earns the same assignment, never a new one);
-    * every inbound record is validated before it is trusted: a
-      corrupt or torn result is discarded and the mode recomputed.
-
-    The elastic extension (sockets backend): a rank beyond the launch
-    complement that speaks up mid-run — a ``Tag.JOIN`` announcement, or
-    any first message from an unknown rank (the announcement itself can
-    be lost) — is *admitted*: entered into the liveness books and sent
-    the INIT setup it missed, after which the normal protocol
-    applies.  The quarantine path already handles its departure.
-    """
-    nk = kgrid.nk
-    fr = FaultReport()
-    log.fault = fr
     workers = set(range(mp.nproc)) - {mp.mastid}
 
     # dispatch-order position of each 1-based ik, for requeue sorting
     pos = {int(i) + 1: p for p, i in enumerate(kgrid.dispatch_order)}
     queue: deque[list[int]] = deque([i + 1 for i in c] for c in chunks)
     requeue: deque[list[int]] = deque()  # reassigned work, dispatched first
-    outstanding: dict[int, set[int]] = {r: set() for r in workers}
+    outstanding: dict[int, set[int]] = defaultdict(set)  # rank -> its iks
+    # results still to come on each rank's latest WORK message — set at
+    # every send, not accumulated, as in the paper's loop: a surplus
+    # ask (a READY the transport delivered twice) then deepens the
+    # rank's queue by one and still ends in exactly one reply
+    owed: dict[int, int] = defaultdict(int)
     retries: dict[int, int] = {}  # per-ik re-dispatch count
     retry_policy = ft.retry_policy()  # shared budget arithmetic
-    now = time.monotonic()
-    last_seen: dict[int, float] = {r: now for r in workers}
+    started = time.monotonic()
+    last_seen: dict[int, float] = {}  # rank -> when it last spoke
     lost_at: dict[int, float] = {}  # ik -> when its result was lost
     reassigned_iks: set[int] = set()
-    done: set[int] = set()
+    done = {int(ik) for ik in done}
     stopped: set[int] = set()
     quarantined: set[int] = set()
-    idle: set[int] = set()  # live ranks parked until reassignable work
+    parked: list[int] = []  # asks on the bench, oldest first
 
     def next_chunk() -> list[int] | None:
-        while requeue:
-            c = [ik for ik in requeue.popleft() if ik not in done]
-            if c:
-                return c
-        while queue:
-            c = [ik for ik in queue.popleft() if ik not in done]
-            if c:
-                return c
+        for source in (requeue, queue):
+            while source:
+                c = [ik for ik in source.popleft() if ik not in done]
+                if c:
+                    return c
         return None
 
     def send_stop(rank: int) -> None:
         mp.mysendreal(np.zeros(work_length), Tag.STOP, rank)
         stopped.add(rank)
-        idle.discard(rank)
         log.stops_sent += 1
 
     def send_work(rank: int, iks: list[int]) -> None:
-        buf = np.zeros(work_length)
+        # a re-sent assignment can span two chunks; the worker's
+        # receive does not depend on the announced length
+        buf = np.zeros(max(work_length, len(iks)))
         buf[: len(iks)] = iks
         mp.mysendreal(buf, Tag.WORK, rank)
         log.dispatched.extend(iks)
-        outstanding[rank] = set(iks)
-        idle.discard(rank)
+        outstanding[rank].update(iks)
+        owed[rank] = len(iks)
 
     def bump_retries(iks: list[int]) -> None:
         t = time.monotonic()
@@ -281,23 +209,22 @@ def _master_fault_tolerant(
             lost_at.setdefault(ik, t)
         fr.bump_retry("WORK", len(iks))
 
-    def reply_with_work(rank: int) -> None:
-        """Rank finished its assignment: next chunk, park, or stop."""
+    def reply(rank: int) -> None:
+        """Answer one ask: the next chunk, or the bench."""
         c = next_chunk()
         if c is not None:
             send_work(rank, c)
-        elif any(outstanding[r] for r in workers if r != rank):
-            # work is still in flight elsewhere and may yet need
-            # reassignment; keep this rank on the bench
-            idle.add(rank)
         else:
-            send_stop(rank)
+            parked.append(rank)
+
+    def unfinished(rank: int) -> list[int]:
+        return sorted(outstanding[rank], key=pos.__getitem__)
 
     def quarantine(rank: int) -> None:
         quarantined.add(rank)
-        idle.discard(rank)
+        parked[:] = [r for r in parked if r != rank]
         fr.dead_workers.append(rank)
-        pend = sorted(outstanding[rank] - done, key=pos.__getitem__)
+        pend = unfinished(rank)
         outstanding[rank] = set()
         if pend:
             bump_retries(pend)
@@ -305,51 +232,62 @@ def _master_fault_tolerant(
             fr.reassignments += 1
             fr.reassigned_modes = len(reassigned_iks)
             requeue.append(pend)
-            # hand the orphaned work straight to any benched rank
-            while idle and (requeue or queue):
-                reply_with_work(min(idle))
+            # hand the orphaned work straight to the bench
+            while parked and (requeue or queue):
+                reply(parked.pop(0))
 
     def admit(rank: int) -> None:
         """The elastic "add rank" path: enter a mid-run newcomer into
         the books and re-send the setup broadcast it missed."""
         workers.add(rank)
-        outstanding[rank] = set()
-        last_seen[rank] = time.monotonic()
         fr.ranks_joined += 1
         mp.mysendreal(init_data, Tag.INIT, rank)
+
+    def overdue(rank: int, now: float) -> bool:
+        """Dead, as opposed to busy: a rank heartbeats through a long
+        mode or a long wait, so what counts is silence, never how long
+        a mode takes.  A rank that has yet to make contact (it may be
+        building its tables) has the whole worker timeout."""
+        if rank in last_seen:
+            return now - last_seen[rank] > ft.silence_seconds
+        return now - started > max(ft.worker_timeout, ft.silence_seconds)
 
     def valid_header(buf: np.ndarray) -> ModeHeader | None:
         # Only the slots the protocol interprets (ik, k, lmax, level)
         # must be finite and well-formed; the physics slots may carry
         # NaN legitimately (e.g. delta_nu_massive in a model with no
-        # massive neutrinos), exactly as on the paper's 21-value wire.
-        if buf.size != FT_HEADER_LENGTH:
+        # massive neutrinos).  The escalation level rides as a 22nd
+        # real only when it is not zero.
+        if buf.size not in (HEADER_LENGTH, HEADER_LENGTH + 1):
             return None
-        ik = _as_index(buf[0])
+        ik = wire_index(buf[0])
         if ik is None or not 1 <= ik <= nk:
             return None
         if not np.isclose(buf[1], kgrid.k[ik - 1], rtol=1e-9, atol=0.0):
             return None
-        lmax = _as_index(buf[20])
+        lmax = wire_index(buf[20])
         if lmax is None or not 0 <= lmax <= 100_000:
             return None
-        level = _as_index(buf[21])
+        level = wire_index(buf[21]) if buf.size > HEADER_LENGTH else 0
         if level is None or level < 0:
             return None
         header = ModeHeader.unpack(buf[:HEADER_LENGTH])
-        return replace(header, retry_level=level)
+        return replace(header, retry_level=level) if level else header
 
     def valid_payload(buf: np.ndarray, header: ModeHeader):
         expected = 2 * header.lmax + 8
         if buf.size != expected or not np.all(np.isfinite(buf)):
             return None
-        if _as_index(buf[0]) != header.ik:
+        if wire_index(buf[0]) != header.ik:
             return None
         if not np.isclose(buf[1], header.k, rtol=1e-9, atol=0.0):
             return None
         return ModePayload.unpack(buf, header.lmax)
 
-    while len(done) < nk:
+    # until the grid is complete and every rank still on the books has
+    # been heard from (the paper's master, too, stays for each worker)
+    while len(done) < nk or \
+            workers - stopped - quarantined - last_seen.keys():
         wait0 = time.perf_counter()
         probed = mp.myprobe(timeout=ft.poll_seconds)
         log.probe_wait_seconds += time.perf_counter() - wait0
@@ -358,9 +296,9 @@ def _master_fault_tolerant(
             # quiet tick: check the liveness deadlines
             now = time.monotonic()
             for rank in sorted(workers - stopped - quarantined):
-                if now - last_seen[rank] > ft.silence_seconds:
+                if overdue(rank, now):
                     quarantine(rank)
-            if workers <= (stopped | quarantined):
+            if len(done) < nk and workers <= (stopped | quarantined):
                 raise ProtocolError(
                     f"all workers lost with {nk - len(done)} of {nk} "
                     "wavenumbers incomplete"
@@ -384,19 +322,21 @@ def _master_fault_tolerant(
             continue
 
         if tag == Tag.READY:
-            mp.myrecvraw(Tag.READY, rank)
+            attempt = mp.myrecvraw(Tag.READY, rank)
+            resent = attempt.size > 0 and attempt[0] != 0
             if rank in quarantined or rank in stopped:
                 # back from the dead; its work is gone — dismiss it
                 send_stop(rank)
-            elif outstanding[rank] - done:
+            elif not resent:
+                reply(rank)
+            elif outstanding[rank]:
                 # it lost our reply: re-earn the same assignment
-                pend = sorted(outstanding[rank] - done, key=pos.__getitem__)
+                pend = unfinished(rank)
                 bump_retries(pend)
                 fr.ready_resyncs += 1
                 send_work(rank, pend)
-            else:
-                outstanding[rank] = set()
-                reply_with_work(rank)
+            elif rank not in parked:
+                reply(rank)  # the ask itself was lost
             continue
 
         if tag == Tag.PAYLOAD:
@@ -442,13 +382,16 @@ def _master_fault_tolerant(
         if header.ik in lost_at:
             fr.recovery_wall_seconds += time.monotonic() - \
                 lost_at.pop(header.ik)
+        owed[rank] -= 1
+        # an ask: its latest WORK message is complete, or nothing of
+        # its is left in flight (another rank delivered the rest)
         if rank not in stopped and rank not in quarantined \
-                and not outstanding[rank]:
-            reply_with_work(rank)
+                and (owed[rank] <= 0 or not outstanding[rank]):
+            reply(rank)
 
-    # grid complete: release everyone still on the books (a genuinely
-    # dead rank simply never reads its stop message)
-    for rank in sorted(workers - stopped):
+    # a STOP for every ask on the bench, and one for every rank that
+    # never got that far (a genuinely dead rank simply never reads it)
+    for rank in parked + sorted(workers - stopped - set(parked)):
         send_stop(rank)
 
     return log

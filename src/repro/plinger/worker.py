@@ -4,11 +4,12 @@ Receive the setup broadcast, ask for a wavenumber, then loop:
 integrate the mode, ship the 21-value header and the ``2 lmax + 8``
 payload back, and wait for the next wavenumber or a stop message.
 
-With a :class:`~repro.resilience.FaultTolerance` policy the
-worker becomes resilient: it heartbeats on a timer, waits on the master
-with a deadline, and re-sends READY (with exponential backoff, bounded
-by the retry budget) when a reply goes missing — which re-earns its
-current assignment from the fault-tolerant master.
+Around that exchange the loop keeps itself alive: every wait on the
+master has a deadline, a reply that goes missing is healed by
+re-sending READY (with exponential backoff, bounded by the retry
+budget) — which re-earns the current assignment from the master — and
+a worker with nothing to say for a heartbeat interval (a long mode, a
+long wait) sends heartbeats, so the master can tell busy from dead.
 
 What "integrate" means is the one callable the loop takes,
 ``compute(iks)``; :func:`chunk_compute` builds the production one (the
@@ -19,19 +20,18 @@ for ``run_plinger``'s workers and the warm pool's alike.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ..chaos import current_engine
 from ..errors import IntegrationError, ProtocolError
-from ..linger.records import ModeHeader, ModePayload
+from ..linger.records import ModeHeader, ModePayload, wire_index
 from ..linger.serial import compute_modes_batch
 from ..mp.api import MessagePassing
 from ..resilience import FaultTolerance, HeartbeatThread, run_with_ladder
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .master import INIT_MESSAGE_LENGTH
 from .tags import Tag
 
 __all__ = ["WorkerLog", "chunk_compute", "worker_subroutine"]
@@ -48,7 +48,6 @@ class WorkerLog:
     ``idle_seconds`` is wallclock spent blocked on the master (waiting
     for the setup broadcast, a wavenumber, or the stop message) — the
     quantity the largest-k-first schedule is designed to minimize.
-    The last three fields are populated only by fault-tolerant runs.
     """
 
     modes_done: int = 0
@@ -60,14 +59,10 @@ class WorkerLog:
     heartbeats_sent: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "modes_done": self.modes_done,
-            "busy_seconds": self.busy_seconds,
-            "idle_seconds": self.idle_seconds,
-            "ready_retries": self.ready_retries,
-            "bad_work_messages": self.bad_work_messages,
-            "heartbeats_sent": self.heartbeats_sent,
-        }
+        """Every field but the setup broadcast."""
+        out = asdict(self)
+        del out["init_data"]
+        return out
 
 
 def chunk_compute(
@@ -76,15 +71,14 @@ def chunk_compute(
     kgrid,
     config,
     telemetry: Telemetry = NULL_TELEMETRY,
-    ladder: bool = False,
     mode_sink: dict | None = None,
 ) -> ChunkCompute:
     """The production ``compute(iks)`` of a worker rank: integrate the
     wavenumbers of one WORK message, under the escalation ladder.
 
     The chunk goes through one
-    :func:`~repro.linger.serial.compute_modes_batch` call.  With
-    ``ladder`` on, an :class:`~repro.errors.IntegrationError` degrades
+    :func:`~repro.linger.serial.compute_modes_batch` call.  An
+    :class:`~repro.errors.IntegrationError` degrades
     instead of ending the rank: each mode is integrated on its own
     through :func:`~repro.resilience.run_with_ladder` (one transient
     same-config retry, then the escalation levels) and the level that
@@ -122,8 +116,6 @@ def chunk_compute(
         )
 
     def compute(iks: list[int]):
-        if not ladder:
-            return attempt(iks, config)
         floor = 0
         if len(iks) > 1:
             try:
@@ -146,108 +138,59 @@ def chunk_compute(
     return compute
 
 
+def _parse_work(buf: np.ndarray) -> list[int] | None:
+    """Decode a WORK message defensively: zero is padding; anything
+    non-integral, negative, or non-finite marks the whole message
+    corrupt (None), which the caller heals by re-sending READY."""
+    iks = [wire_index(v) for v in np.asarray(buf, dtype=float)]
+    if any(ik is None or ik < 0 for ik in iks):
+        return None
+    return [ik for ik in iks if ik] or None
+
+
 def worker_subroutine(
     mp: MessagePassing,
     compute: ChunkCompute,
-    fault_tolerance: FaultTolerance | None = None,
+    fault_tolerance: FaultTolerance = FaultTolerance(),
 ) -> WorkerLog:
     """Run the worker side of the PLINGER protocol until told to stop.
 
     ``compute(iks)`` integrates the wavenumber indices (1-based) of one
     WORK message and returns their record pairs in order (see
-    :func:`chunk_compute`).
+    :func:`chunk_compute`).  Every mode of a chunk ships back as its
+    own header/payload pair — 21 reals, or 22 when the mode needed the
+    escalation ladder and the level rides along — so the result wire
+    format does not depend on the chunk length.
 
-    The init broadcast's fourth slot announces the WORK/STOP message
-    length (0 means the paper's one-k format); every mode of a chunk
-    ships back as its own header/payload pair, so the result wire
-    format is unchanged.
-
-    ``fault_tolerance`` switches to the resilient loop (heartbeats,
-    deadlines, READY retry ladder, length-agnostic receives); ``None``
-    keeps the paper's fail-loudly worker exactly.
+    Receives are length-agnostic (a lost INIT broadcast is survivable
+    because WORK parsing does not need the announced message length),
+    every wait on the master has a deadline, and a missing reply is
+    healed by re-sending READY with the attempt number in its one real
+    (a first ask carries 0): the master answers that with the worker's
+    current assignment, so at-least-once delivery of results is
+    preserved.  Raises :class:`~repro.errors.ProtocolError` when the
+    retry budget runs out with the master still silent.
     """
+    ft = fault_tolerance
     log = WorkerLog()
-    if fault_tolerance is not None:
-        return _worker_fault_tolerant(mp, compute, fault_tolerance, log)
-    mastid = mp.mastid
-
-    # receive initial data from master (idle until it arrives)
-    wait0 = time.perf_counter()
-    mp.mycheckone(Tag.INIT, mastid)
-    log.init_data = mp.myrecvreal(INIT_MESSAGE_LENGTH, Tag.INIT, mastid)
-    work_length = max(1, int(round(log.init_data[3])))
-
-    # ask for a wavenumber
-    mp.mysendreal(np.array([0.0]), Tag.READY, mastid)
-
-    # receive next ik(s) or a stop message
-    msgtype = mp.mychecktid(mastid)
-    buf = mp.myrecvreal(work_length, msgtype, mastid)
-    log.idle_seconds += time.perf_counter() - wait0
-
-    while msgtype == Tag.WORK:
-        iks = [int(round(v)) for v in buf if int(round(v)) != 0]
-        if not iks or any(ik < 1 for ik in iks):
-            raise ProtocolError(f"worker received invalid work chunk {iks}")
-        busy0 = time.perf_counter()
-        for header, payload in compute(iks):
-            if header.lmax != payload.lmax:
-                raise ProtocolError("header/payload lmax mismatch")
-            mp.mysendreal(header.pack(), Tag.HEADER, mastid)
-            mp.mysendreal(payload.pack(), Tag.PAYLOAD, mastid)
-            log.modes_done += 1
-        log.busy_seconds += time.perf_counter() - busy0
-
-        wait0 = time.perf_counter()
-        msgtype = mp.mychecktid(mastid)
-        buf = mp.myrecvreal(work_length, msgtype, mastid)
-        log.idle_seconds += time.perf_counter() - wait0
-
-    if msgtype != Tag.STOP:
-        raise ProtocolError(f"worker expected WORK or STOP, got tag {msgtype}")
-    return log
-
-
-def _parse_work(buf: np.ndarray) -> list[int] | None:
-    """Decode a WORK message defensively: zero is padding; anything
-    non-integral, negative, or non-finite marks the whole message
-    corrupt (None), which the caller heals by re-sending READY."""
-    iks: list[int] = []
-    for v in np.asarray(buf, dtype=float):
-        if not np.isfinite(v) or abs(v - round(v)) > 1e-6:
-            return None
-        iv = int(round(v))
-        if iv < 0:
-            return None
-        if iv != 0:
-            iks.append(iv)
-    return iks if iks else None
-
-
-def _worker_fault_tolerant(
-    mp: MessagePassing,
-    compute: ChunkCompute,
-    ft: FaultTolerance,
-    log: WorkerLog,
-) -> WorkerLog:
-    """The resilient worker loop.
-
-    Differences from the paper's loop: receives are length-agnostic
-    (a lost INIT broadcast is survivable because WORK parsing does not
-    need the announced message length), every wait on the master has a
-    deadline, and a missing reply is healed by re-sending READY — the
-    fault-tolerant master answers that with the worker's current
-    assignment, so at-least-once delivery of results is preserved.
-    """
     mastid = mp.mastid
     retry = ft.retry_policy()
     heartbeat = HeartbeatThread(mp, mastid, ft.heartbeat_interval).start()
+
+    def send(data: np.ndarray, tag: Tag) -> None:
+        mp.mysendreal(data, tag, mastid)
+        heartbeat.spoke()
+
+    def ask_again() -> None:
+        log.ready_retries += 1
+        send(np.array([float(log.ready_retries)]), Tag.READY)
+
     try:
         wait0 = time.perf_counter()
         if mp.myprobe(Tag.INIT, mastid, timeout=ft.worker_timeout) is not None:
             log.init_data = mp.myrecvraw(Tag.INIT, mastid)
 
-        mp.mysendreal(np.array([0.0]), Tag.READY, mastid)
+        send(np.array([0.0]), Tag.READY)
         attempts = 0
         while True:
             probed = mp.myprobe(source=mastid, timeout=ft.worker_timeout)
@@ -263,8 +206,7 @@ def _worker_fault_tolerant(
                 # by a READY that earns the same assignment twice
                 if mp.myprobe(source=mastid,
                               timeout=retry.backoff(attempts)) is None:
-                    mp.mysendreal(np.array([0.0]), Tag.READY, mastid)
-                    log.ready_retries += 1
+                    ask_again()
                 continue
 
             tag, _src = probed
@@ -286,8 +228,7 @@ def _worker_fault_tolerant(
             iks = _parse_work(buf)
             if iks is None:
                 log.bad_work_messages += 1
-                mp.mysendreal(np.array([0.0]), Tag.READY, mastid)
-                log.ready_retries += 1
+                ask_again()
                 wait0 = time.perf_counter()
                 continue
 
@@ -295,9 +236,11 @@ def _worker_fault_tolerant(
             for header, payload in compute(iks):
                 if header.lmax != payload.lmax:
                     raise ProtocolError("header/payload lmax mismatch")
-                wire = np.append(header.pack(), float(header.retry_level))
-                mp.mysendreal(wire, Tag.HEADER, mastid)
-                mp.mysendreal(payload.pack(), Tag.PAYLOAD, mastid)
+                wire = header.pack()
+                if header.retry_level:
+                    wire = np.append(wire, float(header.retry_level))
+                send(wire, Tag.HEADER)
+                send(payload.pack(), Tag.PAYLOAD)
                 log.modes_done += 1
             log.busy_seconds += time.perf_counter() - busy0
             wait0 = time.perf_counter()

@@ -5,15 +5,15 @@ as the master/worker protocol, so it lives here.  The paper's design
 assumes every worker survives a ~75 CPU-hour run; this module supplies
 what a production deployment needs when they don't:
 
-* :class:`FaultTolerance` — the knobs: per-assignment deadlines, the
-  heartbeat cadence, retry/backoff bounds.  Passing one to
-  :func:`~repro.plinger.driver.run_plinger` (or the master/worker
-  subroutines) switches the protocol from *fail loudly* to *detect,
-  reassign, finish*; its :meth:`~FaultTolerance.retry_policy` hands
-  the same backoff contract to the cache path.
+* :class:`FaultTolerance` — the knobs of the PLINGER loop: liveness
+  deadlines, the heartbeat cadence, retry/backoff bounds.  Every run
+  has one (:func:`~repro.plinger.driver.run_plinger` and the
+  master/worker subroutines default to ``FaultTolerance()``); its
+  :meth:`~FaultTolerance.retry_policy` hands the same backoff contract
+  to the cache path.
 * :class:`HeartbeatThread` — a worker-side timer emitting
   ``Tag.HEARTBEAT`` messages so the master can tell a busy worker from
-  a dead one while the integration holds the main thread.
+  a dead one while a long integration holds the main thread.
 * :func:`escalation_ladder` / :func:`run_with_ladder` — graceful
   degradation of the *compute* path: an ``IntegrationError`` retries
   the mode with a tighter initial step, then a looser relative
@@ -27,6 +27,7 @@ what a production deployment needs when they don't:
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
@@ -61,18 +62,23 @@ class FaultTolerance:
     """Fault-tolerance policy for a PLINGER run.
 
     ``worker_timeout``
-        Master side: seconds of total silence after which a worker with
-        outstanding work is declared dead (when heartbeats are off).
         Worker side: how long to wait for the master's reply before
-        re-requesting work.
+        re-requesting work.  Master side: how long a rank has to make
+        first contact, and — only when heartbeats are off — the
+        silence after which a rank is declared dead.
     ``max_retries``
         Bound on re-dispatches per wavenumber and on a worker's
         consecutive unanswered READY re-sends.
     ``heartbeat_interval``
-        Seconds between worker heartbeats; 0 disables them (liveness
-        then rests on ``worker_timeout`` alone).
+        Seconds between the heartbeats of a worker that has sent
+        nothing else for one interval — in a long mode, or on the
+        bench — so a run of shorter modes sends none; 0 disables them
+        (liveness then rests on ``worker_timeout``, i.e. on how long a
+        mode may take).
     ``missed_heartbeats``
-        K: a worker is declared dead after K intervals of silence.
+        K: a rank is declared dead after K intervals of silence (at
+        least 3: the first beat can come almost two intervals after
+        the rank's last message).
     ``poll_seconds``
         The master's probe tick — the granularity of deadline checks.
     ``payload_timeout``
@@ -81,19 +87,15 @@ class FaultTolerance:
     ``backoff_base``
         Worker READY-retry backoff: sleep ``base * 2**attempt`` before
         each re-send.
-    ``integration_retries``
-        Enable the compute escalation ladder (see
-        :func:`escalation_ladder`).
     """
 
     worker_timeout: float = 30.0
     max_retries: int = 5
-    heartbeat_interval: float = 0.0
+    heartbeat_interval: float = 2.0
     missed_heartbeats: int = 3
     poll_seconds: float = 0.05
     payload_timeout: float = 2.0
     backoff_base: float = 0.05
-    integration_retries: bool = True
 
     @property
     def silence_seconds(self) -> float:
@@ -115,9 +117,15 @@ class FaultTolerance:
 
 
 class HeartbeatThread:
-    """Emits ``Tag.HEARTBEAT`` to ``target`` every ``interval`` seconds.
+    """Emits ``Tag.HEARTBEAT`` to ``target`` every ``interval`` seconds
+    while the worker has had nothing else to say for that long.
 
-    Runs as a daemon thread beside the worker's compute loop; sends are
+    The worker calls :meth:`spoke` whenever it sends a message of its
+    own; a tick less than one interval after that sends nothing — so
+    short modes cost no message and a fault-free run of them keeps to
+    the paper's six tags, while a long mode, or a long wait on the
+    bench, is accompanied by heartbeats.  Runs as a
+    daemon thread beside the worker's compute loop; sends are
     serialized with the main thread by the handle's send lock.  A
     transport error (e.g. the rank was killed by fault injection) ends
     the thread quietly — the master's silence detector takes over from
@@ -131,6 +139,7 @@ class HeartbeatThread:
         self._interval = float(interval)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        self._spoke = time.monotonic()
         self.beats = 0
 
     def start(self) -> "HeartbeatThread":
@@ -144,12 +153,18 @@ class HeartbeatThread:
         from ..plinger.tags import Tag
 
         while not self._stop.wait(self._interval):
+            if time.monotonic() - self._spoke < self._interval:
+                continue
             try:
                 self._mp.mysendreal(np.array([float(self.beats)]),
                                     Tag.HEARTBEAT, self._target)
             except Exception:
                 return
             self.beats += 1
+
+    def spoke(self) -> None:
+        """The worker just sent a message: the silence starts over."""
+        self._spoke = time.monotonic()
 
     def stop(self) -> None:
         self._stop.set()
@@ -187,7 +202,7 @@ def run_with_ladder(
     Returns ``(result, level)`` from the first level that succeeds;
     re-raises the last :class:`~repro.errors.IntegrationError` when
     every rung fails.  ``enabled=False`` collapses to a single plain
-    attempt (the fail-loudly behavior).
+    attempt.
 
     ``transient_retries`` grants that many *extra* level-0 attempts
     with the unmodified config before the ladder escalates — a success

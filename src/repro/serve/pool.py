@@ -3,8 +3,7 @@
 A request that misses the store is one
 :func:`~repro.plinger.driver.run_plinger` call on the ``inprocess``
 backend (master in the calling thread, ``nproc - 1`` worker threads,
-the unmodified wire protocol under a
-:class:`~repro.resilience.FaultTolerance` policy), so the output is
+the unmodified wire protocol), so the output is
 bit-identical to a batch PLINGER run — and therefore to serial LINGER —
 by construction.  What :class:`WarmPool` adds is the one thing worth
 keeping between requests: an LRU of each recent cosmology's built
@@ -60,15 +59,14 @@ class WarmPool:
         cold table builds go build-or-load through the content-
         addressed store, so even a *cold* cosmology can skip the solve.
     fault_tolerance:
-        The per-run resilience policy; defaults to heartbeat-free
-        timeouts suited to a responsive service.
+        The per-run :class:`~repro.resilience.FaultTolerance` policy.
     max_resident:
         How many cosmologies stay warm at once (LRU beyond that).
     """
 
     def __init__(self, nproc: int = 4,
                  cache: PrecomputeCache | None = None,
-                 fault_tolerance: FaultTolerance | None = None,
+                 fault_tolerance: FaultTolerance = FaultTolerance(),
                  max_resident: int = 8) -> None:
         if nproc < 2:
             raise ServeError("WarmPool needs at least 1 worker (nproc >= 2)")
@@ -76,9 +74,7 @@ class WarmPool:
             raise ServeError("max_resident must be >= 1")
         self.nproc = int(nproc)
         self.cache = cache
-        self.fault_tolerance = (fault_tolerance if fault_tolerance is not None
-                                else FaultTolerance(worker_timeout=30.0,
-                                                    max_retries=3))
+        self.fault_tolerance = fault_tolerance
         self.max_resident = int(max_resident)
         self.stats = PoolStats()
         #: tables digest -> (background, thermo), least recent first

@@ -132,7 +132,7 @@ class WorkerMetrics:
 class FaultReport:
     """Fault-tolerance accounting of one PLINGER run.
 
-    Written by the fault-tolerant master (and folded with worker-side
+    Written by the PLINGER master (and folded with worker-side
     retry counts by the driver); the chaos tests pin these fields
     against the exact number of injected faults.  An additive v1
     extension: reports without a ``fault`` section load unchanged.

@@ -462,7 +462,6 @@ def chaos_degradation_oracle(
     )
     from ..perturbations.operator import available_kernels
     from ..plinger import run_plinger
-    from ..resilience import FaultTolerance
     from ..spectra import cl_from_hierarchy
     from ..telemetry import Telemetry
 
@@ -477,7 +476,6 @@ def chaos_degradation_oracle(
 
     policy = ChaosPolicy.from_profile(profile, seed=seed)
     tel = Telemetry()
-    ft = FaultTolerance()
     # the kernel gauntlet plants a torn .so: in a cache of its own,
     # not the user's
     with tempfile.TemporaryDirectory() as tmp, \
@@ -503,7 +501,7 @@ def chaos_degradation_oracle(
             cache = PrecomputeCache(tmp)
             chaotic, _ = run_plinger(
                 params, kgrid, config, nproc=nproc, backend="inprocess",
-                telemetry=tel, fault_tolerance=ft, cache=cache,
+                telemetry=tel, cache=cache,
             )
         for e in cache.degradation.events:
             tel.record_degradation(e["surface"], e["event"],

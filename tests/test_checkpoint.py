@@ -115,6 +115,67 @@ class TestCheckpointedRuns:
             )
 
 
+class TestLiveJournal:
+    def test_each_mode_is_journaled_as_the_master_banks_it(
+            self, tmp_path, monkeypatch, scdm, bg_scdm, thermo_scdm,
+            small_grid, config):
+        """The journal is written during the run, not after it: with
+        the last wavenumber out held up, the other ``nk - 1`` are on
+        disk while the run is still going, and a resume from there
+        dispatches that one mode and lands on ``run_linger``'s bits."""
+        import shutil
+        import threading
+        import time
+
+        from repro.plinger import worker
+
+        nk = small_grid.nk
+        hold, computed = threading.Event(), []
+        integrate = worker.compute_modes_batch
+
+        def held_up(background, thermo, ks, iks, *args, **kwargs):
+            computed.extend(iks)
+            if 1 in iks:  # smallest k: dispatched last
+                hold.wait(60.0)
+            return integrate(background, thermo, ks, iks, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "compute_modes_batch", held_up)
+        journal_path = tmp_path / "run.journal"
+        run = threading.Thread(
+            target=run_plinger_checkpointed,
+            args=(scdm, small_grid, journal_path, config),
+            kwargs=dict(nproc=3, background=bg_scdm, thermo=thermo_scdm),
+            daemon=True)
+        run.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not (
+                    journal_path.exists() and
+                    journal_path.read_text().count("\n") >= nk - 1):
+                time.sleep(0.01)
+            assert run.is_alive()  # ik 1 is still being held
+            crashed = tmp_path / "crashed.journal"
+            shutil.copy(journal_path, crashed)
+        finally:
+            hold.set()
+            run.join(60.0)
+        assert sorted(ModeJournal(crashed).replay()) == list(range(2, nk + 1))
+
+        del computed[:]
+        result, resumed = run_plinger_checkpointed(
+            scdm, small_grid, crashed, config, nproc=3,
+            background=bg_scdm, thermo=thermo_scdm)
+        assert (resumed, computed) == (nk - 1, [1])
+        reference = run_linger(scdm, small_grid, config,
+                               background=bg_scdm, thermo=thermo_scdm)
+        for got, ref in zip(result.payloads, reference.payloads):
+            np.testing.assert_array_equal(got.pack(), ref.pack())
+        for got, ref in zip(result.headers, reference.headers):
+            # every header value but cpu_seconds
+            np.testing.assert_array_equal(np.delete(got.pack(), 18),
+                                          np.delete(ref.pack(), 18))
+
+
 class TestCrashResume:
     """Satellite: a real SIGKILL mid-journal, then a resume *under
     chaos injection* — the recovered run must be bitwise-identical to
@@ -129,7 +190,6 @@ class TestCrashResume:
         import time
 
         from repro.chaos import ChaosPolicy, active
-        from repro.resilience import FaultTolerance
 
         journal_path = tmp_path / "run.journal"
 
@@ -166,7 +226,6 @@ class TestCrashResume:
             result, resumed = run_plinger_checkpointed(
                 scdm, small_grid, journal_path, config, nproc=3,
                 background=bg_scdm, thermo=thermo_scdm,
-                fault_tolerance=FaultTolerance(),
             )
         assert resumed == len(pre)
 

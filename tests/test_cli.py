@@ -284,3 +284,64 @@ class TestCommands:
         assert str(bound) in row
         for gone in ("batched chunks", "lane occupancy"):
             assert gone not in out
+
+
+class TestTwoProcessSockets:
+    """``repro run --listen`` and ``repro worker --connect`` as two OS
+    processes over localhost TCP, on the flags a user gets by default."""
+
+    GRID = ["--nk", "4", "--lmax", "8", "--rtol", "1e-3",
+            "--k-min", "1e-3", "--k-max", "2e-2"]
+
+    @staticmethod
+    def _repro(*args, **popen):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.Popen([sys.executable, "-m", "repro", *args],
+                                env=env, text=True, **popen)
+
+    def _listen(self, tmp_path, *grid):
+        """A master waiting for one worker; ``(process, address)``."""
+        import time
+
+        ready = tmp_path / "ready.txt"
+        master = self._repro(
+            "run", "--backend", "sockets", "--parallel", "2",
+            "--listen", "127.0.0.1:0", "--ready-file", str(ready),
+            *grid, "--output", str(tmp_path / "shard.npz"))
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and not (
+                ready.exists() and ready.read_text().endswith("\n")):
+            assert master.poll() is None
+            time.sleep(0.05)
+        return master, ":".join(ready.read_text().split())
+
+    def test_round_trip_on_default_flags(self, tmp_path):
+        master, address = self._listen(tmp_path, *self.GRID)
+        worker = self._repro("worker", "--connect", address, *self.GRID)
+        assert worker.wait(120.0) == 0
+        assert master.wait(120.0) == 0
+        assert main(["run", *self.GRID,
+                     "--output", str(tmp_path / "serial.npz")]) == 0
+        np.testing.assert_array_equal(
+            np.load(tmp_path / "shard.npz")["payload_flat"],
+            np.load(tmp_path / "serial.npz")["payload_flat"])
+
+    def test_a_worker_whose_master_vanished_says_so(self, tmp_path):
+        import subprocess
+
+        # the python driver and a tight rtol: the run must still be in
+        # flight when the master is killed
+        grid = ["--nk", "40", "--rtol", "1e-5", "--rhs-kernel", "python"]
+        master, address = self._listen(tmp_path, *grid)
+        worker = self._repro("worker", "--connect", address, *grid,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert "joined" in worker.stdout.readline()
+        master.kill()
+        master.wait(30.0)
+        out, err = worker.communicate(timeout=120.0)
+        assert worker.returncode == 1
+        assert "ended without a STOP" in err and "done" not in out

@@ -1,8 +1,11 @@
-"""Failure injection: the protocol must fail loudly, never silently.
+"""The fault-injecting transport itself.
 
-A dropped, truncated, duplicated or mis-tagged message in a PLINGER run
-must surface as a MessagePassingError / ProtocolError / timeout — not
-as a quietly wrong spectrum.
+What a PLINGER run does under each injected fault — recover the
+fault-free records bitwise, or raise within the policy's bounds, never
+a quietly wrong or incomplete spectrum — is pinned in
+``tests/test_fault_tolerance.py`` (``TestEveryAction`` runs every
+action of :data:`~repro.mp.backends.faulty.ACTIONS` against
+every message kind of the exchange).
 """
 
 import threading
@@ -11,49 +14,10 @@ import numpy as np
 import pytest
 
 from repro import KGrid
-from repro.errors import MessagePassingError, ProtocolError
 from repro.mp.backends.faulty import FaultPolicy, FaultyWorld
 from repro.mp.backends.inprocess import InProcessWorld
-from repro.plinger import Tag, master_subroutine, worker_subroutine
+from repro.plinger import master_subroutine, worker_subroutine
 from tests.test_plinger import fake_compute
-
-
-def run_faulty(policy, nk=4, nproc=2, master_timeout=2.0):
-    """Run a PLINGER exchange through a faulty world; returns
-    (master_error, worker_errors, world)."""
-    inner = InProcessWorld(nproc)
-    # cap probe waits so dropped messages become timeouts, not hangs
-    orig_find = inner.find
-    inner.find = lambda *a, **kw: orig_find(
-        *a, **{**kw, "timeout": master_timeout}
-    )
-    world = FaultyWorld(inner, policy)
-    kgrid = KGrid.from_k(0.01 * np.arange(1, nk + 1))
-    worker_errors = []
-
-    def worker(rank):
-        mp = world.handle(rank)
-        mp.initpass()
-        try:
-            worker_subroutine(
-                mp, lambda iks: [fake_compute(ik) for ik in iks])
-        except (MessagePassingError, ProtocolError) as e:
-            worker_errors.append(e)
-
-    threads = [threading.Thread(target=worker, args=(r,), daemon=True)
-               for r in range(1, nproc)]
-    for t in threads:
-        t.start()
-    mp0 = world.handle(0)
-    mp0.initpass()
-    master_error = None
-    try:
-        master_subroutine(mp0, kgrid)
-    except (MessagePassingError, ProtocolError) as e:
-        master_error = e
-    for t in threads:
-        t.join(5.0)
-    return master_error, worker_errors, world
 
 
 class TestFaultPolicy:
@@ -62,59 +26,22 @@ class TestFaultPolicy:
             FaultPolicy(selector=lambda m, c: True, action="scramble")
 
     def test_no_faults_when_selector_never_fires(self):
-        err, werrs, world = run_faulty(
-            FaultPolicy(selector=lambda m, c: False, action="drop")
-        )
-        assert err is None and not werrs
-        assert world.faults_injected == 0
+        world = FaultyWorld(InProcessWorld(2), FaultPolicy(
+            selector=lambda m, c: False, action="drop"))
+        kgrid = KGrid.from_k(0.01 * np.arange(1, 5))
 
+        def worker():
+            mp = world.handle(1)
+            mp.initpass()
+            worker_subroutine(
+                mp, lambda iks: [fake_compute(ik) for ik in iks])
 
-class TestDrop:
-    def test_dropped_result_times_out_master(self):
-        policy = FaultPolicy(
-            selector=lambda m, c: m.tag == Tag.HEADER and c > 0,
-            action="drop",
-        )
-        err, _, world = run_faulty(policy, master_timeout=0.5)
-        assert world.faults_injected >= 1
-        assert err is not None  # master probe timed out
-
-
-class TestTruncate:
-    def test_truncated_header_detected(self):
-        policy = FaultPolicy(
-            selector=lambda m, c: m.tag == Tag.HEADER,
-            action="truncate",
-        )
-        err, _, world = run_faulty(policy, master_timeout=1.0)
-        assert world.faults_injected >= 1
-        assert isinstance(err, (MessagePassingError, ProtocolError))
-
-
-class TestRetag:
-    def test_unknown_tag_raises_protocol_error(self):
-        policy = FaultPolicy(
-            selector=lambda m, c: m.tag == Tag.READY,
-            action="retag",
-            retag_to=42,
-        )
-        err, _, world = run_faulty(policy, master_timeout=1.0)
-        assert world.faults_injected >= 1
-        assert err is not None
-
-
-class TestDuplicate:
-    def test_duplicated_ready_is_harmless_or_detected(self):
-        """A duplicated ready-request earns a second reply; the worker
-        left with an unconsumed message must not corrupt results —
-        either everything completes (extra WORK absorbed as the
-        worker's next assignment) or someone raises."""
-        policy = FaultPolicy(
-            selector=lambda m, c: m.tag == Tag.READY,
-            action="duplicate",
-        )
-        err, werrs, world = run_faulty(policy, nk=4, master_timeout=1.0)
-        assert world.faults_injected >= 1
-        # the run must terminate within the timeout either way (join
-        # succeeded above); silence with missing modes is impossible
-        # because the master counts completions before stopping.
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        mp0 = world.handle(0)
+        mp0.initpass()
+        log = master_subroutine(mp0, kgrid)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert sorted(h.ik for h in log.headers) == [1, 2, 3, 4]
+        assert world.faults_injected == 0 and not log.fault.any_faults

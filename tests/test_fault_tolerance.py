@@ -26,7 +26,7 @@ import pytest
 from repro import KGrid, LingerConfig, ProtocolError
 from repro.errors import IntegrationError, MessagePassingError
 from repro.linger.records import ModeHeader, ModePayload
-from repro.mp.backends.faulty import FaultPolicy, FaultyWorld
+from repro.mp.backends.faulty import ACTIONS, FaultPolicy, FaultyWorld
 from repro.mp.backends.inprocess import InProcessWorld
 from repro.plinger import (
     FaultTolerance,
@@ -139,8 +139,9 @@ class TestFaultFreeBaseline:
     def test_ft_run_without_faults_is_clean(self):
         world = FaultyWorld(InProcessWorld(4),
                             FaultPolicy(selector=lambda m, c: False))
-        # non-instant compute so the heartbeat timers get to fire
-        compute = fake_compute_factory(KGRID, delay=0.03)
+        # a compute that outlasts the heartbeat interval, so the
+        # timers get to fire
+        compute = fake_compute_factory(KGRID, delay=0.12)
         log, worker_logs = run_chaos(world, compute=compute)
         assert_complete(log)
         fr = log.fault
@@ -154,7 +155,7 @@ class TestFaultFreeBaseline:
         assert fr.heartbeats_received > 0
         assert sum(wl.modes_done for wl in worker_logs.values()) == NK
 
-    def test_legacy_run_has_no_fault_report(self):
+    def test_default_policy_run_has_a_clean_fault_report(self):
         world = InProcessWorld(3)
         compute = fake_compute_factory(KGRID)
         logs = {}
@@ -175,7 +176,62 @@ class TestFaultFreeBaseline:
         for t in threads:
             t.join(10.0)
         assert_complete(log)
-        assert log.fault is None
+        assert not log.fault.any_faults
+        assert log.fault.heartbeats_received == 0
+
+    def test_busy_is_not_dead_on_the_default_policy(self):
+        """Liveness comes from heartbeats, not from how long a mode
+        takes: a mode three silence deadlines long is waited for, and
+        the rank benched beside it is not mistaken for dead either."""
+        ft = FaultTolerance()
+        kgrid = KGrid.from_k(np.logspace(-3, -2, 3))
+        base = fake_compute_factory(kgrid)
+
+        def compute(ik):
+            if ik == 1:  # the last wavenumber out
+                time.sleep(3 * ft.silence_seconds)
+            return base(ik)
+
+        log, _ = run_chaos(InProcessWorld(3), kgrid=kgrid, ft=ft,
+                           compute=compute)
+        assert_complete(log, kgrid)
+        assert log.fault.dead_workers == []
+        assert log.fault.heartbeats_received >= 2  # the busy and the benched
+        assert not log.fault.any_faults
+
+
+class TestEveryAction:
+    """Whatever the transport does to whichever message, a run ends in
+    the fault-free records, bit for bit, or in a ProtocolError /
+    MessagePassingError inside the policy's bounds — never in a quietly
+    wrong or incomplete result, and never in a hang.  (The fail-loudly
+    loop's TestDrop / TestTruncate / TestRetag / TestDuplicate of
+    ``tests/test_fault_injection.py`` are the drop-HEADER,
+    truncate-HEADER, retag-READY and duplicate-READY cells.)"""
+
+    @pytest.mark.parametrize("tag", [Tag.READY, Tag.WORK, Tag.HEADER,
+                                     Tag.PAYLOAD], ids=lambda t: t.name)
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_recovers_bitwise_or_raises(self, action, tag):
+        policy = FaultPolicy.every_nth(2, tags=[tag], action=action,
+                                       max_faults=2, retag_to=42)
+        world = FaultyWorld(InProcessWorld(4), policy)
+        compute = fake_compute_factory(KGRID)
+        t0 = time.monotonic()
+        try:
+            log, _ = run_chaos(world, compute=compute)
+        except (ProtocolError, MessagePassingError):
+            # only a dead master cannot finish: kill_rank takes the
+            # sender, and rank 0 sends the WORK
+            assert (action, tag) == ("kill_rank", Tag.WORK)
+        else:
+            assert_complete(log)
+            for h, p in zip(log.headers, log.payloads):
+                h_ref, p_ref = compute(h.ik)
+                assert h.pack().tobytes() == h_ref.pack().tobytes()
+                assert p.pack().tobytes() == p_ref.pack().tobytes()
+        assert world.faults_injected >= 1
+        assert time.monotonic() - t0 < 20.0
 
 
 class TestWorkerDeath:
@@ -536,6 +592,31 @@ class TestEscalationLadder:
         assert all(lvl == 0 for ik, lvl in recorded.items() if ik != 3)
 
 
+    @pytest.mark.parametrize("backend", ["inprocess", "procs"])
+    def test_degraded_level_rides_as_a_22nd_real(
+            self, backend, scdm, bg_scdm, thermo_scdm):
+        """A header is 21 reals unless the mode needed the ladder; the
+        level then rides behind them and lands in the fault report,
+        whatever hosts the ranks and with no policy asked for."""
+        from repro.telemetry import Telemetry
+
+        kgrid = KGrid.from_k(np.geomspace(2e-3, 0.02, 3))
+        # a hopeless opening step fails level 0; level 1 replaces it
+        config = LingerConfig(lmax_photon=6, lmax_nu=6, rtol=1e-3,
+                              first_step=1e-300, record_sources=False,
+                              keep_mode_results=False)
+        telemetry = Telemetry()
+        result, stats = run_plinger(
+            scdm, kgrid, config, nproc=3, backend=backend,
+            background=bg_scdm, thermo=thermo_scdm, telemetry=telemetry)
+        assert [h.retry_level for h in result.headers] == [1, 1, 1]
+        assert sorted(stats.fault_report.degraded_modes,
+                      key=lambda d: d["ik"]) == [
+            {"ik": ik, "level": 1} for ik in (1, 2, 3)]
+        sent = telemetry.build_report().totals["messages_sent_by_tag"]
+        assert sent["HEADER"] == {"count": 3, "bytes": 3 * 22 * 8}
+
+
 class TestJournalHardening:
     """Satellite: crash-safe append, replay survives any garbage tail."""
 
@@ -747,7 +828,6 @@ class TestEndToEndChaos:
         )
         report = telemetry.build_report()
         assert report.fault is stats.fault_report
-        assert report.meta["fault_tolerance"] is True
         # survives the JSON wire
         loaded = RunReport.from_json(report.to_json())
         assert loaded.fault.orphan_payloads == \

@@ -110,27 +110,32 @@ class TestProtocolFakeWork:
 
 class TestWorkerErrors:
     def test_worker_rejects_bad_ik(self):
+        """A WORK message that names no valid wavenumber is computed by
+        nobody: the worker counts it and asks again, and its second
+        READY says it is a re-send (1, where the first ask carries 0)."""
         world = InProcessWorld(2)
         mp0, mp1 = world.handle(0), world.handle(1)
         mp0.initpass()
-        errors = []
+        computed, logs = [], []
 
         def worker():
             mp1.initpass()
-            try:
-                worker_subroutine(
-                    mp1, lambda iks: [fake_compute(ik) for ik in iks])
-            except ProtocolError as e:
-                errors.append(e)
+            logs.append(worker_subroutine(
+                mp1, lambda iks: computed.append(iks) or
+                [fake_compute(ik) for ik in iks]))
 
-        t = threading.Thread(target=worker)
+        t = threading.Thread(target=worker, daemon=True)
         t.start()
         mp0.mybcastreal(np.zeros(5), Tag.INIT)
         mp0.mycheckone(Tag.READY, 1)
-        mp0.myrecvreal(1, Tag.READY, 1)
+        assert mp0.myrecvreal(1, Tag.READY, 1).tolist() == [0.0]
         mp0.mysendreal(np.array([-3.0]), Tag.WORK, 1)  # invalid ik
+        mp0.mycheckone(Tag.READY, 1)
+        assert mp0.myrecvreal(1, Tag.READY, 1).tolist() == [1.0]
+        mp0.mysendreal(np.array([0.0]), Tag.STOP, 1)
         t.join(10.0)
-        assert errors
+        assert not t.is_alive() and not computed
+        assert (logs[0].bad_work_messages, logs[0].ready_retries) == (1, 1)
 
 
 class TestChunkCompute:
@@ -143,30 +148,27 @@ class TestChunkCompute:
                           record_sources=False, keep_mode_results=False)
     KGRID = KGrid.from_k(np.geomspace(2e-3, 0.04, 5))
 
-    def run_stream(self, bg, thermo, config, ft=None, telemetry=None):
+    def run_stream(self, bg, thermo, config, telemetry=None):
         from repro.plinger.worker import chunk_compute
         from repro.telemetry import NULL_TELEMETRY
 
         world = InProcessWorld(2)
         compute = chunk_compute(
-            bg, thermo, self.KGRID, config, telemetry or NULL_TELEMETRY,
-            ladder=ft is not None and ft.integration_retries)
+            bg, thermo, self.KGRID, config, telemetry or NULL_TELEMETRY)
         calls = []
 
         def worker():
             mp = world.handle(1)
             mp.initpass()
             worker_subroutine(
-                mp, lambda iks: calls.append(list(iks)) or compute(iks),
-                fault_tolerance=ft)
+                mp, lambda iks: calls.append(list(iks)) or compute(iks))
             mp.endpass()
 
         t = threading.Thread(target=worker, daemon=True)
         t.start()
         mp0 = world.handle(0)
         mp0.initpass()
-        log = master_subroutine(mp0, self.KGRID, chunks=self.CHUNKS,
-                                fault_tolerance=ft)
+        log = master_subroutine(mp0, self.KGRID, chunks=self.CHUNKS)
         mp0.endpass()
         t.join(30.0)
         assert not t.is_alive()
@@ -198,17 +200,15 @@ class TestChunkCompute:
         from dataclasses import replace
 
         from repro.chaos import ChaosPolicy, active
-        from repro.resilience import FaultTolerance
         from repro.telemetry import Telemetry
 
-        ft = FaultTolerance(worker_timeout=30.0, integration_retries=True)
-        clean = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG, ft=ft)
+        clean = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG)
         assert {h.retry_level for h in clean.headers} == {0}
 
         # forced collapses, once each, of iks 5, 4 (a chunk) and 3 (alone)
         telemetry = Telemetry()
         with active(ChaosPolicy(integrator_faults=3)):
-            log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG, ft=ft,
+            log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG,
                                   telemetry=telemetry)
         # the chunk's modes report the chunk -> per-mode downgrade;
         # the lone mode recovered on its transient retry: ladder level 0
@@ -224,7 +224,7 @@ class TestChunkCompute:
         # a fault that outlives the retry climbs the ladder: a hopeless
         # opening step fails level 0 on every route, level 1 replaces it
         hopeless = replace(self.CONFIG, first_step=1e-300)
-        log = self.run_stream(bg_scdm, thermo_scdm, hopeless, ft=ft)
+        log = self.run_stream(bg_scdm, thermo_scdm, hopeless)
         assert {h.retry_level for h in log.headers} == {1}
 
 
