@@ -462,7 +462,7 @@ def _print_report_summary(report) -> None:
                          f"{report.timers[name]['total_seconds']:.3f}"])
     for name in ("thermo.ode_rhs_evals", "thermo.ode_rhs_compiled",
                  "thermo.ode_steps", "thermo.ode_rejected",
-                 "thermo.saha_sweeps"):
+                 "thermo.saha_sweeps", "thermo.saha_rows"):
         if name in report.counters:
             rows.append([name, report.counters[name]])
     if report.workers:

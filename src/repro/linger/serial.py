@@ -101,12 +101,16 @@ def build_tables(
     accounts for them wherever they were made.  A thermal history
     solved here (not loaded) also leaves its work counts,
     ``thermo.ode_rhs_evals``, ``thermo.ode_rhs_compiled``,
-    ``thermo.ode_steps``, ``thermo.ode_rejected`` and
-    ``thermo.saha_sweeps``: they repeat exactly for a cosmology, so a
-    regression in the build shows as a count before it shows as a
-    time.  The second says which right-hand side the stepper evaluated:
-    the compiled ``thermo_rhs`` (equal to the first) in a process with
-    the compiled object, ``ThermalHistory._rhs`` (0) without.
+    ``thermo.ode_steps``, ``thermo.ode_rejected``,
+    ``thermo.saha_sweeps`` and ``thermo.saha_rows``: they repeat exactly
+    for a cosmology, so a regression in the build shows as a count
+    before it shows as a time.  The second says which right-hand side
+    the stepper evaluated: the compiled ``thermo_rhs`` (equal to the
+    first) in a process with the compiled object, ``ThermalHistory._rhs``
+    (0) without.  The last is how many grid rows the Saha pre-pass swept:
+    those that can precede the switch to the Peebles ODE plus a few
+    (3616 of 6000 on ``standard_cdm``), all of them only if the switch
+    were not among those.
     """
     if background is None:
         with telemetry.timer("background.build"):

@@ -14,11 +14,20 @@ quantity the Boltzmann integrator needs:
 The visibility function and its first two conformal-time derivatives
 are exposed through cubic splines so the line-of-sight source term can
 be evaluated smoothly.
+
+A build fits eagerly only what every run reads: the ln T_b spline, the
+ln kappa' / ln cs^2 pair behind the Boltzmann right-hand side
+(``_rhs_pack``), the conformal-time grid and the recombination and
+reionization epochs.  The line-of-sight splines (optical depth,
+visibility and its two derivatives, e^-kappa) and the x_e spline are
+fitted from retained arrays the first time an evaluator asks for them:
+hierarchy runs never do.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +36,67 @@ from .. import constants as const
 from ..background import Background
 from ..background.nu_massive import I_RHO_MASSLESS
 from ..errors import IntegrationError
-from ..util.fastspline import UniformGridCubic, fit_cubic
+from ..util.fastspline import PiecewiseCubic, UniformGridCubic, fit_cubic
 from . import radau, recombination
-from .recombination import _saha_sweeps, peebles_rhs, saha_electron_fraction
+from .recombination import (
+    _saha_factor,
+    _saha_sweeps,
+    peebles_rhs,
+    saha_electron_fraction,
+)
 
 __all__ = ["ThermalHistory"]
+
+#: Rows the Saha pre-pass sweeps past the first one whose hydrogen-only
+#: bound is below the switch, in case the bound and the swept x_H round
+#: apart there (1 - x_H grows 11 % a row at the switch, so one would do)
+_SWITCH_MARGIN = 4
+
+
+def _saha_before_switch(
+    t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float,
+    saha_switch: float,
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """The Saha pre-pass: :func:`_saha_sweeps` on the rows that can
+    precede the first x_H below ``saha_switch``.
+
+    The hydrogen-only root ``lo`` (the sweeps' start) bounds the Saha
+    x_H from above, because helium only adds electrons (x_e >= lo, and
+    x_H = s_h / (x_e + s_h) <= s_h / (lo + s_h) = lo).  So past the first
+    row with ``lo`` below the switch no row can be the first x_H below
+    it, and those rows — which the ODE overwrites — are not swept.  The
+    root solves lo^2 = s_h (1 - lo) and rises with s_h, so
+    ``lo < saha_switch`` is read off s_h itself as
+    ``s_h (1 - saha_switch) < saha_switch**2``: no root to form, and no
+    0/0 where s_h underflows (neutral hydrogen, x_H = 0, which passes
+    the test as it should).  A point's result does not depend on which
+    others share its sweeps, so rows ``[:i_switch]`` are the whole
+    grid's; if the prefix holds no switch after all, the rest is swept
+    too and ``i_switch`` stays exact.
+
+    Returns ``(x_e, x_h, i_switch, sweeps, rows)``: grid-length
+    fractions whose rows from ``i_switch`` on are the caller's to
+    overwrite, the first row below the switch, the sweeps the slowest
+    swept row needed and how many rows were swept.
+    """
+    n = t_kelvin.size
+    s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+    past = s_h * (1.0 - saha_switch) < saha_switch**2
+    first = int(np.argmax(past))
+    rows = min(first + 1 + _SWITCH_MARGIN, n) if past[first] else n
+
+    x_e, x_h = np.empty(n), np.empty(n)
+    x_e[:rows], x_h[:rows], _, _, sweeps = _saha_sweeps(
+        t_kelvin[:rows], n_h_cgs[:rows], f_he, s_h[:rows])
+    below = x_h[:rows] < saha_switch
+    if not below.any() and rows < n:
+        x_e[rows:], x_h[rows:], _, _, more = _saha_sweeps(
+            t_kelvin[rows:], n_h_cgs[rows:], f_he, s_h[rows:])
+        sweeps, rows = max(sweeps, more), n
+        below = x_h < saha_switch
+    if not below.any():
+        raise IntegrationError("hydrogen never left Saha equilibrium")
+    return x_e, x_h, int(np.argmax(below)), sweeps, rows
 
 
 class ThermalHistory:
@@ -54,7 +119,8 @@ class ThermalHistory:
     #: work the ionization solve did (None on a history loaded from
     #: tables); every count repeats exactly for a given cosmology.
     #: ``ode_rhs_compiled`` is how many of the ``ode_rhs_evals`` the
-    #: compiled ``thermo_rhs`` made: all of them, or none
+    #: compiled ``thermo_rhs`` made: all of them, or none; ``saha_rows``
+    #: how many grid rows the Saha pre-pass swept
     _build_counts: dict[str, int] | None = None
 
     def __init__(
@@ -92,10 +158,12 @@ class ThermalHistory:
         this object bit-for-bit.
 
         Only the ionization solve (Saha walk + Peebles ODE + helium
-        recombination) is exported; every derived spline — opacity,
-        optical depth, visibility and its derivatives, sound speed —
-        is recomputed on load by the same deterministic vector code,
-        so a round-tripped history evaluates identically.
+        recombination) is exported; everything derived is recomputed on
+        load by the same deterministic vector code — the T_b, opacity
+        and sound-speed splines by :meth:`_finish`, the optical depth,
+        visibility, e^-kappa and x_e splines on first use, as on a
+        built history — so a round-tripped history evaluates
+        identically.
         """
         return {
             "lna": self._lna,
@@ -226,14 +294,11 @@ class ThermalHistory:
         a = np.exp(lna)
         n_h = self._n_h0 / a**3
 
-        # Saha phase: equilibrium at the photon temperature over the
-        # whole grid; only the rows up to the switch are kept
+        # Saha phase: equilibrium at the photon temperature on the rows
+        # that can precede the switch; only those before it are kept
         t_b = self.params.t_cmb / a
-        x_e, x_h, _, _, sweeps = _saha_sweeps(t_b, n_h, self.f_he)
-        below = x_h < saha_switch
-        if not below.any():
-            raise IntegrationError("hydrogen never left Saha equilibrium")
-        i_switch = int(np.argmax(below))
+        x_e, x_h, i_switch, sweeps, saha_rows = _saha_before_switch(
+            t_b, n_h, self.f_he, saha_switch)
 
         # Peebles phase: one solve, output on the grid itself, by the
         # compiled stepper over the compiled right-hand side in a
@@ -279,7 +344,8 @@ class ThermalHistory:
                               "ode_rhs_compiled": n_compiled,
                               "ode_steps": n_steps,
                               "ode_rejected": n_rejected,
-                              "saha_sweeps": sweeps + more}
+                              "saha_sweeps": sweeps + more,
+                              "saha_rows": saha_rows}
 
         # optional reionization: raise x_e to its target over a tanh in z
         if self.z_reion is not None:
@@ -291,9 +357,14 @@ class ThermalHistory:
 
     def _finish(self, lna: np.ndarray, x_e: np.ndarray, x_h: np.ndarray,
                 t_b: np.ndarray) -> None:
-        """The cheap half: spline every derived quantity off the
-        ionization tables (shared by the builder and
-        :meth:`from_tables`)."""
+        """The cheap half, shared by the builder and :meth:`from_tables`:
+        derive off the ionization tables what every run reads — the
+        conformal-time grid, the kappa, g and e^-kappa arrays, the
+        recombination and reionization epochs, the ln T_b spline and the
+        ln kappa' / ln cs^2 pair (``_rhs_pack``).  The line-of-sight and
+        x_e splines are fitted from the retained arrays on first use
+        (the ``cached_property`` fits below), so a run that never
+        projects along the line of sight never fits them."""
         a = np.exp(lna)
         self._lna = lna
         self._a = a
@@ -301,7 +372,6 @@ class ThermalHistory:
         self._x_h_table = x_h
         self._t_b_table = t_b
 
-        self._x_e_spline = fit_cubic(lna, np.log(np.maximum(x_e, 1e-30)))
         self._t_b_spline = fit_cubic(lna, np.log(np.maximum(t_b, 1e-30)))
 
         # Opacity, optical depth, visibility on the conformal-time grid
@@ -312,15 +382,13 @@ class ThermalHistory:
         seg = 0.5 * (kappa_dot[1:] + kappa_dot[:-1]) * dtau
         kappa = np.concatenate(([0.0], np.cumsum(seg)))  # from a_start forward
         kappa = kappa[-1] - kappa  # measured from today backwards
-        g = kappa_dot * np.exp(-np.minimum(kappa, 700.0))
+        exp_mkappa = np.exp(-np.minimum(kappa, 700.0))
+        g = kappa_dot * exp_mkappa
 
         self._tau = tau
-        self._kappa_spline = fit_cubic(tau, kappa)
-        self._g_spline = fit_cubic(tau, g)
-        self._g_prime_spline = self._g_spline.derivative(1)
-        self._g_prime2_spline = self._g_spline.derivative(2)
-        self._exp_mkappa_spline = fit_cubic(
-            tau, np.exp(-np.minimum(kappa, 700.0)))
+        self._kappa = kappa
+        self._g = g
+        self._exp_mkappa = exp_mkappa
 
         # Recombination epoch: peak of the visibility function.  With
         # reionization on, restrict the search to z > 100 so the
@@ -340,8 +408,9 @@ class ThermalHistory:
         i_top = int(np.searchsorted(a, 1.0 / (1.0 + z_top)))
         self.tau_reion = float(kappa[i_top])
 
-        # Baryon sound speed: cs^2 = kB Tb / (mu mH) (1 - (1/3) dlnTb/dlna)
-        dlntb_dlna = self._t_b_spline.derivative(1)(lna)
+        # Baryon sound speed: cs^2 = kB Tb / (mu mH) (1 - (1/3) dlnTb/dlna),
+        # the slope read off the T_b fit at its own knots
+        dlntb_dlna = self._t_b_spline.knot_slopes()
         mu = (1.0 + 4.0 * self.f_he) / (1.0 + self.f_he + x_e)
         cs2 = (
             const.K_BOLTZMANN
@@ -376,6 +445,35 @@ class ThermalHistory:
             * const.SIGMA_THOMSON
             * const.MPC_CM
         )
+
+    # ------------------------------------------------------------------
+    # Fitted on first use (line of sight, x_e), from _finish's arrays
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def _x_e_spline(self) -> PiecewiseCubic:
+        return fit_cubic(self._lna,
+                         np.log(np.maximum(self._x_e_table, 1e-30)))
+
+    @cached_property
+    def _kappa_spline(self) -> PiecewiseCubic:
+        return fit_cubic(self._tau, self._kappa)
+
+    @cached_property
+    def _g_spline(self) -> PiecewiseCubic:
+        return fit_cubic(self._tau, self._g)
+
+    @cached_property
+    def _g_prime_spline(self) -> PiecewiseCubic:
+        return self._g_spline.derivative(1)
+
+    @cached_property
+    def _g_prime2_spline(self) -> PiecewiseCubic:
+        return self._g_spline.derivative(2)
+
+    @cached_property
+    def _exp_mkappa_spline(self) -> PiecewiseCubic:
+        return fit_cubic(self._tau, self._exp_mkappa)
 
     # ------------------------------------------------------------------
     # Public evaluators (vectorized over a or tau)

@@ -152,18 +152,23 @@ def saha_electron_fraction(
 
 
 def _saha_sweeps(
-    t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float
+    t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float,
+    s_h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """:func:`saha_electron_fraction` over arrays of epochs at once.
 
     The same residual, start, bracket and stop, with every point still
     iterating advanced by one Newton step per sweep; a point leaves the
     sweep the moment its own step passes the stop, so it ends on the
-    iterate the scalar solver ends on.  Returns the four fractions and
-    the number of sweeps the slowest point needed.
+    iterate the scalar solver ends on (and on the same one whichever
+    other points share its sweeps).  ``s_h``, hydrogen's Saha factor
+    per nucleus at these epochs, is formed here unless the caller
+    already has it.  Returns the four fractions and the number of
+    sweeps the slowest point needed.
     """
     out = np.zeros((4, t_kelvin.size))  # underflowed points stay neutral
-    s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+    if s_h is None:
+        s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
     live = np.flatnonzero(s_h > 0.0)
     t_kelvin, n_h_cgs, s_h = t_kelvin[live], n_h_cgs[live], s_h[live]
     s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1) / n_h_cgs

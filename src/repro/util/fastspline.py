@@ -66,6 +66,17 @@ class PiecewiseCubic:
         out += coef[0] * z
         return out
 
+    def knot_slopes(self) -> np.ndarray:
+        """The first derivative at every breakpoint, bitwise
+        ``derivative(1)(x)`` (two or more coefficient rows): at a
+        piece's own left knot s = 0, so the call's sum is ``0.0 +
+        c[-2]`` plus zeros; the right end belongs to the last piece and
+        is evaluated."""
+        out = np.empty(self.x.shape + self.c.shape[2:])
+        np.add(0.0, self.c[-2], out=out[:-1])
+        out[-1] = self.derivative(1)(self.x[-1])
+        return out
+
     def derivative(self, n: int = 1) -> "PiecewiseCubic":
         """The ``n``-th derivative (``n >= 1``), one object per call."""
         k = self.c.shape[0] - n
@@ -203,9 +214,18 @@ def fit_cubic(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
         s = _solve_tridiagonal(lower, diag, upper,
                                b.reshape(n, -1)).reshape(b.shape)
 
-    # the cubic Hermite coefficients from values and slopes
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    # the cubic Hermite coefficients from values and slopes, written
+    # into one block (the same operations as forming each and stacking)
+    c = np.empty((4,) + slope.shape)
+    t = s[:-1] + s[1:]
+    t -= 2 * slope
+    t /= dxr
+    np.divide(t, dxr, out=c[0])
+    np.subtract(slope, s[:-1], out=c[1])
+    c[1] /= dxr
+    c[1] -= t
+    c[2] = s[:-1]
+    c[3] = y[:-1]
     return PiecewiseCubic(c, x)
 
 

@@ -254,7 +254,8 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("thermo.build [s]", "thermo.ode_rhs_evals",
                      "thermo.ode_rhs_compiled", "thermo.ode_steps",
-                     "thermo.ode_rejected", "thermo.saha_sweeps"):
+                     "thermo.ode_rejected", "thermo.saha_sweeps",
+                     "thermo.saha_rows"):
             assert name in out
         assert 4000 < report.counters["thermo.ode_rhs_evals"] < 7000
         assert 400 < report.counters["thermo.ode_steps"] < 800
@@ -265,6 +266,9 @@ class TestCommands:
             report.counters["thermo.ode_rhs_evals"]
             if "cext" in available_kernels() else 0)
         assert 2 <= report.counters["thermo.saha_sweeps"] <= 8
+        # the Saha pre-pass stops a few rows past the switch (row 3611
+        # of 6000 on this model), not at the end of the grid
+        assert 3500 < report.counters["thermo.saha_rows"] < 3800
         # rejected / attempted steps: one row on every run, from the
         # per-mode rows (the chunk rows it used to need are gone)
         totals = report.totals

@@ -67,6 +67,18 @@ class TestFitCubic:
             assert np.array_equal(fit.derivative(nu)(pts),
                                   ref.derivative(nu)(pts))
 
+    @pytest.mark.parametrize("kind", ["uniform", "geometric", "random"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 401])
+    @pytest.mark.parametrize("trailing", [(), (3,)])
+    def test_knot_slopes_are_the_derivative_at_the_knots(self, kind, n,
+                                                          trailing):
+        x = _knots(kind, n)
+        fit = fit_cubic(x, np.random.default_rng(3).normal(
+            size=(n,) + trailing))
+        slopes = fit.knot_slopes()
+        assert slopes.shape == (n,) + trailing
+        assert slopes.tobytes() == fit.derivative(1)(x).tobytes()
+
     def test_input_is_checked_once_here(self):
         x = np.linspace(0.0, 1.0, 6)
         y = np.ones(6)

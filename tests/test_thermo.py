@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from repro import (
     Background,
+    KGrid,
+    LingerConfig,
     ThermalHistory,
     lambda_cdm,
     mixed_dark_matter,
+    run_linger,
     standard_cdm,
 )
 from repro import _cext
@@ -30,6 +33,7 @@ from repro.thermo import (
     saha_electron_fraction,
 )
 from repro.thermo.recombination import _saha_factor, _saha_sweeps
+from repro.util.fastspline import PiecewiseCubic, fit_cubic
 
 #: Thermal tables of three models, written by the *parent* of the PR
 #: that last replaced a solver behind them — the Saha root-finder, then
@@ -42,6 +46,22 @@ GOLDEN_THERMO = Path(__file__).parent / "data" / "golden_thermo.json"
 
 needs_cc = pytest.mark.skipif(_cext.get_cext() is None,
                               reason="no C compiler")
+
+#: Five builds that between them take every branch of the history: both
+#: paper models, a flat Lambda model, an open one, and reionization
+five_models = pytest.mark.parametrize("params, kwargs", [
+    (standard_cdm(), {}),
+    (mixed_dark_matter(omega_nu=0.2), {}),
+    (lambda_cdm(), {}),
+    (standard_cdm(omega_c=0.7), {}),
+    (standard_cdm(), {"z_reion": 10.0}),
+], ids=["standard_cdm", "mixed_dark_matter", "lambda_cdm", "open_cdm",
+        "z_reion_10"])
+
+#: What a history fits only when an evaluator first asks for it
+FITTED_ON_FIRST_USE = ("_x_e_spline", "_kappa_spline", "_g_spline",
+                       "_g_prime_spline", "_g_prime2_spline",
+                       "_exp_mkappa_spline")
 
 
 @pytest.fixture()
@@ -320,14 +340,7 @@ class TestCompiledRhs:
         assert counts["ode_rhs_compiled"] == counts["ode_rhs_evals"] > 4500
 
     @needs_cc
-    @pytest.mark.parametrize("params, kwargs", [
-        (standard_cdm(), {}),
-        (mixed_dark_matter(omega_nu=0.2), {}),
-        (lambda_cdm(), {}),
-        (standard_cdm(omega_c=0.7), {}),
-        (standard_cdm(), {"z_reion": 10.0}),
-    ], ids=["standard_cdm", "mixed_dark_matter", "lambda_cdm", "open_cdm",
-            "z_reion_10"])
+    @five_models
     def test_compiled_build_is_the_python_build(self, request, params,
                                                 kwargs):
         background = Background(params)
@@ -444,6 +457,117 @@ class TestCompiledRhs:
         assert out[2:4].tolist() == [1.0, 2.0]
         rhs(lna, cold)
         assert out[2:4].tolist() == [1.0, 3.0]
+
+
+class TestWhatABuildComputes:
+    """A build computes what every run reads and no more: the
+    line-of-sight and x_e splines wait for an evaluator to ask, the Saha
+    pre-pass sweeps only rows that can precede the switch, and the sound
+    speed reads the T_b slope off the fit — each giving what the full
+    computation gives, bit for bit."""
+
+    def test_a_hierarchy_run_fits_no_line_of_sight_spline(self, scdm,
+                                                           bg_scdm):
+        thermo = ThermalHistory(bg_scdm)
+        run_linger(scdm, KGrid.from_k(np.array([1e-3, 1e-2])),
+                   LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4),
+                   background=bg_scdm, thermo=thermo)
+        loaded = ThermalHistory.from_tables(bg_scdm, thermo.to_tables())
+        for history_ in (thermo, loaded):
+            assert not set(FITTED_ON_FIRST_USE) & set(vars(history_))
+
+    @five_models
+    def test_first_use_fits_the_retained_arrays(self, params, kwargs):
+        background = Background(params)
+        thermo = ThermalHistory(background, **kwargs)
+        # the arrays kept are the ones the splines were fitted to when
+        # every build fitted them
+        assert np.array_equal(thermo._exp_mkappa,
+                              np.exp(-np.minimum(thermo._kappa, 700.0)))
+        assert np.array_equal(thermo._g,
+                              thermo._kappa_dot_table * thermo._exp_mkappa)
+        tau = np.linspace(thermo._tau[0], background.tau0, 997)
+        g = fit_cubic(thermo._tau, thermo._g)
+        want = {
+            "optical_depth": fit_cubic(thermo._tau, thermo._kappa)(tau),
+            "visibility": np.maximum(g(tau), 0.0),
+            "visibility_prime": g.derivative(1)(tau),
+            "visibility_prime2": g.derivative(2)(tau),
+            "exp_minus_kappa": np.clip(
+                fit_cubic(thermo._tau, thermo._exp_mkappa)(tau), 0.0, 1.0),
+        }
+        for name, value in want.items():
+            assert np.array_equal(getattr(thermo, name)(tau), value), name
+        a = np.geomspace(thermo._a[0], 1.0, 997)
+        x_e = fit_cubic(thermo._lna,
+                        np.log(np.maximum(thermo._x_e_table, 1e-30)))
+        assert np.array_equal(thermo.x_e(a), np.exp(x_e(np.log(a))))
+        assert set(FITTED_ON_FIRST_USE) <= set(vars(thermo))
+
+    @five_models
+    @pytest.mark.parametrize("margin", [history._SWITCH_MARGIN, -8],
+                             ids=["bound", "short"])
+    def test_saha_pre_pass_is_the_whole_grid_pass(self, monkeypatch, params,
+                                                  kwargs, margin):
+        """Rows ``[:i_switch]``, ``i_switch`` and the sweep count are the
+        whole grid's; a prefix cut short of the switch (``short``) is
+        finished by sweeping the rest."""
+        calls = []
+        pre_pass = history._saha_before_switch
+
+        def recording(*args):
+            out = pre_pass(*args)
+            # the build goes on to overwrite the arrays from the switch on
+            calls.append([v.copy() if isinstance(v, np.ndarray) else v
+                          for v in args + out])
+            return out
+
+        monkeypatch.setattr(history, "_SWITCH_MARGIN", margin)
+        monkeypatch.setattr(history, "_saha_before_switch", recording)
+        thermo = ThermalHistory(Background(params), **kwargs)
+        (t, n_h, f_he, switch, x_e, x_h, i_switch, sweeps, rows), = calls
+        want_e, want_h, _, _, want_sweeps = _saha_sweeps(t, n_h, f_he)
+        assert i_switch == np.argmax(want_h < switch)
+        assert np.array_equal(x_e[:i_switch], want_e[:i_switch])
+        assert np.array_equal(x_h[:i_switch], want_h[:i_switch])
+        assert sweeps == want_sweeps
+        assert thermo._build_counts["saha_rows"] == rows
+        if margin > 0:
+            assert i_switch < rows < 0.65 * t.size
+        else:
+            assert rows == t.size
+
+    @pytest.mark.parametrize("switch", [0.5, 0.999999, 1.0, 1.5])
+    def test_saha_pre_pass_at_any_switch(self, thermo_scdm, switch):
+        """The bound holds for any switch value, 1 and above included
+        (every row is then below it)."""
+        t = thermo_scdm.params.t_cmb / thermo_scdm._a
+        n_h = thermo_scdm._n_h0 / thermo_scdm._a**3
+        want_e, want_h, _, _, want_sweeps = _saha_sweeps(
+            t, n_h, thermo_scdm.f_he)
+        x_e, x_h, i_switch, sweeps, rows = history._saha_before_switch(
+            t, n_h, thermo_scdm.f_he, switch)
+        assert i_switch == np.argmax(want_h < switch) < rows
+        assert np.array_equal(x_e[:i_switch], want_e[:i_switch])
+        assert np.array_equal(x_h[:i_switch], want_h[:i_switch])
+        assert 1 <= sweeps <= want_sweeps
+
+    @five_models
+    def test_sound_speed_slope_is_the_fits_derivative(self, monkeypatch,
+                                                      params, kwargs):
+        slopes = []
+        knot_slopes = PiecewiseCubic.knot_slopes
+
+        def recording(spline):
+            slopes.append((spline, knot_slopes(spline)))
+            return slopes[-1][1]
+
+        monkeypatch.setattr(PiecewiseCubic, "knot_slopes", recording)
+        thermo = ThermalHistory(Background(params), **kwargs)
+        (spline, dlntb_dlna), = slopes
+        assert spline is thermo._t_b_spline
+        assert dlntb_dlna.tobytes() == spline.derivative(1)(
+            thermo._lna).tobytes()
 
 
 class TestGoldenThermo:
