@@ -2,8 +2,9 @@
 
 One PLINGER grid (8 modes, 3 workers) run clean, then once per chaos
 profile — ``cache`` (a torn/garbled store write the run then has to
-quarantine), ``kernel`` (NaN-poisoned compiled RHS + compile/stale-``.so``
-faults), ``integrator`` (forced step collapse), and ``all`` — with
+quarantine), ``kernel`` (a NaN-poisoned compiled phase, which the ladder
+retries, + compile/stale-``.so`` faults), ``integrator`` (forced step
+collapse), and ``all`` — with
 seeded, deterministic fault injection via :mod:`repro.chaos`.  For each
 profile the harness records the recovery economics:
 
@@ -28,7 +29,6 @@ import numpy as np
 from repro import KGrid, LingerConfig, Telemetry
 from repro.cache import PrecomputeCache
 from repro.chaos import ChaosPolicy, active
-from repro.perturbations.operator import available_kernels
 from repro.plinger import FaultTolerance, run_plinger
 from repro.spectra import cl_from_hierarchy
 from repro.util import format_table
@@ -44,7 +44,7 @@ PROFILES = ("cache", "kernel", "integrator", "all")
 
 def _config():
     return LingerConfig(record_sources=False, keep_mode_results=False,
-                        rtol=1e-4, rhs_kernel="auto")
+                        rtol=1e-4)
 
 
 def _ft():
@@ -95,7 +95,6 @@ def test_chaos_recovery_economics(scdm, bg, thermo, capsys, tmp_path):
         "nk": NK,
         "nproc": NPROC,
         "seed": SEED,
-        "kernels_available": list(available_kernels()),
         "clean_wall_seconds": clean_wall,
         "profiles": {},
     }
@@ -126,11 +125,9 @@ def test_chaos_recovery_economics(scdm, bg, thermo, capsys, tmp_path):
         # the targeted recovery path actually fired
         if profile in ("cache", "all"):
             assert by_surface.get("cache", 0) >= 1
-        if profile in ("integrator", "all"):
+        # a collapse and a poisoned phase are both retried by the ladder
+        if profile in ("kernel", "integrator", "all"):
             assert by_surface.get("integrator", 0) >= 1
-        if profile in ("kernel", "all") and \
-                available_kernels() != ("python",):
-            assert by_surface.get("kernel", 0) >= 1
 
     report = telemetry.build_report(meta=meta)
     out = report.save(ARTIFACT_DIR / "BENCH_chaos.json")

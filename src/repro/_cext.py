@@ -1,4 +1,4 @@
-"""Lazily-compiled C: the packed RHS kernels, the DVERK step loop, the
+"""The compiled solver: the packed RHS kernels, the DVERK step loop, the
 thermal history's ODE solve and the spline fit's tridiagonal solve.
 
 One shared object — one build, one cache directory, resolved once per
@@ -18,31 +18,32 @@ fit, usually) — carries three entry points over one packed ABI (see
 
 and, each over arguments of its own,
 
-* ``thermo_rhs`` — a transcription of ``ThermalHistory._rhs``, bitwise
-  equal to it, massive neutrinos or not (one state at a time on libm, as
-  python evaluates it);
-* ``thermo_ode`` — the Radau IIA stepper of
-  :func:`repro.thermo.radau.integrate`, bitwise equal to it, calling
+* ``thermo_rhs`` — the thermal history's ODE right-hand side, massive
+  neutrinos or not (one state at a time on libm);
+* ``thermo_ode`` — a three-stage Radau IIA stepper calling
   ``thermo_rhs`` about five thousand times per ``ThermalHistory`` build
   without leaving C;
 * ``tridiag_solve`` — reference LAPACK's ``DGTSV`` for
-  :func:`repro.util.fastspline.fit_cubic`, bitwise equal to its python
-  twin there.
+  :func:`repro.util.fastspline.fit_cubic`.
+
+Each of the last three is pinned bitwise to a python transcription in
+``tests/`` (``reference_thermo.py``, ``reference_tridiag.py``).
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
-through ctypes; any failure (no compiler, unwritable cache, broken
-toolchain) degrades to ``get_cext() -> None`` and the operator falls
-back to the python kernel and driver, the thermal history to the python
-stepper and the spline fit to the python solve: same bits, slower.
+through ctypes.  It is the one engine: a process that cannot build it
+(no compiler, unwritable cache, broken toolchain) gets a
+:class:`~repro.errors.CompilerError` naming ``CC`` at the first call
+that needs it.
 
 Compiled ``-O3 -ffp-contract=off`` and **never** ``-ffast-math``: ISO C
 forbids reassociating floating-point expressions and contraction is
 switched off, so the C code reproduces the written evaluation order
 exactly, and it shares libm's exp/log/pow with python's ``math``.  The
 massive-neutrino block of either RHS lands within a few ulps of the
-python kernel (budgeted by ``oracle.rhs_kernel`` at rtol 1e-10);
-without massive neutrinos both are bitwise.
+python reference (``tests/reference_rhs.py``, budgeted by
+``oracle.rhs_kernel`` at rtol 1e-10); without massive neutrinos both
+are bitwise.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ import shutil
 import subprocess
 import tempfile
 import threading
+
+from .errors import CompilerError
 
 __all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
            "CextKernel", "BUILD_EVENTS", "C_SOURCE", "CFLAGS"]
@@ -365,7 +368,9 @@ static inline double step_factor(double err_norm, const double *ctl)
  *         STABILITY_FRACTION * real_stability (NaN: no bound; else every
  *         attempt keeps h * kappa'(1 + r) at or under it, the driver's
  *         stiff_rate = PerturbationSystem.thomson_rate, formed here from
- *         y[0] by the RHS's own thermo lookup)
+ *         y[0] by the RHS's own thermo lookup); on return ctl[0] holds
+ *         the time reached and ctl[6] the step size last set, which the
+ *         caller's failure message names
  *   stops ascending stop points in (t0, t1], the last one equal to t1
  *   y     in: state at t0; out: state at t1
  *   rows  out: the state at every stop point, (n_stops, n)
@@ -383,7 +388,7 @@ long long integrate_phase(const long long *ints, const double *flts,
                           const double *rf_c, long long lane,
                           long long tight,
                           const double *tab, long long s,
-                          const double *ctl, const double *stops,
+                          double *ctl, const double *stops,
                           long long max_steps, double *y, double *rows,
                           double *work, long long *out)
 {
@@ -501,6 +506,7 @@ long long integrate_phase(const long long *ints, const double *flts,
 #undef RHS
 
     for (c = 0; c < n; c++) y[c] = ycur[c];
+    ctl[0] = t; ctl[6] = h;
     out[0] = n_steps; out[1] = n_rejected; out[2] = n_rhs; out[3] = istop;
     out[4] = n_bound;
     return status;
@@ -518,11 +524,11 @@ static inline double saha_factor(double prefac, double arg)
 }
 
 /* The thermal history's ODE right-hand side, d[x_H, T_b]/d ln a at
- * (ln a, x_H, T_b): ThermalHistory._rhs and everything it calls —
- * Background.hubble of a float, saha_electron_fraction, PeeblesRates.at,
- * peebles_rhs, the Compton term — transcribed grouping for grouping,
- * libm wherever python calls math.* or **.  That method is the
- * reference; the two are pinned bitwise.
+ * (ln a, x_H, T_b): Background.hubble of a float, saha_electron_fraction,
+ * PeeblesRates.at, peebles_rhs and the Compton term, transcribed
+ * grouping for grouping, libm wherever python calls math.* or **.
+ * tests/reference_thermo.py composes them in python, the reference;
+ * the two are pinned bitwise.
  *
  *   P        the parameter block, ThermalHistory._rhs_block's layout
  *   nu_pack  MassiveNuTables._rhs_pack (it starts with rows c3..c0 of
@@ -639,11 +645,12 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
 #define NEWTON_MAXITER 6
 
 /* The thermal history's ODE solve, (x_H, T_b) over ln a on the table's
- * own grid: repro.thermo.radau.integrate transcribed expression for
- * expression — three-stage Radau IIA, simplified Newton on the six stage
+ * own grid: three-stage Radau IIA, simplified Newton on the six stage
  * unknowns, RADAU5's error estimate, the collocation polynomial as dense
- * output — calling thermo_rhs without leaving C.  That function is the
- * reference and explains the method; the two are pinned bitwise.
+ * output (repro/thermo/radau.py explains the method) — calling
+ * thermo_rhs without leaving C.  tests/reference_thermo.py holds its
+ * python transcription, expression for expression; the two are pinned
+ * bitwise.
  *
  *   P, nu_pack  thermo_rhs's
  *   tab         repro.thermo.radau.TABLE
@@ -653,8 +660,8 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
  *   out         thermo_rhs's four slots, then accepted and rejected steps;
  *               nothing is static
  *
- * Returns 0, or the python stepper's failure: 1 a step that no longer
- * advances ln a, 2 max_attempts reached. */
+ * Returns 0, or a failure: 1 a step that no longer advances ln a,
+ * 2 max_attempts reached. */
 long long thermo_ode(const double *P, const double *nu_pack,
                      const double *tab, const double *grid, long long n,
                      long long max_attempts, double *rows, double *out)
@@ -875,8 +882,8 @@ long long thermo_ode(const double *P, const double *nu_pack,
  * where |d[i]| < |dl[i]|, the fill landing in dl as a second
  * superdiagonal), then back-substitution.  Overwrites all four arrays,
  * b with the solution; returns 0, or LAPACK's info: the 1-based row of
- * an exactly zero pivot.  repro.util.fastspline._tridiag_solve is the
- * python twin; the two are pinned bitwise. */
+ * an exactly zero pivot.  tests/reference_tridiag.py holds its python
+ * transcription; the two are pinned bitwise. */
 long long tridiag_solve(long long n, long long nrhs, double *dl, double *d,
                 double *du, double *b)
 {
@@ -926,11 +933,10 @@ long long tridiag_solve(long long n, long long nrhs, double *dl, double *d,
 #: oracle budget) survives optimization on every target.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
-_CEXT_RESOLVED = False
 _CEXT = None  # the CextKernel; holds the CDLL for the life of the process
+_CEXT_ERROR: str | None = None  # why this process has none
 #: one resolution per process: every spline fit asks, on whatever thread,
-#: and a thread that found another's build under way must not conclude
-#: "no compiled object"
+#: and a thread that found another's build under way must wait for it
 _CEXT_LOCK = threading.Lock()
 
 #: Build/load incidents of this process's resolution: retries after a
@@ -941,9 +947,9 @@ BUILD_EVENTS: list[dict] = []
 
 def reset_cext() -> None:
     """Forget the memoized resolution (tests and chaos recovery)."""
-    global _CEXT_RESOLVED, _CEXT
-    _CEXT_RESOLVED = False
+    global _CEXT, _CEXT_ERROR
     _CEXT = None
+    _CEXT_ERROR = None
     BUILD_EVENTS.clear()
 
 
@@ -1013,7 +1019,7 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _build() -> ctypes.CDLL | None:
+def _build() -> ctypes.CDLL:
     """Compile-or-load the content-addressed .so, surviving races.
 
     Multiple processes (forked PLINGER workers, parallel test runners)
@@ -1029,9 +1035,9 @@ def _build() -> ctypes.CDLL | None:
 
     cc = _find_compiler()
     if cc is None:
-        BUILD_EVENTS.append({"event": "unavailable",
-                             "error": "no C compiler (CC, cc, gcc, clang)"})
-        return None
+        named = os.environ.get("CC")
+        raise OSError(f"CC={named!r} names no executable" if named else
+                      "CC is unset and no cc, gcc or clang is on PATH")
     eng = current_engine()
     digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
     cache = cache_dir()
@@ -1139,24 +1145,28 @@ class CextKernel:
            tau.ctypes.data, Y.ctypes.data, dY.ctypes.data, b0, b1)
 
 
-def get_cext() -> CextKernel | None:
-    """The compiled kernel, or None.
+def get_cext() -> CextKernel:
+    """The compiled object, built or loaded on first use (~1 s to
+    compile, cached on disk afterwards).
 
-    First call pays the compile (~1 s, cached on disk afterwards); any
-    failure is swallowed and remembered so a broken toolchain costs
-    one attempt, not one per call (``reset_cext`` re-arms it).
+    Raises :class:`~repro.errors.CompilerError`, naming ``CC`` and the
+    build's own reason, when it cannot be had.  The failure is
+    remembered, so a broken toolchain costs one attempt per process,
+    not one per call (``reset_cext`` re-arms it).
     """
-    global _CEXT_RESOLVED, _CEXT
-    if _CEXT_RESOLVED:
-        return _CEXT
-    with _CEXT_LOCK:
-        if not _CEXT_RESOLVED:
-            try:
-                lib = _build()
-            except Exception as exc:
-                BUILD_EVENTS.append({"event": "unavailable",
-                                     "error": str(exc)})
-                lib = None
-            _CEXT = CextKernel(lib) if lib is not None else None
-            _CEXT_RESOLVED = True
+    global _CEXT, _CEXT_ERROR
+    if _CEXT is None:
+        with _CEXT_LOCK:
+            if _CEXT is None and _CEXT_ERROR is None:
+                try:
+                    _CEXT = CextKernel(_build())
+                except Exception as exc:
+                    reason = " ".join(str(exc).split())
+                    BUILD_EVENTS.append({"event": "unavailable",
+                                         "error": reason})
+                    _CEXT_ERROR = (
+                        f"the compiled solver could not be built ({reason});"
+                        " repro needs a C compiler: set CC to one")
+        if _CEXT_ERROR is not None:
+            raise CompilerError(_CEXT_ERROR)
     return _CEXT

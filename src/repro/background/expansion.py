@@ -141,10 +141,9 @@ class Background:
         Returns a dict with keys ``cdm, baryon, photon, nu_massless,
         nu_massive, lambda``.  A python ``float`` in gives python floats
         out, through the same expressions on plain ``math`` (what the
-        thermal history's python right-hand side asks for, one epoch at
-        a time, in a process without the compiled ``thermo_rhs`` — which
-        is these expressions transcribed); anything else is taken as an
-        array.
+        python reference of the thermal right-hand side asks for, one
+        epoch at a time — the compiled ``thermo_rhs`` is these
+        expressions transcribed); anything else is taken as an array.
         """
         if type(a) is not float:
             a = np.asarray(a, dtype=float)

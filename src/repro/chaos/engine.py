@@ -48,25 +48,30 @@ class ChaosPolicy:
     """What to inject.  Every budget counts *faults*, not probabilities.
 
     ``seed``
-        Phases the kernel-poison site (which of the first evaluations
-        gets poisoned) so different seeds hit different integrator
-        states; all other sites have few opportunities and fire on
-        their first ones.
+        Phases the kernel-poison site (which of the first compiled
+        phases gets poisoned) so different seeds hit different
+        integrator states; all other sites have few opportunities and
+        fire on their first ones.
     ``cache_write_faults`` / ``cache_write_mode``
         Corrupt that many npz store writes — ``"garble"`` flips bytes
         mid-file (digest mismatch), ``"torn"`` truncates the tmp file
         before the atomic rename (torn write).
     ``kernel_nan_faults``
-        Poison that many compiled outputs with NaN: an RHS evaluation
-        (``rhs_tca`` or ``rhs_full``) under the python driver, a whole
-        phase's end state under the compiled step loop — so a mode on
-        the compiled loop offers two opportunities, one per phase.
+        Poison that many compiled phases' end states with NaN (a mode
+        offers two opportunities, one per phase); the phase then raises
+        the ``IntegrationError`` the ladder retries.
     ``compile_faults`` / ``stale_so_faults``
         Fail that many ``.so`` compilations / pre-plant a truncated
         stale ``.so`` at the content-addressed path that many times.
     ``integrator_faults``
         Force a step collapse (one ``IntegrationError``) on that many
-        distinct wavenumbers — the first N distinct iks attempted.
+        distinct wavenumbers — the first N distinct ones attempted.
+
+    No wavenumber takes more than one of the last two kinds: a forced
+    collapse and a poisoned phase skip a wavenumber that already took
+    either, so the ladder's one same-config retry recovers every
+    injected integration fault bitwise, however worker threads
+    interleave.
     """
 
     seed: int = 0
@@ -107,16 +112,25 @@ class ChaosEngine:
         self.policy = policy
         self._lock = threading.Lock()
         self._seen: dict[str, int] = {}
-        self._collapsed: set[int] = set()
+        #: wavenumbers that took an integration fault (collapse or poison)
+        self._faulted: set[float] = set()
         self.injected: dict[str, int] = {}
 
-    def _take(self, name: str, budget: int, phase: int = 0) -> bool:
+    def _take(self, name: str, budget: int, phase: int = 0,
+              k: float | None = None) -> bool:
+        """Count an opportunity and answer from the budget; with ``k``,
+        a wavenumber already in :attr:`_faulted` offers none and one
+        that fires joins it."""
         with self._lock:
+            if k in self._faulted:
+                return False
             idx = self._seen.get(name, 0)
             self._seen[name] = idx + 1
             if budget <= 0 or not phase <= idx < phase + budget:
                 return False
             self.injected[name] = self.injected.get(name, 0) + 1
+            if k is not None:
+                self._faulted.add(k)
             return True
 
     # -- cache surface -------------------------------------------------
@@ -127,18 +141,15 @@ class ChaosEngine:
         return None
 
     # -- compiled-kernel surface --------------------------------------
-    def poison_rhs(self, kernel: str) -> bool:
-        """Poison this compiled output (one RHS evaluation, or one
-        compiled phase) with NaN?
+    def poison_rhs(self, k: float) -> bool:
+        """Poison the end state of this compiled phase of wavenumber
+        ``k`` with NaN?
 
-        The seed phases which evaluation gets hit, so different seeds
-        poison different integrator states; the python kernel is never
-        poisoned (it is the degradation floor).
+        The seed phases which phase gets hit, so different seeds poison
+        different integrator states.
         """
-        if kernel == "python":
-            return False
         return self._take("kernel_nan", self.policy.kernel_nan_faults,
-                          phase=self.policy.seed % 7)
+                          phase=self.policy.seed % 7, k=k)
 
     def fail_compile(self) -> bool:
         """Fail this .so compilation attempt?"""
@@ -149,23 +160,14 @@ class ChaosEngine:
         return self._take("stale_so", self.policy.stale_so_faults)
 
     # -- integrator surface -------------------------------------------
-    def collapse_mode(self, ik: int) -> bool:
-        """Force a step collapse on this wavenumber (once per ik)?
+    def collapse_mode(self, k: float) -> bool:
+        """Force a step collapse on wavenumber ``k``?
 
-        The first ``integrator_faults`` distinct iks attempted each
-        fail exactly once; their retry runs clean.
+        The first ``integrator_faults`` distinct wavenumbers attempted
+        each fail exactly once; their retry runs clean.
         """
-        budget = self.policy.integrator_faults
-        with self._lock:
-            if budget <= 0 or ik in self._collapsed:
-                return False
-            if len(self._collapsed) >= budget:
-                return False
-            self._collapsed.add(ik)
-            self.injected["integrator"] = (
-                self.injected.get("integrator", 0) + 1
-            )
-            return True
+        return self._take("integrator", self.policy.integrator_faults,
+                          k=k)
 
     def summary(self) -> dict:
         """Injected-fault counts plus the policy, for reports."""

@@ -39,7 +39,6 @@ def _info_arguments(p) -> None:
 
 def _run_arguments(p) -> None:
     from .chaos import PROFILES
-    from .perturbations.operator import KERNELS
 
     p.add_argument("--model", choices=sorted(MODELS), default="scdm")
     p.add_argument("--k-min", type=float, default=3e-5)
@@ -62,14 +61,6 @@ def _run_arguments(p) -> None:
                         "line-of-sight C_l on the full grid; the "
                         "archive then holds the coarse run "
                         "(1 = integrate every mode)")
-    p.add_argument("--rhs-kernel",
-                   choices=KERNELS, default="auto",
-                   help="engine of both phases of every mode: "
-                        "'auto' (default: cext where a C compiler "
-                        "exists), 'cext' (compiled RHS and DVERK "
-                        "step loop, bitwise the python driver), "
-                        "'python' (the reference); an unavailable "
-                        "cext falls back to python with a warning")
     p.add_argument("--backend",
                    choices=["inprocess", "procs", "sockets"],
                    default="procs",
@@ -140,8 +131,6 @@ def _fault_tolerance(args):
 
 
 def _worker_arguments(p) -> None:
-    from .perturbations.operator import KERNELS
-
     p.description = (
         "Connect to a 'repro run --backend sockets --listen' "
         "master (possibly on another machine) and serve as a "
@@ -161,7 +150,6 @@ def _worker_arguments(p) -> None:
     p.add_argument("--nk", type=int, default=24)
     p.add_argument("--lmax", type=int, default=24)
     p.add_argument("--rtol", type=float, default=1e-4)
-    p.add_argument("--rhs-kernel", choices=KERNELS, default="auto")
     _fault_tolerance_arguments(p)
     p.add_argument("--connect-timeout", type=float, default=30.0)
 
@@ -305,7 +293,6 @@ def _cmd_run_inner(args) -> int:
         nq=8 if params.omega_nu > 0 else 0,
         record_sources=False,
         keep_mode_results=False,
-        rhs_kernel=args.rhs_kernel,
     )
     telemetry = Telemetry() if args.report else NULL_TELEMETRY
     cache = None
@@ -401,7 +388,6 @@ def _run_sparse(args, params, kgrid, telemetry, cache) -> int:
         # the fast path projects recorded sources, so this run keeps them
         record_sources=True,
         keep_mode_results=True,
-        rhs_kernel=args.rhs_kernel,
     )
     res = run_sparse_cl(
         params, kgrid, config,
@@ -460,9 +446,9 @@ def _print_report_summary(report) -> None:
         if name in report.timers:
             rows.append([f"{name} [s]",
                          f"{report.timers[name]['total_seconds']:.3f}"])
-    for name in ("thermo.ode_rhs_evals", "thermo.ode_rhs_compiled",
-                 "thermo.ode_steps", "thermo.ode_rejected",
-                 "thermo.saha_sweeps", "thermo.saha_rows"):
+    for name in ("thermo.ode_rhs_evals", "thermo.ode_steps",
+                 "thermo.ode_rejected", "thermo.saha_sweeps",
+                 "thermo.saha_rows"):
         if name in report.counters:
             rows.append([name, report.counters[name]])
     if report.workers:
@@ -523,7 +509,6 @@ def cmd_worker(args) -> int:
         nq=8 if params.omega_nu > 0 else 0,
         record_sources=False,
         keep_mode_results=False,
-        rhs_kernel=args.rhs_kernel,
     )
     try:
         handle = connect_worker(host or "127.0.0.1", int(port),
@@ -670,8 +655,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The whole command line — or, when ``verb`` names the one about to
     run, a parser that lists the others without populating them:
     populating a verb imports what its choices come from (``run`` the
-    engine's kernels and the chaos profiles, ``scaling`` the machine
-    models), and a process should import what its verb uses."""
+    chaos profiles, ``scaling`` the machine models), and a process
+    should import what its verb uses."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="LINGER/PLINGER reproduction (Bode & Bertschinger, SC'95)",
@@ -685,10 +670,18 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; a process that cannot build the compiled solver
+    says so in one line on stderr and exits 1."""
+    from .errors import CompilerError
+
     argv = sys.argv[1:] if argv is None else list(argv)
     verb = argv[0] if argv and argv[0] in _VERBS else None
     args = build_parser(verb).parse_args(argv)
-    return _VERBS[args.command][2](args)
+    try:
+        return _VERBS[args.command][2](args)
+    except CompilerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

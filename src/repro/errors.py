@@ -15,6 +15,11 @@ class IntegrationError(ReproError, RuntimeError):
     """The ODE integrator failed (step size underflow, too many steps...)."""
 
 
+class CompilerError(ReproError, RuntimeError):
+    """The compiled solver could not be built or loaded: no C compiler,
+    a broken toolchain, no writable kernel cache."""
+
+
 class MessagePassingError(ReproError, RuntimeError):
     """A message-passing wrapper routine was misused or a backend failed."""
 

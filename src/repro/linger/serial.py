@@ -66,12 +66,6 @@ class LingerConfig:
     lmax_mode: str = "fixed"
     lmax_margin: float = 1.2
     lmax_cap: int = 2000
-    #: engine of both phases of a mode, tight-coupling and full: "auto"
-    #: (default: the fastest available), "cext" (compiled RHS kernels
-    #: and DVERK step loop, bitwise the python driver) or "python" (the
-    #: reference).  Travels with the pickled config to PLINGER workers;
-    #: never changes which numbers come out at nq=0.
-    rhs_kernel: str = "auto"
 
     def lmax_for_k(self, k: float, tau_span: float) -> int:
         if self.lmax_mode == "fixed":
@@ -100,14 +94,11 @@ def build_tables(
     fallback gets its tables through this one seam, so a run's report
     accounts for them wherever they were made.  A thermal history
     solved here (not loaded) also leaves its work counts,
-    ``thermo.ode_rhs_evals``, ``thermo.ode_rhs_compiled``,
-    ``thermo.ode_steps``, ``thermo.ode_rejected``,
-    ``thermo.saha_sweeps`` and ``thermo.saha_rows``: they repeat exactly
-    for a cosmology, so a regression in the build shows as a count
-    before it shows as a time.  The second says which right-hand side
-    the stepper evaluated: the compiled ``thermo_rhs`` (equal to the
-    first) in a process with the compiled object, ``ThermalHistory._rhs``
-    (0) without.  The last is how many grid rows the Saha pre-pass swept:
+    ``thermo.ode_rhs_evals``, ``thermo.ode_steps``,
+    ``thermo.ode_rejected``, ``thermo.saha_sweeps`` and
+    ``thermo.saha_rows``: they repeat exactly for a cosmology, so a
+    regression in the build shows as a count before it shows as a
+    time.  The last is how many grid rows the Saha pre-pass swept:
     those that can precede the switch to the Peebles ODE plus a few
     (3616 of 6000 on ``standard_cdm``), all of them only if the switch
     were not among those.
@@ -242,7 +233,6 @@ def compute_modes_batch(
         amplitude=config.amplitude,
         telemetry=telemetry,
         monitors=monitors,
-        rhs_kernel=config.rhs_kernel,
         first_step=config.first_step,
     )
     if telemetry.enabled:

@@ -12,8 +12,7 @@ whole length, so thread ranks run modes in parallel and scale as forked
 ranks do once a mode is >= 0.1 s: 16 modes at ``lmax_photon = 600`` on
 two cores took 0.95 s here, 0.97 s on ``procs``, 1.51 s serial (ROADMAP
 item 2).  What ``procs`` adds is isolation from a crashing rank, not
-speed; without the compiled object (the python kernel holds the GIL)
-threads only interleave.
+speed.
 """
 
 from __future__ import annotations

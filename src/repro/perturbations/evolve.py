@@ -19,10 +19,10 @@ assembly (and one ``pack()``) shared by per-lane
 :class:`~repro.perturbations.system.PerturbationSystem` views; each lane
 is then evolved on its own, start to finish — initial conditions, the
 tight-coupling phase, the hand-off of the slaved moments, the full
-phase — before the next one starts.  How a lane steps through a phase
-is decided in one place, :func:`integrate_phase`: one call of the
-compiled step loop when the active kernel is ``cext``, else the scalar
-:class:`~repro.integrators.DVERK`.  Whatever stepped, a phase hands
+phase — before the next one starts.  A phase is one call of the
+compiled step loop (:func:`integrate_phase`; the scalar python
+:class:`~repro.integrators.DVERK` over the compiled right-hand side
+only through the ``driver_cls`` test seam).  Either way a phase hands
 back the states at its stop points as one ``(n_stops, n_state)`` block,
 and :class:`_Recorder` turns the block into the recorded observables in
 one array pass.
@@ -46,7 +46,7 @@ from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
 )
-from .operator import BoltzmannOperator, _exp_lanes, _log_lanes, resolve_kernel
+from .operator import BoltzmannOperator, _exp_lanes, _log_lanes
 from .state import StateLayout
 from .system import PerturbationSystem
 
@@ -379,7 +379,6 @@ def evolve_modes_batched(
     max_steps: int = 2_000_000,
     telemetry: Telemetry = NULL_TELEMETRY,
     monitors=None,
-    rhs_kernel: str = "auto",
     first_step: float | None = None,
     driver_cls: type[RKDriver] = DVERK,
 ) -> list[ModeResult]:
@@ -405,22 +404,20 @@ def evolve_modes_batched(
     each is bound to its lane's system.  Like telemetry, a monitor is a
     pure observer: the integration is bit-identical with or without it.
 
-    ``rhs_kernel`` selects the engine of both phases
-    (``"python"``/``"cext"``/``"auto"``; an unavailable ``cext`` falls
-    back to python).  On ``cext`` no RHS evaluation, step or stop of a
-    mode runs python: what is left per lane is set-up, the hand-off of
-    the slaved moments between the phases and one record pass per
-    phase.
+    Both phases run on the compiled step loop: no RHS evaluation, step
+    or stop of a mode runs python, and what is left per lane is set-up,
+    the hand-off of the slaved moments between the phases and one
+    record pass per phase.
 
     ``first_step`` forces every phase's opening step.  ``driver_cls``
-    replaces the scalar driver (a test seam: anything but DVERK also
-    keeps the compiled loop out).
+    replaces the compiled loop by a python driver stepping the compiled
+    right-hand side (a test seam: anything but DVERK).
 
     Every ``ModeResult.cpu_seconds`` is the lane's own CPU time plus an
     equal share of the chunk's set-up.  When ``telemetry`` is enabled,
     each lane leaves one :class:`~repro.telemetry.report.ModeMetrics`
     with the wallclock of its own two phases, and the operator's
-    per-kernel evaluation counts land in ``RhsMetrics``.
+    evaluation count lands in ``RhsMetrics``.
     """
     cpu0 = time.process_time()
     ks = np.asarray(ks, dtype=float)
@@ -437,11 +434,10 @@ def evolve_modes_batched(
     )
     op = BoltzmannOperator(background, thermo, ks, layout)
     op.instrument = telemetry.enabled
-    kernel = resolve_kernel(rhs_kernel)
     # lane views over the chunk's one operator
     systems = [
         PerturbationSystem(background, thermo, k, layout, operator=op,
-                           lane=b, rhs_kernel=kernel)
+                           lane=b)
         for b, k in enumerate(ks.tolist())
     ]
 
@@ -504,16 +500,7 @@ def evolve_modes_batched(
                 full_wall_seconds=full_wall,
                 wall_seconds=tca_wall + full_wall,
             )
-        telemetry.record_rhs(
-            requested=rhs_kernel,
-            active=kernel,
-            evals=dict(op.evals),
-            seconds=dict(op.seconds),
-        )
-    for d in op.drain_demotions():
-        telemetry.record_degradation(
-            "kernel", "demotion", f"{d['from']}->{d['to']}: {d['reason']}"
-        )
+        telemetry.record_rhs(evals=dict(op.evals), seconds=dict(op.seconds))
 
     # what no lane timed as its own — the assembly above, this
     # tear-down — is the chunk's, shared equally
@@ -614,15 +601,13 @@ def evolve_mode(
     max_steps: int = 2_000_000,
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor=None,
-    rhs_kernel: str = "auto",
 ) -> ModeResult:
     """Evolve one wavenumber: the one-lane call of
     :func:`evolve_modes_batched` (which documents every argument).
 
-    Both phases run the scalar ``driver_cls`` on the lane's
-    :class:`PerturbationSystem`; with ``cext`` (what ``auto`` resolves
-    to when a C compiler exists) and the default driver each phase is
-    one call of the compiled step loop, bitwise the python driver.
+    With the default driver each phase is one call of the compiled step
+    loop, bitwise the scalar ``DVERK`` on the lane's
+    :class:`PerturbationSystem`.
     """
     return evolve_modes_batched(
         background, thermo, [k], lmax_photon=lmax_photon, lmax_nu=lmax_nu,
@@ -630,7 +615,7 @@ def evolve_mode(
         record_tau=[record_tau], rtol=rtol, atol=atol, tca_eps=tca_eps,
         amplitude=amplitude, initial_conditions=initial_conditions,
         max_steps=max_steps, telemetry=telemetry, monitors=[monitor],
-        rhs_kernel=rhs_kernel, first_step=first_step, driver_cls=driver_cls,
+        first_step=first_step, driver_cls=driver_cls,
     )[0]
 
 
@@ -654,51 +639,42 @@ def integrate_phase(
     then ``t1`` if that is not one of them) and the
     ``(n_stops, n_state)`` block of states there.
 
-    The one place a driver is chosen.  When the system's kernel (after
-    any demotion) is ``cext`` and the driver is DVERK, the phase is one
-    call of the compiled step loop, its counters folded into ``stats``
-    with the python driver's formulas, so recorders, monitors and
-    telemetry cannot tell the difference; otherwise it is
-    ``driver_cls`` — the scalar python DVERK, the reference and the
-    fallback — on the lane's two right-hand sides.  Either way the full
-    phase steps under the Thomson stability bound
-    (``stiff_rate=system.thomson_rate``; see ``RKDriver``) and
-    ``stats.n_stability_bound`` counts the attempts it set.
-
-    The python driver keeps the failure semantics.  A compiled call
-    that stops early (max steps, step underflow) or returns a
-    non-finite state has touched nothing; the phase is re-run from
-    ``y0`` by the python driver, which returns the identical result or
-    raises the canonical :class:`~repro.errors.IntegrationError`.  A
-    non-finite state first demotes the kernel, as a non-finite single
-    evaluation does.
+    One call of the compiled step loop, its counters folded into
+    ``stats`` with the python driver's formulas, so recorders, monitors
+    and telemetry cannot tell the difference; the full phase steps
+    under the Thomson stability bound (``stiff_rate=system.thomson_rate``;
+    see ``RKDriver``) and ``stats.n_stability_bound`` counts the
+    attempts it set.  A call that stops early (max steps, step
+    underflow) or ends on a non-finite state raises the
+    :class:`~repro.errors.IntegrationError` the python driver raises,
+    with its message; the ladder above (``plinger.worker``) owns what
+    happens next.  Any ``driver_cls`` but DVERK steps the lane's
+    compiled right-hand side in python instead (a test seam).
     """
-    op = system.op
     drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
                      rtol=rtol, atol=atol, max_steps=max_steps,
                      first_step=first_step,
                      flops_per_rhs=system.flops_per_eval(),
                      # tight coupling has no Thomson terms to be stiff on
                      stiff_rate=None if tight else system.thomson_rate)
-    if driver_cls is DVERK and op.active_kernel(system.rhs_kernel) == "cext":
-        out = op.integrate_phase(
-            system.lane, tight, y0, t0, t1, stop_points, rtol=rtol,
-            atol=atol, max_steps=max_steps - stats.n_steps,
-            first_step=first_step)
-        if out.ok:
-            s = drv.tableau.n_stages
-            step_flops = drv._flops_per_step(y0.size)
-            stats.n_steps += out.n_steps
-            stats.n_rejected += out.n_rejected
-            stats.n_rhs += out.n_rhs
-            stats.n_stability_bound += out.n_stability_bound
-            stats.n_flops += (step_flops // s
-                              + step_flops * (out.n_steps + out.n_rejected))
-            return out.y, out.stops, out.rows
-        if out.status == 0:
-            op._demote("cext", "non-finite integrate_phase output")
-    res = drv.integrate(y0, t0, t1, stop_points=stop_points, stats=stats)
-    return res.y, res.recorded_t, res.recorded_y
+    if driver_cls is not DVERK:
+        res = drv.integrate(y0, t0, t1, stop_points=stop_points, stats=stats)
+        return res.y, res.recorded_t, res.recorded_y
+    out = system.op.integrate_phase(
+        system.lane, tight, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
+        max_steps=max_steps - stats.n_steps, first_step=first_step)
+    failure = out.failure(max_steps)
+    if failure is not None:
+        raise IntegrationError(failure)
+    s = drv.tableau.n_stages
+    step_flops = drv._flops_per_step(y0.size)
+    stats.n_steps += out.n_steps
+    stats.n_rejected += out.n_rejected
+    stats.n_rhs += out.n_rhs
+    stats.n_stability_bound += out.n_stability_bound
+    stats.n_flops += (step_flops // s
+                      + step_flops * (out.n_steps + out.n_rejected))
+    return out.y, out.stops, out.rows
 
 
 def _in(t: float, grid: np.ndarray) -> bool:

@@ -18,40 +18,34 @@ explicit for this package:
   fitted with the tables (``ThermalHistory``, ``MassiveNuTables``);
 
 * **evaluation** is a thin pass over that structure, one lane (one
-  wavenumber of the chunk) at a time.  Two kernels evaluate the same
-  structure, in both phases (and the ``cext`` shared object also
-  carries the compiled DVERK step loop, :meth:`integrate_phase`, which
-  runs a lane's whole tight-coupling or full-hierarchy phase over the
-  same packed ABI):
-
-  - ``python`` — the scalar NumPy slice kernels (``rhs_full_s``,
-    ``rhs_tca_s``), the reference and the fallback, every expression
-    grouping pinned bitwise by ``tests/reference_rhs.py``;
-  - ``cext``  — the one compiled backend: a small C translation of the
-    same evaluation order over the packed ABI of :meth:`pack`, lazily
-    compiled with the system C compiler (see ``repro._cext``).
+  wavenumber of the chunk) at a time, by the compiled kernels of
+  ``repro._cext``: ``rhs_tca`` and ``rhs_full``, one C body over the
+  packed ABI of :meth:`pack`, whose expression groupings
+  ``tests/reference_rhs.py`` and ``tests/reference_packed_rhs.py`` pin.
+  The same shared object carries the DVERK step loop,
+  :meth:`integrate_phase`, which runs a lane's whole tight-coupling or
+  full-hierarchy phase over that ABI; :meth:`rhs_scalar` is one
+  evaluation, for the scalar python driver.
 
 A :class:`~repro.perturbations.system.PerturbationSystem` is a thin
 view of one lane of an operator, so a chunk of wavenumbers shares one
 assembly and one :meth:`pack`; the conformal-Newtonian twin reuses the
-gauge-independent helpers (photon/polarization advection + damping,
-hierarchy closures), keeping only its gauge-specific source terms
-local.  The few ``*_lanes`` methods left (``conformal_hubble_lanes``,
-``grho83_lanes``, ``rho_factor_lanes``) are the background factors over
-an *array of scale factors* — what the record pass of
-``evolve._Recorder`` evaluates for a block of stop-point rows — not a
-second way to step.
+gauge-independent python helpers (photon/polarization advection +
+damping, hierarchy closures), keeping only its gauge-specific source
+terms local.  The few ``*_lanes`` methods left
+(``conformal_hubble_lanes``, ``grho83_lanes``, ``rho_factor_lanes``)
+are the background factors over an *array of scale factors* — what the
+record pass of ``evolve._Recorder`` evaluates for a block of
+stop-point rows — not a second way to step.
 
-The operator also carries the per-kernel evaluation counters and
-(optionally) per-kernel wall-clock that feed the ``RhsMetrics``
-telemetry section, and :meth:`flops_per_eval` — one deterministic
-multiply-add census of the assembled structure, so flop accounting is
-identical on the python and the compiled path.
+The operator also carries the evaluation counter and (optionally) the
+wall-clock that feed the ``RhsMetrics`` telemetry section, and
+:meth:`flops_per_eval` — one deterministic multiply-add census of the
+assembled structure, whichever driver steps.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass
@@ -68,68 +62,13 @@ from ..thermo import ThermalHistory
 from .. import _cext
 from .state import StateLayout
 
-__all__ = ["BoltzmannOperator", "CompiledPhase", "KERNELS",
-           "available_kernels", "resolve_kernel"]
-
-#: Requestable kernel names (``auto`` picks the fastest available).
-KERNELS = ("python", "cext", "auto")
+__all__ = ["BoltzmannOperator", "CompiledPhase"]
 
 #: the compiled step loop's tableau argument: a, b_high, error weights, c
 _VERNER_TAB = np.concatenate([
     VERNER_65_TABLEAU.a.ravel(), VERNER_65_TABLEAU.b_high,
     VERNER_65_TABLEAU.error_weights, VERNER_65_TABLEAU.c,
 ])
-
-#: the two right-hand sides, indexed by ``tight``
-_RHS_NAME = ("rhs_full", "rhs_tca")
-
-#: fallbacks are announced here the moment they happen
-_log = logging.getLogger("repro.kernel")
-_warned_auto_python = False
-
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernels this process can actually run, fastest-first."""
-    if _cext.get_cext() is not None:
-        return ("cext", "python")
-    return ("python",)
-
-
-def resolve_kernel(requested: str) -> str:
-    """Map a requested kernel name onto one this process can run.
-
-    ``cext`` falls back to ``python`` when it cannot be built or
-    loaded (no error; the active kernel is recorded truthfully in the
-    ``RhsMetrics`` telemetry section, which is the observable a run
-    report should trust).  ``auto`` — the default — picks ``cext``
-    when available, else ``python``; since
-    that fallback costs two orders of magnitude in run time it is
-    announced once per process on the ``repro.kernel`` logger, with
-    the build's own reason.
-    """
-    global _warned_auto_python
-    if requested not in KERNELS:
-        raise ParameterError(
-            f"unknown rhs_kernel {requested!r}; choose from {KERNELS}"
-        )
-    avail = available_kernels()
-    if requested == "auto":
-        if avail[0] == "python" and not _warned_auto_python:
-            _warned_auto_python = True
-            reasons = [e.get("error", e["event"])
-                       for e in _cext.BUILD_EVENTS
-                       if e["event"] == "unavailable"]
-            _log.warning(
-                "rhs_kernel 'auto' resolved to 'python': no compiled kernel "
-                "in this process (%s); integration runs on the python "
-                "driver, roughly 100x slower, and the thermal history's "
-                "ODE on its python right-hand side",
-                "; ".join(reasons) or "C kernel unavailable",
-            )
-        return avail[0]
-    if requested in avail:
-        return requested
-    return "python"
 
 
 @dataclass
@@ -146,12 +85,27 @@ class CompiledPhase:
     n_rejected: int
     n_rhs: int
     n_stability_bound: int = 0
+    t: float = math.nan  #: the time the loop reached
+    h: float = math.nan  #: the step size it last set
 
     @property
     def ok(self) -> bool:
-        """Completed with a finite state (anything else re-runs on the
-        python driver, which owns the failure semantics)."""
+        """Completed with a finite state."""
         return self.status == 0 and math.isfinite(float(self.y.sum()))
+
+    def failure(self, max_steps: int) -> str | None:
+        """The python driver's message for this outcome (``max_steps``
+        the whole evolution's budget, as the driver names it), or None
+        when :attr:`ok`."""
+        if self.status == 1:
+            return f"exceeded max_steps={max_steps} at t={self.t:.6g}"
+        if self.status == 2:
+            return f"step size underflow at t={self.t:.6g}"
+        if self.status == 3:
+            return f"step size underflow (h={self.h:.3g}) at t={self.t:.6g}"
+        if not self.ok:
+            return f"non-finite state at t={self.t:.6g}"
+        return None
 
 
 def _exp_lanes(x: np.ndarray) -> np.ndarray:
@@ -211,7 +165,7 @@ class BoltzmannOperator:
         self.B = int(ks.size)
         self.layout = layout
         self.q_max = float(q_max)
-        # plain-float copies for the scalar kernels: the serial system
+        # plain-float copies for the scalar helpers: the serial system
         # always worked in python floats, and float64-scalar vs
         # np.float64 arithmetic is bitwise identical while plain floats
         # are faster to pull out of a list
@@ -238,10 +192,9 @@ class BoltzmannOperator:
         self._th_x0, self._th_dx, self._th_n = sp.x0, sp.dx, sp.n
         self._th_c = thermo._rhs_pack
 
-        # The layout's index properties recompute on access; the RHS
-        # runs thousands of times per mode, so freeze them here.
+        # The layout's index properties recompute on access; freeze the
+        # ones the scalar helpers read.
         self._iA = layout.A
-        self._iH = layout.H
         self._iETA = layout.ETA
         self._iDC = layout.DELTA_C
         self._iDB = layout.DELTA_B
@@ -299,7 +252,8 @@ class BoltzmannOperator:
         self._n_hi = ks[:, None] * (ell + 1.0) / (2.0 * ell + 1.0)
 
         # Per-lane constants of the packed ABI (``lane_c``, ``gr_gnl``);
-        # groupings match the scalar kernels' expressions bit for bit.
+        # groupings match the python reference's expressions
+        # (tests/reference_rhs.py) bit for bit.
         self._gr_gnl = self._gr_g + self._gr_nl
         self._k075 = 0.75 * ks
         self._k43i = 4.0 / (3.0 * ks)
@@ -337,31 +291,21 @@ class BoltzmannOperator:
         self._damp0 = i_fg + 3
         self._damp1 = i_gg + lg + 1
 
-        # -- kernel bookkeeping -------------------------------------------
-        #: lane-evaluations of either RHS (rhs_tca, rhs_full) under the
-        #: kernel that ran them; the compiled step loop adds a phase's
-        #: evaluations to ``cext`` in one go
-        self.evals: dict[str, int] = {"python": 0, "cext": 0}
-        #: wall-clock per kernel, populated only while ``instrument``
-        self.seconds: dict[str, float] = {"python": 0.0, "cext": 0.0}
-        #: when True, RHS dispatch wraps each call in perf_counter
+        # -- evaluation bookkeeping ---------------------------------------
+        #: lane-evaluations of either RHS (rhs_tca, rhs_full); the
+        #: compiled step loop adds a phase's evaluations in one go
+        self.evals: dict[str, int] = {"cext": 0}
+        #: their wall-clock, populated only while ``instrument``
+        self.seconds: dict[str, float] = {"cext": 0.0}
+        #: when True, each compiled call is wrapped in perf_counter
         self.instrument = False
         self._packed = None
         self._cext = None  # the loaded C kernel, resolved once
         self._tau1 = np.zeros(1)
         self._tau1_addr = self._tau1.ctypes.data
-        #: runtime NaN/Inf sentinel on compiled RHS outputs: a
-        #: non-finite dy demotes cext -> python mid-run (the
-        #: poisoned evaluation is recomputed by the fallback kernel, so
-        #: the trajectory never sees the bad values)
-        self.nan_sentinel = True
-        #: kernel -> fallback kernel, written by :meth:`_demote`
-        self.kernel_overrides: dict[str, str] = {}
-        #: demotion events ({"from","to","reason"}) awaiting collection
-        self.demotions: list[dict] = []
 
     # ------------------------------------------------------------------
-    # Background pieces — scalar (serial hot path)
+    # Background pieces — scalar (hand-off, Newtonian twin, monitors)
     # ------------------------------------------------------------------
 
     def grho83_s(self, a: float) -> float:
@@ -497,7 +441,7 @@ class BoltzmannOperator:
 
         Derived from the F2/G0/G2 quasi-equilibrium:
         sigma_g = (2/(3 kappa')) [ (8/15) theta_g + (4/15) hdot + (8/5) etadot ].
-        Shape-agnostic: scalars in the kernels, row vectors in the
+        Shape-agnostic: scalars at the hand-off, row vectors in the
         record pass.
         """
         return (2.0 / (3.0 * kappa_dot)) * (
@@ -505,10 +449,10 @@ class BoltzmannOperator:
         )
 
     # ------------------------------------------------------------------
-    # Gauge-independent scalar sector pieces (shared with the
-    # conformal-Newtonian twin; every term here is identical in both
-    # gauges, and each writes state entries the gauge-specific caller
-    # does not, from reads of ``y`` only — so the split is bitwise-safe)
+    # Gauge-independent scalar sector pieces (the conformal-Newtonian
+    # twin's python RHS; every term here is identical in both gauges,
+    # and each writes state entries the gauge-specific caller does not,
+    # from reads of ``y`` only — so the split is bitwise-safe)
     # ------------------------------------------------------------------
 
     def photon_shared_s(self, b: int, tau: float, y: np.ndarray,
@@ -517,9 +461,8 @@ class BoltzmannOperator:
         gauges: interior advection, bare Thomson damping, the l=lmax
         closures, and the full polarization block.  Returns Pi.
 
-        The caller supplies the gauge-specific monopole, the
-        baryon-coupled dipole source, and (synchronous only) the
-        quadrupole metric source.
+        The caller supplies the gauge-specific monopole and the
+        baryon-coupled dipole source.
         """
         fg = y[self._slfg]
         gg = y[self._slgg]
@@ -572,135 +515,8 @@ class BoltzmannOperator:
         return psi, dpsi, qk_eps
 
     # ------------------------------------------------------------------
-    # Sector fillers — scalar, synchronous gauge
+    # The hand-off between the two phases
     # ------------------------------------------------------------------
-
-    def fill_neutrinos_s(self, b, y, dy, tau, hdot, etadot):
-        self.neutrino_advect_s(b, y, dy, tau)
-        nl = y[self._slnl]
-        dnl = dy[self._slnl]
-        dnl[0] = -self._ks_f[b] * nl[1] - (2.0 / 3.0) * hdot
-        dnl[2] += (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot
-
-    def fill_massive_nu_s(self, b, y, dy, tau, a, hdot, etadot, eps=None):
-        lo = self.layout
-        if lo.nq == 0:
-            return
-        if eps is None:
-            eps = self.nu_eps_s(a)
-        psi, dpsi, qk_eps = self.massive_nu_advect_s(b, y, dy, tau, eps)
-        dpsi[:, 0] = -qk_eps * psi[:, 1] + (hdot / 6.0) * self._dlnf
-        dpsi[:, 2] += -((1.0 / 15.0) * hdot + (2.0 / 5.0) * etadot) * self._dlnf
-
-    # ------------------------------------------------------------------
-    # Scalar kernels (python) — transplanted from the serial system
-    # ------------------------------------------------------------------
-
-    def rhs_full_s(self, b: int, tau: float, y: np.ndarray,
-                   dy: np.ndarray) -> np.ndarray:
-        dy[:] = 0.0
-        a = y[self._iA]
-        hc = self.conformal_hubble_s(a)
-        lna = math.log(a)
-        kappa_dot = math.exp(self._ln_kap_spline(lna))
-        cs2 = math.exp(self._ln_cs2_spline(lna))
-        k = self._ks_f[b]
-        eps = self.nu_eps_s(a)
-
-        dy[self._iA] = a * hc
-        hdot, etadot, _, _ = self.metric_sources_s(b, y, a, hc, eps=eps)
-        dy[self._iH] = hdot
-        dy[self._iETA] = etadot
-
-        # CDM and baryons
-        fg = y[self._slfg]
-        theta_b = y[self._iTB]
-        theta_g = 0.75 * k * fg[1]
-        r = self._r_coef / a
-        dy[self._iDC] = -0.5 * hdot
-        dy[self._iDB] = -theta_b - 0.5 * hdot
-        dy[self._iTB] = (
-            -hc * theta_b
-            + cs2 * self._k2_f[b] * y[self._iDB]
-            + r * kappa_dot * (theta_g - theta_b)
-        )
-
-        # Photon hierarchies: common couplings + synchronous sources
-        pi_pol = self.photon_shared_s(b, tau, y, dy, kappa_dot)
-        dfg = dy[self._slfg]
-        dfg[0] = -k * fg[1] - (2.0 / 3.0) * hdot
-        dfg[1] += kappa_dot * ((4.0 / (3.0 * k)) * theta_b - fg[1])
-        dfg[2] += (
-            (4.0 / 15.0) * hdot
-            + (8.0 / 5.0) * etadot
-            + kappa_dot * (0.1 * pi_pol - fg[2])
-        )
-
-        self.fill_neutrinos_s(b, y, dy, tau, hdot, etadot)
-        self.fill_massive_nu_s(b, y, dy, tau, a, hdot, etadot, eps=eps)
-        return dy
-
-    def rhs_tca_s(self, b: int, tau: float, y: np.ndarray,
-                  dy: np.ndarray) -> np.ndarray:
-        dy[:] = 0.0
-        a = y[self._iA]
-        hc = self.conformal_hubble_s(a)
-        lna = math.log(a)
-        kappa_dot = math.exp(self._ln_kap_spline(lna))
-        cs2 = math.exp(self._ln_cs2_spline(lna))
-        k = self._ks_f[b]
-        k2 = self._k2_f[b]
-        eps = self.nu_eps_s(a)
-
-        dy[self._iA] = a * hc
-        hdot, etadot, _, _ = self.metric_sources_s(b, y, a, hc, eps=eps)
-        dy[self._iH] = hdot
-        dy[self._iETA] = etadot
-
-        fg = y[self._slfg]
-        delta_g = fg[0]
-        theta_g = 0.75 * k * fg[1]
-        delta_b = y[self._iDB]
-        theta_b = y[self._iTB]
-        r = self._r_coef / a
-
-        sigma_g = self.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
-        ddelta_b = -theta_b - 0.5 * hdot
-        ddelta_g = -(4.0 / 3.0) * theta_g - (2.0 / 3.0) * hdot
-
-        # MB95 eq. (75): first-order slip theta_b' - theta_g'
-        addot_a = (
-            -0.5 * (self.grho83_s(a) + 3.0 * self.gpres83_s(a)) + hc * hc
-        )
-        slip = (2.0 * r / (1.0 + r)) * hc * (theta_b - theta_g) + (
-            1.0 / (kappa_dot * (1.0 + r))
-        ) * (
-            -addot_a * theta_b
-            - hc * k2 * 0.5 * delta_g
-            + k2 * (cs2 * ddelta_b - 0.25 * ddelta_g)
-        )
-
-        # MB95 eq. (74): combined momentum equation + slip
-        dtheta_b = (
-            -hc * theta_b
-            + cs2 * k2 * delta_b
-            + r * (k2 * (0.25 * delta_g - sigma_g))
-            + r * slip
-        ) / (1.0 + r)
-        dtheta_g = dtheta_b - slip
-
-        dy[self._iDC] = -0.5 * hdot
-        dy[self._iDB] = ddelta_b
-        dy[self._iTB] = dtheta_b
-        dfg = dy[self._slfg]
-        dfg[0] = ddelta_g
-        dfg[1] = (4.0 / (3.0 * k)) * dtheta_g
-        # F_(l>=2) and polarization are algebraically slaved; their state
-        # entries are synchronized at the hand-off to the full RHS.
-
-        self.fill_neutrinos_s(b, y, dy, tau, hdot, etadot)
-        self.fill_massive_nu_s(b, y, dy, tau, a, hdot, etadot, eps=eps)
-        return dy
 
     def initialize_full_from_tca_s(self, b: int, y: np.ndarray,
                                    tau: float) -> None:
@@ -821,82 +637,35 @@ class BoltzmannOperator:
         return self._packed
 
     def _compiled(self):
-        """The loaded C kernel (must be available); resolved once per
-        operator."""
+        """The loaded C kernel, resolved once per operator (raises
+        :class:`~repro.errors.CompilerError` in a process without one)."""
         if self._cext is None:
             self._cext = _cext.get_cext()
-            if self._cext is None:
-                raise ParameterError(
-                    "rhs kernel 'cext' is not available in this process"
-                )
         return self._cext
 
     # ------------------------------------------------------------------
-    # Kernel dispatch (the entry points the thin drivers call)
+    # The entry points the drivers call
     # ------------------------------------------------------------------
 
-    def active_kernel(self, kernel: str) -> str:
-        """Resolve ``kernel`` through any recorded demotions."""
-        return self.kernel_overrides.get(kernel, kernel)
-
-    def _demote(self, kernel: str, reason: str) -> str:
-        """Demote the compiled kernel (cext -> python).
-
-        Returns the fallback kernel; the event is queued in
-        ``demotions`` until :meth:`drain_demotions` collects it (the
-        evolve driver folds it into telemetry once per chunk).
-        """
-        fallback = "python"
-        self.kernel_overrides[kernel] = fallback
-        self.demotions.append(
-            {"from": kernel, "to": fallback, "reason": reason}
-        )
-        _log.warning("rhs kernel demoted %s -> %s: %s", kernel, fallback,
-                     reason)
-        return fallback
-
-    def drain_demotions(self) -> list[dict]:
-        """Return and clear the pending demotion events."""
-        out, self.demotions = self.demotions, []
-        return out
-
-    def _finite(self, dY: np.ndarray) -> bool:
-        # NaN propagates through the sum and Inf saturates it, so one
-        # reduction checks every component
-        return math.isfinite(float(dY.sum()))
-
     def rhs_scalar(self, tight: bool, b: int, tau: float, y: np.ndarray,
-                   dy: np.ndarray, kernel: str = "python") -> np.ndarray:
-        """One lane's RHS — tight-coupling or full — through the
-        requested (resolved) kernel, counted under the kernel that ran."""
-        if self.kernel_overrides:
-            kernel = self.active_kernel(kernel)
-        self.evals[kernel] += 1
+                   dy: np.ndarray) -> np.ndarray:
+        """One lane's RHS — tight-coupling or full — by one call of the
+        compiled kernel, into ``dy``: the callback of the scalar python
+        driver."""
+        self.evals["cext"] += 1
         if self.instrument:
             w0 = time.perf_counter()
-        if kernel == "python":
-            (self.rhs_tca_s if tight else self.rhs_full_s)(b, tau, y, dy)
-        else:
-            self._tau1[0] = tau
-            if not y.flags.c_contiguous:
-                y = np.ascontiguousarray(y)
-            # the table's nine addresses were taken once (pack); the
-            # kernel reads lane b's state as the one row of its block
-            fn = self._compiled()
-            (fn.rhs_tca_raw if tight else fn.rhs_raw)(
-                *self.pack()["table"], self._tau1_addr, y.ctypes.data,
-                dy.ctypes.data, b, b + 1)
-            eng = _chaos_engine()
-            if eng is not None and eng.poison_rhs(kernel):
-                dy[:] = np.nan
-            if self.nan_sentinel and not self._finite(dy):
-                if self.instrument:
-                    self.seconds[kernel] += time.perf_counter() - w0
-                fallback = self._demote(
-                    kernel, f"non-finite {_RHS_NAME[tight]} output")
-                return self.rhs_scalar(tight, b, tau, y, dy, fallback)
+        self._tau1[0] = tau
+        if not y.flags.c_contiguous:
+            y = np.ascontiguousarray(y)
+        # the table's nine addresses were taken once (pack); the kernel
+        # reads lane b's state as the one row of its block
+        fn = self._compiled()
+        (fn.rhs_tca_raw if tight else fn.rhs_raw)(
+            *self.pack()["table"], self._tau1_addr, y.ctypes.data,
+            dy.ctypes.data, b, b + 1)
         if self.instrument:
-            self.seconds[kernel] += time.perf_counter() - w0
+            self.seconds["cext"] += time.perf_counter() - w0
         return dy
 
     def integrate_phase(self, b: int, tight: bool, y0: np.ndarray,
@@ -916,10 +685,11 @@ class BoltzmannOperator:
         the rest of the chunk.  ``max_steps`` is the number of accepted
         steps still allowed.
 
-        The caller owns the failure semantics: a result that is not
-        :attr:`CompiledPhase.ok` is re-run on the python driver (see
-        ``evolve.integrate_phase``).  The chaos engine's kernel
-        poison is consulted once per call, here, not inside C.
+        A phase that stops early is returned as it stopped, with its
+        status; ``evolve.integrate_phase`` raises it as the python
+        driver's :class:`~repro.errors.IntegrationError`.  The chaos
+        engine's kernel poison is consulted once per call, here, not
+        inside C.
         """
         fn = self._compiled()
         s, n = VERNER_65_TABLEAU.n_stages, self.layout.n_state
@@ -957,12 +727,13 @@ class BoltzmannOperator:
         if self.instrument:
             self.seconds["cext"] += time.perf_counter() - w0
         eng = _chaos_engine()
-        if eng is not None and eng.poison_rhs("cext"):
+        if eng is not None and eng.poison_rhs(float(self.ks[b])):
             y[:] = np.nan
         return CompiledPhase(status=int(status), y=y, stops=stops[:n_rows],
                              rows=rows[:n_rows], n_steps=n_steps,
                              n_rejected=n_rejected, n_rhs=n_rhs,
-                             n_stability_bound=n_bound)
+                             n_stability_bound=n_bound, t=float(ctl[0]),
+                             h=float(ctl[6]))
 
     # ------------------------------------------------------------------
     # Cost census
@@ -972,9 +743,9 @@ class BoltzmannOperator:
         """Deterministic multiply-add census of one lane's rhs_full.
 
         Derived from the assembled structure alone (window widths,
-        hierarchy cutoffs, momentum nodes), so the python and compiled
-        paths report the same per-evaluation cost and BENCH/telemetry
-        comparisons are apples-to-apples.  Transcendental
+        hierarchy cutoffs, momentum nodes), so every driver reports the
+        same per-evaluation cost and BENCH/telemetry comparisons are
+        apples-to-apples.  Transcendental
         calls (exp/log/sqrt) are charged at 25 flops, matching the
         calibrated cost model in :mod:`repro.cluster.costmodel`.
         """

@@ -19,18 +19,14 @@ and provides two interchangeable right-hand sides:
 This class is a thin view of one lane of a
 :class:`~repro.perturbations.operator.BoltzmannOperator`: the operator
 owns the precomputed coefficient structure of a chunk of wavenumbers
-and both kernels (python / cext), and this class binds one lane of it
-behind the historical serial API — same constructor, same attribute
-surface (the constraint monitor and the recorders reach into
-``_gr_*``, ``_w_*``, ``_g_lo`` and friends), same ``rhs_full(tau, y)``
-/ ``rhs_tca(tau, y)`` signatures.  Which operator a lane is a view of
-never shows in its values: lane ``b`` of any operator is bitwise the
-one-lane operator built for ``ks[b]`` alone.
-
-Set ``rhs_kernel`` to ``"cext"`` or ``"auto"`` to route both
-right-hand sides through the compiled kernel; an unavailable kernel
-resolves to ``"python"`` silently (the resolved choice is recorded in
-``self.rhs_kernel`` and in the ``RhsMetrics`` telemetry section).
+and its compiled kernels, and this class binds one lane of it behind
+the historical serial API — same constructor, same attribute surface
+(the constraint monitor and the recorders reach into ``_gr_*``,
+``_w_*``, ``_g_lo`` and friends), same ``rhs_full(tau, y)`` /
+``rhs_tca(tau, y)`` signatures, each one call of the compiled kernel.
+Which operator a lane is a view of never shows in its values: lane
+``b`` of any operator is bitwise the one-lane operator built for
+``ks[b]`` alone.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import numpy as np
 from ..background import Background
 from ..errors import ParameterError
 from ..thermo import ThermalHistory
-from .operator import BoltzmannOperator, resolve_kernel
+from .operator import BoltzmannOperator
 from .state import StateLayout
 
 __all__ = ["PerturbationSystem"]
@@ -66,10 +62,8 @@ class PerturbationSystem:
         instead of assembling a fresh one-lane operator — how a chunk
         shares one coefficient structure, one ``pack()`` and one set of
         eval counters (``k`` is then read off the operator).
-    rhs_kernel:
-        ``"python"`` (default), ``"cext"`` or ``"auto"``.
     instrument:
-        Record per-kernel wall-clock on the operator (feeds the
+        Record the kernel's wall-clock on the operator (feeds the
         ``RhsMetrics`` telemetry section).
     """
 
@@ -83,7 +77,6 @@ class PerturbationSystem:
         *,
         operator: BoltzmannOperator | None = None,
         lane: int = 0,
-        rhs_kernel: str = "python",
         instrument: bool = False,
     ) -> None:
         if operator is None:
@@ -108,7 +101,6 @@ class PerturbationSystem:
         self.k2 = float(op.k2[self.lane])
         self.layout = layout
         self.nq = layout.nq
-        self.rhs_kernel = resolve_kernel(rhs_kernel)
         if instrument:
             op.instrument = True
 
@@ -134,19 +126,13 @@ class PerturbationSystem:
             self._w_rho = op._w_rho
             self._w_q3 = op._w_q3
             self._w_q4 = op._w_q4
-            self._rho_fac = op._rho_fac
-            self._p_fac = op._p_fac
-            self._mnu_lo = op._mnu_lo
-            self._mnu_hi = op._mnu_hi
         self._g_lo = op._g_lo[self.lane]
         self._g_hi = op._g_hi[self.lane]
-        self._n_lo = op._n_lo[self.lane]
-        self._n_hi = op._n_hi[self.lane]
 
         self._dy = np.zeros(layout.n_state)
 
     # ------------------------------------------------------------------
-    # Background pieces (scalar, hot path)
+    # Background pieces (scalar)
     # ------------------------------------------------------------------
 
     def _grho83(self, a: float) -> float:
@@ -201,29 +187,16 @@ class PerturbationSystem:
         return self.op.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
 
     # ------------------------------------------------------------------
-    # Sector fillers
-    # ------------------------------------------------------------------
-
-    def _fill_neutrinos(self, y, dy, tau, hdot, etadot):
-        self.op.fill_neutrinos_s(self.lane, y, dy, tau, hdot, etadot)
-
-    def _fill_massive_nu(self, y, dy, tau, a, hdot, etadot, eps=None):
-        self.op.fill_massive_nu_s(self.lane, y, dy, tau, a, hdot, etadot,
-                                  eps=eps)
-
-    # ------------------------------------------------------------------
     # The two RHS phases
     # ------------------------------------------------------------------
 
     def rhs_full(self, tau: float, y: np.ndarray) -> np.ndarray:
-        """Full (post-TCA) RHS, evaluated by the resolved kernel."""
-        return self.op.rhs_scalar(False, self.lane, tau, y, self._dy,
-                                  self.rhs_kernel)
+        """Full (post-TCA) RHS, by the compiled kernel."""
+        return self.op.rhs_scalar(False, self.lane, tau, y, self._dy)
 
     def rhs_tca(self, tau: float, y: np.ndarray) -> np.ndarray:
-        """Tight-coupling RHS (MB95 eqs. 74/75), by the resolved kernel."""
-        return self.op.rhs_scalar(True, self.lane, tau, y, self._dy,
-                                  self.rhs_kernel)
+        """Tight-coupling RHS (MB95 eqs. 74/75), by the compiled kernel."""
+        return self.op.rhs_scalar(True, self.lane, tau, y, self._dy)
 
     def thomson_rate(self, tau: float, y: np.ndarray) -> float:
         """kappa' (1 + r), r = 4 rho_gamma / 3 rho_b: the decay rate of

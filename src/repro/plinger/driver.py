@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import _cext
 from ..background import Background
 from ..cache import PrecomputeCache
 from ..errors import MessagePassingError, ParameterError, ProtocolError
@@ -33,7 +34,6 @@ from ..linger.serial import (
 from ..mp import get_backend
 from ..mp.api import World
 from ..params import CosmologyParams
-from ..perturbations import available_kernels
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..telemetry.report import FaultReport
 from ..thermo import ThermalHistory
@@ -223,7 +223,7 @@ def run_plinger(
         # a child inherits a resolved kernel; unresolved (tables handed
         # in, so no thermal build has asked) each one would pay the
         # digest and the dlopen itself, first thing after the fork
-        available_kernels()
+        _cext.get_cext()
         world.launch(_worker_entry, background, thermo, kgrid, config,
                      telemetry.enabled, fault_tolerance, params)
     elif backend in ("inprocess", "procs"):

@@ -92,16 +92,16 @@ def chunk_compute(
     """
 
     def attempt(iks: list[int], cfg):
+        ks = [float(kgrid.k[ik - 1]) for ik in iks]
         eng = current_engine()
-        for ik in iks:
-            if eng is not None and eng.collapse_mode(ik):
+        for ik, k in zip(iks, ks):
+            if eng is not None and eng.collapse_mode(k):
                 raise IntegrationError(
                     f"chaos: forced step collapse (ik={ik})"
                 )
         out = []
         for header, payload, mode in compute_modes_batch(
-            background, thermo, [float(kgrid.k[ik - 1]) for ik in iks], iks,
-            cfg, telemetry=telemetry,
+            background, thermo, ks, iks, cfg, telemetry=telemetry,
         ):
             if mode_sink is not None:
                 mode_sink[header.ik] = mode

@@ -100,16 +100,12 @@ class Telemetry:
         for name, value in kwargs.items():
             setattr(mode, name, value)
 
-    def record_rhs(self, requested: str = "python",
-                   active: str = "python",
-                   evals: dict | None = None,
+    def record_rhs(self, evals: dict | None = None,
                    seconds: dict | None = None) -> None:
-        """Merge per-kernel RHS accounting into the run's ``rhs``
-        section.  Called once per evolved chunk with the
-        operator's cumulative counters; within one run the counts sum
-        and the requested/active labels are shared."""
-        section = RhsMetrics(requested=requested, active=active,
-                             evals=dict(evals or {}),
+        """Merge RHS accounting into the run's ``rhs`` section.  Called
+        once per evolved chunk with the operator's counters; within one
+        run the counts sum."""
+        section = RhsMetrics(evals=dict(evals or {}),
                              seconds=dict(seconds or {}))
         if self.rhs is None:
             self.rhs = section
@@ -118,7 +114,7 @@ class Telemetry:
 
     def record_degradation(self, surface: str, event: str,
                            detail: str = "", seconds: float = 0.0) -> None:
-        """Append one graceful-degradation event (kernel demotion,
+        """Append one graceful-degradation event (kernel rebuild,
         cache quarantine, transient integrator retry) to
         the run's ``degradation`` section."""
         if self.degradation is None:
@@ -190,8 +186,8 @@ class Telemetry:
         for name, d in payload.get("timers", {}).items():
             self.timer(name).add(d["total_seconds"], d["count"])
         if payload.get("rhs") is not None:
-            self.record_rhs(**{k: payload["rhs"][k] for k in
-                               ("requested", "active", "evals", "seconds")})
+            self.record_rhs(payload["rhs"]["evals"],
+                            payload["rhs"].get("seconds"))
         if payload.get("degradation") is not None:
             if self.degradation is None:
                 self.degradation = DegradationMetrics()
@@ -280,8 +276,7 @@ class NullTelemetry(Telemetry):
     def record_constraint(self, metrics) -> None:
         pass
 
-    def record_rhs(self, requested="python", active="python",
-                   evals=None, seconds=None) -> None:
+    def record_rhs(self, evals=None, seconds=None) -> None:
         pass
 
     def record_degradation(self, surface, event, detail="",

@@ -337,20 +337,16 @@ class SparseMetrics:
 
 @dataclass
 class RhsMetrics:
-    """Per-kernel RHS evaluation accounting (compiled-RHS refactor).
+    """RHS evaluation accounting.
 
-    One section per run: which kernel was requested, which one actually
-    ran (compiled kernels silently fall back to python when
-    unavailable), and the lane-evaluation counts / wall-clock split per
-    kernel.  ``evals`` counts *lane* evaluations, of either phase's
-    RHS, under the kernel that ran them, so the python and compiled
-    paths are directly comparable and a ``cext`` run that never fell
-    back reads ``python: 0``.  Additive v1 extension like
-    ``sparse``: reports without an ``rhs`` section load unchanged.
+    One section per run: the lane-evaluation counts and wall-clock of
+    the compiled kernels (``cext``), of either phase's RHS.  Additive v1
+    extension like ``sparse``: reports without an ``rhs`` section load
+    unchanged, and so do reports written when a run could choose its
+    kernel (their ``requested``/``active`` keys are dropped, a
+    ``python`` count stays one more entry of ``evals``).
     """
 
-    requested: str = "python"
-    active: str = "python"
     evals: dict = field(default_factory=dict)  #: kernel -> lane evals
     seconds: dict = field(default_factory=dict)  #: kernel -> wall clock
 
@@ -358,19 +354,8 @@ class RhsMetrics:
     def total_evals(self) -> int:
         return int(sum(self.evals.values()))
 
-    @property
-    def compiled_fraction(self) -> float:
-        """Share of lane evaluations served by a compiled kernel."""
-        tot = self.total_evals
-        if not tot:
-            return 0.0
-        comp = sum(v for k, v in self.evals.items() if k != "python")
-        return comp / tot
-
     def merge(self, other: "RhsMetrics") -> None:
         """Fold another section in (PLINGER worker payloads, chunks)."""
-        self.requested = other.requested or self.requested
-        self.active = other.active or self.active
         for k, v in other.evals.items():
             self.evals[k] = self.evals.get(k, 0) + int(v)
         for k, v in other.seconds.items():
@@ -386,8 +371,8 @@ class RhsMetrics:
 class DegradationMetrics:
     """Graceful-degradation event log (the chaos engine's ledger).
 
-    Every recovery the resilience layer performs — a kernel demotion
-    after the NaN sentinel trips, a corrupt cache entry quarantined and
+    Every recovery the resilience layer performs — a compiled object
+    rebuilt after a torn ``.so``, a corrupt cache entry quarantined and
     rebuilt, a transient integrator retry — lands here as one event,
     tagged by *surface* (``cache``, ``kernel``, ``integrator``,
     ``mp``).  Additive v1 extension like ``rhs``: reports without a
@@ -562,10 +547,7 @@ class RunReport:
             if self.sparse else 1.0,
             "sparse_est_seconds_saved": self.sparse.est_seconds_saved
             if self.sparse else 0.0,
-            "rhs_kernel_active": self.rhs.active if self.rhs else "python",
             "rhs_evals": self.rhs.total_evals if self.rhs else 0,
-            "rhs_compiled_fraction": self.rhs.compiled_fraction
-            if self.rhs else 0.0,
             "degradation_events": self.degradation.total_events
             if self.degradation else 0,
             "degradation_by_surface": dict(

@@ -38,12 +38,7 @@ from ..background.nu_massive import I_RHO_MASSLESS
 from ..errors import IntegrationError
 from ..util.fastspline import PiecewiseCubic, UniformGridCubic, fit_cubic
 from . import radau, recombination
-from .recombination import (
-    _saha_factor,
-    _saha_sweeps,
-    peebles_rhs,
-    saha_electron_fraction,
-)
+from .recombination import _saha_factor, _saha_sweeps
 
 __all__ = ["ThermalHistory"]
 
@@ -118,9 +113,7 @@ class ThermalHistory:
 
     #: work the ionization solve did (None on a history loaded from
     #: tables); every count repeats exactly for a given cosmology.
-    #: ``ode_rhs_compiled`` is how many of the ``ode_rhs_evals`` the
-    #: compiled ``thermo_rhs`` made: all of them, or none; ``saha_rows``
-    #: how many grid rows the Saha pre-pass swept
+    #: ``saha_rows`` is how many grid rows the Saha pre-pass swept
     _build_counts: dict[str, int] | None = None
 
     def __init__(
@@ -206,51 +199,14 @@ class ThermalHistory:
     # Construction
     # ------------------------------------------------------------------
 
-    def _rhs(self, lna: float, x_h: float,
-             t_b: float) -> tuple[float, float]:
-        """ODE right-hand side in ln a for (x_H, T_b).
-
-        The reference of the compiled ``thermo_rhs`` (``repro._cext``),
-        which transcribes it and everything it calls grouping for
-        grouping and is pinned to it bitwise; the stepper calls that one
-        about five thousand times per build, and this one — scalar
-        python arithmetic throughout, one state at a time — only in a
-        process without the compiled object.
-        """
-        a = math.exp(lna)
-        t_b = max(t_b, 1e-3)
-        # proper Hubble rate in s^-1
-        h_s = self.background.hubble(a) * const.C_LIGHT / const.MPC_CM
-        n_h = self._n_h0 / a**3
-        # helium electrons from Saha at the current temperature
-        _, _, x_he2, x_he3 = saha_electron_fraction(t_b, n_h, self.f_he)
-        x_e = min(max(x_h, 0.0), 1.0) + self.f_he * (x_he2 + 2.0 * x_he3)
-        n_e = max(x_e, 1e-12) * n_h
-
-        dxh_dt = peebles_rhs(x_h, t_b, n_h, n_e, h_s)
-
-        # Baryon temperature: adiabatic cooling + Compton heating
-        t_g = self.params.t_cmb / a
-        compton_prefac = (
-            8.0
-            * const.SIGMA_THOMSON
-            * const.A_RAD
-            * t_g**4
-            / (3.0 * const.M_ELECTRON * const.C_LIGHT)
-        )  # s^-1, multiplies x_e/(1+f_He+x_e) (T_g - T_b)
-        dtb_dt = -2.0 * h_s * t_b + compton_prefac * x_e / (
-            1.0 + self.f_he + x_e
-        ) * (t_g - t_b)
-
-        return dxh_dt / h_s, dtb_dt / h_s
-
     def _rhs_block(self) -> np.ndarray:
         """The parameter block of the compiled ``thermo_rhs``: everything
-        :meth:`_rhs` reads besides the state, in the order the C function
-        unpacks it.  Physical constants are :mod:`repro.constants`'; the
-        three sub-expressions python raises to a power on every call are
-        evaluated here by python's own ``**``, which leaves a compiler no
-        ``pow`` of a constant to fold its own way.
+        it reads besides the state, in the order the C function unpacks
+        it.  Physical constants are :mod:`repro.constants`'; the three
+        sub-expressions the python reference (``tests/reference_thermo.py``)
+        raises to a power on every call are evaluated here by python's
+        own ``**``, which leaves a compiler no ``pow`` of a constant to
+        fold its own way.
         """
         nu = self.background.nu_tables
         if nu is None:
@@ -284,6 +240,28 @@ class ThermalHistory:
         return (self._rhs_block(), None if nu is None else nu._rhs_pack,
                 np.zeros(6))
 
+    def _solve_ode(self, grid: np.ndarray,
+                   rows: np.ndarray) -> tuple[int, int, int, int]:
+        """The Peebles-phase solve of (x_H, T_b) from ``grid[0]`` to
+        ``grid[-1]``: the compiled ``thermo_ode`` over the compiled
+        ``thermo_rhs``, writing the state at every grid point into
+        ``rows`` (row 0 holds the start).  Returns ``(status, rhs
+        evaluations, accepted steps, rejected steps)``, status 0 on
+        success; a Saha solve inside the right-hand side that hit its
+        iteration cap (the C latches it) raises here."""
+        block, nu_pack, out = self._compiled_args()
+        status = _cext.get_cext().thermo_ode_raw(
+            block.ctypes.data,
+            None if nu_pack is None else nu_pack.ctypes.data,
+            radau.TABLE.ctypes.data, grid.ctypes.data, len(rows),
+            radau.MAX_ATTEMPTS, rows.ctypes.data, out.ctypes.data)
+        if out[2]:
+            raise IntegrationError(
+                "Saha equilibrium did not converge in "
+                f"{recombination._SAHA_MAX_ITER} iterations inside the "
+                "thermal history ODE")
+        return int(status), int(out[3]), int(out[4]), int(out[5])
+
     def _build_ionization(
         self, a_start: float, n_grid: int, saha_switch: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -300,33 +278,11 @@ class ThermalHistory:
         x_e, x_h, i_switch, sweeps, saha_rows = _saha_before_switch(
             t_b, n_h, self.f_he, saha_switch)
 
-        # Peebles phase: one solve, output on the grid itself, by the
-        # compiled stepper over the compiled right-hand side in a
-        # process that has the compiled object and by its python
-        # reference over _rhs (which raises where the compiled one
-        # latches a status) in one that has not
+        # Peebles phase: one solve, output on the grid itself
         rows = np.empty((n_grid - i_switch, 2))
         rows[0] = x_h[i_switch], t_b[i_switch]
-        cext = _cext.get_cext()
-        if cext is None:
-            status, n_rhs, n_steps, n_rejected = radau.integrate(
-                self._rhs, lna[i_switch:], rows)
-            n_compiled = 0
-        else:
-            block, nu_pack, out = self._compiled_args()
-            status = cext.thermo_ode_raw(
-                block.ctypes.data,
-                None if nu_pack is None else nu_pack.ctypes.data,
-                radau.TABLE.ctypes.data, lna[i_switch:].ctypes.data,
-                len(rows), radau.MAX_ATTEMPTS, rows.ctypes.data,
-                out.ctypes.data)
-            if out[2]:
-                raise IntegrationError(
-                    "Saha equilibrium did not converge in "
-                    f"{recombination._SAHA_MAX_ITER} iterations inside the "
-                    "thermal history ODE")
-            n_rhs = n_compiled = int(out[3])
-            n_steps, n_rejected = int(out[4]), int(out[5])
+        status, n_rhs, n_steps, n_rejected = self._solve_ode(
+            lna[i_switch:], rows)
         if status:
             raise IntegrationError(
                 "thermal history ODE failed: "
@@ -341,7 +297,6 @@ class ThermalHistory:
             t_b[i_switch:], n_h[i_switch:], self.f_he)
         x_e[i_switch:] = x_h[i_switch:] + self.f_he * (x_he2 + 2.0 * x_he3)
         self._build_counts = {"ode_rhs_evals": n_rhs,
-                              "ode_rhs_compiled": n_compiled,
                               "ode_steps": n_steps,
                               "ode_rejected": n_rejected,
                               "saha_sweeps": sweeps + more,

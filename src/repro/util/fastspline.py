@@ -3,8 +3,8 @@ on uniform grids.
 
 :func:`fit_cubic` is the not-a-knot cubic spline every table, source
 and k-interpolation in the package is fitted with, assembled as the
-standard scientific-python spline assembles it, solved by a
-transcription of LAPACK's ``DGTSV`` and evaluated by
+standard scientific-python spline assembles it, solved by the compiled
+transcription of LAPACK's ``DGTSV`` (``repro._cext``) and evaluated by
 :class:`PiecewiseCubic` in that library's order of operations — its
 bits without the dependency: the package imports numpy alone, and the
 test suite imports the library as the oracle
@@ -92,60 +92,14 @@ class PiecewiseCubic:
             self.x)
 
 
-def _tridiag_solve(dl: list, d: list, du: list, b: list) -> int:
-    """Reference LAPACK's ``DGTSV`` on python lists: the twin of the
-    compiled ``tridiag_solve`` (``repro._cext``, which documents it),
-    bitwise.  ``b`` is a list of rows — floats for one right-hand side,
-    arrays for several; every list is overwritten, ``b`` with the
-    solution."""
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                return i + 1
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            if i < n - 2:
-                dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            temp = d[i + 1]
-            d[i] = dl[i]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    if d[n - 1] == 0.0:
-        return n
-    for i in range(n - 1, -1, -1):
-        v = b[i]
-        if i < n - 1:
-            v = v - du[i] * b[i + 1]
-        if i < n - 2:
-            v = v - dl[i] * b[i + 2]
-        b[i] = v / d[i]
-    return 0
-
-
 def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray,
                        upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve in place for the ``(n, nrhs)`` C-contiguous ``b``: the
-    compiled ``tridiag_solve`` where the process has the compiled
-    object, its python twin where it has not."""
+    """Solve in place for the ``(n, nrhs)`` C-contiguous ``b`` by the
+    compiled ``tridiag_solve``."""
     n, nrhs = b.shape
-    cext = _cext.get_cext()
-    if cext is not None:
-        info = cext.tridiag_raw(n, nrhs, lower.ctypes.data,
-                                diag.ctypes.data, upper.ctypes.data,
-                                b.ctypes.data)
-    else:
-        rows = b[:, 0].tolist() if nrhs == 1 else list(b.copy())
-        info = _tridiag_solve(lower.tolist(), diag.tolist(),
-                              upper.tolist(), rows)
-        b[...] = np.reshape(rows, b.shape)
+    info = _cext.get_cext().tridiag_raw(n, nrhs, lower.ctypes.data,
+                                        diag.ctypes.data, upper.ctypes.data,
+                                        b.ctypes.data)
     if info != 0:
         raise ParameterError(f"fit_cubic: zero pivot in row {info} of the "
                              "tridiagonal solve")

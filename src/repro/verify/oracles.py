@@ -205,32 +205,27 @@ def rhs_kernel_oracle(
     rtol: float = 1e-4,
     lmax: int = 8,
 ) -> dict[str, float]:
-    """Replay one mode through every RHS kernel and the compiled loop.
+    """One mode's states through two lanes of the compiled RHS, and the
+    compiled loop against the python driver.
 
-    Evolves one monitored mode with the scalar python reference
-    (python kernel, python driver), capturing the states at the record
-    grid in both phases, then re-evaluates the phase's own right-hand
-    side — ``rhs_tca`` at the tight-coupling states, ``rhs_full`` at
-    the rest — at each captured ``(tau, y)`` through lane 1 of a
-    three-lane operator assembled for ``[k/2, k, 2k]``, on every
-    available kernel (python always, cext when it exists), each against
-    the one-lane python reference evaluated on the same state — lane
-    addressing, which is all a chunk relies on; and, when the ``cext``
-    kernel exists, evolves the same mode again through the compiled
-    step loop (both phases) and compares every recorded observable and
-    the final state against the python driver's.
+    Evolves one monitored mode on the compiled step loop, capturing the
+    states at the record grid in both phases, then re-evaluates the
+    phase's own right-hand side — ``rhs_tca`` at the tight-coupling
+    states, ``rhs_full`` at the rest — at each captured ``(tau, y)``
+    through lane 1 of a three-lane operator assembled for
+    ``[k/2, k, 2k]``, against a one-lane operator evaluated on the same
+    state: lane addressing, which is all a chunk relies on.  Then it
+    evolves the same mode again on the scalar python ``DVERK`` over the
+    same compiled right-hand side (the ``driver_cls`` seam) and compares
+    every recorded observable and the final state against the loop's.
 
     Returns ``{"rhs_kernel": dev}``: the worst
-    ``max|x - x_ref| / max|x_ref|`` over states, kernels and the
-    compiled-loop leg.  The python lane and the compiled loop are
-    expected bitwise (dev contribution 0.0); the compiled kernel is
-    budgeted at ``oracle.rhs_kernel`` and, this mode having no massive
-    neutrinos, measures 0.0 too.  With no compiler the check still
-    measures the lane-of-a-chunk vs one-lane equivalence rather than
-    vacuously passing.
+    ``max|x - x_ref| / max|x_ref|`` over both legs, budgeted at
+    ``oracle.rhs_kernel``.  Both are expected bitwise (0.0).
     """
+    from ..integrators.dverk import RKDriver
     from ..perturbations import default_record_grid, evolve_mode
-    from ..perturbations.operator import BoltzmannOperator, available_kernels
+    from ..perturbations.operator import BoltzmannOperator
     from ..perturbations.state import StateLayout
     from ..perturbations.system import PerturbationSystem
 
@@ -241,8 +236,7 @@ def rhs_kernel_oracle(
 
     grid = default_record_grid(background, thermo, k)
     kwargs = dict(lmax_photon=lmax, lmax_nu=lmax, record_tau=grid, rtol=rtol)
-    ref_mode = evolve_mode(background, thermo, k, monitor=monitor,
-                           rhs_kernel="python", **kwargs)
+    loop_mode = evolve_mode(background, thermo, k, monitor=monitor, **kwargs)
     if len({tight for _, _, tight in states}) != 2:
         raise ParameterError(
             "rhs_kernel_oracle needs states of both phases; the record "
@@ -254,31 +248,29 @@ def rhs_kernel_oracle(
     ref = PerturbationSystem(background, thermo, k, layout)
     chunk = BoltzmannOperator(background, thermo,
                               np.array([0.5 * k, k, 2.0 * k]), layout)
-    lanes = [
-        PerturbationSystem(background, thermo, k, layout,
-                           operator=chunk, lane=1, rhs_kernel=name)
-        for name in available_kernels()
-    ]
+    lane = PerturbationSystem(background, thermo, k, layout,
+                              operator=chunk, lane=1)
+
+    def dev(got, want) -> float:
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        return float(np.max(np.abs(got - want))) / scale
 
     worst = 0.0
     for tau, y, tight in states:
         rhs = "rhs_tca" if tight else "rhs_full"
         dy_ref = getattr(ref, rhs)(tau, y).copy()
-        scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
-        for lane in lanes:
-            dy = getattr(lane, rhs)(tau, y)
-            worst = max(worst, float(np.max(np.abs(dy - dy_ref))) / scale)
+        worst = max(worst, dev(getattr(lane, rhs)(tau, y), dy_ref))
 
-    if "cext" in available_kernels():
-        loop_mode = evolve_mode(background, thermo, k, rhs_kernel="cext",
-                                **kwargs)
-        pairs = [(loop_mode.y_final, ref_mode.y_final)]
-        pairs += [(loop_mode.records[name], ref_mode.records[name])
-                  for name in ref_mode.records
-                  if not np.all(np.isnan(ref_mode.records[name]))]
-        for got, want in pairs:
-            scale = max(float(np.max(np.abs(want))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    # DVERK's own driver class on DVERK's tableau: any class but DVERK
+    # keeps the phases off the compiled loop
+    py_mode = evolve_mode(background, thermo, k, driver_cls=RKDriver,
+                          **kwargs)
+    pairs = [(py_mode.y_final, loop_mode.y_final)]
+    pairs += [(py_mode.records[name], loop_mode.records[name])
+              for name in loop_mode.records
+              if not np.all(np.isnan(loop_mode.records[name]))]
+    for got, want in pairs:
+        worst = max(worst, dev(got, want))
     return {"rhs_kernel": worst}
 
 
@@ -301,12 +293,11 @@ def batch_invariance_oracle(
 ) -> dict:
     """Bit invariance of the wire records and C_l under execution knobs.
 
-    One short hierarchy grid (5 modes, nq=0) is integrated by the
-    python kernel one mode at a time — the reference — and then again
-    under every ``rhs_kernel`` this host has among {python, cext}
-    crossed with: ``batch_size`` in ``batch_sizes``; one 5-lane chunk
-    in *reversed* lane order; PLINGER with ``nproc`` in ``nprocs``
-    (in-process ranks, one mode per message).  Every
+    One short hierarchy grid (5 modes, nq=0) is integrated one mode at
+    a time — the reference — and then again with: ``batch_size`` in
+    ``batch_sizes``; one 5-lane chunk in *reversed* lane order; PLINGER
+    with ``nproc`` in ``nprocs`` (in-process ranks, one mode per
+    message).  Every
     ``ModeHeader``/``ModePayload`` field except ``cpu_seconds``
     (so ``n_rhs`` and ``n_steps`` too) and the hierarchy C_l must be
     bit-for-bit the reference's.  Every leg steps one lane at a time;
@@ -319,15 +310,13 @@ def batch_invariance_oracle(
     Returns ``{"batch_invariance": dev, "legs": {name: dev}}`` where a
     leg's ``dev`` is 0.0 when its bytes match and otherwise the worst
     relative C_l deviation (``inf`` if that is zero although records
-    differ).  ``batch_invariance`` is the worst leg, or NaN when a C
-    compiler exists and yet the ``cext`` legs evaluated anything on the
-    python kernel (or nothing at all) — a compiled leg that silently
-    fell back for a phase proves nothing about the compiled loop.
+    differ).  ``batch_invariance`` is the worst leg, or NaN when the
+    legs evaluated nothing in compiled code — a leg that never reached
+    the compiled loop proves nothing about it.
     """
     from ..background import Background
     from ..linger.kgrid import KGrid
     from ..linger.serial import LingerConfig, run_linger
-    from ..perturbations.operator import available_kernels
     from ..plinger.driver import run_plinger
     from ..spectra import cl_from_hierarchy
     from ..telemetry import Telemetry
@@ -338,12 +327,11 @@ def batch_invariance_oracle(
     if thermo is None:
         thermo = ThermalHistory(background)
     kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 5))
-    base = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4, nq=0,
-                        record_sources=False, keep_mode_results=False,
-                        rhs_kernel="python")
+    config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4, nq=0,
+                          record_sources=False, keep_mode_results=False)
     common = dict(background=background, thermo=thermo)
 
-    ref = run_linger(params, kgrid, base, **common)
+    ref = run_linger(params, kgrid, config, **common)
     ref_bytes = _record_bytes(ref)
     _l, cl_ref = cl_from_hierarchy(ref)
     scale = max(float(np.max(np.abs(cl_ref))), 1e-300)
@@ -357,30 +345,23 @@ def batch_invariance_oracle(
         return dev if dev > 0.0 else float("inf")
 
     legs: dict[str, float] = {}
-    compiled_ran = True
-    kernels = [k for k in ("python", "cext") if k in available_kernels()]
-    for kernel in kernels:
-        config = replace(base, rhs_kernel=kernel)
-        tel = Telemetry()
-        for batch_size in batch_sizes:
-            legs[f"{kernel} batch_size={batch_size}"] = deviation(run_linger(
-                params, kgrid, config, batch_size=batch_size, telemetry=tel,
-                **common))
-        # one chunk holding every mode, lanes in ascending-k order: the
-        # reverse of the dispatch order the batch_size legs used
-        ascending = KGrid.from_k(kgrid.k, largest_first=False)
-        legs[f"{kernel} reversed lanes"] = deviation(run_linger(
-            params, ascending, config, batch_size=kgrid.nk, telemetry=tel,
+    tel = Telemetry()
+    for batch_size in batch_sizes:
+        legs[f"batch_size={batch_size}"] = deviation(run_linger(
+            params, kgrid, config, batch_size=batch_size, telemetry=tel,
             **common))
-        for nproc in nprocs:
-            result, _stats = run_plinger(params, kgrid, config, nproc=nproc,
-                                         backend="inprocess", telemetry=tel,
-                                         **common)
-            legs[f"{kernel} nproc={nproc}"] = deviation(result)
-        if kernel == "cext":
-            evals = tel.rhs.evals if tel.rhs else {}
-            compiled_ran = (evals.get("cext", 0) > 0
-                            and evals.get("python", 0) == 0)
+    # one chunk holding every mode, lanes in ascending-k order: the
+    # reverse of the dispatch order the batch_size legs used
+    ascending = KGrid.from_k(kgrid.k, largest_first=False)
+    legs["reversed lanes"] = deviation(run_linger(
+        params, ascending, config, batch_size=kgrid.nk, telemetry=tel,
+        **common))
+    for nproc in nprocs:
+        result, _stats = run_plinger(params, kgrid, config, nproc=nproc,
+                                     backend="inprocess", telemetry=tel,
+                                     **common)
+        legs[f"nproc={nproc}"] = deviation(result)
+    compiled_ran = tel.rhs is not None and tel.rhs.total_evals > 0
 
     worst = max(legs.values())
     return {"batch_invariance": worst if compiled_ran else float("nan"),
@@ -436,10 +417,10 @@ def chaos_degradation_oracle(
     Runs one short PLINGER spectrum fault-free, then repeats it under a
     fixed-seed :class:`~repro.chaos.ChaosPolicy` that hits all three
     fault surfaces — cache (a corrupted store entry to quarantine and
-    rebuild), compiled kernel (a stale ``.so``,
-    one failed compilation, and one NaN-poisoned compiled output),
-    and integrator (one forced step collapse) — with fault tolerance
-    and telemetry armed, and compares the hierarchy C_l.
+    rebuild), compiled kernel (a stale ``.so``, one failed compilation,
+    and one NaN-poisoned compiled phase, which the ladder retries) and
+    integrator (one forced step collapse) — with fault tolerance and
+    telemetry armed, and compares the hierarchy C_l.
 
     Returns ``{"chaos_degradation": dev, "chaos_events": counts}``:
     the worst ``|cl - cl_ref| / max|cl_ref|`` plus the degradation-event
@@ -460,15 +441,13 @@ def chaos_degradation_oracle(
         private_cache,
         reset_cext,
     )
-    from ..perturbations.operator import available_kernels
     from ..plinger import run_plinger
     from ..spectra import cl_from_hierarchy
     from ..telemetry import Telemetry
 
     kgrid = KGrid.from_k(np.geomspace(3e-4, 0.03, 6))
     config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4,
-                          record_sources=False, keep_mode_results=False,
-                          rhs_kernel="auto")
+                          record_sources=False, keep_mode_results=False)
 
     clean, _ = run_plinger(params, kgrid, config, nproc=nproc,
                            backend="inprocess")
@@ -488,12 +467,11 @@ def chaos_degradation_oracle(
             reset_cext()
             get_cext()
             for ev in BUILD_EVENTS:
-                if ev["event"] != "unavailable":
-                    tel.record_degradation(
-                        "kernel", ev["event"],
-                        ", ".join(f"{k}={v}" for k, v in ev.items()
-                                  if k != "event"),
-                    )
+                tel.record_degradation(
+                    "kernel", ev["event"],
+                    ", ".join(f"{k}={v}" for k, v in ev.items()
+                              if k != "event"),
+                )
             # Cache surface: a warm-up build consumes the store-write
             # corruption budget, so the run's own load below hits the
             # corrupted entry and must quarantine + rebuild it.
@@ -507,11 +485,6 @@ def chaos_degradation_oracle(
             tel.record_degradation(e["surface"], e["event"],
                                    e.get("detail", ""),
                                    e.get("seconds", 0.0))
-    if available_kernels() == ("python",):
-        # no compiled kernel to poison on this host: the NaN-sentinel
-        # demotion cannot fire, so record the degradation floor itself
-        tel.record_degradation("kernel", "unavailable_fallback",
-                               "no compiled kernel on this host")
     _l2, cl_chaos = cl_from_hierarchy(chaotic)
 
     by_surface = (dict(tel.degradation.events_by_surface)
@@ -564,13 +537,12 @@ def sockets_world_oracle(params, nproc: int = 3) -> dict:
     from ..spectra import cl_from_hierarchy
 
     kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
-    # The python driver on purpose: the join and kill legs need a run
-    # that is still in flight when a rank dials in or dies, and the
-    # compiled step loop finishes this grid before a process can fork.
-    # The bits are the same either way (oracle.batch_invariance).
-    config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-4,
-                          record_sources=False, keep_mode_results=False,
-                          rhs_kernel="python")
+    # 2000 multipoles on purpose: the join and kill legs need a run that
+    # is still in flight when a rank dials in or dies, and the compiled
+    # step loop finishes a small hierarchy before a process can fork;
+    # at this size a mode takes 0.15-0.2 s.
+    config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-4,
+                          record_sources=False, keep_mode_results=False)
     # Snappy fault-tolerance settings for the elastic legs: a SIGKILL
     # must be detected well inside the leg's ~2 s of real work.
     ft = FaultTolerance(worker_timeout=2.0, heartbeat_interval=0.25,

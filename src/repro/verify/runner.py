@@ -19,10 +19,9 @@ suite against one cosmology:
    the line-of-sight C_l against the all-modes projection
    (``oracle.sparse_cl``);
 7. replays one monitored mode's states of both phases through one
-   lane of a three-lane operator on every available RHS kernel
-   (python, cext) against the one-lane python reference, and the whole
-   mode through the compiled step loop against the python driver
-   (``oracle.rhs_kernel``);
+   lane of a three-lane operator against a one-lane operator, both on
+   the compiled RHS, and the whole mode through the python driver
+   against the compiled step loop (``oracle.rhs_kernel``);
 8. re-runs a short PLINGER spectrum under a fixed-seed chaos policy
    that injects faults into the cache, compiled-kernel, and integrator
    layers, and requires the degraded run to reproduce the fault-free
@@ -32,9 +31,9 @@ suite against one cosmology:
    cold serial, resident warm pool, and the run-result store's npz
    round trip — and requires bit-level C_l agreement
    (``oracle.serve_result``);
-10. integrates one short grid under every kernel, chunk length, lane
-    order and rank count and requires the wire records and C_l to be
-    bit-for-bit one answer (``oracle.batch_invariance``).
+10. integrates one short grid under every chunk length, lane order and
+    rank count and requires the wire records and C_l to be bit-for-bit
+    one answer (``oracle.batch_invariance``).
 
 Every check lands in a :class:`VerificationReport` as a
 (measured, threshold, passed) triple keyed by its tolerance-budget
@@ -327,23 +326,23 @@ def verify_run(
                             "factor=2 on the golden grid, l=2..15"))
 
     if progress:
-        print("[verify] RHS kernel oracle (python vs compiled)...")
-    from ..perturbations.operator import available_kernels
-
+        print("[verify] RHS kernel oracle (lanes; compiled vs python "
+              "driver)...")
     kdevs = rhs_kernel_oracle(result.background, result.thermo)
     report.checks.append(mk("oracle.rhs_kernel",
-                            "RHS kernels, one lane of a chunk vs one-lane python",
+                            "compiled RHS lane vs one lane; loop vs python",
                             kdevs["rhs_kernel"],
-                            "kernels: " + ", ".join(available_kernels())))
+                            "lane 1 of [k/2, k, 2k]; python DVERK over "
+                            "the compiled RHS"))
 
     if progress:
-        print("[verify] batch invariance oracle (kernel/batch/lanes/ranks)...")
+        print("[verify] batch invariance oracle (batch/lanes/ranks)...")
     bdevs = batch_invariance_oracle(params, background=result.background,
                                     thermo=result.thermo)
     moved = [name for name, dev in bdevs["legs"].items() if dev != 0.0]
     report.checks.append(mk(
         "oracle.batch_invariance",
-        "records and C_l bitwise under kernel/batch/lanes/ranks",
+        "records and C_l bitwise under batch/lanes/ranks",
         bdevs["batch_invariance"],
         f"{len(bdevs['legs'])} legs; moved: " + (", ".join(moved) or "none"),
     ))

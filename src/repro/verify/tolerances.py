@@ -203,18 +203,21 @@ TOLERANCES: dict[str, Tolerance] = {
         Tolerance(
             "oracle.rhs_kernel", rtol=1e-10, atol=0.0,
             provenance=(
-                "One monitored mode replayed through lane 1 of a "
-                "three-lane operator on every available RHS kernel "
-                "(python, cext) against the one-lane python reference, "
-                "worst max|dy - dy_ref| over the "
-                "recorded states normalized by max|dy_ref|.  The python "
-                "lane is bitwise (same expression groupings, same libm "
-                "transcendentals — measured 0.0); the compiled kernel "
-                "shares libm and is built without -ffast-math, so it "
-                "lands within a few ulps.  1e-10 is ~1e5 ulps of headroom "
-                "yet instantly catches any dropped coupling or "
-                "reassociated expression, which shifts the residual to "
-                ">=1e-6 at these state magnitudes."
+                "One monitored mode's recorded states through lane 1 of "
+                "a three-lane operator against a one-lane operator, both "
+                "on the compiled RHS, worst max|dy - dy_ref| normalized "
+                "by max|dy_ref|; and the whole mode stepped by the "
+                "python DVERK over that RHS against the compiled loop, "
+                "every record and the final state.  Both legs are "
+                "bitwise (same coefficient rows, one arithmetic "
+                "contract — measured 0.0).  1e-10 is the budget the "
+                "compiled kernel was admitted under against the python "
+                "reference kernel (built without -ffast-math, sharing "
+                "libm: a few ulps with massive neutrinos, "
+                "tests/test_rhs_operator.py); it instantly catches any "
+                "dropped coupling or reassociated expression, which "
+                "shifts the residual to >=1e-6 at these state "
+                "magnitudes."
             ),
         ),
         Tolerance(
@@ -224,10 +227,10 @@ TOLERANCES: dict[str, Tolerance] = {
                 "(every registry entry must be positive), which admits 0.0 "
                 "and nothing a comparison of two C_l can produce (>= 1e-17 "
                 "relative, or inf).  "
-                "One 5-mode hierarchy grid (nq=0) integrated by the python "
-                "kernel one mode at a time, then again under rhs_kernel in "
-                "{python, cext} x (batch_size in {1, 2, 5}, one 5-lane chunk "
-                "in reversed lane order, PLINGER nproc in {2, 3}); every "
+                "One 5-mode hierarchy grid (nq=0) integrated one mode at "
+                "a time, then again with batch_size in {1, 2, 5}, as one "
+                "5-lane chunk in reversed lane order and by PLINGER at "
+                "nproc in {2, 3}; every "
                 "ModeHeader/ModePayload field but cpu_seconds and the "
                 "hierarchy C_l compared as bytes.  Zero is the claim, not a "
                 "measurement with headroom: the step loop's arithmetic "
@@ -235,8 +238,7 @@ TOLERANCES: dict[str, Tolerance] = {
                 "execution knob can move a bit; any non-zero value means a "
                 "reduction whose order depends on the chunk (a gemv over "
                 "lanes, an einsum) came back.  NaN — an automatic failure — "
-                "when a C compiler exists and the cext legs evaluated "
-                "nothing in compiled code."
+                "when the legs evaluated nothing in compiled code."
             ),
         ),
         Tolerance(
@@ -246,15 +248,13 @@ TOLERANCES: dict[str, Tolerance] = {
                 "under a fixed-seed ChaosPolicy hitting all three fault "
                 "surfaces (corrupted cache-store entry, stale .so + "
                 "injected compile failure + NaN-poisoned compiled "
-                "rhs_full, forced integrator step collapse), worst |cl - cl_ref| / max|cl_ref|.  Every "
+                "phase, forced integrator step collapse), worst |cl - cl_ref| / max|cl_ref|.  Every "
                 "recovery path is bit-preserving by construction: the "
-                "quarantined cache entry rebuilds deterministically, the "
-                "poisoned evaluation is recomputed through the fallback "
-                "kernel before the integrator sees it, and the collapsed "
-                "mode retries at the same config; measured 0.0.  1e-8 "
-                "allows compiled-vs-python kernel ulp drift after a mid-"
-                "run demotion while catching any recovery that actually "
-                "loses or perturbs work (which lands at the integrator "
+                "quarantined cache entry rebuilds deterministically, and "
+                "the poisoned and the collapsed mode each fail one "
+                "attempt and retry at the same config; measured 0.0.  "
+                "1e-8 catches any recovery that actually loses or "
+                "perturbs work (which lands at the integrator "
                 "tolerance, >=1e-4).  The measured value is NaN — an "
                 "automatic failure — when any surface recorded zero "
                 "degradation events, so the check cannot pass vacuously."

@@ -61,6 +61,24 @@ def kernel_cache(tmp_path_factory):
 
 
 @pytest.fixture()
+def python_driver(monkeypatch):
+    """Every phase of every mode — whichever route reaches it — steps on
+    the scalar python DVERK over the compiled right-hand side instead of
+    the compiled loop: the ``driver_cls`` seam of
+    ``evolve.integrate_phase``, pulled for the whole test."""
+    from repro.integrators.dverk import RKDriver
+    from repro.perturbations import evolve
+
+    # DVERK's own driver class on DVERK's tableau: any class but DVERK
+    # keeps a phase off the compiled loop
+    real = evolve.integrate_phase
+    monkeypatch.setattr(
+        evolve, "integrate_phase",
+        lambda *args, **kwargs: real(*args,
+                                     **{**kwargs, "driver_cls": RKDriver}))
+
+
+@pytest.fixture()
 def no_new_shm():
     """Fails a test that leaves anything behind in ``/dev/shm``: tables
     reach a rank by hand-over, fork or a local build, never through a

@@ -63,11 +63,9 @@ def test_batched_evolution_reproduces_serial_step_sequence(bg_scdm,
                                                            thermo_scdm):
     """Every lane of a chunk takes the *same* accept/reject sequence as
     that k integrated alone and lands on the same bits: a statement
-    about lane addressing in the shared operator (the python kernel's
-    coefficient rows here; test_step_loop.py covers the compiled
-    loop's packed tables)."""
+    about lane addressing in the shared operator's packed tables."""
     ks = np.geomspace(1e-3, 0.02, 4)
-    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4, rhs_kernel="python")
+    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4)
     batched = evolve_modes_batched(bg_scdm, thermo_scdm, ks, **kwargs)
     for k, mode_b in zip(ks, batched):
         mode_s = evolve_mode(bg_scdm, thermo_scdm, float(k), **kwargs)
@@ -117,8 +115,7 @@ def test_mode_rows_identical_at_any_batch_size(scdm, bg_scdm, thermo_scdm):
     when the run was asked to chunk."""
     kg = KGrid.from_k(np.geomspace(1e-3, 0.01, 4))
     cfg = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4,
-                       record_sources=False, keep_mode_results=False,
-                       rhs_kernel="python")
+                       record_sources=False, keep_mode_results=False)
     telemetry = Telemetry()
     run_linger(scdm, kg, cfg, background=bg_scdm, thermo=thermo_scdm,
                batch_size=4, telemetry=telemetry)

@@ -18,6 +18,7 @@ from repro.util.fastspline import (
     UniformGridCubic,
     fit_cubic,
 )
+from tests.reference_tridiag import solve_tridiagonal, tridiag_solve
 
 
 def _knots(kind: str, n: int) -> np.ndarray:
@@ -113,9 +114,10 @@ def _jump_grid(n: int, seed: int, ratio: float) -> np.ndarray:
 
 
 class TestTridiagonalSolve:
-    """The compiled ``tridiag_solve`` and its python twin are reference
-    LAPACK's ``DGTSV``: the factors and the solution, not only the
-    solution, are ``array_equal`` to ``scipy.linalg.lapack.dgtsv``'s."""
+    """The compiled ``tridiag_solve`` and its python twin
+    (``tests/reference_tridiag.py``) are reference LAPACK's ``DGTSV``:
+    the factors and the solution, not only the solution, are
+    ``array_equal`` to ``scipy.linalg.lapack.dgtsv``'s."""
 
     @staticmethod
     def system(n, nrhs, seed, ratio):
@@ -153,7 +155,7 @@ class TestTridiagonalSolve:
         # the python twin, on lists
         rows = b[:, 0].tolist() if nrhs == 1 else list(b.copy())
         lists = dl.tolist(), d.tolist(), du.tolist(), rows
-        assert fastspline._tridiag_solve(*lists) == 0
+        assert tridiag_solve(*lists) == 0
         python = [np.array(lists[0]), np.array(lists[1]),
                   np.array(lists[2]), np.reshape(rows, b.shape)]
         # rows were interchanged: the fill is a second superdiagonal
@@ -163,8 +165,6 @@ class TestTridiagonalSolve:
             assert np.count_nonzero(python[0][:n - 2]) >= 1
         for got, ref in zip(python, want):
             assert np.array_equal(got, ref)
-        if _cext.get_cext() is None:
-            return
         compiled = [a.copy() for a in (dl, d, du, b)]
         assert _cext.get_cext().tridiag_raw(
             n, nrhs, *(a.ctypes.data for a in compiled)) == 0
@@ -180,32 +180,31 @@ class TestTridiagonalSolve:
         x = np.array([0.0, 1.0, 2.0, 32.0, 33.0][:n])
         compiled = fit_cubic(x, np.cos(x)).c
         fills = []
-        solve = fastspline._tridiag_solve
 
-        def recording(lower, diag, upper, rows):
-            info = solve(lower, diag, upper, rows)
-            fills.extend(lower[:n - 2])
-            return info
+        def python_solve(lower, diag, upper, b):
+            lists = lower.tolist(), diag.tolist(), upper.tolist()
+            rows = b[:, 0].tolist()
+            assert tridiag_solve(*lists, rows) == 0
+            fills.extend(lists[0][:n - 2])
+            b[:, 0] = rows
+            return b
 
-        monkeypatch.setattr(fastspline, "_tridiag_solve", recording)
-        monkeypatch.setattr(_cext, "get_cext", lambda: None)
+        monkeypatch.setattr(fastspline, "_solve_tridiagonal", python_solve)
         python = fit_cubic(x, np.cos(x)).c
         assert any(v != 0.0 for v in fills)
         assert np.array_equal(python, compiled)
         assert np.array_equal(python, CubicSpline(x, np.cos(x)).c)
 
     @pytest.mark.parametrize("path", ["compiled", "python"])
-    def test_zero_pivot_is_reported_not_divided_by(self, monkeypatch, path):
-        if path == "python":
-            monkeypatch.setattr(_cext, "get_cext", lambda: None)
+    def test_zero_pivot_is_reported_not_divided_by(self, path):
+        solve = (fastspline._solve_tridiagonal if path == "compiled"
+                 else solve_tridiagonal)
         with pytest.raises(ParameterError, match="zero pivot in row 1"):
-            fastspline._solve_tridiagonal(
-                np.array([0.0, 1.0]), np.array([0.0, 1.0, 1.0]),
-                np.array([1.0, 1.0]), np.ones((3, 1)))
+            solve(np.array([0.0, 1.0]), np.array([0.0, 1.0, 1.0]),
+                  np.array([1.0, 1.0]), np.ones((3, 1)))
         with pytest.raises(ParameterError, match="zero pivot in row 3"):
-            fastspline._solve_tridiagonal(
-                np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0]),
-                np.array([0.0, 1.0]), np.ones((3, 2)))
+            solve(np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0]),
+                  np.array([0.0, 1.0]), np.ones((3, 2)))
 
 
 class TestPiecewiseCubic:

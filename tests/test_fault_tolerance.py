@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import KGrid, LingerConfig, ProtocolError
+from repro import KGrid, LingerConfig, ProtocolError, run_linger
 from repro.errors import IntegrationError, MessagePassingError
 from repro.linger.records import ModeHeader, ModePayload
 from repro.mp.backends.faulty import ACTIONS, FaultPolicy, FaultyWorld
@@ -771,11 +770,14 @@ class TestEndToEndChaos:
 
         from repro.mp.backends.procs import ProcsWorld
 
-        kgrid, config, golden = e2e_setup
-        # the python driver on purpose: the victim must still be
+        kgrid, _, _ = e2e_setup
+        # 2000 multipoles on purpose: the victim must still be
         # integrating 0.5 s after the fork, and the compiled step loop
-        # would have finished the grid by then (same bits either way)
-        config = replace(config, rhs_kernel="python")
+        # finishes a small hierarchy's grid before then
+        config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-4,
+                              record_sources=False, keep_mode_results=False)
+        golden = run_linger(scdm, kgrid, config, background=bg_scdm,
+                            thermo=thermo_scdm)
         world = ProcsWorld(4)
         ft = FaultTolerance(
             worker_timeout=2.0, heartbeat_interval=0.25, missed_heartbeats=4,

@@ -7,12 +7,14 @@ and must not move a bit of what that one wrote: elementwise array
 arithmetic in the scalar expressions' grouping, libm ``exp``/``log``
 value by value, the massive-neutrino momentum sums still one dot per
 row.  These tests hold it to that on both phases, with and without
-massive neutrinos, on every kernel this host has — and pin what rides
+massive neutrinos, on every driver — and pin what rides
 on the same function: the one-row record behind
 ``ModeResult.final_observables``, the phase-end rule (a phase end is
 recorded only when it is a record point, and then once), and monitors,
 which see the same ``(tau, y, tight)`` sequence as before and change
-nothing.
+nothing.  "On every driver": the compiled loop (``cext``) and the scalar
+python DVERK over the compiled right-hand side (``python``, the
+``python_driver`` fixture).
 """
 
 from __future__ import annotations
@@ -25,10 +27,16 @@ import pytest
 from repro import KGrid, LingerConfig, run_linger
 from repro.perturbations import default_record_grid, evolve_mode
 from repro.perturbations.evolve import RECORD_FIELDS, _Recorder, find_tca_exit
-from repro.perturbations.operator import available_kernels
 from tests.reference_recorder import ReferenceRecorder
 
-KERNELS = [k for k in ("python", "cext") if k in available_kernels()]
+#: the drivers a phase can step on
+DRIVERS = ["python", "cext"]
+
+
+def _on(driver, request):
+    """Step every phase of the test on ``driver`` from here on."""
+    if driver == "python":
+        request.getfixturevalue("python_driver")
 
 
 class Rows:
@@ -75,15 +83,15 @@ def _assert_same_records(mode, ref):
             name
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("driver", DRIVERS)
 @pytest.mark.parametrize("nq", [0, 8])
-def test_array_pass_is_the_row_recorder(request, nq, kernel):
+def test_array_pass_is_the_row_recorder(request, nq, driver):
     bg, thermo = _tables(request, nq)
+    _on(driver, request)
     for k in (0.002, 0.01, 0.05):
         grid = default_record_grid(bg, thermo, k)
         rows = Rows()
-        mode = _evolve(bg, thermo, k, nq, grid, monitor=rows,
-                       rhs_kernel=kernel)
+        mode = _evolve(bg, thermo, k, nq, grid, monitor=rows)
         assert mode.tau.tolist() == grid.tolist()
         # both phases recorded, tight coupling first
         flags = [tight for _, _, tight in rows.seen]
@@ -109,8 +117,7 @@ def test_a_rows_record_does_not_depend_on_its_block(request, nq):
     bg, thermo = _tables(request, nq)
     rows = Rows()
     mode = _evolve(bg, thermo, 0.02, nq,
-                   default_record_grid(bg, thermo, 0.02), monitor=rows,
-                   rhs_kernel="python")
+                   default_record_grid(bg, thermo, 0.02), monitor=rows)
     full = [(tau, y) for tau, y, tight in rows.seen if not tight]
     tau = np.array([t for t, _ in full])
     block = np.array([y for _, y in full])
@@ -130,12 +137,12 @@ def test_a_rows_record_does_not_depend_on_its_block(request, nq):
     assert recorded((7,)) == whole
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_no_grid_records_nothing(bg_scdm, thermo_scdm, kernel):
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_no_grid_records_nothing(request, bg_scdm, thermo_scdm, driver):
+    _on(driver, request)
     for grid in (None, np.empty(0)):
         rows = Rows()
-        mode = _evolve(bg_scdm, thermo_scdm, 0.01, 0, grid, monitor=rows,
-                       rhs_kernel=kernel)
+        mode = _evolve(bg_scdm, thermo_scdm, 0.01, 0, grid, monitor=rows)
         assert mode.tau.size == 0 and not rows.seen
         assert all(arr.size == 0 for arr in mode.records.values())
         assert np.isfinite(list(mode.final_observables().values())[:9]).all()
@@ -144,20 +151,20 @@ def test_no_grid_records_nothing(bg_scdm, thermo_scdm, kernel):
     assert rec.i == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_phase_ends_are_recorded_only_as_record_points(bg_scdm, thermo_scdm,
-                                                       kernel):
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_phase_ends_are_recorded_only_as_record_points(request, bg_scdm,
+                                                       thermo_scdm, driver):
     """Every driver also stops at tau_switch and at tau_end.  A grid
     point exactly at tau_switch is the last record of the tight phase
     (once, with the tight-coupling shear); a grid that ends before
     tau_end gets no record there."""
+    _on(driver, request)
     k = 0.01
     t_switch = find_tca_exit(thermo_scdm, k)
     grid = np.array([0.5 * t_switch, t_switch, 1.5 * t_switch,
                      0.5 * bg_scdm.tau0])
     rows = Rows()
-    mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid, monitor=rows,
-                   rhs_kernel=kernel)
+    mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid, monitor=rows)
     assert mode.tau_switch == t_switch
     assert mode.tau.tolist() == grid.tolist()
     assert [tight for _, _, tight in rows.seen] == [True, True, False, False]
@@ -169,7 +176,7 @@ def test_phase_ends_are_recorded_only_as_record_points(bg_scdm, thermo_scdm,
 
     # tau_end as a record point: recorded, once
     grid = np.append(grid, bg_scdm.tau0)
-    mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid, rhs_kernel=kernel)
+    mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid)
     assert mode.tau.tolist() == grid.tolist()
     final = mode.final_observables()
     assert all(
@@ -177,19 +184,19 @@ def test_phase_ends_are_recorded_only_as_record_points(bg_scdm, thermo_scdm,
         for name, arr in mode.records.items())
 
 
-def test_a_monitor_changes_nothing_and_sees_the_same_rows(bg_scdm,
+def test_a_monitor_changes_nothing_and_sees_the_same_rows(request, bg_scdm,
                                                           thermo_scdm):
     """Monitored and unmonitored runs return the same bytes, and the
     monitor is shown the same ``(tau, y, tight)`` sequence whichever
-    kernel and driver stepped the mode (nq=0: they agree bitwise)."""
+    driver stepped the mode."""
     k = 0.02
     grid = default_record_grid(bg_scdm, thermo_scdm, k)
-    plain = _evolve(bg_scdm, thermo_scdm, k, 0, grid, rhs_kernel="python")
+    plain = _evolve(bg_scdm, thermo_scdm, k, 0, grid)
     first = None
-    for kernel in KERNELS:
+    for driver in reversed(DRIVERS):
+        _on(driver, request)
         rows = Rows()
-        mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid, monitor=rows,
-                       rhs_kernel=kernel)
+        mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid, monitor=rows)
         assert [t for t, _, _ in rows.seen] == grid.tolist()
         assert mode.y_final.tobytes() == plain.y_final.tobytes()
         assert mode.stats == plain.stats
@@ -200,12 +207,12 @@ def test_a_monitor_changes_nothing_and_sees_the_same_rows(bg_scdm,
         assert rows.same_as(first)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_constraint_monitors_leave_a_run_bitwise_alone(scdm, bg_scdm,
-                                                       thermo_scdm, kernel):
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_constraint_monitors_leave_a_run_bitwise_alone(request, scdm, bg_scdm,
+                                                       thermo_scdm, driver):
+    _on(driver, request)
     kgrid = KGrid.from_k(np.geomspace(2e-3, 0.04, 3))
-    config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-3,
-                          rhs_kernel=kernel)
+    config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-3)
     common = dict(background=bg_scdm, thermo=thermo_scdm)
     plain = run_linger(scdm, kgrid, config, **common)
     watched = run_linger(scdm, kgrid, config, monitor_constraints=True,

@@ -1,28 +1,26 @@
-"""The compiled-RHS operator: equivalence, kernels, telemetry.
+"""The compiled-RHS operator: equivalence, references, telemetry.
 
-The refactor's contract, pinned here:
+The operator's contract, pinned here:
 
-* **bitwise python parity** — the operator-assembled RHS, whether the
-  system owns a one-lane operator or is one lane of a shared one, is
-  *bit-identical* (``np.array_equal``, not allclose) to the frozen
-  pre-refactor implementation in ``tests/reference_rhs.py``, across
-  Hypothesis-randomized states and evaluation times, for both the nq=0
-  and the massive-neutrino layouts.  This is what lets the goldens and
-  the wire-record oracles stand unchanged.
-* **compiled-kernel gate** — the packed-ABI evaluation of both
-  right-hand sides written out in plain python
-  (``tests/reference_packed_rhs.py``) is bitwise too; the
-  lazily-compiled C kernels are budgeted at the ``oracle.rhs_kernel``
-  tolerance (rtol 1e-10) — and held to zero deviation without massive
-  neutrinos — and gated out when no C compiler is present.
-* **kernel resolution** — unknown names (the retired ``numba``
-  included) raise, an unavailable ``cext`` falls back to python
-  silently, ``auto`` resolves to something real.
+* **bitwise parity** — the RHS a system evaluates, whether it owns a
+  one-lane operator or is one lane of a shared one, is *bit-identical*
+  (``np.array_equal``, not allclose) to the plain-python evaluation of
+  the packed ABI in the C kernel's order
+  (``tests/reference_packed_rhs.py``) and, without massive neutrinos,
+  to the frozen pre-refactor implementation in
+  ``tests/reference_rhs.py``, across Hypothesis-randomized states and
+  evaluation times.  This is what lets the goldens and the wire-record
+  oracles stand unchanged.
+* **the references** — the packed python evaluation is bitwise the
+  pre-refactor implementation; the compiled kernels are budgeted
+  against it at the ``oracle.rhs_kernel`` tolerance (rtol 1e-10) — and
+  held to zero deviation without massive neutrinos.
+* **the knob is gone** — no layer takes an ``rhs_kernel`` argument.
 * **telemetry** — eval counters are shared between an operator and its
   lane views, the structural flop census is identical on every path
-  (own operator / lane of a chunk / compiled), and the ``RhsMetrics``
-  report section survives the dict round-trip used by the PLINGER
-  worker wire.
+  (own operator / lane of a chunk), and the ``RhsMetrics`` report
+  section survives the dict round-trip used by the PLINGER worker wire
+  and loads as older reports wrote it.
 """
 
 from __future__ import annotations
@@ -40,22 +38,21 @@ from hypothesis import strategies as st
 relaxed = settings(max_examples=25, deadline=None,
                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+from repro import LingerConfig
 from repro.errors import ParameterError
+from repro.integrators import DVERK
 from repro.perturbations import (
     PerturbationSystem,
     StateLayout,
     adiabatic_initial_conditions,
     evolve_mode,
+    evolve_modes_batched,
 )
 from repro._cext import get_cext
-from repro.perturbations.evolve import tau_initial
-from repro.perturbations.operator import (
-    KERNELS,
-    BoltzmannOperator,
-    available_kernels,
-    resolve_kernel,
-)
+from repro.perturbations.evolve import find_tca_exit, tau_initial
+from repro.perturbations.operator import BoltzmannOperator
 from repro.telemetry import RhsMetrics, RunReport, Telemetry
+from tests import reference_thermo
 from tests.reference_packed_rhs import kernel_rhs_full, kernel_rhs_tca
 from tests.reference_rhs import ReferencePerturbationSystem
 
@@ -118,12 +115,19 @@ class TestBitwiseParity:
         ref = ReferencePerturbationSystem(bg, thermo, k, layout)
         tau0, y = _random_state(layout, bg, k, rng, q_nodes=new.q_nodes)
         tau = ts * tau0
-        for name in ("rhs_full", "rhs_tca"):
+        packed = BoltzmannOperator(bg, thermo, np.array([k]), layout)
+        for name, fn in (("rhs_full", kernel_rhs_full),
+                         ("rhs_tca", kernel_rhs_tca)):
             dy_new = np.array(getattr(new, name)(tau, y), copy=True)
-            dy_ref = getattr(ref, name)(tau, y)
-            assert np.array_equal(dy_new, dy_ref), (
+            # the C kernel's own order, in python: bitwise at any nq
+            dy_packed = _packed_eval(packed, fn, [tau], y[None, :])[0]
+            assert np.array_equal(dy_new, dy_packed), (
                 f"{name} not bitwise at nq={nq}, k={k}, seed={seed}, "
                 f"shared={shared}")
+            if nq == 0:
+                # ... and, with no momentum sums to order, the
+                # pre-refactor implementation's
+                assert np.array_equal(dy_new, getattr(ref, name)(tau, y))
 
     @given(seed=seeds, b=lane_idx)
     @settings(relaxed, max_examples=10)
@@ -204,8 +208,6 @@ def test_packed_python_tca_kernel_bitwise(request, nq):
 
 
 @pytest.mark.parametrize("nq", [0, 4])
-@pytest.mark.skipif(get_cext() is None,
-                    reason="no C compiler / ctypes kernel unavailable")
 def test_cext_kernel_within_oracle_budget(request, nq):
     """The compiled C kernel agrees with the python reference within
     the registered oracle.rhs_kernel budget (rtol 1e-10)."""
@@ -226,17 +228,16 @@ def test_cext_kernel_within_oracle_budget(request, nq):
 
 @pytest.mark.property
 @pytest.mark.parametrize("nq", [0, 8])
-@pytest.mark.skipif(get_cext() is None,
-                    reason="no C compiler / ctypes kernel unavailable")
 @given(seed=seeds, b=lane_idx, ts=tau_scale,
        lg_a=st.floats(min_value=-7.5, max_value=-2.8))
 @relaxed
 def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
-    """C ``rhs_tca`` against ``rhs_tca_s`` on scaled random states, at
-    every wavenumber of the batch and scale factors from the earliest
-    start to past the latest tight-coupling exit: bitwise without
-    massive neutrinos, inside the ``oracle.rhs_kernel`` budget with
-    them (the momentum sums are BLAS dots in python, loops in C)."""
+    """C ``rhs_tca`` against the python reference's ``rhs_tca`` on
+    scaled random states, at every wavenumber of the batch and scale
+    factors from the earliest start to past the latest tight-coupling
+    exit: bitwise without massive neutrinos, inside the
+    ``oracle.rhs_kernel`` budget with them (the momentum sums are BLAS
+    dots in python, loops in C)."""
     from repro.verify.tolerances import budget
 
     if nq:
@@ -251,9 +252,9 @@ def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
                             q_nodes=op.q_nodes)
     y[layout.A] = 10.0 ** lg_a
     tau = ts * tau0
-    want = op.rhs_scalar(True, b, tau, y, np.empty_like(y), "python")
-    got = op.rhs_scalar(True, b, tau, y, np.full_like(y, np.nan), "cext")
-    assert op.evals == {"python": 1, "cext": 1} and not op.demotions
+    want = ReferencePerturbationSystem(bg, thermo, k, layout).rhs_tca(tau, y)
+    got = op.rhs_scalar(True, b, tau, y, np.full_like(y, np.nan))
+    assert op.evals == {"cext": 1}
     if nq == 0:
         assert got.tobytes() == want.tobytes()
     else:
@@ -264,9 +265,10 @@ def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
 
 @functools.cache
 def _thermal_right_hand_sides():
-    """(python ``_rhs``, compiled ``thermo_rhs`` in its signature) of
-    four cosmologies: flat CDM, a massive species (the nu table and its
-    clip), a cosmological constant, and a non-zero curvature term."""
+    """(the python reference's ``rhs``, compiled ``thermo_rhs`` in its
+    signature) of four cosmologies: flat CDM, a massive species (the nu
+    table and its clip), a cosmological constant, and a non-zero
+    curvature term."""
     from repro import Background, ThermalHistory
     from repro.params import lambda_cdm, mixed_dark_matter, standard_cdm
 
@@ -286,12 +288,11 @@ def _thermal_right_hand_sides():
     histories = [ThermalHistory(Background(p)) for p in (
         standard_cdm(), mixed_dark_matter(omega_nu=0.2), lambda_cdm(),
         standard_cdm(omega_c=0.7))]
-    return [(th._rhs, compiled(th)) for th in histories]
+    return [(functools.partial(reference_thermo.rhs, th), compiled(th))
+            for th in histories]
 
 
 @pytest.mark.property
-@pytest.mark.skipif(get_cext() is None,
-                    reason="no C compiler / ctypes kernel unavailable")
 @given(lna=st.floats(-20.0, 3.0), x_h=st.floats(-0.1, 1.1),
        lg_t=st.floats(-4.0, 5.0))
 @example(lna=-20.0, x_h=0.5, lg_t=4.0)   # nu table clipped below ...
@@ -303,8 +304,8 @@ def _thermal_right_hand_sides():
 @example(lna=-5.0, x_h=1e-3, lg_t=1.5)   # eps > 2600
 @settings(max_examples=300, deadline=None)
 def test_cext_thermo_rhs_is_the_python_rhs(lna, x_h, lg_t):
-    """C ``thermo_rhs`` against ``ThermalHistory._rhs``, its reference,
-    bitwise on both outputs, massive species or not: every epoch the
+    """C ``thermo_rhs`` against ``tests/reference_thermo.py``'s ``rhs``,
+    its reference, bitwise on both outputs, massive species or not: every epoch the
     table grid spans and well outside it, x_H across both clamps, T_b
     from under its floor, through the Saha underflow and both Peebles
     cut-offs, to full ionization (bytes, not ``==``: a fully ionized
@@ -315,17 +316,25 @@ def test_cext_thermo_rhs_is_the_python_rhs(lna, x_h, lg_t):
             == np.array(python(lna, x_h, t_b)).tobytes()
 
 
-@pytest.mark.skipif("cext" not in available_kernels(),
-                    reason="no C compiler")
 def test_cext_kernel_threads_through_evolution(bg_scdm, thermo_scdm):
-    """One full mode evolved with rhs_kernel='cext' lands on the
-    python-kernel trajectory at golden tolerance."""
-    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4)
-    ref = evolve_mode(bg_scdm, thermo_scdm, 0.01, **kwargs)
-    com = evolve_mode(bg_scdm, thermo_scdm, 0.01, rhs_kernel="cext",
-                      **kwargs)
-    np.testing.assert_allclose(com.y_final, ref.y_final,
-                               rtol=1e-8, atol=1e-300)
+    """One full mode evolved by the compiled engine lands on the
+    trajectory the python driver steps over the python reference RHS,
+    at golden tolerance."""
+    k, tol = 0.01, dict(rtol=3e-4, atol=1e-9)
+    layout = StateLayout(lmax_photon=8, lmax_nu=8, nq=0, lmax_massive_nu=0)
+    com = evolve_mode(bg_scdm, thermo_scdm, k, lmax_photon=8, lmax_nu=8,
+                      **tol)
+    ref = ReferencePerturbationSystem(bg_scdm, thermo_scdm, k, layout)
+    t0, t_switch = com.tau_init, com.tau_switch
+    y = DVERK(ref.rhs_tca, **tol).integrate(
+        adiabatic_initial_conditions(layout, bg_scdm, k, t0), t0,
+        t_switch).y
+    ref.initialize_full_from_tca(y, t_switch)
+    rate = PerturbationSystem(bg_scdm, thermo_scdm, k, layout).thomson_rate
+    y = DVERK(ref.rhs_full, stiff_rate=rate, **tol).integrate(
+        y, t_switch, com.tau_end).y
+    assert t_switch == find_tca_exit(thermo_scdm, k)
+    np.testing.assert_allclose(com.y_final, y, rtol=1e-8, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -363,34 +372,20 @@ def test_spline_pack_survives_the_table_round_trip(bg_mdm, thermo_mdm):
 
 
 # ---------------------------------------------------------------------------
-# Kernel resolution and fallback
+# One engine: no layer takes a kernel choice
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_kernel_contract():
-    assert resolve_kernel("python") == "python"
-    assert resolve_kernel("auto") in available_kernels()
-    assert resolve_kernel("auto") != "auto"
-    assert KERNELS == ("python", "cext", "auto")
-    for gone in ("fortran", "numba"):
-        with pytest.raises(ParameterError) as err:
-            resolve_kernel(gone)
-        assert all(repr(name) in str(err.value) for name in KERNELS)
-    # an unavailable compiled kernel degrades to python, never raises
-    assert resolve_kernel("cext") in ("cext", "python")
-
-
-def test_available_kernels_always_offer_python():
-    kernels = available_kernels()
-    assert kernels[-1] == "python"
-    assert len(set(kernels)) == len(kernels)
-
-
-def test_system_records_resolved_kernel(bg_scdm, thermo_scdm):
+def test_rhs_kernel_is_no_longer_an_argument(bg_scdm, thermo_scdm):
     layout = StateLayout(**LAYOUT_NQ0)
-    sys_auto = PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
-                                  rhs_kernel="auto")
-    assert sys_auto.rhs_kernel in ("python", "cext")
+    with pytest.raises(TypeError):
+        LingerConfig(rhs_kernel="python")
+    with pytest.raises(TypeError):
+        PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
+                           rhs_kernel="python")
+    for evolve in (evolve_mode, evolve_modes_batched):
+        with pytest.raises(TypeError):
+            evolve(bg_scdm, thermo_scdm, 0.01, rhs_kernel="python")
 
 
 # ---------------------------------------------------------------------------
@@ -416,34 +411,28 @@ def test_lane_system_shares_operator_and_counters(bg_scdm, thermo_scdm):
             lane_system(b)
     tau0, y = _random_state(layout, bg_scdm, float(KS[2]),
                             np.random.default_rng(3))
-    before = op.evals["python"]
+    before = op.evals["cext"]
     lane.rhs_full(2.0 * tau0, y)
-    assert op.evals["python"] == before + 1
+    assert op.evals["cext"] == before + 1
 
 
 def test_flop_census_identical_on_every_path(bg_scdm, thermo_scdm):
     """Satellite: n_flops accounting must not depend on the execution
-    path — a system on its own operator, a lane of a chunk's operator
-    and a compiled-kernel system all report the same structural
-    census."""
+    path — a system on its own operator and a lane of a chunk's
+    operator report the same structural census."""
     layout = StateLayout(**LAYOUT_NQ0)
     serial = PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout)
     chunk = BoltzmannOperator(bg_scdm, thermo_scdm, KS, layout)
     lane = PerturbationSystem(bg_scdm, thermo_scdm, float(KS[0]), layout,
                               operator=chunk, lane=0)
-    compiled = PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
-                                  rhs_kernel="auto")
     assert (serial.flops_per_eval() == chunk.flops_per_eval()
-            == compiled.flops_per_eval() == lane.flops_per_eval())
+            == lane.flops_per_eval())
 
 
 def test_rhs_eval_counts_match_serial_vs_batched(bg_scdm, thermo_scdm):
     """The telemetry RHS-eval totals agree between ``evolve_mode`` and
     the one-lane chunk call it wraps (identical step sequences)."""
-    from repro.perturbations import evolve_modes_batched
-
-    # per-evaluation counting through the python driver
-    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4, rhs_kernel="python")
+    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4)
     t_s = Telemetry()
     evolve_mode(bg_scdm, thermo_scdm, 0.01, telemetry=t_s, **kwargs)
     t_b = Telemetry()
@@ -456,25 +445,19 @@ def test_rhs_eval_counts_match_serial_vs_batched(bg_scdm, thermo_scdm):
 
 
 def test_rhs_metrics_roundtrip_and_merge():
-    m = RhsMetrics(requested="auto", active="cext",
-                   evals={"python": 10, "cext": 90},
-                   seconds={"cext": 0.5})
-    assert m.total_evals == 100
-    assert m.compiled_fraction == pytest.approx(0.9)
-    m2 = RhsMetrics.from_dict({"requested": m.requested,
-                               "active": m.active,
-                               "evals": dict(m.evals),
+    m = RhsMetrics(evals={"cext": 90}, seconds={"cext": 0.5})
+    assert m.total_evals == 90
+    m2 = RhsMetrics.from_dict({"evals": dict(m.evals),
                                "seconds": dict(m.seconds),
                                "unknown_future_field": 1})
     assert m2 == m
     m2.merge(RhsMetrics(evals={"cext": 10}))
-    assert m2.total_evals == 110
+    assert m2.total_evals == 100
 
     report = RunReport(rhs=m)
     back = RunReport.from_dict(report.to_dict())
     assert back.rhs == m
-    assert back.to_dict()["totals"]["rhs_compiled_fraction"] == \
-        pytest.approx(0.9)
+    assert back.to_dict()["totals"]["rhs_evals"] == 90
 
     # a report written before the numba backend went still loads: its
     # zero-count key is just one more entry of the evals dict
@@ -483,15 +466,37 @@ def test_rhs_metrics_roundtrip_and_merge():
     old["rhs"]["seconds"]["numba"] = 0.0
     loaded = RunReport.from_dict(old)
     assert loaded.rhs.evals == {**m.evals, "numba": 0}
-    assert loaded.rhs.total_evals == 100
+    assert loaded.rhs.total_evals == 90
+
+    # ... and so does one written when a run chose its kernel: the
+    # choice's keys are dropped, a python count is one more entry
+    old = report.to_dict()
+    old["rhs"].update(requested="auto", active="cext")
+    old["rhs"]["evals"]["python"] = 10
+    old["totals"].update(rhs_kernel_active="cext",
+                         rhs_compiled_fraction=0.9)
+    old["counters"] = {"thermo.ode_rhs_evals": 5107,
+                       "thermo.ode_rhs_compiled": 5107}
+    loaded = RunReport.from_dict(old)
+    assert loaded.rhs == RhsMetrics(evals={"cext": 90, "python": 10},
+                                    seconds={"cext": 0.5})
+    assert loaded.counters["thermo.ode_rhs_compiled"] == 5107
+    totals = loaded.totals
+    assert totals["rhs_evals"] == 100
+    assert "rhs_kernel_active" not in totals
+    assert "rhs_compiled_fraction" not in totals
 
 
 def test_worker_payload_carries_rhs_section():
     t = Telemetry()
-    t.record_rhs(requested="auto", active="cext",
-                 evals={"cext": 7}, seconds={"cext": 0.1})
+    t.record_rhs(evals={"cext": 7}, seconds={"cext": 0.1})
     t2 = Telemetry()
     t2.merge_worker_payload(t.worker_payload())
     assert t2.rhs is not None
     assert t2.rhs.evals == {"cext": 7}
-    assert t2.rhs.active == "cext"
+    assert t2.rhs.seconds == {"cext": 0.1}
+    # a rank that still labels its kernel choice merges the same way
+    payload = t.worker_payload()
+    payload["rhs"].update(requested="auto", active="cext")
+    t2.merge_worker_payload(payload)
+    assert t2.rhs.evals == {"cext": 14}

@@ -244,14 +244,13 @@ class TestSocketsElasticPhysics:
     def golden(self):
         params = CosmologyParams()
         kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
-        # the python driver on purpose, and a tight rtol: a join or a
+        # 2000 multipoles on purpose, and a tight rtol: a join or a
         # SIGKILL can only land "mid-run" if the run outlasts the 0.3 s
         # head start plus a fork and a handshake, and the compiled step
-        # loop finishes this grid in a few milliseconds
-        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-5,
+        # loop finishes a small hierarchy in a few milliseconds a mode
+        config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-5,
                               record_sources=False,
-                              keep_mode_results=False,
-                              rhs_kernel="python")
+                              keep_mode_results=False)
         serial = run_linger(params, kgrid, config)
         _l, cl_ref = cl_from_hierarchy(serial)
         return params, kgrid, config, cl_ref

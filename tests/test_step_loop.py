@@ -5,20 +5,15 @@ transcription of ``RKDriver.integrate`` under the arithmetic contract of
 ``repro.integrators.contract``, its stages calling the tight-coupling
 or the full right-hand side.  These tests hold it, in both phases, to
 *zero* deviation from the python driver stepping the same compiled RHS
-— final state, every stop-point row, every counter — and pin the two
-pieces the contract rests on: the pairwise-sum transcription and the
-invariance of a run's bits under every execution knob.
-
-The massive-neutrino block of the C RHS differs from the python RHS by
-ulps (PR 7's kernel, budgeted by ``oracle.rhs_kernel``); that is why the
-loop is compared on the *same* RHS, and why kernel-vs-kernel bit
-equality is asserted at nq=0 only.
+— final state, every stop-point row, every counter, every failure
+message — and pin the two pieces the contract rests on: the
+pairwise-sum transcription and the invariance of a run's bits under
+every execution knob.
 """
 
 from __future__ import annotations
 
 import ctypes
-import logging
 import subprocess
 
 import numpy as np
@@ -26,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import KGrid, LingerConfig, run_linger
+from repro import KGrid, LingerConfig, run_linger, run_plinger
 from repro.chaos import ChaosPolicy, active
 from repro.errors import IntegrationError
 from repro.integrators import DVERK, VERNER_65_TABLEAU, IntegratorStats
@@ -44,11 +39,6 @@ from repro.perturbations.evolve import (
     integrate_phase,
     tau_initial,
 )
-from repro.perturbations.operator import CompiledPhase, available_kernels
-
-needs_cc = pytest.mark.skipif("cext" not in available_kernels(),
-                              reason="no C compiler on this host")
-
 TOL = dict(rtol=1e-4, atol=1e-9)
 
 #: every loop test runs on the full-hierarchy phase (under the id it
@@ -73,7 +63,7 @@ def _compile(tmp_path, name, source):
 
 
 def _phase_start(request, nq, k, tight=False):
-    """(system on the cext kernel, y0, t0, t1, record grid) of one phase
+    """(system, y0, t0, t1, record grid) of one phase
     of ``evolve_mode``: the tight-coupling phase from the initial
     conditions to the hand-off, or the full-hierarchy phase from the
     hand-off state to today."""
@@ -85,7 +75,7 @@ def _phase_start(request, nq, k, tight=False):
         thermo = request.getfixturevalue("thermo_scdm")
     layout = StateLayout(lmax_photon=10, lmax_nu=10, nq=nq,
                          lmax_massive_nu=8 if nq else 0)
-    system = PerturbationSystem(bg, thermo, k, layout, rhs_kernel="cext")
+    system = PerturbationSystem(bg, thermo, k, layout)
     t_init = tau_initial(k)
     y0 = adiabatic_initial_conditions(
         layout, bg, k, t_init, q_nodes=system.q_nodes if nq else None)
@@ -112,7 +102,6 @@ def _python_phase(system, tight, y, t0, t1, stops, **kwargs):
 # -- (a) the loop -------------------------------------------------------------
 
 
-@needs_cc
 @both_phases
 @pytest.mark.parametrize("with_stops", [False, True])
 @pytest.mark.parametrize("nq", [0, 8])
@@ -149,7 +138,6 @@ def _same_phase(out, ref):
                 ref.n_stability_bound))
 
 
-@needs_cc
 @both_phases
 @pytest.mark.parametrize("k", [3e-5, 0.06])
 def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
@@ -169,7 +157,6 @@ def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
     assert (out.n_stability_bound == 0) == tight
 
 
-@needs_cc
 @pytest.mark.parametrize("k", [3e-5, 0.06])
 def test_the_baseline_clone_steps_to_the_same_bits(request, tmp_path, k):
     """``integrate_phase`` is built for AVX2 and for the baseline, and
@@ -202,7 +189,7 @@ def test_the_full_phase_finds_no_boundary_by_rejection(request, bg_scdm,
     """Before the bound a low-k mode threw away 28 % of its attempts (850
     accepted + 328 rejected at k = 3e-5) riding DVERK's stability limit
     from the tight-coupling exit to recombination; told the limit, it
-    rejects nothing there — on whichever driver this host runs."""
+    rejects nothing there."""
     mode = evolve_mode(bg_scdm, thermo_scdm, k, lmax_photon=24, rtol=1e-4)
     stats = mode.stats
     assert stats.n_rejected <= waste * (stats.n_steps + stats.n_rejected)
@@ -237,7 +224,6 @@ def test_no_rate_no_bound(bg_scdm, thermo_scdm):
         assert stats.n_steps > 0 and stats.n_stability_bound == 0
 
 
-@needs_cc
 @pytest.mark.parametrize("nq", [0, 8])
 def test_evolve_mode_same_bits_with_either_driver(request, nq):
     """The whole mode — recorder replay, counters, flop estimate —
@@ -246,7 +232,7 @@ def test_evolve_mode_same_bits_with_either_driver(request, nq):
     thermo = request.getfixturevalue("thermo_mdm" if nq else "thermo_scdm")
     grid = default_record_grid(bg, thermo, 0.01)
     kwargs = dict(lmax_photon=8, lmax_nu=8, nq=nq, lmax_massive_nu=6,
-                  record_tau=grid, rtol=3e-4, rhs_kernel="cext")
+                  record_tau=grid, rtol=3e-4)
     py = evolve_mode(bg, thermo, 0.01, driver_cls=PythonDVERK, **kwargs)
     cc = evolve_mode(bg, thermo, 0.01, **kwargs)
     assert cc.y_final.tobytes() == py.y_final.tobytes()
@@ -256,7 +242,6 @@ def test_evolve_mode_same_bits_with_either_driver(request, nq):
         assert cc.records[name].tobytes() == arr.tobytes(), name
 
 
-@needs_cc
 def test_first_step_is_honoured_identically(request):
     for tight in (True, False):
         system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
@@ -277,22 +262,24 @@ def test_first_step_is_honoured_identically(request):
     bg, thermo = system.background, system.thermo
     kgrid = KGrid.from_k(np.geomspace(2e-3, 0.05, 4))
 
-    def run(kernel, batch_size, first_step=1e-4):
+    def run(batch_size, first_step=1e-4):
         cfg = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4,
-                           rhs_kernel=kernel, first_step=first_step)
+                           first_step=first_step)
         res = run_linger(bg.params, kgrid, cfg, background=bg, thermo=thermo,
                          batch_size=batch_size)
         return [(m.stats.n_steps, p.pack().tobytes(),
                  {name: arr.tobytes() for name, arr in m.records.items()})
                 for m, p in zip(res.modes, res.payloads)]
 
-    forced = run("python", 1)
-    assert [m[0] for m in forced] != [m[0] for m in run("python", 1, None)]
-    for kernel, batch_size in (("python", 3), ("cext", 1), ("cext", 3)):
-        assert run(kernel, batch_size) == forced, (kernel, batch_size)
+    forced = run(1)
+    assert [m[0] for m in forced] != [m[0] for m in run(1, None)]
+    assert run(3) == forced
+    request.getfixturevalue("python_driver")
+    for batch_size in (1, 3):
+        assert run(batch_size) == forced, batch_size
 
 
-# -- (a) failure legs: the python driver owns the semantics -------------------
+# -- (a) failure legs: the python driver's errors, raised by the loop ---------
 
 
 def _phase(system, tight, y, t0, t1, stops, **kwargs):
@@ -303,7 +290,6 @@ def _phase(system, tight, y, t0, t1, stops, **kwargs):
     return y_end, (tau, rows), stats
 
 
-@needs_cc
 @both_phases
 def test_max_steps_raises_the_canonical_error(request, tight):
     system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
@@ -316,7 +302,6 @@ def test_max_steps_raises_the_canonical_error(request, tight):
         _phase(system, tight, y, t0, t1, np.empty(0), max_steps=limit)
 
 
-@needs_cc
 @both_phases
 def test_step_underflow_raises_the_canonical_error(request, tight):
     system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
@@ -328,81 +313,66 @@ def test_step_underflow_raises_the_canonical_error(request, tight):
         _phase(system, tight, y, t0, t1, np.empty(0), first_step=1e-300)
 
 
-def _same_block(got, want):
-    return (got[0].tolist() == want[0].tolist()
-            and got[1].tobytes() == want[1].tobytes())
-
-
-@needs_cc
 @both_phases
-def test_early_stop_falls_back_to_identical_bits(request, monkeypatch,
-                                                 tight):
-    """Whatever makes a compiled call stop early, the python re-run from
-    the phase's opening state lands on the fault-free bits, and nothing
-    of the abandoned call leaks into the rows or the counters."""
-    system, y, t0, t1, stops = _phase_start(request, 0, 0.02, tight)
-    before = system.op.evals["cext"]
-    y_ref, block_ref, stats_ref = _phase(system, tight, y, t0, t1, stops)
-    # ran compiled
-    assert system.op.evals["cext"] - before == stats_ref.n_rhs
+def test_an_early_stop_raises_without_a_python_re_run(bg_scdm, thermo_scdm,
+                                                      monkeypatch, tight):
+    """A compiled phase that runs out of steps raises the python
+    driver's error itself: nothing re-runs it in python first (which
+    cost ~100x the phase to say the same thing)."""
 
-    real = system.op.integrate_phase
+    def no_python_driver(*args, **kwargs):
+        pytest.fail("the python driver re-ran a compiled phase")
 
-    def stops_early(*args, **kwargs):
-        out = real(*args, **kwargs)
-        return CompiledPhase(3, out.y, out.stops, out.rows, out.n_steps,
-                             out.n_rejected, out.n_rhs)
-
-    monkeypatch.setattr(system.op, "integrate_phase", stops_early)
-    y_end, block, stats = _phase(system, tight, y, t0, t1, stops)
-    assert y_end.tobytes() == y_ref.tobytes()
-    assert stats == stats_ref
-    assert _same_block(block, block_ref)
-    assert not system.op.demotions  # an early stop is not a bad kernel
+    monkeypatch.setattr(DVERK, "integrate", no_python_driver)
+    limit = 5 if tight else 20  # tight coupling is over in ~15 steps
+    with pytest.raises(IntegrationError,
+                       match=f"exceeded max_steps={limit}"):
+        evolve_mode(bg_scdm, thermo_scdm, 0.02, max_steps=limit)
 
 
-@needs_cc
 @both_phases
-def test_nan_poison_demotes_and_reproduces_the_bits(request, caplog, tight):
+def test_a_nan_poisoned_phase_raises(request, tight):
     system, y, t0, t1, stops = _phase_start(request, 0, 0.02, tight)
-    y_ref, block_ref, stats_ref = _phase(system, tight, y, t0, t1, stops)
-
-    with caplog.at_level(logging.WARNING, logger="repro.kernel"):
-        with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
-            y_end, block, stats = _phase(system, tight, y, t0, t1, stops)
+    with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            _phase(system, tight, y, t0, t1, stops)
     assert eng.injected.get("kernel_nan") == 1  # once per compiled call
-    demotions = system.op.drain_demotions()
-    assert [(d["from"], d["to"] != "cext") for d in demotions] == [
-        ("cext", True)]
-    assert "non-finite" in demotions[0]["reason"]
-    assert any("demoted cext" in r.getMessage() for r in caplog.records)
-    # the re-run used the fallback kernel: bitwise at nq=0
-    assert y_end.tobytes() == y_ref.tobytes()
-    assert stats == stats_ref
-    assert _same_block(block, block_ref)
-    # sticky: the next phase on this operator does not try cext again
-    before = system.op.evals["cext"]
-    _phase(system, tight, y, t0, t1, np.empty(0))
-    assert system.op.evals["cext"] == before
 
 
-@needs_cc
+def test_a_nan_poisoned_phase_is_recovered_by_the_ladder(scdm, bg_scdm,
+                                                         thermo_scdm):
+    """The poisoned mode fails one attempt; the ladder's same-config
+    retry lands on the clean run's wire records, bit for bit."""
+    kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
+    cfg = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4,
+                       record_sources=False, keep_mode_results=False)
+    tables = dict(background=bg_scdm, thermo=thermo_scdm)
+    clean, _ = run_plinger(scdm, kgrid, cfg, nproc=3, **tables)
+    with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
+        healed, stats = run_plinger(scdm, kgrid, cfg, nproc=3, **tables)
+    assert eng.injected.get("kernel_nan") == 1
+    assert stats.fault_report.degraded_modes == []
+    for a, b in zip(clean.headers, healed.headers):
+        assert (np.delete(a.pack(), 18).tobytes()
+                == np.delete(b.pack(), 18).tobytes())
+    for a, b in zip(clean.payloads, healed.payloads):
+        assert a.pack().tobytes() == b.pack().tobytes()
+
+
 def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm):
-    """What CI's compiler leg asserts: on a host with a compiler a
-    default ``evolve_mode`` — record grid, both phases — leaves no RHS
-    evaluation on the python kernel's books."""
+    """A default ``evolve_mode`` — record grid, both phases — is two
+    compiled calls: every RHS evaluation it counts is the loop's."""
     mode = evolve_mode(bg_scdm, thermo_scdm, 0.01, lmax_photon=8, lmax_nu=8,
                        rtol=1e-3,
                        record_tau=default_record_grid(bg_scdm, thermo_scdm,
                                                       0.01))
-    assert mode.system.op.evals == {"python": 0, "cext": mode.stats.n_rhs}
+    assert mode.system.op.evals == {"cext": mode.stats.n_rhs}
     assert mode.tau.size and mode.stats.n_rhs > 0
 
 
 # -- (b) the pairwise sum -----------------------------------------------------
 
 
-@needs_cc
 @pytest.mark.property
 @given(n=st.integers(min_value=1, max_value=300),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -460,7 +430,6 @@ def row_sum_probe(tmp_path_factory):
     return lib
 
 
-@needs_cc
 @pytest.mark.property
 @given(n=st.sampled_from([1, 7, 8, 81, 300, 4506]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -500,66 +469,28 @@ def test_row_sum_is_the_per_component_sum(row_sum_probe, n, seed, decades):
 def test_bits_invariant_under_kernel_batch_lanes_and_ranks(scdm, bg_scdm,
                                                            thermo_scdm):
     """ROADMAP item 5: every ModeHeader/ModePayload field (cpu_seconds
-    apart) and C_l are one answer, whatever ``rhs_kernel`` in {python,
-    cext}, ``batch_size`` in {1, 2, 5}, lane order, or ``nproc`` in
-    {1, 2, 3} computed them (nq=0)."""
+    apart) and C_l are one answer, whatever ``batch_size`` in {1, 2, 5},
+    lane order, or ``nproc`` in {1, 2, 3} computed them (nq=0)."""
     from repro.verify import batch_invariance_oracle
 
     out = batch_invariance_oracle(scdm, background=bg_scdm,
                                   thermo=thermo_scdm)
-    kernels = [k for k in ("python", "cext") if k in available_kernels()]
-    assert len(out["legs"]) == 6 * len(kernels)
+    assert len(out["legs"]) == 6
     assert {name: dev for name, dev in out["legs"].items() if dev != 0.0} == {}
     assert out["batch_invariance"] == 0.0
 
 
-@needs_cc
-def test_batch_invariance_reads_nan_when_a_compiled_phase_fell_back(
+def test_batch_invariance_reads_nan_when_the_legs_evaluated_nothing(
         scdm, bg_scdm, thermo_scdm, monkeypatch):
-    """Equal bits are not enough: a ``cext`` leg that left any RHS
-    evaluation on the python kernel's books did not test the compiled
-    route, and the oracle says so."""
-    from repro.perturbations.operator import BoltzmannOperator
+    """Equal bits are not enough: legs that leave no evaluation on the
+    compiled kernel's books did not test the compiled route, and the
+    oracle says so."""
+    from repro.telemetry import Telemetry
     from repro.verify import batch_invariance_oracle
 
-    real = BoltzmannOperator.integrate_phase
-
-    def tight_phase_goes_bad(self, b, tight, *args, **kwargs):
-        out = real(self, b, tight, *args, **kwargs)
-        if tight:
-            out.y[:] = np.nan  # demotes; the python kernel re-runs it
-        return out
-
-    monkeypatch.setattr(BoltzmannOperator, "integrate_phase",
-                        tight_phase_goes_bad)
+    monkeypatch.setattr(Telemetry, "record_rhs", lambda self, *a, **k: None)
     out = batch_invariance_oracle(scdm, background=bg_scdm,
                                   thermo=thermo_scdm, batch_sizes=(1,),
                                   nprocs=())
     assert set(out["legs"].values()) == {0.0}
     assert np.isnan(out["batch_invariance"])
-
-
-def test_auto_without_a_compiler_warns_once_and_runs_python(
-        monkeypatch, caplog, bg_scdm, thermo_scdm):
-    """Aim 4: the ~100x fallback is announced when it happens, with the
-    build's reason, once per process."""
-    from repro import _cext
-    from repro.perturbations import operator
-
-    monkeypatch.setenv("CC", "/nonexistent/cc")
-    monkeypatch.setattr(operator, "_warned_auto_python", False)
-    _cext.reset_cext()
-    try:
-        with caplog.at_level(logging.WARNING, logger="repro.kernel"):
-            assert operator.resolve_kernel("auto") == "python"
-            assert operator.resolve_kernel("auto") == "python"
-            mode = evolve_mode(bg_scdm, thermo_scdm, 0.01, lmax_photon=6,
-                               lmax_nu=6, rtol=1e-3)
-        warnings = [r.getMessage() for r in caplog.records
-                    if "resolved to 'python'" in r.getMessage()]
-        assert len(warnings) == 1 and "no C compiler" in warnings[0]
-        assert mode.system.rhs_kernel == "python"
-        assert mode.system.op.evals["cext"] == 0
-    finally:
-        monkeypatch.undo()
-        _cext.reset_cext()

@@ -24,7 +24,7 @@ from repro import (
 )
 from repro import _cext
 from repro import constants as const
-from repro.errors import IntegrationError
+from repro.errors import CompilerError, IntegrationError
 from repro.thermo import (
     PeeblesRates,
     history,
@@ -33,7 +33,10 @@ from repro.thermo import (
     saha_electron_fraction,
 )
 from repro.thermo.recombination import _saha_factor, _saha_sweeps
+from repro.util import fastspline
 from repro.util.fastspline import PiecewiseCubic, fit_cubic
+from tests import reference_thermo
+from tests.reference_tridiag import solve_tridiagonal
 
 #: Thermal tables of three models, written by the *parent* of the PR
 #: that last replaced a solver behind them — the Saha root-finder, then
@@ -43,9 +46,6 @@ from repro.util.fastspline import PiecewiseCubic, fit_cubic
 #: ``python -m tests.test_thermo <commit>`` with ``PYTHONPATH`` on the
 #: *old* ``src`` and say so in the commit.
 GOLDEN_THERMO = Path(__file__).parent / "data" / "golden_thermo.json"
-
-needs_cc = pytest.mark.skipif(_cext.get_cext() is None,
-                              reason="no C compiler")
 
 #: Five builds that between them take every branch of the history: both
 #: paper models, a flat Lambda model, an open one, and reionization
@@ -66,10 +66,18 @@ FITTED_ON_FIRST_USE = ("_x_e_spline", "_kappa_spline", "_g_spline",
 
 @pytest.fixture()
 def python_rhs(monkeypatch):
-    """Builds as a process without the compiled object makes them: the
-    python stepper over ``ThermalHistory._rhs``, the python tridiagonal
-    solve under every spline (and the python engine, were one run)."""
-    monkeypatch.setattr(_cext, "get_cext", lambda: None)
+    """Builds as the python references make them: the stepper of
+    ``tests/reference_thermo.py`` over its right-hand side, and the
+    tridiagonal solve of ``tests/reference_tridiag.py`` under every
+    spline."""
+
+    def solve_ode(history_, grid, rows):
+        return reference_thermo.integrate(
+            lambda lna, x_h, t_b: reference_thermo.rhs(history_, lna, x_h,
+                                                       t_b), grid, rows)
+
+    monkeypatch.setattr(ThermalHistory, "_solve_ode", solve_ode)
+    monkeypatch.setattr(fastspline, "_solve_tridiagonal", solve_tridiagonal)
 
 
 def thermo_snapshot(thermo, rows=None) -> dict:
@@ -269,7 +277,8 @@ class TestSahaSolver:
                                                    python_rhs, bg_scdm):
         """Counts, not timings: the fixed point this replaced averaged
         30 evaluations and ran a third of its calls to the cap.  Python
-        calls are what is counted, so the build is the python one."""
+        calls are what is counted, so the build is the python
+        reference's."""
         evals = 0
         per_call = []
         residual = recombination._saha_residual
@@ -288,7 +297,7 @@ class TestSahaSolver:
 
         monkeypatch.setattr(recombination, "_saha_residual",
                             counting_residual)
-        monkeypatch.setattr(history, "saha_electron_fraction",
+        monkeypatch.setattr(reference_thermo, "saha_electron_fraction",
                             counting_solve)
         thermo = ThermalHistory(bg_scdm)
         counts = thermo._build_counts
@@ -298,7 +307,6 @@ class TestSahaSolver:
         assert len(per_call) == counts["ode_rhs_evals"]
         assert 4500 < counts["ode_rhs_evals"] < 6000
         assert 450 < counts["ode_steps"] < 700 and counts["ode_rejected"] < 30
-        assert counts["ode_rhs_compiled"] == 0
         assert sum(per_call) / len(per_call) <= 4.0
         assert max(per_call) < recombination._SAHA_MAX_ITER
         # ... the two grid passes a whole array per residual evaluation
@@ -329,17 +337,20 @@ class TestSahaSolver:
 
 class TestCompiledRhs:
     """The compiled ``thermo_ode`` over the compiled ``thermo_rhs`` is
-    ``radau.integrate`` over ``_rhs``: the same doubles at every
-    expression, so the same steps and the same tables.  (The right-hand
-    side itself is pinned to ``_rhs`` state by state in
-    ``tests/test_rhs_operator.py``.)"""
+    ``tests/reference_thermo.py``'s stepper over its right-hand side:
+    the same doubles at every expression, so the same steps and the same
+    tables.  (The right-hand side itself is pinned to the reference
+    state by state in ``tests/test_rhs_operator.py``.)"""
 
-    @needs_cc
     def test_compiled_build_makes_every_evaluation(self, thermo_scdm):
+        """The compiled stepper evaluates the compiled right-hand side
+        and counts every evaluation itself: one count, no second one
+        saying which side ran."""
         counts = thermo_scdm._build_counts
-        assert counts["ode_rhs_compiled"] == counts["ode_rhs_evals"] > 4500
+        assert set(counts) == {"ode_rhs_evals", "ode_steps", "ode_rejected",
+                               "saha_sweeps", "saha_rows"}
+        assert counts["ode_rhs_evals"] > 4500
 
-    @needs_cc
     @five_models
     def test_compiled_build_is_the_python_build(self, request, params,
                                                 kwargs):
@@ -350,10 +361,7 @@ class TestCompiledRhs:
         want = python.to_tables()
         for name, got in compiled.to_tables().items():
             assert np.array_equal(got, want[name], equal_nan=True), name
-        evals = python._build_counts["ode_rhs_evals"]
-        assert python._build_counts["ode_rhs_compiled"] == 0
-        assert compiled._build_counts == {
-            **python._build_counts, "ode_rhs_compiled": evals}
+        assert compiled._build_counts == python._build_counts
 
     @pytest.mark.parametrize("params", [
         standard_cdm(), mixed_dark_matter(omega_nu=0.2)],
@@ -361,8 +369,9 @@ class TestCompiledRhs:
     def test_solve_is_at_least_as_accurate_as_the_one_it_replaced(
             self, params):
         """scipy as the oracle: LSODA at ``rtol=1e-12`` over the same
-        ``_rhs``.  The bounds are the errors of the ``odeint`` call this
-        stepper replaced (measured: 3e-9 / 6.5e-8)."""
+        reference right-hand side.  The bounds are the errors of the
+        ``odeint`` call this stepper replaced (measured: 3e-9 /
+        6.5e-8)."""
         from scipy.integrate import solve_ivp
 
         thermo = ThermalHistory(Background(params))
@@ -370,7 +379,7 @@ class TestCompiledRhs:
         i_switch = int(np.argmax(tables["x_h"] < 0.985))
         grid = tables["lna"][i_switch:]
         ref = solve_ivp(
-            lambda lna, y: thermo._rhs(lna, *y.tolist()),
+            lambda lna, y: reference_thermo.rhs(thermo, lna, *y.tolist()),
             (grid[0], grid[-1]),
             [tables["x_h"][i_switch], tables["t_b"][i_switch]],
             method="LSODA", rtol=1e-12, atol=[1e-16, 1e-14], t_eval=grid)
@@ -380,8 +389,7 @@ class TestCompiledRhs:
         assert err_x_h <= 1.8e-7 and err_t_b <= 3.3e-7
         assert err_x_h <= 2e-8  # closer than LSODA was, not merely as close
 
-    @pytest.mark.parametrize("path", [
-        pytest.param("compiled", marks=needs_cc), "python"])
+    @pytest.mark.parametrize("path", ["compiled", "python"])
     def test_a_solve_that_cannot_advance_raises(self, monkeypatch, request,
                                                 bg_scdm, path):
         if path == "python":
@@ -391,27 +399,25 @@ class TestCompiledRhs:
                            match="ODE failed: no end after 50 steps"):
             ThermalHistory(bg_scdm)
 
-    @needs_cc
-    def test_failed_compile_ends_on_the_python_build(self, tmp_path,
-                                                     bg_scdm, thermo_scdm):
-        """One compiled object for the engine and this build: a process
-        whose compile failed past its retries takes the python stepper
-        over ``_rhs``."""
+    def test_a_failed_compile_raises_naming_cc(self, tmp_path, bg_scdm):
+        """One compiled object for the engine and this build, and no
+        other solver: a process whose compile failed past its retries
+        cannot build a history, says why and names ``CC`` — once per
+        process, not once per call."""
         from repro.chaos import ChaosPolicy, active
-        from repro._cext import private_cache
-        from repro.perturbations import available_kernels
+        from repro._cext import BUILD_EVENTS, private_cache
 
         with private_cache(tmp_path), active(ChaosPolicy(compile_faults=3)):
-            fallback = ThermalHistory(bg_scdm)
-            assert available_kernels() == ("python",)
-        assert fallback._build_counts["ode_rhs_compiled"] == 0
-        assert thermo_scdm._build_counts["ode_rhs_compiled"] > 4500
-        want = thermo_scdm.to_tables()
-        for name, got in fallback.to_tables().items():
-            assert np.array_equal(got, want[name], equal_nan=True), name
+            with pytest.raises(CompilerError,
+                               match="injected compile failure.*CC"):
+                ThermalHistory(bg_scdm)
+            attempts = len(BUILD_EVENTS)
+            with pytest.raises(CompilerError, match="CC"):
+                _cext.get_cext()
+            assert len(BUILD_EVENTS) == attempts
+        assert _cext.get_cext() is not None
 
-    @pytest.mark.parametrize("path", [
-        pytest.param("compiled", marks=needs_cc), "python"])
+    @pytest.mark.parametrize("path", ["compiled", "python"])
     def test_newton_cap_inside_the_ode_raises(self, monkeypatch, request,
                                               bg_scdm, path):
         """``saha_electron_fraction`` raises at its cap; the compiled
@@ -435,7 +441,6 @@ class TestCompiledRhs:
                            match="did not converge in 1 iterations"):
             ThermalHistory(bg_scdm)
 
-    @needs_cc
     def test_status_and_count_slots_only_grow(self, monkeypatch,
                                               thermo_scdm):
         monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
@@ -450,7 +455,7 @@ class TestCompiledRhs:
         # helium still recombining: the hydrogen-only start is not the root
         hot, cold = (0.99, 5000.0), (1e-3, 30.0)
         with pytest.raises(IntegrationError):
-            thermo_scdm._rhs(lna, *hot)
+            reference_thermo.rhs(thermo_scdm, lna, *hot)
         rhs(lna, cold)  # hydrogen's factor underflows: no iteration
         assert out[2:4].tolist() == [0.0, 1.0]
         rhs(lna, hot)
@@ -618,8 +623,8 @@ class TestHistoryLifetime:
             thermo_scdm.tau_rec, thermo_scdm.z_rec, thermo_scdm.tau_reion)
 
     def test_background_freed_by_refcount_alone(self, scdm):
-        """Nothing the build hands the stepper (the bound ``_rhs``, the
-        parameter block) may tie the history or the Background into a
+        """Nothing the build hands the stepper (the parameter block, the
+        spline packs) may tie the history or the Background into a
         cycle: each discarded build would pin a few MB until a full gc
         pass."""
         gc.collect()
