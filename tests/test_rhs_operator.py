@@ -376,13 +376,39 @@ def test_spline_pack_survives_the_table_round_trip(bg_mdm, thermo_mdm):
 # ---------------------------------------------------------------------------
 
 
-def test_rhs_kernel_is_no_longer_an_argument(bg_scdm, thermo_scdm):
-    layout = StateLayout(**LAYOUT_NQ0)
+def test_no_kernel_selection_layer():
+    import repro.perturbations
+    import repro.perturbations.operator as operator
+
+    for module in (repro.perturbations, operator):
+        for gone in ("KERNELS", "available_kernels", "resolve_kernel"):
+            assert not hasattr(module, gone)
     with pytest.raises(TypeError):
         LingerConfig(rhs_kernel="python")
+
+
+def test_the_operator_counts_one_kernel(bg_scdm, thermo_scdm):
+    layout = StateLayout(**LAYOUT_NQ0)
+    op = BoltzmannOperator(bg_scdm, thermo_scdm, KS, layout)
+    assert op.evals == {"cext": 0} and op.seconds == {"cext": 0.0}
+    for gone in ("rhs_full_s", "rhs_tca_s"):
+        assert not hasattr(op, gone)
+    system = PerturbationSystem(bg_scdm, thermo_scdm, float(KS[1]), layout,
+                                operator=op, lane=1)
+    tau0, y = _random_state(layout, bg_scdm, float(KS[1]),
+                            np.random.default_rng(5))
+    system.rhs_full(2.0 * tau0, y)
+    system.rhs_tca(2.0 * tau0, y)
+    assert op.evals == {"cext": 2}
+
+
+def test_system_takes_no_kernel(bg_scdm, thermo_scdm):
+    layout = StateLayout(**LAYOUT_NQ0)
     with pytest.raises(TypeError):
         PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
                            rhs_kernel="python")
+    assert not hasattr(
+        PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout), "rhs_kernel")
     for evolve in (evolve_mode, evolve_modes_batched):
         with pytest.raises(TypeError):
             evolve(bg_scdm, thermo_scdm, 0.01, rhs_kernel="python")
