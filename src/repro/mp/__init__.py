@@ -9,10 +9,11 @@ Python:
   mybcastreal, mysendreal, mycheckany, mycheckone, mychecktid,
   myrecvreal``) with the exact probe/receive semantics of the paper's
   MPI implementation,
-* backends: ``serial`` (loopback), ``inprocess`` (threads + queues),
-  ``procs`` (multiprocessing pipes), ``sockets`` (length-prefixed
-  binary frames over real TCP, elastic worker pool — the one backend
-  that crosses a host boundary).
+* backends: ``serial`` (loopback), ``inprocess`` (threads sharing
+  mailboxes), ``procs`` (``os.fork`` children, one pipe per rank pair
+  carrying the RPMP frames of :mod:`.message`), ``sockets`` (the same
+  frames over real TCP, elastic worker pool — the one backend that
+  crosses a host boundary).
 
 An mpi4py backend would slot in unchanged (same buffer-of-float64
 discipline); it is not bundled because this sandbox has no MPI.

@@ -21,7 +21,7 @@ import threading
 import time
 
 from ..api import MessagePassing, World
-from ..message import Message
+from ..message import Message, first_match
 from ...errors import MessagePassingError
 
 __all__ = ["InProcessWorld", "InProcessHandle"]
@@ -59,13 +59,7 @@ class InProcessWorld(World):
         with self._cond:
             while True:
                 box = self._mailboxes[rank]
-                for i, msg in enumerate(box):
-                    if tag is not None and msg.tag != tag:
-                        continue
-                    if source is not None and msg.source != source:
-                        continue
-                    if remove:
-                        return box.pop(i)
+                if (msg := first_match(box, tag, source, remove)) is not None:
                     return msg
                 wait = 60.0
                 if deadline is not None:

@@ -9,7 +9,7 @@ of deadlocking.
 from __future__ import annotations
 
 from ..api import MessagePassing, World
-from ..message import Message
+from ..message import Message, first_match
 from ...errors import MessagePassingError
 
 __all__ = ["SerialWorld", "SerialHandle"]
@@ -41,12 +41,8 @@ class SerialHandle(MessagePassing):
         self._box.append(msg)
 
     def _find(self, tag, source, remove):
-        for i, msg in enumerate(self._box):
-            if tag is not None and msg.tag != tag:
-                continue
-            if source is not None and msg.source != source:
-                continue
-            return self._box.pop(i) if remove else msg
+        if (msg := first_match(self._box, tag, source, remove)) is not None:
+            return msg
         raise MessagePassingError(
             "serial probe would deadlock: no matching message pending "
             f"(tag={tag}, source={source})"

@@ -2,28 +2,12 @@
 
 Every other backend (serial, inprocess, procs, faulty) keeps all ranks
 inside one host; this one carries the same eight wrapper routines over
-TCP so ranks can live anywhere that can reach the master's listener.
-The topology is the paper's: a star with the master at the hub.  Rank 0
-owns a listening socket; every worker rank holds one connection to it,
-and worker-to-worker messages (none in the PLINGER protocol, but the
-wrapper permits them) are relayed through the hub.
-
-Wire format — length-prefixed binary frames::
-
-    +-------+------+----------+--------...--------+
-    | magic | kind | body_len |       body        |
-    | 4B    | u8   | u32 LE   |  body_len bytes   |
-    +-------+------+----------+--------...--------+
-
-Frame kinds: HELLO (worker -> master: protocol version + pid),
-WELCOME (master -> worker: assigned rank, world size, master id),
-MSG (either way: a :class:`~repro.mp.message.Message` — source,
-target, tag, send stamp, then the float64 payload, little-endian),
-TELEMETRY (worker -> master: rank + JSON blob, out of band, never
-counted in :class:`~repro.mp.api.TrafficStats`), and BYE (worker ->
-master: clean goodbye).  A reader rejects bad magic, unknown kinds and
-oversized bodies instead of resynchronizing — a corrupt stream kills
-one connection, never poisons the run.
+TCP, as the RPMP frames of :mod:`repro.mp.message` (HELLO / WELCOME,
+then MSG, TELEMETRY, BYE), so ranks can live anywhere that can reach
+the master's listener.  The topology is the paper's: a star with the
+master at the hub.  Rank 0 owns a listening socket; every worker rank
+holds one connection to it, and worker-to-worker messages (none in the
+PLINGER protocol, but the wrapper permits them) go through the hub.
 
 **Elastic ranks.**  The worker pool is not fixed at launch: a process
 that connects after the initial complement is assigned the next free
@@ -37,19 +21,21 @@ it and reassign its work.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import os
 import socket
 import struct
 import threading
 import time
-
-import numpy as np
+from functools import partial
 
 from ...errors import MessagePassingError
 from ..api import MessagePassing, World
-from ..message import Message
+from ..message import (FRAME_BYE, FRAME_HELLO, FRAME_MSG, FRAME_TELEMETRY,
+                       FRAME_WELCOME, MAGIC, MAX_FRAME_BYTES, FrameDecoder,
+                       FrameError, Message, decode_message, decode_telemetry,
+                       encode_frame, encode_message, encode_telemetry,
+                       first_match)
+from .procs import ForkedChild, fork_child, reap
 
 __all__ = [
     "MAGIC", "MAX_FRAME_BYTES", "PROTOCOL_VERSION",
@@ -60,122 +46,13 @@ __all__ = [
     "connect_worker",
 ]
 
-MAGIC = b"RPMP"
 PROTOCOL_VERSION = 1
 
-#: hard ceiling on one frame body; far above any PLINGER payload
-#: (a 2 GiB table block would be refused — ship it in pieces instead)
-MAX_FRAME_BYTES = 1 << 26
-
-FRAME_HELLO = 1      #: worker -> master: version, pid
-FRAME_WELCOME = 2    #: master -> worker: rank, nproc, mastid
-FRAME_MSG = 3        #: either way: one wrapper Message
-FRAME_TELEMETRY = 4  #: worker -> master: rank + JSON (out of band)
-FRAME_BYE = 5        #: worker -> master: clean goodbye
-
-_KINDS = frozenset((FRAME_HELLO, FRAME_WELCOME, FRAME_MSG,
-                    FRAME_TELEMETRY, FRAME_BYE))
-
-_HEADER = struct.Struct("<4sBI")        # magic, kind, body length
 _HELLO = struct.Struct("<Ii")           # protocol version, pid
 _WELCOME = struct.Struct("<iii")        # rank, nproc, mastid
-_MSG_PREFIX = struct.Struct("<iiid")    # source, target, tag, sent_unix
-_TELEMETRY_PREFIX = struct.Struct("<i")  # rank
 
 _DEFAULT_TIMEOUT = 600.0
 _RECV_CHUNK = 1 << 16
-
-
-class FrameError(MessagePassingError):
-    """A malformed frame: bad magic, unknown kind, oversized or
-    truncated body.  Fatal to the connection that produced it."""
-
-
-# -- codec -----------------------------------------------------------------
-
-
-def encode_frame(kind: int, body: bytes = b"",
-                 max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """One wire frame: header plus ``body``."""
-    if kind not in _KINDS:
-        raise FrameError(f"unknown frame kind {kind}")
-    if len(body) > max_bytes:
-        raise FrameError(
-            f"frame body of {len(body)} bytes exceeds the "
-            f"{max_bytes}-byte cap")
-    return _HEADER.pack(MAGIC, kind, len(body)) + body
-
-
-def encode_message(msg: Message, target: int,
-                   max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """A wrapper :class:`Message` as one MSG frame addressed to
-    ``target`` (the Message itself does not carry its destination)."""
-    data = np.ascontiguousarray(msg.data, dtype="<f8")
-    body = _MSG_PREFIX.pack(int(msg.source), int(target), int(msg.tag),
-                            float(msg.sent_unix)) + data.tobytes()
-    return encode_frame(FRAME_MSG, body, max_bytes=max_bytes)
-
-
-def decode_message(body: bytes) -> tuple[Message, int]:
-    """Inverse of :func:`encode_message`: ``(message, target)``.
-
-    Bit-exact: the payload floats are reinterpreted, not parsed, so
-    every float64 (signed zeros, infs, NaN payload bits) survives the
-    round trip unchanged.
-    """
-    if len(body) < _MSG_PREFIX.size:
-        raise FrameError(
-            f"MSG body of {len(body)} bytes is shorter than the "
-            f"{_MSG_PREFIX.size}-byte prefix")
-    source, target, tag, sent_unix = _MSG_PREFIX.unpack_from(body)
-    payload = body[_MSG_PREFIX.size:]
-    if len(payload) % 8:
-        raise FrameError(
-            f"MSG payload of {len(payload)} bytes is not a whole "
-            "number of float64 reals")
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return Message(source=source, tag=tag, data=data,
-                   sent_unix=sent_unix), target
-
-
-class FrameDecoder:
-    """Incremental frame reassembly over an arbitrary byte stream.
-
-    Feed it whatever ``recv`` produced; it returns every frame that
-    completed and buffers the tail.  Raises :class:`FrameError` the
-    moment the stream is provably corrupt (bad magic, unknown kind,
-    oversized body) — there is no resynchronization on a binary
-    stream, so the connection must die.
-    """
-
-    def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
-        self._buf = bytearray()
-        self._max = max_bytes
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buf)
-
-    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
-        self._buf += data
-        frames: list[tuple[int, bytes]] = []
-        while len(self._buf) >= _HEADER.size:
-            magic, kind, length = _HEADER.unpack_from(self._buf)
-            if magic != MAGIC:
-                raise FrameError(f"bad frame magic {bytes(magic)!r}")
-            if kind not in _KINDS:
-                raise FrameError(f"unknown frame kind {kind}")
-            if length > self._max:
-                raise FrameError(
-                    f"frame body of {length} bytes exceeds the "
-                    f"{self._max}-byte cap")
-            end = _HEADER.size + length
-            if len(self._buf) < end:
-                break
-            frames.append((kind, bytes(self._buf[_HEADER.size:end])))
-            del self._buf[:end]
-        return frames
 
 
 def _read_frames(sock: socket.socket, decoder: FrameDecoder,
@@ -216,21 +93,12 @@ class _Mailbox:
             self._closed = True
             self._cond.notify_all()
 
-    def _scan(self, tag, source, remove: bool) -> Message | None:
-        for i, msg in enumerate(self._items):
-            if tag is not None and msg.tag != tag:
-                continue
-            if source is not None and msg.source != source:
-                continue
-            return self._items.pop(i) if remove else msg
-        return None
-
     def wait(self, tag, source, remove: bool, timeout: float,
              soft: bool, who: str = "sockets mailbox") -> Message | None:
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                found = self._scan(tag, source, remove)
+                found = first_match(self._items, tag, source, remove)
                 if found is not None:
                     return found
                 if self._closed:
@@ -315,7 +183,7 @@ class SocketsWorld(World):
         self._mailbox = _Mailbox()
         self._conns: dict[int, _Connection] = {}
         self._next_rank = 1
-        self._children: list[multiprocessing.process.BaseProcess] = []
+        self._children: list[ForkedChild] = []
         self._entry = None          # (entry, args), stored by launch()
         self._handle0: SocketsMasterHandle | None = None
         self._closed = False
@@ -447,8 +315,7 @@ class SocketsWorld(World):
             msg, target = decode_message(body)
             self.route(target, msg)
         elif kind == FRAME_TELEMETRY:
-            (rank,) = _TELEMETRY_PREFIX.unpack_from(body)
-            payload = json.loads(body[_TELEMETRY_PREFIX.size:].decode())
+            rank, payload = decode_telemetry(body)
             with self._lock:
                 self._telemetry[rank] = payload
         elif kind == FRAME_BYE:
@@ -522,12 +389,9 @@ class SocketsWorld(World):
 
     def _fork_worker(self) -> None:
         entry, args = self._entry
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=_forked_worker_main,
-                           args=(self.host, self.port, entry, args),
-                           daemon=True)
-        proc.start()
-        self._children.append(proc)
+        self._children.append(fork_child(partial(
+            _forked_worker_main, self.host, self.port, entry, args),
+            self._children))
 
     def spawn_extra_worker(self) -> None:
         """Fork one more co-located worker into the *running* world —
@@ -566,12 +430,8 @@ class SocketsWorld(World):
                     stragglers += 1
                     self._drop(conn.rank)
                     reader.join(1.0)
-        for proc in self._children:
-            proc.join(max(0.1, min(5.0, deadline - time.monotonic())))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(5.0)
-                stragglers += 1
+        stragglers += reap(self._children,
+                           max(0.1, min(5.0, deadline - time.monotonic())))
         self._children = []
         self.close()
         if stragglers and strict:
@@ -595,7 +455,8 @@ class SocketsWorld(World):
         self._mailbox.close()
 
 
-def _forked_worker_main(host: str, port: int, entry, args) -> None:
+def _forked_worker_main(host: str, port: int, entry, args,
+                        _exit_w: int) -> None:
     """Child-process body for locally forked worker ranks."""
     try:
         handle = connect_worker(host, port)
@@ -717,10 +578,8 @@ class SocketsWorkerHandle(MessagePassing):
         the traffic counters never see it (same contract as the
         in-host backends).  Best effort: a dead link loses telemetry,
         never the run."""
-        body = (_TELEMETRY_PREFIX.pack(self._rank)
-                + json.dumps(payload).encode())
         try:
-            self._send_frame(encode_frame(FRAME_TELEMETRY, body))
+            self._send_frame(encode_telemetry(self._rank, payload))
         except MessagePassingError:
             pass
 

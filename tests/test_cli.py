@@ -209,6 +209,16 @@ class TestCommands:
                 "scipy asyncio repro.serve repro.verify") + ")")
         assert loaded.splitlines()[-1] == "(0, [])"
 
+    def test_a_procs_run_loads_no_multiprocessing(self, tmp_path):
+        """Forked ranks are ``os.fork`` children talking over pipes."""
+        loaded = _fresh_interpreter(
+            "from repro.cli import main; "
+            "rc = main(['run', '--nk', '2', '--lmax', '8', '--rtol', '1e-3',"
+            " '--parallel', '3', '--backend', 'procs', '--no-cache',"
+            f" '--output', {str(tmp_path / 'run.npz')!r}])",
+            "(rc, " + _LOADED.format("multiprocessing") + ")")
+        assert loaded.splitlines()[-1] == "(0, [])"
+
     def test_a_request_client_loads_neither_engine_nor_scipy(self):
         """``repro request`` against a closed port: the request is built
         and addressed, the connection refused, and no layer under the

@@ -772,8 +772,10 @@ class TestEndToEndChaos:
 
         kgrid, _, _ = e2e_setup
         # 2000 multipoles on purpose: the victim must still be
-        # integrating 0.5 s after the fork, and the compiled step loop
-        # finishes a small hierarchy's grid before then
+        # integrating 0.2 s after the fork, and the compiled step loop
+        # finishes a small hierarchy's grid before then (this grid takes
+        # ≈ 0.7 s on two cores, so a later kill can land after the
+        # victim's last mode)
         config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-4,
                               record_sources=False, keep_mode_results=False)
         golden = run_linger(scdm, kgrid, config, background=bg_scdm,
@@ -794,7 +796,7 @@ class TestEndToEndChaos:
                 time.sleep(0.01)
             else:
                 return
-            time.sleep(0.5)
+            time.sleep(0.2)
             os.kill(pid, signal.SIGKILL)
 
         killer = threading.Thread(target=assassin, daemon=True)

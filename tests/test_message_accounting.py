@@ -133,6 +133,21 @@ class TestProcsConservation:
         assert master["messages_sent"] == (nproc - 1) + nk + (nproc - 1)
         assert master["messages_received"] == (nproc - 1) + 2 * nk
 
+    def test_thread_hosted_ranks_keep_the_books(self):
+        """A procs world that is never launched (FaultyWorld has no
+        ``launch``) hosts its ranks as threads over the same pipes."""
+        nk = 5
+        world = FaultyWorld(ProcsWorld(3, timeout=60.0),
+                            FaultPolicy(selector=lambda m, c: False))
+        master, blobs, log = _run_exchange(world, nk)
+
+        assert set(blobs) == {1, 2}
+        assert _counts(master, "received_by_tag") == \
+            _sum_over_workers(blobs, "sent_by_tag")
+        assert _counts(master, "sent_by_tag") == \
+            _sum_over_workers(blobs, "received_by_tag")
+        assert sorted(h.ik for h in log.headers) == list(range(1, nk + 1))
+
 
 class TestFaultyConservation:
     """A duplicated delivery (a transport retry) keeps the books exact:

@@ -1,6 +1,9 @@
 """The message-passing wrapper API and its backends."""
 
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -201,3 +204,93 @@ class TestProcs:
             got[src] = mp0.myrecvreal(1, 2, src)[0]
         world.join(30.0)
         assert got == {1: 10.0, 2: 20.0}
+
+    def test_a_large_telemetry_blob_does_not_hold_up_join(self):
+        """A child's blob far past the pipe buffer is drained while
+        ``join`` waits, not after it."""
+        blob = {"x": "y" * 300_000}
+        world = ProcsWorld(2, timeout=30.0)
+        world.launch(lambda mp: mp.publish_telemetry(blob))
+        t0 = time.monotonic()
+        world.join(5.0)
+        assert time.monotonic() - t0 < 2.0
+        assert world.collect_telemetry() == {1: blob}
+
+    def test_join_keeps_one_deadline_for_all_ranks(self):
+        """Three ranks that never exit cost one timeout, not three."""
+        for strict in (False, True):
+            world = ProcsWorld(4, timeout=30.0)
+            world.launch(lambda mp: time.sleep(60.0))
+            t0 = time.monotonic()
+            if strict:
+                with pytest.raises(MessagePassingError, match="3 worker"):
+                    world.join(0.5)
+            else:
+                world.join(0.5, strict=False)
+            assert time.monotonic() - t0 < 1.5
+
+    def test_join_leaves_no_descriptor_and_no_child(self):
+        before = len(os.listdir("/proc/self/fd"))
+        world = ProcsWorld(3, timeout=30.0)
+
+        def worker(mp):
+            mp.initpass()
+            mp.mysendreal(np.arange(3.0), 2, 0)
+            mp.endpass()
+
+        world.launch(worker)
+        pids = [world.child_pid(rank) for rank in (1, 2)]
+        mp0 = world.handle(0)
+        mp0.initpass()
+        for rank in (1, 2):
+            mp0.myrecvreal(3, 2, rank)
+        world.join(30.0)
+        assert len(os.listdir("/proc/self/fd")) == before
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_a_probe_on_a_gone_sender_ends_at_once(self):
+        """EOF on the master's pipe ends a worker's wait on the master
+        now, not at the world's timeout: no worker outlives its master
+        by long."""
+        world = ProcsWorld(2, timeout=30.0)
+
+        def worker(mp):
+            mp.initpass()
+            try:
+                mp.mycheckone(9, 0)
+            except MessagePassingError as exc:
+                mp.publish_telemetry({"error": str(exc)})
+
+        world.launch(worker)
+        # close the master's only copy of its write end, as its death would
+        os.close(world._write_ends.pop((0, 1)))
+        t0 = time.monotonic()
+        world.join(5.0)
+        assert time.monotonic() - t0 < 2.0
+        assert "sender is gone" in world.collect_telemetry()[1]["error"]
+
+    def test_sends_to_a_killed_rank_are_dropped(self):
+        world = ProcsWorld(2, timeout=30.0)
+
+        def worker(mp):
+            mp.initpass()
+            mp.mycheckone(9, 0)
+
+        world.launch(worker)
+        os.kill(world.child_pid(1), signal.SIGKILL)
+        mp0 = world.handle(0)
+        mp0.initpass()
+
+        def flood():
+            # 80 x 8000 bytes: past any pipe buffer
+            for _ in range(80):
+                mp0.mysendreal(np.zeros(1000), 1, 1)
+
+        sender = threading.Thread(target=flood, daemon=True)
+        sender.start()
+        sender.join(10.0)
+        assert not sender.is_alive()
+        assert mp0.stats.messages_sent == 80
+        world.join(10.0)

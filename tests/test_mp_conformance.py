@@ -1,7 +1,7 @@
 """Cross-backend conformance: one protocol, four transports.
 
 Every mp backend — serial loopback, in-process thread mailboxes,
-fork+queue processes, and TCP sockets — implements the same 8-routine
+forked processes on pipes, and TCP sockets — implements the same 8-routine
 PLINGER wrapper.  Conformance means more than "each one works": the
 *books must match*.  The same exchange must produce identical traffic
 accounting (message counts, byte counts, per-tag breakdowns) on every
