@@ -1,18 +1,20 @@
 """TAB-CHAOS — the price of graceful degradation.
 
 One PLINGER grid (8 modes, 3 workers) run clean, then once per chaos
-profile — ``cache`` (a torn/garbled store write the run then has to
-quarantine), ``kernel`` (a NaN-poisoned compiled phase, which the ladder
+profile — ``kernel`` (a NaN-poisoned compiled phase, which the ladder
 retries, + compile/stale-``.so`` faults), ``integrator`` (forced step
-collapse), and ``all`` — with
-seeded, deterministic fault injection via :mod:`repro.chaos`.  For each
-profile the harness records the recovery economics:
+collapse), and ``all`` (both, and a garbled write of the run's product
+into a :class:`~repro.serve.results.ResultStore`, which a fresh store
+must quarantine) — with seeded, deterministic fault injection via
+:mod:`repro.chaos`.  Each product is then re-written and read back.  For
+each profile the harness records the recovery economics:
 
 * **recovery latency**: wallclock attributed to degradation events
   (``DegradationMetrics.recovery_seconds``);
 * **degraded-mode counts**: events per surface (cache / kernel /
   integrator) from the run's telemetry;
-* **C_l deviation** of the degraded run against the clean spectrum —
+* **C_l deviation** of the degraded run and its store read-back
+  against the clean spectrum —
   the headline number, which must sit at the 1e-8 golden gate because
   every ladder rung is bit-preserving.
 
@@ -27,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import KGrid, LingerConfig, Telemetry
-from repro.cache import PrecomputeCache
 from repro.chaos import ChaosPolicy, active
 from repro.plinger import FaultTolerance, run_plinger
+from repro.serve.results import ResultStore
 from repro.spectra import cl_from_hierarchy
 from repro.util import format_table
 
@@ -39,7 +41,7 @@ ARTIFACT_DIR = Path(__file__).resolve().parents[1]
 NK = 8
 NPROC = 3
 SEED = 0
-PROFILES = ("cache", "kernel", "integrator", "all")
+PROFILES = ("kernel", "integrator", "all")
 
 
 def _config():
@@ -54,25 +56,28 @@ def _ft():
                           backoff_base=0.01)
 
 
-def _chaotic_run(profile, scdm, bg, thermo, kgrid, cache_dir):
+def _chaotic_run(profile, scdm, kgrid, store_dir):
+    """The chaotic run, its product written into a result store under
+    the same policy, and the C_l read back after a re-write."""
     telemetry = Telemetry()
-    cache = PrecomputeCache(cache_dir / profile)
+    key = scdm.digest("bench_chaos", {"profile": profile})
     t0 = time.perf_counter()
     with active(ChaosPolicy.from_profile(profile, seed=SEED)) as engine:
-        # a warm-up build takes the store-write corruption, so the run's
-        # own load meets the corrupted entry and must quarantine it
-        PrecomputeCache(cache_dir / profile).background(scdm)
         result, _ = run_plinger(
             scdm, kgrid, _config(), nproc=NPROC, backend="inprocess",
-            telemetry=telemetry, fault_tolerance=_ft(), cache=cache,
+            telemetry=telemetry, fault_tolerance=_ft(),
         )
+        _l, cl = cl_from_hierarchy(result)
+        ResultStore(store_dir).put(key, {"cl": cl})
+    fresh = ResultStore(store_dir)
+    if fresh.get(key) is None and fresh.corrupt == 1:
+        telemetry.record_degradation("cache", "quarantine",
+                                     f"result entry {key[:12]}")
+    fresh.put(key, {"cl": cl})
+    cl_read = ResultStore(store_dir).get(key).arrays["cl"]
     wall = time.perf_counter() - t0
-    for e in cache.degradation.events:
-        telemetry.record_degradation(e["surface"], e["event"],
-                                     e.get("detail", ""),
-                                     e.get("seconds", 0.0))
     dm = telemetry.degradation
-    return result, dm, engine.summary(), wall
+    return result, cl_read, dm, engine.summary(), wall
 
 
 def test_chaos_recovery_economics(scdm, bg, thermo, capsys, tmp_path):
@@ -99,10 +104,11 @@ def test_chaos_recovery_economics(scdm, bg, thermo, capsys, tmp_path):
         "profiles": {},
     }
     for profile in PROFILES:
-        result, dm, summary, wall = _chaotic_run(
-            profile, scdm, bg, thermo, kgrid, tmp_path)
+        result, cl_read, dm, summary, wall = _chaotic_run(
+            profile, scdm, kgrid, tmp_path / "store")
         _l2, cl = cl_from_hierarchy(result)
-        cl_dev = float(np.max(np.abs(cl - cl_ref)) / cl_scale)
+        cl_dev = max(float(np.max(np.abs(c - cl_ref))) for c in
+                     (cl, cl_read)) / cl_scale
         by_surface = dict(sorted(dm.events_by_surface.items())) if dm \
             else {}
         recovery = dm.recovery_seconds if dm else 0.0
@@ -123,7 +129,7 @@ def test_chaos_recovery_economics(scdm, bg, thermo, capsys, tmp_path):
             np.testing.assert_allclose(p_f.pack(), p_g.pack(), rtol=1e-8)
         assert cl_dev <= 1e-8
         # the targeted recovery path actually fired
-        if profile in ("cache", "all"):
+        if profile == "all":
             assert by_surface.get("cache", 0) >= 1
         # a collapse and a poisoned phase are both retried by the ladder
         if profile in ("kernel", "integrator", "all"):

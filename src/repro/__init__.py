@@ -19,8 +19,8 @@ The package implements the full LINGER/PLINGER system in Python:
 * :mod:`repro.data`          — the 1995 bandpower compilation
 * :mod:`repro.telemetry`     — run metrics: integrator cost, message
   accounting, worker utilization, JSON :class:`RunReport`
-* :mod:`repro.cache`         — content-addressed on-disk cache of the
-  precomputed background, thermal and j_l tables
+* :mod:`repro.cache`         — content-addressed keys and the
+  digest-verified on-disk store under the serve result store
 * :mod:`repro.verify`        — Einstein-constraint monitors,
   differential/analytic oracles, and the tolerance-budget registry
 * :mod:`repro.serve`         — the warm spectrum service: run-result
@@ -83,7 +83,6 @@ __all__ = [
     "Telemetry",
     "RunReport",
     "NULL_TELEMETRY",
-    "PrecomputeCache",
     "ConstraintMonitor",
     "VerificationReport",
     "verify_run",
@@ -126,7 +125,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "Telemetry": "telemetry",
     "RunReport": "telemetry",
     "NULL_TELEMETRY": "telemetry",
-    "PrecomputeCache": "cache",
     "ConstraintMonitor": "verify",
     "VerificationReport": "verify",
     "verify_run": "verify",

@@ -48,68 +48,8 @@ class Background:
         if not 0.0 < a_min < 1.0e-4:
             raise ParameterError("a_min must be tiny and positive")
         self.a_min = a_min
-        self._set_params(params)
-        # Massive neutrinos: solve the mass parameter and build splined
-        # energy/pressure integrals.
-        self.nu_tables: MassiveNuTables | None = None
-        if params.omega_nu > 0.0:
-            x0 = solve_mass_parameter(params.omega_nu, self._omega_nu_rel_equiv)
-            self.nu_tables = MassiveNuTables.build(x0)
-
-        self._build_time_table(n_grid)
-
-    # ------------------------------------------------------------------
-    # Table round-tripping (precompute cache)
-    # ------------------------------------------------------------------
-
-    def to_tables(self) -> dict[str, np.ndarray]:
-        """Primitive arrays from which :meth:`from_tables` can rebuild
-        this object bit-for-bit.
-
-        Only the expensively computed tables are exported (the time
-        integral and the massive-neutrino momentum integrals); every
-        spline is re-derived on load by the same deterministic code
-        that built it, so a round-tripped background evaluates
-        identically to the original.
-        """
-        tables = {
-            "a_min": np.float64(self.a_min),
-            "lna_grid": self._lna_grid,
-            "tau_grid": self._tau_grid,
-        }
-        if self.nu_tables is not None:
-            for name, arr in self.nu_tables.to_tables().items():
-                tables[f"nu_{name}"] = arr
-        return tables
-
-    @classmethod
-    def from_tables(
-        cls, params: CosmologyParams, tables: dict
-    ) -> "Background":
-        """Rebuild a background from :meth:`to_tables` output.
-
-        ``tables`` may hold ordinary arrays or read-only views;
-        nothing is copied.
-        """
-        self = cls.__new__(cls)
-        self.a_min = float(tables["a_min"])
-        self._set_params(params)
-        self.nu_tables = None
-        if params.omega_nu > 0.0:
-            self.nu_tables = MassiveNuTables.from_tables({
-                name[3:]: arr
-                for name, arr in tables.items()
-                if name.startswith("nu_")
-            })
-        self._finish_time_table(
-            np.asarray(tables["lna_grid"], dtype=float),
-            np.asarray(tables["tau_grid"], dtype=float),
-        )
-        return self
-
-    def _set_params(self, params: CosmologyParams) -> None:
-        """The model and today's (8 pi G / 3) rho_i per component, which
-        :meth:`grho_components` only has to scale with a."""
+        # the model and today's (8 pi G / 3) rho_i per component, which
+        # grho_components only has to scale with a
         self.params = p = params
         h0sq = p.h0_mpc**2
         # massless-equivalent density of the massive species
@@ -130,6 +70,14 @@ class Background:
             "nu_massive": h0sq * self._omega_nu_rel_equiv,
             "curvature": h0sq * p.omega_k,
         }
+        # Massive neutrinos: solve the mass parameter and build splined
+        # energy/pressure integrals.
+        self.nu_tables: MassiveNuTables | None = None
+        if params.omega_nu > 0.0:
+            x0 = solve_mass_parameter(params.omega_nu, self._omega_nu_rel_equiv)
+            self.nu_tables = MassiveNuTables.build(x0)
+
+        self._build_time_table(n_grid)
 
     # ------------------------------------------------------------------
     # Densities and pressures
@@ -238,12 +186,6 @@ class Background:
         np.cumsum(increments, out=tau[1:])
         tau[1:] += tau_start
 
-        self._finish_time_table(lna, tau)
-
-    def _finish_time_table(self, lna: np.ndarray, tau: np.ndarray) -> None:
-        """Derive the tau <-> a splines from the tabulated integral
-        (shared by the builder and :meth:`from_tables`)."""
-        self._lna_grid = lna
         self._tau_grid = tau
         self._ln_tau_of_lna = fit_cubic(lna, np.log(tau))
         self._lna_of_ln_tau = fit_cubic(np.log(tau), lna)

@@ -175,10 +175,6 @@ class MassiveNuTables:
     _log_p_spline: UniformGridCubic
     x_min: float
     x_max: float
-    #: raw knot data kept for bit-exact cache round-trips
-    _lnx: np.ndarray | None = None
-    _log_rho: np.ndarray | None = None
-    _log_p: np.ndarray | None = None
     #: the two splines' coefficient rows in one contiguous (8, pieces)
     #: block (c3..c0 of ln I_rho, then of ln I_p): what the compiled
     #: kernels read
@@ -191,49 +187,17 @@ class MassiveNuTables:
         x_min, x_max = 1e-8 * max(x0, 1.0), 10.0 * max(x0, 1.0)
         x = np.geomspace(x_min, x_max, n_table)
         q, w = momentum_grid(96, q_max=30.0)
-        rho = rho_integral(x, q, w)
-        p = pressure_integral(x, q, w)
-        return cls._from_knots(x0, x_min, x_max, np.log(x), np.log(rho),
-                               np.log(p))
-
-    @classmethod
-    def _from_knots(cls, x0, x_min, x_max, lnx, log_rho,
-                    log_p) -> "MassiveNuTables":
-        pack = np.empty((8, lnx.size - 1))
+        lnx = np.log(x)
+        pack = np.empty((8, n_table - 1))
         return cls(
             x0=x0,
-            _log_rho_spline=UniformGridCubic(lnx, log_rho, out=pack[:4]),
-            _log_p_spline=UniformGridCubic(lnx, log_p, out=pack[4:]),
+            _log_rho_spline=UniformGridCubic(
+                lnx, np.log(rho_integral(x, q, w)), out=pack[:4]),
+            _log_p_spline=UniformGridCubic(
+                lnx, np.log(pressure_integral(x, q, w)), out=pack[4:]),
             x_min=x_min,
             x_max=x_max,
-            _lnx=lnx,
-            _log_rho=log_rho,
-            _log_p=log_p,
             _rhs_pack=pack,
-        )
-
-    def to_tables(self) -> dict[str, np.ndarray]:
-        """The q-grid integrals as primitive arrays (precompute cache)."""
-        return {
-            "x0": np.float64(self.x0),
-            "x_min": np.float64(self.x_min),
-            "x_max": np.float64(self.x_max),
-            "lnx": self._lnx,
-            "log_rho": self._log_rho,
-            "log_p": self._log_p,
-        }
-
-    @classmethod
-    def from_tables(cls, tables: dict) -> "MassiveNuTables":
-        """Rebuild from :meth:`to_tables` output; the splines are
-        re-fit from the same knot data, so evaluation is bit-identical."""
-        return cls._from_knots(
-            float(tables["x0"]),
-            float(tables["x_min"]),
-            float(tables["x_max"]),
-            np.asarray(tables["lnx"], dtype=float),
-            np.asarray(tables["log_rho"], dtype=float),
-            np.asarray(tables["log_p"], dtype=float),
         )
 
     def _integral(self, spline: UniformGridCubic, a):

@@ -1,6 +1,6 @@
 """The seeded cross-layer fault-injection engine.
 
-:class:`ChaosPolicy` declares *what* to break — cache-store writes,
+:class:`ChaosPolicy` declares *what* to break — result-store writes,
 compiled-kernel outputs/compilation, the content-addressed ``.so``
 cache and chosen integrator modes — and :class:`ChaosEngine` decides
 *when*, deterministically from the seed and per-site opportunity
@@ -32,8 +32,10 @@ __all__ = [
 ]
 
 #: Named bundles for ``--chaos-profile``: which budgets a profile arms.
+#: A run writes no store, so no profile of its own arms the store-write
+#: budget; ``all`` keeps it for the serve result store's writes (the
+#: ``cache`` leg of ``oracle.chaos_degradation``).
 PROFILES = {
-    "cache": {"cache_write_faults": 1},
     "kernel": {"kernel_nan_faults": 1, "compile_faults": 1,
                "stale_so_faults": 1},
     "integrator": {"integrator_faults": 1},
@@ -53,7 +55,8 @@ class ChaosPolicy:
         integrator states; all other sites have few opportunities and
         fire on their first ones.
     ``cache_write_faults`` / ``cache_write_mode``
-        Corrupt that many npz store writes — ``"garble"`` flips bytes
+        Corrupt that many :class:`~repro.cache.store.TableStore` writes
+        (the disk tier of the serve result store) — ``"garble"`` flips bytes
         mid-file (digest mismatch), ``"torn"`` truncates the tmp file
         before the atomic rename (torn write).
     ``kernel_nan_faults``

@@ -15,7 +15,6 @@ Subcommands mirror what a LINGER/PLINGER user did at the shell:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -80,18 +79,10 @@ def _run_arguments(p) -> None:
     p.add_argument("--report", metavar="PATH", default=None,
                    help="enable run telemetry and write the JSON "
                         "RunReport here")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   default=os.environ.get("REPRO_CACHE_DIR"),
-                   help="precompute-table cache directory: background "
-                        "and thermal tables are stored content-"
-                        "addressed and reloaded bit-identically on "
-                        "repeat runs (default: $REPRO_CACHE_DIR)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache-dir / $REPRO_CACHE_DIR")
     p.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                    help="run under the seeded chaos engine: inject "
-                        "deterministic faults into the cache, compiled-"
-                        "kernel, and integrator layers and report every "
+                        "deterministic faults into the compiled-kernel "
+                        "and integrator layers and report every "
                         "graceful-degradation event (off by default)")
     p.add_argument("--chaos-profile", choices=sorted(PROFILES),
                    default="all",
@@ -204,10 +195,6 @@ def _serve_arguments(p) -> None:
                         "addressed npz; survives restarts)")
     p.add_argument("--store-cap-mb", type=int, default=256,
                    help="in-memory result-store LRU cap")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   default=os.environ.get("REPRO_CACHE_DIR"),
-                   help="precompute-table cache shared with "
-                        "batch runs (default: $REPRO_CACHE_DIR)")
     p.add_argument("--journal", metavar="PATH", default=None,
                    help="append-only JSONL request journal "
                         "(drained on SIGTERM/exit)")
@@ -295,11 +282,6 @@ def _cmd_run_inner(args) -> int:
         keep_mode_results=False,
     )
     telemetry = Telemetry() if args.report else NULL_TELEMETRY
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        from .cache import PrecomputeCache
-
-        cache = PrecomputeCache(args.cache_dir)
     if args.sparse_k_factor > 1:
         if args.parallel >= 2 and args.backend == "procs":
             print("error: --sparse-k-factor needs the coarse mode results "
@@ -307,7 +289,7 @@ def _cmd_run_inner(args) -> int:
                   "cannot share them — use --backend inprocess or drop "
                   "--parallel", file=sys.stderr)
             return 2
-        return _run_sparse(args, params, kgrid, telemetry, cache)
+        return _run_sparse(args, params, kgrid, telemetry)
     world = None
     if args.listen is not None:
         if args.backend != "sockets" or args.parallel < 2:
@@ -337,8 +319,7 @@ def _cmd_run_inner(args) -> int:
                                     telemetry=telemetry,
                                     batch_size=args.batch_size,
                                     fault_tolerance=_fault_tolerance(args),
-                                    world=world,
-                                    cache=cache)
+                                    world=world)
         print(f"PLINGER: {kgrid.nk} modes on {args.parallel - 1} workers, "
               f"{stats.wall_seconds:.1f} s wallclock, "
               f"{stats.master_bytes_received} bytes gathered")
@@ -350,20 +331,11 @@ def _cmd_run_inner(args) -> int:
                   f"{len(fr.degraded_modes)} degraded modes")
     else:
         result = run_linger(params, kgrid, config, telemetry=telemetry,
-                            batch_size=args.batch_size, cache=cache)
+                            batch_size=args.batch_size)
         print(f"LINGER: {kgrid.nk} modes, {result.wall_seconds:.1f} s")
-    if cache is not None:
-        m = cache.metrics
-        print(f"cache: {m.hits} hits / {m.misses} misses in "
-              f"{args.cache_dir}")
     path = save_run(result, args.output)
     print(f"archived to {path}")
     if args.report:
-        if cache is not None:
-            for e in cache.degradation.events:
-                telemetry.record_degradation(
-                    e["surface"], e["event"], e.get("detail", ""),
-                    e.get("seconds", 0.0))
         report = telemetry.build_report(meta={
             "model": args.model,
             "command": "run",
@@ -376,7 +348,7 @@ def _cmd_run_inner(args) -> int:
     return 0
 
 
-def _run_sparse(args, params, kgrid, telemetry, cache) -> int:
+def _run_sparse(args, params, kgrid, telemetry) -> int:
     """``repro run --sparse-k-factor F``: the sparse-k fast path."""
     from .linger import LingerConfig, save_run
     from .spectra import band_power_uk, cobe_normalization, run_sparse_cl
@@ -395,7 +367,7 @@ def _run_sparse(args, params, kgrid, telemetry, cache) -> int:
         batch_size=args.batch_size,
         backend=args.backend if args.parallel >= 2 else None,
         nproc=args.parallel if args.parallel >= 2 else 4,
-        telemetry=telemetry, cache=cache,
+        telemetry=telemetry,
     )
     m = res.metrics
     print(f"sparse-k: integrated {m.n_coarse} of {m.n_dense} modes "
@@ -456,11 +428,6 @@ def _print_report_summary(report) -> None:
                      f"{totals['worker_busy_seconds']:.3f}"])
         rows.append(["worker idle [s]",
                      f"{totals['worker_idle_seconds']:.3f}"])
-    if report.cache is not None:
-        cm = report.cache
-        rows.append(["cache hits / misses", f"{cm.hits} / {cm.misses}"])
-        rows.append(["cache build [s]", f"{cm.build_seconds:.3f}"])
-        rows.append(["cache load [s]", f"{cm.load_seconds:.3f}"])
     if report.sparse is not None:
         sm = report.sparse
         rows.append(["sparse factor", sm.sparse_factor])
@@ -574,7 +541,7 @@ def cmd_serve(args) -> int:
         host=args.host, port=args.port, nproc=args.nproc,
         store_dir=args.store_dir,
         store_cap_bytes=args.store_cap_mb << 20,
-        cache_dir=args.cache_dir, journal_path=args.journal,
+        journal_path=args.journal,
         ready_file=args.ready_file,
     )
 

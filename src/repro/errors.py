@@ -38,7 +38,7 @@ class VerificationError(ReproError, AssertionError):
 
 
 class CacheError(ReproError, RuntimeError):
-    """The precompute table cache was misused or a backend failed."""
+    """The content-addressed on-disk store was misused or failed."""
 
 
 class CorruptCacheEntry(CacheError):

@@ -82,18 +82,17 @@ def build_tables(
     params: CosmologyParams,
     background: Background | None = None,
     thermo: ThermalHistory | None = None,
-    cache=None,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> tuple[Background, ThermalHistory]:
     """The k-independent tables of a run, built once per cosmology.
 
-    Each table is taken as handed in, else loaded-or-built through
-    ``cache`` (a :class:`~repro.cache.PrecomputeCache`), else built.
-    Whatever is produced here is timed into the ``background.build`` /
-    ``thermo.build`` telemetry timers — every driver and every worker
-    fallback gets its tables through this one seam, so a run's report
-    accounts for them wherever they were made.  A thermal history
-    solved here (not loaded) also leaves its work counts,
+    Each table is taken as handed in — by the caller, by a forked
+    rank's inheritance, by the serve daemon's resident pool — else
+    built here.  Whatever is built is timed into the
+    ``background.build`` / ``thermo.build`` telemetry timers — every
+    driver and every worker fallback gets its tables through this one
+    seam, so a run's report accounts for them wherever they were made.
+    A thermal history built here also leaves its work counts,
     ``thermo.ode_rhs_evals``, ``thermo.ode_steps``,
     ``thermo.ode_rejected``, ``thermo.saha_sweeps`` and
     ``thermo.saha_rows``: they repeat exactly for a cosmology, so a
@@ -105,13 +104,11 @@ def build_tables(
     """
     if background is None:
         with telemetry.timer("background.build"):
-            background = (cache.background(params) if cache is not None
-                          else Background(params))
+            background = Background(params)
     if thermo is None:
         with telemetry.timer("thermo.build"):
-            thermo = (cache.thermal(background) if cache is not None
-                      else ThermalHistory(background))
-        for name, n in (thermo._build_counts or {}).items():
+            thermo = ThermalHistory(background)
+        for name, n in thermo._build_counts.items():
             telemetry.count(f"thermo.{name}", n)
     return background, thermo
 
@@ -329,7 +326,6 @@ def run_linger(
     progress: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
     batch_size: int = 1,
-    cache=None,
     monitor_constraints: bool = False,
     sparse_k: int | None = None,
 ) -> LingerResult:
@@ -346,11 +342,6 @@ def run_linger(
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (build a
     :class:`~repro.telemetry.RunReport` from it afterwards).
-
-    ``cache`` (a :class:`~repro.cache.PrecomputeCache`) builds-or-loads
-    the background and thermal tables through the content-addressed
-    store — a warm cache skips both solves, bit-identically — and its
-    metrics land in the telemetry report's ``cache`` section.
 
     ``monitor_constraints=True`` attaches one
     :class:`~repro.verify.constraints.ConstraintMonitor` per mode: the
@@ -379,7 +370,7 @@ def run_linger(
             "(the monitors sample the state at the record grid)"
         )
     background, thermo = build_tables(params, background, thermo,
-                                      cache, telemetry)
+                                      telemetry=telemetry)
 
     nk = kgrid.nk
     monitors: list = [None] * nk
@@ -431,9 +422,6 @@ def run_linger(
         telemetry.meta.setdefault("nk", nk)
         if batch_size > 1:
             telemetry.meta.setdefault("batch_size", batch_size)
-        if cache is not None:
-            telemetry.meta.setdefault("cache", True)
-            telemetry.cache = cache.metrics
 
     return LingerResult(
         params=params,

@@ -205,10 +205,10 @@ class CosmologyParams:
     def digest(self, kind: str = "params", shape=None) -> str:
         """The canonical content-address of this cosmology.
 
-        A thin veneer over :func:`repro.cache.keys.cache_key` — the
-        same bit-exact serialization (``float.hex`` per field) that
-        keys the precompute cache — so the spectrum service, the
-        run-result store and the tests all key a parameter set one way
+        A thin veneer over :func:`repro.cache.keys.cache_key` — a
+        bit-exact serialization (``float.hex`` per field) — so the
+        spectrum service, the run-result store and the tests all key a
+        parameter set one way
         instead of re-deriving canonical blobs at each call site.
         ``shape`` carries any non-cosmological request shape (grid
         sizes, tolerances, ...) into the key.

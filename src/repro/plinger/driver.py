@@ -21,7 +21,6 @@ import numpy as np
 
 from .. import _cext
 from ..background import Background
-from ..cache import PrecomputeCache
 from ..errors import MessagePassingError, ParameterError, ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.records import ModeHeader, ModePayload
@@ -123,7 +122,6 @@ def run_plinger(
     batch_size: int = 1,
     fault_tolerance: FaultTolerance = FaultTolerance(),
     world: World | None = None,
-    cache: PrecomputeCache | None = None,
     collect_modes: bool = False,
     completed: dict[int, tuple[ModeHeader, ModePayload]] | None = None,
     on_result: Callable[[ModeHeader, ModePayload], None] | None = None,
@@ -157,12 +155,9 @@ def run_plinger(
     selects how workers are hosted (threads unless the world can
     ``launch`` forked children).
 
-    Pass a :class:`~repro.cache.PrecomputeCache` as ``cache`` to
-    build-or-load the master's background and thermal tables through
-    the content-addressed store (accounted in ``cache.metrics`` and the
-    telemetry report's ``cache`` section).  The workers get those same
-    objects — by reference as threads, by inheritance when forked — so
-    the wire is the same with and without a cache.
+    The master's background and thermal tables are the ones handed in,
+    else built here; the workers get those same objects — by reference
+    as threads, by inheritance when forked.
 
     ``collect_modes=True`` additionally fills ``result.modes`` with the
     full per-mode records (the sparse-k fast path projects its sources
@@ -199,7 +194,7 @@ def run_plinger(
                 "journal/k-grid mismatch"
             )
     background, thermo = build_tables(params, background, thermo,
-                                      cache, telemetry)
+                                      telemetry=telemetry)
     tau_end = background.tau0 if config.tau_end is None else config.tau_end
     chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
 
@@ -283,9 +278,6 @@ def run_plinger(
         if batch_size > 1:
             telemetry.meta.setdefault("batch_size", batch_size)
         telemetry.fault = log.fault
-        if cache is not None:
-            telemetry.meta.setdefault("cache", True)
-            telemetry.cache = cache.metrics
         telemetry.timer("plinger.wall").add(wall)
         telemetry.timer("master.probe_wait").add(
             log.probe_wait_seconds, count=len(log.headers)

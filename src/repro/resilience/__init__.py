@@ -1,12 +1,12 @@
 """repro.resilience — shared graceful-degradation machinery.
 
 One home for the retry/backoff/degradation primitives that PR 3 grew
-inside the PLINGER package and every later subsystem (cache, compiled
+inside the PLINGER package and every later subsystem (compiled
 kernels, chaos engine) turned out to need:
 
 * :class:`RetryPolicy` — bounded retries + exponential backoff + an
-  optional deadline, reused by cache loads, ``.so`` compilation and
-  PLINGER reassignment.
+  optional deadline, reused by ``.so`` compilation and PLINGER
+  reassignment.
 * :class:`FaultTolerance` — the run-level policy (deadlines,
   heartbeats, retry bounds); :meth:`FaultTolerance.retry_policy`
   derives the matching :class:`RetryPolicy`.

@@ -1,6 +1,6 @@
 """Fault-tolerance policy and graceful-degradation building blocks.
 
-The cache, compiled kernels, and chaos engine need the same machinery
+The compiled kernels and the chaos engine need the same machinery
 as the master/worker protocol, so it lives here.  The paper's design
 assumes every worker survives a ~75 CPU-hour run; this module supplies
 what a production deployment needs when they don't:
@@ -10,7 +10,7 @@ what a production deployment needs when they don't:
   has one (:func:`~repro.plinger.driver.run_plinger` and the
   master/worker subroutines default to ``FaultTolerance()``); its
   :meth:`~FaultTolerance.retry_policy` hands the same backoff contract
-  to the cache path.
+  to both sides of the protocol.
 * :class:`HeartbeatThread` — a worker-side timer emitting
   ``Tag.HEARTBEAT`` messages so the master can tell a busy worker from
   a dead one while a long integration holds the main thread.
@@ -107,9 +107,8 @@ class FaultTolerance:
     def retry_policy(self) -> RetryPolicy:
         """The same bounds/backoff as a reusable :class:`RetryPolicy`.
 
-        The worker's READY resync, the master's per-wavenumber
-        re-dispatch bound and the cache quarantine rebuild all draw on
-        this one contract.
+        The worker's READY resync and the master's per-wavenumber
+        re-dispatch bound both draw on this one contract.
         """
         return RetryPolicy(max_retries=self.max_retries,
                            backoff_base=self.backoff_base,
@@ -193,7 +192,6 @@ def escalation_ladder(config) -> Iterator[tuple[int, object]]:
 def run_with_ladder(
     config,
     attempt: Callable[[object], T],
-    enabled: bool = True,
     transient_retries: int = 0,
     on_retry: Callable[[int, IntegrationError], None] | None = None,
 ) -> tuple[T, int]:
@@ -201,8 +199,7 @@ def run_with_ladder(
 
     Returns ``(result, level)`` from the first level that succeeds;
     re-raises the last :class:`~repro.errors.IntegrationError` when
-    every rung fails.  ``enabled=False`` collapses to a single plain
-    attempt.
+    every rung fails.
 
     ``transient_retries`` grants that many *extra* level-0 attempts
     with the unmodified config before the ladder escalates — a success
@@ -211,8 +208,6 @@ def run_with_ladder(
     level that just failed), so callers can log the degradation
     without changing the result contract.
     """
-    if not enabled:
-        return attempt(config), 0
     last: IntegrationError | None = None
     for level, cfg in escalation_ladder(config):
         tries = 1 + (transient_retries if level == 0 else 0)

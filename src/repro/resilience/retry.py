@@ -2,11 +2,11 @@
 
 Before this module each layer kept its own ad-hoc loop: the PLINGER
 worker hand-rolled ``min(base * 2**n, 1.0)`` READY backoff, the master
-counted re-dispatches against ``max_retries`` inline, and the cache
-"healed" corrupt entries by silently rebuilding once.  A
+counted re-dispatches against ``max_retries`` inline, and the table
+cache "healed" corrupt entries by silently rebuilding once.  A
 :class:`RetryPolicy` names that behavior once — bounded attempts,
 exponential backoff with a cap, an optional wallclock deadline — so
-cache loads, ``.so`` compilation and work reassignment all degrade
+``.so`` compilation and work reassignment both degrade
 under the *same* audited contract.
 """
 

@@ -1,14 +1,13 @@
 """Revisions of the numerical solvers behind content-addressed results.
 
-A leaf module (no imports): the precompute cache folds
-``SOLVER_REVISION`` into its thermal key and the spectrum service into
-every request digest, and a client computing a digest must not have to
-import the solver to do so.
+A leaf module (no imports): the spectrum service folds
+``SOLVER_REVISION`` into every request digest, and a client computing a
+digest must not have to import the solver to do so.
 """
 
 #: Revision of the solvers behind every served number: the ionization
-#: solve behind the tables ``ThermalHistory.to_tables`` exports, and the
-#: mode integration behind every spectrum.  Entries persisted under an
+#: solve behind ``ThermalHistory``'s tables, and the mode integration
+#: behind every spectrum.  Entries persisted under an
 #: earlier revision are never served; bump it with any solver change that
 #: moves a served number.  (2: Newton Saha solver; 3: one LSODA call
 #: choosing its own first step, x_e moves 1e-7 after the switch; 4: our

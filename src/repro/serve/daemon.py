@@ -41,7 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cache import PrecomputeCache
 from ..errors import ReproError, ServeError
 from ..spectra import band_power_uk, cobe_normalization
 from ..spectra.cl import cl_integrate_over_k
@@ -123,8 +122,6 @@ class SpectrumServer:
         Persistence root for the run-result store (None: memory only).
     store_cap_bytes:
         The store's in-memory LRU byte cap.
-    cache_dir:
-        Optional precompute-table cache shared with batch runs.
     journal_path:
         Optional JSONL request journal.
     """
@@ -132,16 +129,15 @@ class SpectrumServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  nproc: int = 4, store_dir=None,
                  store_cap_bytes: int = 256 << 20,
-                 cache_dir=None, journal_path=None,
+                 journal_path=None,
                  pool: WarmPool | None = None,
                  max_resident: int = 8) -> None:
         self.host = host
         self.port = int(port)
         self.metrics = ServeMetrics()
         self.store = ResultStore(store_dir, mem_cap_bytes=store_cap_bytes)
-        cache = PrecomputeCache(cache_dir) if cache_dir else None
         self.pool = pool if pool is not None else WarmPool(
-            nproc=nproc, cache=cache, max_resident=max_resident)
+            nproc=nproc, max_resident=max_resident)
         self.journal = ServeJournal(journal_path) if journal_path else None
         self.telemetry = Telemetry()
         self.telemetry.serve = self.metrics
@@ -378,8 +374,7 @@ class SpectrumServer:
 
 def run_server(host: str = "127.0.0.1", port: int = 0, nproc: int = 4,
                store_dir=None, store_cap_bytes: int = 256 << 20,
-               cache_dir=None, journal_path=None,
-               ready_file=None) -> int:
+               journal_path=None, ready_file=None) -> int:
     """Blocking entry point for ``repro serve``.
 
     Writes ``host port`` to ``ready_file`` (atomically) once listening,
@@ -389,8 +384,7 @@ def run_server(host: str = "127.0.0.1", port: int = 0, nproc: int = 4,
     async def _main() -> None:
         server = SpectrumServer(
             host=host, port=port, nproc=nproc, store_dir=store_dir,
-            store_cap_bytes=store_cap_bytes, cache_dir=cache_dir,
-            journal_path=journal_path,
+            store_cap_bytes=store_cap_bytes, journal_path=journal_path,
         )
         await server.start()
         print(f"serving spectra on {server.host}:{server.port} "

@@ -20,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 from ..background import Background
-from ..cache import PrecomputeCache
 from ..errors import ServeError
 from ..linger.kgrid import KGrid
 from ..linger.serial import LingerConfig, LingerResult, build_tables
@@ -54,10 +53,6 @@ class WarmPool:
     nproc:
         Rank count per run: 1 master (the calling thread) plus
         ``nproc - 1`` worker threads.
-    cache:
-        Optional :class:`~repro.cache.PrecomputeCache`; when given,
-        cold table builds go build-or-load through the content-
-        addressed store, so even a *cold* cosmology can skip the solve.
     fault_tolerance:
         The per-run :class:`~repro.resilience.FaultTolerance` policy.
     max_resident:
@@ -65,7 +60,6 @@ class WarmPool:
     """
 
     def __init__(self, nproc: int = 4,
-                 cache: PrecomputeCache | None = None,
                  fault_tolerance: FaultTolerance = FaultTolerance(),
                  max_resident: int = 8) -> None:
         if nproc < 2:
@@ -73,7 +67,6 @@ class WarmPool:
         if max_resident < 1:
             raise ServeError("max_resident must be >= 1")
         self.nproc = int(nproc)
-        self.cache = cache
         self.fault_tolerance = fault_tolerance
         self.max_resident = int(max_resident)
         self.stats = PoolStats()
@@ -93,7 +86,7 @@ class WarmPool:
         if tables is not None:
             self._resident.move_to_end(digest)
             return tables, True
-        tables = build_tables(params, cache=self.cache, telemetry=telemetry)
+        tables = build_tables(params, telemetry=telemetry)
         self._resident[digest] = tables
         self.stats.cold_builds += 1
         while len(self._resident) > self.max_resident:

@@ -4,21 +4,24 @@ One request per line, one response line per request, over a plain TCP
 stream.  JSON floats round-trip float64 exactly (``json.dumps`` emits
 the shortest repr that reparses to the same bits), so a served C_l is
 *bitwise* the computed C_l — the service's exactness guarantee does
-not stop at the socket.
+not stop at the socket.  The other direction trusts nothing: a line
+holding ``NaN``, ``Infinity`` or ``-Infinity`` (which python's parser
+accepts and JSON does not) is refused before any field is read.
 
 :class:`ServeRequest` is the canonical request object: a full
 :class:`~repro.params.CosmologyParams` plus the run shape (k-grid,
 multipole cutoff, tolerance).  Its :meth:`ServeRequest.digest` is the
 content address everything keys on — the run-result store, the
 in-flight coalescing map, and the tests — derived through
-:meth:`CosmologyParams.digest`, i.e. the same bit-exact canonical
-serialization that addresses the precompute cache.
+:meth:`CosmologyParams.digest`, the bit-exact canonical serialization
+of :mod:`repro.cache.keys`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -69,7 +72,7 @@ class ServeRequest:
     rtol: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.k_min < self.k_max):
+        if not (0.0 < self.k_min < self.k_max < math.inf):
             raise ServeError(f"need 0 < k_min < k_max, got "
                              f"[{self.k_min}, {self.k_max}]")
         if self.nk < 2:
@@ -167,12 +170,21 @@ def encode_message(doc: dict) -> bytes:
     return line
 
 
+def _reject_constant(name: str):
+    raise ServeError(f"malformed protocol line: {name} is not a JSON "
+                     "number")
+
+
+#: built once: ``json.loads`` with any keyword builds a decoder per call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_message(line: bytes) -> dict:
     """Parse one protocol line into its document."""
     if len(line) > MAX_LINE_BYTES:
         raise ServeError("protocol line exceeds the size limit")
     try:
-        doc = json.loads(line.decode())
+        doc = _DECODER.decode(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServeError(f"malformed protocol line: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,23 +1,20 @@
 """Tier 1 of the spectrum service: the content-addressed run-result store.
 
-:mod:`repro.cache` addresses *precompute tables* (background,
-thermal).  :class:`ResultStore` extends the same machinery to *finished
-products*: the full wire-record archive plus the C_l of one served
-request, keyed by :meth:`~repro.serve.protocol.ServeRequest.digest`.
-An exact hit replays a previous run bitwise without touching a single
-ODE.
+:class:`ResultStore` holds *finished products*: the full wire-record
+archive plus the C_l of one served request, keyed by
+:meth:`~repro.serve.protocol.ServeRequest.digest`.  An exact hit
+replays a previous run bitwise without touching a single ODE.
 
 Two layers:
 
 * an in-memory LRU bounded by ``mem_cap_bytes`` — the hot set, served
   without deserialization;
-* an optional on-disk :class:`~repro.cache.store.TableStore` — the
-  same digest-verified atomic-``os.replace`` npz persistence the
-  precompute cache uses, so entries survive daemon restarts and a
-  memory-evicted entry can still hit from disk.  A corrupt entry
-  (torn write, bit rot) fails its embedded content digest at load
-  time, is deleted by the store, and counts as a quarantine — the
-  service then simply recomputes.
+* an optional on-disk :class:`~repro.cache.store.TableStore` — digest-
+  verified atomic-``os.replace`` npz persistence, so entries survive
+  daemon restarts and a memory-evicted entry can still hit from disk.
+  A corrupt entry (torn write, bit rot) fails its embedded content
+  digest at load time, is deleted by the store, and counts as a
+  quarantine — the service then simply recomputes.
 """
 
 from __future__ import annotations

@@ -283,7 +283,6 @@ def run_sparse_cl(
     backend: str | None = None,
     nproc: int = 4,
     telemetry: Telemetry = NULL_TELEMETRY,
-    cache=None,
     bessel: BesselCache | None = None,
     progress: bool = False,
 ) -> SparseClResult:
@@ -295,9 +294,8 @@ def run_sparse_cl(
     coarse sweep through ``run_plinger(collect_modes=True)`` instead.
     ``l_values`` defaults to the canonical
     :func:`~repro.spectra.cl.los_l_grid` up to the highest multipole
-    the dense grid can project (``~ k_max tau0``).  ``cache`` (a
-    :class:`~repro.cache.PrecomputeCache`) supplies the coarse run's
-    background and thermal tables; the j_l tables are built per call.
+    the dense grid can project (``~ k_max tau0``).  The j_l tables are
+    built per call unless ``bessel`` is handed in.
     """
     from ..linger.serial import LingerConfig, run_linger
 
@@ -311,7 +309,7 @@ def run_sparse_cl(
         coarse = run_linger(
             params, kgrid, config, background=background, thermo=thermo,
             progress=progress, telemetry=telemetry, batch_size=batch_size,
-            cache=cache, sparse_k=sparse_factor,
+            sparse_k=sparse_factor,
         )
     else:
         from ..plinger import run_plinger
@@ -320,7 +318,7 @@ def run_sparse_cl(
         coarse, _stats = run_plinger(
             params, coarse_grid, config, nproc=nproc, backend=backend,
             background=background, thermo=thermo, telemetry=telemetry,
-            batch_size=batch_size, cache=cache, collect_modes=True,
+            batch_size=batch_size, collect_modes=True,
         )
         if telemetry.enabled:
             telemetry.meta.setdefault("sparse_k", int(sparse_factor))

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping
 
 from .metrics import Counter, Histogram, Timer
 from .report import (
-    CacheMetrics,
     ConstraintMetrics,
     DegradationMetrics,
     FaultReport,
@@ -56,7 +55,6 @@ class Telemetry:
         self.traffic: list[RankTraffic] = []
         self.workers: list[WorkerMetrics] = []
         self.fault: FaultReport | None = None
-        self.cache: CacheMetrics | None = None
         self.constraints: list[ConstraintMetrics] = []
         self.sparse: SparseMetrics | None = None
         self.rhs: RhsMetrics | None = None
@@ -115,7 +113,7 @@ class Telemetry:
     def record_degradation(self, surface: str, event: str,
                            detail: str = "", seconds: float = 0.0) -> None:
         """Append one graceful-degradation event (kernel rebuild,
-        cache quarantine, transient integrator retry) to
+        store quarantine, transient integrator retry) to
         the run's ``degradation`` section."""
         if self.degradation is None:
             self.degradation = DegradationMetrics()
@@ -210,7 +208,6 @@ class Telemetry:
             timers={n: t.as_dict() for n, t in self.timers.items()},
             histograms={n: h.as_dict() for n, h in self.histograms.items()},
             fault=self.fault,
-            cache=self.cache,
             constraints=list(self.constraints),
             sparse=self.sparse,
             rhs=self.rhs,

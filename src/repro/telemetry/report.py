@@ -22,7 +22,6 @@ __all__ = [
     "RankTraffic",
     "WorkerMetrics",
     "FaultReport",
-    "CacheMetrics",
     "ConstraintMetrics",
     "SparseMetrics",
     "RhsMetrics",
@@ -195,63 +194,6 @@ class FaultReport:
 
 
 @dataclass
-class CacheMetrics:
-    """Precompute-cache accounting of one run.
-
-    Written by :class:`~repro.cache.PrecomputeCache` (hits, misses,
-    build/load time, bytes).  Like ``fault``, this is an additive v1
-    extension: reports without a ``cache`` section load unchanged.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    #: entries that failed the digest check and were deleted + rebuilt
-    corrupt_entries: int = 0
-    #: wallclock spent building tables the cache did not have
-    build_seconds: float = 0.0
-    #: wallclock spent reading + verifying cached tables
-    load_seconds: float = 0.0
-    bytes_written: int = 0
-    bytes_read: int = 0
-    #: per-kind hit/miss/corrupt counts, e.g.
-    #: ``{"background": {"hits": 1, "misses": 0, "corrupt": 0}}``
-    by_kind: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def _slot(self, kind: str) -> dict[str, int]:
-        return self.by_kind.setdefault(
-            kind, {"hits": 0, "misses": 0, "corrupt": 0}
-        )
-
-    def record_hit(self, kind: str, seconds: float = 0.0,
-                   nbytes: int = 0) -> None:
-        self.hits += 1
-        self.load_seconds += seconds
-        self.bytes_read += nbytes
-        self._slot(kind)["hits"] += 1
-
-    def record_miss(self, kind: str, build_seconds: float = 0.0,
-                    nbytes: int = 0) -> None:
-        self.misses += 1
-        self.build_seconds += build_seconds
-        self.bytes_written += nbytes
-        self._slot(kind)["misses"] += 1
-
-    def record_corrupt(self, kind: str) -> None:
-        self.corrupt_entries += 1
-        self._slot(kind)["corrupt"] += 1
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CacheMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
-
-@dataclass
 class ConstraintMetrics:
     """Redundant-Einstein residual summary for one wavenumber.
 
@@ -262,7 +204,7 @@ class ConstraintMetrics:
     indicators, plus stride-decimated residual histories on the record
     grid.  Maxima are ``None`` (not NaN — the JSON layout stays
     round-trippable) when no valid sample exists, e.g. a mode recorded
-    only inside tight coupling.  Like ``fault``/``cache``, an
+    only inside tight coupling.  Like ``fault``, an
     additive v1 extension: reports without a ``constraints`` section
     load unchanged.
     """
@@ -297,7 +239,7 @@ class SparseMetrics:
     were actually integrated vs interpolated, leave-one-out residuals of
     the k-spline at interior coarse nodes (the cheapest honest estimate
     of the interpolation error), and the time the fast path saved
-    relative to integrating the dense grid.  Like ``fault``/``cache``/
+    relative to integrating the dense grid.  Like ``fault``/
     ``constraints``, an additive v1 extension: reports without a
     ``sparse`` section load unchanged.
     """
@@ -372,8 +314,8 @@ class DegradationMetrics:
     """Graceful-degradation event log (the chaos engine's ledger).
 
     Every recovery the resilience layer performs — a compiled object
-    rebuilt after a torn ``.so``, a corrupt cache entry quarantined and
-    rebuilt, a transient integrator retry — lands here as one event,
+    rebuilt after a torn ``.so``, a corrupt store entry quarantined, a
+    transient integrator retry — lands here as one event,
     tagged by *surface* (``cache``, ``kernel``, ``integrator``,
     ``mp``).  Additive v1 extension like ``rhs``: reports without a
     ``degradation`` section load unchanged.
@@ -491,7 +433,6 @@ class RunReport:
     timers: dict[str, dict] = field(default_factory=dict)
     histograms: dict[str, dict] = field(default_factory=dict)
     fault: FaultReport | None = None
-    cache: CacheMetrics | None = None
     constraints: list[ConstraintMetrics] = field(default_factory=list)
     sparse: SparseMetrics | None = None
     rhs: RhsMetrics | None = None
@@ -531,8 +472,6 @@ class RunReport:
             "n_dead_workers": len(self.fault.dead_workers) if self.fault
             else 0,
             "n_retries": self.fault.total_retries if self.fault else 0,
-            "cache_hits": self.cache.hits if self.cache else 0,
-            "cache_misses": self.cache.misses if self.cache else 0,
             "constraints_monitored_modes": len(self.constraints),
             "max_pressure_residual": _opt_max(
                 c.max_pressure_residual for c in self.constraints),
@@ -579,7 +518,6 @@ class RunReport:
             "timers": dict(self.timers),
             "histograms": dict(self.histograms),
             "fault": asdict(self.fault) if self.fault is not None else None,
-            "cache": asdict(self.cache) if self.cache is not None else None,
             "constraints": [asdict(c) for c in self.constraints],
             "sparse": asdict(self.sparse) if self.sparse is not None else None,
             "rhs": asdict(self.rhs) if self.rhs is not None else None,
@@ -595,8 +533,9 @@ class RunReport:
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         """Load a v1 document.  Sections and totals this version no
-        longer writes (the ``batches`` section and the ``n_batches`` /
-        ``lane_occupancy`` totals of older reports) are dropped, not
+        longer writes (the ``batches`` and ``cache`` sections and the
+        ``n_batches`` / ``lane_occupancy`` / ``cache_hits`` /
+        ``cache_misses`` totals of older reports) are dropped, not
         refused."""
         if d.get("schema") != SCHEMA:
             raise ValueError(f"not a {SCHEMA} document: {d.get('schema')!r}")
@@ -610,8 +549,6 @@ class RunReport:
             histograms=dict(d.get("histograms", {})),
             fault=FaultReport.from_dict(d["fault"])
             if d.get("fault") is not None else None,
-            cache=CacheMetrics.from_dict(d["cache"])
-            if d.get("cache") is not None else None,
             constraints=[ConstraintMetrics.from_dict(c)
                          for c in d.get("constraints", [])],
             sparse=SparseMetrics.from_dict(d["sparse"])

@@ -111,11 +111,6 @@ class ThermalHistory:
         switches from Saha equilibrium to the Peebles ODE.
     """
 
-    #: work the ionization solve did (None on a history loaded from
-    #: tables); every count repeats exactly for a given cosmology.
-    #: ``saha_rows`` is how many grid rows the Saha pre-pass swept
-    _build_counts: dict[str, int] | None = None
-
     def __init__(
         self,
         background: Background,
@@ -140,60 +135,86 @@ class ThermalHistory:
             x_e_reion if x_e_reion is not None else 1.0 + self.f_he
         )
         self.dz_reion = dz_reion
-        self._finish(*self._build_ionization(a_start, n_grid, saha_switch))
+        lna, x_e, x_h, t_b = self._build_ionization(a_start, n_grid,
+                                                    saha_switch)
 
-    # ------------------------------------------------------------------
-    # Table round-tripping (precompute cache)
-    # ------------------------------------------------------------------
+        # Derive off the ionization tables what every run reads: the
+        # conformal-time grid, the kappa, g and e^-kappa arrays, the
+        # recombination and reionization epochs, the ln T_b spline and
+        # the ln kappa' / ln cs^2 pair (_rhs_pack).  The line-of-sight
+        # and x_e splines are fitted from the retained arrays on first
+        # use (the cached_property fits below), so a run that never
+        # projects along the line of sight never fits them.
+        a = np.exp(lna)
+        self._lna = lna
+        self._a = a
+        self._x_e_table = x_e
+        self._x_h_table = x_h
+        self._t_b_table = t_b
 
-    def to_tables(self) -> dict[str, np.ndarray]:
-        """Primitive arrays from which :meth:`from_tables` can rebuild
-        this object bit-for-bit.
+        self._t_b_spline = fit_cubic(lna, np.log(np.maximum(t_b, 1e-30)))
 
-        Only the ionization solve (Saha walk + Peebles ODE + helium
-        recombination) is exported; everything derived is recomputed on
-        load by the same deterministic vector code — the T_b, opacity
-        and sound-speed splines by :meth:`_finish`, the optical depth,
-        visibility, e^-kappa and x_e splines on first use, as on a
-        built history — so a round-tripped history evaluates
-        identically.
-        """
-        return {
-            "lna": self._lna,
-            "x_e": self._x_e_table,
-            "x_h": self._x_h_table,
-            "t_b": self._t_b_table,
-            "z_reion": np.float64(
-                np.nan if self.z_reion is None else self.z_reion
-            ),
-            "x_e_reion": np.float64(self.x_e_reion),
-            "dz_reion": np.float64(self.dz_reion),
-        }
+        # Opacity, optical depth, visibility on the conformal-time grid
+        tau = self.background.conformal_time(a)
+        kappa_dot = self._opacity_from_xe(a, x_e)  # Mpc^-1
+        # optical depth kappa(tau) = int_tau^tau0 kappa' dtau
+        dtau = np.diff(tau)
+        seg = 0.5 * (kappa_dot[1:] + kappa_dot[:-1]) * dtau
+        kappa = np.concatenate(([0.0], np.cumsum(seg)))  # from a_start forward
+        kappa = kappa[-1] - kappa  # measured from today backwards
+        exp_mkappa = np.exp(-np.minimum(kappa, 700.0))
+        g = kappa_dot * exp_mkappa
 
-    @classmethod
-    def from_tables(cls, background: Background,
-                    tables: dict) -> "ThermalHistory":
-        """Rebuild a thermal history from :meth:`to_tables` output.
+        self._tau = tau
+        self._kappa = kappa
+        self._g = g
+        self._exp_mkappa = exp_mkappa
 
-        ``tables`` may hold ordinary arrays or read-only views; the
-        ionization arrays are consumed in place.
-        """
-        self = cls.__new__(cls)
-        self.background = background
-        self.params = background.params
-        self.f_he = self.params.y_he / (4.0 * (1.0 - self.params.y_he))
-        self._n_h0 = self.params.n_hydrogen_cgs
-        z_reion = float(tables["z_reion"])
-        self.z_reion = None if math.isnan(z_reion) else z_reion
-        self.x_e_reion = float(tables["x_e_reion"])
-        self.dz_reion = float(tables["dz_reion"])
-        self._finish(
-            np.asarray(tables["lna"], dtype=float),
-            np.asarray(tables["x_e"], dtype=float),
-            np.asarray(tables["x_h"], dtype=float),
-            np.asarray(tables["t_b"], dtype=float),
+        # Recombination epoch: peak of the visibility function.  With
+        # reionization on, restrict the search to z > 100 so the
+        # low-redshift rescattering bump cannot steal the peak.
+        search = g if self.z_reion is None else np.where(a < 1e-2, g, 0.0)
+        i_peak = int(np.argmax(search))
+        self.tau_rec = float(tau[i_peak])
+        self.a_rec = float(a[i_peak])
+        self.z_rec = 1.0 / self.a_rec - 1.0
+
+        # Thomson optical depth through the reionized era: kappa just
+        # above the transition (0 without reionization up to the tiny
+        # freeze-out residual).
+        z_top = 20.0 if self.z_reion is None else (
+            self.z_reion + 5.0 * self.dz_reion
         )
-        return self
+        i_top = int(np.searchsorted(a, 1.0 / (1.0 + z_top)))
+        self.tau_reion = float(kappa[i_top])
+
+        # Baryon sound speed: cs^2 = kB Tb / (mu mH) (1 - (1/3) dlnTb/dlna),
+        # the slope read off the T_b fit at its own knots
+        dlntb_dlna = self._t_b_spline.knot_slopes()
+        mu = (1.0 + 4.0 * self.f_he) / (1.0 + self.f_he + x_e)
+        cs2 = (
+            const.K_BOLTZMANN
+            * t_b
+            / (mu * const.M_HYDROGEN * const.C_LIGHT**2)
+            * (1.0 - dlntb_dlna / 3.0)
+        )
+
+        # ln kappa' and ln cs^2 on the uniform ln-a grid, fitted once
+        # here for every reader: the evaluators below and each mode's
+        # BoltzmannOperator, which looks both up at every RHS stage.
+        # They share the knot vector, so the operator's lane path and
+        # the compiled kernels take the eight coefficient rows packed:
+        # one piece index, one gather, both polynomials.
+        self._kappa_dot_table = kappa_dot
+        # H_conf on the same grid: with kappa' and x_e, all that the
+        # tight-coupling exit search of every wavenumber compares
+        self._conformal_hubble_table = self.background.conformal_hubble(a)
+        self._rhs_pack = np.empty((8, lna.size - 1))
+        self._ln_kap_spline = UniformGridCubic(
+            lna, np.log(np.maximum(kappa_dot, 1e-300)),
+            out=self._rhs_pack[:4])
+        self._ln_cs2_spline = UniformGridCubic(
+            lna, np.log(np.maximum(cs2, 1e-300)), out=self._rhs_pack[4:])
 
     # ------------------------------------------------------------------
     # Construction
@@ -266,8 +287,10 @@ class ThermalHistory:
         self, a_start: float, n_grid: int, saha_switch: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The expensive half of construction: solve the ionization and
-        temperature history.  Returns ``(lna, x_e, x_h, t_b)`` — exactly
-        what :meth:`to_tables` persists."""
+        temperature history.  Returns ``(lna, x_e, x_h, t_b)`` and sets
+        ``_build_counts``, the work the solve did: every count repeats
+        exactly for a given cosmology, and ``saha_rows`` is how many
+        grid rows the Saha pre-pass swept."""
         lna = np.linspace(math.log(a_start), 0.0, n_grid)
         a = np.exp(lna)
         n_h = self._n_h0 / a**3
@@ -310,87 +333,6 @@ class ThermalHistory:
 
         return lna, x_e, x_h, t_b
 
-    def _finish(self, lna: np.ndarray, x_e: np.ndarray, x_h: np.ndarray,
-                t_b: np.ndarray) -> None:
-        """The cheap half, shared by the builder and :meth:`from_tables`:
-        derive off the ionization tables what every run reads — the
-        conformal-time grid, the kappa, g and e^-kappa arrays, the
-        recombination and reionization epochs, the ln T_b spline and the
-        ln kappa' / ln cs^2 pair (``_rhs_pack``).  The line-of-sight and
-        x_e splines are fitted from the retained arrays on first use
-        (the ``cached_property`` fits below), so a run that never
-        projects along the line of sight never fits them."""
-        a = np.exp(lna)
-        self._lna = lna
-        self._a = a
-        self._x_e_table = x_e
-        self._x_h_table = x_h
-        self._t_b_table = t_b
-
-        self._t_b_spline = fit_cubic(lna, np.log(np.maximum(t_b, 1e-30)))
-
-        # Opacity, optical depth, visibility on the conformal-time grid
-        tau = self.background.conformal_time(a)
-        kappa_dot = self._opacity_from_xe(a, x_e)  # Mpc^-1
-        # optical depth kappa(tau) = int_tau^tau0 kappa' dtau
-        dtau = np.diff(tau)
-        seg = 0.5 * (kappa_dot[1:] + kappa_dot[:-1]) * dtau
-        kappa = np.concatenate(([0.0], np.cumsum(seg)))  # from a_start forward
-        kappa = kappa[-1] - kappa  # measured from today backwards
-        exp_mkappa = np.exp(-np.minimum(kappa, 700.0))
-        g = kappa_dot * exp_mkappa
-
-        self._tau = tau
-        self._kappa = kappa
-        self._g = g
-        self._exp_mkappa = exp_mkappa
-
-        # Recombination epoch: peak of the visibility function.  With
-        # reionization on, restrict the search to z > 100 so the
-        # low-redshift rescattering bump cannot steal the peak.
-        search = g if self.z_reion is None else np.where(a < 1e-2, g, 0.0)
-        i_peak = int(np.argmax(search))
-        self.tau_rec = float(tau[i_peak])
-        self.a_rec = float(a[i_peak])
-        self.z_rec = 1.0 / self.a_rec - 1.0
-
-        # Thomson optical depth through the reionized era: kappa just
-        # above the transition (0 without reionization up to the tiny
-        # freeze-out residual).
-        z_top = 20.0 if self.z_reion is None else (
-            self.z_reion + 5.0 * self.dz_reion
-        )
-        i_top = int(np.searchsorted(a, 1.0 / (1.0 + z_top)))
-        self.tau_reion = float(kappa[i_top])
-
-        # Baryon sound speed: cs^2 = kB Tb / (mu mH) (1 - (1/3) dlnTb/dlna),
-        # the slope read off the T_b fit at its own knots
-        dlntb_dlna = self._t_b_spline.knot_slopes()
-        mu = (1.0 + 4.0 * self.f_he) / (1.0 + self.f_he + x_e)
-        cs2 = (
-            const.K_BOLTZMANN
-            * t_b
-            / (mu * const.M_HYDROGEN * const.C_LIGHT**2)
-            * (1.0 - dlntb_dlna / 3.0)
-        )
-
-        # ln kappa' and ln cs^2 on the uniform ln-a grid, fitted once
-        # here for every reader: the evaluators below and each mode's
-        # BoltzmannOperator, which looks both up at every RHS stage.
-        # They share the knot vector, so the operator's lane path and
-        # the compiled kernels take the eight coefficient rows packed:
-        # one piece index, one gather, both polynomials.
-        self._kappa_dot_table = kappa_dot
-        # H_conf on the same grid: with kappa' and x_e, all that the
-        # tight-coupling exit search of every wavenumber compares
-        self._conformal_hubble_table = self.background.conformal_hubble(a)
-        self._rhs_pack = np.empty((8, lna.size - 1))
-        self._ln_kap_spline = UniformGridCubic(
-            lna, np.log(np.maximum(kappa_dot, 1e-300)),
-            out=self._rhs_pack[:4])
-        self._ln_cs2_spline = UniformGridCubic(
-            lna, np.log(np.maximum(cs2, 1e-300)), out=self._rhs_pack[4:])
-
     def _opacity_from_xe(self, a, x_e):
         """kappa' = a n_e sigma_T in Mpc^-1."""
         return (
@@ -402,7 +344,7 @@ class ThermalHistory:
         )
 
     # ------------------------------------------------------------------
-    # Fitted on first use (line of sight, x_e), from _finish's arrays
+    # Fitted on first use (line of sight, x_e), from the retained arrays
     # ------------------------------------------------------------------
 
     @cached_property

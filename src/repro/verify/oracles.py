@@ -416,22 +416,24 @@ def chaos_degradation_oracle(
 
     Runs one short PLINGER spectrum fault-free, then repeats it under a
     fixed-seed :class:`~repro.chaos.ChaosPolicy` that hits all three
-    fault surfaces — cache (a corrupted store entry to quarantine and
-    rebuild), compiled kernel (a stale ``.so``, one failed compilation,
-    and one NaN-poisoned compiled phase, which the ladder retries) and
-    integrator (one forced step collapse) — with fault tolerance and
-    telemetry armed, and compares the hierarchy C_l.
+    fault surfaces — compiled kernel (a stale ``.so``, one failed
+    compilation, and one NaN-poisoned compiled phase, which the ladder
+    retries), integrator (one forced step collapse) and cache (the
+    chaotic product's write into a
+    :class:`~repro.serve.results.ResultStore` is garbled; a fresh store
+    must quarantine it and miss, and a re-write must read back) — with
+    fault tolerance and telemetry armed, and compares the hierarchy C_l.
 
     Returns ``{"chaos_degradation": dev, "chaos_events": counts}``:
-    the worst ``|cl - cl_ref| / max|cl_ref|`` plus the degradation-event
-    count per surface.  ``dev`` is NaN when any surface recorded zero
-    events — a chaos run that did not actually exercise every recovery
-    path proves nothing, so it must fail the budget check.
+    the worst ``|cl - cl_ref| / max|cl_ref|`` over the chaotic run and
+    the C_l read back from the store, plus the degradation-event count
+    per surface.  ``dev`` is NaN when any surface recorded zero events —
+    a chaos run that did not actually exercise every recovery path
+    proves nothing, so it must fail the budget check.
     """
     import os
     import tempfile
 
-    from ..cache import PrecomputeCache
     from ..chaos import ChaosPolicy, active
     from ..linger.kgrid import KGrid
     from ..linger.serial import LingerConfig
@@ -442,6 +444,7 @@ def chaos_degradation_oracle(
         reset_cext,
     )
     from ..plinger import run_plinger
+    from ..serve.results import ResultStore
     from ..spectra import cl_from_hierarchy
     from ..telemetry import Telemetry
 
@@ -472,27 +475,31 @@ def chaos_degradation_oracle(
                     ", ".join(f"{k}={v}" for k, v in ev.items()
                               if k != "event"),
                 )
-            # Cache surface: a warm-up build consumes the store-write
-            # corruption budget, so the run's own load below hits the
-            # corrupted entry and must quarantine + rebuild it.
-            PrecomputeCache(tmp).background(params)
-            cache = PrecomputeCache(tmp)
             chaotic, _ = run_plinger(
                 params, kgrid, config, nproc=nproc, backend="inprocess",
-                telemetry=tel, cache=cache,
+                telemetry=tel,
             )
-        for e in cache.degradation.events:
-            tel.record_degradation(e["surface"], e["event"],
-                                   e.get("detail", ""),
-                                   e.get("seconds", 0.0))
-    _l2, cl_chaos = cl_from_hierarchy(chaotic)
+            _l2, cl_chaos = cl_from_hierarchy(chaotic)
+            # Cache surface: the product's store write takes the policy's
+            # corruption budget
+            store_dir = os.path.join(tmp, "store")
+            key = params.digest("chaos_degradation")
+            ResultStore(store_dir).put(key, {"cl": cl_chaos})
+        # a fresh store must refuse the garbled entry: a miss, quarantined
+        fresh = ResultStore(store_dir)
+        if fresh.get(key) is None and fresh.corrupt == 1:
+            tel.record_degradation("cache", "quarantine",
+                                   f"result entry {key[:12]} quarantined")
+        fresh.put(key, {"cl": cl_chaos})
+        cl_read = ResultStore(store_dir).get(key).arrays["cl"]
 
     by_surface = (dict(tel.degradation.events_by_surface)
                   if tel.degradation is not None else {})
     counts = {s: int(by_surface.get(s, 0))
               for s in ("cache", "kernel", "integrator")}
     scale = max(float(np.max(np.abs(cl_ref))), 1e-300)
-    dev = float(np.max(np.abs(cl_chaos - cl_ref))) / scale
+    dev = max(float(np.max(np.abs(cl - cl_ref)))
+              for cl in (cl_chaos, cl_read)) / scale
     if any(n == 0 for n in counts.values()):
         dev = float("nan")
     return {"chaos_degradation": dev, "chaos_events": counts}

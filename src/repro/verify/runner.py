@@ -23,9 +23,10 @@ suite against one cosmology:
    the compiled RHS, and the whole mode through the python driver
    against the compiled step loop (``oracle.rhs_kernel``);
 8. re-runs a short PLINGER spectrum under a fixed-seed chaos policy
-   that injects faults into the cache, compiled-kernel, and integrator
-   layers, and requires the degraded run to reproduce the fault-free
-   C_l with at least one recovery event per surface
+   that injects faults into the compiled-kernel and integrator layers
+   and into the result store's write of its product, and requires the
+   degraded run and its store read-back to reproduce the fault-free C_l
+   with at least one recovery event per surface
    (``oracle.chaos_degradation``);
 9. answers one spectrum request through all three serving tiers —
    cold serial, resident warm pool, and the run-result store's npz

@@ -246,11 +246,13 @@ TOLERANCES: dict[str, Tolerance] = {
             provenance=(
                 "One short PLINGER spectrum run fault-free and again "
                 "under a fixed-seed ChaosPolicy hitting all three fault "
-                "surfaces (corrupted cache-store entry, stale .so + "
+                "surfaces (garbled result-store write, stale .so + "
                 "injected compile failure + NaN-poisoned compiled "
-                "phase, forced integrator step collapse), worst |cl - cl_ref| / max|cl_ref|.  Every "
-                "recovery path is bit-preserving by construction: the "
-                "quarantined cache entry rebuilds deterministically, and "
+                "phase, forced integrator step collapse), worst "
+                "|cl - cl_ref| / max|cl_ref| over the chaotic run and its "
+                "store read-back.  Every recovery path is bit-preserving "
+                "by construction: the garbled entry is quarantined and "
+                "missed, its re-write reads back exactly, and "
                 "the poisoned and the collapsed mode each fail one "
                 "attempt and retry at the same config; measured 0.0.  "
                 "1e-8 catches any recovery that actually loses or "

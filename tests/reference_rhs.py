@@ -104,8 +104,10 @@ class ReferencePerturbationSystem:
             self._w_q4 = w * q**4 * f0 / I_RHO_MASSLESS
             # uniform-in-ln(x) background factor splines
             tab = background.nu_tables
-            self._rho_fac = UniformGridCubic(tab._lnx, tab._log_rho)
-            self._p_fac = UniformGridCubic(tab._lnx, tab._log_p)
+            self._rho_fac = UniformGridCubic(tab._log_rho_spline._x,
+                                             tab._log_rho_spline._y)
+            self._p_fac = UniformGridCubic(tab._log_p_spline._x,
+                                           tab._log_p_spline._y)
             lm = layout.lmax_massive_nu
             ell = np.arange(lm + 1, dtype=float)
             self._mnu_lo = ell / (2.0 * ell + 1.0)

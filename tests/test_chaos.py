@@ -4,10 +4,10 @@ Three layers of coverage:
 
 * engine unit tests — seeded decisions are deterministic, budgeted,
   and phase-shifted exactly as documented;
-* per-surface recovery tests — a corrupted store entry quarantines and
-  rebuilds, a stale/failing ``.so`` build retries into existence, a
-  NaN-poisoned compiled phase fails its attempt and the ladder's
-  same-config retry recovers it;
+* per-surface recovery tests — a garbled result-store write is
+  quarantined and missed, then re-written clean, a stale/failing
+  ``.so`` build retries into existence, a NaN-poisoned compiled phase
+  fails its attempt and the ladder's same-config retry recovers it;
 * end-to-end invariance — a PLINGER spectrum run under each chaos
   profile reproduces the fault-free wire records at rtol 1e-8 while
   the telemetry proves the recovery paths actually fired.
@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro import KGrid, LingerConfig, Telemetry, run_plinger
-from repro.cache import PrecomputeCache
 from repro.chaos import (
     PROFILES,
     ChaosEngine,
@@ -51,14 +50,11 @@ def no_leaked_engine():
 
 class TestChaosPolicy:
     def test_profiles_arm_expected_budgets(self):
-        p = ChaosPolicy.from_profile("cache", seed=7)
+        p = ChaosPolicy.from_profile("kernel", seed=7)
         assert p.seed == 7
-        assert p.cache_write_faults == 1
-        assert p.kernel_nan_faults == 0 and p.integrator_faults == 0
-
-        p = ChaosPolicy.from_profile("kernel")
         assert p.kernel_nan_faults == 1
         assert p.compile_faults == 1 and p.stale_so_faults == 1
+        assert p.cache_write_faults == 0 and p.integrator_faults == 0
 
         p = ChaosPolicy.from_profile("all")
         for field in ("cache_write_faults", "kernel_nan_faults", "compile_faults",
@@ -69,8 +65,16 @@ class TestChaosPolicy:
         with pytest.raises(ValueError, match="unknown chaos profile"):
             ChaosPolicy.from_profile("explosions")
 
+    def test_there_is_no_cache_profile(self):
+        """A run writes no store, so a profile arming only store writes
+        would inject nothing; ``all`` keeps the budget for the result
+        store the verify oracle writes."""
+        assert "cache" not in PROFILES
+        with pytest.raises(ValueError, match="unknown chaos profile"):
+            ChaosPolicy.from_profile("cache")
+
     def test_overrides_and_round_trip(self):
-        p = ChaosPolicy.from_profile("cache", seed=3,
+        p = ChaosPolicy.from_profile("all", seed=3,
                                      cache_write_mode="torn")
         assert p.cache_write_mode == "torn"
         assert ChaosPolicy(**p.as_dict()) == p
@@ -212,33 +216,39 @@ class TestStoreChaos:
         assert store.load("aa" + "0" * 62) is None
 
     def test_quarantine_rebuilds_and_records(self, tmp_path, scdm):
+        from repro.serve.results import ResultStore
+
+        key = scdm.digest("chaos_test")
+        product = {"cl": np.linspace(1.0, 2.0, 9)}
         with active(ChaosPolicy(cache_write_faults=1)):
-            PrecomputeCache(tmp_path / "c").background(scdm)  # corrupt save
-            cache = PrecomputeCache(tmp_path / "c")
-            bg = cache.background(scdm)  # quarantine -> rebuild
-        assert bg is not None
-        assert cache.metrics.corrupt_entries == 1
-        assert cache.degradation.count("cache", "quarantine") == 1
-        # the rebuilt entry is clean: a fresh facade hits it
-        fresh = PrecomputeCache(tmp_path / "c")
-        fresh.background(scdm)
-        assert fresh.metrics.hits == 1 and fresh.metrics.corrupt_entries == 0
+            ResultStore(tmp_path / "s").put(key, product)  # garbled
+        fresh = ResultStore(tmp_path / "s")
+        assert fresh.get(key) is None  # quarantined: a miss, not a lie
+        assert fresh.corrupt == 1 and fresh.misses == 1
+        assert key not in fresh
+        # the re-write is clean: another fresh store reads it back
+        fresh.put(key, product)
+        back = ResultStore(tmp_path / "s").get(key)
+        assert np.array_equal(back.arrays["cl"], product["cl"])
 
     def test_quarantine_exhaustion_builds_without_store(self, tmp_path,
                                                         scdm, monkeypatch):
-        from repro.errors import CorruptCacheEntry as CCE
+        """Persistently bad storage costs the disk tier, not the
+        product: every disk read misses, and what was put is served
+        from memory."""
+        from repro.serve.results import ResultStore
 
-        cache = PrecomputeCache(
-            tmp_path / "c", retry=RetryPolicy(max_retries=0,
-                                              backoff_base=0.0))
+        store = ResultStore(tmp_path / "s")
 
         def always_corrupt(key):
-            raise CCE("persistently bad storage")
+            raise CorruptCacheEntry("persistently bad storage")
 
-        monkeypatch.setattr(cache.store, "load", always_corrupt)
-        bg = cache.background(scdm)  # availability over caching
-        assert bg is not None
-        assert cache.degradation.count("cache", "quarantine_exhausted") == 1
+        monkeypatch.setattr(store.disk, "load", always_corrupt)
+        key = scdm.digest("chaos_test")
+        assert store.get(key) is None and store.corrupt == 1
+        store.put(key, {"cl": np.ones(3)})
+        assert np.array_equal(store.get(key).arrays["cl"], np.ones(3))
+        assert store.hits_mem == 1 and store.corrupt == 1
 
 
 
@@ -337,30 +347,17 @@ class TestEndToEndProfiles:
     while its recovery path demonstrably fires."""
 
     def _run_chaotic(self, profile, scdm, bg_scdm, thermo_scdm,
-                     chaos_grid, chaos_config, tmp_path, use_cache):
+                     chaos_grid, chaos_config):
         tel = Telemetry()
         ft = FaultTolerance(max_retries=2, backoff_base=0.01,
                             worker_timeout=10.0)
-        cache = PrecomputeCache(tmp_path / "cache") if use_cache else None
         policy = ChaosPolicy.from_profile(profile, seed=CHAOS_SEED)
         with active(policy) as eng:
-            if cache is not None:
-                # a warm-up build takes the store-write corruption, so
-                # the run's own load meets the corrupted entry and must
-                # quarantine + rebuild it
-                PrecomputeCache(tmp_path / "cache").background(scdm)
             result, _ = run_plinger(
                 scdm, chaos_grid, chaos_config, nproc=3,
-                backend="inprocess", telemetry=tel,
-                fault_tolerance=ft, cache=cache,
-                background=None if use_cache else bg_scdm,
-                thermo=None if use_cache else thermo_scdm,
+                backend="inprocess", telemetry=tel, fault_tolerance=ft,
+                background=bg_scdm, thermo=thermo_scdm,
             )
-        if cache is not None:
-            for e in cache.degradation.events:
-                tel.record_degradation(e["surface"], e["event"],
-                                       e.get("detail", ""),
-                                       e.get("seconds", 0.0))
         return result, tel, eng
 
     def _assert_matches(self, result, reference):
@@ -370,22 +367,12 @@ class TestEndToEndProfiles:
         np.testing.assert_allclose(result.delta_m, reference.delta_m,
                                    rtol=1e-8)
 
-    def test_cache_profile(self, scdm, bg_scdm, thermo_scdm, chaos_grid,
-                           chaos_config, chaos_reference, tmp_path):
-        result, tel, eng = self._run_chaotic(
-            "cache", scdm, bg_scdm, thermo_scdm, chaos_grid,
-            chaos_config, tmp_path, use_cache=True)
-        self._assert_matches(result, chaos_reference)
-        assert eng.injected.get("cache_write") == 1
-        assert tel.degradation is not None
-        assert tel.degradation.count("cache", "quarantine") >= 1
-
     def test_integrator_profile(self, scdm, bg_scdm, thermo_scdm,
                                 chaos_grid, chaos_config,
-                                chaos_reference, tmp_path):
+                                chaos_reference):
         result, tel, eng = self._run_chaotic(
             "integrator", scdm, bg_scdm, thermo_scdm, chaos_grid,
-            chaos_config, tmp_path, use_cache=False)
+            chaos_config)
         self._assert_matches(result, chaos_reference)
         assert eng.injected.get("integrator") == 1
         assert tel.degradation.count("integrator", "transient_retry") >= 1
@@ -394,10 +381,10 @@ class TestEndToEndProfiles:
         assert all(h.retry_level == 0 for h in result.headers)
 
     def test_kernel_profile(self, scdm, bg_scdm, thermo_scdm, chaos_grid,
-                            chaos_config, chaos_reference, tmp_path):
+                            chaos_config, chaos_reference):
         result, tel, eng = self._run_chaotic(
             "kernel", scdm, bg_scdm, thermo_scdm, chaos_grid,
-            chaos_config, tmp_path, use_cache=False)
+            chaos_config)
         self._assert_matches(result, chaos_reference)
         assert eng.injected.get("kernel_nan") == 1
         # the poisoned phase failed its attempt; the same-config retry
@@ -407,17 +394,18 @@ class TestEndToEndProfiles:
 
     def test_all_profile_cl_matches(self, scdm, bg_scdm, thermo_scdm,
                                     chaos_grid, chaos_config,
-                                    chaos_reference, tmp_path):
+                                    chaos_reference):
         from repro.spectra import cl_from_hierarchy
 
-        result, tel, _eng = self._run_chaotic(
+        result, tel, eng = self._run_chaotic(
             "all", scdm, bg_scdm, thermo_scdm, chaos_grid,
-            chaos_config, tmp_path, use_cache=True)
+            chaos_config)
         self._assert_matches(result, chaos_reference)
         _l, cl_ref = cl_from_hierarchy(chaos_reference)
         _l2, cl = cl_from_hierarchy(result)
         np.testing.assert_allclose(cl, cl_ref, rtol=1e-8)
-        assert tel.degradation.count("cache") >= 1
+        # a run writes no store: the store-write budget stays unspent
+        assert "cache_write" not in eng.injected
         assert tel.degradation.count("integrator") >= 2
         assert all(h.retry_level == 0 for h in result.headers)
 

@@ -52,6 +52,20 @@ class TestParser:
             assert "unrecognized arguments: --rhs-kernel" in \
                 capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--output", "x.npz", "--cache-dir", "d"],
+        ["run", "--output", "x.npz", "--no-cache"],
+        ["serve", "--cache-dir", "d"],
+        ["run", "--output", "x.npz", "--chaos-profile", "cache"],
+    ], ids=["run-cache-dir", "run-no-cache", "serve-cache-dir",
+            "chaos-profile-cache"])
+    def test_the_table_cache_is_not_an_option(self, command):
+        """Tables are built or handed over, never loaded from disk: no
+        verb names a table cache, and no chaos profile targets one."""
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(command)
+        assert exit_.value.code == 2
+
     def test_scaling_defaults(self):
         args = build_parser().parse_args(["scaling"])
         assert args.machine == "IBM SP2"
@@ -151,23 +165,21 @@ class TestCommands:
         assert totals["worker_busy_seconds"] > 0
         assert all(w.idle_seconds >= 0 for w in report.workers)
 
-    def test_parallel_cached_run_uses_no_shared_segment(
+    def test_parallel_run_uses_no_shared_segment(
             self, tmp_path, capsys, no_new_shm):
-        """`run --parallel 3 --cache-dir`: forked workers inherit the
-        tables the master built or loaded; nothing is published."""
+        """`run --parallel 3`: forked workers inherit the tables the
+        master built; nothing is published, and a second run gives the
+        same bits."""
         args = ["run", "--nk", "4", "--k-min", "1e-3", "--k-max", "1e-2",
-                "--lmax", "8", "--rtol", "3e-4", "--parallel", "3",
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(args + ["--output", str(tmp_path / "cold.npz")]) == 0
-        assert "cache: 0 hits / 2 misses" in capsys.readouterr().out
-        assert main(args + ["--output", str(tmp_path / "warm.npz")]) == 0
+                "--lmax", "8", "--rtol", "3e-4", "--parallel", "3"]
+        assert main(args + ["--output", str(tmp_path / "one.npz")]) == 0
+        assert main(args + ["--output", str(tmp_path / "two.npz")]) == 0
         out = capsys.readouterr().out
-        assert "cache: 2 hits / 0 misses" in out
-        assert "shared" not in out
-        cold = np.load(tmp_path / "cold.npz")
-        warm = np.load(tmp_path / "warm.npz")
-        np.testing.assert_array_equal(cold["payload_flat"],
-                                      warm["payload_flat"])
+        assert "shared" not in out and "cache" not in out
+        one = np.load(tmp_path / "one.npz")
+        two = np.load(tmp_path / "two.npz")
+        np.testing.assert_array_equal(one["payload_flat"],
+                                      two["payload_flat"])
 
     def test_worker_has_no_use_cache_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -197,14 +209,14 @@ class TestCommands:
         assert names == "[]"
         import repro
 
-        assert len(repro.__all__) == 39
+        assert len(repro.__all__) == 38
 
     def test_a_serial_run_loads_no_scipy_asyncio_daemon_or_verify(
             self, tmp_path):
         loaded = _fresh_interpreter(
             "from repro.cli import main; "
             "rc = main(['run', '--nk', '2', '--lmax', '8', '--rtol', '1e-3',"
-            f" '--no-cache', '--output', {str(tmp_path / 'run.npz')!r}])",
+            f" '--output', {str(tmp_path / 'run.npz')!r}])",
             "(rc, " + _LOADED.format(
                 "scipy asyncio repro.serve repro.verify") + ")")
         assert loaded.splitlines()[-1] == "(0, [])"
@@ -214,7 +226,7 @@ class TestCommands:
         loaded = _fresh_interpreter(
             "from repro.cli import main; "
             "rc = main(['run', '--nk', '2', '--lmax', '8', '--rtol', '1e-3',"
-            " '--parallel', '3', '--backend', 'procs', '--no-cache',"
+            " '--parallel', '3', '--backend', 'procs',"
             f" '--output', {str(tmp_path / 'run.npz')!r}])",
             "(rc, " + _LOADED.format("multiprocessing") + ")")
         assert loaded.splitlines()[-1] == "(0, [])"
@@ -247,9 +259,6 @@ class TestCommands:
         assert main([
             "run", "--nk", "3", "--k-min", "1e-3", "--k-max", "5e-3",
             "--lmax", "8", "--rtol", "3e-4",
-            # the build counts below need a build, whatever the
-            # environment's $REPRO_CACHE_DIR holds
-            "--no-cache",
             "--report", str(report_file), "--output", str(out_file),
         ]) == 0
         report = RunReport.load(report_file)
@@ -380,7 +389,7 @@ class TestWithoutACompiler:
             assert done.returncode == 0, (args, done.stderr)
         archive = tmp_path / "run.npz"
         done = repro("-m", "repro", "run", "--nk", "2", "--lmax", "8",
-                     "--rtol", "1e-3", "--no-cache", "--output", str(archive))
+                     "--rtol", "1e-3", "--output", str(archive))
         assert done.returncode != 0
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in done.stderr, lines

@@ -558,17 +558,6 @@ class TestEscalationLadder:
         with pytest.raises(IntegrationError, match="always"):
             run_with_ladder(LingerConfig(), attempt)
 
-    def test_disabled_ladder_is_single_shot(self):
-        calls = []
-
-        def attempt(c):
-            calls.append(c)
-            raise IntegrationError("boom")
-
-        with pytest.raises(IntegrationError):
-            run_with_ladder(LingerConfig(), attempt, enabled=False)
-        assert len(calls) == 1
-
     def test_degraded_mode_reported_in_fault_report(self):
         # a compute that returns retry_level=2 must land in
         # degraded_modes with its ik and level

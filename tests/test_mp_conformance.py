@@ -6,11 +6,9 @@ PLINGER wrapper.  Conformance means more than "each one works": the
 *books must match*.  The same exchange must produce identical traffic
 accounting (message counts, byte counts, per-tag breakdowns) on every
 transport, and a PLINGER spectrum must come out bitwise identical to
-the serial reference no matter which wire carried it — and no matter
-whether the master's tables came from a precompute cache, because
-tables never travel: the wire of a cached run is the wire of an
-uncached one.  Any divergence is a transport leaking into the physics
-or into the paper's message-economics table.
+the serial reference no matter which wire carried it.  Any divergence
+is a transport leaking into the physics or into the paper's
+message-economics table.
 """
 
 import threading
@@ -18,7 +16,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cache import PrecomputeCache
 from repro.linger.kgrid import KGrid
 from repro.linger.serial import LingerConfig, run_linger
 from repro.mp import available_backends, get_backend
@@ -186,12 +183,9 @@ class TestPlingerConformance:
         _l, cl_ref = cl_from_hierarchy(serial)
         return params, kgrid, config, cl_ref
 
-    @pytest.mark.parametrize("backend, cached", [
-        pytest.param(backend, cached,
-                     id=backend + ("-cache" if cached else ""))
-        for cached in (False, True) for backend in MP_BACKENDS])
-    def test_cl_bitwise_and_message_count(self, reference, backend, cached,
-                                          tmp_path, monkeypatch):
+    @pytest.mark.parametrize("backend", MP_BACKENDS)
+    def test_cl_bitwise_and_message_count(self, reference, backend,
+                                          monkeypatch):
         params, kgrid, config, cl_ref = reference
         broadcasts = []
         bcast = MessagePassing.mybcastreal
@@ -205,12 +199,11 @@ class TestPlingerConformance:
         telemetry = Telemetry()
         result, stats = run_plinger(
             params, kgrid, config, nproc=3, backend=backend,
-            cache=PrecomputeCache(tmp_path) if cached else None,
             telemetry=telemetry)
         _l, cl = cl_from_hierarchy(result)
         assert np.array_equal(cl, cl_ref), backend
-        # message economics identical on every transport, with or
-        # without a cache: one READY per worker plus one HEADER + one
+        # message economics identical on every transport: one READY
+        # per worker plus one HEADER + one
         # PAYLOAD per mode in; INIT and STOP per worker plus one WORK
         # per mode out
         assert stats.master_messages_received == 2 + 2 * kgrid.nk

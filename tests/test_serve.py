@@ -83,6 +83,24 @@ class TestProtocol:
         with pytest.raises(ServeError):
             ServeRequest.from_doc({"params": {"bogus_field": 1.0}})
 
+    @pytest.mark.parametrize("line", [
+        b'{"op":"spectrum","k_max":Infinity,"params":{}}',
+        b'{"op":"spectrum","k_min":-Infinity,"params":{}}',
+        b'{"op":"spectrum","params":{"h":NaN}}',
+    ], ids=["k_max-inf", "k_min-minus-inf", "h-nan"])
+    def test_non_finite_numbers_are_refused(self, line):
+        """JSON has no NaN or Infinity; python's parser takes them, the
+        protocol does not."""
+        with pytest.raises(ServeError, match="not a JSON number"):
+            decode_message(line + b"\n")
+
+    def test_the_k_range_must_be_finite(self):
+        for k_max in (float("inf"), float("nan")):
+            with pytest.raises(ServeError):
+                small_request(k_max=k_max)
+            with pytest.raises(ServeError):
+                ServeRequest.from_doc({"k_max": k_max, "params": {}})
+
     def test_json_floats_round_trip_bitwise(self):
         values = [0.1, 1 / 3, np.nextafter(0.02, 1), 6.25e-5]
         wire = json.loads(json.dumps(values))
@@ -295,6 +313,34 @@ class TestDaemon:
         assert invalid["ok"] is False
         assert ping["ok"] is True
         assert errors == 2
+
+    def test_non_finite_lines_get_error_responses(self):
+        """Lines a JSON encoder cannot write, sent raw: each is answered
+        with an error, and the connection keeps answering."""
+        import socket
+
+        lines = [b'{"op":"spectrum","k_max":Infinity,"params":{}}\n',
+                 b'{"op":"spectrum","params":{"h":NaN}}\n',
+                 b'{"op":"ping"}\n']
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+
+            def raw():
+                with socket.create_connection(("127.0.0.1", server.port),
+                                              timeout=60.0) as sock:
+                    sock.sendall(b"".join(lines))
+                    reader = sock.makefile("rb")
+                    return [json.loads(reader.readline()) for _ in lines]
+
+            out = await loop.run_in_executor(None, raw)
+            return out, server.metrics.errors, server.metrics.computed_runs
+
+        (inf, nan, ping), errors, computed = self.run_daemon(scenario)
+        assert inf["ok"] is False and "Infinity" in inf["error"]
+        assert nan["ok"] is False and "NaN" in nan["error"]
+        assert ping["ok"] is True
+        assert errors == 2 and computed == 0
 
     def test_stats_and_shutdown_ops(self, no_new_shm):
         request = small_request()

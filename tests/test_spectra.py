@@ -15,6 +15,7 @@ from repro.spectra import (
     cl_integrate_over_k,
     cobe_normalization,
     e_l_los,
+    los_l_grid,
     matter_power,
     qrms_ps_from_cl,
     sigma_r,
@@ -233,6 +234,24 @@ class TestProjection:
         ref = reference_project(bessel, l_values, sources)
         assert np.allclose(theta_l_los(sources, l_values), ref,
                            rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+
+class TestLosLGrid:
+    def test_dense_head_sparse_tail(self):
+        ls = los_l_grid(500, n=20)
+        assert ls[0] == 2
+        assert ls[-1] == 500
+        assert np.all(np.diff(ls) > 0)
+        assert set(range(2, 13)) <= set(int(l) for l in ls)
+
+    def test_small_lmax(self):
+        ls = los_l_grid(8)
+        assert ls[0] == 2 and ls[-1] == 8
+
+    def test_rejects_bad_lmax(self):
+        with pytest.raises(ParameterError):
+            los_l_grid(1)
 
 
 class TestNormalization:

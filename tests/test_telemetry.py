@@ -198,6 +198,41 @@ class TestRunReport:
         back = RunReport.from_json(json.dumps(doc))
         assert back.counters == doc["counters"]
 
+    def test_report_written_before_the_transport_went_still_loads(self):
+        """A RunReport from a release that still loaded tables from a
+        disk cache, shipped them through shared memory and stepped
+        chunks in lockstep carries sections, fields and totals nothing
+        writes any more: they are dropped, not refused."""
+        doc = self._sample().to_dict()
+        doc["cache"] = {
+            "hits": 1, "misses": 1, "corrupt_entries": 0,
+            "build_seconds": 0.005, "load_seconds": 0.002,
+            "bytes_written": 300000, "bytes_read": 300000,
+            "by_kind": {"thermal": {"hits": 1, "misses": 1, "corrupt": 0}},
+            "bytes_shared": 262144, "shared_backend": "shm",
+            "workers_attached": 2}
+        doc["totals"].update(cache_hits=1, cache_misses=1,
+                             cache_bytes_shared=262144)
+        doc["fault"] = {"reassignments": 1, "table_wire_transfers": 1}
+        doc["batches"] = [{
+            "n_lanes": 4, "k_min": 0.001, "k_max": 0.02, "n_sweeps": 100,
+            "lane_steps_attempted": 380, "lane_steps_accepted": 360,
+            "lane_steps_rejected": 20, "lane_slots_idle": 20,
+            "tca_wall_seconds": 0.5, "full_wall_seconds": 1.0,
+            "wall_seconds": 1.5}]
+        doc["totals"].update(n_batches=1, lane_occupancy=0.95)
+        back = RunReport.from_json(json.dumps(doc))
+        assert back.fault.reassignments == 1
+        assert not hasattr(back.fault, "table_wire_transfers")
+        assert not hasattr(back, "cache") and not hasattr(back, "batches")
+        # the totals are re-derived from what was kept, the per-mode rows
+        redone = back.to_dict()
+        assert not {"cache", "batches"} & set(redone)
+        assert not {"cache_hits", "cache_misses", "cache_bytes_shared",
+                    "n_batches", "lane_occupancy"} & set(redone["totals"])
+        assert redone["totals"]["wasted_step_fraction"] == pytest.approx(0.2)
+        assert back.modes == self._sample().modes
+
     def test_worker_utilization(self):
         r = self._sample()
         assert r.workers[0].utilization == pytest.approx(0.75)
