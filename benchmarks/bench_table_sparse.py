@@ -62,7 +62,7 @@ def test_sparse_fig2_speedup(benchmark, capsys, scdm, bg, thermo):
             res = run_sparse_cl(
                 scdm, kgrid, config, sparse_factor=factor,
                 l_values=FIG2_L, background=bg, thermo=thermo,
-                batch_size=8, telemetry=tel,
+                telemetry=tel,
             )
             wall = time.perf_counter() - t0
             legs[factor] = (res, wall, tel.build_report())

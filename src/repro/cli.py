@@ -47,11 +47,6 @@ def _run_arguments(p) -> None:
     p.add_argument("--rtol", type=float, default=1e-4)
     p.add_argument("--parallel", type=int, default=0, metavar="NPROC",
                    help="run PLINGER with this many ranks (0 = serial)")
-    p.add_argument("--batch-size", type=int, default=1, metavar="B",
-                   help="modes per operator assembly and per WORK "
-                        "message (default 1, the paper's one k at a "
-                        "time); never changes how a mode steps or "
-                        "which bits come out")
     p.add_argument("--sparse-k-factor", type=int, default=1,
                    metavar="F",
                    help="sparse-k fast path: integrate only every F-th "
@@ -317,7 +312,6 @@ def _cmd_run_inner(args) -> int:
                                     nproc=args.parallel,
                                     backend=args.backend,
                                     telemetry=telemetry,
-                                    batch_size=args.batch_size,
                                     fault_tolerance=_fault_tolerance(args),
                                     world=world)
         print(f"PLINGER: {kgrid.nk} modes on {args.parallel - 1} workers, "
@@ -330,8 +324,7 @@ def _cmd_run_inner(args) -> int:
                   f"{fr.total_retries} retries, "
                   f"{len(fr.degraded_modes)} degraded modes")
     else:
-        result = run_linger(params, kgrid, config, telemetry=telemetry,
-                            batch_size=args.batch_size)
+        result = run_linger(params, kgrid, config, telemetry=telemetry)
         print(f"LINGER: {kgrid.nk} modes, {result.wall_seconds:.1f} s")
     path = save_run(result, args.output)
     print(f"archived to {path}")
@@ -364,7 +357,6 @@ def _run_sparse(args, params, kgrid, telemetry) -> int:
     res = run_sparse_cl(
         params, kgrid, config,
         sparse_factor=args.sparse_k_factor,
-        batch_size=args.batch_size,
         backend=args.backend if args.parallel >= 2 else None,
         nproc=args.parallel if args.parallel >= 2 else 4,
         telemetry=telemetry,

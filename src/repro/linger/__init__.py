@@ -16,8 +16,6 @@ from .serial import (
     LingerResult,
     build_tables,
     compute_mode,
-    compute_modes_batch,
-    dispatch_chunks,
     run_linger,
 )
 
@@ -33,8 +31,6 @@ __all__ = [
     "LingerResult",
     "build_tables",
     "compute_mode",
-    "compute_modes_batch",
-    "dispatch_chunks",
     "run_linger",
     "SavedRun",
     "save_run",

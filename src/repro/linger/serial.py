@@ -1,26 +1,22 @@
 """The serial LINGER driver: loop over k, integrate, collect records.
 
-:func:`compute_modes_batch` is the unit of work — the same function a
-PLINGER worker executes for the wavenumbers of each WORK message the
-master hands it (:func:`compute_mode` is its one-k call).
-:func:`run_linger` is the serial main loop over the whole grid.
+:func:`compute_mode` is the unit of work — one wavenumber, the same
+function a PLINGER worker executes for the wavenumber of each WORK
+message the master hands it.  :func:`run_linger` is the serial main
+loop over the whole grid.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..background import Background
 from ..errors import ParameterError
 from ..params import CosmologyParams
-from ..perturbations import (
-    ModeResult,
-    default_record_grid,
-    evolve_modes_batched,
-)
+from ..perturbations import ModeResult, default_record_grid, evolve_mode
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from .kgrid import KGrid
@@ -31,8 +27,6 @@ __all__ = [
     "LingerResult",
     "build_tables",
     "compute_mode",
-    "compute_modes_batch",
-    "dispatch_chunks",
     "run_linger",
 ]
 
@@ -122,10 +116,46 @@ def compute_mode(
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor=None,
 ) -> tuple[ModeHeader, ModePayload, ModeResult]:
-    """Integrate one wavenumber and build the two output records: the
-    one-lane call of :func:`compute_modes_batch`."""
-    return compute_modes_batch(background, thermo, [k], [ik], config,
-                               telemetry=telemetry, monitors=[monitor])[0]
+    """Integrate one wavenumber and build its two output records.
+
+    This is exactly the work between "receive a wavenumber" and "send
+    the results to the master" in the paper's worker subroutine: one
+    :func:`~repro.perturbations.evolve.evolve_mode` call, then the wire
+    records.  The header's ``cpu_seconds`` is the mode's whole CPU
+    time.
+
+    ``monitor`` is None or a per-record-point observer (a
+    :class:`~repro.verify.constraints.ConstraintMonitor`).
+    """
+    k, ik = float(k), int(ik)
+    tau_end = background.tau0 if config.tau_end is None else config.tau_end
+    record_tau = (default_record_grid(background, thermo, k, tau_end=tau_end)
+                  if config.record_sources else None)
+    mode = evolve_mode(
+        background,
+        thermo,
+        k,
+        lmax_photon=config.lmax_for_k(k, tau_end),
+        lmax_nu=config.lmax_nu,
+        nq=config.nq,
+        lmax_massive_nu=config.lmax_massive_nu,
+        tau_end=tau_end,
+        record_tau=record_tau,
+        rtol=config.rtol,
+        atol=config.atol,
+        tca_eps=config.tca_eps,
+        amplitude=config.amplitude,
+        telemetry=telemetry,
+        monitor=monitor,
+        first_step=config.first_step,
+    )
+    if telemetry.enabled:
+        # evolve_mode appended this mode's ModeMetrics; patch in the
+        # grid index and the mode's CPU
+        metric = telemetry.modes[-1]
+        metric.ik = ik
+        metric.cpu_seconds = mode.cpu_seconds
+    return (*_mode_records(mode, k, ik, config), mode)
 
 
 def _mode_records(
@@ -169,110 +199,6 @@ def _mode_records(
         g_gamma=mode.g_gamma_final,
     )
     return header, payload
-
-
-def compute_modes_batch(
-    background: Background,
-    thermo: ThermalHistory,
-    ks,
-    iks,
-    config: LingerConfig,
-    telemetry: Telemetry = NULL_TELEMETRY,
-    monitors=None,
-) -> list[tuple[ModeHeader, ModePayload, ModeResult]]:
-    """Integrate a chunk of wavenumbers and build each mode's two
-    output records.
-
-    This is exactly the work between "receive a wavenumber" and "send
-    the results to the master" in the paper's worker subroutine, for
-    the chunk a WORK message carries: one
-    :func:`~repro.perturbations.evolve.evolve_modes_batched` call (one
-    operator assembly, then each mode evolved and timed on its own),
-    then the wire records mode by mode.  All modes in a chunk must
-    share one lmax (see :func:`dispatch_chunks`); a header's
-    ``cpu_seconds`` is its own mode's cost at any chunk length.
-
-    ``monitors`` is None or one per-record-point observer per mode
-    (each None or a
-    :class:`~repro.verify.constraints.ConstraintMonitor`).
-    """
-    ks = [float(k) for k in ks]
-    iks = [int(ik) for ik in iks]
-    if len(ks) != len(iks) or not ks:
-        raise ParameterError("compute_modes_batch needs matching ks/iks")
-    tau_end = background.tau0 if config.tau_end is None else config.tau_end
-    lmaxes = {config.lmax_for_k(k, tau_end) for k in ks}
-    if len(lmaxes) != 1:
-        raise ParameterError(
-            "all modes in a batch chunk must share one lmax; "
-            "group the dispatch order with dispatch_chunks()"
-        )
-    lmax = lmaxes.pop()
-    record_tau = [
-        default_record_grid(background, thermo, k, tau_end=tau_end)
-        if config.record_sources
-        else None
-        for k in ks
-    ]
-    modes = evolve_modes_batched(
-        background,
-        thermo,
-        ks,
-        lmax_photon=lmax,
-        lmax_nu=config.lmax_nu,
-        nq=config.nq,
-        lmax_massive_nu=config.lmax_massive_nu,
-        tau_end=tau_end,
-        record_tau=record_tau,
-        rtol=config.rtol,
-        atol=config.atol,
-        tca_eps=config.tca_eps,
-        amplitude=config.amplitude,
-        telemetry=telemetry,
-        monitors=monitors,
-        first_step=config.first_step,
-    )
-    if telemetry.enabled:
-        # evolve_modes_batched appended one ModeMetrics per lane, in
-        # lane order; patch in the grid index and the lane's CPU
-        for metric, mode, ik in zip(telemetry.modes[-len(ks):], modes, iks):
-            metric.ik = ik
-            metric.cpu_seconds = mode.cpu_seconds
-    return [
-        (*_mode_records(mode, k, ik, config), mode)
-        for mode, k, ik in zip(modes, ks, iks)
-    ]
-
-
-def dispatch_chunks(
-    kgrid: KGrid,
-    config: LingerConfig,
-    tau_end: float,
-    batch_size: int,
-) -> list[list[int]]:
-    """Group the dispatch order into chunks of up to ``batch_size``
-    grid indices.
-
-    Chunks follow the paper's largest-k-first schedule and are split
-    wherever the per-k lmax changes (``lmax_mode="scaled"``), since a
-    chunk shares one operator assembly and so one state layout.
-    ``batch_size=1`` is the paper's dispatch order, one k at a time.
-    """
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
-    chunks: list[list[int]] = []
-    cur: list[int] = []
-    cur_lmax = None
-    for idx in kgrid.dispatch_order:
-        lmax = config.lmax_for_k(float(kgrid.k[idx]), tau_end)
-        if cur and (lmax != cur_lmax or len(cur) >= batch_size):
-            chunks.append(cur)
-            cur = []
-        cur.append(int(idx))
-        cur_lmax = lmax
-    if cur:
-        chunks.append(cur)
-    return chunks
 
 
 @dataclass
@@ -325,20 +251,14 @@ def run_linger(
     thermo: ThermalHistory | None = None,
     progress: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
-    batch_size: int = 1,
     monitor_constraints: bool = False,
     sparse_k: int | None = None,
 ) -> LingerResult:
     """The serial LINGER main loop.
 
     Wavenumbers are *computed* in dispatch order (largest first, as the
-    paper does) but the result lists are returned in ascending-k order.
-    The dispatch order is cut into equal-lmax chunks of up to
-    ``batch_size`` modes and each chunk is one
-    :func:`compute_modes_batch` call.  ``batch_size`` is how many modes
-    share one operator assembly (about 0.5 ms of set-up per chunk),
-    never how a mode steps: every mode is integrated on its own and
-    gives the same bits at any chunk length.
+    paper does), one :func:`compute_mode` call each, but the result
+    lists are returned in ascending-k order.
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (build a
     :class:`~repro.telemetry.RunReport` from it afterwards).
@@ -385,29 +305,20 @@ def run_linger(
     payloads: list[ModePayload | None] = [None] * nk
     modes: list[ModeResult | None] = [None] * nk
 
-    tau_end = background.tau0 if config.tau_end is None else config.tau_end
-    chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
     wall0 = time.perf_counter()
-    count = 0
-    for chunk in chunks:
-        res = compute_modes_batch(
-            background, thermo,
-            [float(kgrid.k[i]) for i in chunk],
-            [i + 1 for i in chunk],
-            config, telemetry=telemetry,
-            monitors=[monitors[i] for i in chunk],
-        )
-        for idx, (header, payload, mode) in zip(chunk, res):
-            headers[idx] = header
-            payloads[idx] = payload
-            modes[idx] = mode if config.keep_mode_results else None
-            count += 1
-            if progress:
-                print(
-                    f"[linger] {count}/{nk} k={kgrid.k[idx]:.5f} "
-                    f"cpu={header.cpu_seconds:.2f}s "
-                    f"steps={payload.n_steps:.0f}"
-                )
+    for count, idx in enumerate(kgrid.dispatch_order.tolist(), start=1):
+        header, payload, mode = compute_mode(
+            background, thermo, kgrid.k[idx], idx + 1, config,
+            telemetry=telemetry, monitor=monitors[idx])
+        headers[idx] = header
+        payloads[idx] = payload
+        modes[idx] = mode if config.keep_mode_results else None
+        if progress:
+            print(
+                f"[linger] {count}/{nk} k={kgrid.k[idx]:.5f} "
+                f"cpu={header.cpu_seconds:.2f}s "
+                f"steps={payload.n_steps:.0f}"
+            )
     wall = time.perf_counter() - wall0
     constraints: list = []
     if monitor_constraints:
@@ -420,8 +331,6 @@ def run_linger(
         telemetry.timer("linger.wall").add(wall)
         telemetry.meta.setdefault("driver", "linger-serial")
         telemetry.meta.setdefault("nk", nk)
-        if batch_size > 1:
-            telemetry.meta.setdefault("batch_size", batch_size)
 
     return LingerResult(
         params=params,

@@ -32,7 +32,6 @@ from .evolve import (
     default_record_grid,
     record_grid_start,
     evolve_mode,
-    evolve_modes_batched,
 )
 from .evolve_newtonian import evolve_mode_newtonian
 from .gauges import newtonian_potentials
@@ -48,7 +47,6 @@ __all__ = [
     "NewtonianPerturbationSystem",
     "ModeResult",
     "evolve_mode",
-    "evolve_modes_batched",
     "evolve_mode_newtonian",
     "default_record_grid",
     "record_grid_start",

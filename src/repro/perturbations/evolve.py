@@ -1,7 +1,6 @@
-"""Chunk evolution driver: the inner loop of LINGER.
+"""Mode evolution driver: the inner loop of LINGER.
 
-:func:`evolve_modes_batched` integrates a chunk of wavenumbers (and
-:func:`evolve_mode` one, as a one-lane chunk) from deep in the
+:func:`evolve_mode` integrates one wavenumber from deep in the
 radiation era to (by default) the present, in two phases:
 
 1. tight coupling (MB95 first-order TCA) from ``tau_init`` until the
@@ -14,13 +13,12 @@ polarization sum Pi, line-of-sight ingredients) on caller-supplied
 conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
-A chunk is one :class:`~repro.perturbations.operator.BoltzmannOperator`
-assembly (and one ``pack()``) shared by per-lane
-:class:`~repro.perturbations.system.PerturbationSystem` views; each lane
-is then evolved on its own, start to finish — initial conditions, the
+A mode is one :class:`~repro.perturbations.system.PerturbationSystem`
+(one :class:`~repro.perturbations.operator.BoltzmannOperator` assembly
+and one ``pack()``), evolved start to finish: initial conditions, the
 tight-coupling phase, the hand-off of the slaved moments, the full
-phase — before the next one starts.  A phase is one call of the
-compiled step loop (:func:`integrate_phase`; the scalar python
+phase.  A phase is one call of the compiled step loop
+(:func:`integrate_phase`; the scalar python
 :class:`~repro.integrators.DVERK` over the compiled right-hand side
 only through the ``driver_cls`` test seam).  Either way a phase hands
 back the states at its stop points as one ``(n_stops, n_state)`` block,
@@ -46,13 +44,12 @@ from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
 )
-from .operator import BoltzmannOperator, _exp_lanes, _log_lanes
+from .operator import _exp_rows, _log_rows
 from .state import StateLayout
 from .system import PerturbationSystem
 
-__all__ = ["ModeResult", "evolve_mode", "evolve_modes_batched",
-           "default_record_grid", "record_grid_start", "tau_initial",
-           "integrate_phase"]
+__all__ = ["ModeResult", "evolve_mode", "default_record_grid",
+           "record_grid_start", "tau_initial", "integrate_phase"]
 
 #: Observables recorded at every grid time.
 RECORD_FIELDS = (
@@ -96,9 +93,8 @@ class ModeResult:
     #: (final-state observables, source assembly) never rebuild the
     #: splines a second time.
     system: PerturbationSystem | None = None
-    #: CPU seconds of this mode's own evolution plus an equal share of
-    #: what its chunk spent on shared set-up (the paper's per-k cost,
-    #: the ``cpu_seconds`` of its header)
+    #: CPU seconds of the whole evolution, set-up included (the paper's
+    #: per-k cost, the ``cpu_seconds`` of its header)
     cpu_seconds: float = 0.0
 
     def final_observables(self) -> dict[str, float]:
@@ -232,8 +228,8 @@ class _Recorder:
         theta_b = rows[:, lo.THETA_B]
         delta_g, f2 = rows[:, i_fg], rows[:, i_fg + 2]
         delta_nu = rows[:, i_nl]
-        hc = op.conformal_hubble_lanes(a)
-        kappa_dot = _exp_lanes(op._ln_kap_spline.vector(_log_lanes(a)))
+        hc = op.conformal_hubble_rows(a)
+        kappa_dot = _exp_rows(op._ln_kap_spline.vector(_log_rows(a)))
 
         # the Einstein constraints, as BoltzmannOperator.metric_sources_s
         inv_a = 1.0 / a
@@ -283,7 +279,7 @@ class _Recorder:
 
         num = p.omega_c * delta_c + p.omega_b * delta_b
         if lo.nq > 0:
-            delta_nu_m = nu_rho / op.rho_factor_lanes(a)
+            delta_nu_m = nu_rho / op.rho_factor_rows(a)
             if p.omega_nu > 0:
                 num = num + p.omega_nu * delta_nu_m
         else:
@@ -361,224 +357,10 @@ def find_tca_exit(
     return float(thermo._tau[idx])
 
 
-def evolve_modes_batched(
-    background: Background,
-    thermo: ThermalHistory,
-    ks,
-    lmax_photon: int = 12,
-    lmax_nu: int = 12,
-    nq: int = 0,
-    lmax_massive_nu: int = 10,
-    tau_end: float | None = None,
-    record_tau=None,
-    rtol: float = 1e-5,
-    atol: float = 1e-9,
-    tca_eps: float = 0.01,
-    amplitude: float = 1.0,
-    initial_conditions: str = "adiabatic",
-    max_steps: int = 2_000_000,
-    telemetry: Telemetry = NULL_TELEMETRY,
-    monitors=None,
-    first_step: float | None = None,
-    driver_cls: type[RKDriver] = DVERK,
-) -> list[ModeResult]:
-    """Evolve a chunk of wavenumbers; one ModeResult per lane.
-
-    This is the LINGER worker computation — everything from the series
-    initial conditions at ``k tau = 0.03`` to the multipoles today —
-    for every wavenumber of the chunk.  The chunk shares one operator
-    assembly, so all lanes share the multipole cutoffs: callers
-    chunking a k-grid must group modes of equal lmax.  That assembly is
-    all the lanes have in common: each is evolved on its own
-    (:func:`_evolve_lane`), one after another, and follows the
-    arithmetic contract, so a lane's result is bitwise the same
-    whatever the chunk around it.
-
-    ``record_tau`` is either None (no records for any lane) or a
-    sequence of per-lane record grids (each an array or None).
-
-    ``monitors`` is either None or a sequence of per-lane observers
-    (each None or a callable ``monitor(tau, y, tight)`` invoked at
-    every record point — the hook ``repro.verify`` uses to sample
-    Einstein-constraint residuals along the production trajectory);
-    each is bound to its lane's system.  Like telemetry, a monitor is a
-    pure observer: the integration is bit-identical with or without it.
-
-    Both phases run on the compiled step loop: no RHS evaluation, step
-    or stop of a mode runs python, and what is left per lane is set-up,
-    the hand-off of the slaved moments between the phases and one
-    record pass per phase.
-
-    ``first_step`` forces every phase's opening step.  ``driver_cls``
-    replaces the compiled loop by a python driver stepping the compiled
-    right-hand side (a test seam: anything but DVERK).
-
-    Every ``ModeResult.cpu_seconds`` is the lane's own CPU time plus an
-    equal share of the chunk's set-up.  When ``telemetry`` is enabled,
-    each lane leaves one :class:`~repro.telemetry.report.ModeMetrics`
-    with the wallclock of its own two phases, and the operator's
-    evaluation count lands in ``RhsMetrics``.
-    """
-    cpu0 = time.process_time()
-    ks = np.asarray(ks, dtype=float)
-    if ks.ndim != 1 or ks.size == 0:
-        raise ParameterError("ks must be a non-empty 1-d array")
-    B = int(ks.size)
-    tau_end = background.tau0 if tau_end is None else float(tau_end)
-    nq_eff = nq if background.params.omega_nu > 0 else 0
-    layout = StateLayout(
-        lmax_photon=lmax_photon,
-        lmax_nu=lmax_nu,
-        nq=nq_eff,
-        lmax_massive_nu=lmax_massive_nu if nq_eff else 0,
-    )
-    op = BoltzmannOperator(background, thermo, ks, layout)
-    op.instrument = telemetry.enabled
-    # lane views over the chunk's one operator
-    systems = [
-        PerturbationSystem(background, thermo, k, layout, operator=op,
-                           lane=b)
-        for b, k in enumerate(ks.tolist())
-    ]
-
-    ic_builders = {
-        "adiabatic": adiabatic_initial_conditions,
-        "isocurvature": isocurvature_initial_conditions,
-    }
-    if initial_conditions not in ic_builders:
-        raise ParameterError(
-            f"unknown initial_conditions {initial_conditions!r}; "
-            f"choose from {sorted(ic_builders)}"
-        )
-
-    t_init = [tau_initial(k) for k in ks.tolist()]
-    if max(t_init) >= tau_end:
-        raise ParameterError("tau_end precedes the initial time")
-
-    if record_tau is None:
-        record_tau = [None] * B
-    if len(record_tau) != B:
-        raise ParameterError("record_tau must have one grid per lane")
-    grids: list[np.ndarray] = []
-    for b, grid in enumerate(record_tau):
-        grid = np.empty(0) if grid is None else np.asarray(grid, dtype=float)
-        if grid.size and (
-            grid.min() <= t_init[b] or grid.max() > tau_end * (1 + 1e-9)
-        ):
-            raise ParameterError("record grid outside (tau_init, tau_end]")
-        grids.append(grid)
-
-    if monitors is None:
-        monitors = [None] * B
-    if len(monitors) != B:
-        raise ParameterError("monitors must have one entry per lane")
-
-    lanes = [
-        _evolve_lane(
-            system, ic_builders[initial_conditions], t0, tau_end, grid,
-            monitor, tca_eps=tca_eps, amplitude=amplitude,
-            timed=telemetry.enabled, driver_cls=driver_cls, rtol=rtol,
-            atol=atol, max_steps=max_steps, first_step=first_step)
-        for system, t0, grid, monitor in zip(systems, t_init, grids, monitors)
-    ]
-    modes = [mode for mode, _walls in lanes]
-
-    # only a chunk that completed leaves rows: a failed one is retried
-    # mode by mode (plinger.worker.chunk_compute)
-    if telemetry.enabled:
-        for mode, (tca_wall, full_wall) in lanes:
-            telemetry.record_mode(
-                k=mode.k,
-                lmax=layout.lmax_photon,
-                n_rhs=mode.stats.n_rhs,
-                n_steps=mode.stats.n_steps,
-                n_rejected=mode.stats.n_rejected,
-                n_stability_bound=mode.stats.n_stability_bound,
-                flops_est=mode.stats.n_flops,
-                tau_switch=mode.tau_switch,
-                tca_wall_seconds=tca_wall,
-                full_wall_seconds=full_wall,
-                wall_seconds=tca_wall + full_wall,
-            )
-        telemetry.record_rhs(evals=dict(op.evals), seconds=dict(op.seconds))
-
-    # what no lane timed as its own — the assembly above, this
-    # tear-down — is the chunk's, shared equally
-    shared = (time.process_time() - cpu0
-              - sum(mode.cpu_seconds for mode in modes)) / B
-    for mode in modes:
-        mode.cpu_seconds += shared
-    return modes
-
-
-def _evolve_lane(
-    system: PerturbationSystem,
-    ic_builder,
-    t_init: float,
-    tau_end: float,
-    grid: np.ndarray,
-    monitor,
-    *,
-    tca_eps: float,
-    amplitude: float,
-    timed: bool,
-    driver_cls: type[RKDriver],
-    **tolerances,
-) -> tuple[ModeResult, tuple[float, float]]:
-    """One lane of a chunk, start to finish: initial conditions, the
-    tight-coupling phase to the lane's own ``tau_switch``, the hand-off
-    of the slaved moments, the full hierarchy to ``tau_end`` — each
-    phase followed by its record pass.  The lane's counters accumulate
-    in one :class:`IntegratorStats` over both phases (``max_steps`` is
-    its budget for the whole evolution), and its clocks time nothing
-    but itself: returns the mode (``cpu_seconds`` its own) and the
-    wallclock of its two phases (zeros unless ``timed``)."""
-    cpu0 = time.process_time()
-    k, layout = system.k, system.layout
-    if monitor is not None and hasattr(monitor, "bind"):
-        monitor.bind(system)
-    y = ic_builder(
-        layout, system.background, k, t_init,
-        q_nodes=system.q_nodes if layout.nq else None,
-        amplitude=amplitude,
-    )
-    t_switch = find_tca_exit(system.thermo, k, tca_eps=tca_eps)
-    t_switch = min(max(t_switch, t_init * 1.01), tau_end)
-    recorder = _Recorder(system, grid.size, monitor=monitor)
-    stats = IntegratorStats()
-
-    # no clock is read for a run nobody is timing (float() is 0.0)
-    clock = time.perf_counter if timed else float
-    walls = [clock()]
-    for tight, t0, t1 in ((True, t_init, t_switch),
-                          (False, t_switch, tau_end)):
-        stops = grid[grid <= t_switch] if tight else grid[grid > t_switch]
-        y, tau, rows = integrate_phase(system, tight, y, t0, t1, stops,
-                                       stats, driver_cls=driver_cls,
-                                       **tolerances)
-        # a driver's last stop is the phase end, which is recorded only
-        # when it is a record point
-        m = len(tau) if _in(tau[-1], stops) else len(tau) - 1
-        recorder.record(tight, tau[:m], rows[:m])
-        if tight:
-            system.initialize_full_from_tca(y, t_switch)
-        walls.append(clock())
-
-    n = recorder.i
-    mode = ModeResult(
-        k=k,
-        tau=recorder.tau[:n],
-        records={name: arr[:n] for name, arr in recorder.arrays.items()},
-        y_final=y,
-        layout=layout,
-        stats=stats,
-        tau_init=t_init,
-        tau_switch=t_switch,
-        tau_end=tau_end,
-        system=system,
-        cpu_seconds=time.process_time() - cpu0,
-    )
-    return mode, (walls[1] - walls[0], walls[2] - walls[1])
+_IC_BUILDERS = {
+    "adiabatic": adiabatic_initial_conditions,
+    "isocurvature": isocurvature_initial_conditions,
+}
 
 
 def evolve_mode(
@@ -602,21 +384,131 @@ def evolve_mode(
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor=None,
 ) -> ModeResult:
-    """Evolve one wavenumber: the one-lane call of
-    :func:`evolve_modes_batched` (which documents every argument).
+    """Evolve one wavenumber.
 
-    With the default driver each phase is one call of the compiled step
-    loop, bitwise the scalar ``DVERK`` on the lane's
-    :class:`PerturbationSystem`.
+    This is the LINGER worker computation — everything from the series
+    initial conditions at ``k tau = 0.03`` to the multipoles today:
+    initial conditions, the tight-coupling phase to ``tau_switch``, the
+    hand-off of the slaved moments, the full hierarchy to ``tau_end`` —
+    each phase followed by its record pass.  The counters accumulate in
+    one :class:`IntegratorStats` over both phases (``max_steps`` is its
+    budget for the whole evolution).
+
+    ``record_tau`` is None (no records) or the record grid.
+
+    ``monitor`` is None or a callable ``monitor(tau, y, tight)`` invoked
+    at every record point — the hook ``repro.verify`` uses to sample
+    Einstein-constraint residuals along the production trajectory — and
+    is bound to the mode's system.  Like telemetry, a monitor is a pure
+    observer: the integration is bit-identical with or without it.
+
+    Both phases run on the compiled step loop: no RHS evaluation, step
+    or stop runs python, and what is left is set-up, the hand-off of
+    the slaved moments between the phases and one record pass per
+    phase; with the default driver each phase is bitwise the scalar
+    ``DVERK`` on the mode's :class:`PerturbationSystem`.
+
+    ``first_step`` forces every phase's opening step.  ``driver_cls``
+    replaces the compiled loop by a python driver stepping the compiled
+    right-hand side (a test seam: anything but DVERK).
+
+    ``ModeResult.cpu_seconds`` is the whole call's CPU time.  When
+    ``telemetry`` is enabled, a completed mode leaves one
+    :class:`~repro.telemetry.report.ModeMetrics` with the wallclock of
+    its two phases, and the operator's evaluation count lands in
+    ``RhsMetrics``.
     """
-    return evolve_modes_batched(
-        background, thermo, [k], lmax_photon=lmax_photon, lmax_nu=lmax_nu,
-        nq=nq, lmax_massive_nu=lmax_massive_nu, tau_end=tau_end,
-        record_tau=[record_tau], rtol=rtol, atol=atol, tca_eps=tca_eps,
-        amplitude=amplitude, initial_conditions=initial_conditions,
-        max_steps=max_steps, telemetry=telemetry, monitors=[monitor],
-        first_step=first_step, driver_cls=driver_cls,
-    )[0]
+    cpu0 = time.process_time()
+    tau_end = background.tau0 if tau_end is None else float(tau_end)
+    nq_eff = nq if background.params.omega_nu > 0 else 0
+    layout = StateLayout(
+        lmax_photon=lmax_photon,
+        lmax_nu=lmax_nu,
+        nq=nq_eff,
+        lmax_massive_nu=lmax_massive_nu if nq_eff else 0,
+    )
+    system = PerturbationSystem(background, thermo, k, layout,
+                                instrument=telemetry.enabled)
+    k = system.k
+    if initial_conditions not in _IC_BUILDERS:
+        raise ParameterError(
+            f"unknown initial_conditions {initial_conditions!r}; "
+            f"choose from {sorted(_IC_BUILDERS)}"
+        )
+    t_init = tau_initial(k)
+    if t_init >= tau_end:
+        raise ParameterError("tau_end precedes the initial time")
+    grid = (np.empty(0) if record_tau is None
+            else np.asarray(record_tau, dtype=float))
+    if grid.size and (grid.min() <= t_init
+                      or grid.max() > tau_end * (1 + 1e-9)):
+        raise ParameterError("record grid outside (tau_init, tau_end]")
+
+    if monitor is not None and hasattr(monitor, "bind"):
+        monitor.bind(system)
+    y = _IC_BUILDERS[initial_conditions](
+        layout, background, k, t_init,
+        q_nodes=system.q_nodes if layout.nq else None,
+        amplitude=amplitude,
+    )
+    t_switch = find_tca_exit(thermo, k, tca_eps=tca_eps)
+    t_switch = min(max(t_switch, t_init * 1.01), tau_end)
+    recorder = _Recorder(system, grid.size, monitor=monitor)
+    stats = IntegratorStats()
+
+    # no clock is read for a run nobody is timing (float() is 0.0)
+    clock = time.perf_counter if telemetry.enabled else float
+    walls = [clock()]
+    for tight, t0, t1 in ((True, t_init, t_switch),
+                          (False, t_switch, tau_end)):
+        stops = grid[grid <= t_switch] if tight else grid[grid > t_switch]
+        y, tau, rows = integrate_phase(system, tight, y, t0, t1, stops,
+                                       stats, rtol=rtol, atol=atol,
+                                       max_steps=max_steps,
+                                       first_step=first_step,
+                                       driver_cls=driver_cls)
+        # a driver's last stop is the phase end, which is recorded only
+        # when it is a record point
+        m = len(tau) if _in(tau[-1], stops) else len(tau) - 1
+        recorder.record(tight, tau[:m], rows[:m])
+        if tight:
+            system.initialize_full_from_tca(y, t_switch)
+        walls.append(clock())
+
+    n = recorder.i
+    mode = ModeResult(
+        k=k,
+        tau=recorder.tau[:n],
+        records={name: arr[:n] for name, arr in recorder.arrays.items()},
+        y_final=y,
+        layout=layout,
+        stats=stats,
+        tau_init=t_init,
+        tau_switch=t_switch,
+        tau_end=tau_end,
+        system=system,
+    )
+    # only a mode that completed leaves rows: a failed one is retried
+    # whole (plinger.worker.mode_compute)
+    if telemetry.enabled:
+        tca_wall, full_wall = walls[1] - walls[0], walls[2] - walls[1]
+        telemetry.record_mode(
+            k=k,
+            lmax=layout.lmax_photon,
+            n_rhs=stats.n_rhs,
+            n_steps=stats.n_steps,
+            n_rejected=stats.n_rejected,
+            n_stability_bound=stats.n_stability_bound,
+            flops_est=stats.n_flops,
+            tau_switch=t_switch,
+            tca_wall_seconds=tca_wall,
+            full_wall_seconds=full_wall,
+            wall_seconds=tca_wall + full_wall,
+        )
+        op = system.op
+        telemetry.record_rhs(evals=dict(op.evals), seconds=dict(op.seconds))
+    mode.cpu_seconds = time.process_time() - cpu0
+    return mode
 
 
 def integrate_phase(
@@ -634,10 +526,10 @@ def integrate_phase(
     first_step: float | None = None,
     driver_cls: type[RKDriver] = DVERK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One lane's tight-coupling or full-hierarchy phase; returns the
-    state at ``t1``, the stop times reached (the lane's stop points,
-    then ``t1`` if that is not one of them) and the
-    ``(n_stops, n_state)`` block of states there.
+    """One tight-coupling or full-hierarchy phase; returns the state at
+    ``t1``, the stop times reached (the stop points, then ``t1`` if
+    that is not one of them) and the ``(n_stops, n_state)`` block of
+    states there.
 
     One call of the compiled step loop, its counters folded into
     ``stats`` with the python driver's formulas, so recorders, monitors
@@ -648,7 +540,7 @@ def integrate_phase(
     underflow) or ends on a non-finite state raises the
     :class:`~repro.errors.IntegrationError` the python driver raises,
     with its message; the ladder above (``plinger.worker``) owns what
-    happens next.  Any ``driver_cls`` but DVERK steps the lane's
+    happens next.  Any ``driver_cls`` but DVERK steps the system's
     compiled right-hand side in python instead (a test seam).
     """
     drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
@@ -661,7 +553,7 @@ def integrate_phase(
         res = drv.integrate(y0, t0, t1, stop_points=stop_points, stats=stats)
         return res.y, res.recorded_t, res.recorded_y
     out = system.op.integrate_phase(
-        system.lane, tight, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
+        tight, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
         max_steps=max_steps - stats.n_steps, first_step=first_step)
     failure = out.failure(max_steps)
     if failure is not None:

@@ -8,35 +8,37 @@ Hubble, the metric sources) do.  COSMICS (astro-ph/9506070) and CMBAns
 assembly-vs-evaluate split.  :class:`BoltzmannOperator` makes the split
 explicit for this package:
 
-* **assembly** happens once per (layout, chunk of wavenumbers): the
-  static index structure (the fused advection window, the Thomson
-  damping window, the per-lane advection coefficient table, the frozen
-  state-layout offsets) plus the per-tau coefficient *sources*: the
+* **assembly** happens once per (layout, wavenumber): the static
+  index structure (the fused advection window, the Thomson damping
+  window, the advection coefficient table, the frozen state-layout
+  offsets) plus the per-tau coefficient *sources*: the
   constant (8 pi G/3) density prefactors, and references to the
   uniform-grid splines for opacity / sound speed / massive-neutrino
   background factors, which depend on the cosmology alone and are
   fitted with the tables (``ThermalHistory``, ``MassiveNuTables``);
 
-* **evaluation** is a thin pass over that structure, one lane (one
-  wavenumber of the chunk) at a time, by the compiled kernels of
-  ``repro._cext``: ``rhs_tca`` and ``rhs_full``, one C body over the
-  packed ABI of :meth:`pack`, whose expression groupings
+* **evaluation** is a thin pass over that structure by the compiled
+  kernels of ``repro._cext``: ``rhs_tca`` and ``rhs_full``, one C body
+  over the packed ABI of :meth:`pack`, whose expression groupings
   ``tests/reference_rhs.py`` and ``tests/reference_packed_rhs.py`` pin.
   The same shared object carries the DVERK step loop,
-  :meth:`integrate_phase`, which runs a lane's whole tight-coupling or
+  :meth:`integrate_phase`, which runs a whole tight-coupling or
   full-hierarchy phase over that ABI; :meth:`rhs_scalar` is one
   evaluation, for the scalar python driver.
 
-A :class:`~repro.perturbations.system.PerturbationSystem` is a thin
-view of one lane of an operator, so a chunk of wavenumbers shares one
-assembly and one :meth:`pack`; the conformal-Newtonian twin reuses the
-gauge-independent python helpers (photon/polarization advection +
-damping, hierarchy closures), keeping only its gauge-specific source
-terms local.  The few ``*_lanes`` methods left
-(``conformal_hubble_lanes``, ``grho83_lanes``, ``rho_factor_lanes``)
-are the background factors over an *array of scale factors* — what the
-record pass of ``evolve._Recorder`` evaluates for a block of
-stop-point rows — not a second way to step.
+The ABI still addresses a block of lanes (``ints[0]`` lanes, rows
+``b0 .. b1``); an operator is the one-lane block, always called with
+``b0 = 0, b1 = 1``.
+
+A :class:`~repro.perturbations.system.PerturbationSystem` owns one
+operator and presents it behind the historical serial API; the
+conformal-Newtonian twin reuses the gauge-independent python helpers
+(photon/polarization advection + damping, hierarchy closures), keeping
+only its gauge-specific source terms local.  The few ``*_rows``
+methods left (``conformal_hubble_rows``, ``grho83_rows``,
+``rho_factor_rows``) are the background factors over an *array of
+scale factors* — what the record pass of ``evolve._Recorder``
+evaluates for a block of stop-point rows — not a second way to step.
 
 The operator also carries the evaluation counter and (optionally) the
 wall-clock that feed the ``RhsMetrics`` telemetry section, and
@@ -108,7 +110,7 @@ class CompiledPhase:
         return None
 
 
-def _exp_lanes(x: np.ndarray) -> np.ndarray:
+def _exp_rows(x: np.ndarray) -> np.ndarray:
     """exp per element via libm.
 
     ``np.exp`` differs from ``math.exp`` by ulps, and the recorded
@@ -121,23 +123,22 @@ def _exp_lanes(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _log_lanes(x: np.ndarray) -> np.ndarray:
-    """log per element via libm (see :func:`_exp_lanes`)."""
+def _log_rows(x: np.ndarray) -> np.ndarray:
+    """log per element via libm (see :func:`_exp_rows`)."""
     return np.array([math.log(v) for v in x.tolist()])
 
 
 class BoltzmannOperator:
-    """Precomputed coefficient structure for a chunk of wavenumbers.
+    """Precomputed coefficient structure for one wavenumber.
 
     Parameters
     ----------
     background, thermo:
         Precomputed background / thermal history (shared across modes).
-    ks:
-        Comoving wavenumbers [Mpc^-1], shape (B,); lane ``b`` is
-        ``ks[b]``, and every evaluation names the lane it is for.
+    k:
+        Comoving wavenumber [Mpc^-1].
     layout:
-        The state-vector layout, shared by every lane.
+        The state-vector layout.
     q_max:
         Upper edge of the massive-neutrino momentum grid (units of
         T_nu0).
@@ -147,30 +148,21 @@ class BoltzmannOperator:
         self,
         background: Background,
         thermo: ThermalHistory,
-        ks: np.ndarray,
+        k: float,
         layout: StateLayout,
         q_max: float = 18.0,
     ) -> None:
-        ks = np.asarray(ks, dtype=float)
-        if ks.ndim != 1 or ks.size == 0:
-            raise ParameterError("ks must be a non-empty 1-d array")
-        if np.any(ks <= 0.0):
-            raise ParameterError("every k must be positive")
+        k = float(k)
+        if not k > 0.0:
+            raise ParameterError("k must be positive")
         p = background.params
         self.params = p
         self.background = background
         self.thermo = thermo
-        self.ks = ks
-        self.k2 = ks * ks
-        self.B = int(ks.size)
+        self.k = k
+        self.k2 = k * k
         self.layout = layout
         self.q_max = float(q_max)
-        # plain-float copies for the scalar helpers: the serial system
-        # always worked in python floats, and float64-scalar vs
-        # np.float64 arithmetic is bitwise identical while plain floats
-        # are faster to pull out of a list
-        self._ks_f = [float(v) for v in ks]
-        self._k2_f = [float(v) for v in self.k2]
 
         h0sq = p.h0_mpc**2
         # (8 pi G / 3) a^2 rho_i prefactors (divide by the a-scaling at
@@ -238,25 +230,24 @@ class BoltzmannOperator:
             self._gr_nu_rel = 0.0
             self.q_nodes = np.empty(0)
 
-        # Hierarchy advection coefficients, one row per lane.  Grouped
-        # exactly as the serial system computed them — (k*l)/(2l+1),
-        # not k*(l/(2l+1)) — so row b is bitwise equal to the serial
-        # scalar coefficients for ks[b].
+        # Hierarchy advection coefficients.  Grouped exactly as the
+        # serial system computed them — (k*l)/(2l+1), not k*(l/(2l+1))
+        # — so they are bitwise the serial scalar coefficients.
         lg = layout.lmax_photon
         ell = np.arange(lg + 1, dtype=float)
-        self._g_lo = ks[:, None] * ell / (2.0 * ell + 1.0)
-        self._g_hi = ks[:, None] * (ell + 1.0) / (2.0 * ell + 1.0)
+        self._g_lo = k * ell / (2.0 * ell + 1.0)
+        self._g_hi = k * (ell + 1.0) / (2.0 * ell + 1.0)
         ln = layout.lmax_nu
         ell = np.arange(ln + 1, dtype=float)
-        self._n_lo = ks[:, None] * ell / (2.0 * ell + 1.0)
-        self._n_hi = ks[:, None] * (ell + 1.0) / (2.0 * ell + 1.0)
+        self._n_lo = k * ell / (2.0 * ell + 1.0)
+        self._n_hi = k * (ell + 1.0) / (2.0 * ell + 1.0)
 
-        # Per-lane constants of the packed ABI (``lane_c``, ``gr_gnl``);
-        # groupings match the python reference's expressions
+        # Constants of the packed ABI (``lane_c``, ``gr_gnl``); groupings
+        # match the python reference's expressions
         # (tests/reference_rhs.py) bit for bit.
         self._gr_gnl = self._gr_g + self._gr_nl
-        self._k075 = 0.75 * ks
-        self._k43i = 4.0 / (3.0 * ks)
+        self._k075 = 0.75 * k
+        self._k43i = 4.0 / (3.0 * k)
 
         # Global advection table: every hierarchy interior obeys
         # dX_l = lo_l X_(l-1) - hi_l X_(l+1), so the fg, gg and nl
@@ -266,22 +257,23 @@ class BoltzmannOperator:
         # l=lmax) get zero coefficients; their rows are overwritten by
         # the dedicated boundary/closure updates.
         ns = layout.n_state
-        clo = np.zeros((self.B, ns))
-        chi = np.zeros((self.B, ns))
+        clo = np.zeros(ns)
+        chi = np.zeros(ns)
         i_fg, i_gg, i_nl = layout.i_fg, layout.i_gg, layout.i_nl
-        clo[:, i_fg : i_fg + lg + 1] = self._g_lo
-        chi[:, i_fg : i_fg + lg + 1] = self._g_hi
-        clo[:, i_gg : i_gg + lg + 1] = self._g_lo
-        chi[:, i_gg : i_gg + lg + 1] = self._g_hi
-        clo[:, i_nl : i_nl + ln + 1] = self._n_lo
-        chi[:, i_nl : i_nl + ln + 1] = self._n_hi
+        clo[i_fg : i_fg + lg + 1] = self._g_lo
+        chi[i_fg : i_fg + lg + 1] = self._g_hi
+        clo[i_gg : i_gg + lg + 1] = self._g_lo
+        chi[i_gg : i_gg + lg + 1] = self._g_hi
+        clo[i_nl : i_nl + ln + 1] = self._n_lo
+        chi[i_nl : i_nl + ln + 1] = self._n_hi
         for c in (i_fg + lg, i_gg, i_gg + lg, i_nl):
-            clo[:, c] = 0.0
-            chi[:, c] = 0.0
+            clo[c] = 0.0
+            chi[c] = 0.0
         self._adv0 = i_fg + 1
         self._adv1 = i_nl + ln
-        self._adv_lo = np.ascontiguousarray(clo[:, self._adv0 : self._adv1])
-        self._adv_hi = np.ascontiguousarray(chi[:, self._adv0 : self._adv1])
+        # one-row blocks: the ABI's (lanes, adv1 - adv0) tables
+        self._adv_lo = np.ascontiguousarray(clo[None, self._adv0 : self._adv1])
+        self._adv_hi = np.ascontiguousarray(chi[None, self._adv0 : self._adv1])
 
         # Thomson damping region: every photon column whose damping is a
         # bare ``- kappa_dot X`` term — F_(3..lmax) and G_(0..lmax) are
@@ -292,8 +284,8 @@ class BoltzmannOperator:
         self._damp1 = i_gg + lg + 1
 
         # -- evaluation bookkeeping ---------------------------------------
-        #: lane-evaluations of either RHS (rhs_tca, rhs_full); the
-        #: compiled step loop adds a phase's evaluations in one go
+        #: evaluations of either RHS (rhs_tca, rhs_full); the compiled
+        #: step loop adds a phase's evaluations in one go
         self.evals: dict[str, int] = {"cext": 0}
         #: their wall-clock, populated only while ``instrument``
         self.seconds: dict[str, float] = {"cext": 0.0}
@@ -357,22 +349,22 @@ class BoltzmannOperator:
     # Background pieces — arrays of scale factors (the record pass)
     # ------------------------------------------------------------------
 
-    def rho_factor_lanes(self, a: np.ndarray) -> np.ndarray:
-        lx = _log_lanes(a * self._x0)
-        return _exp_lanes(self._rho_fac.vector(lx)) / I_RHO_MASSLESS
+    def rho_factor_rows(self, a: np.ndarray) -> np.ndarray:
+        lx = _log_rows(a * self._x0)
+        return _exp_rows(self._rho_fac.vector(lx)) / I_RHO_MASSLESS
 
-    def grho83_lanes(self, a: np.ndarray) -> np.ndarray:
+    def grho83_rows(self, a: np.ndarray) -> np.ndarray:
         g = (
             self._gr_m / a
             + self._gr_gnl / (a * a)
             + self._gr_lam * a * a
         )
         if self.nq > 0:
-            g = g + self._gr_nu_rel / (a * a) * self.rho_factor_lanes(a)
+            g = g + self._gr_nu_rel / (a * a) * self.rho_factor_rows(a)
         return g
 
-    def conformal_hubble_lanes(self, a: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.grho83_lanes(a) + self._gr_k)
+    def conformal_hubble_rows(self, a: np.ndarray) -> np.ndarray:
+        return np.sqrt(self.grho83_rows(a) + self._gr_k)
 
     # ------------------------------------------------------------------
     # Shared source sums — scalar
@@ -382,7 +374,7 @@ class BoltzmannOperator:
         lo = self.layout
         return y[self._slpsi].reshape(lo.nq, lo.lmax_massive_nu + 1)
 
-    def metric_sources_s(self, b: int, y: np.ndarray, a: float, hc: float,
+    def metric_sources_s(self, y: np.ndarray, a: float, hc: float,
                          eps: np.ndarray | None = None):
         """hdot and etadot from the Einstein constraint equations.
 
@@ -391,8 +383,8 @@ class BoltzmannOperator:
         """
         fg = y[self._slfg]
         nl = y[self._slnl]
-        k = self._ks_f[b]
-        k2 = self._k2_f[b]
+        k = self.k
+        k2 = self.k2
         inv_a = 1.0 / a
         inv_a2 = inv_a * inv_a
         gdrho = 1.5 * (
@@ -419,7 +411,7 @@ class BoltzmannOperator:
         etadot = gdq / k2
         return hdot, etadot, gdrho, gdq
 
-    def shear_sum_s(self, b: int, y: np.ndarray, a: float, sigma_g: float,
+    def shear_sum_s(self, y: np.ndarray, a: float, sigma_g: float,
                     eps: np.ndarray | None = None) -> float:
         """4 pi G a^2 (rho + p) sigma summed over species [Mpc^-2]."""
         inv_a2 = 1.0 / (a * a)
@@ -455,8 +447,8 @@ class BoltzmannOperator:
     # from reads of ``y`` only — so the split is bitwise-safe)
     # ------------------------------------------------------------------
 
-    def photon_shared_s(self, b: int, tau: float, y: np.ndarray,
-                        dy: np.ndarray, kappa_dot: float) -> float:
+    def photon_shared_s(self, tau: float, y: np.ndarray, dy: np.ndarray,
+                        kappa_dot: float) -> float:
         """Photon temperature + polarization couplings common to both
         gauges: interior advection, bare Thomson damping, the l=lmax
         closures, and the full polarization block.  Returns Pi.
@@ -469,9 +461,9 @@ class BoltzmannOperator:
         dfg = dy[self._slfg]
         dgg = dy[self._slgg]
         lg = self.layout.lmax_photon
-        g_lo = self._g_lo[b]
-        g_hi = self._g_hi[b]
-        k = self._ks_f[b]
+        g_lo = self._g_lo
+        g_hi = self._g_hi
+        k = self.k
         dfg[1:lg] = g_lo[1:lg] * fg[0 : lg - 1] - g_hi[1:lg] * fg[2 : lg + 1]
         dfg[3:lg] -= kappa_dot * fg[3:lg]
         pi_pol = fg[2] + gg[0] + gg[2]
@@ -484,7 +476,7 @@ class BoltzmannOperator:
         dgg[lg] = k * gg[lg - 1] - (lg + 1.0) / tau * gg[lg] - kappa_dot * gg[lg]
         return pi_pol
 
-    def neutrino_advect_s(self, b: int, y: np.ndarray, dy: np.ndarray,
+    def neutrino_advect_s(self, y: np.ndarray, dy: np.ndarray,
                           tau: float) -> None:
         """Massless hierarchy interior advection + l=lmax closure
         (identical in both gauges; the caller writes the monopole and
@@ -492,13 +484,13 @@ class BoltzmannOperator:
         nl = y[self._slnl]
         dnl = dy[self._slnl]
         lm = self.layout.lmax_nu
-        n_lo = self._n_lo[b]
-        n_hi = self._n_hi[b]
-        k = self._ks_f[b]
+        n_lo = self._n_lo
+        n_hi = self._n_hi
+        k = self.k
         dnl[1:lm] = n_lo[1:lm] * nl[0 : lm - 1] - n_hi[1:lm] * nl[2 : lm + 1]
         dnl[lm] = k * nl[lm - 1] - (lm + 1.0) / tau * nl[lm]
 
-    def massive_nu_advect_s(self, b: int, y: np.ndarray, dy: np.ndarray,
+    def massive_nu_advect_s(self, y: np.ndarray, dy: np.ndarray,
                             tau: float, eps: np.ndarray):
         """Massive hierarchy interior advection + closure; returns
         (psi, dpsi, qk_eps) for the caller's gauge-specific sources."""
@@ -506,7 +498,7 @@ class BoltzmannOperator:
         psi = self.psi_matrix_s(y)
         dpsi = dy[self._slpsi].reshape(lo.nq, lo.lmax_massive_nu + 1)
         lm = lo.lmax_massive_nu
-        qk_eps = self._ks_f[b] * self.q_nodes / eps  # (nq,)
+        qk_eps = self.k * self.q_nodes / eps  # (nq,)
         dpsi[:, 1:lm] = qk_eps[:, None] * (
             self._mnu_lo[1:lm] * psi[:, 0 : lm - 1]
             - self._mnu_hi[1:lm] * psi[:, 2 : lm + 1]
@@ -518,8 +510,7 @@ class BoltzmannOperator:
     # The hand-off between the two phases
     # ------------------------------------------------------------------
 
-    def initialize_full_from_tca_s(self, b: int, y: np.ndarray,
-                                   tau: float) -> None:
+    def initialize_full_from_tca_s(self, y: np.ndarray, tau: float) -> None:
         """Populate the slaved moments when leaving tight coupling.
 
         Sets F2 to the quasi-static shear and the polarization moments
@@ -529,8 +520,8 @@ class BoltzmannOperator:
         a = y[self._iA]
         hc = self.conformal_hubble_s(a)
         kappa_dot = math.exp(self._ln_kap_spline(math.log(a)))
-        hdot, etadot, _, _ = self.metric_sources_s(b, y, a, hc)
-        theta_g = 0.75 * self._ks_f[b] * y[self._slfg][1]
+        hdot, etadot, _, _ = self.metric_sources_s(y, a, hc)
+        theta_g = 0.75 * self.k * y[self._slfg][1]
         sigma_g = self.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
         fg = y[self._slfg]
         gg = y[self._slgg]
@@ -567,7 +558,7 @@ class BoltzmannOperator:
             ln cs2, both on the uniform ln-a grid (th_x0, th_dx)
         ``lane_c``  (4, B)
             per-lane constants: k, k^2, 0.75 k, 4/(3k) — indexed by the
-            *absolute* lane number b
+            *absolute* lane number b (B = 1 here)
         ``adv_lo``/``adv_hi``  (B, adv1-adv0)
             fused advection coefficients for state columns
             [adv0, adv1), indexed by absolute b
@@ -610,7 +601,7 @@ class BoltzmannOperator:
             mnu_pack = np.zeros((2, 1))
             x0 = 0.0
         ints = np.array(
-            [self.B, lo.n_state, lo.lmax_photon, lo.lmax_nu, nq, lm,
+            [1, lo.n_state, lo.lmax_photon, lo.lmax_nu, nq, lm,
              lo.i_fg, lo.i_gg, lo.i_nl, (lo.i_psi if nq > 0 else 0),
              self._adv0, self._adv1, self._damp0, self._damp1,
              self._th_n, rf_n],
@@ -622,8 +613,8 @@ class BoltzmannOperator:
              self._gr_nu_rel, self._r_coef, x0, I_RHO_MASSLESS,
              self._th_x0, self._th_dx, rf_x0, rf_dx],
         )
-        lane_c = np.ascontiguousarray(
-            [self.ks, self.k2, self._k075, self._k43i]
+        lane_c = np.array(
+            [[self.k], [self.k2], [self._k075], [self._k43i]]
         )
         self._packed = {
             "ints": ints, "flts": flts, "th_c": self._th_c,
@@ -647,9 +638,9 @@ class BoltzmannOperator:
     # The entry points the drivers call
     # ------------------------------------------------------------------
 
-    def rhs_scalar(self, tight: bool, b: int, tau: float, y: np.ndarray,
+    def rhs_scalar(self, tight: bool, tau: float, y: np.ndarray,
                    dy: np.ndarray) -> np.ndarray:
-        """One lane's RHS — tight-coupling or full — by one call of the
+        """The RHS — tight-coupling or full — by one call of the
         compiled kernel, into ``dy``: the callback of the scalar python
         driver."""
         self.evals["cext"] += 1
@@ -658,21 +649,21 @@ class BoltzmannOperator:
         self._tau1[0] = tau
         if not y.flags.c_contiguous:
             y = np.ascontiguousarray(y)
-        # the table's nine addresses were taken once (pack); the kernel
-        # reads lane b's state as the one row of its block
+        # the table's nine addresses were taken once (pack); the state
+        # is the one row of a one-lane block
         fn = self._compiled()
         (fn.rhs_tca_raw if tight else fn.rhs_raw)(
             *self.pack()["table"], self._tau1_addr, y.ctypes.data,
-            dy.ctypes.data, b, b + 1)
+            dy.ctypes.data, 0, 1)
         if self.instrument:
             self.seconds["cext"] += time.perf_counter() - w0
         return dy
 
-    def integrate_phase(self, b: int, tight: bool, y0: np.ndarray,
-                        t0: float, t1: float, stop_points, *, rtol: float,
-                        atol: float, max_steps: int,
+    def integrate_phase(self, tight: bool, y0: np.ndarray, t0: float,
+                        t1: float, stop_points, *, rtol: float, atol: float,
+                        max_steps: int,
                         first_step: float | None = None) -> CompiledPhase:
-        """One whole phase of lane ``b`` in one compiled call.
+        """One whole phase in one compiled call.
 
         The C loop is ``DVERK(rhs).integrate(y0, t0, t1, stop_points)``
         transcribed under the arithmetic contract — same stages, error
@@ -680,10 +671,8 @@ class BoltzmannOperator:
         same numbers — with ``rhs`` (``rhs_tca`` when ``tight``, else
         ``rhs_full``) called in-process through the pointer table of
         :meth:`pack`, and, in the full phase, with
-        ``stiff_rate=PerturbationSystem.thomson_rate``.  Only lane
-        ``b``'s coefficients are read, so the result does not depend on
-        the rest of the chunk.  ``max_steps`` is the number of accepted
-        steps still allowed.
+        ``stiff_rate=PerturbationSystem.thomson_rate``.  ``max_steps`` is
+        the number of accepted steps still allowed.
 
         A phase that stops early is returned as it stopped, with its
         status; ``evolve.integrate_phase`` raises it as the python
@@ -694,10 +683,10 @@ class BoltzmannOperator:
         fn = self._compiled()
         s, n = VERNER_65_TABLEAU.n_stages, self.layout.n_state
         y = np.array(y0, dtype=float)
-        if not 0 <= b < self.B or y.shape != (n,):
+        if y.shape != (n,):
             raise ParameterError(
-                f"integrate_phase needs a lane in [0, {self.B}) and a state "
-                f"of {n} entries, got lane {b} and shape {y.shape}"
+                f"integrate_phase needs a state of {n} entries, got shape "
+                f"{y.shape}"
             )
         if t1 <= t0:
             raise IntegrationError("integrate_phase requires t1 > t0")
@@ -718,7 +707,7 @@ class BoltzmannOperator:
         if self.instrument:
             w0 = time.perf_counter()
         status = fn.integrate_raw(
-            *self.pack()["table"], b, int(tight), _VERNER_TAB.ctypes.data, s,
+            *self.pack()["table"], 0, int(tight), _VERNER_TAB.ctypes.data, s,
             ctl.ctypes.data,
             stops.ctypes.data, max_steps, y.ctypes.data, rows.ctypes.data,
             work.ctypes.data, out.ctypes.data)
@@ -727,7 +716,7 @@ class BoltzmannOperator:
         if self.instrument:
             self.seconds["cext"] += time.perf_counter() - w0
         eng = _chaos_engine()
-        if eng is not None and eng.poison_rhs(float(self.ks[b])):
+        if eng is not None and eng.poison_rhs(self.k):
             y[:] = np.nan
         return CompiledPhase(status=int(status), y=y, stops=stops[:n_rows],
                              rows=rows[:n_rows], n_steps=n_steps,
@@ -740,7 +729,7 @@ class BoltzmannOperator:
     # ------------------------------------------------------------------
 
     def flops_per_eval(self) -> int:
-        """Deterministic multiply-add census of one lane's rhs_full.
+        """Deterministic multiply-add census of one rhs_full evaluation.
 
         Derived from the assembled structure alone (window widths,
         hierarchy cutoffs, momentum nodes), so every driver reports the

@@ -16,17 +16,14 @@ and provides two interchangeable right-hand sides:
   integrator (DVERK) viable from the earliest times, exactly as in the
   original LINGER.
 
-This class is a thin view of one lane of a
+This class is a thin view of a
 :class:`~repro.perturbations.operator.BoltzmannOperator`: the operator
-owns the precomputed coefficient structure of a chunk of wavenumbers
-and its compiled kernels, and this class binds one lane of it behind
-the historical serial API — same constructor, same attribute surface
-(the constraint monitor and the recorders reach into ``_gr_*``,
-``_w_*``, ``_g_lo`` and friends), same ``rhs_full(tau, y)`` /
-``rhs_tca(tau, y)`` signatures, each one call of the compiled kernel.
-Which operator a lane is a view of never shows in its values: lane
-``b`` of any operator is bitwise the one-lane operator built for
-``ks[b]`` alone.
+owns the precomputed coefficient structure of the wavenumber and its
+compiled kernels, and this class presents it behind the historical
+serial API — same constructor, same attribute surface (the constraint
+monitor and the recorders reach into ``_gr_*``, ``_w_*``, ``_g_lo`` and
+friends), same ``rhs_full(tau, y)`` / ``rhs_tca(tau, y)`` signatures,
+each one call of the compiled kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..background import Background
-from ..errors import ParameterError
 from ..thermo import ThermalHistory
 from .operator import BoltzmannOperator
 from .state import StateLayout
@@ -56,12 +52,6 @@ class PerturbationSystem:
     q_max:
         Upper edge of the massive-neutrino momentum grid (units of
         T_nu0).
-    operator, lane:
-        Bind lane ``lane`` of an existing
-        :class:`~repro.perturbations.operator.BoltzmannOperator`
-        instead of assembling a fresh one-lane operator — how a chunk
-        shares one coefficient structure, one ``pack()`` and one set of
-        eval counters (``k`` is then read off the operator).
     instrument:
         Record the kernel's wall-clock on the operator (feeds the
         ``RhsMetrics`` telemetry section).
@@ -75,30 +65,15 @@ class PerturbationSystem:
         layout: StateLayout,
         q_max: float = 18.0,
         *,
-        operator: BoltzmannOperator | None = None,
-        lane: int = 0,
         instrument: bool = False,
     ) -> None:
-        if operator is None:
-            if k <= 0.0:
-                raise ParameterError("k must be positive")
-            operator = BoltzmannOperator(
-                background, thermo, np.array([float(k)]), layout,
-                q_max=q_max,
-            )
-            lane = 0
-        elif not 0 <= lane < operator.B:
-            raise ParameterError(
-                f"lane {lane} out of range for an operator of "
-                f"{operator.B} wavenumbers")
-        op = operator
+        op = BoltzmannOperator(background, thermo, k, layout, q_max=q_max)
         self.op = op
-        self.lane = int(lane)
         self.params = op.params
         self.background = background
         self.thermo = thermo
-        self.k = float(op.ks[self.lane])
-        self.k2 = float(op.k2[self.lane])
+        self.k = op.k
+        self.k2 = op.k2
         self.layout = layout
         self.nq = layout.nq
         if instrument:
@@ -106,8 +81,8 @@ class PerturbationSystem:
 
         # Historical attribute surface: the constraint monitor, the
         # recorders and several tests reach into these directly.  All
-        # are references into (or row views of) the shared operator
-        # tables — nothing is recomputed per lane.
+        # are references into the operator's tables — nothing is
+        # recomputed here.
         self._gr_m = op._gr_m
         self._gr_c = op._gr_c
         self._gr_b = op._gr_b
@@ -126,8 +101,8 @@ class PerturbationSystem:
             self._w_rho = op._w_rho
             self._w_q3 = op._w_q3
             self._w_q4 = op._w_q4
-        self._g_lo = op._g_lo[self.lane]
-        self._g_hi = op._g_hi[self.lane]
+        self._g_lo = op._g_lo
+        self._g_hi = op._g_hi
 
         self._dy = np.zeros(layout.n_state)
 
@@ -174,12 +149,12 @@ class PerturbationSystem:
         Returns (hdot, etadot, gdrho, gdq) where gdrho = 4 pi G a^2
         delta rho and gdq = 4 pi G a^2 (rho + p) theta.
         """
-        return self.op.metric_sources_s(self.lane, y, a, hc, eps=eps)
+        return self.op.metric_sources_s(y, a, hc, eps=eps)
 
     def shear_sum(self, y: np.ndarray, a: float, sigma_g: float,
                   eps: np.ndarray | None = None) -> float:
         """4 pi G a^2 (rho + p) sigma summed over species [Mpc^-2]."""
-        return self.op.shear_sum_s(self.lane, y, a, sigma_g, eps=eps)
+        return self.op.shear_sum_s(y, a, sigma_g, eps=eps)
 
     def sigma_gamma_tca(self, theta_g: float, hdot: float, etadot: float,
                         kappa_dot: float) -> float:
@@ -192,11 +167,11 @@ class PerturbationSystem:
 
     def rhs_full(self, tau: float, y: np.ndarray) -> np.ndarray:
         """Full (post-TCA) RHS, by the compiled kernel."""
-        return self.op.rhs_scalar(False, self.lane, tau, y, self._dy)
+        return self.op.rhs_scalar(False, tau, y, self._dy)
 
     def rhs_tca(self, tau: float, y: np.ndarray) -> np.ndarray:
         """Tight-coupling RHS (MB95 eqs. 74/75), by the compiled kernel."""
-        return self.op.rhs_scalar(True, self.lane, tau, y, self._dy)
+        return self.op.rhs_scalar(True, tau, y, self._dy)
 
     def thomson_rate(self, tau: float, y: np.ndarray) -> float:
         """kappa' (1 + r), r = 4 rho_gamma / 3 rho_b: the decay rate of
@@ -208,7 +183,7 @@ class PerturbationSystem:
 
     def initialize_full_from_tca(self, y: np.ndarray, tau: float) -> None:
         """Populate the slaved moments when leaving tight coupling."""
-        self.op.initialize_full_from_tca_s(self.lane, y, tau)
+        self.op.initialize_full_from_tca_s(y, tau)
 
     # ------------------------------------------------------------------
     # Cost accounting

@@ -167,7 +167,7 @@ class NewtonianPerturbationSystem(PerturbationSystem):
     def _fill_neutrinos_cn(self, y, dy, tau, phi_dot, psi):
         # gauge-independent interior + closure come from the operator;
         # only the CN metric sources live here
-        self.op.neutrino_advect_s(self.lane, y, dy, tau)
+        self.op.neutrino_advect_s(y, dy, tau)
         lo = self.layout
         nl = y[lo.sl_nl]
         dnl = dy[lo.sl_nl]
@@ -180,9 +180,7 @@ class NewtonianPerturbationSystem(PerturbationSystem):
         if lo.nq == 0:
             return
         eps = self.nu_eps(a)
-        psi_m, dpsi, qk_eps = self.op.massive_nu_advect_s(
-            self.lane, y, dy, tau, eps
-        )
+        psi_m, dpsi, qk_eps = self.op.massive_nu_advect_s(y, dy, tau, eps)
         # MB95 eq. (56), CN gauge metric sources
         dpsi[:, 0] = -qk_eps * psi_m[:, 1] - phi_dot * self._dlnf
         dpsi[:, 1] += -(eps * self.k / (3.0 * self.q_nodes)) * psi * self._dlnf
@@ -231,7 +229,7 @@ class NewtonianPerturbationSystem(PerturbationSystem):
         # the CN metric sources and baryon coupling are local.  No
         # quadrupole metric source in this gauge.
         dfg = dy[lo.sl_fg]
-        pi_pol = self.op.photon_shared_s(self.lane, tau, y, dy, kappa_dot)
+        pi_pol = self.op.photon_shared_s(tau, y, dy, kappa_dot)
         dfg[0] = -k * fg[1] + 4.0 * phi_dot
         dfg[1] += (4.0 / (3.0 * k)) * k2 * psi + kappa_dot * (
             (4.0 / (3.0 * k)) * theta_b - fg[1]

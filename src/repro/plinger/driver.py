@@ -24,12 +24,7 @@ from ..background import Background
 from ..errors import MessagePassingError, ParameterError, ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.records import ModeHeader, ModePayload
-from ..linger.serial import (
-    LingerConfig,
-    LingerResult,
-    build_tables,
-    dispatch_chunks,
-)
+from ..linger.serial import LingerConfig, LingerResult, build_tables
 from ..mp import get_backend
 from ..mp.api import World
 from ..params import CosmologyParams
@@ -39,7 +34,7 @@ from ..thermo import ThermalHistory
 from ..resilience import FaultTolerance
 from .master import master_subroutine
 from .tags import Tag
-from .worker import WorkerLog, chunk_compute, worker_subroutine
+from .worker import WorkerLog, mode_compute, worker_subroutine
 
 __all__ = ["PlingerRunStats", "run_plinger"]
 
@@ -92,8 +87,8 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     mp_handle.initpass()
     background, thermo = build_tables(params, background, thermo,
                                       telemetry=telemetry)
-    compute = chunk_compute(background, thermo, kgrid, config, telemetry,
-                            mode_sink=mode_sink)
+    compute = mode_compute(background, thermo, kgrid, config, telemetry,
+                           mode_sink=mode_sink)
     error = None
     try:
         log = worker_subroutine(mp_handle, compute, fault_tolerance)
@@ -119,7 +114,6 @@ def run_plinger(
     background: Background | None = None,
     thermo: ThermalHistory | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
-    batch_size: int = 1,
     fault_tolerance: FaultTolerance = FaultTolerance(),
     world: World | None = None,
     collect_modes: bool = False,
@@ -132,14 +126,10 @@ def run_plinger(
     notes PVM allowed ("desirable because the master process requires
     little CPU time").
 
-    The master hands out k-*chunks* (equal-lmax groups of up to
-    ``batch_size`` modes, still largest-k-first; at 1 the paper's
-    one-wavenumber WORK message).  ``batch_size`` is the number of
-    modes per WORK message and per operator assembly on the worker,
-    never how a mode steps: the worker integrates the modes of a chunk
-    one after another and ships back one header/payload pair per mode,
-    so downstream consumers see the identical wire records — same
-    bits, each with its own ``cpu_seconds`` — at any chunk length.
+    The master hands out one wavenumber per WORK message, largest k
+    first, and the worker ships back its header/payload pair: the same
+    wire records, bit for bit, that :func:`~repro.linger.run_linger`
+    builds for that mode.
 
     Pass an enabled :class:`~repro.telemetry.Telemetry` to also gather
     per-tag message traffic for every rank, per-worker busy/idle time,
@@ -195,8 +185,6 @@ def run_plinger(
             )
     background, thermo = build_tables(params, background, thermo,
                                       telemetry=telemetry)
-    tau_end = background.tau0 if config.tau_end is None else config.tau_end
-    chunks = dispatch_chunks(kgrid, config, tau_end, batch_size)
 
     if world is None:
         world = get_backend(backend, nproc)
@@ -241,7 +229,7 @@ def run_plinger(
 
     master_mp.initpass()
     log = master_subroutine(master_mp, kgrid, on_result=on_result,
-                            chunks=chunks, fault_tolerance=fault_tolerance,
+                            fault_tolerance=fault_tolerance,
                             done=completed)
     master_mp.endpass()
 
@@ -275,8 +263,6 @@ def run_plinger(
         telemetry.meta.setdefault("backend", backend)
         telemetry.meta.setdefault("nproc", nproc)
         telemetry.meta.setdefault("nk", kgrid.nk)
-        if batch_size > 1:
-            telemetry.meta.setdefault("batch_size", batch_size)
         telemetry.fault = log.fault
         telemetry.timer("plinger.wall").add(wall)
         telemetry.timer("master.probe_wait").add(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -66,7 +66,6 @@ def master_subroutine(
     kgrid: KGrid,
     init_data: np.ndarray | None = None,
     on_result: Callable[[ModeHeader, ModePayload], None] | None = None,
-    chunks: Sequence[Sequence[int]] | None = None,
     fault_tolerance: FaultTolerance = FaultTolerance(),
     done: Iterable[int] = (),
 ) -> MasterLog:
@@ -79,23 +78,12 @@ def master_subroutine(
     kgrid:
         The wavenumber grid with its dispatch ordering.
     init_data:
-        The 5 reals broadcast as tag 1 (defaults to
-        ``[nk, k_min, k_max, chunk, 0]``, where ``chunk`` is the WORK
-        message length when chunked dispatch is on and 0 — the
-        paper's wire format — for one-k-at-a-time dispatch).
+        The 5 reals broadcast as tag 1 (defaults to the paper's
+        ``[nk, k_min, k_max, 0, 0]``).
     on_result:
         Invoked for every completed (header, payload) pair as the
         master banks it — the stand-in for the paper's ascii/binary
         file writes, and where a checkpoint journal hangs.
-    chunks:
-        Optional chunked dispatch: a partition of the grid indices
-        (0-based, in dispatch order) into the k-chunks each WORK
-        message carries (see
-        :func:`~repro.linger.serial.dispatch_chunks`).  Every WORK and
-        STOP message is then ``max(len(chunk))`` reals, zero-padded,
-        and a worker earns its next chunk only after returning every
-        mode of the previous one.  ``None`` keeps the paper's protocol:
-        one wavenumber per WORK message.
     fault_tolerance:
         The loop's deadlines and retry bounds
         (:class:`~repro.resilience.FaultTolerance`).
@@ -106,16 +94,19 @@ def master_subroutine(
 
     What the loop keeps of the paper's:
 
-    * dispatch order — reassigned work goes back out before fresh
-      work, each requeued chunk sorted largest-k-first;
+    * dispatch order, one wavenumber per WORK message — reassigned
+      work goes back out, largest k first, before fresh work;
     * one reply per ask.  An ask is a READY or the last result of a
-      WORK message; its reply is the next chunk or, when none is left,
-      a place on the bench until orphaned work turns up or the grid
-      completes and the STOP goes out.  The master leaves only when
-      every rank has made contact, so no READY stays unread;
+      WORK message; its reply is the next wavenumber or, when none is
+      left, a place on the bench until orphaned work turns up or the
+      grid completes and the STOP goes out.  The master leaves only
+      when every rank has made contact, so no READY stays unread;
     * a READY that a worker *re-sends* because a reply went missing
       carries its attempt number where a first ask carries 0, and
-      re-earns the same assignment, never a new one.
+      re-earns the same assignment — every wavenumber it still holds,
+      in one WORK message — never a new one.  A rank on the bench has
+      no assignment; its re-sent READY is answered with a
+      ``HEARTBEAT``, so it knows the master is alive and keeps waiting.
 
     Every inbound record is validated before it is trusted: a corrupt
     or torn result is discarded and the mode recomputed.
@@ -128,19 +119,9 @@ def master_subroutine(
     applies.  The quarantine path already handles its departure.
     """
     nk = kgrid.nk
-    if chunks is None:
-        chunks = [[int(i)] for i in kgrid.dispatch_order]
-    else:
-        chunks = [list(map(int, c)) for c in chunks]
-        flat = sorted(i for c in chunks for i in c)
-        if flat != sorted(range(nk)):
-            raise ProtocolError("chunks must partition the k-grid indices")
-    work_length = max(len(c) for c in chunks)
     if init_data is None:
         init_data = np.array(
-            [float(nk), float(kgrid.k[0]), float(kgrid.k[-1]),
-             float(work_length if work_length > 1 else 0), 0.0]
-        )
+            [float(nk), float(kgrid.k[0]), float(kgrid.k[-1]), 0.0, 0.0])
     init_data = np.asarray(init_data, dtype=float)
     if init_data.size != INIT_MESSAGE_LENGTH:
         raise ProtocolError(
@@ -155,8 +136,8 @@ def master_subroutine(
 
     # dispatch-order position of each 1-based ik, for requeue sorting
     pos = {int(i) + 1: p for p, i in enumerate(kgrid.dispatch_order)}
-    queue: deque[list[int]] = deque([i + 1 for i in c] for c in chunks)
-    requeue: deque[list[int]] = deque()  # reassigned work, dispatched first
+    queue: deque[int] = deque(int(i) + 1 for i in kgrid.dispatch_order)
+    requeue: deque[int] = deque()  # reassigned work, dispatched first
     outstanding: dict[int, set[int]] = defaultdict(set)  # rank -> its iks
     # results still to come on each rank's latest WORK message — set at
     # every send, not accumulated, as in the paper's loop: a surplus
@@ -174,25 +155,23 @@ def master_subroutine(
     quarantined: set[int] = set()
     parked: list[int] = []  # asks on the bench, oldest first
 
-    def next_chunk() -> list[int] | None:
+    def next_ik() -> int | None:
         for source in (requeue, queue):
             while source:
-                c = [ik for ik in source.popleft() if ik not in done]
-                if c:
-                    return c
+                ik = source.popleft()
+                if ik not in done:
+                    return ik
         return None
 
     def send_stop(rank: int) -> None:
-        mp.mysendreal(np.zeros(work_length), Tag.STOP, rank)
+        mp.mysendreal(np.zeros(1), Tag.STOP, rank)
         stopped.add(rank)
         log.stops_sent += 1
 
     def send_work(rank: int, iks: list[int]) -> None:
-        # a re-sent assignment can span two chunks; the worker's
-        # receive does not depend on the announced length
-        buf = np.zeros(max(work_length, len(iks)))
-        buf[: len(iks)] = iks
-        mp.mysendreal(buf, Tag.WORK, rank)
+        # one wavenumber, or a re-sent assignment of several; the
+        # worker's receive does not depend on the announced length
+        mp.mysendreal(np.array(iks, dtype=float), Tag.WORK, rank)
         log.dispatched.extend(iks)
         outstanding[rank].update(iks)
         owed[rank] = len(iks)
@@ -210,10 +189,10 @@ def master_subroutine(
         fr.bump_retry("WORK", len(iks))
 
     def reply(rank: int) -> None:
-        """Answer one ask: the next chunk, or the bench."""
-        c = next_chunk()
-        if c is not None:
-            send_work(rank, c)
+        """Answer one ask: the next wavenumber, or the bench."""
+        ik = next_ik()
+        if ik is not None:
+            send_work(rank, [ik])
         else:
             parked.append(rank)
 
@@ -231,7 +210,7 @@ def master_subroutine(
             reassigned_iks.update(pend)
             fr.reassignments += 1
             fr.reassigned_modes = len(reassigned_iks)
-            requeue.append(pend)
+            requeue.extend(pend)
             # hand the orphaned work straight to the bench
             while parked and (requeue or queue):
                 reply(parked.pop(0))
@@ -337,6 +316,9 @@ def master_subroutine(
                 send_work(rank, pend)
             elif rank not in parked:
                 reply(rank)  # the ask itself was lost
+            else:
+                # benched and asking again: the master is alive
+                mp.mysendreal(np.zeros(1), Tag.HEARTBEAT, rank)
             continue
 
         if tag == Tag.PAYLOAD:

@@ -12,8 +12,8 @@ a worker with nothing to say for a heartbeat interval (a long mode, a
 long wait) sends heartbeats, so the master can tell busy from dead.
 
 What "integrate" means is the one callable the loop takes,
-``compute(iks)``; :func:`chunk_compute` builds the production one (the
-escalation ladder around :func:`~repro.linger.serial.compute_modes_batch`)
+``compute(ik)``; :func:`mode_compute` builds the production one (the
+escalation ladder around :func:`~repro.linger.serial.compute_mode`)
 for ``run_plinger``'s workers and the warm pool's alike.
 """
 
@@ -28,16 +28,16 @@ import numpy as np
 from ..chaos import current_engine
 from ..errors import IntegrationError, ProtocolError
 from ..linger.records import ModeHeader, ModePayload, wire_index
-from ..linger.serial import compute_modes_batch
+from ..linger.serial import compute_mode
 from ..mp.api import MessagePassing
 from ..resilience import FaultTolerance, HeartbeatThread, run_with_ladder
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .tags import Tag
 
-__all__ = ["WorkerLog", "chunk_compute", "worker_subroutine"]
+__all__ = ["WorkerLog", "mode_compute", "worker_subroutine"]
 
-#: What a worker does with the wavenumber indices of one WORK message.
-ChunkCompute = Callable[[list[int]], list[tuple[ModeHeader, ModePayload]]]
+#: What a worker does with the wavenumber index of one WORK message.
+ModeCompute = Callable[[int], tuple[ModeHeader, ModePayload]]
 
 
 @dataclass
@@ -65,75 +65,54 @@ class WorkerLog:
         return out
 
 
-def chunk_compute(
+def mode_compute(
     background,
     thermo,
     kgrid,
     config,
     telemetry: Telemetry = NULL_TELEMETRY,
     mode_sink: dict | None = None,
-) -> ChunkCompute:
-    """The production ``compute(iks)`` of a worker rank: integrate the
-    wavenumbers of one WORK message, under the escalation ladder.
+) -> ModeCompute:
+    """The production ``compute(ik)`` of a worker rank: integrate one
+    wavenumber under the escalation ladder.
 
-    The chunk goes through one
-    :func:`~repro.linger.serial.compute_modes_batch` call.  An
-    :class:`~repro.errors.IntegrationError` degrades
-    instead of ending the rank: each mode is integrated on its own
-    through :func:`~repro.resilience.run_with_ladder` (one transient
-    same-config retry, then the escalation levels) and the level that
-    succeeded travels back in ``header.retry_level`` — at least 1 for
-    the modes of a multi-k chunk, marking the chunk → per-mode
-    downgrade even when a level-0 attempt then succeeds.  Every failed
-    attempt leaves an ``integrator`` degradation event in ``telemetry``.
+    The mode goes through :func:`~repro.linger.serial.compute_mode`
+    inside :func:`~repro.resilience.run_with_ladder` (one transient
+    same-config retry, then the escalation levels); the level that
+    succeeded travels back in ``header.retry_level``.  Every failed
+    attempt leaves an ``integrator`` degradation event in
+    ``telemetry``, and only an :class:`~repro.errors.IntegrationError`
+    that outlasts the ladder ends the rank.
 
     ``mode_sink`` (thread-hosted workers, which share the master's
     memory) collects the full ``ModeResult`` by ``ik``.
     """
 
-    def attempt(iks: list[int], cfg):
-        ks = [float(kgrid.k[ik - 1]) for ik in iks]
+    def attempt(ik: int, cfg):
+        k = float(kgrid.k[ik - 1])
         eng = current_engine()
-        for ik, k in zip(iks, ks):
-            if eng is not None and eng.collapse_mode(k):
-                raise IntegrationError(
-                    f"chaos: forced step collapse (ik={ik})"
-                )
-        out = []
-        for header, payload, mode in compute_modes_batch(
-            background, thermo, ks, iks, cfg, telemetry=telemetry,
-        ):
-            if mode_sink is not None:
-                mode_sink[header.ik] = mode
-            out.append((header, payload))
-        return out
+        if eng is not None and eng.collapse_mode(k):
+            raise IntegrationError(f"chaos: forced step collapse (ik={ik})")
+        header, payload, mode = compute_mode(background, thermo, k, ik, cfg,
+                                             telemetry=telemetry)
+        if mode_sink is not None:
+            mode_sink[ik] = mode
+        return header, payload
 
-    def on_retry(ik: int, level: int, exc) -> None:
-        telemetry.record_degradation(
-            "integrator",
-            "transient_retry" if level == 0 else "ladder_escalation",
-            f"ik={ik} level={level}: {exc}",
-        )
-
-    def compute(iks: list[int]):
-        floor = 0
-        if len(iks) > 1:
-            try:
-                return attempt(iks, config)
-            except IntegrationError:
-                floor = 1
-        out = []
-        for ik in iks:
-            ((header, payload),), level = run_with_ladder(
-                config, lambda cfg, _ik=ik: attempt([_ik], cfg),
-                transient_retries=1,
-                on_retry=lambda lvl, exc, _ik=ik: on_retry(_ik, lvl, exc),
+    def compute(ik: int) -> tuple[ModeHeader, ModePayload]:
+        def on_retry(level: int, exc) -> None:
+            telemetry.record_degradation(
+                "integrator",
+                "transient_retry" if level == 0 else "ladder_escalation",
+                f"ik={ik} level={level}: {exc}",
             )
-            level = max(level, floor)
-            if level:
-                header = replace(header, retry_level=level)
-            out.append((header, payload))
-        return out
+
+        (header, payload), level = run_with_ladder(
+            config, lambda cfg: attempt(ik, cfg), transient_retries=1,
+            on_retry=on_retry)
+        if level:
+            header = replace(header, retry_level=level)
+        return header, payload
 
     return compute
 
@@ -150,17 +129,18 @@ def _parse_work(buf: np.ndarray) -> list[int] | None:
 
 def worker_subroutine(
     mp: MessagePassing,
-    compute: ChunkCompute,
+    compute: ModeCompute,
     fault_tolerance: FaultTolerance = FaultTolerance(),
 ) -> WorkerLog:
     """Run the worker side of the PLINGER protocol until told to stop.
 
-    ``compute(iks)`` integrates the wavenumber indices (1-based) of one
-    WORK message and returns their record pairs in order (see
-    :func:`chunk_compute`).  Every mode of a chunk ships back as its
-    own header/payload pair — 21 reals, or 22 when the mode needed the
-    escalation ladder and the level rides along — so the result wire
-    format does not depend on the chunk length.
+    ``compute(ik)`` integrates one wavenumber index (1-based) and
+    returns its record pair (see :func:`mode_compute`).  A WORK message
+    names one wavenumber, or — when the master re-sends an assignment
+    a lost reply left unanswered — several, integrated one at a time;
+    each mode ships back as its own header/payload pair: 21 reals, or
+    22 when the mode needed the escalation ladder and the level rides
+    along.
 
     Receives are length-agnostic (a lost INIT broadcast is survivable
     because WORK parsing does not need the announced message length),
@@ -168,8 +148,10 @@ def worker_subroutine(
     healed by re-sending READY with the attempt number in its one real
     (a first ask carries 0): the master answers that with the worker's
     current assignment, so at-least-once delivery of results is
-    preserved.  Raises :class:`~repro.errors.ProtocolError` when the
-    retry budget runs out with the master still silent.
+    preserved.  Any message from the master restarts the retry count —
+    a rank on the bench hears a ``HEARTBEAT`` back for each re-sent
+    READY — so only a master that stays silent through the whole retry
+    budget raises :class:`~repro.errors.ProtocolError`.
     """
     ft = fault_tolerance
     log = WorkerLog()
@@ -209,6 +191,7 @@ def worker_subroutine(
                     ask_again()
                 continue
 
+            attempts = 0
             tag, _src = probed
             if tag == Tag.INIT:
                 # a late (or re-delivered) setup broadcast
@@ -222,7 +205,6 @@ def worker_subroutine(
                 mp.myrecvraw(tag, mastid)
                 continue
 
-            attempts = 0
             buf = mp.myrecvraw(Tag.WORK, mastid)
             log.idle_seconds += time.perf_counter() - wait0
             iks = _parse_work(buf)
@@ -233,7 +215,8 @@ def worker_subroutine(
                 continue
 
             busy0 = time.perf_counter()
-            for header, payload in compute(iks):
+            for ik in iks:
+                header, payload = compute(ik)
                 if header.lmax != payload.lmax:
                     raise ProtocolError("header/payload lmax mismatch")
                 wire = header.pack()

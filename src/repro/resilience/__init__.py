@@ -12,8 +12,8 @@ kernels, chaos engine) turned out to need:
   derives the matching :class:`RetryPolicy`.
 * :class:`HeartbeatThread`, :func:`escalation_ladder`,
   :func:`run_with_ladder` — the PLINGER liveness/compute ladder
-  (:func:`repro.plinger.worker.chunk_compute` wraps a worker's unit
-  of work in it).
+  (:func:`repro.plinger.worker.mode_compute` wraps a worker's unit
+  of work, one wavenumber, in it).
 """
 
 from .ladder import (

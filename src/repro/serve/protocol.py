@@ -59,8 +59,8 @@ class ServeRequest:
     ``k_min`` to ``k_max`` with ``nk`` points, integrated at
     ``lmax``/``rtol`` with the hierarchy C_l read off at
     ``l = 2 .. lmax - 3``.  A request names a result, not how to
-    compute it: execution knobs (chunk length, kernel, rank count) are
-    the server's, and :meth:`from_doc` ignores top-level keys it does
+    compute it: the one execution knob, the rank count, is the
+    server's, and :meth:`from_doc` ignores top-level keys it does
     not know — the ``batch_size`` older clients still send included.
     """
 

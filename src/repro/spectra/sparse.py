@@ -279,7 +279,6 @@ def run_sparse_cl(
     l_values: np.ndarray | None = None,
     background=None,
     thermo=None,
-    batch_size: int = 1,
     backend: str | None = None,
     nproc: int = 4,
     telemetry: Telemetry = NULL_TELEMETRY,
@@ -288,10 +287,10 @@ def run_sparse_cl(
 ) -> SparseClResult:
     """The end-to-end sparse-k sweep: integrate coarse, project dense.
 
-    ``backend=None`` integrates through ``run_linger`` (``batch_size``
-    modes per operator assembly, as there); naming a thread-hosted
-    message-passing backend (``"inprocess"`` or ``"procs"``) drives the
-    coarse sweep through ``run_plinger(collect_modes=True)`` instead.
+    ``backend=None`` integrates through ``run_linger``; naming a
+    thread-hosted message-passing backend (``"inprocess"`` or
+    ``"procs"``) drives the coarse sweep through
+    ``run_plinger(collect_modes=True)`` instead.
     ``l_values`` defaults to the canonical
     :func:`~repro.spectra.cl.los_l_grid` up to the highest multipole
     the dense grid can project (``~ k_max tau0``).  The j_l tables are
@@ -308,8 +307,7 @@ def run_sparse_cl(
     if backend is None:
         coarse = run_linger(
             params, kgrid, config, background=background, thermo=thermo,
-            progress=progress, telemetry=telemetry, batch_size=batch_size,
-            sparse_k=sparse_factor,
+            progress=progress, telemetry=telemetry, sparse_k=sparse_factor,
         )
     else:
         from ..plinger import run_plinger
@@ -318,7 +316,7 @@ def run_sparse_cl(
         coarse, _stats = run_plinger(
             params, coarse_grid, config, nproc=nproc, backend=backend,
             background=background, thermo=thermo, telemetry=telemetry,
-            batch_size=batch_size, collect_modes=True,
+            collect_modes=True,
         )
         if telemetry.enabled:
             telemetry.meta.setdefault("sparse_k", int(sparse_factor))

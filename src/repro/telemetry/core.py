@@ -101,7 +101,7 @@ class Telemetry:
     def record_rhs(self, evals: dict | None = None,
                    seconds: dict | None = None) -> None:
         """Merge RHS accounting into the run's ``rhs`` section.  Called
-        once per evolved chunk with the operator's counters; within one
+        once per evolved mode with the operator's counters; within one
         run the counts sum."""
         section = RhsMetrics(evals=dict(evals or {}),
                              seconds=dict(seconds or {}))

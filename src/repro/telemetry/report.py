@@ -281,7 +281,7 @@ class SparseMetrics:
 class RhsMetrics:
     """RHS evaluation accounting.
 
-    One section per run: the lane-evaluation counts and wall-clock of
+    One section per run: the evaluation counts and wall-clock of
     the compiled kernels (``cext``), of either phase's RHS.  Additive v1
     extension like ``sparse``: reports without an ``rhs`` section load
     unchanged, and so do reports written when a run could choose its
@@ -289,7 +289,7 @@ class RhsMetrics:
     ``python`` count stays one more entry of ``evals``).
     """
 
-    evals: dict = field(default_factory=dict)  #: kernel -> lane evals
+    evals: dict = field(default_factory=dict)  #: kernel -> evaluations
     seconds: dict = field(default_factory=dict)  #: kernel -> wall clock
 
     @property
@@ -297,7 +297,7 @@ class RhsMetrics:
         return int(sum(self.evals.values()))
 
     def merge(self, other: "RhsMetrics") -> None:
-        """Fold another section in (PLINGER worker payloads, chunks)."""
+        """Fold another section in (PLINGER worker payloads, modes)."""
         for k, v in other.evals.items():
             self.evals[k] = self.evals.get(k, 0) + int(v)
         for k, v in other.seconds.items():

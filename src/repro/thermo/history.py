@@ -202,8 +202,8 @@ class ThermalHistory:
         # ln kappa' and ln cs^2 on the uniform ln-a grid, fitted once
         # here for every reader: the evaluators below and each mode's
         # BoltzmannOperator, which looks both up at every RHS stage.
-        # They share the knot vector, so the operator's lane path and
-        # the compiled kernels take the eight coefficient rows packed:
+        # They share the knot vector, so the compiled kernels take the
+        # eight coefficient rows packed:
         # one piece index, one gather, both polynomials.
         self._kappa_dot_table = kappa_dot
         # H_conf on the same grid: with kappa' and x_e, all that the

@@ -11,7 +11,7 @@ layers:
   hierarchy-truncation diagnostics per-term from the coded RHS at every
   record point of an integration;
 * :mod:`~repro.verify.oracles` / :mod:`~repro.verify.analytic` —
-  differential oracles (serial vs chunked vs PLINGER paths, synchronous
+  differential oracles (serial vs PLINGER paths, synchronous
   vs conformal-Newtonian gauges) and closed-form-limit oracles
   (super-horizon conservation, acoustic phase, matter-era growth,
   Sachs-Wolfe plateau);

@@ -3,14 +3,13 @@
 Two families of cross-checks, both reporting *measured* deviations that
 the runner compares against the :mod:`~repro.verify.tolerances` budget:
 
-* **path oracle** — drive one k-grid through the serial per-mode loop,
-  through four-mode chunks (one operator assembly, lanes addressed by
-  number), and through the PLINGER master/worker machinery, and compare
-  the wire records (:class:`ModeHeader` / :class:`ModePayload`) field
-  by field.  The three paths share the physics kernels and the one
-  step loop but differ in the layers above them (lane addressing,
-  dispatch order, message packing), so agreement at ``oracle.paths_*``
-  rules out whole classes of orchestration bugs.
+* **path oracle** — drive one k-grid through the serial per-mode loop
+  and through the PLINGER master/worker machinery, and compare the
+  wire records (:class:`ModeHeader` / :class:`ModePayload`) field by
+  field.  The two paths share the physics kernels and the one step
+  loop but differ in the layers above them (dispatch, message
+  packing), so agreement at ``oracle.paths_plinger`` rules out whole
+  classes of orchestration bugs.
 
 * **gauge oracle** — evolve one mode in the synchronous gauge and in
   the independently-implemented conformal-Newtonian gauge and compare
@@ -114,24 +113,20 @@ def paths_oracle(
     config,
     background=None,
     thermo=None,
-    batch_size: int = 4,
     nproc: int = 3,
-    include_plinger: bool = True,
 ) -> dict[str, float]:
-    """Serial vs chunked vs PLINGER on one grid; measured deviations.
+    """Serial vs PLINGER on one grid; measured deviation.
 
-    The serial reference integrates one mode per operator assembly;
-    the chunked leg (``paths_batched``, the name its budget was
-    registered under) ``batch_size`` modes per assembly; the PLINGER
-    leg one mode per WORK message over in-process ranks.
+    The serial reference integrates one mode at a time; the PLINGER leg
+    one mode per WORK message over in-process ranks.
 
-    Returns ``{"paths_batched": dev, "paths_plinger": dev}`` (the
-    PLINGER entry only when ``include_plinger``), each the worst
-    header/payload deviation of that path against the serial reference.
+    Returns ``{"paths_plinger": dev}``, the worst header/payload
+    deviation of the PLINGER records against the serial reference.
     ``config`` must have ``keep_mode_results=False`` so the identical
-    configuration is legal on all three paths.
+    configuration is legal on both paths.
     """
     from ..linger.serial import run_linger
+    from ..plinger.driver import run_plinger
 
     if config.keep_mode_results:
         raise ParameterError(
@@ -140,31 +135,15 @@ def paths_oracle(
         )
     serial = run_linger(params, kgrid, config, background=background,
                         thermo=thermo)
-    background, thermo = serial.background, serial.thermo
-
-    out: dict[str, float] = {}
-
-    chunked = run_linger(params, kgrid, config, background=background,
-                         thermo=thermo, batch_size=batch_size)
-    tol_b = budget("oracle.paths_batched")
-    out["paths_batched"] = max(
-        compare_header_fields(serial.headers, chunked.headers, tol_b),
-        compare_payload_fields(serial.payloads, chunked.payloads, tol_b),
+    plinger, _stats = run_plinger(
+        params, kgrid, config, nproc=nproc, backend="inprocess",
+        background=serial.background, thermo=serial.thermo,
     )
-
-    if include_plinger:
-        from ..plinger.driver import run_plinger
-
-        plinger, _stats = run_plinger(
-            params, kgrid, config, nproc=nproc, backend="inprocess",
-            background=background, thermo=thermo,
-        )
-        tol_p = budget("oracle.paths_plinger")
-        out["paths_plinger"] = max(
-            compare_header_fields(serial.headers, plinger.headers, tol_p),
-            compare_payload_fields(serial.payloads, plinger.payloads, tol_p),
-        )
-    return out
+    tol = budget("oracle.paths_plinger")
+    return {"paths_plinger": max(
+        compare_header_fields(serial.headers, plinger.headers, tol),
+        compare_payload_fields(serial.payloads, plinger.payloads, tol),
+    )}
 
 
 def sparse_cl_oracle(
@@ -205,73 +184,37 @@ def rhs_kernel_oracle(
     rtol: float = 1e-4,
     lmax: int = 8,
 ) -> dict[str, float]:
-    """One mode's states through two lanes of the compiled RHS, and the
-    compiled loop against the python driver.
+    """The compiled step loop against the python driver on one mode.
 
-    Evolves one monitored mode on the compiled step loop, capturing the
-    states at the record grid in both phases, then re-evaluates the
-    phase's own right-hand side — ``rhs_tca`` at the tight-coupling
-    states, ``rhs_full`` at the rest — at each captured ``(tau, y)``
-    through lane 1 of a three-lane operator assembled for
-    ``[k/2, k, 2k]``, against a one-lane operator evaluated on the same
-    state: lane addressing, which is all a chunk relies on.  Then it
-    evolves the same mode again on the scalar python ``DVERK`` over the
-    same compiled right-hand side (the ``driver_cls`` seam) and compares
-    every recorded observable and the final state against the loop's.
+    Evolves one mode on the compiled step loop, then again on the
+    scalar python ``DVERK`` over the same compiled right-hand side (the
+    ``driver_cls`` seam), and compares every recorded observable and
+    the final state.
 
     Returns ``{"rhs_kernel": dev}``: the worst
-    ``max|x - x_ref| / max|x_ref|`` over both legs, budgeted at
-    ``oracle.rhs_kernel``.  Both are expected bitwise (0.0).
+    ``max|x - x_ref| / max|x_ref|``, budgeted at ``oracle.rhs_kernel``.
+    Expected bitwise (0.0).
     """
     from ..integrators.dverk import RKDriver
     from ..perturbations import default_record_grid, evolve_mode
-    from ..perturbations.operator import BoltzmannOperator
-    from ..perturbations.state import StateLayout
-    from ..perturbations.system import PerturbationSystem
-
-    states: list[tuple[float, np.ndarray, bool]] = []
-
-    def monitor(tau, y, tight):
-        states.append((float(tau), np.array(y, dtype=float), tight))
 
     grid = default_record_grid(background, thermo, k)
     kwargs = dict(lmax_photon=lmax, lmax_nu=lmax, record_tau=grid, rtol=rtol)
-    loop_mode = evolve_mode(background, thermo, k, monitor=monitor, **kwargs)
-    if len({tight for _, _, tight in states}) != 2:
-        raise ParameterError(
-            "rhs_kernel_oracle needs states of both phases; the record "
-            "grid misses tight coupling or ends before its exit"
-        )
-
-    layout = StateLayout(lmax_photon=lmax, lmax_nu=lmax, nq=0,
-                         lmax_massive_nu=0)
-    ref = PerturbationSystem(background, thermo, k, layout)
-    chunk = BoltzmannOperator(background, thermo,
-                              np.array([0.5 * k, k, 2.0 * k]), layout)
-    lane = PerturbationSystem(background, thermo, k, layout,
-                              operator=chunk, lane=1)
+    loop_mode = evolve_mode(background, thermo, k, **kwargs)
+    # DVERK's own driver class on DVERK's tableau: any class but DVERK
+    # keeps the phases off the compiled loop
+    py_mode = evolve_mode(background, thermo, k, driver_cls=RKDriver,
+                          **kwargs)
 
     def dev(got, want) -> float:
         scale = max(float(np.max(np.abs(want))), 1e-300)
         return float(np.max(np.abs(got - want))) / scale
 
-    worst = 0.0
-    for tau, y, tight in states:
-        rhs = "rhs_tca" if tight else "rhs_full"
-        dy_ref = getattr(ref, rhs)(tau, y).copy()
-        worst = max(worst, dev(getattr(lane, rhs)(tau, y), dy_ref))
-
-    # DVERK's own driver class on DVERK's tableau: any class but DVERK
-    # keeps the phases off the compiled loop
-    py_mode = evolve_mode(background, thermo, k, driver_cls=RKDriver,
-                          **kwargs)
     pairs = [(py_mode.y_final, loop_mode.y_final)]
     pairs += [(py_mode.records[name], loop_mode.records[name])
               for name in loop_mode.records
               if not np.all(np.isnan(loop_mode.records[name]))]
-    for got, want in pairs:
-        worst = max(worst, dev(got, want))
-    return {"rhs_kernel": worst}
+    return {"rhs_kernel": max(dev(got, want) for got, want in pairs)}
 
 
 def _record_bytes(result) -> list[bytes]:
@@ -288,24 +231,19 @@ def batch_invariance_oracle(
     params,
     background=None,
     thermo=None,
-    batch_sizes=(1, 2, 5),
     nprocs=(2, 3),
 ) -> dict:
-    """Bit invariance of the wire records and C_l under execution knobs.
+    """Bit invariance of the wire records and C_l under execution order.
 
     One short hierarchy grid (5 modes, nq=0) is integrated one mode at
-    a time — the reference — and then again with: ``batch_size`` in
-    ``batch_sizes``; one 5-lane chunk in *reversed* lane order; PLINGER
-    with ``nproc`` in ``nprocs`` (in-process ranks, one mode per
-    message).  Every
-    ``ModeHeader``/``ModePayload`` field except ``cpu_seconds``
+    a time, largest k first — the reference — and then again: in the
+    *reversed* dispatch order, smallest k first; by PLINGER with
+    ``nproc`` in ``nprocs`` (in-process ranks, one mode per message).
+    Every ``ModeHeader``/``ModePayload`` field except ``cpu_seconds``
     (so ``n_rhs`` and ``n_steps`` too) and the hierarchy C_l must be
-    bit-for-bit the reference's.  Every leg steps one lane at a time;
-    what the ``batch_size`` and ``reversed lanes`` legs pin is that a
-    lane's coefficient rows, packed constants and record pass do not
-    depend on which other wavenumbers share its operator or where in
-    it the lane sits — chunk composition and lane tables — and the
-    ``nproc`` legs that they do not depend on which rank assembled it.
+    bit-for-bit the reference's.  The reversed leg pins that a mode's
+    bits do not depend on what ran before it, and the ``nproc`` legs
+    that they do not depend on which rank ran it.
 
     Returns ``{"batch_invariance": dev, "legs": {name: dev}}`` where a
     leg's ``dev`` is 0.0 when its bytes match and otherwise the worst
@@ -346,16 +284,9 @@ def batch_invariance_oracle(
 
     legs: dict[str, float] = {}
     tel = Telemetry()
-    for batch_size in batch_sizes:
-        legs[f"batch_size={batch_size}"] = deviation(run_linger(
-            params, kgrid, config, batch_size=batch_size, telemetry=tel,
-            **common))
-    # one chunk holding every mode, lanes in ascending-k order: the
-    # reverse of the dispatch order the batch_size legs used
     ascending = KGrid.from_k(kgrid.k, largest_first=False)
-    legs["reversed lanes"] = deviation(run_linger(
-        params, ascending, config, batch_size=kgrid.nk, telemetry=tel,
-        **common))
+    legs["reversed order"] = deviation(run_linger(
+        params, ascending, config, telemetry=tel, **common))
     for nproc in nprocs:
         result, _stats = run_plinger(params, kgrid, config, nproc=nproc,
                                      backend="inprocess", telemetry=tel,

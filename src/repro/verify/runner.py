@@ -10,17 +10,14 @@ suite against one cosmology:
    recorded algebraic derivatives (``quality.*``);
 3. evaluates every analytic-limit oracle on the recorded modes
    (``analytic.*``);
-4. re-runs the grid in four-mode chunks and through PLINGER and
-   compares the wire records against the serial reference
-   (``oracle.paths_*``);
+4. re-runs the grid through PLINGER and compares the wire records
+   against the serial reference (``oracle.paths_plinger``);
 5. cross-checks the synchronous integration against the independent
    conformal-Newtonian code (``oracle.gauge_*``);
 6. replays the recorded run through the sparse-k fast path and compares
    the line-of-sight C_l against the all-modes projection
    (``oracle.sparse_cl``);
-7. replays one monitored mode's states of both phases through one
-   lane of a three-lane operator against a one-lane operator, both on
-   the compiled RHS, and the whole mode through the python driver
+7. steps one mode through the python driver over the compiled RHS
    against the compiled step loop (``oracle.rhs_kernel``);
 8. re-runs a short PLINGER spectrum under a fixed-seed chaos policy
    that injects faults into the compiled-kernel and integrator layers
@@ -32,8 +29,8 @@ suite against one cosmology:
    cold serial, resident warm pool, and the run-result store's npz
    round trip — and requires bit-level C_l agreement
    (``oracle.serve_result``);
-10. integrates one short grid under every chunk length, lane order and
-    rank count and requires the wire records and C_l to be bit-for-bit
+10. integrates one short grid in both dispatch orders and at several
+    rank counts and requires the wire records and C_l to be bit-for-bit
     one answer (``oracle.batch_invariance``).
 
 Every check lands in a :class:`VerificationReport` as a
@@ -287,24 +284,18 @@ def verify_run(
     report.checks += _quality_checks(result)
     report.checks += _analytic_checks(result, fast)
 
-    if progress:
-        print("[verify] path oracles (serial vs chunked"
-              + (")" if fast else " vs PLINGER)") + "...")
-    wire_cfg = LingerConfig(lmax_photon=24, lmax_nu=12, rtol=1e-4,
-                            record_sources=False, keep_mode_results=False)
-    devs = paths_oracle(params, kgrid, wire_cfg,
-                        background=result.background, thermo=result.thermo,
-                        include_plinger=not fast)
     mk = VerificationCheck.relative
-    report.checks.append(mk("oracle.paths_batched",
-                            "serial vs chunked wire records",
-                            devs["paths_batched"], "batch_size=4"))
-    if "paths_plinger" in devs:
+    if not fast:
+        if progress:
+            print("[verify] path oracle (serial vs PLINGER)...")
+        wire_cfg = LingerConfig(lmax_photon=24, lmax_nu=12, rtol=1e-4,
+                                record_sources=False, keep_mode_results=False)
+        devs = paths_oracle(params, kgrid, wire_cfg,
+                            background=result.background, thermo=result.thermo)
         report.checks.append(mk("oracle.paths_plinger",
                                 "serial vs PLINGER wire records",
                                 devs["paths_plinger"], "nproc=3, inprocess"))
 
-    if not fast:
         if progress:
             print("[verify] gauge cross-check (synchronous vs Newtonian)...")
         gdevs = gauge_oracle(result.background, result.thermo)
@@ -327,23 +318,22 @@ def verify_run(
                             "factor=2 on the golden grid, l=2..15"))
 
     if progress:
-        print("[verify] RHS kernel oracle (lanes; compiled vs python "
+        print("[verify] RHS kernel oracle (compiled loop vs python "
               "driver)...")
     kdevs = rhs_kernel_oracle(result.background, result.thermo)
     report.checks.append(mk("oracle.rhs_kernel",
-                            "compiled RHS lane vs one lane; loop vs python",
+                            "compiled step loop vs python driver",
                             kdevs["rhs_kernel"],
-                            "lane 1 of [k/2, k, 2k]; python DVERK over "
-                            "the compiled RHS"))
+                            "python DVERK over the compiled RHS"))
 
     if progress:
-        print("[verify] batch invariance oracle (batch/lanes/ranks)...")
+        print("[verify] batch invariance oracle (order/ranks)...")
     bdevs = batch_invariance_oracle(params, background=result.background,
                                     thermo=result.thermo)
     moved = [name for name, dev in bdevs["legs"].items() if dev != 0.0]
     report.checks.append(mk(
         "oracle.batch_invariance",
-        "records and C_l bitwise under batch/lanes/ranks",
+        "records and C_l bitwise under order/ranks",
         bdevs["batch_invariance"],
         f"{len(bdevs['legs'])} legs; moved: " + (", ".join(moved) or "none"),
     ))

@@ -149,17 +149,6 @@ TOLERANCES: dict[str, Tolerance] = {
         ),
         # -- differential oracles ------------------------------------------
         Tolerance(
-            "oracle.paths_batched", rtol=1e-8, atol=1e-12,
-            provenance=(
-                "Serial vs chunked on identical modes (one mode per "
-                "operator assembly vs four): since PR 19 every mode "
-                "steps on its own, so the check is lane addressing in a "
-                "shared operator and measures 0.0; the golden suite pins "
-                "batch_size in {1,4} at rtol 1e-8, and the budget stays "
-                "where PR 2's acceptance criterion fixed it, 1e-8."
-            ),
-        ),
-        Tolerance(
             "oracle.paths_plinger", rtol=1e-8, atol=1e-12,
             provenance=(
                 "Serial vs PLINGER (master/worker) on identical modes: the "
@@ -203,14 +192,11 @@ TOLERANCES: dict[str, Tolerance] = {
         Tolerance(
             "oracle.rhs_kernel", rtol=1e-10, atol=0.0,
             provenance=(
-                "One monitored mode's recorded states through lane 1 of "
-                "a three-lane operator against a one-lane operator, both "
-                "on the compiled RHS, worst max|dy - dy_ref| normalized "
-                "by max|dy_ref|; and the whole mode stepped by the "
-                "python DVERK over that RHS against the compiled loop, "
-                "every record and the final state.  Both legs are "
-                "bitwise (same coefficient rows, one arithmetic "
-                "contract — measured 0.0).  1e-10 is the budget the "
+                "One mode stepped by the python DVERK over the compiled "
+                "RHS against the compiled loop, every record and the "
+                "final state, worst max|x - x_ref| normalized by "
+                "max|x_ref|.  Bitwise (one arithmetic contract — "
+                "measured 0.0).  1e-10 is the budget the "
                 "compiled kernel was admitted under against the python "
                 "reference kernel (built without -ffast-math, sharing "
                 "libm: a few ulps with massive neutrinos, "
@@ -228,16 +214,15 @@ TOLERANCES: dict[str, Tolerance] = {
                 "and nothing a comparison of two C_l can produce (>= 1e-17 "
                 "relative, or inf).  "
                 "One 5-mode hierarchy grid (nq=0) integrated one mode at "
-                "a time, then again with batch_size in {1, 2, 5}, as one "
-                "5-lane chunk in reversed lane order and by PLINGER at "
-                "nproc in {2, 3}; every "
+                "a time, largest k first, then again smallest k first "
+                "and by PLINGER at nproc in {2, 3}; every "
                 "ModeHeader/ModePayload field but cpu_seconds and the "
                 "hierarchy C_l compared as bytes.  Zero is the claim, not a "
                 "measurement with headroom: the step loop's arithmetic "
                 "contract (DESIGN.md) fixes the order of every sum, so no "
-                "execution knob can move a bit; any non-zero value means a "
-                "reduction whose order depends on the chunk (a gemv over "
-                "lanes, an einsum) came back.  NaN — an automatic failure — "
+                "execution order can move a bit; any non-zero value means "
+                "a mode's bits depend on what ran before it or on which "
+                "rank ran it.  NaN — an automatic failure — "
                 "when the legs evaluated nothing in compiled code."
             ),
         ),

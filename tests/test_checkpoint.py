@@ -131,15 +131,15 @@ class TestLiveJournal:
 
         nk = small_grid.nk
         hold, computed = threading.Event(), []
-        integrate = worker.compute_modes_batch
+        integrate = worker.compute_mode
 
-        def held_up(background, thermo, ks, iks, *args, **kwargs):
-            computed.extend(iks)
-            if 1 in iks:  # smallest k: dispatched last
+        def held_up(background, thermo, k, ik, *args, **kwargs):
+            computed.append(ik)
+            if ik == 1:  # smallest k: dispatched last
                 hold.wait(60.0)
-            return integrate(background, thermo, ks, iks, *args, **kwargs)
+            return integrate(background, thermo, k, ik, *args, **kwargs)
 
-        monkeypatch.setattr(worker, "compute_modes_batch", held_up)
+        monkeypatch.setattr(worker, "compute_mode", held_up)
         journal_path = tmp_path / "run.journal"
         run = threading.Thread(
             target=run_plinger_checkpointed,

@@ -66,6 +66,17 @@ class TestParser:
             build_parser().parse_args(command)
         assert exit_.value.code == 2
 
+    def test_batch_size_is_not_an_option(self, capsys):
+        """One wavenumber per unit of work: ``run`` takes no chunk
+        length."""
+        command = ["run", "--output", "x.npz"]
+        assert not hasattr(build_parser().parse_args(command), "batch_size")
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(command + ["--batch-size", "4"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --batch-size" in \
+            capsys.readouterr().err
+
     def test_scaling_defaults(self):
         args = build_parser().parse_args(["scaling"])
         assert args.machine == "IBM SP2"

@@ -34,7 +34,7 @@ class TestFaultPolicy:
             mp = world.handle(1)
             mp.initpass()
             worker_subroutine(
-                mp, lambda iks: [fake_compute(ik) for ik in iks])
+                mp, fake_compute)
 
         thread = threading.Thread(target=worker, daemon=True)
         thread.start()

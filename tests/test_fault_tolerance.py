@@ -83,11 +83,6 @@ def fake_compute_factory(kgrid, delay=0.0, lmax=8):
     return fake_compute
 
 
-def per_mode(compute):
-    """The worker's ``compute(iks)`` from a one-mode stand-in."""
-    return lambda iks: [compute(ik) for ik in iks]
-
-
 def run_chaos(world, kgrid=KGRID, ft=FT_FAST, compute=None, kill_rank_at=None):
     """Drive a full FT protocol round on ``world`` with fake compute.
 
@@ -103,7 +98,7 @@ def run_chaos(world, kgrid=KGRID, ft=FT_FAST, compute=None, kill_rank_at=None):
         mp = world.handle(rank)
         try:
             mp.initpass()
-            logs[rank] = worker_subroutine(mp, per_mode(compute),
+            logs[rank] = worker_subroutine(mp, compute,
                                            fault_tolerance=ft)
             mp.endpass()
         except Exception:
@@ -162,7 +157,7 @@ class TestFaultFreeBaseline:
         def worker(rank):
             mp = world.handle(rank)
             mp.initpass()
-            logs[rank] = worker_subroutine(mp, per_mode(compute))
+            logs[rank] = worker_subroutine(mp, compute)
             mp.endpass()
 
         threads = [threading.Thread(target=worker, args=(r,))
@@ -197,6 +192,41 @@ class TestFaultFreeBaseline:
         assert log.fault.dead_workers == []
         assert log.fault.heartbeats_received >= 2  # the busy and the benched
         assert not log.fault.any_faults
+
+    def test_a_benched_worker_outwaits_its_retry_budget(self, bg_scdm,
+                                                        thermo_scdm):
+        """A rank on the bench re-sends READY every ``worker_timeout``;
+        the master answers each with a HEARTBEAT, so the rank waits out
+        a mode (lmax 2000, about a second) far longer than its whole
+        retry budget instead of giving up on a live master."""
+        from repro.plinger.driver import _worker_entry
+
+        ft = FaultTolerance(worker_timeout=0.2, max_retries=1,
+                            heartbeat_interval=0.1)
+        kgrid = KGrid.from_k([0.3])
+        config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-4,
+                              record_sources=False, keep_mode_results=False)
+        world = InProcessWorld(3)
+        errors = {}
+
+        def worker(rank):
+            errors[rank] = _worker_entry(world.handle(rank), bg_scdm,
+                                         thermo_scdm, kgrid, config,
+                                         fault_tolerance=ft)
+
+        threads = [threading.Thread(target=worker, args=(r,), daemon=True)
+                   for r in (1, 2)]
+        for t in threads:
+            t.start()
+        mp0 = world.handle(0)
+        mp0.initpass()
+        log = master_subroutine(mp0, kgrid, fault_tolerance=ft)
+        mp0.endpass()
+        for t in threads:
+            t.join(10.0)
+        assert errors == {1: None, 2: None}
+        assert log.fault.dead_workers == []
+        assert [h.ik for h in log.headers] == [1]
 
 
 class TestEveryAction:
@@ -274,7 +304,7 @@ class TestWorkerDeath:
             mp = world.handle(rank)
             try:
                 mp.initpass()
-                logs[rank] = worker_subroutine(mp, per_mode(compute),
+                logs[rank] = worker_subroutine(mp, compute,
                                                fault_tolerance=FT_FAST)
                 mp.endpass()
             except Exception:
@@ -379,7 +409,7 @@ class TestLostAndCorruptResults:
             mp = world.handle(rank)
             try:
                 mp.initpass()
-                logs[rank] = worker_subroutine(mp, per_mode(compute),
+                logs[rank] = worker_subroutine(mp, compute,
                                                fault_tolerance=ft)
                 mp.endpass()
             except Exception:
@@ -410,7 +440,7 @@ class TestLostAndCorruptResults:
             mp = world.handle(1)
             mp.initpass()
             logs[1] = worker_subroutine(
-                mp, per_mode(fake_compute_factory(KGRID)),
+                mp, fake_compute_factory(KGRID),
                 fault_tolerance=ft)
             mp.endpass()
 

@@ -1,11 +1,22 @@
 """The serial LINGER driver and its result container."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro import KGrid, LingerConfig, ParameterError
-from repro.linger import run_linger
+from repro import (
+    KGrid,
+    LingerConfig,
+    ParameterError,
+    Telemetry,
+    run_linger,
+    run_plinger,
+)
+from repro.errors import IntegrationError
 from repro.linger.serial import compute_mode
+from repro.perturbations import evolve_mode
+from repro.spectra import run_sparse_cl
 
 
 class TestConfig:
@@ -50,6 +61,57 @@ class TestComputeMode:
             mode.records["delta_c"][-1], rel=1e-6
         )
         assert header.a_end == pytest.approx(1.0, rel=1e-4)
+
+    def test_a_mode_is_charged_its_whole_cost(self, bg_scdm, thermo_scdm):
+        """A cheap and an expensive mode (859 vs 5338 steps): each
+        header's ``cpu_seconds`` is its own call's CPU, assembly
+        included, and never more than the call spent; each
+        ``ModeMetrics`` row carries its grid index, that CPU and the
+        wallclock of its two phases."""
+        cfg = LingerConfig(lmax_photon=24, rtol=1e-4, record_sources=False,
+                           keep_mode_results=False)
+        telemetry = Telemetry()
+        charged, spent = [], []
+        for ik, k in ((2, 0.2), (1, 1e-4)):
+            cpu0 = time.process_time()
+            header, _, _ = compute_mode(bg_scdm, thermo_scdm, k, ik, cfg,
+                                        telemetry=telemetry)
+            spent.append(time.process_time() - cpu0)
+            charged.append(header.cpu_seconds)
+        big, small = charged
+        assert big > 3.0 * small > 0.0
+        assert big <= spent[0] and small <= spent[1]
+        m_big, m_small = telemetry.modes
+        assert (m_big.ik, m_small.ik) == (2, 1)
+        assert (m_big.cpu_seconds, m_small.cpu_seconds) == (big, small)
+        assert m_big.wall_seconds > 3.0 * m_small.wall_seconds > 0.0
+        for m in (m_big, m_small):
+            assert m.wall_seconds == pytest.approx(
+                m.tca_wall_seconds + m.full_wall_seconds)
+
+
+def test_a_failed_mode_leaves_no_mode_rows(bg_scdm, thermo_scdm):
+    """Telemetry rows are written only once a mode completed: the
+    ladder retries a failed mode whole, and it must not be counted
+    twice."""
+    kwargs = dict(lmax_photon=8, lmax_nu=8, rtol=3e-4)
+    done = Telemetry()
+    evolve_mode(bg_scdm, thermo_scdm, 0.02, telemetry=done, **kwargs)
+    (row,) = done.modes
+    failed = Telemetry()
+    with pytest.raises(IntegrationError):
+        evolve_mode(bg_scdm, thermo_scdm, 0.02, max_steps=row.n_steps - 1,
+                    telemetry=failed, **kwargs)
+    assert failed.modes == [] and failed.rhs is None
+
+
+@pytest.mark.parametrize("entry", [run_linger, run_plinger, run_sparse_cl],
+                         ids=lambda entry: entry.__name__)
+def test_no_entry_point_takes_a_batch_size(entry, scdm):
+    """The unit of work is one wavenumber: no driver takes a chunk
+    length."""
+    with pytest.raises(TypeError):
+        entry(scdm, KGrid.from_k([0.01]), batch_size=1)
 
 
 class TestRunLinger:

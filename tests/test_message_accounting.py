@@ -53,7 +53,7 @@ def _run_exchange(world, nk: int):
         mp.initpass()
         try:
             worker_subroutine(
-                mp, lambda iks: [fake_compute(ik) for ik in iks])
+                mp, fake_compute)
         finally:
             mp.publish_telemetry({"traffic": mp.stats.as_dict()})
             mp.endpass()
@@ -188,6 +188,6 @@ class TestFaultyConservation:
 
 def _procs_worker_entry(mp):
     mp.initpass()
-    worker_subroutine(mp, lambda iks: [fake_compute(ik) for ik in iks])
+    worker_subroutine(mp, fake_compute)
     mp.publish_telemetry({"traffic": mp.stats.as_dict()})
     mp.endpass()

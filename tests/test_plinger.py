@@ -1,12 +1,13 @@
 """The PLINGER master/worker protocol, with fake and real work."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import KGrid, LingerConfig, ProtocolError
-from repro.linger.records import ModeHeader, ModePayload
+from repro.linger.records import HEADER_LENGTH, ModeHeader, ModePayload
 from repro.mp.backends.inprocess import InProcessWorld
 from repro.plinger import Tag, master_subroutine, run_plinger, worker_subroutine
 
@@ -48,10 +49,8 @@ class TestProtocolFakeWork:
             mp = world.handle(rank)
             mp.initpass()
             logs[rank] = worker_subroutine(
-                mp, lambda iks: [
-                    fake_compute(ik, lmax_by_ik(ik) if lmax_by_ik else 8)
-                    for ik in iks]
-            )
+                mp, lambda ik: fake_compute(
+                    ik, lmax_by_ik(ik) if lmax_by_ik else 8))
             mp.endpass()
 
         threads = [threading.Thread(target=worker, args=(r,))
@@ -121,8 +120,7 @@ class TestWorkerErrors:
         def worker():
             mp1.initpass()
             logs.append(worker_subroutine(
-                mp1, lambda iks: computed.append(iks) or
-                [fake_compute(ik) for ik in iks]))
+                mp1, lambda ik: computed.append(ik) or fake_compute(ik)))
 
         t = threading.Thread(target=worker, daemon=True)
         t.start()
@@ -140,53 +138,69 @@ class TestWorkerErrors:
 
 class TestChunkCompute:
     """The one compute callable a worker takes, over a WORK stream that
-    mixes multi-k and one-k messages (the semantics the driver's and
-    the warm pool's closure sets used to spell out separately)."""
+    mixes multi-k messages — what a master re-sends when a rank lost
+    its reply — and one-k messages, driven here by hand."""
 
-    CHUNKS = [[4, 3], [2], [1, 0]]  # grid indices; the wire is 1-based
+    STREAM = [[5, 4], [3], [2, 1]]  # wavenumber indices, 1-based
     CONFIG = LingerConfig(lmax_photon=6, lmax_nu=6, rtol=1e-3,
                           record_sources=False, keep_mode_results=False)
     KGRID = KGrid.from_k(np.geomspace(2e-3, 0.04, 5))
 
     def run_stream(self, bg, thermo, config, telemetry=None):
-        from repro.plinger.worker import chunk_compute
+        """The banked headers and payloads, in arrival order."""
+        from repro.plinger.worker import mode_compute
         from repro.telemetry import NULL_TELEMETRY
 
         world = InProcessWorld(2)
-        compute = chunk_compute(
+        compute = mode_compute(
             bg, thermo, self.KGRID, config, telemetry or NULL_TELEMETRY)
         calls = []
 
         def worker():
             mp = world.handle(1)
             mp.initpass()
-            worker_subroutine(
-                mp, lambda iks: calls.append(list(iks)) or compute(iks))
+            worker_subroutine(mp, lambda ik: calls.append(ik) or compute(ik))
             mp.endpass()
 
         t = threading.Thread(target=worker, daemon=True)
         t.start()
         mp0 = world.handle(0)
         mp0.initpass()
-        log = master_subroutine(mp0, self.KGRID, chunks=self.CHUNKS)
+        mp0.mybcastreal(np.zeros(5), Tag.INIT)
+        mp0.mycheckone(Tag.READY, 1)
+        mp0.myrecvraw(Tag.READY, 1)
+        banked = []
+        for iks in self.STREAM:
+            mp0.mysendreal(np.array(iks, dtype=float), Tag.WORK, 1)
+            for _ in iks:
+                mp0.mycheckone(Tag.HEADER, 1)
+                buf = mp0.myrecvraw(Tag.HEADER, 1)
+                header = ModeHeader.unpack(buf[:HEADER_LENGTH])
+                if buf.size > HEADER_LENGTH:
+                    header = replace(header, retry_level=int(buf[-1]))
+                mp0.mycheckone(Tag.PAYLOAD, 1)
+                payload = ModePayload.unpack(mp0.myrecvraw(Tag.PAYLOAD, 1),
+                                             header.lmax)
+                banked.append((header, payload))
+        mp0.mysendreal(np.zeros(1), Tag.STOP, 1)
         mp0.endpass()
         t.join(30.0)
         assert not t.is_alive()
-        assert calls == [[5, 4], [3], [2, 1]]
-        assert [h.ik for h in log.headers] == [5, 4, 3, 2, 1]
-        return log
+        assert calls == [5, 4, 3, 2, 1]
+        assert [h.ik for h, _ in banked] == [5, 4, 3, 2, 1]
+        return banked
 
     @staticmethod
-    def physics(log):
+    def physics(banked):
         """Every wire field but cpu_seconds, by ik."""
         return {h.ik: (np.delete(h.pack(), 18).tobytes(), p.pack().tobytes())
-                for h, p in zip(log.headers, log.payloads)}
+                for h, p in banked}
 
     def test_one_callable_serves_one_k_and_multi_k_messages(
             self, bg_scdm, thermo_scdm):
         from repro.linger.serial import compute_mode
 
-        log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG)
+        banked = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG)
         alone = {}
         for ik in range(1, 6):
             h, p, _ = compute_mode(bg_scdm, thermo_scdm,
@@ -194,38 +208,33 @@ class TestChunkCompute:
                                    self.CONFIG)
             alone[ik] = (np.delete(h.pack(), 18).tobytes(),
                          p.pack().tobytes())
-        assert self.physics(log) == alone
+        assert self.physics(banked) == alone
 
     def test_ladder_levels_reach_the_headers(self, bg_scdm, thermo_scdm):
-        from dataclasses import replace
-
         from repro.chaos import ChaosPolicy, active
         from repro.telemetry import Telemetry
 
         clean = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG)
-        assert {h.retry_level for h in clean.headers} == {0}
+        assert {h.retry_level for h, _ in clean} == {0}
 
-        # forced collapses, once each, of iks 5, 4 (a chunk) and 3 (alone)
+        # forced collapses, once each, of iks 5, 4 (sent together) and 3:
+        # each mode recovers on its own transient retry, ladder level 0
         telemetry = Telemetry()
         with active(ChaosPolicy(integrator_faults=3)):
-            log = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG,
-                                  telemetry=telemetry)
-        # the chunk's modes report the chunk -> per-mode downgrade;
-        # the lone mode recovered on its transient retry: ladder level 0
-        assert {h.ik: h.retry_level for h in log.headers} == {
-            5: 1, 4: 1, 3: 0, 2: 0, 1: 0}
-        assert log.fault.degraded_modes == [{"ik": 5, "level": 1},
-                                            {"ik": 4, "level": 1}]
-        assert self.physics(log) == self.physics(clean)
+            banked = self.run_stream(bg_scdm, thermo_scdm, self.CONFIG,
+                                     telemetry=telemetry)
+        assert {h.retry_level for h, _ in banked} == {0}
+        assert self.physics(banked) == self.physics(clean)
         events = telemetry.degradation.events
-        assert [e["event"] for e in events] == ["transient_retry"] * 2
-        assert [e["detail"].split()[0] for e in events] == ["ik=4", "ik=3"]
+        assert [e["event"] for e in events] == ["transient_retry"] * 3
+        assert [e["detail"].split()[0] for e in events] == [
+            "ik=5", "ik=4", "ik=3"]
 
         # a fault that outlives the retry climbs the ladder: a hopeless
-        # opening step fails level 0 on every route, level 1 replaces it
+        # opening step fails level 0, level 1 replaces it
         hopeless = replace(self.CONFIG, first_step=1e-300)
-        log = self.run_stream(bg_scdm, thermo_scdm, hopeless)
-        assert {h.retry_level for h in log.headers} == {1}
+        banked = self.run_stream(bg_scdm, thermo_scdm, hopeless)
+        assert {h.retry_level for h, _ in banked} == {1}
 
 
 @pytest.mark.parametrize("backend", ["inprocess", "procs"])

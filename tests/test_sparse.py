@@ -165,7 +165,7 @@ def dense_uniform(scdm, bg_scdm, thermo_scdm):
     kg = KGrid.from_k(np.linspace(3e-4, 0.03, 33))
     cfg = LingerConfig(lmax_photon=12, lmax_nu=8, rtol=1e-4)
     return run_linger(scdm, kg, cfg, background=bg_scdm,
-                      thermo=thermo_scdm, batch_size=8)
+                      thermo=thermo_scdm)
 
 
 class TestConvergence:

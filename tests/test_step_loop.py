@@ -111,7 +111,7 @@ def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops,
     stops = grid if with_stops else np.empty(0)
     y_py, seen, stats = _python_phase(system, tight, y, t0, t1, stops)
 
-    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, stops,
+    out = system.op.integrate_phase(tight, y, t0, t1, stops,
                                     max_steps=1_000_000, **TOL)
     assert out.ok
     assert out.y.tobytes() == y_py.tobytes()
@@ -145,7 +145,7 @@ def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
     full phase is nearly all stability-bound and one that oscillates."""
     system, y, t0, t1, grid = _phase_start(request, 8, k, tight)
     y_py, seen, stats = _python_phase(system, tight, y, t0, t1, grid)
-    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, grid,
+    out = system.op.integrate_phase(tight, y, t0, t1, grid,
                                     max_steps=1_000_000, **TOL)
     assert out.ok and out.y.tobytes() == y_py.tobytes()
     assert out.rows.tobytes() == np.array([r for _, r in seen]).tobytes()
@@ -170,7 +170,7 @@ def test_the_baseline_clone_steps_to_the_same_bits(request, tmp_path, k):
         _cext.C_SOURCE.replace(line, "#define PHASE_CLONES")))
     for tight in (True, False):
         system, y, t0, t1, grid = _phase_start(request, 0, k, tight)
-        args = (system.lane, tight, y, t0, t1, grid)
+        args = (tight, y, t0, t1, grid)
         ref = system.op.integrate_phase(*args, max_steps=1_000_000, **TOL)
         system.op._cext = plain
         out = system.op.integrate_phase(*args, max_steps=1_000_000, **TOL)
@@ -249,7 +249,7 @@ def test_first_step_is_honoured_identically(request):
                                        first_step=1e-3)
         out, free = (
             system.op.integrate_phase(
-                system.lane, tight, y, t0, t1, (), max_steps=1_000_000,
+                tight, y, t0, t1, (), max_steps=1_000_000,
                 first_step=first_step, **TOL)
             for first_step in (1e-3, None))
         assert out.y.tobytes() == y_py.tobytes()
@@ -257,26 +257,23 @@ def test_first_step_is_honoured_identically(request):
         # ... which is not the step the loop would have chosen
         assert (out.n_rhs, out.y.tobytes()) != (free.n_rhs, free.y.tobytes())
 
-    # ... and at any chunk length, on either driver: every lane of a
-    # chunk opens with the forced step (batch_size > 1 used to drop it)
+    # ... and through a whole run, on either driver: every mode opens
+    # with the forced step
     bg, thermo = system.background, system.thermo
     kgrid = KGrid.from_k(np.geomspace(2e-3, 0.05, 4))
 
-    def run(batch_size, first_step=1e-4):
+    def run(first_step=1e-4):
         cfg = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4,
                            first_step=first_step)
-        res = run_linger(bg.params, kgrid, cfg, background=bg, thermo=thermo,
-                         batch_size=batch_size)
+        res = run_linger(bg.params, kgrid, cfg, background=bg, thermo=thermo)
         return [(m.stats.n_steps, p.pack().tobytes(),
                  {name: arr.tobytes() for name, arr in m.records.items()})
                 for m, p in zip(res.modes, res.payloads)]
 
-    forced = run(1)
-    assert [m[0] for m in forced] != [m[0] for m in run(1, None)]
-    assert run(3) == forced
+    forced = run()
+    assert [m[0] for m in forced] != [m[0] for m in run(None)]
     request.getfixturevalue("python_driver")
-    for batch_size in (1, 3):
-        assert run(batch_size) == forced, batch_size
+    assert run() == forced
 
 
 # -- (a) failure legs: the python driver's errors, raised by the loop ---------
@@ -294,7 +291,7 @@ def _phase(system, tight, y, t0, t1, stops, **kwargs):
 def test_max_steps_raises_the_canonical_error(request, tight):
     system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
     limit = 5 if tight else 20  # tight coupling is over in ~15 steps
-    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, (),
+    out = system.op.integrate_phase(tight, y, t0, t1, (),
                                     max_steps=limit, **TOL)
     assert out.status == 1 and not out.ok and out.n_steps == limit
     with pytest.raises(IntegrationError,
@@ -305,7 +302,7 @@ def test_max_steps_raises_the_canonical_error(request, tight):
 @both_phases
 def test_step_underflow_raises_the_canonical_error(request, tight):
     system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
-    out = system.op.integrate_phase(system.lane, tight, y, t0, t1, (),
+    out = system.op.integrate_phase(tight, y, t0, t1, (),
                                     max_steps=1_000_000, first_step=1e-300,
                                     **TOL)
     assert out.status == 2 and not out.ok
@@ -469,13 +466,13 @@ def test_row_sum_is_the_per_component_sum(row_sum_probe, n, seed, decades):
 def test_bits_invariant_under_kernel_batch_lanes_and_ranks(scdm, bg_scdm,
                                                            thermo_scdm):
     """ROADMAP item 5: every ModeHeader/ModePayload field (cpu_seconds
-    apart) and C_l are one answer, whatever ``batch_size`` in {1, 2, 5},
-    lane order, or ``nproc`` in {1, 2, 3} computed them (nq=0)."""
+    apart) and C_l are one answer, whatever dispatch order or ``nproc``
+    in {1, 2, 3} computed them (nq=0)."""
     from repro.verify import batch_invariance_oracle
 
     out = batch_invariance_oracle(scdm, background=bg_scdm,
                                   thermo=thermo_scdm)
-    assert len(out["legs"]) == 6
+    assert len(out["legs"]) == 3
     assert {name: dev for name, dev in out["legs"].items() if dev != 0.0} == {}
     assert out["batch_invariance"] == 0.0
 
@@ -490,7 +487,6 @@ def test_batch_invariance_reads_nan_when_the_legs_evaluated_nothing(
 
     monkeypatch.setattr(Telemetry, "record_rhs", lambda self, *a, **k: None)
     out = batch_invariance_oracle(scdm, background=bg_scdm,
-                                  thermo=thermo_scdm, batch_sizes=(1,),
-                                  nprocs=())
+                                  thermo=thermo_scdm, nprocs=())
     assert set(out["legs"].values()) == {0.0}
     assert np.isnan(out["batch_invariance"])
