@@ -3,14 +3,15 @@ thermal history's ODE solve and the spline fit's tridiagonal solve.
 
 One shared object — one build, one cache directory, resolved once per
 process by whichever layer asks first (a ``Background``'s first spline
-fit, usually) — carries three entry points over one packed ABI (see
-``BoltzmannOperator.pack`` for the layout contract):
+fit, usually) — carries three entry points over one packed ABI, the
+assembled structure of one wavenumber (see ``PerturbationSystem.pack``
+for the layout contract):
 
 * ``rhs_full`` and ``rhs_tca`` — the synchronous-gauge right-hand side
   of the full-hierarchy phase and of the tight-coupling phase, in the
   evaluation order ``tests/reference_packed_rhs.py`` pins; one body,
   which differs between the two only in the photon-baryon sector;
-* ``integrate_phase`` — one lane's whole phase (either one): the
+* ``integrate_phase`` — one wavenumber's whole phase (either one): the
   Verner stages calling that phase's RHS in-process, error norm, step
   controller, stop points, accept/reject.  A transcription of
   ``RKDriver.integrate`` under the arithmetic contract of
@@ -73,7 +74,7 @@ static inline double thermo_exp(const long long *ints, const double *flts,
                                 const double *th_c, long long row,
                                 double lna)
 {
-    const long long th_n = ints[14];
+    const long long th_n = ints[13];
     const double th_x0 = flts[12], th_dx = flts[13];
     const double *c = th_c + row * th_n;
     long long ti = (long long)((lna - th_x0) / th_dx);
@@ -85,202 +86,187 @@ static inline double thermo_exp(const long long *ints, const double *flts,
                + c[3 * th_n + ti]);
 }
 
-/* The packed-ABI synchronous-gauge right-hand side of either phase; see
- * BoltzmannOperator.pack for the layout contract.  Lanes b in [b0, b1);
- * lane b's state is row b-b0.  ``tight`` selects the photon-baryon
- * sector: the full hierarchies with Thomson scattering, or the
- * first-order tight-coupling approximation (MB95 eqs. 74-75) with
- * F_(l>=2) and the polarization slaved (their derivatives are zero).
- * Background, thermo lookup, metric sources and both neutrino sectors
- * are the same code in both. */
+/* The packed-ABI synchronous-gauge right-hand side of either phase at
+ * (t, Y), into dY; see PerturbationSystem.pack for the layout contract.
+ * ``tight`` selects the photon-baryon sector: the full hierarchies with
+ * Thomson scattering, or the first-order tight-coupling approximation
+ * (MB95 eqs. 74-75) with F_(l>=2) and the polarization slaved (their
+ * derivatives are zero).  Background, thermo lookup, metric sources and
+ * both neutrino sectors are the same code in both. */
 static inline void rhs_eval(const long long *ints, const double *flts,
-                            const double *th_c, const double *lane_c,
-                            const double *adv_lo, const double *adv_hi,
-                            const double *nu_pack, const double *mnu_pack,
-                            const double *rf_c, const double *tau,
-                            const double *Yall, double *dYall,
-                            long long b0, long long b1, const int tight)
+                            const double *th_c, const double *alo,
+                            const double *ahi, const double *nu_pack,
+                            const double *mnu_pack, const double *rf_c,
+                            const double t, const double *Y, double *dY,
+                            const int tight)
 {
-    const long long B = ints[0], n = ints[1], lg = ints[2], ln = ints[3];
-    const long long nq = ints[4], lm = ints[5];
-    const long long i_fg = ints[6], i_gg = ints[7], i_nl = ints[8];
-    const long long i_psi = ints[9];
-    const long long adv0 = ints[10], adv1 = ints[11];
-    const long long damp0 = ints[12], damp1 = ints[13];
-    const long long rf_n = ints[15];
+    const long long lg = ints[1], ln = ints[2];
+    const long long nq = ints[3], lm = ints[4];
+    const long long i_fg = ints[5], i_gg = ints[6], i_nl = ints[7];
+    const long long i_psi = ints[8];
+    const long long adv0 = ints[9], adv1 = ints[10];
+    const long long damp0 = ints[11], damp1 = ints[12];
+    const long long rf_n = ints[14];
     const double gr_m = flts[0], gr_gnl = flts[1], gr_lam = flts[2];
     const double gr_k = flts[3], gr_c = flts[4], gr_b = flts[5];
     const double gr_g = flts[6], gr_nl = flts[7], gr_nu_rel = flts[8];
     const double r_coef = flts[9], x0 = flts[10], irho = flts[11];
     const double rf_x0 = flts[14], rf_dx = flts[15];
-    const long long W = adv1 - adv0;
+    const double k = flts[16], k2 = flts[17];
+    const double k075 = flts[18], k43i = flts[19];
     const double *q = nu_pack, *dlnf = nu_pack + nq;
     const double *w_rho = nu_pack + 2 * nq, *w_q3 = nu_pack + 3 * nq;
     const double *mnu_lo = mnu_pack, *mnu_hi = mnu_pack + (lm + 1);
-    long long b, c, j, l;
+    long long c, j, l;
 
-    for (b = b0; b < b1; b++) {
-        const long long bi = b - b0;
-        const double *Y = Yall + bi * n;
-        double *dY = dYall + bi * n;
-        const double t = tau[bi];
-        const double k = lane_c[b];
-        const double k2 = lane_c[B + b];
-        const double k075 = lane_c[2 * B + b];
-        const double k43i = lane_c[3 * B + b];
-        const double *alo = adv_lo + b * W;
-        const double *ahi = adv_hi + b * W;
+    /* background factors */
+    const double a = Y[0];
+    const double a2 = a * a;
+    double grho = gr_m / a + gr_gnl / a2 + gr_lam * a * a;
+    const double ax = a * x0;
+    long long ri = 0;   /* massive-nu spline piece and offset in it */
+    double ru = 0.0;
+    if (nq > 0) {
+        double lx = log(ax);
+        double p;
+        ri = (long long)((lx - rf_x0) / rf_dx);
+        if (ri < 0) ri = 0;
+        if (ri > rf_n - 1) ri = rf_n - 1;
+        ru = lx - (rf_x0 + ri * rf_dx);
+        p = ((rf_c[ri] * ru + rf_c[rf_n + ri]) * ru
+             + rf_c[2 * rf_n + ri]) * ru + rf_c[3 * rf_n + ri];
+        grho += gr_nu_rel / a2 * (exp(p) / irho);
+    }
+    const double hc = sqrt(grho + gr_k);
 
-        /* background factors */
-        const double a = Y[0];
-        const double a2 = a * a;
-        double grho = gr_m / a + gr_gnl / a2 + gr_lam * a * a;
-        const double ax = a * x0;
-        long long ri = 0;   /* massive-nu spline piece and offset in it */
-        double ru = 0.0;
-        if (nq > 0) {
-            double lx = log(ax);
-            double p;
-            ri = (long long)((lx - rf_x0) / rf_dx);
-            if (ri < 0) ri = 0;
-            if (ri > rf_n - 1) ri = rf_n - 1;
-            ru = lx - (rf_x0 + ri * rf_dx);
-            p = ((rf_c[ri] * ru + rf_c[rf_n + ri]) * ru
-                 + rf_c[2 * rf_n + ri]) * ru + rf_c[3 * rf_n + ri];
-            grho += gr_nu_rel / a2 * (exp(p) / irho);
-        }
-        const double hc = sqrt(grho + gr_k);
+    const double lna = log(a);
+    const double kap = thermo_exp(ints, flts, th_c, 0, lna);
+    const double cs2 = thermo_exp(ints, flts, th_c, 4, lna);
 
-        const double lna = log(a);
-        const double kap = thermo_exp(ints, flts, th_c, 0, lna);
-        const double cs2 = thermo_exp(ints, flts, th_c, 4, lna);
-
-        /* metric sources (Einstein constraints) */
-        const double inv_a = 1.0 / a;
-        const double inv_a2 = inv_a * inv_a;
-        double gdrho = 1.5 * ((gr_c * Y[3] + gr_b * Y[4]) * inv_a
-                              + (gr_g * Y[i_fg] + gr_nl * Y[i_nl]) * inv_a2);
-        const double theta_g = k075 * Y[i_fg + 1];
-        const double theta_n = k075 * Y[i_nl + 1];
-        double gdq = 1.5 * (gr_b * Y[5] * inv_a
-                            + (4.0 / 3.0) * (gr_g * theta_g + gr_nl * theta_n)
-                              * inv_a2);
-        if (nq > 0) {
-            double s_rho = 0.0, s_q = 0.0;
-            for (j = 0; j < nq; j++) {
-                const double epsj = sqrt(q[j] * q[j] + ax * ax);
-                const long long base = i_psi + j * (lm + 1);
-                s_rho += (w_rho[j] * epsj) * Y[base];
-                s_q += w_q3[j] * Y[base + 1];
-            }
-            gdrho += 1.5 * gr_nu_rel * inv_a2 * s_rho;
-            gdq += 1.5 * gr_nu_rel * inv_a2 * k * s_q;
-        }
-        const double hdot = 2.0 * (k2 * Y[2] + gdrho) / hc;
-        const double etadot = gdq / k2;
-
-        dY[0] = a * hc;
-        dY[1] = hdot;
-        dY[2] = etadot;
-        const double hdot23 = (2.0 / 3.0) * hdot;
-        const double src2 = (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot;
-        const double theta_b = Y[5];
-        const double r = r_coef / a;
-
-        if (tight) {
-            /* photon-baryon fluid to first order in 1/kappa' */
-            const double delta_g = Y[i_fg], delta_b = Y[4];
-            const double sigma_g = (2.0 / (3.0 * kap))
-                * ((8.0 / 15.0) * theta_g + (4.0 / 15.0) * hdot
-                   + (8.0 / 5.0) * etadot);
-            const double ddelta_b = -theta_b - 0.5 * hdot;
-            const double ddelta_g = -(4.0 / 3.0) * theta_g - hdot23;
-            double gpres = gr_gnl / (3.0 * a * a) - gr_lam * a * a;
-            if (nq > 0) {
-                const double *pf_c = rf_c + 4 * rf_n;
-                const double p = ((pf_c[ri] * ru + pf_c[rf_n + ri]) * ru
-                                  + pf_c[2 * rf_n + ri]) * ru
-                                 + pf_c[3 * rf_n + ri];
-                gpres += gr_nu_rel / a2 * (3.0 * exp(p) / irho) / 3.0;
-            }
-            /* MB95 eq. (75): first-order slip theta_b' - theta_g' */
-            const double addot_a = -0.5 * (grho + 3.0 * gpres) + hc * hc;
-            const double slip =
-                (2.0 * r / (1.0 + r)) * hc * (theta_b - theta_g)
-                + (1.0 / (kap * (1.0 + r)))
-                  * (-addot_a * theta_b - hc * k2 * 0.5 * delta_g
-                     + k2 * (cs2 * ddelta_b - 0.25 * ddelta_g));
-            /* MB95 eq. (74): combined momentum equation + slip */
-            const double dtheta_b =
-                (-hc * theta_b + cs2 * k2 * delta_b
-                 + r * (k2 * (0.25 * delta_g - sigma_g)) + r * slip)
-                / (1.0 + r);
-            dY[3] = -0.5 * hdot;
-            dY[4] = ddelta_b;
-            dY[5] = dtheta_b;
-            dY[i_fg] = ddelta_g;
-            dY[i_fg + 1] = k43i * (dtheta_b - slip);
-            for (c = i_fg + 2; c < i_nl; c++)
-                dY[c] = 0.0;
-            /* massless-neutrino interior advection */
-            for (c = i_nl + 1; c < adv1; c++)
-                dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
-        } else {
-            /* CDM and baryons */
-            dY[3] = -0.5 * hdot;
-            dY[4] = -theta_b - 0.5 * hdot;
-            dY[5] = -hc * theta_b + cs2 * k2 * Y[4]
-                    + r * kap * (theta_g - theta_b);
-
-            /* fused hierarchy advection */
-            for (c = adv0; c < adv1; c++)
-                dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
-
-            /* photon boundary rows, damping, Thomson sources */
-            const double lg1_tau = (lg + 1.0) / t;
-            dY[i_fg] = (-k) * Y[i_fg + 1] - hdot23;
-            dY[i_fg + lg] = k * Y[i_fg + lg - 1] - lg1_tau * Y[i_fg + lg];
-            dY[i_gg] = (-k) * Y[i_gg + 1];
-            dY[i_gg + lg] = k * Y[i_gg + lg - 1] - lg1_tau * Y[i_gg + lg];
-            for (c = damp0; c < damp1; c++)
-                dY[c] -= kap * Y[c];
-            const double pi_pol = Y[i_fg + 2] + Y[i_gg] + Y[i_gg + 2];
-            dY[i_fg + 1] += kap * (k43i * theta_b - Y[i_fg + 1]);
-            dY[i_fg + 2] += src2 + kap * (0.1 * pi_pol - Y[i_fg + 2]);
-            dY[i_gg] += 0.5 * kap * pi_pol;
-            dY[i_gg + 2] += 0.1 * kap * pi_pol;
-        }
-
-        /* massless neutrinos */
-        dY[i_nl] = (-k) * Y[i_nl + 1] - hdot23;
-        dY[i_nl + 2] += src2;
-        dY[i_nl + ln] = k * Y[i_nl + ln - 1]
-                        - ((ln + 1.0) / t) * Y[i_nl + ln];
-
-        /* massive neutrinos */
+    /* metric sources (Einstein constraints) */
+    const double inv_a = 1.0 / a;
+    const double inv_a2 = inv_a * inv_a;
+    double gdrho = 1.5 * ((gr_c * Y[3] + gr_b * Y[4]) * inv_a
+                          + (gr_g * Y[i_fg] + gr_nl * Y[i_nl]) * inv_a2);
+    const double theta_g = k075 * Y[i_fg + 1];
+    const double theta_n = k075 * Y[i_nl + 1];
+    double gdq = 1.5 * (gr_b * Y[5] * inv_a
+                        + (4.0 / 3.0) * (gr_g * theta_g + gr_nl * theta_n)
+                          * inv_a2);
+    if (nq > 0) {
+        double s_rho = 0.0, s_q = 0.0;
         for (j = 0; j < nq; j++) {
             const double epsj = sqrt(q[j] * q[j] + ax * ax);
-            const double qk = k * q[j] / epsj;
             const long long base = i_psi + j * (lm + 1);
-            for (l = 1; l < lm; l++)
-                dY[base + l] = qk * (mnu_lo[l] * Y[base + l - 1]
-                                     - mnu_hi[l] * Y[base + l + 1]);
-            dY[base + lm] = qk * Y[base + lm - 1]
-                            - ((lm + 1.0) / t) * Y[base + lm];
-            dY[base] = (-qk) * Y[base + 1] + (hdot / 6.0) * dlnf[j];
-            dY[base + 2] += -((1.0 / 15.0) * hdot + (2.0 / 5.0) * etadot)
-                            * dlnf[j];
+            s_rho += (w_rho[j] * epsj) * Y[base];
+            s_q += w_q3[j] * Y[base + 1];
         }
+        gdrho += 1.5 * gr_nu_rel * inv_a2 * s_rho;
+        gdq += 1.5 * gr_nu_rel * inv_a2 * k * s_q;
+    }
+    const double hdot = 2.0 * (k2 * Y[2] + gdrho) / hc;
+    const double etadot = gdq / k2;
+
+    dY[0] = a * hc;
+    dY[1] = hdot;
+    dY[2] = etadot;
+    const double hdot23 = (2.0 / 3.0) * hdot;
+    const double src2 = (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot;
+    const double theta_b = Y[5];
+    const double r = r_coef / a;
+
+    if (tight) {
+        /* photon-baryon fluid to first order in 1/kappa' */
+        const double delta_g = Y[i_fg], delta_b = Y[4];
+        const double sigma_g = (2.0 / (3.0 * kap))
+            * ((8.0 / 15.0) * theta_g + (4.0 / 15.0) * hdot
+               + (8.0 / 5.0) * etadot);
+        const double ddelta_b = -theta_b - 0.5 * hdot;
+        const double ddelta_g = -(4.0 / 3.0) * theta_g - hdot23;
+        double gpres = gr_gnl / (3.0 * a * a) - gr_lam * a * a;
+        if (nq > 0) {
+            const double *pf_c = rf_c + 4 * rf_n;
+            const double p = ((pf_c[ri] * ru + pf_c[rf_n + ri]) * ru
+                              + pf_c[2 * rf_n + ri]) * ru
+                             + pf_c[3 * rf_n + ri];
+            gpres += gr_nu_rel / a2 * (3.0 * exp(p) / irho) / 3.0;
+        }
+        /* MB95 eq. (75): first-order slip theta_b' - theta_g' */
+        const double addot_a = -0.5 * (grho + 3.0 * gpres) + hc * hc;
+        const double slip =
+            (2.0 * r / (1.0 + r)) * hc * (theta_b - theta_g)
+            + (1.0 / (kap * (1.0 + r)))
+              * (-addot_a * theta_b - hc * k2 * 0.5 * delta_g
+                 + k2 * (cs2 * ddelta_b - 0.25 * ddelta_g));
+        /* MB95 eq. (74): combined momentum equation + slip */
+        const double dtheta_b =
+            (-hc * theta_b + cs2 * k2 * delta_b
+             + r * (k2 * (0.25 * delta_g - sigma_g)) + r * slip)
+            / (1.0 + r);
+        dY[3] = -0.5 * hdot;
+        dY[4] = ddelta_b;
+        dY[5] = dtheta_b;
+        dY[i_fg] = ddelta_g;
+        dY[i_fg + 1] = k43i * (dtheta_b - slip);
+        for (c = i_fg + 2; c < i_nl; c++)
+            dY[c] = 0.0;
+        /* massless-neutrino interior advection */
+        for (c = i_nl + 1; c < adv1; c++)
+            dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
+    } else {
+        /* CDM and baryons */
+        dY[3] = -0.5 * hdot;
+        dY[4] = -theta_b - 0.5 * hdot;
+        dY[5] = -hc * theta_b + cs2 * k2 * Y[4]
+                + r * kap * (theta_g - theta_b);
+
+        /* fused hierarchy advection */
+        for (c = adv0; c < adv1; c++)
+            dY[c] = alo[c - adv0] * Y[c - 1] - ahi[c - adv0] * Y[c + 1];
+
+        /* photon boundary rows, damping, Thomson sources */
+        const double lg1_tau = (lg + 1.0) / t;
+        dY[i_fg] = (-k) * Y[i_fg + 1] - hdot23;
+        dY[i_fg + lg] = k * Y[i_fg + lg - 1] - lg1_tau * Y[i_fg + lg];
+        dY[i_gg] = (-k) * Y[i_gg + 1];
+        dY[i_gg + lg] = k * Y[i_gg + lg - 1] - lg1_tau * Y[i_gg + lg];
+        for (c = damp0; c < damp1; c++)
+            dY[c] -= kap * Y[c];
+        const double pi_pol = Y[i_fg + 2] + Y[i_gg] + Y[i_gg + 2];
+        dY[i_fg + 1] += kap * (k43i * theta_b - Y[i_fg + 1]);
+        dY[i_fg + 2] += src2 + kap * (0.1 * pi_pol - Y[i_fg + 2]);
+        dY[i_gg] += 0.5 * kap * pi_pol;
+        dY[i_gg + 2] += 0.1 * kap * pi_pol;
+    }
+
+    /* massless neutrinos */
+    dY[i_nl] = (-k) * Y[i_nl + 1] - hdot23;
+    dY[i_nl + 2] += src2;
+    dY[i_nl + ln] = k * Y[i_nl + ln - 1]
+                    - ((ln + 1.0) / t) * Y[i_nl + ln];
+
+    /* massive neutrinos */
+    for (j = 0; j < nq; j++) {
+        const double epsj = sqrt(q[j] * q[j] + ax * ax);
+        const double qk = k * q[j] / epsj;
+        const long long base = i_psi + j * (lm + 1);
+        for (l = 1; l < lm; l++)
+            dY[base + l] = qk * (mnu_lo[l] * Y[base + l - 1]
+                                 - mnu_hi[l] * Y[base + l + 1]);
+        dY[base + lm] = qk * Y[base + lm - 1]
+                        - ((lm + 1.0) / t) * Y[base + lm];
+        dY[base] = (-qk) * Y[base + 1] + (hdot / 6.0) * dlnf[j];
+        dY[base + 2] += -((1.0 / 15.0) * hdot + (2.0 / 5.0) * etadot)
+                        * dlnf[j];
     }
 }
 
 #define RHS_ARGS const long long *ints, const double *flts, \
-    const double *th_c, const double *lane_c, const double *adv_lo, \
-    const double *adv_hi, const double *nu_pack, const double *mnu_pack, \
-    const double *rf_c, const double *tau, const double *Yall, \
-    double *dYall, long long b0, long long b1
-#define RHS_PASS ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack, \
-    mnu_pack, rf_c, tau, Yall, dYall, b0, b1
+    const double *th_c, const double *adv_lo, const double *adv_hi, \
+    const double *nu_pack, const double *mnu_pack, const double *rf_c, \
+    double t, const double *Y, double *dY
+#define RHS_PASS ints, flts, th_c, adv_lo, adv_hi, nu_pack, mnu_pack, \
+    rf_c, t, Y, dY
 
 void rhs_full(RHS_ARGS) { rhs_eval(RHS_PASS, 0); }
 void rhs_tca(RHS_ARGS) { rhs_eval(RHS_PASS, 1); }
@@ -358,7 +344,7 @@ static inline double step_factor(double err_norm, const double *ctl)
 #define PHASE_CLONES
 #endif
 
-/* One phase of one lane: RKDriver.integrate transcribed under the
+/* One phase: RKDriver.integrate transcribed under the
  * arithmetic contract (repro/integrators/contract.py), its stages calling
  * rhs_tca (``tight``) or rhs_full in-process.
  *
@@ -382,10 +368,9 @@ static inline double step_factor(double err_norm, const double *ctl)
  * 2 step underflow before a step, 3 step underflow after a rejection. */
 PHASE_CLONES
 long long integrate_phase(const long long *ints, const double *flts,
-                          const double *th_c, const double *lane_c,
-                          const double *adv_lo, const double *adv_hi,
-                          const double *nu_pack, const double *mnu_pack,
-                          const double *rf_c, long long lane,
+                          const double *th_c, const double *adv_lo,
+                          const double *adv_hi, const double *nu_pack,
+                          const double *mnu_pack, const double *rf_c,
                           long long tight,
                           const double *tab, long long s,
                           double *ctl, const double *stops,
@@ -393,7 +378,7 @@ long long integrate_phase(const long long *ints, const double *flts,
                           double *work, long long *out)
 {
     void (*const rhs)(RHS_ARGS) = tight ? rhs_tca : rhs_full;
-    const long long n = ints[1];
+    const long long n = ints[0];
     const double t0 = ctl[0], t1 = ctl[1], rtol = ctl[2], atol = ctl[3];
     const double max_step = ctl[4], min_step = ctl[5], first_step = ctl[6];
     const double stable_z = ctl[11], r_coef = flts[9];
@@ -405,14 +390,13 @@ long long integrate_phase(const long long *ints, const double *flts,
     double t = t0, next_stop = stops[0], h, err_norm, ts;
     double h_stable = INFINITY;
 
-#define RHS(tt, yy, dd) rhs(ints, flts, th_c, lane_c, adv_lo, adv_hi, \
-                            nu_pack, mnu_pack, rf_c, (tt), (yy), (dd), \
-                            lane, lane + 1)
+#define RHS(tt, yy, dd) rhs(ints, flts, th_c, adv_lo, adv_hi, nu_pack, \
+                            mnu_pack, rf_c, (tt), (yy), (dd))
 
     for (c = 0; c < n; c++) ycur[c] = y[c];
 
     /* f0 and the initial step */
-    RHS(&t, ycur, K);
+    RHS(t, ycur, K);
     n_rhs = 1;
     if (first_step == first_step) {
         h = fabs(t1 - t0) < first_step ? fabs(t1 - t0) : first_step;
@@ -449,12 +433,12 @@ long long integrate_phase(const long long *ints, const double *flts,
         if (h <= 0.0 || t + h == t) { status = 2; break; }
 
         /* one trial step */
-        RHS(&t, ycur, K);
+        RHS(t, ycur, K);
         for (i = 1; i < s; i++) {
             row_sum(tab + i * s, s, K, n, acc);
             for (c = 0; c < n; c++) yi[c] = ycur[c] + h * acc[c];
             ts = t + cs[i] * h;
-            RHS(&ts, yi, K + i * n);
+            RHS(ts, yi, K + i * n);
         }
         n_rhs += s;
         row_sum(b_high, s, K, n, acc);
@@ -1096,11 +1080,11 @@ class CextKernel:
     ``tight=True``, ``rhs_tca`` — with the packed-ABI *array* signature
     (tests, cold paths).
     The hot paths use the raw entry points, which take addresses:
-    ``rhs_raw(*table, tau, Y, dY, b0, b1)``, its tight-coupling twin
+    ``rhs_raw(*table, tau, y, dy)``, its tight-coupling twin
     ``rhs_tca_raw`` and
-    ``integrate_raw(*table, lane, tight, tab, s, ctl, stops, max_steps,
-    y, rows, work, out) -> status`` where ``table`` is the operator's
-    nine-pointer table (``BoltzmannOperator.pack()["table"]``, built
+    ``integrate_raw(*table, tight, tab, s, ctl, stops, max_steps, y,
+    rows, work, out) -> status`` where ``table`` is the system's
+    eight-pointer table (``PerturbationSystem.pack()["table"]``, built
     once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
     GIL around each call and the C side keeps no static state, so
     threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
@@ -1115,12 +1099,11 @@ class CextKernel:
         self.rhs_raw = lib.rhs_full
         self.rhs_tca_raw = lib.rhs_tca
         for fn in (self.rhs_raw, self.rhs_tca_raw):
-            fn.argtypes = [ptr] * 12 + [i64] * 2
+            fn.argtypes = [ptr] * 8 + [ctypes.c_double, ptr, ptr]
             fn.restype = None
         self.integrate_raw = lib.integrate_phase
-        self.integrate_raw.argtypes = ([ptr] * 9 + [i64, i64, ptr, i64, ptr,
-                                                    ptr, i64, ptr, ptr, ptr,
-                                                    ptr])
+        self.integrate_raw.argtypes = ([ptr] * 8 + [i64, ptr, i64, ptr, ptr,
+                                                    i64, ptr, ptr, ptr, ptr])
         self.integrate_raw.restype = i64
         self.pairwise_raw = lib.pairwise_sum
         self.pairwise_raw.argtypes = [ptr, i64]
@@ -1136,13 +1119,12 @@ class CextKernel:
         self.tridiag_raw.argtypes = [i64, i64] + [ptr] * 4
         self.tridiag_raw.restype = i64
 
-    def __call__(self, ints, flts, th_c, lane_c, adv_lo, adv_hi, nu_pack,
-                 mnu_pack, rf_c, tau, Y, dY, b0, b1, tight=False) -> None:
+    def __call__(self, ints, flts, th_c, adv_lo, adv_hi, nu_pack, mnu_pack,
+                 rf_c, tau, y, dy, tight=False) -> None:
         fn = self.rhs_tca_raw if tight else self.rhs_raw
-        fn(ints.ctypes.data, flts.ctypes.data, th_c.ctypes.data,
-           lane_c.ctypes.data, adv_lo.ctypes.data, adv_hi.ctypes.data,
-           nu_pack.ctypes.data, mnu_pack.ctypes.data, rf_c.ctypes.data,
-           tau.ctypes.data, Y.ctypes.data, dY.ctypes.data, b0, b1)
+        fn(*(a.ctypes.data for a in (ints, flts, th_c, adv_lo, adv_hi,
+                                     nu_pack, mnu_pack, rf_c)),
+           tau, y.ctypes.data, dy.ctypes.data)
 
 
 def get_cext() -> CextKernel:

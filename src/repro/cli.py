@@ -244,11 +244,17 @@ def cmd_info(args) -> int:
 
 def cmd_run(args) -> int:
     if args.chaos_seed is not None:
+        import tempfile
+
+        from ._cext import private_cache
         from .chaos import ChaosPolicy, active
 
         policy = ChaosPolicy.from_profile(args.chaos_profile,
                                           seed=args.chaos_seed)
-        with active(policy) as engine:
+        # the kernel faults plant a torn .so at the content-addressed
+        # path: in a cache of the run's own, never the user's
+        with tempfile.TemporaryDirectory() as tmp, private_cache(tmp), \
+                active(policy) as engine:
             rc = _cmd_run_inner(args)
         s = engine.summary()
         injected = ", ".join(f"{k}={v}" for k, v in

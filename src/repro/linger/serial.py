@@ -1,22 +1,24 @@
 """The serial LINGER driver: loop over k, integrate, collect records.
 
-:func:`compute_mode` is the unit of work — one wavenumber, the same
-function a PLINGER worker executes for the wavenumber of each WORK
-message the master hands it.  :func:`run_linger` is the serial main
-loop over the whole grid.
+:func:`compute_mode` is the unit of work — one wavenumber under the
+escalation ladder, the same function a PLINGER worker executes for the
+wavenumber of each WORK message the master hands it.
+:func:`run_linger` is the serial main loop over the whole grid.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..background import Background
-from ..errors import ParameterError
+from ..chaos import current_engine
+from ..errors import IntegrationError, ParameterError
 from ..params import CosmologyParams
 from ..perturbations import ModeResult, default_record_grid, evolve_mode
+from ..resilience import run_with_ladder
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from .kgrid import KGrid
@@ -124,38 +126,66 @@ def compute_mode(
     records.  The header's ``cpu_seconds`` is the mode's whole CPU
     time.
 
+    The integration runs inside :func:`~repro.resilience.run_with_ladder`
+    — one transient same-config retry, then the escalation levels — so
+    the serial and the PLINGER drivers recover a mode the same way; a
+    level above 0 travels in ``header.retry_level``.  Every failed
+    attempt leaves an ``integrator`` degradation event in
+    ``telemetry``, and only an :class:`~repro.errors.IntegrationError`
+    that outlasts the ladder reaches the caller.  The chaos engine's
+    forced step collapse is consulted here, once per attempt.
+
     ``monitor`` is None or a per-record-point observer (a
-    :class:`~repro.verify.constraints.ConstraintMonitor`).
+    :class:`~repro.verify.constraints.ConstraintMonitor`), bound afresh
+    by each attempt.
     """
     k, ik = float(k), int(ik)
     tau_end = background.tau0 if config.tau_end is None else config.tau_end
     record_tau = (default_record_grid(background, thermo, k, tau_end=tau_end)
                   if config.record_sources else None)
-    mode = evolve_mode(
-        background,
-        thermo,
-        k,
-        lmax_photon=config.lmax_for_k(k, tau_end),
-        lmax_nu=config.lmax_nu,
-        nq=config.nq,
-        lmax_massive_nu=config.lmax_massive_nu,
-        tau_end=tau_end,
-        record_tau=record_tau,
-        rtol=config.rtol,
-        atol=config.atol,
-        tca_eps=config.tca_eps,
-        amplitude=config.amplitude,
-        telemetry=telemetry,
-        monitor=monitor,
-        first_step=config.first_step,
-    )
+
+    def attempt(cfg: LingerConfig) -> ModeResult:
+        eng = current_engine()
+        if eng is not None and eng.collapse_mode(k):
+            raise IntegrationError(f"chaos: forced step collapse (ik={ik})")
+        return evolve_mode(
+            background,
+            thermo,
+            k,
+            lmax_photon=cfg.lmax_for_k(k, tau_end),
+            lmax_nu=cfg.lmax_nu,
+            nq=cfg.nq,
+            lmax_massive_nu=cfg.lmax_massive_nu,
+            tau_end=tau_end,
+            record_tau=record_tau,
+            rtol=cfg.rtol,
+            atol=cfg.atol,
+            tca_eps=cfg.tca_eps,
+            amplitude=cfg.amplitude,
+            telemetry=telemetry,
+            monitor=monitor,
+            first_step=cfg.first_step,
+        )
+
+    def on_retry(level: int, exc: IntegrationError) -> None:
+        telemetry.record_degradation(
+            "integrator",
+            "transient_retry" if level == 0 else "ladder_escalation",
+            f"ik={ik} level={level}: {exc}",
+        )
+
+    mode, level = run_with_ladder(config, attempt, transient_retries=1,
+                                  on_retry=on_retry)
     if telemetry.enabled:
         # evolve_mode appended this mode's ModeMetrics; patch in the
         # grid index and the mode's CPU
         metric = telemetry.modes[-1]
         metric.ik = ik
         metric.cpu_seconds = mode.cpu_seconds
-    return (*_mode_records(mode, k, ik, config), mode)
+    header, payload = _mode_records(mode, k, ik, config)
+    if level:
+        header = replace(header, retry_level=level)
+    return header, payload, mode
 
 
 def _mode_records(

@@ -19,7 +19,6 @@ potentials psi/phi, line-of-sight sources, transfer functions).
 """
 
 from .state import StateLayout
-from .operator import BoltzmannOperator
 from .initial import (
     adiabatic_initial_conditions,
     adiabatic_initial_conditions_newtonian,
@@ -39,7 +38,6 @@ from .tensors import TensorMode, cl_tensor, evolve_tensor_mode
 
 __all__ = [
     "StateLayout",
-    "BoltzmannOperator",
     "adiabatic_initial_conditions",
     "adiabatic_initial_conditions_newtonian",
     "isocurvature_initial_conditions",

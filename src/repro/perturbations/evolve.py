@@ -14,10 +14,9 @@ conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
 A mode is one :class:`~repro.perturbations.system.PerturbationSystem`
-(one :class:`~repro.perturbations.operator.BoltzmannOperator` assembly
-and one ``pack()``), evolved start to finish: initial conditions, the
-tight-coupling phase, the hand-off of the slaved moments, the full
-phase.  A phase is one call of the compiled step loop
+(one assembly and one ``pack()``), evolved start to finish: initial
+conditions, the tight-coupling phase, the hand-off of the slaved
+moments, the full phase.  A phase is one call of the compiled step loop
 (:func:`integrate_phase`; the scalar python
 :class:`~repro.integrators.DVERK` over the compiled right-hand side
 only through the ``driver_cls`` test seam).  Either way a phase hands
@@ -44,9 +43,8 @@ from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
 )
-from .operator import _exp_rows, _log_rows
 from .state import StateLayout
-from .system import PerturbationSystem
+from .system import PerturbationSystem, _exp_rows, _log_rows
 
 __all__ = ["ModeResult", "evolve_mode", "default_record_grid",
            "record_grid_start", "tau_initial", "integrate_phase"]
@@ -219,7 +217,7 @@ class _Recorder:
         if m == 0:
             return
         s = self.system
-        op, lo, p, k = s.op, s.layout, s.params, s.k
+        lo, p, k = s.layout, s.params, s.k
         i_fg, i_gg, i_nl = lo.i_fg, lo.i_gg, lo.i_nl
         a = rows[:, lo.A]
         eta = rows[:, lo.ETA]
@@ -228,21 +226,21 @@ class _Recorder:
         theta_b = rows[:, lo.THETA_B]
         delta_g, f2 = rows[:, i_fg], rows[:, i_fg + 2]
         delta_nu = rows[:, i_nl]
-        hc = op.conformal_hubble_rows(a)
-        kappa_dot = _exp_rows(op._ln_kap_spline.vector(_log_rows(a)))
+        hc = s.conformal_hubble_rows(a)
+        kappa_dot = _exp_rows(s._ln_kap_spline.vector(_log_rows(a)))
 
-        # the Einstein constraints, as BoltzmannOperator.metric_sources_s
+        # the Einstein constraints, as PerturbationSystem._metric_sources
         inv_a = 1.0 / a
         inv_a2 = inv_a * inv_a
         gdrho = 1.5 * (
-            (op._gr_c * delta_c + op._gr_b * delta_b) * inv_a
-            + (op._gr_g * delta_g + op._gr_nl * delta_nu) * inv_a2
+            (s._gr_c * delta_c + s._gr_b * delta_b) * inv_a
+            + (s._gr_g * delta_g + s._gr_nl * delta_nu) * inv_a2
         )
         theta_g = 0.75 * k * rows[:, i_fg + 1]
         theta_nu = 0.75 * k * rows[:, i_nl + 1]
         gdq = 1.5 * (
-            op._gr_b * theta_b * inv_a
-            + (4.0 / 3.0) * (op._gr_g * theta_g + op._gr_nl * theta_nu)
+            s._gr_b * theta_b * inv_a
+            + (4.0 / 3.0) * (s._gr_g * theta_g + s._gr_nl * theta_nu)
             * inv_a2
         )
         if lo.nq > 0:
@@ -251,35 +249,35 @@ class _Recorder:
             nu_rho, nu_q, nu_shear = np.empty((3, m))
             psi = rows[:, lo.sl_psi].reshape(m, lo.nq, -1)
             for i in range(m):
-                eps = op.nu_eps_s(a[i])
-                nu_rho[i] = (op._w_rho * eps) @ psi[i, :, 0]
-                nu_q[i] = op._w_q3 @ psi[i, :, 1]
-                nu_shear[i] = (op._w_q4 / eps) @ psi[i, :, 2]
-            gdrho = gdrho + 1.5 * op._gr_nu_rel * inv_a2 * nu_rho
-            gdq = gdq + 1.5 * op._gr_nu_rel * inv_a2 * k * nu_q
+                eps = s.nu_eps(a[i])
+                nu_rho[i] = (s._w_rho * eps) @ psi[i, :, 0]
+                nu_q[i] = s._w_q3 @ psi[i, :, 1]
+                nu_shear[i] = (s._w_q4 / eps) @ psi[i, :, 2]
+            gdrho = gdrho + 1.5 * s._gr_nu_rel * inv_a2 * nu_rho
+            gdq = gdq + 1.5 * s._gr_nu_rel * inv_a2 * k * nu_q
         hdot = 2.0 * (s.k2 * eta + gdrho) / hc
         etadot = gdq / s.k2
 
         if tight:
-            sigma_g = op.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
+            sigma_g = s.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
             pi_pol = 2.5 * 2.0 * sigma_g  # Pi = 5/2 F2 in tight coupling
         else:
             sigma_g = 0.5 * f2
             pi_pol = f2 + rows[:, i_gg] + rows[:, i_gg + 2]
 
-        # total shear, as BoltzmannOperator.shear_sum_s
+        # total shear, as PerturbationSystem.shear_sum
         inv_aa = 1.0 / (a * a)
         gshear = 1.5 * (4.0 / 3.0) * (
-            op._gr_g * sigma_g + op._gr_nl * (0.5 * rows[:, i_nl + 2])
+            s._gr_g * sigma_g + s._gr_nl * (0.5 * rows[:, i_nl + 2])
         ) * inv_aa
         if lo.nq > 0:
-            gshear = gshear + (1.5 * op._gr_nu_rel * inv_aa * (2.0 / 3.0)
+            gshear = gshear + (1.5 * s._gr_nu_rel * inv_aa * (2.0 / 3.0)
                                * nu_shear)
         pots = newtonian_potentials(k, eta, hdot, etadot, hc, gshear)
 
         num = p.omega_c * delta_c + p.omega_b * delta_b
         if lo.nq > 0:
-            delta_nu_m = nu_rho / op.rho_factor_rows(a)
+            delta_nu_m = nu_rho / s.rho_factor_rows(a)
             if p.omega_nu > 0:
                 num = num + p.omega_nu * delta_nu_m
         else:
@@ -414,9 +412,8 @@ def evolve_mode(
 
     ``ModeResult.cpu_seconds`` is the whole call's CPU time.  When
     ``telemetry`` is enabled, a completed mode leaves one
-    :class:`~repro.telemetry.report.ModeMetrics` with the wallclock of
-    its two phases, and the operator's evaluation count lands in
-    ``RhsMetrics``.
+    :class:`~repro.telemetry.report.ModeMetrics` with its counters and
+    the wallclock of its two phases.
     """
     cpu0 = time.process_time()
     tau_end = background.tau0 if tau_end is None else float(tau_end)
@@ -427,8 +424,7 @@ def evolve_mode(
         nq=nq_eff,
         lmax_massive_nu=lmax_massive_nu if nq_eff else 0,
     )
-    system = PerturbationSystem(background, thermo, k, layout,
-                                instrument=telemetry.enabled)
+    system = PerturbationSystem(background, thermo, k, layout)
     k = system.k
     if initial_conditions not in _IC_BUILDERS:
         raise ParameterError(
@@ -489,7 +485,7 @@ def evolve_mode(
         system=system,
     )
     # only a mode that completed leaves rows: a failed one is retried
-    # whole (plinger.worker.mode_compute)
+    # whole (linger.serial.compute_mode)
     if telemetry.enabled:
         tca_wall, full_wall = walls[1] - walls[0], walls[2] - walls[1]
         telemetry.record_mode(
@@ -505,8 +501,6 @@ def evolve_mode(
             full_wall_seconds=full_wall,
             wall_seconds=tca_wall + full_wall,
         )
-        op = system.op
-        telemetry.record_rhs(evals=dict(op.evals), seconds=dict(op.seconds))
     mode.cpu_seconds = time.process_time() - cpu0
     return mode
 
@@ -539,9 +533,9 @@ def integrate_phase(
     attempts it set.  A call that stops early (max steps, step
     underflow) or ends on a non-finite state raises the
     :class:`~repro.errors.IntegrationError` the python driver raises,
-    with its message; the ladder above (``plinger.worker``) owns what
-    happens next.  Any ``driver_cls`` but DVERK steps the system's
-    compiled right-hand side in python instead (a test seam).
+    with its message; the ladder above (``linger.serial.compute_mode``)
+    owns what happens next.  Any ``driver_cls`` but DVERK steps the
+    system's compiled right-hand side in python instead (a test seam).
     """
     drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
                      rtol=rtol, atol=atol, max_steps=max_steps,
@@ -552,7 +546,7 @@ def integrate_phase(
     if driver_cls is not DVERK:
         res = drv.integrate(y0, t0, t1, stop_points=stop_points, stats=stats)
         return res.y, res.recorded_t, res.recorded_y
-    out = system.op.integrate_phase(
+    out = system.integrate_phase(
         tight, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
         max_steps=max_steps - stats.n_steps, first_step=first_step)
     failure = out.failure(max_steps)

@@ -12,25 +12,25 @@ a worker with nothing to say for a heartbeat interval (a long mode, a
 long wait) sends heartbeats, so the master can tell busy from dead.
 
 What "integrate" means is the one callable the loop takes,
-``compute(ik)``; :func:`mode_compute` builds the production one (the
-escalation ladder around :func:`~repro.linger.serial.compute_mode`)
-for ``run_plinger``'s workers and the warm pool's alike.
+``compute(ik)``; :func:`mode_compute` builds the production one
+(:func:`~repro.linger.serial.compute_mode`, the serial driver's own
+unit of work, escalation ladder included) for ``run_plinger``'s
+workers and the warm pool's alike.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..chaos import current_engine
-from ..errors import IntegrationError, ProtocolError
+from ..errors import ProtocolError
 from ..linger.records import ModeHeader, ModePayload, wire_index
 from ..linger.serial import compute_mode
 from ..mp.api import MessagePassing
-from ..resilience import FaultTolerance, HeartbeatThread, run_with_ladder
+from ..resilience import FaultTolerance, HeartbeatThread
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .tags import Tag
 
@@ -73,45 +73,22 @@ def mode_compute(
     telemetry: Telemetry = NULL_TELEMETRY,
     mode_sink: dict | None = None,
 ) -> ModeCompute:
-    """The production ``compute(ik)`` of a worker rank: integrate one
-    wavenumber under the escalation ladder.
-
-    The mode goes through :func:`~repro.linger.serial.compute_mode`
-    inside :func:`~repro.resilience.run_with_ladder` (one transient
-    same-config retry, then the escalation levels); the level that
-    succeeded travels back in ``header.retry_level``.  Every failed
-    attempt leaves an ``integrator`` degradation event in
-    ``telemetry``, and only an :class:`~repro.errors.IntegrationError`
-    that outlasts the ladder ends the rank.
+    """The production ``compute(ik)`` of a worker rank: one
+    :func:`~repro.linger.serial.compute_mode` call — the escalation
+    ladder included, its level in ``header.retry_level`` — so only an
+    :class:`~repro.errors.IntegrationError` that outlasts the ladder
+    ends the rank.
 
     ``mode_sink`` (thread-hosted workers, which share the master's
     memory) collects the full ``ModeResult`` by ``ik``.
     """
 
-    def attempt(ik: int, cfg):
-        k = float(kgrid.k[ik - 1])
-        eng = current_engine()
-        if eng is not None and eng.collapse_mode(k):
-            raise IntegrationError(f"chaos: forced step collapse (ik={ik})")
-        header, payload, mode = compute_mode(background, thermo, k, ik, cfg,
-                                             telemetry=telemetry)
+    def compute(ik: int) -> tuple[ModeHeader, ModePayload]:
+        header, payload, mode = compute_mode(
+            background, thermo, float(kgrid.k[ik - 1]), ik, config,
+            telemetry=telemetry)
         if mode_sink is not None:
             mode_sink[ik] = mode
-        return header, payload
-
-    def compute(ik: int) -> tuple[ModeHeader, ModePayload]:
-        def on_retry(level: int, exc) -> None:
-            telemetry.record_degradation(
-                "integrator",
-                "transient_retry" if level == 0 else "ladder_escalation",
-                f"ik={ik} level={level}: {exc}",
-            )
-
-        (header, payload), level = run_with_ladder(
-            config, lambda cfg: attempt(ik, cfg), transient_retries=1,
-            on_retry=on_retry)
-        if level:
-            header = replace(header, retry_level=level)
         return header, payload
 
     return compute

@@ -22,7 +22,6 @@ from .report import (
     ModeMetrics,
     RankTraffic,
     RunReport,
-    RhsMetrics,
     SparseMetrics,
     WorkerMetrics,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "WorkerMetrics",
     "FaultReport",
     "DegradationMetrics",
-    "RhsMetrics",
     "SparseMetrics",
     "RunReport",
     "SCHEMA",

@@ -27,7 +27,6 @@ from .report import (
     ModeMetrics,
     RankTraffic,
     RunReport,
-    RhsMetrics,
     ServeMetrics,
     SparseMetrics,
     WorkerMetrics,
@@ -57,7 +56,6 @@ class Telemetry:
         self.fault: FaultReport | None = None
         self.constraints: list[ConstraintMetrics] = []
         self.sparse: SparseMetrics | None = None
-        self.rhs: RhsMetrics | None = None
         self.degradation: DegradationMetrics | None = None
         self.serve: ServeMetrics | None = None
         self.meta: dict = {}
@@ -97,18 +95,6 @@ class Telemetry:
         mode = self.modes[-1]
         for name, value in kwargs.items():
             setattr(mode, name, value)
-
-    def record_rhs(self, evals: dict | None = None,
-                   seconds: dict | None = None) -> None:
-        """Merge RHS accounting into the run's ``rhs`` section.  Called
-        once per evolved mode with the operator's counters; within one
-        run the counts sum."""
-        section = RhsMetrics(evals=dict(evals or {}),
-                             seconds=dict(seconds or {}))
-        if self.rhs is None:
-            self.rhs = section
-        else:
-            self.rhs.merge(section)
 
     def record_degradation(self, surface: str, event: str,
                            detail: str = "", seconds: float = 0.0) -> None:
@@ -166,15 +152,14 @@ class Telemetry:
             "constraints": [asdict(c) for c in self.constraints],
             "counters": {n: c.value for n, c in self.counters.items()},
             "timers": {n: t.as_dict() for n, t in self.timers.items()},
-            "rhs": asdict(self.rhs) if self.rhs is not None else None,
             "degradation": asdict(self.degradation)
             if self.degradation is not None else None,
         }
 
     def merge_worker_payload(self, payload: dict) -> None:
         """Fold a :meth:`worker_payload` dict back into this collector
-        (keys it does not know — an older rank's ``batches`` — are
-        skipped)."""
+        (keys it does not know — an older rank's ``batches`` or ``rhs``
+        — are skipped)."""
         for m in payload.get("modes", []):
             self.modes.append(ModeMetrics.from_dict(m))
         for c in payload.get("constraints", []):
@@ -183,9 +168,6 @@ class Telemetry:
             self.count(name, value)
         for name, d in payload.get("timers", {}).items():
             self.timer(name).add(d["total_seconds"], d["count"])
-        if payload.get("rhs") is not None:
-            self.record_rhs(payload["rhs"]["evals"],
-                            payload["rhs"].get("seconds"))
         if payload.get("degradation") is not None:
             if self.degradation is None:
                 self.degradation = DegradationMetrics()
@@ -210,7 +192,6 @@ class Telemetry:
             fault=self.fault,
             constraints=list(self.constraints),
             sparse=self.sparse,
-            rhs=self.rhs,
             degradation=self.degradation,
             serve=self.serve,
         )
@@ -271,9 +252,6 @@ class NullTelemetry(Telemetry):
         pass
 
     def record_constraint(self, metrics) -> None:
-        pass
-
-    def record_rhs(self, evals=None, seconds=None) -> None:
         pass
 
     def record_degradation(self, surface, event, detail="",

@@ -24,7 +24,6 @@ __all__ = [
     "FaultReport",
     "ConstraintMetrics",
     "SparseMetrics",
-    "RhsMetrics",
     "DegradationMetrics",
     "ServeMetrics",
     "RunReport",
@@ -278,38 +277,6 @@ class SparseMetrics:
 
 
 @dataclass
-class RhsMetrics:
-    """RHS evaluation accounting.
-
-    One section per run: the evaluation counts and wall-clock of
-    the compiled kernels (``cext``), of either phase's RHS.  Additive v1
-    extension like ``sparse``: reports without an ``rhs`` section load
-    unchanged, and so do reports written when a run could choose its
-    kernel (their ``requested``/``active`` keys are dropped, a
-    ``python`` count stays one more entry of ``evals``).
-    """
-
-    evals: dict = field(default_factory=dict)  #: kernel -> evaluations
-    seconds: dict = field(default_factory=dict)  #: kernel -> wall clock
-
-    @property
-    def total_evals(self) -> int:
-        return int(sum(self.evals.values()))
-
-    def merge(self, other: "RhsMetrics") -> None:
-        """Fold another section in (PLINGER worker payloads, modes)."""
-        for k, v in other.evals.items():
-            self.evals[k] = self.evals.get(k, 0) + int(v)
-        for k, v in other.seconds.items():
-            self.seconds[k] = self.seconds.get(k, 0.0) + float(v)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RhsMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
-
-@dataclass
 class DegradationMetrics:
     """Graceful-degradation event log (the chaos engine's ledger).
 
@@ -317,7 +284,7 @@ class DegradationMetrics:
     rebuilt after a torn ``.so``, a corrupt store entry quarantined, a
     transient integrator retry — lands here as one event,
     tagged by *surface* (``cache``, ``kernel``, ``integrator``,
-    ``mp``).  Additive v1 extension like ``rhs``: reports without a
+    ``mp``).  Additive v1 extension like ``sparse``: reports without a
     ``degradation`` section load unchanged.
     """
 
@@ -374,7 +341,7 @@ class ServeMetrics:
     its queue wait and wall clock.  ``computed_runs`` counts *distinct*
     computations, so on a duplicate-heavy mix
     ``computed_runs < requests`` is the coalescing guarantee made
-    measurable.  Additive v1 extension like ``rhs``/``degradation``:
+    measurable.  Additive v1 extension like ``degradation``:
     reports without a ``serve`` section load unchanged.
     """
 
@@ -435,7 +402,6 @@ class RunReport:
     fault: FaultReport | None = None
     constraints: list[ConstraintMetrics] = field(default_factory=list)
     sparse: SparseMetrics | None = None
-    rhs: RhsMetrics | None = None
     degradation: DegradationMetrics | None = None
     serve: ServeMetrics | None = None
     created_unix: float = field(default_factory=time.time)
@@ -486,7 +452,6 @@ class RunReport:
             if self.sparse else 1.0,
             "sparse_est_seconds_saved": self.sparse.est_seconds_saved
             if self.sparse else 0.0,
-            "rhs_evals": self.rhs.total_evals if self.rhs else 0,
             "degradation_events": self.degradation.total_events
             if self.degradation else 0,
             "degradation_by_surface": dict(
@@ -520,7 +485,6 @@ class RunReport:
             "fault": asdict(self.fault) if self.fault is not None else None,
             "constraints": [asdict(c) for c in self.constraints],
             "sparse": asdict(self.sparse) if self.sparse is not None else None,
-            "rhs": asdict(self.rhs) if self.rhs is not None else None,
             "degradation": asdict(self.degradation)
             if self.degradation is not None else None,
             "serve": asdict(self.serve) if self.serve is not None else None,
@@ -533,10 +497,11 @@ class RunReport:
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         """Load a v1 document.  Sections and totals this version no
-        longer writes (the ``batches`` and ``cache`` sections and the
-        ``n_batches`` / ``lane_occupancy`` / ``cache_hits`` /
-        ``cache_misses`` totals of older reports) are dropped, not
-        refused."""
+        longer writes (the ``batches``, ``cache`` and ``rhs`` sections
+        and the ``n_batches`` / ``lane_occupancy`` / ``cache_hits`` /
+        ``cache_misses`` / ``rhs_evals`` totals of older reports) are
+        dropped, not refused: a mode's evaluations are its
+        ``ModeMetrics.n_rhs``."""
         if d.get("schema") != SCHEMA:
             raise ValueError(f"not a {SCHEMA} document: {d.get('schema')!r}")
         return cls(
@@ -553,8 +518,6 @@ class RunReport:
                          for c in d.get("constraints", [])],
             sparse=SparseMetrics.from_dict(d["sparse"])
             if d.get("sparse") is not None else None,
-            rhs=RhsMetrics.from_dict(d["rhs"])
-            if d.get("rhs") is not None else None,
             degradation=DegradationMetrics.from_dict(d["degradation"])
             if d.get("degradation") is not None else None,
             serve=ServeMetrics.from_dict(d["serve"])

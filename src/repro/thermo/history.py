@@ -201,7 +201,7 @@ class ThermalHistory:
 
         # ln kappa' and ln cs^2 on the uniform ln-a grid, fitted once
         # here for every reader: the evaluators below and each mode's
-        # BoltzmannOperator, which looks both up at every RHS stage.
+        # PerturbationSystem, which looks both up at every RHS stage.
         # They share the knot vector, so the compiled kernels take the
         # eight coefficient rows packed:
         # one piece index, one gather, both polynomials.

@@ -175,8 +175,11 @@ class ConstraintMonitor:
         self._samples: list[tuple] = []
 
     def bind(self, system) -> None:
-        """Late-bind the RHS provider (called by the evolution driver)."""
+        """Late-bind the RHS provider (called by the evolution driver)
+        and start a fresh history: a mode the ladder retried reports
+        only the samples of the attempt that completed."""
         self.system = system
+        self._samples = []
 
     # -- sampling ----------------------------------------------------------
 

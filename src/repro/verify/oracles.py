@@ -249,8 +249,8 @@ def batch_invariance_oracle(
     leg's ``dev`` is 0.0 when its bytes match and otherwise the worst
     relative C_l deviation (``inf`` if that is zero although records
     differ).  ``batch_invariance`` is the worst leg, or NaN when the
-    legs evaluated nothing in compiled code — a leg that never reached
-    the compiled loop proves nothing about it.
+    legs' modes counted no evaluation (``ModeMetrics.n_rhs``) — a leg
+    that never reached the compiled loop proves nothing about it.
     """
     from ..background import Background
     from ..linger.kgrid import KGrid
@@ -292,7 +292,7 @@ def batch_invariance_oracle(
                                      backend="inprocess", telemetry=tel,
                                      **common)
         legs[f"nproc={nproc}"] = deviation(result)
-    compiled_ran = tel.rhs is not None and tel.rhs.total_evals > 0
+    compiled_ran = sum(m.n_rhs for m in tel.modes) > 0
 
     worst = max(legs.values())
     return {"batch_invariance": worst if compiled_ran else float("nan"),

@@ -410,6 +410,97 @@ class TestEndToEndProfiles:
         assert all(h.retry_level == 0 for h in result.headers)
 
 
+#: a serial ``repro run`` small enough to run several times per test
+CLI_RUN = ["run", "--nk", "2", "--lmax", "8", "--rtol", "1e-3",
+           "--k-min", "1e-3", "--k-max", "3e-3"]
+
+
+def _archive_physics(path) -> dict:
+    """Every array of a run archive, headers without their timing
+    column (18, ``cpu_seconds``), as bytes."""
+    with np.load(path) as data:
+        out = {name: data[name].tobytes() for name in data.files}
+        out["headers"] = np.delete(data["headers"], 18, axis=1).tobytes()
+    return out
+
+
+class TestSerialChaos:
+    """Both drivers integrate a mode through one function,
+    ``linger.serial.compute_mode``, ladder and chaos consult included."""
+
+    @pytest.mark.parametrize("profile", ["kernel", "integrator", "all"])
+    def test_a_serial_cli_chaos_run_heals_every_fault(self, tmp_path,
+                                                      capsys, profile):
+        from repro.cli import main
+
+        clean = tmp_path / "clean.npz"
+        assert main([*CLI_RUN, "--output", str(clean)]) == 0
+        chaotic, report = tmp_path / "chaos.npz", tmp_path / "chaos.json"
+        assert main([*CLI_RUN, "--chaos-seed", str(CHAOS_SEED),
+                     "--chaos-profile", profile, "--output", str(chaotic),
+                     "--report", str(report)]) == 0
+        assert "injected (master process): none" not in capsys.readouterr().out
+        assert _archive_physics(chaotic) == _archive_physics(clean)
+        events = RunReport.load(report).degradation
+        assert events is not None
+        assert events.count("integrator", "transient_retry") >= 1
+
+    def test_a_chaos_run_leaves_the_kernel_cache_alone(self, tmp_path):
+        """The stale-.so fault plants a torn file at the content-addressed
+        path: a CLI chaos run does that in a cache of its own, so a
+        pre-built kernel keeps its inode and its bytes."""
+        import hashlib
+        import subprocess
+        import sys
+
+        from repro._cext import cache_dir, get_cext, private_cache
+
+        cache = tmp_path / "kernels"
+        with private_cache(cache):
+            get_cext()
+            (so,) = [os.path.join(cache_dir(), name)
+                     for name in os.listdir(cache_dir())
+                     if name.endswith(".so")]
+
+        def fingerprint():
+            with open(so, "rb") as fh:
+                return os.stat(so).st_ino, hashlib.sha256(fh.read()).digest()
+
+        before = fingerprint()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   REPRO_KERNEL_CACHE=str(cache))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *CLI_RUN, "--chaos-seed",
+             str(CHAOS_SEED), "--chaos-profile", "kernel", "--output",
+             str(tmp_path / "x.npz")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert fingerprint() == before
+        assert done.returncode == 0, done.stderr
+
+    def test_serial_and_plinger_climb_the_ladder_alike(self, scdm, bg_scdm,
+                                                       thermo_scdm,
+                                                       chaos_grid,
+                                                       chaos_config):
+        """A hopeless opening step fails every mode at level 0; both
+        drivers recover it at level 1, to the same bits."""
+        from dataclasses import replace
+
+        from repro import run_linger
+
+        hopeless = replace(chaos_config, first_step=1e-300)
+        tables = dict(background=bg_scdm, thermo=thermo_scdm)
+        serial = run_linger(scdm, chaos_grid, hopeless, **tables)
+        parallel, _ = run_plinger(scdm, chaos_grid, hopeless, nproc=3,
+                                  backend="inprocess", **tables)
+        assert [h.retry_level for h in serial.headers] == \
+            [h.retry_level for h in parallel.headers] == [1] * chaos_grid.nk
+        for a, b in zip(serial.headers, parallel.headers):
+            assert (np.delete(a.pack(), 18).tobytes()
+                    == np.delete(b.pack(), 18).tobytes())
+        for a, b in zip(serial.payloads, parallel.payloads):
+            assert a.pack().tobytes() == b.pack().tobytes()
+
+
 class TestVerifyOracle:
     def test_chaos_degradation_oracle_passes(self, scdm):
         from repro.verify.oracles import chaos_degradation_oracle

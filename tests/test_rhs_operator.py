@@ -15,11 +15,9 @@ The operator's contract, pinned here:
   against it at the ``oracle.rhs_kernel`` tolerance (rtol 1e-10) — and
   held to zero deviation without massive neutrinos.
 * **the knob is gone** — no layer takes an ``rhs_kernel`` argument.
-* **telemetry** — a system counts its evaluations on its operator, the
-  structural flop census is identical on every path (compiled loop /
-  python driver), and the ``RhsMetrics`` report section survives the
-  dict round-trip used by the PLINGER worker wire and loads as older
-  reports wrote it.
+* **telemetry** — the structural flop census is identical on every
+  path (compiled loop / python driver), and reports and worker
+  payloads written with the retired ``rhs`` section still load.
 """
 
 from __future__ import annotations
@@ -48,8 +46,7 @@ from repro.perturbations import (
 )
 from repro._cext import get_cext
 from repro.perturbations.evolve import find_tca_exit, tau_initial
-from repro.perturbations.operator import BoltzmannOperator
-from repro.telemetry import RhsMetrics, RunReport, Telemetry
+from repro.telemetry import RunReport, Telemetry
 from tests import reference_thermo
 from tests.reference_packed_rhs import kernel_rhs_full, kernel_rhs_tca
 from tests.reference_rhs import ReferencePerturbationSystem
@@ -106,12 +103,11 @@ class TestBitwiseParity:
         ref = ReferencePerturbationSystem(bg, thermo, k, layout)
         tau0, y = _random_state(layout, bg, k, rng, q_nodes=new.q_nodes)
         tau = ts * tau0
-        packed = BoltzmannOperator(bg, thermo, k, layout)
         for name, fn in (("rhs_full", kernel_rhs_full),
                          ("rhs_tca", kernel_rhs_tca)):
             dy_new = np.array(getattr(new, name)(tau, y), copy=True)
             # the C kernel's own order, in python: bitwise at any nq
-            dy_packed = _packed_eval(packed, fn, [tau], y[None, :])[0]
+            dy_packed = _packed_eval(new, fn, tau, y)
             assert np.array_equal(dy_new, dy_packed), (
                 f"{name} not bitwise at nq={nq}, k={k}, seed={seed}")
             if nq == 0:
@@ -139,27 +135,52 @@ class TestBitwiseParity:
 # ---------------------------------------------------------------------------
 
 
-def _packed_eval(op, fn, tau, Y, **kwargs):
-    """Evaluate a packed-ABI kernel on the operator's one-lane block;
-    the output buffer starts as NaN, so an entry the kernel leaves
-    unwritten cannot pass for a zero."""
-    p = op.pack()
-    tau = np.ascontiguousarray(np.asarray(tau, dtype=float))
-    Y = np.ascontiguousarray(Y)
-    dY = np.full_like(Y, np.nan)
-    fn(p["ints"], p["flts"], p["th_c"], p["lane_c"], p["adv_lo"],
-       p["adv_hi"], p["nu_pack"], p["mnu_pack"], p["rf_c"],
-       tau, Y, dY, 0, 1, **kwargs)
-    return dY
+def _packed_eval(system, fn, tau, y):
+    """Evaluate a packed-ABI kernel on the system's structure at
+    (tau, y); the output buffer starts as NaN, so an entry the kernel
+    leaves unwritten cannot pass for a zero."""
+    p = system.pack()
+    y = np.ascontiguousarray(y)
+    dy = np.full_like(y, np.nan)
+    fn(p["ints"], p["flts"], p["th_c"], p["adv_lo"], p["adv_hi"],
+       p["nu_pack"], p["mnu_pack"], p["rf_c"], float(tau), y, dy)
+    return dy
+
+
+def test_the_packed_abi_addresses_one_wavenumber(bg_mdm, thermo_mdm):
+    """No lane range, lane index or per-lane block: the pack is one
+    wavenumber's structure, its k-dependent constants ride in ``flts``
+    and the raw entry points take exactly the table plus their own
+    arguments."""
+    import ctypes
+
+    system = PerturbationSystem(bg_mdm, thermo_mdm, float(KS[2]),
+                                StateLayout(**LAYOUT_NQ4))
+    p = system.pack()
+    assert set(p) == {"ints", "flts", "th_c", "adv_lo", "adv_hi",
+                      "nu_pack", "mnu_pack", "rf_c", "table"}
+    assert len(p["table"]) == 8
+    assert p["ints"].shape == (15,) and p["ints"][0] == system.layout.n_state
+    k = system.k
+    assert p["flts"].shape == (20,)
+    assert p["flts"][16:].tolist() == [k, k * k, 0.75 * k, 4.0 / (3.0 * k)]
+    assert p["adv_lo"].ndim == p["adv_hi"].ndim == 1
+    fn = get_cext()
+    ptr, i64, dbl = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double
+    for raw in (fn.rhs_raw, fn.rhs_tca_raw):
+        assert raw.argtypes == [ptr] * 8 + [dbl, ptr, ptr]
+    assert fn.integrate_raw.argtypes == [ptr] * 8 + [
+        i64, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]
 
 
 def _random_states(bg, thermo, layout, seed):
-    """(k, operator, tau, state) at every k of KS, one rng stream."""
+    """(k, system, tau, state) at every k of KS, one rng stream."""
     rng = np.random.default_rng(seed)
     for k in KS.tolist():
-        op = BoltzmannOperator(bg, thermo, k, layout)
-        tau0, y = _random_state(layout, bg, k, rng, q_nodes=op.q_nodes)
-        yield k, op, 3.0 * tau0, y
+        system = PerturbationSystem(bg, thermo, k, layout)
+        tau0, y = _random_state(layout, bg, k, rng,
+                                q_nodes=system.q_nodes)
+        yield k, system, 3.0 * tau0, y
 
 
 @pytest.mark.parametrize("nq", [0, 4])
@@ -167,8 +188,8 @@ def test_packed_python_kernel_bitwise(request, nq):
     """The packed ABI evaluated in plain python is bitwise equal to the
     reference rhs_full — same groupings, same libm calls."""
     bg, thermo, layout = _fixtures(request, nq)
-    for k, op, tau, y in _random_states(bg, thermo, layout, 7):
-        dy = _packed_eval(op, kernel_rhs_full, [tau], y[None, :])[0]
+    for k, system, tau, y in _random_states(bg, thermo, layout, 7):
+        dy = _packed_eval(system, kernel_rhs_full, tau, y)
         ref = ReferencePerturbationSystem(bg, thermo, k, layout)
         assert np.array_equal(dy, ref.rhs_full(tau, y))
 
@@ -181,8 +202,8 @@ def test_packed_python_tca_kernel_bitwise(request, nq):
     where the reference takes a BLAS dot, which pairs them: the last
     bit of hdot/etadot may differ, and everything downstream with it."""
     bg, thermo, layout = _fixtures(request, nq)
-    for k, op, tau, y in _random_states(bg, thermo, layout, 8):
-        dy = _packed_eval(op, kernel_rhs_tca, [tau], y[None, :])[0]
+    for k, system, tau, y in _random_states(bg, thermo, layout, 8):
+        dy = _packed_eval(system, kernel_rhs_tca, tau, y)
         dy_ref = ReferencePerturbationSystem(bg, thermo, k,
                                              layout).rhs_tca(tau, y)
         if nq == 0:
@@ -199,8 +220,8 @@ def test_cext_kernel_within_oracle_budget(request, nq):
 
     bg, thermo, layout = _fixtures(request, nq)
     tol = budget("oracle.rhs_kernel")
-    for k, op, tau, y in _random_states(bg, thermo, layout, 11):
-        dy = _packed_eval(op, get_cext(), [tau], y[None, :])[0]
+    for k, system, tau, y in _random_states(bg, thermo, layout, 11):
+        dy = _packed_eval(system, get_cext(), tau, y)
         dy_ref = ReferencePerturbationSystem(bg, thermo, k,
                                              layout).rhs_full(tau, y)
         scale = max(float(np.max(np.abs(dy_ref))), 1e-300)
@@ -229,14 +250,14 @@ def test_cext_tca_kernel_is_the_python_kernel(request, nq, seed, b, ts, lg_a):
     else:
         bg, thermo, layout = _fixtures(request, 0)
     k = float(KS[b])
-    op = BoltzmannOperator(bg, thermo, k, layout)
+    system = PerturbationSystem(bg, thermo, k, layout)
     tau0, y = _random_state(layout, bg, k, np.random.default_rng(seed),
-                            q_nodes=op.q_nodes)
+                            q_nodes=system.q_nodes)
     y[layout.A] = 10.0 ** lg_a
     tau = ts * tau0
     want = ReferencePerturbationSystem(bg, thermo, k, layout).rhs_tca(tau, y)
-    got = op.rhs_scalar(True, tau, y, np.full_like(y, np.nan))
-    assert op.evals == {"cext": 1}
+    system._dy[:] = np.nan  # an entry left unwritten cannot pass for 0
+    got = system.rhs_tca(tau, y)
     if nq == 0:
         assert got.tobytes() == want.tobytes()
     else:
@@ -326,8 +347,8 @@ def test_cext_kernel_threads_through_evolution(bg_scdm, thermo_scdm):
 
 def test_one_spline_pack_per_cosmology(bg_mdm, thermo_mdm):
     layout = StateLayout(**LAYOUT_NQ4)
-    one = BoltzmannOperator(bg_mdm, thermo_mdm, float(KS[0]), layout)
-    two = BoltzmannOperator(bg_mdm, thermo_mdm, float(KS[3]), layout)
+    one = PerturbationSystem(bg_mdm, thermo_mdm, float(KS[0]), layout)
+    two = PerturbationSystem(bg_mdm, thermo_mdm, float(KS[3]), layout)
     assert one._th_c is two._th_c is thermo_mdm._rhs_pack
     assert one.pack()["th_c"] is two.pack()["th_c"]
     assert one._ln_kap_spline is thermo_mdm._ln_kap_spline
@@ -345,13 +366,13 @@ def test_spline_pack_is_the_same_on_a_second_build(bg_mdm, thermo_mdm):
     thermo = ThermalHistory(bg)
     assert np.array_equal(thermo._rhs_pack, thermo_mdm._rhs_pack)
     layout = StateLayout(**LAYOUT_NQ4)
-    op = BoltzmannOperator(bg_mdm, thermo_mdm, float(KS[2]), layout)
-    twin = BoltzmannOperator(bg, thermo, float(KS[2]), layout)
+    system = PerturbationSystem(bg_mdm, thermo_mdm, float(KS[2]), layout)
+    twin = PerturbationSystem(bg, thermo, float(KS[2]), layout)
     for a in np.geomspace(2e-8, 1.0, 50).tolist():
-        for name in ("opacity_s", "cs2_s", "rho_factor_s",
-                     "pressure_factor_s", "conformal_hubble_s"):
-            assert getattr(twin, name)(a) == getattr(op, name)(a)
-    assert all(np.array_equal(twin.pack()[name], op.pack()[name])
+        for name in ("opacity", "cs2", "_rho_factor", "_pressure_factor",
+                     "conformal_hubble"):
+            assert getattr(twin, name)(a) == getattr(system, name)(a)
+    assert all(np.array_equal(twin.pack()[name], system.pack()[name])
                for name in ("ints", "flts", "th_c", "rf_c"))
 
 
@@ -362,27 +383,38 @@ def test_spline_pack_is_the_same_on_a_second_build(bg_mdm, thermo_mdm):
 
 def test_no_kernel_selection_layer():
     import repro.perturbations
-    import repro.perturbations.operator as operator
+    import repro.perturbations.system as system
 
-    for module in (repro.perturbations, operator):
+    for module in (repro.perturbations, system):
         for gone in ("KERNELS", "available_kernels", "resolve_kernel"):
             assert not hasattr(module, gone)
     with pytest.raises(TypeError):
         LingerConfig(rhs_kernel="python")
 
 
-def test_the_operator_counts_one_kernel(bg_scdm, thermo_scdm):
+def test_one_object_per_wavenumber(bg_scdm, thermo_scdm):
+    """The system is the assembled operator: no second object behind
+    it, no second count of its evaluations, no scalar-suffixed twins of
+    its methods; its two right-hand sides are the compiled kernels'."""
+    import repro.perturbations as perturbations
+
+    assert not hasattr(perturbations, "BoltzmannOperator")
     layout = StateLayout(**LAYOUT_NQ0)
     system = PerturbationSystem(bg_scdm, thermo_scdm, float(KS[1]), layout)
-    op = system.op
-    assert op.evals == {"cext": 0} and op.seconds == {"cext": 0.0}
-    for gone in ("rhs_full_s", "rhs_tca_s"):
-        assert not hasattr(op, gone)
+    for gone in ("op", "evals", "seconds", "instrument", "rhs_scalar"):
+        assert not hasattr(system, gone)
+    assert not [name for name in dir(system) if name.endswith("_s")]
+    with pytest.raises(TypeError):
+        PerturbationSystem(bg_scdm, thermo_scdm, 0.01, layout,
+                           instrument=True)
     tau0, y = _random_state(layout, bg_scdm, float(KS[1]),
                             np.random.default_rng(5))
-    system.rhs_full(2.0 * tau0, y)
-    system.rhs_tca(2.0 * tau0, y)
-    assert op.evals == {"cext": 2}
+    for name, fn in (("rhs_full", kernel_rhs_full),
+                     ("rhs_tca", kernel_rhs_tca)):
+        got = getattr(system, name)(2.0 * tau0, y)
+        assert got is system._dy
+        assert got.tobytes() == _packed_eval(system, fn, 2.0 * tau0,
+                                             y).tobytes()
 
 
 def test_system_takes_no_kernel(bg_scdm, thermo_scdm):
@@ -397,7 +429,7 @@ def test_system_takes_no_kernel(bg_scdm, thermo_scdm):
 
 
 # ---------------------------------------------------------------------------
-# Telemetry: shared counters, flop-census parity, report round-trip
+# Telemetry: flop-census parity, retired report sections
 # ---------------------------------------------------------------------------
 
 
@@ -413,59 +445,42 @@ def test_flop_census_identical_on_every_path(bg_scdm, thermo_scdm):
     assert loop.stats.n_flops == python.stats.n_flops > 0
 
 
-def test_rhs_metrics_roundtrip_and_merge():
-    m = RhsMetrics(evals={"cext": 90}, seconds={"cext": 0.5})
-    assert m.total_evals == 90
-    m2 = RhsMetrics.from_dict({"evals": dict(m.evals),
-                               "seconds": dict(m.seconds),
-                               "unknown_future_field": 1})
-    assert m2 == m
-    m2.merge(RhsMetrics(evals={"cext": 10}))
-    assert m2.total_evals == 100
+def test_a_report_with_an_rhs_section_loads():
+    """Reports written while the system kept its own evaluation count
+    carried an ``rhs`` section and an ``rhs_evals`` total; they load,
+    with both dropped — a mode's evaluations are its ``n_rhs``."""
+    from repro.telemetry import ModeMetrics
 
-    report = RunReport(rhs=m)
-    back = RunReport.from_dict(report.to_dict())
-    assert back.rhs == m
-    assert back.to_dict()["totals"]["rhs_evals"] == 90
-
-    # a report written before the numba backend went still loads: its
-    # zero-count key is just one more entry of the evals dict
+    report = RunReport(modes=[ModeMetrics(k=0.01, n_rhs=90)])
     old = report.to_dict()
-    old["rhs"]["evals"]["numba"] = 0
-    old["rhs"]["seconds"]["numba"] = 0.0
-    loaded = RunReport.from_dict(old)
-    assert loaded.rhs.evals == {**m.evals, "numba": 0}
-    assert loaded.rhs.total_evals == 90
-
-    # ... and so does one written when a run chose its kernel: the
-    # choice's keys are dropped, a python count is one more entry
-    old = report.to_dict()
-    old["rhs"].update(requested="auto", active="cext")
-    old["rhs"]["evals"]["python"] = 10
-    old["totals"].update(rhs_kernel_active="cext",
+    assert "rhs" not in old and "rhs_evals" not in old["totals"]
+    old["rhs"] = {"evals": {"cext": 90, "python": 10},
+                  "seconds": {"cext": 0.5}, "requested": "auto",
+                  "active": "cext"}
+    old["totals"].update(rhs_evals=100, rhs_kernel_active="cext",
                          rhs_compiled_fraction=0.9)
     old["counters"] = {"thermo.ode_rhs_evals": 5107,
                        "thermo.ode_rhs_compiled": 5107}
     loaded = RunReport.from_dict(old)
-    assert loaded.rhs == RhsMetrics(evals={"cext": 90, "python": 10},
-                                    seconds={"cext": 0.5})
+    assert not hasattr(loaded, "rhs")
     assert loaded.counters["thermo.ode_rhs_compiled"] == 5107
     totals = loaded.totals
-    assert totals["rhs_evals"] == 100
-    assert "rhs_kernel_active" not in totals
-    assert "rhs_compiled_fraction" not in totals
+    assert totals["n_rhs"] == 90
+    for gone in ("rhs_evals", "rhs_kernel_active", "rhs_compiled_fraction"):
+        assert gone not in totals
+    assert "rhs" not in loaded.to_dict()
 
 
-def test_worker_payload_carries_rhs_section():
+def test_a_worker_payload_with_an_rhs_section_merges():
+    """A rank that still ships an ``rhs`` section merges like any other:
+    the section is skipped, the mode rows carry the counts."""
     t = Telemetry()
-    t.record_rhs(evals={"cext": 7}, seconds={"cext": 0.1})
-    t2 = Telemetry()
-    t2.merge_worker_payload(t.worker_payload())
-    assert t2.rhs is not None
-    assert t2.rhs.evals == {"cext": 7}
-    assert t2.rhs.seconds == {"cext": 0.1}
-    # a rank that still labels its kernel choice merges the same way
+    t.record_mode(k=0.01, n_rhs=7)
     payload = t.worker_payload()
-    payload["rhs"].update(requested="auto", active="cext")
+    assert "rhs" not in payload
+    payload["rhs"] = {"evals": {"cext": 7}, "seconds": {"cext": 0.1},
+                      "requested": "auto", "active": "cext"}
+    t2 = Telemetry()
     t2.merge_worker_payload(payload)
-    assert t2.rhs.evals == {"cext": 14}
+    assert [m.n_rhs for m in t2.modes] == [7]
+    assert not hasattr(t2, "rhs")

@@ -111,7 +111,7 @@ def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops,
     stops = grid if with_stops else np.empty(0)
     y_py, seen, stats = _python_phase(system, tight, y, t0, t1, stops)
 
-    out = system.op.integrate_phase(tight, y, t0, t1, stops,
+    out = system.integrate_phase(tight, y, t0, t1, stops,
                                     max_steps=1_000_000, **TOL)
     assert out.ok
     assert out.y.tobytes() == y_py.tobytes()
@@ -145,7 +145,7 @@ def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
     full phase is nearly all stability-bound and one that oscillates."""
     system, y, t0, t1, grid = _phase_start(request, 8, k, tight)
     y_py, seen, stats = _python_phase(system, tight, y, t0, t1, grid)
-    out = system.op.integrate_phase(tight, y, t0, t1, grid,
+    out = system.integrate_phase(tight, y, t0, t1, grid,
                                     max_steps=1_000_000, **TOL)
     assert out.ok and out.y.tobytes() == y_py.tobytes()
     assert out.rows.tobytes() == np.array([r for _, r in seen]).tobytes()
@@ -171,9 +171,9 @@ def test_the_baseline_clone_steps_to_the_same_bits(request, tmp_path, k):
     for tight in (True, False):
         system, y, t0, t1, grid = _phase_start(request, 0, k, tight)
         args = (tight, y, t0, t1, grid)
-        ref = system.op.integrate_phase(*args, max_steps=1_000_000, **TOL)
-        system.op._cext = plain
-        out = system.op.integrate_phase(*args, max_steps=1_000_000, **TOL)
+        ref = system.integrate_phase(*args, max_steps=1_000_000, **TOL)
+        system._cext = plain
+        out = system.integrate_phase(*args, max_steps=1_000_000, **TOL)
         assert ref.ok and _same_phase(out, ref)
 
 
@@ -248,7 +248,7 @@ def test_first_step_is_honoured_identically(request):
         y_py, _, stats = _python_phase(system, tight, y, t0, t1, None,
                                        first_step=1e-3)
         out, free = (
-            system.op.integrate_phase(
+            system.integrate_phase(
                 tight, y, t0, t1, (), max_steps=1_000_000,
                 first_step=first_step, **TOL)
             for first_step in (1e-3, None))
@@ -291,7 +291,7 @@ def _phase(system, tight, y, t0, t1, stops, **kwargs):
 def test_max_steps_raises_the_canonical_error(request, tight):
     system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
     limit = 5 if tight else 20  # tight coupling is over in ~15 steps
-    out = system.op.integrate_phase(tight, y, t0, t1, (),
+    out = system.integrate_phase(tight, y, t0, t1, (),
                                     max_steps=limit, **TOL)
     assert out.status == 1 and not out.ok and out.n_steps == limit
     with pytest.raises(IntegrationError,
@@ -302,7 +302,7 @@ def test_max_steps_raises_the_canonical_error(request, tight):
 @both_phases
 def test_step_underflow_raises_the_canonical_error(request, tight):
     system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
-    out = system.op.integrate_phase(tight, y, t0, t1, (),
+    out = system.integrate_phase(tight, y, t0, t1, (),
                                     max_steps=1_000_000, first_step=1e-300,
                                     **TOL)
     assert out.status == 2 and not out.ok
@@ -356,14 +356,21 @@ def test_a_nan_poisoned_phase_is_recovered_by_the_ladder(scdm, bg_scdm,
         assert a.pack().tobytes() == b.pack().tobytes()
 
 
-def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm):
+def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm,
+                                                    monkeypatch):
     """A default ``evolve_mode`` — record grid, both phases — is two
-    compiled calls: every RHS evaluation it counts is the loop's."""
+    compiled calls: every RHS evaluation it counts is the loop's, none
+    goes through the python entry points."""
+
+    def no_python_rhs(*args, **kwargs):
+        pytest.fail("a default mode evaluated its RHS from python")
+
+    for name in ("rhs_full", "rhs_tca"):
+        monkeypatch.setattr(PerturbationSystem, name, no_python_rhs)
     mode = evolve_mode(bg_scdm, thermo_scdm, 0.01, lmax_photon=8, lmax_nu=8,
                        rtol=1e-3,
                        record_tau=default_record_grid(bg_scdm, thermo_scdm,
                                                       0.01))
-    assert mode.system.op.evals == {"cext": mode.stats.n_rhs}
     assert mode.tau.size and mode.stats.n_rhs > 0
 
 
@@ -479,13 +486,15 @@ def test_bits_invariant_under_kernel_batch_lanes_and_ranks(scdm, bg_scdm,
 
 def test_batch_invariance_reads_nan_when_the_legs_evaluated_nothing(
         scdm, bg_scdm, thermo_scdm, monkeypatch):
-    """Equal bits are not enough: legs that leave no evaluation on the
-    compiled kernel's books did not test the compiled route, and the
-    oracle says so."""
+    """Equal bits are not enough: legs whose modes count no evaluation
+    did not test the compiled route, and the oracle says so."""
     from repro.telemetry import Telemetry
     from repro.verify import batch_invariance_oracle
 
-    monkeypatch.setattr(Telemetry, "record_rhs", lambda self, *a, **k: None)
+    record_mode = Telemetry.record_mode
+    monkeypatch.setattr(Telemetry, "record_mode",
+                        lambda self, **kw: record_mode(self,
+                                                       **{**kw, "n_rhs": 0}))
     out = batch_invariance_oracle(scdm, background=bg_scdm,
                                   thermo=thermo_scdm, nprocs=())
     assert set(out["legs"].values()) == {0.0}
