@@ -135,7 +135,8 @@ def test_chaos_recovery_economics(scdm, bg, thermo, capsys, tmp_path):
         if profile in ("kernel", "integrator", "all"):
             assert by_surface.get("integrator", 0) >= 1
 
-    report = telemetry.build_report(meta=meta)
+    report = telemetry
+    report.meta.update(meta)
     out = report.save(ARTIFACT_DIR / "BENCH_chaos.json")
 
     with capsys.disabled():

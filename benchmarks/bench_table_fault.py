@@ -100,7 +100,8 @@ def test_fault_recovery_economics(scdm, bg, thermo, capsys):
         for p_f, p_g in zip(res.payloads, golden.payloads):
             np.testing.assert_allclose(p_f.f_gamma, p_g.f_gamma, rtol=1e-8)
 
-    report = telemetry.build_report(meta={
+    report = telemetry
+    report.meta.update({
         "table": "TAB-FAULT",
         "nk": NK,
         "nproc": NPROC,

@@ -113,7 +113,8 @@ def test_telemetered_flop_accounting(bg, thermo, benchmark, capsys):
                            thermo=thermo, telemetry=telemetry),
         rounds=1, iterations=1,
     )
-    report = telemetry.build_report(meta={"table": "TAB-FLOPS"})
+    report = telemetry
+    report.meta.update({"table": "TAB-FLOPS"})
     out = report.save(ARTIFACT_DIR / "BENCH_flops.json")
 
     modes = sorted(report.modes, key=lambda m: m.k)

@@ -10,7 +10,7 @@ Three layers: the paper-calibrated model (SP2 numbers), real measured
 payload bytes + CPU per mode from this package's PLINGER records, and
 a fully telemetered PLINGER run whose per-tag message accounting is
 written out as ``BENCH_messages.json`` (a
-:class:`repro.telemetry.RunReport`).
+:class:`repro.telemetry.Telemetry` document).
 """
 
 from pathlib import Path
@@ -115,7 +115,8 @@ def test_telemetered_message_accounting(bg, thermo, benchmark, capsys):
                             thermo=thermo, telemetry=telemetry),
         rounds=1, iterations=1,
     )
-    report = telemetry.build_report(meta={"table": "TAB-MSG"})
+    report = telemetry
+    report.meta.update({"table": "TAB-MSG"})
     out = report.save(ARTIFACT_DIR / "BENCH_messages.json")
 
     totals = report.totals

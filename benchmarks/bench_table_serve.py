@@ -140,7 +140,8 @@ def test_serve_latency_and_dispatch(benchmark, capsys, tmp_path):
     refork_median = float(np.median(refork_seconds))
     dispatch_speedup = refork_median / warm_median
 
-    report = server.build_report(meta={
+    report = server.telemetry
+    report.meta.update({
         "table": "TAB-SERVE",
         "distinct_requests": len(DISTINCT_NK),
         "repeat_rounds": REPEAT_ROUNDS,

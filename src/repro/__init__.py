@@ -18,7 +18,7 @@ The package implements the full LINGER/PLINGER system in Python:
 * :mod:`repro.skymap`        — Fig. 3 sky maps and the psi movie
 * :mod:`repro.data`          — the 1995 bandpower compilation
 * :mod:`repro.telemetry`     — run metrics: integrator cost, message
-  accounting, worker utilization, JSON :class:`RunReport`
+  accounting, worker utilization, one :class:`Telemetry` saved as JSON
 * :mod:`repro.cache`         — content-addressed keys and the
   digest-verified on-disk store under the serve result store
 * :mod:`repro.verify`        — Einstein-constraint monitors,
@@ -81,7 +81,6 @@ __all__ = [
     "ModeResult",
     "evolve_mode",
     "Telemetry",
-    "RunReport",
     "NULL_TELEMETRY",
     "ConstraintMonitor",
     "VerificationReport",
@@ -123,7 +122,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "ModeResult": "perturbations",
     "evolve_mode": "perturbations",
     "Telemetry": "telemetry",
-    "RunReport": "telemetry",
     "NULL_TELEMETRY": "telemetry",
     "ConstraintMonitor": "verify",
     "VerificationReport": "verify",

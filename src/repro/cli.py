@@ -72,8 +72,8 @@ def _run_arguments(p) -> None:
                         "the listener is up")
     _fault_tolerance_arguments(p)
     p.add_argument("--report", metavar="PATH", default=None,
-                   help="enable run telemetry and write the JSON "
-                        "RunReport here")
+                   help="enable run telemetry and write its JSON "
+                        "report here")
     p.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                    help="run under the seeded chaos engine: inject "
                         "deterministic faults into the compiled-kernel "
@@ -335,15 +335,7 @@ def _cmd_run_inner(args) -> int:
     path = save_run(result, args.output)
     print(f"archived to {path}")
     if args.report:
-        report = telemetry.build_report(meta={
-            "model": args.model,
-            "command": "run",
-            "rtol": args.rtol,
-            "lmax": args.lmax,
-        })
-        report.save(args.report)
-        print(f"telemetry report written to {args.report}")
-        _print_report_summary(report)
+        _save_report(args, telemetry)
     return 0
 
 
@@ -385,21 +377,21 @@ def _run_sparse(args, params, kgrid, telemetry) -> int:
     path = save_run(res.coarse_result, args.output)
     print(f"coarse run archived to {path}")
     if args.report:
-        report = telemetry.build_report(meta={
-            "model": args.model,
-            "command": "run",
-            "rtol": args.rtol,
-            "lmax": args.lmax,
-            "sparse_k_factor": args.sparse_k_factor,
-        })
-        report.save(args.report)
-        print(f"telemetry report written to {args.report}")
-        _print_report_summary(report)
+        _save_report(args, telemetry, sparse_k_factor=args.sparse_k_factor)
     return 0
 
 
+def _save_report(args, telemetry, **meta) -> None:
+    """``run --report``: stamp the run's collector, save it, digest it."""
+    telemetry.meta.update(model=args.model, command="run", rtol=args.rtol,
+                          lmax=args.lmax, **meta)
+    telemetry.save(args.report)
+    print(f"telemetry report written to {args.report}")
+    _print_report_summary(telemetry)
+
+
 def _print_report_summary(report) -> None:
-    """A terse, human-readable digest of a RunReport."""
+    """A terse, human-readable digest of a run's telemetry."""
     totals = report.totals
     rows = [
         ["modes", totals["n_modes"]],
@@ -412,10 +404,10 @@ def _print_report_summary(report) -> None:
         ["mode wallclock [s]", f"{totals['mode_wall_seconds']:.3f}"],
     ]
     # the k-independent tables (all ranks that made any; see build_tables)
-    for name in ("background.build", "thermo.build"):
+    for name in ("cext.resolve", "background.build", "thermo.build"):
         if name in report.timers:
             rows.append([f"{name} [s]",
-                         f"{report.timers[name]['total_seconds']:.3f}"])
+                         f"{report.timers[name].total_seconds:.3f}"])
     for name in ("thermo.ode_rhs_evals", "thermo.ode_steps",
                  "thermo.ode_rejected", "thermo.saha_sweeps",
                  "thermo.saha_rows"):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .. import _cext
 from ..background import Background
 from ..chaos import current_engine
 from ..errors import IntegrationError, ParameterError
@@ -84,7 +85,9 @@ def build_tables(
 
     Each table is taken as handed in — by the caller, by a forked
     rank's inheritance, by the serve daemon's resident pool — else
-    built here.  Whatever is built is timed into the
+    built here.  A build first resolves the compiled object under its
+    own ``cext.resolve`` timer (on a cold kernel cache that is the
+    compile), then is timed into the
     ``background.build`` / ``thermo.build`` telemetry timers — every
     driver and every worker fallback gets its tables through this one
     seam, so a run's report accounts for them wherever they were made.
@@ -98,6 +101,9 @@ def build_tables(
     (3616 of 6000 on ``standard_cdm``), all of them only if the switch
     were not among those.
     """
+    if background is None or thermo is None:
+        with telemetry.timer("cext.resolve"):
+            _cext.get_cext()
     if background is None:
         with telemetry.timer("background.build"):
             background = Background(params)
@@ -290,8 +296,7 @@ def run_linger(
     paper does), one :func:`compute_mode` call each, but the result
     lists are returned in ascending-k order.
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
-    per-mode integrator metrics (build a
-    :class:`~repro.telemetry.RunReport` from it afterwards).
+    per-mode integrator metrics (and ``save`` it afterwards).
 
     ``monitor_constraints=True`` attaches one
     :class:`~repro.verify.constraints.ConstraintMonitor` per mode: the

@@ -73,10 +73,11 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     master used, so the bits agree.
 
     With telemetry on, the worker builds its own collector (forked
-    children share no memory with the master) and publishes it —
-    together with its traffic stats and busy/idle log — through the
-    world's out-of-band channel after the protocol completes; with
-    telemetry off it publishes only if it has a recovery to report.
+    children share no memory with the master), adds its traffic and
+    busy/idle rows and publishes its document through the world's
+    out-of-band channel after the protocol completes; with telemetry
+    off it publishes only if it has READY re-sends to report, in a
+    document of just those rows and a ``fault`` section.
 
     A loop that ends without a STOP — the master gone, the READY
     retries exhausted, this rank declared dead and its transport closed
@@ -95,12 +96,18 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     except (MessagePassingError, ProtocolError) as exc:
         error = exc
         log = WorkerLog()
-    if with_telemetry or log.ready_retries or log.bad_work_messages:
-        mp_handle.publish_telemetry({
-            "traffic": mp_handle.stats.as_dict(),
-            "worker": log.as_dict(),
-            "telemetry": telemetry.worker_payload(),
-        })
+    if with_telemetry or log.ready_retries:
+        doc = telemetry if with_telemetry else Telemetry()
+        rank = mp_handle.mytid
+        doc.record_traffic(rank, "worker", mp_handle.stats,
+                           tag_names=TAG_NAMES)
+        doc.record_worker(rank, modes_done=log.modes_done,
+                          busy_seconds=log.busy_seconds,
+                          idle_seconds=log.idle_seconds)
+        if log.ready_retries:
+            doc.fault = FaultReport(retries_by_tag={
+                Tag.READY.name: log.ready_retries})
+        mp_handle.publish_telemetry(doc.to_dict())
     mp_handle.endpass()
     return error
 
@@ -250,37 +257,24 @@ def run_plinger(
                 raise MessagePassingError("worker thread failed to exit")
     wall = time.perf_counter() - wall0
 
-    # worker blobs: each rank's telemetry when that is on, else only
-    # what a rank with a recovery to report published
-    collected = dict(sorted(world.collect_telemetry().items()))
-    for payload in collected.values():
-        resent = payload.get("worker", {}).get("ready_retries")
-        if resent:
-            log.fault.bump_retry("READY", int(resent))
-
     if telemetry.enabled:
         telemetry.meta.setdefault("driver", "plinger")
         telemetry.meta.setdefault("backend", backend)
         telemetry.meta.setdefault("nproc", nproc)
         telemetry.meta.setdefault("nk", kgrid.nk)
-        telemetry.fault = log.fault
         telemetry.timer("plinger.wall").add(wall)
         telemetry.timer("master.probe_wait").add(
             log.probe_wait_seconds, count=len(log.headers)
         )
         telemetry.record_traffic(0, "master", master_mp.stats,
                                  tag_names=TAG_NAMES)
-        for rank, payload in collected.items():
-            telemetry.record_traffic(rank, "worker", payload["traffic"],
-                                     tag_names=TAG_NAMES)
-            w = payload["worker"]
-            telemetry.record_worker(
-                rank,
-                modes_done=w["modes_done"],
-                busy_seconds=w["busy_seconds"],
-                idle_seconds=w["idle_seconds"],
-            )
-            telemetry.merge_worker_payload(payload["telemetry"])
+    # each worker's document folds into the run's collector — or, with
+    # telemetry off, into one that only carries its READY re-sends into
+    # the master's fault report
+    ranks = telemetry if telemetry.enabled else Telemetry()
+    ranks.fault = log.fault
+    for _, doc in sorted(world.collect_telemetry().items()):
+        ranks.merge(doc)
 
     # reassemble in ascending-k order
     nk = kgrid.nk

@@ -21,7 +21,7 @@ workers and the warm pool's alike.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,12 +57,6 @@ class WorkerLog:
     ready_retries: int = 0  #: READY re-sends after a missing reply
     bad_work_messages: int = 0  #: WORK messages that failed validation
     heartbeats_sent: int = 0
-
-    def as_dict(self) -> dict:
-        """Every field but the setup broadcast."""
-        out = asdict(self)
-        del out["init_data"]
-        return out
 
 
 def mode_compute(

@@ -15,8 +15,9 @@ tiers (see :mod:`repro.serve.daemon`):
    (:mod:`repro.serve.pool`).
 
 Everything is keyed by the bit-exact canonical digests of
-:mod:`repro.cache.keys`, and :mod:`repro.serve.lifecycle` guarantees
-the request journal is drained on exit or SIGTERM.
+:mod:`repro.cache.keys`.  The daemon's request journal flushes every
+line as it writes it, so no exit — clean, SIGTERM or SIGKILL — loses
+an answered request's line.
 """
 
 from .._lazy import lazy_exports

@@ -10,7 +10,7 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  Each
 2. **coalesced** — a request whose digest is already *being computed*
    awaits the in-flight future instead of computing again, so a burst
    of identical requests costs exactly one run (``computed_runs`` in
-   :class:`~repro.telemetry.report.ServeMetrics` is the proof);
+   :class:`~repro.telemetry.ServeMetrics` is the proof);
 3. **warm**/**cold** — a genuine miss is one PLINGER run through
    :class:`~repro.serve.pool.WarmPool` (``warm`` when the cosmology's
    tables were still resident in its LRU, ``cold`` when they had to be
@@ -24,10 +24,11 @@ equality with serial LINGER the verify suite pins
 
 Computation runs on a single executor thread — the pool serializes
 grids anyway — while the event loop keeps accepting, answering store
-hits and parking coalesced waiters.  Per-request telemetry threads
-into a :class:`~repro.telemetry.report.RunReport` ``serve`` section,
-and an append-only JSONL request journal (one line per request, fsync
-on shutdown) survives SIGTERM through :mod:`repro.serve.lifecycle`.
+hits and parking coalesced waiters.  Per-request telemetry lands in
+the ``serve`` section of the daemon's
+:class:`~repro.telemetry.Telemetry`, and an append-only JSONL request
+journal takes one line per request, flushed as it is written, so a
+daemon killed by any signal keeps every line it answered.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ import numpy as np
 from ..errors import ReproError, ServeError
 from ..spectra import band_power_uk, cobe_normalization
 from ..spectra.cl import cl_integrate_over_k
-from ..telemetry import Telemetry
-from ..telemetry.report import ServeMetrics
-from . import lifecycle
+from ..telemetry import ServeMetrics, Telemetry
 from .pool import WarmPool
 from .protocol import (
     PROTOCOL_VERSION,
@@ -78,11 +77,12 @@ def spectrum_product(params, k, payloads, l_top: int | None = None):
 
 
 class ServeJournal:
-    """Append-only JSONL request journal with an explicit drain.
+    """Append-only JSONL request journal.
 
-    One line per answered request.  Lines are written immediately;
-    :meth:`close` flushes and fsyncs, and the lifecycle registry calls
-    it on SIGTERM/atexit so a killed daemon loses nothing.
+    One line per answered request, flushed to the operating system as
+    it is written: a daemon that dies by ``SIGKILL`` or the OOM killer
+    keeps every line it recorded.  :meth:`close` also fsyncs, so a
+    clean shutdown survives the machine going down as well.
     """
 
     def __init__(self, path) -> None:
@@ -90,12 +90,12 @@ class ServeJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         self.lines = 0
-        lifecycle.register(self)
 
     def record(self, entry: dict) -> None:
         if self._fh.closed:
             return
         self._fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        self._fh.flush()
         self.lines += 1
 
     def close(self) -> None:
@@ -104,7 +104,6 @@ class ServeJournal:
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
-        lifecycle.unregister(self)
 
 
 class SpectrumServer:
@@ -155,6 +154,8 @@ class SpectrumServer:
         self._server = await asyncio.start_server(
             self._client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self.telemetry.meta.update(driver="serve", host=self.host,
+                                   port=self.port)
 
     async def serve_until_stopped(self) -> None:
         if self._server is None:
@@ -351,12 +352,6 @@ class SpectrumServer:
             "pool": self.pool.stats.as_dict(),
             "resident_models": self.pool.resident_count,
         }
-
-    def build_report(self, meta: dict | None = None):
-        """The service's RunReport (``serve`` section populated)."""
-        base = {"driver": "serve", "host": self.host, "port": self.port}
-        base.update(meta or {})
-        return self.telemetry.build_report(meta=base)
 
     # -- lifecycle ----------------------------------------------------------
 

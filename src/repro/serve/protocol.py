@@ -6,7 +6,11 @@ the shortest repr that reparses to the same bits), so a served C_l is
 *bitwise* the computed C_l — the service's exactness guarantee does
 not stop at the socket.  The other direction trusts nothing: a line
 holding ``NaN``, ``Infinity`` or ``-Infinity`` (which python's parser
-accepts and JSON does not) is refused before any field is read.
+accepts and JSON does not) is refused before any field is read, and
+so is a number too large for a float64 (``1e400`` parses to ``inf``);
+:meth:`ServeRequest.from_doc` then takes every numeric field as a JSON
+number only — no strings, no booleans — and the integral ones only
+with an integral value.
 
 :class:`ServeRequest` is the canonical request object: a full
 :class:`~repro.params.CosmologyParams` plus the run shape (k-grid,
@@ -137,27 +141,41 @@ class ServeRequest:
     def from_doc(cls, doc: dict) -> "ServeRequest":
         try:
             raw = dict(doc.get("params") or {})
-            known = {f.name for f in dataclasses.fields(CosmologyParams)}
-            unknown = set(raw) - known
+            unknown = set(raw) - _PARAM_FIELDS
             if unknown:
                 raise ServeError(
                     f"unknown cosmology fields: {sorted(unknown)}"
                 )
-            if "n_nu_massive" in raw:
-                raw["n_nu_massive"] = int(raw["n_nu_massive"])
-            params = CosmologyParams(**raw)
-            return cls(
-                params=params,
-                k_min=float(doc.get("k_min", cls.k_min)),
-                k_max=float(doc.get("k_max", cls.k_max)),
-                nk=int(doc.get("nk", cls.nk)),
-                lmax=int(doc.get("lmax", cls.lmax)),
-                rtol=float(doc.get("rtol", cls.rtol)),
-            )
+            params = CosmologyParams(**{
+                name: _number(name, value) for name, value in raw.items()})
+            return cls(params=params, **{
+                name: _number(name, doc[name])
+                for name in _SHAPE_FIELDS if name in doc})
         except ServeError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServeError(f"malformed spectrum request: {exc}") from exc
+
+
+_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(CosmologyParams))
+_SHAPE_FIELDS = ("k_min", "k_max", "nk", "lmax", "rtol")
+#: the fields that count something: an integral JSON number, as an int
+_INTEGRAL = frozenset({"n_nu_massive", "nk", "lmax"})
+
+
+def _number(name: str, value):
+    """A request field from a JSON number — never a string or a
+    boolean — as a finite float, or as an int for the integral ones."""
+    if type(value) not in (float, int):  # a bool is neither
+        raise ServeError(f"{name} must be a JSON number, got {value!r}")
+    number = float(value)  # OverflowError past the float64 range
+    if not math.isfinite(number):
+        raise ServeError(f"{name} must be finite, got {value!r}")
+    if name not in _INTEGRAL:
+        return number
+    if not number.is_integer():
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def encode_message(doc: dict) -> bytes:
@@ -175,8 +193,17 @@ def _reject_constant(name: str):
                      "number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ServeError(f"malformed protocol line: {text} overflows a "
+                         "float64")
+    return value
+
+
 #: built once: ``json.loads`` with any keyword builds a decoder per call
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                            parse_float=_finite_float)
 
 
 def decode_message(line: bytes) -> dict:
@@ -185,7 +212,9 @@ def decode_message(line: bytes) -> dict:
         raise ServeError("protocol line exceeds the size limit")
     try:
         doc = _DECODER.decode(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an integer past python's digit limit, or
+        # nesting past the interpreter's stack
         raise ServeError(f"malformed protocol line: {exc}") from exc
     if not isinstance(doc, dict):
         raise ServeError("protocol line must decode to a JSON object")

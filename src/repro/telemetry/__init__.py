@@ -3,8 +3,10 @@
 The subsystem the paper's evaluation tables rest on: per-mode
 integrator metrics (RHS evaluations, accepted/rejected steps, estimated
 flops), per-tag message accounting across the PLINGER transports, and
-per-worker busy/idle time, all aggregated into a JSON-serializable
-:class:`RunReport`.
+per-worker busy/idle time, all held by one :class:`Telemetry` — the
+collector a run threads through its layers, the document a PLINGER
+worker hands its master, and the JSON report ``save`` writes and
+``load`` reads back (``schema`` = ``repro.telemetry.RunReport/v1``).
 
 Telemetry is off by default.  Instrumented call sites take a
 ``telemetry`` argument defaulting to :data:`NULL_TELEMETRY` (a no-op
@@ -12,8 +14,7 @@ collector); pass ``Telemetry()`` — or use ``python -m repro run
 --report out.json`` — to switch it on for one run.
 """
 
-from .core import NULL_TELEMETRY, NullTelemetry, Telemetry
-from .metrics import Counter, Histogram, Timer
+from .core import NULL_TELEMETRY, NullTelemetry, Telemetry, Timer
 from .report import (
     SCHEMA,
     ConstraintMetrics,
@@ -21,7 +22,7 @@ from .report import (
     FaultReport,
     ModeMetrics,
     RankTraffic,
-    RunReport,
+    ServeMetrics,
     SparseMetrics,
     WorkerMetrics,
 )
@@ -30,9 +31,7 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
-    "Counter",
     "Timer",
-    "Histogram",
     "ModeMetrics",
     "ConstraintMetrics",
     "RankTraffic",
@@ -40,6 +39,6 @@ __all__ = [
     "FaultReport",
     "DegradationMetrics",
     "SparseMetrics",
-    "RunReport",
+    "ServeMetrics",
     "SCHEMA",
 ]

@@ -1,11 +1,14 @@
-"""The run telemetry collector.
+"""The run telemetry collector, which is also the run's saved report.
 
-One :class:`Telemetry` instance accompanies one run (or one PLINGER
-worker, whose collector is serialized and shipped to the master through
-the transport's out-of-band telemetry channel).  Telemetry is
-**off by default**: every instrumented call site receives
-:data:`NULL_TELEMETRY`, whose methods are no-ops and whose ``enabled``
-flag lets hot paths skip even argument construction::
+One :class:`Telemetry` instance accompanies one run, or one PLINGER
+worker, which records its own traffic and schedule rows and publishes
+its :meth:`~Telemetry.to_dict` through the transport's out-of-band
+telemetry channel; the master folds that document in with
+:meth:`~Telemetry.merge`, the same fold that :meth:`~Telemetry.load`
+reads a saved report with.  Telemetry is **off by default**: every
+instrumented call site receives :data:`NULL_TELEMETRY`, whose methods
+are no-ops and whose ``enabled`` flag lets hot paths skip even argument
+construction::
 
     if telemetry.enabled:
         telemetry.record_mode(k=k, ...)
@@ -17,22 +20,79 @@ touches the numerics; the golden-regression tests enforce this).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import json
+import time
+from dataclasses import asdict
+from pathlib import Path
+from typing import Mapping
 
-from .metrics import Counter, Histogram, Timer
 from .report import (
+    SCHEMA,
     ConstraintMetrics,
     DegradationMetrics,
     FaultReport,
     ModeMetrics,
     RankTraffic,
-    RunReport,
     ServeMetrics,
     SparseMetrics,
     WorkerMetrics,
+    fold,
+    load_row,
 )
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
+__all__ = ["Timer", "Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
+
+#: the sections that are lists of rows, by document key
+_ROWS = {"modes": ModeMetrics, "traffic": RankTraffic,
+         "workers": WorkerMetrics, "constraints": ConstraintMetrics}
+#: the sections a run writes at most once (``None`` until then)
+_SECTIONS = {"fault": FaultReport, "sparse": SparseMetrics,
+             "degradation": DegradationMetrics, "serve": ServeMetrics}
+
+
+class Timer:
+    """An accumulating wall-clock timer.
+
+    Use as a context manager (re-entrant intervals are not supported)::
+
+        with tele.timer("phase.full"):
+            ...
+    """
+
+    __slots__ = ("name", "total_seconds", "count", "_start")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.total_seconds = 0.0
+        self.count = 0
+        self._start: float | None = None
+
+    def start(self) -> "Timer":
+        self._start = time.perf_counter()
+        return self
+
+    def stop(self) -> float:
+        if self._start is None:
+            raise RuntimeError(f"timer {self.name!r} stopped before start")
+        dt = time.perf_counter() - self._start
+        self._start = None
+        self.total_seconds += dt
+        self.count += 1
+        return dt
+
+    def add(self, seconds: float, count: int = 1) -> None:
+        """Fold an externally measured interval into the total."""
+        self.total_seconds += float(seconds)
+        self.count += int(count)
+
+    def __enter__(self) -> "Timer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def as_dict(self) -> dict:
+        return {"total_seconds": self.total_seconds, "count": self.count}
 
 
 def _tag_label(tag: int, tag_names: Mapping[int, str] | None) -> str:
@@ -41,44 +101,51 @@ def _tag_label(tag: int, tag_names: Mapping[int, str] | None) -> str:
     return f"tag_{tag}"
 
 
+def _opt_max(values) -> float | None:
+    """max over the non-None entries, or None when there are none."""
+    present = [v for v in values if v is not None]
+    return max(present) if present else None
+
+
+def _json_default(obj):
+    """Coerce numpy scalars (which leak in from grid indices and stats)
+    without importing numpy here."""
+    item = getattr(obj, "item", None)
+    if callable(item):
+        return item()
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
 class Telemetry:
-    """A per-run metrics collector; build one, thread it everywhere."""
+    """A per-run metrics collector and its report; build one, thread it
+    everywhere, then :meth:`save` it."""
 
     enabled: bool = True
 
     def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
+        self.created_unix = time.time()
+        self.meta: dict = {}
+        self.counters: dict[str, int] = {}
         self.timers: dict[str, Timer] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.modes: list[ModeMetrics] = []
         self.traffic: list[RankTraffic] = []
         self.workers: list[WorkerMetrics] = []
-        self.fault: FaultReport | None = None
         self.constraints: list[ConstraintMetrics] = []
+        self.fault: FaultReport | None = None
         self.sparse: SparseMetrics | None = None
         self.degradation: DegradationMetrics | None = None
         self.serve: ServeMetrics | None = None
-        self.meta: dict = {}
 
     # -- scalar metrics -----------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        c.inc(n)
+        self.counters[name] = self.counters.get(name, 0) + int(n)
 
     def timer(self, name: str) -> Timer:
         t = self.timers.get(name)
         if t is None:
             t = self.timers[name] = Timer(name)
         return t
-
-    def observe(self, name: str, value: float) -> None:
-        h = self.histograms.get(name)
-        if h is None:
-            h = self.histograms[name] = Histogram(name)
-        h.observe(value)
 
     # -- structured records -------------------------------------------------
 
@@ -87,14 +154,6 @@ class Telemetry:
         mode = ModeMetrics(**kwargs)
         self.modes.append(mode)
         return mode
-
-    def annotate_last_mode(self, **kwargs) -> None:
-        """Patch fields (ik, cpu_seconds, ...) onto the newest mode."""
-        if not self.modes:
-            return
-        mode = self.modes[-1]
-        for name, value in kwargs.items():
-            setattr(mode, name, value)
 
     def record_degradation(self, surface: str, event: str,
                            detail: str = "", seconds: float = 0.0) -> None:
@@ -116,8 +175,8 @@ class Telemetry:
         stats,
         tag_names: Mapping[int, str] | None = None,
     ) -> None:
-        """Fold one rank's :class:`~repro.mp.api.TrafficStats` (or its
-        ``as_dict()`` form) into the report."""
+        """Append one rank's :class:`~repro.mp.api.TrafficStats` (or its
+        ``as_dict()`` form) as a ``traffic`` row."""
         d = stats.as_dict() if hasattr(stats, "as_dict") else dict(stats)
         self.traffic.append(RankTraffic(
             rank=rank,
@@ -140,61 +199,134 @@ class Telemetry:
             busy_seconds=busy_seconds, idle_seconds=idle_seconds,
         ))
 
-    # -- cross-rank merge ---------------------------------------------------
+    # -- aggregates ---------------------------------------------------------
 
-    def worker_payload(self) -> dict:
-        """Serialize this (worker-side) collector for shipping to the
-        master over the transport's telemetry side channel."""
-        from dataclasses import asdict
-
+    @property
+    def totals(self) -> dict:
+        """Run-level aggregates over the per-mode and per-rank sections."""
+        msg_by_tag: dict[str, dict[str, int]] = {}
+        for rt in self.traffic:
+            for tag, v in rt.sent.items():
+                slot = msg_by_tag.setdefault(tag, {"count": 0, "bytes": 0})
+                slot["count"] += v["count"]
+                slot["bytes"] += v["bytes"]
+        accepted = sum(m.n_steps for m in self.modes)
+        rejected = sum(m.n_rejected for m in self.modes)
         return {
-            "modes": [asdict(m) for m in self.modes],
-            "constraints": [asdict(c) for c in self.constraints],
-            "counters": {n: c.value for n, c in self.counters.items()},
-            "timers": {n: t.as_dict() for n, t in self.timers.items()},
-            "degradation": asdict(self.degradation)
-            if self.degradation is not None else None,
+            "n_modes": len(self.modes),
+            "n_rhs": sum(m.n_rhs for m in self.modes),
+            "n_steps": accepted,
+            "n_rejected": rejected,
+            "n_stability_bound": sum(m.n_stability_bound
+                                     for m in self.modes),
+            # rejected over attempted steps: eight RHS evaluations each
+            "wasted_step_fraction": rejected / (accepted + rejected)
+            if accepted + rejected else 0.0,
+            "flops_est": sum(m.flops_est for m in self.modes),
+            "mode_wall_seconds": sum(m.wall_seconds for m in self.modes),
+            "mode_cpu_seconds": sum(m.cpu_seconds for m in self.modes),
+            "messages_sent_by_tag": msg_by_tag,
+            "worker_busy_seconds": sum(w.busy_seconds for w in self.workers),
+            "worker_idle_seconds": sum(w.idle_seconds for w in self.workers),
+            "n_dead_workers": len(self.fault.dead_workers) if self.fault
+            else 0,
+            "n_retries": self.fault.total_retries if self.fault else 0,
+            "constraints_monitored_modes": len(self.constraints),
+            "max_pressure_residual": _opt_max(
+                c.max_pressure_residual for c in self.constraints),
+            "max_shear_residual": _opt_max(
+                c.max_shear_residual for c in self.constraints),
+            "max_exchange_residual": _opt_max(
+                c.max_exchange_residual for c in self.constraints),
+            "max_truncation_photon": _opt_max(
+                c.truncation_photon for c in self.constraints),
+            "sparse_factor": self.sparse.sparse_factor if self.sparse else 1,
+            "sparse_mode_reduction": self.sparse.mode_reduction
+            if self.sparse else 1.0,
+            "sparse_est_seconds_saved": self.sparse.est_seconds_saved
+            if self.sparse else 0.0,
+            "degradation_events": self.degradation.total_events
+            if self.degradation else 0,
+            "degradation_by_surface": dict(
+                self.degradation.events_by_surface)
+            if self.degradation else {},
+            "degradation_recovery_seconds":
+            self.degradation.recovery_seconds if self.degradation else 0.0,
+            "serve_requests": self.serve.requests if self.serve else 0,
+            "serve_by_tier": dict(self.serve.by_tier)
+            if self.serve else {},
+            "serve_computed_runs": self.serve.computed_runs
+            if self.serve else 0,
+            "serve_warm_hit_rate": self.serve.warm_hit_rate
+            if self.serve else 0.0,
         }
 
-    def merge_worker_payload(self, payload: dict) -> None:
-        """Fold a :meth:`worker_payload` dict back into this collector
-        (keys it does not know — an older rank's ``batches`` or ``rhs``
-        — are skipped)."""
-        for m in payload.get("modes", []):
-            self.modes.append(ModeMetrics.from_dict(m))
-        for c in payload.get("constraints", []):
-            self.constraints.append(ConstraintMetrics.from_dict(c))
-        for name, value in payload.get("counters", {}).items():
-            self.count(name, value)
-        for name, d in payload.get("timers", {}).items():
+    # -- the document: worker hand-off, save and load -------------------------
+
+    def to_dict(self) -> dict:
+        doc = {
+            "schema": SCHEMA,
+            "created_unix": self.created_unix,
+            "meta": dict(self.meta),
+            "totals": self.totals,
+            "counters": dict(self.counters),
+            "timers": {n: t.as_dict() for n, t in self.timers.items()},
+        }
+        for key in _ROWS:
+            doc[key] = [asdict(row) for row in getattr(self, key)]
+        for key in _SECTIONS:
+            section = getattr(self, key)
+            doc[key] = asdict(section) if section is not None else None
+        return doc
+
+    def merge(self, doc: Mapping) -> None:
+        """Fold a :meth:`to_dict` document into this collector: rows
+        append, counters and timers add, a ``fault`` or ``degradation``
+        section adds into this one's (:func:`~repro.telemetry.report.fold`)
+        and ``meta`` keys this collector lacks are taken.  Keys it does
+        not know — an older writer's ``histograms``, ``batches``,
+        ``cache`` or ``rhs``, the derived ``totals`` — are skipped."""
+        for key, value in (doc.get("meta") or {}).items():
+            self.meta.setdefault(key, value)
+        for name, n in (doc.get("counters") or {}).items():
+            self.count(name, n)
+        for name, d in (doc.get("timers") or {}).items():
             self.timer(name).add(d["total_seconds"], d["count"])
-        if payload.get("degradation") is not None:
-            if self.degradation is None:
-                self.degradation = DegradationMetrics()
-            self.degradation.merge(
-                DegradationMetrics.from_dict(payload["degradation"])
-            )
+        for key, row in _ROWS.items():
+            getattr(self, key).extend(load_row(row, d)
+                                      for d in doc.get(key) or ())
+        for key, cls in _SECTIONS.items():
+            if doc.get(key) is None:
+                continue
+            section = load_row(cls, doc[key])
+            if getattr(self, key) is None:
+                setattr(self, key, section)
+            else:
+                fold(getattr(self, key), section)
 
-    # -- product ------------------------------------------------------------
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "Telemetry":
+        """Load a v1 document.  Sections and totals this version no
+        longer writes are dropped, not refused: a mode's evaluations
+        are its ``ModeMetrics.n_rhs``."""
+        if doc.get("schema") != SCHEMA:
+            raise ValueError(
+                f"not a {SCHEMA} document: {doc.get('schema')!r}")
+        telemetry = cls()
+        telemetry.created_unix = float(doc.get("created_unix", 0.0))
+        telemetry.merge(doc)
+        return telemetry
 
-    def build_report(self, meta: Mapping | None = None) -> RunReport:
-        merged_meta = dict(self.meta)
-        if meta:
-            merged_meta.update(meta)
-        return RunReport(
-            meta=merged_meta,
-            modes=list(self.modes),
-            traffic=list(self.traffic),
-            workers=list(self.workers),
-            counters={n: c.value for n, c in self.counters.items()},
-            timers={n: t.as_dict() for n, t in self.timers.items()},
-            histograms={n: h.as_dict() for n, h in self.histograms.items()},
-            fault=self.fault,
-            constraints=list(self.constraints),
-            sparse=self.sparse,
-            degradation=self.degradation,
-            serve=self.serve,
-        )
+    def save(self, path) -> Path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                                   default=_json_default) + "\n")
+        return path
+
+    @classmethod
+    def load(cls, path) -> "Telemetry":
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class _NullTimer:
@@ -242,14 +374,8 @@ class NullTelemetry(Telemetry):
     def timer(self, name: str) -> _NullTimer:  # type: ignore[override]
         return _NULL_TIMER
 
-    def observe(self, name: str, value: float) -> None:
-        pass
-
     def record_mode(self, **kwargs) -> None:  # type: ignore[override]
         return None
-
-    def annotate_last_mode(self, **kwargs) -> None:
-        pass
 
     def record_constraint(self, metrics) -> None:
         pass
@@ -265,7 +391,7 @@ class NullTelemetry(Telemetry):
                       idle_seconds=0.0) -> None:
         pass
 
-    def merge_worker_payload(self, payload: dict) -> None:
+    def merge(self, doc: Mapping) -> None:
         pass
 
 

@@ -1,20 +1,18 @@
-"""The serializable product of a telemetered run: :class:`RunReport`.
+"""The typed rows of a run's telemetry document.
 
-A report is plain data — dataclasses of floats, ints and dicts — with a
-stable JSON layout (``schema`` = ``repro.telemetry.RunReport/v1``) so
-that the ``BENCH_*.json`` artifacts written by the benchmarks can be
-diffed across commits.  Everything the paper's evaluation tables need
-is here: per-mode integrator metrics (the flop-rate tables), per-tag
-message counts and bytes (the message-economics table), and per-worker
-busy/idle time (the Fig. 1 utilization argument).
+A :class:`~repro.telemetry.core.Telemetry` collects — and saves, with
+a stable JSON layout (``schema`` = ``repro.telemetry.RunReport/v1``) —
+a run's accounting as these dataclasses: per-mode integrator metrics
+(the flop-rate tables), per-tag message counts and bytes (the
+message-economics table), per-worker busy/idle time (the Fig. 1
+utilization argument), and the one-per-run ``fault``, ``sparse``,
+``degradation`` and ``serve`` sections.  :func:`load_row` reads any of
+them back from its dict and :func:`fold` adds one section into another.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "SCHEMA",
@@ -26,26 +24,36 @@ __all__ = [
     "SparseMetrics",
     "DegradationMetrics",
     "ServeMetrics",
-    "RunReport",
+    "load_row",
+    "fold",
 ]
 
 #: Format identifier embedded in every serialized report.
 SCHEMA = "repro.telemetry.RunReport/v1"
 
 
-def _opt_max(values) -> float | None:
-    """max over the non-None entries, or None when there are none."""
-    present = [v for v in values if v is not None]
-    return max(present) if present else None
+def load_row(cls, d: dict):
+    """A row of dataclass ``cls`` from its dict; keys the class does not
+    declare (fields an older or newer writer had) are dropped."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in d.items() if k in names})
 
 
-def _json_default(obj):
-    """Coerce numpy scalars (which leak in from grid indices and stats)
-    without importing numpy here."""
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def fold(into, other) -> None:
+    """Add section ``other`` into ``into`` (same class), field by field:
+    lists extend, per-key counts add, numbers add, and a field ``into``
+    lacks (``None``) takes ``other``'s.  Meant for the sections whose
+    fields are counts — ``fault`` and ``degradation``, which every
+    rank may write; ``sparse`` and ``serve`` are written by one."""
+    for f in fields(into):
+        mine, theirs = getattr(into, f.name), getattr(other, f.name)
+        if isinstance(mine, list):
+            mine.extend(theirs)
+        elif isinstance(mine, dict):
+            for key, value in theirs.items():
+                mine[key] = mine.get(key, 0) + value
+        elif theirs is not None:
+            setattr(into, f.name, theirs if mine is None else mine + theirs)
 
 
 @dataclass
@@ -66,11 +74,6 @@ class ModeMetrics:
     full_wall_seconds: float = 0.0
     wall_seconds: float = 0.0
     cpu_seconds: float = 0.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModeMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
 
 
 @dataclass
@@ -99,12 +102,6 @@ class RankTraffic:
     def bytes_received(self) -> int:
         return sum(v["bytes"] for v in self.received.values())
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankTraffic":
-        return cls(rank=int(d["rank"]), role=str(d["role"]),
-                   sent=dict(d.get("sent", {})),
-                   received=dict(d.get("received", {})))
-
 
 @dataclass
 class WorkerMetrics:
@@ -120,18 +117,13 @@ class WorkerMetrics:
         total = self.busy_seconds + self.idle_seconds
         return self.busy_seconds / total if total > 0 else 0.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorkerMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
 
 @dataclass
 class FaultReport:
     """Fault-tolerance accounting of one PLINGER run.
 
-    Written by the PLINGER master (and folded with worker-side
-    retry counts by the driver); the chaos tests pin these fields
+    Written by the PLINGER master, with each worker's READY re-sends
+    folded in from its document; the chaos tests pin these fields
     against the exact number of injected faults.  An additive v1
     extension: reports without a ``fault`` section load unchanged.
     """
@@ -186,11 +178,6 @@ class FaultReport:
         self.retries_by_tag[tag_name] = \
             self.retries_by_tag.get(tag_name, 0) + n
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultReport":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
 
 @dataclass
 class ConstraintMetrics:
@@ -223,11 +210,6 @@ class ConstraintMetrics:
     tau_history: list = field(default_factory=list)
     pressure_history: list = field(default_factory=list)
     shear_history: list = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstraintMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
 
 
 @dataclass
@@ -270,11 +252,6 @@ class SparseMetrics:
         """Dense-to-coarse mode-count ratio (>= 1)."""
         return self.n_dense / self.n_coarse if self.n_coarse else 0.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SparseMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
 
 @dataclass
 class DegradationMetrics:
@@ -315,17 +292,6 @@ class DegradationMetrics:
             if e["surface"] == surface
             and (event is None or e["event"] == event)
         )
-
-    def merge(self, other: "DegradationMetrics") -> None:
-        """Fold another section in (PLINGER worker payloads)."""
-        for e in other.events:
-            self.record(e["surface"], e["event"], e.get("detail", ""),
-                        e.get("seconds", 0.0))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DegradationMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
 
 
 @dataclass
@@ -381,160 +347,3 @@ class ServeMetrics:
         self.wall_by_tier[tier] = (
             self.wall_by_tier.get(tier, 0.0) + float(wall)
         )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServeMetrics":
-        names = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in names})
-
-
-@dataclass
-class RunReport:
-    """Everything a telemetered run measured, ready for JSON."""
-
-    meta: dict = field(default_factory=dict)
-    modes: list[ModeMetrics] = field(default_factory=list)
-    traffic: list[RankTraffic] = field(default_factory=list)
-    workers: list[WorkerMetrics] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    timers: dict[str, dict] = field(default_factory=dict)
-    histograms: dict[str, dict] = field(default_factory=dict)
-    fault: FaultReport | None = None
-    constraints: list[ConstraintMetrics] = field(default_factory=list)
-    sparse: SparseMetrics | None = None
-    degradation: DegradationMetrics | None = None
-    serve: ServeMetrics | None = None
-    created_unix: float = field(default_factory=time.time)
-
-    # -- aggregates ---------------------------------------------------------
-
-    @property
-    def totals(self) -> dict:
-        """Run-level aggregates over the per-mode and per-rank sections."""
-        msg_by_tag: dict[str, dict[str, int]] = {}
-        for rt in self.traffic:
-            for tag, v in rt.sent.items():
-                slot = msg_by_tag.setdefault(tag, {"count": 0, "bytes": 0})
-                slot["count"] += v["count"]
-                slot["bytes"] += v["bytes"]
-        accepted = sum(m.n_steps for m in self.modes)
-        rejected = sum(m.n_rejected for m in self.modes)
-        return {
-            "n_modes": len(self.modes),
-            "n_rhs": sum(m.n_rhs for m in self.modes),
-            "n_steps": accepted,
-            "n_rejected": rejected,
-            "n_stability_bound": sum(m.n_stability_bound
-                                     for m in self.modes),
-            # rejected over attempted steps: eight RHS evaluations each
-            "wasted_step_fraction": rejected / (accepted + rejected)
-            if accepted + rejected else 0.0,
-            "flops_est": sum(m.flops_est for m in self.modes),
-            "mode_wall_seconds": sum(m.wall_seconds for m in self.modes),
-            "mode_cpu_seconds": sum(m.cpu_seconds for m in self.modes),
-            "messages_sent_by_tag": msg_by_tag,
-            "worker_busy_seconds": sum(w.busy_seconds for w in self.workers),
-            "worker_idle_seconds": sum(w.idle_seconds for w in self.workers),
-            "n_dead_workers": len(self.fault.dead_workers) if self.fault
-            else 0,
-            "n_retries": self.fault.total_retries if self.fault else 0,
-            "constraints_monitored_modes": len(self.constraints),
-            "max_pressure_residual": _opt_max(
-                c.max_pressure_residual for c in self.constraints),
-            "max_shear_residual": _opt_max(
-                c.max_shear_residual for c in self.constraints),
-            "max_exchange_residual": _opt_max(
-                c.max_exchange_residual for c in self.constraints),
-            "max_truncation_photon": _opt_max(
-                c.truncation_photon for c in self.constraints),
-            "sparse_factor": self.sparse.sparse_factor if self.sparse else 1,
-            "sparse_mode_reduction": self.sparse.mode_reduction
-            if self.sparse else 1.0,
-            "sparse_est_seconds_saved": self.sparse.est_seconds_saved
-            if self.sparse else 0.0,
-            "degradation_events": self.degradation.total_events
-            if self.degradation else 0,
-            "degradation_by_surface": dict(
-                self.degradation.events_by_surface)
-            if self.degradation else {},
-            "degradation_recovery_seconds":
-            self.degradation.recovery_seconds if self.degradation else 0.0,
-            "serve_requests": self.serve.requests if self.serve else 0,
-            "serve_by_tier": dict(self.serve.by_tier)
-            if self.serve else {},
-            "serve_computed_runs": self.serve.computed_runs
-            if self.serve else 0,
-            "serve_warm_hit_rate": self.serve.warm_hit_rate
-            if self.serve else 0.0,
-        }
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "created_unix": self.created_unix,
-            "meta": dict(self.meta),
-            "totals": self.totals,
-            "modes": [asdict(m) for m in self.modes],
-            "traffic": [asdict(t) for t in self.traffic],
-            "workers": [asdict(w) for w in self.workers],
-            "counters": dict(self.counters),
-            "timers": dict(self.timers),
-            "histograms": dict(self.histograms),
-            "fault": asdict(self.fault) if self.fault is not None else None,
-            "constraints": [asdict(c) for c in self.constraints],
-            "sparse": asdict(self.sparse) if self.sparse is not None else None,
-            "degradation": asdict(self.degradation)
-            if self.degradation is not None else None,
-            "serve": asdict(self.serve) if self.serve is not None else None,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
-                          default=_json_default)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        """Load a v1 document.  Sections and totals this version no
-        longer writes (the ``batches``, ``cache`` and ``rhs`` sections
-        and the ``n_batches`` / ``lane_occupancy`` / ``cache_hits`` /
-        ``cache_misses`` / ``rhs_evals`` totals of older reports) are
-        dropped, not refused: a mode's evaluations are its
-        ``ModeMetrics.n_rhs``."""
-        if d.get("schema") != SCHEMA:
-            raise ValueError(f"not a {SCHEMA} document: {d.get('schema')!r}")
-        return cls(
-            meta=dict(d.get("meta", {})),
-            modes=[ModeMetrics.from_dict(m) for m in d.get("modes", [])],
-            traffic=[RankTraffic.from_dict(t) for t in d.get("traffic", [])],
-            workers=[WorkerMetrics.from_dict(w) for w in d.get("workers", [])],
-            counters=dict(d.get("counters", {})),
-            timers=dict(d.get("timers", {})),
-            histograms=dict(d.get("histograms", {})),
-            fault=FaultReport.from_dict(d["fault"])
-            if d.get("fault") is not None else None,
-            constraints=[ConstraintMetrics.from_dict(c)
-                         for c in d.get("constraints", [])],
-            sparse=SparseMetrics.from_dict(d["sparse"])
-            if d.get("sparse") is not None else None,
-            degradation=DegradationMetrics.from_dict(d["degradation"])
-            if d.get("degradation") is not None else None,
-            serve=ServeMetrics.from_dict(d["serve"])
-            if d.get("serve") is not None else None,
-            created_unix=float(d.get("created_unix", 0.0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path) -> "RunReport":
-        return cls.from_json(Path(path).read_text())

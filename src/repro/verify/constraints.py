@@ -126,7 +126,7 @@ class ModeConstraintResiduals:
         return self._nanmax(self.trunc_polarization[self._source_era()])
 
     def to_metrics(self, ik: int = 0, history_cap: int = 64) -> ConstraintMetrics:
-        """Summarize into the telemetry RunReport extension record.
+        """Summarize into the telemetry report's ``constraints`` row.
 
         Histories are stride-decimated to ``history_cap`` points (the
         exact maxima are kept separately, so decimation never hides a

@@ -35,7 +35,7 @@ from repro.chaos import (
 )
 from repro.errors import CorruptCacheEntry
 from repro.resilience import FaultTolerance, RetryPolicy
-from repro.telemetry.report import DegradationMetrics, RunReport
+from repro.telemetry.report import DegradationMetrics, fold
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -293,15 +293,16 @@ class TestDegradationMetrics:
         a, b = DegradationMetrics(), DegradationMetrics()
         a.record("cache", "quarantine", seconds=0.1)
         b.record("integrator", "transient_retry", seconds=0.2)
-        a.merge(b)
+        fold(a, b)
         assert a.total_events == 2
         assert a.recovery_seconds == pytest.approx(0.3)
 
     def test_report_round_trip(self):
         dm = DegradationMetrics()
         dm.record("kernel", "build_retry", "attempt 1", seconds=0.5)
-        report = RunReport(degradation=dm)
-        loaded = RunReport.from_dict(report.to_dict())
+        report = Telemetry()
+        report.degradation = dm
+        loaded = Telemetry.from_dict(report.to_dict())
         assert loaded.degradation is not None
         assert loaded.degradation.events == dm.events
         assert loaded.degradation.recovery_seconds == pytest.approx(0.5)
@@ -309,7 +310,7 @@ class TestDegradationMetrics:
         assert report.totals["degradation_by_surface"] == {"kernel": 1}
 
     def test_absent_section_loads_unchanged(self):
-        report = RunReport.from_dict(RunReport().to_dict())
+        report = Telemetry.from_dict(Telemetry().to_dict())
         assert report.degradation is None
 
     def test_telemetry_worker_payload_round_trip(self):
@@ -317,9 +318,12 @@ class TestDegradationMetrics:
         worker.record_degradation("cache", "quarantine", "retry 1",
                                   seconds=0.01)
         master = Telemetry()
-        master.merge_worker_payload(worker.worker_payload())
-        assert master.degradation is not None
+        master.record_degradation("integrator", "transient_retry")
+        master.merge(worker.to_dict())
         assert master.degradation.count("cache", "quarantine") == 1
+        assert master.degradation.events_by_surface == {"integrator": 1,
+                                                        "cache": 1}
+        assert master.degradation.recovery_seconds == pytest.approx(0.01)
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +445,7 @@ class TestSerialChaos:
                      "--report", str(report)]) == 0
         assert "injected (master process): none" not in capsys.readouterr().out
         assert _archive_physics(chaotic) == _archive_physics(clean)
-        events = RunReport.load(report).degradation
+        events = Telemetry.load(report).degradation
         assert events is not None
         assert events.count("integrator", "transient_retry") >= 1
 

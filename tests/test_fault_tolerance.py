@@ -16,6 +16,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -41,7 +42,7 @@ from repro.resilience import (
     escalation_ladder,
     run_with_ladder,
 )
-from repro.telemetry.report import FaultReport, RunReport
+from repro.telemetry import FaultReport, Telemetry
 
 NK = 12
 KGRID = KGrid.from_k(np.logspace(-4, -1, NK))
@@ -616,8 +617,6 @@ class TestEscalationLadder:
         """A header is 21 reals unless the mode needed the ladder; the
         level then rides behind them and lands in the fault report,
         whatever hosts the ranks and with no policy asked for."""
-        from repro.telemetry import Telemetry
-
         kgrid = KGrid.from_k(np.geomspace(2e-3, 0.02, 3))
         # a hopeless opening step fails level 0; level 1 replaces it
         config = LingerConfig(lmax_photon=6, lmax_nu=6, rtol=1e-3,
@@ -631,7 +630,7 @@ class TestEscalationLadder:
         assert sorted(stats.fault_report.degraded_modes,
                       key=lambda d: d["ik"]) == [
             {"ik": ik, "level": 1} for ik in (1, 2, 3)]
-        sent = telemetry.build_report().totals["messages_sent_by_tag"]
+        sent = telemetry.totals["messages_sent_by_tag"]
         assert sent["HEADER"] == {"count": 3, "bytes": 3 * 22 * 8}
 
 
@@ -696,18 +695,21 @@ class TestFaultReportSerialization:
         return fr
 
     def test_roundtrip_through_runreport_json(self):
-        report = RunReport(meta={"driver": "plinger"}, fault=self._sample())
-        loaded = RunReport.from_json(report.to_json())
+        report = Telemetry()
+        report.meta["driver"] = "plinger"
+        report.fault = self._sample()
+        loaded = Telemetry.from_dict(json.loads(json.dumps(report.to_dict())))
         assert loaded.fault is not None
         assert loaded.fault == self._sample()
         assert loaded.totals["n_dead_workers"] == 1
         assert loaded.totals["n_retries"] == 4
 
     def test_reports_without_fault_section_load_unchanged(self):
-        report = RunReport(meta={"driver": "linger"})
+        report = Telemetry()
+        report.meta["driver"] = "linger"
         d = report.to_dict()
         assert d["fault"] is None
-        loaded = RunReport.from_dict(d)
+        loaded = Telemetry.from_dict(d)
         assert loaded.fault is None
         assert loaded.totals["n_dead_workers"] == 0
 
@@ -849,10 +851,10 @@ class TestEndToEndChaos:
             background=bg_scdm, thermo=thermo_scdm,
             fault_tolerance=ft, world=world, telemetry=telemetry,
         )
-        report = telemetry.build_report()
-        assert report.fault is stats.fault_report
+        assert telemetry.fault is stats.fault_report
         # survives the JSON wire
-        loaded = RunReport.from_json(report.to_json())
+        loaded = Telemetry.from_dict(
+            json.loads(json.dumps(telemetry.to_dict())))
         assert loaded.fault.orphan_payloads == \
             stats.fault_report.orphan_payloads
         np.testing.assert_allclose(

@@ -14,7 +14,7 @@ from repro import (
     run_plinger,
 )
 from repro.errors import IntegrationError
-from repro.linger.serial import compute_mode
+from repro.linger.serial import build_tables, compute_mode
 from repro.perturbations import evolve_mode
 from repro.spectra import run_sparse_cl
 
@@ -39,6 +39,29 @@ class TestConfig:
         cfg = LingerConfig(lmax_mode="bogus")
         with pytest.raises(ParameterError):
             cfg.lmax_for_k(0.1, 1.0)
+
+
+class TestBuildTables:
+    def test_a_cold_kernel_cache_compiles_under_its_own_timer(
+            self, scdm, tmp_path):
+        """The first spline fit of a process used to compile the kernel
+        inside ``background.build``: the build now resolves the compiled
+        object first, under ``cext.resolve``, and the table timers hold
+        only the tables."""
+        from repro._cext import private_cache
+
+        tel = Telemetry()
+        with private_cache(tmp_path):  # empty: this resolve compiles
+            build_tables(scdm, telemetry=tel)
+            assert list(tmp_path.glob("*.so"))
+        resolve = tel.timers["cext.resolve"]
+        build = tel.timers["background.build"]
+        assert resolve.count == build.count == 1
+        assert build.total_seconds < 0.25 < resolve.total_seconds
+
+        handed_in = Telemetry()
+        build_tables(scdm, *build_tables(scdm), telemetry=handed_in)
+        assert not handed_in.timers
 
 
 class TestComputeMode:

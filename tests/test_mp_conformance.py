@@ -214,7 +214,7 @@ class TestPlingerConformance:
         assert tag == Tag.INIT
         assert init.tolist() == [kgrid.nk, kgrid.k[0], kgrid.k[-1], 0, 0]
         # and nothing but the paper's six tags on a clean run
-        sent = telemetry.build_report().totals["messages_sent_by_tag"]
+        sent = telemetry.totals["messages_sent_by_tag"]
         assert set(sent) == {"INIT", "READY", "WORK", "HEADER", "PAYLOAD",
                              "STOP"}
         assert max(Tag[name] for name in sent) < Tag.HEARTBEAT

@@ -46,7 +46,7 @@ from repro.perturbations import (
 )
 from repro._cext import get_cext
 from repro.perturbations.evolve import find_tca_exit, tau_initial
-from repro.telemetry import RunReport, Telemetry
+from repro.telemetry import Telemetry
 from tests import reference_thermo
 from tests.reference_packed_rhs import kernel_rhs_full, kernel_rhs_tca
 from tests.reference_rhs import ReferencePerturbationSystem
@@ -449,9 +449,8 @@ def test_a_report_with_an_rhs_section_loads():
     """Reports written while the system kept its own evaluation count
     carried an ``rhs`` section and an ``rhs_evals`` total; they load,
     with both dropped — a mode's evaluations are its ``n_rhs``."""
-    from repro.telemetry import ModeMetrics
-
-    report = RunReport(modes=[ModeMetrics(k=0.01, n_rhs=90)])
+    report = Telemetry()
+    report.record_mode(k=0.01, n_rhs=90)
     old = report.to_dict()
     assert "rhs" not in old and "rhs_evals" not in old["totals"]
     old["rhs"] = {"evals": {"cext": 90, "python": 10},
@@ -461,7 +460,7 @@ def test_a_report_with_an_rhs_section_loads():
                          rhs_compiled_fraction=0.9)
     old["counters"] = {"thermo.ode_rhs_evals": 5107,
                        "thermo.ode_rhs_compiled": 5107}
-    loaded = RunReport.from_dict(old)
+    loaded = Telemetry.from_dict(old)
     assert not hasattr(loaded, "rhs")
     assert loaded.counters["thermo.ode_rhs_compiled"] == 5107
     totals = loaded.totals
@@ -476,11 +475,11 @@ def test_a_worker_payload_with_an_rhs_section_merges():
     the section is skipped, the mode rows carry the counts."""
     t = Telemetry()
     t.record_mode(k=0.01, n_rhs=7)
-    payload = t.worker_payload()
+    payload = t.to_dict()
     assert "rhs" not in payload
     payload["rhs"] = {"evals": {"cext": 7}, "seconds": {"cext": 0.1},
                       "requested": "auto", "active": "cext"}
     t2 = Telemetry()
-    t2.merge_worker_payload(payload)
+    t2.merge(payload)
     assert [m.n_rhs for m in t2.modes] == [7]
     assert not hasattr(t2, "rhs")

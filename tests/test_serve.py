@@ -1,14 +1,19 @@
 """Spectrum-service tests: protocol, digests, the warm pool, the
-asyncio daemon (tiers + coalescing), lifecycle, and telemetry."""
+asyncio daemon (tiers + coalescing), the request journal, and
+telemetry."""
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
 import json
+import math
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import standard_cdm, tilted_cdm
 from repro.errors import ServeError
@@ -21,8 +26,8 @@ from repro.serve import (
     encode_message,
     spectrum_product,
 )
-from repro.serve import lifecycle
-from repro.telemetry.report import RunReport, ServeMetrics
+from repro.serve.daemon import ServeJournal
+from repro.telemetry import ServeMetrics, Telemetry
 
 
 def small_request(params=None, **overrides) -> ServeRequest:
@@ -101,6 +106,28 @@ class TestProtocol:
             with pytest.raises(ServeError):
                 ServeRequest.from_doc({"k_max": k_max, "params": {}})
 
+    @pytest.mark.parametrize("line, named", [
+        (b'{"params":{"n_nu_massive":1e400}}', "1e400"),
+        (b'{"params":{"h":1e400},"nk":2,"lmax":6}', "1e400"),
+        (b'{"params":{},"nk":2.9,"lmax":6}', "nk"),
+        (b'{"params":{"t_cmb":true},"nk":2,"lmax":6}', "t_cmb"),
+        (b'{"params":{},"nk":2,"lmax":6,"k_max":"3e-3"}', "k_max"),
+    ], ids=["overflowing-int-field", "overflowing-float-field",
+            "fractional-nk", "boolean-t_cmb", "string-k_max"])
+    def test_numbers_out_of_the_protocol_get_error_responses(self, line,
+                                                             named):
+        """A number that overflows a float64, a fraction where a count
+        goes, a boolean or a string where a number goes: each is an
+        error response naming it, before any computation."""
+        server = SpectrumServer(nproc=2)
+        try:
+            response = asyncio.run(server.handle_line(line + b"\n"))
+        finally:
+            server.close()
+        assert response["ok"] is False and named in response["error"]
+        assert server.metrics.errors == 1
+        assert server.pool.stats.runs == 0
+
     def test_json_floats_round_trip_bitwise(self):
         values = [0.1, 1 / 3, np.nextafter(0.02, 1), 6.25e-5]
         wire = json.loads(json.dumps(values))
@@ -109,6 +136,68 @@ class TestProtocol:
 
     def test_l_values(self):
         assert list(small_request(lmax=8).l_values()) == [2, 3, 4, 5]
+
+
+# -- protocol properties (hypothesis) ---------------------------------------
+
+#: JSON number texts, the ones a float64 cannot hold included: exponents
+#: past 308 and integers of hundreds of digits
+_numbers = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,3})(\.[0-9]{1,6})?([eE][+-]?[0-9]{1,4})?",
+                  fullmatch=True),
+    st.integers(300, 400).map(lambda n: "9" * n),
+    st.floats(width=64, allow_nan=False, allow_infinity=False).map(repr),
+)
+_scalars = st.one_of(
+    _numbers, st.sampled_from(["true", "false", "null", "NaN", "Infinity",
+                               "-Infinity"]),
+    st.text(max_size=6).map(json.dumps),
+)
+
+
+def _object(keys, values):
+    return st.dictionaries(keys, values, max_size=6).map(
+        lambda d: "{" + ",".join(f"{json.dumps(k)}:{v}"
+                                 for k, v in d.items()) + "}")
+
+
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4).map(lambda xs: "[" + ",".join(xs) + "]"),
+    _object(st.text(max_size=4), inner)), max_leaves=10)
+_params = _object(st.sampled_from(
+    [f.name for f in dataclasses.fields(standard_cdm())]), _values)
+_request_keys = st.one_of(
+    st.sampled_from(["op", "params", "k_min", "k_max", "nk", "lmax", "rtol",
+                     "batch_size"]), st.text(max_size=4))
+_lines = st.one_of(
+    _object(_request_keys, st.one_of(_params, _values)),
+    _values,
+    # nesting past the interpreter's stack, digits past python's limit
+    st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n),
+    st.integers(4290, 4400).map(lambda n: '{"nk":' + "1" * n + "}"),
+    st.text(max_size=40),
+)
+
+
+@pytest.mark.property
+class TestProtocolProperties:
+    @given(line=_lines)
+    @settings(max_examples=400, deadline=None)
+    def test_any_line_is_a_finite_request_or_a_serve_error(self, line):
+        """Whatever arrives on the socket, decoding and reading it as a
+        spectrum request gives a request whose every float is finite,
+        or a ServeError — never another exception for the handler to
+        drop the connection on."""
+        try:
+            request = ServeRequest.from_doc(decode_message(line.encode()))
+        except ServeError:
+            return
+        shape = (request.k_min, request.k_max, request.nk, request.lmax,
+                 request.rtol)
+        values = [*shape, *dataclasses.astuple(request.params)]
+        assert all(math.isfinite(v) for v in values)
+        assert all(type(v) is int for v in (request.nk, request.lmax,
+                                            request.params.n_nu_massive))
 
 
 class TestWarmPool:
@@ -368,26 +457,26 @@ class TestDaemon:
         assert stats["resident_models"] == 1
 
 
-class TestLifecycle:
-    def test_shutdown_all_drains_journal(self, tmp_path):
-        from repro.serve.daemon import ServeJournal
+class TestJournal:
+    def test_a_killed_writer_keeps_every_line(self, tmp_path):
+        """A daemon killed outright — SIGKILL, the OOM killer — runs no
+        handler: every line it recorded must already be on its way to
+        the disk."""
+        import subprocess
+        import sys
 
-        journal = ServeJournal(tmp_path / "j.jsonl")
-        journal.record({"tier": "cold"})
-        lifecycle.shutdown_all()
-        assert journal._fh.closed
-        # drained to disk despite never calling journal.close() directly
-        assert (tmp_path / "j.jsonl").read_text().count("\n") == 1
-
-    def test_shutdown_all_is_reentrant(self):
-        lifecycle.shutdown_all()
-        lifecycle.shutdown_all()
-
-    def test_sigterm_handler_installed_and_chains(self):
-        import signal
-
-        lifecycle.install_handlers()
-        assert signal.getsignal(signal.SIGTERM) is lifecycle._handle_sigterm
+        path = tmp_path / "j.jsonl"
+        code = (f"import os, signal, sys; sys.path[:0] = {sys.path!r}\n"
+                "from repro.serve.daemon import ServeJournal\n"
+                f"journal = ServeJournal({str(path)!r})\n"
+                "for i in range(5):\n"
+                "    journal.record({'digest': str(i), 'tier': 'cold'})\n"
+                "os.kill(os.getpid(), signal.SIGKILL)\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        assert [json.loads(line)["digest"]
+                for line in path.read_text().splitlines()] == list("01234")
 
 
 class TestServeTelemetry:
@@ -404,10 +493,12 @@ class TestServeTelemetry:
     def test_report_round_trip(self):
         m = ServeMetrics(requests=3, by_tier={"store": 2, "cold": 1},
                          computed_runs=1)
-        report = RunReport(meta={"driver": "serve"}, serve=m)
+        report = Telemetry()
+        report.meta["driver"] = "serve"
+        report.serve = m
         d = report.to_dict()
         assert d["totals"]["serve_requests"] == 3
-        back = RunReport.from_dict(d)
+        back = Telemetry.from_dict(d)
         assert back.serve.by_tier == m.by_tier
         assert back.serve.warm_hit_rate == pytest.approx(2 / 3)
 
@@ -420,7 +511,7 @@ class TestServeTelemetry:
                     return client.spectrum(small_request())
 
             await loop.run_in_executor(None, one)
-            return server.build_report()
+            return server.telemetry
 
         async def main():
             server = SpectrumServer(nproc=3)

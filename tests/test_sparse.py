@@ -40,7 +40,7 @@ from repro.spectra import (
 )
 from repro.spectra.cl import cl_from_hierarchy, los_l_grid
 from repro.spectra.sparse import _leave_one_out_residuals, sparse_sources
-from repro.telemetry import RunReport, SparseMetrics, Telemetry
+from repro.telemetry import SparseMetrics, Telemetry
 
 GOLDEN_CL = Path(__file__).parent / "data" / "golden_cl.json"
 
@@ -287,12 +287,12 @@ class TestSparseMetrics:
         tel = Telemetry()
         sparse_cl(coarse_subset(linger_small, 2), linger_small.kgrid,
                   np.arange(2, 8), sparse_factor=2, telemetry=tel)
-        report = tel.build_report()
+        report = tel
         assert report.sparse is not None
         assert report.totals["sparse_factor"] == 2
         assert report.totals["sparse_mode_reduction"] == pytest.approx(8 / 5)
         blob = json.dumps(report.to_dict())
-        again = RunReport.from_dict(json.loads(blob))
+        again = Telemetry.from_dict(json.loads(blob))
         assert isinstance(again.sparse, SparseMetrics)
         assert again.sparse.n_coarse == 5
         assert again.sparse.n_dense == 8
@@ -301,9 +301,9 @@ class TestSparseMetrics:
             report.sparse.interp_residual_max
 
     def test_absent_section_roundtrips_none(self):
-        report = Telemetry().build_report()
+        report = Telemetry()
         assert report.sparse is None
-        again = RunReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        again = Telemetry.from_dict(json.loads(json.dumps(report.to_dict())))
         assert again.sparse is None
 
     def test_est_seconds_saved(self):

@@ -1,29 +1,41 @@
-"""The run telemetry subsystem: metric primitives, the collector, the
-JSON RunReport, the no-op sink, and the integrator instrumentation."""
+"""The run telemetry subsystem: the collector, its JSON document (the
+worker hand-off, the saved report), the no-op sink, and the integrator
+instrumentation."""
 
 import json
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import Telemetry, NULL_TELEMETRY, RunReport
-from repro.telemetry import Counter, Histogram, NullTelemetry, Timer
-from repro.telemetry.report import SCHEMA
+from repro import Telemetry, NULL_TELEMETRY
+from repro.plinger.driver import TAG_NAMES
+from repro.telemetry import (
+    SCHEMA,
+    ConstraintMetrics,
+    FaultReport,
+    NullTelemetry,
+    Timer,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCounter:
     def test_inc_and_merge(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        other = Counter("x", value=7)
-        c.merge(other)
-        assert c.value == 12
+        t = Telemetry()
+        t.count("x")
+        t.count("x", 4)
+        assert t.counters["x"] == 5
+        other = Telemetry()
+        other.count("x", 7)
+        t.merge(other.to_dict())
+        assert t.counters["x"] == 12
 
     def test_as_dict(self):
-        assert Counter("x", value=3).as_dict() == {"value": 3}
+        t = Telemetry()
+        t.count("x", 3)
+        assert t.to_dict()["counters"] == {"x": 3}
 
 
 class TestTimer:
@@ -41,37 +53,15 @@ class TestTimer:
             Timer("t").stop()
 
     def test_add_and_merge(self):
-        t = Timer("t")
-        t.add(1.5, count=3)
-        other = Timer("t")
-        other.add(0.5)
-        t.merge(other)
-        assert t.total_seconds == pytest.approx(2.0)
-        assert t.count == 4
-        assert t.as_dict() == {"total_seconds": t.total_seconds, "count": 4}
-
-
-class TestHistogram:
-    def test_streaming_moments(self):
-        h = Histogram("h")
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        assert h.n == 4
-        assert h.mean == pytest.approx(2.5)
-        assert h.std == pytest.approx(np.std([1, 2, 3, 4]))
-        assert h.min == 1.0 and h.max == 4.0
-
-    def test_empty(self):
-        h = Histogram("h")
-        assert math.isnan(h.mean)
-        assert h.as_dict()["mean"] is None
-
-    def test_merge(self):
-        a, b = Histogram("h"), Histogram("h")
-        a.observe(1.0)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.n == 2 and a.mean == 2.0 and a.max == 3.0
+        t = Telemetry()
+        t.timer("t").add(1.5, count=3)
+        other = Telemetry()
+        other.timer("t").add(0.5)
+        t.merge(other.to_dict())
+        assert t.timers["t"].total_seconds == pytest.approx(2.0)
+        assert t.timers["t"].count == 4
+        assert t.to_dict()["timers"] == {
+            "t": {"total_seconds": t.timers["t"].total_seconds, "count": 4}}
 
 
 class TestTelemetryCollector:
@@ -79,16 +69,15 @@ class TestTelemetryCollector:
         t = Telemetry()
         t.count("ev")
         t.count("ev", 2)
-        assert t.counters["ev"].value == 3
+        assert t.counters["ev"] == 3
         assert t.timer("w") is t.timer("w")
-        t.observe("h", 1.0)
-        t.observe("h", 2.0)
-        assert t.histograms["h"].n == 2
 
     def test_record_and_annotate_mode(self):
+        """``compute_mode`` patches the newest row in place: the one way
+        a mode's grid index and CPU time reach its record."""
         t = Telemetry()
         t.record_mode(k=0.01, n_rhs=100)
-        t.annotate_last_mode(ik=3, cpu_seconds=1.5)
+        t.modes[-1].ik, t.modes[-1].cpu_seconds = 3, 1.5
         m = t.modes[0]
         assert (m.k, m.ik, m.n_rhs, m.cpu_seconds) == (0.01, 3, 100, 1.5)
 
@@ -105,31 +94,122 @@ class TestTelemetryCollector:
         assert rt.messages_sent == 5 and rt.bytes_received == 8
 
     def test_worker_payload_round_trip(self):
+        """A worker publishes its collector's document; the master folds
+        it in with the merge loading uses."""
         worker = Telemetry()
         worker.record_mode(k=0.02, n_rhs=64, flops_est=1000)
         worker.count("retries", 2)
         worker.timer("busy").add(1.25, count=4)
+        worker.record_worker(1, modes_done=1, busy_seconds=1.25)
 
         master = Telemetry()
         master.record_mode(k=0.01, n_rhs=32)
         # a rank still running the parent of PR 19 also ships the chunk
         # books of the deleted lockstep driver: skipped, not refused
-        payload = worker.worker_payload()
+        payload = worker.to_dict()
         assert "batches" not in payload
         payload["batches"] = [{"n_lanes": 4, "n_sweeps": 100,
                                "lane_steps_attempted": 380,
                                "lane_slots_idle": 20}]
-        master.merge_worker_payload(payload)
+        master.merge(payload)
 
         assert [m.k for m in master.modes] == [0.01, 0.02]
-        assert master.counters["retries"].value == 2
+        assert master.counters["retries"] == 2
         assert master.timers["busy"].total_seconds == pytest.approx(1.25)
         assert master.timers["busy"].count == 4
+        assert [w.busy_seconds for w in master.workers] == [1.25]
+        assert master.meta == {} and not hasattr(master, "batches")
+
+    def test_a_worker_document_gives_the_merged_totals(self):
+        """The totals a master reads after folding in a worker's
+        document, as ``merge_worker_payload`` plus the driver's own
+        traffic and worker rows gave them before the two merged."""
+        worker = Telemetry()
+        worker.record_mode(k=0.02, ik=2, n_rhs=96, n_steps=12,
+                           n_rejected=2, n_stability_bound=5,
+                           flops_est=4800, wall_seconds=0.5,
+                           cpu_seconds=0.25)
+        worker.record_mode(k=0.01, ik=1, n_rhs=64, n_steps=8,
+                           n_stability_bound=1, flops_est=3200,
+                           wall_seconds=0.25, cpu_seconds=0.125)
+        worker.count("thermo.ode_steps", 548)
+        worker.timer("thermo.build").add(0.5)
+        worker.record_degradation("integrator", "transient_retry",
+                                  "ik=2 level=0", 0.0)
+        worker.record_constraint(ConstraintMetrics(
+            k=0.02, ik=2, n_samples=4, max_pressure_residual=1e-6,
+            max_shear_residual=2e-6))
+        worker.record_traffic(1, "worker", {
+            "sent_by_tag": {3: {"count": 2, "bytes": 16},
+                            4: {"count": 2, "bytes": 336},
+                            5: {"count": 2, "bytes": 384}},
+            "received_by_tag": {1: {"count": 1, "bytes": 40},
+                                2: {"count": 2, "bytes": 16},
+                                6: {"count": 1, "bytes": 8}},
+        }, tag_names=TAG_NAMES)
+        worker.record_worker(1, modes_done=2, busy_seconds=0.75,
+                             idle_seconds=0.25)
+        worker.fault = FaultReport(retries_by_tag={"READY": 1})
+
+        master = Telemetry()
+        master.record_mode(k=0.03, ik=3, n_rhs=32, n_steps=4)
+        master.count("thermo.ode_steps", 548)
+        master.timer("thermo.build").add(0.5)
+        master.fault = FaultReport()
+        master.record_traffic(0, "master", {
+            "sent_by_tag": {1: {"count": 1, "bytes": 40},
+                            2: {"count": 2, "bytes": 16},
+                            6: {"count": 1, "bytes": 8}},
+            "received_by_tag": {3: {"count": 2, "bytes": 16}},
+        }, tag_names=TAG_NAMES)
+        master.merge(json.loads(json.dumps(worker.to_dict())))
+
+        assert master.totals == {
+            "constraints_monitored_modes": 1,
+            "degradation_by_surface": {"integrator": 1},
+            "degradation_events": 1,
+            "degradation_recovery_seconds": 0.0,
+            "flops_est": 8000,
+            "max_exchange_residual": None,
+            "max_pressure_residual": 1e-06,
+            "max_shear_residual": 2e-06,
+            "max_truncation_photon": None,
+            "messages_sent_by_tag": {
+                "HEADER": {"bytes": 336, "count": 2},
+                "INIT": {"bytes": 40, "count": 1},
+                "PAYLOAD": {"bytes": 384, "count": 2},
+                "READY": {"bytes": 16, "count": 2},
+                "STOP": {"bytes": 8, "count": 1},
+                "WORK": {"bytes": 16, "count": 2},
+            },
+            "mode_cpu_seconds": 0.375,
+            "mode_wall_seconds": 0.75,
+            "n_dead_workers": 0,
+            "n_modes": 3,
+            "n_rejected": 2,
+            "n_retries": 1,
+            "n_rhs": 192,
+            "n_stability_bound": 6,
+            "n_steps": 24,
+            "serve_by_tier": {},
+            "serve_computed_runs": 0,
+            "serve_requests": 0,
+            "serve_warm_hit_rate": 0.0,
+            "sparse_est_seconds_saved": 0.0,
+            "sparse_factor": 1,
+            "sparse_mode_reduction": 1.0,
+            "wasted_step_fraction": 2 / 26,
+            "worker_busy_seconds": 0.75,
+            "worker_idle_seconds": 0.25,
+        }
+        assert master.counters == {"thermo.ode_steps": 1096}
+        assert master.timers["thermo.build"].count == 2
 
 
 class TestRunReport:
     def _sample(self):
         t = Telemetry()
+        t.meta["driver"] = "test"
         t.record_mode(k=0.01, ik=1, n_rhs=80, n_steps=8, n_rejected=2,
                       n_stability_bound=7, flops_est=5000, wall_seconds=0.5)
         t.record_mode(k=0.02, ik=2, n_rhs=160, n_steps=16, n_rejected=4,
@@ -139,7 +219,7 @@ class TestRunReport:
             "received_by_tag": {4: {"count": 2, "bytes": 336}},
         }, tag_names={3: "WORK", 4: "HEADER"})
         t.record_worker(1, modes_done=2, busy_seconds=1.5, idle_seconds=0.5)
-        return t.build_report(meta={"driver": "test"})
+        return t
 
     def test_totals(self):
         r = self._sample()
@@ -151,33 +231,49 @@ class TestRunReport:
         # rejected over attempted, from the per-mode rows: 6 / (24 + 6)
         assert totals["wasted_step_fraction"] == pytest.approx(0.2)
         assert "n_batches" not in totals and "lane_occupancy" not in totals
-        assert RunReport().totals["wasted_step_fraction"] == 0.0
+        assert Telemetry().totals["wasted_step_fraction"] == 0.0
         assert totals["flops_est"] == 14000
         assert totals["messages_sent_by_tag"]["WORK"]["count"] == 2
         assert totals["worker_busy_seconds"] == pytest.approx(1.5)
 
     def test_json_round_trip(self):
         r = self._sample()
-        back = RunReport.from_json(r.to_json())
+        doc = json.loads(json.dumps(r.to_dict()))
+        back = Telemetry.from_dict(doc)
         assert back.to_dict() == r.to_dict()
-        assert json.loads(r.to_json())["schema"] == SCHEMA
+        assert doc["schema"] == SCHEMA
+        assert "histograms" not in doc
 
     def test_rejects_foreign_schema(self):
         with pytest.raises(ValueError):
-            RunReport.from_dict({"schema": "something/else"})
+            Telemetry.from_dict({"schema": "something/else"})
 
-    def test_numpy_scalars_serialize(self):
+    def test_numpy_scalars_serialize(self, tmp_path):
         t = Telemetry()
         t.record_mode(k=np.float64(0.01), ik=np.int64(4), n_rhs=np.int64(7))
-        r = t.build_report(meta={"nk": np.int64(8)})
-        d = json.loads(r.to_json())
+        t.meta["nk"] = np.int64(8)
+        d = json.loads(t.save(tmp_path / "r.json").read_text())
         assert d["modes"][0]["ik"] == 4
         assert d["meta"]["nk"] == 8
 
     def test_save_load(self, tmp_path):
         r = self._sample()
         p = r.save(tmp_path / "report.json")
-        assert RunReport.load(p).to_dict() == r.to_dict()
+        assert Telemetry.load(p).to_dict() == r.to_dict()
+
+    def test_a_report_the_previous_release_wrote_loads(self):
+        """``report_v1.json`` is a sparse-k PLINGER chaos run's report
+        (``fault``, ``sparse`` and ``degradation`` filled) written
+        before ``RunReport`` folded into ``Telemetry``: it loads, and
+        writes back the same document but the ``histograms`` key
+        nothing filled."""
+        doc = json.loads((DATA / "report_v1.json").read_text())
+        assert doc["histograms"] == {}
+        for section in ("fault", "sparse", "degradation"):
+            assert doc[section] is not None
+        back = Telemetry.load(DATA / "report_v1.json")
+        del doc["histograms"]
+        assert back.to_dict() == doc
 
     def test_mode_rows_without_the_stability_count_still_load(self):
         """A report written before the drivers counted the attempts at
@@ -185,7 +281,7 @@ class TestRunReport:
         doc = self._sample().to_dict()
         for row in doc["modes"]:
             del row["n_stability_bound"]
-        back = RunReport.from_dict(doc)
+        back = Telemetry.from_dict(doc)
         assert [m.n_stability_bound for m in back.modes] == [0, 0]
         assert back.totals["n_rejected"] == 6
 
@@ -195,11 +291,11 @@ class TestRunReport:
         doc = self._sample().to_dict()
         doc["counters"] = {"thermo.lsoda_rhs_evals": 1000,
                            "thermo.lsoda_rhs_compiled": 1000}
-        back = RunReport.from_json(json.dumps(doc))
+        back = Telemetry.from_dict(json.loads(json.dumps(doc)))
         assert back.counters == doc["counters"]
 
     def test_report_written_before_the_transport_went_still_loads(self):
-        """A RunReport from a release that still loaded tables from a
+        """A report from a release that still loaded tables from a
         disk cache, shipped them through shared memory and stepped
         chunks in lockstep carries sections, fields and totals nothing
         writes any more: they are dropped, not refused."""
@@ -221,7 +317,7 @@ class TestRunReport:
             "tca_wall_seconds": 0.5, "full_wall_seconds": 1.0,
             "wall_seconds": 1.5}]
         doc["totals"].update(n_batches=1, lane_occupancy=0.95)
-        back = RunReport.from_json(json.dumps(doc))
+        back = Telemetry.from_dict(json.loads(json.dumps(doc)))
         assert back.fault.reassignments == 1
         assert not hasattr(back.fault, "table_wire_transfers")
         assert not hasattr(back, "cache") and not hasattr(back, "batches")
@@ -247,19 +343,17 @@ class TestNullSink:
     def test_records_nothing(self):
         t = NullTelemetry()
         t.count("x", 5)
-        t.observe("h", 1.0)
         with t.timer("w"):
             pass
         t.record_mode(k=0.01, n_rhs=10)
-        t.annotate_last_mode(ik=1)
         t.record_traffic(0, "master", {"sent_by_tag": {}})
         t.record_worker(1, modes_done=3)
-        t.merge_worker_payload({"modes": [{"k": 0.1}], "counters": {"c": 1},
-                                "timers": {}})
-        assert not t.counters and not t.timers and not t.histograms
+        t.merge({"modes": [{"k": 0.1}], "counters": {"c": 1},
+                 "timers": {}, "fault": {"reassignments": 1}})
+        assert not t.counters and not t.timers
         assert not t.modes and not t.traffic and not t.workers
-        report = t.build_report()
-        assert report.totals["n_modes"] == 0
+        assert t.fault is None
+        assert t.totals["n_modes"] == 0
 
     def test_null_timer_is_shared_and_inert(self):
         t = NullTelemetry()

@@ -21,7 +21,7 @@ import pytest
 
 from repro import ParameterError, VerificationError
 from repro.perturbations import default_record_grid, evolve_mode
-from repro.telemetry import ConstraintMetrics, RunReport, Telemetry
+from repro.telemetry import ConstraintMetrics, Telemetry
 from repro.verify import (
     TOLERANCES,
     ConstraintMonitor,
@@ -150,11 +150,11 @@ class TestConstraintMetricsSerialization:
         _, res = monitored_k005
         tel = Telemetry()
         tel.record_constraint(res.to_metrics(ik=1))
-        report = tel.build_report()
+        report = tel
         assert report.totals["constraints_monitored_modes"] == 1
         assert report.totals["max_pressure_residual"] == res.max_pressure
         blob = json.dumps(report.to_dict())
-        again = RunReport.from_dict(json.loads(blob))
+        again = Telemetry.from_dict(json.loads(blob))
         assert len(again.constraints) == 1
         m = again.constraints[0]
         assert isinstance(m, ConstraintMetrics)
