@@ -1,21 +1,13 @@
-"""TAB-SHARD — multi-node sockets sharding: scaling and placement.
+"""TAB-SHARD — multi-node sockets sharding: scaling.
 
 The TCP-sockets backend runs the PLINGER protocol over real sockets
 between real OS processes — the transport a multi-node shard would
 use, exercised here on localhost where its results must stay bitwise
 identical to the serial integrator.  This benchmark measures what the
 paper's Table 2 measured for its machines, but on the live transport:
-
-* **scaling** — the same workload at 1, 2 and 4 worker ranks: wall
-  seconds, master message counts, and the raw bytes that crossed the
-  TCP wire (frame overhead included);
-* **placement** — the measured per-rank traffic of the widest run
-  priced under candidate rank-to-host shardings via
-  :mod:`repro.cluster.placement`: all ranks co-located with the
-  master, all remote over the paper's SP2 link, and a half/half
-  split.  Co-location must always price cheapest — the model exists
-  to show *how much* a candidate sharding pays, before any second
-  machine is rented.
+the same workload at 1, 2 and 4 worker ranks — wall seconds, master
+message counts, and the raw bytes that crossed the TCP wire (frame
+overhead included) — each run's C_l bitwise equal to the serial run's.
 
 Everything is archived as ``BENCH_shard.json``.
 """
@@ -27,12 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import KGrid, LingerConfig, standard_cdm
-from repro.cluster import IBM_SP2, ShardPlacement, rank_placements
 from repro.linger import run_linger
 from repro.mp.backends.sockets import SocketsWorld
 from repro.plinger import run_plinger
 from repro.spectra import cl_from_hierarchy
-from repro.telemetry import Telemetry
 from repro.util import format_table
 
 #: Benchmark artifacts land in the repo root, next to this harness.
@@ -49,9 +39,8 @@ def _workload():
     return standard_cdm(), kgrid, config
 
 
-def test_sockets_scaling_and_placement(bg, thermo, benchmark, capsys):
-    """Scaling at 1/2/4 sockets ranks + placement scoring,
-    -> BENCH_shard.json."""
+def test_sockets_scaling(bg, thermo, benchmark, capsys):
+    """Scaling at 1/2/4 sockets ranks -> BENCH_shard.json."""
     params, kgrid, config = _workload()
     serial = run_linger(params, kgrid, config, background=bg,
                         thermo=thermo)
@@ -59,26 +48,18 @@ def test_sockets_scaling_and_placement(bg, thermo, benchmark, capsys):
 
     def sweep():
         rows = []
-        traffic_by_rank = {}
         for workers in WORKER_COUNTS:
             nproc = workers + 1
             world = SocketsWorld(nproc)
-            telemetry = Telemetry()
             t0 = time.perf_counter()
             result, stats = run_plinger(
                 params, kgrid, config, nproc=nproc, backend="sockets",
-                world=world, background=bg, thermo=thermo,
-                telemetry=telemetry)
+                world=world, background=bg, thermo=thermo)
             wall = time.perf_counter() - t0
             _l2, cl = cl_from_hierarchy(result)
             assert np.array_equal(cl, cl_ref), (
                 f"sockets C_l diverged from serial at {workers} workers")
             wire = world.wire_stats()
-            if workers == max(WORKER_COUNTS):
-                # the wrapper-level books each worker shipped home:
-                # the placement model's input
-                tele = world.collect_telemetry()
-                traffic_by_rank = {r: tele[r]["traffic"] for r in tele}
             rows.append({
                 "workers": workers,
                 "nproc": nproc,
@@ -89,33 +70,15 @@ def test_sockets_scaling_and_placement(bg, thermo, benchmark, capsys):
                 "wire_bytes_received": sum(s["received"]
                                            for s in wire.values()),
             })
-        return rows, traffic_by_rank
+        return rows
 
-    rows, traffic_by_rank = benchmark.pedantic(sweep, rounds=1,
-                                               iterations=1)
-
-    # -- placement scoring on the widest run's measured traffic -----------
-    wide = max(WORKER_COUNTS)
-    worker_ranks = range(1, wide + 1)
-    candidates = [
-        ShardPlacement({r: "alpha" for r in range(wide + 1)},
-                       name="co-located"),
-        ShardPlacement({0: "alpha", **{r: "beta" for r in worker_ranks}},
-                       name="all-remote"),
-        ShardPlacement({0: "alpha",
-                        **{r: ("alpha" if r % 2 else "beta")
-                           for r in worker_ranks}},
-                       name="half-remote"),
-    ]
-    scores = rank_placements(traffic_by_rank, candidates, IBM_SP2)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     payload = {
         "table": "TAB-SHARD",
         "workload": {"nk": kgrid.nk, "lmax": 8, "rtol": 1e-4},
         "bitwise_vs_serial": True,
         "scaling": rows,
-        "placement_link": IBM_SP2.name,
-        "placements": [s.as_dict() for s in scores],
         "created_unix": time.time(),
     }
     out = ARTIFACT_DIR / "BENCH_shard.json"
@@ -132,13 +95,6 @@ def test_sockets_scaling_and_placement(bg, thermo, benchmark, capsys):
             title=f"TAB-SHARD: sockets scaling ({kgrid.nk} modes) "
                   f"-> {out.name}",
         ))
-        print(format_table(
-            ["placement", "wire bytes", "modeled comm [s]"],
-            [[s.placement.name, s.wire_bytes,
-              f"{s.total_seconds:.4f}"] for s in scores],
-            title=f"TAB-SHARD: measured traffic priced on the "
-                  f"{IBM_SP2.name} link",
-        ))
 
     # loose structural floors only — wall-clock on a busy CI box is not
     # a physics claim
@@ -147,7 +103,3 @@ def test_sockets_scaling_and_placement(bg, thermo, benchmark, capsys):
             row["nproc"] - 1 + 2 * kgrid.nk
         assert row["wire_bytes_sent"] > 0
         assert row["wire_bytes_received"] > 0
-    # co-location prices cheapest; every wire crossing costs more
-    assert scores[0].placement.name == "co-located"
-    assert scores[0].total_seconds < scores[-1].total_seconds
-    assert {len(traffic_by_rank)} == {wide}

@@ -60,8 +60,8 @@ def _run_arguments(p) -> None:
                    default="procs",
                    help="PLINGER transport (with --parallel); "
                         "'sockets' runs every worker as a separate "
-                        "OS process over real TCP and accepts "
-                        "elastic ranks (see 'repro worker')")
+                        "OS process over real TCP, forked here or "
+                        "dialing in from anywhere (see 'repro worker')")
     p.add_argument("--listen", metavar="HOST:PORT", default=None,
                    help="with --backend sockets: listen here and "
                         "wait for external 'repro worker --connect' "
@@ -125,9 +125,10 @@ def _worker_arguments(p) -> None:
         "the INIT broadcast carries only the grid size, so "
         "the physics configuration travels out of band and "
         "this rank builds its own background and thermal "
-        "tables from it, bit-identical to the master's.  A "
-        "worker that connects after the run has started is "
-        "admitted as an elastic rank.")
+        "tables from it, bit-identical to the master's.  The "
+        "master's --parallel fixes its ranks: a worker that "
+        "dials in once they are all seated is refused and "
+        "exits 1.")
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="the master's listener address")
     p.add_argument("--model", choices=sorted(MODELS), default="scdm")

@@ -14,10 +14,7 @@ costs.  This package implements exactly those three ingredients:
   this package's real integrator* (measured RHS-evaluation counts);
 * :mod:`simulate`  — a discrete-event simulation of the Appendix-A
   protocol that turns (work list, machine, nproc) into wallclock / CPU
-  / efficiency curves;
-* :mod:`placement` — the 2025 graduation: price a *measured* sockets
-  run's per-rank traffic under candidate rank-to-host shardings
-  (bytes-on-wire vs. link model) instead of simulating 1995 hardware.
+  / efficiency curves.
 
 The scaling curves are therefore emergent from the same scheduling
 algorithm the paper ran, not transcribed from its figure.
@@ -26,20 +23,8 @@ algorithm the paper ran, not transcribed from its figure.
 from .machines import MachineModel, CRAY_C90, IBM_SP2, IBM_SP2_TUNED, CRAY_T3D, DEC_ALPHA_CLUSTER, MACHINES
 from .costmodel import CostModel, paper_cost_model, calibrated_cost_model
 from .simulate import ScheduleResult, simulate_schedule, scaling_study
-from .placement import (
-    LOCAL_LINK,
-    PlacementScore,
-    ShardPlacement,
-    rank_placements,
-    score_placement,
-)
 
 __all__ = [
-    "LOCAL_LINK",
-    "ShardPlacement",
-    "PlacementScore",
-    "score_placement",
-    "rank_placements",
     "MachineModel",
     "CRAY_C90",
     "IBM_SP2",

@@ -12,8 +12,8 @@ Python:
 * backends: ``serial`` (loopback), ``inprocess`` (threads sharing
   mailboxes), ``procs`` (``os.fork`` children, one pipe per rank pair
   carrying the RPMP frames of :mod:`.message`), ``sockets`` (the same
-  frames over real TCP, elastic worker pool — the one backend that
-  crosses a host boundary).
+  frames over real TCP — the one backend that crosses a host
+  boundary).  Every backend fixes its ranks at launch.
 
 An mpi4py backend would slot in unchanged (same buffer-of-float64
 discipline); it is not bundled because this sandbox has no MPI.

@@ -154,9 +154,6 @@ class MessagePassing(abc.ABC):
     def mysendreal(self, buffer, msgtype: int, target: int) -> None:
         """Send ``buffer`` (float64 values) with tag ``msgtype`` to ``target``."""
         self._require_init()
-        # through the property, not the field: elastic worlds (the
-        # sockets backend) grow nproc mid-run and a freshly admitted
-        # rank must be addressable immediately
         if not 0 <= target < self.nproc:
             raise MessagePassingError(f"invalid target rank {target}")
         msg = Message.make(self._rank, msgtype, buffer)

@@ -9,14 +9,15 @@ master at the hub.  Rank 0 owns a listening socket; every worker rank
 holds one connection to it, and worker-to-worker messages (none in the
 PLINGER protocol, but the wrapper permits them) go through the hub.
 
-**Elastic ranks.**  The worker pool is not fixed at launch: a process
-that connects after the initial complement is assigned the next free
-rank, the world's ``nproc`` grows, and a ``Tag.JOIN`` announcement is
-synthesized into the master's mailbox so the master can admit it
-(re-sending the INIT setup).  Ranks may also die mid-run: a broken
-connection stops delivery to that rank (sends are swallowed like
-packets to a dead host) and the master's liveness deadlines quarantine
-it and reassign its work.
+**A fixed world.**  As in the paper's ``initpass``, the ranks are
+fixed at launch: the first ``nproc - 1`` processes to say HELLO are
+seated as ranks 1 .. nproc-1, and a HELLO once the complement is seated
+is refused by closing the connection before any WELCOME.  The hub
+trusts no rank a frame claims: a frame whose source is not its
+connection's rank drops that connection.  Ranks may die mid-run: a
+broken connection stops delivery to that rank (sends are swallowed
+like packets to a dead host) and the master's liveness deadlines
+quarantine it and reassign its work.
 """
 
 from __future__ import annotations
@@ -126,8 +127,7 @@ class _Connection:
         self.alive = True
         self.thread: threading.Thread | None = None
         self._wlock = threading.Lock()
-        # measured TCP traffic, frame overhead included — the raw
-        # material repro.cluster scores placements from
+        # measured TCP traffic, frame overhead included
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -175,7 +175,6 @@ class SocketsWorld(World):
                  timeout: float = _DEFAULT_TIMEOUT,
                  connect_timeout: float = 60.0) -> None:
         super().__init__(nproc)
-        self._initial_nproc = nproc
         self.spawn_workers = spawn_workers
         self._timeout = float(timeout)
         self._connect_timeout = float(connect_timeout)
@@ -184,11 +183,9 @@ class SocketsWorld(World):
         self._conns: dict[int, _Connection] = {}
         self._next_rank = 1
         self._children: list[ForkedChild] = []
-        self._entry = None          # (entry, args), stored by launch()
         self._handle0: SocketsMasterHandle | None = None
         self._closed = False
         self.dropped_sends = 0      #: messages swallowed to dead ranks
-        self.joined_ranks: list[int] = []
 
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -255,8 +252,9 @@ class SocketsWorld(World):
             return
 
         with self._lock:
-            elastic = self._next_rank >= self._initial_nproc
-            if self._closed:
+            # a closing world, or a complement already seated: refused
+            # before any WELCOME, so the stranger's connect_worker fails
+            if self._closed or self._next_rank >= self.nproc:
                 try:
                     sock.close()
                 except OSError:
@@ -264,8 +262,6 @@ class SocketsWorld(World):
                 return
             rank = self._next_rank
             self._next_rank += 1
-            if elastic:
-                self.nproc = max(self.nproc, rank + 1)
         conn = _Connection(sock, rank, pid)
         try:
             conn.send_bytes(encode_frame(
@@ -278,20 +274,11 @@ class SocketsWorld(World):
         # the registered connection could otherwise precede it)
         with self._lock:
             self._conns[rank] = conn
-            if elastic:
-                self.joined_ranks.append(rank)
         reader = threading.Thread(
             target=self._serve_conn, args=(conn, decoder, frames[1:]),
             name=f"sockets-rank{rank}", daemon=True)
         conn.thread = reader
         reader.start()
-        if elastic:
-            # announce the newcomer where the master is already
-            # listening; it admits the rank and re-sends the
-            # INIT setup (plinger.master, Tag.JOIN)
-            from ...plinger.tags import Tag
-
-            self._mailbox.put(Message.make(rank, Tag.JOIN, [float(rank)]))
 
     def _serve_conn(self, conn: _Connection, decoder: FrameDecoder,
                     initial: list[tuple[int, bytes]]) -> None:
@@ -311,11 +298,20 @@ class SocketsWorld(World):
             self._drop(conn.rank)
 
     def _dispatch(self, conn: _Connection, kind: int, body: bytes) -> None:
+        # a frame speaks for its connection's rank or for nobody: one
+        # that claims another source is refused and the connection
+        # dropped (the liveness deadlines then reclaim the rank's work)
         if kind == FRAME_MSG:
             msg, target = decode_message(body)
+            if msg.source != conn.rank:
+                raise FrameError(f"rank {conn.rank} sent a frame claiming "
+                                 f"source rank {msg.source}")
             self.route(target, msg)
         elif kind == FRAME_TELEMETRY:
             rank, payload = decode_telemetry(body)
+            if rank != conn.rank:
+                raise FrameError(f"rank {conn.rank} sent telemetry "
+                                 f"claiming rank {rank}")
             with self._lock:
                 self._telemetry[rank] = payload
         elif kind == FRAME_BYE:
@@ -369,11 +365,12 @@ class SocketsWorld(World):
         home; with ``spawn_workers=False`` this just waits for
         ``nproc - 1`` external processes to connect.
         """
-        self._entry = (entry, args)
         if self.spawn_workers:
-            for _ in range(self._initial_nproc - 1):
-                self._fork_worker()
-        want = self._initial_nproc - 1
+            for _ in range(self.nproc - 1):
+                self._children.append(fork_child(partial(
+                    _forked_worker_main, self.host, self.port, entry, args),
+                    self._children))
+        want = self.nproc - 1
         deadline = time.monotonic() + self._connect_timeout
         while time.monotonic() < deadline:
             with self._lock:
@@ -386,20 +383,6 @@ class SocketsWorld(World):
         raise MessagePassingError(
             f"only {live} of {want} sockets workers connected within "
             f"{self._connect_timeout:.0f}s")
-
-    def _fork_worker(self) -> None:
-        entry, args = self._entry
-        self._children.append(fork_child(partial(
-            _forked_worker_main, self.host, self.port, entry, args),
-            self._children))
-
-    def spawn_extra_worker(self) -> None:
-        """Fork one more co-located worker into the *running* world —
-        the test/benchmark lever for the elastic join path."""
-        if self._entry is None:
-            raise MessagePassingError(
-                "spawn_extra_worker() before launch(): no entry stored")
-        self._fork_worker()
 
     def child_pid(self, rank: int) -> int:
         """OS pid of ``rank`` (as reported in its HELLO) — the chaos
@@ -469,18 +452,11 @@ def _forked_worker_main(host: str, port: int, entry, args,
 
 
 class SocketsMasterHandle(MessagePassing):
-    """Rank 0's handle: mailbox-backed, sends routed through the hub.
-
-    ``nproc`` tracks the world live, so an elastic rank admitted
-    mid-run is immediately addressable."""
+    """Rank 0's handle: mailbox-backed, sends routed through the hub."""
 
     def __init__(self, world: SocketsWorld) -> None:
         super().__init__(0, world.nproc)
         self._world = world
-
-    @property
-    def nproc(self) -> int:
-        return self._world.nproc
 
     def publish_telemetry(self, payload: dict) -> None:
         self._world.publish_telemetry(0, payload)
@@ -609,9 +585,12 @@ def connect_worker(host: str, port: int,
                    timeout: float = 30.0) -> SocketsWorkerHandle:
     """Dial a :class:`SocketsWorld`'s listener and join it as a worker.
 
-    HELLO/WELCOME handshake: the master assigns the rank (first come,
-    first served; ranks past the initial complement are elastic joins,
-    refused with a closed connection when the run cannot admit them).
+    HELLO/WELCOME handshake: the master assigns the rank, first come,
+    first served.  A world whose ranks are all seated closes the
+    connection instead, and a WELCOME that does not seat this process
+    as a worker (a wrong-size body, a rank outside ``1 .. nproc-1``, a
+    master other than rank 0) is refused: both raise
+    :class:`MessagePassingError`.
     """
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
@@ -632,11 +611,17 @@ def connect_worker(host: str, port: int,
         raise MessagePassingError(
             f"sockets handshake with {host}:{port} failed: {exc}") from exc
     kind, body = frames[0]
-    if kind != FRAME_WELCOME:
+    if kind != FRAME_WELCOME or len(body) != _WELCOME.size:
         sock.close()
         raise MessagePassingError(
-            f"expected WELCOME from {host}:{port}, got frame kind {kind}")
+            f"expected a WELCOME from {host}:{port}, got frame kind {kind} "
+            f"with a {len(body)}-byte body")
     rank, nproc, mastid = _WELCOME.unpack(body)
+    if not 1 <= rank < nproc or mastid != 0:
+        sock.close()
+        raise MessagePassingError(
+            f"{host}:{port} seated this worker as rank {rank} of {nproc} "
+            f"under master {mastid}")
     sock.settimeout(None)
     return SocketsWorkerHandle(sock, decoder, rank, nproc, mastid,
                                initial=frames[1:])

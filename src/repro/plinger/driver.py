@@ -4,7 +4,7 @@
 message passing, run the master in the calling context and the workers
 as threads (``inprocess``), forked processes (``procs``), or separate
 OS processes over real TCP (``sockets`` — co-located by default, with
-remote and elastic ranks via ``repro worker --connect``), and
+remote ranks via ``repro worker --connect``), and
 assemble the results (ordered by ascending k) into the same
 :class:`~repro.linger.serial.LingerResult` the serial driver produces —
 by construction, PLINGER output must be identical to LINGER output.

@@ -109,14 +109,10 @@ def master_subroutine(
       ``HEARTBEAT``, so it knows the master is alive and keeps waiting.
 
     Every inbound record is validated before it is trusted: a corrupt
-    or torn result is discarded and the mode recomputed.
-
-    The elastic extension (sockets backend): a rank beyond the launch
-    complement that speaks up mid-run — a ``Tag.JOIN`` announcement, or
-    any first message from an unknown rank (the announcement itself can
-    be lost) — is *admitted*: entered into the liveness books and sent
-    the INIT setup it missed, after which the normal protocol
-    applies.  The quarantine path already handles its departure.
+    or torn result is discarded and the mode recomputed.  A message's
+    source is trusted: the ranks are the world's, fixed at launch, and
+    its transport delivers only what they sent (the sockets hub drops a
+    connection whose frame claims another rank).
     """
     nk = kgrid.nk
     if init_data is None:
@@ -215,13 +211,6 @@ def master_subroutine(
             while parked and (requeue or queue):
                 reply(parked.pop(0))
 
-    def admit(rank: int) -> None:
-        """The elastic "add rank" path: enter a mid-run newcomer into
-        the books and re-send the setup broadcast it missed."""
-        workers.add(rank)
-        fr.ranks_joined += 1
-        mp.mysendreal(init_data, Tag.INIT, rank)
-
     def overdue(rank: int, now: float) -> bool:
         """Dead, as opposed to busy: a rank heartbeats through a long
         mode or a long wait, so what counts is silence, never how long
@@ -285,15 +274,7 @@ def master_subroutine(
             continue
 
         tag, rank = probed
-        if rank not in workers and rank != mp.mastid:
-            admit(rank)
         last_seen[rank] = time.monotonic()
-
-        if tag == Tag.JOIN:
-            # the world's announcement of the rank just admitted above
-            # (or a duplicate of one); carries no further information
-            mp.myrecvraw(Tag.JOIN, rank)
-            continue
 
         if tag == Tag.HEARTBEAT:
             mp.myrecvraw(Tag.HEARTBEAT, rank)

@@ -15,13 +15,11 @@ class Tag(IntEnum):
     heartbeat interval emits it on a timer so the master can tell busy
     from dead; it earns no reply, so the paper's one-reply-per-ask
     accounting of tags 1-6 is untouched, and a run of short modes
-    never sends one.  JOIN is the
-    multi-node extension: it is synthesized by an elastic world (the
-    sockets backend) when a rank connects mid-run; the master admits
-    the rank and re-sends INIT.  No tag carries tables: a rank is
-    handed its background and thermal history, inherits them at fork,
-    or builds them itself (DESIGN.md, "How tables reach a rank"), so
-    value 8 is unused.
+    never sends one.  No tag carries tables: a rank is handed its
+    background and thermal history, inherits them at fork, or builds
+    them itself (DESIGN.md, "How tables reach a rank"), so value 8 is
+    unused; and no tag adds a rank, because a world's ranks are fixed
+    at launch, as the paper's ``initpass`` fixes them.
     """
 
     #: first message from master to workers (run setup broadcast)
@@ -39,5 +37,3 @@ class Tag(IntEnum):
     #: from worker; liveness signal, one real: its running beat count
     #: (never replied to)
     HEARTBEAT = 7
-    #: from an elastic world; a new rank announcing itself mid-run
-    JOIN = 9

@@ -156,9 +156,6 @@ class FaultReport:
     recovery_wall_seconds: float = 0.0
     #: heartbeats received by the master
     heartbeats_received: int = 0
-    #: elastic ranks admitted mid-run (sockets backend JOIN path);
-    #: not a fault — growth is healthy — so excluded from any_faults
-    ranks_joined: int = 0
 
     @property
     def total_retries(self) -> int:

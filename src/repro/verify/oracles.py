@@ -437,30 +437,27 @@ def chaos_degradation_oracle(
 
 
 def sockets_world_oracle(params, nproc: int = 3) -> dict:
-    """Spectrum identity over the TCP-sockets world, elastic legs included.
+    """Spectrum identity over the TCP-sockets world, a lost rank included.
 
     One small grid is integrated serially (the reference) and then
-    three times over real OS processes talking TCP on localhost:
+    twice over real OS processes talking TCP on localhost:
 
     * **tcp**  — a clean ``nproc``-rank sockets run; the leg also
       verifies the run was *genuinely* multi-process (>= 2 distinct
       worker pids differing from the master's) and that bytes actually
       crossed the wire;
-    * **join** — a run started one rank short, with the missing worker
-      dialing in *mid-run* (the elastic-admission path); the fault
-      report must show ``ranks_joined >= 1``;
     * **kill** — a run whose highest-rank worker is SIGKILLed shortly
       after it connects; the fault tolerance machinery must quarantine
       it (``dead_workers`` nonempty) and finish on the survivors.
 
     Returns ``{"sockets_world": dev, "sockets_legs": {...}}`` where
     ``dev`` is the worst ``max|cl - cl_ref| / max|cl_ref|`` over the
-    three legs — bitwise-zero in practice, since the frame codec moves
-    the identical float64 buffers and the elastic legs recompute
-    through the same integrator.  ``dev`` is NaN when any leg's
-    tripwire fails (not actually multi-process, no rank joined, no
-    rank quarantined): a sockets check that never left the process or
-    never exercised elasticity proves nothing.
+    two legs — bitwise-zero in practice, since the frame codec moves
+    the identical float64 buffers and the kill leg recomputes
+    reassigned modes through the same integrator.  ``dev`` is NaN when
+    a leg's tripwire fails (not actually multi-process, no rank
+    quarantined): a sockets check that never left the process or never
+    lost a rank proves nothing.
     """
     import os
     import signal
@@ -475,13 +472,13 @@ def sockets_world_oracle(params, nproc: int = 3) -> dict:
     from ..spectra import cl_from_hierarchy
 
     kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
-    # 2000 multipoles on purpose: the join and kill legs need a run that
-    # is still in flight when a rank dials in or dies, and the compiled
-    # step loop finishes a small hierarchy before a process can fork;
-    # at this size a mode takes 0.15-0.2 s.
+    # 2000 multipoles on purpose: the kill leg needs a run that is
+    # still in flight when a rank dies, and the compiled step loop
+    # finishes a small hierarchy before a process can fork; at this
+    # size a mode takes 0.15-0.2 s.
     config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-4,
                           record_sources=False, keep_mode_results=False)
-    # Snappy fault-tolerance settings for the elastic legs: a SIGKILL
+    # Snappy fault-tolerance settings for the kill leg: a SIGKILL
     # must be detected well inside the leg's ~2 s of real work.
     ft = FaultTolerance(worker_timeout=2.0, heartbeat_interval=0.25,
                         missed_heartbeats=4, poll_seconds=0.02,
@@ -492,7 +489,7 @@ def sockets_world_oracle(params, nproc: int = 3) -> dict:
     scale = max(float(np.max(np.abs(cl_ref))), 1e-300)
     my_pid = os.getpid()
 
-    legs: dict[str, bool] = {"tcp": False, "join": False, "kill": False}
+    legs: dict[str, bool] = {"tcp": False, "kill": False}
     dev = 0.0
 
     # -- clean leg: nproc ranks, real TCP, no faults ----------------------
@@ -507,39 +504,6 @@ def sockets_world_oracle(params, nproc: int = 3) -> dict:
         and my_pid not in worker_pids
         and sum(s["received"] for s in world.wire_stats().values()) > 0
     )
-
-    # -- join leg: start one rank short, admit a newcomer mid-run ---------
-    # Like the kill leg below, the leg retries if the run still
-    # finished before the newcomer's fork and HELLO got through.
-    n_join = max(nproc - 1, 2)
-    for _attempt in range(3):
-        world_j = SocketsWorld(n_join)
-
-        def late_joiner() -> None:
-            # "mid-run" means after the master has opened its books: a
-            # newcomer that connects while the world is still
-            # assembling is seated as a founder, never counted as joined
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                ranks = [r for r in world_j.rank_pids if r != 0]
-                if len(ranks) >= n_join - 1:
-                    time.sleep(0.2)  # let the run get under way
-                    world_j.spawn_extra_worker()
-                    return
-                time.sleep(0.02)
-
-        joiner = threading.Thread(target=late_joiner, daemon=True)
-        joiner.start()
-        joined, stats_j = run_plinger(params, kgrid, config, nproc=n_join,
-                                      backend="sockets", world=world_j,
-                                      fault_tolerance=ft)
-        joiner.join(timeout=30.0)
-        _l, cl_j = cl_from_hierarchy(joined)
-        dev = max(dev, float(np.max(np.abs(cl_j - cl_ref))) / scale)
-        fr_j = stats_j.fault_report
-        legs["join"] = fr_j is not None and fr_j.ranks_joined >= 1
-        if legs["join"]:
-            break
 
     # -- kill leg: SIGKILL the highest rank mid-run, finish on survivors --
     # A fixed sleep races both worker startup and run completion on a

@@ -369,7 +369,7 @@ def verify_run(
     legs = wdevs["sockets_legs"]
     report.checks.append(mk(
         "oracle.sockets_world",
-        "C_l over the TCP-sockets world (clean/join/kill)",
+        "C_l over the TCP-sockets world (clean/kill)",
         wdevs["sockets_world"],
         "legs exercised: "
         + ", ".join(f"{t}={'yes' if ok else 'NO'}"

@@ -1,4 +1,4 @@
-"""The TCP-sockets backend: wire codec and elastic world.
+"""The TCP-sockets backend: wire codec and a world fixed at launch.
 
 Two layers, tested bottom-up:
 
@@ -6,13 +6,17 @@ Two layers, tested bottom-up:
   every float64 payload bit-identically through arbitrary stream
   chunking, and must reject corruption (bad magic, unknown kind,
   oversized or ragged bodies) loudly rather than resynchronize;
-* the **world** — real OS processes over real localhost TCP, including
-  the elastic paths: a rank joining mid-run and a rank SIGKILLed
-  mid-run, both finishing with the fault-free golden spectrum.
+* the **world** — real OS processes over real localhost TCP: a
+  stranger dialing a full world and a malformed WELCOME are refused,
+  and a rank SIGKILLed mid-run or one whose frame claims another
+  rank's name is dropped, the run finishing with the fault-free
+  golden spectrum.
 """
 
 import os
 import signal
+import socket
+import struct
 import threading
 import time
 
@@ -21,15 +25,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MessagePassingError
 from repro.linger.kgrid import KGrid
-from repro.linger.serial import LingerConfig, run_linger
+from repro.linger.serial import LingerConfig, build_tables, run_linger
 from repro.mp.backends.sockets import (
+    FRAME_HELLO,
     FRAME_MSG,
     FRAME_TELEMETRY,
+    FRAME_WELCOME,
     FrameDecoder,
     FrameError,
     MAGIC,
+    PROTOCOL_VERSION,
     SocketsWorld,
+    connect_worker,
     decode_message,
     encode_frame,
     encode_message,
@@ -37,12 +46,13 @@ from repro.mp.backends.sockets import (
 from repro.mp.message import Message
 from repro.params import CosmologyParams
 from repro.plinger import run_plinger
+from repro.plinger.driver import _worker_entry
 from repro.plinger.tags import Tag
 from repro.resilience import FaultTolerance
 from repro.spectra import cl_from_hierarchy
 
-#: Snappy fault tolerance for the elastic tests: SIGKILL detection must
-#: land well inside the ~2 s of real integration work.
+#: Snappy fault tolerance for the lost-rank tests: SIGKILL detection
+#: must land well inside the ~2 s of real integration work.
 SNAPPY_FT = dict(worker_timeout=2.0, heartbeat_interval=0.25,
                  missed_heartbeats=4, poll_seconds=0.02,
                  payload_timeout=5.0, max_retries=10)
@@ -236,51 +246,71 @@ class TestSocketsWorld:
         finally:
             world.close()
 
+    def test_a_stranger_is_refused(self):
+        """A world's ranks are fixed at launch: once its complement is
+        seated, a HELLO gets a closed connection, not a rank."""
+        world = SocketsWorld(2, spawn_workers=False)
+        seated = connect_worker(*world.address)
+        try:
+            assert (seated.mytid, seated.nproc) == (1, 2)
+            with pytest.raises(MessagePassingError):
+                connect_worker(*world.address, timeout=10.0)
+            assert world.nproc == 2
+            assert sorted(world.rank_pids) == [1]
+        finally:
+            seated.close()
+            world.close()
 
-class TestSocketsElasticPhysics:
-    """Join and kill mid-run; both must land on the fault-free golden."""
+    @pytest.mark.parametrize("body", [
+        b"\x01\x00\x00\x00",                # wrong size
+        struct.pack("<iii", 2, 2, 0),       # rank outside 1 .. nproc-1
+        struct.pack("<iii", 1, 2, 1),       # a master other than rank 0
+    ], ids=["short-body", "rank-out-of-range", "mastid"])
+    def test_a_malformed_welcome_is_refused(self, body):
+        """``connect_worker`` raises ``MessagePassingError`` on a WELCOME
+        that does not seat it as a worker — never ``struct.error``, and
+        never a handle."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def welcome():
+            conn, _ = listener.accept()
+            with conn:
+                dec = FrameDecoder()
+                frames = []
+                while not frames:
+                    frames = dec.feed(conn.recv(4096))
+                assert frames[0][0] == FRAME_HELLO
+                conn.sendall(encode_frame(FRAME_WELCOME, body))
+                conn.recv(4096)  # until the worker hangs up
+
+        t = threading.Thread(target=welcome, daemon=True)
+        t.start()
+        try:
+            with pytest.raises(MessagePassingError):
+                connect_worker(*listener.getsockname()[:2], timeout=10.0)
+        finally:
+            t.join(10.0)
+            listener.close()
+
+
+class TestSocketsFaultPhysics:
+    """A rank lost mid-run, to SIGKILL or to a frame claiming another
+    rank; either way the run lands on the fault-free golden."""
 
     @pytest.fixture(scope="class")
     def golden(self):
         params = CosmologyParams()
         kgrid = KGrid.from_k(np.geomspace(1e-3, 0.02, 4))
-        # 2000 multipoles on purpose, and a tight rtol: a join or a
-        # SIGKILL can only land "mid-run" if the run outlasts the 0.3 s
-        # head start plus a fork and a handshake, and the compiled step
-        # loop finishes a small hierarchy in a few milliseconds a mode
+        # 2000 multipoles on purpose, and a tight rtol: a SIGKILL can
+        # only land "mid-run" if the run outlasts the 0.3 s head start
+        # plus a fork and a handshake, and the compiled step loop
+        # finishes a small hierarchy in a few milliseconds a mode
         config = LingerConfig(lmax_photon=2000, lmax_nu=2000, rtol=1e-5,
                               record_sources=False,
                               keep_mode_results=False)
         serial = run_linger(params, kgrid, config)
         _l, cl_ref = cl_from_hierarchy(serial)
         return params, kgrid, config, cl_ref
-
-    def test_mid_run_join(self, golden):
-        params, kgrid, config, cl_ref = golden
-        world = SocketsWorld(2)
-
-        def late_joiner():
-            # "mid-run" means after the master has opened its books: a
-            # newcomer that connects while the world is still assembling
-            # is seated as a founder and never counted as joined
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if [r for r in world.rank_pids if r != 0]:
-                    time.sleep(0.3)  # let the run get under way
-                    world.spawn_extra_worker()
-                    return
-                time.sleep(0.02)
-
-        t = threading.Thread(target=late_joiner, daemon=True)
-        t.start()
-        result, stats = run_plinger(
-            params, kgrid, config, nproc=2, backend="sockets",
-            world=world, fault_tolerance=FaultTolerance(**SNAPPY_FT))
-        t.join(30.0)
-        fr = stats.fault_report
-        assert fr is not None and fr.ranks_joined >= 1
-        _l, cl = cl_from_hierarchy(result)
-        assert np.array_equal(cl, cl_ref)
 
     def test_sigkill_recovery(self, golden):
         params, kgrid, config, cl_ref = golden
@@ -321,3 +351,56 @@ class TestSocketsElasticPhysics:
         else:
             pytest.fail("SIGKILL never produced a quarantined rank "
                         "in 3 attempts")
+
+    def test_a_frame_claiming_another_rank_is_refused(self, golden):
+        """A seated peer whose READY claims to come from rank 7 loses
+        its connection; the master quarantines the silent rank and the
+        honest one computes the whole grid."""
+        params, kgrid, config, cl_ref = golden
+        bg, thermo = build_tables(params)
+        world = SocketsWorld(3, spawn_workers=False)
+        host, port = world.address
+
+        def spoofer():
+            sock = socket.create_connection((host, port), timeout=30.0)
+            with sock:
+                sock.sendall(encode_frame(FRAME_HELLO, struct.pack(
+                    "<Ii", PROTOCOL_VERSION, os.getpid())))
+                dec = FrameDecoder()
+                frames = []
+                # seated, then wait for the master's INIT: the run is
+                # under way and the world complete
+                while not any(kind == FRAME_MSG
+                              and decode_message(body)[0].tag == Tag.INIT
+                              for kind, body in frames):
+                    data = sock.recv(4096)
+                    if not data:
+                        return
+                    frames += dec.feed(data)
+                forged = Message.make(7, Tag.READY, np.zeros(1))
+                sock.sendall(encode_message(forged, target=0))
+                while sock.recv(4096):  # until the hub hangs up
+                    pass
+
+        def honest():
+            _worker_entry(connect_worker(host, port), bg, thermo, kgrid,
+                          config, fault_tolerance=FaultTolerance(**SNAPPY_FT))
+
+        t_spoof = threading.Thread(target=spoofer, daemon=True)
+        t_spoof.start()
+        while not world.rank_pids:
+            time.sleep(0.01)
+        t_honest = threading.Thread(target=honest, daemon=True)
+        t_honest.start()
+        try:
+            result, stats = run_plinger(
+                params, kgrid, config, nproc=3, backend="sockets",
+                world=world, background=bg, thermo=thermo,
+                fault_tolerance=FaultTolerance(**SNAPPY_FT))
+        finally:
+            world.close()
+            t_spoof.join(30.0)
+            t_honest.join(30.0)
+        assert stats.fault_report.dead_workers == [1]
+        _l, cl = cl_from_hierarchy(result)
+        assert np.array_equal(cl, cl_ref)

@@ -266,13 +266,16 @@ class TestRunReport:
         (``fault``, ``sparse`` and ``degradation`` filled) written
         before ``RunReport`` folded into ``Telemetry``: it loads, and
         writes back the same document but the ``histograms`` key
-        nothing filled."""
+        nothing filled and the ``fault`` section's ``ranks_joined``
+        count, which went with elastic membership."""
         doc = json.loads((DATA / "report_v1.json").read_text())
         assert doc["histograms"] == {}
+        assert doc["fault"]["ranks_joined"] == 0
         for section in ("fault", "sparse", "degradation"):
             assert doc[section] is not None
         back = Telemetry.load(DATA / "report_v1.json")
         del doc["histograms"]
+        del doc["fault"]["ranks_joined"]
         assert back.to_dict() == doc
 
     def test_mode_rows_without_the_stability_count_still_load(self):
