@@ -1,5 +1,6 @@
 """The compiled solver: the packed RHS kernels, the DVERK step loop, the
-thermal history's ODE solve and the spline fit's tridiagonal solve.
+thermal history's ODE solve, the spline fit's tridiagonal solve and the
+j_l recurrence.
 
 One shared object — one build, one cache directory, resolved once per
 process by whichever layer asks first (a ``Background``'s first spline
@@ -25,10 +26,13 @@ and, each over arguments of its own,
   ``thermo_rhs`` about five thousand times per ``ThermalHistory`` build
   without leaving C;
 * ``tridiag_solve`` — reference LAPACK's ``DGTSV`` for
-  :func:`repro.util.fastspline.fit_cubic`.
+  :func:`repro.util.fastspline.fit_cubic`;
+* ``bessel_sweep`` — the downward recurrence behind the j_l tables of
+  :class:`repro.spectra.los.BesselCache`.
 
-Each of the last three is pinned bitwise to a python transcription in
-``tests/`` (``reference_thermo.py``, ``reference_tridiag.py``).
+Each of the last four is pinned bitwise to a python transcription in
+``tests/`` (``reference_thermo.py``, ``reference_tridiag.py``,
+``reference_projection.py``).
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
@@ -910,6 +914,40 @@ long long tridiag_solve(long long n, long long nrhs, double *dl, double *d,
     }
     return 0;
 }
+
+/* BesselCache's downward recurrence over the whole grid, order by order:
+ * start[j] (ascending) is where point j joins, 1e-300 over a zero
+ * j_(l+1); then j_(l-1) = ((2l+1) inv_x[j]) j_l - j_(l+1) down to order 0
+ * for every point joined.  Row w of rows (stride apart, column 1 + j)
+ * gets j_l at order want[w] (want descending); work holds 3 nx zeros;
+ * j0u / j1u get the unnormalised j_0 / j_1.  tests/reference_projection.py
+ * holds the python loop it transcribes; the two are pinned bitwise. */
+void bessel_sweep(long long nx, const double *inv_x, const long long *start,
+                  long long nwant, const long long *want, double *rows,
+                  long long stride, double *work, double *j0u, double *j1u)
+{
+    double *above = work, *cur = work + nx, *below = work + 2 * nx, *t;
+    long long j, l, w = 0, a = nx, joined;
+    for (l = start[nx - 1]; l >= 0; l--) {
+        for (joined = a; a > 0 && start[a - 1] >= l; a--)
+            ;
+        for (j = a; j < joined; j++) cur[j] = 1.0e-300;
+        for (; w < nwant && want[w] > l; w++)
+            ;
+        if (w < nwant && want[w] == l) {
+            for (j = a; j < nx; j++) rows[w * stride + 1 + j] = cur[j];
+            w++;
+        }
+        if (l == 0) break;
+        for (j = a; j < nx; j++)
+            below[j] = inv_x[j] * (double)(2 * l + 1) * cur[j] - above[j];
+        t = above; above = cur; cur = below; below = t;
+    }
+    for (j = 0; j < nx; j++) {
+        j0u[j] = cur[j];
+        j1u[j] = above[j];
+    }
+}
 """
 
 #: -O3 but NOT -ffast-math, and no contraction into fused multiply-adds:
@@ -1089,8 +1127,10 @@ class CextKernel:
     GIL around each call and the C side keeps no static state, so
     threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
     lna, x_h, t_b, out)``, ``thermo_ode_raw(params, nu_pack, tab, grid,
-    n, max_attempts, rows, out) -> status`` and ``tridiag_raw(n, nrhs,
-    dl, d, du, b) -> info`` are the C functions of those names.
+    n, max_attempts, rows, out) -> status``, ``tridiag_raw(n, nrhs,
+    dl, d, du, b) -> info`` and ``bessel_raw(nx, inv_x, start, nwant,
+    want, rows, stride, work, j0u, j1u)`` are the C functions ``thermo_rhs``,
+    ``thermo_ode``, ``tridiag_solve`` and ``bessel_sweep``.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
@@ -1118,6 +1158,10 @@ class CextKernel:
         self.tridiag_raw = lib.tridiag_solve
         self.tridiag_raw.argtypes = [i64, i64] + [ptr] * 4
         self.tridiag_raw.restype = i64
+        self.bessel_raw = lib.bessel_sweep
+        self.bessel_raw.argtypes = [i64, ptr, ptr, i64, ptr, ptr, i64, ptr,
+                                    ptr, ptr]
+        self.bessel_raw.restype = None
 
     def __call__(self, ints, flts, th_c, adv_lo, adv_hi, nu_pack, mnu_pack,
                  rf_c, tau, y, dy, tight=False) -> None:

@@ -285,11 +285,11 @@ def _cmd_run_inner(args) -> int:
     )
     telemetry = Telemetry() if args.report else NULL_TELEMETRY
     if args.sparse_k_factor > 1:
-        if args.parallel >= 2 and args.backend == "procs":
+        if args.parallel >= 2 and args.backend != "inprocess":
             print("error: --sparse-k-factor needs the coarse mode results "
-                  "in master memory; forked workers (--backend procs) "
-                  "cannot share them — use --backend inprocess or drop "
-                  "--parallel", file=sys.stderr)
+                  "in master memory; forked workers (--backend "
+                  f"{args.backend}) cannot share them — use --backend "
+                  "inprocess or drop --parallel", file=sys.stderr)
             return 2
         return _run_sparse(args, params, kgrid, telemetry)
     world = None

@@ -428,9 +428,16 @@ class SocketsWorld(World):
                 return
             self._closed = True
         try:
+            # a bare close leaves the accept thread blocked, and the
+            # socket listening, for the life of the process
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
+        self._accept_thread.join(timeout=5.0)
         with self._lock:
             conns = list(self._conns.values())
         for conn in conns:

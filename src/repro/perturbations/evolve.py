@@ -21,8 +21,8 @@ moments, the full phase.  A phase is one call of the compiled step loop
 :class:`~repro.integrators.DVERK` over the compiled right-hand side
 only through the ``driver_cls`` test seam).  Either way a phase hands
 back the states at its stop points as one ``(n_stops, n_state)`` block,
-and :class:`_Recorder` turns the block into the recorded observables in
-one array pass.
+and :class:`_Recorder` turns both phases' blocks and the final state
+into the recorded observables in one array pass.
 """
 
 from __future__ import annotations
@@ -87,25 +87,21 @@ class ModeResult:
     tau_init: float
     tau_switch: float
     tau_end: float
-    #: The RHS provider the evolution used; kept so downstream consumers
-    #: (final-state observables, source assembly) never rebuild the
-    #: splines a second time.
+    #: The RHS provider the evolution used (its flop census, and what
+    #: a record pass needs to turn more states into observables)
     system: PerturbationSystem | None = None
     #: CPU seconds of the whole evolution, set-up included (the paper's
     #: per-k cost, the ``cpu_seconds`` of its header)
     cpu_seconds: float = 0.0
+    #: every RECORD_FIELDS entry on the final state at tau_end: the last
+    #: row of the mode's one record pass
+    final: dict[str, float] | None = None
 
     def final_observables(self) -> dict[str, float]:
-        """All RECORD_FIELDS evaluated on the final state at tau_end.
-
-        Reuses the evolution's own :class:`PerturbationSystem` — no
-        second spline construction — via a one-point record.
-        """
-        if self.system is None:
-            raise ValueError("ModeResult was built without its system")
-        rec = _Recorder(self.system, 1)
-        rec.record(False, np.array([self.tau_end]), self.y_final[None, :])
-        return {name: float(arr[0]) for name, arr in rec.arrays.items()}
+        """All RECORD_FIELDS evaluated on the final state at tau_end."""
+        if self.final is None:
+            raise ValueError("ModeResult was built without its final record")
+        return dict(self.final)
 
     @property
     def f_gamma_final(self) -> np.ndarray:
@@ -185,37 +181,33 @@ def record_grid_start(
 class _Recorder:
     """Turns blocks of stop-point states into the recorded observables.
 
-    :meth:`record` takes one phase's rows at a time and evaluates every
-    entry of :data:`RECORD_FIELDS` for all of them in one pass of array
-    arithmetic.  The pass is part of the arithmetic contract: each
-    field is the elementwise transcription of the scalar expression the
-    RHS kernels use for the same quantity (same grouping), ``exp`` and
-    ``log`` go through libm value by value, and the three
-    massive-neutrino momentum sums stay one ``@`` per row — so a row's
-    record does not depend on which other rows share its block
+    :meth:`record` takes a block of rows from either phase (a mode
+    passes all of its rows, the final state last, in one block) and
+    evaluates every entry of :data:`RECORD_FIELDS` for all of them in
+    one pass of array arithmetic.  The pass is part of the arithmetic
+    contract: each field is the elementwise transcription of the scalar
+    expression the RHS kernels use for the same quantity (same
+    grouping), ``exp`` and ``log`` go through libm value by value, and
+    the three massive-neutrino momentum sums stay one ``@`` per row — so
+    a row's record does not depend on which other rows share its block
     (``tests/reference_recorder.py`` is the row-at-a-time original it
     is pinned to, bit for bit).
-
-    ``monitor`` is an optional pure observer called as
-    ``monitor(tau, y, tight)``, row by row, after a block is recorded
-    (see ``repro.verify.ConstraintMonitor``); it sees the same full
-    states at the same grid times and must not mutate ``y``.
     """
 
-    def __init__(self, system: PerturbationSystem, n: int,
-                 monitor=None) -> None:
+    def __init__(self, system: PerturbationSystem, n: int) -> None:
         self.system = system
         self.arrays = {name: np.full(n, np.nan) for name in RECORD_FIELDS}
         self.tau = np.full(n, np.nan)
         self.i = 0
-        self.monitor = monitor
 
-    def record(self, tight: bool, tau: np.ndarray, rows: np.ndarray) -> None:
+    def record(self, tight, tau: np.ndarray, rows: np.ndarray) -> None:
         """Record the states ``rows`` (C-contiguous ``(m, n_state)``)
-        reached at times ``tau`` in the ``tight`` or the full phase."""
+        reached at times ``tau``; ``tight`` (one flag, or one per row)
+        says which of them belong to the tight-coupling phase."""
         m = len(tau)
         if m == 0:
             return
+        tight = np.broadcast_to(np.asarray(tight, dtype=bool), (m,))
         s = self.system
         lo, p, k = s.layout, s.params, s.k
         i_fg, i_gg, i_nl = lo.i_fg, lo.i_gg, lo.i_nl
@@ -258,12 +250,14 @@ class _Recorder:
         hdot = 2.0 * (s.k2 * eta + gdrho) / hc
         etadot = gdq / s.k2
 
-        if tight:
-            sigma_g = s.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
-            pi_pol = 2.5 * 2.0 * sigma_g  # Pi = 5/2 F2 in tight coupling
-        else:
-            sigma_g = 0.5 * f2
-            pi_pol = f2 + rows[:, i_gg] + rows[:, i_gg + 2]
+        sigma_g = 0.5 * f2
+        pi_pol = f2 + rows[:, i_gg] + rows[:, i_gg + 2]
+        if tight.any():
+            sigma_g[tight] = s.sigma_gamma_tca(theta_g[tight], hdot[tight],
+                                               etadot[tight],
+                                               kappa_dot[tight])
+            # Pi = 5/2 F2 in tight coupling
+            pi_pol[tight] = 2.5 * 2.0 * sigma_g[tight]
 
         # total shear, as PerturbationSystem.shear_sum
         inv_aa = 1.0 / (a * a)
@@ -310,9 +304,6 @@ class _Recorder:
         for name, arr in self.arrays.items():
             arr[block] = values[name]
         self.i += m
-        if self.monitor is not None:
-            for t, y in zip(tau.tolist(), rows):
-                self.monitor(t, y, tight)
 
 
 def find_tca_exit(
@@ -388,22 +379,24 @@ def evolve_mode(
     initial conditions at ``k tau = 0.03`` to the multipoles today:
     initial conditions, the tight-coupling phase to ``tau_switch``, the
     hand-off of the slaved moments, the full hierarchy to ``tau_end`` —
-    each phase followed by its record pass.  The counters accumulate in
+    then one record pass over the record points of both phases and the
+    final state (:attr:`ModeResult.final`).  The counters accumulate in
     one :class:`IntegratorStats` over both phases (``max_steps`` is its
     budget for the whole evolution).
 
     ``record_tau`` is None (no records) or the record grid.
 
     ``monitor`` is None or a callable ``monitor(tau, y, tight)`` invoked
-    at every record point — the hook ``repro.verify`` uses to sample
+    at every record point (never at the final state, unless it is
+    one) — the hook ``repro.verify`` uses to sample
     Einstein-constraint residuals along the production trajectory — and
     is bound to the mode's system.  Like telemetry, a monitor is a pure
     observer: the integration is bit-identical with or without it.
 
     Both phases run on the compiled step loop: no RHS evaluation, step
     or stop runs python, and what is left is set-up, the hand-off of
-    the slaved moments between the phases and one record pass per
-    phase; with the default driver each phase is bitwise the scalar
+    the slaved moments between the phases and the record pass; with
+    the default driver each phase is bitwise the scalar
     ``DVERK`` on the mode's :class:`PerturbationSystem`.
 
     ``first_step`` forces every phase's opening step.  ``driver_cls``
@@ -449,12 +442,16 @@ def evolve_mode(
     )
     t_switch = find_tca_exit(thermo, k, tca_eps=tca_eps)
     t_switch = min(max(t_switch, t_init * 1.01), tau_end)
-    recorder = _Recorder(system, grid.size, monitor=monitor)
     stats = IntegratorStats()
 
     # no clock is read for a run nobody is timing (float() is 0.0)
     clock = time.perf_counter if telemetry.enabled else float
     walls = [clock()]
+    # the record points of both phases, then the final state: the
+    # block of the mode's one record pass
+    block = np.empty((grid.size + 1, layout.n_state))
+    block_tau = np.empty(grid.size + 1)
+    n = n_tight = 0
     for tight, t0, t1 in ((True, t_init, t_switch),
                           (False, t_switch, tau_end)):
         stops = grid[grid <= t_switch] if tight else grid[grid > t_switch]
@@ -466,12 +463,24 @@ def evolve_mode(
         # a driver's last stop is the phase end, which is recorded only
         # when it is a record point
         m = len(tau) if _in(tau[-1], stops) else len(tau) - 1
-        recorder.record(tight, tau[:m], rows[:m])
+        block[n:n + m] = rows[:m]
+        block_tau[n:n + m] = tau[:m]
+        n += m
+        del tau, rows
         if tight:
+            n_tight = n
             system.initialize_full_from_tca(y, t_switch)
         walls.append(clock())
 
-    n = recorder.i
+    block[n] = y
+    block_tau[n] = tau_end
+    tight = np.arange(n + 1) < n_tight
+    recorder = _Recorder(system, n + 1)
+    recorder.record(tight, block_tau[:n + 1], block[:n + 1])
+    if monitor is not None:  # the record points, not the final state
+        for t, row, flag in zip(block_tau[:n].tolist(), block,
+                                tight[:n].tolist()):
+            monitor(t, row, flag)
     mode = ModeResult(
         k=k,
         tau=recorder.tau[:n],
@@ -483,6 +492,7 @@ def evolve_mode(
         tau_switch=t_switch,
         tau_end=tau_end,
         system=system,
+        final={name: float(arr[n]) for name, arr in recorder.arrays.items()},
     )
     # only a mode that completed leaves rows: a failed one is retried
     # whole (linger.serial.compute_mode)

@@ -160,8 +160,10 @@ def run_plinger(
     full per-mode records (the sparse-k fast path projects its sources
     from them).  Only thread-hosted workers can do this — they share the
     master's memory, so no wire-protocol change is needed — and it
-    requires ``config.keep_mode_results=True``; forked backends still
-    ship only the wire records.
+    requires ``config.keep_mode_results=True``; a forked backend
+    (``procs``, ``sockets``, or a ``world`` that can ``launch``) is
+    refused before any world is built.  A world built here is closed
+    again when the run fails.
 
     A restart is this same run started with modes already done:
     ``completed`` maps ``ik`` to the ``(header, payload)`` an earlier
@@ -190,123 +192,133 @@ def run_plinger(
                 f"completed mode ik={ik} outside the grid (nk={kgrid.nk}); "
                 "journal/k-grid mismatch"
             )
-    background, thermo = build_tables(params, background, thermo,
-                                      telemetry=telemetry)
-
-    if world is None:
-        world = get_backend(backend, nproc)
-    if world.nproc != nproc:
-        raise MessagePassingError(
-            f"world has {world.nproc} ranks, expected nproc={nproc}"
-        )
-    master_mp = world.handle(0)
-    forked = hasattr(world, "launch")
+    forked = (hasattr(world, "launch") if world is not None
+              else backend in ("procs", "sockets"))
     if collect_modes and forked:
         raise ProtocolError(
             "collect_modes=True requires thread-hosted workers "
             "(forked children share no memory with the master)"
         )
-    mode_sink: dict | None = {} if collect_modes else None
+    background, thermo = build_tables(params, background, thermo,
+                                      telemetry=telemetry)
 
-    wall0 = time.perf_counter()
-    if forked:
-        # a child inherits a resolved kernel; unresolved (tables handed
-        # in, so no thermal build has asked) each one would pay the
-        # digest and the dlopen itself, first thing after the fork
-        _cext.get_cext()
-        world.launch(_worker_entry, background, thermo, kgrid, config,
-                     telemetry.enabled, fault_tolerance, params)
-    elif backend in ("inprocess", "procs"):
-        threads = [
-            threading.Thread(
-                target=_worker_entry,
-                args=(world.handle(r), background, thermo, kgrid, config,
-                      telemetry.enabled, fault_tolerance, params,
-                      mode_sink),
-                daemon=True,
+    built = world is None
+    if built:
+        world = get_backend(backend, nproc)
+    try:
+        if world.nproc != nproc:
+            raise MessagePassingError(
+                f"world has {world.nproc} ranks, expected nproc={nproc}"
             )
-            for r in range(1, nproc)
-        ]
-        for t in threads:
-            t.start()
-    else:
-        raise MessagePassingError(
-            f"backend {backend!r} cannot host PLINGER workers"
+        master_mp = world.handle(0)
+        forked = hasattr(world, "launch")
+        mode_sink: dict | None = {} if collect_modes else None
+
+        wall0 = time.perf_counter()
+        if forked:
+            # a child inherits a resolved kernel; unresolved (tables handed
+            # in, so no thermal build has asked) each one would pay the
+            # digest and the dlopen itself, first thing after the fork
+            _cext.get_cext()
+            world.launch(_worker_entry, background, thermo, kgrid, config,
+                         telemetry.enabled, fault_tolerance, params)
+        elif backend in ("inprocess", "procs"):
+            threads = [
+                threading.Thread(
+                    target=_worker_entry,
+                    args=(world.handle(r), background, thermo, kgrid, config,
+                          telemetry.enabled, fault_tolerance, params,
+                          mode_sink),
+                    daemon=True,
+                )
+                for r in range(1, nproc)
+            ]
+            for t in threads:
+                t.start()
+        else:
+            raise MessagePassingError(
+                f"backend {backend!r} cannot host PLINGER workers"
+            )
+
+        master_mp.initpass()
+        log = master_subroutine(master_mp, kgrid, on_result=on_result,
+                                fault_tolerance=fault_tolerance,
+                                done=completed)
+        master_mp.endpass()
+
+        # a rank the master quarantined may be hung with its work already
+        # reassigned, and is simply left behind (a forked one terminated);
+        # with nobody quarantined, a rank that does not exit is an error
+        strict = not log.fault.dead_workers
+        if forked:
+            world.join(timeout=60.0, strict=strict)
+        else:
+            # all threads together get the policy's own silence deadline
+            # plus a margin, not a minute each
+            deadline = time.monotonic() + 5.0 + max(
+                fault_tolerance.silence_seconds, 1.0)
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+                if t.is_alive() and strict:
+                    raise MessagePassingError("worker thread failed to exit")
+        wall = time.perf_counter() - wall0
+
+        if telemetry.enabled:
+            telemetry.meta.setdefault("driver", "plinger")
+            telemetry.meta.setdefault("backend", backend)
+            telemetry.meta.setdefault("nproc", nproc)
+            telemetry.meta.setdefault("nk", kgrid.nk)
+            telemetry.timer("plinger.wall").add(wall)
+            telemetry.timer("master.probe_wait").add(
+                log.probe_wait_seconds, count=len(log.headers)
+            )
+            telemetry.record_traffic(0, "master", master_mp.stats,
+                                     tag_names=TAG_NAMES)
+        # each worker's document folds into the run's collector — or, with
+        # telemetry off, into one that only carries its READY re-sends into
+        # the master's fault report
+        ranks = telemetry if telemetry.enabled else Telemetry()
+        ranks.fault = log.fault
+        for _, doc in sorted(world.collect_telemetry().items()):
+            ranks.merge(doc)
+
+        # reassemble in ascending-k order
+        nk = kgrid.nk
+        headers = [None] * nk
+        payloads = [None] * nk
+        for h, p in [*completed.values(), *zip(log.headers, log.payloads)]:
+            headers[h.ik - 1] = h
+            payloads[p.ik - 1] = p
+        if any(h is None for h in headers):
+            raise ProtocolError("PLINGER run finished with missing modes")
+
+        result = LingerResult(
+            params=params,
+            kgrid=kgrid,
+            config=config,
+            headers=headers,  # type: ignore[arg-type]
+            payloads=payloads,  # type: ignore[arg-type]
+            modes=[mode_sink.get(i + 1) for i in range(nk)]
+            if mode_sink is not None else [None] * nk,
+            background=background,
+            thermo=thermo,
+            wall_seconds=wall,
         )
-
-    master_mp.initpass()
-    log = master_subroutine(master_mp, kgrid, on_result=on_result,
-                            fault_tolerance=fault_tolerance,
-                            done=completed)
-    master_mp.endpass()
-
-    # a rank the master quarantined may be hung with its work already
-    # reassigned, and is simply left behind (a forked one terminated);
-    # with nobody quarantined, a rank that does not exit is an error
-    strict = not log.fault.dead_workers
-    if forked:
-        world.join(timeout=60.0, strict=strict)
-    else:
-        # all threads together get the policy's own silence deadline
-        # plus a margin, not a minute each
-        deadline = time.monotonic() + 5.0 + max(
-            fault_tolerance.silence_seconds, 1.0)
-        for t in threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-            if t.is_alive() and strict:
-                raise MessagePassingError("worker thread failed to exit")
-    wall = time.perf_counter() - wall0
-
-    if telemetry.enabled:
-        telemetry.meta.setdefault("driver", "plinger")
-        telemetry.meta.setdefault("backend", backend)
-        telemetry.meta.setdefault("nproc", nproc)
-        telemetry.meta.setdefault("nk", kgrid.nk)
-        telemetry.timer("plinger.wall").add(wall)
-        telemetry.timer("master.probe_wait").add(
-            log.probe_wait_seconds, count=len(log.headers)
+        stats = PlingerRunStats(
+            nproc=nproc,
+            backend=backend,
+            wall_seconds=wall,
+            master_bytes_received=master_mp.stats.bytes_received,
+            master_bytes_sent=master_mp.stats.bytes_sent,
+            master_messages_received=master_mp.stats.messages_received,
+            master_messages_sent=master_mp.stats.messages_sent,
+            worker_cpu_seconds=result.cpu_seconds,
+            fault_report=log.fault,
         )
-        telemetry.record_traffic(0, "master", master_mp.stats,
-                                 tag_names=TAG_NAMES)
-    # each worker's document folds into the run's collector — or, with
-    # telemetry off, into one that only carries its READY re-sends into
-    # the master's fault report
-    ranks = telemetry if telemetry.enabled else Telemetry()
-    ranks.fault = log.fault
-    for _, doc in sorted(world.collect_telemetry().items()):
-        ranks.merge(doc)
-
-    # reassemble in ascending-k order
-    nk = kgrid.nk
-    headers = [None] * nk
-    payloads = [None] * nk
-    for h, p in [*completed.values(), *zip(log.headers, log.payloads)]:
-        headers[h.ik - 1] = h
-        payloads[p.ik - 1] = p
-    if any(h is None for h in headers):
-        raise ProtocolError("PLINGER run finished with missing modes")
-
-    result = LingerResult(
-        params=params,
-        kgrid=kgrid,
-        config=config,
-        headers=headers,  # type: ignore[arg-type]
-        payloads=payloads,  # type: ignore[arg-type]
-        modes=[mode_sink.get(i + 1) for i in range(nk)]
-        if mode_sink is not None else [None] * nk,
-        background=background,
-        thermo=thermo,
-        wall_seconds=wall,
-    )
-    stats = PlingerRunStats(
-        nproc=nproc,
-        backend=backend,
-        wall_seconds=wall,
-        master_bytes_received=master_mp.stats.bytes_received,
-        master_bytes_sent=master_mp.stats.bytes_sent,
-        master_messages_received=master_mp.stats.messages_received,
-        master_messages_sent=master_mp.stats.messages_sent,
-        worker_cpu_seconds=result.cpu_seconds,
-        fault_report=log.fault,
-    )
-    return result, stats
+        return result, stats
+    except BaseException:
+        # a world built here must not outlive a failed run: a sockets
+        # world's listener and accept thread would stay up
+        if built and hasattr(world, "close"):
+            world.close()
+        raise

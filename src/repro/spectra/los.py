@@ -21,9 +21,18 @@ algebraically (= psi - H_conf alpha); the remaining time derivatives
 are taken by splining the records.
 
 The projection itself is :meth:`BesselCache.project`: the j_l tables
-come from one recurrence sweep, and the tau quadrature of every source
-against every multipole is one matrix product (temperature here,
-polarization in :mod:`~repro.spectra.polarization`).
+come from one recurrence sweep (the compiled ``bessel_sweep``), and the
+tau quadrature of every source against every multipole is one matrix
+product (temperature here, polarization in
+:mod:`~repro.spectra.polarization`).
+
+Both stages work on blocks of wavenumbers that share a grid, not one
+wavenumber at a time: :func:`sources_from_result` assembles the modes
+of one record grid with one stacked fit, and :meth:`BesselCache.project`
+resamples the sources of one record and dense grid with one stacked fit
+and scatters them with one pair of ``bincount`` calls.  Every element
+goes through the arithmetic of the one-wavenumber form, so the blocks
+change no bit (``tests/reference_projection.py`` keeps those forms).
 
 Consistency with the paper's direct method is enforced by the test
 suite: at low l this projection and the full-hierarchy C_l agree.
@@ -32,10 +41,11 @@ suite: at low l this projection and the full-hierarchy C_l agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _cext
 from ..errors import ParameterError
 from ..perturbations import ModeResult
 from ..thermo import ThermalHistory
@@ -48,94 +58,113 @@ __all__ = ["SourceTable", "BesselCache", "cl_from_los", "theta_l_los",
 
 @dataclass
 class SourceTable:
-    """The line-of-sight source S_T(tau) for one wavenumber."""
+    """The line-of-sight source S(tau) for one wavenumber."""
 
     k: float
     tau: np.ndarray
     source: np.ndarray
     tau0: float
-    _spline: PiecewiseCubic | None = field(
-        default=None, repr=False, compare=False
-    )
-    _dense_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @classmethod
     def from_mode(cls, mode: ModeResult, thermo: ThermalHistory,
                   tau0: float) -> "SourceTable":
-        if mode.tau.size < 8:
-            raise ParameterError("mode has too few records for a source table")
-        k = mode.k
+        """The temperature source of one mode (:func:`_source_tables` of
+        that mode alone)."""
+        return _source_tables([mode], thermo, tau0)[0]
+
+    def dense_size(self) -> int:
+        """Points of the uniform tau grid, first record to tau0, that the
+        j_l quadrature resamples the source on: the Bessel kernel
+        oscillates in tau with period 2 pi / k, so the step is the
+        smaller of 12 Mpc and an eighth of that period."""
+        dtau = min(12.0, 2.0 * math.pi / self.k / 8.0)
+        return max(int(math.ceil((self.tau0 - self.tau[0]) / dtau)), 16)
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The source resampled for the quadrature: ``(t, S(t))``."""
+        (t, _rows, block), = _resampled([self])
+        return t, block[:, 0]
+
+
+def _groups(keys) -> list[list[int]]:
+    """Indices grouped by equal key, groups in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _source_tables(modes: list[ModeResult], thermo: ThermalHistory,
+                  tau0: float) -> list[SourceTable]:
+    """One temperature :class:`SourceTable` per mode, in mode order.
+
+    Modes whose record grids are bitwise equal form one block: g, g',
+    g'' and e^-kappa are evaluated once for it, and the three records
+    that need time derivatives (vb, Pi, alpha') of every member go
+    through one stacked :func:`~repro.util.fastspline.fit_cubic` —
+    independent right-hand sides of one tridiagonal solve, so each
+    column keeps the bits of its own fit, and every sample below is the
+    elementwise expression of one mode.
+    """
+    if any(m.tau.size < 8 for m in modes):
+        raise ParameterError("mode has too few records for a source table")
+    out: list[SourceTable | None] = [None] * len(modes)
+    for group in _groups(m.tau.tobytes() for m in modes):
+        members = [modes[i] for i in group]
+        tau = members[0].tau
+        k = np.array([m.k for m in members])
         k2 = k * k
-        tau = mode.tau
-        r = mode.records
 
-        g = thermo.visibility(tau)
-        gp = thermo.visibility_prime(tau)
-        gpp = thermo.visibility_prime2(tau)
-        emk = thermo.exp_minus_kappa(tau)
+        def rec(name):
+            return np.column_stack([m.records[name] for m in members])
 
-        vb = r["theta_b"] / k
-        pi = r["pi"]
-        alpha = r["alpha"]
-        alpha_dot = r["alpha_dot"]
+        g, emk = thermo.line_of_sight(tau)
+        g, emk = g[:, None], emk[:, None]
+        gp = thermo.visibility_prime(tau)[:, None]
+        gpp = thermo.visibility_prime2(tau)[:, None]
 
-        # One stacked fit for all three records that need time
-        # derivatives: the same tridiagonal system with three
-        # right-hand sides instead of three solves.
-        rec_spl = fit_cubic(tau, np.column_stack([vb, pi, alpha_dot]))
+        vb = rec("theta_b") / k
+        pi = rec("pi")
+        alpha_dot = rec("alpha_dot")
+        rec_spl = fit_cubic(tau, np.stack([vb, pi, alpha_dot], axis=1))
         d1 = rec_spl.derivative(1)(tau)
         vb_dot, pi_dot, alpha_ddot = d1[:, 0], d1[:, 1], d1[:, 2]
-        pi_ddot = rec_spl.derivative(2)(tau)[:, 1]
+        pi_ddot = PiecewiseCubic(rec_spl.c[:, :, 1], tau).derivative(2)(tau)
 
-        theta0 = r["delta_g"] / 4.0
+        theta0 = rec("delta_g") / 4.0
         source = (
             g * (theta0 + 2.0 * alpha_dot + vb_dot / k + pi / 4.0
                  + 3.0 * pi_ddot / (4.0 * k2))
-            + emk * (r["etadot"] + alpha_ddot)
-            + gp * (vb / k + alpha + 3.0 * pi_dot / (2.0 * k2))
+            + emk * (rec("etadot") + alpha_ddot)
+            + gp * (vb / k + rec("alpha") + 3.0 * pi_dot / (2.0 * k2))
             + 3.0 / (4.0 * k2) * gpp * pi
         )
-        return cls(k=k, tau=tau, source=source, tau0=tau0)
+        for j, (i, m) in enumerate(zip(group, members)):
+            out[i] = SourceTable(k=m.k, tau=m.tau,
+                                 source=source[:, j].copy(), tau0=tau0)
+    return out  # type: ignore[return-value]
 
-    def spline(self) -> PiecewiseCubic:
-        """The source interpolant, fit once per table (both the
-        temperature and polarization projections resample it)."""
-        if self._spline is None:
-            self._spline = fit_cubic(self.tau, self.source)
-        return self._spline
 
-    def dense(self, points_per_period: float = 8.0,
-              max_dtau: float = 12.0) -> tuple[np.ndarray, np.ndarray]:
-        """Source resampled on a uniform grid fine enough for j_l.
-
-        The Bessel kernel oscillates in tau with period 2 pi / k, so the
-        quadrature step is the smaller of ``max_dtau`` and that period
-        over ``points_per_period``.  Memoized: repeated projections of
-        the same table (temperature then polarization, or several l
-        batches) resample once.
-        """
-        key = (points_per_period, max_dtau)
-        hit = self._dense_cache.get(key)
-        if hit is not None:
-            return hit
-        dtau = min(max_dtau, 2.0 * math.pi / self.k / points_per_period)
-        n = max(int(math.ceil((self.tau0 - self.tau[0]) / dtau)), 16)
-        t = np.linspace(self.tau[0], self.tau0, n)
-        s = self.spline()(t)
-        self._dense_cache[key] = (t, s)
-        return t, s
+def _resampled(sources: list[SourceTable]):
+    """Yield ``(t, rows, block)`` per group of sources sharing a record
+    grid, tau0 and dense grid: ``block[:, j]`` is source ``rows[j]``
+    resampled on ``t`` — one stacked fit, one evaluation per group."""
+    keys = ((s.tau.tobytes(), s.tau0, s.dense_size()) for s in sources)
+    for rows in _groups(keys):
+        first = sources[rows[0]]
+        t = np.linspace(first.tau[0], first.tau0, first.dense_size())
+        stacked = np.column_stack([sources[i].source for i in rows])
+        yield t, rows, fit_cubic(first.tau, stacked)(t)
 
 
 class BesselCache:
     """Spherical Bessel functions j_l(x) tabulated on a uniform x grid,
     and the line-of-sight projection against them.
 
-    The table rows are filled by one downward (Miller) recurrence
-    vectorised over the grid (:meth:`table_matrix`), so building every
-    multipole a projection needs costs one sweep over the orders rather
-    than an O(l) evaluation per point per multipole.  Between grid
+    The table rows are filled by one downward (Miller) recurrence, a
+    compiled loop over the grid (:meth:`table_matrix`), so building
+    every multipole a projection needs costs one sweep over the orders
+    rather than an O(l) evaluation per point per multipole.  Between grid
     points j_l is linear in the table values, which makes the whole
     projection a linear map of the source samples: :meth:`project`
     applies it as one matrix product.
@@ -161,43 +190,32 @@ class BesselCache:
         enough past the turning point l ~ x that the minimal solution
         has taken over to double precision by the time l <= x, close
         enough that the growth on the way down (< 1e90 from a 1e-300
-        seed) cannot overflow.  The start order rises with x, so the
-        points active at order l are a suffix of the ascending grid.
-        Rows are normalised by whichever closed form, j_0 or j_1, is
-        larger in magnitude at that x; j_l(0) is exact.
+        seed) cannot overflow.  The sweep is the compiled
+        ``bessel_sweep``; rows are normalised here by whichever closed
+        form, j_0 or j_1, is larger in magnitude at that x (numpy's
+        ``sin`` / ``cos``, not libm's); j_l(0) is exact.
         """
         x = self._x[1:]
         inv_x = 1.0 / x
         start_order = np.ceil(
-            x + 12.0 * np.cbrt(np.maximum(x, 1.0)) + 25.0).astype(int)
-        top = int(start_order[-1])
-        # first[l]: where the points whose sweep starts at order >= l begin
-        first = np.searchsorted(start_order, np.arange(top + 2))
-        rows = {l: np.zeros(self._x.size) for l in l_values}
-        above = np.zeros(x.size)  # j_(l+1), unnormalised
-        cur = np.zeros(x.size)  # j_l
-        below = np.zeros(x.size)
-        for l in range(top, -1, -1):
-            a = first[l]
-            cur[a:first[l + 1]] = 1.0e-300
-            row = rows.get(l)
-            if row is not None:
-                row[1 + a:] = cur[a:]
-            if l == 0:
-                break
-            np.multiply(inv_x[a:], 2 * l + 1, out=below[a:])
-            below[a:] *= cur[a:]
-            below[a:] -= above[a:]
-            above, cur, below = cur, below, above
+            x + 12.0 * np.cbrt(np.maximum(x, 1.0)) + 25.0).astype(np.int64)
+        want = np.array(sorted(set(l_values), reverse=True), dtype=np.int64)
+        rows = np.zeros((want.size, self._x.size))
+        work = np.zeros(3 * x.size)
+        j0u, j1u = np.empty((2, x.size))
+        _cext.get_cext().bessel_raw(
+            x.size, inv_x.ctypes.data, start_order.ctypes.data, want.size,
+            want.ctypes.data, rows.ctypes.data, self._x.size,
+            work.ctypes.data, j0u.ctypes.data, j1u.ctypes.data)
         j0 = np.sin(x) * inv_x
         j1 = (j0 - np.cos(x)) * inv_x
         use_j0 = np.abs(j0) >= np.abs(j1)
-        norm = np.where(use_j0, j0, j1) / np.where(use_j0, cur, above)
-        for l, row in rows.items():
+        norm = np.where(use_j0, j0, j1) / np.where(use_j0, j0u, j1u)
+        for l, row in zip(want.tolist(), rows):
             row[1:] *= norm
             if l == 0:
                 row[0] = 1.0
-        self._tables.update(rows)
+            self._tables[l] = row
 
     def _check_covers(self, x_need: float) -> None:
         if x_need > self.x_max:
@@ -238,28 +256,42 @@ class BesselCache:
         transpose is applied instead: each sample, times its trapezoid
         weight (and ``weight(x)``, if given), is scattered onto the two
         table nodes bracketing its x with the interpolation weights.
-        That leaves one (nk, nx) matrix, and a single product with the
-        (nl, nx) table gives every Theta_l(k).
+        Sources sharing a record grid and a dense grid are resampled as
+        one block (:func:`_resampled`) and scattered together: two
+        ``bincount`` calls whose bins are offset by row, the lower and
+        upper node sums kept apart so that every bin adds in the order
+        a single source's scatter would.  That leaves one (nk, nx)
+        matrix, and a single product with the (nl, nx) table gives
+        every Theta_l(k).
         """
         self._check_covers(max(s.k * s.tau0 for s in sources))
         table = self.table_matrix(l_values)
         nx = self._x.size
         scattered = np.empty((len(sources), nx))
-        for row, src in zip(scattered, sources):
-            t, s = src.dense()
-            x = src.k * (src.tau0 - t)
+        for t, rows, f in _resampled(sources):
             half = 0.5 * np.diff(t)
-            f = np.zeros_like(s)  # trapezoid weights, then times samples
-            f[:-1] = half
-            f[1:] += half
-            f *= s
+            w = np.zeros_like(t)  # trapezoid weights
+            w[:-1] = half
+            w[1:] += half
+            f *= w[:, None]  # f: the samples, then times their weights
+            x = (sources[rows[0]].tau0 - t)[:, None] * np.array(
+                [sources[r].k for r in rows])
             if weight is not None:
                 f *= weight(x)
-            xi = x / self.dx
-            i = xi.astype(int)
-            frac = xi - i
-            row[:] = np.bincount(i, f * (1.0 - frac), minlength=nx)
-            row += np.bincount(i + 1, f * frac, minlength=nx)
+            x /= self.dx
+            i = x.astype(np.intp)
+            x -= i  # the fraction past the lower node
+            i += np.arange(len(rows)) * nx  # row j's bins start at j nx
+            lower = 1.0 - x
+            lower *= f
+            block = np.bincount(i.ravel(), lower.ravel(),
+                                minlength=len(rows) * nx)
+            del lower
+            f *= x
+            i += 1
+            block += np.bincount(i.ravel(), f.ravel(),
+                                 minlength=len(rows) * nx)
+            scattered[rows] = block.reshape(len(rows), nx)
         return scattered @ table.T
 
 
@@ -292,10 +324,8 @@ def sources_from_result(linger_result) -> list[SourceTable]:
             "line-of-sight C_l needs a run with keep_mode_results=True "
             "and record_sources=True"
         )
-    tau0 = linger_result.background.tau0
-    return [
-        SourceTable.from_mode(m, linger_result.thermo, tau0) for m in modes
-    ]
+    return _source_tables(modes, linger_result.thermo,
+                         linger_result.background.tau0)
 
 
 def interpolate_sources_k(

@@ -16,12 +16,15 @@ The pipeline here is
    (every ``factor``-th dense point plus both endpoints, so the spline
    never extrapolates and exact hits stay bitwise);
 2. either driver integrates it — ``run_linger(sparse_k=...)``, or
-   ``run_plinger(collect_modes=True)`` on a thread-hosted backend;
+   ``run_plinger(collect_modes=True)`` on the thread-hosted
+   ``inprocess`` backend;
 3. :func:`sparse_cl` stacks the recorded sources on a shared record
-   grid, splines them across k
-   (:func:`~repro.spectra.los.interpolate_sources_k`, one stacked
-   :func:`~repro.util.fastspline.fit_cubic`), and projects
-   ``theta_l_los`` + ``cl_integrate_over_k`` on the dense grid.
+   grid (one stacked :func:`~repro.util.fastspline.fit_cubic` per group
+   of coarse modes on one record grid — every mode with k <= 0.02, whose
+   start time is capped), splines them across k
+   (:func:`~repro.spectra.los.interpolate_sources_k`, one stacked fit
+   more), and projects ``theta_l_los`` + ``cl_integrate_over_k`` on the
+   dense grid, again a block per shared grid.
 
 Accuracy is a tested contract, not a hope: the ``oracle.sparse_cl``
 tolerance in :mod:`repro.verify.tolerances` bounds the dense-vs-sparse
@@ -47,6 +50,7 @@ from .cl import cl_integrate_over_k, los_l_grid
 from .los import (
     BesselCache,
     SourceTable,
+    _groups,
     interpolate_sources_k,
     sources_from_result,
     theta_l_los,
@@ -150,7 +154,8 @@ def sparse_sources(
     Coarse sources are evaluated on one shared record grid (the dense
     grid's largest k starts earliest, so its grid covers every mode;
     times before a coarse mode's own first record are zero — the
-    source is e^-kappa-suppressed there), splined across k at every
+    source is e^-kappa-suppressed there; the coarse modes of one record
+    grid are fitted and evaluated as one block), splined across k at every
     shared time, and cut back to each dense mode's own start time.
     Dense k that are bitwise members of the coarse grid reuse the
     coarse :class:`SourceTable` object itself — the exact-hit path
@@ -182,9 +187,12 @@ def sparse_sources(
         background, thermo, float(k_dense[-1]), tau_end=tau_end
     )
     stacked = np.zeros((k_coarse.size, shared_tau.size))
-    for row, src in zip(stacked, coarse_tables):
-        j = np.searchsorted(shared_tau, src.tau[0])
-        row[j:] = src.spline()(shared_tau[j:])
+    for rows in _groups(s.tau.tobytes() for s in coarse_tables):
+        tau = coarse_tables[rows[0]].tau
+        j = np.searchsorted(shared_tau, tau[0])
+        fit = fit_cubic(tau, np.column_stack(
+            [coarse_tables[i].source for i in rows]))
+        stacked[rows, j:] = fit(shared_tau[j:]).T
 
     interp = interpolate_sources_k(k_coarse, stacked, k_dense)
     lo_max, lo_rms = _leave_one_out_residuals(k_coarse, stacked)
@@ -287,10 +295,12 @@ def run_sparse_cl(
 ) -> SparseClResult:
     """The end-to-end sparse-k sweep: integrate coarse, project dense.
 
-    ``backend=None`` integrates through ``run_linger``; naming a
-    thread-hosted message-passing backend (``"inprocess"`` or
-    ``"procs"``) drives the coarse sweep through
-    ``run_plinger(collect_modes=True)`` instead.
+    ``backend=None`` integrates through ``run_linger``;
+    ``backend="inprocess"`` (thread-hosted workers, the one backend
+    whose ranks share the master's memory) drives the coarse sweep
+    through ``run_plinger(collect_modes=True)`` instead.  Any other
+    backend raises :class:`~repro.errors.ParameterError` before a world
+    is built.
     ``l_values`` defaults to the canonical
     :func:`~repro.spectra.cl.los_l_grid` up to the highest multipole
     the dense grid can project (``~ k_max tau0``).  The j_l tables are
@@ -304,6 +314,11 @@ def run_sparse_cl(
             "the sparse fast path projects recorded sources: run with "
             "record_sources=True and keep_mode_results=True"
         )
+    if backend not in (None, "inprocess"):
+        raise ParameterError(
+            f"the sparse fast path needs the coarse mode results in "
+            f"master memory: backend {backend!r} does not share them; "
+            "use backend='inprocess' or None")
     if backend is None:
         coarse = run_linger(
             params, kgrid, config, background=background, thermo=thermo,

@@ -357,20 +357,21 @@ class ThermalHistory:
         return fit_cubic(self._tau, self._kappa)
 
     @cached_property
-    def _g_spline(self) -> PiecewiseCubic:
-        return fit_cubic(self._tau, self._g)
+    def _los_spline(self) -> PiecewiseCubic:
+        """g and e^-kappa share the knots tau: one stacked fit, columns
+        (g, e^-kappa)."""
+        return fit_cubic(self._tau,
+                         np.column_stack([self._g, self._exp_mkappa]))
 
     @cached_property
     def _g_prime_spline(self) -> PiecewiseCubic:
-        return self._g_spline.derivative(1)
+        return PiecewiseCubic(self._los_spline.c[..., 0],
+                              self._tau).derivative(1)
 
     @cached_property
     def _g_prime2_spline(self) -> PiecewiseCubic:
-        return self._g_spline.derivative(2)
-
-    @cached_property
-    def _exp_mkappa_spline(self) -> PiecewiseCubic:
-        return fit_cubic(self._tau, self._exp_mkappa)
+        return PiecewiseCubic(self._los_spline.c[..., 0],
+                              self._tau).derivative(2)
 
     # ------------------------------------------------------------------
     # Public evaluators (vectorized over a or tau)
@@ -398,7 +399,7 @@ class ThermalHistory:
 
     def visibility(self, tau):
         """g(tau) = kappa' e^-kappa [Mpc^-1]; integrates to ~1 over tau."""
-        return np.maximum(self._g_spline(np.asarray(tau, dtype=float)), 0.0)
+        return self.line_of_sight(tau)[0]
 
     def visibility_prime(self, tau):
         """dg/dtau."""
@@ -410,4 +411,11 @@ class ThermalHistory:
 
     def exp_minus_kappa(self, tau):
         """e^{-kappa(tau)} (the free-streaming damping factor)."""
-        return np.clip(self._exp_mkappa_spline(np.asarray(tau, dtype=float)), 0.0, 1.0)
+        return self.line_of_sight(tau)[1]
+
+    def line_of_sight(self, tau):
+        """``(visibility(tau), exp_minus_kappa(tau))`` from one
+        evaluation of their stacked fit."""
+        both = self._los_spline(np.asarray(tau, dtype=float))
+        return (np.maximum(both[..., 0], 0.0),
+                np.clip(both[..., 1], 0.0, 1.0))

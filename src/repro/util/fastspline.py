@@ -55,15 +55,20 @@ class PiecewiseCubic:
         i = np.minimum(np.maximum(x.searchsorted(t, "right") - 1, 0),
                        x.size - 2)
         s = (t - x[i]).reshape(t.shape + (1,) * (c.ndim - 2))
-        coef = c[:, i]
-        out = 0.0 + coef[-1]
-        if len(coef) == 1:  # a constant: nothing else carries the NaN
+        # one coefficient row gathered (copied) at a time, its term
+        # formed in place: two arrays of the output's size are live
+        out = c[-1].take(i, axis=0)
+        out += 0.0
+        if len(c) == 1:  # a constant: nothing else carries the NaN
             return np.where(np.isnan(s), s, out)
         z = s
-        for row in coef[-2:0:-1]:
-            out += row * z
-            z = z * s
-        out += coef[0] * z
+        for row in range(len(c) - 2, -1, -1):
+            term = c[row].take(i, axis=0)
+            term *= z
+            out += term
+            del term
+            if row:
+                z = z * s
         return out
 
     def knot_slopes(self) -> np.ndarray:
@@ -117,7 +122,11 @@ def fit_cubic(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     the ``(4, n - 1, ...)`` coefficients ``.c`` are ``array_equal`` to
     the oracle's (3 knots: it takes a dense solve there, and the two
     agree to rounding); ``.c[2]`` holds the solved first derivatives at
-    every knot but the last.  ``x`` must be finite and strictly
+    every knot but the last.  Each trailing column is bitwise the fit
+    of that column alone: the end rows square the end spacings as the
+    oracle's 1-D fit does (libm ``pow``), where its stacked fit
+    multiplies — the two differ in the last bit for about one spacing
+    in a thousand.  ``x`` must be finite and strictly
     increasing and ``y`` finite: that is checked here, once, and raises
     :class:`ParameterError`.
     """
@@ -157,13 +166,16 @@ def fit_cubic(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
             upper[1:] = dx[:-1]
             lower[:-1] = dx[1:]
             b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+            # the end spacings squared as scalars (libm pow, not x * x)
+            # whatever the shape of y, so that every column of a
+            # stacked fit is bitwise the fit of that column alone
             diag[0] = dx[1]
             upper[0] = d = x[2] - x[0]
             b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0]
-                    + dxr[0]**2 * slope[1]) / d
+                    + dx[0]**2 * slope[1]) / d
             diag[-1] = dx[-2]
             lower[-1] = d = x[-1] - x[-3]
-            b[-1] = (dxr[-1]**2 * slope[-2]
+            b[-1] = (dx[-1]**2 * slope[-2]
                      + (2*d + dxr[-1]) * dxr[-2] * slope[-1]) / d
         s = _solve_tridiagonal(lower, diag, upper,
                                b.reshape(n, -1)).reshape(b.shape)

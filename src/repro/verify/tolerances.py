@@ -272,26 +272,24 @@ TOLERANCES: dict[str, Tolerance] = {
         Tolerance(
             "oracle.sockets_world", rtol=1e-8, atol=1e-12,
             provenance=(
-                "One small spectrum integrated serially and three times "
+                "One small spectrum integrated serially and twice "
                 "over the TCP-sockets world on localhost (real OS "
-                "processes, real sockets): a clean run, a run with a "
-                "rank joining mid-flight through the elastic-admission "
-                "path, and a run whose highest rank is SIGKILLed and "
-                "quarantined, worst |cl - cl_ref| / max|cl_ref| across "
-                "legs.  The clean leg is bitwise by construction — the "
-                "frame codec ships the identical little-endian float64 "
-                "buffers that oracle.paths_plinger already pins — and "
-                "the elastic legs recompute reassigned modes through "
-                "the same integrator at the same config (measured 0.0 "
-                "on all three).  1e-8 is the golden-regression budget; "
-                "any transport bug (truncated frame, misrouted payload, "
+                "processes, real sockets): a clean run, and a run whose "
+                "highest rank is SIGKILLed and quarantined, worst "
+                "|cl - cl_ref| / max|cl_ref| across legs.  The clean "
+                "leg is bitwise by construction — the frame codec ships "
+                "the identical little-endian float64 buffers that "
+                "oracle.paths_plinger already pins — and the kill leg "
+                "recomputes reassigned modes through the same "
+                "integrator at the same config (measured 0.0 on both).  "
+                "1e-8 is the golden-regression budget; any transport "
+                "bug (truncated frame, misrouted payload, "
                 "double-delivered mode) lands at O(1) or trips the "
                 "wire-level checks first.  The measured value is NaN — "
                 "an automatic failure — when a leg's tripwire fails: "
                 "fewer than two distinct worker pids (not actually "
-                "multi-process), zero bytes on the wire, no rank "
-                "admitted on the join leg, or no rank quarantined on "
-                "the kill leg."
+                "multi-process) or zero bytes on the wire on the clean "
+                "leg, or no rank quarantined on the kill leg."
             ),
         ),
         # -- analytic-limit oracles ----------------------------------------

@@ -140,6 +140,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "--backend inprocess" in err
 
+    def test_sparse_rejects_the_sockets_backend(self, tmp_path, capsys):
+        """Sockets ranks are forked too: the same message, exit 2, and
+        no world built."""
+        rc = main([
+            "run", "--nk", "9", "--k-min", "1e-3", "--k-max", "1e-2",
+            "--lmax", "8", "--rtol", "3e-4", "--sparse-k-factor", "3",
+            "--parallel", "2", "--backend", "sockets",
+            "--output", str(tmp_path / "x.npz"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "(--backend sockets)" in err and "--backend inprocess" in err
+
     def test_run_with_telemetry_report(self, tmp_path, capsys):
         """`run --report` on a 4-mode parallel run emits a report
         with per-mode integrator metrics, per-tag message counts and

@@ -80,6 +80,36 @@ class TestFitCubic:
         assert slopes.shape == (n,) + trailing
         assert slopes.tobytes() == fit.derivative(1)(x).tobytes()
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+           m=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_a_stacked_column_is_its_own_fit(self, seed, n, m):
+        """Trailing columns are independent right-hand sides: a block
+        of sources fitted at once carries each one's bits."""
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 2.0, n))
+        y = rng.normal(size=(n, m))
+        stacked = fit_cubic(x, y)
+        for j in range(m):
+            assert stacked.c[..., j].tobytes() == fit_cubic(
+                x, y[:, j]).c.tobytes()
+
+    def test_end_spacings_are_squared_as_the_1d_oracle_squares(self):
+        """An end spacing whose libm square is not its product with
+        itself: the stacked fit takes the 1-D oracle's bits there
+        (the oracle's own stacked fit multiplies, and differs)."""
+        from scipy.interpolate import CubicSpline
+
+        d = 0.8683284008647664
+        assert d ** 2 != d * d
+        x = np.array([0.0, d, 1.5, 2.25, 3.0])
+        y = np.random.default_rng(0).normal(size=(x.size, 2))
+        stacked = fit_cubic(x, y)
+        for j in range(2):
+            assert np.array_equal(stacked.c[..., j],
+                                  CubicSpline(x, y[:, j]).c)
+        assert not np.array_equal(stacked.c, CubicSpline(x, y).c)
+
     def test_input_is_checked_once_here(self):
         x = np.linspace(0.0, 1.0, 6)
         y = np.ones(6)

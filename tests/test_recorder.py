@@ -1,14 +1,15 @@
-"""Recording as one array pass per phase, against the row recorder.
+"""Recording as one array pass per mode, against the row recorder.
 
 ``evolve._Recorder.record`` evaluates every ``RECORD_FIELDS`` entry for
-a whole block of stop-point states at once.  It replaced a recorder
+a whole block of stop-point states at once — a mode's tight rows, full
+rows and final state in one block, flagged row by row.  It replaced a recorder
 that was called back once per stop (now ``tests/reference_recorder.py``)
 and must not move a bit of what that one wrote: elementwise array
 arithmetic in the scalar expressions' grouping, libm ``exp``/``log``
 value by value, the massive-neutrino momentum sums still one dot per
 row.  These tests hold it to that on both phases, with and without
 massive neutrinos, on every driver — and pin what rides
-on the same function: the one-row record behind
+on the same function: the final-state row behind
 ``ModeResult.final_observables``, the phase-end rule (a phase end is
 recorded only when it is a record point, and then once), and monitors,
 which see the same ``(tau, y, tight)`` sequence as before and change
@@ -99,7 +100,7 @@ def test_array_pass_is_the_row_recorder(request, nq, driver):
         assert np.isnan(mode.records["delta_nu_massive"]).all() == (nq == 0)
         _assert_same_records(mode, _replayed(mode, rows))
 
-        # the one-row record behind final_observables
+        # the final-state row behind final_observables
         last = ReferenceRecorder(mode.system, 1)
         last.tight = False
         last(mode.tau_end, mode.y_final)
@@ -108,6 +109,31 @@ def test_array_pass_is_the_row_recorder(request, nq, driver):
         assert all(
             np.float64(final[name]).tobytes() == last.arrays[name].tobytes()
             for name in RECORD_FIELDS)
+
+
+@pytest.mark.parametrize("nq", [0, 8])
+def test_one_pass_is_the_row_recorder_without_a_monitor(request, nq):
+    """A mode records both phases and its final state in one pass:
+    unmonitored, its records and final observables are the row
+    recorder's on the states a monitored twin is shown — the record
+    points, never the final state."""
+    bg, thermo = _tables(request, nq)
+    for k in (0.003, 0.03):
+        grid = default_record_grid(bg, thermo, k)
+        rows = Rows()
+        watched = _evolve(bg, thermo, k, nq, grid, monitor=rows)
+        plain = _evolve(bg, thermo, k, nq, grid)
+        assert [t for t, _, _ in rows.seen] == grid.tolist()
+        _assert_same_records(plain, _replayed(watched, rows))
+        last = ReferenceRecorder(watched.system, 1)
+        last.tight = False
+        last(plain.tau_end, plain.y_final)
+        for mode in (plain, watched):
+            final = mode.final_observables()
+            assert list(final) == list(RECORD_FIELDS)
+            assert all(
+                np.float64(final[name]).tobytes()
+                == last.arrays[name].tobytes() for name in RECORD_FIELDS)
 
 
 @pytest.mark.parametrize("nq", [0, 8])
@@ -124,10 +150,11 @@ def test_a_rows_record_does_not_depend_on_its_block(request, nq):
     n = len(full)
     assert n > 10
 
-    def recorded(cuts):
+    def recorded(cuts, tight=False):
         rec = _Recorder(mode.system, n)
         for lo, hi in zip((0,) + cuts, cuts + (n,)):
-            rec.record(False, tau[lo:hi], block[lo:hi])
+            rec.record(tight if np.isscalar(tight) else tight[lo:hi],
+                       tau[lo:hi], block[lo:hi])
         assert rec.i == n
         return rec.tau.tobytes() + b"".join(
             rec.arrays[name].tobytes() for name in RECORD_FIELDS)
@@ -135,6 +162,11 @@ def test_a_rows_record_does_not_depend_on_its_block(request, nq):
     whole = recorded(())
     assert recorded(tuple(range(1, n))) == whole
     assert recorded((7,)) == whole
+    # a per-row flag: the rows flagged tight are the tight pass's
+    mask = np.arange(n) % 3 == 0
+    mixed = recorded((), mask)
+    assert recorded(tuple(range(1, n)), mask) == mixed
+    assert mixed != whole
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

@@ -13,6 +13,7 @@ Two layers, tested bottom-up:
   golden spectrum.
 """
 
+import gc
 import os
 import signal
 import socket
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MessagePassingError
+from repro.errors import MessagePassingError, ProtocolError
 from repro.linger.kgrid import KGrid
 from repro.linger.serial import LingerConfig, build_tables, run_linger
 from repro.mp.backends.sockets import (
@@ -404,3 +405,54 @@ class TestSocketsFaultPhysics:
         assert stats.fault_report.dead_workers == [1]
         _l, cl = cl_from_hierarchy(result)
         assert np.array_equal(cl, cl_ref)
+
+
+# -- a world built for a run that cannot happen ------------------------------
+
+def _listening():
+    """This process's sockets worlds' accept threads, and its open
+    sockets."""
+    threads = sum(t.name == "sockets-accept" for t in threading.enumerate())
+    fds = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:
+            pass
+    return threads, fds
+
+
+class TestNoWorldLeftBehind:
+    """A run refused or failed after its world was built must not leave
+    the listener and its accept thread up."""
+
+    def test_collecting_modes_is_refused_before_a_world(self, scdm, bg_scdm,
+                                                        thermo_scdm):
+        before = _listening()
+        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-3)
+        with pytest.raises(ProtocolError, match="thread-hosted"):
+            run_plinger(scdm, KGrid.from_k([1e-3, 2e-3]), config, nproc=3,
+                        backend="sockets", background=bg_scdm,
+                        thermo=thermo_scdm, collect_modes=True)
+        gc.collect()
+        assert _listening() == before
+
+    def test_a_failed_run_closes_the_world_it_built(self, scdm, bg_scdm,
+                                                    thermo_scdm,
+                                                    monkeypatch):
+        def no_workers(self, entry, *args):
+            raise MessagePassingError("only 0 of 2 sockets workers "
+                                      "connected")
+
+        monkeypatch.setattr(SocketsWorld, "launch", no_workers)
+        before = _listening()
+        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-3,
+                              record_sources=False, keep_mode_results=False)
+        with pytest.raises(MessagePassingError, match="connected"):
+            run_plinger(scdm, KGrid.from_k([1e-3, 2e-3]), config, nproc=3,
+                        backend="sockets", background=bg_scdm,
+                        thermo=thermo_scdm)
+        deadline = time.monotonic() + 5.0
+        while _listening() != before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _listening() == before

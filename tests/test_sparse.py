@@ -31,6 +31,7 @@ import pytest
 from repro import KGrid, LingerConfig, ParameterError, run_linger
 from repro.linger.kgrid import sparse_kgrid
 from repro.spectra import (
+    BesselCache,
     cl_from_los,
     coarse_subset,
     interpolate_sources_k,
@@ -38,9 +39,17 @@ from repro.spectra import (
     sources_from_result,
     sparse_cl,
 )
-from repro.spectra.cl import cl_from_hierarchy, los_l_grid
+from repro.spectra.cl import (
+    cl_from_hierarchy,
+    cl_integrate_over_k,
+    los_l_grid,
+)
 from repro.spectra.sparse import _leave_one_out_residuals, sparse_sources
 from repro.telemetry import SparseMetrics, Telemetry
+from tests.reference_projection import (
+    reference_scatter_project,
+    reference_sparse_sources,
+)
 
 GOLDEN_CL = Path(__file__).parent / "data" / "golden_cl.json"
 
@@ -204,7 +213,7 @@ class TestConvergence:
         stacked = np.zeros((k.size, shared.size))
         for row, src in zip(stacked, tables):
             j = np.searchsorted(shared, src.tau[0])
-            row[j:] = src.spline()(shared[j:])
+            row[j:] = CubicSpline(src.tau, src.source)(shared[j:])
 
         def full_refit(k, stacked):
             rels = []
@@ -223,6 +232,37 @@ class TestConvergence:
         # a grid the window spans whole gets the full refit itself
         assert _leave_one_out_residuals(k[:12], stacked[:12]) == \
             full_refit(k[:12], stacked[:12])
+
+
+class TestBlocksAcrossGrids:
+    def test_groups_of_one_are_the_per_source_pipeline(self, scdm, bg_scdm,
+                                                      thermo_scdm):
+        """Past k = 0.02 a mode starts later than the 1.5 Mpc cap, so its
+        record grid is its own: coarse modes there form groups of one,
+        beside the block the low-k ones share, and the dense modes cut
+        the shared grid at their own starts.  C_l is the per-source
+        pipeline's, bit for bit."""
+        kgrid = KGrid.from_k(np.linspace(0.004, 0.034, 13))
+        res = run_sparse_cl(scdm, kgrid,
+                            LingerConfig(lmax_photon=10, lmax_nu=10,
+                                         rtol=1e-3),
+                            sparse_factor=3, background=bg_scdm,
+                            thermo=thermo_scdm)
+        coarse = res.coarse_result
+        sizes = {}
+        for m in coarse.modes:
+            sizes[m.tau.tobytes()] = sizes.get(m.tau.tobytes(), 0) + 1
+        assert sorted(sizes.values()) == [1, 1, 3]
+        ref = reference_sparse_sources(coarse, kgrid)
+        assert len({s.tau.tobytes() for s in ref}) > 3
+        for got, want in zip(res.sources, ref):
+            assert got.k == want.k
+            assert got.tau.tobytes() == want.tau.tobytes()
+            assert got.source.tobytes() == want.source.tobytes()
+        bessel = BesselCache(max(s.k * s.tau0 for s in ref))
+        theta = reference_scatter_project(bessel, res.l, ref)
+        cl = cl_integrate_over_k(kgrid.k, theta, n_s=scdm.n_s)
+        assert res.cl.tobytes() == cl.tobytes()
 
 
 # -- driver validation and the PLINGER path ----------------------------------
@@ -268,6 +308,22 @@ class TestRunSparseCl:
         # thread-hosted workers run the same serial kernels on the same
         # floats, so the collected modes — and the C_l — are bitwise
         assert np.array_equal(plinger.cl, serial.cl)
+
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_forked_backends_are_refused_before_a_world(self, scdm,
+                                                        linger_small,
+                                                        backend):
+        import threading
+
+        def accepting():
+            return sum(t.name == "sockets-accept"
+                       for t in threading.enumerate())
+
+        before = accepting()
+        with pytest.raises(ParameterError, match="inprocess"):
+            run_sparse_cl(scdm, linger_small.kgrid, linger_small.config,
+                          sparse_factor=4, backend=backend, nproc=3)
+        assert accepting() == before
 
     def test_sparse_sources_rejects_foreign_grid(self, linger_small):
         with pytest.raises(ParameterError, match="subset of the dense"):

@@ -22,7 +22,14 @@ from repro.spectra import (
     transfer_function,
 )
 from repro.spectra.los import theta_l_los
-from tests.reference_projection import reference_project
+from repro.spectra.polarization import polarization_source
+from tests.reference_projection import (
+    reference_dense,
+    reference_project,
+    reference_scatter_project,
+    reference_source_table,
+    reference_tables,
+)
 
 
 class TestKQuadrature:
@@ -235,6 +242,92 @@ class TestProjection:
         assert np.allclose(theta_l_los(sources, l_values), ref,
                            rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
+
+
+@st.composite
+def _grouped_sources(draw):
+    """Source tables on a few shared record grids: members of a grid
+    share a dense grid (and are resampled as one block) unless their k
+    is high enough to shorten its step, and the grids differ."""
+    tau0 = 3000.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        tau = np.sort(rng.uniform(1.0, tau0, draw(st.integers(8, 60))))
+        tau[-1] = tau0
+        grids.append(tau)
+    sources = []
+    for _ in range(draw(st.integers(1, 8))):
+        tau = grids[draw(st.integers(0, len(grids) - 1))]
+        sources.append(SourceTable(k=10.0 ** draw(st.floats(-4.0, -1.0)),
+                                   tau=tau, source=rng.normal(size=tau.size),
+                                   tau0=tau0))
+    return sources
+
+
+class TestBlocks:
+    """The block path — sources assembled, resampled and scattered once
+    per shared grid, the j_l sweep compiled — against the per-source
+    forms it replaced (``tests/reference_projection.py``), bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sources=_grouped_sources(),
+           ls=st.sets(st.integers(2, 250), min_size=1, max_size=8),
+           weighted=st.booleans())
+    def test_project_is_the_per_source_scatter(self, sources, ls, weighted):
+        l_values = np.array(sorted(ls))
+        weight = (lambda x: 1.0 / np.maximum(x, 1e-8) ** 2) if weighted \
+            else None
+        bessel = BesselCache(max(s.k * s.tau0 for s in sources))
+        got = bessel.project(l_values, sources, weight=weight)
+        ref = reference_scatter_project(bessel, l_values, sources,
+                                        weight=weight)
+        assert got.tobytes() == ref.tobytes()
+        for src in sources:
+            t, s = src.dense()
+            t_ref, s_ref = reference_dense(src)
+            assert t.tobytes() == t_ref.tobytes()
+            assert s.tobytes() == s_ref.tobytes()
+
+    @pytest.mark.parametrize("x_max", [10.0, 64.8, 700.0, 2000.0])
+    def test_compiled_sweep_is_the_python_loop(self, x_max):
+        """Orders at and past each point's start, the first grid
+        points, and orders above the whole sweep (rows of zeros)."""
+        ls = [0, 1, 2, 3, 7, 30, 64, 65, 200, 699, 1500, 2300]
+        cache = BesselCache(x_max)
+        rows = cache.table_matrix(ls)
+        ref = reference_tables(cache._x, ls)
+        for l, row in zip(ls, rows):
+            assert row.tobytes() == ref[l].tobytes(), l
+
+    def test_source_blocks_are_the_per_mode_assembly(self, linger_small):
+        from repro.spectra import sources_from_result
+
+        thermo = linger_small.thermo
+        tau0 = linger_small.background.tau0
+        tables = sources_from_result(linger_small)
+        assert len({m.tau.tobytes() for m in linger_small.modes}) \
+            < len(tables)  # some modes do share a record grid
+        for mode, got in zip(linger_small.modes, tables):
+            ref = reference_source_table(mode, thermo, tau0)
+            assert got.k == ref.k and got.tau0 == ref.tau0
+            assert got.tau.tobytes() == ref.tau.tobytes()
+            assert got.source.tobytes() == ref.source.tobytes()
+
+    def test_e_l_los_is_the_per_source_form(self, linger_small):
+        thermo = linger_small.thermo
+        tau0 = linger_small.background.tau0
+        sources = [polarization_source(m, thermo, tau0)
+                   for m in linger_small.modes]
+        l_values = np.array([2, 5, 9, 14])
+        bessel = BesselCache(max(s.k * s.tau0 for s in sources))
+        lv = l_values.astype(float)
+        geom = np.sqrt((lv + 2.0) * (lv + 1.0) * lv * (lv - 1.0))
+        ref = geom * reference_scatter_project(
+            bessel, l_values, sources,
+            weight=lambda x: 1.0 / np.maximum(x, 1e-8) ** 2)
+        got = e_l_los(sources, l_values, bessel=bessel)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestLosLGrid:

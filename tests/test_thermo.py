@@ -59,9 +59,8 @@ five_models = pytest.mark.parametrize("params, kwargs", [
         "z_reion_10"])
 
 #: What a history fits only when an evaluator first asks for it
-FITTED_ON_FIRST_USE = ("_x_e_spline", "_kappa_spline", "_g_spline",
-                       "_g_prime_spline", "_g_prime2_spline",
-                       "_exp_mkappa_spline")
+FITTED_ON_FIRST_USE = ("_x_e_spline", "_kappa_spline", "_los_spline",
+                       "_g_prime_spline", "_g_prime2_spline")
 
 
 @pytest.fixture()
