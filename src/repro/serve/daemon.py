@@ -6,7 +6,9 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  Each
 
 1. **store** — an exact hit in the content-addressed
    :class:`~repro.serve.results.ResultStore` replays a previous run's
-   product bitwise, no computation at all;
+   product bitwise, no computation at all: the entry's response body
+   was encoded the first time it was answered, and a hit splices it
+   between its own head and timing;
 2. **coalesced** — a request whose digest is already *being computed*
    awaits the in-flight future instead of computing again, so a burst
    of identical requests costs exactly one run (``computed_runs`` in
@@ -51,8 +53,11 @@ from .protocol import (
     PROTOCOL_VERSION,
     MAX_LINE_BYTES,
     ServeRequest,
+    check_protocol,
     decode_message,
+    encode_members,
     encode_message,
+    encode_spliced,
 )
 from .results import ResultStore, StoredResult
 
@@ -74,6 +79,22 @@ def spectrum_product(params, k, payloads, l_top: int | None = None):
     cl = cl_integrate_over_k(np.asarray(k), theta[:, l], n_s=params.n_s)
     cl = cl * cobe_normalization(l, cl, params.q_rms_ps_uk, params.t_cmb)
     return l, cl
+
+
+def _response_body(stored: StoredResult) -> bytes:
+    """The members of a spectrum response fixed by the stored product:
+    ``l``, ``cl``, ``band_power_uk``, ``k``, ``delta_m``."""
+    a = stored.arrays
+    l = a["l"]
+    cl = a["cl"]
+    bp = band_power_uk(l, cl, float(stored.meta.get("t_cmb", 2.726)))
+    return encode_members({
+        "l": [int(v) for v in l],
+        "cl": [float(v) for v in cl],
+        "band_power_uk": [float(v) for v in bp],
+        "k": [float(v) for v in a["k"]],
+        "delta_m": [float(v) for v in a["delta_m"]],
+    })
 
 
 class ServeJournal:
@@ -178,8 +199,7 @@ class SpectrumServer:
                     break
                 if not line:
                     break
-                response = await self.handle_line(line)
-                writer.write(encode_message(response))
+                writer.write(await self.handle_line(line))
                 try:
                     await writer.drain()
                 except ConnectionError:
@@ -190,38 +210,42 @@ class SpectrumServer:
             except Exception:
                 pass
 
-    async def handle_line(self, line: bytes) -> dict:
+    async def handle_line(self, line: bytes) -> bytes:
+        """One request line in, its response line out."""
         try:
             doc = decode_message(line)
         except ServeError as exc:
             self.metrics.errors += 1
-            return {"ok": False, "error": str(exc)}
+            return encode_message({"ok": False, "error": str(exc)})
         return await self.handle(doc)
 
-    async def handle(self, doc: dict) -> dict:
+    async def handle(self, doc: dict) -> bytes:
         op = doc.get("op", "spectrum")
         try:
+            check_protocol(doc)
             if op == "ping":
-                return {"ok": True, "op": "ping",
-                        "protocol": PROTOCOL_VERSION}
+                return encode_message({"ok": True, "op": "ping",
+                                       "protocol": PROTOCOL_VERSION})
             if op == "stats":
-                return {"ok": True, "op": "stats", "stats": self.stats()}
+                return encode_message({"ok": True, "op": "stats",
+                                       "stats": self.stats()})
             if op == "shutdown":
                 if self._stopping is not None:
                     self._stopping.set()
-                return {"ok": True, "op": "shutdown"}
+                return encode_message({"ok": True, "op": "shutdown"})
             if op == "spectrum":
                 return await self._spectrum(doc)
             raise ServeError(f"unknown op {op!r}")
         except ServeError as exc:
             self.metrics.errors += 1
-            return {"ok": False, "op": op, "error": str(exc)}
+            return encode_message({"ok": False, "op": op,
+                                   "error": str(exc)})
         except ReproError as exc:
             self.metrics.errors += 1
-            return {"ok": False, "op": op,
-                    "error": f"{type(exc).__name__}: {exc}"}
+            return encode_message({"ok": False, "op": op,
+                                   "error": f"{type(exc).__name__}: {exc}"})
 
-    async def _spectrum(self, doc: dict) -> dict:
+    async def _spectrum(self, doc: dict) -> bytes:
         t_arrive = time.perf_counter()
         request = ServeRequest.from_doc(doc)
         digest = request.digest()
@@ -307,24 +331,19 @@ class SpectrumServer:
     # -- responses ----------------------------------------------------------
 
     def _response(self, digest: str, tier: str, stored: StoredResult,
-                  queue_wait: float, wall: float) -> dict:
-        a = stored.arrays
-        l = a["l"]
-        cl = a["cl"]
-        bp = band_power_uk(l, cl, float(stored.meta.get("t_cmb", 2.726)))
-        return {
-            "ok": True,
-            "op": "spectrum",
-            "protocol": PROTOCOL_VERSION,
-            "digest": digest,
-            "tier": tier,
-            "l": [int(v) for v in l],
-            "cl": [float(v) for v in cl],
-            "band_power_uk": [float(v) for v in bp],
-            "k": [float(v) for v in a["k"]],
-            "delta_m": [float(v) for v in a["delta_m"]],
-            "timing": {"queue_wait_s": queue_wait, "wall_s": wall},
-        }
+                  queue_wait: float, wall: float) -> bytes:
+        """A spectrum response line: the per-request head, the stored
+        product's body (encoded the first time it is answered, on every
+        tier), then the timing."""
+        body = stored.body
+        if body is None:
+            body = self.store.keep_body(digest, stored,
+                                        _response_body(stored))
+        return encode_spliced(
+            {"ok": True, "op": "spectrum", "protocol": PROTOCOL_VERSION,
+             "digest": digest, "tier": tier},
+            body,
+            {"timing": {"queue_wait_s": queue_wait, "wall_s": wall}})
 
     def _account(self, tier: str, queue_wait: float, wall: float,
                  digest: str) -> None:

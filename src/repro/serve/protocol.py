@@ -8,9 +8,16 @@ not stop at the socket.  The other direction trusts nothing: a line
 holding ``NaN``, ``Infinity`` or ``-Infinity`` (which python's parser
 accepts and JSON does not) is refused before any field is read, and
 so is a number too large for a float64 (``1e400`` parses to ``inf``);
-:meth:`ServeRequest.from_doc` then takes every numeric field as a JSON
-number only — no strings, no booleans — and the integral ones only
-with an integral value.
+:meth:`ServeRequest.from_doc` then takes ``params`` as a JSON object
+only (or nothing, for the default cosmology) and every numeric field as
+a JSON number only — no strings, no booleans — and the integral ones
+only with an integral value; :func:`check_protocol` refuses a line that
+declares another protocol version.
+
+A spectrum response is written by :func:`encode_spliced`: the body a
+stored product answers with is encoded once (:func:`encode_members`)
+and spliced between each request's head and timing, giving the bytes
+:func:`encode_message` would write for the whole document.
 
 :class:`ServeRequest` is the canonical request object: a full
 :class:`~repro.params.CosmologyParams` plus the run shape (k-grid,
@@ -42,7 +49,10 @@ if TYPE_CHECKING:  # the engine; a client addressing a request needs none
 __all__ = [
     "PROTOCOL_VERSION",
     "ServeRequest",
+    "check_protocol",
+    "encode_members",
     "encode_message",
+    "encode_spliced",
     "decode_message",
     "MAX_LINE_BYTES",
 ]
@@ -132,15 +142,20 @@ class ServeRequest:
 
     def to_doc(self) -> dict:
         doc = {"op": "spectrum", "protocol": PROTOCOL_VERSION,
-               "params": dataclasses.asdict(self.params)}
+               "params": {name: getattr(self.params, name)
+                          for name in _PARAM_NAMES}}
         doc.update({k: v for k, v in self.shape().items()
                     if k not in ("protocol", "solver")})
         return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ServeRequest":
+        raw = doc.get("params")
+        if raw is None:
+            raw = {}
+        elif not isinstance(raw, dict):
+            raise ServeError(f"params must be a JSON object, got {raw!r}")
         try:
-            raw = dict(doc.get("params") or {})
             unknown = set(raw) - _PARAM_FIELDS
             if unknown:
                 raise ServeError(
@@ -157,7 +172,8 @@ class ServeRequest:
             raise ServeError(f"malformed spectrum request: {exc}") from exc
 
 
-_PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(CosmologyParams))
+_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(CosmologyParams))
+_PARAM_FIELDS = frozenset(_PARAM_NAMES)
 _SHAPE_FIELDS = ("k_min", "k_max", "nk", "lmax", "rtol")
 #: the fields that count something: an integral JSON number, as an int
 _INTEGRAL = frozenset({"n_nu_massive", "nk", "lmax"})
@@ -178,10 +194,42 @@ def _number(name: str, value):
     return int(value)
 
 
+def check_protocol(doc: dict) -> None:
+    """Refuse a document that declares another protocol version; one
+    that declares none is read as this version."""
+    if "protocol" in doc and \
+            _number("protocol", doc["protocol"]) != PROTOCOL_VERSION:
+        raise ServeError(f"protocol {doc['protocol']!r} is not spoken "
+                         f"here: this server speaks protocol "
+                         f"{PROTOCOL_VERSION}")
+
+
 def encode_message(doc: dict) -> bytes:
     """One protocol line: compact JSON + newline."""
-    line = json.dumps(doc, separators=(",", ":"),
-                      allow_nan=False).encode() + b"\n"
+    return _line(_compact(doc))
+
+
+def encode_members(doc: dict) -> bytes:
+    """A non-empty document's members as they appear in its line,
+    without the braces: a ``body`` for :func:`encode_spliced`."""
+    return _compact(doc)[1:-1]
+
+
+def encode_spliced(head: dict, body: bytes, tail: dict) -> bytes:
+    """The line :func:`encode_message` writes for one object holding
+    ``head``'s members, then the members ``body`` encoded in advance
+    (:func:`encode_members`), then ``tail``'s; ``head`` and ``tail``
+    must not be empty."""
+    return _line(b"{" + encode_members(head) + b"," + body + b","
+                 + encode_members(tail) + b"}")
+
+
+def _compact(doc: dict) -> bytes:
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode()
+
+
+def _line(text: bytes) -> bytes:
+    line = text + b"\n"
     if len(line) > MAX_LINE_BYTES:
         raise ServeError(f"message of {len(line)} bytes exceeds the "
                          f"{MAX_LINE_BYTES}-byte protocol limit")

@@ -8,7 +8,8 @@ replays a previous run bitwise without touching a single ODE.
 Two layers:
 
 * an in-memory LRU bounded by ``mem_cap_bytes`` — the hot set, served
-  without deserialization;
+  without deserialization, each entry's encoded response body kept
+  (:meth:`ResultStore.keep_body`) and counted in its bytes;
 * an optional on-disk :class:`~repro.cache.store.TableStore` — digest-
   verified atomic-``os.replace`` npz persistence, so entries survive
   daemon restarts and a memory-evicted entry can still hit from disk.
@@ -31,9 +32,10 @@ __all__ = ["ResultStore", "StoredResult"]
 
 
 class StoredResult:
-    """One stored request product: named float64/int64 arrays + meta."""
+    """One stored request product: named float64/int64 arrays + meta,
+    and, once it has been answered, its encoded response ``body``."""
 
-    __slots__ = ("arrays", "meta", "nbytes")
+    __slots__ = ("arrays", "meta", "nbytes", "body")
 
     def __init__(self, arrays: dict[str, np.ndarray],
                  meta: dict | None = None) -> None:
@@ -41,6 +43,7 @@ class StoredResult:
                        for name, a in arrays.items()}
         self.meta = dict(meta or {})
         self.nbytes = int(sum(a.nbytes for a in self.arrays.values()))
+        self.body: bytes | None = None
 
 
 class ResultStore:
@@ -131,6 +134,21 @@ class ResultStore:
             self._admit(digest, result)
         return result
 
+    def keep_body(self, digest: str, result: StoredResult,
+                  body: bytes) -> bytes:
+        """Give ``result`` its encoded response body, once: the first
+        body kept is the one returned ever after.  Its bytes count in
+        ``result.nbytes`` and, while ``result`` resides, in
+        :attr:`mem_bytes`, evicting past the byte cap."""
+        with self._lock:
+            if result.body is None:
+                result.body = body
+                result.nbytes += len(body)
+                if self._mem.get(digest) is result:
+                    self._mem_bytes += len(body)
+                    self._evict()
+            return result.body
+
     def _admit(self, digest: str, result: StoredResult) -> None:
         """Insert into the memory tier and evict LRU past the byte cap.
         Caller holds the lock."""
@@ -143,6 +161,11 @@ class ResultStore:
             return
         self._mem[digest] = result
         self._mem_bytes += result.nbytes
+        self._evict()
+
+    def _evict(self) -> None:
+        """Drop least-recent entries past the byte cap, keeping the
+        last one.  Caller holds the lock."""
         while self._mem_bytes > self.mem_cap_bytes and len(self._mem) > 1:
             _k, evicted = self._mem.popitem(last=False)
             self._mem_bytes -= evicted.nbytes

@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.cache import CACHE_VERSION, TableStore, cache_key
+from repro import mixed_dark_matter, standard_cdm
+from repro.cache import CACHE_VERSION, TableStore, cache_key, canonical_blob
 from repro.errors import CorruptCacheEntry
+from repro.serve import ServeRequest
+from tests import reference_keys
 
 
 # -- content-addressed keys --------------------------------------------------
@@ -50,6 +58,103 @@ class TestCacheKeys:
         assert blob["version"] == CACHE_VERSION
         assert blob["kind"] == "background"
         assert blob["params"]["__type__"] == "CosmologyParams"
+
+
+# -- the one writer of every digest ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Node:
+    """A dataclass whose fields sort on both sides of ``__type__``."""
+
+    zeta: Any
+    Alpha: Any
+    _mid: Any
+
+
+@dataclass
+class Leaf:
+    value: Any
+
+
+def _outcome(kind, params, shape):
+    """The blob, or the type of the error the inputs raise."""
+    try:
+        return canonical_blob(kind, params, shape)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _reference_outcome(kind, params, shape):
+    try:
+        return reference_keys.canonical_blob(kind, params, shape)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) | \
+    st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9t\u00e9", "\u2603",
+                     "\U0001f30c", "\x00\x1f", "__type__"])
+_numpy_scalars = st.one_of(
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(), _texts, _numpy_scalars, _arrays)
+_keys = st.one_of(_texts, st.integers(-3, 3), st.floats(-3, 3))
+_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_keys, inner, max_size=4),
+    st.builds(Node, inner, inner, inner),
+    st.builds(Leaf, inner),
+), max_leaves=12)
+
+
+class TestCanonicalBlob:
+    @pytest.mark.property
+    @given(kind=_texts, params=_values,
+           shape=st.none() | st.dictionaries(_keys, _values, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_tree_walk_byte_for_byte(self, kind, params, shape):
+        """The direct writer gives the bytes of the generic tree walk
+        plus ``json.dumps(sort_keys=True)`` for every input, and
+        refuses what it refuses with the same error type."""
+        assert _outcome(kind, params, shape) == \
+            _reference_outcome(kind, params, shape)
+
+    def test_the_digests_are_frozen(self):
+        """Digests taken before the direct writer replaced the tree
+        walk.  A change here is a change of every store address and of
+        the bench references' stamps (``SOLVER_REVISION`` and
+        ``PROTOCOL_VERSION`` bumps move the first one on purpose)."""
+        request = ServeRequest(params=standard_cdm(), k_min=3e-4,
+                               k_max=3e-3, nk=4, lmax=8, rtol=1e-3)
+        assert request.digest() == ("c3250b51e8ddf595d29ea7ccdc560273"
+                                    "337fd4fca862af4e50b9d2016ef42572")
+        assert mixed_dark_matter().digest("serve_tables") == (
+            "39713be74b3337086792e876bcabe9ff"
+            "8a7df65e1cec1c79c872af2a92a7a7ce")
+        # the shape of a bench problem: arrays, ints, floats, a bool
+        shape = {"l_max": 48, "sparse_factor": 4,
+                 "l": np.array([2, 3, 5, 8, 13], dtype=np.int64),
+                 "k": np.linspace(1e-4, 2e-2, 7), "lmax_photon": 10,
+                 "lmax_nu": 10, "nq": 0, "rtol": 2e-4, "sources": True}
+        assert standard_cdm().digest("bench.fig2", shape) == (
+            "661aac2dd0dda20e43b9741094d5d079"
+            "6754db4a8988a678416daafc6440d686")
+
+    def test_what_cannot_be_keyed_is_refused(self):
+        for value in (object(), {1, 2}, b"bytes", 1j, np.bool_(True),
+                      np.array(1.0), Node):
+            with pytest.raises(TypeError):
+                canonical_blob("k", value, None)
 
 
 # -- the on-disk store -------------------------------------------------------

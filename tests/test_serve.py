@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import standard_cdm, tilted_cdm
+from repro import CosmologyParams, standard_cdm, tilted_cdm
 from repro.errors import ServeError
 from repro.serve import (
+    PROTOCOL_VERSION,
     ServeClient,
     ServeRequest,
     SpectrumServer,
@@ -35,6 +36,17 @@ def small_request(params=None, **overrides) -> ServeRequest:
                   k_max=3e-3, nk=4, lmax=8, rtol=1e-3)
     kwargs.update(overrides)
     return ServeRequest(**kwargs)
+
+
+def answer(line: bytes):
+    """One line through a fresh daemon's handler, never started:
+    (the decoded response, the server)."""
+    server = SpectrumServer(nproc=2)
+    try:
+        response = asyncio.run(server.handle_line(line + b"\n"))
+    finally:
+        server.close()
+    return decode_message(response), server
 
 
 class TestParamsDigest:
@@ -119,14 +131,46 @@ class TestProtocol:
         """A number that overflows a float64, a fraction where a count
         goes, a boolean or a string where a number goes: each is an
         error response naming it, before any computation."""
-        server = SpectrumServer(nproc=2)
-        try:
-            response = asyncio.run(server.handle_line(line + b"\n"))
-        finally:
-            server.close()
+        response, server = answer(line)
         assert response["ok"] is False and named in response["error"]
         assert server.metrics.errors == 1
         assert server.pool.stats.runs == 0
+
+    @pytest.mark.parametrize("params", [
+        b'[["h",0.6]]', b"0", b'""', b"[]", b"false",
+    ], ids=["pairs", "zero", "empty-string", "empty-list", "false"])
+    def test_params_must_be_an_object(self, params):
+        """Only an object (or nothing) is a cosmology: a list of pairs
+        is not read as one, and a falsy value is not the default."""
+        response, server = answer(b'{"op":"spectrum","params":' + params
+                                  + b',"nk":2,"lmax":6}')
+        assert response["ok"] is False and "params" in response["error"]
+        assert server.metrics.errors == 1
+        assert server.pool.stats.runs == 0
+
+    def test_absent_or_null_params_are_the_default_cosmology(self):
+        default = ServeRequest(params=CosmologyParams())
+        assert ServeRequest.from_doc({}) == default
+        assert ServeRequest.from_doc({"params": None}) == default
+
+    @pytest.mark.parametrize("line", [
+        b'{"op":"spectrum","protocol":99,"params":{},"nk":2,"lmax":6}',
+        b'{"op":"ping","protocol":2}',
+        b'{"op":"stats","protocol":"1"}',
+    ], ids=["spectrum-99", "ping-2", "string-1"])
+    def test_another_protocol_is_refused(self, line):
+        response, server = answer(line)
+        assert response["ok"] is False
+        assert "protocol" in response["error"]
+        assert server.metrics.errors == 1
+        assert server.pool.stats.runs == 0
+
+    def test_this_protocol_or_none_is_answered(self):
+        for line in (b'{"op":"ping","protocol":1}', b'{"op":"ping"}'):
+            response, server = answer(line)
+            assert response == {"ok": True, "op": "ping",
+                                "protocol": PROTOCOL_VERSION}
+            assert server.metrics.errors == 0
 
     def test_json_floats_round_trip_bitwise(self):
         values = [0.1, 1 / 3, np.nextafter(0.02, 1), 6.25e-5]
@@ -342,6 +386,41 @@ class TestDaemon:
         assert len(entries) == 5
         assert {e["tier"] for e in entries} == set(tiers) | {"store"}
 
+    def test_every_tier_answers_one_body(self, tmp_path):
+        """A fresh computation, a coalesced wait, a memory hit and a
+        disk hit after eviction from memory answer with the same body
+        bytes, and a resident entry's bytes count its body."""
+        request = small_request()
+        line = encode_message(request.to_doc())
+
+        async def scenario(server):
+            store = server.store
+            first = await asyncio.gather(server.handle_line(line),
+                                         server.handle_line(line))
+            stored = store.get(request.digest())
+            resident = (store.mem_bytes, stored.nbytes,
+                        sum(a.nbytes for a in stored.arrays.values()),
+                        stored.body)
+            memory = await server.handle_line(line)
+            # a filler the size of the cap pushes the entry out of memory
+            store.put("filler", {"x": np.zeros(store.mem_cap_bytes // 8)})
+            disk = await server.handle_line(line)
+            return [*first, memory, disk], resident, store.stats()
+
+        lines, resident, stats = self.run_daemon(
+            scenario, store_dir=tmp_path / "results",
+            store_cap_bytes=1 << 20)
+        assert [decode_message(x)["tier"] for x in lines] == \
+            ["cold", "coalesced", "store", "store"]
+        # out for the filler, back in from disk (pushing the filler out)
+        assert stats["hits_disk"] == 1 and stats["evictions"] == 2
+        bodies = {x[x.index(b',"l":') + 1:x.index(b',"timing":')]
+                  for x in lines}
+        mem_bytes, nbytes, array_bytes, body = resident
+        assert bodies == {body}
+        assert nbytes == array_bytes + len(body)
+        assert mem_bytes == nbytes
+
     def test_distinct_requests_compute_separately(self):
         r1 = small_request()
         r2 = small_request(nk=5)
@@ -455,6 +534,43 @@ class TestDaemon:
                                  "cold_builds": 1,
                                  "resident_evictions": 0}
         assert stats["resident_models"] == 1
+
+
+class TestResponseLine:
+    def test_a_spectrum_line_is_the_documents_encoding(self):
+        """With the timing fixed, a spectrum response line is the
+        encoding of the document the daemon answered with before its
+        body was spliced in: members, order and every float's bytes."""
+        from repro.serve import StoredResult
+        from repro.spectra import band_power_uk
+
+        l = np.arange(2, 9, dtype=np.int64)
+        cl = np.array([1 / 3, 2e-10, 1e-300, 0.0, 5e-11, np.pi, 7e-12])
+        stored = StoredResult({
+            "l": l, "cl": cl, "k": np.linspace(3e-4, 3e-3, 4),
+            "delta_m": np.array([-0.0, 1.5e5, 2.0 ** 0.5, -3.25]),
+            "headers": np.ones((4, 21)),
+        }, meta={"t_cmb": 2.7255})
+        server = SpectrumServer(nproc=2)
+        try:
+            line = server._response("ab" * 32, "store", stored,
+                                    0.125, 6.103515625e-05)
+        finally:
+            server.close()
+        bp = band_power_uk(l, cl, 2.7255)
+        assert line == encode_message({
+            "ok": True,
+            "op": "spectrum",
+            "protocol": PROTOCOL_VERSION,
+            "digest": "ab" * 32,
+            "tier": "store",
+            "l": [int(v) for v in l],
+            "cl": [float(v) for v in cl],
+            "band_power_uk": [float(v) for v in bp],
+            "k": [float(v) for v in stored.arrays["k"]],
+            "delta_m": [float(v) for v in stored.arrays["delta_m"]],
+            "timing": {"queue_wait_s": 0.125, "wall_s": 6.103515625e-05},
+        })
 
 
 class TestJournal:

@@ -8,7 +8,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import ResultStore, ServeRequest, spectrum_product
+from repro.serve import (
+    ResultStore,
+    ServeRequest,
+    StoredResult,
+    spectrum_product,
+)
 
 
 def _entry(value: float, n: int = 1024) -> dict:
@@ -51,6 +56,25 @@ class TestMemoryLRU:
             store.put("same", _entry(1.0))
         assert store.entries == 1
         assert store.mem_bytes == ENTRY_BYTES
+
+    def test_a_kept_body_counts_and_stays(self):
+        store = ResultStore(None, mem_cap_bytes=2 * ENTRY_BYTES + 100)
+        a = store.put("a", _entry(1.0))
+        assert a.body is None and store.mem_bytes == ENTRY_BYTES
+        assert store.keep_body("a", a, b"x" * 100) == b"x" * 100
+        assert store.keep_body("a", a, b"other") == b"x" * 100
+        assert a.nbytes == ENTRY_BYTES + 100
+        assert store.mem_bytes == ENTRY_BYTES + 100
+        # an entry out of memory keeps its body, counted in its own bytes
+        loose = StoredResult(_entry(2.0))
+        store.keep_body("loose", loose, b"y" * 10)
+        assert loose.nbytes == ENTRY_BYTES + 10
+        assert store.mem_bytes == ENTRY_BYTES + 100
+        # a body that pushes the memory tier past its cap evicts
+        b = store.put("b", _entry(3.0))
+        store.keep_body("b", b, b"z")
+        assert store.get("a") is None and store.evictions == 1
+        assert store.mem_bytes == ENTRY_BYTES + 1
 
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
