@@ -1,10 +1,10 @@
-"""The compiled solver: the packed RHS kernels, the DVERK step loop, the
-thermal history's ODE solve, the spline fit's tridiagonal solve and the
-j_l recurrence.
+"""The compiled solver: the packed RHS kernels, the DVERK step loop, a
+whole mode in one call, the thermal history's ODE solve, the spline
+fit's tridiagonal solve and the j_l recurrence.
 
 One shared object — one build, one cache directory, resolved once per
 process by whichever layer asks first (a ``Background``'s first spline
-fit, usually) — carries three entry points over one packed ABI, the
+fit, usually) — carries six entry points over one packed ABI, the
 assembled structure of one wavenumber (see ``PerturbationSystem.pack``
 for the layout contract):
 
@@ -16,7 +16,11 @@ for the layout contract):
   Verner stages calling that phase's RHS in-process, error norm, step
   controller, stop points, accept/reject.  A transcription of
   ``RKDriver.integrate`` under the arithmetic contract of
-  :mod:`repro.integrators.contract`, bitwise equal to it.
+  :mod:`repro.integrators.contract`, bitwise equal to it;
+* ``record_pass`` — every ``RECORD_FIELDS`` observable of a block of
+  states; ``tca_handoff`` — the slaved moments as tight coupling ends;
+  ``evolve_mode`` — a mode without a massive species in one call: both
+  phases, the hand-off and the record pass.
 
 and, each over arguments of its own,
 
@@ -69,6 +73,7 @@ __all__ = ["get_cext", "reset_cext", "cache_dir", "private_cache",
 
 C_SOURCE = r"""
 #include <math.h>
+#include <time.h>
 
 /* The fused thermo lookup: exp of the cubic whose coefficients c3..c0 are
  * rows [row, row + 4) of th_c — 0: ln kappa', 4: ln cs2 — at ln a on the
@@ -498,6 +503,151 @@ long long integrate_phase(const long long *ints, const double *flts,
     out[0] = n_steps; out[1] = n_rejected; out[2] = n_rhs; out[3] = istop;
     out[4] = n_bound;
     return status;
+}
+
+#define TABLE_ARGS const long long *ints, const double *flts, \
+    const double *th_c, const double *adv_lo, const double *adv_hi, \
+    const double *nu_pack, const double *mnu_pack, const double *rf_c
+#define TABLE ints, flts, th_c, adv_lo, adv_hi, nu_pack, mnu_pack, rf_c
+
+/* The record pass: the RECORD_FIELDS of the m states in rows (the first
+ * n_tight in tight coupling), field f of row i into rec[f stride + i], each
+ * the scalar expression of PerturbationSystem's helpers and the row
+ * recorder.  mom (3, m): each row's (w_rho eps).psi_0, w_q3.psi_1 and
+ * (w_q4 / eps).psi_2, numpy's dots (nq > 0); par: omega_c, omega_b,
+ * omega_nu, omega_m. */
+void record_pass(TABLE_ARGS, const double *rows, long long m,
+                 long long n_tight, const double *mom, const double *par,
+                 double *rec, long long stride)
+{
+    const long long n = ints[0], nq = ints[3], rf_n = ints[14];
+    const long long i_fg = ints[5], i_gg = ints[6], i_nl = ints[7];
+    const double gr_nu_rel = flts[8], k2 = flts[17], k075 = flts[18];
+    long long i;
+    for (i = 0; i < m; i++) {
+        const double *Y = rows + i * n;
+        const double a = Y[0], inv_a = 1.0 / a, inv_a2 = inv_a * inv_a;
+        const double inv_aa = 1.0 / (a * a), f2 = Y[i_fg + 2];
+        const double theta_g = k075 * Y[i_fg + 1];
+        const double kap = thermo_exp(ints, flts, th_c, 0, log(a));
+        double grho = flts[0] / a + flts[1] / (a * a) + flts[2] * a * a;
+        double rho_f = 0.0, gdrho, gdq, hc, hdot, etadot, alpha;
+        double sigma_g, pi_pol, gshear, num, dnu_m = NAN, *r = rec + i;
+        if (nq > 0) {
+            const double lx = log(a * flts[10]);
+            long long ri = (long long)((lx - flts[14]) / flts[15]);
+            double ru;
+            if (ri < 0) ri = 0;
+            if (ri > rf_n - 1) ri = rf_n - 1;
+            ru = lx - (flts[14] + ri * flts[15]);
+            rho_f = exp(((rf_c[ri] * ru + rf_c[rf_n + ri]) * ru
+                         + rf_c[2 * rf_n + ri]) * ru + rf_c[3 * rf_n + ri])
+                    / flts[11];
+            grho += gr_nu_rel / (a * a) * rho_f;
+        }
+        hc = sqrt(grho + flts[3]);
+        /* the Einstein constraints */
+        gdrho = 1.5 * ((flts[4] * Y[3] + flts[5] * Y[4]) * inv_a
+                       + (flts[6] * Y[i_fg] + flts[7] * Y[i_nl]) * inv_a2);
+        gdq = 1.5 * (flts[5] * Y[5] * inv_a
+                     + (4.0 / 3.0) * (flts[6] * theta_g
+                                      + flts[7] * (k075 * Y[i_nl + 1]))
+                       * inv_a2);
+        if (nq > 0) {
+            gdrho = gdrho + 1.5 * gr_nu_rel * inv_a2 * mom[i];
+            gdq = gdq + 1.5 * gr_nu_rel * inv_a2 * flts[16] * mom[m + i];
+        }
+        hdot = 2.0 * (k2 * Y[2] + gdrho) / hc;
+        etadot = gdq / k2;
+        if (i < n_tight) {
+            sigma_g = (2.0 / (3.0 * kap)) * ((8.0 / 15.0) * theta_g
+                      + (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot);
+            pi_pol = 2.5 * 2.0 * sigma_g;
+        } else {
+            sigma_g = 0.5 * f2;
+            pi_pol = f2 + Y[i_gg] + Y[i_gg + 2];
+        }
+        gshear = 1.5 * (4.0 / 3.0)
+            * (flts[6] * sigma_g + flts[7] * (0.5 * Y[i_nl + 2])) * inv_aa;
+        num = par[0] * Y[3] + par[1] * Y[4];
+        if (nq > 0) {
+            gshear = gshear + 1.5 * gr_nu_rel * inv_aa * (2.0 / 3.0)
+                              * mom[2 * m + i];
+            dnu_m = mom[i] / rho_f;
+            if (par[2] > 0) num = num + par[2] * dnu_m;
+        }
+        alpha = (hdot + 6.0 * etadot) / (2.0 * k2);  /* the potentials */
+        r[0] = a; r[stride] = Y[i_fg]; r[2 * stride] = theta_g;
+        r[3 * stride] = sigma_g; r[4 * stride] = Y[4]; r[5 * stride] = Y[5];
+        r[6 * stride] = Y[3]; r[7 * stride] = Y[i_nl];
+        r[8 * stride] = k075 * Y[i_nl + 1]; r[9 * stride] = dnu_m;
+        r[10 * stride] = num / par[3]; r[11 * stride] = pi_pol;
+        r[12 * stride] = Y[2]; r[13 * stride] = etadot;
+        r[14 * stride] = hdot; r[15 * stride] = alpha;
+        r[17 * stride] = Y[2] - hc * alpha;
+        r[18 * stride] = r[17 * stride] - 3.0 * gshear / k2;
+        r[16 * stride] = r[18 * stride] - hc * alpha;
+        r[19 * stride] = kap;
+    }
+}
+
+/* The hand-off from tight coupling, in y: F2 twice the quasi-static shear
+ * (record_pass's tight sigma_g), G0 = 5/4 F2, G2 = 1/4 F2, the other
+ * F_(l>=3) and G_l zero; mom and par as record_pass's for one row. */
+void tca_handoff(TABLE_ARGS, double *y, const double *mom, const double *par)
+{
+    const long long lg = ints[1], i_fg = ints[5], i_gg = ints[6];
+    double rec[20];
+    long long l;
+    record_pass(TABLE, y, 1, 1, mom, par, rec, 1);
+    y[i_fg + 2] = 2.0 * rec[3];
+    for (l = 3; l <= lg; l++) y[i_fg + l] = 0.0;
+    for (l = 0; l <= lg; l++) y[i_gg + l] = 0.0;
+    y[i_gg] = 1.25 * y[i_fg + 2];
+    y[i_gg + 2] = 0.25 * y[i_fg + 2];
+}
+
+/* One mode without a massive species: the tight-coupling phase,
+ * tca_handoff, the full phase, record_pass over the recorded rows and the
+ * final state.  stops: each phase's (cnt[0], cnt[1] of them), of which the
+ * first cnt[2], cnt[3] are recorded; ctl: the full phase's, but t_init,
+ * t_switch, tau_end in ctl[0, 1, 12]; back in ctl[0, 6] what integrate_phase
+ * leaves there, in ctl[13, 14] each phase's wall seconds (the hand-off
+ * counts to the first); out: integrate_phase's counters per phase.
+ * Returns 0, integrate_phase's failure, or 4: a non-finite end state. */
+long long evolve_mode(TABLE_ARGS, const double *tab, long long s, double *ctl,
+                      const double *stops, const long long *cnt,
+                      long long max_steps, double *y, double *rows,
+                      const double *par, double *rec, double *work,
+                      long long *out)
+{
+    const long long n = ints[0], m = cnt[2] + cnt[3] + 1;
+    double c[12];
+    struct timespec w0, w1;
+    long long phase, i, status = 0;
+    for (phase = 0; phase < 2; phase++) {
+        for (i = 0; i < 12; i++) c[i] = ctl[i];
+        if (phase == 0) c[11] = NAN;  /* tight coupling: no stiff rate */
+        else { c[0] = ctl[1]; c[1] = ctl[12]; }
+        for (i = 0; i < (s + 5) * n; i++) work[i] = 0.0;
+        clock_gettime(CLOCK_MONOTONIC, &w0);
+        status = integrate_phase(TABLE, 1 - phase, tab, s, c,
+                                 phase ? stops + cnt[0] : stops,
+                                 phase ? max_steps - out[0] : max_steps, y,
+                                 phase ? rows + cnt[2] * n : rows, work,
+                                 out + 5 * phase);
+        if (status == 0 && !isfinite(pairwise_sum(y, n))) status = 4;
+        if (status) break;
+        if (phase == 0) tca_handoff(TABLE, y, 0, par);
+        clock_gettime(CLOCK_MONOTONIC, &w1);
+        ctl[13 + phase] = (w1.tv_sec - w0.tv_sec)
+                          + 1e-9 * (w1.tv_nsec - w0.tv_nsec);
+    }
+    ctl[0] = c[0]; ctl[6] = c[6];
+    if (status) return status;
+    for (i = 0; i < n; i++) rows[(m - 1) * n + i] = y[i];
+    record_pass(TABLE, rows, m, cnt[2], 0, par, rec, m);
+    return 0;
 }
 
 /* python's two-argument max/min: the first unless the second is
@@ -1041,6 +1191,12 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _digest(cc: str) -> str:
+    """The object's address: its source, flags and compiler ``cc``."""
+    key = "\0".join((C_SOURCE, *CFLAGS, cc))
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
 def _build() -> ctypes.CDLL:
     """Compile-or-load the content-addressed .so, surviving races.
 
@@ -1061,7 +1217,7 @@ def _build() -> ctypes.CDLL:
         raise OSError(f"CC={named!r} names no executable" if named else
                       "CC is unset and no cc, gcc or clang is on PATH")
     eng = current_engine()
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    digest = _digest(cc)
     cache = cache_dir()
     so_path = os.path.join(cache, f"rhs_{digest}.so")
     if eng is not None and eng.stale_so():
@@ -1121,7 +1277,10 @@ class CextKernel:
     ``rhs_raw(*table, tau, y, dy)``, its tight-coupling twin
     ``rhs_tca_raw`` and
     ``integrate_raw(*table, tight, tab, s, ctl, stops, max_steps, y,
-    rows, work, out) -> status`` where ``table`` is the system's
+    rows, work, out) -> status``, ``handoff_raw(*table, y, mom, par)``,
+    ``record_raw(*table, rows, m, n_tight, mom, par, rec, stride)`` and
+    ``evolve_raw(*table, tab, s, ctl, stops, cnt, max_steps, y, rows,
+    par, rec, work, out) -> status`` where ``table`` is the system's
     eight-pointer table (``PerturbationSystem.pack()["table"]``, built
     once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
     GIL around each call and the C side keeps no static state, so
@@ -1145,6 +1304,16 @@ class CextKernel:
         self.integrate_raw.argtypes = ([ptr] * 8 + [i64, ptr, i64, ptr, ptr,
                                                     i64, ptr, ptr, ptr, ptr])
         self.integrate_raw.restype = i64
+        self.evolve_raw = lib.evolve_mode
+        self.evolve_raw.argtypes = ([ptr] * 8 + [ptr, i64, ptr, ptr, ptr, i64]
+                                    + [ptr] * 6)
+        self.evolve_raw.restype = i64
+        self.handoff_raw = lib.tca_handoff
+        self.handoff_raw.argtypes = [ptr] * 11
+        self.handoff_raw.restype = None
+        self.record_raw = lib.record_pass
+        self.record_raw.argtypes = [ptr] * 9 + [i64, i64] + [ptr] * 3 + [i64]
+        self.record_raw.restype = None
         self.pairwise_raw = lib.pairwise_sum
         self.pairwise_raw.argtypes = [ptr, i64]
         self.pairwise_raw.restype = ctypes.c_double

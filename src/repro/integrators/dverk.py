@@ -70,6 +70,24 @@ def _verner_65() -> ButcherTableau:
 VERNER_65_TABLEAU = _verner_65()
 
 
+def step_flops(tableau: ButcherTableau, n: int,
+               flops_per_rhs: float | None = None) -> int:
+    """Estimated flops of one attempted step on a state of ``n`` entries:
+    ``s`` RHS evaluations plus the tableau linear algebra (stage
+    combinations, the two solution/error contractions, the error norm).
+
+    The default RHS estimate (~12 flops per state entry plus a fixed
+    metric/thermo overhead) matches the calibrated cost model in
+    :mod:`repro.cluster.costmodel`.
+    """
+    s = tableau.n_stages
+    rhs = flops_per_rhs
+    if rhs is None:
+        rhs = 12.0 * n + 300.0
+    linalg = n * (2 * s * (s - 1) + 2 * (s - 1) + 4 * s + 9)
+    return int(round(s * rhs + linalg))
+
+
 class RKDriver:
     """Generic adaptive driver over any embedded tableau.
 
@@ -126,20 +144,8 @@ class RKDriver:
     # ------------------------------------------------------------------
 
     def _flops_per_step(self, n: int) -> int:
-        """Estimated flops of one attempted step: ``s`` RHS evaluations
-        plus the tableau linear algebra (stage combinations, the two
-        solution/error contractions, the error norm).
-
-        The default RHS estimate (~12 flops per state entry plus a
-        fixed metric/thermo overhead) matches the calibrated cost model
-        in :mod:`repro.cluster.costmodel`.
-        """
-        s = self.tableau.n_stages
-        rhs = self.flops_per_rhs
-        if rhs is None:
-            rhs = 12.0 * n + 300.0
-        tableau = n * (2 * s * (s - 1) + 2 * (s - 1) + 4 * s + 9)
-        return int(round(s * rhs + tableau))
+        """:func:`step_flops` of this driver's tableau and RHS estimate."""
+        return step_flops(self.tableau, n, self.flops_per_rhs)
 
     # ------------------------------------------------------------------
 

@@ -6,13 +6,13 @@ FIFO by arrival order within the matching subset (this also satisfies
 MPL's receive-in-arrival-order requirement, which the paper notes the
 SP2 imposed).
 
-A worker's heavy work is one compiled call per phase of a mode
-(``integrate_phase``, through ctypes), which releases the GIL for its
+A worker's heavy work is one compiled call per mode (``evolve_mode``
+in the compiled object, through ctypes), which releases the GIL for its
 whole length, so thread ranks run modes in parallel and scale as forked
 ranks do once a mode is >= 0.1 s: 16 modes at ``lmax_photon = 600`` on
-two cores took 0.95 s here, 0.97 s on ``procs``, 1.51 s serial (ROADMAP
-item 2).  What ``procs`` adds is isolation from a crashing rank, not
-speed.
+two cores took 0.95 s here, 0.97 s on ``procs``, 1.51 s serial (the
+ROADMAP item "Threads are the parallel engine").  What ``procs`` adds
+is isolation from a crashing rank, not speed.
 """
 
 from __future__ import annotations

@@ -14,19 +14,16 @@ conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
 A mode is one :class:`~repro.perturbations.system.PerturbationSystem`
-(one assembly and one ``pack()``), evolved start to finish: initial
-conditions, the tight-coupling phase, the hand-off of the slaved
-moments, the full phase.  A phase is one call of the compiled step loop
-(:func:`integrate_phase`; the scalar python
-:class:`~repro.integrators.DVERK` over the compiled right-hand side
-only through the ``driver_cls`` test seam).  Either way a phase hands
-back the states at its stop points as one ``(n_stops, n_state)`` block,
-and :class:`_Recorder` turns both phases' blocks and the final state
-into the recorded observables in one array pass.
+(one assembly and one ``pack()``) and, without a massive species, one
+compiled call (:func:`integrate_mode`): both phases, the hand-off of the
+slaved moments and the record pass — COSMICS's one subroutine call per
+k.  A massive species (whose momentum sums stay numpy dots, handed in)
+and the ``driver_cls`` test seam go phase by phase, to the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -34,44 +31,25 @@ import numpy as np
 
 from ..background import Background
 from ..errors import IntegrationError, ParameterError
-from ..integrators import DVERK, IntegratorStats
-from ..integrators.dverk import RKDriver
+from ..integrators import DVERK, VERNER_65_TABLEAU, IntegratorStats
+from ..integrators.dverk import RKDriver, step_flops
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
-from .gauges import newtonian_potentials
 from .initial import (
     adiabatic_initial_conditions,
     isocurvature_initial_conditions,
 )
 from .state import StateLayout
-from .system import PerturbationSystem, _exp_rows, _log_rows
+from .system import (
+    RECORD_FIELDS,
+    PerturbationSystem,
+    phase_failure,
+    phase_stops,
+)
 
 __all__ = ["ModeResult", "evolve_mode", "default_record_grid",
-           "record_grid_start", "tau_initial", "integrate_phase"]
-
-#: Observables recorded at every grid time.
-RECORD_FIELDS = (
-    "a",
-    "delta_g",
-    "theta_g",
-    "sigma_g",
-    "delta_b",
-    "theta_b",
-    "delta_c",
-    "delta_nu",
-    "theta_nu",
-    "delta_nu_massive",
-    "delta_m",
-    "pi",
-    "eta",
-    "etadot",
-    "hdot",
-    "alpha",
-    "alpha_dot",
-    "phi",
-    "psi",
-    "kappa_dot",
-)
+           "record_grid_start", "tau_initial", "integrate_mode",
+           "integrate_phase", "RECORD_FIELDS"]
 
 
 @dataclass
@@ -142,10 +120,19 @@ def default_record_grid(
     Log-spaced before recombination, uniform through the visibility
     function (where the acoustic sources live), log-spaced through the
     free-streaming / ISW era to ``tau_end``.
+
+    The grid depends on ``k`` only through the mode's start time (every
+    k <= 0.02 shares one), so it is built once per start time and
+    shared: the array is read-only.
     """
     tau_end = background.tau0 if tau_end is None else float(tau_end)
-    t0 = tau_initial(k) * 1.05
-    t_rec = thermo.tau_rec
+    return _record_grid(tau_initial(k) * 1.05, thermo.tau_rec, tau_end,
+                        n_early, n_rec, n_late)
+
+
+@functools.lru_cache(maxsize=32)
+def _record_grid(t0: float, t_rec: float, tau_end: float, n_early: int,
+                 n_rec: int, n_late: int) -> np.ndarray:
     lo, hi = 0.45 * t_rec, min(2.2 * t_rec, 0.9 * tau_end)
     parts = []
     if t0 < lo:
@@ -153,7 +140,9 @@ def default_record_grid(
     parts.append(np.linspace(lo, hi, n_rec, endpoint=False))
     parts.append(np.geomspace(hi, tau_end, n_late))
     grid = np.concatenate(parts)
-    return grid[(grid > t0 * 0.999) & (grid <= tau_end)]
+    grid = grid[(grid > t0 * 0.999) & (grid <= tau_end)]
+    grid.flags.writeable = False
+    return grid
 
 
 def record_grid_start(
@@ -178,134 +167,6 @@ def record_grid_start(
         default_record_grid(background, thermo, k, tau_end=tau_end)[0])
 
 
-class _Recorder:
-    """Turns blocks of stop-point states into the recorded observables.
-
-    :meth:`record` takes a block of rows from either phase (a mode
-    passes all of its rows, the final state last, in one block) and
-    evaluates every entry of :data:`RECORD_FIELDS` for all of them in
-    one pass of array arithmetic.  The pass is part of the arithmetic
-    contract: each field is the elementwise transcription of the scalar
-    expression the RHS kernels use for the same quantity (same
-    grouping), ``exp`` and ``log`` go through libm value by value, and
-    the three massive-neutrino momentum sums stay one ``@`` per row — so
-    a row's record does not depend on which other rows share its block
-    (``tests/reference_recorder.py`` is the row-at-a-time original it
-    is pinned to, bit for bit).
-    """
-
-    def __init__(self, system: PerturbationSystem, n: int) -> None:
-        self.system = system
-        self.arrays = {name: np.full(n, np.nan) for name in RECORD_FIELDS}
-        self.tau = np.full(n, np.nan)
-        self.i = 0
-
-    def record(self, tight, tau: np.ndarray, rows: np.ndarray) -> None:
-        """Record the states ``rows`` (C-contiguous ``(m, n_state)``)
-        reached at times ``tau``; ``tight`` (one flag, or one per row)
-        says which of them belong to the tight-coupling phase."""
-        m = len(tau)
-        if m == 0:
-            return
-        tight = np.broadcast_to(np.asarray(tight, dtype=bool), (m,))
-        s = self.system
-        lo, p, k = s.layout, s.params, s.k
-        i_fg, i_gg, i_nl = lo.i_fg, lo.i_gg, lo.i_nl
-        a = rows[:, lo.A]
-        eta = rows[:, lo.ETA]
-        delta_c = rows[:, lo.DELTA_C]
-        delta_b = rows[:, lo.DELTA_B]
-        theta_b = rows[:, lo.THETA_B]
-        delta_g, f2 = rows[:, i_fg], rows[:, i_fg + 2]
-        delta_nu = rows[:, i_nl]
-        hc = s.conformal_hubble_rows(a)
-        kappa_dot = _exp_rows(s._ln_kap_spline.vector(_log_rows(a)))
-
-        # the Einstein constraints, as PerturbationSystem._metric_sources
-        inv_a = 1.0 / a
-        inv_a2 = inv_a * inv_a
-        gdrho = 1.5 * (
-            (s._gr_c * delta_c + s._gr_b * delta_b) * inv_a
-            + (s._gr_g * delta_g + s._gr_nl * delta_nu) * inv_a2
-        )
-        theta_g = 0.75 * k * rows[:, i_fg + 1]
-        theta_nu = 0.75 * k * rows[:, i_nl + 1]
-        gdq = 1.5 * (
-            s._gr_b * theta_b * inv_a
-            + (4.0 / 3.0) * (s._gr_g * theta_g + s._gr_nl * theta_nu)
-            * inv_a2
-        )
-        if lo.nq > 0:
-            # momentum sums over the massive hierarchy: one BLAS dot per
-            # row, as the scalar kernels reduce them
-            nu_rho, nu_q, nu_shear = np.empty((3, m))
-            psi = rows[:, lo.sl_psi].reshape(m, lo.nq, -1)
-            for i in range(m):
-                eps = s.nu_eps(a[i])
-                nu_rho[i] = (s._w_rho * eps) @ psi[i, :, 0]
-                nu_q[i] = s._w_q3 @ psi[i, :, 1]
-                nu_shear[i] = (s._w_q4 / eps) @ psi[i, :, 2]
-            gdrho = gdrho + 1.5 * s._gr_nu_rel * inv_a2 * nu_rho
-            gdq = gdq + 1.5 * s._gr_nu_rel * inv_a2 * k * nu_q
-        hdot = 2.0 * (s.k2 * eta + gdrho) / hc
-        etadot = gdq / s.k2
-
-        sigma_g = 0.5 * f2
-        pi_pol = f2 + rows[:, i_gg] + rows[:, i_gg + 2]
-        if tight.any():
-            sigma_g[tight] = s.sigma_gamma_tca(theta_g[tight], hdot[tight],
-                                               etadot[tight],
-                                               kappa_dot[tight])
-            # Pi = 5/2 F2 in tight coupling
-            pi_pol[tight] = 2.5 * 2.0 * sigma_g[tight]
-
-        # total shear, as PerturbationSystem.shear_sum
-        inv_aa = 1.0 / (a * a)
-        gshear = 1.5 * (4.0 / 3.0) * (
-            s._gr_g * sigma_g + s._gr_nl * (0.5 * rows[:, i_nl + 2])
-        ) * inv_aa
-        if lo.nq > 0:
-            gshear = gshear + (1.5 * s._gr_nu_rel * inv_aa * (2.0 / 3.0)
-                               * nu_shear)
-        pots = newtonian_potentials(k, eta, hdot, etadot, hc, gshear)
-
-        num = p.omega_c * delta_c + p.omega_b * delta_b
-        if lo.nq > 0:
-            delta_nu_m = nu_rho / s.rho_factor_rows(a)
-            if p.omega_nu > 0:
-                num = num + p.omega_nu * delta_nu_m
-        else:
-            delta_nu_m = np.nan
-
-        values = {
-            "a": a,
-            "delta_g": delta_g,
-            "theta_g": theta_g,
-            "sigma_g": sigma_g,
-            "delta_b": delta_b,
-            "theta_b": theta_b,
-            "delta_c": delta_c,
-            "delta_nu": delta_nu,
-            "theta_nu": theta_nu,
-            "delta_nu_massive": delta_nu_m,
-            "delta_m": num / p.omega_m,
-            "pi": pi_pol,
-            "eta": eta,
-            "etadot": etadot,
-            "hdot": hdot,
-            "alpha": pots.alpha,
-            "alpha_dot": pots.alpha_dot,
-            "phi": pots.phi,
-            "psi": pots.psi,
-            "kappa_dot": kappa_dot,
-        }
-        block = slice(self.i, self.i + m)
-        self.tau[block] = tau
-        for name, arr in self.arrays.items():
-            arr[block] = values[name]
-        self.i += m
-
-
 def find_tca_exit(
     thermo: ThermalHistory,
     k: float,
@@ -328,7 +189,8 @@ def find_tca_exit(
     63 to 250 Mpc: that stretch holds ~915 of the 933 accepted steps
     of a low-k mode, every one at the bound :func:`integrate_phase`
     hands its driver (:meth:`PerturbationSystem.thomson_rate`), none
-    rejected.  The switch time is still what ROADMAP item 6 waits on:
+    rejected.  The switch time is still what the ROADMAP item "End
+    tight coupling when the physics says so" waits on:
     keyed on the hydrogen fraction instead, a mode takes 3-12x fewer
     evaluations — and moves P(k) at k = 0.06 by 5e-6, because the
     committed references were made with this switch and budget 9e-7
@@ -378,13 +240,15 @@ def evolve_mode(
     This is the LINGER worker computation — everything from the series
     initial conditions at ``k tau = 0.03`` to the multipoles today:
     initial conditions, the tight-coupling phase to ``tau_switch``, the
-    hand-off of the slaved moments, the full hierarchy to ``tau_end`` —
-    then one record pass over the record points of both phases and the
-    final state (:attr:`ModeResult.final`).  The counters accumulate in
-    one :class:`IntegratorStats` over both phases (``max_steps`` is its
-    budget for the whole evolution).
+    hand-off of the slaved moments, the full hierarchy to ``tau_end``,
+    one record pass over the record points of both phases and the
+    final state (:attr:`ModeResult.final`) — :func:`integrate_mode`.
+    The counters accumulate in one :class:`IntegratorStats` over both
+    phases (``max_steps`` is its budget for the whole evolution).
 
-    ``record_tau`` is None (no records) or the record grid.
+    ``record_tau`` is None (no records) or the record grid: strictly
+    increasing, inside ``(tau_init, tau_end]``, else
+    :class:`~repro.errors.ParameterError`.
 
     ``monitor`` is None or a callable ``monitor(tau, y, tight)`` invoked
     at every record point (never at the final state, unless it is
@@ -392,12 +256,6 @@ def evolve_mode(
     Einstein-constraint residuals along the production trajectory — and
     is bound to the mode's system.  Like telemetry, a monitor is a pure
     observer: the integration is bit-identical with or without it.
-
-    Both phases run on the compiled step loop: no RHS evaluation, step
-    or stop runs python, and what is left is set-up, the hand-off of
-    the slaved moments between the phases and the record pass; with
-    the default driver each phase is bitwise the scalar
-    ``DVERK`` on the mode's :class:`PerturbationSystem`.
 
     ``first_step`` forces every phase's opening step.  ``driver_cls``
     replaces the compiled loop by a python driver stepping the compiled
@@ -427,11 +285,7 @@ def evolve_mode(
     t_init = tau_initial(k)
     if t_init >= tau_end:
         raise ParameterError("tau_end precedes the initial time")
-    grid = (np.empty(0) if record_tau is None
-            else np.asarray(record_tau, dtype=float))
-    if grid.size and (grid.min() <= t_init
-                      or grid.max() > tau_end * (1 + 1e-9)):
-        raise ParameterError("record grid outside (tau_init, tau_end]")
+    grid = record_points(record_tau, t_init, tau_end)
 
     if monitor is not None and hasattr(monitor, "bind"):
         monitor.bind(system)
@@ -443,48 +297,19 @@ def evolve_mode(
     t_switch = find_tca_exit(thermo, k, tca_eps=tca_eps)
     t_switch = min(max(t_switch, t_init * 1.01), tau_end)
     stats = IntegratorStats()
-
-    # no clock is read for a run nobody is timing (float() is 0.0)
-    clock = time.perf_counter if telemetry.enabled else float
-    walls = [clock()]
-    # the record points of both phases, then the final state: the
-    # block of the mode's one record pass
-    block = np.empty((grid.size + 1, layout.n_state))
-    block_tau = np.empty(grid.size + 1)
-    n = n_tight = 0
-    for tight, t0, t1 in ((True, t_init, t_switch),
-                          (False, t_switch, tau_end)):
-        stops = grid[grid <= t_switch] if tight else grid[grid > t_switch]
-        y, tau, rows = integrate_phase(system, tight, y, t0, t1, stops,
-                                       stats, rtol=rtol, atol=atol,
-                                       max_steps=max_steps,
-                                       first_step=first_step,
-                                       driver_cls=driver_cls)
-        # a driver's last stop is the phase end, which is recorded only
-        # when it is a record point
-        m = len(tau) if _in(tau[-1], stops) else len(tau) - 1
-        block[n:n + m] = rows[:m]
-        block_tau[n:n + m] = tau[:m]
-        n += m
-        del tau, rows
-        if tight:
-            n_tight = n
-            system.initialize_full_from_tca(y, t_switch)
-        walls.append(clock())
-
-    block[n] = y
-    block_tau[n] = tau_end
-    tight = np.arange(n + 1) < n_tight
-    recorder = _Recorder(system, n + 1)
-    recorder.record(tight, block_tau[:n + 1], block[:n + 1])
+    y, tau, rows, rec, n_tight, walls = integrate_mode(
+        system, y, t_init, t_switch, tau_end, grid, stats, rtol=rtol,
+        atol=atol, max_steps=max_steps, first_step=first_step,
+        driver_cls=driver_cls)
+    n = tau.size
     if monitor is not None:  # the record points, not the final state
-        for t, row, flag in zip(block_tau[:n].tolist(), block,
-                                tight[:n].tolist()):
+        for t, row, flag in zip(tau.tolist(), rows,
+                                (np.arange(n) < n_tight).tolist()):
             monitor(t, row, flag)
     mode = ModeResult(
         k=k,
-        tau=recorder.tau[:n],
-        records={name: arr[:n] for name, arr in recorder.arrays.items()},
+        tau=tau,
+        records=dict(zip(RECORD_FIELDS, rec[:, :n])),
         y_final=y,
         layout=layout,
         stats=stats,
@@ -492,12 +317,12 @@ def evolve_mode(
         tau_switch=t_switch,
         tau_end=tau_end,
         system=system,
-        final={name: float(arr[n]) for name, arr in recorder.arrays.items()},
+        final=dict(zip(RECORD_FIELDS, rec[:, n].tolist())),
     )
     # only a mode that completed leaves rows: a failed one is retried
     # whole (linger.serial.compute_mode)
     if telemetry.enabled:
-        tca_wall, full_wall = walls[1] - walls[0], walls[2] - walls[1]
+        tca_wall, full_wall = walls
         telemetry.record_mode(
             k=k,
             lmax=layout.lmax_photon,
@@ -513,6 +338,89 @@ def evolve_mode(
         )
     mode.cpu_seconds = time.process_time() - cpu0
     return mode
+
+
+def record_points(record_tau, t_init: float, tau_end: float) -> np.ndarray:
+    """``record_tau`` (None: none) as a float array, refused with
+    :class:`~repro.errors.ParameterError` unless strictly increasing
+    inside ``(t_init, tau_end]``."""
+    grid = (np.empty(0) if record_tau is None
+            else np.asarray(record_tau, dtype=float))
+    if not (grid[1:] > grid[:-1]).all():
+        i = int(np.flatnonzero(~(grid[1:] > grid[:-1]))[0])
+        raise ParameterError(
+            f"record grid is not strictly increasing: entry {i + 1} "
+            f"({grid[i + 1]:.6g}) follows {grid[i]:.6g}")
+    if grid.size and not (t_init < grid[0]
+                          and grid[-1] <= tau_end * (1 + 1e-9)):
+        raise ParameterError("record grid outside (tau_init, tau_end]")
+    return grid
+
+
+def integrate_mode(
+    system: PerturbationSystem,
+    y0: np.ndarray,
+    t_init: float,
+    t_switch: float,
+    tau_end: float,
+    grid: np.ndarray,
+    stats: IntegratorStats,
+    *,
+    rtol: float,
+    atol: float,
+    max_steps: int,
+    first_step: float | None = None,
+    driver_cls: type[RKDriver] = DVERK,
+) -> tuple:
+    """Both phases of a mode, the hand-off and the record pass over the
+    record points ``grid`` (a phase end only when it is one, and once)
+    and the final state: one compiled call without a massive species on
+    the default driver (:meth:`PerturbationSystem.evolve`), else phase
+    by phase.  Counters fold into ``stats`` by the python driver's
+    formulas; a failure raises its
+    :class:`~repro.errors.IntegrationError`, with its message.
+
+    Returns the final state, the record points reached, the states
+    there then the final one, their ``(20, n + 1)`` records, how many
+    of the rows are tight coupling's, and the wall seconds of the tight
+    phase with the hand-off and of the full phase.
+    """
+    tight_pts, full_pts = grid[grid <= t_switch], grid[grid > t_switch]
+    kwargs = dict(rtol=rtol, atol=atol, max_steps=max_steps,
+                  first_step=first_step)
+    if driver_cls is DVERK and not system.nq:
+        stops_t = phase_stops(tight_pts, t_init, t_switch)
+        stops_f = phase_stops(full_pts, t_switch, tau_end)
+        m_t = stops_t.size - (not _in(t_switch, tight_pts))
+        m_f = stops_f.size - (not _in(tau_end, full_pts))
+        out = system.evolve(y0, np.concatenate([stops_t, stops_f]),
+                            (stops_t.size, stops_f.size, m_t, m_f),
+                            t_init=t_init, t_switch=t_switch,
+                            tau_end=tau_end, **kwargs)
+        failure = phase_failure(out.status, out.t, out.h, max_steps)
+        if failure is not None:
+            raise IntegrationError(failure)
+        for n_steps, n_rejected, n_rhs, _, n_bound in out.counters.tolist():
+            _fold(stats, system, n_steps, n_rejected, n_rhs, n_bound)
+        return (out.y, np.concatenate([stops_t[:m_t], stops_f[:m_f]]),
+                out.rows, out.rec, m_t, out.walls)
+
+    walls = [time.perf_counter()]
+    y, taus, rows = y0, [], []
+    for tight, t0, t1, pts in ((True, t_init, t_switch, tight_pts),
+                               (False, t_switch, tau_end, full_pts)):
+        y, tau, block = integrate_phase(system, tight, y, t0, t1, pts, stats,
+                                        driver_cls=driver_cls, **kwargs)
+        m = len(tau) - (not _in(t1, pts))
+        taus.append(tau[:m])
+        rows.append(block[:m])
+        if tight:
+            n_tight = m
+            system.initialize_full_from_tca(y, t_switch)
+        walls.append(time.perf_counter())
+    rows = np.concatenate([*rows, y[None]])
+    return (y, np.concatenate(taus), rows, system.record(rows, n_tight),
+            n_tight, (walls[1] - walls[0], walls[2] - walls[1]))
 
 
 def integrate_phase(
@@ -543,34 +451,44 @@ def integrate_phase(
     attempts it set.  A call that stops early (max steps, step
     underflow) or ends on a non-finite state raises the
     :class:`~repro.errors.IntegrationError` the python driver raises,
-    with its message; the ladder above (``linger.serial.compute_mode``)
-    owns what happens next.  Any ``driver_cls`` but DVERK steps the
+    with its message.  Any ``driver_cls`` but DVERK steps the
     system's compiled right-hand side in python instead (a test seam).
     """
-    drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
-                     rtol=rtol, atol=atol, max_steps=max_steps,
-                     first_step=first_step,
-                     flops_per_rhs=system.flops_per_eval(),
-                     # tight coupling has no Thomson terms to be stiff on
-                     stiff_rate=None if tight else system.thomson_rate)
     if driver_cls is not DVERK:
+        drv = driver_cls(system.rhs_tca if tight else system.rhs_full,
+                         rtol=rtol, atol=atol, max_steps=max_steps,
+                         first_step=first_step,
+                         flops_per_rhs=system.flops_per_eval(),
+                         # tight coupling has no Thomson terms to be
+                         # stiff on
+                         stiff_rate=None if tight else system.thomson_rate)
         res = drv.integrate(y0, t0, t1, stop_points=stop_points, stats=stats)
         return res.y, res.recorded_t, res.recorded_y
     out = system.integrate_phase(
         tight, y0, t0, t1, stop_points, rtol=rtol, atol=atol,
         max_steps=max_steps - stats.n_steps, first_step=first_step)
-    failure = out.failure(max_steps)
+    failure = phase_failure(out.status or 4 * (not out.ok), out.t, out.h,
+                            max_steps)
     if failure is not None:
         raise IntegrationError(failure)
-    s = drv.tableau.n_stages
-    step_flops = drv._flops_per_step(y0.size)
-    stats.n_steps += out.n_steps
-    stats.n_rejected += out.n_rejected
-    stats.n_rhs += out.n_rhs
-    stats.n_stability_bound += out.n_stability_bound
-    stats.n_flops += (step_flops // s
-                      + step_flops * (out.n_steps + out.n_rejected))
+    _fold(stats, system, out.n_steps, out.n_rejected, out.n_rhs,
+          out.n_stability_bound)
     return out.y, out.stops, out.rows
+
+
+def _fold(stats: IntegratorStats, system: PerturbationSystem, n_steps: int,
+          n_rejected: int, n_rhs: int, n_bound: int) -> None:
+    """One compiled phase's counters into ``stats``, the flop estimate
+    by the python driver's formula (its first evaluation, then every
+    attempted step)."""
+    per_step = step_flops(VERNER_65_TABLEAU, system.layout.n_state,
+                          system.flops_per_eval())
+    stats.n_steps += n_steps
+    stats.n_rejected += n_rejected
+    stats.n_rhs += n_rhs
+    stats.n_stability_bound += n_bound
+    stats.n_flops += (per_step // VERNER_65_TABLEAU.n_stages
+                      + per_step * (n_steps + n_rejected))
 
 
 def _in(t: float, grid: np.ndarray) -> bool:

@@ -16,7 +16,7 @@ from ..background import Background
 from ..errors import ParameterError
 from ..integrators import DVERK, IntegratorStats
 from ..thermo import ThermalHistory
-from .evolve import ModeResult, _in, find_tca_exit, tau_initial
+from .evolve import ModeResult, _in, find_tca_exit, record_points, tau_initial
 from .initial import adiabatic_initial_conditions_newtonian
 from .state import StateLayout
 from .system_newtonian import NewtonianPerturbationSystem
@@ -128,13 +128,7 @@ def evolve_mode_newtonian(
     t_switch = find_tca_exit(thermo, k, tca_eps=tca_eps)
     t_switch = min(max(t_switch, t_init * 1.01), tau_end)
 
-    if record_tau is None:
-        record_tau = np.empty(0)
-    record_tau = np.asarray(record_tau, dtype=float)
-    if record_tau.size and (
-        record_tau.min() <= t_init or record_tau.max() > tau_end * (1 + 1e-9)
-    ):
-        raise ParameterError("record grid outside (tau_init, tau_end]")
+    record_tau = record_points(record_tau, t_init, tau_end)
 
     recorder = _NewtonianRecorder(system, record_tau.size)
     stats = IntegratorStats()

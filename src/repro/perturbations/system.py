@@ -38,18 +38,18 @@ both build their k-loop on this assemble-then-evaluate split:
   over the packed ABI of :meth:`~PerturbationSystem.pack`, whose
   expression groupings ``tests/reference_rhs.py`` and
   ``tests/reference_packed_rhs.py`` pin.  The same shared object
-  carries the DVERK step loop,
-  :meth:`~PerturbationSystem.integrate_phase`, which runs a whole
-  tight-coupling or full-hierarchy phase over that ABI;
+  carries the DVERK step loop (:meth:`~PerturbationSystem.integrate_phase`,
+  one tight-coupling or full-hierarchy phase), the hand-off between the
+  phases (:meth:`~PerturbationSystem.initialize_full_from_tca`), the
+  record pass (:meth:`~PerturbationSystem.record`) and all four in one
+  call (:meth:`~PerturbationSystem.evolve`, a whole mode);
   :meth:`~PerturbationSystem.rhs_full` / ``rhs_tca`` are one
   evaluation each, for the scalar python driver.
 
 The conformal-Newtonian twin (:mod:`.system_newtonian`) subclasses this
 one and reuses its gauge-independent python helpers (photon /
 polarization advection + damping, hierarchy closures), keeping only its
-gauge-specific source terms local.  The ``*_rows`` methods are the
-background factors over an *array of scale factors* — what the record
-pass of ``evolve._Recorder`` evaluates for a block of stop-point rows.
+gauge-specific source terms local.
 """
 
 from __future__ import annotations
@@ -69,21 +69,58 @@ from ..thermo import ThermalHistory
 from .. import _cext
 from .state import StateLayout
 
-__all__ = ["PerturbationSystem", "CompiledPhase"]
+__all__ = ["PerturbationSystem", "CompiledPhase", "CompiledMode",
+           "RECORD_FIELDS"]
+
+#: Observables recorded at every grid time, in the compiled record
+#: pass's row order.
+RECORD_FIELDS = (
+    "a", "delta_g", "theta_g", "sigma_g", "delta_b", "theta_b", "delta_c",
+    "delta_nu", "theta_nu", "delta_nu_massive", "delta_m", "pi", "eta",
+    "etadot", "hdot", "alpha", "alpha_dot", "phi", "psi", "kappa_dot",
+)
 
 #: the compiled step loop's tableau argument: a, b_high, error weights, c
 _VERNER_TAB = np.concatenate([
     VERNER_65_TABLEAU.a.ravel(), VERNER_65_TABLEAU.b_high,
     VERNER_65_TABLEAU.error_weights, VERNER_65_TABLEAU.c,
 ])
+_CTRL = StepController(order=VERNER_65_TABLEAU.order_low + 1)
+#: ``ctl[7:12]`` of a compiled call: the controller, then the full
+#: phase's stability bound
+_CTL_TAIL = (_CTRL.order, _CTRL.safety, _CTRL.min_factor, _CTRL.max_factor,
+             STABILITY_FRACTION * VERNER_65_TABLEAU.real_stability)
+
+
+def phase_failure(status: int, t: float, h: float,
+                  max_steps: int) -> str | None:
+    """The python driver's message for a compiled status (1 max_steps,
+    2 and 3 step underflow, 4 a non-finite end state), or None for 0."""
+    if status == 1:
+        return f"exceeded max_steps={max_steps} at t={t:.6g}"
+    if status == 2:
+        return f"step size underflow at t={t:.6g}"
+    if status == 3:
+        return f"step size underflow (h={h:.3g}) at t={t:.6g}"
+    if status == 4:
+        return f"non-finite state at t={t:.6g}"
+    return None
+
+
+def phase_stops(points: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """A phase's stop points as every driver takes them: the points in
+    ``(t0, t1]``, ascending, then ``t1`` unless it is the last."""
+    stops = np.sort(points[(t0 < points) & (points <= t1)])
+    if not stops.size or stops[-1] < t1:
+        stops = np.append(stops, t1)
+    return stops
 
 
 @dataclass
 class CompiledPhase:
     """What :meth:`PerturbationSystem.integrate_phase` returns."""
 
-    #: 0, or the python driver's failure: 1 max_steps reached, 2 step
-    #: underflow before a step, 3 step underflow after a rejection
+    #: 0, or the python driver's failure (see :func:`phase_failure`)
     status: int
     y: np.ndarray  #: final state
     stops: np.ndarray  #: the stop points, ascending, ending at t1
@@ -100,37 +137,21 @@ class CompiledPhase:
         """Completed with a finite state."""
         return self.status == 0 and math.isfinite(float(self.y.sum()))
 
-    def failure(self, max_steps: int) -> str | None:
-        """The python driver's message for this outcome (``max_steps``
-        the whole evolution's budget, as the driver names it), or None
-        when :attr:`ok`."""
-        if self.status == 1:
-            return f"exceeded max_steps={max_steps} at t={self.t:.6g}"
-        if self.status == 2:
-            return f"step size underflow at t={self.t:.6g}"
-        if self.status == 3:
-            return f"step size underflow (h={self.h:.3g}) at t={self.t:.6g}"
-        if not self.ok:
-            return f"non-finite state at t={self.t:.6g}"
-        return None
 
+@dataclass
+class CompiledMode:
+    """What :meth:`PerturbationSystem.evolve` returns."""
 
-def _exp_rows(x: np.ndarray) -> np.ndarray:
-    """exp per element via libm.
-
-    ``np.exp`` differs from ``math.exp`` by ulps, and the recorded
-    observables are held bitwise to the scalar expressions the RHS
-    kernels use (the arithmetic contract).  The arrays are short (one
-    entry per stop-point row), so scalar libm calls are cheap.
-    (``tolist`` first: iterating a NumPy array yields slow np.float64
-    scalars, a Python list yields plain floats.)
-    """
-    return np.array([math.exp(v) for v in x.tolist()])
-
-
-def _log_rows(x: np.ndarray) -> np.ndarray:
-    """log per element via libm (see :func:`_exp_rows`)."""
-    return np.array([math.log(v) for v in x.tolist()])
+    status: int  #: 0, or the failure (:func:`phase_failure`)
+    y: np.ndarray  #: the state at tau_end
+    rows: np.ndarray  #: the recorded states, then the final one
+    rec: np.ndarray  #: (20, len(rows)): RECORD_FIELDS of every row
+    #: (2, 5) per phase: accepted, rejected, evaluations, stops reached,
+    #: attempts at the stability bound
+    counters: np.ndarray
+    t: float  #: the time the stopping phase reached
+    h: float  #: the step size it last set
+    walls: tuple[float, float]  #: tight phase + hand-off, full phase
 
 
 class PerturbationSystem:
@@ -288,11 +309,14 @@ class PerturbationSystem:
         self._damp1 = i_gg + lg + 1
 
         self._packed = None
+        #: what the record pass reads beside the packed table
+        self._record_par = np.array([p.omega_c, p.omega_b, p.omega_nu,
+                                     p.omega_m])
         self._cext = None  # the loaded C kernel, resolved once
         self._dy = np.zeros(ns)
 
     # ------------------------------------------------------------------
-    # Background pieces — scalar (hand-off, Newtonian twin, monitors)
+    # Background pieces — scalar (Newtonian twin, monitors)
     # ------------------------------------------------------------------
 
     def _grho83(self, a: float) -> float:
@@ -341,70 +365,12 @@ class PerturbationSystem:
         return np.sqrt(self.q_nodes**2 + (a * self._x0) ** 2)
 
     # ------------------------------------------------------------------
-    # Background pieces — arrays of scale factors (the record pass)
-    # ------------------------------------------------------------------
-
-    def rho_factor_rows(self, a: np.ndarray) -> np.ndarray:
-        lx = _log_rows(a * self._x0)
-        return _exp_rows(self._rho_fac.vector(lx)) / I_RHO_MASSLESS
-
-    def grho83_rows(self, a: np.ndarray) -> np.ndarray:
-        g = (
-            self._gr_m / a
-            + self._gr_gnl / (a * a)
-            + self._gr_lam * a * a
-        )
-        if self.nq > 0:
-            g = g + self._gr_nu_rel / (a * a) * self.rho_factor_rows(a)
-        return g
-
-    def conformal_hubble_rows(self, a: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.grho83_rows(a) + self._gr_k)
-
-    # ------------------------------------------------------------------
     # Shared source sums — scalar
     # ------------------------------------------------------------------
 
     def _psi_matrix(self, y: np.ndarray) -> np.ndarray:
         lo = self.layout
         return y[self._slpsi].reshape(lo.nq, lo.lmax_massive_nu + 1)
-
-    def _metric_sources(self, y: np.ndarray, a: float, hc: float,
-                        eps: np.ndarray | None = None):
-        """hdot and etadot from the Einstein constraint equations.
-
-        Returns (hdot, etadot, gdrho, gdq) where gdrho = 4 pi G a^2
-        delta rho and gdq = 4 pi G a^2 (rho + p) theta.
-        """
-        fg = y[self._slfg]
-        nl = y[self._slnl]
-        k = self.k
-        k2 = self.k2
-        inv_a = 1.0 / a
-        inv_a2 = inv_a * inv_a
-        gdrho = 1.5 * (
-            (self._gr_c * y[self._iDC] + self._gr_b * y[self._iDB]) * inv_a
-            + (self._gr_g * fg[0] + self._gr_nl * nl[0]) * inv_a2
-        )
-        theta_g = 0.75 * k * fg[1]
-        theta_n = 0.75 * k * nl[1]
-        gdq = 1.5 * (
-            self._gr_b * y[self._iTB] * inv_a
-            + (4.0 / 3.0) * (self._gr_g * theta_g + self._gr_nl * theta_n) * inv_a2
-        )
-        if self.nq > 0:
-            psi = self._psi_matrix(y)
-            if eps is None:
-                eps = self.nu_eps(a)
-            gdrho += 1.5 * self._gr_nu_rel * inv_a2 * float(
-                (self._w_rho * eps) @ psi[:, 0]
-            )
-            gdq += 1.5 * self._gr_nu_rel * inv_a2 * k * float(
-                self._w_q3 @ psi[:, 1]
-            )
-        hdot = 2.0 * (k2 * y[self._iETA] + gdrho) / hc
-        etadot = gdq / k2
-        return hdot, etadot, gdrho, gdq
 
     def shear_sum(self, y: np.ndarray, a: float, sigma_g: float,
                   eps: np.ndarray | None = None) -> float:
@@ -422,18 +388,6 @@ class PerturbationSystem:
                 (self._w_q4 / eps) @ psi[:, 2]
             )
         return gshear
-
-    def sigma_gamma_tca(self, theta_g, hdot, etadot, kappa_dot):
-        """Quasi-static photon shear in tight coupling (with polarization).
-
-        Derived from the F2/G0/G2 quasi-equilibrium:
-        sigma_g = (2/(3 kappa')) [ (8/15) theta_g + (4/15) hdot + (8/5) etadot ].
-        Shape-agnostic: scalars at the hand-off, row vectors in the
-        record pass.
-        """
-        return (2.0 / (3.0 * kappa_dot)) * (
-            (8.0 / 15.0) * theta_g + (4.0 / 15.0) * hdot + (8.0 / 5.0) * etadot
-        )
 
     # ------------------------------------------------------------------
     # Gauge-independent scalar sector pieces (the conformal-Newtonian
@@ -502,7 +456,7 @@ class PerturbationSystem:
         return psi, dpsi, qk_eps
 
     # ------------------------------------------------------------------
-    # The hand-off between the two phases
+    # The hand-off between the two phases, and the record pass
     # ------------------------------------------------------------------
 
     def thomson_rate(self, tau: float, y: np.ndarray) -> float:
@@ -514,25 +468,55 @@ class PerturbationSystem:
         return self.opacity(a) * (1.0 + self._r_coef / a)
 
     def initialize_full_from_tca(self, y: np.ndarray, tau: float) -> None:
-        """Populate the slaved moments when leaving tight coupling.
+        """Populate the slaved moments when leaving tight coupling, in
+        the C-contiguous state ``y``, by the compiled ``tca_handoff``.
 
         Sets F2 to the quasi-static shear and the polarization moments
         to their tight-coupling equilibrium values
-        G0 = (5/4) F2, G2 = (1/4) F2 (from Pi = 5/2 F2).
+        G0 = (5/4) F2, G2 = (1/4) F2 (from Pi = 5/2 F2); the python
+        original is ``tests/reference_rhs.py``'s, bit for bit.
         """
-        a = y[self._iA]
-        hc = self.conformal_hubble(a)
-        kappa_dot = math.exp(self._ln_kap_spline(math.log(a)))
-        hdot, etadot, _, _ = self._metric_sources(y, a, hc)
-        theta_g = 0.75 * self.k * y[self._slfg][1]
-        sigma_g = self.sigma_gamma_tca(theta_g, hdot, etadot, kappa_dot)
-        fg = y[self._slfg]
-        gg = y[self._slgg]
-        fg[2] = 2.0 * sigma_g
-        fg[3:] = 0.0
-        gg[:] = 0.0
-        gg[0] = 1.25 * fg[2]
-        gg[2] = 0.25 * fg[2]
+        if not (y.shape == (self.layout.n_state,) and y.flags.c_contiguous
+                and y.dtype == np.float64):
+            raise ParameterError("the hand-off needs one C-contiguous state")
+        mom = self._momentum_sums(y[None]) if self.nq else None
+        self._compiled().handoff_raw(
+            *self.pack()["table"], y.ctypes.data,
+            None if mom is None else mom.ctypes.data,
+            self._record_par.ctypes.data)
+
+    def record(self, rows: np.ndarray, n_tight: int) -> np.ndarray:
+        """Every :data:`RECORD_FIELDS` entry, ``(20, m)``, of the states
+        ``rows`` (C-contiguous ``(m, n_state)``, the first ``n_tight`` in
+        tight coupling) by the compiled ``record_pass``, row by row as
+        ``tests/reference_recorder.py`` records them, bit for bit."""
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.layout.n_state:
+            raise ParameterError(f"record takes (m, n_state) states, not "
+                                 f"{rows.shape}")
+        m = len(rows)
+        rec = np.empty((len(RECORD_FIELDS), m))
+        mom = self._momentum_sums(rows) if self.nq else None
+        self._compiled().record_raw(
+            *self.pack()["table"], rows.ctypes.data, m, n_tight,
+            None if mom is None else mom.ctypes.data,
+            self._record_par.ctypes.data, rec.ctypes.data, m)
+        return rec
+
+    def _momentum_sums(self, rows: np.ndarray) -> np.ndarray:
+        """``(3, m)``: each row's (w_rho eps).psi_0, w_q3.psi_1 and
+        (w_q4 / eps).psi_2, one numpy dot each as the scalar helpers
+        reduce them — handed to C, which does not re-order them."""
+        m = len(rows)
+        out = np.empty((3, m))
+        a = rows[:, self._iA]
+        psi = rows[:, self._slpsi].reshape(m, self.nq, -1)
+        for i in range(m):
+            eps = self.nu_eps(a[i])
+            out[0, i] = (self._w_rho * eps) @ psi[i, :, 0]
+            out[1, i] = self._w_q3 @ psi[i, :, 1]
+            out[2, i] = (self._w_q4 / eps) @ psi[i, :, 2]
+        return out
 
     # ------------------------------------------------------------------
     # Packed structure for the compiled kernels
@@ -684,17 +668,12 @@ class PerturbationSystem:
             )
         if t1 <= t0:
             raise IntegrationError("integrate_phase requires t1 > t0")
-        ctrl = StepController(order=VERNER_65_TABLEAU.order_low + 1)
-        stops = np.asarray(stop_points, dtype=float)
-        stops = np.sort(stops[(t0 < stops) & (stops <= t1)])
-        if not stops.size or stops[-1] < t1:
-            stops = np.append(stops, t1)
+        stops = phase_stops(np.asarray(stop_points, dtype=float), t0, t1)
         ctl = np.array([t0, t1, rtol, atol, math.inf, 0.0,
                         math.nan if first_step is None else first_step,
-                        ctrl.order, ctrl.safety, ctrl.min_factor,
-                        ctrl.max_factor,
-                        math.nan if tight else
-                        STABILITY_FRACTION * VERNER_65_TABLEAU.real_stability])
+                        *_CTL_TAIL])
+        if tight:
+            ctl[11] = math.nan
         rows = np.empty((stops.size, n))
         work = np.zeros((s + 5) * n)
         out = np.zeros(5, dtype=np.int64)
@@ -712,6 +691,49 @@ class PerturbationSystem:
                              n_rejected=n_rejected, n_rhs=n_rhs,
                              n_stability_bound=n_bound, t=float(ctl[0]),
                              h=float(ctl[6]))
+
+    def evolve(self, y0: np.ndarray, stops: np.ndarray, counts, *,
+               t_init: float, t_switch: float, tau_end: float, rtol: float,
+               atol: float, max_steps: int,
+               first_step: float | None = None) -> CompiledMode:
+        """A whole mode without a massive species in one compiled call:
+        :meth:`integrate_phase` from ``t_init`` to ``t_switch``,
+        :meth:`initialize_full_from_tca`, :meth:`integrate_phase` to
+        ``tau_end`` and :meth:`record`, bit for bit.  ``stops`` holds
+        each phase's :func:`phase_stops`, the tight phase's first;
+        ``counts``: how many each phase has, then how many of each are
+        recorded.  The chaos engine's kernel poison is consulted once
+        per call, here."""
+        fn = self._compiled()
+        n = self.layout.n_state
+        s = VERNER_65_TABLEAU.n_stages
+        y = np.array(y0, dtype=float)
+        ctl = np.array([t_init, t_switch, rtol, atol, math.inf, 0.0,
+                        math.nan if first_step is None else first_step,
+                        *_CTL_TAIL, tau_end, 0.0, 0.0])
+        cnt = np.array(counts, dtype=np.int64)
+        stops = np.ascontiguousarray(stops, dtype=float)
+        if y.shape != (n,) or stops.size != cnt[0] + cnt[1]:
+            raise ParameterError("evolve needs one state and counts that "
+                                 "match its stops")
+        m = int(cnt[2] + cnt[3]) + 1
+        rows = np.empty((int(cnt[0] + cnt[1]) + 1, n))
+        rec = np.empty((len(RECORD_FIELDS), m))
+        work = np.zeros((s + 5) * n)
+        out = np.zeros(10, dtype=np.int64)
+        status = fn.evolve_raw(
+            *self.pack()["table"], _VERNER_TAB.ctypes.data, s,
+            ctl.ctypes.data, stops.ctypes.data, cnt.ctypes.data, max_steps,
+            y.ctypes.data, rows.ctypes.data, self._record_par.ctypes.data,
+            rec.ctypes.data, work.ctypes.data, out.ctypes.data)
+        eng = _chaos_engine()
+        if eng is not None and eng.poison_rhs(self.k):
+            y[:] = np.nan
+            status = status or 4
+        return CompiledMode(status=int(status), y=y, rows=rows[:m], rec=rec,
+                            counters=out.reshape(2, 5),
+                            t=float(ctl[0]), h=float(ctl[6]),
+                            walls=(float(ctl[13]), float(ctl[14])))
 
     # ------------------------------------------------------------------
     # Cost census

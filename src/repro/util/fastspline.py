@@ -213,8 +213,12 @@ class UniformGridCubic:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         dx = np.diff(x)
-        if not np.allclose(dx, dx[0], rtol=1e-8):
-            raise ValueError("UniformGridCubic requires a uniform grid")
+        # relative alone: allclose's default atol would pass any knots
+        # closer than 1e-8
+        if not np.allclose(dx, dx[0], rtol=1e-8, atol=0.0):
+            raise ParameterError(
+                "UniformGridCubic requires a uniform grid: spacings "
+                f"{dx.min():.6g} to {dx.max():.6g}")
         # c[k, i]: coefficient of (x - x_i)^(3-k) on piece i
         coef = fit_cubic(x, y).c
         if out is not None:

@@ -65,15 +65,15 @@ def python_driver(monkeypatch):
     """Every phase of every mode — whichever route reaches it — steps on
     the scalar python DVERK over the compiled right-hand side instead of
     the compiled loop: the ``driver_cls`` seam of
-    ``evolve.integrate_phase``, pulled for the whole test."""
+    ``evolve.integrate_mode``, pulled for the whole test."""
     from repro.integrators.dverk import RKDriver
     from repro.perturbations import evolve
 
     # DVERK's own driver class on DVERK's tableau: any class but DVERK
     # keeps a phase off the compiled loop
-    real = evolve.integrate_phase
+    real = evolve.integrate_mode
     monkeypatch.setattr(
-        evolve, "integrate_phase",
+        evolve, "integrate_mode",
         lambda *args, **kwargs: real(*args,
                                      **{**kwargs, "driver_cls": RKDriver}))
 

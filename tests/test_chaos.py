@@ -414,8 +414,10 @@ class TestEndToEndProfiles:
         assert all(h.retry_level == 0 for h in result.headers)
 
 
-#: a serial ``repro run`` small enough to run several times per test
-CLI_RUN = ["run", "--nk", "2", "--lmax", "8", "--rtol", "1e-3",
+#: a serial ``repro run`` small enough to run several times per test,
+#: with a compiled call for the kernel poison to land on at every CI
+#: seed (``seed % 7`` is the call it hits, and a mode is one call)
+CLI_RUN = ["run", "--nk", "3", "--lmax", "8", "--rtol", "1e-3",
            "--k-min", "1e-3", "--k-max", "3e-3"]
 
 

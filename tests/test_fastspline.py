@@ -327,6 +327,18 @@ class TestUniformGridCubic:
         with pytest.raises(ValueError):
             UniformGridCubic(np.array([0.0, 1.0, 3.0]), np.zeros(3))
 
+    def test_uniformity_is_relative_at_any_spacing(self):
+        """Knots closer than 1e-8 apart are held to the same relative
+        test as any others: uneven ones are refused, not evaluated on
+        the wrong pieces, and an even grid passes at every scale."""
+        with pytest.raises(ParameterError, match="uniform"):
+            UniformGridCubic(np.array([0.0, 1e-10, 3e-10, 3.5e-10, 9e-10]),
+                             np.zeros(5))
+        for dx in (1e-12, 1e-3, 1e6):
+            x = dx * np.arange(9.0)
+            s = UniformGridCubic(x, x * x)
+            assert s(4.5 * dx) == pytest.approx(20.25 * dx * dx, rel=1e-9)
+
     @given(scale=st.floats(0.1, 100.0), shift=st.floats(-10, 10))
     @settings(max_examples=25, deadline=None)
     def test_affine_invariance(self, scale, shift):

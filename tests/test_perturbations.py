@@ -288,6 +288,26 @@ class TestDriverMechanics:
         # both branches were walked
         assert 0 < fast < len(cases) * ks.size
 
+    @pytest.mark.parametrize("gauge", ["synchronous", "newtonian"])
+    def test_a_grid_that_is_not_strictly_increasing_is_refused(
+            self, bg_scdm, thermo_scdm, gauge):
+        """A repeated record time used to stop the integrator twice at
+        one point (a step-size underflow the ladder would escalate), an
+        unsorted grid came back sorted: both are refused up front."""
+        from repro.errors import ParameterError
+        from repro.perturbations import evolve_mode_newtonian
+
+        evolve = (evolve_mode if gauge == "synchronous"
+                  else evolve_mode_newtonian)
+        g = default_record_grid(bg_scdm, thermo_scdm, 0.01)
+        repeated = np.concatenate([g[:5], g[4:5], g[5:]])
+        unsorted = np.concatenate([g[:5], g[6:7], g[5:6], g[7:]])
+        for grid in (repeated, unsorted):
+            with pytest.raises(ParameterError,
+                               match="record grid is not strictly increasing"):
+                evolve(bg_scdm, thermo_scdm, 0.01, lmax_photon=8, lmax_nu=8,
+                       rtol=1e-3, record_tau=grid)
+
     def test_scale_factor_reaches_one(self, mode_k05):
         assert mode_k05.records["a"][-1] == pytest.approx(1.0, rel=1e-4)
 

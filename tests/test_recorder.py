@@ -1,21 +1,22 @@
-"""Recording as one array pass per mode, against the row recorder.
+"""Recording as one pass per mode, against the python recorders.
 
-``evolve._Recorder.record`` evaluates every ``RECORD_FIELDS`` entry for
-a whole block of stop-point states at once — a mode's tight rows, full
-rows and final state in one block, flagged row by row.  It replaced a recorder
-that was called back once per stop (now ``tests/reference_recorder.py``)
-and must not move a bit of what that one wrote: elementwise array
-arithmetic in the scalar expressions' grouping, libm ``exp``/``log``
-value by value, the massive-neutrino momentum sums still one dot per
-row.  These tests hold it to that on both phases, with and without
-massive neutrinos, on every driver — and pin what rides
-on the same function: the final-state row behind
-``ModeResult.final_observables``, the phase-end rule (a phase end is
-recorded only when it is a record point, and then once), and monitors,
-which see the same ``(tau, y, tight)`` sequence as before and change
-nothing.  "On every driver": the compiled loop (``cext``) and the scalar
-python DVERK over the compiled right-hand side (``python``, the
-``python_driver`` fixture).
+The compiled record pass (``PerturbationSystem.record``, the C
+``record_pass``; inside a mode's one compiled call) evaluates every
+``RECORD_FIELDS`` entry for a whole block of stop-point states — a
+mode's tight rows, full rows and final state, the tight ones first.  It
+replaced an array pass in python (now ``ArrayRecorder``), which replaced
+a recorder called back once per stop (``ReferenceRecorder``), both in
+``tests/reference_recorder.py``, and must not move a bit of what they
+wrote: the scalar expressions' grouping, libm ``exp``/``log``, the
+massive-neutrino momentum sums still one numpy dot per row.  These
+tests hold it to that on both phases, with and without massive
+neutrinos, on every driver — and pin what rides on the same pass: the
+final-state row behind ``ModeResult.final_observables``, the phase-end
+rule (a phase end is recorded only when it is a record point, and then
+once), and monitors, which see the same ``(tau, y, tight)`` sequence as
+before and change nothing.  "On every driver": the compiled loop
+(``cext``) and the scalar python DVERK over the compiled right-hand side
+(``python``, the ``python_driver`` fixture).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import pytest
 
 from repro import KGrid, LingerConfig, run_linger
 from repro.perturbations import default_record_grid, evolve_mode
-from repro.perturbations.evolve import RECORD_FIELDS, _Recorder, find_tca_exit
-from tests.reference_recorder import ReferenceRecorder
+from repro.perturbations.evolve import RECORD_FIELDS, find_tca_exit
+from tests.reference_recorder import ArrayRecorder, ReferenceRecorder
 
 #: the drivers a phase can step on
 DRIVERS = ["python", "cext"]
@@ -151,7 +152,7 @@ def test_a_rows_record_does_not_depend_on_its_block(request, nq):
     assert n > 10
 
     def recorded(cuts, tight=False):
-        rec = _Recorder(mode.system, n)
+        rec = ArrayRecorder(mode.system, n)
         for lo, hi in zip((0,) + cuts, cuts + (n,)):
             rec.record(tight if np.isscalar(tight) else tight[lo:hi],
                        tau[lo:hi], block[lo:hi])
@@ -169,6 +170,37 @@ def test_a_rows_record_does_not_depend_on_its_block(request, nq):
     assert mixed != whole
 
 
+@pytest.mark.parametrize("nq", [0, 8])
+def test_the_compiled_pass_is_the_python_recorders(request, nq):
+    """``PerturbationSystem.record`` — the C record pass every mode ends
+    with — against both python recorders, bit for bit: the tight rows,
+    the full rows and the final row in one block, and each alone."""
+    bg, thermo = _tables(request, nq)
+    for k in (0.003, 0.03):
+        rows = Rows()
+        mode = _evolve(bg, thermo, k, nq, default_record_grid(bg, thermo, k),
+                       monitor=rows)
+        tau = np.array([t for t, _, _ in rows.seen] + [mode.tau_end])
+        block = np.array([y for _, y, _ in rows.seen] + [mode.y_final])
+        n = len(block)
+        n_tight = sum(tight for _, _, tight in rows.seen)
+        assert 0 < n_tight < n - 1
+        tight = np.arange(n) < n_tight
+        arr = ArrayRecorder(mode.system, n)
+        arr.record(tight, tau, block)
+        ref = ReferenceRecorder(mode.system, n)
+        for t, y, flag in zip(tau.tolist(), block, tight.tolist()):
+            ref.tight = flag
+            ref(t, y)
+        want = np.array([arr.arrays[name] for name in RECORD_FIELDS])
+        assert want.tobytes() == np.array(
+            [ref.arrays[name] for name in RECORD_FIELDS]).tobytes()
+        assert mode.system.record(block, n_tight).tobytes() == want.tobytes()
+        for lo, hi in ((0, n_tight), (n_tight, n - 1), (n - 1, n)):
+            got = mode.system.record(block[lo:hi], n_tight - min(lo, n_tight))
+            assert got.tobytes() == want[:, lo:hi].copy().tobytes()
+
+
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_no_grid_records_nothing(request, bg_scdm, thermo_scdm, driver):
     _on(driver, request)
@@ -178,9 +210,11 @@ def test_no_grid_records_nothing(request, bg_scdm, thermo_scdm, driver):
         assert mode.tau.size == 0 and not rows.seen
         assert all(arr.size == 0 for arr in mode.records.values())
         assert np.isfinite(list(mode.final_observables().values())[:9]).all()
-    rec = _Recorder(mode.system, 0)
+    rec = ArrayRecorder(mode.system, 0)
     rec.record(True, np.empty(0), np.empty((0, mode.layout.n_state)))
     assert rec.i == 0
+    assert mode.system.record(np.empty((0, mode.layout.n_state)),
+                              0).shape == (len(RECORD_FIELDS), 0)
 
 
 @pytest.mark.parametrize("driver", DRIVERS)

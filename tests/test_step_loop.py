@@ -358,20 +358,88 @@ def test_a_nan_poisoned_phase_is_recovered_by_the_ladder(scdm, bg_scdm,
 
 def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm,
                                                     monkeypatch):
-    """A default ``evolve_mode`` — record grid, both phases — is two
-    compiled calls: every RHS evaluation it counts is the loop's, none
-    goes through the python entry points."""
+    """A default ``evolve_mode`` — record grid, both phases, the
+    hand-off, the record pass — is one compiled call: every RHS
+    evaluation it counts is the loop's, none goes through the python
+    entry points, and no phase is a call of its own."""
 
-    def no_python_rhs(*args, **kwargs):
-        pytest.fail("a default mode evaluated its RHS from python")
+    def no_python(*args, **kwargs):
+        pytest.fail("a default mode left the one compiled call")
 
-    for name in ("rhs_full", "rhs_tca"):
-        monkeypatch.setattr(PerturbationSystem, name, no_python_rhs)
+    for name in ("rhs_full", "rhs_tca", "integrate_phase", "record",
+                 "initialize_full_from_tca"):
+        monkeypatch.setattr(PerturbationSystem, name, no_python)
+    kernel = get_cext()
+    calls = []
+    evolve_raw = kernel.evolve_raw
+    monkeypatch.setattr(kernel, "evolve_raw",
+                        lambda *a: calls.append(1) or evolve_raw(*a))
     mode = evolve_mode(bg_scdm, thermo_scdm, 0.01, lmax_photon=8, lmax_nu=8,
                        rtol=1e-3,
                        record_tau=default_record_grid(bg_scdm, thermo_scdm,
                                                       0.01))
     assert mode.tau.size and mode.stats.n_rhs > 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [3e-4, 0.01, 0.1])
+def test_one_compiled_call_is_the_driver_cls_seam(bg_scdm, thermo_scdm, k):
+    """The one compiled call against the seam's route — the python
+    driver phase by phase, the compiled hand-off and record pass between
+    and after — at three wavenumbers: final state, counters, record
+    points, every record and the final row, bit for bit."""
+    kwargs = dict(lmax_photon=10, lmax_nu=10, rtol=2e-4,
+                  record_tau=default_record_grid(bg_scdm, thermo_scdm, k))
+    one = evolve_mode(bg_scdm, thermo_scdm, k, **kwargs)
+    seam = evolve_mode(bg_scdm, thermo_scdm, k, driver_cls=PythonDVERK,
+                       **kwargs)
+    assert one.y_final.tobytes() == seam.y_final.tobytes()
+    assert one.stats == seam.stats and one.stats.n_stability_bound > 0
+    assert one.tau.tobytes() == seam.tau.tobytes()
+    for name, arr in seam.records.items():
+        assert one.records[name].tobytes() == arr.tobytes(), name
+    assert (np.array(list(one.final.values())).tobytes()
+            == np.array(list(seam.final.values())).tobytes())
+
+
+@pytest.mark.parametrize("nq", [0, 8])
+def test_the_compiled_hand_off_is_the_python_one(request, nq):
+    """``tca_handoff`` on the state a tight-coupling phase really ends
+    on, against the python original (``tests/reference_rhs.py``)."""
+    from tests.reference_rhs import ReferencePerturbationSystem
+
+    system, y, t0, t1, _ = _phase_start(request, nq, 0.02, tight=True)
+    y = DVERK(system.rhs_tca, **TOL).integrate(y, t0, t1).y
+    got, want = y.copy(), y.copy()
+    system.initialize_full_from_tca(got, t1)
+    ReferencePerturbationSystem(
+        system.background, system.thermo, system.k,
+        system.layout).initialize_full_from_tca(want, t1)
+    assert got.tobytes() == want.tobytes() != y.tobytes()
+
+
+def test_a_poisoned_mode_raises_once_per_compiled_call(bg_scdm, thermo_scdm):
+    """The kernel poison is consulted once per compiled call — once per
+    mode — and the mode raises the python driver's message."""
+    with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
+        with pytest.raises(IntegrationError, match="non-finite state at t="):
+            evolve_mode(bg_scdm, thermo_scdm, 0.01, lmax_photon=8,
+                        lmax_nu=8, rtol=1e-3)
+        evolve_mode(bg_scdm, thermo_scdm, 0.02, lmax_photon=8, lmax_nu=8,
+                    rtol=1e-3)
+    assert eng.injected == {"kernel_nan": 1}
+    assert eng.summary()["opportunities"] == {"kernel_nan": 2}
+
+
+def test_the_kernel_cache_key_names_source_flags_and_compiler(monkeypatch):
+    """A change of ``CFLAGS`` or of the compiler is a new shared object,
+    never the old one reused."""
+    cc = _cext._find_compiler()
+    digest = _cext._digest(cc)
+    assert _cext._digest(cc) == digest
+    assert _cext._digest(cc + "-other") != digest
+    monkeypatch.setattr(_cext, "CFLAGS", (*_cext.CFLAGS, "-DPROBE"))
+    assert _cext._digest(cc) != digest
 
 
 # -- (b) the pairwise sum -----------------------------------------------------
