@@ -1,6 +1,6 @@
 """The compiled solver: the packed RHS kernels, the DVERK step loop, a
 whole mode in one call, the thermal history's ODE solve, the spline
-fit's tridiagonal solve and the j_l recurrence.
+Saha sweeps, the spline fit and the j_l recurrence.
 
 One shared object — one build, one cache directory, resolved once per
 process by whichever layer asks first (a ``Background``'s first spline
@@ -29,14 +29,15 @@ and, each over arguments of its own,
 * ``thermo_ode`` — a three-stage Radau IIA stepper calling
   ``thermo_rhs`` about five thousand times per ``ThermalHistory`` build
   without leaving C;
-* ``tridiag_solve`` — reference LAPACK's ``DGTSV`` for
-  :func:`repro.util.fastspline.fit_cubic`;
+* ``saha_sweeps`` — the thermal history's Saha grid pass;
+* ``tridiag_solve`` — reference LAPACK's ``DGTSV``, and ``cubic_fit`` —
+  :func:`repro.util.fastspline.fit_cubic` from four knots up;
 * ``bessel_sweep`` — the downward recurrence behind the j_l tables of
   :class:`repro.spectra.los.BesselCache`.
 
-Each of the last four is pinned bitwise to a python transcription in
+Each of the last six is pinned bitwise to a python transcription in
 ``tests/`` (``reference_thermo.py``, ``reference_tridiag.py``,
-``reference_projection.py``).
+``reference_projection.py``); ``cubic_fit`` to scipy's spline as well.
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
@@ -661,6 +662,58 @@ static inline double saha_factor(double prefac, double arg)
     return arg > 650.0 ? 0.0 : prefac * exp(-arg);
 }
 
+/* saha_electron_fraction's Newton on the Saha factors per nucleus (start,
+ * bracket, geometric-midpoint fallback, 1e-14 stop): x gets x_e and, at
+ * the last iterate, x_H, x_HeII, x_HeIII.  Returns the iterations made,
+ * cap + 1 if the stop was never met */
+static inline long long saha_newton(double s_h, double s_he1, double s_he2,
+                                    double f_he, long long cap, double *x)
+{
+    double lo = 2.0 * s_h / (s_h + sqrt(s_h * s_h + 4.0 * s_h));
+    double hi = 1.0 + 2.0 * f_he, x_e = lo, x_new = lo;
+    long long it;
+    for (it = 1; it <= cap; it++, x_e = x_new) {
+        /* _saha_residual */
+        const double h_den = x_e + s_h, q = s_he1 * (s_he2 / x_e);
+        const double he_den = x_e + s_he1 + q;
+        double g, dg;
+        x[1] = s_h / h_den;
+        x[2] = s_he1 / he_den;
+        x[3] = q / he_den;
+        g = x[1] + f_he * (x[2] + 2.0 * x[3]) - x_e;
+        dg = -x[1] / h_den
+             - f_he * (x[2] + x[3] * (4.0 + s_he1 / x_e)) / he_den - 1.0;
+        if (g > 0.0) lo = x_e; else hi = x_e;
+        x_new = x_e - g / dg;
+        if (!(lo <= x_new && x_new <= hi)) x_new = sqrt(lo * hi);
+        if (fabs(x_new - x_e) < 1e-14 * x_e) break;
+    }
+    x[0] = x_new;
+    return it;
+}
+
+/* recombination._saha_sweeps: saha_newton row by row over the Saha
+ * factors numpy formed (its exp is not libm's); a row whose s_h
+ * underflowed stays neutral.  out: four rows of n, x_e, x_H, x_HeII,
+ * x_HeIII.  Returns the slowest row's iterations (1 at least, the
+ * numpy sweeps' count in tests/reference_thermo.py, pinned bitwise), or
+ * minus the number of rows that never stopped within cap. */
+long long saha_sweeps(long long n, const double *s_h, const double *s_he1,
+                      const double *s_he2, double f_he, long long cap,
+                      double *out)
+{
+    long long i, k, it, most = 1, stuck = 0;
+    for (i = 0; i < n; i++) {
+        double x[4] = {0.0, 0.0, 0.0, 0.0};
+        it = s_h[i] > 0.0 ? saha_newton(s_h[i], s_he1[i], s_he2[i], f_he,
+                                        cap, x) : 1;
+        if (it > cap) stuck++;
+        else if (it > most) most = it;
+        for (k = 0; k < 4; k++) out[k * n + i] = x[k];
+    }
+    return stuck ? -stuck : most;
+}
+
 /* The thermal history's ODE right-hand side, d[x_H, T_b]/d ln a at
  * (ln a, x_H, T_b): Background.hubble of a float, saha_electron_fraction,
  * PeeblesRates.at, peebles_rhs and the Compton term, transcribed
@@ -692,7 +745,6 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
     const long long saha_cap = (long long)P[30];
     const double a = exp(lna), a2 = a * a;
     const double t_b = py_max(t_b_in, 1e-3);
-    long long it;
 
     /* Background.hubble: the six grho terms added left to right */
     double gr_nu_a = 0.0 * a;
@@ -721,36 +773,15 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
      * factor and once more in PeeblesRates.at, from the same doubles */
     const double thermal = pow(m_e * kt / two_pi_hbar2, 1.5);
     const double s_h = saha_factor(thermal, chi_h / kt) / n_h;
-    double x_he2 = 0.0, x_he3 = 0.0;
+    double sf[4] = {0.0, 0.0, 0.0, 0.0};
     if (s_h != 0.0) {
         const double s_he1 = 4.0 * saha_factor(thermal, chi_he1 / kt) / n_h;
         const double s_he2 = 1.0 * saha_factor(thermal, chi_he2 / kt) / n_h;
-        double lo = 2.0 * s_h / (s_h + sqrt(s_h * s_h + 4.0 * s_h));
-        double hi = 1.0 + 2.0 * f_he;
-        double x_e = lo;
-        for (it = 0; it < saha_cap; it++) {
-            /* _saha_residual */
-            const double h_den = x_e + s_h;
-            const double x_h = s_h / h_den;
-            const double q = s_he1 * (s_he2 / x_e);
-            const double he_den = x_e + s_he1 + q;
-            double g, dg, x_new;
-            x_he2 = s_he1 / he_den;
-            x_he3 = q / he_den;
-            g = x_h + f_he * (x_he2 + 2.0 * x_he3) - x_e;
-            dg = -x_h / h_den
-                 - f_he * (x_he2 + x_he3 * (4.0 + s_he1 / x_e)) / he_den
-                 - 1.0;
-            if (g > 0.0) lo = x_e; else hi = x_e;
-            x_new = x_e - g / dg;
-            if (!(lo <= x_new && x_new <= hi)) x_new = sqrt(lo * hi);
-            if (fabs(x_new - x_e) < 1e-14 * x_e) break;
-            x_e = x_new;
-        }
-        if (it == saha_cap) out[2] = 1.0;
+        if (saha_newton(s_h, s_he1, s_he2, f_he, saha_cap, sf) > saha_cap)
+            out[2] = 1.0;
     }
     const double x_h = py_min(py_max(x_h_in, 0.0), 1.0);
-    const double x_e = x_h + f_he * (x_he2 + 2.0 * x_he3);
+    const double x_e = x_h + f_he * (sf[2] + 2.0 * sf[3]);
     const double n_e = py_max(x_e, 1e-12) * n_h;
 
     /* PeeblesRates.at and peebles_rhs */
@@ -1065,6 +1096,52 @@ long long tridiag_solve(long long n, long long nrhs, double *dl, double *d,
     return 0;
 }
 
+/* fit_cubic from n = 4 knots x up, m columns y (n rows of m): the
+ * not-a-knot system assembled as fastspline.py documents, tridiag_solve,
+ * then the (4, n - 1, m) Hermite coefficients into c, which is the
+ * work space too: row 0 the subdiagonal, row 1 the slopes, rows 2-3 the
+ * right-hand sides, solved in place into row 2.  sq0, sq1: the end
+ * spacings squared by the caller's libm pow (a compiler folds pow(d, 2.0)
+ * into d * d).  work: 2 n doubles.  Returns tridiag_solve's info */
+long long cubic_fit(long long n, long long m, const double *x,
+                    const double *y, double sq0, double sq1, double *c,
+                    double *work)
+{
+    long long i, j, k, info, p = n - 1, pm = p * m;
+    double *d = work, *du = d + n, *dl = c, *slope = c + pm, *b = c + 2 * pm;
+    double e, h;
+    for (i = 0; i < p; i++)
+        for (h = x[i + 1] - x[i], k = i * m; k < i * m + m; k++)
+            slope[k] = (y[k + m] - y[k]) / h;
+    for (i = 1; i < p; i++) {
+        const double h0 = x[i] - x[i - 1], h1 = x[i + 1] - x[i];
+        d[i] = 2 * (h0 + h1);
+        du[i] = h0;
+        dl[i - 1] = h1;
+        for (k = i * m; k < i * m + m; k++)
+            b[k] = 3 * (h1 * slope[k - m] + h0 * slope[k]);
+    }
+    d[0] = h = x[2] - x[1];
+    du[0] = e = x[2] - x[0];
+    for (j = 0; j < m; j++)
+        b[j] = ((x[1] - x[0] + 2 * e) * h * slope[j] + sq0 * slope[m + j]) / e;
+    d[p] = h = x[p - 1] - x[p - 2];
+    dl[p - 1] = e = x[p] - x[p - 2];
+    for (j = 0; j < m; j++)
+        b[pm + j] = (sq1 * slope[pm - 2 * m + j]
+                     + (2 * e + (x[p] - x[p - 1])) * h * slope[pm - m + j])
+                    / e;
+    if ((info = tridiag_solve(n, m, dl, d, du, b)) != 0) return info;
+    for (i = 0; i < p; i++)
+        for (h = x[i + 1] - x[i], k = i * m; k < i * m + m; k++) {
+            const double s0 = b[k], t = (s0 + b[k + m] - 2 * slope[k]) / h;
+            c[k] = t / h;
+            slope[k] = (slope[k] - s0) / h - t;
+        }
+    for (k = 0; k < pm; k++) c[3 * pm + k] = y[k];
+    return 0;
+}
+
 /* BesselCache's downward recurrence over the whole grid, order by order:
  * start[j] (ascending) is where point j joins, 1e-300 over a zero
  * j_(l+1); then j_(l-1) = ((2l+1) inv_x[j]) j_l - j_(l+1) down to order 0
@@ -1286,15 +1363,18 @@ class CextKernel:
     GIL around each call and the C side keeps no static state, so
     threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
     lna, x_h, t_b, out)``, ``thermo_ode_raw(params, nu_pack, tab, grid,
-    n, max_attempts, rows, out) -> status``, ``tridiag_raw(n, nrhs,
-    dl, d, du, b) -> info`` and ``bessel_raw(nx, inv_x, start, nwant,
-    want, rows, stride, work, j0u, j1u)`` are the C functions ``thermo_rhs``,
-    ``thermo_ode``, ``tridiag_solve`` and ``bessel_sweep``.
+    n, max_attempts, rows, out) -> status``, ``saha_raw(n, s_h, s_he1,
+    s_he2, f_he, cap, out) -> sweeps``, ``tridiag_raw(n, nrhs, dl, d,
+    du, b) -> info``, ``fit_raw(n, m, x, y, sq0, sq1, c, work) -> info``
+    and ``bessel_raw(nx, inv_x, start, nwant, want, rows, stride, work,
+    j0u, j1u)`` are the C functions ``thermo_rhs``, ``thermo_ode``,
+    ``saha_sweeps``, ``tridiag_solve``, ``cubic_fit`` and
+    ``bessel_sweep``.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double
         self.rhs_raw = lib.rhs_full
         self.rhs_tca_raw = lib.rhs_tca
         for fn in (self.rhs_raw, self.rhs_tca_raw):
@@ -1327,6 +1407,11 @@ class CextKernel:
         self.tridiag_raw = lib.tridiag_solve
         self.tridiag_raw.argtypes = [i64, i64] + [ptr] * 4
         self.tridiag_raw.restype = i64
+        self.saha_raw = lib.saha_sweeps
+        self.saha_raw.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr]
+        self.fit_raw = lib.cubic_fit
+        self.fit_raw.argtypes = [i64, i64, ptr, ptr, f64, f64, ptr, ptr]
+        self.saha_raw.restype = self.fit_raw.restype = i64
         self.bessel_raw = lib.bessel_sweep
         self.bessel_raw.argtypes = [i64, ptr, ptr, i64, ptr, ptr, i64, ptr,
                                     ptr, ptr]

@@ -405,7 +405,8 @@ def _print_report_summary(report) -> None:
         ["mode wallclock [s]", f"{totals['mode_wall_seconds']:.3f}"],
     ]
     # the k-independent tables (all ranks that made any; see build_tables)
-    for name in ("cext.resolve", "background.build", "thermo.build"):
+    for name in ("cext.resolve", "background.build", "thermo.build",
+                 "thermo.ode", "thermo.finish"):
         if name in report.timers:
             rows.append([f"{name} [s]",
                          f"{report.timers[name].total_seconds:.3f}"])

@@ -88,7 +88,9 @@ def build_tables(
     built here.  A build first resolves the compiled object under its
     own ``cext.resolve`` timer (on a cold kernel cache that is the
     compile), then is timed into the
-    ``background.build`` / ``thermo.build`` telemetry timers — every
+    ``background.build`` / ``thermo.build`` telemetry timers, the
+    latter split into ``thermo.ode`` (the compiled ODE solve) and
+    ``thermo.finish`` (the rest of the build) — every
     driver and every worker fallback gets its tables through this one
     seam, so a run's report accounts for them wherever they were made.
     A thermal history built here also leaves its work counts,
@@ -108,8 +110,11 @@ def build_tables(
         with telemetry.timer("background.build"):
             background = Background(params)
     if thermo is None:
-        with telemetry.timer("thermo.build"):
-            thermo = ThermalHistory(background)
+        timer = telemetry.timer("thermo.build").start()
+        thermo = ThermalHistory(background)
+        wall = timer.stop()
+        telemetry.timer("thermo.ode").add(thermo._ode_seconds)
+        telemetry.timer("thermo.finish").add(wall - thermo._ode_seconds)
         for name, n in thermo._build_counts.items():
             telemetry.count(f"thermo.{name}", n)
     return background, thermo

@@ -27,6 +27,7 @@ hierarchy runs never do.
 from __future__ import annotations
 
 import math
+import time
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +36,7 @@ from .. import _cext
 from .. import constants as const
 from ..background import Background
 from ..background.nu_massive import I_RHO_MASSLESS
-from ..errors import IntegrationError
+from ..errors import IntegrationError, ParameterError
 from ..util.fastspline import PiecewiseCubic, UniformGridCubic, fit_cubic
 from . import radau, recombination
 from .recombination import _saha_factor, _saha_sweeps
@@ -102,13 +103,13 @@ class ThermalHistory:
     background:
         The precomputed FRW background.
     a_start:
-        Scale factor at which tabulation begins (must be deep in the
-        fully-ionized era).
+        Scale factor in (0, 1) at which tabulation begins (must be deep
+        in the fully-ionized era).
     n_grid:
-        Number of log-a grid points for the tables.
+        Number of log-a grid points for the tables, 4 or more.
     saha_switch:
-        Hydrogen Saha ionization fraction below which the integrator
-        switches from Saha equilibrium to the Peebles ODE.
+        Hydrogen Saha ionization fraction in (0, 1] below which the
+        integrator switches from Saha equilibrium to the Peebles ODE.
     """
 
     def __init__(
@@ -126,6 +127,12 @@ class ThermalHistory:
         hydrogen + singly ionized helium) over a tanh of width
         ``dz_reion`` centred at ``z_reion``.  The paper's standard-CDM
         run has no reionization; this is the natural extension knob."""
+        if not (0.0 < a_start < 1.0 and n_grid >= 4
+                and 0.0 < saha_switch <= 1.0):
+            raise ParameterError(
+                f"ThermalHistory needs a_start in (0, 1), n_grid >= 4 and "
+                f"saha_switch in (0, 1]: a_start={a_start!r}, "
+                f"n_grid={n_grid!r}, saha_switch={saha_switch!r}")
         self.background = background
         self.params = background.params
         self.f_he = self.params.y_he / (4.0 * (1.0 - self.params.y_he))
@@ -290,7 +297,8 @@ class ThermalHistory:
         temperature history.  Returns ``(lna, x_e, x_h, t_b)`` and sets
         ``_build_counts``, the work the solve did: every count repeats
         exactly for a given cosmology, and ``saha_rows`` is how many
-        grid rows the Saha pre-pass swept."""
+        grid rows the Saha pre-pass swept (``_ode_seconds``: the ODE's
+        wall)."""
         lna = np.linspace(math.log(a_start), 0.0, n_grid)
         a = np.exp(lna)
         n_h = self._n_h0 / a**3
@@ -304,8 +312,10 @@ class ThermalHistory:
         # Peebles phase: one solve, output on the grid itself
         rows = np.empty((n_grid - i_switch, 2))
         rows[0] = x_h[i_switch], t_b[i_switch]
+        start = time.perf_counter()
         status, n_rhs, n_steps, n_rejected = self._solve_ode(
             lna[i_switch:], rows)
+        self._ode_seconds = time.perf_counter() - start
         if status:
             raise IntegrationError(
                 "thermal history ODE failed: "

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _cext
 from .. import constants as const
 from ..errors import IntegrationError
 
@@ -155,46 +156,26 @@ def _saha_sweeps(
     t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float,
     s_h: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """:func:`saha_electron_fraction` over arrays of epochs at once.
-
-    The same residual, start, bracket and stop, with every point still
-    iterating advanced by one Newton step per sweep; a point leaves the
-    sweep the moment its own step passes the stop, so it ends on the
-    iterate the scalar solver ends on (and on the same one whichever
-    other points share its sweeps).  ``s_h``, hydrogen's Saha factor
-    per nucleus at these epochs, is formed here unless the caller
-    already has it.  Returns the four fractions and the number of
-    sweeps the slowest point needed.
+    """:func:`saha_electron_fraction` over arrays of epochs at once: the
+    compiled ``saha_sweeps`` on the Saha factors per nucleus, formed
+    here by numpy (``s_h``, hydrogen's, unless the caller has it).  A
+    point whose ``s_h`` underflowed stays neutral.  Returns the four
+    fractions and the sweeps the slowest point needed.
     """
-    out = np.zeros((4, t_kelvin.size))  # underflowed points stay neutral
     if s_h is None:
         s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
-    live = np.flatnonzero(s_h > 0.0)
-    t_kelvin, n_h_cgs, s_h = t_kelvin[live], n_h_cgs[live], s_h[live]
+    s_h = np.ascontiguousarray(s_h, dtype=float)
     s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1) / n_h_cgs
     s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2) / n_h_cgs
-    lo = 2.0 * s_h / (s_h + np.sqrt(s_h * s_h + 4.0 * s_h))
-    hi = np.full_like(lo, 1.0 + 2.0 * f_he)
-    x_e = lo
-    for sweep in range(1, _SAHA_MAX_ITER + 1):
-        g, dg, *fractions = _saha_residual(x_e, s_h, s_he1, s_he2, f_he)
-        rising = g > 0.0
-        lo = np.where(rising, x_e, lo)
-        hi = np.where(rising, hi, x_e)
-        x_new = x_e - g / dg
-        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new,
-                         np.sqrt(lo * hi))
-        done = np.abs(x_new - x_e) < 1e-14 * x_e
-        out[:, live[done]] = x_new[done], *(f[done] for f in fractions)
-        if done.all():
-            return *out, sweep
-        go = ~done
-        live, x_e, lo, hi = live[go], x_new[go], lo[go], hi[go]
-        s_h, s_he1, s_he2 = s_h[go], s_he1[go], s_he2[go]
-    raise IntegrationError(
-        f"Saha equilibrium did not converge in {_SAHA_MAX_ITER} sweeps "
-        f"at {live.size} of {out.shape[1]} epochs (f_He = {f_he!r})"
-    )
+    out = np.empty((4, s_h.size))
+    sweeps = _cext.get_cext().saha_raw(
+        s_h.size, s_h.ctypes.data, s_he1.ctypes.data, s_he2.ctypes.data,
+        f_he, _SAHA_MAX_ITER, out.ctypes.data)
+    if sweeps < 0:
+        raise IntegrationError(
+            f"Saha equilibrium did not converge in {_SAHA_MAX_ITER} sweeps "
+            f"at {-sweeps} of {s_h.size} epochs (f_He = {f_he!r})")
+    return *out, sweeps
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@ on uniform grids.
 
 :func:`fit_cubic` is the not-a-knot cubic spline every table, source
 and k-interpolation in the package is fitted with, assembled as the
-standard scientific-python spline assembles it, solved by the compiled
-transcription of LAPACK's ``DGTSV`` (``repro._cext``) and evaluated by
-:class:`PiecewiseCubic` in that library's order of operations — its
-bits without the dependency: the package imports numpy alone, and the
-test suite imports the library as the oracle
-(``tests/test_fastspline.py`` names the classes).
+standard scientific-python spline assembles it and solved as LAPACK's
+``DGTSV`` solves it — both by the compiled ``cubic_fit``
+(``repro._cext``) from four knots up — and evaluated by
+:class:`PiecewiseCubic` in that library's order of operations: its
+bits without the dependency (the package imports numpy alone; the
+test suite imports the library as the oracle, and
+``tests/test_fastspline.py`` names the classes).
 
 The Boltzmann right-hand side evaluates the Thomson opacity, baryon
 sound speed and massive-neutrino background factors at every stage of
@@ -97,21 +98,8 @@ class PiecewiseCubic:
             self.x)
 
 
-def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray,
-                       upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve in place for the ``(n, nrhs)`` C-contiguous ``b`` by the
-    compiled ``tridiag_solve``."""
-    n, nrhs = b.shape
-    info = _cext.get_cext().tridiag_raw(n, nrhs, lower.ctypes.data,
-                                        diag.ctypes.data, upper.ctypes.data,
-                                        b.ctypes.data)
-    if info != 0:
-        raise ParameterError(f"fit_cubic: zero pivot in row {info} of the "
-                             "tridiagonal solve")
-    return b
-
-
-def fit_cubic(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
+def fit_cubic(x: np.ndarray, y: np.ndarray,
+              out: np.ndarray | None = None) -> PiecewiseCubic:
     """The not-a-knot cubic spline through ``(x, y)``, fitted along
     axis 0 of ``y`` (trailing axes are independent right-hand sides of
     one tridiagonal solve).
@@ -122,77 +110,70 @@ def fit_cubic(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     the ``(4, n - 1, ...)`` coefficients ``.c`` are ``array_equal`` to
     the oracle's (3 knots: it takes a dense solve there, and the two
     agree to rounding); ``.c[2]`` holds the solved first derivatives at
-    every knot but the last.  Each trailing column is bitwise the fit
-    of that column alone: the end rows square the end spacings as the
-    oracle's 1-D fit does (libm ``pow``), where its stacked fit
-    multiplies — the two differ in the last bit for about one spacing
-    in a thousand.  ``x`` must be finite and strictly
+    every knot but the last; ``out``, C-contiguous and of that shape,
+    receives them in place of a new array.  From four knots up the
+    compiled ``cubic_fit`` does it all.  Each trailing column is bitwise
+    the fit of that column alone: the end rows square the end spacings
+    as the oracle's 1-D fit does (libm ``pow``, taken here), where its
+    stacked fit multiplies — the two differ in the last bit for about
+    one spacing in a thousand.  ``x`` must be finite and strictly
     increasing and ``y`` finite: that is checked here, once, and raises
     :class:`ParameterError`.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     n = x.size
     if x.ndim != 1 or n < 2 or y.shape[:1] != (n,):
         raise ParameterError(
             f"fit_cubic needs >= 2 knots and y of matching length: "
             f"x {x.shape}, y {y.shape}"
         )
-    dx = np.diff(x)
-    if not (np.all(dx > 0.0) and math.isfinite(x[0])
+    if not (np.all(x[1:] > x[:-1]) and math.isfinite(x[0])
             and math.isfinite(x[-1])):
         raise ParameterError(
             "fit_cubic knots must be finite and strictly increasing")
     if not np.all(np.isfinite(y)):
         raise ParameterError("fit_cubic values must be finite")
-
-    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
-    if n == 2:
-        s = np.stack((slope[0], slope[0]))
+    shape = (4, n - 1) + y.shape[1:]
+    if out is None:
+        out = np.empty(shape)
+    elif not (out.shape == shape and out.flags.c_contiguous
+              and out.dtype == float):
+        raise ParameterError(f"fit_cubic out must be C-contiguous {shape}")
+    m = y[0].size
+    if n >= 4:
+        work = np.empty(2 * n)
+        info = _cext.get_cext().fit_raw(
+            n, m, x.ctypes.data, y.ctypes.data, (x[1] - x[0])**2,
+            (x[-1] - x[-2])**2, out.ctypes.data, work.ctypes.data)
     else:
-        diag = np.empty(n)
-        upper = np.empty(n - 1)
-        lower = np.empty(n - 1)
-        b = np.empty(y.shape)
+        # a line, or a parabola's 3x3 system solved by the compiled
+        # DGTSV; the Hermite coefficients from values and slopes
+        dx = np.diff(x)
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        s, info = np.stack((slope[0], slope[0])), 0
         if n == 3:
-            diag[0] = upper[0] = lower[1] = diag[2] = 1.0
-            lower[0], diag[1], upper[1] = dx[1], 2 * (dx[0] + dx[1]), dx[0]
-            b[0] = 2 * slope[0]
-            b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
-            b[2] = 2 * slope[1]
-        else:
-            diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-            upper[1:] = dx[:-1]
-            lower[:-1] = dx[1:]
-            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-            # the end spacings squared as scalars (libm pow, not x * x)
-            # whatever the shape of y, so that every column of a
-            # stacked fit is bitwise the fit of that column alone
-            diag[0] = dx[1]
-            upper[0] = d = x[2] - x[0]
-            b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0]
-                    + dx[0]**2 * slope[1]) / d
-            diag[-1] = dx[-2]
-            lower[-1] = d = x[-1] - x[-3]
-            b[-1] = (dx[-1]**2 * slope[-2]
-                     + (2*d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        s = _solve_tridiagonal(lower, diag, upper,
-                               b.reshape(n, -1)).reshape(b.shape)
-
-    # the cubic Hermite coefficients from values and slopes, written
-    # into one block (the same operations as forming each and stacking)
-    c = np.empty((4,) + slope.shape)
-    t = s[:-1] + s[1:]
-    t -= 2 * slope
-    t /= dxr
-    np.divide(t, dxr, out=c[0])
-    np.subtract(slope, s[:-1], out=c[1])
-    c[1] /= dxr
-    c[1] -= t
-    c[2] = s[:-1]
-    c[3] = y[:-1]
-    return PiecewiseCubic(c, x)
+            s = np.array([2 * slope[0], 3 * (dxr[0] * slope[1]
+                                             + dxr[1] * slope[0]),
+                          2 * slope[1]])
+            bands = [np.array(v) for v in (  # lower, diagonal, upper
+                [dx[1], 1.0], [1.0, 2 * (dx[0] + dx[1]), 1.0], [1.0, dx[0]])]
+            info = _cext.get_cext().tridiag_raw(
+                3, m, *(band.ctypes.data for band in bands), s.ctypes.data)
+        t = s[:-1] + s[1:]
+        t -= 2 * slope
+        t /= dxr
+        np.divide(t, dxr, out=out[0])
+        np.subtract(slope, s[:-1], out=out[1])
+        out[1] /= dxr
+        out[1] -= t
+        out[2] = s[:-1]
+        out[3] = y[:-1]
+    if info != 0:
+        raise ParameterError(f"fit_cubic: zero pivot in row {info} of the "
+                             "tridiagonal solve")
+    return PiecewiseCubic(out, x)
 
 
 class UniformGridCubic:
@@ -213,17 +194,14 @@ class UniformGridCubic:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         dx = np.diff(x)
-        # relative alone: allclose's default atol would pass any knots
-        # closer than 1e-8
-        if not np.allclose(dx, dx[0], rtol=1e-8, atol=0.0):
+        # relative alone (allclose's atol would pass any knots closer
+        # than 1e-8), and without allclose's passes for infinities
+        if not np.all(np.abs(dx - dx[0]) <= 1e-8 * abs(dx[0])):
             raise ParameterError(
                 "UniformGridCubic requires a uniform grid: spacings "
                 f"{dx.min():.6g} to {dx.max():.6g}")
         # c[k, i]: coefficient of (x - x_i)^(3-k) on piece i
-        coef = fit_cubic(x, y).c
-        if out is not None:
-            out[...] = coef
-            coef = out
+        coef = fit_cubic(x, y, out).c
         self.x0 = float(x[0])
         self.dx = float(dx[0])
         self.n = len(x) - 1

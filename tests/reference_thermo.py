@@ -4,7 +4,9 @@
 three-stage Radau IIA stepper that the compiled ``thermo_rhs`` and
 ``thermo_ode`` of ``repro._cext`` transcribe, grouping for grouping and
 expression for expression under the arithmetic contract: the same
-doubles at every step.  Until the compiled object became the one
+doubles at every step.  :func:`saha_sweeps` is the Saha grid pass as
+numpy vector sweeps, which the compiled ``saha_sweeps`` runs row by
+row to the same doubles and the same sweep count.  Until the compiled object became the one
 engine they were the package's own path in a process without a C
 compiler; now they are what ``tests/test_thermo.py`` and
 ``tests/test_rhs_operator.py`` hold the compiled solve to, bitwise, and
@@ -19,9 +21,16 @@ import math
 import numpy as np
 
 from repro import constants as const
-from repro.thermo import peebles_rhs, radau, saha_electron_fraction
+from repro.errors import IntegrationError
+from repro.thermo import (
+    peebles_rhs,
+    radau,
+    recombination,
+    saha_electron_fraction,
+)
+from repro.thermo.recombination import _saha_factor
 
-__all__ = ["rhs", "integrate"]
+__all__ = ["rhs", "integrate", "saha_sweeps"]
 
 _NEWTON_MAXITER = 6
 
@@ -266,3 +275,51 @@ def integrate(rhs, grid: np.ndarray, rows: np.ndarray):
         h *= fac if fac < 10.0 else 10.0
         need_jac = True
     return 0, n_rhs, n_steps, n_rejected
+
+
+def saha_sweeps(
+    t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float,
+    s_h: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`~repro.thermo.saha_electron_fraction` over arrays of
+    epochs at once, ``recombination._saha_sweeps``' signature and
+    result.
+
+    The same residual, start, bracket and stop, with every point still
+    iterating advanced by one Newton step per sweep; a point leaves the
+    sweep the moment its own step passes the stop, so it ends on the
+    iterate the scalar solver ends on (and on the same one whichever
+    other points share its sweeps).  Returns the four fractions and the
+    number of sweeps the slowest point needed.
+    """
+    cap = recombination._SAHA_MAX_ITER
+    out = np.zeros((4, t_kelvin.size))  # underflowed points stay neutral
+    if s_h is None:
+        s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+    live = np.flatnonzero(s_h > 0.0)
+    t_kelvin, n_h_cgs, s_h = t_kelvin[live], n_h_cgs[live], s_h[live]
+    s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1) / n_h_cgs
+    s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2) / n_h_cgs
+    lo = 2.0 * s_h / (s_h + np.sqrt(s_h * s_h + 4.0 * s_h))
+    hi = np.full_like(lo, 1.0 + 2.0 * f_he)
+    x_e = lo
+    for sweep in range(1, cap + 1):
+        g, dg, *fractions = recombination._saha_residual(
+            x_e, s_h, s_he1, s_he2, f_he)
+        rising = g > 0.0
+        lo = np.where(rising, x_e, lo)
+        hi = np.where(rising, hi, x_e)
+        x_new = x_e - g / dg
+        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new,
+                         np.sqrt(lo * hi))
+        done = np.abs(x_new - x_e) < 1e-14 * x_e
+        out[:, live[done]] = x_new[done], *(f[done] for f in fractions)
+        if done.all():
+            return *out, sweep
+        go = ~done
+        live, x_e, lo, hi = live[go], x_new[go], lo[go], hi[go]
+        s_h, s_he1, s_he2 = s_h[go], s_he1[go], s_he2[go]
+    raise IntegrationError(
+        f"Saha equilibrium did not converge in {cap} sweeps "
+        f"at {live.size} of {out.shape[1]} epochs (f_He = {f_he!r})"
+    )

@@ -11,14 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro import _cext
 from repro.errors import ParameterError
-from repro.util import fastspline
 from repro.util.fastspline import (
     LogLogCubic,
     PiecewiseCubic,
     UniformGridCubic,
     fit_cubic,
 )
-from tests.reference_tridiag import solve_tridiagonal, tridiag_solve
+from tests.reference_tridiag import (
+    fit_coefficients,
+    not_a_knot,
+    solve_tridiagonal,
+    tridiag_solve,
+)
 
 
 def _knots(kind: str, n: int) -> np.ndarray:
@@ -124,6 +128,25 @@ class TestFitCubic:
         with pytest.raises(ParameterError, match="matching length"):
             fit_cubic(x, np.ones(5))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 50])
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 5)])
+    def test_stacked_columns_fit_into_a_caller_buffer(self, n, trailing):
+        """``out`` — half of a pack, as ``UniformGridCubic(out=...)``
+        hands it — receives the coefficients of a fresh fit, and nothing
+        else in the pack is written."""
+        x = _knots("random", n)
+        y = np.random.default_rng(5).normal(size=(n,) + trailing)
+        pack = np.full((8, n - 1) + trailing, np.nan)
+        fit = fit_cubic(x, y, out=pack[4:])
+        assert np.shares_memory(fit.c, pack[4:])
+        assert pack[4:].tobytes() == fit_cubic(x, y).c.tobytes()
+        assert np.isnan(pack[:4]).all()
+        strided = np.empty(pack[4:].shape + (2,))[..., 0]
+        for bad in (pack[3:], strided,
+                    np.empty(pack[4:].shape, dtype=np.float32)):
+            with pytest.raises(ParameterError, match="out must be"):
+                fit_cubic(x, y, out=bad)
+
     def test_input_arrays_untouched(self):
         x = _knots("random", 30)
         y = np.cos(x)
@@ -151,26 +174,14 @@ class TestTridiagonalSolve:
 
     @staticmethod
     def system(n, nrhs, seed, ratio):
-        """The not-a-knot system ``fit_cubic`` assembles on a jump grid
-        (a 2x2 it never assembles, for n = 2), as handed to the solve."""
+        """The not-a-knot system of a spline on a jump grid, as the
+        reference assembles it (a 2x2 no fit assembles, for n = 2)."""
         rng = np.random.default_rng([seed, n, nrhs])
         if n == 2:
             return (rng.normal(size=1), rng.normal(size=2),
                     rng.normal(size=1), rng.normal(size=(2, nrhs)))
-        taken = []
-        solve = fastspline._solve_tridiagonal
-
-        def recording(lower, diag, upper, b):
-            taken.append([a.copy() for a in (lower, diag, upper, b)])
-            return solve(lower, diag, upper, b)
-
-        fastspline._solve_tridiagonal = recording
-        try:
-            fit_cubic(_jump_grid(n, seed, ratio), rng.normal(size=(n, nrhs)))
-        finally:
-            fastspline._solve_tridiagonal = solve
-        (system,) = taken
-        return system
+        return not_a_knot(_jump_grid(n, seed, ratio),
+                          rng.normal(size=(n, nrhs)))
 
     @pytest.mark.parametrize("nrhs", [1, 300])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6000])
@@ -201,8 +212,23 @@ class TestTridiagonalSolve:
         for got, ref in zip(compiled, python):
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("nrhs", [1, 300])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6000])
+    @given(seed=st.integers(0, 2**32 - 1), ratio=st.floats(8.0, 40.0))
+    @settings(max_examples=6, deadline=None)
+    def test_compiled_fit_is_the_reference_assembly(self, n, nrhs, seed,
+                                                    ratio):
+        """The compiled ``cubic_fit`` (and the 3-knot system solved by
+        the compiled ``tridiag_solve``) is the reference's numpy
+        assembly solved by the python twin, on the jump grids above."""
+        rng = np.random.default_rng([seed, n, nrhs])
+        x = _jump_grid(n, seed, ratio)
+        y = rng.normal(size=(n, nrhs))
+        assert fit_cubic(x, y).c.tobytes() == fit_coefficients(
+            x, y).tobytes()
+
     @pytest.mark.parametrize("n", [4, 5])
-    def test_small_grids_do_interchange_rows(self, monkeypatch, n):
+    def test_small_grids_do_interchange_rows(self, n):
         """n = 4 and 5 reach the pivoting branch too, on a grid built
         to: a third spacing 30x the first two."""
         from scipy.interpolate import CubicSpline
@@ -219,22 +245,33 @@ class TestTridiagonalSolve:
             b[:, 0] = rows
             return b
 
-        monkeypatch.setattr(fastspline, "_solve_tridiagonal", python_solve)
-        python = fit_cubic(x, np.cos(x)).c
+        python = fit_coefficients(x, np.cos(x), python_solve)
         assert any(v != 0.0 for v in fills)
         assert np.array_equal(python, compiled)
         assert np.array_equal(python, CubicSpline(x, np.cos(x)).c)
 
     @pytest.mark.parametrize("path", ["compiled", "python"])
     def test_zero_pivot_is_reported_not_divided_by(self, path):
-        solve = (fastspline._solve_tridiagonal if path == "compiled"
-                 else solve_tridiagonal)
-        with pytest.raises(ParameterError, match="zero pivot in row 1"):
-            solve(np.array([0.0, 1.0]), np.array([0.0, 1.0, 1.0]),
-                  np.array([1.0, 1.0]), np.ones((3, 1)))
-        with pytest.raises(ParameterError, match="zero pivot in row 3"):
-            solve(np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0]),
-                  np.array([0.0, 1.0]), np.ones((3, 2)))
+        for (dl, d, du), nrhs, row in (
+                (([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0]), 1, 1),
+                (([1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0]), 2, 3)):
+            system = [np.array(a) for a in (dl, d, du)]
+            system.append(np.ones((3, nrhs)))
+            if path == "python":
+                with pytest.raises(ParameterError,
+                                   match=f"zero pivot in row {row}"):
+                    solve_tridiagonal(*system)
+            else:
+                assert _cext.get_cext().tridiag_raw(
+                    3, nrhs, *(a.ctypes.data for a in system)) == row
+        if path == "compiled":
+            # the fit's own solve reports it too: a repeated knot makes
+            # the first pivot (the second spacing) zero
+            x, c = np.array([0.0, 1.0, 1.0, 2.0]), np.empty(12)
+            y, work = np.ones(4), np.empty(20)
+            assert _cext.get_cext().fit_raw(
+                4, 1, x.ctypes.data, y.ctypes.data, 1.0, 1.0,
+                c.ctypes.data, work.ctypes.data) == 1
 
 
 class TestPiecewiseCubic:

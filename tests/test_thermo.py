@@ -24,7 +24,7 @@ from repro import (
 )
 from repro import _cext
 from repro import constants as const
-from repro.errors import CompilerError, IntegrationError
+from repro.errors import CompilerError, IntegrationError, ParameterError
 from repro.thermo import (
     PeeblesRates,
     history,
@@ -33,10 +33,8 @@ from repro.thermo import (
     saha_electron_fraction,
 )
 from repro.thermo.recombination import _saha_factor, _saha_sweeps
-from repro.util import fastspline
 from repro.util.fastspline import PiecewiseCubic, fit_cubic
 from tests import reference_thermo
-from tests.reference_tridiag import solve_tridiagonal
 
 #: Thermal tables of three models, written by the *parent* of the PR
 #: that last replaced a solver behind them — the Saha root-finder, then
@@ -66,9 +64,10 @@ FITTED_ON_FIRST_USE = ("_x_e_spline", "_kappa_spline", "_los_spline",
 @pytest.fixture()
 def python_rhs(monkeypatch):
     """Builds as the python references make them: the stepper of
-    ``tests/reference_thermo.py`` over its right-hand side, and the
-    tridiagonal solve of ``tests/reference_tridiag.py`` under every
-    spline."""
+    ``tests/reference_thermo.py`` over its right-hand side, and its
+    vector Saha sweeps for the two grid passes.  (What the splines
+    fitted after the solve hold is ``tests/test_fastspline.py``'s to
+    pin.)"""
 
     def solve_ode(history_, grid, rows):
         return reference_thermo.integrate(
@@ -76,7 +75,7 @@ def python_rhs(monkeypatch):
                                                        t_b), grid, rows)
 
     monkeypatch.setattr(ThermalHistory, "_solve_ode", solve_ode)
-    monkeypatch.setattr(fastspline, "_solve_tridiagonal", solve_tridiagonal)
+    monkeypatch.setattr(history, "_saha_sweeps", reference_thermo.saha_sweeps)
 
 
 def history_arrays(thermo) -> dict:
@@ -235,6 +234,42 @@ class TestThermalHistory:
         # massive neutrinos barely move recombination
         assert 1000 < thermo_mdm.z_rec < 1250
 
+    # Arguments a build cannot honour are refused before any work:
+    # unchecked, a_start = 2 spun through 100 000 rejected ODE steps, 0
+    # and -1e-8 took the log of it, NaN and a switch above 1 surfaced
+    # as a Saha non-convergence, and 3 grid points gave tau_rec = 0.005
+
+    @pytest.mark.parametrize("a_start", [2.0, 1.0, 0.0, -1e-8, np.nan,
+                                         np.inf])
+    def test_a_start_outside_the_unit_interval_is_refused(self, bg_scdm,
+                                                          a_start):
+        with pytest.raises(ParameterError, match="a_start"):
+            ThermalHistory(bg_scdm, a_start=a_start)
+
+    @pytest.mark.parametrize("n_grid", [3, 0])
+    def test_fewer_than_four_grid_points_are_refused(self, bg_scdm, n_grid):
+        with pytest.raises(ParameterError, match="n_grid"):
+            ThermalHistory(bg_scdm, n_grid=n_grid)
+
+    @pytest.mark.parametrize("saha_switch", [1.5, 0.0, -0.5, np.nan])
+    def test_saha_switch_outside_the_unit_interval_is_refused(
+            self, bg_scdm, saha_switch):
+        with pytest.raises(ParameterError, match="saha_switch"):
+            ThermalHistory(bg_scdm, saha_switch=saha_switch)
+
+    def test_build_telemetry_names_the_ode_and_the_rest(self, scdm):
+        """``build_tables`` splits ``thermo.build`` into the compiled
+        solve and the rest of the build."""
+        from repro.linger.serial import build_tables
+        from repro.telemetry import Telemetry
+
+        tele = Telemetry()
+        build_tables(scdm, telemetry=tele)
+        wall, ode, finish = (tele.timers[f"thermo.{name}"].total_seconds
+                             for name in ("build", "ode", "finish"))
+        assert 0.0 < ode < wall and 0.0 < finish < wall
+        assert ode + finish == pytest.approx(wall, rel=0.05)
+
 
 class TestSahaSolver:
     """The root-finder itself: what it returns solves the equations,
@@ -280,11 +315,14 @@ class TestSahaSolver:
             saha_electron_fraction(5000.0, 0.2, 0.08)
 
     def test_build_converges_in_a_few_evaluations(self, monkeypatch,
-                                                   python_rhs, bg_scdm):
+                                                   request, bg_scdm):
         """Counts, not timings: the fixed point this replaced averaged
-        30 evaluations and ran a third of its calls to the cap.  Python
-        calls are what is counted, so the build is the python
-        reference's."""
+        30 evaluations and ran a third of its calls to the cap.  The
+        compiled build counts its own work; the python reference's
+        build, whose residual calls are counted here, must do the same
+        work, call for call."""
+        compiled = ThermalHistory(bg_scdm)._build_counts
+        request.getfixturevalue("python_rhs")
         evals = 0
         per_call = []
         residual = recombination._saha_residual
@@ -305,8 +343,8 @@ class TestSahaSolver:
                             counting_residual)
         monkeypatch.setattr(reference_thermo, "saha_electron_fraction",
                             counting_solve)
-        thermo = ThermalHistory(bg_scdm)
-        counts = thermo._build_counts
+        assert ThermalHistory(bg_scdm)._build_counts == compiled
+        counts = compiled
         # the ODE right-hand side solves one epoch at a time (LSODA took
         # 1000 evaluations to an error of 1.8e-7 in x_H; the Radau
         # stepper takes these to 3e-9) ...
@@ -333,9 +371,31 @@ class TestSahaSolver:
         neutral = want[1] == 0.0  # hydrogen's factor underflowed
         assert all(np.all(g[neutral] == 0.0) for g in got)
 
+    @pytest.mark.property
+    @given(rows=st.lists(st.tuples(st.floats(1.0, 1e6),
+                                   st.floats(1e-8, 1e12)),
+                         min_size=1, max_size=40),
+           f_he=st.floats(0.0, 0.2))
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_sweeps_are_the_reference_sweeps(self, rows, f_he):
+        """The compiled row-by-row Newton is the reference's vector
+        sweeps: the same four fractions, bit for bit, and the same
+        sweep count.  A 10 K row, whose hydrogen factor underflows,
+        rides along in every example: neutral rows included."""
+        t, n_h = np.array(rows + [(10.0, 1.0)]).T
+        *got, sweeps = _saha_sweeps(t, n_h, f_he)
+        *want, want_sweeps = reference_thermo.saha_sweeps(t, n_h, f_he)
+        assert sweeps == want_sweeps
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert all(g[-1] == 0.0 for g in got)
+
     def test_unconverged_sweep_raises(self, monkeypatch):
+        """The compiled sweeps cannot raise: they return how many rows
+        never stopped, and the caller raises naming them."""
         monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
-        with pytest.raises(IntegrationError, match="1 of 2 epochs"):
+        with pytest.raises(IntegrationError,
+                           match="in 1 sweeps at 1 of 2 epochs"):
             # the first epoch starts on its root, the second does not
             _saha_sweeps(np.array([3000.0, 5000.0]), np.array([0.2, 0.2]),
                          0.08)
@@ -535,7 +595,8 @@ class TestWhatABuildComputes:
         monkeypatch.setattr(history, "_saha_before_switch", recording)
         thermo = ThermalHistory(Background(params), **kwargs)
         (t, n_h, f_he, switch, x_e, x_h, i_switch, sweeps, rows), = calls
-        want_e, want_h, _, _, want_sweeps = _saha_sweeps(t, n_h, f_he)
+        want_e, want_h, _, _, want_sweeps = reference_thermo.saha_sweeps(
+            t, n_h, f_he)
         assert i_switch == np.argmax(want_h < switch)
         assert np.array_equal(x_e[:i_switch], want_e[:i_switch])
         assert np.array_equal(x_h[:i_switch], want_h[:i_switch])
@@ -552,7 +613,7 @@ class TestWhatABuildComputes:
         (every row is then below it)."""
         t = thermo_scdm.params.t_cmb / thermo_scdm._a
         n_h = thermo_scdm._n_h0 / thermo_scdm._a**3
-        want_e, want_h, _, _, want_sweeps = _saha_sweeps(
+        want_e, want_h, _, _, want_sweeps = reference_thermo.saha_sweeps(
             t, n_h, thermo_scdm.f_he)
         x_e, x_h, i_switch, sweeps, rows = history._saha_before_switch(
             t, n_h, thermo_scdm.f_he, switch)
