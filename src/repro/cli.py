@@ -173,23 +173,33 @@ def _scaling_arguments(p) -> None:
                    default=[1, 2, 4, 8, 16, 32, 64, 128, 256])
 
 
+def _int_in(low: int, high: float = float("inf")):
+    """An argparse ``type``: an int in [low, high], else a usage error."""
+    def integer(text: str) -> int:
+        if not low <= int(text) <= high:
+            raise argparse.ArgumentTypeError(
+                f"{text} is out of range [{low}, {high}]")
+        return int(text)
+    return integer
+
+
 def _serve_arguments(p) -> None:
     p.description = (
         "Run the long-lived spectrum service: a newline-"
         "delimited-JSON TCP daemon answering cosmology-"
         "parameter requests from a content-addressed "
         "run-result store, in-flight request coalescing, "
-        "and a resident warm PLINGER worker pool.")
+        "and recent cosmologies' tables in front of PLINGER.")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=_int_in(0, 65535), default=0,
                    help="0 picks a free port (printed on start)")
-    p.add_argument("--nproc", type=int, default=4,
-                   help="warm-pool ranks (1 master + nproc-1 "
-                        "resident workers)")
+    p.add_argument("--nproc", type=_int_in(2), default=4,
+                   help="PLINGER ranks per computed run (1 master + "
+                        "nproc-1 worker threads, started per run)")
     p.add_argument("--store-dir", metavar="DIR", default=None,
                    help="persist served results here (content-"
                         "addressed npz; survives restarts)")
-    p.add_argument("--store-cap-mb", type=int, default=256,
+    p.add_argument("--store-cap-mb", type=_int_in(1), default=256,
                    help="in-memory result-store LRU cap")
     p.add_argument("--journal", metavar="PATH", default=None,
                    help="append-only JSONL request journal "

@@ -15,9 +15,9 @@ tiers (see :mod:`repro.serve.daemon`):
    (:mod:`repro.serve.pool`).
 
 Everything is keyed by the bit-exact canonical digests of
-:mod:`repro.cache.keys`.  The daemon's request journal flushes every
-line as it writes it, so no exit — clean, SIGTERM or SIGKILL — loses
-an answered request's line.
+:mod:`repro.cache.keys`.  A miss is answered from memory before its
+store file is written; a clean shutdown writes every file, and the
+request journal loses no answered line on any exit, SIGKILL included.
 """
 
 from .._lazy import lazy_exports

@@ -16,7 +16,7 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  Each
 3. **warm**/**cold** — a genuine miss is one PLINGER run through
    :class:`~repro.serve.pool.WarmPool` (``warm`` when the cosmology's
    tables were still resident in its LRU, ``cold`` when they had to be
-   built), then lands in the store for every request after it.
+   built), then is admitted to the store for every request after it.
 
 All three tiers serve *bit-identical* C_l for the same digest: the
 store replays the computed arrays, coalesced waiters share the one
@@ -26,11 +26,13 @@ equality with serial LINGER the verify suite pins
 
 Computation runs on a single executor thread — the pool serializes
 grids anyway — while the event loop keeps accepting, answering store
-hits and parking coalesced waiters.  Per-request telemetry lands in
-the ``serve`` section of the daemon's
-:class:`~repro.telemetry.Telemetry`, and an append-only JSONL request
-journal takes one line per request, flushed as it is written, so a
-daemon killed by any signal keeps every line it answered.
+hits and parking coalesced waiters.  A miss is answered once admitted
+to the store; one writer thread then writes its file, drained by
+:meth:`close` on a clean shutdown.  Per-request telemetry lands in the
+``serve`` section of the daemon's :class:`~repro.telemetry.Telemetry`,
+and an append-only JSONL request journal takes one line per request,
+flushed as it is written, so a daemon killed by any signal keeps every
+line it answered.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -164,6 +167,8 @@ class SpectrumServer:
         self._inflight: dict[str, asyncio.Future] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-compute")
+        self._writer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-store")
         self._server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
         self._closed = False
@@ -319,12 +324,14 @@ class SpectrumServer:
             "cl": np.asarray(cl, dtype=np.float64),
         }
         compute_wall = time.perf_counter() - t0
-        stored = self.store.put(digest, arrays, meta={
+        stored = self.store.admit(digest, arrays, meta={
             "kind": "serve_result",
             "protocol": PROTOCOL_VERSION,
             "compute_seconds": compute_wall,
             "t_cmb": request.params.t_cmb,
         })
+        if self.store.disk is not None:
+            self._writer.submit(self.store.persist, digest, stored)
         return stored, ("warm" if was_warm else "cold"), queue_wait, \
             compute_wall
 
@@ -381,6 +388,7 @@ class SpectrumServer:
         if self._server is not None:
             self._server.close()
         self._executor.shutdown(wait=True, cancel_futures=True)
+        self._writer.shutdown(wait=True)  # every answered miss to disk
         self.pool.close()
         if self.journal is not None:
             self.journal.close()
@@ -401,6 +409,8 @@ def run_server(host: str = "127.0.0.1", port: int = 0, nproc: int = 4,
             store_cap_bytes=store_cap_bytes, journal_path=journal_path,
         )
         await server.start()
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, server._stopping.set)
         print(f"serving spectra on {server.host}:{server.port} "
               f"({nproc - 1} workers per run)", flush=True)
         if ready_file:

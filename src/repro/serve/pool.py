@@ -8,7 +8,7 @@ bit-identical to a batch PLINGER run — and therefore to serial LINGER —
 by construction.  What :class:`WarmPool` adds is the one thing worth
 keeping between requests: an LRU of each recent cosmology's built
 ``(Background, ThermalHistory)``, handed to the workers by reference.
-A repeat-cosmology request skips the ~20 ms table build, which is most
+A repeat-cosmology request skips the ~4.5 ms table build, which is most
 of the non-ODE cost of a small run; spawning the threads is not
 (EXPERIMENTS.md TAB-POOL), so nothing else is resident.
 """

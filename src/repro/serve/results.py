@@ -20,6 +20,7 @@ Two layers:
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import OrderedDict
 
@@ -49,7 +50,7 @@ class StoredResult:
 class ResultStore:
     """LRU-bounded, digest-keyed, optionally persistent result cache.
 
-    Thread safe: the daemon's executor thread writes while the event
+    Thread safe: the daemon's threads admit and persist while the event
     loop reads.  ``mem_cap_bytes`` bounds only the in-memory tier;
     the disk tier (when ``root`` is given) keeps every entry ever
     stored — recency eviction demotes an entry from memory to disk,
@@ -63,12 +64,14 @@ class ResultStore:
         self.disk = TableStore(root) if root is not None else None
         self._mem: OrderedDict[str, StoredResult] = OrderedDict()
         self._mem_bytes = 0
+        self._pending: dict[str, StoredResult] = {}  # not on disk yet
         self._lock = threading.Lock()
         self.hits_mem = 0
         self.hits_disk = 0
         self.misses = 0
         self.evictions = 0
         self.corrupt = 0
+        self.write_errors = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -84,18 +87,21 @@ class ResultStore:
 
     def __contains__(self, digest: str) -> bool:
         with self._lock:
-            if digest in self._mem:
+            if digest in self._mem or digest in self._pending:
                 return True
         return self.disk is not None and digest in self.disk
 
     # -- the tiers ----------------------------------------------------------
 
     def get(self, digest: str) -> StoredResult | None:
-        """Exact hit or None; promotes disk hits back into memory."""
+        """Exact hit or None; promotes pending and disk hits to memory."""
         with self._lock:
             hit = self._mem.get(digest)
             if hit is not None:
                 self._mem.move_to_end(digest)
+            elif (hit := self._pending.get(digest)) is not None:
+                self._admit(digest, hit)  # evicted while being written
+            if hit is not None:
                 self.hits_mem += 1
                 return hit
         if self.disk is not None:
@@ -120,19 +126,41 @@ class ResultStore:
 
     def put(self, digest: str, arrays: dict[str, np.ndarray],
             meta: dict | None = None) -> StoredResult:
-        """Store one product under its digest (memory + disk).
+        """Store one product: :meth:`admit`, then :meth:`persist` here.
 
-        Concurrent same-digest writers are safe: the disk layer lands
-        entries via atomic rename (last writer wins with identical
-        bytes — the digest *is* the content address), and the memory
-        layer just replaces the value.
+        Concurrent same-digest writers are safe: files land by atomic
+        rename (the last wins, same bytes — the digest *is* the content
+        address), and memory keeps the last value.
         """
-        result = StoredResult(arrays, meta)
+        result = self.admit(digest, arrays, meta)
         if self.disk is not None:
-            self.disk.save(digest, result.arrays, meta=result.meta)
+            self.persist(digest, result)
+        return result
+
+    def admit(self, digest: str, arrays: dict[str, np.ndarray],
+              meta: dict | None = None) -> StoredResult:
+        """Put one product in memory, pending :meth:`persist` if on disk."""
+        result = StoredResult(arrays, meta)
         with self._lock:
             self._admit(digest, result)
+            if self.disk is not None:
+                self._pending[digest] = result
         return result
+
+    def persist(self, digest: str, result: StoredResult) -> None:
+        """Write an admitted product's file and clear its pending mark;
+        a failure is logged and counted in ``write_errors``, not raised."""
+        try:
+            self.disk.save(digest, result.arrays, meta=result.meta)
+        except Exception:
+            with self._lock:
+                self.write_errors += 1
+            logging.getLogger(__name__).exception(
+                "result %s not written to %s", digest[:12], self.disk.root)
+        finally:
+            with self._lock:
+                if self._pending.get(digest) is result:
+                    del self._pending[digest]
 
     def keep_body(self, digest: str, result: StoredResult,
                   body: bytes) -> bytes:
@@ -182,5 +210,7 @@ class ResultStore:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "corrupt": self.corrupt,
+                "pending_writes": len(self._pending),
+                "write_errors": self.write_errors,
                 "persistent": self.disk is not None,
             }

@@ -77,6 +77,23 @@ class TestParser:
         assert "unrecognized arguments: --batch-size" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--nproc", "1"),
+        ("--store-cap-mb", "0"),
+        ("--port", "70000"),
+        ("--port", "-1"),
+    ], ids=["nproc", "store-cap-mb", "port-high", "port-negative"])
+    def test_serve_refuses_numbers_it_cannot_use(self, option, value,
+                                                 capsys):
+        """A rank count below 2, a store cap below 1 MB and a port
+        outside 0-65535 are usage errors, before a daemon is built."""
+        with pytest.raises(SystemExit) as exit_:
+            build_parser("serve").parse_args(["serve", option, value])
+        assert exit_.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("repro serve: error: argument "
+                                f"{option}: {int(value)} is out of range")
+
     def test_scaling_defaults(self):
         args = build_parser().parse_args(["scaling"])
         assert args.machine == "IBM SP2"

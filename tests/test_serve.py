@@ -19,6 +19,7 @@ from repro import CosmologyParams, standard_cdm, tilted_cdm
 from repro.errors import ServeError
 from repro.serve import (
     PROTOCOL_VERSION,
+    ResultStore,
     ServeClient,
     ServeRequest,
     SpectrumServer,
@@ -534,6 +535,180 @@ class TestDaemon:
                                  "cold_builds": 1,
                                  "resident_evictions": 0}
         assert stats["resident_models"] == 1
+
+
+class TestWriteBehind:
+    """A miss is answered once its product is in memory; the store file
+    follows on the daemon's writer thread, drained by ``close``."""
+
+    run_daemon = TestDaemon.run_daemon
+
+    def test_a_failed_store_write_still_answers(self, tmp_path,
+                                                monkeypatch):
+        """A full disk costs the file, not the answer: the miss is
+        served, the product stays in memory, the repeat is a hit, and
+        the failure is counted."""
+        from repro.cache.store import TableStore
+
+        def full_disk(self, key, arrays, meta=None):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(TableStore, "save", full_disk)
+        line = encode_message(small_request().to_doc())
+
+        async def scenario(server):
+            first = await server.handle_line(line)
+            repeat = await server.handle_line(line)
+            return first, repeat, server
+
+        first, repeat, server = self.run_daemon(
+            scenario, store_dir=tmp_path / "results")
+        first, repeat = decode_message(first), decode_message(repeat)
+        assert first["ok"] is True and first["tier"] == "cold"
+        assert repeat["tier"] == "store" and repeat["cl"] == first["cl"]
+        stats = server.stats()
+        assert stats["metrics"]["computed_runs"] == 1
+        assert stats["store"]["write_errors"] == 1
+        assert stats["store"]["pending_writes"] == 0
+        assert first["digest"] in server.store
+        assert not any((tmp_path / "results").rglob("*.npz"))
+
+    def test_close_drains_a_slow_write(self, tmp_path, monkeypatch):
+        """A write still running when the miss is answered is finished
+        by ``close``: a second daemon on the same directory answers the
+        digest from its store tier, same C_l bits."""
+        import time
+
+        from repro.cache.store import TableStore
+
+        save = TableStore.save
+
+        def slow_save(self, *args, **kwargs):
+            time.sleep(0.2)
+            return save(self, *args, **kwargs)
+
+        monkeypatch.setattr(TableStore, "save", slow_save)
+        store = tmp_path / "results"
+        line = encode_message(small_request().to_doc())
+
+        async def ask(server):
+            answer = decode_message(await server.handle_line(line))
+            return answer, server.store.stats()["pending_writes"]
+
+        first, pending = self.run_daemon(ask, store_dir=store)
+        assert first["tier"] == "cold" and pending == 1
+        monkeypatch.undo()
+        second, _ = self.run_daemon(ask, store_dir=store)
+        assert second["tier"] == "store"
+        assert second["digest"] == first["digest"]
+        assert second["cl"] == first["cl"]
+
+    def test_sigterm_is_a_clean_shutdown(self, tmp_path):
+        """``repro serve`` takes SIGTERM as the ``shutdown`` op: it
+        exits 0 with the answered miss's file on disk."""
+        import os
+        import subprocess
+        import sys
+        import time
+
+        ready, store = tmp_path / "ready", tmp_path / "results"
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--nproc", "2",
+             "--ready-file", str(ready), "--store-dir", str(store)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while not ready.exists() and daemon.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            port = int(ready.read_text().split()[1])
+            request = small_request()
+            with ServeClient(port=port) as client:
+                assert client.spectrum(request)["tier"] == "cold"
+            daemon.send_signal(signal.SIGTERM)
+            _out, err = daemon.communicate(timeout=60)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+        assert daemon.returncode == 0, err
+        fresh = ResultStore(store)
+        assert fresh.get(request.digest()) is not None
+        assert fresh.hits_disk == 1
+
+    def test_a_pending_entry_is_a_memory_hit(self, tmp_path, monkeypatch):
+        """While its file is being written, an entry — even one already
+        evicted from memory — is a memory hit, never a miss."""
+        import threading
+
+        from repro.cache.store import TableStore
+
+        release = threading.Event()
+        save = TableStore.save
+
+        def held_save(self, *args, **kwargs):
+            assert release.wait(timeout=60)
+            return save(self, *args, **kwargs)
+
+        monkeypatch.setattr(TableStore, "save", held_save)
+        entry = {"cl": np.full(1024, 7.0)}
+        store = ResultStore(tmp_path, mem_cap_bytes=1024 * 8)
+        writers = []
+        for digest in ("kept", "filler"):  # the filler evicts "kept"
+            result = store.admit(digest, entry)
+            writers.append(threading.Thread(
+                target=store.persist, args=(digest, result)))
+            writers[-1].start()
+        try:
+            assert store.evictions == 1 and "kept" in store
+            hit = store.get("kept")
+            stats = store.stats()
+        finally:
+            release.set()
+            for writer in writers:
+                writer.join(timeout=60)
+        assert not any(writer.is_alive() for writer in writers)
+        assert hit is not None
+        np.testing.assert_array_equal(hit.arrays["cl"], entry["cl"])
+        assert (stats["hits_mem"], stats["misses"]) == (1, 0)
+        assert stats["pending_writes"] == 2
+        assert store.stats()["pending_writes"] == 0
+        assert ResultStore(tmp_path).get("kept") is not None
+
+    def test_racing_writers_leave_nothing_pending(self, tmp_path):
+        """Eight threads admitting and persisting four digests, with the
+        interpreter switching threads as often as it can: every write
+        clears its own pending mark and no other."""
+        import sys
+        import threading
+
+        store = ResultStore(tmp_path, mem_cap_bytes=2 * 1024 * 8)
+        barrier = threading.Barrier(8)
+
+        def write(i):
+            barrier.wait(timeout=60)
+            for n in range(10):
+                digest = f"d{(i + n) % 4}"
+                store.persist(digest, store.admit(
+                    digest, {"cl": np.full(1024, float(i))}))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = store.stats()
+        assert (stats["pending_writes"], stats["write_errors"]) == (0, 0)
+        fresh = ResultStore(tmp_path)
+        assert all(fresh.get(f"d{j}") is not None for j in range(4))
 
 
 class TestResponseLine:
