@@ -3,9 +3,9 @@
 The spectrum service answers C_l requests from three tiers: an exact
 hit in the content-addressed run-result store replays stored arrays in
 milliseconds; a request identical to one already in flight coalesces
-onto that computation; a genuine miss is one ``run_plinger`` call
-through the warm pool, which keeps each recent cosmology's built
-tables so a repeat cosmology skips the table build.
+onto that computation; a genuine miss runs its modes on the warm
+pool's resident threads, and the pool keeps each recent cosmology's
+built tables so a repeat cosmology skips the table build.
 
 This benchmark drives a live daemon over real TCP with a
 duplicate-heavy request mix — the parameter-study workload the service
@@ -116,7 +116,7 @@ def test_serve_latency_and_dispatch(benchmark, capsys, tmp_path):
     tier_rates = {tier: count / metrics.requests
                   for tier, count in sorted(metrics.by_tier.items())}
 
-    # dispatch leg: the pool (warm tables, worker threads per run) vs
+    # dispatch leg: the pool (warm tables, resident threads) vs
     # a fresh forked world and table build per request, on a cache-miss
     # mix (new k-grids, same cosmology)
     warm_seconds, refork_seconds = [], []

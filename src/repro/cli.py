@@ -189,13 +189,14 @@ def _serve_arguments(p) -> None:
         "delimited-JSON TCP daemon answering cosmology-"
         "parameter requests from a content-addressed "
         "run-result store, in-flight request coalescing, "
-        "and recent cosmologies' tables in front of PLINGER.")
+        "and recent cosmologies' tables in front of resident "
+        "mode threads.")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_int_in(0, 65535), default=0,
                    help="0 picks a free port (printed on start)")
     p.add_argument("--nproc", type=_int_in(2), default=4,
-                   help="PLINGER ranks per computed run (1 master + "
-                        "nproc-1 worker threads, started per run)")
+                   help="nproc-1 modes at once: the compute thread "
+                        "plus nproc-2 resident threads")
     p.add_argument("--store-dir", metavar="DIR", default=None,
                    help="persist served results here (content-"
                         "addressed npz; survives restarts)")

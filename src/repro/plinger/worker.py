@@ -15,7 +15,7 @@ What "integrate" means is the one callable the loop takes,
 ``compute(ik)``; :func:`mode_compute` builds the production one
 (:func:`~repro.linger.serial.compute_mode`, the serial driver's own
 unit of work, escalation ladder included) for ``run_plinger``'s
-workers and the warm pool's alike.
+workers.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ tiers (see :mod:`repro.serve.daemon`):
    finished product bitwise (:mod:`repro.serve.results`);
 2. **in-flight coalescing** — identical concurrent requests share one
    computation (the daemon's per-digest future map);
-3. a **warm pool**: one ``run_plinger`` call per computed request in
-   front of an LRU of each recent cosmology's built tables
+3. a **warm pool**: a computed request's modes on resident threads,
+   in front of an LRU of each recent cosmology's built tables
    (:mod:`repro.serve.pool`).
 
 Everything is keyed by the bit-exact canonical digests of

@@ -13,16 +13,17 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  Each
    awaits the in-flight future instead of computing again, so a burst
    of identical requests costs exactly one run (``computed_runs`` in
    :class:`~repro.telemetry.ServeMetrics` is the proof);
-3. **warm**/**cold** — a genuine miss is one PLINGER run through
+3. **warm**/**cold** — a genuine miss is one grid run through
    :class:`~repro.serve.pool.WarmPool` (``warm`` when the cosmology's
    tables were still resident in its LRU, ``cold`` when they had to be
-   built), then is admitted to the store for every request after it.
+   built), then is admitted to the store for every request after it;
+   a mode that outlasts the ladder is an ``IntegrationError`` answer.
 
 All three tiers serve *bit-identical* C_l for the same digest: the
 store replays the computed arrays, coalesced waiters share the one
-computed product, and the pool's wire protocol is the PLINGER one whose
-equality with serial LINGER the verify suite pins
-(``oracle.serve_result`` is the end-to-end check).
+computed product, and the pool's modes are serial LINGER's own
+``compute_mode`` calls, whose equality with ``run_linger`` the verify
+suite pins (``oracle.serve_result`` is the end-to-end check).
 
 Computation runs on a single executor thread — the pool serializes
 grids anyway — while the event loop keeps accepting, answering store
@@ -139,8 +140,8 @@ class SpectrumServer:
         Bind address; ``port=0`` picks a free port (read it back from
         ``self.port`` after :meth:`start`).
     nproc:
-        PLINGER width of a computed run (1 master + ``nproc - 1``
-        worker threads).
+        ``nproc - 1`` modes at once: the compute thread plus
+        ``nproc - 2`` resident threads.
     store_dir:
         Persistence root for the run-result store (None: memory only).
     store_cap_bytes:
@@ -412,7 +413,8 @@ def run_server(host: str = "127.0.0.1", port: int = 0, nproc: int = 4,
         asyncio.get_running_loop().add_signal_handler(
             signal.SIGTERM, server._stopping.set)
         print(f"serving spectra on {server.host}:{server.port} "
-              f"({nproc - 1} workers per run)", flush=True)
+              f"({nproc - 1} modes at once: the compute thread plus "
+              f"{nproc - 2} resident threads)", flush=True)
         if ready_file:
             tmp = Path(str(ready_file) + ".tmp")
             tmp.write_text(f"{server.host} {server.port}\n")

@@ -1,31 +1,31 @@
-"""Tier 3 of the spectrum service: warm tables in front of PLINGER.
+"""Tier 3 of the spectrum service: warm tables and resident threads.
 
-A request that misses the store is one
-:func:`~repro.plinger.driver.run_plinger` call on the ``inprocess``
-backend (master in the calling thread, ``nproc - 1`` worker threads,
-the unmodified wire protocol), so the output is
-bit-identical to a batch PLINGER run — and therefore to serial LINGER —
-by construction.  What :class:`WarmPool` adds is the one thing worth
-keeping between requests: an LRU of each recent cosmology's built
-``(Background, ThermalHistory)``, handed to the workers by reference.
-A repeat-cosmology request skips the ~4.5 ms table build, which is most
-of the non-ODE cost of a small run; spawning the threads is not
-(EXPERIMENTS.md TAB-POOL), so nothing else is resident.
+A request that misses the store runs its wavenumbers on the calling
+thread (the daemon's compute thread) and ``nproc - 2`` threads the pool
+keeps; all take indices from one dispatch-order iterator (largest k
+first), one :func:`~repro.linger.serial.compute_mode` call each — the
+unit of work of :func:`~repro.linger.serial.run_linger`, ladder
+included — so the records are serial LINGER's bit for bit.  No message
+is sent and, after the first run, no thread is started.  The other
+thing :class:`WarmPool` keeps between requests is an LRU of recent
+cosmologies' built ``(Background, ThermalHistory)``: a repeat
+cosmology skips the ~4.5 ms table build (EXPERIMENTS.md TAB-POOL).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from ..background import Background
 from ..errors import ServeError
 from ..linger.kgrid import KGrid
-from ..linger.serial import LingerConfig, LingerResult, build_tables
+from ..linger.serial import (LingerConfig, LingerResult, build_tables,
+                             compute_mode)
 from ..params import CosmologyParams
-from ..plinger.driver import run_plinger
-from ..resilience import FaultTolerance
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 
@@ -46,29 +46,26 @@ class PoolStats:
 
 
 class WarmPool:
-    """PLINGER runs over an LRU of built per-cosmology tables.
+    """Grid runs on resident threads over an LRU of built tables.
 
     Parameters
     ----------
     nproc:
-        Rank count per run: 1 master (the calling thread) plus
-        ``nproc - 1`` worker threads.
-    fault_tolerance:
-        The per-run :class:`~repro.resilience.FaultTolerance` policy.
+        ``nproc - 1`` modes at once: the calling thread plus
+        ``nproc - 2`` resident threads, started on first use.
     max_resident:
         How many cosmologies stay warm at once (LRU beyond that).
     """
 
-    def __init__(self, nproc: int = 4,
-                 fault_tolerance: FaultTolerance = FaultTolerance(),
-                 max_resident: int = 8) -> None:
+    def __init__(self, nproc: int = 4, max_resident: int = 8) -> None:
         if nproc < 2:
             raise ServeError("WarmPool needs at least 1 worker (nproc >= 2)")
         if max_resident < 1:
             raise ServeError("max_resident must be >= 1")
         self.nproc = int(nproc)
-        self.fault_tolerance = fault_tolerance
         self.max_resident = int(max_resident)
+        self._helpers = ThreadPoolExecutor(max(self.nproc - 2, 1),
+                                           "serve-mode")
         self.stats = PoolStats()
         #: tables digest -> (background, thermo), least recent first
         self._resident: OrderedDict[
@@ -115,25 +112,65 @@ class WarmPool:
                 raise ServeError("WarmPool is closed")
             (background, thermo), was_warm = self._tables(params,
                                                           telemetry)
-            result, _stats = run_plinger(
-                params, kgrid, config, nproc=self.nproc,
-                backend="inprocess", background=background, thermo=thermo,
-                telemetry=telemetry, fault_tolerance=self.fault_tolerance,
-            )
+            wall0 = time.perf_counter()
+            headers, payloads = self._modes(background, thermo, kgrid,
+                                            config, telemetry)
+            result = LingerResult(
+                params=params, kgrid=kgrid, config=config,
+                headers=headers, payloads=payloads,
+                modes=[None] * kgrid.nk, background=background,
+                thermo=thermo, wall_seconds=time.perf_counter() - wall0)
             self.stats.runs += 1
             self.stats.warm_runs += was_warm
         return result, was_warm
+
+    def _modes(self, background, thermo, kgrid, config, telemetry):
+        """Headers and payloads in ascending k.  A failed mode stops
+        the hand-out; its error is raised once every thread has
+        stopped.  Helpers record into collectors of their own, merged
+        after (``compute_mode`` patches its collector's last mode)."""
+        headers, payloads = [None] * kgrid.nk, [None] * kgrid.nk
+        order = iter(kgrid.dispatch_order.tolist())
+        take = threading.Lock()
+        failed: list[BaseException] = []
+
+        def sweep(tel: Telemetry) -> Telemetry:
+            try:
+                while not failed:
+                    with take:
+                        idx = next(order, None)
+                    if idx is None:
+                        break
+                    headers[idx], payloads[idx], _ = compute_mode(
+                        background, thermo, kgrid.k[idx], idx + 1, config,
+                        telemetry=tel)
+            except BaseException as exc:
+                failed.append(exc)
+            return tel
+
+        helpers = [self._helpers.submit(
+            sweep, Telemetry() if telemetry.enabled else NULL_TELEMETRY)
+            for _ in range(min(self.nproc - 2, kgrid.nk - 1))]
+        sweep(telemetry)
+        for helper in helpers:
+            tel = helper.result()
+            if tel.enabled:
+                telemetry.merge(tel.to_dict())
+        if failed:
+            raise failed[0]
+        return headers, payloads
 
     @property
     def resident_count(self) -> int:
         return len(self._resident)
 
     def close(self) -> None:
-        """Drop the resident tables and refuse further runs (waits for
-        a run in flight).  Idempotent."""
+        """Drop the resident tables, stop the resident threads and
+        refuse further runs (waits for a run in flight).  Idempotent."""
         with self._lock:
             self._closed = True
             self._resident.clear()
+            self._helpers.shutdown(wait=True)
 
     def __enter__(self) -> "WarmPool":
         return self

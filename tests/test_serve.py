@@ -50,6 +50,22 @@ def answer(line: bytes):
     return decode_message(response), server
 
 
+def fail_at(monkeypatch, bad_k: float) -> None:
+    """Make every integration attempt at wavenumber ``bad_k`` raise, so
+    that mode outlasts the escalation ladder."""
+    from repro.errors import IntegrationError
+    from repro.linger import serial
+
+    evolve_mode = serial.evolve_mode
+
+    def failing(background, thermo, k, **kwargs):
+        if k == bad_k:
+            raise IntegrationError("step size underflow")
+        return evolve_mode(background, thermo, k, **kwargs)
+
+    monkeypatch.setattr(serial, "evolve_mode", failing)
+
+
 class TestParamsDigest:
     def test_digest_is_cache_key(self, scdm):
         from repro.cache.keys import cache_key
@@ -274,14 +290,129 @@ class TestWarmPool:
                                        warm.payloads)
         np.testing.assert_array_equal(cl_cold, cl_warm)
 
-    def test_pool_matches_serial_linger(self, runs):
+    def test_pool_matches_serial_linger(self):
+        """Bitwise serial LINGER's records with no helper thread, fewer
+        modes than threads and more modes than threads (the header's
+        CPU time aside)."""
         from repro import run_linger
+        from repro.linger.kgrid import KGrid
 
-        request, _first, (warm, _) = runs
-        serial = run_linger(request.params, request.kgrid(),
-                            request.config())
-        for a, b in zip(serial.payloads, warm.payloads):
-            np.testing.assert_array_equal(a.pack(), b.pack())
+        params, config = standard_cdm(), small_request().config()
+        for nk in (1, 2, 7):
+            kgrid = KGrid.from_k(np.linspace(3e-4, 3e-3, nk))
+            serial = run_linger(params, kgrid, config)
+            for nproc in (2, 3, 4):
+                with WarmPool(nproc=nproc) as pool:
+                    served, _ = pool.run(params, kgrid, config)
+                assert len(served.headers) == len(served.payloads) == nk
+                for a, b in zip(serial.headers, served.headers):
+                    np.testing.assert_array_equal(
+                        dataclasses.replace(a, cpu_seconds=0.0).pack(),
+                        dataclasses.replace(b, cpu_seconds=0.0).pack())
+                    assert a.retry_level == b.retry_level
+                for a, b in zip(serial.payloads, served.payloads):
+                    np.testing.assert_array_equal(a.pack(), b.pack())
+
+    def test_a_run_starts_no_thread_and_no_plinger_world(self, monkeypatch):
+        """The helper threads start once and stay: twenty runs hold the
+        thread count, none reaches PLINGER, and close() stops them."""
+        import threading
+
+        import repro.plinger
+        import repro.plinger.driver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool run reached run_plinger")
+
+        monkeypatch.setattr(repro.plinger.driver, "run_plinger", refuse)
+        monkeypatch.setattr(repro.plinger, "run_plinger", refuse)
+
+        request = small_request()
+        before = set(threading.enumerate())
+        pool = WarmPool(nproc=4)
+        pool.run(request.params, request.kgrid(), request.config())
+        helpers = set(threading.enumerate()) - before
+        assert len(helpers) == 2
+        for _ in range(20):
+            pool.run(request.params, request.kgrid(), request.config())
+            assert set(threading.enumerate()) - before == helpers
+        pool.close()
+        assert not any(t.is_alive() for t in helpers)
+
+    def test_more_threads_than_cores_take_each_mode_once(self, monkeypatch):
+        """Five modes in flight on a shortened switch interval: the
+        shared iterator hands out every wavenumber exactly once, and the
+        records are serial LINGER's."""
+        import sys
+        import threading
+        from collections import Counter
+
+        from repro import run_linger
+        from repro.serve import pool as pool_module
+
+        calls, lock = Counter(), threading.Lock()
+        compute_mode = pool_module.compute_mode
+
+        def counted(background, thermo, k, ik, *args, **kwargs):
+            with lock:
+                calls[ik] += 1
+            return compute_mode(background, thermo, k, ik, *args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "compute_mode", counted)
+        request = small_request(nk=12)
+        kgrid, config = request.kgrid(), request.config()
+        serial = run_linger(request.params, kgrid, config)
+        served: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WarmPool(nproc=6) as pool:
+                for _ in range(3):
+                    runner = threading.Thread(target=lambda: served.append(
+                        pool.run(request.params, kgrid, config)[0]))
+                    runner.start()
+                    runner.join(timeout=120.0)
+                    assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == {ik: 3 for ik in range(1, 13)}
+        assert len(served) == 3
+        for result in served:
+            for a, b in zip(serial.payloads, result.payloads):
+                np.testing.assert_array_equal(a.pack(), b.pack())
+
+    def test_telemetry_gets_every_mode(self):
+        request = small_request(nk=7)
+        kgrid = request.kgrid()
+        telemetry = Telemetry()
+        with WarmPool(nproc=4) as pool:
+            pool.run(request.params, kgrid, request.config(),
+                     telemetry=telemetry)
+        assert sorted(m.ik for m in telemetry.modes) == list(range(1, 8))
+        for m in telemetry.modes:
+            assert m.k == kgrid.k[m.ik - 1] and m.cpu_seconds > 0.0
+
+    def test_a_mode_past_the_ladder_raises_at_once(self, monkeypatch):
+        """A wavenumber that fails at every ladder level ends the run
+        with its IntegrationError, in well under the silence deadline
+        a message protocol would wait out, and the pool serves the next
+        run."""
+        import time
+
+        from repro.errors import IntegrationError
+
+        request = small_request()
+        kgrid, config = request.kgrid(), request.config()
+        with WarmPool(nproc=3) as pool:
+            pool.run(request.params, kgrid, config)  # tables resident
+            fail_at(monkeypatch, kgrid.k[1])
+            t0 = time.perf_counter()
+            with pytest.raises(IntegrationError, match="underflow"):
+                pool.run(request.params, kgrid, config)
+            assert time.perf_counter() - t0 < 2.0
+            monkeypatch.undo()
+            served, _ = pool.run(request.params, kgrid, config)
+            assert len(served.payloads) == kgrid.nk
 
     def test_batch_size_serves_the_same_bits(self, runs, pool):
         """A document from a client that still sends the retired
@@ -403,6 +534,12 @@ class TestDaemon:
                         sum(a.nbytes for a in stored.arrays.values()),
                         stored.body)
             memory = await server.handle_line(line)
+            # an entry whose file the writer thread has not written yet
+            # is served from memory; wait for it to reach the disk
+            for _ in range(1000):
+                if store.stats()["pending_writes"] == 0:
+                    break
+                await asyncio.sleep(0.01)
             # a filler the size of the cap pushes the entry out of memory
             store.put("filler", {"x": np.zeros(store.mem_cap_bytes // 8)})
             disk = await server.handle_line(line)
@@ -482,6 +619,33 @@ class TestDaemon:
         assert invalid["ok"] is False
         assert ping["ok"] is True
         assert errors == 2
+
+    def test_a_failed_mode_is_an_error_response(self, monkeypatch):
+        """A wavenumber that outlasts the escalation ladder answers its
+        request at once with the IntegrationError, and the next request
+        is served."""
+        import time
+
+        failing_request = small_request()
+
+        async def scenario(server):
+            # tables resident, so the failing request times the modes
+            await server.handle_line(encode_message(
+                small_request(k_max=2e-3).to_doc()))
+            fail_at(monkeypatch, failing_request.kgrid().k[1])
+            t0 = time.perf_counter()
+            failed = await server.handle_line(
+                encode_message(failing_request.to_doc()))
+            seconds = time.perf_counter() - t0
+            served = await server.handle_line(encode_message(
+                small_request(k_max=2.5e-3).to_doc()))
+            return decode_message(failed), seconds, decode_message(served)
+
+        failed, seconds, served = self.run_daemon(scenario)
+        assert failed["ok"] is False
+        assert failed["error"].startswith("IntegrationError: ")
+        assert seconds < 2.0
+        assert served["ok"] is True and served["tier"] == "warm"
 
     def test_non_finite_lines_get_error_responses(self):
         """Lines a JSON encoder cannot write, sent raw: each is answered
