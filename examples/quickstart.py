@@ -30,7 +30,7 @@ def main() -> None:
 
     print(f"Integrating {kgrid.nk} wavenumbers "
           f"(largest first, exactly as PLINGER dispatches them)...")
-    result = run_linger(params, kgrid, config, progress=False)
+    result = run_linger(params, kgrid, config)
     print(f"done in {result.wall_seconds:.1f} s wallclock; "
           f"total CPU {result.cpu_seconds.sum():.1f} s\n")
 

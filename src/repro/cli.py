@@ -42,12 +42,14 @@ def _run_arguments(p) -> None:
     p.add_argument("--model", choices=sorted(MODELS), default="scdm")
     p.add_argument("--k-min", type=float, default=3e-5)
     p.add_argument("--k-max", type=float, default=3e-3)
-    p.add_argument("--nk", type=int, default=24)
-    p.add_argument("--lmax", type=int, default=24)
+    p.add_argument("--nk", type=_int_in(1), default=24)
+    p.add_argument("--lmax", type=_int_in(3), default=24)
     p.add_argument("--rtol", type=float, default=1e-4)
-    p.add_argument("--parallel", type=int, default=0, metavar="NPROC",
-                   help="run PLINGER with this many ranks (0 = serial)")
-    p.add_argument("--sparse-k-factor", type=int, default=1,
+    p.add_argument("--parallel", type=_parallel, default=0, metavar="NPROC",
+                   help="run PLINGER with this many ranks (0 = serial, "
+                        "else >= 2); with --sparse-k-factor, NPROC-1 "
+                        "modes at once on threads")
+    p.add_argument("--sparse-k-factor", type=_int_in(1), default=1,
                    metavar="F",
                    help="sparse-k fast path: integrate only every F-th "
                         "wavenumber (plus the endpoints), spline the "
@@ -58,10 +60,12 @@ def _run_arguments(p) -> None:
     p.add_argument("--backend",
                    choices=["inprocess", "procs", "sockets"],
                    default="procs",
-                   help="PLINGER transport (with --parallel); "
-                        "'sockets' runs every worker as a separate "
-                        "OS process over real TCP, forked here or "
-                        "dialing in from anywhere (see 'repro worker')")
+                   help="PLINGER's transport (with --parallel; the "
+                        "sparse-k route runs threads whatever this "
+                        "says); 'sockets' runs every worker as a "
+                        "separate OS process over real TCP, forked "
+                        "here or dialing in from anywhere (see "
+                        "'repro worker')")
     p.add_argument("--listen", metavar="HOST:PORT", default=None,
                    help="with --backend sockets: listen here and "
                         "wait for external 'repro worker --connect' "
@@ -183,6 +187,14 @@ def _int_in(low: int, high: float = float("inf")):
     return integer
 
 
+def _parallel(text: str) -> int:
+    """``--parallel``: 0 (serial) or a rank count >= 2."""
+    if int(text) < 0 or int(text) == 1:
+        raise argparse.ArgumentTypeError(
+            f"{text} is neither 0 (serial) nor >= 2 ranks")
+    return int(text)
+
+
 def _serve_arguments(p) -> None:
     p.description = (
         "Run the long-lived spectrum service: a newline-"
@@ -296,12 +308,6 @@ def _cmd_run_inner(args) -> int:
     )
     telemetry = Telemetry() if args.report else NULL_TELEMETRY
     if args.sparse_k_factor > 1:
-        if args.parallel >= 2 and args.backend != "inprocess":
-            print("error: --sparse-k-factor needs the coarse mode results "
-                  "in master memory; forked workers (--backend "
-                  f"{args.backend}) cannot share them — use --backend "
-                  "inprocess or drop --parallel", file=sys.stderr)
-            return 2
         return _run_sparse(args, params, kgrid, telemetry)
     world = None
     if args.listen is not None:
@@ -367,8 +373,7 @@ def _run_sparse(args, params, kgrid, telemetry) -> int:
     res = run_sparse_cl(
         params, kgrid, config,
         sparse_factor=args.sparse_k_factor,
-        backend=args.backend if args.parallel >= 2 else None,
-        nproc=args.parallel if args.parallel >= 2 else 4,
+        nproc=max(args.parallel, 2),
         telemetry=telemetry,
     )
     m = res.metrics

@@ -3,13 +3,18 @@
 :func:`compute_mode` is the unit of work — one wavenumber under the
 escalation ladder, the same function a PLINGER worker executes for the
 wavenumber of each WORK message the master hands it.
-:func:`run_linger` is the serial main loop over the whole grid.
+:func:`run_linger` is the main loop over the whole grid: serial, or on the
+calling thread plus an executor's threads.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +29,9 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 from .kgrid import KGrid
 from .records import ModeHeader, ModePayload
+
+if TYPE_CHECKING:  # concurrent.futures loads logging: not on every import
+    from concurrent.futures import Executor
 
 __all__ = [
     "LingerConfig",
@@ -64,15 +72,37 @@ class LingerConfig:
     lmax_margin: float = 1.2
     lmax_cap: int = 2000
 
+    def __post_init__(self) -> None:
+        """Refuse numerics no mode can run with before any table is
+        built (the ladder's ``replace`` passes through here too)."""
+        for ok, rule, value in (
+            (0 < self.rtol < math.inf, "rtol must be finite and > 0",
+             self.rtol),
+            (0 <= self.atol < math.inf, "atol must be finite and >= 0",
+             self.atol),
+            (0 < self.tca_eps < math.inf, "tca_eps must be finite and > 0",
+             self.tca_eps),
+            (self.nq >= 0, "nq must be >= 0", self.nq),
+            (self.lmax_photon >= 3, "lmax_photon must be >= 3",
+             self.lmax_photon),
+            (self.lmax_nu >= 3, "lmax_nu must be >= 3", self.lmax_nu),
+            (self.lmax_massive_nu >= 3, "lmax_massive_nu must be >= 3",
+             self.lmax_massive_nu),
+            (math.isfinite(self.amplitude), "amplitude must be finite",
+             self.amplitude),
+            (self.lmax_mode in ("fixed", "scaled"),
+             "lmax_mode must be 'fixed' or 'scaled'", self.lmax_mode),
+        ):
+            if not ok:
+                raise ParameterError(f"LingerConfig: {rule}, got {value!r}")
+
     def lmax_for_k(self, k: float, tau_span: float) -> int:
         if self.lmax_mode == "fixed":
             return self.lmax_photon
-        if self.lmax_mode == "scaled":
-            return int(
-                min(max(self.lmax_photon, self.lmax_margin * k * tau_span + 8),
-                    self.lmax_cap)
-            )
-        raise ParameterError(f"unknown lmax_mode {self.lmax_mode!r}")
+        return int(
+            min(max(self.lmax_photon, self.lmax_margin * k * tau_span + 8),
+                self.lmax_cap)
+        )
 
 
 def build_tables(
@@ -290,18 +320,25 @@ def run_linger(
     config: LingerConfig | None = None,
     background: Background | None = None,
     thermo: ThermalHistory | None = None,
-    progress: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor_constraints: bool = False,
     sparse_k: int | None = None,
+    executor: Executor | None = None,
 ) -> LingerResult:
-    """The serial LINGER main loop.
+    """The LINGER main loop, the one that runs a grid in this process.
 
     Wavenumbers are *computed* in dispatch order (largest first, as the
     paper does), one :func:`compute_mode` call each, but the result
     lists are returned in ascending-k order.
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (and ``save`` it afterwards).
+
+    With an ``executor`` (the serve pool's resident threads, the sparse
+    path's) the calling thread and the executor's threads take indices
+    from the one dispatch-order iterator, so the records are the serial
+    loop's bit for bit; without one there is no lock and no thread.  A
+    mode that outlasts the escalation ladder raises its
+    :class:`~repro.errors.IntegrationError` either way.
 
     ``monitor_constraints=True`` attaches one
     :class:`~repro.verify.constraints.ConstraintMonitor` per mode: the
@@ -345,20 +382,39 @@ def run_linger(
     payloads: list[ModePayload | None] = [None] * nk
     modes: list[ModeResult | None] = [None] * nk
 
+    # a mode past the ladder stops the hand-out and is raised once the
+    # modes in flight finish; a helper records into a collector of its
+    # own (compute_mode patches its collector's last mode), merged after
+    pending = iter(kgrid.dispatch_order.tolist())
+    take = threading.Lock() if executor else nullcontext()
+    failed: list[BaseException] = []
+
+    def sweep(tel: Telemetry) -> Telemetry:
+        try:
+            while not failed:
+                with take:
+                    idx = next(pending, None)
+                if idx is None:
+                    break
+                headers[idx], payloads[idx], mode = compute_mode(
+                    background, thermo, kgrid.k[idx], idx + 1, config,
+                    telemetry=tel, monitor=monitors[idx])
+                modes[idx] = mode if config.keep_mode_results else None
+        except BaseException as exc:
+            failed.append(exc)
+        return tel
+
     wall0 = time.perf_counter()
-    for count, idx in enumerate(kgrid.dispatch_order.tolist(), start=1):
-        header, payload, mode = compute_mode(
-            background, thermo, kgrid.k[idx], idx + 1, config,
-            telemetry=telemetry, monitor=monitors[idx])
-        headers[idx] = header
-        payloads[idx] = payload
-        modes[idx] = mode if config.keep_mode_results else None
-        if progress:
-            print(
-                f"[linger] {count}/{nk} k={kgrid.k[idx]:.5f} "
-                f"cpu={header.cpu_seconds:.2f}s "
-                f"steps={payload.n_steps:.0f}"
-            )
+    # one sweep per index after the first: a sweep that finds the
+    # hand-out empty returns at once
+    helpers = [executor.submit(sweep, Telemetry() if telemetry.enabled
+                               else NULL_TELEMETRY)
+               for _ in range(nk - 1)] if executor else []
+    sweep(telemetry)
+    for helper in helpers:
+        telemetry.merge(helper.result().to_dict())
+    if failed:
+        raise failed[0]
     wall = time.perf_counter() - wall0
     constraints: list = []
     if monitor_constraints:
@@ -369,7 +425,8 @@ def run_linger(
                 telemetry.record_constraint(residuals.to_metrics(idx + 1))
     if telemetry.enabled:
         telemetry.timer("linger.wall").add(wall)
-        telemetry.meta.setdefault("driver", "linger-serial")
+        telemetry.meta.setdefault("driver", "linger-threads" if executor
+                                  else "linger-serial")
         telemetry.meta.setdefault("nk", nk)
 
     return LingerResult(

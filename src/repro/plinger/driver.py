@@ -60,8 +60,7 @@ class PlingerRunStats:
 def _worker_entry(mp_handle, background, thermo, kgrid, config,
                   with_telemetry: bool = False,
                   fault_tolerance: FaultTolerance = FaultTolerance(),
-                  params: CosmologyParams | None = None,
-                  mode_sink: dict | None = None) -> Exception | None:
+                  params: CosmologyParams | None = None) -> Exception | None:
     """Entry point for worker ranks (thread target / forked child /
     ``repro worker``).
 
@@ -88,8 +87,7 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     mp_handle.initpass()
     background, thermo = build_tables(params, background, thermo,
                                       telemetry=telemetry)
-    compute = mode_compute(background, thermo, kgrid, config, telemetry,
-                           mode_sink=mode_sink)
+    compute = mode_compute(background, thermo, kgrid, config, telemetry)
     error = None
     try:
         log = worker_subroutine(mp_handle, compute, fault_tolerance)
@@ -123,7 +121,6 @@ def run_plinger(
     telemetry: Telemetry = NULL_TELEMETRY,
     fault_tolerance: FaultTolerance = FaultTolerance(),
     world: World | None = None,
-    collect_modes: bool = False,
     completed: dict[int, tuple[ModeHeader, ModePayload]] | None = None,
     on_result: Callable[[ModeHeader, ModePayload], None] | None = None,
 ) -> tuple[LingerResult, PlingerRunStats]:
@@ -156,14 +153,7 @@ def run_plinger(
     else built here; the workers get those same objects — by reference
     as threads, by inheritance when forked.
 
-    ``collect_modes=True`` additionally fills ``result.modes`` with the
-    full per-mode records (the sparse-k fast path projects its sources
-    from them).  Only thread-hosted workers can do this — they share the
-    master's memory, so no wire-protocol change is needed — and it
-    requires ``config.keep_mode_results=True``; a forked backend
-    (``procs``, ``sockets``, or a ``world`` that can ``launch``) is
-    refused before any world is built.  A world built here is closed
-    again when the run fails.
+    A world built here is closed again when the run fails.
 
     A restart is this same run started with modes already done:
     ``completed`` maps ``ik`` to the ``(header, payload)`` an earlier
@@ -176,11 +166,7 @@ def run_plinger(
     if nproc < 2:
         raise MessagePassingError("PLINGER needs at least 1 worker (nproc >= 2)")
     config = config or LingerConfig(record_sources=False, keep_mode_results=False)
-    if collect_modes and not config.keep_mode_results:
-        raise ProtocolError(
-            "collect_modes=True requires config.keep_mode_results=True"
-        )
-    if config.keep_mode_results and not collect_modes:
+    if config.keep_mode_results:
         raise ProtocolError(
             "PLINGER ships only the wire records; run with "
             "keep_mode_results=False (use run_linger for source recording)"
@@ -192,13 +178,6 @@ def run_plinger(
                 f"completed mode ik={ik} outside the grid (nk={kgrid.nk}); "
                 "journal/k-grid mismatch"
             )
-    forked = (hasattr(world, "launch") if world is not None
-              else backend in ("procs", "sockets"))
-    if collect_modes and forked:
-        raise ProtocolError(
-            "collect_modes=True requires thread-hosted workers "
-            "(forked children share no memory with the master)"
-        )
     background, thermo = build_tables(params, background, thermo,
                                       telemetry=telemetry)
 
@@ -212,7 +191,6 @@ def run_plinger(
             )
         master_mp = world.handle(0)
         forked = hasattr(world, "launch")
-        mode_sink: dict | None = {} if collect_modes else None
 
         wall0 = time.perf_counter()
         if forked:
@@ -227,8 +205,7 @@ def run_plinger(
                 threading.Thread(
                     target=_worker_entry,
                     args=(world.handle(r), background, thermo, kgrid, config,
-                          telemetry.enabled, fault_tolerance, params,
-                          mode_sink),
+                          telemetry.enabled, fault_tolerance, params),
                     daemon=True,
                 )
                 for r in range(1, nproc)
@@ -298,8 +275,7 @@ def run_plinger(
             config=config,
             headers=headers,  # type: ignore[arg-type]
             payloads=payloads,  # type: ignore[arg-type]
-            modes=[mode_sink.get(i + 1) for i in range(nk)]
-            if mode_sink is not None else [None] * nk,
+            modes=[None] * nk,
             background=background,
             thermo=thermo,
             wall_seconds=wall,

@@ -65,25 +65,17 @@ def mode_compute(
     kgrid,
     config,
     telemetry: Telemetry = NULL_TELEMETRY,
-    mode_sink: dict | None = None,
 ) -> ModeCompute:
     """The production ``compute(ik)`` of a worker rank: one
     :func:`~repro.linger.serial.compute_mode` call — the escalation
     ladder included, its level in ``header.retry_level`` — so only an
     :class:`~repro.errors.IntegrationError` that outlasts the ladder
     ends the rank.
-
-    ``mode_sink`` (thread-hosted workers, which share the master's
-    memory) collects the full ``ModeResult`` by ``ik``.
     """
 
     def compute(ik: int) -> tuple[ModeHeader, ModePayload]:
-        header, payload, mode = compute_mode(
-            background, thermo, float(kgrid.k[ik - 1]), ik, config,
-            telemetry=telemetry)
-        if mode_sink is not None:
-            mode_sink[ik] = mode
-        return header, payload
+        return compute_mode(background, thermo, float(kgrid.k[ik - 1]), ik,
+                            config, telemetry=telemetry)[:2]
 
     return compute
 

@@ -1,13 +1,11 @@
 """Tier 3 of the spectrum service: warm tables and resident threads.
 
-A request that misses the store runs its wavenumbers on the calling
-thread (the daemon's compute thread) and ``nproc - 2`` threads the pool
-keeps; all take indices from one dispatch-order iterator (largest k
-first), one :func:`~repro.linger.serial.compute_mode` call each — the
-unit of work of :func:`~repro.linger.serial.run_linger`, ladder
-included — so the records are serial LINGER's bit for bit.  No message
-is sent and, after the first run, no thread is started.  The other
-thing :class:`WarmPool` keeps between requests is an LRU of recent
+A request that misses the store is one
+:func:`~repro.linger.serial.run_linger` call on the calling thread (the
+daemon's compute thread) plus ``nproc - 2`` threads the pool keeps, so
+the records are serial LINGER's bit for bit.  No message is sent and,
+after the first run, no thread is started.  The other thing
+:class:`WarmPool` keeps between requests is an LRU of recent
 cosmologies' built ``(Background, ThermalHistory)``: a repeat
 cosmology skips the ~4.5 ms table build (EXPERIMENTS.md TAB-POOL).
 """
@@ -15,7 +13,6 @@ cosmology skips the ~4.5 ms table build (EXPERIMENTS.md TAB-POOL).
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -24,7 +21,7 @@ from ..background import Background
 from ..errors import ServeError
 from ..linger.kgrid import KGrid
 from ..linger.serial import (LingerConfig, LingerResult, build_tables,
-                             compute_mode)
+                             run_linger)
 from ..params import CosmologyParams
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
@@ -64,8 +61,8 @@ class WarmPool:
             raise ServeError("max_resident must be >= 1")
         self.nproc = int(nproc)
         self.max_resident = int(max_resident)
-        self._helpers = ThreadPoolExecutor(max(self.nproc - 2, 1),
-                                           "serve-mode")
+        self._helpers = (ThreadPoolExecutor(self.nproc - 2, "serve-mode")
+                         if self.nproc > 2 else None)
         self.stats = PoolStats()
         #: tables digest -> (background, thermo), least recent first
         self._resident: OrderedDict[
@@ -112,53 +109,12 @@ class WarmPool:
                 raise ServeError("WarmPool is closed")
             (background, thermo), was_warm = self._tables(params,
                                                           telemetry)
-            wall0 = time.perf_counter()
-            headers, payloads = self._modes(background, thermo, kgrid,
-                                            config, telemetry)
-            result = LingerResult(
-                params=params, kgrid=kgrid, config=config,
-                headers=headers, payloads=payloads,
-                modes=[None] * kgrid.nk, background=background,
-                thermo=thermo, wall_seconds=time.perf_counter() - wall0)
+            result = run_linger(params, kgrid, config,
+                                background=background, thermo=thermo,
+                                telemetry=telemetry, executor=self._helpers)
             self.stats.runs += 1
             self.stats.warm_runs += was_warm
         return result, was_warm
-
-    def _modes(self, background, thermo, kgrid, config, telemetry):
-        """Headers and payloads in ascending k.  A failed mode stops
-        the hand-out; its error is raised once every thread has
-        stopped.  Helpers record into collectors of their own, merged
-        after (``compute_mode`` patches its collector's last mode)."""
-        headers, payloads = [None] * kgrid.nk, [None] * kgrid.nk
-        order = iter(kgrid.dispatch_order.tolist())
-        take = threading.Lock()
-        failed: list[BaseException] = []
-
-        def sweep(tel: Telemetry) -> Telemetry:
-            try:
-                while not failed:
-                    with take:
-                        idx = next(order, None)
-                    if idx is None:
-                        break
-                    headers[idx], payloads[idx], _ = compute_mode(
-                        background, thermo, kgrid.k[idx], idx + 1, config,
-                        telemetry=tel)
-            except BaseException as exc:
-                failed.append(exc)
-            return tel
-
-        helpers = [self._helpers.submit(
-            sweep, Telemetry() if telemetry.enabled else NULL_TELEMETRY)
-            for _ in range(min(self.nproc - 2, kgrid.nk - 1))]
-        sweep(telemetry)
-        for helper in helpers:
-            tel = helper.result()
-            if tel.enabled:
-                telemetry.merge(tel.to_dict())
-        if failed:
-            raise failed[0]
-        return headers, payloads
 
     @property
     def resident_count(self) -> int:
@@ -170,7 +126,8 @@ class WarmPool:
         with self._lock:
             self._closed = True
             self._resident.clear()
-            self._helpers.shutdown(wait=True)
+            if self._helpers is not None:
+                self._helpers.shutdown(wait=True)
 
     def __enter__(self) -> "WarmPool":
         return self

@@ -15,9 +15,8 @@ The pipeline here is
 1. :func:`~repro.linger.kgrid.sparse_kgrid` picks the coarse grid
    (every ``factor``-th dense point plus both endpoints, so the spline
    never extrapolates and exact hits stay bitwise);
-2. either driver integrates it — ``run_linger(sparse_k=...)``, or
-   ``run_plinger(collect_modes=True)`` on the thread-hosted
-   ``inprocess`` backend;
+2. ``run_linger(sparse_k=...)`` integrates it, serially or with
+   ``nproc - 1`` modes at once on threads;
 3. :func:`sparse_cl` stacks the recorded sources on a shared record
    grid (one stacked :func:`~repro.util.fastspline.fit_cubic` per group
    of coarse modes on one record grid — every mode with k <= 0.02, whose
@@ -35,6 +34,7 @@ the harness, and ``tests/test_sparse.py`` pins the convergence order.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..errors import ParameterError
-from ..linger.kgrid import KGrid, sparse_kgrid
+from ..linger.kgrid import KGrid
 from ..perturbations import default_record_grid, record_grid_start
 from ..telemetry import NULL_TELEMETRY, SparseMetrics, Telemetry
 from ..util.fastspline import fit_cubic
@@ -287,20 +287,18 @@ def run_sparse_cl(
     l_values: np.ndarray | None = None,
     background=None,
     thermo=None,
-    backend: str | None = None,
-    nproc: int = 4,
+    nproc: int = 2,
     telemetry: Telemetry = NULL_TELEMETRY,
     bessel: BesselCache | None = None,
-    progress: bool = False,
 ) -> SparseClResult:
     """The end-to-end sparse-k sweep: integrate coarse, project dense.
 
-    ``backend=None`` integrates through ``run_linger``;
-    ``backend="inprocess"`` (thread-hosted workers, the one backend
-    whose ranks share the master's memory) drives the coarse sweep
-    through ``run_plinger(collect_modes=True)`` instead.  Any other
-    backend raises :class:`~repro.errors.ParameterError` before a world
-    is built.
+    ``nproc`` keeps PLINGER's meaning — ``nproc - 1`` modes at once —
+    but the ranks are threads of this process: the coarse sweep is one
+    ``run_linger(sparse_k=...)`` call on the calling thread plus
+    ``nproc - 2`` threads made for it (the default 2 is serial).  The
+    mode results stay in memory, so no message is sent, and the C_l are
+    the serial route's bit for bit.
     ``l_values`` defaults to the canonical
     :func:`~repro.spectra.cl.los_l_grid` up to the highest multipole
     the dense grid can project (``~ k_max tau0``).  The j_l tables are
@@ -314,27 +312,19 @@ def run_sparse_cl(
             "the sparse fast path projects recorded sources: run with "
             "record_sources=True and keep_mode_results=True"
         )
-    if backend not in (None, "inprocess"):
-        raise ParameterError(
-            f"the sparse fast path needs the coarse mode results in "
-            f"master memory: backend {backend!r} does not share them; "
-            "use backend='inprocess' or None")
-    if backend is None:
+    if nproc < 2:
+        raise ParameterError(f"nproc must be >= 2 (master + 1 worker), "
+                             f"got {nproc}")
+    threads = nullcontext()
+    if nproc > 2:  # concurrent.futures loads logging: only when used
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = ThreadPoolExecutor(nproc - 2, "sparse-mode")
+    with threads as executor:
         coarse = run_linger(
             params, kgrid, config, background=background, thermo=thermo,
-            progress=progress, telemetry=telemetry, sparse_k=sparse_factor,
+            telemetry=telemetry, sparse_k=sparse_factor, executor=executor,
         )
-    else:
-        from ..plinger import run_plinger
-
-        coarse_grid = sparse_kgrid(kgrid, sparse_factor)
-        coarse, _stats = run_plinger(
-            params, coarse_grid, config, nproc=nproc, backend=backend,
-            background=background, thermo=thermo, telemetry=telemetry,
-            collect_modes=True,
-        )
-        if telemetry.enabled:
-            telemetry.meta.setdefault("sparse_k", int(sparse_factor))
     if l_values is None:
         l_max = max(int(0.8 * float(kgrid.k[-1])
                         * coarse.background.tau0), 2)

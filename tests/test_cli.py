@@ -94,6 +94,27 @@ class TestParser:
         assert error.startswith("repro serve: error: argument "
                                 f"{option}: {int(value)} is out of range")
 
+    @pytest.mark.parametrize("option, value", [
+        ("--sparse-k-factor", "0"),
+        ("--sparse-k-factor", "-2"),
+        ("--parallel", "-1"),
+        ("--parallel", "1"),
+        ("--nk", "0"),
+        ("--lmax", "1"),
+    ], ids=["sparse-zero", "sparse-negative", "parallel-negative",
+            "parallel-one", "nk-zero", "lmax-one"])
+    def test_run_refuses_numbers_it_cannot_use(self, option, value,
+                                               capsys):
+        """A sparse factor below 1, a rank count that is neither 0
+        (serial) nor >= 2, an empty grid and an lmax below the
+        hierarchy's 3 are usage errors, before any table is built."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--output", "x.npz", option, value])
+        assert exit_.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"repro run: error: argument {option}: "
+                                f"{value} is ")
+
     def test_scaling_defaults(self):
         args = build_parser().parse_args(["scaling"])
         assert args.machine == "IBM SP2"
@@ -144,31 +165,35 @@ class TestCommands:
         assert report.totals["sparse_mode_reduction"] == 3.0
         assert report.meta["sparse_k_factor"] == 4
 
-    def test_sparse_rejects_forked_backend(self, tmp_path, capsys):
-        """The fast path needs the coarse mode results in master
-        memory: forked workers must be refused cleanly, not crash."""
-        rc = main([
-            "run", "--nk", "9", "--k-min", "1e-3", "--k-max", "1e-2",
-            "--lmax", "8", "--rtol", "3e-4", "--sparse-k-factor", "3",
-            "--parallel", "3", "--backend", "procs",
-            "--output", str(tmp_path / "x.npz"),
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--backend inprocess" in err
+    @pytest.mark.parametrize("backend", ["procs", "sockets"])
+    def test_sparse_runs_on_threads_whatever_the_backend(self, backend,
+                                                         tmp_path, capsys):
+        """``--backend`` selects PLINGER's transport; the sparse route
+        runs its coarse modes on threads of this process, and its
+        archive is the serial route's (the CPU column aside)."""
+        from dataclasses import replace
 
-    def test_sparse_rejects_the_sockets_backend(self, tmp_path, capsys):
-        """Sockets ranks are forked too: the same message, exit 2, and
-        no world built."""
-        rc = main([
-            "run", "--nk", "9", "--k-min", "1e-3", "--k-max", "1e-2",
-            "--lmax", "8", "--rtol", "3e-4", "--sparse-k-factor", "3",
-            "--parallel", "2", "--backend", "sockets",
-            "--output", str(tmp_path / "x.npz"),
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "(--backend sockets)" in err and "--backend inprocess" in err
+        from repro.linger import load_run
+
+        runs = {}
+        for name, extra in (("serial", []),
+                            ("threads", ["--parallel", "3",
+                                         "--backend", backend])):
+            out_file = tmp_path / f"{name}.npz"
+            assert main([
+                "run", "--nk", "9", "--k-min", "1e-3", "--k-max", "1e-2",
+                "--lmax", "8", "--rtol", "3e-4", "--sparse-k-factor", "3",
+                *extra, "--output", str(out_file),
+            ]) == 0
+            runs[name] = load_run(out_file)
+        assert "sparse-k: integrated 4 of 9 modes" in capsys.readouterr().out
+        serial, threads = runs["serial"], runs["threads"]
+        assert serial.k.tobytes() == threads.k.tobytes()
+        for a, b in zip(serial.headers, threads.headers):
+            assert replace(a, cpu_seconds=0.0).pack().tobytes() == \
+                replace(b, cpu_seconds=0.0).pack().tobytes()
+        for a, b in zip(serial.payloads, threads.payloads):
+            assert a.pack().tobytes() == b.pack().tobytes()
 
     def test_run_with_telemetry_report(self, tmp_path, capsys):
         """`run --report` on a 4-mode parallel run emits a report

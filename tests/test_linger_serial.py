@@ -1,6 +1,8 @@
-"""The serial LINGER driver and its result container."""
+"""The LINGER driver, serial and on threads, and its result container."""
 
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,9 +38,31 @@ class TestConfig:
         assert cfg.lmax_for_k(10.0, 10000.0) == 100
 
     def test_unknown_mode_rejected(self):
-        cfg = LingerConfig(lmax_mode="bogus")
-        with pytest.raises(ParameterError):
-            cfg.lmax_for_k(0.1, 1.0)
+        with pytest.raises(ParameterError, match="lmax_mode"):
+            LingerConfig(lmax_mode="bogus")
+
+    @pytest.mark.parametrize("field, value", [
+        ("rtol", -1.0), ("rtol", 0.0), ("rtol", float("nan")),
+        ("rtol", float("inf")), ("atol", -1e-9), ("atol", float("nan")),
+        ("tca_eps", -1.0), ("tca_eps", 0.0), ("nq", -1),
+        ("lmax_photon", 1), ("lmax_nu", 2), ("lmax_massive_nu", 2),
+        ("amplitude", float("nan")), ("amplitude", float("inf")),
+        ("lmax_mode", "bogus"),
+    ])
+    def test_bad_numerics_are_refused_at_construction(self, field, value):
+        """Numerics no mode can run with are a ParameterError naming
+        the field, before any table is built — not a run that spends
+        seconds before ``max_steps`` or a bare ValueError from the
+        state layout."""
+        with pytest.raises(ParameterError, match=field):
+            LingerConfig(**{field: value})
+
+    def test_the_ladder_levels_construct(self):
+        from repro.resilience import escalation_ladder
+
+        for rtol in (1e-4, 0.5, 2.0):
+            levels = list(escalation_ladder(LingerConfig(rtol=rtol)))
+            assert [level for level, _ in levels] == [0, 1, 2]
 
 
 class TestBuildTables:
@@ -172,3 +196,48 @@ class TestRunLinger:
 
     def test_wall_time_recorded(self, linger_small):
         assert linger_small.wall_seconds > 0
+
+
+class TestRunLingerOnThreads:
+    """An executor changes only which thread integrates a mode: every
+    record is the serial loop's, bit for bit."""
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "wire"])
+    @pytest.mark.parametrize("nk", [1, 2, 7])
+    @pytest.mark.parametrize("helpers", [1, 2, 3])
+    def test_matches_serial(self, helpers, nk, keep, scdm, bg_scdm,
+                            thermo_scdm):
+        kgrid = KGrid.from_k(np.geomspace(1e-3, 2e-2, nk))
+        config = LingerConfig(lmax_photon=8, lmax_nu=8, rtol=1e-3,
+                              record_sources=keep, keep_mode_results=keep)
+        kwargs = dict(background=bg_scdm, thermo=thermo_scdm,
+                      monitor_constraints=keep)
+        serial = run_linger(scdm, kgrid, config, **kwargs)
+        telemetry = Telemetry()
+        with ThreadPoolExecutor(helpers) as executor:
+            threads = run_linger(scdm, kgrid, config, telemetry=telemetry,
+                                 executor=executor, **kwargs)
+        assert sorted(m.ik for m in telemetry.modes) == \
+            list(range(1, nk + 1))
+        assert telemetry.meta["driver"] == "linger-threads"
+        for a, b in zip(serial.headers, threads.headers, strict=True):
+            assert replace(a, cpu_seconds=0.0).pack().tobytes() == \
+                replace(b, cpu_seconds=0.0).pack().tobytes()
+        for a, b in zip(serial.payloads, threads.payloads, strict=True):
+            assert a.pack().tobytes() == b.pack().tobytes()
+        for a, b in zip(serial.modes, threads.modes, strict=True):
+            assert (a is None) == (b is None) == (not keep)
+            if keep:
+                assert a.tau.tobytes() == b.tau.tobytes()
+                assert a.y_final.tobytes() == b.y_final.tobytes()
+                assert a.records.keys() == b.records.keys()
+                for name in a.records:
+                    assert a.records[name].tobytes() == \
+                        b.records[name].tobytes()
+        assert len(threads.constraints) == len(serial.constraints) == \
+            (nk if keep else 0)
+        for a, b in zip(serial.constraints, threads.constraints):
+            for name in ("tau", "a", "pressure", "shear", "exchange",
+                         "trunc_photon", "trunc_polarization"):
+                assert getattr(a, name).tobytes() == \
+                    getattr(b, name).tobytes()

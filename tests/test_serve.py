@@ -348,20 +348,20 @@ class TestWarmPool:
         from collections import Counter
 
         from repro import run_linger
-        from repro.serve import pool as pool_module
+        from repro.linger import serial as serial_module
 
+        request = small_request(nk=12)
+        kgrid, config = request.kgrid(), request.config()
+        serial = run_linger(request.params, kgrid, config)
         calls, lock = Counter(), threading.Lock()
-        compute_mode = pool_module.compute_mode
+        compute_mode = serial_module.compute_mode
 
         def counted(background, thermo, k, ik, *args, **kwargs):
             with lock:
                 calls[ik] += 1
             return compute_mode(background, thermo, k, ik, *args, **kwargs)
 
-        monkeypatch.setattr(pool_module, "compute_mode", counted)
-        request = small_request(nk=12)
-        kgrid, config = request.kgrid(), request.config()
-        serial = run_linger(request.params, kgrid, config)
+        monkeypatch.setattr(serial_module, "compute_mode", counted)
         served: list = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

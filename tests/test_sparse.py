@@ -13,8 +13,9 @@ directions:
   refines through factors 8 -> 4 -> 2 (the k-spline error scales as
   ``(factor * dk)^4``);
 * **plumbing** — coarse-grid construction, source stacking, metric
-  telemetry, the PLINGER ``collect_modes`` path and every validation
-  error the driver promises.
+  telemetry, the threaded coarse sweep (``nproc``: bitwise the serial
+  one, and a mode that fails past the ladder raises at once) and every
+  validation error the driver promises.
 
 The dense convergence run integrates 33 cheap modes once per module;
 everything else rides on the session-scoped ``linger_small`` fixture.
@@ -265,7 +266,7 @@ class TestBlocksAcrossGrids:
         assert res.cl.tobytes() == cl.tobytes()
 
 
-# -- driver validation and the PLINGER path ----------------------------------
+# -- driver validation and the threaded path ----------------------------------
 
 
 class TestRunSparseCl:
@@ -291,39 +292,56 @@ class TestRunSparseCl:
         _, cl_dense = cl_from_los(linger_small, l_values)
         assert np.max(np.abs(res.cl / cl_dense - 1.0)) < 0.1
 
-    def test_plinger_backend_matches_serial(self, scdm, bg_scdm,
-                                            thermo_scdm, linger_small):
-        l_values = np.arange(2, 8)
-        serial = run_sparse_cl(
-            scdm, linger_small.kgrid, linger_small.config,
-            sparse_factor=4, l_values=l_values,
-            background=bg_scdm, thermo=thermo_scdm,
-        )
-        plinger = run_sparse_cl(
-            scdm, linger_small.kgrid, linger_small.config,
-            sparse_factor=4, l_values=l_values,
-            background=bg_scdm, thermo=thermo_scdm,
-            backend="inprocess", nproc=2,
-        )
-        # thread-hosted workers run the same serial kernels on the same
-        # floats, so the collected modes — and the C_l — are bitwise
-        assert np.array_equal(plinger.cl, serial.cl)
+    @pytest.mark.parametrize("nproc", [2, 3, 4])
+    def test_threads_match_serial(self, nproc, scdm, bg_scdm, thermo_scdm,
+                                  linger_small):
+        """``nproc - 1`` coarse modes at once on threads run the serial
+        kernels on the same floats: the C_l and every dense source are
+        the serial route's, byte for byte."""
+        kwargs = dict(sparse_factor=4, l_values=np.arange(2, 8),
+                      background=bg_scdm, thermo=thermo_scdm)
+        serial = run_sparse_cl(scdm, linger_small.kgrid,
+                               linger_small.config, **kwargs)
+        threads = run_sparse_cl(scdm, linger_small.kgrid,
+                                linger_small.config, nproc=nproc, **kwargs)
+        assert threads.cl.tobytes() == serial.cl.tobytes()
+        assert len(threads.sources) == len(serial.sources)
+        for got, want in zip(threads.sources, serial.sources):
+            assert got.source.tobytes() == want.source.tobytes()
 
-    @pytest.mark.parametrize("backend", ["procs", "sockets"])
-    def test_forked_backends_are_refused_before_a_world(self, scdm,
-                                                        linger_small,
-                                                        backend):
+    def test_a_mode_past_the_ladder_raises_at_once_on_threads(
+            self, scdm, bg_scdm, thermo_scdm, linger_small, monkeypatch):
+        """The smallest coarse k, dispatched last, fails at every ladder
+        level: the threaded sweep stops the hand-out and raises its
+        IntegrationError as soon as the modes in flight finish."""
         import threading
+        import time
 
-        def accepting():
-            return sum(t.name == "sockets-accept"
-                       for t in threading.enumerate())
+        from repro.errors import IntegrationError
+        from repro.linger import serial
+        from tests.test_serve import fail_at
 
-        before = accepting()
-        with pytest.raises(ParameterError, match="inprocess"):
+        fail_at(monkeypatch, float(linger_small.kgrid.k[0]))
+        evolve_mode, names = serial.evolve_mode, set()
+
+        def named(*args, **kwargs):
+            names.add(threading.current_thread().name)
+            return evolve_mode(*args, **kwargs)
+
+        monkeypatch.setattr(serial, "evolve_mode", named)
+        t0 = time.perf_counter()
+        with pytest.raises(IntegrationError, match="underflow"):
             run_sparse_cl(scdm, linger_small.kgrid, linger_small.config,
-                          sparse_factor=4, backend=backend, nproc=3)
-        assert accepting() == before
+                          sparse_factor=4, l_values=np.arange(2, 8),
+                          background=bg_scdm, thermo=thermo_scdm, nproc=3)
+        assert time.perf_counter() - t0 < 2.0
+        # the caller and the one helper thread each took modes
+        assert len(names) == 2
+
+    def test_nproc_below_two_is_refused(self, scdm, linger_small):
+        with pytest.raises(ParameterError, match="nproc"):
+            run_sparse_cl(scdm, linger_small.kgrid, linger_small.config,
+                          nproc=1)
 
     def test_sparse_sources_rejects_foreign_grid(self, linger_small):
         with pytest.raises(ParameterError, match="subset of the dense"):
