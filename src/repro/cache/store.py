@@ -1,27 +1,36 @@
-"""The on-disk artifact store: one ``.npz`` file per cache key.
+"""The on-disk artifact store: one raw file per cache key.
 
-Layout: ``<root>/<key[:2]>/<key>.npz`` (the two-character fan-out keeps
-directory listings short on large caches).  Every entry embeds
+Layout: ``<root>/<key[:2]>/<key>.raw`` (the two-character fan-out keeps
+directory listings short on large caches).  An entry is one buffer:
 
-* the arrays themselves (``allow_pickle=False`` end to end),
-* a ``__meta__`` JSON string (provenance: kind, build time, ...),
-* a ``__digest__``: the SHA-256 of the array contents.
+* 32 bytes: the SHA-256 of every byte after them;
+* 8 bytes: the length of the head, little-endian;
+* the head, JSON padded with spaces to a multiple of 8 bytes:
+  ``{"arrays": {name: [dtype, shape, offset]}, "meta": {...}}``, the
+  offsets counted from the end of the head;
+* each array's raw C-order bytes, padded to a multiple of 8 bytes, in
+  name order.
 
-Loading re-digests what was read and compares; a mismatch — torn
-write, truncation, disk corruption — deletes the entry and raises
-:class:`~repro.errors.CorruptCacheEntry`, so callers heal by
-rebuilding.  Writes go to a uniquely named temporary file in the same
-directory, are fsynced, and land via ``os.replace``: concurrent
-writers of the same key race safely (last complete file wins; readers
-only ever see a complete file).
+The digest covers the head, so names, dtypes, shapes, offsets and the
+meta are checked with the arrays.  Loading re-digests what was read
+and compares; a mismatch — torn write, truncation, disk corruption —
+deletes the entry and raises :class:`~repro.errors.CorruptCacheEntry`,
+so callers heal by rebuilding.  A write is one ``os.write`` of the
+whole buffer to a uniquely named temporary file in the same directory,
+fsynced, landed via ``os.replace``: concurrent writers of the same key
+race safely (last complete file wins; readers only ever see a complete
+file).  Files of any other suffix (the ``.npz`` entries of earlier
+releases) are never read: their keys are misses.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
+import struct
 import threading
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -30,39 +39,57 @@ from ..errors import CorruptCacheEntry
 
 __all__ = ["TableStore"]
 
-
-def _c_contig(arr) -> np.ndarray:
-    """C-contiguous view/copy that preserves 0-d shapes.
-
-    (``np.ascontiguousarray`` silently promotes scalars to shape (1,),
-    which would corrupt the digest/shape roundtrip.)
-    """
-    arr = np.asarray(arr)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr).reshape(arr.shape)
-    return arr
+_DIGEST = 32  # SHA-256 bytes at the front of every entry
+_HEAD = _DIGEST + 8  # where the JSON head starts
+_ALIGN = 8
 
 
-def _content_digest(arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over names, dtypes, shapes and raw bytes, in name order."""
-    import hashlib
+def _pad(nbytes: int) -> bytes:
+    return b" " * (-nbytes % _ALIGN)
 
-    h = hashlib.sha256()
+
+def _encode(arrays: dict[str, np.ndarray], meta: dict | None) -> bytearray:
+    """One entry's bytes, digest included."""
+    spec, body, offset = {}, [], 0
     for name in sorted(arrays):
-        arr = _c_contig(arrays[name])
-        h.update(name.encode())
-        h.update(arr.dtype.str.encode())
-        h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
+        if name.startswith("__"):
+            raise ValueError(f"array name {name!r} is reserved")
+        arr = np.asarray(arrays[name], order="C")
+        if arr.dtype.hasobject:
+            raise ValueError(f"array {name!r} holds python objects")
+        spec[name] = [arr.dtype.str, list(arr.shape), offset]
+        body += [arr, _pad(arr.nbytes)]
+        offset += arr.nbytes + len(body[-1])
+    head = json.dumps({"arrays": spec, "meta": meta or {}},
+                      sort_keys=True).encode()
+    head += _pad(len(head))
+    buf = bytearray().join(
+        [bytes(_DIGEST), struct.pack("<Q", len(head)), head, *body])
+    buf[:_DIGEST] = hashlib.sha256(memoryview(buf)[_DIGEST:]).digest()
+    return buf
+
+
+def _decode(buf: bytearray) -> tuple[dict[str, np.ndarray], dict]:
+    """``(arrays, meta)`` of one entry's bytes; ValueError if they fail
+    the digest.  The arrays are views of ``buf``."""
+    if hashlib.sha256(memoryview(buf)[_DIGEST:]).digest() != buf[:_DIGEST]:
+        raise ValueError("failed its digest check")
+    (n,) = struct.unpack_from("<Q", buf, _DIGEST)
+    head = json.loads(buf[_HEAD:_HEAD + n])
+    arrays = {
+        name: np.frombuffer(buf, np.dtype(dtype), count=math.prod(shape),
+                            offset=_HEAD + n + offset).reshape(shape)
+        for name, (dtype, shape, offset) in head["arrays"].items()
+    }
+    return arrays, head["meta"]
 
 
 def _chaos_corrupt_write(tmp: Path, key: str) -> None:
     """Chaos-engine injection point: corrupt the staged entry *before*
     the atomic rename, so the published file is exactly what a torn or
-    bit-flipped write would have produced.  Both modes are caught by
-    :meth:`TableStore.load` (zip parse failure or digest mismatch) and
-    surface as :class:`~repro.errors.CorruptCacheEntry`."""
+    bit-flipped write would have produced.  Both modes fail the digest
+    in :meth:`TableStore.load` and surface as
+    :class:`~repro.errors.CorruptCacheEntry`."""
     from ..chaos import current_engine
 
     eng = current_engine()
@@ -84,14 +111,16 @@ def _chaos_corrupt_write(tmp: Path, key: str) -> None:
 
 
 class TableStore:
-    """A content-addressed directory of ``.npz`` table bundles."""
+    """A content-addressed directory of raw array bundles."""
+
+    SUFFIX = ".raw"
 
     def __init__(self, root) -> None:
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}{self.SUFFIX}"
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).is_file()
@@ -99,31 +128,25 @@ class TableStore:
     def save(self, key: str, arrays: dict[str, np.ndarray],
              meta: dict | None = None) -> int:
         """Atomically write one entry; returns the bytes written."""
-        payload = {}
-        for name, arr in arrays.items():
-            if name.startswith("__"):
-                raise ValueError(f"array name {name!r} is reserved")
-            payload[name] = _c_contig(arr)
-        payload["__digest__"] = np.array(_content_digest(payload))
-        payload["__meta__"] = np.array(
-            json.dumps(meta or {}, sort_keys=True)
-        )
+        buf = _encode(arrays, meta)
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
             f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
         try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
-                fh.flush()
-                os.fsync(fh.fileno())
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                if os.write(fd, buf) != len(buf):
+                    raise OSError(f"short write of cache entry {key}")
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             _chaos_corrupt_write(tmp, key)
-            nbytes = tmp.stat().st_size
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        return nbytes
+        return len(buf)
 
     def load(self, key: str) -> tuple[dict[str, np.ndarray], dict, int] | None:
         """Read an entry back, or None if absent.
@@ -132,36 +155,26 @@ class TableStore:
         parsed or whose digest does not match is deleted and reported
         as :class:`~repro.errors.CorruptCacheEntry`.
         """
-        path = self.path(key)
         try:
-            nbytes = path.stat().st_size
+            fh = open(self.path(key), "rb")
         except FileNotFoundError:
             return None
         try:
-            with np.load(path, allow_pickle=False) as npz:
-                arrays = {
-                    name: npz[name]
-                    for name in npz.files
-                    if not name.startswith("__")
-                }
-                stored = str(npz["__digest__"][()])
-                meta = json.loads(str(npz["__meta__"][()]))
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-                json.JSONDecodeError) as exc:
+            with fh:
+                buf = bytearray(os.fstat(fh.fileno()).st_size)
+                fh.readinto(buf)
+            arrays, meta = _decode(buf)
+        except (OSError, ValueError, KeyError, TypeError,
+                struct.error) as exc:
             self.delete(key)
             raise CorruptCacheEntry(
                 f"cache entry {key} unreadable ({exc}); deleted"
             ) from exc
-        if stored != _content_digest(arrays):
-            self.delete(key)
-            raise CorruptCacheEntry(
-                f"cache entry {key} failed its digest check; deleted"
-            )
-        return arrays, meta, nbytes
+        return arrays, meta, len(buf)
 
     def delete(self, key: str) -> None:
         self.path(key).unlink(missing_ok=True)
 
     def keys(self) -> list[str]:
         """Every key currently stored (sorted)."""
-        return sorted(p.stem for p in self.root.glob("??/*.npz"))
+        return sorted(p.stem for p in self.root.glob(f"??/*{self.SUFFIX}"))

@@ -2,7 +2,7 @@
 
 PR 3's ``FaultyWorld`` injected faults at the message layer only; this
 package extends the same pattern to every subsystem added since: the
-on-disk result store (torn/garbled npz writes), the compiled RHS
+on-disk result store (torn/garbled entry writes), the compiled RHS
 kernels (compile failure, NaN poisoning, stale ``.so``), and the
 integrator (forced step collapse on chosen modes) — all behind one
 :class:`ChaosPolicy` and one installed

@@ -211,7 +211,7 @@ def _serve_arguments(p) -> None:
                         "plus nproc-2 resident threads")
     p.add_argument("--store-dir", metavar="DIR", default=None,
                    help="persist served results here (content-"
-                        "addressed npz; survives restarts)")
+                        "addressed raw files; survives restarts)")
     p.add_argument("--store-cap-mb", type=_int_in(1), default=256,
                    help="in-memory result-store LRU cap")
     p.add_argument("--journal", metavar="PATH", default=None,
@@ -646,17 +646,18 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one verb; a process that cannot build the compiled solver
-    says so in one line on stderr and exits 1."""
-    from .errors import CompilerError
+    says so in one line on stderr and exits 1, and one given a number
+    the solver refuses (a ``ParameterError``) exits 2 the same way."""
+    from .errors import CompilerError, ParameterError
 
     argv = sys.argv[1:] if argv is None else list(argv)
     verb = argv[0] if argv and argv[0] in _VERBS else None
     args = build_parser(verb).parse_args(argv)
     try:
         return _VERBS[args.command][2](args)
-    except CompilerError as exc:
+    except (CompilerError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParameterError) else 1
 
 
 if __name__ == "__main__":

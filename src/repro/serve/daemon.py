@@ -16,7 +16,8 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.  Each
 3. **warm**/**cold** — a genuine miss is one grid run through
    :class:`~repro.serve.pool.WarmPool` (``warm`` when the cosmology's
    tables were still resident in its LRU, ``cold`` when they had to be
-   built), then is admitted to the store for every request after it;
+   built; a wavenumber of the cosmology's last grid is not integrated
+   again), then is admitted to the store for every request after it;
    a mode that outlasts the ladder is an ``IntegrationError`` answer.
 
 All three tiers serve *bit-identical* C_l for the same digest: the

@@ -4,10 +4,14 @@ A request that misses the store is one
 :func:`~repro.linger.serial.run_linger` call on the calling thread (the
 daemon's compute thread) plus ``nproc - 2`` threads the pool keeps, so
 the records are serial LINGER's bit for bit.  No message is sent and,
-after the first run, no thread is started.  The other thing
-:class:`WarmPool` keeps between requests is an LRU of recent
-cosmologies' built ``(Background, ThermalHistory)``: a repeat
-cosmology skips the ~4.5 ms table build (EXPERIMENTS.md TAB-POOL).
+after the first run, no thread is started.  What :class:`WarmPool`
+keeps between requests is an LRU of recent cosmologies, each with its
+built ``(Background, ThermalHistory)`` — a repeat cosmology skips the
+~4.5 ms table build (EXPERIMENTS.md TAB-POOL) — and the wire records
+of its last grid, keyed by exact k under that grid's
+:class:`~repro.linger.serial.LingerConfig`: a mode is a pure function
+of the tables, k and the config, so a run integrates only the
+wavenumbers its cosmology's last grid did not have.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 from ..background import Background
 from ..errors import ServeError
@@ -37,9 +41,22 @@ class PoolStats:
     warm_runs: int = 0
     cold_builds: int = 0
     resident_evictions: int = 0
+    #: wavenumbers answered from a resident cosmology's last grid
+    modes_reused: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class _Resident:
+    """One warm cosmology: its tables and the records of its last grid."""
+
+    background: Background
+    thermo: ThermalHistory
+    config: LingerConfig | None = None
+    #: exact k -> (header, payload), as the last grid labelled them
+    records: dict = field(default_factory=dict)
 
 
 class WarmPool:
@@ -64,29 +81,28 @@ class WarmPool:
         self._helpers = (ThreadPoolExecutor(self.nproc - 2, "serve-mode")
                          if self.nproc > 2 else None)
         self.stats = PoolStats()
-        #: tables digest -> (background, thermo), least recent first
-        self._resident: OrderedDict[
-            str, tuple[Background, ThermalHistory]] = OrderedDict()
+        #: tables digest -> resident cosmology, least recent first
+        self._resident: OrderedDict[str, _Resident] = OrderedDict()
         # one grid in flight; also guards the LRU and the stats
         self._lock = threading.Lock()
         self._closed = False
 
     def _tables(self, params: CosmologyParams, telemetry: Telemetry,
-                ) -> tuple[tuple[Background, ThermalHistory], bool]:
-        """``((background, thermo), was_warm)`` for ``params``, building
-        and evicting as the LRU requires (caller holds the lock)."""
+                ) -> tuple[_Resident, bool]:
+        """``(resident, was_warm)`` for ``params``, building and
+        evicting as the LRU requires (caller holds the lock)."""
         digest = params.digest("serve_tables")  # k-grid independent
-        tables = self._resident.get(digest)
-        if tables is not None:
+        resident = self._resident.get(digest)
+        if resident is not None:
             self._resident.move_to_end(digest)
-            return tables, True
-        tables = build_tables(params, telemetry=telemetry)
-        self._resident[digest] = tables
+            return resident, True
+        resident = _Resident(*build_tables(params, telemetry=telemetry))
+        self._resident[digest] = resident
         self.stats.cold_builds += 1
         while len(self._resident) > self.max_resident:
             self._resident.popitem(last=False)
             self.stats.resident_evictions += 1
-        return tables, False
+        return resident, False
 
     def run(self, params: CosmologyParams, kgrid: KGrid,
             config: LingerConfig | None = None,
@@ -95,9 +111,13 @@ class WarmPool:
         """Serve one full grid.
 
         Returns ``(result, was_warm)`` where ``was_warm`` says the
-        cosmology's tables were already resident.  Runs are serialized
-        on the pool (one grid in flight; concurrency above this lives
-        in the daemon's coalescing layer).
+        cosmology's tables were already resident.  Only the wavenumbers
+        the cosmology's last grid (at the same ``config``) lacks are
+        integrated, in one :func:`~repro.linger.serial.run_linger` call;
+        the rest are its records relabelled, so the result is serial
+        LINGER's either way.  Runs are serialized on the pool (one grid
+        in flight; concurrency above this lives in the daemon's
+        coalescing layer).
         """
         config = config or LingerConfig(record_sources=False,
                                         keep_mode_results=False)
@@ -107,13 +127,34 @@ class WarmPool:
         with self._lock:
             if self._closed:
                 raise ServeError("WarmPool is closed")
-            (background, thermo), was_warm = self._tables(params,
-                                                          telemetry)
-            result = run_linger(params, kgrid, config,
-                                background=background, thermo=thermo,
-                                telemetry=telemetry, executor=self._helpers)
+            resident, was_warm = self._tables(params, telemetry)
+            records = resident.records if resident.config == config else {}
+            position = {k: ik for ik, k in enumerate(kgrid.k.tolist(), 1)}
+            new_k = [k for k in position if k not in records]
+            wall = 0.0
+            if new_k:
+                first = len(telemetry.modes)
+                run = run_linger(params, KGrid.from_k(new_k), config,
+                                 background=resident.background,
+                                 thermo=resident.thermo, telemetry=telemetry,
+                                 executor=self._helpers)
+                records.update(zip(new_k, zip(run.headers, run.payloads)))
+                for metric in telemetry.modes[first:]:  # sub-grid ik
+                    metric.ik = position[new_k[metric.ik - 1]]
+                wall = run.wall_seconds
+            resident.config = config
+            resident.records = {k: records[k] for k in position}
+            headers, payloads = [], []
+            for k, ik in position.items():
+                header, payload = records[k]
+                headers.append(replace(header, ik=ik))
+                payloads.append(replace(payload, ik=ik))
             self.stats.runs += 1
             self.stats.warm_runs += was_warm
+            self.stats.modes_reused += kgrid.nk - len(new_k)
+        result = LingerResult(params, kgrid, config, headers, payloads,
+                              [None] * kgrid.nk, resident.background,
+                              resident.thermo, wall_seconds=wall)
         return result, was_warm
 
     @property

@@ -11,7 +11,7 @@ Two layers:
   without deserialization, each entry's encoded response body kept
   (:meth:`ResultStore.keep_body`) and counted in its bytes;
 * an optional on-disk :class:`~repro.cache.store.TableStore` — digest-
-  verified atomic-``os.replace`` npz persistence, so entries survive
+  verified atomic-``os.replace`` raw-file persistence, so entries survive
   daemon restarts and a memory-evicted entry can still hit from disk.
   A corrupt entry (torn write, bit rot) fails its embedded content
   digest at load time, is deleted by the store, and counts as a

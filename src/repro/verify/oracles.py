@@ -553,11 +553,12 @@ def serve_result_oracle(params, nproc: int = 3) -> dict:
     * **cold** — serial :func:`~repro.linger.serial.run_linger` (the
       reference path, no service machinery at all);
     * **warm** — a :class:`~repro.serve.WarmPool` run twice, the
-      second run with the cosmology's tables resident in its LRU (the
-      tier a repeat-cosmology request hits);
+      second run with the cosmology's tables and its first grid's
+      records resident in its LRU, so it integrates nothing (the tier a
+      repeat-cosmology request hits);
     * **store** — the warm product written to a
       :class:`~repro.serve.ResultStore` and read back *through the
-      disk npz round trip* by a second store instance (the tier an
+      disk round trip* by a second store instance (the tier an
       exact-repeat request hits, including across daemon restarts).
 
     Returns ``{"serve_result": dev, "serve_tiers": {...}}`` where

@@ -26,7 +26,7 @@ suite against one cosmology:
    with at least one recovery event per surface
    (``oracle.chaos_degradation``);
 9. answers one spectrum request through all three serving tiers —
-   cold serial, resident warm pool, and the run-result store's npz
+   cold serial, resident warm pool, and the run-result store's raw-file
    round trip — and requires bit-level C_l agreement
    (``oracle.serve_result``);
 10. integrates one short grid in both dispatch orders and at several

@@ -251,13 +251,13 @@ TOLERANCES: dict[str, Tolerance] = {
             "oracle.serve_result", rtol=1e-12, atol=0.0,
             provenance=(
                 "The spectrum service's three-tier identity: one request "
-                "computed cold by serial LINGER, computed through the "
-                "warm pool (run_plinger on tables kept in its LRU), and "
-                "replayed from the content-addressed run-result store "
-                "through its npz round trip, worst |cl - cl_ref| / "
-                "max|cl_ref| across tiers.  Agreement is bitwise by "
-                "construction — the pool runs the PLINGER wire protocol "
-                "whose serial equality oracle.paths_plinger pins, the "
+                "computed cold by serial LINGER, answered by the warm "
+                "pool's repeat run (tables and the last grid's records "
+                "kept in its LRU), and replayed from the "
+                "content-addressed run-result store through its raw-file "
+                "round trip, worst |cl - cl_ref| / max|cl_ref| across "
+                "tiers.  Agreement is bitwise by construction — the pool "
+                "runs run_linger's own loop and reuses its records, the "
                 "product arithmetic is the same float64 code on the same "
                 "records, and the store persists float64 arrays exactly "
                 "(measured 0.0).  1e-12 (vs the golden 1e-8) encodes the "

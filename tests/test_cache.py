@@ -180,6 +180,31 @@ class TestTableStore:
             assert arrays[name].shape == np.asarray(arr).shape
         assert float(arrays["scalar"]) == 3.25  # 0-d survives the trip
 
+    def test_dtypes_shapes_and_meta_round_trip(self, tmp_path):
+        """0-d, int64 and 2-D float64 (a transposed view included) come
+        back with their dtype, shape and bytes, and the meta with its
+        values; the arrays are writable."""
+        store = TableStore(tmp_path)
+        key = "ac" + "0" * 62
+        arrays = {"zero_d": np.array(2.5), "ints": np.arange(-3, 4),
+                  "matrix": np.arange(12.0).reshape(3, 4) / 7.0,
+                  "view": np.arange(12.0).reshape(3, 4).T}
+        meta = {"kind": "serve_result", "t_cmb": 2.7255, "protocol": 1,
+                "nested": {"a": [1, 2.5, None]}}
+        store.save(key, arrays, meta=meta)
+        back, back_meta, _ = store.load(key)
+        assert back_meta == meta and sorted(back) == sorted(arrays)
+        for name, arr in arrays.items():
+            assert (back[name].dtype, back[name].shape) == \
+                (arr.dtype, arr.shape)
+            assert back[name].tobytes() == arr.tobytes()
+            assert back[name].flags.writeable
+
+    def test_object_arrays_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            TableStore(tmp_path).save("ad" + "0" * 62,
+                                      {"v": np.array([None, 1])})
+
     def test_missing_is_none(self, tmp_path):
         assert TableStore(tmp_path).load("ff" + "0" * 62) is None
 
@@ -204,9 +229,8 @@ class TestTableStore:
         store.save(key, {"v": np.ones(64)})
         path = store.path(key)
         raw = bytearray(path.read_bytes())
-        # flip one bit inside the zip's stored array payload; if the
-        # flip lands on zip metadata instead, the parse error is an
-        # equally valid corruption signal
+        # flip one bit mid-file: inside the array bytes, which the
+        # digest at the front of the file covers
         raw[len(raw) // 2] ^= 0x10
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptCacheEntry):
@@ -244,6 +268,17 @@ class TestTableStore:
         for k in ks:
             store.save(k, {"v": np.zeros(2)})
         assert store.keys() == sorted(ks)
+
+    def test_keys_and_loads_skip_other_formats(self, tmp_path):
+        """A stray ``<key>.npz`` (the zip format of earlier releases) is
+        neither listed nor read; only the raw entry is."""
+        store = TableStore(tmp_path)
+        old, new = "cc" + "2" * 62, "dd" + "3" * 62
+        (tmp_path / old[:2]).mkdir()
+        np.savez(tmp_path / old[:2] / f"{old}.npz", v=np.zeros(2))
+        store.save(new, {"v": np.zeros(2)})
+        assert store.keys() == [new]
+        assert store.load(old) is None and old not in store
 
 
 # -- tables are built or handed over, never loaded from disk -----------------

@@ -115,6 +115,21 @@ class TestParser:
         assert error.startswith(f"repro run: error: argument {option}: "
                                 f"{value} is ")
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_run_reports_a_tolerance_the_solver_refuses(self, value,
+                                                        tmp_path, capsys):
+        """``--rtol`` parses as any float and ``LingerConfig`` refuses
+        it: one ``error:`` line, exit 2, no traceback and no archive."""
+        out = tmp_path / "x.npz"
+        assert main(["run", "--rtol", value, "--nk", "2",
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"error: LingerConfig: rtol must be finite and > 0, "
+            f"got {float(value)!r}")
+        assert not out.exists()
+
     def test_scaling_defaults(self):
         args = build_parser().parse_args(["scaling"])
         assert args.machine == "IBM SP2"

@@ -342,7 +342,8 @@ class TestWarmPool:
     def test_more_threads_than_cores_take_each_mode_once(self, monkeypatch):
         """Five modes in flight on a shortened switch interval: the
         shared iterator hands out every wavenumber exactly once, and the
-        records are serial LINGER's."""
+        records are serial LINGER's.  Each run is on a pool of its own:
+        a pool's repeat of a grid integrates nothing."""
         import sys
         import threading
         from collections import Counter
@@ -366,8 +367,8 @@ class TestWarmPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with WarmPool(nproc=6) as pool:
-                for _ in range(3):
+            for _ in range(3):
+                with WarmPool(nproc=6) as pool:
                     runner = threading.Thread(target=lambda: served.append(
                         pool.run(request.params, kgrid, config)[0]))
                     runner.start()
@@ -404,7 +405,9 @@ class TestWarmPool:
         request = small_request()
         kgrid, config = request.kgrid(), request.config()
         with WarmPool(nproc=3) as pool:
-            pool.run(request.params, kgrid, config)  # tables resident
+            # tables resident; the failing wavenumber is not a record
+            pool.run(request.params, small_request(k_max=2e-3).kgrid(),
+                     config)
             fail_at(monkeypatch, kgrid.k[1])
             t0 = time.perf_counter()
             with pytest.raises(IntegrationError, match="underflow"):
@@ -444,7 +447,7 @@ class TestWarmPool:
             assert pool.resident_count == 2
             assert pool.stats.as_dict() == {
                 "runs": 5, "warm_runs": 1, "cold_builds": 4,
-                "resident_evictions": 2}
+                "resident_evictions": 2, "modes_reused": 4}
 
     def test_pool_run_uses_no_shared_segment(self, no_new_shm):
         request = small_request()
@@ -467,6 +470,120 @@ class TestWarmPool:
             WarmPool(nproc=1)
         with pytest.raises(ServeError):
             WarmPool(nproc=3, max_resident=0).close()
+
+
+class TestResidentModes:
+    """A resident cosmology's last grid is reused by exact k and config:
+    a run integrates only what that grid lacked, and its records are
+    serial LINGER's either way."""
+
+    CONFIG = small_request().config()
+    FIRST = (3e-4, 1e-3, 2e-3)
+    SECOND = (3e-4, 5e-4, 2e-3, 3e-3)  # 5e-4 and 3e-3 are new
+
+    @staticmethod
+    def grid(ks):
+        from repro.linger.kgrid import KGrid
+
+        return KGrid.from_k(ks)
+
+    @staticmethod
+    def integrated(monkeypatch):
+        """Patch the seam; the list of wavenumbers ``compute_mode`` is
+        then called for."""
+        import threading
+
+        from repro.linger import serial as serial_module
+
+        calls, lock = [], threading.Lock()
+        compute_mode = serial_module.compute_mode
+
+        def counted(background, thermo, k, ik, *args, **kwargs):
+            with lock:
+                calls.append(float(k))
+            return compute_mode(background, thermo, k, ik, *args, **kwargs)
+
+        monkeypatch.setattr(serial_module, "compute_mode", counted)
+        return calls
+
+    @staticmethod
+    def assert_serial(served, serial):
+        """Bitwise serial LINGER, the header's CPU column aside."""
+        assert len(served.headers) == len(serial.headers)
+        for ik, (a, b) in enumerate(zip(serial.headers, served.headers), 1):
+            assert b.ik == ik and a.retry_level == b.retry_level
+            np.testing.assert_array_equal(
+                dataclasses.replace(a, cpu_seconds=0.0).pack(),
+                dataclasses.replace(b, cpu_seconds=0.0).pack())
+        for a, b in zip(serial.payloads, served.payloads):
+            assert a.pack().tobytes() == b.pack().tobytes()
+
+    @pytest.mark.parametrize("nproc", [2, 3])
+    def test_an_overlapping_grid_integrates_only_its_new_k(
+            self, nproc, monkeypatch):
+        from repro import run_linger
+
+        params, second = standard_cdm(), self.grid(self.SECOND)
+        serial = run_linger(params, second, self.CONFIG)
+        calls = self.integrated(monkeypatch)
+        with WarmPool(nproc=nproc) as pool:
+            pool.run(params, self.grid(self.FIRST), self.CONFIG)
+            calls.clear()
+            served, was_warm = pool.run(params, second, self.CONFIG)
+            again, _ = pool.run(params, second, self.CONFIG)
+            stats = pool.stats.as_dict()
+        assert was_warm and sorted(calls) == [5e-4, 3e-3]
+        assert stats["modes_reused"] == 2 + 4
+        assert list(served.kgrid.k) == list(second.k)
+        self.assert_serial(served, serial)
+        self.assert_serial(again, serial)
+
+    @pytest.mark.parametrize("change", ["config", "cosmology", "evicted"])
+    def test_what_reuses_nothing(self, change, monkeypatch):
+        """Another config, another cosmology or an evicted cosmology:
+        every wavenumber of the second grid is integrated."""
+        params, second = standard_cdm(), self.grid(self.SECOND)
+        other = dataclasses.replace(params, h=0.51)
+        config = (dataclasses.replace(self.CONFIG, rtol=1e-4)
+                  if change == "config" else self.CONFIG)
+        calls = self.integrated(monkeypatch)
+        with WarmPool(nproc=3, max_resident=1) as pool:
+            pool.run(other if change == "cosmology" else params,
+                     self.grid(self.FIRST), self.CONFIG)
+            if change == "evicted":
+                pool.run(other, self.grid(self.FIRST), self.CONFIG)
+            calls.clear()
+            pool.run(params, second, config)
+            assert pool.stats.modes_reused == 0
+        assert sorted(calls) == list(self.SECOND)
+
+    def test_a_failed_run_keeps_the_last_records(self, monkeypatch):
+        from repro.errors import IntegrationError
+
+        params, first = standard_cdm(), self.grid(self.FIRST)
+        with WarmPool(nproc=3) as pool:
+            before, _ = pool.run(params, first, self.CONFIG)
+            fail_at(monkeypatch, 3e-3)
+            with pytest.raises(IntegrationError):
+                pool.run(params, self.grid(self.SECOND), self.CONFIG)
+            monkeypatch.undo()
+            calls = self.integrated(monkeypatch)
+            after, _ = pool.run(params, first, self.CONFIG)
+        assert calls == []
+        for a, b in zip(before.headers, after.headers):
+            assert a.pack().tobytes() == b.pack().tobytes()
+        for a, b in zip(before.payloads, after.payloads):
+            assert a.pack().tobytes() == b.pack().tobytes()
+
+    def test_telemetry_has_only_the_integrated_modes(self):
+        params, second = standard_cdm(), self.grid(self.SECOND)
+        telemetry = Telemetry()
+        with WarmPool(nproc=3) as pool:
+            pool.run(params, self.grid(self.FIRST), self.CONFIG)
+            pool.run(params, second, self.CONFIG, telemetry=telemetry)
+        assert sorted(m.ik for m in telemetry.modes) == [2, 4]
+        for m in telemetry.modes:
+            assert m.k == second.k[m.ik - 1] and m.cpu_seconds > 0.0
 
 
 class TestDaemon:
@@ -697,7 +814,8 @@ class TestDaemon:
         assert stats["metrics"]["computed_runs"] == 1
         assert stats["pool"] == {"runs": 1, "warm_runs": 0,
                                  "cold_builds": 1,
-                                 "resident_evictions": 0}
+                                 "resident_evictions": 0,
+                                 "modes_reused": 0}
         assert stats["resident_models"] == 1
 
 

@@ -116,6 +116,55 @@ class TestDiskTier:
         fresh.put("key", _entry(1.0))
         assert ResultStore(tmp_path).get("key") is not None
 
+    @pytest.mark.parametrize("damage", ["truncated", "length", "head",
+                                        "meta", "body", "digest"])
+    def test_any_damaged_byte_is_a_quarantined_miss(self, tmp_path,
+                                                    damage):
+        """The digest covers the whole file after it: a cut file, a
+        flipped head byte, a meta digit changed to another valid one, a
+        flipped array byte and a flipped digest byte are each a miss
+        that deletes the file and counts in ``corrupt``."""
+        writer = ResultStore(tmp_path)
+        writer.put("key", _entry(1.0, n=16), meta={"t_cmb": 2.7255})
+        path = writer.disk.path("key")
+        blob = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del blob[-8:]
+        elif damage == "meta":
+            at = blob.index(b"2.7255")
+            blob[at:at + 6] = b"2.7256"  # still JSON, still a float
+        else:
+            at = {"length": 32, "head": blob.index(b'"cl"') + 1,
+                  "body": len(blob) - 8, "digest": 0}[damage]
+            blob[at] ^= 0x01
+        path.write_bytes(bytes(blob))
+
+        fresh = ResultStore(tmp_path)
+        assert fresh.get("key") is None
+        assert (fresh.corrupt, fresh.misses) == (1, 1)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("mode", ["garble", "torn"])
+    def test_a_chaos_corrupted_write_is_caught(self, tmp_path, mode):
+        from repro.chaos import ChaosPolicy, active
+
+        with active(ChaosPolicy(cache_write_faults=1,
+                                cache_write_mode=mode)):
+            ResultStore(tmp_path).put("key", _entry(1.0))
+        fresh = ResultStore(tmp_path)
+        assert fresh.get("key") is None and fresh.corrupt == 1
+
+    def test_an_old_npz_entry_is_never_read(self, tmp_path):
+        """An entry in the zip format of earlier releases is a miss:
+        not read, not counted corrupt, not deleted."""
+        store = ResultStore(tmp_path)
+        stray = tmp_path / "ke" / "key.npz"
+        stray.parent.mkdir()
+        np.savez(stray, cl=np.ones(4))
+        assert store.get("key") is None
+        assert (store.misses, store.corrupt) == (1, 0) and stray.exists()
+        assert "key" not in store
+
     def test_concurrent_same_key_writers(self, tmp_path):
         """N writers racing one digest: atomic rename means the entry
         is always complete and digest-valid, never torn."""
@@ -153,7 +202,7 @@ class TestDiskTier:
 class TestExactHitBitwise:
     def test_round_trip_is_bitwise(self, scdm, linger_small):
         """An exact hit replays the stored product to the last bit —
-        through the npz round trip, against the freshly computed C_l."""
+        through the disk round trip, against the freshly computed C_l."""
         request = ServeRequest(params=scdm, k_min=3e-4, k_max=0.03,
                                nk=linger_small.kgrid.nk, lmax=24)
         l, cl = spectrum_product(scdm, linger_small.kgrid.k,
