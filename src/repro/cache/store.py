@@ -2,14 +2,11 @@
 
 Layout: ``<root>/<key[:2]>/<key>.raw`` (the two-character fan-out keeps
 directory listings short on large caches).  An entry is one buffer:
-
-* 32 bytes: the SHA-256 of every byte after them;
-* 8 bytes: the length of the head, little-endian;
-* the head, JSON padded with spaces to a multiple of 8 bytes:
-  ``{"arrays": {name: [dtype, shape, offset]}, "meta": {...}}``, the
-  offsets counted from the end of the head;
-* each array's raw C-order bytes, padded to a multiple of 8 bytes, in
-  name order.
+the SHA-256 of every byte after it (32 bytes), the head's length (8
+bytes, little-endian), a JSON head ``{"arrays": {name: [dtype, shape,
+offset]}, "meta": {...}}`` (offsets from the head's end), then each
+array's C-order bytes in name order; head and arrays are padded to 8
+bytes.
 
 The digest covers the head, so names, dtypes, shapes, offsets and the
 meta are checked with the arrays.  Loading re-digests what was read

@@ -4,14 +4,11 @@ A request that misses the store is one
 :func:`~repro.linger.serial.run_linger` call on the calling thread (the
 daemon's compute thread) plus ``nproc - 2`` threads the pool keeps, so
 the records are serial LINGER's bit for bit.  No message is sent and,
-after the first run, no thread is started.  What :class:`WarmPool`
-keeps between requests is an LRU of recent cosmologies, each with its
-built ``(Background, ThermalHistory)`` — a repeat cosmology skips the
-~4.5 ms table build (EXPERIMENTS.md TAB-POOL) — and the wire records
-of its last grid, keyed by exact k under that grid's
-:class:`~repro.linger.serial.LingerConfig`: a mode is a pure function
-of the tables, k and the config, so a run integrates only the
-wavenumbers its cosmology's last grid did not have.
+after the first run, no thread is started.  :class:`WarmPool` keeps an
+LRU of recent cosmologies: each one's built ``(Background,
+ThermalHistory)`` (a repeat skips the ~4.5 ms table build, TAB-POOL)
+and its last grid's records by exact k and config, which a later run
+of that cosmology does not integrate again.
 """
 
 from __future__ import annotations
@@ -31,6 +28,11 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
 
 __all__ = ["WarmPool", "PoolStats"]
+
+#: a grid keeps its records only if they fit in this many bytes (a
+#: mode: 21 header and 2*lmax+8 payload floats, ~1 KiB of objects), so
+#: the pool holds at most ``max_resident`` times this, whatever nk/lmax
+RECORDS_MAX_BYTES = 1 << 20
 
 
 @dataclass
@@ -55,7 +57,8 @@ class _Resident:
     background: Background
     thermo: ThermalHistory
     config: LingerConfig | None = None
-    #: exact k -> (header, payload), as the last grid labelled them
+    #: exact k -> (header, payload), as the last grid labelled them;
+    #: empty if that grid was over RECORDS_MAX_BYTES
     records: dict = field(default_factory=dict)
 
 
@@ -111,13 +114,10 @@ class WarmPool:
         """Serve one full grid.
 
         Returns ``(result, was_warm)`` where ``was_warm`` says the
-        cosmology's tables were already resident.  Only the wavenumbers
-        the cosmology's last grid (at the same ``config``) lacks are
-        integrated, in one :func:`~repro.linger.serial.run_linger` call;
-        the rest are its records relabelled, so the result is serial
-        LINGER's either way.  Runs are serialized on the pool (one grid
-        in flight; concurrency above this lives in the daemon's
-        coalescing layer).
+        cosmology's tables were already resident.  Wavenumbers of the
+        cosmology's last grid at this ``config`` are not integrated
+        again.  Runs are serialized on the pool (one grid in flight;
+        concurrency above this lives in the daemon's coalescing layer).
         """
         config = config or LingerConfig(record_sources=False,
                                         keep_mode_results=False)
@@ -134,7 +134,9 @@ class WarmPool:
             wall = 0.0
             if new_k:
                 first = len(telemetry.modes)
-                run = run_linger(params, KGrid.from_k(new_k), config,
+                sub = (kgrid if len(new_k) == kgrid.nk
+                       else KGrid.from_k(new_k))
+                run = run_linger(params, sub, config,
                                  background=resident.background,
                                  thermo=resident.thermo, telemetry=telemetry,
                                  executor=self._helpers)
@@ -142,16 +144,18 @@ class WarmPool:
                 for metric in telemetry.modes[first:]:  # sub-grid ik
                     metric.ik = position[new_k[metric.ik - 1]]
                 wall = run.wall_seconds
+            # ascending k; a reused or sub-grid record takes this grid's ik
+            pairs = [records[k] if records[k][0].ik == ik
+                     else tuple(replace(r, ik=ik) for r in records[k])
+                     for k, ik in position.items()]
+            mode_bytes = 8 * (29 + 2 * config.lmax_photon) + 1024
             resident.config = config
-            resident.records = {k: records[k] for k in position}
-            headers, payloads = [], []
-            for k, ik in position.items():
-                header, payload = records[k]
-                headers.append(replace(header, ik=ik))
-                payloads.append(replace(payload, ik=ik))
+            resident.records = (dict(zip(position, pairs)) if kgrid.nk
+                                * mode_bytes <= RECORDS_MAX_BYTES else {})
             self.stats.runs += 1
             self.stats.warm_runs += was_warm
             self.stats.modes_reused += kgrid.nk - len(new_k)
+        headers, payloads = map(list, zip(*pairs))
         result = LingerResult(params, kgrid, config, headers, payloads,
                               [None] * kgrid.nk, resident.background,
                               resident.thermo, wall_seconds=wall)

@@ -252,8 +252,8 @@ TOLERANCES: dict[str, Tolerance] = {
             provenance=(
                 "The spectrum service's three-tier identity: one request "
                 "computed cold by serial LINGER, answered by the warm "
-                "pool's repeat run (tables and the last grid's records "
-                "kept in its LRU), and replayed from the "
+                "pool on tables kept in its LRU (three records reused, "
+                "three integrated), and replayed from the "
                 "content-addressed run-result store through its raw-file "
                 "round trip, worst |cl - cl_ref| / max|cl_ref| across "
                 "tiers.  Agreement is bitwise by construction — the pool "

@@ -314,8 +314,10 @@ class TestWarmPool:
                     np.testing.assert_array_equal(a.pack(), b.pack())
 
     def test_a_run_starts_no_thread_and_no_plinger_world(self, monkeypatch):
-        """The helper threads start once and stay: twenty runs hold the
-        thread count, none reaches PLINGER, and close() stops them."""
+        """The helper threads start once and stay: twenty runs, each on
+        a grid that shares no k with the one before (so each integrates
+        every mode), hold the thread count, none reaches PLINGER, and
+        close() stops them."""
         import threading
 
         import repro.plinger
@@ -327,23 +329,26 @@ class TestWarmPool:
         monkeypatch.setattr(repro.plinger.driver, "run_plinger", refuse)
         monkeypatch.setattr(repro.plinger, "run_plinger", refuse)
 
-        request = small_request()
+        grids = [small_request(), small_request(k_min=4e-4, k_max=2e-3)]
+        assert not set(grids[0].kgrid().k) & set(grids[1].kgrid().k)
         before = set(threading.enumerate())
         pool = WarmPool(nproc=4)
-        pool.run(request.params, request.kgrid(), request.config())
+        pool.run(grids[0].params, grids[0].kgrid(), grids[0].config())
         helpers = set(threading.enumerate()) - before
         assert len(helpers) == 2
-        for _ in range(20):
+        for i in range(1, 21):
+            request = grids[i % 2]
             pool.run(request.params, request.kgrid(), request.config())
             assert set(threading.enumerate()) - before == helpers
+        assert pool.stats.modes_reused == 0
         pool.close()
         assert not any(t.is_alive() for t in helpers)
 
     def test_more_threads_than_cores_take_each_mode_once(self, monkeypatch):
         """Five modes in flight on a shortened switch interval: the
         shared iterator hands out every wavenumber exactly once, and the
-        records are serial LINGER's.  Each run is on a pool of its own:
-        a pool's repeat of a grid integrates nothing."""
+        records are serial LINGER's.  The three runs share one pool and
+        no wavenumber, so each integrates its whole grid."""
         import sys
         import threading
         from collections import Counter
@@ -351,9 +356,12 @@ class TestWarmPool:
         from repro import run_linger
         from repro.linger import serial as serial_module
 
-        request = small_request(nk=12)
-        kgrid, config = request.kgrid(), request.config()
-        serial = run_linger(request.params, kgrid, config)
+        requests = [small_request(nk=12, k_min=k_min, k_max=10 * k_min)
+                    for k_min in (3e-4, 3.1e-4, 3.2e-4)]
+        grids = [set(r.kgrid().k) for r in requests]
+        assert not (grids[0] & grids[1] or grids[1] & grids[2])
+        serial = [run_linger(r.params, r.kgrid(), r.config())
+                  for r in requests]
         calls, lock = Counter(), threading.Lock()
         compute_mode = serial_module.compute_mode
 
@@ -367,19 +375,20 @@ class TestWarmPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for _ in range(3):
-                with WarmPool(nproc=6) as pool:
+            with WarmPool(nproc=6) as pool:
+                for r in requests:
                     runner = threading.Thread(target=lambda: served.append(
-                        pool.run(request.params, kgrid, config)[0]))
+                        pool.run(r.params, r.kgrid(), r.config())[0]))
                     runner.start()
                     runner.join(timeout=120.0)
                     assert not runner.is_alive()
+                assert pool.stats.modes_reused == 0
         finally:
             sys.setswitchinterval(interval)
         assert calls == {ik: 3 for ik in range(1, 13)}
         assert len(served) == 3
-        for result in served:
-            for a, b in zip(serial.payloads, result.payloads):
+        for twin, result in zip(serial, served):
+            for a, b in zip(twin.payloads, result.payloads):
                 np.testing.assert_array_equal(a.pack(), b.pack())
 
     def test_telemetry_gets_every_mode(self):
@@ -574,6 +583,28 @@ class TestResidentModes:
             assert a.pack().tobytes() == b.pack().tobytes()
         for a, b in zip(before.payloads, after.payloads):
             assert a.pack().tobytes() == b.pack().tobytes()
+
+    def test_a_grid_over_the_byte_cap_keeps_no_records(self, monkeypatch):
+        """Records are kept only while a grid's fit the cap: a grid over
+        it is still served from what was kept before, but keeps nothing,
+        so its repeat integrates every wavenumber again."""
+        from repro.serve import pool as pool_module
+
+        # a mode's records: 21 + 2*lmax+8 floats and ~1 KiB of objects
+        mode_bytes = 8 * (29 + 2 * self.CONFIG.lmax_photon) + 1024
+        monkeypatch.setattr(pool_module, "RECORDS_MAX_BYTES",
+                            len(self.FIRST) * mode_bytes)
+        params, second = standard_cdm(), self.grid(self.SECOND)
+        calls = self.integrated(monkeypatch)
+        with WarmPool(nproc=3) as pool:
+            pool.run(params, self.grid(self.FIRST), self.CONFIG)
+            calls.clear()
+            pool.run(params, second, self.CONFIG)
+            assert sorted(calls) == [5e-4, 3e-3]
+            calls.clear()
+            pool.run(params, second, self.CONFIG)
+            assert pool.stats.modes_reused == 2
+        assert sorted(calls) == list(self.SECOND)
 
     def test_telemetry_has_only_the_integrated_modes(self):
         params, second = standard_cdm(), self.grid(self.SECOND)
@@ -853,7 +884,8 @@ class TestWriteBehind:
         assert stats["store"]["write_errors"] == 1
         assert stats["store"]["pending_writes"] == 0
         assert first["digest"] in server.store
-        assert not any((tmp_path / "results").rglob("*.npz"))
+        assert not any(p.is_file()
+                       for p in (tmp_path / "results").rglob("*"))
 
     def test_close_drains_a_slow_write(self, tmp_path, monkeypatch):
         """A write still running when the miss is answered is finished
