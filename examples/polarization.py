@@ -1,19 +1,12 @@
 #!/usr/bin/env python
-"""Beyond temperature: E-mode polarization and gravitational waves.
+"""Beyond temperature: the E-mode polarization spectrum.
 
-The paper's physics includes the full polarized Thomson scattering and
-the code family it belongs to was soon extended to tensors; this
-example exercises both extension surfaces:
+The paper's physics includes the full polarized Thomson scattering;
+this example computes the scalar E-mode spectrum C_l^EE from the
+recorded polarization source Pi = F2 + G0 + G2 and prints it against
+the scalar temperature spectrum from the same run.
 
-* the scalar E-mode spectrum C_l^EE from the recorded polarization
-  source Pi = F2 + G0 + G2,
-* the tensor temperature spectrum C_l^T from the damped
-  gravitational-wave equation,
-
-and prints them against the scalar temperature spectrum from the same
-run.
-
-Usage: python examples/polarization_tensors.py [--lmax N]
+Usage: python examples/polarization.py [--lmax N]
 """
 
 import argparse
@@ -22,7 +15,6 @@ import sys
 import numpy as np
 
 from repro import Background, KGrid, LingerConfig, ThermalHistory, run_linger, standard_cdm
-from repro.perturbations import cl_tensor
 from repro.spectra import (
     band_power_uk,
     cl_ee_from_los,
@@ -55,14 +47,8 @@ def main(argv=None) -> int:
     cl_tt = cl_tt * norm
     cl_ee = cl_ee * norm
 
-    print("evolving tensor modes ...")
-    l_t, cl_t = cl_tensor(bg, thermo, l)
-    # a fiducial tensor-to-scalar quadrupole ratio of 0.2
-    cl_t = cl_t * (0.2 * cl_tt[0] / cl_t[0])
-
     bp_tt = band_power_uk(l, cl_tt, params.t_cmb)
     bp_ee = band_power_uk(l, cl_ee, params.t_cmb)
-    bp_t = band_power_uk(l_t, cl_t, params.t_cmb)
 
     print()
     print(ascii_plot(
@@ -71,18 +57,14 @@ def main(argv=None) -> int:
         title="temperature (*) vs 10x E-mode (o) band powers [uK]",
         xlabel="l (log)", ylabel="uK (log)",
     ))
-    rows = [
-        [int(li), float(t), float(e), float(tt)]
-        for li, t, e, tt in zip(l, bp_tt, bp_ee, bp_t)
-    ]
+    rows = [[int(li), float(t), float(e)]
+            for li, t, e in zip(l, bp_tt, bp_ee)]
     print(format_table(
-        ["l", "dT (scalar) [uK]", "dT (E-mode) [uK]",
-         "dT (tensor, r=0.2) [uK]"],
+        ["l", "dT (temperature) [uK]", "dT (E-mode) [uK]"],
         rows,
-        title="spectra from one LINGER run + tensor integration",
+        title="spectra from one LINGER run",
     ))
-    print("E-modes are ~1-2 orders below temperature (no reionization); "
-          "the tensor contribution dies above l ~ 100.")
+    print("E-modes are ~1-2 orders below temperature (no reionization).")
     return 0
 
 

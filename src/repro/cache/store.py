@@ -1,7 +1,9 @@
 """The on-disk artifact store: one raw file per cache key.
 
 Layout: ``<root>/<key[:2]>/<key>.raw`` (the two-character fan-out keeps
-directory listings short on large caches).  An entry is one buffer:
+directory listings short on large caches).  The same entry format is a
+``repro run`` archive (:func:`write_entry` / :func:`read_entry` on a
+path of the caller's choosing).  An entry is one buffer:
 the SHA-256 of every byte after it (32 bytes), the head's length (8
 bytes, little-endian), a JSON head ``{"arrays": {name: [dtype, shape,
 offset]}, "meta": {...}}`` (offsets from the head's end), then each
@@ -12,12 +14,13 @@ The digest covers the head, so names, dtypes, shapes, offsets and the
 meta are checked with the arrays.  Loading re-digests what was read
 and compares; a mismatch — torn write, truncation, disk corruption —
 deletes the entry and raises :class:`~repro.errors.CorruptCacheEntry`,
-so callers heal by rebuilding.  A write is one ``os.write`` of the
-whole buffer to a uniquely named temporary file in the same directory,
-fsynced, landed via ``os.replace``: concurrent writers of the same key
-race safely (last complete file wins; readers only ever see a complete
-file).  Files of any other suffix (the ``.npz`` entries of earlier
-releases) are never read: their keys are misses.
+so callers heal by rebuilding (:func:`read_entry` raises and deletes
+nothing).  A write is one ``os.write`` of the whole buffer to a
+uniquely named temporary file in the same directory, fsynced, landed
+via ``os.replace``: concurrent writers of the same key race safely
+(last complete file wins; readers only ever see a complete file).
+Files of any other suffix (the ``.npz`` entries of earlier releases)
+are never read: their keys are misses.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from ..errors import CorruptCacheEntry
 
-__all__ = ["TableStore"]
+__all__ = ["TableStore", "read_entry", "write_entry"]
 
 _DIGEST = 32  # SHA-256 bytes at the front of every entry
 _HEAD = _DIGEST + 8  # where the JSON head starts
@@ -79,6 +82,53 @@ def _decode(buf: bytearray) -> tuple[dict[str, np.ndarray], dict]:
         for name, (dtype, shape, offset) in head["arrays"].items()
     }
     return arrays, head["meta"]
+
+
+def _land(path: Path, buf: bytearray, staged=None) -> None:
+    """Write ``buf`` to ``path`` atomically; ``staged``, if given, is
+    called on the fsynced temporary file before the rename."""
+    tmp = path.parent / (
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            if os.write(fd, buf) != len(buf):
+                raise OSError(f"short write of {path.name}")
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        if staged is not None:
+            staged(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_entry(path, arrays: dict[str, np.ndarray],
+                meta: dict | None = None) -> int:
+    """Atomically write one entry to ``path``, exactly as given;
+    returns the bytes written."""
+    buf = _encode(arrays, meta)
+    _land(Path(path), buf)
+    return len(buf)
+
+
+def read_entry(path) -> tuple[dict[str, np.ndarray], dict, int]:
+    """``(arrays, meta, bytes_read)`` of the entry at ``path``.
+
+    Raises OSError (``FileNotFoundError`` if there is no file) or
+    ValueError if the bytes are not a whole entry: truncated, altered,
+    or another format.  Never deletes the file.
+    """
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(buf)
+    try:
+        arrays, meta = _decode(buf)
+    except (KeyError, TypeError, struct.error) as exc:
+        raise ValueError(f"malformed entry ({exc!r})") from exc
+    return arrays, meta, len(buf)
 
 
 def _chaos_corrupt_write(tmp: Path, key: str) -> None:
@@ -128,21 +178,7 @@ class TableStore:
         buf = _encode(arrays, meta)
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                if os.write(fd, buf) != len(buf):
-                    raise OSError(f"short write of cache entry {key}")
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            _chaos_corrupt_write(tmp, key)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _land(path, buf, lambda tmp: _chaos_corrupt_write(tmp, key))
         return len(buf)
 
     def load(self, key: str) -> tuple[dict[str, np.ndarray], dict, int] | None:
@@ -153,21 +189,14 @@ class TableStore:
         as :class:`~repro.errors.CorruptCacheEntry`.
         """
         try:
-            fh = open(self.path(key), "rb")
+            return read_entry(self.path(key))
         except FileNotFoundError:
             return None
-        try:
-            with fh:
-                buf = bytearray(os.fstat(fh.fileno()).st_size)
-                fh.readinto(buf)
-            arrays, meta = _decode(buf)
-        except (OSError, ValueError, KeyError, TypeError,
-                struct.error) as exc:
+        except (OSError, ValueError) as exc:
             self.delete(key)
             raise CorruptCacheEntry(
                 f"cache entry {key} unreadable ({exc}); deleted"
             ) from exc
-        return arrays, meta, len(buf)
 
     def delete(self, key: str) -> None:
         self.path(key).unlink(missing_ok=True)

@@ -87,7 +87,7 @@ def _run_arguments(p) -> None:
                    default="all",
                    help="which fault surfaces --chaos-seed arms "
                         "(default: all)")
-    p.add_argument("--output", required=True, help="archive (.npz)")
+    p.add_argument("--output", required=True, help="run archive")
 
 
 def _fault_tolerance_arguments(p) -> None:

@@ -2,19 +2,20 @@
 
 The original code writes two files per run: an ascii file with the
 per-mode summary values and a binary file with the multipole arrays.
-This module provides both (the ascii format is the 21-column record,
-one line per mode; the "binary" file is a compressed .npz), plus a
-round-trippable archive of a whole run that can be reloaded for
-spectrum post-processing without re-integrating.
+This module provides both: the ascii format is the 21-column record,
+one line per mode, and the binary file is a run archive, reloadable
+for spectrum post-processing without re-integrating.  An archive is
+one digest-checked entry of :mod:`repro.cache.store`'s format.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..cache.store import read_entry, write_entry
 from ..errors import ParameterError
 from ..params import CosmologyParams
 from .records import HEADER_LENGTH, ModeHeader, ModePayload
@@ -77,63 +78,50 @@ class SavedRun:
         return np.stack([p.f_gamma / 4.0 for p in self.payloads])
 
 
-_PARAM_FIELDS = [f.name for f in fields(CosmologyParams)]
+#: the ``format`` tag in an archive's meta
+_ARCHIVE_FORMAT = "repro.linger.run/1"
 
 
 def save_run(result, path) -> Path:
-    """Archive a (P)LINGER run: parameters, headers and payloads.
+    """Archive a (P)LINGER run to ``path``: parameters, headers and
+    payloads.
 
     The source records (``result.modes``) are deliberately not stored —
     they are the working state of a run, not its product, exactly as the
     original code only persisted the two output files.
     """
     path = Path(path)
-    header_matrix = np.stack([h.pack() for h in result.headers])
     payload_rows = [p.pack() for p in result.payloads]
-    lengths = np.array([row.size for row in payload_rows])
-    payload_flat = np.concatenate(payload_rows)
-    param_values = np.array(
-        [float(getattr(result.params, name)) for name in _PARAM_FIELDS]
-    )
-    np.savez_compressed(
-        path,
-        format_version=np.array([1]),
-        param_names=np.array(_PARAM_FIELDS),
-        param_values=param_values,
-        k=np.asarray(result.kgrid.k if hasattr(result, "kgrid") else result.k),
-        headers=header_matrix,
-        payload_lengths=lengths,
-        payload_flat=payload_flat,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz"
-    )
+    params = {name: np.asarray(value).item()  # numpy scalars as JSON's
+              for name, value in asdict(result.params).items()}
+    write_entry(path, {
+        "k": np.asarray(result.kgrid.k if hasattr(result, "kgrid")
+                        else result.k),
+        "headers": np.stack([h.pack() for h in result.headers]),
+        "payload_lengths": np.array([row.size for row in payload_rows]),
+        "payload_flat": np.concatenate(payload_rows),
+    }, {"format": _ARCHIVE_FORMAT, "params": params})
+    return path
 
 
 def load_run(path) -> SavedRun:
-    """Reload an archive written by :func:`save_run`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        if int(data["format_version"][0]) != 1:
-            raise ParameterError("unknown archive format version")
-        kwargs = {}
-        for name, value in zip(data["param_names"], data["param_values"]):
-            name = str(name)
-            if name in ("n_nu_massive",):
-                kwargs[name] = int(value)
-            else:
-                kwargs[name] = float(value)
-        params = CosmologyParams(**kwargs)
-        headers = [ModeHeader.unpack(row) for row in data["headers"]]
-        payloads = []
-        offset = 0
-        flat = data["payload_flat"]
-        for h, length in zip(headers, data["payload_lengths"]):
-            row = flat[offset : offset + int(length)]
-            offset += int(length)
-            payloads.append(ModePayload.unpack(row, h.lmax))
-        return SavedRun(
-            params=params,
-            k=np.asarray(data["k"]),
-            headers=headers,
-            payloads=payloads,
-        )
+    """Reload an archive written by :func:`save_run`; ParameterError if
+    ``path`` holds none."""
+    try:
+        data, meta, _ = read_entry(path)
+        if meta.get("format") != _ARCHIVE_FORMAT:
+            raise ValueError(f"format tag {meta.get('format')!r}")
+        params = CosmologyParams(**meta["params"])
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ParameterError(
+            f"cannot read run archive {path}: {exc}") from exc
+    headers = [ModeHeader.unpack(row) for row in data["headers"]]
+    payloads = []
+    offset = 0
+    flat = data["payload_flat"]
+    for h, length in zip(headers, data["payload_lengths"]):
+        row = flat[offset : offset + int(length)]
+        offset += int(length)
+        payloads.append(ModePayload.unpack(row, h.lmax))
+    return SavedRun(params=params, k=data["k"], headers=headers,
+                    payloads=payloads)

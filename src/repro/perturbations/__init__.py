@@ -34,7 +34,6 @@ from .evolve import (
 )
 from .evolve_newtonian import evolve_mode_newtonian
 from .gauges import newtonian_potentials
-from .tensors import TensorMode, cl_tensor, evolve_tensor_mode
 
 __all__ = [
     "StateLayout",
@@ -49,7 +48,4 @@ __all__ = [
     "default_record_grid",
     "record_grid_start",
     "newtonian_potentials",
-    "TensorMode",
-    "evolve_tensor_mode",
-    "cl_tensor",
 ]

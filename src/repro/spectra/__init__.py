@@ -25,15 +25,8 @@ from .sparse import SparseClResult, coarse_subset, run_sparse_cl, sparse_cl
 from .matterpower import matter_power, sigma_r, transfer_function
 from .normalize import band_power_uk, cobe_normalization, qrms_ps_from_cl
 from .polarization import cl_ee_from_los, e_l_los, polarization_source
-from .correlation import angular_correlation, beam_window
-from .fitting import AmplitudeFit, chi_squared, fit_amplitude
 
 __all__ = [
-    "angular_correlation",
-    "beam_window",
-    "AmplitudeFit",
-    "chi_squared",
-    "fit_amplitude",
     "cl_from_hierarchy",
     "cl_integrate_over_k",
     "los_l_grid",

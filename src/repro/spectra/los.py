@@ -224,17 +224,6 @@ class BesselCache:
                 f"needed up to x = {x_need:.6g} (max k * tau0)"
             )
 
-    def eval(self, l: int, x: np.ndarray) -> np.ndarray:
-        """Linear interpolation of j_l at the points x in [0, x_max]."""
-        if np.min(x) < 0.0:
-            raise ParameterError("j_l is tabulated for x >= 0 only")
-        self._check_covers(float(np.max(x)))
-        tab = self.table(l)
-        xi = x / self.dx
-        i = xi.astype(int)
-        frac = xi - i
-        return tab[i] * (1.0 - frac) + tab[i + 1] * frac
-
     def table_matrix(self, l_values: np.ndarray) -> np.ndarray:
         """The stacked (nl, nx) table for many multipoles at once.
 

@@ -39,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from ..errors import ParameterError
 from ..linger.kgrid import KGrid
+from ..linger.serial import LingerConfig, LingerResult, run_linger
 from ..perturbations import default_record_grid, record_grid_start
 from ..telemetry import NULL_TELEMETRY, SparseMetrics, Telemetry
 from ..util.fastspline import fit_cubic
@@ -55,11 +54,6 @@ from .los import (
     sources_from_result,
     theta_l_los,
 )
-
-if TYPE_CHECKING:  # real imports stay lazy: spectra loads during the
-    # perturbations package's own import (tensors -> spectra.cl), at
-    # which point linger.serial is still initializing
-    from ..linger.serial import LingerConfig, LingerResult
 
 __all__ = ["SparseClResult", "coarse_subset", "sparse_cl", "run_sparse_cl",
            "sparse_sources"]
@@ -89,8 +83,6 @@ def coarse_subset(result: LingerResult, factor: int) -> LingerResult:
     integration instead of paying a second sweep.  Requires the dense
     run to have kept its mode results.
     """
-    from ..linger.serial import LingerResult
-
     if int(factor) != factor or factor < 1:
         raise ParameterError("sparse factor must be an integer >= 1")
     factor = int(factor)
@@ -304,8 +296,6 @@ def run_sparse_cl(
     the dense grid can project (``~ k_max tau0``).  The j_l tables are
     built per call unless ``bessel`` is handed in.
     """
-    from ..linger.serial import LingerConfig, run_linger
-
     config = config or LingerConfig()
     if not (config.record_sources and config.keep_mode_results):
         raise ParameterError(

@@ -422,12 +422,15 @@ CLI_RUN = ["run", "--nk", "3", "--lmax", "8", "--rtol", "1e-3",
 
 
 def _archive_physics(path) -> dict:
-    """Every array of a run archive, headers without their timing
+    """Everything a run archive holds, headers without their timing
     column (18, ``cpu_seconds``), as bytes."""
-    with np.load(path) as data:
-        out = {name: data[name].tobytes() for name in data.files}
-        out["headers"] = np.delete(data["headers"], 18, axis=1).tobytes()
-    return out
+    from repro.linger import load_run
+
+    run = load_run(path)
+    headers = np.stack([h.pack() for h in run.headers])
+    return {"params": run.params, "k": run.k.tobytes(),
+            "headers": np.delete(headers, 18, axis=1).tobytes(),
+            "payloads": [p.pack().tobytes() for p in run.payloads]}
 
 
 class TestSerialChaos:

@@ -14,6 +14,13 @@ _LOADED = ("sorted({{r for r in '{}'.split() for m in sys.modules "
            "if m == r or m.startswith(r + '.')}})")
 
 
+def _payload_flat(path) -> np.ndarray:
+    """Every payload of a run archive, concatenated in archive order."""
+    from repro.linger import load_run
+
+    return np.concatenate([p.pack() for p in load_run(path).payloads])
+
+
 def _fresh_interpreter(statements: str, expression: str) -> str:
     """Run ``statements`` in a new interpreter (this one's ``sys.path``
     and environment) and return ``repr`` of ``expression`` there."""
@@ -257,10 +264,8 @@ class TestCommands:
         assert main(args + ["--output", str(tmp_path / "two.npz")]) == 0
         out = capsys.readouterr().out
         assert "shared" not in out and "cache" not in out
-        one = np.load(tmp_path / "one.npz")
-        two = np.load(tmp_path / "two.npz")
-        np.testing.assert_array_equal(one["payload_flat"],
-                                      two["payload_flat"])
+        np.testing.assert_array_equal(_payload_flat(tmp_path / "one.npz"),
+                                      _payload_flat(tmp_path / "two.npz"))
 
     def test_worker_has_no_use_cache_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -383,6 +388,91 @@ class TestCommands:
             assert gone not in out
 
 
+def _flip(byte_at):
+    """A mutation that inverts one byte, ``byte_at(data)`` its index."""
+    def flip(data: bytes) -> bytes:
+        i = byte_at(data)
+        return data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:]
+    return flip
+
+
+def _npz_of(data: bytes, path) -> None:
+    """``data``'s run as the ``np.savez_compressed`` archive that
+    earlier releases wrote, at ``path``."""
+    from dataclasses import fields
+
+    from repro.linger import load_run
+
+    plain = path.with_name("plain")
+    plain.write_bytes(data)
+    run = load_run(plain)
+    plain.unlink()
+    names = [f.name for f in fields(run.params)]
+    rows = [p.pack() for p in run.payloads]
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh, format_version=np.array([1]), param_names=np.array(names),
+            param_values=np.array([float(getattr(run.params, n))
+                                   for n in names]),
+            k=run.k, headers=np.stack([h.pack() for h in run.headers]),
+            payload_lengths=np.array([r.size for r in rows]),
+            payload_flat=np.concatenate(rows))
+
+
+def _store_entry(data: bytes, path) -> None:
+    """A digest-sound entry of the result store, not a run archive."""
+    from repro.cache.store import TableStore
+
+    store = TableStore(path.parent / "store")
+    store.save("ab" * 32, {"cl": np.ones(4)}, meta={"digest": "ab" * 32})
+    store.path("ab" * 32).rename(path)
+
+
+class TestSpectrumOfABadArchive:
+    """``repro spectrum`` on anything but a whole run archive prints one
+    ``error:`` line and exits 2, and the file stays as it was."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory) -> bytes:
+        path = tmp_path_factory.mktemp("archive") / "run.npz"
+        assert main(["run", "--nk", "2", "--lmax", "8", "--rtol", "1e-3",
+                     "--k-min", "1e-3", "--k-max", "3e-3",
+                     "--output", str(path)]) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda data: data[:len(data) // 2], id="truncated"),
+        pytest.param(_flip(lambda data: len(data) - 8), id="body-byte"),
+        pytest.param(_flip(lambda data: 48), id="head-byte"),
+    ])
+    def test_a_damaged_archive(self, damage, archive, tmp_path, capsys):
+        path = tmp_path / "run"
+        path.write_bytes(damage(archive))
+        self.assert_refused(path, capsys)
+        assert path.read_bytes() == damage(archive)
+
+    @pytest.mark.parametrize("write", [_npz_of, _store_entry],
+                             ids=["npz", "store-entry"])
+    def test_another_format(self, write, archive, tmp_path, capsys):
+        path = tmp_path / "run.npz"
+        write(archive, path)
+        before = path.read_bytes()
+        self.assert_refused(path, capsys)
+        assert path.read_bytes() == before
+
+    def test_a_missing_path(self, tmp_path, capsys):
+        self.assert_refused(tmp_path / "absent", capsys)
+
+    @staticmethod
+    def assert_refused(path, capsys):
+        capsys.readouterr()
+        assert main(["spectrum", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(path) in lines[0] and not captured.out
+
+
 class TestTwoProcessSockets:
     """``repro run --listen`` and ``repro worker --connect`` as two OS
     processes over localhost TCP, on the flags a user gets by default."""
@@ -423,9 +513,8 @@ class TestTwoProcessSockets:
         assert master.wait(120.0) == 0
         assert main(["run", *self.GRID,
                      "--output", str(tmp_path / "serial.npz")]) == 0
-        np.testing.assert_array_equal(
-            np.load(tmp_path / "shard.npz")["payload_flat"],
-            np.load(tmp_path / "serial.npz")["payload_flat"])
+        np.testing.assert_array_equal(_payload_flat(tmp_path / "shard.npz"),
+                                      _payload_flat(tmp_path / "serial.npz"))
 
     def test_a_worker_whose_master_vanished_says_so(self, tmp_path):
         import subprocess

@@ -747,6 +747,48 @@ class TestDaemon:
         assert second["tier"] == "store"
         assert second["cl"] == first["cl"]
 
+    def test_a_warm_request_integrates_only_its_new_wavenumbers(
+            self, tmp_path):
+        """A cold and a warm request shaped like the benchmark's
+        serve_miss pair (one cosmology, nk 2, lmax 16; the warm k_max
+        is new, the default k_min is not): the pool reuses the cold
+        grid's k_min mode, the warm C_l is an in-process run_linger
+        twin's to the byte, and a restarted daemon on the same store
+        dir answers both from disk with the bytes first served."""
+        from repro import run_linger
+
+        cold, warm = (ServeRequest(params=standard_cdm(), nk=2, lmax=16,
+                                   rtol=1e-4, **extra)
+                      for extra in ({}, {"k_max": 2.5e-3}))
+        store_dir = tmp_path / "store"
+
+        async def both(server):
+            def ask():
+                with ServeClient(port=server.port) as client:
+                    answers = [client.spectrum(r) for r in (cold, warm)]
+                    return answers, client.stats()
+            return await asyncio.get_running_loop().run_in_executor(
+                None, ask)
+
+        first, stats = self.run_daemon(both, store_dir=store_dir)
+        pool = stats["pool"]
+        assert [r["tier"] for r in first] == ["cold", "warm"], first
+        assert pool["modes_reused"] == 1, pool
+        twin = run_linger(warm.params, warm.kgrid(), warm.config())
+        _l, cl = spectrum_product(warm.params, twin.kgrid.k, twin.payloads,
+                                  l_top=warm.lmax - 3)
+        assert np.asarray(first[1]["cl"]).tobytes() == \
+            np.asarray(cl).tobytes()
+        assert len(list(store_dir.glob("??/*.raw"))) == 2
+        again, stats = self.run_daemon(both, store_dir=store_dir)
+        store = stats["store"]
+        assert [r["tier"] for r in again] == ["store", "store"], again
+        assert store["hits_disk"] == 2 and store["corrupt"] == 0, store
+        for a, b in zip(first, again):
+            for name in ("digest", "l", "cl", "k", "delta_m"):
+                assert np.asarray(a[name]).tobytes() == \
+                    np.asarray(b[name]).tobytes(), name
+
     def test_error_responses(self):
         async def scenario(server):
             loop = asyncio.get_running_loop()
@@ -886,6 +928,61 @@ class TestWriteBehind:
         assert first["digest"] in server.store
         assert not any(p.is_file()
                        for p in (tmp_path / "results").rglob("*"))
+
+    def test_a_miss_is_answered_before_its_file_is_written(
+            self, tmp_path, monkeypatch):
+        """With every store write held, a cold miss is answered over
+        TCP while its file does not exist; on release and ``close`` the
+        file lands, and a fresh ResultStore reads back the served
+        arrays bit for bit."""
+        import threading
+
+        from repro.cache.store import TableStore
+
+        release, save = threading.Event(), TableStore.save
+
+        def held(self, *args, **kwargs):
+            assert release.wait(timeout=60), "the save was never released"
+            return save(self, *args, **kwargs)
+
+        monkeypatch.setattr(TableStore, "save", held)
+        request = small_request()
+        digest = request.digest()
+
+        async def main():
+            server = SpectrumServer(nproc=3, store_dir=tmp_path)
+            await server.start()
+
+            def ask():
+                with ServeClient(port=server.port) as client:
+                    return client.spectrum(request)
+
+            try:
+                response = await asyncio.wait_for(
+                    asyncio.get_running_loop().run_in_executor(None, ask),
+                    timeout=60)
+                path = server.store.disk.path(digest)
+                stats = server.store.stats()
+                assert response["tier"] == "cold", response["tier"]
+                assert not path.exists(), path
+                assert stats["pending_writes"] == 1, stats
+                served = server.store.get(digest).arrays
+            finally:
+                release.set()
+                server.close()
+            assert path.is_file()
+            assert server.store.stats()["pending_writes"] == 0
+            return response, served
+
+        response, served = asyncio.run(main())
+        stored = ResultStore(tmp_path).get(digest).arrays
+        assert sorted(stored) == sorted(served)
+        for name, array in served.items():
+            assert (stored[name].dtype, stored[name].shape,
+                    stored[name].tobytes()) == \
+                (array.dtype, array.shape, array.tobytes()), name
+        assert np.asarray(response["cl"]).tobytes() == \
+            stored["cl"].tobytes()
 
     def test_close_drains_a_slow_write(self, tmp_path, monkeypatch):
         """A write still running when the miss is answered is finished

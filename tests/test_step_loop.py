@@ -205,10 +205,9 @@ def test_the_full_phase_finds_no_boundary_by_rejection(request, bg_scdm,
 
 
 def test_no_rate_no_bound(bg_scdm, thermo_scdm):
-    """The tight-coupling phase, the Newtonian-gauge system and the
-    tensor modes hand their drivers no ``stiff_rate``."""
+    """The tight-coupling phase and the Newtonian-gauge system hand
+    their drivers no ``stiff_rate``."""
     from repro.perturbations.evolve_newtonian import evolve_mode_newtonian
-    from repro.perturbations.tensors import evolve_tensor_mode
 
     k = 0.01
     system = PerturbationSystem(bg_scdm, thermo_scdm, k,
@@ -219,8 +218,7 @@ def test_no_rate_no_bound(bg_scdm, thermo_scdm):
                          find_tca_exit(thermo_scdm, k), np.empty(0))
     newtonian = evolve_mode_newtonian(bg_scdm, thermo_scdm, k, lmax_photon=8,
                                       lmax_nu=8, rtol=1e-3, tau_end=300.0)
-    tensor = evolve_tensor_mode(bg_scdm, k, tau_end=300.0, n_record=10)
-    for stats in (tight, newtonian.stats, tensor.stats):
+    for stats in (tight, newtonian.stats):
         assert stats.n_steps > 0 and stats.n_stability_bound == 0
 
 
