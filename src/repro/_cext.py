@@ -13,7 +13,7 @@ for the layout contract):
   evaluation order ``tests/reference_packed_rhs.py`` pins; one body,
   which differs between the two only in the photon-baryon sector;
 * ``integrate_phase`` — one wavenumber's whole phase (either one): the
-  Verner stages calling that phase's RHS in-process, error norm, step
+  Verner stages evaluating that phase's RHS inline, error norm, step
   controller, stop points, accept/reject.  A transcription of
   ``RKDriver.integrate`` under the arithmetic contract of
   :mod:`repro.integrators.contract`, bitwise equal to it;
@@ -102,13 +102,20 @@ static inline double thermo_exp(const long long *ints, const double *flts,
  * Thomson scattering, or the first-order tight-coupling approximation
  * (MB95 eqs. 74-75) with F_(l>=2) and the polarization slaved (their
  * derivatives are zero).  Background, thermo lookup, metric sources and
- * both neutrino sectors are the same code in both. */
-static inline void rhs_eval(const long long *ints, const double *flts,
-                            const double *th_c, const double *alo,
-                            const double *ahi, const double *nu_pack,
-                            const double *mnu_pack, const double *rf_c,
-                            const double t, const double *Y, double *dY,
-                            const int tight)
+ * both neutrino sectors are the same code in both.  Always inlined (gcc
+ * finds it too large to inline by itself): each clone of integrate_phase
+ * compiles it with the step loop, at the clone's vector width. */
+#if defined(__GNUC__)
+#define RHS_INLINE static inline __attribute__((always_inline))
+#else
+#define RHS_INLINE static inline
+#endif
+RHS_INLINE void rhs_eval(const long long *ints, const double *flts,
+                         const double *th_c, const double *alo,
+                         const double *ahi, const double *nu_pack,
+                         const double *mnu_pack, const double *rf_c,
+                         const double t, const double *Y, double *dY,
+                         const int tight)
 {
     const long long lg = ints[1], ln = ints[2];
     const long long nq = ints[3], lm = ints[4];
@@ -344,19 +351,27 @@ static inline double step_factor(double err_norm, const double *ctl)
     return fac;
 }
 
-/* integrate_phase alone is built twice, for AVX2 and for the baseline,
- * and glibc's loader picks by cpuid: its loops are elementwise IEEE
- * multiplies and adds, the same at any width, and contraction stays off,
- * so no clone can move a bit. */
+/* integrate_phase alone is built three times, for x86-64-v4 (AVX-512),
+ * AVX2 and the baseline, and glibc's loader picks by cpuid: with the
+ * right-hand side inlined, its loops and the step loop's are elementwise
+ * IEEE multiplies and adds, the same at any width, and contraction stays
+ * off, so no clone can move a bit.  gcc before 11 knows no x86-64-v4:
+ * there the first clone is left out. */
 #if defined(__GNUC__) && defined(__x86_64__) && defined(__GLIBC__)
-#define PHASE_CLONES __attribute__((target_clones("avx2", "default")))
+#if __GNUC__ >= 11 && !defined(__clang__)
+#define PHASE_ISAS "arch=x86-64-v4", "avx2", "default"
+#else
+#define PHASE_ISAS "avx2", "default"
+#endif
+#define PHASE_CLONES __attribute__((target_clones(PHASE_ISAS)))
 #else
 #define PHASE_CLONES
 #endif
 
 /* One phase: RKDriver.integrate transcribed under the
- * arithmetic contract (repro/integrators/contract.py), its stages calling
- * rhs_tca (``tight``) or rhs_full in-process.
+ * arithmetic contract (repro/integrators/contract.py), its stages
+ * evaluating rhs_eval inline, tight coupling (``tight``) or the full
+ * hierarchies.
  *
  *   tab   s*s stage matrix, then b_high, error weights, c (s each)
  *   ctl   t0, t1, rtol, atol, max_step, min_step, first_step (NaN:
@@ -387,7 +402,6 @@ long long integrate_phase(const long long *ints, const double *flts,
                           long long max_steps, double *y, double *rows,
                           double *work, long long *out)
 {
-    void (*const rhs)(RHS_ARGS) = tight ? rhs_tca : rhs_full;
     const long long n = ints[0];
     const double t0 = ctl[0], t1 = ctl[1], rtol = ctl[2], atol = ctl[3];
     const double max_step = ctl[4], min_step = ctl[5], first_step = ctl[6];
@@ -400,13 +414,11 @@ long long integrate_phase(const long long *ints, const double *flts,
     double t = t0, next_stop = stops[0], h, err_norm, ts;
     double h_stable = INFINITY;
 
-#define RHS(tt, yy, dd) rhs(ints, flts, th_c, adv_lo, adv_hi, nu_pack, \
-                            mnu_pack, rf_c, (tt), (yy), (dd))
-
     for (c = 0; c < n; c++) ycur[c] = y[c];
 
     /* f0 and the initial step */
-    RHS(t, ycur, K);
+    (tight ? rhs_tca : rhs_full)(ints, flts, th_c, adv_lo, adv_hi, nu_pack,
+                                 mnu_pack, rf_c, t, ycur, K);
     n_rhs = 1;
     if (first_step == first_step) {
         h = fabs(t1 - t0) < first_step ? fabs(t1 - t0) : first_step;
@@ -442,13 +454,19 @@ long long integrate_phase(const long long *ints, const double *flts,
         if (h == h_stable) n_bound++;
         if (h <= 0.0 || t + h == t) { status = 2; break; }
 
-        /* one trial step */
-        RHS(t, ycur, K);
-        for (i = 1; i < s; i++) {
-            row_sum(tab + i * s, s, K, n, acc);
-            for (c = 0; c < n; c++) yi[c] = ycur[c] + h * acc[c];
-            ts = t + cs[i] * h;
-            RHS(ts, yi, K + i * n);
+        /* one trial step: stage 0 at (t, ycur), stage i at
+         * (t + c_i h, ycur + h sum_j a_ij K_j) */
+        for (i = 0; i < s; i++) {
+            const double *yy = ycur;
+            ts = t;
+            if (i > 0) {
+                row_sum(tab + i * s, s, K, n, acc);
+                for (c = 0; c < n; c++) yi[c] = ycur[c] + h * acc[c];
+                yy = yi;
+                ts = t + cs[i] * h;
+            }
+            rhs_eval(ints, flts, th_c, adv_lo, adv_hi, nu_pack, mnu_pack,
+                     rf_c, ts, yy, K + i * n, tight != 0);
         }
         n_rhs += s;
         row_sum(b_high, s, K, n, acc);
@@ -497,7 +515,6 @@ long long integrate_phase(const long long *ints, const double *flts,
             if (h < min_step || h < 1e-14 * at) { status = 3; break; }
         }
     }
-#undef RHS
 
     for (c = 0; c < n; c++) y[c] = ycur[c];
     ctl[0] = t; ctl[6] = h;
@@ -1426,7 +1443,7 @@ class CextKernel:
 
 
 def get_cext() -> CextKernel:
-    """The compiled object, built or loaded on first use (~1 s to
+    """The compiled object, built or loaded on first use (~3 s to
     compile, cached on disk afterwards).
 
     Raises :class:`~repro.errors.CompilerError`, naming ``CC`` and the

@@ -14,7 +14,6 @@ from .nu_massive import (
     dlnf0_dlnq,
     solve_mass_parameter,
 )
-from .species import baryon_photon_ratio, sound_speed_squared_baryons
 
 __all__ = [
     "Background",
@@ -22,6 +21,4 @@ __all__ = [
     "fermi_dirac_f0",
     "dlnf0_dlnq",
     "solve_mass_parameter",
-    "baryon_photon_ratio",
-    "sound_speed_squared_baryons",
 ]

@@ -419,13 +419,10 @@ class ThermalHistory:
         """d^2 g/dtau^2."""
         return self._g_prime2_spline(np.asarray(tau, dtype=float))
 
-    def exp_minus_kappa(self, tau):
-        """e^{-kappa(tau)} (the free-streaming damping factor)."""
-        return self.line_of_sight(tau)[1]
-
     def line_of_sight(self, tau):
-        """``(visibility(tau), exp_minus_kappa(tau))`` from one
-        evaluation of their stacked fit."""
+        """``(visibility(tau), e^{-kappa(tau)})`` from one evaluation of
+        their stacked fit: the visibility and the free-streaming damping
+        factor."""
         both = self._los_spline(np.asarray(tau, dtype=float))
         return (np.maximum(both[..., 0], 0.0),
                 np.clip(both[..., 1], 0.0, 1.0))

@@ -70,7 +70,7 @@ def reference_source_table(mode, thermo, tau0: float) -> SourceTable:
     g = thermo.visibility(tau)
     gp = thermo.visibility_prime(tau)
     gpp = thermo.visibility_prime2(tau)
-    emk = thermo.exp_minus_kappa(tau)
+    emk = thermo.line_of_sight(tau)[1]
 
     vb = r["theta_b"] / k
     pi = r["pi"]

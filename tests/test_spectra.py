@@ -127,7 +127,7 @@ class TestLosAgainstHierarchy:
                 thermo.visibility(tau)
                 * (r["delta_g"] / 4.0 + 2.0 * alpha_dot + vb_dot / k
                    + pi / 4.0 + 3.0 * pi_ddot / (4.0 * k * k))
-                + thermo.exp_minus_kappa(tau) * (r["etadot"] + alpha_ddot)
+                + thermo.line_of_sight(tau)[1] * (r["etadot"] + alpha_ddot)
                 + thermo.visibility_prime(tau)
                 * (vb / k + alpha + 3.0 * pi_dot / (2.0 * k * k))
                 + 3.0 / (4.0 * k * k) * thermo.visibility_prime2(tau) * pi

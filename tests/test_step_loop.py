@@ -14,6 +14,8 @@ every execution knob.
 from __future__ import annotations
 
 import ctypes
+import platform
+import re
 import subprocess
 
 import numpy as np
@@ -157,24 +159,55 @@ def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
     assert (out.n_stability_bound == 0) == tight
 
 
-@pytest.mark.parametrize("k", [3e-5, 0.06])
-def test_the_baseline_clone_steps_to_the_same_bits(request, tmp_path, k):
-    """``integrate_phase`` is built for AVX2 and for the baseline, and
-    gcc's resolver reads ``cpuid`` itself — no environment setting
-    selects the default clone — so the object is built once more with
-    the attribute stripped: same bits, both phases."""
+@pytest.fixture(scope="module")
+def plain_kernel(tmp_path_factory):
+    """The object built once more with the clone attribute stripped:
+    every function at the baseline ISA, as the ``default`` clone of
+    ``integrate_phase`` runs it.  gcc's resolver reads ``cpuid`` itself
+    — no environment setting selects a clone — so this build is how a
+    host with a wider one runs the baseline."""
     line = next(ln for ln in _cext.C_SOURCE.splitlines()
                 if ln.startswith("#define PHASE_CLONES __attribute__"))
-    plain = CextKernel(_compile(
-        tmp_path, "plain",
+    return CextKernel(_compile(
+        tmp_path_factory.mktemp("plain"), "plain",
         _cext.C_SOURCE.replace(line, "#define PHASE_CLONES")))
+
+
+@pytest.mark.parametrize("nq, k", [
+    pytest.param(0, 3e-5, id="3e-05"), pytest.param(0, 0.06, id="0.06"),
+    pytest.param(8, 0.02, id="massive-0.02")])
+def test_the_baseline_clone_steps_to_the_same_bits(request, plain_kernel,
+                                                   nq, k):
+    """The clone this host dispatches and the baseline build: same
+    rows, final state and counters, both phases, with and without the
+    massive species' momentum-bin loops."""
     for tight in (True, False):
-        system, y, t0, t1, grid = _phase_start(request, 0, k, tight)
+        system, y, t0, t1, grid = _phase_start(request, nq, k, tight)
         args = (tight, y, t0, t1, grid)
         ref = system.integrate_phase(*args, max_steps=1_000_000, **TOL)
-        system._cext = plain
+        system._cext = plain_kernel
         out = system.integrate_phase(*args, max_steps=1_000_000, **TOL)
         assert ref.ok and _same_phase(out, ref)
+
+
+def test_the_baseline_clone_evolves_a_mode_to_the_same_bits(
+        bg_scdm, thermo_scdm, plain_kernel, monkeypatch):
+    """The one compiled call — both phases, the hand-off and the record
+    pass over a line-of-sight grid — on either build: every record,
+    the final state and the counters."""
+    k = 0.06
+    kwargs = dict(lmax_photon=10, lmax_nu=10, rtol=2e-4,
+                  record_tau=default_record_grid(bg_scdm, thermo_scdm, k))
+    ref = evolve_mode(bg_scdm, thermo_scdm, k, **kwargs)
+    monkeypatch.setattr(_cext, "_CEXT", plain_kernel)
+    out = evolve_mode(bg_scdm, thermo_scdm, k, **kwargs)
+    assert ref.stats.n_rhs > 0 and out.stats == ref.stats
+    assert out.y_final.tobytes() == ref.y_final.tobytes()
+    assert out.tau.tobytes() == ref.tau.tobytes()
+    for name, arr in ref.records.items():
+        assert out.records[name].tobytes() == arr.tobytes(), name
+    assert (np.array(list(out.final.values())).tobytes()
+            == np.array(list(ref.final.values())).tobytes())
 
 
 # -- (a') the stability bound's behaviour -----------------------------------
@@ -498,6 +531,46 @@ def row_sum_probe(tmp_path_factory):
                        ctypes.c_longlong, ctypes.c_void_p]
         fn.restype = None
     return lib
+
+
+def test_the_row_sums_are_vectorised_and_every_clone_is_built(tmp_path):
+    """A silent return to scalar contractions is a 25 % regression no
+    bitwise test would see: the object is built once more with the
+    vectoriser's report on, which must name both loops of ``row_sum``;
+    with x86-64 glibc gcc (11 or later) ``integrate_phase`` must come
+    in all three clones the loader picks from."""
+    cc = _cext._find_compiler()
+    probe = subprocess.run(
+        [cc, "-fopt-info-vec-optimized", "-fsyntax-only", "-x", "c",
+         "/dev/null"], capture_output=True, text=True)
+    if probe.returncode or "opt-info" in probe.stderr:
+        pytest.skip(f"{cc} has no -fopt-info report")
+    lines = _cext.C_SOURCE.splitlines()
+    loops = [i + 1 for i, ln in enumerate(lines)
+             if re.search(r"acc\[c\] \+?= wj \* Kj\[c\]", ln)]
+    assert len(loops) == 2, loops
+    c_path, so_path = tmp_path / "k.c", tmp_path / "k.so"
+    c_path.write_text(_cext.C_SOURCE)
+    build = subprocess.run(
+        [cc, *_cext.CFLAGS, "-fopt-info-vec-optimized", "-o", so_path,
+         c_path, "-lm"], check=True, capture_output=True, text=True)
+    report = build.stderr + build.stdout
+    for line in loops:
+        assert re.search(rf"k\.c:{line}:\d+: optimized: loop vectorized",
+                         report), line
+
+    macros = subprocess.run([cc, "-dM", "-E", "-x", "c", "/dev/null"],
+                            check=True, capture_output=True,
+                            text=True).stdout
+    gcc = re.search(r"#define __GNUC__ (\d+)", macros)
+    if (platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc"
+            or gcc is None or "__clang__" in macros
+            or int(gcc.group(1)) < 11):
+        return
+    nm = subprocess.run(["nm", so_path], check=True, capture_output=True,
+                        text=True).stdout
+    clones = set(re.findall(r"integrate_phase\.(\w+)", nm))
+    assert {"arch_x86_64_v4", "avx2", "default"} <= clones, clones
 
 
 @pytest.mark.property

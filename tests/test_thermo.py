@@ -225,10 +225,9 @@ class TestThermalHistory:
         assert np.all(cs2 < 1e-6)  # baryon sound speed << c
 
     def test_exp_minus_kappa_limits(self, thermo_scdm, bg_scdm):
-        assert float(thermo_scdm.exp_minus_kappa(60.0)) < 1e-8
-        assert float(thermo_scdm.exp_minus_kappa(bg_scdm.tau0)) == pytest.approx(
-            1.0, abs=1e-6
-        )
+        assert float(thermo_scdm.line_of_sight(60.0)[1]) < 1e-8
+        assert float(thermo_scdm.line_of_sight(bg_scdm.tau0)[1]) == (
+            pytest.approx(1.0, abs=1e-6))
 
     def test_mdm_recombination_similar(self, thermo_mdm):
         # massive neutrinos barely move recombination
@@ -562,11 +561,12 @@ class TestWhatABuildComputes:
             "visibility": np.maximum(g(tau), 0.0),
             "visibility_prime": g.derivative(1)(tau),
             "visibility_prime2": g.derivative(2)(tau),
-            "exp_minus_kappa": np.clip(
-                fit_cubic(thermo._tau, thermo._exp_mkappa)(tau), 0.0, 1.0),
         }
         for name, value in want.items():
             assert np.array_equal(getattr(thermo, name)(tau), value), name
+        assert np.array_equal(
+            thermo.line_of_sight(tau)[1],
+            np.clip(fit_cubic(thermo._tau, thermo._exp_mkappa)(tau), 0.0, 1.0))
         a = np.geomspace(thermo._a[0], 1.0, 997)
         x_e = fit_cubic(thermo._lna,
                         np.log(np.maximum(thermo._x_e_table, 1e-30)))
@@ -683,7 +683,7 @@ class TestHistoryLifetime:
             assert np.array_equal(getattr(twin, name)(a),
                                   getattr(thermo_scdm, name)(a))
         for name in ("optical_depth", "visibility", "visibility_prime",
-                     "visibility_prime2", "exp_minus_kappa"):
+                     "visibility_prime2", "line_of_sight"):
             assert np.array_equal(getattr(twin, name)(tau),
                                   getattr(thermo_scdm, name)(tau))
         assert (twin.tau_rec, twin.z_rec, twin.tau_reion) == (
