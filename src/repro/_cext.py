@@ -4,7 +4,7 @@ Saha sweeps, the spline fit and the j_l recurrence.
 
 One shared object — one build, one cache directory, resolved once per
 process by whichever layer asks first (a ``Background``'s first spline
-fit, usually) — carries six entry points over one packed ABI, the
+fit, usually) — carries seven entry points over one packed ABI, the
 assembled structure of one wavenumber (see ``PerturbationSystem.pack``
 for the layout contract):
 
@@ -19,8 +19,10 @@ for the layout contract):
   :mod:`repro.integrators.contract`, bitwise equal to it;
 * ``record_pass`` — every ``RECORD_FIELDS`` observable of a block of
   states; ``tca_handoff`` — the slaved moments as tight coupling ends;
-  ``evolve_mode`` — a mode without a massive species in one call: both
-  phases, the hand-off and the record pass.
+  ``momentum_rows`` — the massive species' three momentum sums that
+  both read, in the order numpy's ``@`` takes them;
+  ``evolve_mode`` — a whole mode in one call: both phases, the hand-off
+  and the record pass.
 
 and, each over arguments of its own,
 
@@ -28,16 +30,20 @@ and, each over arguments of its own,
   neutrinos or not (one state at a time on libm);
 * ``thermo_ode`` — a three-stage Radau IIA stepper calling
   ``thermo_rhs`` about five thousand times per ``ThermalHistory`` build
-  without leaving C;
+  without leaving C, forming its ln a terms once per abscissa;
+* ``nu_integrals`` — the massive-neutrino background's momentum
+  integrals over numpy's node weights, and ``uniform_cubic`` — a
+  uniform-knot spline at many abscissae (the background's ν factors);
 * ``saha_sweeps`` — the thermal history's Saha grid pass;
 * ``tridiag_solve`` — reference LAPACK's ``DGTSV``, and ``cubic_fit`` —
   :func:`repro.util.fastspline.fit_cubic` from four knots up;
 * ``bessel_sweep`` — the downward recurrence behind the j_l tables of
   :class:`repro.spectra.los.BesselCache`.
 
-Each of the last six is pinned bitwise to a python transcription in
-``tests/`` (``reference_thermo.py``, ``reference_tridiag.py``,
-``reference_projection.py``); ``cubic_fit`` to scipy's spline as well.
+Each of the last seven is pinned bitwise to a python transcription in
+``tests/`` (``reference_thermo.py``, ``reference_nu.py``,
+``reference_tridiag.py``, ``reference_projection.py``); ``cubic_fit`` to
+scipy's spline as well, and ``momentum_rows`` to numpy's ``@``.
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
@@ -49,7 +55,9 @@ that needs it.
 Compiled ``-O3 -ffp-contract=off`` and **never** ``-ffast-math``: ISO C
 forbids reassociating floating-point expressions and contraction is
 switched off, so the C code reproduces the written evaluation order
-exactly, and it shares libm's exp/log/pow with python's ``math``.  The
+exactly, and it shares libm's exp/log/pow with python's ``math`` and
+numpy's scalar ``**`` (numpy's array exp/log/power are its own, so
+those stay numpy's, formed before a call).  The
 massive-neutrino block of either RHS lands within a few ulps of the
 python reference (``tests/reference_rhs.py``, budgeted by
 ``oracle.rhs_kernel`` at rtol 1e-10); without massive neutrinos both
@@ -528,15 +536,83 @@ long long integrate_phase(const long long *ints, const double *flts,
     const double *nu_pack, const double *mnu_pack, const double *rf_c
 #define TABLE ints, flts, th_c, adv_lo, adv_hi, nu_pack, mnu_pack, rf_c
 
+/* numpy's ``v ** 2`` of a float64 scalar is libm's pow, which can differ
+ * from v * v in the last bit; the volatile exponent keeps the compiler
+ * from folding pow(v, 2.0) into the product. */
+static inline double scalar_square(double v)
+{
+    volatile double two = 2.0;
+    return pow(v, two);
+}
+
+/* The three massive-neutrino momentum sums of the state Y into s:
+ * (w_rho eps).psi_0, w_q3.psi_1 and (w_q4 / eps).psi_2 over the nq nodes,
+ * eps = sqrt(q^2 + (a x0)^2), the factors formed elementwise as
+ * PerturbationSystem's numpy formed them.  Each sum is numpy's ``@`` of
+ * a contiguous vector with a strided psi column, which is OpenBLAS's
+ * non-unit-stride ddot (kernel/x86_64/ddot.c, built with FMA
+ * contraction): of every four nodes the products of (0, 2) are added to
+ * one accumulator and those of (1, 3) to a second, each node left over
+ * is fused into the first, then the two are summed, and numpy's
+ * DOUBLE_dot adds that to its 0.0.  tests/reference_nu.py writes the
+ * order out, and tests pin it to ``@`` itself. */
+static void momentum_sums(TABLE_ARGS, const double *Y, double *s)
+{
+    const long long nq = ints[3], st = ints[4] + 1;
+    const double *q = nu_pack, *w_rho = nu_pack + 2 * nq;
+    const double *w_q3 = nu_pack + 3 * nq, *w_q4 = nu_pack + 4 * nq;
+    const double *psi = Y + ints[8];
+    const double ax2 = scalar_square(Y[0] * flts[10]);
+    double t1[3] = {0.0, 0.0, 0.0}, t2[3] = {0.0, 0.0, 0.0}, f[4][3];
+    long long j, g, c;
+    for (j = 0; j < nq; j += 4) {
+        const long long m = nq - j < 4 ? nq - j : 4;
+        for (g = 0; g < m; g++) {
+            const double eps = sqrt(q[j + g] * q[j + g] + ax2);
+            f[g][0] = w_rho[j + g] * eps;
+            f[g][1] = w_q3[j + g];
+            f[g][2] = w_q4[j + g] / eps;
+        }
+        for (c = 0; c < 3; c++) {
+            const double *col = psi + j * st + c;
+            if (m == 4) {
+                const double m1 = f[0][c] * col[0];
+                const double m2 = f[1][c] * col[st];
+                const double m3 = f[2][c] * col[2 * st];
+                const double m4 = f[3][c] * col[3 * st];
+                t1[c] += m1 + m3;
+                t2[c] += m2 + m4;
+            } else {
+                for (g = 0; g < m; g++)
+                    t1[c] = fma(f[g][c], col[g * st], t1[c]);
+            }
+        }
+    }
+    for (c = 0; c < 3; c++) s[c] = 0.0 + (t1[c] + t2[c]);
+}
+
+/* momentum_sums of the m states rows (m, n) into out (3, m) */
+void momentum_rows(TABLE_ARGS, const double *rows, long long m, double *out)
+{
+    const long long n = ints[0];
+    double s[3];
+    long long i;
+    for (i = 0; i < m; i++) {
+        momentum_sums(TABLE, rows + i * n, s);
+        out[i] = s[0];
+        out[m + i] = s[1];
+        out[2 * m + i] = s[2];
+    }
+}
+
 /* The record pass: the RECORD_FIELDS of the m states in rows (the first
  * n_tight in tight coupling), field f of row i into rec[f stride + i], each
  * the scalar expression of PerturbationSystem's helpers and the row
- * recorder.  mom (3, m): each row's (w_rho eps).psi_0, w_q3.psi_1 and
- * (w_q4 / eps).psi_2, numpy's dots (nq > 0); par: omega_c, omega_b,
- * omega_nu, omega_m. */
+ * recorder, the massive species' sums by momentum_sums (nq > 0); par:
+ * omega_c, omega_b, omega_nu, omega_m. */
 void record_pass(TABLE_ARGS, const double *rows, long long m,
-                 long long n_tight, const double *mom, const double *par,
-                 double *rec, long long stride)
+                 long long n_tight, const double *par, double *rec,
+                 long long stride)
 {
     const long long n = ints[0], nq = ints[3], rf_n = ints[14];
     const long long i_fg = ints[5], i_gg = ints[6], i_nl = ints[7];
@@ -551,6 +627,7 @@ void record_pass(TABLE_ARGS, const double *rows, long long m,
         double grho = flts[0] / a + flts[1] / (a * a) + flts[2] * a * a;
         double rho_f = 0.0, gdrho, gdq, hc, hdot, etadot, alpha;
         double sigma_g, pi_pol, gshear, num, dnu_m = NAN, *r = rec + i;
+        double mom[3] = {0.0, 0.0, 0.0};
         if (nq > 0) {
             const double lx = log(a * flts[10]);
             long long ri = (long long)((lx - flts[14]) / flts[15]);
@@ -562,6 +639,7 @@ void record_pass(TABLE_ARGS, const double *rows, long long m,
                          + rf_c[2 * rf_n + ri]) * ru + rf_c[3 * rf_n + ri])
                     / flts[11];
             grho += gr_nu_rel / (a * a) * rho_f;
+            momentum_sums(TABLE, Y, mom);
         }
         hc = sqrt(grho + flts[3]);
         /* the Einstein constraints */
@@ -572,8 +650,8 @@ void record_pass(TABLE_ARGS, const double *rows, long long m,
                                       + flts[7] * (k075 * Y[i_nl + 1]))
                        * inv_a2);
         if (nq > 0) {
-            gdrho = gdrho + 1.5 * gr_nu_rel * inv_a2 * mom[i];
-            gdq = gdq + 1.5 * gr_nu_rel * inv_a2 * flts[16] * mom[m + i];
+            gdrho = gdrho + 1.5 * gr_nu_rel * inv_a2 * mom[0];
+            gdq = gdq + 1.5 * gr_nu_rel * inv_a2 * flts[16] * mom[1];
         }
         hdot = 2.0 * (k2 * Y[2] + gdrho) / hc;
         etadot = gdq / k2;
@@ -589,9 +667,8 @@ void record_pass(TABLE_ARGS, const double *rows, long long m,
             * (flts[6] * sigma_g + flts[7] * (0.5 * Y[i_nl + 2])) * inv_aa;
         num = par[0] * Y[3] + par[1] * Y[4];
         if (nq > 0) {
-            gshear = gshear + 1.5 * gr_nu_rel * inv_aa * (2.0 / 3.0)
-                              * mom[2 * m + i];
-            dnu_m = mom[i] / rho_f;
+            gshear = gshear + 1.5 * gr_nu_rel * inv_aa * (2.0 / 3.0) * mom[2];
+            dnu_m = mom[0] / rho_f;
             if (par[2] > 0) num = num + par[2] * dnu_m;
         }
         alpha = (hdot + 6.0 * etadot) / (2.0 * k2);  /* the potentials */
@@ -611,13 +688,13 @@ void record_pass(TABLE_ARGS, const double *rows, long long m,
 
 /* The hand-off from tight coupling, in y: F2 twice the quasi-static shear
  * (record_pass's tight sigma_g), G0 = 5/4 F2, G2 = 1/4 F2, the other
- * F_(l>=3) and G_l zero; mom and par as record_pass's for one row. */
-void tca_handoff(TABLE_ARGS, double *y, const double *mom, const double *par)
+ * F_(l>=3) and G_l zero; par as record_pass's. */
+void tca_handoff(TABLE_ARGS, double *y, const double *par)
 {
     const long long lg = ints[1], i_fg = ints[5], i_gg = ints[6];
     double rec[20];
     long long l;
-    record_pass(TABLE, y, 1, 1, mom, par, rec, 1);
+    record_pass(TABLE, y, 1, 1, par, rec, 1);
     y[i_fg + 2] = 2.0 * rec[3];
     for (l = 3; l <= lg; l++) y[i_fg + l] = 0.0;
     for (l = 0; l <= lg; l++) y[i_gg + l] = 0.0;
@@ -625,9 +702,9 @@ void tca_handoff(TABLE_ARGS, double *y, const double *mom, const double *par)
     y[i_gg + 2] = 0.25 * y[i_fg + 2];
 }
 
-/* One mode without a massive species: the tight-coupling phase,
- * tca_handoff, the full phase, record_pass over the recorded rows and the
- * final state.  stops: each phase's (cnt[0], cnt[1] of them), of which the
+/* One mode: the tight-coupling phase, tca_handoff, the full phase,
+ * record_pass over the recorded rows and the final state.  stops: each
+ * phase's (cnt[0], cnt[1] of them), of which the
  * first cnt[2], cnt[3] are recorded; ctl: the full phase's, but t_init,
  * t_switch, tau_end in ctl[0, 1, 12]; back in ctl[0, 6] what integrate_phase
  * leaves there, in ctl[13, 14] each phase's wall seconds (the hand-off
@@ -656,7 +733,7 @@ long long evolve_mode(TABLE_ARGS, const double *tab, long long s, double *ctl,
                                  out + 5 * phase);
         if (status == 0 && !isfinite(pairwise_sum(y, n))) status = 4;
         if (status) break;
-        if (phase == 0) tca_handoff(TABLE, y, 0, par);
+        if (phase == 0) tca_handoff(TABLE, y, par);
         clock_gettime(CLOCK_MONOTONIC, &w1);
         ctl[13 + phase] = (w1.tv_sec - w0.tv_sec)
                           + 1e-9 * (w1.tv_nsec - w0.tv_nsec);
@@ -664,7 +741,7 @@ long long evolve_mode(TABLE_ARGS, const double *tab, long long s, double *ctl,
     ctl[0] = c[0]; ctl[6] = c[6];
     if (status) return status;
     for (i = 0; i < n; i++) rows[(m - 1) * n + i] = y[i];
-    record_pass(TABLE, rows, m, cnt[2], 0, par, rec, m);
+    record_pass(TABLE, rows, m, cnt[2], par, rec, m);
     return 0;
 }
 
@@ -731,12 +808,36 @@ long long saha_sweeps(long long n, const double *s_h, const double *s_he1,
     return stuck ? -stuck : most;
 }
 
+/* What thermo_eval keeps between evaluations: the part of the
+ * right-hand side that reads ln a alone (the expansion rate, the hydrogen
+ * density, the photon temperature and its Compton prefactor) for the last
+ * THERMO_NODES abscissae — a step attempt's start and its three stage
+ * nodes — and the part that reads ln a and T_b (the Saha helium electrons
+ * and the Peebles rates) for the last evaluation, each keyed by its
+ * inputs; thermo_memo_init empties it. */
+#define THERMO_NODES 4
+struct thermo_memo {
+    double lna[THERMO_NODES], h_s[THERMO_NODES], n_h[THERMO_NODES];
+    double t_g[THERMO_NODES], compton[THERMO_NODES];
+    long long next;
+    double tb_lna, tb_in, t_b, x_he, alpha2, beta, beta2;
+};
+
+static void thermo_memo_init(struct thermo_memo *M)
+{
+    long long i;
+    for (i = 0; i < THERMO_NODES; i++) M->lna[i] = NAN;
+    M->tb_lna = NAN;
+    M->next = 0;
+}
+
 /* The thermal history's ODE right-hand side, d[x_H, T_b]/d ln a at
  * (ln a, x_H, T_b): Background.hubble of a float, saha_electron_fraction,
  * PeeblesRates.at, peebles_rhs and the Compton term, transcribed
  * grouping for grouping, libm wherever python calls math.* or **.
  * tests/reference_thermo.py composes them in python, the reference;
- * the two are pinned bitwise.
+ * the two are pinned bitwise.  A part of it whose inputs are the same
+ * doubles as a kept one's is read from M, not formed again.
  *
  *   P        the parameter block, ThermalHistory._rhs_block's layout
  *   nu_pack  MassiveNuTables._rhs_pack (it starts with rows c3..c0 of
@@ -745,8 +846,9 @@ long long saha_sweeps(long long n, const double *s_h, const double *s_he1,
  *            grow: 1 once the Saha Newton iteration has hit its cap
  *            (python raises there), and the evaluations made so far;
  *            nothing is static */
-void thermo_rhs(const double *P, const double *nu_pack, double lna,
-                double x_h_in, double t_b_in, double *out)
+static void thermo_eval(const double *P, const double *nu_pack,
+                        struct thermo_memo *M, double lna, double x_h_in,
+                        double t_b_in, double *out)
 {
     const double gr_c = P[0], gr_b = P[1], gr_g = P[2], gr_nl = P[3];
     const double gr_lam = P[4], gr_nu = P[5], gr_k = P[6];
@@ -760,72 +862,104 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
     const double sigma_t = P[25], a_rad = P[26], lam_2s = P[27];
     const double lya_cube = P[28], eight_pi_sq = P[29];
     const long long saha_cap = (long long)P[30];
-    const double a = exp(lna), a2 = a * a;
-    const double t_b = py_max(t_b_in, 1e-3);
+    long long i;
 
-    /* Background.hubble: the six grho terms added left to right */
-    double gr_nu_a = 0.0 * a;
-    if (nu_pack) {
-        const double lx = log(py_min(py_max(a * x0, x_min), x_max));
-        long long ri = (long long)((lx - rf_x0) / rf_dx);
-        double ru;
-        if (ri < 0) ri = 0;
-        if (ri > rf_n - 1) ri = rf_n - 1;
-        ru = lx - (rf_x0 + ri * rf_dx);
-        gr_nu_a = gr_nu / a2
-            * (exp(((nu_pack[ri] * ru + nu_pack[rf_n + ri]) * ru
-                    + nu_pack[2 * rf_n + ri]) * ru + nu_pack[3 * rf_n + ri])
-               / irho);
+    for (i = 0; i < THERMO_NODES && M->lna[i] != lna; i++)
+        ;
+    if (i == THERMO_NODES) {
+        const double a = exp(lna), a2 = a * a;
+        double gr_nu_a = 0.0 * a;
+        i = M->next;
+        M->next = (i + 1) % THERMO_NODES;
+        /* Background.hubble: the six grho terms added left to right */
+        if (nu_pack) {
+            const double lx = log(py_min(py_max(a * x0, x_min), x_max));
+            long long ri = (long long)((lx - rf_x0) / rf_dx);
+            double ru;
+            if (ri < 0) ri = 0;
+            if (ri > rf_n - 1) ri = rf_n - 1;
+            ru = lx - (rf_x0 + ri * rf_dx);
+            gr_nu_a = gr_nu / a2
+                * (exp(((nu_pack[ri] * ru + nu_pack[rf_n + ri]) * ru
+                        + nu_pack[2 * rf_n + ri]) * ru
+                       + nu_pack[3 * rf_n + ri])
+                   / irho);
+        }
+        const double grho = gr_c / a + gr_b / a + gr_g / a2 + gr_nl / a2
+                            + gr_lam * a2 + gr_nu_a;
+        M->lna[i] = lna;
+        /* proper Hubble rate in s^-1 */
+        M->h_s[i] = sqrt(grho + gr_k) / a * c_light / mpc_cm;
+        M->n_h[i] = n_h0 / pow(a, 3.0);
+        M->t_g[i] = t_cmb / a;
+        M->compton[i] = 8.0 * sigma_t * a_rad * pow(M->t_g[i], 4.0)
+                        / (3.0 * m_e * c_light);
     }
-    const double grho = gr_c / a + gr_b / a + gr_g / a2 + gr_nl / a2
-                        + gr_lam * a2 + gr_nu_a;
-    /* proper Hubble rate in s^-1 */
-    const double h_s = sqrt(grho + gr_k) / a * c_light / mpc_cm;
-    const double n_h = n_h0 / pow(a, 3.0);
+    const double h_s = M->h_s[i], n_h = M->n_h[i], t_g = M->t_g[i];
 
-    /* saha_electron_fraction: helium electrons at the current
-     * temperature, by Newton's method inside a bracket */
-    const double kt = k_b * t_b;
-    /* (m_e k T / 2 pi hbar^2)^(3/2): python forms it once per Saha
-     * factor and once more in PeeblesRates.at, from the same doubles */
-    const double thermal = pow(m_e * kt / two_pi_hbar2, 1.5);
-    const double s_h = saha_factor(thermal, chi_h / kt) / n_h;
-    double sf[4] = {0.0, 0.0, 0.0, 0.0};
-    if (s_h != 0.0) {
-        const double s_he1 = 4.0 * saha_factor(thermal, chi_he1 / kt) / n_h;
-        const double s_he2 = 1.0 * saha_factor(thermal, chi_he2 / kt) / n_h;
-        if (saha_newton(s_h, s_he1, s_he2, f_he, saha_cap, sf) > saha_cap)
-            out[2] = 1.0;
+    if (!(M->tb_lna == lna && M->tb_in == t_b_in)) {
+        const double t_b = py_max(t_b_in, 1e-3);
+        /* saha_electron_fraction: helium electrons at the current
+         * temperature, by Newton's method inside a bracket */
+        const double kt = k_b * t_b;
+        /* (m_e k T / 2 pi hbar^2)^(3/2): python forms it once per Saha
+         * factor and once more in PeeblesRates.at, from the same
+         * doubles */
+        const double thermal = pow(m_e * kt / two_pi_hbar2, 1.5);
+        const double s_h = saha_factor(thermal, chi_h / kt) / n_h;
+        double sf[4] = {0.0, 0.0, 0.0, 0.0};
+        if (s_h != 0.0) {
+            const double s_he1 = 4.0 * saha_factor(thermal, chi_he1 / kt)
+                                 / n_h;
+            const double s_he2 = 1.0 * saha_factor(thermal, chi_he2 / kt)
+                                 / n_h;
+            if (saha_newton(s_h, s_he1, s_he2, f_he, saha_cap, sf)
+                > saha_cap)
+                out[2] = 1.0;
+        }
+        /* PeeblesRates.at */
+        const double eps = chi_h / kt;
+        const double phi2 = py_max(0.448 * log(py_max(eps, 1.0 + 1e-12)),
+                                   0.0);
+        M->tb_lna = lna;
+        M->tb_in = t_b_in;
+        M->t_b = t_b;
+        M->x_he = f_he * (sf[2] + 2.0 * sf[3]);
+        M->alpha2 = 9.78e-14 * sqrt(eps) * phi2;
+        M->beta = M->alpha2 * thermal * (eps < 650.0 ? exp(-eps) : 0.0);
+        M->beta2 = M->alpha2 * thermal
+                   * (eps < 2600.0 ? exp(-eps / 4.0) : 0.0);
     }
+    const double t_b = M->t_b;
+
+    /* peebles_rhs */
     const double x_h = py_min(py_max(x_h_in, 0.0), 1.0);
-    const double x_e = x_h + f_he * (sf[2] + 2.0 * sf[3]);
+    const double x_e = x_h + M->x_he;
     const double n_e = py_max(x_e, 1e-12) * n_h;
-
-    /* PeeblesRates.at and peebles_rhs */
-    const double eps = chi_h / kt;
-    const double phi2 = py_max(0.448 * log(py_max(eps, 1.0 + 1e-12)), 0.0);
-    const double alpha2 = 9.78e-14 * sqrt(eps) * phi2;
-    const double beta = alpha2 * thermal * (eps < 650.0 ? exp(-eps) : 0.0);
-    const double beta2 =
-        alpha2 * thermal * (eps < 2600.0 ? exp(-eps / 4.0) : 0.0);
     const double n_1s = py_max((1.0 - x_h) * n_h, 1e-300);
     const double lam_alpha = h_s * lya_cube / (eight_pi_sq * n_1s);
     const double c_peebles = (lam_2s + lam_alpha)
-                             / (lam_2s + lam_alpha + beta2);
-    const double recomb = alpha2 * n_e * x_h;
-    const double ionize = beta * (1.0 - x_h);
+                             / (lam_2s + lam_alpha + M->beta2);
+    const double recomb = M->alpha2 * n_e * x_h;
+    const double ionize = M->beta * (1.0 - x_h);
     const double dxh_dt = c_peebles * (ionize - recomb);
 
     /* baryon temperature: adiabatic cooling + Compton heating */
-    const double t_g = t_cmb / a;
-    const double compton_prefac = 8.0 * sigma_t * a_rad * pow(t_g, 4.0)
-                                  / (3.0 * m_e * c_light);
     const double dtb_dt = -2.0 * h_s * t_b
-        + compton_prefac * x_e / (1.0 + f_he + x_e) * (t_g - t_b);
+        + M->compton[i] * x_e / (1.0 + f_he + x_e) * (t_g - t_b);
 
     out[0] = dxh_dt / h_s;
     out[1] = dtb_dt / h_s;
     out[3] += 1.0;
+}
+
+/* thermo_eval of one state, keeping nothing */
+void thermo_rhs(const double *P, const double *nu_pack, double lna,
+                double x_h_in, double t_b_in, double *out)
+{
+    struct thermo_memo M;
+    thermo_memo_init(&M);
+    thermo_eval(P, nu_pack, &M, lna, x_h_in, t_b_in, out);
 }
 
 #define NEWTON_MAXITER 6
@@ -833,8 +967,11 @@ void thermo_rhs(const double *P, const double *nu_pack, double lna,
 /* The thermal history's ODE solve, (x_H, T_b) over ln a on the table's
  * own grid: three-stage Radau IIA, simplified Newton on the six stage
  * unknowns, RADAU5's error estimate, the collocation polynomial as dense
- * output (repro/thermo/radau.py explains the method) — calling
- * thermo_rhs without leaving C.  tests/reference_thermo.py holds its
+ * output (repro/thermo/radau.py explains the method) — evaluating the
+ * right-hand side by thermo_eval without leaving C, over one memo: a
+ * Newton iteration forms only the state part at each stage node, and the
+ * Jacobian's x_H column only the state part.  tests/reference_thermo.py
+ * holds its
  * python transcription, expression for expression; the two are pinned
  * bitwise.
  *
@@ -866,8 +1003,10 @@ long long thermo_ode(const double *P, const double *nu_pack,
     long long piv[6], n_steps = 0, n_rejected = 0, irow = 1;
     long long i, j, k, c, r;
     int need_jac = 1, have_q = 0;
+    struct thermo_memo memo;
 
-#define RHS(tt, a0, a1) thermo_rhs(P, nu_pack, (tt), (a0), (a1), out)
+    thermo_memo_init(&memo);
+#define RHS(tt, a0, a1) thermo_eval(P, nu_pack, &memo, (tt), (a0), (a1), out)
 
     RHS(t, y0, y1);
     f0 = out[0]; f1 = out[1];
@@ -1060,6 +1199,52 @@ long long thermo_ode(const double *P, const double *nu_pack,
 #undef RHS
     out[4] = n_steps; out[5] = n_rejected;
     return 0;
+}
+
+/* repro.background.nu_massive's rho_integral and pressure_integral at
+ * the n abscissae x, over the nq momentum nodes q: rho[i] is numpy's
+ * pairwise row sum of (wq2 eps) f0, p[i] that of (wq4 / eps) f0 over 3,
+ * eps = sqrt(q^2 + x[i]^2), the elementwise terms grouped as numpy
+ * groups them; drho[i] (unless NULL), solve_mass_parameter's Newton
+ * slope dI_rho/dx, that of ((wq2 f0) x[i]) / eps.  wq2 = w q^2,
+ * wq4 = w q^4 and f0 come formed by numpy, whose power and exp are not
+ * libm's; row: 3 nq doubles of work. */
+void nu_integrals(long long n, const double *x, long long nq,
+                  const double *q, const double *wq2, const double *wq4,
+                  const double *f0, double *rho, double *p, double *drho,
+                  double *row)
+{
+    long long i, j;
+    for (i = 0; i < n; i++) {
+        for (j = 0; j < nq; j++) {
+            const double eps = sqrt(q[j] * q[j] + x[i] * x[i]);
+            row[j] = wq2[j] * eps * f0[j];
+            row[nq + j] = wq4[j] / eps * f0[j];
+            if (drho) row[2 * nq + j] = wq2[j] * f0[j] * x[i] / eps;
+        }
+        rho[i] = pairwise_sum(row, nq);
+        p[i] = pairwise_sum(row + nq, nq) / 3.0;
+        if (drho) drho[i] = pairwise_sum(row + 2 * nq, nq);
+    }
+}
+
+/* UniformGridCubic.vector: the cubic on n pieces of the uniform knots
+ * x0 + i dx (coef: rows c3, c2, c1, c0 of n each) at the m abscissae x,
+ * into y, in __call__'s index arithmetic (truncated toward zero, clamped
+ * to [0, n - 1]) and Horner grouping. */
+void uniform_cubic(long long m, const double *x, double x0, double dx,
+                   long long n, const double *coef, double *y)
+{
+    long long j, i;
+    for (j = 0; j < m; j++) {
+        double t;
+        i = (long long)((x[j] - x0) / dx);
+        if (i < 0) i = 0;
+        if (i > n - 1) i = n - 1;
+        t = x[j] - (x0 + i * dx);
+        y[j] = ((coef[i] * t + coef[n + i]) * t + coef[2 * n + i]) * t
+               + coef[3 * n + i];
+    }
 }
 
 /* Reference LAPACK's DGTSV transcribed, rows of b contiguous: solve the
@@ -1371,12 +1556,16 @@ class CextKernel:
     ``rhs_raw(*table, tau, y, dy)``, its tight-coupling twin
     ``rhs_tca_raw`` and
     ``integrate_raw(*table, tight, tab, s, ctl, stops, max_steps, y,
-    rows, work, out) -> status``, ``handoff_raw(*table, y, mom, par)``,
-    ``record_raw(*table, rows, m, n_tight, mom, par, rec, stride)`` and
+    rows, work, out) -> status``, ``handoff_raw(*table, y, par)``,
+    ``record_raw(*table, rows, m, n_tight, par, rec, stride)``,
+    ``momentum_raw(*table, rows, m, out)`` and
     ``evolve_raw(*table, tab, s, ctl, stops, cnt, max_steps, y, rows,
     par, rec, work, out) -> status`` where ``table`` is the system's
     eight-pointer table (``PerturbationSystem.pack()["table"]``, built
-    once), and ``pairwise_raw(a, n) -> float``.  ctypes releases the
+    once), ``pairwise_raw(a, n) -> float``, ``nu_raw(n, x, nq, q, wq2,
+    wq4, f0, rho, p, drho, row)`` (``nu_integrals``) and
+    ``uniform_raw(m, x, x0, dx, n, coef, y)`` (``uniform_cubic``).
+    ctypes releases the
     GIL around each call and the C side keeps no static state, so
     threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
     lna, x_h, t_b, out)``, ``thermo_ode_raw(params, nu_pack, tab, grid,
@@ -1406,11 +1595,20 @@ class CextKernel:
                                     + [ptr] * 6)
         self.evolve_raw.restype = i64
         self.handoff_raw = lib.tca_handoff
-        self.handoff_raw.argtypes = [ptr] * 11
+        self.handoff_raw.argtypes = [ptr] * 10
         self.handoff_raw.restype = None
         self.record_raw = lib.record_pass
-        self.record_raw.argtypes = [ptr] * 9 + [i64, i64] + [ptr] * 3 + [i64]
+        self.record_raw.argtypes = [ptr] * 9 + [i64, i64] + [ptr] * 2 + [i64]
         self.record_raw.restype = None
+        self.momentum_raw = lib.momentum_rows
+        self.momentum_raw.argtypes = [ptr] * 9 + [i64, ptr]
+        self.momentum_raw.restype = None
+        self.nu_raw = lib.nu_integrals
+        self.nu_raw.argtypes = [i64, ptr, i64] + [ptr] * 8
+        self.nu_raw.restype = None
+        self.uniform_raw = lib.uniform_cubic
+        self.uniform_raw.argtypes = [i64, ptr, f64, f64, i64, ptr, ptr]
+        self.uniform_raw.restype = None
         self.pairwise_raw = lib.pairwise_sum
         self.pairwise_raw.argtypes = [ptr, i64]
         self.pairwise_raw.restype = ctypes.c_double

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import _cext
 from ..util.fastspline import UniformGridCubic
 
 __all__ = [
@@ -79,32 +80,60 @@ def momentum_grid(nq: int, q_max: float = 18.0) -> tuple[np.ndarray, np.ndarray]
     return q, w
 
 
+@functools.lru_cache(maxsize=None)
+def _rule(nq: int, q_max: float) -> tuple[np.ndarray, ...]:
+    """:func:`_weights` of ``momentum_grid(nq, q_max)``, once per rule."""
+    return _weights(*momentum_grid(nq, q_max=q_max))
+
+
+def _weights(q, w) -> tuple[np.ndarray, ...]:
+    """``(q, w q^2, w q^4, f0)``: what the compiled integrals weigh each
+    node by, formed by numpy (its power and exp are not libm's)."""
+    q, w = np.asarray(q, dtype=float), np.asarray(w, dtype=float)
+    return tuple(np.ascontiguousarray(a) for a in
+                 (q, w * q**2, w * q**4, fermi_dirac_f0(q)))
+
+
+def _integrals(x, rule, slope=False):
+    """The compiled ``nu_integrals`` at the abscissae ``x`` over a
+    :func:`_weights` rule: a ``(3, n)`` array whose rows are I_rho,
+    I_p and, if ``slope``, dI_rho/dx."""
+    x = np.ascontiguousarray(x, dtype=float)
+    q = rule[0]
+    out = np.empty((3, x.size))
+    row = np.empty(3 * q.size)
+    _cext.get_cext().nu_raw(
+        x.size, x.ctypes.data, q.size, *(a.ctypes.data for a in rule),
+        out[0].ctypes.data, out[1].ctypes.data,
+        out[2].ctypes.data if slope else None, row.ctypes.data)
+    return out
+
+
+def _integral(x, q, w, row: int):
+    """Row ``row`` of :func:`_integrals` at ``x``, scalar in, scalar
+    out; array in, array out."""
+    rule = _rule(64, 25.0) if q is None or w is None else _weights(q, w)
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    vals = _integrals(np.atleast_1d(np.asarray(x, dtype=float)), rule)[row]
+    return float(vals[0]) if scalar else vals
+
+
 def rho_integral(x, q=None, w=None):
     """I_rho(x) = integral q^2 sqrt(q^2 + x^2) f0(q) dq for x = a m / T_nu0.
 
-    Scalar in, scalar out; array in, array out.
+    Scalar in, scalar out; array in, array out.  One compiled pass over
+    the nodes (default: ``momentum_grid(64, q_max=25.0)``), bitwise the
+    numpy sum ``tests/reference_nu.py`` keeps.
     """
-    if q is None or w is None:
-        q, w = momentum_grid(64, q_max=25.0)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    eps = np.sqrt(q[None, :] ** 2 + x[:, None] ** 2)
-    vals = np.sum(w * q**2 * eps * fermi_dirac_f0(q), axis=1)
-    return float(vals[0]) if scalar else vals
+    return _integral(x, q, w, 0)
 
 
 def pressure_integral(x, q=None, w=None):
     """I_p(x) = (1/3) integral q^4 / sqrt(q^2 + x^2) f0(q) dq.
 
-    Scalar in, scalar out; array in, array out.
+    Scalar in, scalar out; array in, array out (as :func:`rho_integral`).
     """
-    if q is None or w is None:
-        q, w = momentum_grid(64, q_max=25.0)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    eps = np.sqrt(q[None, :] ** 2 + x[:, None] ** 2)
-    vals = np.sum(w * q**4 / eps * fermi_dirac_f0(q), axis=1) / 3.0
-    return float(vals[0]) if scalar else vals
+    return _integral(x, q, w, 1)
 
 
 def solve_mass_parameter(omega_nu: float, omega_nu_rel_equiv: float) -> float:
@@ -122,32 +151,35 @@ def solve_mass_parameter(omega_nu: float, omega_nu_rel_equiv: float) -> float:
     root) converges from above in a handful of evaluations.  Every
     iterate is kept inside the bracket [1e-6, 1e9]; a step that leaves
     it is replaced by the geometric midpoint.  Converged when the step
-    is below 1e-13 of x0.
+    is below 1e-13 of x0.  Each evaluation — I_rho and its slope — is
+    one compiled call on the 96-node rule.
     """
     if omega_nu <= 0.0:
         return 0.0
     target = omega_nu / omega_nu_rel_equiv * I_RHO_MASSLESS
-    q, w = momentum_grid(96, q_max=30.0)
-    number = w * q**2 * fermi_dirac_f0(q)  # dI_rho/dx = sum(number x / eps)
+    rule = _rule(96, 30.0)
 
-    def f(x: float) -> float:
-        return rho_integral(x, q, w) - target
+    def f(x: float) -> tuple[float, float]:
+        """I_rho(x) - target and dI_rho/dx, by one compiled call."""
+        rho, _, slope = _integrals([x], rule, slope=True)[:, 0].tolist()
+        return rho - target, slope
 
     lo, hi = 1e-6, 1e9
-    if f(lo) > 0.0:
+    if f(lo)[0] > 0.0:
         raise ValueError("omega_nu smaller than the massless-equivalent density")
-    while f(hi) < 0.0:
+    while f(hi)[0] < 0.0:
         hi *= 10.0
         if hi > 1e15:
             raise ValueError("mass parameter search diverged")
-    x = min(max(target / float(np.sum(number)), lo), hi)
+    # I_rho -> x * sum(w q^2 f0) for x >> q
+    x = min(max(target / float(np.sum(rule[1] * rule[3])), lo), hi)
     for _ in range(200):
-        fx = f(x)
+        fx, dfx = f(x)
         if fx < 0.0:
             lo = x
         else:
             hi = x
-        x_new = x - fx / float(np.sum(number * x / np.sqrt(q * q + x * x)))
+        x_new = x - fx / dfx
         if not lo <= x_new <= hi:
             x_new = math.sqrt(lo * hi)
         if abs(x_new - x) < 1e-13 * x:
@@ -186,15 +218,13 @@ class MassiveNuTables:
             raise ValueError("x0 must be positive for a massive species")
         x_min, x_max = 1e-8 * max(x0, 1.0), 10.0 * max(x0, 1.0)
         x = np.geomspace(x_min, x_max, n_table)
-        q, w = momentum_grid(96, q_max=30.0)
+        rho, p, _ = _integrals(x, _rule(96, 30.0))
         lnx = np.log(x)
         pack = np.empty((8, n_table - 1))
         return cls(
             x0=x0,
-            _log_rho_spline=UniformGridCubic(
-                lnx, np.log(rho_integral(x, q, w)), out=pack[:4]),
-            _log_p_spline=UniformGridCubic(
-                lnx, np.log(pressure_integral(x, q, w)), out=pack[4:]),
+            _log_rho_spline=UniformGridCubic(lnx, np.log(rho), out=pack[:4]),
+            _log_p_spline=UniformGridCubic(lnx, np.log(p), out=pack[4:]),
             x_min=x_min,
             x_max=x_max,
             _rhs_pack=pack,

@@ -51,7 +51,7 @@ class ChaosPolicy:
 
     ``seed``
         Phases the kernel-poison site (which of the first compiled
-        phases gets poisoned) so different seeds hit different
+        calls gets poisoned) so different seeds hit different
         integrator states; all other sites have few opportunities and
         fire on their first ones.
     ``cache_write_faults`` / ``cache_write_mode``
@@ -60,9 +60,10 @@ class ChaosPolicy:
         mid-file (digest mismatch), ``"torn"`` truncates the tmp file
         before the atomic rename (torn write).
     ``kernel_nan_faults``
-        Poison that many compiled phases' end states with NaN (a mode
-        offers two opportunities, one per phase); the phase then raises
-        the ``IntegrationError`` the ladder retries.
+        Poison that many compiled calls' end states with NaN (a mode
+        offers one opportunity: it is one compiled call, massive species
+        or not); the mode then raises the ``IntegrationError`` the
+        ladder retries.
     ``compile_faults`` / ``stale_so_faults``
         Fail that many ``.so`` compilations / pre-plant a truncated
         stale ``.so`` at the content-addressed path that many times.
@@ -71,7 +72,7 @@ class ChaosPolicy:
         distinct wavenumbers — the first N distinct ones attempted.
 
     No wavenumber takes more than one of the last two kinds: a forced
-    collapse and a poisoned phase skip a wavenumber that already took
+    collapse and a poisoned call skip a wavenumber that already took
     either, so the ladder's one same-config retry recovers every
     injected integration fault bitwise, however worker threads
     interleave.
@@ -145,10 +146,10 @@ class ChaosEngine:
 
     # -- compiled-kernel surface --------------------------------------
     def poison_rhs(self, k: float) -> bool:
-        """Poison the end state of this compiled phase of wavenumber
-        ``k`` with NaN?
+        """Poison the end state of this compiled call (one mode) of
+        wavenumber ``k`` with NaN?
 
-        The seed phases which phase gets hit, so different seeds poison
+        The seed phases which call gets hit, so different seeds poison
         different integrator states.
         """
         return self._take("kernel_nan", self.policy.kernel_nan_faults,

@@ -14,11 +14,11 @@ conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
 A mode is one :class:`~repro.perturbations.system.PerturbationSystem`
-(one assembly and one ``pack()``) and, without a massive species, one
-compiled call (:func:`integrate_mode`): both phases, the hand-off of the
-slaved moments and the record pass — COSMICS's one subroutine call per
-k.  A massive species (whose momentum sums stay numpy dots, handed in)
-and the ``driver_cls`` test seam go phase by phase, to the same bits.
+(one assembly and one ``pack()``) and one compiled call
+(:func:`integrate_mode`): both phases, the hand-off of the slaved
+moments and the record pass — COSMICS's one subroutine call per k,
+massive species or not.  Only the ``driver_cls`` test seam goes phase
+by phase, to the same bits.
 """
 
 from __future__ import annotations
@@ -374,11 +374,11 @@ def integrate_mode(
 ) -> tuple:
     """Both phases of a mode, the hand-off and the record pass over the
     record points ``grid`` (a phase end only when it is one, and once)
-    and the final state: one compiled call without a massive species on
-    the default driver (:meth:`PerturbationSystem.evolve`), else phase
-    by phase.  Counters fold into ``stats`` by the python driver's
-    formulas; a failure raises its
-    :class:`~repro.errors.IntegrationError`, with its message.
+    and the final state: one compiled call on the default driver
+    (:meth:`PerturbationSystem.evolve`), else phase by phase.  Counters
+    fold into ``stats`` by the python driver's formulas; a failure
+    raises its :class:`~repro.errors.IntegrationError`, with its
+    message.
 
     Returns the final state, the record points reached, the states
     there then the final one, their ``(20, n + 1)`` records, how many
@@ -388,7 +388,7 @@ def integrate_mode(
     tight_pts, full_pts = grid[grid <= t_switch], grid[grid > t_switch]
     kwargs = dict(rtol=rtol, atol=atol, max_steps=max_steps,
                   first_step=first_step)
-    if driver_cls is DVERK and not system.nq:
+    if driver_cls is DVERK:
         stops_t = phase_stops(tight_pts, t_init, t_switch)
         stops_f = phase_stops(full_pts, t_switch, tau_end)
         m_t = stops_t.size - (not _in(t_switch, tight_pts))

@@ -54,6 +54,7 @@ gauge-specific source terms local.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,6 +115,27 @@ def phase_stops(points: np.ndarray, t0: float, t1: float) -> np.ndarray:
     if not stops.size or stops[-1] < t1:
         stops = np.append(stops, t1)
     return stops
+
+
+@functools.lru_cache(maxsize=16)
+def _massive_pack(nq: int, q_max: float,
+                  lmax_massive_nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed ABI's ``nu_pack`` and ``mnu_pack`` (see
+    :meth:`PerturbationSystem.pack`): the momentum nodes, dln f0/dln q
+    and the rho/q^3/q^4 quadrature weights, and the massive hierarchy's
+    advection factors.  They depend on neither k nor the cosmology, so
+    they are formed once per rule and read-only."""
+    q, w = momentum_grid(nq, q_max=q_max)
+    f0 = fermi_dirac_f0(q)
+    nu_pack = np.ascontiguousarray([
+        q, dlnf0_dlnq(q), w * q**2 * f0 / I_RHO_MASSLESS,
+        w * q**3 * f0 / I_RHO_MASSLESS, w * q**4 * f0 / I_RHO_MASSLESS])
+    ell = np.arange(lmax_massive_nu + 1, dtype=float)
+    mnu_pack = np.ascontiguousarray(
+        [ell / (2.0 * ell + 1.0), (ell + 1.0) / (2.0 * ell + 1.0)])
+    nu_pack.setflags(write=False)
+    mnu_pack.setflags(write=False)
+    return nu_pack, mnu_pack
 
 
 @dataclass
@@ -212,7 +234,6 @@ class PerturbationSystem:
 
         # The layout's index properties recompute on access; freeze the
         # ones the scalar helpers read.
-        self._iA = layout.A
         self._iETA = layout.ETA
         self._iDC = layout.DELTA_C
         self._iDB = layout.DELTA_B
@@ -238,20 +259,16 @@ class PerturbationSystem:
                 * p.omega_gamma
             )
             self._x0 = background.nu_tables.x0
-            q, w = momentum_grid(self.nq, q_max=q_max)
-            self.q_nodes = q
-            f0 = fermi_dirac_f0(q)
-            self._dlnf = dlnf0_dlnq(q)
-            self._w_rho = w * q**2 * f0 / I_RHO_MASSLESS
-            self._w_q3 = w * q**3 * f0 / I_RHO_MASSLESS
-            self._w_q4 = w * q**4 * f0 / I_RHO_MASSLESS
+            # k-independent: one read-only pack per rule, shared by
+            # every system (rows: q, dln f0/dln q, w_rho, w_q3, w_q4)
+            self._nu_pack, self._mnu_pack = _massive_pack(
+                self.nq, self.q_max, layout.lmax_massive_nu)
+            (self.q_nodes, self._dlnf, self._w_rho, self._w_q3,
+             self._w_q4) = self._nu_pack
+            self._mnu_lo, self._mnu_hi = self._mnu_pack
             # the background's own ln I_rho / ln I_p splines
             self._rho_fac = background.nu_tables._log_rho_spline
             self._p_fac = background.nu_tables._log_p_spline
-            lm = layout.lmax_massive_nu
-            ell = np.arange(lm + 1, dtype=float)
-            self._mnu_lo = ell / (2.0 * ell + 1.0)
-            self._mnu_hi = (ell + 1.0) / (2.0 * ell + 1.0)
         else:
             self._gr_nu_rel = 0.0
             self.q_nodes = np.empty(0)
@@ -479,10 +496,8 @@ class PerturbationSystem:
         if not (y.shape == (self.layout.n_state,) and y.flags.c_contiguous
                 and y.dtype == np.float64):
             raise ParameterError("the hand-off needs one C-contiguous state")
-        mom = self._momentum_sums(y[None]) if self.nq else None
         self._compiled().handoff_raw(
             *self.pack()["table"], y.ctypes.data,
-            None if mom is None else mom.ctypes.data,
             self._record_par.ctypes.data)
 
     def record(self, rows: np.ndarray, n_tight: int) -> np.ndarray:
@@ -496,27 +511,10 @@ class PerturbationSystem:
                                  f"{rows.shape}")
         m = len(rows)
         rec = np.empty((len(RECORD_FIELDS), m))
-        mom = self._momentum_sums(rows) if self.nq else None
         self._compiled().record_raw(
             *self.pack()["table"], rows.ctypes.data, m, n_tight,
-            None if mom is None else mom.ctypes.data,
             self._record_par.ctypes.data, rec.ctypes.data, m)
         return rec
-
-    def _momentum_sums(self, rows: np.ndarray) -> np.ndarray:
-        """``(3, m)``: each row's (w_rho eps).psi_0, w_q3.psi_1 and
-        (w_q4 / eps).psi_2, one numpy dot each as the scalar helpers
-        reduce them — handed to C, which does not re-order them."""
-        m = len(rows)
-        out = np.empty((3, m))
-        a = rows[:, self._iA]
-        psi = rows[:, self._slpsi].reshape(m, self.nq, -1)
-        for i in range(m):
-            eps = self.nu_eps(a[i])
-            out[0, i] = (self._w_rho * eps) @ psi[i, :, 0]
-            out[1, i] = self._w_q3 @ psi[i, :, 1]
-            out[2, i] = (self._w_q4 / eps) @ psi[i, :, 2]
-        return out
 
     # ------------------------------------------------------------------
     # Packed structure for the compiled kernels
@@ -572,11 +570,7 @@ class PerturbationSystem:
             rf = self._rho_fac
             rf_n, rf_x0, rf_dx = rf.n, rf.x0, rf.dx
             rf_c = self.background.nu_tables._rhs_pack
-            nu_pack = np.ascontiguousarray(
-                [self.q_nodes, self._dlnf, self._w_rho, self._w_q3,
-                 self._w_q4]
-            )
-            mnu_pack = np.ascontiguousarray([self._mnu_lo, self._mnu_hi])
+            nu_pack, mnu_pack = self._nu_pack, self._mnu_pack
             x0 = self._x0
         else:
             rf_n, rf_x0, rf_dx = 1, 0.0, 1.0
@@ -696,7 +690,7 @@ class PerturbationSystem:
                t_init: float, t_switch: float, tau_end: float, rtol: float,
                atol: float, max_steps: int,
                first_step: float | None = None) -> CompiledMode:
-        """A whole mode without a massive species in one compiled call:
+        """A whole mode in one compiled call:
         :meth:`integrate_phase` from ``t_init`` to ``t_switch``,
         :meth:`initialize_full_from_tca`, :meth:`integrate_phase` to
         ``tau_end`` and :meth:`record`, bit for bit.  ``stops`` holds

@@ -229,23 +229,18 @@ class UniformGridCubic:
         return (3.0 * self.c3[i] * t + 2.0 * self.c2[i]) * t + self.c1[i]
 
     def vector(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (the record pass, the thermal tables).
-
-        Bitwise-identical to looping :meth:`__call__`: identical index
-        arithmetic and Horner grouping, with the four coefficient
-        gathers fused into one fancy-indexed gather.  Accepts any
-        input shape (the result has the same shape).
+        """Vectorized evaluation (the massive-neutrino background
+        factors, the thermal evaluators) by the compiled
+        ``uniform_cubic``: bitwise-identical to looping :meth:`__call__`,
+        whose index arithmetic and Horner grouping it transcribes.
+        Accepts any input shape (the result has the same shape).
         """
         x = np.asarray(x, dtype=float)
-        # minimum/maximum instead of np.clip: same result, and np.clip's
-        # bound handling is an order of magnitude slower on small arrays
-        i = np.minimum(
-            np.maximum(((x - self.x0) / self.dx).astype(np.intp), 0),
-            self.n - 1,
-        )
-        t = x - (self.x0 + i * self.dx)
-        c3, c2, c1, c0 = self._coef[:, i]
-        return ((c3 * t + c2) * t + c1) * t + c0
+        xc, out = np.ascontiguousarray(x), np.empty(x.shape)
+        _cext.get_cext().uniform_raw(x.size, xc.ctypes.data, self.x0,
+                                     self.dx, self.n, self._coef.ctypes.data,
+                                     out.ctypes.data)
+        return out
 
 
 class LogLogCubic:

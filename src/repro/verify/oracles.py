@@ -348,7 +348,7 @@ def chaos_degradation_oracle(
     Runs one short PLINGER spectrum fault-free, then repeats it under a
     fixed-seed :class:`~repro.chaos.ChaosPolicy` that hits all three
     fault surfaces — compiled kernel (a stale ``.so``, one failed
-    compilation, and one NaN-poisoned compiled phase, which the ladder
+    compilation, and one NaN-poisoned compiled call, which the ladder
     retries), integrator (one forced step collapse) and cache (the
     chaotic product's write into a
     :class:`~repro.serve.results.ResultStore` is garbled; a fresh store

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._cext import get_cext
 from repro.background import nu_massive
 from repro.background.nu_massive import (
     I_RHO_MASSLESS,
@@ -17,6 +18,8 @@ from repro.background.nu_massive import (
     rho_integral,
     solve_mass_parameter,
 )
+from repro.perturbations import PerturbationSystem, StateLayout
+from tests import reference_nu
 
 
 class TestDistribution:
@@ -104,14 +107,14 @@ class TestMassParameter:
     def test_converges_in_a_handful_of_evaluations(self, monkeypatch,
                                                    omega_nu):
         """A count, not a timing: bisection over the 34-decade bracket
-        needed ~50 of these 96-node integrals."""
-        calls = []
-        integral = nu_massive.rho_integral
-        monkeypatch.setattr(
-            nu_massive, "rho_integral",
-            lambda *args: calls.append(args[0]) or integral(*args))
+        needed ~50 of these 96-node integrals.  Each evaluation is one
+        compiled call at one abscissa."""
+        kernel, calls = get_cext(), []
+        raw = kernel.nu_raw
+        monkeypatch.setattr(kernel, "nu_raw",
+                            lambda *args: calls.append(args[0]) or raw(*args))
         x0 = solve_mass_parameter(omega_nu, 1e-5)
-        assert len(calls) <= 12
+        assert 0 < len(calls) <= 12 and set(calls) == {1}
         monkeypatch.undo()
         q, w = momentum_grid(96, q_max=30.0)
         got = 1e-5 * rho_integral(x0, q, w) / I_RHO_MASSLESS
@@ -138,3 +141,73 @@ class TestTables:
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             MassiveNuTables.build(0.0)
+
+
+class TestCompiledSums:
+    """The compiled ``nu_integrals`` and ``momentum_rows`` against the
+    numpy they replaced (``tests/reference_nu.py``), bit for bit."""
+
+    def test_integrals_are_numpys_on_the_table_grid(self, bg_mdm):
+        tab = bg_mdm.nu_tables
+        x = np.geomspace(tab.x_min, tab.x_max, 400)
+        q, w = momentum_grid(96, q_max=30.0)
+        rho, p = rho_integral(x, q, w), pressure_integral(x, q, w)
+        assert np.array_equal(rho, reference_nu.rho_integral(x, q, w))
+        assert np.array_equal(p, reference_nu.pressure_integral(x, q, w))
+        # ... which is what the table was fitted to
+        again = MassiveNuTables.build(tab.x0)
+        assert again._rhs_pack.tobytes() == tab._rhs_pack.tobytes()
+
+    @pytest.mark.parametrize("rule", [None, (96, 30.0), (7, 18.0)])
+    def test_integrals_are_numpys_at_zero_and_on_scalars(self, rule):
+        q, w = (None, None) if rule is None else momentum_grid(*rule)
+        rng = np.random.default_rng(5)
+        for x in [0.0, *(10.0 ** rng.uniform(-8, 6, 40)).tolist()]:
+            for got, want in ((rho_integral, reference_nu.rho_integral),
+                              (pressure_integral,
+                               reference_nu.pressure_integral)):
+                a, b = got(x, q, w), want(x, q, w)
+                assert type(a) is float and a == b, (x, got.__name__)
+
+    def test_the_mass_solve_is_the_numpy_solve(self):
+        """Every Newton evaluation (I_rho and its slope) is the numpy
+        sum's double, so the root is too."""
+        q, w = momentum_grid(96, q_max=30.0)
+        rule = nu_massive._rule(96, 30.0)
+        for x in (1e-6, 3.7, 28034.73409522098, 1e9):
+            got = nu_massive._integrals([x], rule, slope=True)
+            assert got[0, 0] == reference_nu.rho_integral(x, q, w)
+            assert got[2, 0] == reference_nu.mass_slope(x, q, w)
+        for omega_nu in (1.2e-5, 1e-3, 0.2, 0.9):
+            assert (solve_mass_parameter(omega_nu, 1e-5)
+                    == reference_nu.solve_mass_parameter(omega_nu, 1e-5))
+
+    @pytest.mark.parametrize("nq", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_momentum_sums_are_numpys_dots(self, bg_mdm, thermo_mdm, nq):
+        """The canary of the order: on states spanning 16 decades, the
+        compiled sums equal numpy's ``@`` on the strided psi columns (a
+        numpy on a BLAS that orders ``ddot`` otherwise fails the first
+        assert) and the order ``reference_nu.blas_dot`` writes out,
+        whole groups of four and every tail length."""
+        layout = StateLayout(lmax_photon=6, lmax_nu=6, nq=nq,
+                             lmax_massive_nu=5)
+        system = PerturbationSystem(bg_mdm, thermo_mdm, 0.01, layout)
+        rng = np.random.default_rng(nq)
+        m = 300
+        rows = (rng.standard_normal((m, layout.n_state))
+                * 10.0 ** rng.uniform(-8.0, 8.0, (m, layout.n_state)))
+        rows[:, layout.A] = 10.0 ** rng.uniform(-8.0, 0.0, m)
+        got = np.full((3, m), np.nan)
+        get_cext().momentum_raw(*system.pack()["table"], rows.ctypes.data,
+                                m, got.ctypes.data)
+        want = reference_nu.momentum_sums(system, rows)
+        psi = rows[:, layout.sl_psi].reshape(m, nq, -1)
+        written = np.array([
+            [reference_nu.blas_dot(system._w_rho * eps, psi[i, :, 0]),
+             reference_nu.blas_dot(system._w_q3, psi[i, :, 1]),
+             reference_nu.blas_dot(system._w_q4 / eps, psi[i, :, 2])]
+            for i, eps in ((i, system.nu_eps(rows[i, layout.A]))
+                           for i in range(m))]).T
+        assert np.array_equal(written, want), (
+            "numpy's @ is not OpenBLAS's generic-stride ddot order here")
+        assert np.array_equal(got, want)

@@ -23,7 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import KGrid, LingerConfig, run_linger, run_plinger
+from repro import (
+    Background,
+    KGrid,
+    LingerConfig,
+    ThermalHistory,
+    mixed_dark_matter,
+    run_linger,
+    run_plinger,
+    standard_cdm,
+)
 from repro.chaos import ChaosPolicy, active
 from repro.errors import IntegrationError
 from repro.integrators import DVERK, VERNER_65_TABLEAU, IntegratorStats
@@ -36,6 +45,7 @@ from repro.perturbations import (
 )
 from repro import _cext
 from repro._cext import CextKernel, get_cext
+from repro.perturbations import evolve
 from repro.perturbations.evolve import (
     find_tca_exit,
     integrate_phase,
@@ -413,6 +423,42 @@ def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("model, nq, n_modes", [
+    pytest.param(standard_cdm, 0, 5, id="standard_cdm"),
+    pytest.param(mixed_dark_matter, 8, 3, id="mixed_dark_matter")])
+def test_one_compiled_call_per_mode(monkeypatch, model, nq, n_modes):
+    """A mode is one compiled call — both phases, the hand-off and the
+    record pass — massive species or not; a silent return to a call per
+    phase with the record pass in python costs ~15 % of fig2_sparse with
+    every bitwise test still passing.  A run makes one ``evolve_mode``
+    call per mode, none of ``integrate_phase``, no python momentum sum,
+    and builds one record grid per distinct start time."""
+
+    def per_phase(*args, **kwargs):
+        pytest.fail("a mode left its one compiled call")
+
+    kernel, calls = get_cext(), []
+    evolve_raw = kernel.evolve_raw
+    monkeypatch.setattr(kernel, "evolve_raw",
+                        lambda *a: calls.append(1) or evolve_raw(*a))
+    monkeypatch.setattr(kernel, "integrate_raw", per_phase)
+    for name in ("integrate_phase", "record", "initialize_full_from_tca",
+                 "nu_eps", "shear_sum"):
+        monkeypatch.setattr(PerturbationSystem, name, per_phase)
+    params = model()
+    bg = Background(params)
+    k = np.geomspace(1e-3, 0.05, n_modes)
+    evolve._record_grid.cache_clear()
+    res = run_linger(params, KGrid.from_k(k),
+                     LingerConfig(lmax_photon=10, lmax_nu=10, nq=nq,
+                                  rtol=1e-3),
+                     background=bg, thermo=ThermalHistory(bg))
+    starts = len({tau_initial(float(x)) for x in k})
+    builds = evolve._record_grid.cache_info().misses
+    assert len(calls) == n_modes and builds == starts == 2
+    assert all(m.layout.nq == nq for m in res.modes)
+
+
 @pytest.mark.parametrize("k", [3e-4, 0.01, 0.1])
 def test_one_compiled_call_is_the_driver_cls_seam(bg_scdm, thermo_scdm, k):
     """The one compiled call against the seam's route — the python
@@ -458,6 +504,19 @@ def test_a_poisoned_mode_raises_once_per_compiled_call(bg_scdm, thermo_scdm):
                         lmax_nu=8, rtol=1e-3)
         evolve_mode(bg_scdm, thermo_scdm, 0.02, lmax_photon=8, lmax_nu=8,
                     rtol=1e-3)
+    assert eng.injected == {"kernel_nan": 1}
+    assert eng.summary()["opportunities"] == {"kernel_nan": 2}
+
+
+def test_a_poisoned_massive_mode_consults_once_per_mode(bg_mdm, thermo_mdm):
+    """With a massive species too, the kernel poison is one consult per
+    mode: the mode is one compiled call."""
+    kwargs = dict(lmax_photon=8, lmax_nu=8, nq=8, lmax_massive_nu=6,
+                  rtol=1e-3)
+    with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
+        with pytest.raises(IntegrationError, match="non-finite state at t="):
+            evolve_mode(bg_mdm, thermo_mdm, 0.01, **kwargs)
+        evolve_mode(bg_mdm, thermo_mdm, 0.02, **kwargs)
     assert eng.injected == {"kernel_nan": 1}
     assert eng.summary()["opportunities"] == {"kernel_nan": 2}
 

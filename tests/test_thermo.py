@@ -506,6 +506,61 @@ class TestCompiledRhs:
                            match="did not converge in 1 iterations"):
             ThermalHistory(bg_scdm)
 
+    @pytest.mark.parametrize("model, nu_calls, counts", [
+        pytest.param(standard_cdm, [], {
+            "ode_rhs_evals": 5107, "ode_steps": 548, "ode_rejected": 9,
+            "saha_sweeps": 6, "saha_rows": 3616}, id="standard_cdm"),
+        pytest.param(mixed_dark_matter, [1, 1, 1, 1, 400], {
+            "ode_rhs_evals": 5110, "ode_steps": 548, "ode_rejected": 9,
+            "saha_sweeps": 6, "saha_rows": 3616}, id="mixed_dark_matter"),
+    ])
+    def test_a_thermal_build_is_compiled_passes(self, monkeypatch, model,
+                                                nu_calls, counts):
+        """The Saha grid passes, every fit of four knots and up and the
+        massive background's momentum integrals run in C; a silent
+        return to numpy passes costs ~7 % of hier_serial with every
+        bitwise test still passing.  A massive background makes one
+        compiled call per evaluation of the mass solve (I_rho and its
+        slope at one abscissa) and one for both integrals on the
+        400-point table, and no numpy pass over the (400, 96) grid; a
+        history makes 2 compiled sweep calls, no python
+        ``_saha_residual`` call and 3 compiled fits, and does the work
+        it did when the passes were numpy's (the counts)."""
+        kernel = _cext.get_cext()
+        calls = {"saha": 0, "residual": 0, "fit": 0}
+        sizes, shapes = [], []
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        def shaped(fn):
+            def call(*args, **kwargs):
+                shapes.append(np.shape(args[0]))
+                return fn(*args, **kwargs)
+            return call
+
+        nu_raw = kernel.nu_raw
+        monkeypatch.setattr(kernel, "nu_raw",
+                            lambda *args: sizes.append(args[0]) or
+                            nu_raw(*args))
+        monkeypatch.setattr(kernel, "saha_raw",
+                            counted("saha", kernel.saha_raw))
+        monkeypatch.setattr(kernel, "fit_raw", counted("fit", kernel.fit_raw))
+        monkeypatch.setattr(recombination, "_saha_residual",
+                            counted("residual", recombination._saha_residual))
+        for name in ("sqrt", "sum"):
+            monkeypatch.setattr(np, name, shaped(getattr(np, name)))
+        bg = Background(model())
+        assert sizes == nu_calls
+        assert not [s for s in shapes if len(s) == 2 and 96 in s], shapes
+        calls.update(fit=0)
+        thermo = ThermalHistory(bg)
+        assert calls == {"saha": 2, "residual": 0, "fit": 3}
+        assert thermo._build_counts == counts
+
     def test_status_and_count_slots_only_grow(self, monkeypatch,
                                               thermo_scdm):
         monkeypatch.setattr(recombination, "_SAHA_MAX_ITER", 1)
