@@ -4,7 +4,7 @@ Saha sweeps, the spline fit and the j_l recurrence.
 
 One shared object — one build, one cache directory, resolved once per
 process by whichever layer asks first (a ``Background``'s first spline
-fit, usually) — carries seven entry points over one packed ABI, the
+fit, usually) — carries six entry points over one packed ABI, the
 assembled structure of one wavenumber (see ``PerturbationSystem.pack``
 for the layout contract):
 
@@ -12,17 +12,15 @@ for the layout contract):
   of the full-hierarchy phase and of the tight-coupling phase, in the
   evaluation order ``tests/reference_packed_rhs.py`` pins; one body,
   which differs between the two only in the photon-baryon sector;
-* ``integrate_phase`` — one wavenumber's whole phase (either one): the
-  Verner stages evaluating that phase's RHS inline, error norm, step
-  controller, stop points, accept/reject.  A transcription of
-  ``RKDriver.integrate`` under the arithmetic contract of
-  :mod:`repro.integrators.contract`, bitwise equal to it;
 * ``record_pass`` — every ``RECORD_FIELDS`` observable of a block of
   states; ``tca_handoff`` — the slaved moments as tight coupling ends;
   ``momentum_rows`` — the massive species' three momentum sums that
   both read, in the order numpy's ``@`` takes them;
-  ``evolve_mode`` — a whole mode in one call: both phases, the hand-off
-  and the record pass.
+* ``evolve_mode`` — a whole mode in one call: both phases, the hand-off
+  and the record pass; its step loop ``integrate_phase`` (Verner
+  stages with the phase's RHS inline, error norm, controller, stop
+  points) transcribes ``RKDriver.integrate`` under the arithmetic
+  contract of :mod:`repro.integrators.contract`, bitwise;
 
 and, each over arguments of its own,
 
@@ -32,18 +30,21 @@ and, each over arguments of its own,
   ``thermo_rhs`` about five thousand times per ``ThermalHistory`` build
   without leaving C, forming its ln a terms once per abscissa;
 * ``nu_integrals`` — the massive-neutrino background's momentum
-  integrals over numpy's node weights, and ``uniform_cubic`` — a
-  uniform-knot spline at many abscissae (the background's ν factors);
+  integrals over numpy's node weights, ``uniform_cubic`` — a
+  uniform-knot spline at many abscissae (the background's ν factors),
+  and ``piecewise_cubic`` — :class:`repro.util.fastspline.PiecewiseCubic`
+  at many abscissae;
 * ``saha_sweeps`` — the thermal history's Saha grid pass;
 * ``tridiag_solve`` — reference LAPACK's ``DGTSV``, and ``cubic_fit`` —
   :func:`repro.util.fastspline.fit_cubic` from four knots up;
 * ``bessel_sweep`` — the downward recurrence behind the j_l tables of
   :class:`repro.spectra.los.BesselCache`.
 
-Each of the last seven is pinned bitwise to a python transcription in
+Each of these is pinned bitwise to a python transcription in
 ``tests/`` (``reference_thermo.py``, ``reference_nu.py``,
-``reference_tridiag.py``, ``reference_projection.py``); ``cubic_fit`` to
-scipy's spline as well, and ``momentum_rows`` to numpy's ``@``.
+``reference_tridiag.py``, ``reference_projection.py``); ``cubic_fit``
+and ``piecewise_cubic`` to scipy's spline as well, and
+``momentum_rows`` to numpy's ``@``.
 
 The source is compiled once with the system C compiler into a
 content-addressed shared object under :func:`cache_dir`, then loaded
@@ -565,6 +566,7 @@ static void momentum_sums(TABLE_ARGS, const double *Y, double *s)
     const double ax2 = scalar_square(Y[0] * flts[10]);
     double t1[3] = {0.0, 0.0, 0.0}, t2[3] = {0.0, 0.0, 0.0}, f[4][3];
     long long j, g, c;
+    (void)th_c, (void)adv_lo, (void)adv_hi, (void)mnu_pack, (void)rf_c;
     for (j = 0; j < nq; j += 4) {
         const long long m = nq - j < 4 ? nq - j : 4;
         for (g = 0; g < m; g++) {
@@ -1247,6 +1249,45 @@ void uniform_cubic(long long m, const double *x, double x0, double dx,
     }
 }
 
+/* PiecewiseCubic.__call__: nr coefficient rows c (n - 1 pieces of m
+ * columns) on the breakpoints x at the nt abscissae t, into y (nt × m):
+ * piece numpy's searchsorted(x, t, "right") - 1 (NaN last) clamped to
+ * [0, n - 2], sought from the last one; s = t - x[i], summed from the
+ * constant up, c[nr-1] + 0.0 + c[nr-2] s + c[nr-3] (s s) + ...; a
+ * constant (nr 1) is s where s is a NaN. */
+void piecewise_cubic(long long n, const double *x, long long nr, long long m,
+                     const double *c, long long nt, const double *t, double *y)
+{
+    const long long pm = (n - 1) * m;
+    long long j, col, r, w, i, k = 0, lo, hi;
+    for (j = 0; j < nt; j++) {
+        const double v = t[j];
+        double s;
+        if (v != v) k = n;  /* k: how many breakpoints are <= v */
+        for (w = 0; w < 8 && k < n && x[k] <= v; w++) k++;
+        for (w = 0; w < 8 && k > 0 && x[k - 1] > v; w++) k--;
+        if ((k < n && x[k] <= v) || (k > 0 && x[k - 1] > v)) {
+            for (lo = 0, hi = n; lo < hi;) {
+                const long long mid = lo + (hi - lo) / 2;
+                if (x[mid] <= v) lo = mid + 1;
+                else hi = mid;
+            }
+            k = lo;
+        }
+        i = k - 1 < 0 ? 0 : (k - 1 > n - 2 ? n - 2 : k - 1);
+        s = v - x[i];
+        for (col = 0; col < m; col++) {
+            const double *cc = c + i * m + col;
+            double out = cc[(nr - 1) * pm] + 0.0, z = s;
+            for (r = nr - 2; r >= 0; r--) {
+                out += cc[r * pm] * z;
+                if (r) z = z * s;
+            }
+            y[j * m + col] = (nr == 1 && s != s) ? s : out;
+        }
+    }
+}
+
 /* Reference LAPACK's DGTSV transcribed, rows of b contiguous: solve the
  * tridiagonal system (dl, d, du) x = b for nrhs right-hand sides by
  * Gaussian elimination with partial pivoting (rows i, i+1 interchanged
@@ -1554,20 +1595,19 @@ class CextKernel:
     (tests, cold paths).
     The hot paths use the raw entry points, which take addresses:
     ``rhs_raw(*table, tau, y, dy)``, its tight-coupling twin
-    ``rhs_tca_raw`` and
-    ``integrate_raw(*table, tight, tab, s, ctl, stops, max_steps, y,
-    rows, work, out) -> status``, ``handoff_raw(*table, y, par)``,
+    ``rhs_tca_raw``, ``handoff_raw(*table, y, par)``,
     ``record_raw(*table, rows, m, n_tight, par, rec, stride)``,
     ``momentum_raw(*table, rows, m, out)`` and
     ``evolve_raw(*table, tab, s, ctl, stops, cnt, max_steps, y, rows,
     par, rec, work, out) -> status`` where ``table`` is the system's
     eight-pointer table (``PerturbationSystem.pack()["table"]``, built
     once), ``pairwise_raw(a, n) -> float``, ``nu_raw(n, x, nq, q, wq2,
-    wq4, f0, rho, p, drho, row)`` (``nu_integrals``) and
-    ``uniform_raw(m, x, x0, dx, n, coef, y)`` (``uniform_cubic``).
-    ctypes releases the
-    GIL around each call and the C side keeps no static state, so
-    threads may call concurrently.  ``thermo_rhs_raw(params, nu_pack,
+    wq4, f0, rho, p, drho, row)`` (``nu_integrals``),
+    ``uniform_raw(m, x, x0, dx, n, coef, y)`` (``uniform_cubic``) and
+    ``piecewise_raw(n, x, nr, m, c, nt, t, y)`` (``piecewise_cubic``).
+    ctypes releases the GIL around each call and the C side keeps no
+    static state, so threads may call concurrently.
+    ``thermo_rhs_raw(params, nu_pack,
     lna, x_h, t_b, out)``, ``thermo_ode_raw(params, nu_pack, tab, grid,
     n, max_attempts, rows, out) -> status``, ``saha_raw(n, s_h, s_he1,
     s_he2, f_he, cap, out) -> sweeps``, ``tridiag_raw(n, nrhs, dl, d,
@@ -1586,10 +1626,6 @@ class CextKernel:
         for fn in (self.rhs_raw, self.rhs_tca_raw):
             fn.argtypes = [ptr] * 8 + [ctypes.c_double, ptr, ptr]
             fn.restype = None
-        self.integrate_raw = lib.integrate_phase
-        self.integrate_raw.argtypes = ([ptr] * 8 + [i64, ptr, i64, ptr, ptr,
-                                                    i64, ptr, ptr, ptr, ptr])
-        self.integrate_raw.restype = i64
         self.evolve_raw = lib.evolve_mode
         self.evolve_raw.argtypes = ([ptr] * 8 + [ptr, i64, ptr, ptr, ptr, i64]
                                     + [ptr] * 6)
@@ -1627,6 +1663,9 @@ class CextKernel:
         self.fit_raw = lib.cubic_fit
         self.fit_raw.argtypes = [i64, i64, ptr, ptr, f64, f64, ptr, ptr]
         self.saha_raw.restype = self.fit_raw.restype = i64
+        self.piecewise_raw = lib.piecewise_cubic
+        self.piecewise_raw.argtypes = [i64, ptr, i64, i64, ptr, i64, ptr, ptr]
+        self.piecewise_raw.restype = None
         self.bessel_raw = lib.bessel_sweep
         self.bessel_raw.argtypes = [i64, ptr, ptr, i64, ptr, ptr, i64, ptr,
                                     ptr, ptr]

@@ -219,12 +219,12 @@ class MassiveNuTables:
         x_min, x_max = 1e-8 * max(x0, 1.0), 10.0 * max(x0, 1.0)
         x = np.geomspace(x_min, x_max, n_table)
         rho, p, _ = _integrals(x, _rule(96, 30.0))
-        lnx = np.log(x)
-        pack = np.empty((8, n_table - 1))
+        pack, (rho_spline, p_spline) = UniformGridCubic.stacked(
+            np.log(x), np.log(np.column_stack([rho, p])))
         return cls(
             x0=x0,
-            _log_rho_spline=UniformGridCubic(lnx, np.log(rho), out=pack[:4]),
-            _log_p_spline=UniformGridCubic(lnx, np.log(p), out=pack[4:]),
+            _log_rho_spline=rho_spline,
+            _log_p_spline=p_spline,
             x_min=x_min,
             x_max=x_max,
             _rhs_pack=pack,

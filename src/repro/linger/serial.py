@@ -10,6 +10,7 @@ calling thread plus an executor's threads.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
 from contextlib import nullcontext
@@ -23,7 +24,9 @@ from ..background import Background
 from ..chaos import current_engine
 from ..errors import IntegrationError, ParameterError
 from ..params import CosmologyParams
-from ..perturbations import ModeResult, default_record_grid, evolve_mode
+from ..perturbations import ModeResult
+from ..perturbations import evolve as _evolve
+from ..perturbations.evolve import ModePlan
 from ..resilience import run_with_ladder
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..thermo import ThermalHistory
@@ -38,6 +41,7 @@ __all__ = [
     "LingerResult",
     "build_tables",
     "compute_mode",
+    "mode_plan",
     "run_linger",
 ]
 
@@ -150,6 +154,21 @@ def build_tables(
     return background, thermo
 
 
+def mode_plan(background: Background, thermo: ThermalHistory, k,
+              config: LingerConfig) -> ModePlan:
+    """The :class:`~repro.perturbations.evolve.ModePlan` of ``k`` under
+    ``config``."""
+    tau_end = background.tau0 if config.tau_end is None else config.tau_end
+    return ModePlan(
+        background, thermo, k,
+        [config.lmax_for_k(x, tau_end) for x in np.asarray(k).tolist()],
+        tau_end=tau_end, record_tau=config.record_sources or None,
+        keep_records=config.keep_mode_results, **{
+            name: getattr(config, name) for name in (
+                "lmax_nu", "nq", "lmax_massive_nu", "rtol", "atol",
+                "first_step", "tca_eps", "amplitude")})
+
+
 def compute_mode(
     background: Background,
     thermo: ThermalHistory,
@@ -158,14 +177,14 @@ def compute_mode(
     config: LingerConfig,
     telemetry: Telemetry = NULL_TELEMETRY,
     monitor=None,
+    plan: ModePlan | None = None,
 ) -> tuple[ModeHeader, ModePayload, ModeResult]:
     """Integrate one wavenumber and build its two output records.
 
     This is exactly the work between "receive a wavenumber" and "send
     the results to the master" in the paper's worker subroutine: one
-    :func:`~repro.perturbations.evolve.evolve_mode` call, then the wire
-    records.  The header's ``cpu_seconds`` is the mode's whole CPU
-    time.
+    compiled call of the mode (``evolve.run_mode``), then the wire
+    records.  The header's ``cpu_seconds`` is that call's CPU time.
 
     The integration runs inside :func:`~repro.resilience.run_with_ladder`
     — one transient same-config retry, then the escalation levels — so
@@ -179,34 +198,23 @@ def compute_mode(
     ``monitor`` is None or a per-record-point observer (a
     :class:`~repro.verify.constraints.ConstraintMonitor`), bound afresh
     by each attempt.
+
+    ``plan`` is None or the grid's :func:`mode_plan`, ``ik`` a position
+    of it: an attempt at ``config`` is the plan's row, any other (a
+    ladder level's config, or no plan) a :func:`mode_plan` of its own,
+    each run by ``evolve.run_mode``.
     """
     k, ik = float(k), int(ik)
-    tau_end = background.tau0 if config.tau_end is None else config.tau_end
-    record_tau = (default_record_grid(background, thermo, k, tau_end=tau_end)
-                  if config.record_sources else None)
 
     def attempt(cfg: LingerConfig) -> ModeResult:
         eng = current_engine()
         if eng is not None and eng.collapse_mode(k):
             raise IntegrationError(f"chaos: forced step collapse (ik={ik})")
-        return evolve_mode(
-            background,
-            thermo,
-            k,
-            lmax_photon=cfg.lmax_for_k(k, tau_end),
-            lmax_nu=cfg.lmax_nu,
-            nq=cfg.nq,
-            lmax_massive_nu=cfg.lmax_massive_nu,
-            tau_end=tau_end,
-            record_tau=record_tau,
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            tca_eps=cfg.tca_eps,
-            amplitude=cfg.amplitude,
-            telemetry=telemetry,
-            monitor=monitor,
-            first_step=cfg.first_step,
-        )
+        if plan is not None and cfg is config:
+            return _evolve.run_mode(plan, ik - 1, telemetry=telemetry,
+                                    monitor=monitor)
+        return _evolve.run_mode(mode_plan(background, thermo, [k], cfg), 0,
+                                telemetry=telemetry, monitor=monitor)
 
     def on_retry(level: int, exc: IntegrationError) -> None:
         telemetry.record_degradation(
@@ -218,8 +226,8 @@ def compute_mode(
     mode, level = run_with_ladder(config, attempt, transient_retries=1,
                                   on_retry=on_retry)
     if telemetry.enabled:
-        # evolve_mode appended this mode's ModeMetrics; patch in the
-        # grid index and the mode's CPU
+        # run_mode appended this mode's ModeMetrics; patch in the grid
+        # index and the mode's CPU
         metric = telemetry.modes[-1]
         metric.ik = ik
         metric.cpu_seconds = mode.cpu_seconds
@@ -229,46 +237,25 @@ def compute_mode(
     return header, payload, mode
 
 
+#: the header's final-state observables, after ik, k and tau_end
+_HEADER_FIELDS = operator.itemgetter(
+    "a", "delta_c", "delta_b", "delta_g", "delta_nu", "delta_nu_massive",
+    "theta_b", "theta_g", "theta_nu", "eta", "hdot", "etadot", "phi", "psi",
+    "delta_m")
+
+
 def _mode_records(
     mode: ModeResult, k: float, ik: int, config: LingerConfig
 ) -> tuple[ModeHeader, ModePayload]:
-    """The two wire records for one completed mode."""
-    # final-state observables via a one-point record on the system the
-    # evolution already built (no second spline construction)
-    obs = mode.final_observables()
-    header = ModeHeader(
-        ik=ik,
-        k=k,
-        tau_end=mode.tau_end,
-        a_end=obs["a"],
-        delta_c=obs["delta_c"],
-        delta_b=obs["delta_b"],
-        delta_g=obs["delta_g"],
-        delta_nu=obs["delta_nu"],
-        delta_nu_massive=obs["delta_nu_massive"],
-        theta_b=obs["theta_b"],
-        theta_g=obs["theta_g"],
-        theta_nu=obs["theta_nu"],
-        eta=obs["eta"],
-        hdot=obs["hdot"],
-        etadot=obs["etadot"],
-        phi=obs["phi"],
-        psi=obs["psi"],
-        delta_m=obs["delta_m"],
-        cpu_seconds=mode.cpu_seconds,
-        n_rhs=float(mode.stats.n_rhs),
-        lmax=mode.layout.lmax_photon,
-    )
-    payload = ModePayload(
-        ik=ik,
-        k=k,
-        tau_end=mode.tau_end,
-        a_end=obs["a"],
-        amplitude=config.amplitude,
-        n_steps=float(mode.stats.n_steps),
-        f_gamma=mode.f_gamma_final,
-        g_gamma=mode.g_gamma_final,
-    )
+    """The two wire records for one completed mode, its final-state
+    observables read off the last row of its record pass."""
+    obs = mode.final
+    header = ModeHeader(ik, k, mode.tau_end, *_HEADER_FIELDS(obs),
+                        mode.cpu_seconds, float(mode.stats.n_rhs),
+                        mode.layout.lmax_photon)
+    payload = ModePayload(ik, k, mode.tau_end, obs["a"], config.amplitude,
+                          float(mode.stats.n_steps), mode.f_gamma_final,
+                          mode.g_gamma_final)
     return header, payload
 
 
@@ -328,8 +315,8 @@ def run_linger(
     """The LINGER main loop, the one that runs a grid in this process.
 
     Wavenumbers are *computed* in dispatch order (largest first, as the
-    paper does), one :func:`compute_mode` call each, but the result
-    lists are returned in ascending-k order.
+    paper does), one :func:`compute_mode` call each on the grid's one
+    :func:`mode_plan`, but the result lists are in ascending-k order.
     Pass an enabled :class:`~repro.telemetry.Telemetry` to collect
     per-mode integrator metrics (and ``save`` it afterwards).
 
@@ -398,13 +385,14 @@ def run_linger(
                     break
                 headers[idx], payloads[idx], mode = compute_mode(
                     background, thermo, kgrid.k[idx], idx + 1, config,
-                    telemetry=tel, monitor=monitors[idx])
+                    telemetry=tel, monitor=monitors[idx], plan=plan)
                 modes[idx] = mode if config.keep_mode_results else None
         except BaseException as exc:
             failed.append(exc)
         return tel
 
     wall0 = time.perf_counter()
+    plan = mode_plan(background, thermo, kgrid.k, config)
     # one sweep per index after the first: a sweep that finds the
     # hand-out empty returns at once
     helpers = [executor.submit(sweep, Telemetry() if telemetry.enabled

@@ -40,8 +40,8 @@ def neutrino_fraction(background: Background) -> float:
 def adiabatic_initial_conditions(
     layout: StateLayout,
     background: Background,
-    k: float,
-    tau_init: float,
+    k,
+    tau_init,
     q_nodes: np.ndarray | None = None,
     amplitude: float = 1.0,
 ) -> np.ndarray:
@@ -50,7 +50,7 @@ def adiabatic_initial_conditions(
     Parameters
     ----------
     k:
-        Comoving wavenumber [Mpc^-1].
+        Comoving wavenumber [Mpc^-1], or an array (each its ``tau_init``).
     tau_init:
         Starting conformal time [Mpc]; must satisfy k tau << 1.
     q_nodes:
@@ -60,46 +60,48 @@ def adiabatic_initial_conditions(
 
     Returns
     -------
-    The initial state vector (including the co-evolved scale factor).
+    The initial state vector (including the co-evolved scale factor),
+    ``k.shape + (n_state,)``: elementwise, bitwise each k alone.
     """
-    if k <= 0.0:
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0.0):
         raise ParameterError("k must be positive")
     kt = k * tau_init
-    if kt > 0.3:
+    if np.any(kt > 0.3):
         raise ParameterError(
-            f"k tau_init = {kt:.3g} too large for the series initial conditions"
+            f"k tau_init = {np.max(kt):.3g} too large for the series initial conditions"
         )
 
     c = amplitude
     rnu = neutrino_fraction(background)
-    a_init = float(background.a_of_tau(tau_init))
+    a_init = background.a_of_tau(tau_init)
+    kt2, kt3 = _pow(kt, 2), _pow(kt, 3)
 
-    y = layout.zeros()
-    y[layout.A] = a_init
+    y = np.zeros(k.shape + (layout.n_state,))
+    y[..., layout.A] = a_init
 
-    delta_g = -(2.0 / 3.0) * c * kt**2
-    theta_g = -(c / 18.0) * kt**3 * k
+    delta_g = -(2.0 / 3.0) * c * kt2
+    theta_g = -(c / 18.0) * kt3 * k
     theta_nu = theta_g * (23.0 + 4.0 * rnu) / (15.0 + 4.0 * rnu)
-    sigma_nu = 4.0 * c / (3.0 * (15.0 + 4.0 * rnu)) * kt**2
+    sigma_nu = 4.0 * c / (3.0 * (15.0 + 4.0 * rnu)) * kt2
 
-    y[layout.H] = c * kt**2
-    y[layout.ETA] = 2.0 * c - (5.0 + 4.0 * rnu) / (
+    y[..., layout.H] = c * kt2
+    y[..., layout.ETA] = 2.0 * c - (5.0 + 4.0 * rnu) / (
         6.0 * (15.0 + 4.0 * rnu)
-    ) * c * kt**2
-    y[layout.DELTA_C] = 0.75 * delta_g
-    y[layout.DELTA_B] = 0.75 * delta_g
-    y[layout.THETA_B] = theta_g
+    ) * c * kt2
+    y[..., layout.DELTA_C] = 0.75 * delta_g
+    y[..., layout.DELTA_B] = 0.75 * delta_g
+    y[..., layout.THETA_B] = theta_g
 
-    fg = y[layout.sl_fg]
-    fg[0] = delta_g
-    fg[1] = 4.0 * theta_g / (3.0 * k)
+    i_fg, i_nl = layout.i_fg, layout.i_nl
+    y[..., i_fg] = delta_g
+    y[..., i_fg + 1] = 4.0 * theta_g / (3.0 * k)
     # polarization and l >= 2 temperature moments are generated by
     # scattering later; they start at zero (tight coupling).
 
-    nl = y[layout.sl_nl]
-    nl[0] = delta_g  # adiabatic: delta_nu = delta_gamma
-    nl[1] = 4.0 * theta_nu / (3.0 * k)
-    nl[2] = 2.0 * sigma_nu
+    y[..., i_nl] = delta_g  # adiabatic: delta_nu = delta_gamma
+    y[..., i_nl + 1] = 4.0 * theta_nu / (3.0 * k)
+    y[..., i_nl + 2] = 2.0 * sigma_nu
 
     if layout.nq > 0:
         if q_nodes is None:
@@ -110,14 +112,22 @@ def adiabatic_initial_conditions(
         if q.shape != (layout.nq,):
             raise ParameterError("q_nodes length must match layout.nq")
         x0 = background.nu_tables.x0
-        eps = np.sqrt(q**2 + (a_init * x0) ** 2)
+        col = (...,) + (None,)  # a wavenumber's value over its q nodes
+        eps = np.sqrt(q**2 + _pow(a_init * x0, 2)[col])
         dlnf = dlnf0_dlnq(q)
-        psi = layout.psi_matrix(y)
-        psi[:, 0] = -0.25 * delta_g * dlnf
-        psi[:, 1] = -(eps / (3.0 * q * k)) * theta_nu * dlnf
-        psi[:, 2] = -0.5 * sigma_nu * dlnf
+        psi = np.zeros(k.shape + (layout.nq, layout.lmax_massive_nu + 1))
+        psi[..., 0] = -0.25 * delta_g[col] * dlnf
+        psi[..., 1] = -(eps / (3.0 * q * k[col])) * theta_nu[col] * dlnf
+        psi[..., 2] = -0.5 * sigma_nu[col] * dlnf
+        y[..., layout.sl_psi] = psi.reshape(k.shape + (-1,))
 
     return y
+
+
+def _pow(x, p: int) -> np.ndarray:
+    """``x ** p`` elementwise by libm ``pow`` (numpy's array power squares)."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def isocurvature_initial_conditions(

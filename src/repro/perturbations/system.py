@@ -38,11 +38,12 @@ both build their k-loop on this assemble-then-evaluate split:
   over the packed ABI of :meth:`~PerturbationSystem.pack`, whose
   expression groupings ``tests/reference_rhs.py`` and
   ``tests/reference_packed_rhs.py`` pin.  The same shared object
-  carries the DVERK step loop (:meth:`~PerturbationSystem.integrate_phase`,
-  one tight-coupling or full-hierarchy phase), the hand-off between the
-  phases (:meth:`~PerturbationSystem.initialize_full_from_tca`), the
-  record pass (:meth:`~PerturbationSystem.record`) and all four in one
-  call (:meth:`~PerturbationSystem.evolve`, a whole mode);
+  carries a whole mode in one call (``evolve_mode``, which
+  :class:`~repro.perturbations.evolve.ModePlan` makes: the DVERK step
+  loop over the tight-coupling phase, the hand-off, the full-hierarchy
+  phase and the record pass), and the hand-off
+  (:meth:`~PerturbationSystem.initialize_full_from_tca`) and the record
+  pass (:meth:`~PerturbationSystem.record`) alone;
   :meth:`~PerturbationSystem.rhs_full` / ``rhs_tca`` are one
   evaluation each, for the scalar python driver.
 
@@ -56,22 +57,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..background import Background, dlnf0_dlnq, fermi_dirac_f0
 from ..background.nu_massive import I_RHO_MASSLESS, momentum_grid
-from ..chaos import current_engine as _chaos_engine
-from ..errors import IntegrationError, ParameterError
+from ..errors import ParameterError
 from ..integrators import VERNER_65_TABLEAU, StepController
 from ..integrators.controller import STABILITY_FRACTION
 from ..thermo import ThermalHistory
 from .. import _cext
 from .state import StateLayout
 
-__all__ = ["PerturbationSystem", "CompiledPhase", "CompiledMode",
-           "RECORD_FIELDS"]
+__all__ = ["PerturbationSystem", "RECORD_FIELDS"]
 
 #: Observables recorded at every grid time, in the compiled record
 #: pass's row order.
@@ -108,15 +106,6 @@ def phase_failure(status: int, t: float, h: float,
     return None
 
 
-def phase_stops(points: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """A phase's stop points as every driver takes them: the points in
-    ``(t0, t1]``, ascending, then ``t1`` unless it is the last."""
-    stops = np.sort(points[(t0 < points) & (points <= t1)])
-    if not stops.size or stops[-1] < t1:
-        stops = np.append(stops, t1)
-    return stops
-
-
 @functools.lru_cache(maxsize=16)
 def _massive_pack(nq: int, q_max: float,
                   lmax_massive_nu: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,44 +125,6 @@ def _massive_pack(nq: int, q_max: float,
     nu_pack.setflags(write=False)
     mnu_pack.setflags(write=False)
     return nu_pack, mnu_pack
-
-
-@dataclass
-class CompiledPhase:
-    """What :meth:`PerturbationSystem.integrate_phase` returns."""
-
-    #: 0, or the python driver's failure (see :func:`phase_failure`)
-    status: int
-    y: np.ndarray  #: final state
-    stops: np.ndarray  #: the stop points, ascending, ending at t1
-    rows: np.ndarray  #: state at each stop reached, (n_stops, n)
-    n_steps: int
-    n_rejected: int
-    n_rhs: int
-    n_stability_bound: int = 0
-    t: float = math.nan  #: the time the loop reached
-    h: float = math.nan  #: the step size it last set
-
-    @property
-    def ok(self) -> bool:
-        """Completed with a finite state."""
-        return self.status == 0 and math.isfinite(float(self.y.sum()))
-
-
-@dataclass
-class CompiledMode:
-    """What :meth:`PerturbationSystem.evolve` returns."""
-
-    status: int  #: 0, or the failure (:func:`phase_failure`)
-    y: np.ndarray  #: the state at tau_end
-    rows: np.ndarray  #: the recorded states, then the final one
-    rec: np.ndarray  #: (20, len(rows)): RECORD_FIELDS of every row
-    #: (2, 5) per phase: accepted, rejected, evaluations, stops reached,
-    #: attempts at the stability bound
-    counters: np.ndarray
-    t: float  #: the time the stopping phase reached
-    h: float  #: the step size it last set
-    walls: tuple[float, float]  #: tight phase + hand-off, full phase
 
 
 class PerturbationSystem:
@@ -234,10 +185,6 @@ class PerturbationSystem:
 
         # The layout's index properties recompute on access; freeze the
         # ones the scalar helpers read.
-        self._iETA = layout.ETA
-        self._iDC = layout.DELTA_C
-        self._iDB = layout.DELTA_B
-        self._iTB = layout.THETA_B
         self._slfg = layout.sl_fg
         self._slgg = layout.sl_gg
         self._slnl = layout.sl_nl
@@ -273,18 +220,6 @@ class PerturbationSystem:
             self._gr_nu_rel = 0.0
             self.q_nodes = np.empty(0)
 
-        # Hierarchy advection coefficients.  Grouped exactly as the
-        # serial system computed them — (k*l)/(2l+1), not k*(l/(2l+1))
-        # — so they are bitwise the serial scalar coefficients.
-        lg = layout.lmax_photon
-        ell = np.arange(lg + 1, dtype=float)
-        self._g_lo = k * ell / (2.0 * ell + 1.0)
-        self._g_hi = k * (ell + 1.0) / (2.0 * ell + 1.0)
-        ln = layout.lmax_nu
-        ell = np.arange(ln + 1, dtype=float)
-        self._n_lo = k * ell / (2.0 * ell + 1.0)
-        self._n_hi = k * (ell + 1.0) / (2.0 * ell + 1.0)
-
         # Constants of the packed ABI (the wavenumber's four, ``gr_gnl``);
         # groupings match the python reference's expressions
         # (tests/reference_rhs.py) bit for bit.
@@ -292,45 +227,16 @@ class PerturbationSystem:
         self._k075 = 0.75 * k
         self._k43i = 4.0 / (3.0 * k)
 
-        # Global advection table: every hierarchy interior obeys
-        # dX_l = lo_l X_(l-1) - hi_l X_(l+1), so the fg, gg and nl
-        # blocks all advect in a single shifted-slice update over the
-        # contiguous [i_fg+1, i_nl+lmax_nu) column range.  Columns
-        # whose neighbors cross a block boundary (each block's l=0 and
-        # l=lmax) get zero coefficients; their rows are overwritten by
-        # the dedicated boundary/closure updates.
-        ns = layout.n_state
-        clo = np.zeros(ns)
-        chi = np.zeros(ns)
-        i_fg, i_gg, i_nl = layout.i_fg, layout.i_gg, layout.i_nl
-        clo[i_fg : i_fg + lg + 1] = self._g_lo
-        chi[i_fg : i_fg + lg + 1] = self._g_hi
-        clo[i_gg : i_gg + lg + 1] = self._g_lo
-        chi[i_gg : i_gg + lg + 1] = self._g_hi
-        clo[i_nl : i_nl + ln + 1] = self._n_lo
-        chi[i_nl : i_nl + ln + 1] = self._n_hi
-        for c in (i_fg + lg, i_gg, i_gg + lg, i_nl):
-            clo[c] = 0.0
-            chi[c] = 0.0
-        self._adv0 = i_fg + 1
-        self._adv1 = i_nl + ln
-        self._adv_lo = clo[self._adv0 : self._adv1].copy()
-        self._adv_hi = chi[self._adv0 : self._adv1].copy()
-
-        # Thomson damping region: every photon column whose damping is a
-        # bare ``- kappa_dot X`` term — F_(3..lmax) and G_(0..lmax) are
-        # adjacent in the layout, so one contiguous in-place subtraction
-        # covers them all.  F_1/F_2 carry their damping inside the
-        # baryon-coupling/source terms and are excluded.
-        self._damp0 = i_fg + 3
-        self._damp1 = i_gg + lg + 1
+        # the fused advection band and the Thomson damping window
+        self._adv_lo, self._adv_hi = advection_rows(layout, k)
+        self._adv0, self._adv1, self._damp0, self._damp1 = _windows(layout)
 
         self._packed = None
         #: what the record pass reads beside the packed table
         self._record_par = np.array([p.omega_c, p.omega_b, p.omega_nu,
                                      p.omega_m])
         self._cext = None  # the loaded C kernel, resolved once
-        self._dy = np.zeros(ns)
+        self._dy = np.zeros(layout.n_state)
 
     # ------------------------------------------------------------------
     # Background pieces — scalar (Newtonian twin, monitors)
@@ -427,14 +333,15 @@ class PerturbationSystem:
         dfg = dy[self._slfg]
         dgg = dy[self._slgg]
         lg = self.layout.lmax_photon
-        g_lo = self._g_lo
-        g_hi = self._g_hi
+        # l = 1 .. lmax-1 of a photon block: the band's first columns
+        g_lo = self._adv_lo[: lg - 1]
+        g_hi = self._adv_hi[: lg - 1]
         k = self.k
-        dfg[1:lg] = g_lo[1:lg] * fg[0 : lg - 1] - g_hi[1:lg] * fg[2 : lg + 1]
+        dfg[1:lg] = g_lo * fg[0 : lg - 1] - g_hi * fg[2 : lg + 1]
         dfg[3:lg] -= kappa_dot * fg[3:lg]
         pi_pol = fg[2] + gg[0] + gg[2]
         dfg[lg] = k * fg[lg - 1] - (lg + 1.0) / tau * fg[lg] - kappa_dot * fg[lg]
-        dgg[1:lg] = g_lo[1:lg] * gg[0 : lg - 1] - g_hi[1:lg] * gg[2 : lg + 1]
+        dgg[1:lg] = g_lo * gg[0 : lg - 1] - g_hi * gg[2 : lg + 1]
         dgg[0] = -k * gg[1]
         dgg[0:lg] -= kappa_dot * gg[0:lg]
         dgg[0] += 0.5 * kappa_dot * pi_pol
@@ -450,10 +357,11 @@ class PerturbationSystem:
         nl = y[self._slnl]
         dnl = dy[self._slnl]
         lm = self.layout.lmax_nu
-        n_lo = self._n_lo
-        n_hi = self._n_hi
+        band = slice(self.layout.i_nl + 1 - self._adv0,
+                     self.layout.i_nl + lm - self._adv0)  # l = 1 .. lmax-1
         k = self.k
-        dnl[1:lm] = n_lo[1:lm] * nl[0 : lm - 1] - n_hi[1:lm] * nl[2 : lm + 1]
+        dnl[1:lm] = (self._adv_lo[band] * nl[0 : lm - 1]
+                     - self._adv_hi[band] * nl[2 : lm + 1])
         dnl[lm] = k * nl[lm - 1] - (lm + 1.0) / tau * nl[lm]
 
     def massive_nu_advect(self, y: np.ndarray, dy: np.ndarray,
@@ -631,126 +539,73 @@ class PerturbationSystem:
         """Tight-coupling RHS (MB95 eqs. 74/75), by the compiled kernel."""
         return self._rhs(True, tau, y)
 
-    def integrate_phase(self, tight: bool, y0: np.ndarray, t0: float,
-                        t1: float, stop_points, *, rtol: float, atol: float,
-                        max_steps: int,
-                        first_step: float | None = None) -> CompiledPhase:
-        """One whole phase in one compiled call.
-
-        The C loop is ``DVERK(rhs).integrate(y0, t0, t1, stop_points)``
-        transcribed under the arithmetic contract — same stages, error
-        norm, controller, stop-point and failure rules, bitwise the
-        same numbers — with ``rhs`` (``rhs_tca`` when ``tight``, else
-        ``rhs_full``) called in-process through the pointer table of
-        :meth:`pack`, and, in the full phase, with
-        ``stiff_rate=thomson_rate``.  ``max_steps`` is the number of
-        accepted steps still allowed.
-
-        A phase that stops early is returned as it stopped, with its
-        status; ``evolve.integrate_phase`` raises it as the python
-        driver's :class:`~repro.errors.IntegrationError`.  The chaos
-        engine's kernel poison is consulted once per call, here, not
-        inside C.
-        """
-        fn = self._compiled()
-        s, n = VERNER_65_TABLEAU.n_stages, self.layout.n_state
-        y = np.array(y0, dtype=float)
-        if y.shape != (n,):
-            raise ParameterError(
-                f"integrate_phase needs a state of {n} entries, got shape "
-                f"{y.shape}"
-            )
-        if t1 <= t0:
-            raise IntegrationError("integrate_phase requires t1 > t0")
-        stops = phase_stops(np.asarray(stop_points, dtype=float), t0, t1)
-        ctl = np.array([t0, t1, rtol, atol, math.inf, 0.0,
-                        math.nan if first_step is None else first_step,
-                        *_CTL_TAIL])
-        if tight:
-            ctl[11] = math.nan
-        rows = np.empty((stops.size, n))
-        work = np.zeros((s + 5) * n)
-        out = np.zeros(5, dtype=np.int64)
-        status = fn.integrate_raw(
-            *self.pack()["table"], int(tight), _VERNER_TAB.ctypes.data, s,
-            ctl.ctypes.data,
-            stops.ctypes.data, max_steps, y.ctypes.data, rows.ctypes.data,
-            work.ctypes.data, out.ctypes.data)
-        n_steps, n_rejected, n_rhs, n_rows, n_bound = (int(v) for v in out)
-        eng = _chaos_engine()
-        if eng is not None and eng.poison_rhs(self.k):
-            y[:] = np.nan
-        return CompiledPhase(status=int(status), y=y, stops=stops[:n_rows],
-                             rows=rows[:n_rows], n_steps=n_steps,
-                             n_rejected=n_rejected, n_rhs=n_rhs,
-                             n_stability_bound=n_bound, t=float(ctl[0]),
-                             h=float(ctl[6]))
-
-    def evolve(self, y0: np.ndarray, stops: np.ndarray, counts, *,
-               t_init: float, t_switch: float, tau_end: float, rtol: float,
-               atol: float, max_steps: int,
-               first_step: float | None = None) -> CompiledMode:
-        """A whole mode in one compiled call:
-        :meth:`integrate_phase` from ``t_init`` to ``t_switch``,
-        :meth:`initialize_full_from_tca`, :meth:`integrate_phase` to
-        ``tau_end`` and :meth:`record`, bit for bit.  ``stops`` holds
-        each phase's :func:`phase_stops`, the tight phase's first;
-        ``counts``: how many each phase has, then how many of each are
-        recorded.  The chaos engine's kernel poison is consulted once
-        per call, here."""
-        fn = self._compiled()
-        n = self.layout.n_state
-        s = VERNER_65_TABLEAU.n_stages
-        y = np.array(y0, dtype=float)
-        ctl = np.array([t_init, t_switch, rtol, atol, math.inf, 0.0,
-                        math.nan if first_step is None else first_step,
-                        *_CTL_TAIL, tau_end, 0.0, 0.0])
-        cnt = np.array(counts, dtype=np.int64)
-        stops = np.ascontiguousarray(stops, dtype=float)
-        if y.shape != (n,) or stops.size != cnt[0] + cnt[1]:
-            raise ParameterError("evolve needs one state and counts that "
-                                 "match its stops")
-        m = int(cnt[2] + cnt[3]) + 1
-        rows = np.empty((int(cnt[0] + cnt[1]) + 1, n))
-        rec = np.empty((len(RECORD_FIELDS), m))
-        work = np.zeros((s + 5) * n)
-        out = np.zeros(10, dtype=np.int64)
-        status = fn.evolve_raw(
-            *self.pack()["table"], _VERNER_TAB.ctypes.data, s,
-            ctl.ctypes.data, stops.ctypes.data, cnt.ctypes.data, max_steps,
-            y.ctypes.data, rows.ctypes.data, self._record_par.ctypes.data,
-            rec.ctypes.data, work.ctypes.data, out.ctypes.data)
-        eng = _chaos_engine()
-        if eng is not None and eng.poison_rhs(self.k):
-            y[:] = np.nan
-            status = status or 4
-        return CompiledMode(status=int(status), y=y, rows=rows[:m], rec=rec,
-                            counters=out.reshape(2, 5),
-                            t=float(ctl[0]), h=float(ctl[6]),
-                            walls=(float(ctl[13]), float(ctl[14])))
-
     # ------------------------------------------------------------------
     # Cost census
     # ------------------------------------------------------------------
 
     def flops_per_eval(self) -> int:
-        """Deterministic multiply-add census of one rhs_full evaluation.
+        """:func:`flops_per_eval` of this system's layout."""
+        return flops_per_eval(self.layout)
 
-        Derived from the assembled structure alone (window widths,
-        hierarchy cutoffs, momentum nodes), so every driver reports the
-        same per-evaluation cost and BENCH/telemetry comparisons are
-        apples-to-apples.  Transcendental
-        calls (exp/log/sqrt) are charged at 25 flops, matching the
-        calibrated cost model in :mod:`repro.cluster.costmodel`.
-        """
-        f = 150          # background factors, hc, fused thermo lookup
-        f += 56          # metric sources + the six scalar state lines
-        f += 3 * (self._adv1 - self._adv0)   # fused advection band
-        f += 2 * (self._damp1 - self._damp0)  # Thomson damping window
-        f += 40          # closures + Thomson source terms
-        if self.nq > 0:
-            lo = self.layout
-            nq, lmnu = lo.nq, lo.lmax_massive_nu
-            f += nq * 26                      # eps + metric-source dots
-            f += nq * (4 * (lmnu - 1) + 16)   # psi hierarchy
-        return f
+
+def _windows(layout: StateLayout) -> tuple[int, int, int, int]:
+    """The fused advection band ``[adv0, adv1)`` (every hierarchy
+    interior: dX_l = lo_l X_(l-1) - hi_l X_(l+1)) and the Thomson damping
+    window ``[damp0, damp1)``: F_(3..lmax) and G_(0..lmax), each damped by
+    a bare ``- kappa_dot X`` (F_1/F_2 inside their source terms)."""
+    return (layout.i_fg + 1, layout.i_nl + layout.lmax_nu, layout.i_fg + 3,
+            layout.i_gg + layout.lmax_photon + 1)
+
+
+def advection_rows(layout: StateLayout, k) -> tuple[np.ndarray, np.ndarray]:
+    """The band's advection coefficients for ``k`` (a float or an array):
+    ``(k l)/(2l+1)`` and ``(k (l+1))/(2l+1)`` per hierarchy block, as the
+    serial scalar coefficients were grouped, and zero at each block's
+    l=0 and l=lmax (their rows are the boundary/closure updates')."""
+    lo, hi, den = _advection_factors(layout)
+    k = np.asarray(k, dtype=float)[..., None]
+    return k * lo / den, k * hi / den
+
+
+@functools.lru_cache(maxsize=64)
+def _advection_factors(layout: StateLayout) -> tuple[np.ndarray, ...]:
+    """l, l + 1 (zero at the block boundaries) and 2l + 1 over the band."""
+    ns = layout.n_state
+    ell_lo, ell_hi, den = np.zeros(ns), np.zeros(ns), np.ones(ns)
+    for i0, lm in ((layout.i_fg, layout.lmax_photon),
+                   (layout.i_gg, layout.lmax_photon),
+                   (layout.i_nl, layout.lmax_nu)):
+        ell = np.arange(lm + 1, dtype=float)
+        ell_lo[i0:i0 + lm + 1] = ell
+        ell_hi[i0:i0 + lm + 1] = ell + 1.0
+        den[i0:i0 + lm + 1] = 2.0 * ell + 1.0
+    for c in (layout.i_fg + layout.lmax_photon, layout.i_gg,
+              layout.i_gg + layout.lmax_photon, layout.i_nl):
+        ell_lo[c] = ell_hi[c] = 0.0
+    band = slice(*_windows(layout)[:2])
+    factors = tuple(a[band].copy() for a in (ell_lo, ell_hi, den))
+    for a in factors:
+        a.setflags(write=False)
+    return factors
+
+
+def flops_per_eval(layout: StateLayout) -> int:
+    """Deterministic multiply-add census of one rhs_full evaluation.
+
+    Derived from the layout alone (window widths, hierarchy cutoffs,
+    momentum nodes), so every driver reports the same per-evaluation
+    cost and BENCH/telemetry comparisons are apples-to-apples.
+    Transcendental calls (exp/log/sqrt) are charged at 25 flops,
+    matching the calibrated cost model in :mod:`repro.cluster.costmodel`.
+    """
+    adv0, adv1, damp0, damp1 = _windows(layout)
+    f = 150          # background factors, hc, fused thermo lookup
+    f += 56          # metric sources + the six scalar state lines
+    f += 3 * (adv1 - adv0)      # fused advection band
+    f += 2 * (damp1 - damp0)    # Thomson damping window
+    f += 40          # closures + Thomson source terms
+    if layout.nq > 0:
+        nq, lmnu = layout.nq, layout.lmax_massive_nu
+        f += nq * 26                      # eps + metric-source dots
+        f += nq * (4 * (lmnu - 1) + 16)   # psi hierarchy
+    return f

@@ -19,15 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from .. import _cext
 from ..background import Background
 from ..errors import MessagePassingError, ParameterError, ProtocolError
 from ..linger.kgrid import KGrid
 from ..linger.records import ModeHeader, ModePayload
-from ..linger.serial import LingerConfig, LingerResult, build_tables
+from ..linger.serial import (LingerConfig, LingerResult, build_tables,
+                             mode_plan)
 from ..mp import get_backend
 from ..mp.api import World
 from ..params import CosmologyParams
+from ..perturbations.evolve import ModePlan
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..telemetry.report import FaultReport
 from ..thermo import ThermalHistory
@@ -60,7 +61,8 @@ class PlingerRunStats:
 def _worker_entry(mp_handle, background, thermo, kgrid, config,
                   with_telemetry: bool = False,
                   fault_tolerance: FaultTolerance = FaultTolerance(),
-                  params: CosmologyParams | None = None) -> Exception | None:
+                  params: CosmologyParams | None = None,
+                  plan: ModePlan | None = None) -> Exception | None:
     """Entry point for worker ranks (thread target / forked child /
     ``repro worker``).
 
@@ -69,7 +71,9 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     child inherits them, and a rank that has neither — an external
     ``repro worker`` — builds them from ``params`` here, through the
     same deterministic :func:`~repro.linger.serial.build_tables` the
-    master used, so the bits agree.
+    master used, so the bits agree.  The grid's
+    :func:`~repro.linger.serial.mode_plan` arrives the same way, or is
+    formed here.
 
     With telemetry on, the worker builds its own collector (forked
     children share no memory with the master), adds its traffic and
@@ -87,7 +91,8 @@ def _worker_entry(mp_handle, background, thermo, kgrid, config,
     mp_handle.initpass()
     background, thermo = build_tables(params, background, thermo,
                                       telemetry=telemetry)
-    compute = mode_compute(background, thermo, kgrid, config, telemetry)
+    compute = mode_compute(background, thermo, kgrid, config, telemetry,
+                           plan)
     error = None
     try:
         log = worker_subroutine(mp_handle, compute, fault_tolerance)
@@ -150,8 +155,8 @@ def run_plinger(
     ``launch`` forked children).
 
     The master's background and thermal tables are the ones handed in,
-    else built here; the workers get those same objects — by reference
-    as threads, by inheritance when forked.
+    else built here; the workers get those and the grid's mode plan — by
+    reference as threads, by inheritance when forked.
 
     A world built here is closed again when the run fails.
 
@@ -193,19 +198,18 @@ def run_plinger(
         forked = hasattr(world, "launch")
 
         wall0 = time.perf_counter()
+        # the grid's plan, built once for every rank (it resolves the
+        # kernel, which a forked child then inherits)
+        plan = mode_plan(background, thermo, kgrid.k, config)
         if forked:
-            # a child inherits a resolved kernel; unresolved (tables handed
-            # in, so no thermal build has asked) each one would pay the
-            # digest and the dlopen itself, first thing after the fork
-            _cext.get_cext()
             world.launch(_worker_entry, background, thermo, kgrid, config,
-                         telemetry.enabled, fault_tolerance, params)
+                         telemetry.enabled, fault_tolerance, params, plan)
         elif backend in ("inprocess", "procs"):
             threads = [
                 threading.Thread(
                     target=_worker_entry,
                     args=(world.handle(r), background, thermo, kgrid, config,
-                          telemetry.enabled, fault_tolerance, params),
+                          telemetry.enabled, fault_tolerance, params, plan),
                     daemon=True,
                 )
                 for r in range(1, nproc)

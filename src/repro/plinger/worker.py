@@ -28,8 +28,9 @@ import numpy as np
 
 from ..errors import ProtocolError
 from ..linger.records import ModeHeader, ModePayload, wire_index
-from ..linger.serial import compute_mode
+from ..linger.serial import compute_mode, mode_plan
 from ..mp.api import MessagePassing
+from ..perturbations.evolve import ModePlan
 from ..resilience import FaultTolerance, HeartbeatThread
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .tags import Tag
@@ -65,17 +66,21 @@ def mode_compute(
     kgrid,
     config,
     telemetry: Telemetry = NULL_TELEMETRY,
+    plan: ModePlan | None = None,
 ) -> ModeCompute:
     """The production ``compute(ik)`` of a worker rank: one
     :func:`~repro.linger.serial.compute_mode` call — the escalation
     ladder included, its level in ``header.retry_level`` — so only an
     :class:`~repro.errors.IntegrationError` that outlasts the ladder
-    ends the rank.
+    ends the rank.  ``plan`` is the grid's
+    :func:`~repro.linger.serial.mode_plan`, formed here if not given.
     """
+    if plan is None:
+        plan = mode_plan(background, thermo, kgrid.k, config)
 
     def compute(ik: int) -> tuple[ModeHeader, ModePayload]:
         return compute_mode(background, thermo, float(kgrid.k[ik - 1]), ik,
-                            config, telemetry=telemetry)[:2]
+                            config, telemetry=telemetry, plan=plan)[:2]
 
     return compute
 

@@ -39,7 +39,7 @@ from ..background.nu_massive import I_RHO_MASSLESS
 from ..errors import IntegrationError, ParameterError
 from ..util.fastspline import PiecewiseCubic, UniformGridCubic, fit_cubic
 from . import radau, recombination
-from .recombination import _saha_factor, _saha_sweeps
+from .recombination import _saha_factor, _saha_prefactor, _saha_sweeps
 
 __all__ = ["ThermalHistory"]
 
@@ -76,18 +76,19 @@ def _saha_before_switch(
     swept row needed and how many rows were swept.
     """
     n = t_kelvin.size
-    s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+    prefac = _saha_prefactor(t_kelvin)
+    s_h = _saha_factor(t_kelvin, const.E_ION_H, prefac) / n_h_cgs
     past = s_h * (1.0 - saha_switch) < saha_switch**2
     first = int(np.argmax(past))
     rows = min(first + 1 + _SWITCH_MARGIN, n) if past[first] else n
 
     x_e, x_h = np.empty(n), np.empty(n)
     x_e[:rows], x_h[:rows], _, _, sweeps = _saha_sweeps(
-        t_kelvin[:rows], n_h_cgs[:rows], f_he, s_h[:rows])
+        t_kelvin[:rows], n_h_cgs[:rows], f_he, s_h[:rows], prefac[:rows])
     below = x_h[:rows] < saha_switch
     if not below.any() and rows < n:
         x_e[rows:], x_h[rows:], _, _, more = _saha_sweeps(
-            t_kelvin[rows:], n_h_cgs[rows:], f_he, s_h[rows:])
+            t_kelvin[rows:], n_h_cgs[rows:], f_he, s_h[rows:], prefac[rows:])
         sweeps, rows = max(sweeps, more), n
         below = x_h < saha_switch
     if not below.any():
@@ -209,19 +210,16 @@ class ThermalHistory:
         # ln kappa' and ln cs^2 on the uniform ln-a grid, fitted once
         # here for every reader: the evaluators below and each mode's
         # PerturbationSystem, which looks both up at every RHS stage.
-        # They share the knot vector, so the compiled kernels take the
-        # eight coefficient rows packed:
-        # one piece index, one gather, both polynomials.
+        # They share the knot vector: one stacked fit, and the compiled
+        # kernels take its eight coefficient rows packed — one piece
+        # index, one gather, both polynomials.
         self._kappa_dot_table = kappa_dot
         # H_conf on the same grid: with kappa' and x_e, all that the
         # tight-coupling exit search of every wavenumber compares
         self._conformal_hubble_table = self.background.conformal_hubble(a)
-        self._rhs_pack = np.empty((8, lna.size - 1))
-        self._ln_kap_spline = UniformGridCubic(
-            lna, np.log(np.maximum(kappa_dot, 1e-300)),
-            out=self._rhs_pack[:4])
-        self._ln_cs2_spline = UniformGridCubic(
-            lna, np.log(np.maximum(cs2, 1e-300)), out=self._rhs_pack[4:])
+        self._rhs_pack, (self._ln_kap_spline, self._ln_cs2_spline) = (
+            UniformGridCubic.stacked(lna, np.log(np.maximum(
+                np.column_stack([kappa_dot, cs2]), 1e-300))))
 
     # ------------------------------------------------------------------
     # Construction

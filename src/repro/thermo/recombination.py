@@ -28,15 +28,23 @@ from ..errors import IntegrationError
 __all__ = ["saha_electron_fraction", "PeeblesRates", "peebles_rhs"]
 
 
-def _saha_factor(t_kelvin, chi_erg: float):
+def _saha_prefactor(t_kelvin):
+    """(m_e k T / 2 pi hbar^2)^{3/2} [cm^-3]: the thermal de Broglie
+    factor every Saha equation shares."""
+    kt = const.K_BOLTZMANN * t_kelvin
+    return (const.M_ELECTRON * kt / (2.0 * math.pi * const.HBAR**2)) ** 1.5
+
+
+def _saha_factor(t_kelvin, chi_erg: float, prefac=None):
     """(m_e k T / 2 pi hbar^2)^{3/2} e^{-chi/kT}  [cm^-3].
 
-    The thermal de Broglie factor times the Boltzmann suppression that
-    appears in every Saha equation.  Underflows cleanly to 0.  A python
-    float or an array of temperatures.
+    The thermal de Broglie factor (``prefac``, if the caller has it)
+    times the Boltzmann suppression that appears in every Saha equation.
+    Underflows cleanly to 0.  A python float or an array of temperatures.
     """
     kt = const.K_BOLTZMANN * t_kelvin
-    prefac = (const.M_ELECTRON * kt / (2.0 * math.pi * const.HBAR**2)) ** 1.5
+    if prefac is None:
+        prefac = _saha_prefactor(t_kelvin)
     arg = chi_erg / kt
     if type(arg) is float:
         return 0.0 if arg > 650.0 else prefac * math.exp(-arg)
@@ -154,19 +162,22 @@ def saha_electron_fraction(
 
 def _saha_sweeps(
     t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float,
-    s_h: np.ndarray | None = None,
+    s_h: np.ndarray | None = None, prefac: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """:func:`saha_electron_fraction` over arrays of epochs at once: the
     compiled ``saha_sweeps`` on the Saha factors per nucleus, formed
-    here by numpy (``s_h``, hydrogen's, unless the caller has it).  A
-    point whose ``s_h`` underflowed stays neutral.  Returns the four
-    fractions and the sweeps the slowest point needed.
+    here by numpy on one :func:`_saha_prefactor` (``s_h``, hydrogen's,
+    and ``prefac`` unless the caller has them).  A point whose ``s_h``
+    underflowed stays neutral.  Returns the four fractions and the
+    sweeps the slowest point needed.
     """
+    if prefac is None:
+        prefac = _saha_prefactor(t_kelvin)
     if s_h is None:
-        s_h = _saha_factor(t_kelvin, const.E_ION_H) / n_h_cgs
+        s_h = _saha_factor(t_kelvin, const.E_ION_H, prefac) / n_h_cgs
     s_h = np.ascontiguousarray(s_h, dtype=float)
-    s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1) / n_h_cgs
-    s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2) / n_h_cgs
+    s_he1 = 4.0 * _saha_factor(t_kelvin, const.E_ION_HE1, prefac) / n_h_cgs
+    s_he2 = 1.0 * _saha_factor(t_kelvin, const.E_ION_HE2, prefac) / n_h_cgs
     out = np.empty((4, s_h.size))
     sweeps = _cext.get_cext().saha_raw(
         s_h.size, s_h.ctypes.data, s_he1.ctypes.data, s_he2.ctypes.data,

@@ -40,7 +40,8 @@ class PiecewiseCubic:
     call accumulates ``c3 + c2 s + c1 (s s) + c0 ((s s) s)`` term by
     term from the constant up, the two end pieces extrapolate, the
     right end belongs to the last piece and a NaN argument gives NaN —
-    so values and derivatives are bitwise the oracle's.
+    so values and derivatives are bitwise the oracle's
+    (``tests/reference_tridiag.py::evaluate`` is the numpy twin).
     """
 
     __slots__ = ("c", "x")
@@ -50,27 +51,17 @@ class PiecewiseCubic:
         self.x = x
 
     def __call__(self, t) -> np.ndarray:
-        """Values at ``t`` (any shape), shaped ``t.shape + c.shape[2:]``."""
+        """Values at ``t`` (any shape), shaped ``t.shape + c.shape[2:]``,
+        by the compiled ``piecewise_cubic``."""
         t = np.asarray(t, dtype=float)
-        x, c = self.x, self.c
-        i = np.minimum(np.maximum(x.searchsorted(t, "right") - 1, 0),
-                       x.size - 2)
-        s = (t - x[i]).reshape(t.shape + (1,) * (c.ndim - 2))
-        # one coefficient row gathered (copied) at a time, its term
-        # formed in place: two arrays of the output's size are live
-        out = c[-1].take(i, axis=0)
-        out += 0.0
-        if len(c) == 1:  # a constant: nothing else carries the NaN
-            return np.where(np.isnan(s), s, out)
-        z = s
-        for row in range(len(c) - 2, -1, -1):
-            term = c[row].take(i, axis=0)
-            term *= z
-            out += term
-            del term
-            if row:
-                z = z * s
-        return out
+        tc = np.ascontiguousarray(t)
+        c = np.ascontiguousarray(self.c, dtype=float)
+        x = np.ascontiguousarray(self.x, dtype=float)
+        out = np.empty(t.shape + c.shape[2:])
+        _cext.get_cext().piecewise_raw(
+            x.size, x.ctypes.data, len(c), c[0, 0].size, c.ctypes.data,
+            t.size, tc.ctypes.data, out.ctypes.data)
+        return out if out.ndim else out[()]
 
     def knot_slopes(self) -> np.ndarray:
         """The first derivative at every breakpoint, bitwise
@@ -176,6 +167,19 @@ def fit_cubic(x: np.ndarray, y: np.ndarray,
     return PiecewiseCubic(out, x)
 
 
+def _uniform_knots(x) -> np.ndarray:
+    """``x`` as floats, refused unless uniformly spaced: relative alone
+    (allclose's atol would pass any knots closer than 1e-8), and without
+    allclose's passes for infinities."""
+    x = np.asarray(x, dtype=float)
+    dx = np.diff(x)
+    if not np.all(np.abs(dx - dx[0]) <= 1e-8 * abs(dx[0])):
+        raise ParameterError(
+            "UniformGridCubic requires a uniform grid: spacings "
+            f"{dx.min():.6g} to {dx.max():.6g}")
+    return x
+
+
 class UniformGridCubic:
     """Cubic spline over a *uniformly spaced* knot vector.
 
@@ -187,28 +191,28 @@ class UniformGridCubic:
     __slots__ = ("x0", "dx", "n", "c0", "c1", "c2", "c3", "_coef", "_x", "_y")
 
     def __init__(self, x: np.ndarray, y: np.ndarray,
-                 out: np.ndarray | None = None) -> None:
-        """``out``, if given, is a ``(4, len(x) - 1)`` array that becomes
-        the coefficient storage, so splines sharing a knot vector can
-        sit in one contiguous pack (rows c3, c2, c1, c0 per spline)."""
-        x = np.asarray(x, dtype=float)
+                 coef: np.ndarray | None = None) -> None:
+        """``coef``: the fit's ``(4, len(x) - 1)`` coefficients, when the
+        caller has them (:meth:`stacked`)."""
+        x = _uniform_knots(x) if coef is None else x
         y = np.asarray(y, dtype=float)
-        dx = np.diff(x)
-        # relative alone (allclose's atol would pass any knots closer
-        # than 1e-8), and without allclose's passes for infinities
-        if not np.all(np.abs(dx - dx[0]) <= 1e-8 * abs(dx[0])):
-            raise ParameterError(
-                "UniformGridCubic requires a uniform grid: spacings "
-                f"{dx.min():.6g} to {dx.max():.6g}")
         # c[k, i]: coefficient of (x - x_i)^(3-k) on piece i
-        coef = fit_cubic(x, y, out).c
-        self.x0 = float(x[0])
-        self.dx = float(dx[0])
-        self.n = len(x) - 1
-        self._coef = coef
-        self.c3, self.c2, self.c1, self.c0 = coef  # row views
-        self._x = x
-        self._y = y
+        self._coef = fit_cubic(x, y).c if coef is None else coef
+        self.c3, self.c2, self.c1, self.c0 = self._coef  # row views
+        self.x0, self.dx, self.n = float(x[0]), float(x[1] - x[0]), len(x) - 1
+        self._x, self._y = x, y
+
+    @classmethod
+    def stacked(cls, x: np.ndarray,
+                y: np.ndarray) -> tuple[np.ndarray, list["UniformGridCubic"]]:
+        """The splines of the columns of ``y`` ``(n, m)``, one stacked fit
+        (each column bitwise its own), and their ``(4 m, n - 1)`` pack —
+        c3..c0 of each column in turn, which the splines view."""
+        x, y = _uniform_knots(x), np.asarray(y, dtype=float)
+        c = fit_cubic(x, y).c
+        pack = np.moveaxis(c, 2, 0).reshape(-1, c.shape[1])
+        return pack, [cls(x, y[:, j], pack[4 * j:4 * j + 4])
+                      for j in range(y.shape[1])]
 
     def __call__(self, x: float) -> float:
         i = int((x - self.x0) / self.dx)

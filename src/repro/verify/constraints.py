@@ -331,7 +331,7 @@ class ConstraintMonitor:
         # scattering terms by subtracting the coded advection/metric
         # parts, then weight by (rho+p)
         exch_b = dtb - (-hc * tb + cs2 * k2 * db)
-        adv1 = s._g_lo[1] * fg[0] - s._g_hi[1] * fg[2]
+        adv1 = s._adv_lo[0] * fg[0] - s._adv_hi[0] * fg[2]  # l = 1
         exch_g = 0.75 * k * (float(dfg[1]) - adv1)
         s1 = s._gr_b * inv_a * exch_b
         s2 = (4.0 / 3.0) * s._gr_g * inv_a2 * exch_g

@@ -279,11 +279,12 @@ def integrate(rhs, grid: np.ndarray, rows: np.ndarray):
 
 def saha_sweeps(
     t_kelvin: np.ndarray, n_h_cgs: np.ndarray, f_he: float,
-    s_h: np.ndarray | None = None,
+    s_h: np.ndarray | None = None, prefac: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """:func:`~repro.thermo.saha_electron_fraction` over arrays of
     epochs at once, ``recombination._saha_sweeps``' signature and
-    result.
+    result; each Saha factor forms its own thermal prefactor (the
+    caller's ``prefac`` is those same bits, and is not read).
 
     The same residual, start, bracket and stop, with every point still
     iterating advanced by one Newton step per sweep; a point leaves the

@@ -1,5 +1,6 @@
-"""Reference LAPACK's ``DGTSV`` in plain python, and the not-a-knot
-system it solves under every spline fit (frozen reference).
+"""Reference LAPACK's ``DGTSV`` in plain python, the not-a-knot
+system it solves under every spline fit, and the evaluation of the
+fitted pieces (frozen reference).
 
 The compiled ``tridiag_solve`` under every ``fit_cubic`` transcribes
 :func:`tridiag_solve` line for line; ``tests/test_fastspline.py`` holds
@@ -7,7 +8,9 @@ the two to the same bits, and this one to scipy's ``dgtsv``.
 :func:`not_a_knot` is the system the compiled ``cubic_fit`` assembles,
 in numpy, and :func:`fit_coefficients` the whole fit on the python
 solve: what ``fit_cubic`` did in numpy before ``cubic_fit`` took it
-over, held to it bitwise (and scipy holds both).
+over, held to it bitwise (and scipy holds both).  :func:`evaluate` is
+``PiecewiseCubic.__call__`` in numpy, as it stood before the compiled
+``piecewise_cubic`` took it over.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from repro.errors import ParameterError
 
 __all__ = ["tridiag_solve", "solve_tridiagonal", "not_a_knot",
-           "fit_coefficients"]
+           "fit_coefficients", "evaluate"]
 
 
 def tridiag_solve(dl: list, d: list, du: list, b: list) -> int:
@@ -129,3 +132,28 @@ def fit_coefficients(x: np.ndarray, y: np.ndarray,
     c[2] = s[:-1]
     c[3] = y[:-1]
     return c
+
+
+def evaluate(c: np.ndarray, x: np.ndarray, t) -> np.ndarray:
+    """The piecewise polynomial ``c`` (``c[k, i]`` the coefficient of
+    ``(t - x[i]) ** (len(c) - 1 - k)``, trailing axes independent) at
+    ``t``: the piece by ``searchsorted(..., "right") - 1`` clamped to
+    the end pieces, then ``c3 + c2 s + c1 (s s) + c0 ((s s) s)`` summed
+    from the constant up, each coefficient row gathered and its term
+    formed in place; a constant gives NaN where ``t`` is one."""
+    t = np.asarray(t, dtype=float)
+    i = np.minimum(np.maximum(x.searchsorted(t, "right") - 1, 0),
+                   x.size - 2)
+    s = (t - x[i]).reshape(t.shape + (1,) * (c.ndim - 2))
+    out = c[-1].take(i, axis=0)
+    out += 0.0
+    if len(c) == 1:
+        return np.where(np.isnan(s), s, out)
+    z = s
+    for row in range(len(c) - 2, -1, -1):
+        term = c[row].take(i, axis=0)
+        term *= z
+        out += term
+        if row:
+            z = z * s
+    return out

@@ -18,6 +18,7 @@ from repro.util.fastspline import (
     fit_cubic,
 )
 from tests.reference_tridiag import (
+    evaluate,
     fit_coefficients,
     not_a_knot,
     solve_tridiagonal,
@@ -313,6 +314,43 @@ class TestPiecewiseCubic:
                 assert np.array_equal(got, b(scalar))
 
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+           order=st.integers(1, 4),
+           trailing=st.sampled_from([(), (1,), (2,), (3, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_the_compiled_evaluator_is_the_numpy_order(self, seed, n, order,
+                                                       trailing):
+        """The compiled ``piecewise_cubic`` against the numpy evaluator
+        it replaced (``tests/reference_tridiag.py::evaluate``), bit for
+        bit: random knots, stacked columns, NaN, the end pieces and the
+        right end, ascending, descending and scattered abscissae — the
+        piece search walks from the last abscissa's — and every
+        derivative."""
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 2.0, n)) * 10.0 ** rng.uniform(-3, 3)
+        c = rng.normal(size=(order, n - 1) + trailing)
+        ours = PiecewiseCubic(c, x)
+        span = x[-1] - x[0]
+        grid = np.sort(rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span,
+                                   3 * n))
+        pts = np.concatenate((
+            grid, grid[::-1], rng.permutation(grid), x, x[::-1],
+            np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+            [x[-1], x[0] - 5 * span, np.nan, x[-1] + 5 * span, np.nan,
+             x[0], np.inf, -np.inf]))
+        for nu in (0, 1, 2, 3):
+            a = ours if nu == 0 else ours.derivative(nu)
+            view = pts[::-3]  # a strided argument
+            with np.errstate(invalid="ignore"):
+                want, strided = evaluate(a.c, a.x, pts), evaluate(a.c, a.x,
+                                                                  view)
+            assert a(pts).tobytes() == want.tobytes()
+            assert a(view).tobytes() == strided.tobytes()
+        # a coefficient view (a stacked fit's column) is read as it is
+        col = PiecewiseCubic(c.reshape(order, n - 1, -1)[..., -1], x)
+        assert col(grid).tobytes() == evaluate(col.c, x, grid).tobytes()
+
+
 class TestUniformGridCubic:
     def test_matches_scipy_inside(self):
         from scipy.interpolate import CubicSpline
@@ -452,17 +490,21 @@ class TestVectorBitCompat:
         assert np.array_equal(out.ravel(), s.vector(pts.ravel()))
 
     def test_coefficients_written_into_caller_storage(self):
-        # two splines on one grid share a contiguous pack (the thermal
-        # history's ln kappa' / ln cs^2 rows, read whole by the kernels)
+        # two splines on one grid, one stacked fit, share a contiguous
+        # pack (the thermal history's ln kappa' / ln cs^2 rows, read
+        # whole by the kernels); each is bitwise its own fit
         x = np.linspace(-2.0, 7.0, 181)
-        pack = np.empty((8, 180))
-        s = UniformGridCubic(x, np.sin(x), out=pack[:4])
-        c = UniformGridCubic(x, np.cos(x), out=pack[4:])
+        pack, (s, c) = UniformGridCubic.stacked(
+            x, np.column_stack([np.sin(x), np.cos(x)]))
         plain = self._spline()
-        own = UniformGridCubic(x, np.sin(3.0 * x) / (1.0 + x * x),
-                               out=np.empty((4, 180)))
+        own, = UniformGridCubic.stacked(
+            x, (np.sin(3.0 * x) / (1.0 + x * x))[:, None])[1]
         pts = np.linspace(-3.0, 8.0, 300)
         assert np.array_equal(own.vector(pts), plain.vector(pts))
+        for spline, y in ((s, np.sin(x)), (c, np.cos(x))):
+            assert np.array_equal(spline.vector(pts),
+                                  UniformGridCubic(x, y).vector(pts))
+        assert pack.shape == (8, 180) and pack.flags.c_contiguous
         assert np.shares_memory(s.c3, pack) and np.shares_memory(c.c0, pack)
         assert np.array_equal(pack, np.concatenate(
             [[s.c3, s.c2, s.c1, s.c0], [c.c3, c.c2, c.c1, c.c0]]))

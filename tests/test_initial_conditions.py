@@ -113,3 +113,58 @@ class TestValidation:
         with pytest.raises(ParameterError):
             adiabatic_initial_conditions(layout, bg_scdm, k=-0.1,
                                          tau_init=0.1)
+
+
+class TestAGridIsItsWavenumbers:
+    """A grid's plan forms each wavenumber's quantities in numpy passes
+    over the grid; every one is bitwise what that wavenumber alone gives
+    (and, for the tight-coupling exit, what the first row of the full
+    comparison gives)."""
+
+    K = np.concatenate([np.geomspace(3e-5, 0.5, 23), [0.02, 0.0200001]])
+
+    @staticmethod
+    def exit_by_comparison(thermo, k, tca_eps=0.01):
+        cond = thermo._kappa_dot_table * tca_eps < np.maximum(
+            k, thermo._conformal_hubble_table)
+        cond |= thermo._x_e_table < 0.99 * thermo._x_e_table[0]
+        return float(thermo._tau[np.argmax(cond)])
+
+    @pytest.mark.parametrize("model", ["scdm", "mdm"])
+    def test_every_quantity_bit_for_bit(self, request, model):
+        from repro.perturbations.evolve import (
+            ModePlan, find_tca_exit, tau_initial)
+        from repro.perturbations.system import advection_rows
+
+        bg = request.getfixturevalue(f"bg_{model}")
+        thermo = request.getfixturevalue(f"thermo_{model}")
+        nq = 6 if model == "mdm" else 0
+        layout = StateLayout(lmax_photon=9, lmax_nu=7, nq=nq,
+                             lmax_massive_nu=5 if nq else 0)
+        q = momentum_grid(nq)[0] if nq else None
+        t_init = tau_initial(self.K)
+        y0 = adiabatic_initial_conditions(layout, bg, self.K, t_init,
+                                          q_nodes=q, amplitude=1.7)
+        exits = find_tca_exit(thermo, self.K, tca_eps=0.02)
+        lo, hi = advection_rows(layout, self.K)
+        kwargs = dict(lmax_nu=7, nq=nq, lmax_massive_nu=5, record_tau=True,
+                      amplitude=1.7, tca_eps=0.02)
+        plan = ModePlan(bg, thermo, self.K, [9] * self.K.size, **kwargs)
+        for i, k in enumerate(self.K.tolist()):
+            assert t_init[i] == tau_initial(k)
+            one = adiabatic_initial_conditions(layout, bg, k, tau_initial(k),
+                                               q_nodes=q, amplitude=1.7)
+            assert y0[i].tobytes() == one.tobytes()
+            assert exits[i] == find_tca_exit(thermo, k, tca_eps=0.02)
+            assert exits[i] == self.exit_by_comparison(thermo, k, 0.02)
+            assert [a.tobytes() for a in advection_rows(layout, k)] == [
+                lo[i].tobytes(), hi[i].tobytes()]
+            alone = ModePlan(bg, thermo, [k], [9], **kwargs)
+            assert plan.y0[i].tobytes() == alone.y0[0].tobytes()
+            assert (plan.t_init[i], plan.t_switch[i]) == (
+                alone.t_init[0], alone.t_switch[0])
+            assert plan.tau[i].tobytes() == alone.tau[0].tobytes()
+            assert plan._counts[i].tolist() == alone._counts[0].tolist()
+            assert (plan._stops[plan._first[i]:plan._first[i + 1]].tobytes()
+                    == alone._stops.tobytes())
+            assert plan._ctl[i].tobytes() == alone._ctl[0].tobytes()

@@ -11,7 +11,7 @@ wrote: the scalar expressions' grouping, libm ``exp``/``log``, the
 massive-neutrino momentum sums still one numpy dot per row.  These
 tests hold it to that on both phases, with and without massive
 neutrinos, on every driver — and pin what rides on the same pass: the
-final-state row behind ``ModeResult.final_observables``, the phase-end
+final-state row behind ``ModeResult.final``, the phase-end
 rule (a phase end is recorded only when it is a record point, and then
 once), and monitors, which see the same ``(tau, y, tight)`` sequence as
 before and change nothing.  "On every driver": the compiled loop
@@ -101,11 +101,11 @@ def test_array_pass_is_the_row_recorder(request, nq, driver):
         assert np.isnan(mode.records["delta_nu_massive"]).all() == (nq == 0)
         _assert_same_records(mode, _replayed(mode, rows))
 
-        # the final-state row behind final_observables
+        # the final-state row, ModeResult.final
         last = ReferenceRecorder(mode.system, 1)
         last.tight = False
         last(mode.tau_end, mode.y_final)
-        final = mode.final_observables()
+        final = mode.final
         assert list(final) == list(RECORD_FIELDS)
         assert all(
             np.float64(final[name]).tobytes() == last.arrays[name].tobytes()
@@ -130,7 +130,7 @@ def test_one_pass_is_the_row_recorder_without_a_monitor(request, nq):
         last.tight = False
         last(plain.tau_end, plain.y_final)
         for mode in (plain, watched):
-            final = mode.final_observables()
+            final = mode.final
             assert list(final) == list(RECORD_FIELDS)
             assert all(
                 np.float64(final[name]).tobytes()
@@ -209,7 +209,7 @@ def test_no_grid_records_nothing(request, bg_scdm, thermo_scdm, driver):
         mode = _evolve(bg_scdm, thermo_scdm, 0.01, 0, grid, monitor=rows)
         assert mode.tau.size == 0 and not rows.seen
         assert all(arr.size == 0 for arr in mode.records.values())
-        assert np.isfinite(list(mode.final_observables().values())[:9]).all()
+        assert np.isfinite(list(mode.final.values())[:9]).all()
     rec = ArrayRecorder(mode.system, 0)
     rec.record(True, np.empty(0), np.empty((0, mode.layout.n_state)))
     assert rec.i == 0
@@ -244,7 +244,7 @@ def test_phase_ends_are_recorded_only_as_record_points(request, bg_scdm,
     grid = np.append(grid, bg_scdm.tau0)
     mode = _evolve(bg_scdm, thermo_scdm, k, 0, grid)
     assert mode.tau.tolist() == grid.tolist()
-    final = mode.final_observables()
+    final = mode.final
     assert all(
         np.float64(final[name]).tobytes() == arr[-1:].tobytes()
         for name, arr in mode.records.items())

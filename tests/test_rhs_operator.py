@@ -169,8 +169,9 @@ def test_the_packed_abi_addresses_one_wavenumber(bg_mdm, thermo_mdm):
     ptr, i64, dbl = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double
     for raw in (fn.rhs_raw, fn.rhs_tca_raw):
         assert raw.argtypes == [ptr] * 8 + [dbl, ptr, ptr]
-    assert fn.integrate_raw.argtypes == [ptr] * 8 + [
-        i64, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]
+    assert fn.evolve_raw.argtypes == [ptr] * 8 + [
+        ptr, i64, ptr, ptr, ptr, i64] + [ptr] * 6
+    assert not hasattr(fn, "integrate_raw")
 
 
 def _random_states(bg, thermo, layout, seed):

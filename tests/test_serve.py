@@ -51,19 +51,20 @@ def answer(line: bytes):
 
 
 def fail_at(monkeypatch, bad_k: float) -> None:
-    """Make every integration attempt at wavenumber ``bad_k`` raise, so
-    that mode outlasts the escalation ladder."""
+    """Make every integration attempt at wavenumber ``bad_k`` raise (each
+    is a grid plan's compiled call), so that mode outlasts the
+    escalation ladder."""
     from repro.errors import IntegrationError
-    from repro.linger import serial
+    from repro.perturbations.evolve import ModePlan
 
-    evolve_mode = serial.evolve_mode
+    planned = ModePlan.evolve
 
-    def failing(background, thermo, k, **kwargs):
-        if k == bad_k:
+    def failing(plan, i):
+        if plan.k[i] == bad_k:
             raise IntegrationError("step size underflow")
-        return evolve_mode(background, thermo, k, **kwargs)
+        return planned(plan, i)
 
-    monkeypatch.setattr(serial, "evolve_mode", failing)
+    monkeypatch.setattr(ModePlan, "evolve", failing)
 
 
 class TestParamsDigest:

@@ -266,6 +266,42 @@ class TestBlocksAcrossGrids:
         assert res.cl.tobytes() == cl.tobytes()
 
 
+    @pytest.mark.parametrize("nk, factor", [(17, 4), (33, 8)])
+    def test_the_fig2_route_fits_once_per_shared_grid(self, monkeypatch,
+                                                       scdm, bg_scdm, nk,
+                                                       factor):
+        """Sources are assembled, resampled and scattered once per shared
+        record grid; a silent return to per-source fits costs ~10 % of
+        fig2_sparse with every bitwise test still passing.  Five coarse
+        modes on one record grid take 8 fits — the visibility pair, the
+        source block, the coarse block on the shared grid, the k-spline,
+        three leave-one-out refits, the projection block — whether 17 or
+        33 dense modes are projected."""
+        import repro.spectra.los as los
+        import repro.spectra.sparse as sparse
+        import repro.thermo.history as history
+        from repro.thermo import ThermalHistory
+        from repro.util.fastspline import fit_cubic
+
+        calls = []
+
+        def counted(x, y):
+            calls.append(np.shape(y))
+            return fit_cubic(x, y)
+
+        for module in (los, sparse, history):
+            monkeypatch.setattr(module, "fit_cubic", counted)
+        config = LingerConfig(lmax_photon=10, lmax_nu=10, rtol=1e-3)
+        kgrid = KGrid.from_k(np.linspace(3e-5, 5e-3, nk))
+        coarse = run_linger(scdm, kgrid, config, background=bg_scdm,
+                            thermo=ThermalHistory(bg_scdm), sparse_k=factor)
+        assert coarse.kgrid.nk == 5
+        assert len({m.tau.tobytes() for m in coarse.modes}) == 1
+        calls.clear()
+        sparse_cl(coarse, kgrid, los_l_grid(48), sparse_factor=factor)
+        assert len(calls) == 8, calls
+
+
 # -- driver validation and the threaded path ----------------------------------
 
 
@@ -318,17 +354,17 @@ class TestRunSparseCl:
         import time
 
         from repro.errors import IntegrationError
-        from repro.linger import serial
+        from repro.perturbations.evolve import ModePlan
         from tests.test_serve import fail_at
 
         fail_at(monkeypatch, float(linger_small.kgrid.k[0]))
-        evolve_mode, names = serial.evolve_mode, set()
+        evolve, names = ModePlan.evolve, set()
 
         def named(*args, **kwargs):
             names.add(threading.current_thread().name)
-            return evolve_mode(*args, **kwargs)
+            return evolve(*args, **kwargs)
 
-        monkeypatch.setattr(serial, "evolve_mode", named)
+        monkeypatch.setattr(ModePlan, "evolve", named)
         t0 = time.perf_counter()
         with pytest.raises(IntegrationError, match="underflow"):
             run_sparse_cl(scdm, linger_small.kgrid, linger_small.config,

@@ -3,12 +3,13 @@
 ``integrate_phase`` (C, in the ``repro._cext`` shared object) is a
 transcription of ``RKDriver.integrate`` under the arithmetic contract of
 ``repro.integrators.contract``, its stages calling the tight-coupling
-or the full right-hand side.  These tests hold it, in both phases, to
-*zero* deviation from the python driver stepping the same compiled RHS
-— final state, every stop-point row, every counter, every failure
-message — and pin the two pieces the contract rests on: the
-pairwise-sum transcription and the invariance of a run's bits under
-every execution knob.
+or the full right-hand side; ``evolve_mode`` (C) runs it for both
+phases of a mode in one call, ``PerturbationSystem.evolve``.  These
+tests hold each phase of that call to *zero* deviation from the python
+driver stepping the same compiled RHS — final state, every stop-point
+row, every counter, every failure message — and pin the two pieces the
+contract rests on: the pairwise-sum transcription and the invariance of
+a run's bits under every execution knob.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from repro.perturbations import (
     default_record_grid,
     evolve_mode,
 )
+from types import SimpleNamespace
+
 from repro import _cext
 from repro._cext import CextKernel, get_cext
 from repro.perturbations import evolve
-from repro.perturbations.evolve import (
-    find_tca_exit,
-    integrate_phase,
-    tau_initial,
-)
+from repro.perturbations.evolve import find_tca_exit, tau_initial
+from repro.perturbations.system import _CTL_TAIL, _VERNER_TAB
 TOL = dict(rtol=1e-4, atol=1e-9)
 
 #: every loop test runs on the full-hierarchy phase (under the id it
@@ -74,11 +74,18 @@ def _compile(tmp_path, name, source):
     return ctypes.CDLL(str(so_path))
 
 
-def _phase_start(request, nq, k, tight=False):
-    """(system, y0, t0, t1, record grid) of one phase
-    of ``evolve_mode``: the tight-coupling phase from the initial
-    conditions to the hand-off, or the full-hierarchy phase from the
-    hand-off state to today."""
+def phase_stops(points, t0, t1):
+    """A phase's stop points as every driver takes them: the points in
+    ``(t0, t1]``, ascending, then ``t1`` unless it is the last."""
+    stops = np.sort(points[(t0 < points) & (points <= t1)])
+    if not stops.size or stops[-1] < t1:
+        stops = np.append(stops, t1)
+    return stops
+
+
+def _mode_start(request, nq, k):
+    """(system, y0, t_init, t_switch, tau_end, record grid) of the mode
+    ``evolve_mode`` integrates."""
     if nq:
         bg = request.getfixturevalue("bg_mdm")
         thermo = request.getfixturevalue("thermo_mdm")
@@ -92,12 +99,59 @@ def _phase_start(request, nq, k, tight=False):
     y0 = adiabatic_initial_conditions(
         layout, bg, k, t_init, q_nodes=system.q_nodes if nq else None)
     t_switch = max(find_tca_exit(thermo, k), t_init * 1.01)
-    grid = default_record_grid(bg, thermo, k)
+    return (system, y0, t_init, t_switch, bg.tau0,
+            default_record_grid(bg, thermo, k))
+
+
+def _phase_start(request, nq, k, tight=False):
+    """(system, y0, t0, t1, record grid) of one phase
+    of ``evolve_mode``: the tight-coupling phase from the initial
+    conditions to the hand-off, or the full-hierarchy phase from the
+    hand-off state to today."""
+    system, y0, t_init, t_switch, tau_end, grid = _mode_start(request, nq, k)
     if tight:
         return system, y0, t_init, t_switch, grid[grid <= t_switch]
     y = DVERK(system.rhs_tca, **TOL).integrate(y0, t_init, t_switch).y
     system.initialize_full_from_tca(y, t_switch)
-    return system, y, t_switch, bg.tau0, grid[grid > t_switch]
+    return system, y, t_switch, tau_end, grid[grid > t_switch]
+
+
+def _compiled_phase(request, nq, k, tight, stops=np.empty(0), tau_end=None,
+                    kernel=None, max_steps=1_000_000, first_step=None):
+    """One phase of the mode's one compiled call (``evolve_raw``, of
+    ``kernel`` if given): ``stops`` on that phase, none but its end on
+    the other — whose trajectory is then ``_phase_start``'s — and every
+    stop recorded.  Returns the phase's status, end state (the tight
+    phase's before the hand-off), stops reached, their rows and its
+    counters, and the mode's accepted steps."""
+    system, y0, t_init, t_switch, t_end, _ = _mode_start(request, nq, k)
+    tau_end = t_end if tau_end is None else tau_end
+    none = np.empty(0)
+    st = phase_stops(stops if tight else none, t_init, t_switch)
+    sf = phase_stops(none if tight else stops, t_switch, tau_end)
+    both = np.concatenate([st, sf])
+    n, s, m = system.layout.n_state, VERNER_65_TABLEAU.n_stages, both.size
+    y, rows, rec = y0.copy(), np.empty((m + 1, n)), np.empty((20, m + 1))
+    ctl = np.array([t_init, t_switch, *TOL.values(), np.inf, 0.0,
+                    np.nan if first_step is None else first_step,
+                    *_CTL_TAIL, tau_end, 0.0, 0.0])
+    cnt = np.array([st.size, sf.size, st.size, sf.size], dtype=np.int64)
+    work, out = np.empty((s + 5) * n), np.zeros(10, dtype=np.int64)
+    status = (kernel or get_cext()).evolve_raw(
+        *system.pack()["table"], _VERNER_TAB.ctypes.data, s, ctl.ctypes.data,
+        both.ctypes.data, cnt.ctypes.data, max_steps, y.ctypes.data,
+        rows.ctypes.data, system._record_par.ctypes.data, rec.ctypes.data,
+        work.ctypes.data, out.ctypes.data)
+    counters = out.reshape(2, 5)
+    n_steps, n_rejected, n_rhs, n_rows, n_bound = (
+        counters[0 if tight else 1].tolist())
+    rows = rows[:st.size] if tight else rows[st.size:m]
+    return SimpleNamespace(
+        status=status, ok=status == 0,
+        y=rows[n_rows - 1] if tight else y, stops=(st if tight else sf)[
+            :n_rows], rows=rows[:n_rows], n_steps=n_steps,
+        n_rejected=n_rejected, n_rhs=n_rhs, n_stability_bound=n_bound,
+        mode_steps=int(counters[:, 0].sum()))
 
 
 def _python_phase(system, tight, y, t0, t1, stops, **kwargs):
@@ -123,8 +177,7 @@ def test_compiled_loop_is_bitwise_the_python_driver(request, nq, with_stops,
     stops = grid if with_stops else np.empty(0)
     y_py, seen, stats = _python_phase(system, tight, y, t0, t1, stops)
 
-    out = system.integrate_phase(tight, y, t0, t1, stops,
-                                    max_steps=1_000_000, **TOL)
+    out = _compiled_phase(request, nq, 0.02, tight, stops)
     assert out.ok
     assert out.y.tobytes() == y_py.tobytes()
     assert (out.n_steps, out.n_rejected, out.n_rhs,
@@ -157,8 +210,7 @@ def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
     full phase is nearly all stability-bound and one that oscillates."""
     system, y, t0, t1, grid = _phase_start(request, 8, k, tight)
     y_py, seen, stats = _python_phase(system, tight, y, t0, t1, grid)
-    out = system.integrate_phase(tight, y, t0, t1, grid,
-                                    max_steps=1_000_000, **TOL)
+    out = _compiled_phase(request, 8, k, tight, grid)
     assert out.ok and out.y.tobytes() == y_py.tobytes()
     assert out.rows.tobytes() == np.array([r for _, r in seen]).tobytes()
     assert (out.n_steps, out.n_rejected, out.n_rhs,
@@ -173,9 +225,10 @@ def test_compiled_loop_is_the_python_driver_at_the_bound(request, k, tight):
 def plain_kernel(tmp_path_factory):
     """The object built once more with the clone attribute stripped:
     every function at the baseline ISA, as the ``default`` clone of
-    ``integrate_phase`` runs it.  gcc's resolver reads ``cpuid`` itself
-    — no environment setting selects a clone — so this build is how a
-    host with a wider one runs the baseline."""
+    ``integrate_phase`` (the step loop of ``evolve_mode``) runs it.
+    gcc's resolver reads ``cpuid`` itself — no environment setting
+    selects a clone — so this build is how a host with a wider one runs
+    the baseline."""
     line = next(ln for ln in _cext.C_SOURCE.splitlines()
                 if ln.startswith("#define PHASE_CLONES __attribute__"))
     return CextKernel(_compile(
@@ -192,11 +245,10 @@ def test_the_baseline_clone_steps_to_the_same_bits(request, plain_kernel,
     rows, final state and counters, both phases, with and without the
     massive species' momentum-bin loops."""
     for tight in (True, False):
-        system, y, t0, t1, grid = _phase_start(request, nq, k, tight)
-        args = (tight, y, t0, t1, grid)
-        ref = system.integrate_phase(*args, max_steps=1_000_000, **TOL)
-        system._cext = plain_kernel
-        out = system.integrate_phase(*args, max_steps=1_000_000, **TOL)
+        *_, grid = _phase_start(request, nq, k, tight)
+        ref = _compiled_phase(request, nq, k, tight, grid)
+        out = _compiled_phase(request, nq, k, tight, grid,
+                              kernel=plain_kernel)
         assert ref.ok and _same_phase(out, ref)
 
 
@@ -241,24 +293,18 @@ def test_the_full_phase_finds_no_boundary_by_rejection(request, bg_scdm,
         assert stats.n_stability_bound > 0.9 * stats.n_steps
 
     # the stiff stretch alone, exit to recombination: not one rejection
-    system, y, t0, _, _ = _phase_start(request, 0, k)
-    _, _, stiff = _phase(system, False, y, t0, 300.0, np.empty(0))
+    stiff = _compiled_phase(request, 0, k, False, tau_end=300.0)
     assert stiff.n_rejected == 0
     assert stiff.n_stability_bound > 0.9 * stiff.n_steps
 
 
-def test_no_rate_no_bound(bg_scdm, thermo_scdm):
+def test_no_rate_no_bound(request, bg_scdm, thermo_scdm):
     """The tight-coupling phase and the Newtonian-gauge system hand
     their drivers no ``stiff_rate``."""
     from repro.perturbations.evolve_newtonian import evolve_mode_newtonian
 
     k = 0.01
-    system = PerturbationSystem(bg_scdm, thermo_scdm, k,
-                                StateLayout(lmax_photon=8, lmax_nu=8))
-    t_init = tau_initial(k)
-    y0 = adiabatic_initial_conditions(system.layout, bg_scdm, k, t_init)
-    _, _, tight = _phase(system, True, y0, t_init,
-                         find_tca_exit(thermo_scdm, k), np.empty(0))
+    tight = _compiled_phase(request, 0, k, True)
     newtonian = evolve_mode_newtonian(bg_scdm, thermo_scdm, k, lmax_photon=8,
                                       lmax_nu=8, rtol=1e-3, tau_end=300.0)
     for stats in (tight, newtonian.stats):
@@ -284,23 +330,23 @@ def test_evolve_mode_same_bits_with_either_driver(request, nq):
 
 
 def test_first_step_is_honoured_identically(request):
-    for tight in (True, False):
-        system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
-        y_py, _, stats = _python_phase(system, tight, y, t0, t1, None,
-                                       first_step=1e-3)
-        out, free = (
-            system.integrate_phase(
-                tight, y, t0, t1, (), max_steps=1_000_000,
-                first_step=first_step, **TOL)
-            for first_step in (1e-3, None))
-        assert out.y.tobytes() == y_py.tobytes()
-        assert out.n_rhs == stats.n_rhs
-        # ... which is not the step the loop would have chosen
-        assert (out.n_rhs, out.y.tobytes()) != (free.n_rhs, free.y.tobytes())
+    """Both phases of the one compiled call open with the forced step,
+    as the python driver's phases do."""
+    system, *_ = _mode_start(request, 0, 0.02)
+    bg, thermo = system.background, system.thermo
+    kwargs = dict(lmax_photon=10, lmax_nu=10, **TOL)
+    py = evolve_mode(bg, thermo, 0.02, driver_cls=PythonDVERK,
+                     first_step=1e-3, **kwargs)
+    out, free = (evolve_mode(bg, thermo, 0.02, first_step=first_step,
+                             **kwargs) for first_step in (1e-3, None))
+    assert out.y_final.tobytes() == py.y_final.tobytes()
+    assert out.stats.n_rhs == py.stats.n_rhs
+    # ... which is not the step the loop would have chosen
+    assert (out.stats.n_rhs, out.y_final.tobytes()) != (
+        free.stats.n_rhs, free.y_final.tobytes())
 
     # ... and through a whole run, on either driver: every mode opens
     # with the forced step
-    bg, thermo = system.background, system.thermo
     kgrid = KGrid.from_k(np.geomspace(2e-3, 0.05, 4))
 
     def run(first_step=1e-4):
@@ -320,35 +366,31 @@ def test_first_step_is_honoured_identically(request):
 # -- (a) failure legs: the python driver's errors, raised by the loop ---------
 
 
-def _phase(system, tight, y, t0, t1, stops, **kwargs):
-    stats = IntegratorStats()
-    y_end, tau, rows = integrate_phase(
-        system, tight, y, t0, t1, stops, stats,
-        **{**TOL, "max_steps": 1_000_000, **kwargs})
-    return y_end, (tau, rows), stats
+def _mode(request, **kwargs):
+    """``evolve_mode``'s one compiled call at k = 0.02, no record
+    points: it raises the python driver's errors."""
+    bg, thermo = (request.getfixturevalue(name)
+                  for name in ("bg_scdm", "thermo_scdm"))
+    return evolve_mode(bg, thermo, 0.02, lmax_photon=10, lmax_nu=10,
+                       **{**TOL, "max_steps": 1_000_000, **kwargs})
 
 
 @both_phases
 def test_max_steps_raises_the_canonical_error(request, tight):
-    system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
     limit = 5 if tight else 20  # tight coupling is over in ~15 steps
-    out = system.integrate_phase(tight, y, t0, t1, (),
-                                    max_steps=limit, **TOL)
-    assert out.status == 1 and not out.ok and out.n_steps == limit
+    out = _compiled_phase(request, 0, 0.02, tight, max_steps=limit)
+    assert out.status == 1 and not out.ok and out.mode_steps == limit
     with pytest.raises(IntegrationError,
                        match=f"exceeded max_steps={limit}"):
-        _phase(system, tight, y, t0, t1, np.empty(0), max_steps=limit)
+        _mode(request, max_steps=limit)
 
 
 @both_phases
 def test_step_underflow_raises_the_canonical_error(request, tight):
-    system, y, t0, t1, _ = _phase_start(request, 0, 0.02, tight)
-    out = system.integrate_phase(tight, y, t0, t1, (),
-                                    max_steps=1_000_000, first_step=1e-300,
-                                    **TOL)
+    out = _compiled_phase(request, 0, 0.02, tight, first_step=1e-300)
     assert out.status == 2 and not out.ok
     with pytest.raises(IntegrationError, match="step size underflow"):
-        _phase(system, tight, y, t0, t1, np.empty(0), first_step=1e-300)
+        _mode(request, first_step=1e-300)
 
 
 @both_phases
@@ -370,10 +412,9 @@ def test_an_early_stop_raises_without_a_python_re_run(bg_scdm, thermo_scdm,
 
 @both_phases
 def test_a_nan_poisoned_phase_raises(request, tight):
-    system, y, t0, t1, stops = _phase_start(request, 0, 0.02, tight)
     with active(ChaosPolicy(kernel_nan_faults=1)) as eng:
         with pytest.raises(IntegrationError, match="non-finite state"):
-            _phase(system, tight, y, t0, t1, stops)
+            _mode(request)
     assert eng.injected.get("kernel_nan") == 1  # once per compiled call
 
 
@@ -407,7 +448,7 @@ def test_a_default_mode_evaluates_nothing_in_python(bg_scdm, thermo_scdm,
     def no_python(*args, **kwargs):
         pytest.fail("a default mode left the one compiled call")
 
-    for name in ("rhs_full", "rhs_tca", "integrate_phase", "record",
+    for name in ("rhs_full", "rhs_tca", "record",
                  "initialize_full_from_tca"):
         monkeypatch.setattr(PerturbationSystem, name, no_python)
     kernel = get_cext()
@@ -431,8 +472,8 @@ def test_one_compiled_call_per_mode(monkeypatch, model, nq, n_modes):
     record pass — massive species or not; a silent return to a call per
     phase with the record pass in python costs ~15 % of fig2_sparse with
     every bitwise test still passing.  A run makes one ``evolve_mode``
-    call per mode, none of ``integrate_phase``, no python momentum sum,
-    and builds one record grid per distinct start time."""
+    call per mode and no other compiled call of a mode's, no python
+    momentum sum, and builds one record grid per distinct start time."""
 
     def per_phase(*args, **kwargs):
         pytest.fail("a mode left its one compiled call")
@@ -441,20 +482,25 @@ def test_one_compiled_call_per_mode(monkeypatch, model, nq, n_modes):
     evolve_raw = kernel.evolve_raw
     monkeypatch.setattr(kernel, "evolve_raw",
                         lambda *a: calls.append(1) or evolve_raw(*a))
-    monkeypatch.setattr(kernel, "integrate_raw", per_phase)
-    for name in ("integrate_phase", "record", "initialize_full_from_tca",
-                 "nu_eps", "shear_sum"):
+    for name in ("rhs_raw", "rhs_tca_raw", "handoff_raw", "record_raw",
+                 "momentum_raw"):
+        monkeypatch.setattr(kernel, name, per_phase)
+    for name in ("record", "initialize_full_from_tca", "nu_eps",
+                 "shear_sum"):
         monkeypatch.setattr(PerturbationSystem, name, per_phase)
     params = model()
     bg = Background(params)
     k = np.geomspace(1e-3, 0.05, n_modes)
-    evolve._record_grid.cache_clear()
+    grids = evolve._record_grids
+    built = []
+    monkeypatch.setattr(evolve, "_record_grids", lambda t0, *a: (
+        built.extend(t0.tolist()) or grids(t0, *a)))
     res = run_linger(params, KGrid.from_k(k),
                      LingerConfig(lmax_photon=10, lmax_nu=10, nq=nq,
                                   rtol=1e-3),
                      background=bg, thermo=ThermalHistory(bg))
     starts = len({tau_initial(float(x)) for x in k})
-    builds = evolve._record_grid.cache_info().misses
+    builds = len(built)
     assert len(calls) == n_modes and builds == starts == 2
     assert all(m.layout.nq == nq for m in res.modes)
 
@@ -521,6 +567,19 @@ def test_a_poisoned_massive_mode_consults_once_per_mode(bg_mdm, thermo_mdm):
     assert eng.summary()["opportunities"] == {"kernel_nan": 2}
 
 
+def test_the_kernel_compiles_without_a_warning(tmp_path):
+    """The C source under ``CFLAGS`` and ``-Wall -Wextra -Werror``: an
+    unused parameter, a sign mix or a read the compiler cannot prove
+    initialised fails here instead of scrolling past in a build log."""
+    c_path = tmp_path / "k.c"
+    c_path.write_text(_cext.C_SOURCE)
+    build = subprocess.run(
+        [_cext._find_compiler(), *_cext.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", tmp_path / "k.so", c_path, "-lm"], capture_output=True,
+        text=True)
+    assert build.returncode == 0, build.stderr
+
+
 def test_the_kernel_cache_key_names_source_flags_and_compiler(monkeypatch):
     """A change of ``CFLAGS`` or of the compiler is a new shared object,
     never the old one reused."""
@@ -555,7 +614,7 @@ def test_pairwise_sum_is_numpys(n, seed, decades):
 # -- (b') the tableau contraction, a row at a time ---------------------------
 
 #: ``row_sum`` is static: the probe exports it, cloned as ``integrate_phase``
-#: is, beside the contraction as it was before it ran a row at a time —
+#: (``evolve_mode``'s step loop) is, beside the contraction as it was before it ran a row at a time —
 #: one component, gathered over the stages at stride n
 ROW_SUM_PROBE = r"""
 PHASE_CLONES

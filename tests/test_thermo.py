@@ -524,8 +524,9 @@ class TestCompiledRhs:
         slope at one abscissa) and one for both integrals on the
         400-point table, and no numpy pass over the (400, 96) grid; a
         history makes 2 compiled sweep calls, no python
-        ``_saha_residual`` call and 3 compiled fits, and does the work
-        it did when the passes were numpy's (the counts)."""
+        ``_saha_residual`` call and 2 compiled fits (ln T_b, and
+        ln kappa' with ln cs^2 stacked), and does the work it did when
+        the passes were numpy's (the counts)."""
         kernel = _cext.get_cext()
         calls = {"saha": 0, "residual": 0, "fit": 0}
         sizes, shapes = [], []
@@ -558,8 +559,42 @@ class TestCompiledRhs:
         assert not [s for s in shapes if len(s) == 2 and 96 in s], shapes
         calls.update(fit=0)
         thermo = ThermalHistory(bg)
-        assert calls == {"saha": 2, "residual": 0, "fit": 3}
+        assert calls == {"saha": 2, "residual": 0, "fit": 2}
         assert thermo._build_counts == counts
+
+    @pytest.mark.parametrize("model", [standard_cdm, mixed_dark_matter],
+                             ids=["standard_cdm", "mixed_dark_matter"])
+    def test_one_saha_prefactor_per_temperature_array(self, monkeypatch,
+                                                      model):
+        """H, He I and He II share (m_e kT / 2 pi hbar^2)^1.5: a build
+        forms it once per temperature array — the pre-pass's grid, and
+        the helium pass after the ODE — and its tables, packed
+        coefficients and counts are bitwise a build's that forms it once
+        per Saha factor."""
+        bg = Background(model())
+        prefactor = recombination._saha_prefactor
+        factor = recombination._saha_factor
+        formed = []
+
+        def counted(t):
+            formed.append(np.shape(t))
+            return prefactor(t)
+
+        for module in (recombination, history):
+            monkeypatch.setattr(module, "_saha_prefactor", counted)
+        shared = ThermalHistory(bg)
+        assert len(formed) == 2
+        for module in (recombination, history):
+            monkeypatch.setattr(module, "_saha_factor",
+                                lambda t, chi, prefac=None: factor(t, chi))
+        own = ThermalHistory(bg)
+        assert len(formed) > 2 + 6
+        for name, arr in history_arrays(own).items():
+            assert history_arrays(shared)[name].tobytes() == arr.tobytes()
+        for name in ("_rhs_pack", "_tau", "_kappa", "_g"):
+            assert (getattr(shared, name).tobytes()
+                    == getattr(own, name).tobytes()), name
+        assert shared._build_counts == own._build_counts
 
     def test_status_and_count_slots_only_grow(self, monkeypatch,
                                               thermo_scdm):
@@ -597,6 +632,17 @@ class TestWhatABuildComputes:
         run_linger(scdm, KGrid.from_k(np.array([1e-3, 1e-2])),
                    LingerConfig(lmax_photon=8, lmax_nu=8, rtol=3e-4),
                    background=bg_scdm, thermo=thermo)
+        assert not set(FITTED_ON_FIRST_USE) & set(vars(thermo))
+
+    def test_a_hierarchy_mode_fits_no_line_of_sight_spline(self, bg_scdm):
+        """They are fitted on first use, and a silent return to eager
+        fits costs ~9 % of hier_serial with every bitwise test still
+        passing: one mode recorded on its line-of-sight grid fits none."""
+        from repro.perturbations import default_record_grid, evolve_mode
+
+        thermo = ThermalHistory(bg_scdm)
+        evolve_mode(bg_scdm, thermo, 0.01,
+                    record_tau=default_record_grid(bg_scdm, thermo, 0.01))
         assert not set(FITTED_ON_FIRST_USE) & set(vars(thermo))
 
     @five_models
