@@ -200,11 +200,15 @@ def compute_mode(
     by each attempt.
 
     ``plan`` is None or the grid's :func:`mode_plan`, ``ik`` a position
-    of it: an attempt at ``config`` is the plan's row, any other (a
+    of it (:class:`~repro.errors.ParameterError` unless its wavenumber
+    is ``k``): an attempt at ``config`` is the plan's row, any other (a
     ladder level's config, or no plan) a :func:`mode_plan` of its own,
     each run by ``evolve.run_mode``.
     """
     k, ik = float(k), int(ik)
+    if plan is not None and plan.k[ik - 1] != k:
+        raise ParameterError(f"plan row {ik} is k={plan.k[ik - 1]!r}, "
+                             f"not {k!r}")
 
     def attempt(cfg: LingerConfig) -> ModeResult:
         eng = current_engine()

@@ -13,7 +13,7 @@ polarization sum Pi, line-of-sight ingredients) on caller-supplied
 conformal-time grids.  This is exactly the work a PLINGER *worker*
 performs for the wavenumbers it receives from the master.
 
-A mode is one compiled call (:func:`integrate_mode`): both phases, the
+A mode is one compiled call (:meth:`ModePlan.evolve`): both phases, the
 hand-off of the slaved moments and the record pass — COSMICS's one
 subroutine call per k, massive species or not — on a row of its grid's
 :class:`ModePlan`, formed once per grid (:func:`evolve_mode`: a grid of
@@ -56,7 +56,7 @@ from .system import (
 
 __all__ = ["ModeResult", "ModePlan", "evolve_mode", "run_mode",
            "default_record_grid", "record_grid_start", "tau_initial",
-           "integrate_mode", "RECORD_FIELDS"]
+           "RECORD_FIELDS"]
 
 
 @dataclass
@@ -210,9 +210,7 @@ def find_tca_exit(
     free = ((rate < thermo._conformal_hubble_table)
             | (thermo._x_e_table < xe_threshold * thermo._x_e_table[0]))
     first = int(np.argmax(free)) if free.any() else free.size
-    floor = rate[:first]
-    if not np.all(floor[1:] <= floor[:-1]):  # kappa' falls, as a rule
-        floor = np.minimum.accumulate(floor)
+    floor = np.minimum.accumulate(rate[:first])
     idx = np.searchsorted(-floor, -np.asarray(k), side="right")
     if np.any(idx == free.size):
         raise IntegrationError("tight coupling never ends before today")
@@ -331,6 +329,15 @@ class ModePlan:
             self._args[i] = (*table, *fixed, stops + 8 * self._first[i],
                              counts + 32 * i, par, per_step)
 
+    def phases(self, i: int) -> tuple[tuple, tuple]:
+        """Mode ``i``'s tight-coupling then full-hierarchy phase as the
+        drivers take them: ``(tight, t0, t1, stops, n_recorded)`` each,
+        the first ``n_recorded`` of ``stops`` being record points."""
+        stops = self._stops[self._first[i]:self._first[i + 1]]
+        n_t, _, m_t, m_f = self._counts[i].tolist()
+        return ((True, self.t_init[i], self.t_switch[i], stops[:n_t], m_t),
+                (False, self.t_switch[i], self.tau_end, stops[n_t:], m_f))
+
     def system(self, i: int) -> PerturbationSystem:
         """Wavenumber ``i``'s assembled system (one per layout is kept)."""
         return self._systems.get(i) or PerturbationSystem(
@@ -371,9 +378,44 @@ class ModePlan:
         if status:
             raise IntegrationError(phase_failure(
                 status, float(ctl[0]), float(ctl[6]), self.max_steps))
-        _fold(stats := IntegratorStats(), out.reshape(2, 5).tolist(), per_step)
+        # both phases' counters: accepted, rejected, evaluations, stops
+        # reached, attempts at the stability bound; the flops by the
+        # python driver's formula (per phase its first evaluation, then
+        # every attempted step)
+        steps, rejected, n_rhs, _, bound = out.reshape(2, 5).sum(0).tolist()
+        flops = (2 * (per_step // VERNER_65_TABLEAU.n_stages)
+                 + per_step * (steps + rejected))
+        stats = IntegratorStats(steps, rejected, n_rhs, flops, bound)
         return (self._result(i, y[:n], rec[:20 * m].reshape(20, m), stats),
                 rows[:m * n].reshape(m, n), (float(ctl[13]), float(ctl[14])))
+
+    def drive(self, i: int, driver_cls: type[RKDriver]) -> tuple:
+        """:meth:`evolve`, to the same bits, but the python driver
+        ``driver_cls`` (a test seam) steps each phase on the compiled
+        right-hand side, the full phase under
+        ``stiff_rate=system.thomson_rate``."""
+        system, stats = self.system(i), IntegratorStats()
+        y, rows, walls = self.y0[i].copy(), [], [time.perf_counter()]
+        rtol, atol, first_step = self._numerics
+        phases = self.phases(i)
+        for tight, t0, t1, stops, m in phases:
+            res = driver_cls(system.rhs_tca if tight else system.rhs_full,
+                             rtol=rtol, atol=atol, max_steps=self.max_steps,
+                             first_step=first_step,
+                             flops_per_rhs=system.flops_per_eval(),
+                             # tight coupling has no Thomson terms to be
+                             # stiff on
+                             stiff_rate=None if tight else system.thomson_rate,
+                             ).integrate(y, t0, t1, stop_points=stops,
+                                         stats=stats)
+            y = res.y
+            rows.append(res.recorded_y[:m])
+            if tight:
+                system.initialize_full_from_tca(y, t1)
+            walls.append(time.perf_counter())
+        rows = np.concatenate([*rows, y[None]])
+        return (self._result(i, y, system.record(rows, phases[0][4]), stats),
+                rows, (walls[1] - walls[0], walls[2] - walls[1]))
 
     def _result(self, i, y, rec, stats) -> ModeResult:
         m = rec.shape[1] - 1
@@ -415,7 +457,7 @@ def evolve_mode(
     hand-off of the slaved moments, the full hierarchy to ``tau_end``,
     one record pass over the record points of both phases and the
     final state (:attr:`ModeResult.final`) — a grid of one
-    (:class:`ModePlan`) and :func:`integrate_mode`.  The counters
+    (:class:`ModePlan`) and its :meth:`~ModePlan.evolve`.  The counters
     accumulate in one :class:`IntegratorStats` over both phases
     (``max_steps`` is its budget for the whole evolution).
 
@@ -465,16 +507,17 @@ def evolve_mode(
 
 def run_mode(plan: ModePlan, i: int, driver_cls: type[RKDriver] = DVERK,
              telemetry: Telemetry = NULL_TELEMETRY, monitor=None) -> ModeResult:
-    """Mode ``i`` of ``plan`` (:func:`integrate_mode`), observed as
+    """Mode ``i`` of ``plan`` (:meth:`ModePlan.evolve`), observed as
     :func:`evolve_mode` describes: ``monitor`` bound to the mode's
     system and called at its record points, one ``ModeMetrics`` in an
     enabled ``telemetry``, ``cpu_seconds`` the call's CPU time."""
     cpu0 = time.process_time()
     if monitor is not None and hasattr(monitor, "bind"):
         monitor.bind(plan.system(i))
-    mode, rows, walls = integrate_mode(plan, i, driver_cls=driver_cls)
+    mode, rows, walls = (plan.evolve(i) if driver_cls is DVERK
+                         else plan.drive(i, driver_cls))
     if monitor is not None:  # the record points, not the final state
-        n_tight = int(plan._counts[i, 2])
+        n_tight = plan.phases(i)[0][4]
         for j, (t, row) in enumerate(zip(mode.tau.tolist(), rows.copy())):
             monitor(t, row, j < n_tight)
     # only a mode that completed leaves rows: a failed one is retried
@@ -526,55 +569,6 @@ def mode_stops(grid: np.ndarray, t_init: float, t_switch: float,
                             [tau_end] * end_f])
     return (stops, (n_t, n_f, m_t, m_f),
             np.concatenate([stops[:m_t], stops[n_t:n_t + m_f]]))
-
-
-def integrate_mode(plan: ModePlan, i: int,
-                   driver_cls: type[RKDriver] = DVERK) -> tuple:
-    """Mode ``i`` of ``plan`` as :meth:`ModePlan.evolve` returns it: one
-    compiled call, or — any ``driver_cls`` but DVERK, a test seam — that
-    python driver per phase on the compiled right-hand side (the full
-    phase under ``stiff_rate=system.thomson_rate``) with the compiled
-    hand-off and record pass, to the same bits."""
-    if driver_cls is DVERK:
-        return plan.evolve(i)
-    system, stats = plan.system(i), IntegratorStats()
-    stops = plan._stops[plan._first[i]:plan._first[i + 1]]
-    c0, _, m_t, m_f = plan._counts[i].tolist()
-    y, rows, walls = plan.y0[i].copy(), [], [time.perf_counter()]
-    rtol, atol, first_step = plan._numerics
-    for tight, t0, t1, pts, m in (
-            (True, plan.t_init[i], plan.t_switch[i], stops[:c0], m_t),
-            (False, plan.t_switch[i], plan.tau_end, stops[c0:], m_f)):
-        res = driver_cls(system.rhs_tca if tight else system.rhs_full,
-                         rtol=rtol, atol=atol, max_steps=plan.max_steps,
-                         first_step=first_step,
-                         flops_per_rhs=system.flops_per_eval(),
-                         # tight coupling has no Thomson terms to be
-                         # stiff on
-                         stiff_rate=None if tight else system.thomson_rate,
-                         ).integrate(y, t0, t1, stop_points=pts, stats=stats)
-        y = res.y
-        rows.append(res.recorded_y[:m])
-        if tight:
-            system.initialize_full_from_tca(y, t1)
-        walls.append(time.perf_counter())
-    rows = np.concatenate([*rows, y[None]])
-    return (plan._result(i, y, system.record(rows, m_t), stats), rows,
-            (walls[1] - walls[0], walls[2] - walls[1]))
-
-
-def _fold(stats: IntegratorStats, counters: list, per_step: int) -> None:
-    """A compiled call's counters — per phase accepted, rejected,
-    evaluations, stops reached and attempts at the stability bound —
-    into ``stats``, the flop estimate by the python driver's formula
-    (its first evaluation, then every attempted step)."""
-    for n_steps, n_rejected, n_rhs, _, n_bound in counters:
-        stats.n_steps += n_steps
-        stats.n_rejected += n_rejected
-        stats.n_rhs += n_rhs
-        stats.n_stability_bound += n_bound
-        stats.n_flops += (per_step // VERNER_65_TABLEAU.n_stages
-                          + per_step * (n_steps + n_rejected))
 
 
 def _in(t: float, grid: np.ndarray) -> bool:

@@ -64,18 +64,15 @@ def kernel_cache(tmp_path_factory):
 def python_driver(monkeypatch):
     """Every phase of every mode — whichever route reaches it — steps on
     the scalar python DVERK over the compiled right-hand side instead of
-    the compiled loop: the ``driver_cls`` seam of
-    ``evolve.integrate_mode``, pulled for the whole test."""
+    the compiled loop: :meth:`ModePlan.drive`, the ``driver_cls`` seam,
+    in place of the one compiled call for the whole test."""
     from repro.integrators.dverk import RKDriver
-    from repro.perturbations import evolve
+    from repro.perturbations.evolve import ModePlan
 
     # DVERK's own driver class on DVERK's tableau: any class but DVERK
     # keeps a phase off the compiled loop
-    real = evolve.integrate_mode
-    monkeypatch.setattr(
-        evolve, "integrate_mode",
-        lambda *args, **kwargs: real(*args,
-                                     **{**kwargs, "driver_cls": RKDriver}))
+    monkeypatch.setattr(ModePlan, "evolve",
+                        lambda plan, i: plan.drive(i, RKDriver))
 
 
 @pytest.fixture()

@@ -16,7 +16,7 @@ from repro import (
     run_plinger,
 )
 from repro.errors import IntegrationError
-from repro.linger.serial import build_tables, compute_mode
+from repro.linger.serial import build_tables, compute_mode, mode_plan
 from repro.perturbations import evolve_mode
 from repro.spectra import run_sparse_cl
 
@@ -99,6 +99,18 @@ class TestComputeMode:
         assert np.allclose(payload.f_gamma, mode.f_gamma_final)
         assert header.cpu_seconds > 0
         assert header.n_rhs == mode.stats.n_rhs
+
+    def test_a_plan_row_of_another_wavenumber_is_refused(self, bg_scdm,
+                                                        thermo_scdm):
+        """``ik`` names the plan's row: a row that is not ``k`` raises
+        instead of integrating the wrong wavenumber under k's header."""
+        cfg = LingerConfig(rtol=1e-4, record_sources=False)
+        plan = mode_plan(bg_scdm, thermo_scdm, [0.01, 0.02], cfg)
+        header, _, _ = compute_mode(bg_scdm, thermo_scdm, 0.02, 2, cfg,
+                                    plan=plan)
+        assert header.k == 0.02
+        with pytest.raises(ParameterError, match="plan row 1 is k=0.01"):
+            compute_mode(bg_scdm, thermo_scdm, 0.02, 1, cfg, plan=plan)
 
     def test_header_observables_match_records(self, bg_scdm, thermo_scdm):
         cfg = LingerConfig(rtol=1e-4, record_sources=True)

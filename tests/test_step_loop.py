@@ -387,10 +387,24 @@ def test_max_steps_raises_the_canonical_error(request, tight):
 
 @both_phases
 def test_step_underflow_raises_the_canonical_error(request, tight):
-    out = _compiled_phase(request, 0, 0.02, tight, first_step=1e-300)
+    """A forced opening step below the phase's resolution: 1e-300 stops
+    the tight phase at t_init; 3e-15 the tight phase takes (at
+    t_init = 1.5) and the full phase, at t_switch = 63.3, cannot: the
+    full phase, the one under the stability bound, underflows on its
+    opening step."""
+    _, _, t_init, t_switch, _, _ = _mode_start(request, 0, 0.02)
+    h = 1e-300 if tight else 3e-15
+    assert (t_init + h == t_init) == tight and t_switch + h == t_switch
+    out = _compiled_phase(request, 0, 0.02, tight, first_step=h)
     assert out.status == 2 and not out.ok
-    with pytest.raises(IntegrationError, match="step size underflow"):
-        _mode(request, first_step=1e-300)
+    # the failing phase evaluated f0 and took no step; the tight phase
+    # before a failing full one ran to its end
+    assert (out.n_steps, out.n_rejected, out.n_rhs) == (0, 0, 1)
+    assert (out.mode_steps > 0) == (not tight)
+    where = t_init if tight else t_switch
+    with pytest.raises(IntegrationError,
+                       match=f"step size underflow at t={where:.6g}$"):
+        _mode(request, first_step=h)
 
 
 @both_phases
